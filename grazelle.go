@@ -166,10 +166,6 @@ type Options struct {
 	Mode EngineMode
 	// Record enables execution counters (small per-edge overhead).
 	Record bool
-	// SparseFrontier enables the sparse-frontier extension (future work in
-	// the paper, §5): small frontiers are processed as vertex lists,
-	// skipping whole-array scans. Off by default for paper fidelity.
-	SparseFrontier bool
 	// MaxRunTime, when positive, bounds each run's wall-clock time: a run
 	// past the limit stops within one scheduler chunk and returns its
 	// partial result with an error wrapping context.DeadlineExceeded.
@@ -188,9 +184,10 @@ type Options struct {
 	// Stats.Partitions reports the effective count.
 	Partitions int
 	// PullDegreeShare tunes the hybrid engine's degree-sum term (Besta et
-	// al.): a low-density frontier still pulls when its out-edges cover at
-	// least this share of all edges. 0 selects the default (0.15); a
-	// negative value disables the term.
+	// al.): a low-density frontier too large for the list-driven round
+	// still pulls when its out-edges cover at least this share of all
+	// edges. 0 selects the default (0.15, the value the direction-rule sweep
+	// in EXPERIMENTS.md supports); a negative value disables the term.
 	PullDegreeShare float64
 	// Exchange, when non-nil, replaces the partitioned coordinator's
 	// shared-memory frontier exchange with a custom transport — the seam the
@@ -236,7 +233,6 @@ func (opt Options) coreOptions() core.Options {
 		Scalar:          opt.Scalar,
 		Mode:            opt.Mode,
 		Record:          opt.Record,
-		SparseFrontier:  opt.SparseFrontier,
 		MaxRunTime:      opt.MaxRunTime,
 		Trace:           opt.Trace,
 		Partitions:      opt.Partitions,

@@ -233,3 +233,46 @@ func TestRegistryRootValidation(t *testing.T) {
 		})
 	}
 }
+
+// TestRegistryApplyIdentityIsNoOp holds every frontier-driven entry to the
+// precondition the engine's list-driven round rests on (core.runVertexSparse
+// applies only destinations some frontier edge touched): a vertex whose
+// aggregate is still Identity does not change — Apply(old, Identity, v) ==
+// (old, false) — on every state a run reaches, checked after each
+// iteration of a run on each conformance graph.
+func TestRegistryApplyIdentityIsNoOp(t *testing.T) {
+	graphs := conformanceGraphs()
+	for _, ent := range apps.All() {
+		t.Run(ent.Name, func(t *testing.T) {
+			for name, base := range graphs {
+				g := base
+				if ent.NeedsWeights {
+					g = gen.AddUniformWeights(g, 42)
+				}
+				p := conformanceParams(ent)
+				prog, err := ent.New(g, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !prog.UsesFrontier() {
+					t.Skip("frontier-blind: never takes the list-driven round")
+				}
+				r := core.NewRunner(core.BuildGraph(g), core.Options{Workers: 2})
+				identity := prog.Identity()
+				for iters := 0; ; iters++ {
+					res := core.Run(r, prog, iters)
+					for v, old := range res.Props {
+						if nv, changed := prog.Apply(old, identity, uint32(v)); nv != old || changed {
+							t.Fatalf("%s after %d iterations: Apply(%#x, Identity, %d) = (%#x, %v)",
+								name, res.Iterations, old, v, nv, changed)
+						}
+					}
+					if res.Iterations < iters || iters >= ent.MaxIters(p) {
+						break
+					}
+				}
+				r.Close()
+			}
+		})
+	}
+}

@@ -34,8 +34,8 @@ const (
 	DirPull Direction = iota
 	// DirPush runs Edge-Push: active sources scatter over out-edges.
 	DirPush
-	// DirSparse runs the fused sparse-frontier round (push over the
-	// frontier's vertex list only).
+	// DirSparse runs the fused list-driven round (push over the frontier's
+	// vertex list only).
 	DirSparse
 )
 
@@ -74,11 +74,12 @@ type Status struct {
 	Density float64
 	// DegreeShare lazily computes the frontier's out-degree sum as a share
 	// of total edges — the Besta et al. degree-sum term. It is only invoked
-	// when the density test alone would choose push, so the O(frontier)
-	// walk is paid exactly when the decision is in doubt. Nil when unknown.
+	// when the density test alone would choose push, so an O(frontier) walk
+	// the engine's census has not already done is paid exactly when the
+	// decision is in doubt. Nil when unknown.
 	DegreeShare func() float64
-	// SparseOK reports that the sparse-frontier path is enabled and this
-	// iteration's frontier fits its budget.
+	// SparseOK reports that this iteration's frontier fits the list-driven
+	// round's budget.
 	SparseOK bool
 }
 
@@ -98,9 +99,11 @@ type Policy struct {
 	DegreeShareThreshold float64
 }
 
-// Choose picks this iteration's direction. The sparse path, when available,
-// wins outright (its budget already proved the frontier tiny); the engine
-// pins come next; then density, then degree share.
+// Choose picks this iteration's direction. The list-driven round, when its
+// budget holds, wins outright (the budget already proved the frontier
+// tiny); the engine pins come next; then density, then degree share, and
+// otherwise the dense-scan push. All three outcomes occur on the
+// direction-rule sweep in EXPERIMENTS.md.
 func (p Policy) Choose(st Status) Direction {
 	if st.SparseOK {
 		return DirSparse
@@ -134,7 +137,7 @@ type Iteration struct {
 	// Begin starts an iteration: program PreIteration plus the frontier
 	// census feeding the convergence vote and the direction policy.
 	Begin func() Status
-	// Sparse runs one fused sparse-frontier round (edge scatter over the
+	// Sparse runs one fused list-driven round (edge scatter over the
 	// frontier list + vertex apply over the touched list, including the
 	// frontier publish). Only called when Status.SparseOK.
 	Sparse func()

@@ -56,8 +56,9 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 }
 
 // TestDeterminismSparseAndStealing extends the suite to the optional
-// engines: the sparse-frontier path and the work-stealing scheduler must
-// also reproduce the 1-worker ticket-scheduler output exactly.
+// engines: the paper configuration (no list-driven round, no early exit) and
+// the work-stealing scheduler must also reproduce the shipped 1-worker
+// ticket-scheduler output exactly.
 func TestDeterminismSparseAndStealing(t *testing.T) {
 	g := gen.RMAT(11, 20000, gen.DefaultRMAT, 98)
 	cg := BuildGraph(g)
@@ -69,7 +70,7 @@ func TestDeterminismSparseAndStealing(t *testing.T) {
 				name string
 				o    Options
 			}{
-				{"sparse_w4", Options{Workers: 4, SparseFrontier: true, Trace: true}},
+				{"paper_w4", Options{Workers: 4, AblateFrontierWork: true, Trace: true}},
 				{"stealing_w4", Options{Workers: 4, WorkStealing: true, Trace: true}},
 			} {
 				t.Run(opt.name, func(t *testing.T) {

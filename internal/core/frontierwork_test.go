@@ -1,0 +1,216 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/apps"
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/vec"
+	"repro/internal/vsparse"
+)
+
+// frontierWorkGraph is a small weighted graph with every shape the
+// early-exit jump has to survive: hubs whose in-edge runs span many vectors
+// (and, at ChunkVectors 1 and 3, many chunks), self-loops, duplicate edges,
+// isolated vertices, and a root of in-degree 0. It returns the root too.
+func frontierWorkGraph() (*graph.Graph, uint32) {
+	base := gen.RMAT(8, 1800, gen.RMATParams{A: 0.6, B: 0.18, C: 0.17, D: 0.05}, 77)
+	n := uint32(base.NumVertices)
+	root := n // in-degree 0: only out-edges
+	// Vertices n+1 and n+2 get no edges at all.
+	b := graph.NewBuilder(int(n) + 3)
+	add := func(src, dst uint32) { b.AddEdge(src, dst) }
+	// Highest ids first, so grouping cannot lean on input order.
+	for i := len(base.Edges) - 1; i >= 0; i-- {
+		add(base.Edges[i].Src, base.Edges[i].Dst)
+	}
+	for v := uint32(0); v < n; v += 3 {
+		add(v, 5) // 86 more in-edges for a hub, on top of R-MAT's own
+	}
+	for v := uint32(0); v < 16; v++ {
+		add(v, v)      // self-loops
+		add(v+1, v)    // duplicates: same pair twice, apart in the list
+		add(root, 7*v) // the root fans out, nothing points back
+	}
+	for v := uint32(0); v < 16; v++ {
+		add(v+1, v)
+	}
+	return gen.AddUniformWeights(b.MustBuild(), 78), root
+}
+
+type frontierWorkApp struct {
+	name string
+	mk   func() apps.Program
+	want []uint64
+}
+
+func frontierWorkApps(g *graph.Graph, root uint32) []frontierWorkApp {
+	dist := apps.ReferenceSSSP(g, root)
+	distBits := make([]uint64, len(dist))
+	for v, d := range dist {
+		distBits[v] = math.Float64bits(d)
+	}
+	cc := apps.ReferenceComponents(g)
+	ccBits := make([]uint64, len(cc))
+	for v, c := range cc {
+		ccBits[v] = uint64(c)
+	}
+	return []frontierWorkApp{
+		{"bfs", func() apps.Program { return apps.NewBFS(root) }, apps.ReferenceBFS(g, root)},
+		{"cc", func() apps.Program { return apps.NewConnComp() }, ccBits},
+		{"sssp", func() apps.Program { return apps.NewSSSP(root) }, distBits},
+		{"kcore", func() apps.Program { return apps.NewKCore(g, 3) }, apps.ReferenceKCore(g, 3)},
+	}
+}
+
+// TestFrontierWorkBitIdentity: the shipped kernels (early-exit pull, the
+// list-driven round, inline rounds), the paper configuration and the
+// sequential references agree bit for bit, at every worker, partition and
+// chunk-size combination. Pull-only runs put every iteration through the
+// early-exit kernel; hybrid runs mix it with list-driven rounds. At
+// ChunkVectors 1 every multi-vector destination straddles chunks.
+func TestFrontierWorkBitIdentity(t *testing.T) {
+	g, root := frontierWorkGraph()
+	cg := BuildGraph(g)
+	if in := cg.CSC.Degree(root); in != 0 {
+		t.Fatalf("root in-degree = %d, want 0", in)
+	}
+	if hub := cg.VSD.Index[6] - cg.VSD.Index[5]; hub < 8 {
+		t.Fatalf("hub spans %d vectors, want a run long enough to straddle chunks", hub)
+	}
+	for _, app := range frontierWorkApps(g, root) {
+		t.Run(app.name, func(t *testing.T) {
+			exits, lists := false, false
+			for _, mode := range []EngineMode{EngineHybrid, EnginePullOnly} {
+				for _, workers := range []int{1, 2, 4} {
+					for _, parts := range []int{1, 2, 4} {
+						for _, chunk := range []int{1, 3, 0} {
+							for _, ablate := range []bool{false, true} {
+								opt := Options{Workers: workers, Partitions: parts, ChunkVectors: chunk,
+									Mode: mode, AblateFrontierWork: ablate}
+								r := NewRunner(cg, opt)
+								res := Run(r, app.mk(), 1<<20)
+								r.Close()
+								label := fmt.Sprintf("%v w%d p%d chunk%d ablate=%v", mode, workers, parts, chunk, ablate)
+								if res.Partitions != parts {
+									t.Fatalf("%s: effective partitions = %d", label, res.Partitions)
+								}
+								for v := range app.want {
+									if res.Props[v] != app.want[v] {
+										t.Fatalf("%s: lane[%d] = %#x, reference %#x", label, v, res.Props[v], app.want[v])
+									}
+								}
+								if ablate && res.SparseIterations != 0 {
+									t.Fatalf("%s: %d list-driven rounds under the ablation", label, res.SparseIterations)
+								}
+								exits = exits || (!ablate && res.PullIterations > 0)
+								lists = lists || res.SparseIterations > 0
+							}
+						}
+					}
+				}
+			}
+			if !exits || !lists {
+				t.Errorf("matrix never ran a pull iteration (%v) or a list-driven round (%v)", exits, lists)
+			}
+		})
+	}
+}
+
+// assertRunsAscending checks the invariant saturation depends on: within
+// every destination's VSD run the valid lanes are non-decreasing by source.
+func assertRunsAscending(t *testing.T, a *vsparse.Array) {
+	t.Helper()
+	for dst := 0; dst < a.N; dst++ {
+		prev := uint64(0)
+		for vi := a.Index[dst]; vi < a.Index[dst+1]; vi++ {
+			v := a.Vector(vi)
+			mask := vsparse.Valid(v)
+			for lane := 0; lane < vec.Lanes; lane++ {
+				if !mask.Bit(lane) {
+					continue
+				}
+				if src := v[lane] & vsparse.VertexMask; src < prev {
+					t.Fatalf("destination %d: source %d follows %d in vector %d", dst, src, prev, vi)
+				} else {
+					prev = src
+				}
+			}
+		}
+	}
+}
+
+// TestVSDRunsAscendingBySource: BuildGraph's pull-direction runs are sorted
+// whatever order the edge list arrives in — including the base-order-plus-
+// appended-inserts list graph.ApplyEdgeOps produces for a mutated version.
+func TestVSDRunsAscendingBySource(t *testing.T) {
+	g, _ := frontierWorkGraph()
+	assertRunsAscending(t, BuildGraph(g).VSD)
+
+	n := uint32(g.NumVertices)
+	var ops []graph.EdgeOp
+	for i := uint32(0); i < 40; i++ {
+		// Inserts land after every base edge of their destination yet carry
+		// smaller sources; two of them grow the vertex set.
+		ops = append(ops, graph.EdgeOp{Src: (n - 1 - i*3) % n, Dst: 5, Weight: 1})
+		ops = append(ops, graph.EdgeOp{Delete: true, Src: g.Edges[i*7].Src, Dst: g.Edges[i*7].Dst})
+	}
+	ops = append(ops, graph.EdgeOp{Src: n + 4, Dst: 5, Weight: 1}, graph.EdgeOp{Src: 0, Dst: n + 4, Weight: 1})
+	mutated := graph.ApplyEdgeOps(g, ops)
+	cg := BuildGraph(mutated)
+	if err := cg.VSD.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	assertRunsAscending(t, cg.VSD)
+}
+
+// TestRecordCountersUnderEarlyExit pins what the Record counters mean for
+// vectors an early exit jumps over: nothing. VectorsProcessed counts vectors
+// whose lanes the kernel loaded and FrontierSkips the lanes a test it made
+// rejected, so a skipped vector is charged to no counter and the saving
+// reads as pullIterations × NumVectors − VectorsProcessed. PageRank, which
+// neither converges nor saturates, counts exactly as in the paper
+// configuration.
+func TestRecordCountersUnderEarlyExit(t *testing.T) {
+	g, root := frontierWorkGraph()
+	cg := BuildGraph(g)
+	run := func(p apps.Program, iters int, ablate bool) Result {
+		r := NewRunner(cg, Options{Workers: 2, Record: true, Mode: EnginePullOnly, AblateFrontierWork: ablate})
+		defer r.Close()
+		return Run(r, p, iters)
+	}
+
+	shipped, paper := run(apps.NewPageRank(g), 3, false), run(apps.NewPageRank(g), 3, true)
+	if shipped.EdgeCounters != paper.EdgeCounters || shipped.VertexCounters != paper.VertexCounters {
+		t.Errorf("PageRank counters moved:\n shipped %+v\n paper   %+v", shipped.EdgeCounters, paper.EdgeCounters)
+	}
+	if got, want := shipped.EdgeCounters.VectorsProcessed, uint64(3*cg.VSD.NumVectors()); got != want {
+		t.Errorf("PageRank VectorsProcessed = %d, want %d", got, want)
+	}
+
+	shipped, paper = run(apps.NewBFS(root), 1<<20, false), run(apps.NewBFS(root), 1<<20, true)
+	full := uint64(paper.PullIterations * cg.VSD.NumVectors())
+	if paper.EdgeCounters.VectorsProcessed != full {
+		t.Errorf("paper BFS VectorsProcessed = %d, want every vector every iteration (%d)",
+			paper.EdgeCounters.VectorsProcessed, full)
+	}
+	if shipped.PullIterations != paper.PullIterations {
+		t.Fatalf("iterations differ: %d vs %d", shipped.PullIterations, paper.PullIterations)
+	}
+	if got := shipped.EdgeCounters.VectorsProcessed; got >= full {
+		t.Errorf("early-exit BFS VectorsProcessed = %d, want fewer than %d", got, full)
+	}
+	// A saturating program examines at most one live edge per destination
+	// and chunk, so it gathers far fewer edges than the full scan.
+	if shipped.EdgeCounters.EdgesProcessed >= paper.EdgeCounters.EdgesProcessed {
+		t.Errorf("early-exit BFS EdgesProcessed = %d, paper configuration %d",
+			shipped.EdgeCounters.EdgesProcessed, paper.EdgeCounters.EdgesProcessed)
+	}
+	if shipped.EdgeCounters.FrontierSkips > paper.EdgeCounters.FrontierSkips {
+		t.Errorf("early-exit BFS FrontierSkips = %d exceeds the full scan's %d",
+			shipped.EdgeCounters.FrontierSkips, paper.EdgeCounters.FrontierSkips)
+	}
+}

@@ -54,11 +54,13 @@ type EngineMode int
 const (
 	// EngineHybrid picks pull or push per iteration from frontier density
 	// (§2: a hybrid selects pull whenever a sufficiently large part of the
-	// graph is in the frontier).
+	// graph is in the frontier), and runs the list-driven round of sparse.go
+	// when the frontier's vertices plus out-edges fit E/20.
 	EngineHybrid EngineMode = iota
 	// EnginePullOnly always runs Edge-Pull.
 	EnginePullOnly
-	// EnginePushOnly always runs Edge-Push.
+	// EnginePushOnly always runs Edge-Push (list-driven when the frontier
+	// fits the same budget).
 	EnginePushOnly
 )
 
@@ -116,11 +118,13 @@ type Options struct {
 	// synchronized writes. The share is computed lazily, only when the
 	// density test alone would choose push. Zero selects the default
 	// (0.15); negative disables the term (density-only, the prior
-	// behavior). The default sits well above Ligra's |E|/20 because this
-	// pull kernel has no per-destination early exit: a sweep over the
-	// T/U/D analogs shows 0.05 flips single-hub BFS frontiers into full
-	// pull scans (+45% on the U analog), while 0.15 leaves every measured
-	// schedule unchanged and still guards truly hub-dominated frontiers.
+	// behavior). The default is what the sweep in EXPERIMENTS.md
+	// ("Direction-rule sweep", benchfig dirsweep) supports with early-exit
+	// pull in place: 0.10, 0.15 and a disabled term schedule every swept
+	// bfs/cc/sssp × C/D/L/T/U row identically, while Besta et al.'s 0.05
+	// flips six rows into pull — 23% faster on one (BFS from the U
+	// analog's top hub, which saturates) and 7–25% slower on the other five
+	// (SSSP and the C analog, which gather every in-edge regardless).
 	PullDegreeShare float64
 	// Partitions splits execution into this many coordinator partitions
 	// (internal/coord): per-iteration scatter-gather of the edge and
@@ -148,11 +152,14 @@ type Options struct {
 	// its overhead is a fraction of a percent and serving layers leave it
 	// on.
 	Trace bool
-	// SparseFrontier enables the sparse-frontier extension the paper defers
-	// to future work (§5): when the frontier is small, the Edge phase
-	// visits only the frontier’s out-vectors and the Vertex phase only the
-	// touched destinations. Off by default for paper fidelity.
-	SparseFrontier bool
+	// AblateFrontierWork restores the paper's configuration for the
+	// design-choice benchmarks and the harness's "paper configuration"
+	// rows: every frontier-driven iteration scans whole arrays. It disables
+	// both mechanisms that make an iteration's cost proportional to its
+	// frontier — the list-driven round (sparse.go), which the hybrid
+	// otherwise runs whenever |F| + outEdges(F) ≤ E/20, and the pull
+	// kernel's early exit (pullSABody). Not part of the public facade.
+	AblateFrontierWork bool
 	// AblateFullVector disables the fused full-vector fast path in the
 	// pull kernels — an ablation knob for the design-choice benchmarks;
 	// not part of the public facade.

@@ -61,11 +61,11 @@ func partitionTestGraph() (*Graph, *graph.Graph) {
 
 func TestPartitionedBitIdentity(t *testing.T) {
 	cg, g := partitionTestGraph()
-	for _, sparse := range []bool{false, true} {
-		base := Options{SparseFrontier: sparse}
-		name := "dense"
-		if sparse {
-			name = "sparse"
+	for _, ablate := range []bool{false, true} {
+		base := Options{AblateFrontierWork: ablate}
+		name := "shipped"
+		if ablate {
+			name = "paper"
 		}
 		t.Run(name+"/pagerank", func(t *testing.T) {
 			assertPartitionIdentity(t, cg, func() *apps.PageRank { return apps.NewPageRank(g) }, 15, base)
@@ -130,9 +130,10 @@ func TestPartitionedFallback(t *testing.T) {
 }
 
 // TestPartitionedExchangeAccounting checks the per-partition trace: every
-// frontier-driven full iteration exchanges each bitmap word exactly once, so
-// the summed exchange bytes must equal iterations × words × 8, and the
-// direction string must record one mark per iteration.
+// frontier-driven full iteration exchanges each bitmap word exactly once
+// (list-driven rounds run fused and exchange nothing), so the summed
+// exchange bytes must equal full iterations × words × 8, and the direction
+// string must record one mark per iteration.
 func TestPartitionedExchangeAccounting(t *testing.T) {
 	cg, pg := partitionTestGraph()
 	const parts = 4
@@ -152,10 +153,14 @@ func TestPartitionedExchangeAccounting(t *testing.T) {
 		spans += ps.Spans
 	}
 	words := (cg.N + 63) / 64
-	want := int64(res.Iterations) * int64(words) * 8
+	full := res.Iterations - res.SparseIterations
+	want := int64(full) * int64(words) * 8
 	if sum != want {
-		t.Errorf("exchange bytes = %d, want %d (%d iterations × %d words × 8)",
-			sum, want, res.Iterations, words)
+		t.Errorf("exchange bytes = %d, want %d (%d full iterations × %d words × 8)",
+			sum, want, full, words)
+	}
+	if full == 0 || res.SparseIterations == 0 {
+		t.Errorf("want both full and list-driven iterations, got %q", res.Trace.Directions)
 	}
 	if spans == 0 {
 		t.Error("no spans recorded")

@@ -65,6 +65,18 @@ func edgePullSA[P apps.Program](r *ExecContext, p P) {
 // chunk-local state, single-writer transition stores, and merge slots keyed
 // by global chunk id make that exactly as safe as concurrent chunks of one
 // dispatch.
+//
+// Early exit: a destination whose gather can contribute nothing more is left
+// by jumping vi to the end of its vector run, Index[dst+1] (the loop bound
+// clips the jump at rg.Hi), instead of visiting every vector. Two cases
+// qualify. A converged destination (TracksConverged) ignores all messages.
+// A saturating program — FusedMinSrc, whose aggregate is the minimum live
+// source id — is complete at its first live lane, because every VSD run is
+// ascending by source (csr.FromGraph sorts each group). No chunk reads past
+// its rg.Hi, so the chunk grid, the transition stores and the merge slots
+// are those of the full scan; a run that straddles chunks yields one
+// first-live-lane partial per chunk, and their min-fold is the first
+// chunk's — the full scan's answer, bit for bit.
 func pullSABody[P apps.Program](r *ExecContext, p P) func(rg sched.Range, chunkID, tid, node int) {
 	a := r.g.VSD
 	identity := p.Identity()
@@ -75,8 +87,11 @@ func pullSABody[P apps.Program](r *ExecContext, p P) func(rg sched.Range, chunkI
 	props, accum := r.props, r.accum
 	rec := r.edgeRec
 	fz := fuseFor(p, weighted)
+	earlyExit := !r.opt.AblateFrontierWork
+	saturates := earlyExit && fz.kind == apps.FusedMinSrc
 
 	words := a.Words
+	index := a.Index
 	return func(rg sched.Range, chunkID, tid, node int) {
 		var c perfmodel.Counters
 		// StartChunk (Listing 3): TLS holds the previous destination and its
@@ -102,6 +117,9 @@ func pullSABody[P apps.Program](r *ExecContext, p P) func(rg sched.Range, chunkI
 				mask := signMask4(v0, v1, v2, v3)
 				c.FrontierSkips += uint64(mask.Count())
 				c.InvalidLanes += uint64(vec.Lanes - mask.Count())
+				if earlyExit {
+					vi = index[dst+1] - 1
+				}
 				continue
 			}
 			// Full-vector fast path (the common case the format is padded
@@ -134,6 +152,19 @@ func pullSABody[P apps.Program](r *ExecContext, p P) func(rg sched.Range, chunkI
 				mask = live
 			}
 			if mask == 0 {
+				continue
+			}
+			if saturates {
+				// The first live lane is the run's minimum live source:
+				// take it and leave the destination.
+				n := neigh[mask.First()]
+				acc = step(p, &fz, props, acc, n, 0)
+				c.EdgesProcessed++
+				c.TLSWrites++
+				if rec != nil {
+					countLocality(r, node, &c, n)
+				}
+				vi = index[dst+1] - 1
 				continue
 			}
 			if mask == vec.MaskAll && !r.opt.AblateFullVector {

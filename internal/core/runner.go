@@ -69,6 +69,11 @@ type ExecContext struct {
 	// lists for order-sensitive combine operators; grown lazily by the
 	// kernels that use it.
 	scatterBuf *sched.ScatterBuffer
+	// frontList and touchedList are the list-driven round's vertex lists and
+	// nodeStates is dispatch's per-node ticket state, all recycled across
+	// iterations rather than reallocated by each one.
+	frontList, touchedList []uint32
+	nodeStates             []nodeState
 
 	// edgeRec and vertexRec collect counters when Options.Record is set;
 	// nil otherwise.
@@ -356,6 +361,14 @@ func (ec *ExecContext) noteMerge(wall time.Duration) {
 	ec.pendingMergeN++
 }
 
+// nodeState is one simulated NUMA node's chunk-ticket state within a
+// dispatch.
+type nodeState struct {
+	lo, numChunks, chunkBase int
+	next                     atomic.Int64
+	_                        [64]byte // keep counters off shared lines
+}
+
 // dispatch hands contiguous chunks of [0, total) to workers, restricted to
 // each worker's simulated NUMA node partition (part must partition the same
 // space). Chunk ids are globally unique and stable for a given (total,
@@ -385,18 +398,17 @@ func (ec *ExecContext) dispatch(part numa.Partition, chunkSize int, rec *perfmod
 		return
 	}
 	nodes := part.Nodes()
-	type nodeState struct {
-		lo, numChunks, chunkBase int
-		next                     atomic.Int64
-		_                        [64]byte // keep counters off shared lines
+	if len(ec.nodeStates) < nodes {
+		ec.nodeStates = make([]nodeState, nodes)
 	}
-	states := make([]nodeState, nodes)
+	states := ec.nodeStates[:nodes]
 	base := 0
 	for n := 0; n < nodes; n++ {
 		lo, hi := part.Range(n)
 		states[n].lo = lo
 		states[n].numChunks = sched.NumChunks(hi-lo, chunkSize)
 		states[n].chunkBase = base
+		states[n].next.Store(0)
 		base += states[n].numChunks
 	}
 	if base == 0 {
@@ -527,48 +539,49 @@ func runLoop[P apps.Program](ec *ExecContext, p P, maxIters int, seed *Seed) (Re
 	}
 	usesFrontier := p.UsesFrontier()
 
-	// density and sparseList carry per-iteration state from Begin into the
-	// phase closures. The coordinator invokes Begin/Sparse/Edge*/Vertex*/End
+	// density and cs carry per-iteration state from Begin into the phase
+	// closures. The coordinator invokes Begin/Sparse/Edge*/Vertex*/End
 	// strictly in sequence on this goroutine; only the *Span closures run
 	// concurrently, on disjoint chunk spans.
 	var (
-		density    float64
-		sparseList []uint32
+		density float64
+		cs      census
 	)
+	degreeShare := func() float64 { return ec.degreeShare(cs) }
 	it := coord.Iteration{
 		Begin: func() coord.Status {
 			var st coord.Status
-			if ec.aborted() || (usesFrontier && ec.front.Empty()) {
+			if ec.aborted() {
 				st.Stop = true
 				return st
 			}
-			p.PreIteration(ec.props)
-			// The iteration's frontier density drives both the direction
-			// choice and the trace; computing it once keeps the two
-			// consistent.
+			// One census per iteration feeds the convergence vote, the
+			// direction choice and the trace, keeping the three consistent.
 			density = 1.0
 			if usesFrontier {
-				density = ec.front.Density()
+				cs = ec.takeCensus()
+				if cs.count == 0 {
+					st.Stop = true
+					return st
+				}
+				density = float64(cs.count) / float64(ec.g.N)
+				st.DegreeShare = degreeShare
+				st.SparseOK = ec.sparseOK(cs)
 			}
+			p.PreIteration(ec.props)
 			st.UsesFrontier = usesFrontier
 			st.Density = density
-			if usesFrontier {
-				st.DegreeShare = ec.frontierDegreeShare
-			}
-			if front, ok := ec.selectSparse(p); ok {
-				sparseList = front
-				st.SparseOK = true
-			}
 			return st
 		},
 		Sparse: func() {
+			inline := cs.fitsOneChunk()
 			t0 := time.Now()
-			touched := runEdgePushSparse(ec, p, sparseList)
+			touched := runEdgePushSparse(ec, p, cs.list, inline)
 			t1 := time.Now()
 			edgeWall := t1.Sub(t0)
 			res.EdgeTime += edgeWall
 			ec.traceEdge(obs.PhaseEdgePush, edgeWall, density)
-			runVertexSparse(ec, p, touched)
+			runVertexSparse(ec, p, touched, inline)
 			vertexWall := time.Since(t1)
 			res.VertexTime += vertexWall
 			ec.traceVertex(vertexWall, density)
@@ -772,22 +785,6 @@ func (ec *ExecContext) dispatchSpan(grp *sched.Group, s coord.Span, total, chunk
 // publishFrontier installs the just-built next frontier as the current one.
 func (ec *ExecContext) publishFrontier() {
 	ec.front, ec.next = ec.next, ec.front
-}
-
-// frontierDegreeShare returns the current frontier's out-degree sum as a
-// share of all edges — the lazy degree-sum term of the hybrid heuristic
-// (Policy.DegreeShareThreshold). Only invoked when the density test alone
-// would choose push, so the O(frontier) walk is paid exactly when the
-// decision is in doubt.
-func (ec *ExecContext) frontierDegreeShare() float64 {
-	if ec.g.Edges == 0 {
-		return 0
-	}
-	var sum uint64
-	ec.front.ForEach(func(v uint32) {
-		sum += uint64(ec.g.CSR.Degree(v))
-	})
-	return float64(sum) / float64(ec.g.Edges)
 }
 
 // noteDirection appends one iteration's direction mark to the run trace.

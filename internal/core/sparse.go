@@ -12,47 +12,94 @@ import (
 	"repro/internal/vsparse"
 )
 
-// This file implements the sparse-frontier extension the paper explicitly
-// defers (§5: "Unlike Grazelle, other engines support dynamically switching
+// This file implements the list-driven round the paper explicitly defers
+// (§5: "Unlike Grazelle, other engines support dynamically switching
 // between sparse and dense representations for frontiers ... we quantify
 // the impact of this implementation issue in §6.3 but otherwise leave it to
-// future work"). When Options.SparseFrontier is set and the frontier is
-// small, the Edge phase iterates only the frontier's out-vectors (via the
-// VSS vertex index) and the Vertex phase applies only the touched
-// destinations — eliminating the whole-array scans that cost Grazelle the
-// BFS comparison of Fig 13.
+// future work"). When the frontier is small the Edge phase iterates only
+// the frontier's out-vectors (via the VSS vertex index) and the Vertex phase
+// applies only the touched destinations — eliminating the whole-array scans
+// that cost Grazelle the BFS comparison of Fig 13. The hybrid runs it
+// whenever the budget below holds; Options.AblateFrontierWork turns it off.
 
 // sparseThresholdDivisor mirrors Ligra's heuristic: go sparse when
 // |F| + outEdges(F) <= E / 20.
 const sparseThresholdDivisor = 20
 
-// selectSparse decides whether this iteration should run the sparse path;
-// it returns the frontier's vertex list when so.
-func (r *ExecContext) selectSparse(p apps.Program) ([]uint32, bool) {
-	if !r.opt.SparseFrontier || !p.UsesFrontier() || r.opt.Mode == EnginePullOnly {
-		return nil, false
-	}
-	// Cheap word-count screen before materializing the list: a frontier
-	// with more members than the edge budget can never qualify.
-	budget := r.g.Edges / sparseThresholdDivisor
-	if r.front.Count() > budget {
-		return nil, false
-	}
-	sp := r.front.ToSparse()
-	frontEdges := 0
-	for _, v := range sp.Vertices() {
-		frontEdges += r.g.CSR.Degree(v)
-	}
-	if sp.Count()+frontEdges > budget {
-		return nil, false
-	}
-	return sp.Vertices(), true
+// sparseInlineWork is the size, in frontier vertices plus out-edges, of the
+// smallest chunk a list-driven round is split into: below it, the round's
+// two fork-join barriers cost more than the work they would split, so it
+// runs on the driver goroutine without touching the pool.
+const sparseInlineWork = 1024
+
+// census is one iteration's view of the frontier, taken once in Begin and
+// shared by the convergence vote, the direction policy, the list-driven
+// round and the trace.
+type census struct {
+	// count is |F|.
+	count int
+	// list is F in ascending order, materialized only when count alone fits
+	// the sparse budget; outEdges is then its out-degree sum.
+	list     []uint32
+	outEdges int
 }
+
+// takeCensus walks the frontier bitmap once for the count and, when the
+// list-driven round is still possible, once more for the list and its
+// out-degree sum. The round is a Vector-Sparse push kernel, so pull-only
+// and scalar runs never take it.
+func (r *ExecContext) takeCensus() census {
+	cs := census{count: r.front.Count()}
+	if r.opt.AblateFrontierWork || r.opt.Mode == EnginePullOnly || r.opt.Scalar ||
+		cs.count == 0 || cs.count > r.g.Edges/sparseThresholdDivisor {
+		return cs
+	}
+	r.frontList = r.front.AppendTo(r.frontList[:0])
+	cs.list = r.frontList
+	for _, v := range cs.list {
+		cs.outEdges += r.g.CSR.Degree(v)
+	}
+	return cs
+}
+
+// work is the size of a list-driven round over the census's frontier: its
+// vertices plus their out-edges (meaningful only when list is set).
+func (cs census) work() int { return cs.count + cs.outEdges }
+
+// sparseOK reports whether the frontier fits the list-driven round's budget.
+func (r *ExecContext) sparseOK(cs census) bool {
+	return cs.list != nil && cs.work() <= r.g.Edges/sparseThresholdDivisor
+}
+
+// degreeShare returns the frontier's out-degree sum as a share of all
+// edges — the degree-sum term of the hybrid heuristic
+// (Policy.DegreeShareThreshold). The census already holds the sum for
+// frontiers it listed; larger ones are walked here, lazily, only when the
+// density test alone would choose push.
+func (r *ExecContext) degreeShare(cs census) float64 {
+	if r.g.Edges == 0 {
+		return 0
+	}
+	sum := cs.outEdges
+	if cs.list == nil {
+		r.front.ForEach(func(v uint32) {
+			sum += r.g.CSR.Degree(v)
+		})
+	}
+	return float64(sum) / float64(r.g.Edges)
+}
+
+// fitsOneChunk reports whether the list-driven round over this frontier runs
+// as one chunk on the driver goroutine (the touched list is no longer than
+// the out-edge sum, so it fits too). Chunks are contiguous ranges of a
+// sorted list folded in chunk-id order, so one chunk folds exactly as many
+// would.
+func (cs census) fitsOneChunk() bool { return cs.work() <= sparseInlineWork }
 
 // runEdgePushSparse scatters only the frontier's out-edges (vectorized over
 // VSS), collecting the set of touched destinations. It returns the touched
 // list for the sparse Vertex phase.
-func runEdgePushSparse[P apps.Program](r *ExecContext, p P, front []uint32) []uint32 {
+func runEdgePushSparse[P apps.Program](r *ExecContext, p P, front []uint32, inline bool) []uint32 {
 	t0 := time.Now()
 	a := r.g.VSS
 	words := a.Words
@@ -67,15 +114,7 @@ func runEdgePushSparse[P apps.Program](r *ExecContext, p P, front []uint32) []ui
 	r.touched.Clear()
 	touchedWords := r.touched.Words()
 
-	chunk := sched.ChunkSize(len(front), sched.DefaultChunks(r.pool.Workers()))
-	// Order-sensitive programs route contributions through the scatter
-	// buffer for a deterministic fold (see edgePushVectorized); the frontier
-	// list is sorted, so chunk ranges are stable across runs.
-	if fz.ordered {
-		r.scatterBuf.Grow(sched.NumChunks(len(front), chunk))
-	}
-	err := r.pool.DynamicForCtx(r.ctx, len(front), chunk, func(rg sched.Range, chunkID, tid int) {
-		r.countChunk()
+	body := func(rg sched.Range, chunkID, tid, _ int) {
 		var c perfmodel.Counters
 		var out []sched.Contribution
 		if fz.ordered {
@@ -106,13 +145,21 @@ func runEdgePushSparse[P apps.Program](r *ExecContext, p P, front []uint32) []ui
 					}
 					msg := stepMsg(p, &fz, props, uint64(src), w)
 					c.EdgesProcessed++
-					if fz.ordered {
+					switch {
+					case fz.ordered:
 						out = append(out, sched.Contribution{Dst: dst, Val: msg})
 						c.TLSWrites++
-					} else {
+					case inline:
+						// The driver goroutine is the only writer.
+						plainCombine(p, &accum[dst], msg, skipEqual, &c)
+					default:
 						casCombine(p, &accum[dst], msg, skipEqual, &c)
 					}
-					atomic.OrUint64(&touchedWords[dst>>6], 1<<(dst&63))
+					if inline {
+						touchedWords[dst>>6] |= 1 << (dst & 63)
+					} else {
+						atomic.OrUint64(&touchedWords[dst>>6], 1<<(dst&63))
+					}
 				}
 			}
 		}
@@ -123,13 +170,32 @@ func runEdgePushSparse[P apps.Program](r *ExecContext, p P, front []uint32) []ui
 			rec.Record(tid, c)
 			rec.AddBusy(tid, time.Since(start))
 		}
-	})
-	// A chunk panic surfaces here as a *sched.PanicError (the pool contains
-	// it); record it so the run aborts. Context errors are already observed
-	// by the iteration driver through aborted().
-	var pe *sched.PanicError
-	if errors.As(err, &pe) {
-		r.runErr.CompareAndSwap(nil, pe)
+	}
+
+	if inline {
+		if fz.ordered {
+			r.scatterBuf.Grow(1)
+		}
+		r.runChunk(body, sched.Range{Lo: 0, Hi: len(front)}, 0, 0, 0)
+	} else {
+		chunk := sched.ChunkSize(len(front), sched.DefaultChunks(r.pool.Workers()))
+		// Order-sensitive programs route contributions through the scatter
+		// buffer for a deterministic fold (see edgePushVectorized); the
+		// frontier list is sorted, so chunk ranges are stable across runs.
+		if fz.ordered {
+			r.scatterBuf.Grow(sched.NumChunks(len(front), chunk))
+		}
+		err := r.pool.DynamicForCtx(r.ctx, len(front), chunk, func(rg sched.Range, chunkID, tid int) {
+			r.countChunk()
+			body(rg, chunkID, tid, 0)
+		})
+		// A chunk panic surfaces here as a *sched.PanicError (the pool
+		// contains it); record it so the run aborts. Context errors are
+		// already observed by the iteration driver through aborted().
+		var pe *sched.PanicError
+		if errors.As(err, &pe) {
+			r.runErr.CompareAndSwap(nil, pe)
+		}
 	}
 	if fz.ordered {
 		mergeScatter(r, p)
@@ -137,25 +203,23 @@ func runEdgePushSparse[P apps.Program](r *ExecContext, p P, front []uint32) []ui
 	if rec != nil {
 		rec.Wall += time.Since(t0)
 	}
-	return r.touched.ToSparse().Vertices()
+	r.touchedList = r.touched.AppendTo(r.touchedList[:0])
+	return r.touchedList
 }
 
 // runVertexSparse applies only the touched destinations and rebuilds the
 // next frontier from them. Untouched vertices hold identity aggregates and
-// cannot change, so skipping them is exact.
-func runVertexSparse[P apps.Program](r *ExecContext, p P, touched []uint32) {
+// cannot change (Apply(old, Identity, v) == (old, false) for every
+// frontier-driven program; the registry conformance suite holds them to
+// it), so skipping them is exact.
+func runVertexSparse[P apps.Program](r *ExecContext, p P, touched []uint32, inline bool) {
 	t0 := time.Now()
 	identity := p.Identity()
 	tracksConv := p.TracksConverged()
 	r.next.Clear()
 	nextWords := r.next.Words()
 	convWords := r.conv.Words()
-	r.pool.StaticFor(len(touched), func(rg sched.Range, tid int) {
-		if r.aborted() {
-			return
-		}
-		defer r.guard()
-		r.countChunk()
+	body := func(rg sched.Range, tid int) {
 		var c perfmodel.Counters
 		start := time.Now()
 		for i := rg.Lo; i < rg.Hi; i++ {
@@ -175,8 +239,21 @@ func runVertexSparse[P apps.Program](r *ExecContext, p P, touched []uint32) {
 			r.vertexRec.Record(tid, c)
 			r.vertexRec.AddBusy(tid, time.Since(start))
 		}
-	})
-	r.front, r.next = r.next, r.front
+	}
+	if inline {
+		r.runChunk(func(rg sched.Range, _, tid, _ int) { body(rg, tid) },
+			sched.Range{Lo: 0, Hi: len(touched)}, 0, 0, 0)
+	} else {
+		r.pool.StaticFor(len(touched), func(rg sched.Range, tid int) {
+			if r.aborted() {
+				return
+			}
+			defer r.guard()
+			r.countChunk()
+			body(rg, tid)
+		})
+	}
+	r.publishFrontier()
 	if r.vertexRec != nil {
 		r.vertexRec.Wall += time.Since(t0)
 	}

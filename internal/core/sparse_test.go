@@ -17,7 +17,7 @@ func TestSparseFrontierMatchesReferences(t *testing.T) {
 	for name, g := range graphs {
 		cg := BuildGraph(g)
 		for _, workers := range []int{1, 4} {
-			r := NewRunner(cg, Options{Workers: workers, SparseFrontier: true})
+			r := NewRunner(cg, Options{Workers: workers})
 			// BFS.
 			res := Run(r, apps.NewBFS(0), 1<<20)
 			want := apps.ReferenceBFS(g, 0)
@@ -41,7 +41,7 @@ func TestSparseFrontierMatchesReferences(t *testing.T) {
 
 func TestSparseFrontierSSSP(t *testing.T) {
 	g := gen.AddUniformWeights(gen.Grid(9, 9, false, 5), 6)
-	r := NewRunner(BuildGraph(g), Options{Workers: 2, SparseFrontier: true})
+	r := NewRunner(BuildGraph(g), Options{Workers: 2})
 	defer r.Close()
 	res := Run(r, apps.NewSSSP(0), 1<<20)
 	want := apps.ReferenceSSSP(g, 0)
@@ -64,39 +64,39 @@ func TestSparseFrontierEngagesOnSparseWork(t *testing.T) {
 		b.AddEdge(v, v+1)
 	}
 	g := b.MustBuild()
-	r := NewRunner(BuildGraph(g), Options{Workers: 2, SparseFrontier: true})
+	r := NewRunner(BuildGraph(g), Options{Workers: 2})
 	defer r.Close()
 	res := Run(r, apps.NewBFS(0), 1<<20)
 	if res.SparseIterations != res.Iterations {
 		t.Errorf("sparse iterations = %d of %d", res.SparseIterations, res.Iterations)
 	}
-	// Without the option, zero sparse iterations.
-	r2 := NewRunner(BuildGraph(g), Options{Workers: 2})
+	// The ablation restores the paper configuration: zero sparse iterations.
+	r2 := NewRunner(BuildGraph(g), Options{Workers: 2, AblateFrontierWork: true})
 	defer r2.Close()
 	if res2 := Run(r2, apps.NewBFS(0), 1<<20); res2.SparseIterations != 0 {
-		t.Error("sparse path ran without SparseFrontier")
+		t.Error("sparse path ran under AblateFrontierWork")
 	}
 }
 
 func TestSparseFrontierIgnoredForPageRank(t *testing.T) {
 	g := gen.RMAT(7, 600, gen.DefaultRMAT, 7)
-	r := NewRunner(BuildGraph(g), Options{Workers: 2, SparseFrontier: true})
+	r := NewRunner(BuildGraph(g), Options{Workers: 2})
 	defer r.Close()
 	res := Run(r, apps.NewPageRank(g), 4)
 	if res.SparseIterations != 0 {
 		t.Error("frontier-blind PageRank used the sparse path")
 	}
 	if math.Abs(apps.RankSum(res.Props)-1) > 1e-9 {
-		t.Error("rank sum wrong with SparseFrontier set")
+		t.Error("rank sum wrong")
 	}
 }
 
 func TestSparseFrontierDenseStartStillPull(t *testing.T) {
 	// CC starts with a full frontier: the first iterations must be dense
-	// pull even with SparseFrontier enabled, switching to sparse only for
+	// pull, switching to the list-driven round only for
 	// the convergence tail.
 	g := gen.RMAT(9, 4000, gen.DefaultRMAT, 8)
-	r := NewRunner(BuildGraph(g), Options{Workers: 2, SparseFrontier: true})
+	r := NewRunner(BuildGraph(g), Options{Workers: 2})
 	defer r.Close()
 	res := Run(r, apps.NewConnComp(), 1<<20)
 	if res.PullIterations == 0 {

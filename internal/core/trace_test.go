@@ -146,7 +146,7 @@ func TestTraceWorkStealing(t *testing.T) {
 // with the sparse vertex phase counted under vertex.
 func TestTraceSparsePath(t *testing.T) {
 	g := gen.RMAT(12, 40000, gen.DefaultRMAT, 35)
-	r := NewRunner(BuildGraph(g), Options{Workers: 2, Trace: true, SparseFrontier: true})
+	r := NewRunner(BuildGraph(g), Options{Workers: 2, Trace: true})
 	defer r.Close()
 	res := Run(r, apps.NewBFS(0), 50)
 	if res.SparseIterations == 0 {

@@ -112,11 +112,23 @@ func (d *Dense) Clone() *Dense {
 	return out
 }
 
+// AppendTo appends the active vertices to buf in ascending order and returns
+// the extended slice — ToSparse for callers that recycle one list buffer
+// across iterations.
+func (d *Dense) AppendTo(buf []uint32) []uint32 {
+	for wi, w := range d.words {
+		base := uint32(wi) << 6
+		for w != 0 {
+			buf = append(buf, base+uint32(bits.TrailingZeros64(w)))
+			w &= w - 1
+		}
+	}
+	return buf
+}
+
 // ToSparse extracts the active vertices as a sorted list.
 func (d *Dense) ToSparse() *Sparse {
-	s := &Sparse{n: d.n, verts: make([]uint32, 0, d.Count())}
-	d.ForEach(func(v uint32) { s.verts = append(s.verts, v) })
-	return s
+	return &Sparse{n: d.n, verts: d.AppendTo(make([]uint32, 0, d.Count()))}
 }
 
 // Sparse is a list-of-vertices frontier, efficient when few vertices are

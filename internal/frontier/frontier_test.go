@@ -195,3 +195,24 @@ func TestSparseDenseAgreeProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// AppendTo extends the caller's buffer in ascending order and leaves what it
+// already held in place, so one list buffer can be recycled across calls.
+func TestAppendToRecyclesBuffer(t *testing.T) {
+	d := NewDense(200)
+	for _, v := range []uint32{199, 64, 3, 63} {
+		d.Add(v)
+	}
+	buf := make([]uint32, 1, 16)
+	buf[0] = 7
+	got := d.AppendTo(buf)
+	if want := []uint32{7, 3, 63, 64, 199}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("AppendTo = %v, want %v", got, want)
+	}
+	if &got[0] != &buf[0] {
+		t.Error("AppendTo reallocated a buffer with room to spare")
+	}
+	if again := d.AppendTo(got[:0]); !reflect.DeepEqual(again, []uint32{3, 63, 64, 199}) {
+		t.Errorf("recycled AppendTo = %v", again)
+	}
+}

@@ -230,7 +230,10 @@ func Fig8(cfg Config) []*Table {
 			cg := cfg.DatasetCoreGraph(d)
 			times := map[core.PullVariant]time.Duration{}
 			for _, v := range schedVariants() {
-				r := core.NewRunner(cg, core.Options{Workers: cfg.Workers, Variant: v})
+				// The paper configuration: the figure isolates the pull
+				// interface, so no iteration may leave it for the
+				// list-driven round.
+				r := core.NewRunner(cg, core.Options{Workers: cfg.Workers, Variant: v, AblateFrontierWork: true})
 				prog := apps.NewConnComp()
 				if writeIntense {
 					prog = apps.NewConnCompWriteIntense()

@@ -122,7 +122,9 @@ func Fig10(cfg Config) []*Table {
 		row := []any{d.Abbrev()}
 		for _, app := range []string{"PR", "CC", "BFS"} {
 			runOnce := func(scalar bool) time.Duration {
-				r := core.NewRunner(cg, core.Options{Workers: cfg.Workers, Scalar: scalar})
+				// The paper configuration: scalar and vectorized runs must
+				// differ only in the kernels the figure compares.
+				r := core.NewRunner(cg, core.Options{Workers: cfg.Workers, Scalar: scalar, AblateFrontierWork: true})
 				defer r.Close()
 				switch app {
 				case "PR":

@@ -17,7 +17,7 @@ func quickCfg() Config {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"fig1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "table1", "table2"}
+	want := []string{"fig1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "table1", "table2", "dirsweep"}
 	names := Names()
 	for _, w := range want {
 		found := false
@@ -50,6 +50,25 @@ func TestTableRender(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("rendered table missing %q:\n%s", want, s)
 		}
+	}
+}
+
+func TestDirSweepRuns(t *testing.T) {
+	cfg := quickCfg()
+	cfg.Datasets = []gen.Dataset{gen.CitPatents}
+	tabs := DirSweep(cfg)
+	// bfs and sssp from two roots, cc once; four thresholds each.
+	if len(tabs) != 1 || len(tabs[0].Rows) != 5*len(dirSweepShares) {
+		t.Fatalf("DirSweep produced %d tables / %d rows", len(tabs), len(tabs[0].Rows))
+	}
+	for _, row := range tabs[0].Rows {
+		if dirs := row[len(row)-1]; strings.Trim(dirs, "<>s") != "" || dirs == "" {
+			t.Errorf("row %v: direction string %q", row, dirs)
+		}
+	}
+	long := strings.Repeat("s", 300) + "<>"
+	if got := abbreviateDirections(long); !strings.Contains(got, "(302: 1< 1> 300s)") {
+		t.Errorf("abbreviateDirections = %q", got)
 	}
 }
 
@@ -194,33 +213,34 @@ func TestFig1Runs(t *testing.T) {
 func TestFig11MarksOriginalScaleFailures(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Datasets = []gen.Dataset{gen.UK2007}
-	tabs := Fig11(cfg)
-	row := tabs[0].Rows[0]
+	tab := Fig11(cfg)[0]
+	col := map[string]int{}
+	for i, name := range tab.Columns {
+		col[name] = i
+	}
+	for _, name := range []string{"Grazelle (paper configuration)", "Grazelle", "Polymer", "GraphMat"} {
+		if _, ok := col[name]; !ok {
+			t.Fatalf("Fig11 has no %q column: %v", name, tab.Columns)
+		}
+	}
+	row := tab.Rows[0]
 	// Polymer and GraphMat columns must be n/a on the uk-2007 analog (the
 	// original dataset exceeds both frameworks' limits).
-	if !strings.HasPrefix(row[6], "n/a") {
-		t.Errorf("Polymer cell = %q, want n/a on uk-2007", row[6])
+	if !strings.HasPrefix(row[col["Polymer"]], "n/a") {
+		t.Errorf("Polymer cell = %q, want n/a on uk-2007", row[col["Polymer"]])
 	}
-	if !strings.HasPrefix(row[7], "n/a") {
-		t.Errorf("GraphMat cell = %q, want n/a on uk-2007", row[7])
+	if !strings.HasPrefix(row[col["GraphMat"]], "n/a") {
+		t.Errorf("GraphMat cell = %q, want n/a on uk-2007", row[col["GraphMat"]])
 	}
 	// Twitter's original (1.47B edges) fits int32 indexing: per the paper,
 	// only uk-2007 defeats GraphMat and Polymer.
 	cfg.Datasets = []gen.Dataset{gen.Twitter}
 	row = Fig11(cfg)[0].Rows[0]
-	if strings.HasPrefix(row[7], "n/a") {
-		t.Errorf("GraphMat cell = %q, should run on twitter-2010", row[7])
+	if strings.HasPrefix(row[col["GraphMat"]], "n/a") {
+		t.Errorf("GraphMat cell = %q, should run on twitter-2010", row[col["GraphMat"]])
 	}
-	if strings.HasPrefix(row[6], "n/a") {
-		t.Errorf("Polymer cell = %q, should run on twitter-2010", row[6])
-	}
-	// cit-Patents fits everywhere: no n/a cells.
-	cfg.Datasets = []gen.Dataset{gen.CitPatents}
-	row = Fig11(cfg)[0].Rows[0]
-	for i, cell := range row {
-		if strings.HasPrefix(cell, "n/a") {
-			t.Errorf("column %d = %q on cit-Patents", i, cell)
-		}
+	if strings.HasPrefix(row[col["Polymer"]], "n/a") {
+		t.Errorf("Polymer cell = %q, should run on twitter-2010", row[col["Polymer"]])
 	}
 }
 

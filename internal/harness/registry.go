@@ -35,6 +35,7 @@ func init() {
 	register("fig11", "framework comparison: PageRank (Fig 11)", Fig11)
 	register("fig12", "framework comparison: Connected Components (Fig 12)", Fig12)
 	register("fig13", "framework comparison: BFS (Fig 13)", Fig13)
+	register("dirsweep", "hybrid direction rule: degree-share threshold sweep (not in the paper)", DirSweep)
 }
 
 // Lookup finds an experiment by name.

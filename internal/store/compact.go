@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"repro/internal/fault"
@@ -25,6 +26,11 @@ import (
 // operations the log still holds; reopening replays them onto it, and
 // last-writer-wins replay makes that a no-op. A crash during 2 leaves the
 // previous snapshot intact behind the rename.
+//
+// Steps 1–4 have one owner per graph at a time (foldOwner): the background
+// compactor and an explicit Compact would otherwise interleave their writes
+// into the one temp file step 2 renames into place, right before step 4
+// truncates the log that could have repaired it.
 
 const (
 	compactAttempts    = 5
@@ -32,15 +38,35 @@ const (
 	compactBackoffCap  = time.Second
 )
 
+// foldOwner returns the mutex that serializes rewrites of name's snapshot
+// file. Entries are never removed: a caller may be parked on the mutex
+// while the name is deleted and re-added, and handing the newcomer a fresh
+// mutex would give the file two owners again.
+func (s *Store) foldOwner(name string) *sync.Mutex {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	m := s.foldOwners[name]
+	if m == nil {
+		m = new(sync.Mutex)
+		s.foldOwners[name] = m
+	}
+	return m
+}
+
 // Compact folds the named graph's mutation overlay into its snapshot now.
 // A graph with an empty overlay (or one that was concurrently replaced) is
-// a no-op. The store/compact failpoint injects failures here, upstream of
-// any state change.
+// a no-op. A call that finds another fold of the same graph in flight waits
+// for it and then folds only what that one left — usually nothing, so the
+// call has joined it. The store/compact failpoint injects failures here,
+// upstream of any state change.
 func (s *Store) Compact(name string) error {
 	if err := fault.Inject("store/compact"); err != nil {
 		s.compactErrors.Add(1)
 		return err
 	}
+	owner := s.foldOwner(name)
+	owner.Lock()
+	defer owner.Unlock()
 	h, err := s.Acquire(name)
 	if err != nil {
 		return err

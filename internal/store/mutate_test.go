@@ -259,6 +259,75 @@ func TestCompactFoldsOverlay(t *testing.T) {
 	assertBitIdentical(t, want, pagerankSolo(t, s2, "g"), "compacted reopen")
 }
 
+// TestCompactOneOwnerPerGraph: explicit Compact calls racing each other, the
+// size-triggered background compactor and a snapshot request must never
+// share the snapshot's temp file — every call succeeds, and both the live
+// view and a reopen serve exactly the acknowledged batches.
+func TestCompactOneOwnerPerGraph(t *testing.T) {
+	dir := t.TempDir()
+	// CompactAfter of one byte nudges the background compactor on every
+	// batch, so it folds alongside the explicit callers below.
+	s, err := Open(Config{DataDir: dir, Workers: 2, CompactAfter: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := gen.ErdosRenyi(300, 1500, 31)
+	if err := s.Add("g", g); err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 12
+	var wg sync.WaitGroup
+	for round := 0; round < rounds; round++ {
+		mustApply(t, s, "g", mutOps(g, round, true))
+		for i := 0; i < 3; i++ {
+			wg.Add(1)
+			go func(snapshot bool) {
+				defer wg.Done()
+				var err error
+				if snapshot {
+					err = s.Snapshot("g")
+				} else {
+					err = s.Compact("g")
+				}
+				if err != nil {
+					t.Errorf("concurrent fold: %v", err)
+				}
+			}(i == 2)
+		}
+	}
+	wg.Wait()
+	if err := s.Compact("g"); err != nil {
+		t.Fatalf("final Compact: %v", err)
+	}
+	if st := s.Stats(); st.WAL.TailBatches != 0 || st.WAL.CompactErrors != 0 {
+		t.Fatalf("post-compaction WAL stats = %+v", st.WAL)
+	}
+	got := pagerankSolo(t, s, "g")
+	s.Close()
+
+	// The reference: the same batches applied to a store that never folds.
+	ref, err := Open(Config{DataDir: t.TempDir(), Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	if err := ref.Add("g", g); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < rounds; round++ {
+		mustApply(t, ref, "g", mutOps(g, round, true))
+	}
+	want := pagerankSolo(t, ref, "g")
+	assertBitIdentical(t, want, got, "view after racing folds")
+
+	s2, err := Open(Config{DataDir: dir, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	assertBitIdentical(t, want, pagerankSolo(t, s2, "g"), "reopen after racing folds")
+}
+
 // TestBackgroundCompactorRetriesFailures: with the store/compact failpoint
 // failing twice, the size-triggered background compactor retries with
 // backoff and lands the fold without intervention.

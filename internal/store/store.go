@@ -156,6 +156,11 @@ type Store struct {
 	compactCh   chan string
 	compactStop chan struct{}
 	compactDone chan struct{}
+	// foldOwners holds one mutex per graph name: whoever rewrites that
+	// name's snapshot file (Compact, Snapshot) holds it from the first byte
+	// of the temp file to the end of the log rotation (see foldOwner).
+	// Guarded by mu.
+	foldOwners map[string]*sync.Mutex
 
 	// reg is the store-owned metric registry (see metrics.go); immutable
 	// after Open.
@@ -248,7 +253,8 @@ func (h *Handle) Close() {
 // read and every persisted graph is registered cold — metadata only, loaded
 // lazily on first Acquire.
 func Open(cfg Config) (*Store, error) {
-	s := &Store{cfg: cfg, graphs: make(map[string]*entry), views: make(map[string]*lineageViews)}
+	s := &Store{cfg: cfg, graphs: make(map[string]*entry), views: make(map[string]*lineageViews),
+		foldOwners: make(map[string]*sync.Mutex)}
 	s.pool = sched.NewPool(cfg.Workers)
 	if cfg.MaxInFlight > 0 {
 		s.pool.SetMaxActiveJobs(cfg.MaxInFlight)
@@ -669,6 +675,12 @@ func (s *Store) Snapshot(name string) error {
 	if s.cfg.DataDir == "" {
 		return errors.New("store: no data directory configured")
 	}
+	// Owner first, view second: a view acquired before waiting out a fold
+	// would overwrite that fold's base with batches missing that its log
+	// rotation has already dropped.
+	owner := s.foldOwner(name)
+	owner.Lock()
+	defer owner.Unlock()
 	h, err := s.Acquire(name)
 	if err != nil {
 		return err

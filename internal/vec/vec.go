@@ -9,7 +9,10 @@
 // analytically from degree distributions.
 package vec
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Lanes is the number of 64-bit lanes in the primary (256-bit) vector width.
 const Lanes = 4
@@ -28,15 +31,11 @@ const MaskAll Mask = (1 << Lanes) - 1
 func (m Mask) Bit(i int) bool { return m&(1<<i) != 0 }
 
 // Count returns the number of enabled lanes (popcount).
-func (m Mask) Count() int {
-	c := 0
-	for i := 0; i < Lanes; i++ {
-		if m.Bit(i) {
-			c++
-		}
-	}
-	return c
-}
+func (m Mask) Count() int { return bits.OnesCount8(uint8(m & MaskAll)) }
+
+// First returns the index of the lowest enabled lane (tzcnt on the mask
+// register); 8 when no lane is enabled.
+func (m Mask) First() int { return bits.TrailingZeros8(uint8(m)) }
 
 // Broadcast returns a vector with x in every lane (vpbroadcastq).
 func Broadcast(x uint64) U64x4 { return U64x4{x, x, x, x} }
@@ -142,8 +141,10 @@ func SignMask(v U64x4) Mask {
 func TestBits(bits []uint64, idx U64x4, m Mask) Mask {
 	var out Mask
 	for i := 0; i < Lanes; i++ {
-		if m.Bit(i) && bits[idx[i]>>6]&(1<<(idx[i]&63)) != 0 {
-			out |= 1 << i
+		if m.Bit(i) {
+			// Shift the probed bit into lane position: frontier membership
+			// is data-dependent, so it must not cost a branch.
+			out |= Mask(bits[idx[i]>>6]>>(idx[i]&63)&1) << i
 		}
 	}
 	return out

@@ -17,6 +17,12 @@ func TestMaskBits(t *testing.T) {
 	if MaskAll.Count() != Lanes {
 		t.Errorf("MaskAll.Count = %d, want %d", MaskAll.Count(), Lanes)
 	}
+	for m := Mask(1); m <= MaskAll; m++ {
+		first := m.First()
+		if !m.Bit(first) || m&(1<<first-1) != 0 {
+			t.Errorf("First(%04b) = %d", m, first)
+		}
+	}
 }
 
 func TestBroadcastLoadStore(t *testing.T) {
