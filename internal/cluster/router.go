@@ -592,12 +592,6 @@ func (r *Router) runOnce(ctx context.Context, hubID string, spec RunSpec, avail 
 	for range participants {
 		o := <-results
 		if o.err != nil {
-			if len(failures) > 0 && ctx.Err() == nil && errors.Is(o.err, context.Canceled) {
-				// Our own teardown below cancelled this post; that says
-				// nothing about the worker and must not outrank the
-				// failure that caused it.
-				continue
-			}
 			failures = append(failures, o.err)
 			// Tear the whole run down: peers blocked at the barrier get the
 			// abort instead of waiting out the round timeout.

@@ -74,9 +74,8 @@ type Status struct {
 	Density float64
 	// DegreeShare lazily computes the frontier's out-degree sum as a share
 	// of total edges — the Besta et al. degree-sum term. It is only invoked
-	// when the density test alone would choose push, so an O(frontier) walk
-	// the engine's census has not already done is paid exactly when the
-	// decision is in doubt. Nil when unknown.
+	// when the density test alone would choose push, so the O(frontier)
+	// walk is paid exactly when the decision is in doubt. Nil when unknown.
 	DegreeShare func() float64
 	// SparseOK reports that this iteration's frontier fits the list-driven
 	// round's budget.

@@ -103,7 +103,8 @@ type Options struct {
 	Variant PullVariant
 	// Scalar disables the software-vectorized kernels, running the
 	// edge-at-a-time Compressed-Sparse implementations instead (the
-	// baselines of Fig 10).
+	// baselines of Fig 10, which also pin AblateFrontierWork: the hybrid's
+	// list-driven round has one kernel and runs it either way).
 	Scalar bool
 	// Mode forces an engine or leaves the hybrid heuristic in charge.
 	Mode EngineMode
@@ -120,11 +121,11 @@ type Options struct {
 	// (0.15); negative disables the term (density-only, the prior
 	// behavior). The default is what the sweep in EXPERIMENTS.md
 	// ("Direction-rule sweep", benchfig dirsweep) supports with early-exit
-	// pull in place: 0.10, 0.15 and a disabled term schedule every swept
-	// bfs/cc/sssp × C/D/L/T/U row identically, while Besta et al.'s 0.05
-	// flips six rows into pull — 23% faster on one (BFS from the U
-	// analog's top hub, which saturates) and 7–25% slower on the other five
-	// (SSSP and the C analog, which gather every in-edge regardless).
+	// pull in place: over 40 roots per analog the term moves the second
+	// iteration of 5–15% of T/U roots from dense-scan push to pull, which
+	// BFS (it saturates) runs 2.5–5× faster and SSSP (it gathers every
+	// in-edge regardless) 10–20% slower; 0.05 and 0.10 differ from 0.15 by
+	// less than that either way.
 	PullDegreeShare float64
 	// Partitions splits execution into this many coordinator partitions
 	// (internal/coord): per-iteration scatter-gather of the edge and

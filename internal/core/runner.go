@@ -547,7 +547,7 @@ func runLoop[P apps.Program](ec *ExecContext, p P, maxIters int, seed *Seed) (Re
 		density float64
 		cs      census
 	)
-	degreeShare := func() float64 { return ec.degreeShare(cs) }
+	degreeShare := ec.frontierDegreeShare
 	it := coord.Iteration{
 		Begin: func() coord.Status {
 			var st coord.Status
@@ -785,6 +785,22 @@ func (ec *ExecContext) dispatchSpan(grp *sched.Group, s coord.Span, total, chunk
 // publishFrontier installs the just-built next frontier as the current one.
 func (ec *ExecContext) publishFrontier() {
 	ec.front, ec.next = ec.next, ec.front
+}
+
+// frontierDegreeShare returns the current frontier's out-degree sum as a
+// share of all edges — the lazy degree-sum term of the hybrid heuristic
+// (Policy.DegreeShareThreshold). Only invoked when the density test alone
+// would choose push, so the O(frontier) walk is paid exactly when the
+// decision is in doubt.
+func (ec *ExecContext) frontierDegreeShare() float64 {
+	if ec.g.Edges == 0 {
+		return 0
+	}
+	var sum uint64
+	ec.front.ForEach(func(v uint32) {
+		sum += uint64(ec.g.CSR.Degree(v))
+	})
+	return float64(sum) / float64(ec.g.Edges)
 }
 
 // noteDirection appends one iteration's direction mark to the run trace.

@@ -46,11 +46,11 @@ type census struct {
 
 // takeCensus walks the frontier bitmap once for the count and, when the
 // list-driven round is still possible, once more for the list and its
-// out-degree sum. The round is a Vector-Sparse push kernel, so pull-only
-// and scalar runs never take it.
+// out-degree sum. The round is a push kernel, so pull-only runs never take
+// it.
 func (r *ExecContext) takeCensus() census {
 	cs := census{count: r.front.Count()}
-	if r.opt.AblateFrontierWork || r.opt.Mode == EnginePullOnly || r.opt.Scalar ||
+	if r.opt.AblateFrontierWork || r.opt.Mode == EnginePullOnly ||
 		cs.count == 0 || cs.count > r.g.Edges/sparseThresholdDivisor {
 		return cs
 	}
@@ -69,24 +69,6 @@ func (cs census) work() int { return cs.count + cs.outEdges }
 // sparseOK reports whether the frontier fits the list-driven round's budget.
 func (r *ExecContext) sparseOK(cs census) bool {
 	return cs.list != nil && cs.work() <= r.g.Edges/sparseThresholdDivisor
-}
-
-// degreeShare returns the frontier's out-degree sum as a share of all
-// edges — the degree-sum term of the hybrid heuristic
-// (Policy.DegreeShareThreshold). The census already holds the sum for
-// frontiers it listed; larger ones are walked here, lazily, only when the
-// density test alone would choose push.
-func (r *ExecContext) degreeShare(cs census) float64 {
-	if r.g.Edges == 0 {
-		return 0
-	}
-	sum := cs.outEdges
-	if cs.list == nil {
-		r.front.ForEach(func(v uint32) {
-			sum += r.g.CSR.Degree(v)
-		})
-	}
-	return float64(sum) / float64(r.g.Edges)
 }
 
 // fitsOneChunk reports whether the list-driven round over this frontier runs

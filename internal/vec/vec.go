@@ -31,7 +31,15 @@ const MaskAll Mask = (1 << Lanes) - 1
 func (m Mask) Bit(i int) bool { return m&(1<<i) != 0 }
 
 // Count returns the number of enabled lanes (popcount).
-func (m Mask) Count() int { return bits.OnesCount8(uint8(m & MaskAll)) }
+func (m Mask) Count() int {
+	c := 0
+	for i := 0; i < Lanes; i++ {
+		if m.Bit(i) {
+			c++
+		}
+	}
+	return c
+}
 
 // First returns the index of the lowest enabled lane (tzcnt on the mask
 // register); 8 when no lane is enabled.
@@ -141,10 +149,8 @@ func SignMask(v U64x4) Mask {
 func TestBits(bits []uint64, idx U64x4, m Mask) Mask {
 	var out Mask
 	for i := 0; i < Lanes; i++ {
-		if m.Bit(i) {
-			// Shift the probed bit into lane position: frontier membership
-			// is data-dependent, so it must not cost a branch.
-			out |= Mask(bits[idx[i]>>6]>>(idx[i]&63)&1) << i
+		if m.Bit(i) && bits[idx[i]>>6]&(1<<(idx[i]&63)) != 0 {
+			out |= 1 << i
 		}
 	}
 	return out
