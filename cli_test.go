@@ -226,6 +226,10 @@ func startServeEnv(t *testing.T, env []string, extra ...string) (string, *exec.C
 	for sc.Scan() {
 		line := sc.Text()
 		if i := strings.Index(line, "http://"); i >= 0 {
+			// Keep draining the merged output: a few hundred logged
+			// requests fill the pipe, and the server then blocks in a log
+			// write until the client times out.
+			go io.Copy(io.Discard, stdout)
 			return strings.TrimSpace(line[i:]), cmd
 		}
 	}
@@ -497,12 +501,19 @@ func TestCLIGrazelleServeStore(t *testing.T) {
 	// Admission: with one slot and no queue, a long-running query forces
 	// the next one to be refused with 429.
 	long := make(chan int, 1)
+	deadline := time.Now().Add(5 * time.Second)
 	go func() {
-		code, _ := sc.do("POST", "/v1/query", `{"graph":"g","app":"pr","iters":1048576,"timeout_ms":3000}`)
-		long <- code
+		// A probe below can hold the slot when this arrives; the slot-holder
+		// has to be this query, so a refusal is retried.
+		for {
+			code, _ := sc.do("POST", "/v1/query", `{"graph":"g","app":"pr","iters":1048576,"timeout_ms":3000}`)
+			if code != 429 || time.Now().After(deadline) {
+				long <- code
+				return
+			}
+		}
 	}()
 	got429 := false
-	deadline := time.Now().Add(5 * time.Second)
 	for !got429 && time.Now().Before(deadline) {
 		code, body := sc.do("POST", "/v1/query", `{"graph":"g","app":"pr","iters":2}`)
 		switch code {

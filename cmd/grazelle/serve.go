@@ -195,6 +195,9 @@ func runServeRole(role string, args []string) error {
 		ring:          obs.NewTraceRing(*runHist),
 		metrics:       newServeMetrics(st.Metrics()),
 	}
+	// The store explains a full rebuild on a version's first read through the
+	// default logger: route it into the same stream as the request logs.
+	slog.SetDefault(srv.log)
 	if !*cacheBypass {
 		srv.cache = qcache.New(qcache.Config{Budget: *cacheBudget})
 		// The cache's families live in the store's registry and its entries

@@ -62,6 +62,12 @@ func newTestCluster(t *testing.T, n, partitions int) *Router {
 		_, ts := newTestWorker(t)
 		urls[i] = ts.URL
 	}
+	return newTestRouter(t, urls, partitions)
+}
+
+// newTestRouter is newTestCluster over workers the caller stood up.
+func newTestRouter(t *testing.T, urls []string, partitions int) *Router {
+	t.Helper()
 	rt := NewRouter(RouterConfig{
 		Workers:        urls,
 		Partitions:     partitions,
@@ -75,7 +81,7 @@ func newTestCluster(t *testing.T, n, partitions int) *Router {
 	t.Cleanup(hts.Close)
 	rt.SetExchangeURL(hts.URL + "/internal/exchange")
 	rt.Start()
-	waitAvailable(t, rt, n)
+	waitAvailable(t, rt, len(urls))
 	return rt
 }
 
@@ -241,6 +247,38 @@ func TestClusterFailpointExhausted(t *testing.T) {
 	var pe *PeerError
 	if !errors.As(err, &pe) || pe.Code != "exchange" {
 		t.Errorf("cause is not an exchange-coded peer error: %v", err)
+	}
+}
+
+// TestClusterOneWorkerFailureSparesTheRest: one replica refuses the run with
+// a deterministic verdict while its peer waits at the barrier. Tearing the
+// run down cancels the peer's post; that self-inflicted transport error must
+// neither outrank the real failure nor take the healthy replica out of
+// rotation.
+func TestClusterOneWorkerFailureSparesTheRest(t *testing.T) {
+	_, good := newTestWorker(t)
+	wk, _ := newTestWorker(t)
+	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/internal/run" {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusInternalServerError)
+			json.NewEncoder(w).Encode(errorBody{Error: "engine refused", Code: "run"})
+			return
+		}
+		wk.Mux().ServeHTTP(w, r)
+	}))
+	t.Cleanup(bad.Close)
+	rt := newTestRouter(t, []string{good.URL, bad.URL}, 2)
+
+	_, err := rt.Execute(context.Background(), "t-spare", clusterSpec("bfs", 2, false))
+	var pe *PeerError
+	if !errors.As(err, &pe) || pe.Worker != bad.URL || pe.Code != "run" {
+		t.Fatalf("want the failing worker's run verdict, got %v", err)
+	}
+	for _, w := range rt.Status().Workers {
+		if w.URL == good.URL && !(w.Healthy && w.Synced) {
+			t.Fatalf("healthy worker taken out of rotation by the teardown: %+v", w)
+		}
 	}
 }
 

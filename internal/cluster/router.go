@@ -592,6 +592,13 @@ func (r *Router) runOnce(ctx context.Context, hubID string, spec RunSpec, avail 
 	for range participants {
 		o := <-results
 		if o.err != nil {
+			if len(failures) > 0 && o.err.Status == 0 && errors.Is(o.err.Err, context.Canceled) {
+				// Our own cancel() below cut this post short: the worker
+				// did nothing wrong, and a transport error here would
+				// outrank the failure that caused the teardown and mark a
+				// healthy replica down.
+				continue
+			}
 			failures = append(failures, o.err)
 			// Tear the whole run down: peers blocked at the barrier get the
 			// abort instead of waiting out the round timeout.

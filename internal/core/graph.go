@@ -8,6 +8,7 @@
 package core
 
 import (
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -70,21 +71,87 @@ func (g *Graph) VSD8() *vsparse.WideArray {
 func BuildGraph(g *graph.Graph) *Graph {
 	csrM := csr.FromGraph(g, false)
 	cscM := csr.FromGraph(g, true)
-	edgeDst := make([]uint32, cscM.NumEdges())
-	for v := uint32(0); int(v) < cscM.N; v++ {
-		lo, hi := cscM.Index[v], cscM.Index[v+1]
-		for i := lo; i < hi; i++ {
-			edgeDst[i] = v
-		}
-	}
 	return &Graph{
 		N:        g.NumVertices,
 		CSR:      csrM,
 		CSC:      cscM,
 		VSS:      vsparse.FromCSR(csrM),
 		VSD:      vsparse.FromCSR(cscM),
-		EdgeDst:  edgeDst,
+		EdgeDst:  edgeDst(cscM),
 		Weighted: g.Weighted,
 		Edges:    g.NumEdges(),
 	}
+}
+
+// edgeDst expands a CSC index into the per-position destination array.
+func edgeDst(cscM *csr.Matrix) []uint32 {
+	dst := make([]uint32, cscM.NumEdges())
+	for v := uint32(0); int(v) < cscM.N; v++ {
+		lo, hi := cscM.Index[v], cscM.Index[v+1]
+		for i := lo; i < hi; i++ {
+			dst[i] = v
+		}
+	}
+	return dst
+}
+
+// PatchGraph returns BuildGraph(graph.ApplyEdgeOps(src, ops)), byte for
+// byte, for any edge list src with BuildGraph(src) == prev — computed from
+// prev alone, so a mutated version costs its delta plus one streaming copy
+// of each array instead of two counting sorts and two encodes over every
+// edge. Per direction the ops reduce to one edit per (src, dst) pair; groups
+// no edit names are copied run by run (csr.Matrix.Patch,
+// vsparse.Array.Patch) and the rest are merged and encoded again through the
+// encoder FromCSR uses. Because the output is the rebuild's output, every
+// engine's determinism carries over with nothing to re-prove. prev is not
+// modified and shares no memory with the result.
+func PatchGraph(prev *Graph, ops []graph.EdgeOp) *Graph {
+	edits := graph.ReduceEdgeOps(ops, prev.Weighted) // ascending (src, dst)
+	n := prev.N
+	for _, op := range edits {
+		if !op.Delete {
+			n = max(n, int(op.Src)+1, int(op.Dst)+1)
+		}
+	}
+	csrM, srcTouched := prev.CSR.Patch(n, edits)
+	sort.Slice(edits, func(i, j int) bool {
+		if edits[i].Dst != edits[j].Dst {
+			return edits[i].Dst < edits[j].Dst
+		}
+		return edits[i].Src < edits[j].Src
+	})
+	cscM, dstTouched := prev.CSC.Patch(n, edits)
+	return &Graph{
+		N:        n,
+		CSR:      csrM,
+		CSC:      cscM,
+		VSS:      prev.VSS.Patch(csrM, srcTouched),
+		VSD:      prev.VSD.Patch(cscM, dstTouched),
+		EdgeDst:  edgeDst(cscM),
+		Weighted: prev.Weighted,
+		Edges:    csrM.NumEdges(),
+	}
+}
+
+// PatchShare is the fraction of prev's edge slots, over both directions,
+// that lie in groups ops would make PatchGraph re-derive rather than copy,
+// counting each op as one more slot: what a caller weighs against a rebuild.
+func PatchShare(prev *Graph, ops []graph.EdgeOp) float64 {
+	if prev.Edges == 0 {
+		return 1
+	}
+	slots := 2 * len(ops)
+	seen := make([]uint64, 2*((prev.N+63)/64))
+	in := seen[len(seen)/2:]
+	for _, op := range ops {
+		if s := op.Src; int(s) < prev.N && seen[s>>6]&(1<<(s&63)) == 0 {
+			seen[s>>6] |= 1 << (s & 63)
+			slots += prev.CSR.Degree(s)
+		}
+		if d := op.Dst; int(d) < prev.N && in[d>>6]&(1<<(d&63)) == 0 {
+			in[d>>6] |= 1 << (d & 63)
+			slots += prev.CSC.Degree(d)
+		}
+	}
+	return float64(slots) / float64(2*prev.Edges)
 }

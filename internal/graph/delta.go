@@ -234,6 +234,45 @@ func canBeHeaderPrefix(data []byte) bool {
 	return string(data) == deltaMagic[:len(data)]
 }
 
+// ReduceEdgeOps collapses ops to the one operation that decides each
+// (src, dst) pair — the last one naming it — sorted by (src, dst). Weights
+// are forced to zero when the target graph is unweighted, so a weight bit can
+// never leak into the cache key or the output. ApplyEdgeOps and the engine's
+// layout splice (core.PatchGraph) both start from this list, which is what
+// keeps their notions of "touched pair" identical.
+func ReduceEdgeOps(ops []EdgeOp, weighted bool) []EdgeOp {
+	final, _ := reduceEdgeOps(ops, weighted)
+	return final
+}
+
+// pairKey packs an endpoint pair into one map key.
+func pairKey(src, dst uint32) uint64 { return uint64(src)<<32 | uint64(dst) }
+
+// reduceEdgeOps is ReduceEdgeOps plus the pair set it deduplicated with.
+func reduceEdgeOps(ops []EdgeOp, weighted bool) ([]EdgeOp, map[uint64]int) {
+	slot := make(map[uint64]int, len(ops))
+	final := make([]EdgeOp, 0, len(ops))
+	for _, op := range ops {
+		if !weighted || op.Delete {
+			op.Weight = 0
+		}
+		k := pairKey(op.Src, op.Dst)
+		if i, seen := slot[k]; seen {
+			final[i] = op
+			continue
+		}
+		slot[k] = len(final)
+		final = append(final, op)
+	}
+	sort.Slice(final, func(i, j int) bool {
+		if final[i].Src != final[j].Src {
+			return final[i].Src < final[j].Src
+		}
+		return final[i].Dst < final[j].Dst
+	})
+	return final, slot
+}
+
 // ApplyEdgeOps is the canonical merge: it returns a new graph equal to g
 // with ops applied in order. Per (src, dst) pair the last operation wins —
 // an insert leaves exactly one such edge with its weight, a delete leaves
@@ -248,29 +287,38 @@ func canBeHeaderPrefix(data []byte) bool {
 // Inserts may name vertices beyond g.NumVertices; the merged graph's vertex
 // count grows to cover them. On unweighted graphs insert weights are forced
 // to zero so a weight bit can never leak into the cache key or the output.
+//
+// The cost is one pass over the base edge list plus the batch: a base edge
+// pays the pair lookup only when its source is one some operation names (a
+// bitmap test), so a small batch costs little more than copying the list.
 func ApplyEdgeOps(g *Graph, ops []EdgeOp) *Graph {
-	type pair struct{ src, dst uint32 }
-	final := make(map[pair]EdgeOp, len(ops))
-	for _, op := range ops {
-		if !g.Weighted {
-			op.Weight = 0
+	final, touched := reduceEdgeOps(ops, g.Weighted)
+	srcTouched := make([]uint64, (g.NumVertices+63)/64)
+	for _, op := range final {
+		if int(op.Src) < g.NumVertices {
+			srcTouched[op.Src>>6] |= 1 << (op.Src & 63)
 		}
-		final[pair{op.Src, op.Dst}] = op
 	}
 	out := &Graph{NumVertices: g.NumVertices, Weighted: g.Weighted}
-	out.Edges = make([]Edge, 0, len(g.Edges)+len(final))
-	for _, e := range g.Edges {
-		if _, touched := final[pair{e.Src, e.Dst}]; touched {
+	// Base edges survive in maximal runs between dropped ones: one copy each.
+	edges := make([]Edge, len(g.Edges)+len(final))
+	n, from := 0, 0
+	for i, e := range g.Edges {
+		if srcTouched[e.Src>>6]&(1<<(e.Src&63)) == 0 {
 			continue
 		}
-		out.Edges = append(out.Edges, e)
+		if _, hit := touched[pairKey(e.Src, e.Dst)]; hit {
+			n += copy(edges[n:], g.Edges[from:i])
+			from = i + 1
+		}
 	}
-	inserts := make([]Edge, 0, len(final))
+	n += copy(edges[n:], g.Edges[from:])
+	out.Edges = edges[:n]
 	for _, op := range final {
 		if op.Delete {
 			continue
 		}
-		inserts = append(inserts, Edge{Src: op.Src, Dst: op.Dst, Weight: op.Weight})
+		out.Edges = append(out.Edges, Edge{Src: op.Src, Dst: op.Dst, Weight: op.Weight})
 		if int(op.Src) >= out.NumVertices {
 			out.NumVertices = int(op.Src) + 1
 		}
@@ -278,13 +326,6 @@ func ApplyEdgeOps(g *Graph, ops []EdgeOp) *Graph {
 			out.NumVertices = int(op.Dst) + 1
 		}
 	}
-	sort.Slice(inserts, func(i, j int) bool {
-		if inserts[i].Src != inserts[j].Src {
-			return inserts[i].Src < inserts[j].Src
-		}
-		return inserts[i].Dst < inserts[j].Dst
-	})
-	out.Edges = append(out.Edges, inserts...)
 	return out
 }
 

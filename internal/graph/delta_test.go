@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -189,6 +192,88 @@ func TestApplyEdgeOpsGrowsAndReplaysIdempotently(t *testing.T) {
 	for i := range once.Edges {
 		if once.Edges[i] != twice.Edges[i] {
 			t.Fatalf("replay changed edge %d: %+v vs %+v", i, once.Edges[i], twice.Edges[i])
+		}
+	}
+}
+
+// referenceApplyEdgeOps is ApplyEdgeOps as first written — a pair map
+// consulted for every base edge, inserts sorted afterwards — kept as the
+// oracle the faster merge must match edge for edge.
+func referenceApplyEdgeOps(g *Graph, ops []EdgeOp) *Graph {
+	type pair struct{ src, dst uint32 }
+	final := make(map[pair]EdgeOp, len(ops))
+	for _, op := range ops {
+		if !g.Weighted {
+			op.Weight = 0
+		}
+		final[pair{op.Src, op.Dst}] = op
+	}
+	out := &Graph{NumVertices: g.NumVertices, Weighted: g.Weighted}
+	out.Edges = make([]Edge, 0, len(g.Edges)+len(final))
+	for _, e := range g.Edges {
+		if _, touched := final[pair{e.Src, e.Dst}]; touched {
+			continue
+		}
+		out.Edges = append(out.Edges, e)
+	}
+	inserts := make([]Edge, 0, len(final))
+	for _, op := range final {
+		if op.Delete {
+			continue
+		}
+		inserts = append(inserts, Edge{Src: op.Src, Dst: op.Dst, Weight: op.Weight})
+		if int(op.Src) >= out.NumVertices {
+			out.NumVertices = int(op.Src) + 1
+		}
+		if int(op.Dst) >= out.NumVertices {
+			out.NumVertices = int(op.Dst) + 1
+		}
+	}
+	sort.Slice(inserts, func(i, j int) bool {
+		if inserts[i].Src != inserts[j].Src {
+			return inserts[i].Src < inserts[j].Src
+		}
+		return inserts[i].Dst < inserts[j].Dst
+	})
+	out.Edges = append(out.Edges, inserts...)
+	return out
+}
+
+// TestApplyEdgeOpsMatchesReference: same vertex count and the same edges in
+// the same order as the reference merge, on weighted and unweighted graphs
+// with duplicate base edges, for batches that upsert, delete, repeat pairs,
+// miss, and name vertices past the end — chained, so later rounds merge into
+// an already-merged list.
+func TestApplyEdgeOpsMatchesReference(t *testing.T) {
+	for _, weighted := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(15))
+		g := &Graph{NumVertices: 70, Weighted: weighted}
+		for i := 0; i < 600; i++ {
+			e := Edge{Src: uint32(rng.Intn(70)), Dst: uint32(rng.Intn(70))}
+			if weighted {
+				e.Weight = float32(rng.Intn(9))
+			}
+			g.Edges = append(g.Edges, e)
+		}
+		for round := 0; round < 30; round++ {
+			ops := make([]EdgeOp, 1+rng.Intn(1<<uint(rng.Intn(9))))
+			for i := range ops {
+				ops[i] = EdgeOp{
+					Delete: rng.Intn(3) == 0,
+					Src:    uint32(rng.Intn(g.NumVertices + 2)),
+					Dst:    uint32(rng.Intn(g.NumVertices + 2)),
+					Weight: float32(rng.Intn(9)),
+				}
+				if rng.Intn(3) == 0 { // an edge the list already has
+					e := g.Edges[rng.Intn(len(g.Edges))]
+					ops[i].Src, ops[i].Dst = e.Src, e.Dst
+				}
+			}
+			got, want := ApplyEdgeOps(g, ops), referenceApplyEdgeOps(g, ops)
+			if got.NumVertices != want.NumVertices || got.Weighted != want.Weighted || !slices.Equal(got.Edges, want.Edges) {
+				t.Fatalf("weighted=%v round %d (%d ops): merge differs from the reference", weighted, round, len(ops))
+			}
+			g = got
 		}
 	}
 }

@@ -13,20 +13,35 @@ import (
 // recompute: for each seed-capable hot-path app on the T/U/D analogs, a
 // small mutation batch is applied and the new version's result is computed
 // both ways — cold, and seeded from the predecessor's lanes via the app's
-// IncrementalSeed planner. The incremental timing includes planning, so a
-// row is the end-to-end cost a serving layer would pay. Batches are shaped
+// IncrementalSeed planner. The incremental timing includes planning, and
+// each row also times what precedes either run — materializing the mutated
+// version, by rebuild and by splice — so the mutation → answer ratio is the
+// end-to-end gain a serving layer would see. Batches are shaped
 // per app to exercise the intended fast path: pr and bfs get re-assertions
 // of existing edges (topology-preserving, the direct plan), cc gets
 // genuinely new edges (warm frontier-seeded fixpoint).
 
 // IncrementalABResult is one (dataset, app, batch size) A/B row.
 type IncrementalABResult struct {
-	Dataset       string  `json:"dataset"`
-	App           string  `json:"app"`
-	BatchOps      int     `json:"batch_ops"`
-	FullNS        int64   `json:"full_ns"`
-	IncrementalNS int64   `json:"incremental_ns"`
-	Speedup       float64 `json:"speedup"`
+	Dataset       string `json:"dataset"`
+	App           string `json:"app"`
+	BatchOps      int    `json:"batch_ops"`
+	FullNS        int64  `json:"full_ns"`
+	IncrementalNS int64  `json:"incremental_ns"`
+	// Speedup is FullNS / IncrementalNS: the engine alone, on a version that
+	// is already materialized.
+	Speedup float64 `json:"speedup"`
+	// MaterializeRebuildNS and MaterializePatchNS are what stands between
+	// the acknowledged batch and either run: merging the batch into the edge
+	// list plus producing the engine layouts — by full preprocessing
+	// (core.BuildGraph), and by splicing them out of the predecessor's
+	// (core.PatchGraph), the store's two arms.
+	MaterializeRebuildNS int64 `json:"materialize_rebuild_ns"`
+	MaterializePatchNS   int64 `json:"materialize_patch_ns"`
+	// MutationToAnswerSpeedup is (rebuild + full) / (patch + incremental):
+	// the mutation → answer gain a serving layer sees, materialization
+	// included on both sides.
+	MutationToAnswerSpeedup float64 `json:"mutation_to_answer_speedup"`
 	// Seeded reports whether the incremental run actually warm-started;
 	// false means the planner (correctly) refused and the row compares full
 	// against fallback-to-full.
@@ -91,7 +106,8 @@ func IncrementalAB(cfg Config) ([]IncrementalABResult, error) {
 			continue
 		}
 		g0 := cfg.DatasetGraph(d)
-		r0 := core.NewRunner(cfg.DatasetCoreGraph(d), core.Options{Workers: cfg.Workers})
+		cg0 := cfg.DatasetCoreGraph(d)
+		r0 := core.NewRunner(cg0, core.Options{Workers: cfg.Workers})
 		for _, name := range incrementalABApps {
 			ent, err := apps.Lookup(name)
 			if err != nil {
@@ -119,8 +135,17 @@ func IncrementalAB(cfg Config) ([]IncrementalABResult, error) {
 				if len(ops) == 0 {
 					continue
 				}
-				g1 := graph.ApplyEdgeOps(g0, ops)
-				r1 := core.NewRunner(core.BuildGraph(g1), core.Options{Workers: cfg.Workers})
+				var g1 *graph.Graph
+				var cg1 *core.Graph
+				rebuildNS := cfg.timeBest(func() {
+					g1 = graph.ApplyEdgeOps(g0, ops)
+					cg1 = core.BuildGraph(g1)
+				}).Nanoseconds()
+				patchNS := cfg.timeBest(func() {
+					graph.ApplyEdgeOps(g0, ops)
+					core.PatchGraph(cg0, ops)
+				}).Nanoseconds()
+				r1 := core.NewRunner(cg1, core.Options{Workers: cfg.Workers})
 				fullNS := cfg.timeBest(func() {
 					prog, err := ent.New(g1, p)
 					if err != nil {
@@ -170,6 +195,10 @@ func IncrementalAB(cfg Config) ([]IncrementalABResult, error) {
 					IncrementalNS: incrNS,
 					Speedup:       float64(fullNS) / float64(incrNS),
 					Seeded:        seeded,
+
+					MaterializeRebuildNS:    rebuildNS,
+					MaterializePatchNS:      patchNS,
+					MutationToAnswerSpeedup: float64(rebuildNS+fullNS) / float64(patchNS+incrNS),
 				})
 			}
 		}

@@ -29,6 +29,18 @@ type WALBenchResult struct {
 	RecoveryNS        int64   `json:"recovery_ns"`
 	RecoveryPerBatch  float64 `json:"recovery_per_batch_ns"`
 	RecoveredVertices int     `json:"recovered_vertices"`
+	// OpenNS is the part of RecoveryNS spent in store.Open — reading and
+	// replaying the log. MaterializeRebuildNS is the rest: the first Acquire,
+	// which loads the snapshot, merges the tail and runs the full
+	// preprocessing — most of a recovery, and none of it the WAL's doing.
+	OpenNS               int64 `json:"open_ns"`
+	MaterializeRebuildNS int64 `json:"materialize_rebuild_ns"`
+	// MaterializeLiveNS is the same overlay's first read on the store that
+	// wrote it, where the base version's layouts are still resident;
+	// MaterializeLivePath is the arm that served it ("patch" unless the tail
+	// touches most groups).
+	MaterializeLiveNS   int64  `json:"materialize_live_ns"`
+	MaterializeLivePath string `json:"materialize_live_path"`
 }
 
 // walBenchOps builds one deterministic mutation batch: half re-weights of
@@ -97,6 +109,18 @@ func walBenchRow(cfg Config, d gen.Dataset, batches, opsPer int) (WALBenchResult
 		}
 	}
 	appendWall := time.Since(start)
+	start = time.Now()
+	live, err := st.Acquire(name)
+	if err != nil {
+		st.Close()
+		return WALBenchResult{}, err
+	}
+	liveWall := time.Since(start)
+	live.Close()
+	livePath := "rebuild"
+	if st.Stats().Materialize.Patch > 0 {
+		livePath = "patch"
+	}
 	if err := st.Close(); err != nil {
 		return WALBenchResult{}, err
 	}
@@ -108,6 +132,7 @@ func walBenchRow(cfg Config, d gen.Dataset, batches, opsPer int) (WALBenchResult
 	if err != nil {
 		return WALBenchResult{}, err
 	}
+	openWall := time.Since(start)
 	h, err := st2.Acquire(name)
 	if err != nil {
 		st2.Close()
@@ -131,5 +156,10 @@ func walBenchRow(cfg Config, d gen.Dataset, batches, opsPer int) (WALBenchResult
 		RecoveryNS:        recoveryWall.Nanoseconds(),
 		RecoveryPerBatch:  float64(recoveryWall.Nanoseconds()) / float64(batches),
 		RecoveredVertices: vertices,
+
+		OpenNS:               openWall.Nanoseconds(),
+		MaterializeRebuildNS: (recoveryWall - openWall).Nanoseconds(),
+		MaterializeLiveNS:    liveWall.Nanoseconds(),
+		MaterializeLivePath:  livePath,
 	}, nil
 }

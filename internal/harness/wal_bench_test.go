@@ -25,6 +25,12 @@ func TestWALBenchRows(t *testing.T) {
 	if r.RecoveryNS <= 0 || r.RecoveryPerBatch <= 0 {
 		t.Errorf("non-positive recovery timings: %+v", r)
 	}
+	if r.OpenNS <= 0 || r.MaterializeRebuildNS <= 0 || r.OpenNS+r.MaterializeRebuildNS != r.RecoveryNS {
+		t.Errorf("recovery does not split into open + materialize: %+v", r)
+	}
+	if r.MaterializeLiveNS <= 0 || (r.MaterializeLivePath != "patch" && r.MaterializeLivePath != "rebuild") {
+		t.Errorf("live materialization not measured: %+v", r)
+	}
 	if r.RecoveredVertices <= 0 {
 		t.Errorf("recovered view has %d vertices", r.RecoveredVertices)
 	}

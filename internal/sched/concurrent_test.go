@@ -108,8 +108,13 @@ func TestDynamicForCtxCancel(t *testing.T) {
 		var started atomic.Int64
 		var completed atomic.Int64
 		err := p.DynamicForCtx(ctx, 10000, 10, func(r Range, chunkID, tid int) {
-			if started.Add(1) == 5 {
+			// Later chunks wait for the cancellation: empty chunks take
+			// nanoseconds and cancel() microseconds, so the other workers
+			// could otherwise drain all 1000 before it lands.
+			if n := started.Add(1); n == 5 {
 				cancel()
+			} else if n > 5 {
+				<-ctx.Done()
 			}
 			completed.Add(1)
 		})

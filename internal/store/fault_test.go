@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -297,6 +299,80 @@ func TestManifestWriteFailureSurfacesError(t *testing.T) {
 	if string(before) != string(after) {
 		t.Error("manifest changed despite failed write")
 	}
+}
+
+// TestCompactFaultAfterSnapshotSyncKeepsAckedPrefix pins the fold's order of
+// durable steps: the snapshot is committed (file synced, renamed, directory
+// synced) before the manifest is rewritten, and the delta log is rotated only
+// after both. A fault between the snapshot's commit and the rotation — the
+// manifest write fails — must leave the folded snapshot complete on disk
+// under its final name, no temp file, the log un-rotated, and a store that
+// reopens to exactly the acknowledged batches.
+func TestCompactFaultAfterSnapshotSyncKeepsAckedPrefix(t *testing.T) {
+	if !fault.Available() {
+		t.Skip("failpoints compiled out")
+	}
+	dir := t.TempDir()
+	s, err := Open(Config{DataDir: dir, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := gen.ErdosRenyi(400, 2400, 19)
+	if err := s.Add("g", g); err != nil {
+		t.Fatal(err)
+	}
+	var ops []graph.EdgeOp
+	for round := 0; round < 3; round++ {
+		batch := mutOps(g, round, true)
+		mustApply(t, s, "g", batch)
+		ops = append(ops, batch...)
+	}
+	want := pagerankSolo(t, s, "g")
+
+	disarm, err := fault.Enable("store/manifest-write", "error:power cut")
+	if err != nil {
+		t.Fatal(err)
+	}
+	compactErr := s.Compact("g")
+	disarm()
+	if compactErr == nil {
+		t.Fatal("Compact with a failing manifest write returned nil")
+	}
+	if st := s.Stats().WAL; st.Rotations != 0 || st.TailBatches != 3 {
+		t.Fatalf("log rotated past a fold whose manifest never landed: %+v", st)
+	}
+	s.Close()
+
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snapshot string
+	for _, f := range files {
+		switch {
+		case strings.HasSuffix(f.Name(), ".tmp"):
+			t.Errorf("temp file %s left behind", f.Name())
+		case strings.HasSuffix(f.Name(), snapshotExt):
+			snapshot = filepath.Join(dir, f.Name())
+		}
+	}
+	folded, err := graph.ReadFile(snapshot)
+	if err != nil {
+		t.Fatalf("snapshot after the faulted fold: %v", err)
+	}
+	if !reflect.DeepEqual(folded, graph.ApplyEdgeOps(g, ops)) {
+		t.Fatal("snapshot on disk is not the folded view")
+	}
+
+	s2, err := Open(Config{DataDir: dir, Workers: 2})
+	if err != nil {
+		t.Fatalf("reopen after the faulted fold: %v", err)
+	}
+	defer s2.Close()
+	if st := s2.Stats().WAL; st.ReplayedBatches != 3 {
+		t.Fatalf("replayed %d batches, want the 3 acknowledged", st.ReplayedBatches)
+	}
+	assertBitIdentical(t, want, pagerankSolo(t, s2, "g"), "acknowledged prefix after faulted fold")
 }
 
 // TestWatchdogHardKillsRunawayQuery: a query tracked through the store's

@@ -20,9 +20,11 @@ import (
 //	    <name>.<L>.grzg    graph.WriteFile binary format (GRZG v1)
 //	    <name>.wal         edge delta log (GRZW v1, see internal/graph)
 //
-// Both the manifest and each snapshot are written to a temporary file and
-// renamed into place, so readers never observe a torn file; a crash mid-write
-// leaves at worst a stale *.tmp alongside a consistent previous state.
+// Both the manifest and each snapshot are written to a temporary file,
+// fsynced, renamed into place, and the directory fsynced (commitFile), so
+// readers never observe a torn file and a name never outlives a power cut
+// without its bytes; a crash mid-write leaves at worst a stale *.tmp
+// alongside a consistent previous state.
 //
 // L is the graph's lineage: a store-wide counter minted fresh on every Add
 // (never reused, persisted as next_lineage) that names one base-graph
@@ -161,10 +163,40 @@ func (s *Store) syncManifestLocked() error {
 	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	return commitFile(tmp, path)
 }
 
-// writeSnapshot persists g atomically (write-to-temp, rename). The
+// commitFile makes tmp's content durable under path: sync the file, rename
+// it into place, then sync the directory so the rename itself survives power
+// loss. Every snapshot and manifest reaches its final name through here, and
+// Compact calls it before rotating the delta log — so the log the snapshot
+// supersedes (which IS fsynced) is never dropped while the bytes replacing
+// it are still only in the page cache.
+func commitFile(tmp, path string) error {
+	if err := syncPath(tmp); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return syncPath(filepath.Dir(path))
+}
+
+// syncPath fsyncs the named file or directory.
+func syncPath(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// writeSnapshot persists g atomically and durably (write-to-temp, sync,
+// rename, sync the directory). The
 // store/snapshot-write failpoint simulates a process dying mid-stream: it
 // leaves a torn temp file behind and never reaches the rename, exactly the
 // on-disk state a crash produces — the previous snapshot and manifest stay
@@ -179,5 +211,9 @@ func writeSnapshot(path string, g *graph.Graph) error {
 		os.Remove(tmp)
 		return err
 	}
-	return os.Rename(tmp, path)
+	if err := commitFile(tmp, path); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return nil
 }

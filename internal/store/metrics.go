@@ -115,6 +115,11 @@ func (s *Store) registerMetrics() {
 		}
 		return float64(n)
 	})
+	const materializeHelp = "Seconds Acquire spent producing a version's graph and engine layouts, by arm: patch (spliced from the predecessor), rebuild (full preprocessing), shared (predecessor reused)."
+	hist := func(path string) *obs.Histogram {
+		return r.Histogram("grazelle_store_materialize_seconds", materializeHelp, obs.Labels{"path": path}, obs.DefTimeBuckets)
+	}
+	s.materializePatch, s.materializeRebuild, s.materializeShared = hist("patch"), hist("rebuild"), hist("shared")
 	r.CounterFunc("grazelle_store_compactions_total", "Mutation overlays folded into fresh snapshots.", nil, s.compactions.Load)
 	r.CounterFunc("grazelle_store_compact_errors_total", "Failed compaction attempts (retried with backoff).", nil, s.compactErrors.Load)
 

@@ -20,6 +20,7 @@ var metricFamilies = []string{
 	"grazelle_store_rehydrations_total",
 	"grazelle_store_rehydrate_retries_total",
 	"grazelle_store_snapshots_quarantined_total",
+	"grazelle_store_materialize_seconds",
 	"grazelle_runs_total",
 	"grazelle_admission_inflight",
 	"grazelle_admission_queued",
@@ -121,6 +122,9 @@ func TestMetricsTrackStoreActivity(t *testing.T) {
 	if st.Rehydrations == 0 {
 		t.Fatal("expected at least one rehydration; test setup broken")
 	}
+	if st.Materialize.Rebuild == 0 {
+		t.Fatal("the rehydration was not counted as a rebuild")
+	}
 	text := scrape(t, s)
 	for name, want := range map[string]int64{
 		"grazelle_store_graphs":             int64(st.Graphs),
@@ -130,6 +134,10 @@ func TestMetricsTrackStoreActivity(t *testing.T) {
 		"grazelle_store_rehydrations_total": int64(st.Rehydrations),
 		"grazelle_runs_total":               int64(st.Runs),
 		"grazelle_admission_inflight":       int64(st.InFlight),
+
+		`grazelle_store_materialize_seconds_count{path="patch"}`:   int64(st.Materialize.Patch),
+		`grazelle_store_materialize_seconds_count{path="rebuild"}`: int64(st.Materialize.Rebuild),
+		`grazelle_store_materialize_seconds_count{path="shared"}`:  int64(st.Materialize.Shared),
 	} {
 		if got := metricValue(t, text, name); got != strconv.FormatInt(want, 10) {
 			t.Errorf("%s = %s, registry disagrees with Stats %d", name, got, want)

@@ -122,8 +122,9 @@ func (s *Store) ApplyEdges(name string, ops []graph.EdgeOp) (seq, version uint64
 // lineage, and delta log whose view extends through viewSeq. The successor
 // is published cold — materialization happens on first Acquire, so a write
 // burst costs one O(overlay) merge per version actually read, not per
-// batch. It captures cur's materialized graph (or inherited seed) so that
-// materialization can skip the disk when a recent ancestor is in memory.
+// batch. It captures cur's materialized graph and layouts (or inherited
+// seed) so that materialization can skip the disk, and splice instead of
+// rebuild, when a recent ancestor is in memory.
 // Callers hold s.mu and must notifyRetire(cur) after unlocking.
 func (s *Store) publishSuccessorLocked(cur *entry, viewSeq uint64) *entry {
 	ne := &entry{
@@ -135,10 +136,10 @@ func (s *Store) publishSuccessorLocked(cur *entry, viewSeq uint64) *entry {
 		lineage:  cur.lineage,
 		delta:    cur.delta,
 		viewSeq:  viewSeq,
-		seed:     cur.src,
+		seed:     cur.seed,
 	}
-	if ne.seed == nil {
-		ne.seed = cur.seed
+	if cur.runner != nil {
+		ne.seed = seed{src: cur.src, cg: cur.runner.Graph()}
 	}
 	s.nextVersion++
 	ne.version = s.nextVersion

@@ -138,7 +138,7 @@ func FromCSR(m *csr.Matrix) *Array {
 	totalVectors := 0
 	for v := 0; v < m.N; v++ {
 		a.Index[v] = totalVectors
-		totalVectors += (m.Degree(uint32(v)) + vec.Lanes - 1) / vec.Lanes
+		totalVectors += vectorsFor(m.Degree(uint32(v)))
 	}
 	a.Index[m.N] = totalVectors
 	a.Words = make([]uint64, totalVectors*vec.Lanes)
@@ -147,32 +147,87 @@ func FromCSR(m *csr.Matrix) *Array {
 	}
 	out := 0
 	for v := 0; v < m.N; v++ {
-		neigh := m.Edges(uint32(v))
-		weights := m.EdgeWeights(uint32(v))
-		for lo := 0; lo < len(neigh); lo += vec.Lanes {
-			valid := len(neigh) - lo
-			if valid > vec.Lanes {
-				valid = vec.Lanes
-			}
-			var lanes [vec.Lanes]uint64
-			for i := 0; i < vec.Lanes; i++ {
-				if i < valid {
-					lanes[i] = uint64(neigh[lo+i])
-				} else {
-					lanes[i] = uint64(neigh[lo+valid-1]) // padding: repeat last
-				}
-			}
-			vecVal := EncodeVector(uint64(v), lanes, valid)
-			vec.Store(a.Words, out*vec.Lanes, vecVal)
-			if weights != nil {
-				for i := 0; i < valid; i++ {
-					a.Weights[out*vec.Lanes+i] = weights[lo+i]
-				}
-			}
-			out++
-		}
+		out = a.encodeGroup(out, uint64(v), m.Edges(uint32(v)), m.EdgeWeights(uint32(v)))
 	}
 	return a
+}
+
+// encodeGroup writes top's vector run — neigh packed four to a vector, the
+// last one padded — at vector position out and returns the position after
+// it. Nothing it writes depends on out: a vector embeds its top-level id and
+// its neighbour ids, so a run is valid wherever it lands. FromCSR and Patch
+// both encode through here, which is what keeps a spliced array
+// byte-identical to a rebuilt one. weights is nil on unweighted arrays.
+func (a *Array) encodeGroup(out int, top uint64, neigh []uint32, weights []float32) int {
+	for lo := 0; lo < len(neigh); lo += vec.Lanes {
+		valid := len(neigh) - lo
+		if valid > vec.Lanes {
+			valid = vec.Lanes
+		}
+		var lanes [vec.Lanes]uint64
+		for i := 0; i < vec.Lanes; i++ {
+			if i < valid {
+				lanes[i] = uint64(neigh[lo+i])
+			} else {
+				lanes[i] = uint64(neigh[lo+valid-1]) // padding: repeat last
+			}
+		}
+		vec.Store(a.Words, out*vec.Lanes, EncodeVector(top, lanes, valid))
+		if weights != nil {
+			copy(a.Weights[out*vec.Lanes:], weights[lo:lo+valid])
+		}
+		out++
+	}
+	return out
+}
+
+// vectorsFor is the number of vectors a group of the given degree occupies.
+func vectorsFor(degree int) int { return (degree + vec.Lanes - 1) / vec.Lanes }
+
+// Patch returns FromCSR(m) given a, the encoding of m's predecessor, and the
+// ascending list of top-level vertices whose groups differ between the two
+// (csr.Matrix.Patch reports it); m may have more vertices than a. A maximal
+// run of untouched vertices is one copy of its vectors, which stay valid at
+// their new offset because nothing in a vector is positional; only touched
+// groups are encoded again.
+func (a *Array) Patch(m *csr.Matrix, touched []uint32) *Array {
+	out := &Array{N: m.N, ByDest: m.ByDest, ValidEdges: m.NumEdges()}
+	total := a.NumVectors()
+	for _, v := range touched {
+		total += vectorsFor(m.Degree(v))
+		if int(v) < a.N {
+			total -= a.Index[v+1] - a.Index[v]
+		}
+	}
+	out.Index = make([]int, m.N+1)
+	out.Words = make([]uint64, total*vec.Lanes)
+	if m.Weights != nil {
+		out.Weights = make([]float32, total*vec.Lanes)
+	}
+	pos := 0 // next free vector of out
+	csr.WalkPatch(a.N, m.N, touched,
+		func(lo, hi int) {
+			from, to := a.Index[lo], a.Index[hi]
+			copy(out.Words[pos*vec.Lanes:], a.Words[from*vec.Lanes:to*vec.Lanes])
+			if out.Weights != nil {
+				copy(out.Weights[pos*vec.Lanes:], a.Weights[from*vec.Lanes:to*vec.Lanes])
+			}
+			for v := lo; v < hi; v++ {
+				out.Index[v] = a.Index[v] - from + pos
+			}
+			pos += to - from
+		},
+		func(lo, hi int) {
+			for v := lo; v < hi; v++ {
+				out.Index[v] = pos
+			}
+		},
+		func(v uint32) {
+			out.Index[v] = pos
+			pos = out.encodeGroup(pos, uint64(v), m.Edges(v), m.EdgeWeights(v))
+		})
+	out.Index[m.N] = pos
+	return out
 }
 
 // ToCSR reconstructs the Compressed-Sparse matrix the array encodes,
