@@ -14,10 +14,9 @@ import (
 	"time"
 )
 
-// End-to-end tests for the cluster tier: a `grazelle router` process
-// scatter-gathering queries over `grazelle worker` processes through the
-// network frontier exchange, compared byte-for-byte against a single-process
-// `grazelle serve` on the same graph.
+// End-to-end tests for the cluster tier: a `grazelle router` process sending
+// each query to one of its `grazelle worker` processes, compared
+// byte-for-byte against a single-process `grazelle serve` on the same graph.
 
 // startRole launches one grazelle process in the given serve-family role and
 // returns its announced base URL. Callers own shutdown via the returned cmd.
@@ -145,10 +144,27 @@ func waitClusterReady(t *testing.T, client *http.Client, base string, n int) {
 	t.Fatalf("cluster at %s never reached %d ready workers", base, n)
 }
 
+// mutateEdges posts one small edge batch to base's default graph.
+func mutateEdges(t *testing.T, client *http.Client, base string) {
+	t.Helper()
+	resp, err := client.Post(base+"/v1/graphs/default/edges", "application/json",
+		strings.NewReader(`{"ops":[{"src":0,"dst":40},{"src":40,"dst":0}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("mutation on %s: status %d", base, resp.StatusCode)
+	}
+}
+
 // TestClusterServeByteIdentity runs all nine applications through routers
-// over 1-, 2-, and 4-worker rosters at 2 and 4 partitions and requires every
+// over 1-, 2-, and 4-worker rosters, with the workers at their default and
+// at -partitions 2 (a routed run executes under the answering worker's own
+// flags), before and after a mutation through the router, and requires every
 // response to be byte-identical (modulo run_id and wall time) to a
-// single-process serve with the same partition count.
+// single-process serve started with the workers' flags.
 func TestClusterServeByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess cluster matrix")
@@ -156,51 +172,58 @@ func TestClusterServeByteIdentity(t *testing.T) {
 	base := weightedPair(t)
 	client := &http.Client{Timeout: 60 * time.Second}
 
-	// Reference payloads: one single-process serve per partition count.
-	reference := map[int]map[string]string{}
-	for _, parts := range []int{2, 4} {
-		sURL, sCmd := startServe(t, "-i", base, "-partitions", fmt.Sprint(parts))
-		reference[parts] = map[string]string{}
-		for _, q := range nineApps {
-			code, payload := clusterQuery(t, client, sURL, q)
-			if code != 200 {
-				t.Fatalf("reference p=%d %s: status %d: %s", parts, q, code, payload)
-			}
-			reference[parts][q] = normalizePayload(payload)
-		}
-		stopCmd(sCmd)
-	}
-
-	// Worker pool shared by every roster size.
-	workerURLs := make([]string, 4)
-	for i := range workerURLs {
-		u, cmd := startRole(t, "worker")
-		workerURLs[i] = u
-		t.Cleanup(func() { stopCmd(cmd) })
-	}
-
-	for _, workers := range []int{1, 2, 4} {
-		for _, parts := range []int{2, 4} {
-			t.Run(fmt.Sprintf("w%dp%d", workers, parts), func(t *testing.T) {
-				roster := strings.Join(workerURLs[:workers], ",")
-				rURL, rCmd := startRole(t, "router",
-					"-workers", roster, "-i", base,
-					"-partitions", fmt.Sprint(parts),
-					"-health-interval", "100ms")
-				defer stopCmd(rCmd)
-				waitClusterReady(t, client, rURL, workers)
-				for _, q := range nineApps {
-					code, payload := clusterQuery(t, client, rURL, q)
-					if code != 200 {
-						t.Fatalf("%s: status %d: %s", q, code, payload)
-					}
-					if got := normalizePayload(payload); got != reference[parts][q] {
-						t.Errorf("%s: cluster response diverges from single-process\n got: %.300s\nwant: %.300s",
-							q, got, reference[parts][q])
-					}
+	// answers queries all nine apps, mutates, and queries them again.
+	answers := func(t *testing.T, url string) []string {
+		t.Helper()
+		var out []string
+		for _, phase := range []string{"before", "after"} {
+			for _, q := range nineApps {
+				code, payload := clusterQuery(t, client, url, q)
+				if code != 200 {
+					t.Fatalf("%s the mutation, %s: status %d: %s", phase, q, code, payload)
 				}
-			})
+				out = append(out, normalizePayload(payload))
+			}
+			if phase == "before" {
+				mutateEdges(t, client, url)
+			}
 		}
+		return out
+	}
+
+	for _, flags := range [][]string{nil, {"-partitions", "2"}} {
+		t.Run("workers"+strings.Join(flags, ""), func(t *testing.T) {
+			// A routed run is always a cold run (the router's workers keep no
+			// result to warm-start from), so the reference recomputes in full
+			// after the mutation too.
+			sURL, sCmd := startServe(t, append([]string{"-i", base, "-incremental-threshold", "0"}, flags...)...)
+			reference := answers(t, sURL)
+			stopCmd(sCmd)
+
+			// Worker pool shared by every roster size: each router's resync
+			// re-adds the graph, which resets the previous router's mutation.
+			workerURLs := make([]string, 4)
+			for i := range workerURLs {
+				u, cmd := startRole(t, "worker", flags...)
+				workerURLs[i] = u
+				t.Cleanup(func() { stopCmd(cmd) })
+			}
+			for _, workers := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+					rURL, rCmd := startRole(t, "router",
+						"-workers", strings.Join(workerURLs[:workers], ","), "-i", base,
+						"-health-interval", "100ms")
+					defer stopCmd(rCmd)
+					waitClusterReady(t, client, rURL, workers)
+					for i, got := range answers(t, rURL) {
+						if got != reference[i] {
+							t.Errorf("%s (answer %d): cluster response diverges from single-process\n got: %.300s\nwant: %.300s",
+								nineApps[i%len(nineApps)], i, got, reference[i])
+						}
+					}
+				})
+			}
+		})
 	}
 }
 
@@ -219,25 +242,12 @@ func TestClusterMutationVisibility(t *testing.T) {
 	defer stopCmd(c2)
 	rURL, rc := startRole(t, "router", "-workers", w1+","+w2, "-d", "C", "-scale", "0.25", "-health-interval", "100ms")
 	defer stopCmd(rc)
-	sURL, sc := startServe(t, "-d", "C", "-scale", "0.25", "-partitions", "2")
+	sURL, sc := startServe(t, "-d", "C", "-scale", "0.25")
 	defer stopCmd(sc)
 	waitClusterReady(t, client, rURL, 2)
 
-	mutate := func(base string) {
-		t.Helper()
-		resp, err := client.Post(base+"/v1/graphs/default/edges", "application/json",
-			strings.NewReader(`{"ops":[{"src":0,"dst":40},{"src":40,"dst":0}]}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("mutation on %s: status %d", base, resp.StatusCode)
-		}
-	}
-	mutate(rURL)
-	mutate(sURL)
+	mutateEdges(t, client, rURL)
+	mutateEdges(t, client, sURL)
 
 	q := `{"app":"cc","values":true}`
 	code, clPayload := clusterQuery(t, client, rURL, q)
@@ -267,22 +277,24 @@ func TestClusterWorkerKillDrill(t *testing.T) {
 	defer stopCmd(c1)
 	w2, c2 := startRole(t, "worker")
 	rURL, rc := startRole(t, "router", "-workers", w1+","+w2, "-d", "C", "-scale", "0.25",
-		"-health-interval", "100ms", "-exchange-timeout", "5s")
+		"-health-interval", "100ms")
 	defer stopCmd(rc)
 	waitClusterReady(t, client, rURL, 2)
 
-	// Warm query over both workers.
+	// Warm query while both workers are up.
 	if code, payload := clusterQuery(t, client, rURL, `{"app":"bfs","root":1}`); code != 200 {
 		t.Fatalf("warm bfs: status %d: %s", code, payload)
 	}
 
-	// Kill one worker; the very next queries race the health loop, so each
-	// must either fail over (200) or surface a typed retryable error.
+	// Kill one worker; the very next queries race the health loop. Twenty
+	// distinct roots are placed on both workers: one placed on the survivor
+	// never notices, one placed on the dead worker must either fail over
+	// (200) or surface a typed retryable error.
 	c2.Process.Kill()
 	c2.Wait()
 	recovered := false
-	for i := 0; i < 20 && !recovered; i++ {
-		code, payload := clusterQuery(t, client, rURL, fmt.Sprintf(`{"app":"bfs","root":1,"iters":%d,"no_cache":true}`, i+2))
+	for i := 0; i < 20; i++ {
+		code, payload := clusterQuery(t, client, rURL, fmt.Sprintf(`{"app":"bfs","root":%d,"no_cache":true}`, i+2))
 		switch code {
 		case 200:
 			recovered = true
@@ -304,11 +316,9 @@ func TestClusterWorkerKillDrill(t *testing.T) {
 	}
 
 	// The survivor now serves alone; failover or health-routing must have
-	// engaged, and every admission slot must be back.
-	resp, err := client.Get(rURL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// engaged, and every admission slot must be back. A /readyz probe that
+	// was in flight at the kill may report the dead worker healthy once
+	// more, so the roster gets a few health intervals to settle.
 	var stats struct {
 		InFlight int `json:"in_flight"`
 		Cluster  *struct {
@@ -317,24 +327,35 @@ func TestClusterWorkerKillDrill(t *testing.T) {
 			} `json:"workers"`
 		} `json:"cluster"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if stats.InFlight != 0 {
-		t.Errorf("admission slots leaked: in_flight = %d", stats.InFlight)
-	}
-	if stats.Cluster == nil {
-		t.Fatal("/v1/stats missing cluster block")
-	}
 	healthy := 0
-	for _, w := range stats.Cluster.Workers {
-		if w.Healthy {
-			healthy++
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		resp, err := client.Get(rURL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&stats)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Cluster == nil {
+			t.Fatal("/v1/stats missing cluster block")
+		}
+		healthy = 0
+		for _, w := range stats.Cluster.Workers {
+			if w.Healthy {
+				healthy++
+			}
+		}
+		if healthy == 1 || time.Now().After(deadline) {
+			break
 		}
 	}
 	if healthy != 1 {
 		t.Errorf("healthy workers = %d after kill, want 1", healthy)
+	}
+	if stats.InFlight != 0 {
+		t.Errorf("admission slots leaked: in_flight = %d", stats.InFlight)
 	}
 
 	// Steady state on the survivor is fully functional.
@@ -343,8 +364,9 @@ func TestClusterWorkerKillDrill(t *testing.T) {
 	}
 }
 
-// TestClusterStatusEndpoint sanity-checks GET /v1/cluster and the shared
-// exchange-bytes metric family on a live router.
+// TestClusterStatusEndpoint checks GET /v1/cluster's document, the metric
+// families a router exposes, and that a routed run's record on the router
+// carries the answering worker and its engine phases.
 func TestClusterStatusEndpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess cluster test")
@@ -356,40 +378,71 @@ func TestClusterStatusEndpoint(t *testing.T) {
 	defer stopCmd(rc)
 	waitClusterReady(t, client, rURL, 1)
 
-	if code, payload := clusterQuery(t, client, rURL, `{"app":"bfs","root":1}`); code != 200 {
+	code, payload := clusterQuery(t, client, rURL, `{"app":"bfs","root":1}`)
+	if code != 200 {
 		t.Fatalf("bfs: status %d: %s", code, payload)
 	}
-
-	resp, err := client.Get(rURL + "/v1/cluster")
-	if err != nil {
-		t.Fatal(err)
+	var answer struct {
+		RunID string `json:"run_id"`
 	}
-	var st struct {
-		Partitions int `json:"partitions"`
-		Workers    []struct {
-			URL      string `json:"url"`
-			BytesIn  uint64 `json:"exchange_bytes_in"`
-			BytesOut uint64 `json:"exchange_bytes_out"`
-		} `json:"workers"`
-		Placement []struct {
-			Partition int    `json:"partition"`
-			Worker    string `json:"worker"`
-		} `json:"placement"`
-		Runs uint64 `json:"runs"`
+	if err := json.Unmarshal(payload, &answer); err != nil || answer.RunID == "" {
+		t.Fatalf("bfs answer carries no run_id: %s", payload)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if st.Runs == 0 || st.Partitions < 2 || len(st.Placement) != st.Partitions {
-		t.Errorf("cluster status: %+v", st)
-	}
-	if len(st.Workers) != 1 || st.Workers[0].BytesIn == 0 || st.Workers[0].BytesOut == 0 {
-		t.Errorf("per-peer exchange bytes not accounted: %+v", st.Workers)
+	getJSON := func(url string, v any) {
+		t.Helper()
+		resp, err := client.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatalf("GET %s: %v", url, err)
+		}
 	}
 
-	// The shared family carries the cluster's bytes under transport="net" on
-	// the router, and the shmem cell exists too (zero here).
+	var st map[string]json.RawMessage
+	getJSON(rURL+"/v1/cluster", &st)
+	for _, key := range []string{"workers", "runs", "run_failures", "failovers"} {
+		if _, ok := st[key]; !ok {
+			t.Errorf("cluster status lacks %q: %s", key, st)
+		}
+	}
+	if len(st) != 4 {
+		t.Errorf("cluster status has keys beyond the roster and the run counters: %s", st)
+	}
+	var workers []struct {
+		URL     string `json:"url"`
+		Healthy bool   `json:"healthy"`
+		Synced  bool   `json:"synced"`
+		Runs    uint64 `json:"runs"`
+	}
+	if err := json.Unmarshal(st["workers"], &workers); err != nil {
+		t.Fatal(err)
+	}
+	if len(workers) != 1 || workers[0].URL != w1 || !workers[0].Healthy || !workers[0].Synced || workers[0].Runs != 1 {
+		t.Errorf("roster after one routed run: %+v", workers)
+	}
+	if string(st["runs"]) != "1" {
+		t.Errorf("runs = %s, want 1", st["runs"])
+	}
+
+	// The run record on the router is the worker's view of the run.
+	var rec struct {
+		Worker string `json:"worker"`
+		Trace  struct {
+			Phases []struct {
+				Phase string `json:"phase"`
+				Wall  int64  `json:"wall_ns"`
+			} `json:"phases"`
+			Directions string `json:"directions"`
+		} `json:"trace"`
+	}
+	getJSON(rURL+"/v1/runs/"+answer.RunID, &rec)
+	if rec.Worker != w1 || len(rec.Trace.Phases) == 0 || rec.Trace.Directions == "" {
+		t.Errorf("routed run record lacks the worker or its engine trace: %+v", rec)
+	}
+
+	// No frontier crosses the network any more: shmem is the only transport.
 	mresp, err := client.Get(rURL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -397,11 +450,16 @@ func TestClusterStatusEndpoint(t *testing.T) {
 	mb, _ := io.ReadAll(mresp.Body)
 	mresp.Body.Close()
 	metrics := string(mb)
-	if !strings.Contains(metrics, `grazelle_exchange_bytes_total{transport="net"}`) ||
-		!strings.Contains(metrics, `grazelle_exchange_bytes_total{transport="shmem"}`) {
-		t.Error("metrics missing grazelle_exchange_bytes_total transports")
+	if !strings.Contains(metrics, `grazelle_exchange_bytes_total{transport="shmem"}`) ||
+		strings.Count(metrics, "grazelle_exchange_bytes_total{") != 1 {
+		t.Error(`metrics: want grazelle_exchange_bytes_total{transport="shmem"} as the only exchange series`)
 	}
-	if !strings.Contains(metrics, "grazelle_cluster_runs_total 1") {
-		t.Error("metrics missing grazelle_cluster_runs_total")
+	for _, want := range []string{"grazelle_cluster_runs_total 1", `grazelle_cluster_routed_runs_total{worker="` + w1 + `"} 1`} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+	if strings.Contains(metrics, "grazelle_cluster_exchange") || strings.Contains(metrics, "grazelle_cluster_peer") {
+		t.Error("metrics still carry exchange-round or per-peer exchange families")
 	}
 }

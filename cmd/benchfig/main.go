@@ -40,7 +40,6 @@ func run() error {
 		partAB   = flag.Bool("partition-ab", false, "include partitioned-vs-monolithic coordinator A/B rows in the -bench-json snapshot")
 		walBench = flag.Bool("wal-bench", false, "include streaming-mutation write-throughput and recovery-replay rows in the -bench-json snapshot")
 		incrAB   = flag.Bool("incremental-ab", false, "include incremental-vs-full recompute A/B rows in the -bench-json snapshot")
-		clustAB  = flag.Bool("cluster-ab", false, "include router+2-worker-cluster-vs-monolithic A/B rows in the -bench-json snapshot")
 	)
 	flag.Parse()
 
@@ -61,7 +60,6 @@ func run() error {
 		PartitionAB:   *partAB,
 		WALBench:      *walBench,
 		IncrementalAB: *incrAB,
-		ClusterAB:     *clustAB,
 	}
 	if *datasets != "" {
 		for _, ch := range *datasets {

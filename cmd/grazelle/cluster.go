@@ -25,25 +25,25 @@ import (
 // catalog (adds and retained mutation batches) through each worker's public
 // API until the replica matches, and only then routes runs to it. The
 // router keeps the full public surface (/v1/query, /v1/batch, the cache,
-// graph admin) unchanged; only the compute underneath a query moves to the
-// roster. GET /v1/cluster (router only) reports the roster, placement, and
-// per-peer exchange traffic.
+// graph admin) unchanged; only the compute underneath a query moves to one
+// worker of the roster. GET /v1/cluster (router only) reports the roster
+// and how many runs each worker answered.
 
 func runWorker(args []string) error { return runServeRole("worker", args) }
 
 func runRouter(args []string) error { return runServeRole("router", args) }
 
-// handleClusterStatus is GET /v1/cluster: roster health, the current
-// partition placement, and the run/failover/exchange counters. The same
-// document is embedded in /v1/stats under "cluster".
+// handleClusterStatus is GET /v1/cluster: roster health and the
+// run/failover counters. The same document is embedded in /v1/stats under
+// "cluster".
 func (s *server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.cluster.Status())
 }
 
 // runOnCluster is the router's replacement for the local engine run in
 // runOnHandle: same admission, cache, watchdog, run-record, and response
-// framing — the compute in the middle is scatter-gathered over the worker
-// roster through the network frontier exchange.
+// framing — the compute in the middle is one worker's run of the whole
+// query.
 func (s *server) runOnCluster(ctx context.Context, h *grazelle.StoreHandle, req queryRequest) (qcache.Result, error) {
 	// The per-graph read lock serializes this run against catalog writes
 	// (mutations, replace, delete), which hold it for writing around local
@@ -61,7 +61,7 @@ func (s *server) runOnCluster(ctx context.Context, h *grazelle.StoreHandle, req 
 	}
 
 	// Watchdog tracking: a wedged cluster run past -hard-limit is cancelled
-	// through ctx, which cancels the scatter posts and aborts the exchange.
+	// through ctx, which cancels the post to the worker.
 	ctx, done := s.store.TrackRun(ctx)
 	defer done()
 
@@ -75,49 +75,39 @@ func (s *server) runOnCluster(ctx context.Context, h *grazelle.StoreHandle, req 
 		}
 	}
 	res, err := s.cluster.Execute(ctx, runID, cluster.RunSpec{
-		Graph:      req.Graph,
-		App:        req.App,
-		Iters:      req.Iters,
-		Root:       req.Root,
-		K:          req.K,
-		Partitions: s.clusterParts,
-		Values:     req.Values,
-		Vertices:   h.Graph().NumVertices(),
-		Edges:      h.Graph().NumEdges(),
-		TimeoutMS:  timeoutMS,
+		Graph:     req.Graph,
+		App:       req.App,
+		Iters:     req.Iters,
+		Root:      req.Root,
+		K:         req.K,
+		Values:    req.Values,
+		Vertices:  h.Graph().NumVertices(),
+		Edges:     h.Graph().NumEdges(),
+		TimeoutMS: timeoutMS,
 	})
 
-	wall := time.Since(start)
-	s.metrics.observeRun(wall, nil, false)
+	// The run record carries the answering worker's engine trace and which
+	// worker that was; wall is this process's view, the post included.
 	rec := obs.RunRecord{
 		ID:       runID,
 		Graph:    req.Graph,
 		App:      req.App,
 		Start:    start,
-		Wall:     wall,
-		Workers:  s.workers,
+		Wall:     time.Since(start),
 		Vertices: int64(h.Graph().NumVertices()),
 		Edges:    int64(h.Graph().NumEdges()),
 	}
 	if res != nil {
+		rec.Trace = res.Trace
+		rec.Worker = res.Worker
 		rec.Iters = res.Iterations
 		rec.Mode = res.Mode
 		rec.Partitions = res.Partitions
-		// The trace ring's partition breakdown carries the hub's per-partition
-		// wire accounting — the cluster analog of the shared-memory exchange
-		// bytes a partitioned run records.
-		var total int64
-		parts := make([]obs.PartitionStat, len(res.PartBytes))
-		for i, b := range res.PartBytes {
-			parts[i] = obs.PartitionStat{Part: i, ExchangeBytes: b}
-			total += b
-		}
-		rec.Trace.Partitions = parts
-		s.metrics.exchangeNet.Add(uint64(total))
 	}
 	if err != nil {
 		rec.Error = err.Error()
 	}
+	s.metrics.observeRun(rec.Wall, rec.Trace.Phases, rec.Trace.Dropped)
 	s.ring.Add(rec)
 
 	if err != nil {
@@ -128,7 +118,7 @@ func (s *server) runOnCluster(ctx context.Context, h *grazelle.StoreHandle, req 
 	}
 
 	// Assemble exactly the map runOnHandle builds; the summary and values
-	// arrive pre-marshaled from the primary worker, and json.Marshal embeds
+	// arrive pre-marshaled from the worker, and json.Marshal embeds
 	// RawMessage byte-for-byte, so router responses are byte-identical to
 	// single-process ones (modulo run_id and elapsed_ms).
 	resp := map[string]any{

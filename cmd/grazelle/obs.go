@@ -35,14 +35,10 @@ type serveMetrics struct {
 	// under threshold) that still ran cold.
 	incrementalSeeded   *obs.Counter
 	incrementalFallback *obs.Counter
-	// exchangeShmem and exchangeNet are the two transports of one family,
-	// grazelle_exchange_bytes_total: frontier bytes moved through the
-	// partitioned coordinator's shared-memory exchange vs. the cluster tier's
-	// network exchange. Registered unconditionally so the catalog is identical
-	// across roles and the single-process vs. cluster byte volumes are
-	// directly comparable.
+	// exchangeShmem is grazelle_exchange_bytes_total{transport="shmem"}:
+	// frontier bytes moved through the partitioned coordinator's
+	// shared-memory exchange, the only transport there is.
 	exchangeShmem *obs.Counter
-	exchangeNet   *obs.Counter
 }
 
 func newServeMetrics(reg *obs.Registry) *serveMetrics {
@@ -57,8 +53,6 @@ func newServeMetrics(reg *obs.Registry) *serveMetrics {
 			"Incremental attempts that fell back to a full recompute.", nil),
 		exchangeShmem: reg.Counter("grazelle_exchange_bytes_total",
 			"Frontier exchange bytes by transport.", obs.Labels{"transport": "shmem"}),
-		exchangeNet: reg.Counter("grazelle_exchange_bytes_total",
-			"Frontier exchange bytes by transport.", obs.Labels{"transport": "net"}),
 	}
 	for p := obs.Phase(0); p < obs.NumPhases; p++ {
 		name := p.String()

@@ -137,12 +137,10 @@ func runServeRole(role string, args []string) error {
 	var (
 		workerList  *string
 		healthEvery *time.Duration
-		exchTimeout *time.Duration
 	)
 	if role == "router" {
 		workerList = fs.String("workers", "", "comma-separated worker base URLs (required)")
 		healthEvery = fs.Duration("health-interval", time.Second, "worker health-check and resync interval")
-		exchTimeout = fs.Duration("exchange-timeout", cluster.DefaultRoundTimeout, "exchange round timeout before a peer is declared wedged")
 	}
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -215,22 +213,11 @@ func runServeRole(role string, args []string) error {
 
 	switch role {
 	case "worker":
-		srv.clusterWorker = cluster.NewWorker(st, workers, srv.metrics.exchangeNet)
+		srv.clusterWorker = cluster.NewWorker(st)
 	case "router":
-		srv.clusterParts = *partitions
-		if srv.clusterParts < 2 {
-			// The cluster tier exists to spread frontier ownership; default to
-			// one partition per worker (floor 2 so the exchange actually runs).
-			srv.clusterParts = len(workerURLs)
-			if srv.clusterParts < 2 {
-				srv.clusterParts = 2
-			}
-		}
 		srv.cluster = cluster.NewRouter(cluster.RouterConfig{
 			Workers:        workerURLs,
-			Partitions:     srv.clusterParts,
 			HealthInterval: *healthEvery,
-			RoundTimeout:   *exchTimeout,
 			Registry:       st.Metrics(),
 			Logger:         srv.log,
 		})
@@ -272,9 +259,6 @@ func runServeRole(role string, args []string) error {
 	fmt.Printf("grazelle: serving on http://%s\n", ln.Addr())
 	hs := &http.Server{Handler: srv.mux(), ReadHeaderTimeout: 10 * time.Second}
 	if srv.cluster != nil {
-		// Workers post frontier segments back to this process's own public
-		// address; the health/resync loop starts only once that is known.
-		srv.cluster.SetExchangeURL(fmt.Sprintf("http://%s/internal/exchange", ln.Addr()))
 		srv.cluster.Start()
 	}
 
@@ -334,12 +318,11 @@ type server struct {
 	ring          *obs.TraceRing
 	metrics       *serveMetrics
 	// cluster, when non-nil, makes this process a router: every query runs
-	// through Execute on the worker roster with clusterParts partitions
-	// instead of the local engine. clusterWorker, when non-nil, makes it a
-	// worker: the private /internal/run endpoint is exposed. Both nil is the
-	// ordinary single-process serve mode.
+	// through Execute on one worker of the roster instead of the local
+	// engine. clusterWorker, when non-nil, makes it a worker: the private
+	// /internal/run endpoint is exposed. Both nil is the ordinary
+	// single-process serve mode.
 	cluster       *cluster.Router
-	clusterParts  int
 	clusterWorker *cluster.Worker
 }
 
@@ -369,7 +352,6 @@ func (s *server) mux() http.Handler {
 		handle("POST /internal/run", s.clusterWorker.HandleRun)
 	}
 	if s.cluster != nil {
-		handle("POST /internal/exchange", s.cluster.HandleExchange)
 		handle("GET /v1/cluster", s.handleClusterStatus)
 	}
 	return s.recoverMiddleware(mux)
@@ -449,7 +431,7 @@ func (s *server) handleAddGraph(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.cluster != nil {
 		// Catalog writes serialize against cluster execution per graph, so a
-		// scatter-gathered run never straddles a version change on one replica.
+		// routed run never straddles a version change on its replica.
 		l := s.cluster.LockGraph(req.Name)
 		l.Lock()
 		defer l.Unlock()
@@ -789,7 +771,7 @@ func (s *server) executeQuery(ctx context.Context, req queryRequest) (qcache.Res
 // under the version it was actually computed on.
 func (s *server) runOnHandle(ctx context.Context, h *grazelle.StoreHandle, req queryRequest) (qcache.Result, error) {
 	// Router role: the local store holds the catalog and versions, but the
-	// compute itself is scatter-gathered over the worker roster. Branching
+	// compute itself runs on one worker of the roster. Branching
 	// here (not in handleQuery) keeps the cache, coalescing, and /v1/batch
 	// paths identical across roles.
 	if s.cluster != nil {
@@ -987,11 +969,10 @@ func queryStatus(err error) int {
 	}
 	// Cluster-tier failures: no placement possible is a degraded-service 503
 	// (with Retry-After), a worker's own verdict keeps its status when it is
-	// one the client can act on, and everything else a worker or the exchange
-	// barrier did wrong is a 502 — the upstream, not this service, failed.
+	// one the client can act on, and everything else a worker did wrong is a
+	// 502 — the upstream, not this service, failed.
 	var ue *cluster.UnavailableError
 	var cpe *cluster.PeerError
-	var rae *cluster.RunAbortedError
 	switch {
 	case errors.As(err, &ue):
 		return http.StatusServiceUnavailable
@@ -1004,8 +985,6 @@ func queryStatus(err error) int {
 		default:
 			return http.StatusBadGateway
 		}
-	case errors.As(err, &rae):
-		return http.StatusServiceUnavailable
 	}
 	var pe *grazelle.PanicError
 	if errors.As(err, &pe) {

@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"repro/internal/apps"
-	"repro/internal/coord"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -189,25 +188,7 @@ type Options struct {
 	// edges. 0 selects the default (0.15, the value the direction-rule sweep
 	// in EXPERIMENTS.md supports); a negative value disables the term.
 	PullDegreeShare float64
-	// Exchange, when non-nil, replaces the partitioned coordinator's
-	// shared-memory frontier exchange with a custom transport — the seam the
-	// cluster tier's network exchange plugs into. Only meaningful with
-	// Partitions > 1.
-	Exchange FrontierExchange
 }
-
-// FrontierExchange moves per-partition frontier deltas across the
-// iteration barrier (see internal/coord). The engine's default is the
-// in-process shared-memory implementation; the cluster tier substitutes a
-// network transport through Options.Exchange.
-type FrontierExchange = coord.Exchange
-
-// FrontierDelta is one partition's frontier-delta segment handed to a
-// FrontierExchange.
-type FrontierDelta = coord.FrontierDelta
-
-// ExchangeResult is a FrontierExchange's merged outcome.
-type ExchangeResult = coord.ExchangeResult
 
 // Engine executes graph applications on one Graph. Engines hold a worker
 // pool; Close them when done.
@@ -237,7 +218,6 @@ func (opt Options) coreOptions() core.Options {
 		Trace:           opt.Trace,
 		Partitions:      opt.Partitions,
 		PullDegreeShare: opt.PullDegreeShare,
-		Exchange:        opt.Exchange,
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 
 	grazelle "repro"
 	"repro/internal/fault"
-	"repro/internal/obs"
 )
 
 // testGraph is shared across the package's tests: stores are read-only here
@@ -34,9 +33,9 @@ func sharedGraph(t *testing.T) *grazelle.Graph {
 	return testG
 }
 
-// testWorker is one in-process worker: a store holding the shared graph as
-// "g" behind the worker's private mux.
-func newTestWorker(t *testing.T) (*Worker, *httptest.Server) {
+// newTestWorker is one in-process worker: a store holding the shared graph
+// as "g" behind the worker's private mux.
+func newTestWorker(t *testing.T) *httptest.Server {
 	t.Helper()
 	st, err := grazelle.OpenStore(grazelle.StoreConfig{Workers: 2, Options: grazelle.Options{Trace: true}})
 	if err != nil {
@@ -46,50 +45,58 @@ func newTestWorker(t *testing.T) (*Worker, *httptest.Server) {
 	if err := st.Add("g", sharedGraph(t)); err != nil {
 		t.Fatal(err)
 	}
-	wk := NewWorker(st, 2, &obs.Counter{})
-	ts := httptest.NewServer(wk.Mux())
+	ts := httptest.NewServer(NewWorker(st).Mux())
 	t.Cleanup(ts.Close)
-	return wk, ts
+	return ts
 }
 
-// newTestCluster stands up n in-process workers plus a router whose exchange
-// hub is served over HTTP, and blocks until the health loop has every worker
-// in rotation.
-func newTestCluster(t *testing.T, n, partitions int) *Router {
+// verdictWorker is a worker whose /internal/run always answers with the
+// given typed error; every other route is a real worker's.
+func verdictWorker(t *testing.T, status int, code string) *httptest.Server {
+	t.Helper()
+	real := newTestWorker(t)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/internal/run" {
+			writeClusterError(w, status, code, errors.New("refused by the test"))
+			return
+		}
+		real.Config.Handler.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// newTestCluster stands up n in-process workers plus a router, and blocks
+// until the health loop has every worker in rotation.
+func newTestCluster(t *testing.T, n int) *Router {
 	t.Helper()
 	urls := make([]string, n)
 	for i := range urls {
-		_, ts := newTestWorker(t)
-		urls[i] = ts.URL
+		urls[i] = newTestWorker(t).URL
 	}
-	return newTestRouter(t, urls, partitions)
+	return newTestRouter(t, urls)
 }
 
 // newTestRouter is newTestCluster over workers the caller stood up.
-func newTestRouter(t *testing.T, urls []string, partitions int) *Router {
+func newTestRouter(t *testing.T, urls []string) *Router {
 	t.Helper()
-	rt := NewRouter(RouterConfig{
-		Workers:        urls,
-		Partitions:     partitions,
-		HealthInterval: 25 * time.Millisecond,
-		RoundTimeout:   10 * time.Second,
-	})
+	rt := NewRouter(RouterConfig{Workers: urls, HealthInterval: 25 * time.Millisecond})
 	t.Cleanup(rt.Close)
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /internal/exchange", rt.HandleExchange)
-	hts := httptest.NewServer(mux)
-	t.Cleanup(hts.Close)
-	rt.SetExchangeURL(hts.URL + "/internal/exchange")
 	rt.Start()
 	waitAvailable(t, rt, len(urls))
 	return rt
+}
+
+func available(rt *Router) int {
+	_, synced := rt.counts()
+	return synced
 }
 
 func waitAvailable(t *testing.T, rt *Router, n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if len(rt.available()) >= n {
+		if available(rt) == n {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -97,218 +104,304 @@ func waitAvailable(t *testing.T, rt *Router, n int) {
 	t.Fatalf("cluster never reached %d available workers: %+v", n, rt.Status().Workers)
 }
 
-func clusterSpec(app string, parts int, values bool) RunSpec {
+func clusterSpec(app string, root uint32, values bool) RunSpec {
 	g := testG
 	return RunSpec{
-		Graph:      "g",
-		App:        app,
-		Iters:      8,
-		Root:       1,
-		K:          2,
-		Partitions: parts,
-		Values:     values,
-		Vertices:   g.NumVertices(),
-		Edges:      g.NumEdges(),
+		Graph:    "g",
+		App:      app,
+		Iters:    8,
+		Root:     root,
+		K:        2,
+		Values:   values,
+		Vertices: g.NumVertices(),
+		Edges:    g.NumEdges(),
 	}
 }
 
-// localRun executes the same query on a plain partitioned engine — the
-// bit-identity reference the cluster result must match.
-func localRun(t *testing.T, app string, parts int) *grazelle.AppResult {
+// specPlacedOn returns a bfs spec the router currently ranks url first for.
+func specPlacedOn(t *testing.T, rt *Router, url string) RunSpec {
 	t.Helper()
-	eng := grazelle.NewEngine(sharedGraph(t), grazelle.Options{Workers: 2, Partitions: parts, Trace: true})
+	for root := uint32(0); root < 256; root++ {
+		if spec := clusterSpec("bfs", root, false); rt.rank(spec)[0] == url {
+			return spec
+		}
+	}
+	t.Fatalf("no bfs root in [0,256) is placed on %s", url)
+	return RunSpec{}
+}
+
+// runsOn reads one worker's answered-runs count from the status document.
+func runsOn(rt *Router, url string) uint64 {
+	for _, w := range rt.Status().Workers {
+		if w.URL == url {
+			return w.Runs
+		}
+	}
+	return 0
+}
+
+// requireInRotation fails unless every worker is healthy and synced.
+func requireInRotation(t *testing.T, rt *Router) {
+	t.Helper()
+	for _, w := range rt.Status().Workers {
+		if !w.Healthy || !w.Synced {
+			t.Errorf("worker taken out of rotation: %+v", w)
+		}
+	}
+}
+
+// localRun executes the same query on a plain engine — the bit-identity
+// reference a routed result must match.
+func localRun(t *testing.T, app string, root uint32) *grazelle.AppResult {
+	t.Helper()
+	eng := grazelle.NewEngine(sharedGraph(t), grazelle.Options{Workers: 2, Trace: true})
 	defer eng.Close()
-	res, err := eng.Run(context.Background(), app, grazelle.Params{Iters: 8, Root: 1, K: 2})
+	res, err := eng.Run(context.Background(), app, grazelle.Params{Iters: 8, Root: root, K: 2})
 	if err != nil {
 		t.Fatalf("local %s: %v", app, err)
 	}
 	return res
 }
 
-// TestClusterExecuteBitIdentical scatter-gathers frontier-driven and
-// frontier-blind apps over 1- and 2-worker rosters at 2 and 4 partitions and
-// requires every summary statistic and the full value vector to be
-// byte-identical to a local partitioned run.
+// requireBitIdentical compares a routed result's counters, every summary
+// statistic and the full value vector with a local run's, byte for byte.
+func requireBitIdentical(t *testing.T, res *RunResult, want *grazelle.AppResult) {
+	t.Helper()
+	if res.Iterations != want.Stats.Iterations || res.Mode != want.Stats.Mode {
+		t.Errorf("iterations %d mode %s, want %d %s", res.Iterations, res.Mode, want.Stats.Iterations, want.Stats.Mode)
+	}
+	for _, st := range want.Summary() {
+		wantRaw, _ := json.Marshal(st.Value)
+		if got, ok := res.Summary[st.Key]; !ok || string(got) != string(wantRaw) {
+			t.Errorf("summary %s = %s, want %s", st.Key, got, wantRaw)
+		}
+	}
+	wantVals, _ := json.Marshal(want.Values())
+	if string(res.Values) != string(wantVals) {
+		t.Errorf("values diverge (%d vs %d bytes)", len(res.Values), len(wantVals))
+	}
+}
+
+// TestClusterExecuteBitIdentical routes frontier-driven and frontier-blind
+// apps over 1- and 2-worker rosters and requires every summary statistic and
+// the full value vector to be byte-identical to a local run, with the
+// answering worker's engine trace attached.
 func TestClusterExecuteBitIdentical(t *testing.T) {
 	for _, workers := range []int{1, 2} {
-		for _, parts := range []int{2, 4} {
-			t.Run(fmt.Sprintf("w%dp%d", workers, parts), func(t *testing.T) {
-				rt := newTestCluster(t, workers, parts)
-				for _, app := range []string{"pr", "cc", "bfs"} {
-					res, err := rt.Execute(context.Background(), "t-"+app, clusterSpec(app, parts, true))
-					if err != nil {
-						t.Fatalf("%s: %v", app, err)
-					}
-					want := localRun(t, app, parts)
-					if res.Iterations != want.Stats.Iterations || res.Partitions != parts {
-						t.Errorf("%s: iterations %d partitions %d, want %d/%d",
-							app, res.Iterations, res.Partitions, want.Stats.Iterations, parts)
-					}
-					for _, st := range want.Summary() {
-						wantRaw, _ := json.Marshal(st.Value)
-						if got, ok := res.Summary[st.Key]; !ok || string(got) != string(wantRaw) {
-							t.Errorf("%s summary %s = %s, want %s", app, st.Key, got, wantRaw)
-						}
-					}
-					wantVals, _ := json.Marshal(want.Values())
-					if string(res.Values) != string(wantVals) {
-						t.Errorf("%s values diverge (%d vs %d bytes)", app, len(res.Values), len(wantVals))
-					}
-					if res.ExchangeBytes != want.Stats.ExchangeBytes {
-						t.Errorf("%s exchange bytes %d, want %d", app, res.ExchangeBytes, want.Stats.ExchangeBytes)
-					}
-					if len(res.Workers) != workers {
-						t.Errorf("%s ran on %d workers, want %d", app, len(res.Workers), workers)
-					}
-					if len(res.PartBytes) != parts {
-						t.Errorf("%s PartBytes len %d, want %d", app, len(res.PartBytes), parts)
-					}
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			rt := newTestCluster(t, workers)
+			for _, app := range []string{"pr", "cc", "bfs"} {
+				res, err := rt.Execute(context.Background(), "t-"+app, clusterSpec(app, 1, true))
+				if err != nil {
+					t.Fatalf("%s: %v", app, err)
 				}
-			})
+				want := localRun(t, app, 1)
+				requireBitIdentical(t, res, want)
+				if res.Trace.Directions != want.Stats.Directions || len(res.Trace.Phases) != len(want.Stats.Phases) {
+					t.Errorf("%s trace: directions %q with %d phases, want %q with %d",
+						app, res.Trace.Directions, len(res.Trace.Phases), want.Stats.Directions, len(want.Stats.Phases))
+				}
+				if runsOn(rt, res.Worker) == 0 {
+					t.Errorf("%s: answering worker %q has no run counted", app, res.Worker)
+				}
+			}
+			if st := rt.Status(); st.Runs != 3 || st.Failures != 0 || st.Failovers != 0 {
+				t.Errorf("status counters: %+v", st)
+			}
+		})
+	}
+}
+
+// TestClusterPlacementStable: while the roster is stable the same query
+// lands on the same worker every time, whatever its response shape.
+func TestClusterPlacementStable(t *testing.T) {
+	rt := newTestCluster(t, 2)
+	var first string
+	for i := 0; i < 20; i++ {
+		res, err := rt.Execute(context.Background(), fmt.Sprint("t-stable-", i), clusterSpec("bfs", 7, i%2 == 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = res.Worker
+		} else if res.Worker != first {
+			t.Fatalf("run %d answered by %s, earlier runs by %s", i, res.Worker, first)
+		}
+	}
+	if got := runsOn(rt, first); got != 20 {
+		t.Errorf("worker %s counts %d runs, want 20", first, got)
+	}
+}
+
+// TestClusterPlacementSpread: distinct queries spread over the roster — 64
+// bfs roots reach both of two workers, neither with less than a quarter.
+func TestClusterPlacementSpread(t *testing.T) {
+	rt := newTestCluster(t, 2)
+	for root := uint32(0); root < 64; root++ {
+		if _, err := rt.Execute(context.Background(), fmt.Sprint("t-spread-", root), clusterSpec("bfs", root, false)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, w := range rt.Status().Workers {
+		if w.Runs < 16 {
+			t.Errorf("worker %s answered %d of 64 runs, want at least 16", w.URL, w.Runs)
 		}
 	}
 }
 
-// TestClusterAccounting checks the hub's per-partition byte totals agree
-// with the engine's own exchange accounting for a frontier-driven app.
-func TestClusterAccounting(t *testing.T) {
-	rt := newTestCluster(t, 2, 2)
-	res, err := rt.Execute(context.Background(), "t-acct", clusterSpec("bfs", 2, false))
-	if err != nil {
-		t.Fatal(err)
+// TestClusterPlacementMinimalDisruption: losing one of three workers moves
+// only the queries it was serving, each to the worker that ranked second.
+func TestClusterPlacementMinimalDisruption(t *testing.T) {
+	lost := newTestWorker(t)
+	rt := newTestRouter(t, []string{newTestWorker(t).URL, lost.URL, newTestWorker(t).URL})
+	before := make([][]string, 64)
+	for root := range before {
+		before[root] = rt.rank(clusterSpec("bfs", uint32(root), false))
 	}
-	var hubTotal int64
-	for _, b := range res.PartBytes {
-		hubTotal += b
+	lost.Close()
+	waitAvailable(t, rt, 2)
+	moved := 0
+	for root, was := range before {
+		now := rt.rank(clusterSpec("bfs", uint32(root), false))[0]
+		want := was[0]
+		if want == lost.URL {
+			want = was[1]
+			moved++
+		}
+		if now != want {
+			t.Errorf("root %d placed on %s after the loss, want %s (ranking before: %v)", root, now, want, was)
+		}
 	}
-	if hubTotal == 0 {
-		t.Fatal("bfs moved no bytes through the hub")
-	}
-	if hubTotal != res.ExchangeBytes {
-		t.Errorf("hub accounted %d bytes, engine charged %d", hubTotal, res.ExchangeBytes)
-	}
-	st := rt.Status()
-	if st.Runs == 0 || st.ExchangeRounds == 0 {
-		t.Errorf("status counters not advanced: %+v", st)
-	}
-	var peerIn uint64
-	for _, w := range st.Workers {
-		peerIn += w.BytesIn
-	}
-	if peerIn == 0 {
-		t.Error("per-peer inbound exchange bytes not accounted")
+	if moved == 0 || moved == len(before) {
+		t.Errorf("lost worker was serving %d of %d specs", moved, len(before))
 	}
 }
 
-// TestClusterFailpointFailover arms the cluster/exchange failpoint for one
-// shot: the first attempt dies at the barrier with a typed exchange error,
-// the router fails over, and the retry succeeds bit-identically.
+// TestClusterFailpointFailover arms the cluster/run failpoint for one shot:
+// the post to the chosen worker fails like a transport error, the router
+// retries on the next replica, and the answer is bit-identical.
 func TestClusterFailpointFailover(t *testing.T) {
 	if !fault.Available() {
 		t.Skip("failpoints compiled out")
 	}
-	rt := newTestCluster(t, 2, 2)
-	disarm, err := fault.Enable("cluster/exchange", "error*1")
+	rt := newTestCluster(t, 2)
+	disarm, err := fault.Enable("cluster/run", "error*1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer disarm()
-	res, err := rt.Execute(context.Background(), "t-fp", clusterSpec("bfs", 2, false))
+	spec := clusterSpec("bfs", 1, true)
+	chosen := rt.rank(spec)
+	res, err := rt.Execute(context.Background(), "t-fp", spec)
 	if err != nil {
 		t.Fatalf("failover did not recover: %v", err)
 	}
-	want := localRun(t, "bfs", 2)
-	if res.Iterations != want.Stats.Iterations {
-		t.Errorf("iterations %d after failover, want %d", res.Iterations, want.Stats.Iterations)
+	requireBitIdentical(t, res, localRun(t, "bfs", 1))
+	if res.Worker != chosen[1] {
+		t.Errorf("answered by %s, want the second in rank %v", res.Worker, chosen)
 	}
-	if st := rt.Status(); st.Failovers == 0 {
-		t.Errorf("failover not counted: %+v", st)
+	if st := rt.Status(); st.Failovers != 1 || st.Failures != 0 {
+		t.Errorf("status counters: %+v", st)
 	}
 }
 
-// TestClusterFailpointExhausted arms the failpoint permanently: both the
-// run and its failover die at the barrier, and the caller gets the typed
-// unavailable error, not a hang.
+// TestClusterFailpointExhausted arms the failpoint permanently: the run and
+// its one retry both fail, and the caller gets the typed unavailable error
+// carrying the last worker's failure.
 func TestClusterFailpointExhausted(t *testing.T) {
 	if !fault.Available() {
 		t.Skip("failpoints compiled out")
 	}
-	rt := newTestCluster(t, 2, 2)
-	disarm, err := fault.Enable("cluster/exchange", "error")
+	rt := newTestCluster(t, 3)
+	disarm, err := fault.Enable("cluster/run", "error")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer disarm()
-	_, err = rt.Execute(context.Background(), "t-fpx", clusterSpec("bfs", 2, false))
+	_, err = rt.Execute(context.Background(), "t-fpx", clusterSpec("bfs", 1, false))
 	var ue *UnavailableError
 	if !errors.As(err, &ue) {
 		t.Fatalf("want UnavailableError after exhausted failover, got %v", err)
 	}
 	var pe *PeerError
-	if !errors.As(err, &pe) || pe.Code != "exchange" {
-		t.Errorf("cause is not an exchange-coded peer error: %v", err)
+	if !errors.As(err, &pe) || !errors.Is(err, fault.ErrInjected) {
+		t.Errorf("cause is not the injected peer error: %v", err)
+	}
+	if st := rt.Status(); st.Failovers != 1 || st.Failures != 1 {
+		t.Errorf("one retry, one failure expected: %+v", st)
 	}
 }
 
-// TestClusterOneWorkerFailureSparesTheRest: one replica refuses the run with
-// a deterministic verdict while its peer waits at the barrier. Tearing the
-// run down cancels the peer's post; that self-inflicted transport error must
-// neither outrank the real failure nor take the healthy replica out of
-// rotation.
-func TestClusterOneWorkerFailureSparesTheRest(t *testing.T) {
-	_, good := newTestWorker(t)
-	wk, _ := newTestWorker(t)
-	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/internal/run" {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusInternalServerError)
-			json.NewEncoder(w).Encode(errorBody{Error: "engine refused", Code: "run"})
-			return
-		}
-		wk.Mux().ServeHTTP(w, r)
-	}))
-	t.Cleanup(bad.Close)
-	rt := newTestRouter(t, []string{good.URL, bad.URL}, 2)
+// TestClusterRunVerdictIsFinal: an engine error from the chosen worker would
+// repeat on an identical replica, so it is returned as is — not retried, and
+// nobody leaves the rotation.
+func TestClusterRunVerdictIsFinal(t *testing.T) {
+	good := newTestWorker(t)
+	bad := verdictWorker(t, http.StatusInternalServerError, "run")
+	rt := newTestRouter(t, []string{good.URL, bad.URL})
 
-	_, err := rt.Execute(context.Background(), "t-spare", clusterSpec("bfs", 2, false))
+	_, err := rt.Execute(context.Background(), "t-final", specPlacedOn(t, rt, bad.URL))
 	var pe *PeerError
 	if !errors.As(err, &pe) || pe.Worker != bad.URL || pe.Code != "run" {
-		t.Fatalf("want the failing worker's run verdict, got %v", err)
+		t.Fatalf("want the chosen worker's run verdict, got %v", err)
 	}
-	for _, w := range rt.Status().Workers {
-		if w.URL == good.URL && !(w.Healthy && w.Synced) {
-			t.Fatalf("healthy worker taken out of rotation by the teardown: %+v", w)
-		}
+	var ue *UnavailableError
+	if errors.As(err, &ue) {
+		t.Errorf("run verdict wrapped as unavailable: %v", err)
 	}
+	if st := rt.Status(); st.Failovers != 0 || st.Failures != 1 || runsOn(rt, good.URL) != 0 {
+		t.Errorf("run verdict was retried: %+v", st)
+	}
+	requireInRotation(t, rt)
 }
 
-// TestClusterFailpointDelay injects a barrier delay shorter than the round
-// timeout: the run must simply ride it out and still complete correctly.
-func TestClusterFailpointDelay(t *testing.T) {
-	if !fault.Available() {
-		t.Skip("failpoints compiled out")
-	}
-	rt := newTestCluster(t, 2, 2)
-	disarm, err := fault.Enable("cluster/exchange", "delay:50ms*2")
+// TestClusterOverloadRetried: a 429 from the chosen worker says that one
+// replica is busy, not that the query is bad — the other answers, and the
+// busy one stays in rotation.
+func TestClusterOverloadRetried(t *testing.T) {
+	good := newTestWorker(t)
+	busy := verdictWorker(t, http.StatusTooManyRequests, "overloaded")
+	rt := newTestRouter(t, []string{good.URL, busy.URL})
+
+	res, err := rt.Execute(context.Background(), "t-busy", specPlacedOn(t, rt, busy.URL))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("overload was not retried: %v", err)
 	}
-	defer disarm()
-	res, err := rt.Execute(context.Background(), "t-delay", clusterSpec("bfs", 2, false))
-	if err != nil {
-		t.Fatal(err)
+	if res.Worker != good.URL {
+		t.Errorf("answered by %s, want %s", res.Worker, good.URL)
 	}
-	if want := localRun(t, "bfs", 2); res.Iterations != want.Stats.Iterations {
-		t.Errorf("iterations %d under delay, want %d", res.Iterations, want.Stats.Iterations)
+	if st := rt.Status(); st.Failovers != 1 || st.Failures != 0 {
+		t.Errorf("status counters: %+v", st)
+	}
+	requireInRotation(t, rt)
+}
+
+// TestClusterStaleReplicaPulled: a replica that refuses the run as
+// out_of_sync leaves the rotation for resync and the other one answers.
+func TestClusterStaleReplicaPulled(t *testing.T) {
+	good := newTestWorker(t)
+	stale := verdictWorker(t, http.StatusConflict, "out_of_sync")
+	rt := NewRouter(RouterConfig{Workers: []string{good.URL, stale.URL}, HealthInterval: time.Hour})
+	t.Cleanup(rt.Close)
+	rt.healthPass() // one pass by hand: nothing may resync the stale worker behind the test's back
+
+	res, err := rt.Execute(context.Background(), "t-stale", specPlacedOn(t, rt, stale.URL))
+	if err != nil || res.Worker != good.URL {
+		t.Fatalf("want an answer from %s, got %+v, %v", good.URL, res, err)
+	}
+	for _, w := range rt.Status().Workers {
+		if w.URL == stale.URL && (w.Synced || !w.Healthy || w.LastError == "") {
+			t.Errorf("stale worker not pulled for resync: %+v", w)
+		}
 	}
 }
 
 // TestClusterNoWorkers: a roster that never becomes healthy yields the
 // typed unavailable error immediately.
 func TestClusterNoWorkers(t *testing.T) {
-	rt := NewRouter(RouterConfig{Workers: []string{"http://127.0.0.1:1"}, Partitions: 2})
+	rt := NewRouter(RouterConfig{Workers: []string{"http://127.0.0.1:1"}})
 	defer rt.Close()
-	_, err := rt.Execute(context.Background(), "t-none", clusterSpec("pr", 2, false))
+	_, err := rt.Execute(context.Background(), "t-none", clusterSpec("pr", 1, false))
 	var ue *UnavailableError
 	if !errors.As(err, &ue) {
 		t.Fatalf("want UnavailableError, got %v", err)
@@ -318,29 +411,27 @@ func TestClusterNoWorkers(t *testing.T) {
 // TestClusterContextCancel: a cancelled caller context fails the run with a
 // context error and without failover.
 func TestClusterContextCancel(t *testing.T) {
-	rt := newTestCluster(t, 2, 2)
+	rt := newTestCluster(t, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := rt.Execute(ctx, "t-cancel", clusterSpec("bfs", 2, false))
-	if err == nil {
-		t.Fatal("cancelled run succeeded")
+	_, err := rt.Execute(ctx, "t-cancel", clusterSpec("bfs", 1, false))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want a context error, got %v", err)
 	}
 	if st := rt.Status(); st.Failovers != 0 {
 		t.Errorf("cancelled run triggered failover: %+v", st)
 	}
+	requireInRotation(t, rt)
 }
 
 // TestWorkerOutOfSync: a run request whose expected graph shape disagrees
 // with the replica is refused with the out_of_sync code — the router's
 // signal to pull the replica for resync rather than serve a wrong answer.
 func TestWorkerOutOfSync(t *testing.T) {
-	_, ts := newTestWorker(t)
-	spec := clusterSpec("pr", 2, false)
-	body, _ := json.Marshal(RunRequest{
-		RunID: "t-sync", Worker: ts.URL, Graph: spec.Graph, App: spec.App,
-		Iters: spec.Iters, Partitions: 2, Owned: []int{0, 1},
-		Vertices: spec.Vertices + 1, Edges: spec.Edges,
-	})
+	ts := newTestWorker(t)
+	spec := clusterSpec("pr", 1, false)
+	spec.Vertices++
+	body, _ := json.Marshal(RunRequest{RunID: "t-sync", RunSpec: spec})
 	resp, err := http.Post(ts.URL+"/internal/run", "application/json", strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatal(err)
@@ -355,8 +446,8 @@ func TestWorkerOutOfSync(t *testing.T) {
 
 // TestWorkerUnknownGraph maps to not_found, the resync-this-replica signal.
 func TestWorkerUnknownGraph(t *testing.T) {
-	_, ts := newTestWorker(t)
-	body, _ := json.Marshal(RunRequest{RunID: "t-404", Worker: ts.URL, Graph: "nope", App: "pr", Partitions: 1, Owned: []int{0}})
+	ts := newTestWorker(t)
+	body, _ := json.Marshal(RunRequest{RunID: "t-404", RunSpec: RunSpec{Graph: "nope", App: "pr"}})
 	resp, err := http.Post(ts.URL+"/internal/run", "application/json", strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatal(err)
@@ -366,166 +457,6 @@ func TestWorkerUnknownGraph(t *testing.T) {
 	json.NewDecoder(resp.Body).Decode(&eb)
 	if resp.StatusCode != http.StatusNotFound || eb.Code != "not_found" {
 		t.Fatalf("status %d code %q, want 404 not_found", resp.StatusCode, eb.Code)
-	}
-}
-
-// --- Hub unit tests ---
-
-func hubPost(worker string, iter int, parts map[int][]uint64, layout map[int]int) *ExchangePost {
-	p := &ExchangePost{RunID: "r", Worker: worker, Iter: iter}
-	for part, words := range parts {
-		p.Segments = append(p.Segments, Segment{Part: part, WordLo: layout[part], Words: wordsToBytes(words)})
-	}
-	return p
-}
-
-// TestHubMergeAndRetry drives one two-worker round by hand: the merged
-// frontier, active count, per-partition bytes, and the idempotent cached
-// reply for a retried post.
-func TestHubMergeAndRetry(t *testing.T) {
-	h := NewHub()
-	h.Register("r", map[string][]int{"a": {0}, "b": {1}}, 2, 4)
-	defer h.Unregister("r")
-	layout := map[int]int{0: 0, 1: 2} // PartitionEven(4,2): [0,2) and [2,4)
-
-	var replyA *ExchangeReply
-	done := make(chan error, 1)
-	go func() {
-		var err error
-		replyA, err = h.Post(context.Background(), hubPost("a", 0, map[int][]uint64{0: {1, 2}}, layout))
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	replyB, err := h.Post(context.Background(), hubPost("b", 0, map[int][]uint64{1: {4, 8}}, layout))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if replyA.Active != 4 {
-		t.Errorf("active = %d, want 4", replyA.Active)
-	}
-	want := []uint64{1, 2, 4, 8}
-	got := bytesToWords(replyB.Frontier)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("merged frontier %v, want %v", got, want)
-		}
-	}
-	if replyA.Bytes[0] != 16 || replyA.Bytes[1] != 16 {
-		t.Errorf("per-partition bytes %v, want [16 16]", replyA.Bytes)
-	}
-	// Retry of the completed round returns the cached reply.
-	again, err := h.Post(context.Background(), hubPost("a", 0, map[int][]uint64{0: {1, 2}}, layout))
-	if err != nil || again.Iter != 0 || again.Active != 4 {
-		t.Fatalf("retry: %v %+v", err, again)
-	}
-	if h.Rounds("r") != 1 {
-		t.Errorf("rounds = %d, want 1", h.Rounds("r"))
-	}
-	if pb := h.PartBytes("r"); pb[0] != 16 || pb[1] != 16 {
-		t.Errorf("cumulative PartBytes %v", pb)
-	}
-}
-
-// TestHubWedgedRound: a round that never completes aborts at RoundTimeout
-// with the missing worker recorded as the laggard.
-func TestHubWedgedRound(t *testing.T) {
-	h := NewHub()
-	h.RoundTimeout = 50 * time.Millisecond
-	h.Register("r", map[string][]int{"a": {0}, "b": {1}}, 2, 4)
-	defer h.Unregister("r")
-	layout := map[int]int{0: 0, 1: 2}
-	_, err := h.Post(context.Background(), hubPost("a", 0, map[int][]uint64{0: {1, 2}}, layout))
-	var rae *RunAbortedError
-	if !errors.As(err, &rae) {
-		t.Fatalf("want RunAbortedError from wedged round, got %v", err)
-	}
-	lag := h.Laggards("r")
-	if len(lag) != 1 || lag[0] != "b" {
-		t.Errorf("laggards = %v, want [b]", lag)
-	}
-}
-
-// TestHubProtocolViolations: posts from unenlisted workers, for the wrong
-// iteration, or with the wrong geometry abort the run rather than corrupt
-// the frontier.
-func TestHubProtocolViolations(t *testing.T) {
-	layout := map[int]int{0: 0, 1: 2}
-	t.Run("unenlisted", func(t *testing.T) {
-		h := NewHub()
-		h.Register("r", map[string][]int{"a": {0, 1}}, 2, 4)
-		defer h.Unregister("r")
-		_, err := h.Post(context.Background(), hubPost("z", 0, map[int][]uint64{0: {1, 2}}, layout))
-		var rae *RunAbortedError
-		if !errors.As(err, &rae) {
-			t.Fatalf("unenlisted post accepted: %v", err)
-		}
-	})
-	t.Run("wrong-iter", func(t *testing.T) {
-		h := NewHub()
-		h.Register("r", map[string][]int{"a": {0, 1}}, 2, 4)
-		defer h.Unregister("r")
-		_, err := h.Post(context.Background(), hubPost("a", 3, map[int][]uint64{0: {1, 2}, 1: {0, 0}}, layout))
-		var rae *RunAbortedError
-		if !errors.As(err, &rae) {
-			t.Fatalf("future-iteration post accepted: %v", err)
-		}
-	})
-	t.Run("bad-geometry", func(t *testing.T) {
-		h := NewHub()
-		h.Register("r", map[string][]int{"a": {0, 1}}, 2, 4)
-		defer h.Unregister("r")
-		_, err := h.Post(context.Background(), hubPost("a", 0, map[int][]uint64{0: {1}, 1: {0, 0}}, layout))
-		var rae *RunAbortedError
-		if !errors.As(err, &rae) {
-			t.Fatalf("short segment accepted: %v", err)
-		}
-	})
-	t.Run("unknown-run", func(t *testing.T) {
-		h := NewHub()
-		_, err := h.Post(context.Background(), hubPost("a", 0, map[int][]uint64{0: {1, 2}}, layout))
-		if !errors.Is(err, ErrUnknownRun) {
-			t.Fatalf("want ErrUnknownRun, got %v", err)
-		}
-	})
-}
-
-// TestNetExchangeDivergence: a merged frontier that contradicts the local
-// one on a non-owned word is a replica-drift bug and must fail the run.
-func TestNetExchangeDivergence(t *testing.T) {
-	h := NewHub()
-	h.Register("r", map[string][]int{"w": {0}, "peer": {1}}, 2, 2)
-	defer h.Unregister("r")
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /internal/exchange", func(w http.ResponseWriter, req *http.Request) {
-		var p ExchangePost
-		json.NewDecoder(req.Body).Decode(&p)
-		reply, err := h.Post(req.Context(), &p)
-		if err != nil {
-			writeClusterError(w, http.StatusConflict, "aborted", err)
-			return
-		}
-		json.NewEncoder(w).Encode(reply)
-	})
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-
-	// The peer posts a word that differs from what our worker computed
-	// locally for the partition it does not own.
-	go h.Post(context.Background(), &ExchangePost{RunID: "r", Worker: "peer", Iter: 0,
-		Segments: []Segment{{Part: 1, WordLo: 1, Words: wordsToBytes([]uint64{0xff})}}})
-
-	ex := &NetExchange{Client: ts.Client(), URL: ts.URL + "/internal/exchange", RunID: "r", Worker: "w", Owned: map[int]bool{0: true}}
-	deltas := []grazelle.FrontierDelta{
-		{Part: 0, WordLo: 0, Words: []uint64{1}},
-		{Part: 1, WordLo: 1, Words: []uint64{0xaa}}, // local disagreement
-	}
-	_, err := ex.Exchange(context.Background(), deltas)
-	var de *DivergenceError
-	if !errors.As(err, &de) {
-		t.Fatalf("want DivergenceError, got %v", err)
 	}
 }
 
@@ -556,7 +487,7 @@ func TestRouterResync(t *testing.T) {
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
-	rt := NewRouter(RouterConfig{Workers: []string{ts.URL}, Partitions: 2, HealthInterval: 20 * time.Millisecond})
+	rt := NewRouter(RouterConfig{Workers: []string{ts.URL}, HealthInterval: 20 * time.Millisecond})
 	defer rt.Close()
 	rt.RecordGraph(GraphSpec{Name: "g", Dataset: "C", Scale: 0.25})
 	rt.EdgesApplied("g", []grazelle.EdgeOp{{Src: 1, Dst: 2, Weight: 1}})
@@ -590,16 +521,69 @@ func TestRouterBroadcastDesync(t *testing.T) {
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
-	rt := NewRouter(RouterConfig{Workers: []string{ts.URL}, Partitions: 2, HealthInterval: 20 * time.Millisecond})
+	rt := NewRouter(RouterConfig{Workers: []string{ts.URL}, HealthInterval: 20 * time.Millisecond})
 	defer rt.Close()
 	rt.Start()
 	waitAvailable(t, rt, 1)
 
 	refuse.Store("on", struct{}{})
 	rt.GraphAdded(GraphSpec{Name: "g2", Dataset: "C", Scale: 0.1})
-	if avail := rt.available(); len(avail) != 0 {
+	if available(rt) != 0 {
 		t.Fatalf("worker still in rotation after refused broadcast")
 	}
 	refuse.Delete("on")
 	waitAvailable(t, rt, 1) // resync repairs it
+}
+
+// TestRouterGraphDeleted: a delete is broadcast to in-sync workers; a worker
+// that never had the graph (404) is already in the goal state, one that
+// fails the delete drops out until resync repairs it.
+func TestRouterGraphDeleted(t *testing.T) {
+	var mu sync.Mutex
+	var deleted []string
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) { w.Write([]byte("ok\n")) })
+	mux.HandleFunc("POST /v1/graphs", func(w http.ResponseWriter, r *http.Request) { w.Write([]byte("{}")) })
+	mux.HandleFunc("DELETE /v1/graphs/{name}", func(w http.ResponseWriter, r *http.Request) {
+		name := r.PathValue("name")
+		mu.Lock()
+		deleted = append(deleted, name)
+		mu.Unlock()
+		switch name {
+		case "never-had":
+			http.Error(w, `{"error":"not found"}`, http.StatusNotFound)
+		case "stuck":
+			http.Error(w, `{"error":"busy"}`, http.StatusInternalServerError)
+		default:
+			w.Write([]byte("{}"))
+		}
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	rt := NewRouter(RouterConfig{Workers: []string{ts.URL}, HealthInterval: 20 * time.Millisecond})
+	defer rt.Close()
+	rt.RecordGraph(GraphSpec{Name: "g", Dataset: "C", Scale: 0.25})
+	rt.Start()
+	waitAvailable(t, rt, 1)
+
+	if rt.LockGraph("g") != rt.LockGraph("g") || rt.LockGraph("g") == rt.LockGraph("other") {
+		t.Error("LockGraph must return one lock per graph name")
+	}
+	rt.GraphDeleted("g")
+	rt.GraphDeleted("never-had")
+	if available(rt) != 1 {
+		t.Fatalf("worker left the rotation after clean deletes: %+v", rt.Status().Workers)
+	}
+	rt.GraphDeleted("stuck")
+	if available(rt) != 0 {
+		t.Fatal("worker still in rotation after a failed delete broadcast")
+	}
+	waitAvailable(t, rt, 1) // the catalog is empty now, so resync has nothing to replay
+
+	mu.Lock()
+	defer mu.Unlock()
+	if strings.Join(deleted, ",") != "g,never-had,stuck" {
+		t.Errorf("broadcast deletes %v, want [g never-had stuck]", deleted)
+	}
 }

@@ -1,13 +1,6 @@
 package cluster
 
-import (
-	"errors"
-	"fmt"
-)
-
-// ErrUnknownRun reports an exchange post for a run the hub is not serving —
-// either never registered or already unregistered after completion.
-var ErrUnknownRun = errors.New("cluster: unknown run")
+import "fmt"
 
 // UnavailableError reports that a query could not be placed: no healthy,
 // synced worker exists (or failover exhausted the roster). The serving layer
@@ -29,9 +22,9 @@ func (e *UnavailableError) Error() string {
 
 func (e *UnavailableError) Unwrap() error { return e.Cause }
 
-// PeerError reports one worker's failure during a scatter-gathered run: a
-// transport error (Status 0), a non-200 internal response, or a wedged peer
-// detected by the exchange hub's round timeout (Code "wedged").
+// PeerError reports the chosen worker's failure to answer a routed run: a
+// transport error (Status 0, Err set) or a non-200 /internal/run response
+// carrying the worker's typed verdict in Code.
 type PeerError struct {
 	Worker string
 	Status int
@@ -52,43 +45,3 @@ func (e *PeerError) Error() string {
 }
 
 func (e *PeerError) Unwrap() error { return e.Err }
-
-// RunAbortedError is the error every worker still waiting at the exchange
-// barrier receives when a run is torn down mid-iteration (a peer died, a
-// round timed out, the router cancelled).
-type RunAbortedError struct {
-	RunID string
-	Cause error
-}
-
-func (e *RunAbortedError) Error() string {
-	return fmt.Sprintf("cluster: run %s aborted: %v", e.RunID, e.Cause)
-}
-
-func (e *RunAbortedError) Unwrap() error { return e.Cause }
-
-// ExchangeError marks a run failure that originated at the network
-// frontier barrier rather than in the worker's own compute. Workers report
-// it with code "exchange" so the router knows the worker is an abort victim
-// (or retry candidate), not a faulty replica.
-type ExchangeError struct {
-	Err error
-}
-
-func (e *ExchangeError) Error() string { return e.Err.Error() }
-
-func (e *ExchangeError) Unwrap() error { return e.Err }
-
-// DivergenceError reports that a worker's locally computed frontier words
-// disagree with the merged authoritative words it received — by the
-// bit-determinism contract that can only mean replicas are out of sync, so
-// the run fails loudly instead of serving a wrong answer.
-type DivergenceError struct {
-	Part, Word int
-	Local, Got uint64
-}
-
-func (e *DivergenceError) Error() string {
-	return fmt.Sprintf("cluster: frontier divergence at partition %d word %d: local %#x, merged %#x (replica out of sync)",
-		e.Part, e.Word, e.Local, e.Got)
-}

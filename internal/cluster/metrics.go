@@ -1,14 +1,6 @@
 package cluster
 
-import (
-	"time"
-
-	"repro/internal/obs"
-)
-
-// fanoutBounds buckets the scatter-gather fan-out histogram (workers per
-// run).
-var fanoutBounds = []float64{1, 2, 4, 8, 16}
+import "repro/internal/obs"
 
 // routerMetrics holds the grazelle_cluster_* families. They live in the
 // router's store registry so /metrics and /v1/cluster read the same cells.
@@ -16,52 +8,24 @@ type routerMetrics struct {
 	runs      *obs.Counter
 	failures  *obs.Counter
 	failovers *obs.Counter
-	rounds    *obs.Counter
-	fanout    *obs.Histogram
-	peerIn    map[string]*obs.Counter
-	peerOut   map[string]*obs.Counter
-	peerWait  map[string]*obs.Histogram
+	// routed counts the runs each worker answered, so the hash spread over
+	// the roster is visible.
+	routed map[string]*obs.Counter
 }
 
-func newRouterMetrics(reg *obs.Registry, peers []string) *routerMetrics {
+func newRouterMetrics(reg *obs.Registry, workers []string) *routerMetrics {
 	m := &routerMetrics{
 		runs: reg.Counter("grazelle_cluster_runs_total",
 			"Queries executed through the cluster tier.", nil),
 		failures: reg.Counter("grazelle_cluster_run_failures_total",
 			"Cluster queries that failed after any failover.", nil),
 		failovers: reg.Counter("grazelle_cluster_failovers_total",
-			"Cluster runs re-placed onto surviving replicas after a worker failure.", nil),
-		rounds: reg.Counter("grazelle_cluster_exchange_rounds_total",
-			"Completed network frontier-exchange rounds.", nil),
-		fanout: reg.Histogram("grazelle_cluster_fanout_workers",
-			"Workers participating per scatter-gathered run.", nil, fanoutBounds),
-		peerIn:   make(map[string]*obs.Counter, len(peers)),
-		peerOut:  make(map[string]*obs.Counter, len(peers)),
-		peerWait: make(map[string]*obs.Histogram, len(peers)),
+			"Cluster runs retried on another replica after the chosen worker failed.", nil),
+		routed: make(map[string]*obs.Counter, len(workers)),
 	}
-	for _, p := range peers {
-		m.peerIn[p] = reg.Counter("grazelle_cluster_peer_exchange_bytes_total",
-			"Exchange wire bytes per worker and direction.", obs.Labels{"peer": p, "dir": "in"})
-		m.peerOut[p] = reg.Counter("grazelle_cluster_peer_exchange_bytes_total",
-			"Exchange wire bytes per worker and direction.", obs.Labels{"peer": p, "dir": "out"})
-		m.peerWait[p] = reg.Histogram("grazelle_cluster_peer_exchange_wait_seconds",
-			"Time each worker's exchange post waited at the barrier for its peers.",
-			obs.Labels{"peer": p}, obs.DefTimeBuckets)
+	for _, w := range workers {
+		m.routed[w] = reg.Counter("grazelle_cluster_routed_runs_total",
+			"Routed runs answered, by worker.", obs.Labels{"worker": w})
 	}
 	return m
-}
-
-func (m *routerMetrics) peerTraffic(worker string, in, out int64) {
-	if c := m.peerIn[worker]; c != nil {
-		c.Add(uint64(in))
-	}
-	if c := m.peerOut[worker]; c != nil {
-		c.Add(uint64(out))
-	}
-}
-
-func (m *routerMetrics) peerWaited(worker string, d time.Duration) {
-	if h := m.peerWait[worker]; h != nil {
-		h.Observe(d.Seconds())
-	}
 }

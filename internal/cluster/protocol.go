@@ -1,30 +1,31 @@
 // Package cluster is the horizontal scale-out tier: a router process that
-// owns graph placement and serves the public query API, and worker processes
-// that hold graph replicas and execute runs, synchronized once per iteration
-// by shipping frontier-delta bitmap words through the router's exchange hub.
+// owns the graph catalog and serves the public query API, and worker
+// processes that each hold a full replica of every graph and answer whole
+// queries.
 //
-// The design follows the coordinator seam PR 7 left (internal/coord): the
-// only state that must cross a process boundary per iteration is the
-// frontier delta, so a worker runs the ordinary partitioned engine with the
-// shared-memory Exchange swapped for NetExchange. Each worker holds a full
-// replica and executes every partition span locally (the pull kernels read
-// all source properties, so properties never cross the wire); partition
-// *ownership* decides whose frontier words are authoritative at the barrier.
-// Because every engine is bit-deterministic at any worker count, all
-// replicas produce identical words and the merged frontier equals each
-// worker's local one — which is what makes router-executed results
-// bit-identical to single-process runs, and what the exchange verifies
-// every iteration (see NetExchange's divergence check).
+// A routed query is one POST /internal/run to one worker. The router ranks
+// its healthy, in-sync replicas by rendezvous hash of the query, so the same
+// query lands on the same replica while the roster is stable and losing a
+// worker moves only that worker's queries; the chosen worker runs the query
+// on its store's shared engine — the call its own /v1/query makes — and
+// returns the pre-marshaled summary and values plus the engine's run trace.
+// Router answers are therefore byte-identical to a single process's by
+// construction: there is one computation, on one engine, through one code
+// path. A failure another replica could cure (unreachable, trailing the
+// catalog, overloaded) is retried once on the next replica in rank.
 //
-// The wire barrier is load-bearing even though its payload is redundant: it
-// is where a dead or wedged peer is detected mid-run, where the
-// cluster/exchange failpoint injects chaos, and where per-peer byte and
-// latency accounting comes from.
+// What keeps replicas equal is the catalog: every add, delete and mutation
+// batch goes through the router, which applies it locally, broadcasts it to
+// the in-sync workers and retains it for replay onto a worker that restarts
+// or falls behind (see Router.resync). A replica whose shape disagrees with
+// the router's refuses the run with out_of_sync instead of answering from a
+// stale version.
 package cluster
 
 import (
-	"encoding/binary"
 	"encoding/json"
+
+	"repro/internal/obs"
 )
 
 // GraphSpec describes how to materialize one graph on a worker — the same
@@ -37,56 +38,35 @@ type GraphSpec struct {
 	Path    string  `json:"path,omitempty"`
 }
 
-// RunSpec is the router-side input to Execute: one normalized query plus
-// the pinned graph's identity facts used for cross-replica consistency
-// checks.
+// RunSpec is one normalized query plus the pinned graph's identity facts:
+// the router-side input to Execute and, under a run ID, the body of
+// POST /internal/run.
 type RunSpec struct {
-	Graph      string
-	App        string
-	Iters      int
-	Root       uint32
-	K          int
-	Partitions int
-	Values     bool
+	Graph  string `json:"graph"`
+	App    string `json:"app"`
+	Iters  int    `json:"iters"`
+	Root   uint32 `json:"root"`
+	K      int    `json:"k"`
+	Values bool   `json:"values"`
 	// Vertices and Edges are the router replica's counts at the pinned
 	// version; a worker whose replica disagrees refuses the run with
 	// out_of_sync instead of computing a divergent answer.
-	Vertices, Edges int
-	// TimeoutMS bounds the worker-side run (0 = worker default).
-	TimeoutMS int64
+	Vertices int `json:"vertices"`
+	Edges    int `json:"edges"`
+	// TimeoutMS bounds the worker-side run (0 = the request's own deadline).
+	TimeoutMS int64 `json:"timeout_ms"`
 }
 
 // RunRequest is the router → worker body of POST /internal/run.
 type RunRequest struct {
 	RunID string `json:"run_id"`
-	// Worker is this worker's identity in the router's roster; it labels the
-	// worker's exchange posts.
-	Worker string `json:"worker"`
-	// ExchangeURL is the router's exchange hub endpoint.
-	ExchangeURL string `json:"exchange_url"`
-	Graph       string `json:"graph"`
-	App         string `json:"app"`
-	Iters       int    `json:"iters"`
-	Root        uint32 `json:"root"`
-	K           int    `json:"k"`
-	Partitions  int    `json:"partitions"`
-	// Owned lists the partitions whose frontier words this worker is
-	// authoritative for at the exchange barrier.
-	Owned []int `json:"owned"`
-	// Vertices and Edges are the router's expected graph shape.
-	Vertices int `json:"vertices"`
-	Edges    int `json:"edges"`
-	// Primary marks the one worker whose summary/values serialize into the
-	// client response; secondaries return counters only.
-	Primary   bool  `json:"primary"`
-	Values    bool  `json:"values"`
-	TimeoutMS int64 `json:"timeout_ms"`
+	RunSpec
 }
 
 // RunResponse is the worker → router body of a successful /internal/run.
 // Summary values and Values are pre-marshaled on the worker and passed
 // through the router verbatim, so the assembled client payload is
-// byte-identical to what the single-process server would emit.
+// byte-identical to what the worker's own /v1/query would emit.
 type RunResponse struct {
 	Iterations     int                        `json:"iterations"`
 	PullIterations int                        `json:"pull_iterations"`
@@ -94,61 +74,15 @@ type RunResponse struct {
 	Mode           string                     `json:"mode"`
 	Partitions     int                        `json:"partitions"`
 	ElapsedMS      int64                      `json:"elapsed_ms"`
-	ExchangeBytes  int64                      `json:"exchange_bytes"`
-	Summary        map[string]json.RawMessage `json:"summary,omitempty"`
+	Summary        map[string]json.RawMessage `json:"summary"`
 	Values         json.RawMessage            `json:"values,omitempty"`
+	// Trace is the engine's phase, direction and partition breakdown of the
+	// run, for the router's run record.
+	Trace obs.RunTrace `json:"trace"`
 }
 
-// Segment is one owned partition's frontier words for one iteration.
-// Words is the little-endian byte serialization of the partition's 64-bit
-// bitmap slice (base64 on the JSON wire).
-type Segment struct {
-	Part   int    `json:"part"`
-	WordLo int    `json:"word_lo"`
-	Words  []byte `json:"words"`
-}
-
-// ExchangePost is the worker → router body of POST /internal/exchange:
-// one worker's owned segments for one iteration's barrier.
-type ExchangePost struct {
-	RunID    string    `json:"run_id"`
-	Worker   string    `json:"worker"`
-	Iter     int       `json:"iter"`
-	Segments []Segment `json:"segments"`
-}
-
-// ExchangeReply is the hub's answer once every enlisted worker has posted:
-// the full merged frontier plus the per-partition byte accounting the
-// coordinator charges (identical to what the shared-memory exchange would
-// have reported, keeping exchange_bytes comparable across tiers).
-type ExchangeReply struct {
-	Iter     int     `json:"iter"`
-	Active   int     `json:"active"`
-	Frontier []byte  `json:"frontier"`
-	Bytes    []int64 `json:"bytes"`
-}
-
-// errorBody is the typed error JSON both internal endpoints use.
+// errorBody is the typed error JSON of /internal/run.
 type errorBody struct {
 	Error string `json:"error"`
 	Code  string `json:"code,omitempty"`
-}
-
-// wordsToBytes serializes bitmap words little-endian.
-func wordsToBytes(words []uint64) []byte {
-	out := make([]byte, len(words)*8)
-	for i, w := range words {
-		binary.LittleEndian.PutUint64(out[i*8:], w)
-	}
-	return out
-}
-
-// bytesToWords inverts wordsToBytes. Trailing partial words are rejected by
-// the callers' length validation before this runs.
-func bytesToWords(b []byte) []uint64 {
-	out := make([]uint64, len(b)/8)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(b[i*8:])
-	}
-	return out
 }

@@ -4,16 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"log/slog"
 	"net/http"
+	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	grazelle "repro"
+	"repro/internal/fault"
 	"repro/internal/obs"
 )
 
@@ -27,14 +29,8 @@ const maxCatalogBatches = 1024
 type RouterConfig struct {
 	// Workers is the static roster of worker base URLs.
 	Workers []string
-	// Partitions is the coordinator partition count runs execute with
-	// (display default for Status; Execute takes it per RunSpec).
-	Partitions int
 	// HealthInterval paces the /readyz + resync loop (default 1s).
 	HealthInterval time.Duration
-	// RoundTimeout bounds one exchange round before the run is declared
-	// wedged (default DefaultRoundTimeout).
-	RoundTimeout time.Duration
 	// Registry receives the grazelle_cluster_* families (nil = private
 	// registry, for tests).
 	Registry *obs.Registry
@@ -44,12 +40,12 @@ type RouterConfig struct {
 
 // workerState is one roster entry's view from the router.
 type workerState struct {
-	url     string
-	healthy bool
-	synced  bool
+	url      string
+	healthy  bool
+	synced   bool
 	lastSeen time.Time
-	lastErr string
-	rtt     time.Duration
+	lastErr  string
+	rtt      time.Duration
 }
 
 // catalogEntry is the router's authoritative lineage for one graph: how to
@@ -63,31 +59,29 @@ type catalogEntry struct {
 
 // Router owns placement and cluster execution. It health-checks the worker
 // roster, keeps each worker's replica in sync with the graph catalog by
-// replaying it through the worker's public API, scatter-gathers runs with
-// the exchange Hub as the per-iteration barrier, and fails runs over to
-// surviving replicas when a worker dies mid-run.
+// replaying it through the worker's public API, sends each query to the one
+// replica its rendezvous hash ranks first, and retries once on the next when
+// that worker fails in a way another replica could cure.
 type Router struct {
 	cfg          RouterConfig
-	hub          *Hub
 	client       *http.Client // runs + catalog broadcast; deadline comes from ctx
 	healthClient *http.Client
 	log          *slog.Logger
 	metrics      *routerMetrics
 
-	mu          sync.Mutex
-	workers     []*workerState
-	catalog     map[string]*catalogEntry
-	catalogGen  uint64
-	exchangeURL string
-	locks       map[string]*sync.RWMutex
+	mu         sync.Mutex
+	workers    []*workerState
+	catalog    map[string]*catalogEntry
+	catalogGen uint64
+	locks      map[string]*sync.RWMutex
 
 	stop      chan struct{}
 	wg        sync.WaitGroup
 	closeOnce sync.Once
 }
 
-// NewRouter creates a router over a static worker roster. Call
-// SetExchangeURL once the serving address is known, then Start.
+// NewRouter creates a router over a static worker roster; Start launches
+// its health loop.
 func NewRouter(cfg RouterConfig) *Router {
 	if cfg.HealthInterval <= 0 {
 		cfg.HealthInterval = time.Second
@@ -118,13 +112,6 @@ func NewRouter(cfg RouterConfig) *Router {
 		r.workers = append(r.workers, &workerState{url: u})
 	}
 	r.metrics = newRouterMetrics(reg, peers)
-	r.hub = &Hub{
-		RoundTimeout: cfg.RoundTimeout,
-		OnRound:      r.metrics.rounds.Inc,
-		PeerTraffic:  r.metrics.peerTraffic,
-		PeerWait:     r.metrics.peerWaited,
-		runs:         make(map[string]*hubRun),
-	}
 	reg.GaugeFunc("grazelle_cluster_workers", "Worker roster by state.",
 		obs.Labels{"state": "total"}, func() float64 { return float64(len(r.workers)) })
 	reg.GaugeFunc("grazelle_cluster_workers", "Worker roster by state.",
@@ -146,14 +133,6 @@ func (r *Router) counts() (healthy, synced int) {
 		}
 	}
 	return
-}
-
-// SetExchangeURL tells the router where workers should post frontier
-// segments (its own public address + the exchange route).
-func (r *Router) SetExchangeURL(url string) {
-	r.mu.Lock()
-	r.exchangeURL = url
-	r.mu.Unlock()
 }
 
 // Start launches the health/resync loop.
@@ -417,105 +396,106 @@ func (r *Router) postJSON(ctx context.Context, url string, v any) error {
 	return nil
 }
 
-// HandleExchange is the hub's HTTP adapter (POST /internal/exchange).
-func (r *Router) HandleExchange(w http.ResponseWriter, req *http.Request) {
-	var p ExchangePost
-	if err := json.NewDecoder(req.Body).Decode(&p); err != nil {
-		writeClusterError(w, http.StatusBadRequest, "bad_request", err)
-		return
-	}
-	reply, err := r.hub.Post(req.Context(), &p)
-	if err != nil {
-		switch {
-		case errors.Is(err, ErrUnknownRun):
-			writeClusterError(w, http.StatusNotFound, "unknown_run", err)
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			writeClusterError(w, http.StatusServiceUnavailable, "cancelled", err)
-		default:
-			writeClusterError(w, http.StatusConflict, "aborted", err)
-		}
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(reply)
-}
-
-// RunResult is a completed cluster execution, assembled from the primary
-// worker's response plus the hub's per-partition accounting.
+// RunResult is a completed routed run: the answering worker's response and
+// which worker that was.
 type RunResult struct {
-	Iterations     int
-	PullIterations int
-	PushIterations int
-	Mode           string
-	Partitions     int
-	ElapsedMS      int64
-	ExchangeBytes  int64
-	Summary        map[string]json.RawMessage
-	Values         json.RawMessage
-	PartBytes      []int64
-	Workers        []string
+	RunResponse
+	Worker string
 }
 
-// Execute runs one query across the cluster: place partitions over the
-// available replicas, scatter the run, gather through the exchange barrier,
-// and — when a replica fails mid-run — re-place once onto the survivors.
+// Execute runs one query on the cluster: post it to the replica the query's
+// rendezvous hash ranks first and, when that worker fails in a way another
+// replica could cure, once more to the next in rank.
 func (r *Router) Execute(ctx context.Context, runID string, spec RunSpec) (*RunResult, error) {
 	r.metrics.runs.Inc()
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		avail := r.available()
-		if len(avail) == 0 {
-			r.metrics.failures.Inc()
-			return nil, &UnavailableError{Reason: "no healthy synced workers", Cause: lastErr}
+	req := RunRequest{RunID: runID, RunSpec: spec}
+	ranked := r.rank(spec)
+	if len(ranked) > 2 {
+		ranked = ranked[:2] // one retry
+	}
+	var last *PeerError
+	for attempt, url := range ranked {
+		if attempt > 0 {
+			r.metrics.failovers.Inc()
+			r.log.Warn("cluster run failing over", "run", runID, "to", url, "error", last)
 		}
-		res, err := r.runOnce(ctx, fmt.Sprintf("%s.%d", runID, attempt), spec, avail)
+		resp, err := r.postRun(ctx, url, &req)
 		if err == nil {
-			return res, nil
+			r.metrics.routed[url].Inc()
+			return &RunResult{RunResponse: *resp, Worker: url}, nil
 		}
-		lastErr = err
 		if ctx.Err() != nil || !r.noteFailure(err) {
 			r.metrics.failures.Inc()
 			return nil, err
 		}
-		r.metrics.failovers.Inc()
-		r.log.Warn("cluster run failing over", "run", runID, "error", err)
+		last = err
 	}
 	r.metrics.failures.Inc()
-	return nil, &UnavailableError{Reason: "failover exhausted", Cause: lastErr}
+	if last == nil {
+		return nil, &UnavailableError{Reason: "no healthy synced workers"}
+	}
+	return nil, &UnavailableError{Reason: "failover exhausted", Cause: last}
 }
 
-func (r *Router) available() []*workerState {
+// rank orders the healthy, synced workers for one query by rendezvous
+// (highest-random-weight) hash: every worker scores the query independently,
+// so a stable roster always ranks a query the same way and removing a worker
+// changes the first choice of only the queries that worker was serving.
+// Values and the deadline are left out — they shape the response, not the
+// computation a replica would cache or warm-start.
+func (r *Router) rank(spec RunSpec) []string {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.syncedLocked()
+	urls := make([]string, 0, len(r.workers))
+	for _, w := range r.syncedLocked() {
+		urls = append(urls, w.url)
+	}
+	r.mu.Unlock()
+	score := make(map[string]uint64, len(urls))
+	for _, u := range urls {
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%s\x00%s\x00%s\x00%d\x00%d\x00%d", u, spec.Graph, spec.App, spec.Iters, spec.Root, spec.K)
+		score[u] = avalanche(h.Sum64())
+	}
+	sort.Slice(urls, func(i, j int) bool {
+		if score[urls[i]] != score[urls[j]] {
+			return score[urls[i]] > score[urls[j]]
+		}
+		return urls[i] < urls[j]
+	})
+	return urls
+}
+
+// avalanche is the 64-bit finalizer of MurmurHash3. Scores are compared as
+// integers, and FNV-1a alone leaves the order of two workers' scores nearly
+// fixed across queries that differ only in their last bytes (64 consecutive
+// bfs roots split 3/61 over some pairs of worker ports).
+func avalanche(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
 }
 
 // noteFailure classifies one run failure, updates roster state, and reports
-// whether re-placement is worth attempting.
-func (r *Router) noteFailure(err error) bool {
-	var pe *PeerError
-	if !errors.As(err, &pe) {
-		return false
-	}
+// whether another replica could cure it.
+func (r *Router) noteFailure(err *PeerError) bool {
 	switch {
-	case pe.Code == "not_found" || pe.Code == "out_of_sync":
-		// The replica trails the catalog: pull it from rotation for repair
-		// and run on the others.
-		r.markWorker(pe.Worker, func(w *workerState) { w.synced = false; w.lastErr = pe.Error() })
+	case err.Status == 0:
+		// Unreachable: down until /readyz says otherwise.
+		r.markWorker(err.Worker, func(w *workerState) { w.healthy = false; w.synced = false; w.lastErr = err.Error() })
 		return true
-	case pe.Status == 0 || pe.Code == "wedged":
-		// Unreachable or wedged mid-exchange: down until /readyz says
-		// otherwise.
-		r.markWorker(pe.Worker, func(w *workerState) { w.healthy = false; w.synced = false; w.lastErr = pe.Error() })
+	case err.Code == "not_found" || err.Code == "out_of_sync":
+		// The replica trails the catalog: pull it from rotation for repair.
+		r.markWorker(err.Worker, func(w *workerState) { w.synced = false; w.lastErr = err.Error() })
 		return true
-	case pe.Code == "exchange":
-		// An abort victim or a transient barrier failure (failpoints land
-		// here): the worker itself is fine, just retry.
+	case err.Status == http.StatusTooManyRequests:
+		// Admission pressure on that one worker; it stays in rotation.
 		return true
 	default:
-		// Deterministic verdicts — an engine error (Code "run") repeats on
-		// identical replicas, overload and timeouts fail identically under
-		// the same deadline — so a retry only wastes the budget.
+		// An engine error (Code "run") repeats on an identical replica, and a
+		// timeout or a closing store has already spent the request's budget.
 		return false
 	}
 }
@@ -530,143 +510,13 @@ func (r *Router) markWorker(url string, mark func(*workerState)) {
 	}
 }
 
-func (r *Router) runOnce(ctx context.Context, hubID string, spec RunSpec, avail []*workerState) (*RunResult, error) {
-	parts := spec.Partitions
-	if parts < 1 {
-		parts = 1
-	}
-	owners := make(map[string][]int)
-	var participants []*workerState
-	for p := 0; p < parts; p++ {
-		w := avail[p%len(avail)]
-		if _, ok := owners[w.url]; !ok {
-			participants = append(participants, w)
-		}
-		owners[w.url] = append(owners[w.url], p)
-	}
-	primaryURL := participants[0].url
-	words := (spec.Vertices + 63) / 64
-
-	r.hub.Register(hubID, owners, parts, words)
-	defer r.hub.Unregister(hubID)
-	r.metrics.fanout.Observe(float64(len(participants)))
-
-	r.mu.Lock()
-	exchangeURL := r.exchangeURL
-	r.mu.Unlock()
-
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type outcome struct {
-		worker string
-		resp   *RunResponse
-		err    *PeerError
-	}
-	results := make(chan outcome, len(participants))
-	for _, w := range participants {
-		req := RunRequest{
-			RunID:       hubID,
-			Worker:      w.url,
-			ExchangeURL: exchangeURL,
-			Graph:       spec.Graph,
-			App:         spec.App,
-			Iters:       spec.Iters,
-			Root:        spec.Root,
-			K:           spec.K,
-			Partitions:  parts,
-			Owned:       owners[w.url],
-			Vertices:    spec.Vertices,
-			Edges:       spec.Edges,
-			Primary:     w.url == primaryURL,
-			Values:      spec.Values,
-			TimeoutMS:   spec.TimeoutMS,
-		}
-		go func(url string) {
-			resp, err := r.postRun(cctx, url, &req)
-			results <- outcome{worker: url, resp: resp, err: err}
-		}(w.url)
-	}
-
-	var primary *RunResponse
-	var failures []*PeerError
-	for range participants {
-		o := <-results
-		if o.err != nil {
-			if len(failures) > 0 && o.err.Status == 0 && errors.Is(o.err.Err, context.Canceled) {
-				// Our own cancel() below cut this post short: the worker
-				// did nothing wrong, and a transport error here would
-				// outrank the failure that caused the teardown and mark a
-				// healthy replica down.
-				continue
-			}
-			failures = append(failures, o.err)
-			// Tear the whole run down: peers blocked at the barrier get the
-			// abort instead of waiting out the round timeout.
-			r.hub.Abort(hubID, o.err)
-			cancel()
-			continue
-		}
-		if o.worker == primaryURL {
-			primary = o.resp
-		}
-	}
-	if len(failures) > 0 {
-		// Wedged peers detected by the hub outrank the secondary errors their
-		// stall caused in everyone else.
-		if lag := r.hub.Laggards(hubID); len(lag) > 0 {
-			return nil, &PeerError{Worker: lag[0], Code: "wedged",
-				Err: fmt.Errorf("cluster: exchange round wedged waiting on %v", lag)}
-		}
-		best := failures[0]
-		for _, f := range failures[1:] {
-			if failureRank(f) > failureRank(best) {
-				best = f
-			}
-		}
-		return nil, best
-	}
-	if primary == nil {
-		return nil, fmt.Errorf("cluster: run %s completed without a primary response", hubID)
-	}
-	return &RunResult{
-		Iterations:     primary.Iterations,
-		PullIterations: primary.PullIterations,
-		PushIterations: primary.PushIterations,
-		Mode:           primary.Mode,
-		Partitions:     primary.Partitions,
-		ElapsedMS:      primary.ElapsedMS,
-		ExchangeBytes:  primary.ExchangeBytes,
-		Summary:        primary.Summary,
-		Values:         primary.Values,
-		PartBytes:      r.hub.PartBytes(hubID),
-		Workers:        workerURLs(participants),
-	}, nil
-}
-
-// failureRank orders concurrent per-worker failures by blame: a transport
-// error names the actual casualty, a worker-originated verdict names a
-// faulty replica, and an exchange abort is usually collateral damage.
-func failureRank(pe *PeerError) int {
-	switch {
-	case pe.Status == 0:
-		return 3
-	case pe.Code != "exchange" && pe.Code != "cancelled":
-		return 2
-	default:
-		return 1
-	}
-}
-
-func workerURLs(ws []*workerState) []string {
-	out := make([]string, len(ws))
-	for i, w := range ws {
-		out[i] = w.url
-	}
-	return out
-}
-
 // postRun sends one /internal/run request and decodes the outcome.
 func (r *Router) postRun(ctx context.Context, url string, rr *RunRequest) (*RunResponse, *PeerError) {
+	// Fault-injection site for chaos tests: an error here is a transport
+	// failure to the chosen worker.
+	if err := fault.Inject("cluster/run"); err != nil {
+		return nil, &PeerError{Worker: url, Err: err}
+	}
 	body, err := json.Marshal(rr)
 	if err != nil {
 		return nil, &PeerError{Worker: url, Err: err}
@@ -708,68 +558,38 @@ type WorkerStatus struct {
 	LastSeen  time.Time `json:"last_seen,omitzero"`
 	LastError string    `json:"last_error,omitempty"`
 	RTTMicros int64     `json:"rtt_us"`
-	BytesIn   uint64    `json:"exchange_bytes_in"`
-	BytesOut  uint64    `json:"exchange_bytes_out"`
-}
-
-// PlacementEntry maps one partition to the worker currently authoritative
-// for its frontier words.
-type PlacementEntry struct {
-	Partition int    `json:"partition"`
-	Worker    string `json:"worker,omitempty"`
+	// Runs counts the routed runs this worker answered.
+	Runs uint64 `json:"runs"`
 }
 
 // Status is the GET /v1/cluster document, mirrored into /v1/stats. Every
 // number reads the same cells /metrics exposes.
 type Status struct {
-	Partitions     int              `json:"partitions"`
-	Workers        []WorkerStatus   `json:"workers"`
-	Placement      []PlacementEntry `json:"placement"`
-	Runs           uint64           `json:"runs"`
-	Failures       uint64           `json:"run_failures"`
-	Failovers      uint64           `json:"failovers"`
-	ExchangeRounds uint64           `json:"exchange_rounds"`
+	Workers   []WorkerStatus `json:"workers"`
+	Runs      uint64         `json:"runs"`
+	Failures  uint64         `json:"run_failures"`
+	Failovers uint64         `json:"failovers"`
 }
 
-// Status reports the roster, the current placement table, and the run
-// counters.
+// Status reports the roster and the run counters.
 func (r *Router) Status() Status {
-	r.mu.Lock()
 	st := Status{
-		Partitions:     r.cfg.Partitions,
-		Runs:           r.metrics.runs.Value(),
-		Failures:       r.metrics.failures.Value(),
-		Failovers:      r.metrics.failovers.Value(),
-		ExchangeRounds: r.metrics.rounds.Value(),
+		Runs:      r.metrics.runs.Value(),
+		Failures:  r.metrics.failures.Value(),
+		Failovers: r.metrics.failovers.Value(),
 	}
-	var avail []*workerState
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	for _, w := range r.workers {
-		ws := WorkerStatus{
+		st.Workers = append(st.Workers, WorkerStatus{
 			URL:       w.url,
 			Healthy:   w.healthy,
 			Synced:    w.synced,
 			LastSeen:  w.lastSeen,
 			LastError: w.lastErr,
 			RTTMicros: w.rtt.Microseconds(),
-		}
-		if c := r.metrics.peerIn[w.url]; c != nil {
-			ws.BytesIn = c.Value()
-		}
-		if c := r.metrics.peerOut[w.url]; c != nil {
-			ws.BytesOut = c.Value()
-		}
-		st.Workers = append(st.Workers, ws)
-		if w.healthy && w.synced {
-			avail = append(avail, w)
-		}
-	}
-	r.mu.Unlock()
-	for p := 0; p < st.Partitions; p++ {
-		pe := PlacementEntry{Partition: p}
-		if len(avail) > 0 {
-			pe.Worker = avail[p%len(avail)].url
-		}
-		st.Placement = append(st.Placement, pe)
+			Runs:      r.metrics.routed[w.url].Value(),
+		})
 	}
 	return st
 }

@@ -17,36 +17,22 @@ import (
 // for graph admin, which is also how the router resyncs it); HandleRun is
 // the one private endpoint the router drives.
 type Worker struct {
-	store   *grazelle.Store
-	threads int
-	client  *http.Client
-	// netBytes is the shared grazelle_exchange_bytes_total{transport="net"}
-	// counter, injected so the worker and the serving layer account into one
-	// family without double registration.
-	netBytes *obs.Counter
+	store *grazelle.Store
 
 	runs     *obs.Counter
 	failures *obs.Counter
 }
 
-// NewWorker creates a worker over st. netBytes receives each run's logical
-// exchange-byte volume; pass a detached &obs.Counter{} when no registry
-// family exists (tests).
-func NewWorker(st *grazelle.Store, threads int, netBytes *obs.Counter) *Worker {
-	w := &Worker{
-		store:    st,
-		threads:  threads,
-		client:   &http.Client{},
-		netBytes: netBytes,
-		runs:     &obs.Counter{},
-		failures: &obs.Counter{},
-	}
+// NewWorker creates a worker over st.
+func NewWorker(st *grazelle.Store) *Worker {
 	reg := st.Metrics()
-	reg.RegisterCounter("grazelle_cluster_worker_runs_total",
-		"Cluster runs executed by this worker.", nil, w.runs)
-	reg.RegisterCounter("grazelle_cluster_worker_run_failures_total",
-		"Cluster runs that failed on this worker.", nil, w.failures)
-	return w
+	return &Worker{
+		store: st,
+		runs: reg.Counter("grazelle_cluster_worker_runs_total",
+			"Cluster runs executed by this worker.", nil),
+		failures: reg.Counter("grazelle_cluster_worker_run_failures_total",
+			"Cluster runs that failed on this worker.", nil),
+	}
 }
 
 // Mux returns a minimal handler set for in-process tests and harnesses:
@@ -65,11 +51,11 @@ func (wk *Worker) Mux() http.Handler {
 	return mux
 }
 
-// HandleRun executes one cluster run: admit, pin the graph, verify the
-// replica matches the router's expectation, then drive the ordinary engine
-// with NetExchange installed. The response carries pre-marshaled summary
-// and values (primary only) so the router can assemble a byte-identical
-// client payload.
+// HandleRun executes one routed run: admit, pin the graph, verify the
+// replica matches the router's expectation, then run the query on the
+// store's shared engine exactly as this process's own /v1/query would. The
+// response carries pre-marshaled summary and values so the router can
+// assemble a byte-identical client payload.
 func (wk *Worker) HandleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -114,73 +100,49 @@ func (wk *Worker) HandleRun(w http.ResponseWriter, r *http.Request) {
 	ctx, done := wk.store.TrackRun(ctx)
 	defer done()
 
-	owned := make(map[int]bool, len(req.Owned))
-	for _, p := range req.Owned {
-		owned[p] = true
-	}
-	ex := &NetExchange{
-		Client: wk.client,
-		URL:    req.ExchangeURL,
-		RunID:  req.RunID,
-		Worker: req.Worker,
-		Owned:  owned,
-	}
-	// A per-run engine: the store's shared engines carry store-level options,
-	// and the exchange is bound to this one run's identity.
-	eng := grazelle.NewEngine(h.Graph(), grazelle.Options{
-		Workers:    wk.threads,
-		Partitions: req.Partitions,
-		Trace:      true,
-		Exchange:   ex,
-	})
-	defer eng.Close()
-
-	start := time.Now()
-	res, err := eng.Run(ctx, req.App, grazelle.Params{Iters: req.Iters, Root: req.Root, K: req.K})
+	res, err := h.Engine().Run(ctx, req.App, grazelle.Params{Iters: req.Iters, Root: req.Root, K: req.K})
 	wk.runs.Inc()
 	if err != nil {
 		wk.failures.Inc()
-		var ee *ExchangeError
 		switch {
 		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled),
 			errors.Is(context.Cause(ctx), grazelle.ErrWatchdogKilled):
 			writeClusterError(w, http.StatusGatewayTimeout, "timeout", err)
-		case errors.As(err, &ee):
-			writeClusterError(w, http.StatusBadGateway, "exchange", err)
 		default:
 			writeClusterError(w, http.StatusInternalServerError, "run", err)
 		}
 		return
 	}
-	wk.netBytes.Add(uint64(res.Stats.ExchangeBytes))
-
 	out := RunResponse{
 		Iterations:     res.Stats.Iterations,
 		PullIterations: res.Stats.PullIterations,
 		PushIterations: res.Stats.PushIterations,
 		Mode:           res.Stats.Mode,
 		Partitions:     res.Stats.Partitions,
-		ElapsedMS:      time.Since(start).Milliseconds(),
-		ExchangeBytes:  res.Stats.ExchangeBytes,
+		ElapsedMS:      res.Stats.Total.Milliseconds(),
+		Summary:        make(map[string]json.RawMessage),
+		Trace: obs.RunTrace{
+			Phases:     res.Stats.Phases,
+			Directions: res.Stats.Directions,
+			Partitions: res.Stats.PartitionStats,
+			Dropped:    res.Stats.TraceDropped,
+		},
 	}
-	if req.Primary {
-		out.Summary = make(map[string]json.RawMessage)
-		for _, st := range res.Summary() {
-			raw, err := json.Marshal(st.Value)
-			if err != nil {
-				writeClusterError(w, http.StatusInternalServerError, "serialize", err)
-				return
-			}
-			out.Summary[st.Key] = raw
+	for _, st := range res.Summary() {
+		raw, err := json.Marshal(st.Value)
+		if err != nil {
+			writeClusterError(w, http.StatusInternalServerError, "serialize", err)
+			return
 		}
-		if req.Values {
-			raw, err := json.Marshal(res.Values())
-			if err != nil {
-				writeClusterError(w, http.StatusInternalServerError, "serialize", err)
-				return
-			}
-			out.Values = raw
+		out.Summary[st.Key] = raw
+	}
+	if req.Values {
+		raw, err := json.Marshal(res.Values())
+		if err != nil {
+			writeClusterError(w, http.StatusInternalServerError, "serialize", err)
+			return
 		}
+		out.Values = raw
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(&out)

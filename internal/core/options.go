@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/coord"
 	"repro/internal/numa"
 	"repro/internal/sched"
 )
@@ -138,11 +137,6 @@ type Options struct {
 	// multi-node topologies fall back to the monolithic path
 	// (Result.Partitions reports the effective count).
 	Partitions int
-	// Exchange, when non-nil, replaces the partitioned coordinator's
-	// shared-memory frontier exchange with a custom transport (the cluster
-	// tier's NetExchange). It only takes effect when Partitions > 1 selects
-	// the partitioned coordinator; the monolithic path never exchanges.
-	Exchange coord.Exchange
 	// Record enables the perfmodel counters and time profiles. Metering
 	// adds per-edge accounting cost, so benchmarks leave it off.
 	Record bool

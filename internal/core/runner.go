@@ -630,7 +630,7 @@ func runLoop[P apps.Program](ec *ExecContext, p P, maxIters int, seed *Seed) (Re
 	var driver coord.Coordinator
 	if ec.parts > 1 {
 		bindPartitioned(ec, p, &it, &res, &density)
-		driver = &coord.PartitionedCoordinator{Policy: policy, Plan: ec.plan, Exchange: ec.opt.Exchange}
+		driver = &coord.PartitionedCoordinator{Policy: policy, Plan: ec.plan}
 	} else {
 		driver = &coord.LocalCoordinator{Policy: policy}
 	}

@@ -58,7 +58,6 @@ type BenchSnapshot struct {
 	PartitionAB   []PartitionABResult   `json:"partition_ab,omitempty"`
 	WALBench      []WALBenchResult      `json:"wal_bench,omitempty"`
 	IncrementalAB []IncrementalABResult `json:"incremental_ab,omitempty"`
-	ClusterAB     []ClusterABResult     `json:"cluster_ab,omitempty"`
 }
 
 // registryBenchApps are the registry-dispatched apps benchmarked on the
@@ -221,13 +220,6 @@ func BenchJSON(cfg Config, w io.Writer) error {
 			return err
 		}
 		snap.IncrementalAB = rows
-	}
-	if cfg.ClusterAB {
-		rows, err := ClusterAB(cfg)
-		if err != nil {
-			return err
-		}
-		snap.ClusterAB = rows
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -39,9 +39,6 @@ type Config struct {
 	// IncrementalAB adds the incremental-vs-full recompute A/B rows to
 	// BenchJSON snapshots (see IncrementalAB).
 	IncrementalAB bool
-	// ClusterAB adds the router-plus-workers-vs-monolithic cluster tier A/B
-	// rows to BenchJSON snapshots (see ClusterAB).
-	ClusterAB bool
 	// Datasets restricts the sweep; nil means all six.
 	Datasets []gen.Dataset
 }

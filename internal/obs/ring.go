@@ -27,6 +27,9 @@ type RunRecord struct {
 	// cached at SeedVersion instead of cold-starting.
 	Incremental bool   `json:"incremental,omitempty"`
 	SeedVersion uint64 `json:"seed_version,omitempty"`
+	// Worker is the URL of the cluster worker that answered a routed run
+	// (router role only); Trace is then that worker's engine trace.
+	Worker string `json:"worker,omitempty"`
 }
 
 // TraceRing retains the last N completed run records for GET /v1/runs.
