@@ -36,7 +36,6 @@ func run() error {
 		quick    = flag.Bool("quick", false, "reduced sizes for a fast pass")
 		datasets = flag.String("datasets", "", "comma-free dataset abbreviations, e.g. \"TDU\" (default all)")
 		benchOut = flag.String("bench-json", "", "write a PR/CC/BFS timing snapshot as JSON to this file and exit")
-		cacheAB  = flag.Bool("cache-ab", false, "include query-result-cache cold/warm A/B rows in the -bench-json snapshot")
 		partAB   = flag.Bool("partition-ab", false, "include partitioned-vs-monolithic coordinator A/B rows in the -bench-json snapshot")
 		walBench = flag.Bool("wal-bench", false, "include streaming-mutation write-throughput and recovery-replay rows in the -bench-json snapshot")
 		incrAB   = flag.Bool("incremental-ab", false, "include incremental-vs-full recompute A/B rows in the -bench-json snapshot")
@@ -56,7 +55,6 @@ func run() error {
 		PRIters:       *prIters,
 		Repeats:       *repeats,
 		Quick:         *quick,
-		CacheAB:       *cacheAB,
 		PartitionAB:   *partAB,
 		WALBench:      *walBench,
 		IncrementalAB: *incrAB,

@@ -1,23 +1,17 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
-	grazelle "repro"
-	"repro/internal/qcache"
+	"repro/internal/service"
 )
 
-// POST /v1/batch: run a list of queries in one request. Identical entries
-// are deduped within the batch, cache hits are served immediately, and the
-// distinct misses run sequentially over a single pinned store handle per
-// graph — one acquire, one rehydration at most, instead of one per entry.
-// Each entry reports how it was satisfied (hit / miss / coalesced / error),
-// mirroring the X-Cache header on the single-query path.
+// POST /v1/batch: run a list of queries in one request through
+// service.ExecuteBatch. Each entry reports how it was satisfied (hit / miss /
+// coalesced / error), mirroring the X-Cache header on the single-query path.
 
 // maxBatchQueries bounds one batch; bigger workloads should stream batches.
 const maxBatchQueries = 256
@@ -40,8 +34,8 @@ type batchItem struct {
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req struct {
-		Queries   []queryRequest `json:"queries"`
-		TimeoutMS int64          `json:"timeout_ms"`
+		Queries   []service.Query `json:"queries"`
+		TimeoutMS int64           `json:"timeout_ms"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -55,127 +49,13 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("batch of %d exceeds the %d-query limit", len(req.Queries), maxBatchQueries))
 		return
 	}
-	timeout := s.maxTimeout
-	if req.TimeoutMS > 0 {
-		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
-			timeout = d
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	// Dedupe by canonical identity: entries that would share a cache key
-	// (same graph, app, canonical params, values, bypass choice) compute
-	// once; later duplicates alias the first slot.
-	type slot struct {
-		req     queryRequest
-		indexes []int
-	}
-	var order []*slot
-	seen := make(map[string]*slot)
 	items := make([]batchItem, len(req.Queries))
-	for i := range req.Queries {
-		q := req.Queries[i]
-		if err := q.normalize(); err != nil {
-			items[i] = batchItem{Status: "error", Code: http.StatusBadRequest, Error: err.Error()}
-			continue
-		}
-		id := fmt.Sprintf("%s|%s|%s|%t", q.Graph, q.App, canonicalQuery(q), q.NoCache)
-		if sl, ok := seen[id]; ok {
-			sl.indexes = append(sl.indexes, i)
-			continue
-		}
-		sl := &slot{req: q, indexes: []int{i}}
-		seen[id] = sl
-		order = append(order, sl)
-	}
-
-	// One pinned handle per distinct graph for every miss in the batch.
-	handles := make(map[string]*grazelle.StoreHandle)
-	defer func() {
-		for _, h := range handles {
-			h.Close()
-		}
-	}()
-	pin := func(graph string) (*grazelle.StoreHandle, error) {
-		if h, ok := handles[graph]; ok {
-			return h, nil
-		}
-		h, err := s.store.Acquire(graph)
-		if err != nil {
-			return nil, err
-		}
-		handles[graph] = h
-		return h, nil
-	}
-
-	fill := func(sl *slot, res qcache.Result, outcome string, err error) {
-		for n, i := range sl.indexes {
-			switch {
-			case err != nil:
-				items[i] = batchItem{Status: "error", Code: queryStatus(err), Error: err.Error()}
-			case n == 0 || outcome == "hit":
-				items[i] = batchItem{Status: outcome, Response: res.Payload}
-			default:
-				// A duplicate of a computed entry rode along for free.
-				items[i] = batchItem{Status: "coalesced", Response: res.Payload}
-			}
+	for i, br := range s.svc.ExecuteBatch(r.Context(), req.Queries, req.TimeoutMS) {
+		if br.Err != nil {
+			items[i] = batchItem{Status: "error", Code: queryStatus(br.Err), Error: br.Err.Error()}
+		} else {
+			items[i] = batchItem{Status: string(br.Outcome), Response: br.Result.Payload}
 		}
 	}
-
-	// Pass 1: serve what the cache already holds.
-	type pending struct {
-		sl  *slot
-		key qcache.Key
-	}
-	var misses []pending
-	for _, sl := range order {
-		if s.cache == nil || sl.req.NoCache {
-			misses = append(misses, pending{sl: sl})
-			continue
-		}
-		key, err := s.cacheKey(sl.req)
-		if err != nil {
-			fill(sl, qcache.Result{}, "", err)
-			continue
-		}
-		if res, ok := s.cache.Get(key); ok {
-			fill(sl, res, "hit", nil)
-			continue
-		}
-		misses = append(misses, pending{sl: sl, key: key})
-	}
-
-	// Pass 2: run the distinct misses sequentially over the pinned handles.
-	// Going through Do keeps batch entries coalescible with concurrent
-	// single queries; admission still gates each actual run inside compute.
-	for _, p := range misses {
-		sl := p.sl
-		if ctx.Err() != nil {
-			fill(sl, qcache.Result{}, "", ctx.Err())
-			continue
-		}
-		h, err := pin(sl.req.Graph)
-		if err != nil {
-			fill(sl, qcache.Result{}, "", err)
-			continue
-		}
-		compute := func(cctx context.Context) (qcache.Result, error) {
-			release, err := s.store.Admit(cctx)
-			if err != nil {
-				return qcache.Result{}, err
-			}
-			defer release()
-			return s.runOnHandle(cctx, h, sl.req)
-		}
-		if s.cache == nil || sl.req.NoCache {
-			res, err := compute(ctx)
-			fill(sl, res, "miss", err)
-			continue
-		}
-		res, outcome, err := s.cache.Do(ctx, p.key, compute)
-		fill(sl, res, outcome.String(), err)
-	}
-
 	writeJSON(w, http.StatusOK, map[string]any{"results": items})
 }

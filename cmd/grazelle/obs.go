@@ -4,77 +4,20 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// This file is the serve mode's observability layer: HTTP- and run-level
-// metric families registered on top of the store's registry, per-handler
-// instrumentation (latency histogram + status-class counter + structured
-// request log), run-ID generation, and the /v1/runs trace ring endpoints.
+// This file is the serve mode's observability layer: HTTP metric families
+// registered on top of the store's registry, per-handler instrumentation
+// (latency histogram + status-class counter + structured request log), and
+// the /v1/runs endpoints over the service's run-record ring.
 
 // statusClasses pre-registers the full label space for the response counter
 // so the catalog is stable from the first scrape and the hot path never
 // takes a registration lock.
 var statusClasses = []string{"2xx", "3xx", "4xx", "5xx"}
-
-// serveMetrics holds the serve layer's metric handles. The families live in
-// the store's registry so /metrics renders one coherent catalog.
-type serveMetrics struct {
-	reg *obs.Registry
-	// runSeconds observes each query run's wall time; phaseSeconds splits it
-	// by engine phase from the run trace; tracesDropped counts runs whose
-	// trace was abandoned mid-run.
-	runSeconds    *obs.Histogram
-	phaseSeconds  map[string]*obs.Histogram
-	tracesDropped *obs.Counter
-	// incrementalSeeded counts runs warm-started from a predecessor result;
-	// incrementalFallback counts attempts (capability + candidate + delta
-	// under threshold) that still ran cold.
-	incrementalSeeded   *obs.Counter
-	incrementalFallback *obs.Counter
-	// exchangeShmem is grazelle_exchange_bytes_total{transport="shmem"}:
-	// frontier bytes moved through the partitioned coordinator's
-	// shared-memory exchange, the only transport there is.
-	exchangeShmem *obs.Counter
-}
-
-func newServeMetrics(reg *obs.Registry) *serveMetrics {
-	m := &serveMetrics{
-		reg:           reg,
-		runSeconds:    reg.Histogram("grazelle_run_seconds", "Engine run wall time per query.", nil, obs.DefTimeBuckets),
-		phaseSeconds:  make(map[string]*obs.Histogram, int(obs.NumPhases)),
-		tracesDropped: reg.Counter("grazelle_run_traces_dropped_total", "Runs whose phase trace was abandoned mid-run.", nil),
-		incrementalSeeded: reg.Counter("grazelle_incremental_seeded_total",
-			"Query runs warm-started from a cached predecessor result.", nil),
-		incrementalFallback: reg.Counter("grazelle_incremental_fallback_total",
-			"Incremental attempts that fell back to a full recompute.", nil),
-		exchangeShmem: reg.Counter("grazelle_exchange_bytes_total",
-			"Frontier exchange bytes by transport.", obs.Labels{"transport": "shmem"}),
-	}
-	for p := obs.Phase(0); p < obs.NumPhases; p++ {
-		name := p.String()
-		m.phaseSeconds[name] = reg.Histogram("grazelle_run_phase_seconds",
-			"Engine run wall time split by phase.", obs.Labels{"phase": name}, obs.DefTimeBuckets)
-	}
-	return m
-}
-
-// observeRun feeds one finished query run into the run-level families and
-// returns the trace carried into the run record.
-func (m *serveMetrics) observeRun(wall time.Duration, phases []obs.PhaseStat, dropped bool) {
-	m.runSeconds.Observe(wall.Seconds())
-	for _, ph := range phases {
-		if h := m.phaseSeconds[ph.Phase]; h != nil {
-			h.Observe(ph.Wall.Seconds())
-		}
-	}
-	if dropped {
-		m.tracesDropped.Inc()
-	}
-}
 
 // route holds the per-pattern instruments created at mux build time.
 type route struct {
@@ -82,14 +25,16 @@ type route struct {
 	byClass map[string]*obs.Counter
 }
 
-func (m *serveMetrics) route(method, path string) *route {
+// newRoute registers one pattern's HTTP families in the store's registry, so
+// /metrics renders one coherent catalog with the service's run families.
+func newRoute(reg *obs.Registry, method, path string) *route {
 	rt := &route{
-		dur: m.reg.Histogram("grazelle_http_request_seconds", "HTTP request latency by route.",
+		dur: reg.Histogram("grazelle_http_request_seconds", "HTTP request latency by route.",
 			obs.Labels{"method": method, "path": path}, obs.DefTimeBuckets),
 		byClass: make(map[string]*obs.Counter, len(statusClasses)),
 	}
 	for _, class := range statusClasses {
-		rt.byClass[class] = m.reg.Counter("grazelle_http_responses_total", "HTTP responses by route and status class.",
+		rt.byClass[class] = reg.Counter("grazelle_http_responses_total", "HTTP responses by route and status class.",
 			obs.Labels{"method": method, "path": path, "code": class})
 	}
 	return rt
@@ -139,7 +84,7 @@ var probeRoutes = map[string]bool{"/healthz": true, "/readyz": true, "/metrics":
 // the 5xx class.
 func (s *server) instrument(pattern string, next http.HandlerFunc) http.HandlerFunc {
 	method, path := splitPattern(pattern)
-	rt := s.metrics.route(method, path)
+	rt := newRoute(s.store.Metrics(), method, path)
 	return func(w http.ResponseWriter, r *http.Request) {
 		sr := &statusRecorder{ResponseWriter: w}
 		start := time.Now()
@@ -181,17 +126,10 @@ func splitPattern(pattern string) (method, path string) {
 	return "", pattern
 }
 
-// runSeq numbers runs within this process; IDs are "run-<n>".
-var runSeq atomic.Uint64
-
-func nextRunID() string {
-	return "run-" + strconv.FormatUint(runSeq.Add(1), 10)
-}
-
 // handleRuns returns the most recent run records, newest first. ?n= bounds
 // the count (default all retained).
 func (s *server) handleRuns(w http.ResponseWriter, r *http.Request) {
-	recent := s.ring.Recent()
+	recent := s.svc.Runs().Recent()
 	if nStr := r.URL.Query().Get("n"); nStr != "" {
 		n, err := strconv.Atoi(nStr)
 		if err != nil || n < 0 {
@@ -209,7 +147,7 @@ func (s *server) handleRuns(w http.ResponseWriter, r *http.Request) {
 // steal counts, frontier densities — or 404 once it ages out of the ring.
 func (s *server) handleRunByID(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	rec, ok := s.ring.Get(id)
+	rec, ok := s.svc.Runs().Get(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, errRunNotFound)
 		return

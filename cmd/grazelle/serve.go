@@ -19,20 +19,15 @@ import (
 	"time"
 
 	grazelle "repro"
-	"repro/internal/apps"
 	"repro/internal/cluster"
-	"repro/internal/fault"
-	"repro/internal/obs"
 	"repro/internal/qcache"
+	"repro/internal/service"
 )
 
 // serve mode: `grazelle serve` turns the engine into a small JSON-over-HTTP
-// service. All graph state lives in the store subsystem (grazelle.Store):
-// named graphs with refcounted handles (delete/replace never disturbs
-// in-flight queries), snapshot persistence under --data-dir (graphs reload
-// across restarts), a resident-memory budget with LRU eviction, and
-// admission control bounding concurrent queries. The HTTP layer here is a
-// thin protocol adapter: decode, validate, acquire, run, encode.
+// service. All graph state lives in the store subsystem (grazelle.Store) and
+// every query runs through internal/service; the handlers here are codecs:
+// decode, call, map the outcome to a status, encode.
 //
 // Endpoints:
 //
@@ -73,22 +68,10 @@ import (
 // second listener serves net/http/pprof — kept off the public address so
 // profiling is never exposed by default.
 //
-// Apps are resolved through the registry (internal/apps): any registered
-// application — pr, wpr, cc, bfs, sssp, tc, kcore, lp, ppr, or an
-// out-of-tree registration — is queryable by name, with GET /v1/apps
-// enumerating names and parameter schemas. Request fields an app's schema
-// ignores are zeroed before cache-key derivation, so requests differing
-// only in ignored fields share one cache entry.
-//
-// Query results are cached (internal/qcache) keyed by (graph, store
-// version, app, canonical params) — sound because engines are
-// bit-deterministic and store versions are never reused. Concurrent
-// identical queries coalesce onto one run and one admission slot. X-Cache
-// on each query response reports hit/miss/coalesced/bypass. -cache-budget
-// bounds the cache (0 disables storage, coalescing stays), -cache-bypass
-// disables the subsystem entirely, and "no_cache":true opts one request
-// out. Replacing or deleting a graph invalidates its entries via the
-// store's version-retirement hook.
+// Any registered application (GET /v1/apps) is queryable by name. X-Cache on
+// each query response reports hit/miss/coalesced/bypass; -cache-budget bounds
+// the result cache (0 disables storage, coalescing stays), -cache-bypass
+// disables the subsystem entirely, and "no_cache":true opts one request out.
 //
 // Admission rejections return 429 (queue full) with Retry-After; queries on
 // unknown graphs 404; unloadable graph payloads 422; a degraded store
@@ -184,43 +167,26 @@ func runServeRole(role string, args []string) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	srv := &server{
-		store:         st,
-		maxTimeout:    *timeout,
-		workers:       workers,
-		incrThreshold: *incrLimit,
-		log:           slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: level})),
-		ring:          obs.NewTraceRing(*runHist),
-		metrics:       newServeMetrics(st.Metrics()),
-	}
+	log := slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 	// The store explains a full rebuild on a version's first read through the
 	// default logger: route it into the same stream as the request logs.
-	slog.SetDefault(srv.log)
-	if !*cacheBypass {
-		srv.cache = qcache.New(qcache.Config{Budget: *cacheBudget})
-		// The cache's families live in the store's registry and its entries
-		// die with their store version: /metrics, /v1/stats, and the graph
-		// lifecycle all stay in lockstep. Retirement is reason-aware: mutate
-		// and compact are warm (payloads die, seed candidates survive to
-		// warm-start recomputes on the successor); replace and delete are
-		// hard (the lineage is over, seeds die too).
-		srv.cache.RegisterMetrics(st.Metrics())
-		st.OnRetireReason(func(name string, version uint64, reason grazelle.RetireReason) {
-			warm := reason == grazelle.RetireMutate || reason == grazelle.RetireCompact
-			srv.cache.RetireVersion(name, version, warm)
-		})
+	slog.SetDefault(log)
+	cfg := service.Config{
+		Store:                st,
+		MaxTimeout:           *timeout,
+		Workers:              workers,
+		IncrementalThreshold: *incrLimit,
+		RunHistory:           *runHist,
 	}
-
-	switch role {
-	case "worker":
-		srv.clusterWorker = cluster.NewWorker(st)
-	case "router":
-		srv.cluster = cluster.NewRouter(cluster.RouterConfig{
-			Workers:        workerURLs,
-			HealthInterval: *healthEvery,
-			Registry:       st.Metrics(),
-			Logger:         srv.log,
-		})
+	if !*cacheBypass {
+		cfg.Cache = qcache.New(qcache.Config{Budget: *cacheBudget})
+	}
+	var rc cluster.RouterConfig
+	if role == "router" {
+		rc = cluster.RouterConfig{Workers: workerURLs, HealthInterval: *healthEvery}
+	}
+	srv := newServer(role, log, cfg, rc)
+	if srv.cluster != nil {
 		defer srv.cluster.Close()
 	}
 
@@ -299,31 +265,40 @@ func runServeRole(role string, args []string) error {
 	}
 }
 
-// maxBodyBytes bounds request bodies; graph-load and query requests are a
-// few hundred bytes of JSON.
-const maxBodyBytes = 1 << 20
+const maxBodyBytes = service.MaxBodyBytes
 
-// server adapts HTTP to the store. Beyond observability state (the
-// run-trace ring, metric handles, request logger) it owns the query result
-// cache; nil cache means -cache-bypass.
+// server adapts HTTP to the store (graph admin) and the service (queries).
+// cache is the service's result cache, kept here for /v1/stats; nil means
+// -cache-bypass.
 type server struct {
-	store      *grazelle.Store
-	cache      *qcache.Cache
-	maxTimeout time.Duration
-	workers    int
-	// incrThreshold caps the mutation-delta size (edge ops) incremental
-	// recompute will seed across; 0 disables the path.
-	incrThreshold int
-	log           *slog.Logger
-	ring          *obs.TraceRing
-	metrics       *serveMetrics
-	// cluster, when non-nil, makes this process a router: every query runs
-	// through Execute on one worker of the roster instead of the local
+	store *grazelle.Store
+	svc   *service.Service
+	cache *qcache.Cache
+	log   *slog.Logger
+	// cluster, when non-nil, makes this process a router: the service's
+	// runner is runOnCluster, one worker of the roster, instead of the local
 	// engine. clusterWorker, when non-nil, makes it a worker: the private
 	// /internal/run endpoint is exposed. Both nil is the ordinary
 	// single-process serve mode.
 	cluster       *cluster.Router
 	clusterWorker *cluster.Worker
+}
+
+// newServer wires one serving role over an open store: the router gets a
+// cluster.Router over rc's roster as the service's runner, the worker the
+// private /internal/run codec.
+func newServer(role string, log *slog.Logger, cfg service.Config, rc cluster.RouterConfig) *server {
+	s := &server{store: cfg.Store, cache: cfg.Cache, log: log}
+	if role == "router" {
+		rc.Registry, rc.Logger = s.store.Metrics(), log
+		s.cluster = cluster.NewRouter(rc)
+		cfg.Remote = s.runOnCluster
+	}
+	s.svc = service.New(cfg)
+	if role == "worker" {
+		s.clusterWorker = cluster.NewWorker(s.svc)
+	}
+	return s
 }
 
 func (s *server) mux() http.Handler {
@@ -618,112 +593,26 @@ func (s *server) handleApps(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"apps": grazelle.Apps()})
 }
 
-// queryRequest is the decoded body of /v1/query and each /v1/batch entry.
-// Iters, Root, and K are the universal parameter fields; each app reads the
-// subset its registered schema declares and the rest are zeroed out of the
-// cache key.
-type queryRequest struct {
-	Graph     string `json:"graph"`
-	App       string `json:"app"`
-	Iters     int    `json:"iters"`
-	Root      uint32 `json:"root"`
-	K         int    `json:"k"`
-	TimeoutMS int64  `json:"timeout_ms"`
-	Values    bool   `json:"values"`
-	// NoCache opts this request out of the result cache and coalescing.
-	NoCache bool `json:"no_cache"`
-}
-
-// normalize validates the app against the registry and rewrites the
-// parameter fields to their canonical form: fields the app's schema ignores
-// are zeroed, used fields left unset get the registered defaults.
-func (q *queryRequest) normalize() error {
-	if q.Graph == "" {
-		q.Graph = "default"
-	}
-	ent, err := apps.Lookup(q.App)
-	if err != nil {
-		return err
-	}
-	p := ent.Normalize(apps.Params{Iters: q.Iters, Root: q.Root, K: q.K})
-	q.Iters, q.Root, q.K = p.Iters, p.Root, p.K
-	return nil
-}
-
-// canonicalQuery renders a (normalized) request's canonical parameter
-// string from the app's registered schema, plus the values flag — which is
-// a response-shape parameter, not an app parameter, so it is appended here
-// rather than registered.
-func canonicalQuery(q queryRequest) string {
-	ent, err := apps.Lookup(q.App)
-	if err != nil {
-		// normalize validated the app already; an unknown app here means the
-		// caller skipped it, and a unique key degrades to cache misses.
-		return fmt.Sprintf("app=%s&values=%t", q.App, q.Values)
-	}
-	p := ent.Canonical(apps.Params{Iters: q.Iters, Root: q.Root, K: q.K})
-	return fmt.Sprintf("%s&values=%t", p, q.Values)
-}
-
-// cacheKey builds the request's cache key from the graph's current store
-// version. Timeout is deliberately absent: it shapes how long the caller
-// waits, not what the result is.
-func (s *server) cacheKey(q queryRequest) (qcache.Key, error) {
-	version, err := s.store.Version(q.Graph)
-	if err != nil {
-		return qcache.Key{}, err
-	}
-	return qcache.Key{
-		Graph:   q.Graph,
-		Version: version,
-		App:     q.App,
-		Params:  canonicalQuery(q),
-	}, nil
-}
-
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	var q service.Query
+	if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := req.normalize(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	timeout := s.maxTimeout
-	if req.TimeoutMS > 0 {
-		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
-			timeout = d
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	if s.cache == nil || req.NoCache {
-		res, err := s.executeQuery(ctx, req)
-		s.writeQueryResult(w, res, "bypass", err)
-		return
-	}
-	key, err := s.cacheKey(req)
-	if err != nil {
-		writeError(w, acquireStatus(err), err)
-		return
-	}
-	res, outcome, err := s.cache.Do(ctx, key, func(cctx context.Context) (qcache.Result, error) {
-		return s.executeQuery(cctx, req)
-	})
-	s.writeQueryResult(w, res, outcome.String(), err)
+	res, outcome, err := s.svc.Execute(r.Context(), q)
+	s.writeQueryResult(w, res, outcome, err)
 }
 
 // writeQueryResult finishes a single-query response: run-ID and cache-state
 // headers, then the cached/computed payload or the mapped error.
-func (s *server) writeQueryResult(w http.ResponseWriter, res qcache.Result, cacheState string, err error) {
+func (s *server) writeQueryResult(w http.ResponseWriter, res qcache.Result, outcome service.Outcome, err error) {
 	if res.RunID != "" {
 		w.Header().Set("X-Run-Id", res.RunID)
 	}
-	w.Header().Set("X-Cache", cacheState)
+	if outcome != "" {
+		w.Header().Set("X-Cache", string(outcome))
+	}
 	if err != nil {
 		status := queryStatus(err)
 		var ue *cluster.UnavailableError
@@ -738,213 +627,11 @@ func (s *server) writeQueryResult(w http.ResponseWriter, res qcache.Result, cach
 	writePayload(w, http.StatusOK, res.Payload)
 }
 
-// executeQuery is the full uncached query path: admission, graph acquire,
-// then the engine run. It is the compute function a cache flight's leader
-// runs — coalesced identical requests therefore consume exactly one
-// admission slot, and a promoted leader re-admits under its own context.
-func (s *server) executeQuery(ctx context.Context, req queryRequest) (qcache.Result, error) {
-	// Admission first: a rejected query must not touch graph state. 429
-	// tells well-behaved clients to back off and retry.
-	release, err := s.store.Admit(ctx)
-	if err != nil {
-		return qcache.Result{}, err
-	}
-	defer release()
-
-	// Fault-injection site for chaos tests: a panic here exercises the
-	// recovery middleware with an admission slot held.
-	if err := fault.Inject("serve/handler"); err != nil {
-		panic(err)
-	}
-
-	h, err := s.store.Acquire(req.Graph)
-	if err != nil {
-		return qcache.Result{}, err
-	}
-	defer h.Close()
-	return s.runOnHandle(ctx, h, req)
-}
-
-// runOnHandle runs one query over an already-acquired handle, records the
-// run (metrics + trace ring), and serializes the response payload. The
-// returned Result carries the handle's version so the cache indexes it
-// under the version it was actually computed on.
-func (s *server) runOnHandle(ctx context.Context, h *grazelle.StoreHandle, req queryRequest) (qcache.Result, error) {
-	// Router role: the local store holds the catalog and versions, but the
-	// compute itself runs on one worker of the roster. Branching
-	// here (not in handleQuery) keeps the cache, coalescing, and /v1/batch
-	// paths identical across roles.
-	if s.cluster != nil {
-		return s.runOnCluster(ctx, h, req)
-	}
-	eng := h.Engine()
-
-	// Watchdog tracking: a run past -hard-limit is cancelled through ctx.
-	ctx, done := s.store.TrackRun(ctx)
-	defer done()
-
-	runID := nextRunID()
-	start := time.Now()
-
-	p := grazelle.Params{Iters: req.Iters, Root: req.Root, K: req.K}
-	var (
-		res         *grazelle.AppResult
-		err         error
-		ran         bool
-		incremental bool
-		seedVersion uint64
-		seedKey     string
-	)
-	// Incremental recompute: when this app can warm-start, a predecessor
-	// result is retained for these exact params, and the connecting mutation
-	// delta is recoverable and under -incremental-threshold, seed the run
-	// from the predecessor instead of cold-starting. Any failure inside
-	// degrades to the full recompute below, with the fallback counted.
-	ent, entErr := apps.Lookup(req.App)
-	canSeed := entErr == nil && ent.IncrementalSeed != nil && s.cache != nil && !req.NoCache
-	if canSeed {
-		seedKey = ent.Canonical(apps.Params{Iters: req.Iters, Root: req.Root, K: req.K})
-	}
-	if canSeed && s.incrThreshold > 0 {
-		if sv, props, ok := s.cache.SeedFor(req.Graph, req.App, seedKey); ok && sv < h.Version() {
-			if d, dok := s.store.DeltaBetween(req.Graph, sv, h.Version()); dok && len(d.Ops) <= s.incrThreshold {
-				var seeded bool
-				res, seeded, err = eng.RunIncremental(ctx, req.App, p, grazelle.SeedSpec{
-					PredProps:       props,
-					Ops:             d.Ops,
-					FromEdges:       d.FromEdges,
-					FromCountsKnown: d.FromCountsKnown,
-				})
-				ran = true
-				if seeded {
-					incremental, seedVersion = true, sv
-					s.cache.CountSeedUse()
-					s.metrics.incrementalSeeded.Inc()
-				} else {
-					s.metrics.incrementalFallback.Inc()
-				}
-			}
-		}
-	}
-	if !ran {
-		res, err = eng.Run(ctx, req.App, p)
-	}
-	var stats grazelle.Stats
-	if res != nil {
-		stats = res.Stats
-	}
-	// Record the run — success or failure — before responding: the wall
-	// time feeds the run histograms and the trace lands in the ring where
-	// GET /v1/runs/{id} can replay it.
-	wall := time.Since(start)
-	s.metrics.observeRun(wall, stats.Phases, stats.TraceDropped)
-	s.metrics.exchangeShmem.Add(uint64(stats.ExchangeBytes))
-	rec := obs.RunRecord{
-		ID:    runID,
-		Graph: req.Graph,
-		App:   req.App,
-		Start: start,
-		Wall:  wall,
-		Trace: obs.RunTrace{
-			Phases:     stats.Phases,
-			Directions: stats.Directions,
-			Partitions: stats.PartitionStats,
-			Dropped:    stats.TraceDropped,
-		},
-		Workers:     s.workers,
-		Iters:       stats.Iterations,
-		Vertices:    int64(h.Graph().NumVertices()),
-		Edges:       int64(h.Graph().NumEdges()),
-		Mode:        stats.Mode,
-		Partitions:  stats.Partitions,
-		Incremental: incremental,
-		SeedVersion: seedVersion,
-	}
-	if err != nil {
-		rec.Error = err.Error()
-	}
-	s.ring.Add(rec)
-
-	if err != nil {
-		// The watchdog cancels the tracked context, not the request's; fold
-		// its cause into the error so status mapping (and coalesced
-		// followers, who never see this context) can recognize the kill.
-		if errors.Is(context.Cause(ctx), grazelle.ErrWatchdogKilled) {
-			err = fmt.Errorf("%w (%v)", grazelle.ErrWatchdogKilled, err)
-		}
-		return qcache.Result{RunID: runID}, err
-	}
-	// The response is assembled as a map so the summary keys come from the
-	// registry entry instead of a hardwired struct; json.Marshal sorts map
-	// keys, so cached and fresh responses stay byte-identical.
-	resp := map[string]any{
-		"run_id":          runID,
-		"graph":           req.Graph,
-		"app":             req.App,
-		"iterations":      stats.Iterations,
-		"pull_iterations": stats.PullIterations,
-		"push_iterations": stats.PushIterations,
-		"mode":            stats.Mode,
-		"partitions":      stats.Partitions,
-		"elapsed_ms":      stats.Total.Milliseconds(),
-	}
-	if incremental {
-		resp["incremental"] = true
-		resp["seed_version"] = seedVersion
-	}
-	for _, st := range res.Summary() {
-		resp[st.Key] = st.Value
-	}
-	if req.Values {
-		resp["values"] = res.Values()
-	}
-	payload, err := json.Marshal(resp)
-	if err != nil {
-		return qcache.Result{RunID: runID}, err
-	}
-	// Match writeJSON's json.Encoder framing so cached and fresh responses
-	// are byte-identical.
-	payload = append(payload, '\n')
-	if canSeed {
-		// Every successful run of a seed-capable app is the next mutation's
-		// warm-start candidate — including incremental runs, so seeds chain
-		// across a stream of small batches.
-		s.cache.OfferSeed(req.Graph, req.App, seedKey, h.Version(), res.Props)
-	}
-	return qcache.Result{
-		Payload:      payload,
-		RunID:        runID,
-		Version:      h.Version(),
-		Phases:       stats.Phases,
-		TraceDropped: stats.TraceDropped,
-	}, nil
-}
-
 // Sentinel errors for the /v1/runs endpoints.
 var (
 	errBadRunCount = errors.New("bad n: want a nonnegative integer")
 	errRunNotFound = errors.New("run not found (aged out of the trace ring or never existed)")
 )
-
-// acquireStatus maps a Store.Acquire failure to an HTTP status: unknown
-// name 404; store shutting down or snapshot data failing (quarantined
-// corruption, exhausted rehydration retries) 503 so load balancers route
-// away; anything else 500.
-func acquireStatus(err error) int {
-	switch {
-	case errors.Is(err, grazelle.ErrGraphNotFound):
-		return http.StatusNotFound
-	case errors.Is(err, grazelle.ErrStoreClosed):
-		return http.StatusServiceUnavailable
-	default:
-		var ce *grazelle.CorruptSnapshotError
-		var re *grazelle.RehydrateError
-		if errors.As(err, &ce) || errors.As(err, &re) {
-			return http.StatusServiceUnavailable
-		}
-		return http.StatusInternalServerError
-	}
-}
 
 // queryStatus maps any failure on the query path — admission, version
 // lookup, acquire, or the run itself — to an HTTP status: overload 429,
@@ -956,10 +643,10 @@ func queryStatus(err error) int {
 	switch {
 	case errors.Is(err, grazelle.ErrOverloaded):
 		return http.StatusTooManyRequests
-	case errors.Is(err, grazelle.ErrWatchdogKilled):
+	case errors.Is(err, grazelle.ErrWatchdogKilled), errors.Is(err, grazelle.ErrStoreClosed):
 		return http.StatusServiceUnavailable
-	case errors.Is(err, grazelle.ErrGraphNotFound), errors.Is(err, grazelle.ErrStoreClosed):
-		return acquireStatus(err)
+	case errors.Is(err, grazelle.ErrGraphNotFound):
+		return http.StatusNotFound
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, grazelle.ErrMutationConflict):

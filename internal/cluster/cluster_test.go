@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +16,8 @@ import (
 
 	grazelle "repro"
 	"repro/internal/fault"
+	"repro/internal/obs"
+	"repro/internal/service"
 )
 
 // testGraph is shared across the package's tests: stores are read-only here
@@ -33,9 +37,8 @@ func sharedGraph(t *testing.T) *grazelle.Graph {
 	return testG
 }
 
-// newTestWorker is one in-process worker: a store holding the shared graph
-// as "g" behind the worker's private mux.
-func newTestWorker(t *testing.T) *httptest.Server {
+// newTestService is a service over a store holding the shared graph as "g".
+func newTestService(t *testing.T) *service.Service {
 	t.Helper()
 	st, err := grazelle.OpenStore(grazelle.StoreConfig{Workers: 2, Options: grazelle.Options{Trace: true}})
 	if err != nil {
@@ -45,7 +48,14 @@ func newTestWorker(t *testing.T) *httptest.Server {
 	if err := st.Add("g", sharedGraph(t)); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewWorker(st).Mux())
+	return service.New(service.Config{Store: st, MaxTimeout: time.Minute, Workers: 2, RunHistory: 16})
+}
+
+// newTestWorker is one in-process worker: a real service behind the worker's
+// private mux.
+func newTestWorker(t *testing.T) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(NewWorker(newTestService(t)).Mux())
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -107,12 +117,7 @@ func waitAvailable(t *testing.T, rt *Router, n int) {
 func clusterSpec(app string, root uint32, values bool) RunSpec {
 	g := testG
 	return RunSpec{
-		Graph:    "g",
-		App:      app,
-		Iters:    8,
-		Root:     root,
-		K:        2,
-		Values:   values,
+		Query:    service.Query{Graph: "g", App: app, Iters: 8, Root: root, K: 2, Values: values},
 		Vertices: g.NumVertices(),
 		Edges:    g.NumEdges(),
 	}
@@ -150,56 +155,50 @@ func requireInRotation(t *testing.T, rt *Router) {
 	}
 }
 
-// localRun executes the same query on a plain engine — the bit-identity
-// reference a routed result must match.
-func localRun(t *testing.T, app string, root uint32) *grazelle.AppResult {
-	t.Helper()
-	eng := grazelle.NewEngine(sharedGraph(t), grazelle.Options{Workers: 2, Trace: true})
-	defer eng.Close()
-	res, err := eng.Run(context.Background(), app, grazelle.Params{Iters: 8, Root: root, K: 2})
-	if err != nil {
-		t.Fatalf("local %s: %v", app, err)
-	}
-	return res
-}
+// perRun matches the two response fields that differ between two runs of
+// the same query.
+var perRun = regexp.MustCompile(`"run_id":"[^"]*"|"elapsed_ms":[0-9]+`)
 
-// requireBitIdentical compares a routed result's counters, every summary
-// statistic and the full value vector with a local run's, byte for byte.
-func requireBitIdentical(t *testing.T, res *RunResult, want *grazelle.AppResult) {
+// requireBitIdentical compares a routed run's response body with the body a
+// local Service.Execute of spec's query returns — the bytes a single process
+// would have served — modulo run_id and elapsed_ms, and returns the local
+// run's record.
+func requireBitIdentical(t *testing.T, res *RunResult, spec RunSpec) obs.RunRecord {
 	t.Helper()
-	if res.Iterations != want.Stats.Iterations || res.Mode != want.Stats.Mode {
-		t.Errorf("iterations %d mode %s, want %d %s", res.Iterations, res.Mode, want.Stats.Iterations, want.Stats.Mode)
+	svc := newTestService(t)
+	want, _, err := svc.Execute(context.Background(), spec.Query)
+	if err != nil {
+		t.Fatalf("local %s: %v", spec.App, err)
 	}
-	for _, st := range want.Summary() {
-		wantRaw, _ := json.Marshal(st.Value)
-		if got, ok := res.Summary[st.Key]; !ok || string(got) != string(wantRaw) {
-			t.Errorf("summary %s = %s, want %s", st.Key, got, wantRaw)
-		}
+	if got, want := perRun.ReplaceAll(res.Body, nil), perRun.ReplaceAll(want.Payload, nil); !bytes.Equal(got, want) {
+		t.Errorf("routed %s body diverges from the local one:\n%.300s\n%.300s", spec.App, got, want)
 	}
-	wantVals, _ := json.Marshal(want.Values())
-	if string(res.Values) != string(wantVals) {
-		t.Errorf("values diverge (%d vs %d bytes)", len(res.Values), len(wantVals))
-	}
+	rec, _ := svc.Runs().Get(want.RunID)
+	return rec
 }
 
 // TestClusterExecuteBitIdentical routes frontier-driven and frontier-blind
-// apps over 1- and 2-worker rosters and requires every summary statistic and
-// the full value vector to be byte-identical to a local run, with the
+// apps over 1- and 2-worker rosters and requires the response body, values
+// included, to be a local run's bytes under the router's run ID, with the
 // answering worker's engine trace attached.
 func TestClusterExecuteBitIdentical(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
 			rt := newTestCluster(t, workers)
 			for _, app := range []string{"pr", "cc", "bfs"} {
-				res, err := rt.Execute(context.Background(), "t-"+app, clusterSpec(app, 1, true))
+				spec := clusterSpec(app, 1, true)
+				res, err := rt.Execute(context.Background(), "t-"+app, spec)
 				if err != nil {
 					t.Fatalf("%s: %v", app, err)
 				}
-				want := localRun(t, app, 1)
-				requireBitIdentical(t, res, want)
-				if res.Trace.Directions != want.Stats.Directions || len(res.Trace.Phases) != len(want.Stats.Phases) {
-					t.Errorf("%s trace: directions %q with %d phases, want %q with %d",
-						app, res.Trace.Directions, len(res.Trace.Phases), want.Stats.Directions, len(want.Stats.Phases))
+				want := requireBitIdentical(t, res, spec)
+				if res.Iterations != want.Iters || res.Mode != want.Mode ||
+					res.Trace.Directions != want.Trace.Directions || len(res.Trace.Phases) != len(want.Trace.Phases) {
+					t.Errorf("%s record fields: %d iterations, mode %s, directions %q with %d phases; local run %+v",
+						app, res.Iterations, res.Mode, res.Trace.Directions, len(res.Trace.Phases), want)
+				}
+				if !bytes.Contains(res.Body, []byte(`"run_id":"t-`+app+`"`)) {
+					t.Errorf("%s: body does not carry the router-issued run ID: %.200s", app, res.Body)
 				}
 				if runsOn(rt, res.Worker) == 0 {
 					t.Errorf("%s: answering worker %q has no run counted", app, res.Worker)
@@ -296,7 +295,7 @@ func TestClusterFailpointFailover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("failover did not recover: %v", err)
 	}
-	requireBitIdentical(t, res, localRun(t, "bfs", 1))
+	requireBitIdentical(t, res, spec)
 	if res.Worker != chosen[1] {
 		t.Errorf("answered by %s, want the second in rank %v", res.Worker, chosen)
 	}
@@ -447,7 +446,7 @@ func TestWorkerOutOfSync(t *testing.T) {
 // TestWorkerUnknownGraph maps to not_found, the resync-this-replica signal.
 func TestWorkerUnknownGraph(t *testing.T) {
 	ts := newTestWorker(t)
-	body, _ := json.Marshal(RunRequest{RunID: "t-404", RunSpec: RunSpec{Graph: "nope", App: "pr"}})
+	body, _ := json.Marshal(RunRequest{RunID: "t-404", RunSpec: RunSpec{Query: service.Query{Graph: "nope", App: "pr"}}})
 	resp, err := http.Post(ts.URL+"/internal/run", "application/json", strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatal(err)

@@ -7,11 +7,10 @@
 // its healthy, in-sync replicas by rendezvous hash of the query, so the same
 // query lands on the same replica while the roster is stable and losing a
 // worker moves only that worker's queries; the chosen worker runs the query
-// on its store's shared engine — the call its own /v1/query makes — and
-// returns the pre-marshaled summary and values plus the engine's run trace.
-// Router answers are therefore byte-identical to a single process's by
-// construction: there is one computation, on one engine, through one code
-// path. A failure another replica could cure (unreachable, trailing the
+// through service.Execute — the call its own /v1/query makes — and returns
+// the response body plus the engine's run trace. The router passes that body
+// on untouched, so its answers are a single process's bytes: there is one
+// computation, on one engine, through one code path. A failure another replica could cure (unreachable, trailing the
 // catalog, overloaded) is retried once on the next replica in rank.
 //
 // What keeps replicas equal is the catalog: every add, delete and mutation
@@ -26,6 +25,7 @@ import (
 	"encoding/json"
 
 	"repro/internal/obs"
+	"repro/internal/service"
 )
 
 // GraphSpec describes how to materialize one graph on a worker — the same
@@ -38,23 +38,16 @@ type GraphSpec struct {
 	Path    string  `json:"path,omitempty"`
 }
 
-// RunSpec is one normalized query plus the pinned graph's identity facts:
-// the router-side input to Execute and, under a run ID, the body of
-// POST /internal/run.
+// RunSpec is one normalized query — its timeout_ms what is left of the
+// client's deadline — plus the pinned graph's identity facts: the router-side
+// input to Execute and, under a run ID, the body of POST /internal/run.
 type RunSpec struct {
-	Graph  string `json:"graph"`
-	App    string `json:"app"`
-	Iters  int    `json:"iters"`
-	Root   uint32 `json:"root"`
-	K      int    `json:"k"`
-	Values bool   `json:"values"`
+	service.Query
 	// Vertices and Edges are the router replica's counts at the pinned
 	// version; a worker whose replica disagrees refuses the run with
 	// out_of_sync instead of computing a divergent answer.
 	Vertices int `json:"vertices"`
 	Edges    int `json:"edges"`
-	// TimeoutMS bounds the worker-side run (0 = the request's own deadline).
-	TimeoutMS int64 `json:"timeout_ms"`
 }
 
 // RunRequest is the router → worker body of POST /internal/run.
@@ -64,21 +57,17 @@ type RunRequest struct {
 }
 
 // RunResponse is the worker → router body of a successful /internal/run.
-// Summary values and Values are pre-marshaled on the worker and passed
-// through the router verbatim, so the assembled client payload is
-// byte-identical to what the worker's own /v1/query would emit.
 type RunResponse struct {
-	Iterations     int                        `json:"iterations"`
-	PullIterations int                        `json:"pull_iterations"`
-	PushIterations int                        `json:"push_iterations"`
-	Mode           string                     `json:"mode"`
-	Partitions     int                        `json:"partitions"`
-	ElapsedMS      int64                      `json:"elapsed_ms"`
-	Summary        map[string]json.RawMessage `json:"summary"`
-	Values         json.RawMessage            `json:"values,omitempty"`
-	// Trace is the engine's phase, direction and partition breakdown of the
-	// run, for the router's run record.
-	Trace obs.RunTrace `json:"trace"`
+	// Body is the finished client response — what the worker's own /v1/query
+	// would have written under this run ID — less the trailing newline, which
+	// JSON embedding drops and the router restores.
+	Body json.RawMessage `json:"body"`
+	// Iterations, Mode, Partitions and Trace (the engine's phase, direction
+	// and partition breakdown) fill the router's run record.
+	Iterations int          `json:"iterations"`
+	Mode       string       `json:"mode"`
+	Partitions int          `json:"partitions"`
+	Trace      obs.RunTrace `json:"trace"`
 }
 
 // errorBody is the typed error JSON of /internal/run.

@@ -547,6 +547,7 @@ func (r *Router) postRun(ctx context.Context, url string, rr *RunRequest) (*RunR
 	if err := json.Unmarshal(payload, &out); err != nil {
 		return nil, &PeerError{Worker: url, Err: fmt.Errorf("run response decode: %w", err)}
 	}
+	out.Body = append(out.Body, '\n')
 	return &out, nil
 }
 

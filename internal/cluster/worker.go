@@ -4,30 +4,29 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
-	"time"
 
 	grazelle "repro"
 	"repro/internal/obs"
+	"repro/internal/service"
 )
 
-// Worker executes cluster runs against a local graph replica. It layers on
-// a full serve-mode store (the worker process keeps the ordinary public API
-// for graph admin, which is also how the router resyncs it); HandleRun is
-// the one private endpoint the router drives.
+// Worker answers routed runs from a local graph replica. It layers on a full
+// serve-mode service (the worker process keeps the ordinary public API for
+// graph admin, which is also how the router resyncs it); HandleRun is the one
+// private endpoint the router drives.
 type Worker struct {
-	store *grazelle.Store
+	svc *service.Service
 
 	runs     *obs.Counter
 	failures *obs.Counter
 }
 
-// NewWorker creates a worker over st.
-func NewWorker(st *grazelle.Store) *Worker {
-	reg := st.Metrics()
+// NewWorker creates a worker over svc.
+func NewWorker(svc *service.Service) *Worker {
+	reg := svc.Store().Metrics()
 	return &Worker{
-		store: st,
+		svc: svc,
 		runs: reg.Counter("grazelle_cluster_worker_runs_total",
 			"Cluster runs executed by this worker.", nil),
 		failures: reg.Counter("grazelle_cluster_worker_run_failures_total",
@@ -42,7 +41,7 @@ func (wk *Worker) Mux() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /internal/run", wk.HandleRun)
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		if err := wk.store.Ready(); err != nil {
+		if err := wk.svc.Store().Ready(); err != nil {
 			writeClusterError(w, http.StatusServiceUnavailable, "unready", err)
 			return
 		}
@@ -51,101 +50,63 @@ func (wk *Worker) Mux() http.Handler {
 	return mux
 }
 
-// HandleRun executes one routed run: admit, pin the graph, verify the
-// replica matches the router's expectation, then run the query on the
-// store's shared engine exactly as this process's own /v1/query would. The
-// response carries pre-marshaled summary and values so the router can
-// assemble a byte-identical client payload.
+// HandleRun is the codec of POST /internal/run: decode, run the query through
+// the service exactly as this process's own /v1/query would — under the
+// router's run ID and shape expectation — and return the finished response
+// body with the engine's trace, or the typed verdict the router's failover
+// classifies.
 func (wk *Worker) HandleRun(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, service.MaxBodyBytes)
 	var req RunRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeClusterError(w, http.StatusBadRequest, "bad_request", err)
 		return
 	}
-	ctx := r.Context()
-	if req.TimeoutMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
-		defer cancel()
-	}
-
-	release, err := wk.store.Admit(ctx)
-	if err != nil {
-		status, code := http.StatusTooManyRequests, "overloaded"
-		if errors.Is(err, grazelle.ErrStoreClosed) {
-			status, code = http.StatusServiceUnavailable, "closed"
+	body, rec, err := wk.svc.ExecuteRouted(r.Context(), req.Query, req.RunID, req.Vertices, req.Edges)
+	if rec.ID != "" { // the run started
+		wk.runs.Inc()
+		if err != nil {
+			wk.failures.Inc()
 		}
+	}
+	if err != nil {
+		status, code := runVerdict(err)
 		writeClusterError(w, status, code, err)
 		return
-	}
-	defer release()
-
-	h, err := wk.store.Acquire(req.Graph)
-	if err != nil {
-		status, code := http.StatusInternalServerError, "acquire"
-		if errors.Is(err, grazelle.ErrGraphNotFound) {
-			status, code = http.StatusNotFound, "not_found"
-		}
-		writeClusterError(w, status, code, err)
-		return
-	}
-	defer h.Close()
-	if h.Graph().NumVertices() != req.Vertices || h.Graph().NumEdges() != req.Edges {
-		writeClusterError(w, http.StatusConflict, "out_of_sync", fmt.Errorf(
-			"cluster: replica has %d vertices / %d edges, router expects %d / %d",
-			h.Graph().NumVertices(), h.Graph().NumEdges(), req.Vertices, req.Edges))
-		return
-	}
-
-	ctx, done := wk.store.TrackRun(ctx)
-	defer done()
-
-	res, err := h.Engine().Run(ctx, req.App, grazelle.Params{Iters: req.Iters, Root: req.Root, K: req.K})
-	wk.runs.Inc()
-	if err != nil {
-		wk.failures.Inc()
-		switch {
-		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled),
-			errors.Is(context.Cause(ctx), grazelle.ErrWatchdogKilled):
-			writeClusterError(w, http.StatusGatewayTimeout, "timeout", err)
-		default:
-			writeClusterError(w, http.StatusInternalServerError, "run", err)
-		}
-		return
-	}
-	out := RunResponse{
-		Iterations:     res.Stats.Iterations,
-		PullIterations: res.Stats.PullIterations,
-		PushIterations: res.Stats.PushIterations,
-		Mode:           res.Stats.Mode,
-		Partitions:     res.Stats.Partitions,
-		ElapsedMS:      res.Stats.Total.Milliseconds(),
-		Summary:        make(map[string]json.RawMessage),
-		Trace: obs.RunTrace{
-			Phases:     res.Stats.Phases,
-			Directions: res.Stats.Directions,
-			Partitions: res.Stats.PartitionStats,
-			Dropped:    res.Stats.TraceDropped,
-		},
-	}
-	for _, st := range res.Summary() {
-		raw, err := json.Marshal(st.Value)
-		if err != nil {
-			writeClusterError(w, http.StatusInternalServerError, "serialize", err)
-			return
-		}
-		out.Summary[st.Key] = raw
-	}
-	if req.Values {
-		raw, err := json.Marshal(res.Values())
-		if err != nil {
-			writeClusterError(w, http.StatusInternalServerError, "serialize", err)
-			return
-		}
-		out.Values = raw
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(&out)
+	json.NewEncoder(w).Encode(&RunResponse{
+		Body:       body,
+		Iterations: rec.Iters,
+		Mode:       rec.Mode,
+		Partitions: rec.Partitions,
+		Trace:      rec.Trace,
+	})
+}
+
+// runVerdict maps a failed routed run to the status and typed code of its
+// /internal/run error body.
+func runVerdict(err error) (status int, code string) {
+	var oos *service.OutOfSyncError
+	var ce *grazelle.CorruptSnapshotError
+	var re *grazelle.RehydrateError
+	switch {
+	case errors.As(err, &oos):
+		return http.StatusConflict, "out_of_sync"
+	case errors.Is(err, grazelle.ErrGraphNotFound):
+		return http.StatusNotFound, "not_found"
+	case errors.Is(err, grazelle.ErrStoreClosed):
+		return http.StatusServiceUnavailable, "closed"
+	case errors.Is(err, grazelle.ErrOverloaded):
+		return http.StatusTooManyRequests, "overloaded"
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled),
+		errors.Is(err, grazelle.ErrWatchdogKilled):
+		return http.StatusGatewayTimeout, "timeout"
+	case errors.As(err, &ce), errors.As(err, &re):
+		return http.StatusInternalServerError, "acquire"
+	default:
+		return http.StatusInternalServerError, "run"
+	}
 }
 
 func writeClusterError(w http.ResponseWriter, status int, code string, err error) {

@@ -497,31 +497,8 @@ func Run[P apps.Program](r *Runner, p P, maxIters int) Result {
 // *sched.PanicError wrapped in the returned error; the Runner, its pool, and
 // concurrent sibling runs stay healthy. Props then reflect the last fully
 // applied iteration.
-func RunCtx[P apps.Program](ctx context.Context, r *Runner, p P, maxIters int) (res Result, err error) {
-	if r.opt.MaxRunTime > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.opt.MaxRunTime)
-		defer cancel()
-	}
-	ec := r.acquire()
-	ec.ctx = ctx
-	ec.done = ctx.Done()
-	func() {
-		// Last-resort containment for panics outside guarded chunks (program
-		// callbacks on the driver goroutine, frontier bookkeeping, or a
-		// *PanicError rethrown by a void pool wrapper).
-		defer func() {
-			if rec := recover(); rec != nil {
-				pe := sched.NewPanicError(rec)
-				err = fmt.Errorf("core: run panicked after %d iterations: %w", res.Iterations, pe)
-			}
-		}()
-		res, err = runLoop(ec, p, maxIters, nil)
-	}()
-	res.Props = ec.props
-	ec.props = nil // ownership passes to the caller
-	r.release(ec)
-	return res, err
+func RunCtx[P apps.Program](ctx context.Context, r *Runner, p P, maxIters int) (Result, error) {
+	return RunSeededCtx(ctx, r, p, maxIters, nil)
 }
 
 // runLoop executes one run by binding the program's kernels into a

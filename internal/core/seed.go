@@ -46,6 +46,9 @@ func RunSeededCtx[P apps.Program](ctx context.Context, r *Runner, p P, maxIters 
 	ec.ctx = ctx
 	ec.done = ctx.Done()
 	func() {
+		// Last-resort containment for panics outside guarded chunks (program
+		// callbacks on the driver goroutine, frontier bookkeeping, or a
+		// *PanicError rethrown by a void pool wrapper).
 		defer func() {
 			if rec := recover(); rec != nil {
 				pe := sched.NewPanicError(rec)

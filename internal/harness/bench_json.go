@@ -54,7 +54,6 @@ type BenchSnapshot struct {
 	Results       []BenchResult         `json:"results"`
 	TraceOverhead []TraceOverheadResult `json:"trace_overhead,omitempty"`
 	RegistryAB    []RegistryABResult    `json:"registry_ab,omitempty"`
-	CacheAB       []CacheABResult       `json:"cache_ab,omitempty"`
 	PartitionAB   []PartitionABResult   `json:"partition_ab,omitempty"`
 	WALBench      []WALBenchResult      `json:"wal_bench,omitempty"`
 	IncrementalAB []IncrementalABResult `json:"incremental_ab,omitempty"`
@@ -192,13 +191,6 @@ func BenchJSON(cfg Config, w io.Writer) error {
 			TracedNS: walls[1].Nanoseconds(),
 			Ratio:    float64(walls[1].Nanoseconds()) / float64(walls[0].Nanoseconds()),
 		})
-	}
-	if cfg.CacheAB {
-		rows, err := CacheAB(cfg)
-		if err != nil {
-			return err
-		}
-		snap.CacheAB = rows
 	}
 	if cfg.PartitionAB {
 		rows, err := PartitionAB(cfg)

@@ -27,9 +27,6 @@ type Config struct {
 	Repeats int
 	// Quick shrinks datasets (quarter scale) for fast runs.
 	Quick bool
-	// CacheAB adds the query-result-cache cold/warm A/B rows to BenchJSON
-	// snapshots (see CacheAB).
-	CacheAB bool
 	// PartitionAB adds the partitioned-vs-monolithic coordinator A/B rows
 	// to BenchJSON snapshots (see PartitionAB).
 	PartitionAB bool

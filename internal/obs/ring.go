@@ -8,11 +8,14 @@ import (
 // RunRecord is one completed run retained in the trace ring: identity,
 // outcome, and the phase breakdown.
 type RunRecord struct {
-	ID       string        `json:"id"`
-	Graph    string        `json:"graph,omitempty"`
-	App      string        `json:"app,omitempty"`
-	Start    time.Time     `json:"start"`
+	ID    string    `json:"id"`
+	Graph string    `json:"graph,omitempty"`
+	App   string    `json:"app,omitempty"`
+	Start time.Time `json:"start"`
+	// Wall is the whole computed path, admission through encode; Stages
+	// splits it.
 	Wall     time.Duration `json:"wall_ns"`
+	Stages   Stages        `json:"stages"`
 	Error    string        `json:"error,omitempty"`
 	Trace    RunTrace      `json:"trace"`
 	Workers  int           `json:"workers,omitempty"`
@@ -30,6 +33,20 @@ type RunRecord struct {
 	// Worker is the URL of the cluster worker that answered a routed run
 	// (router role only); Trace is then that worker's engine trace.
 	Worker string `json:"worker,omitempty"`
+}
+
+// Stages is a run's wall time by request stage, in path order; the stages
+// sum to RunRecord.Wall. Run is the local engine run; on a router the stage
+// is Post instead — lock, version re-check and the whole placement on a
+// worker, whose own stages sit in that worker's record under the same ID.
+type Stages struct {
+	// Admission lasts until the admission slot is granted.
+	Admission time.Duration `json:"admission_ns"`
+	// Acquire pins the graph, materializing or rehydrating it when needed.
+	Acquire time.Duration `json:"acquire_ns"`
+	Run     time.Duration `json:"run_ns,omitempty"`
+	Post    time.Duration `json:"post_ns,omitempty"`
+	Encode  time.Duration `json:"encode_ns"`
 }
 
 // TraceRing retains the last N completed run records for GET /v1/runs.

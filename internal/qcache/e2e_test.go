@@ -48,7 +48,9 @@ func TestCacheHitBitIdenticalAcrossApps(t *testing.T) {
 	}
 	defer st.Close()
 	cache := qcache.New(qcache.Config{Budget: 64 << 20})
-	st.OnRetire(cache.InvalidateVersion)
+	st.OnRetireReason(func(name string, version uint64, _ grazelle.RetireReason) {
+		cache.RetireVersion(name, version, false)
+	})
 
 	g, err := grazelle.GenerateDataset("C", 0.25)
 	if err != nil {

@@ -65,7 +65,8 @@ type flight struct {
 // is only invoked by the call that holds leadership; its error (or panic,
 // republished to followers as a *sched.PanicError before re-panicking) is
 // shared by every attached caller. A leader whose own ctx ends mid-run hands
-// leadership to a waiting follower and returns its ctx error alone.
+// leadership to a waiting follower and keeps what its compute returned (the
+// failed run's ID, the ctx error) to itself.
 func (c *Cache) Do(ctx context.Context, k Key, compute func(context.Context) (Result, error)) (Result, Outcome, error) {
 	c.mu.Lock()
 	if r, ok := c.getLocked(k); ok {
@@ -94,7 +95,7 @@ func (c *Cache) leadFlight(ctx context.Context, k Key, f *flight, compute func(c
 		// The leader's own context died. Followers are healthy — hand one of
 		// them the leadership token instead of failing them all.
 		c.abdicate(k, f, err)
-		return Result{}, OutcomeMiss, err
+		return res, OutcomeMiss, err
 	}
 	if err == nil {
 		c.insert(k, res)

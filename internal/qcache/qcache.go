@@ -6,7 +6,7 @@
 //
 // The cache is byte-accounted (the repo's MemoryBytes convention) against an
 // LRU budget. Retiring a store version (Add-replace / Delete) invalidates its
-// entries via Store.OnRetire, and a per-graph tombstone of the highest
+// entries via Store.OnRetireReason, and a per-graph tombstone of the highest
 // retired version closes the race where a run finishes after its version
 // retired: the late insert is dropped instead of caching a permanently stale
 // result. Everything is stdlib plus the repo's own internal packages.
@@ -17,7 +17,6 @@ import (
 	"sync"
 
 	"repro/internal/fault"
-	"repro/internal/obs"
 )
 
 // Key addresses one cacheable result.
@@ -35,8 +34,8 @@ type Key struct {
 	Params string
 }
 
-// Result is one cached query outcome: the serialized response payload plus
-// the producing run's trace summary.
+// Result is one cached query outcome: the serialized response payload and
+// the run that produced it (whose trace lives in the serving layer's ring).
 type Result struct {
 	// Payload is the serialized response body, stored and served verbatim.
 	Payload []byte
@@ -47,9 +46,6 @@ type Result struct {
 	// admitted handle may pin a newer version than the one the key was built
 	// from.
 	Version uint64
-	// Phases and TraceDropped summarize the producing run's RunTrace.
-	Phases       []obs.PhaseStat
-	TraceDropped bool
 }
 
 // entryOverhead approximates the fixed per-entry cost: LRU node, map slot,
@@ -59,9 +55,7 @@ const entryOverhead = 128
 // MemoryBytes reports the bytes this result accounts against the cache
 // budget, following the repo-wide MemoryBytes convention.
 func (r Result) MemoryBytes() int64 {
-	const phaseStatBytes = 88 // unsafe.Sizeof(obs.PhaseStat{}) incl. name header
-	return int64(len(r.Payload)) + int64(len(r.RunID)) +
-		int64(len(r.Phases))*phaseStatBytes + entryOverhead
+	return int64(len(r.Payload)) + int64(len(r.RunID)) + entryOverhead
 }
 
 // Config configures a Cache.
@@ -220,15 +214,6 @@ func (c *Cache) removeLocked(el *list.Element) {
 	c.lru.Remove(el)
 	delete(c.entries, e.key)
 	c.bytes -= e.bytes
-}
-
-// InvalidateVersion is the hard-retirement path of RetireVersion: drop every
-// entry for the named graph at or below the retired version, advance both
-// tombstones, and discard seed candidates. Callers that can distinguish warm
-// retirements (mutate, compact) should wire Store.OnRetireReason to
-// RetireVersion instead so seeds survive.
-func (c *Cache) InvalidateVersion(graph string, version uint64) {
-	c.RetireVersion(graph, version, false)
 }
 
 // Stats returns a consistent snapshot of cache activity.

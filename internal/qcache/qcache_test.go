@@ -74,7 +74,7 @@ func TestInvalidateVersionAndTombstone(t *testing.T) {
 	c.insert(k1, payload(10, "a"))
 	c.insert(other, payload(10, "b"))
 
-	c.InvalidateVersion("g", 1)
+	c.RetireVersion("g", 1, false)
 	if _, ok := c.Get(k1); ok {
 		t.Error("retired version still served")
 	}

@@ -68,6 +68,11 @@ func TestRetireVersionPerReason(t *testing.T) {
 				if st.SeedEntries != 0 || st.SeedsDropped != 1 {
 					t.Fatalf("hard stats: %+v", st)
 				}
+				// A late offer for the retired version itself stays out.
+				c.OfferSeed("g", "pr", "{}", 1, seedLanes(8, 7))
+				if _, _, ok := c.SeedFor("g", "pr", "{}"); ok {
+					t.Fatalf("late offer crossed the hard %s tombstone", tc.reason)
+				}
 			}
 		})
 	}
@@ -139,26 +144,6 @@ func TestSeedTableKeying(t *testing.T) {
 	}
 	if v, _, ok := c.SeedFor("g2", "pr", "a"); !ok || v != 1 {
 		t.Fatal("g2 seed lost to g1's retirement")
-	}
-}
-
-// TestInvalidateVersionIsHard: the legacy entry point must keep its full
-// hard-invalidation semantics — payloads and seeds both gone.
-func TestInvalidateVersionIsHard(t *testing.T) {
-	c := New(Config{Budget: 1 << 20})
-	k := Key{Graph: "g", Version: 1, App: "pr", Params: "{}"}
-	c.insert(k, payload(64, "a"))
-	c.OfferSeed("g", "pr", "{}", 1, seedLanes(4, 1))
-	c.InvalidateVersion("g", 1)
-	if _, ok := c.Get(k); ok {
-		t.Fatal("payload survived InvalidateVersion")
-	}
-	if _, _, ok := c.SeedFor("g", "pr", "{}"); ok {
-		t.Fatal("seed survived InvalidateVersion")
-	}
-	c.OfferSeed("g", "pr", "{}", 1, seedLanes(4, 1))
-	if _, _, ok := c.SeedFor("g", "pr", "{}"); ok {
-		t.Fatal("late offer crossed InvalidateVersion's tombstone")
 	}
 }
 

@@ -620,8 +620,8 @@ func TestMutateMemoryOnlyStore(t *testing.T) {
 	assertBitIdentical(t, want, pagerankSolo(t, s, "g"), "memory-only post-compaction")
 }
 
-// TestOnRetireShimAndReasons: the legacy OnRetire signature keeps firing for
-// every retirement while OnRetireReason distinguishes all four causes.
+// TestOnRetireShimAndReasons: OnRetireReason distinguishes all four causes
+// of a retirement, each fired exactly once.
 func TestOnRetireShimAndReasons(t *testing.T) {
 	s, err := Open(Config{DataDir: t.TempDir(), Workers: 2})
 	if err != nil {
@@ -629,13 +629,7 @@ func TestOnRetireShimAndReasons(t *testing.T) {
 	}
 	defer s.Close()
 	var mu sync.Mutex
-	var legacy int
 	reasons := map[RetireReason]int{}
-	s.OnRetire(func(name string, version uint64) {
-		mu.Lock()
-		legacy++
-		mu.Unlock()
-	})
 	s.OnRetireReason(func(_ string, _ uint64, r RetireReason) {
 		mu.Lock()
 		reasons[r]++
@@ -663,8 +657,5 @@ func TestOnRetireShimAndReasons(t *testing.T) {
 		if reasons[r] != 1 {
 			t.Errorf("reason %q fired %d times, want 1", r, reasons[r])
 		}
-	}
-	if legacy != 4 {
-		t.Errorf("legacy OnRetire fired %d times, want 4", legacy)
 	}
 }

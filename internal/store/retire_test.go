@@ -7,7 +7,7 @@ import (
 	"repro/internal/gen"
 )
 
-// retireRecorder collects OnRetire notifications; safe for concurrent use,
+// retireRecorder collects OnRetireReason notifications; safe for concurrent use,
 // per the hook contract.
 type retireRecorder struct {
 	mu     sync.Mutex
@@ -17,7 +17,7 @@ type retireRecorder struct {
 	}
 }
 
-func (r *retireRecorder) record(name string, version uint64) {
+func (r *retireRecorder) record(name string, version uint64, _ RetireReason) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.events = append(r.events, struct {
@@ -45,7 +45,7 @@ func TestVersionRetirementHook(t *testing.T) {
 	}
 	defer s.Close()
 	rec := &retireRecorder{}
-	s.OnRetire(rec.record)
+	s.OnRetireReason(rec.record)
 
 	g := gen.RMAT(7, 500, gen.DefaultRMAT, 1)
 	if err := s.Add("a", g); err != nil {
@@ -120,7 +120,7 @@ func TestEvictionKeepsVersion(t *testing.T) {
 	}
 	defer s.Close()
 	rec := &retireRecorder{}
-	s.OnRetire(rec.record)
+	s.OnRetireReason(rec.record)
 
 	if err := s.Add("e", gen.RMAT(7, 500, gen.DefaultRMAT, 3)); err != nil {
 		t.Fatal(err)

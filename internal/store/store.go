@@ -514,32 +514,21 @@ const (
 	RetireCompact RetireReason = "compact"
 )
 
-// RetireFunc observes one graph version leaving the registry (see OnRetire).
-type RetireFunc func(name string, version uint64)
-
-// RetireReasonFunc additionally receives why the version retired (see
-// OnRetireReason).
+// RetireReasonFunc observes one graph version leaving the registry, and why
+// (see OnRetireReason).
 type RetireReasonFunc func(name string, version uint64, reason RetireReason)
 
-// OnRetire registers fn to be called every time a graph version is retired —
-// replaced by a new Add, removed by Delete, superseded by a durable mutation
-// batch, or republished by compaction. Retirement means the (name, version)
-// pair will never be served again (new Acquires only see newer versions), so
-// any state derived from it — most importantly cached query results — can be
-// dropped. Eviction to cold does not retire: the entry keeps its version
-// across rehydration.
+// OnRetireReason registers fn to be called every time a graph version is
+// retired — replaced by a new Add, removed by Delete, superseded by a durable
+// mutation batch, or republished by compaction — with the reason.
+// Retirement means the (name, version) pair will never be served again (new
+// Acquires only see newer versions), so any state derived from it — most
+// importantly cached query results — can be dropped. Eviction to cold does
+// not retire: the entry keeps its version across rehydration.
 //
 // fn runs synchronously on the goroutine performing the retirement, after
 // the registry update, with no store locks held; it must be safe for
-// concurrent use. Register subscribers before serving traffic. Subscribers
-// that care why the version ended (compaction republishes identical
-// content, deletion does not) should use OnRetireReason instead.
-func (s *Store) OnRetire(fn RetireFunc) {
-	s.OnRetireReason(func(name string, version uint64, _ RetireReason) { fn(name, version) })
-}
-
-// OnRetireReason is OnRetire with the retirement reason: replace, delete,
-// mutate, or compact. Same invocation contract as OnRetire.
+// concurrent use. Register subscribers before serving traffic.
 func (s *Store) OnRetireReason(fn RetireReasonFunc) {
 	s.mu.Lock()
 	s.onRetire = append(s.onRetire, fn)

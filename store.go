@@ -177,15 +177,12 @@ func (s *Store) Snapshot(name string) error { return s.s.Snapshot(name) }
 // addresses a result, which is what makes query caching sound.
 func (s *Store) Version(name string) (uint64, error) { return s.s.Version(name) }
 
-// OnRetire registers fn to be called whenever a graph version is retired —
-// replaced by Add, removed by Delete, superseded by ApplyEdges, or folded by
-// compaction (eviction does not retire). Callbacks run outside store locks
-// and must be safe for concurrent use.
-func (s *Store) OnRetire(fn func(name string, version uint64)) { s.s.OnRetire(fn) }
-
-// OnRetireReason is OnRetire with the cause of each retirement. Cache layers
-// use the reason to skip invalidation for bit-preserving retirements
-// (RetireCompact serves the same bytes under a new version).
+// OnRetireReason registers fn to be called, with the cause, whenever a graph
+// version is retired — replaced by Add, removed by Delete, superseded by
+// ApplyEdges, or folded by compaction (eviction does not retire). Callbacks
+// run outside store locks and must be safe for concurrent use. Cache layers
+// use the reason to keep seed candidates across same-lineage retirements
+// (mutate, compact) and drop them when the lineage ends (replace, delete).
 func (s *Store) OnRetireReason(fn func(name string, version uint64, reason RetireReason)) {
 	s.s.OnRetireReason(fn)
 }
