@@ -185,8 +185,10 @@ type Options struct {
 	// PullDegreeShare tunes the hybrid engine's degree-sum term (Besta et
 	// al.): a low-density frontier too large for the list-driven round
 	// still pulls when its out-edges cover at least this share of all
-	// edges. 0 selects the default (0.15, the value the direction-rule sweep
-	// in EXPERIMENTS.md supports); a negative value disables the term.
+	// edges — for applications whose pull scan can stop early (BFS, k-core),
+	// the ones it pays for. 0 selects the default (0.15, the value the
+	// direction-rule sweep in EXPERIMENTS.md supports); a negative value
+	// disables the term.
 	PullDegreeShare float64
 }
 

@@ -75,7 +75,9 @@ type Status struct {
 	// DegreeShare lazily computes the frontier's out-degree sum as a share
 	// of total edges — the Besta et al. degree-sum term. It is only invoked
 	// when the density test alone would choose push, so the O(frontier)
-	// walk is paid exactly when the decision is in doubt. Nil when unknown.
+	// walk is paid exactly when the decision is in doubt. Nil when unknown
+	// or when the program's pull scan has no early exit, the case the term
+	// pays for.
 	DegreeShare func() float64
 	// SparseOK reports that this iteration's frontier fits the list-driven
 	// round's budget.

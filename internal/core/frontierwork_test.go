@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/frontier"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/perfmodel"
 	"repro/internal/vec"
 	"repro/internal/vsparse"
 )
@@ -67,11 +69,16 @@ func frontierWorkApps(g *graph.Graph, root uint32) []frontierWorkApp {
 }
 
 // TestFrontierWorkBitIdentity: the shipped kernels (early-exit pull, the
-// list-driven round, inline rounds), the paper configuration and the
+// unpredicated full-frontier iteration, the identity-skipping Vertex phase,
+// the list-driven round, inline rounds), the paper configuration and the
 // sequential references agree bit for bit, at every worker, partition and
 // chunk-size combination. Pull-only runs put every iteration through the
 // early-exit kernel; hybrid runs mix it with list-driven rounds. At
-// ChunkVectors 1 every multi-vector destination straddles chunks.
+// ChunkVectors 1 every multi-vector destination straddles chunks. cc and
+// kcore start from a full frontier, so their first iteration is the
+// unpredicated one; every app's later iterations leave most 4-vertex groups
+// with identity aggregates for the Vertex phase to skip
+// (TestRecordCountersUnderEarlyExit counts them).
 func TestFrontierWorkBitIdentity(t *testing.T) {
 	g, root := frontierWorkGraph()
 	cg := BuildGraph(g)
@@ -81,8 +88,11 @@ func TestFrontierWorkBitIdentity(t *testing.T) {
 	if hub := cg.VSD.Index[6] - cg.VSD.Index[5]; hub < 8 {
 		t.Fatalf("hub spans %d vectors, want a run long enough to straddle chunks", hub)
 	}
+	fullStarts := 0
 	for _, app := range frontierWorkApps(g, root) {
 		t.Run(app.name, func(t *testing.T) {
+			start := frontier.NewDense(cg.N)
+			app.mk().InitFrontier(start)
 			exits, lists := false, false
 			for _, mode := range []EngineMode{EngineHybrid, EnginePullOnly} {
 				for _, workers := range []int{1, 2, 4} {
@@ -90,7 +100,7 @@ func TestFrontierWorkBitIdentity(t *testing.T) {
 						for _, chunk := range []int{1, 3, 0} {
 							for _, ablate := range []bool{false, true} {
 								opt := Options{Workers: workers, Partitions: parts, ChunkVectors: chunk,
-									Mode: mode, AblateFrontierWork: ablate}
+									Mode: mode, AblateFrontierWork: ablate, Trace: true}
 								r := NewRunner(cg, opt)
 								res := Run(r, app.mk(), 1<<20)
 								r.Close()
@@ -106,6 +116,9 @@ func TestFrontierWorkBitIdentity(t *testing.T) {
 								if ablate && res.SparseIterations != 0 {
 									t.Fatalf("%s: %d list-driven rounds under the ablation", label, res.SparseIterations)
 								}
+								if start.Full() && res.Trace.Directions[0] != '<' {
+									t.Fatalf("%s: full first frontier went %q, want pull", label, res.Trace.Directions[0])
+								}
 								exits = exits || (!ablate && res.PullIterations > 0)
 								lists = lists || res.SparseIterations > 0
 							}
@@ -116,7 +129,13 @@ func TestFrontierWorkBitIdentity(t *testing.T) {
 			if !exits || !lists {
 				t.Errorf("matrix never ran a pull iteration (%v) or a list-driven round (%v)", exits, lists)
 			}
+			if start.Full() {
+				fullStarts++
+			}
 		})
+	}
+	if fullStarts == 0 {
+		t.Error("no app starts from a full frontier: the unpredicated iteration never ran")
 	}
 }
 
@@ -168,12 +187,15 @@ func TestVSDRunsAscendingBySource(t *testing.T) {
 }
 
 // TestRecordCountersUnderEarlyExit pins what the Record counters mean for
-// vectors an early exit jumps over: nothing. VectorsProcessed counts vectors
-// whose lanes the kernel loaded and FrontierSkips the lanes a test it made
-// rejected, so a skipped vector is charged to no counter and the saving
-// reads as pullIterations × NumVectors − VectorsProcessed. PageRank, which
-// neither converges nor saturates, counts exactly as in the paper
-// configuration.
+// work the shipped kernels do not do: nothing. VectorsProcessed counts
+// vectors whose lanes the kernel loaded and FrontierSkips the lanes a test it
+// made rejected, so a vector an early exit jumps over is charged to no
+// counter and the saving reads as pullIterations × NumVectors −
+// VectorsProcessed. Likewise a 4-vertex group the Vertex phase skips because
+// nothing reached it is charged to no counter: Vertex SharedWrites falls
+// below the paper configuration's 2·N per iteration by two per skipped
+// vertex. PageRank, which neither converges nor saturates nor uses a
+// frontier, counts exactly as in the paper configuration.
 func TestRecordCountersUnderEarlyExit(t *testing.T) {
 	g, root := frontierWorkGraph()
 	cg := BuildGraph(g)
@@ -212,5 +234,65 @@ func TestRecordCountersUnderEarlyExit(t *testing.T) {
 	if shipped.EdgeCounters.FrontierSkips > paper.EdgeCounters.FrontierSkips {
 		t.Errorf("early-exit BFS FrontierSkips = %d exceeds the full scan's %d",
 			shipped.EdgeCounters.FrontierSkips, paper.EdgeCounters.FrontierSkips)
+	}
+
+	// The Vertex phase: the paper configuration applies every vertex every
+	// iteration; the shipped one skips idle groups and counts nothing for
+	// them.
+	for _, app := range frontierWorkApps(g, root) {
+		shipped, paper := run(app.mk(), 1<<20, false), run(app.mk(), 1<<20, true)
+		all := uint64(2 * cg.N * paper.Iterations)
+		if got := paper.VertexCounters.SharedWrites; got != all {
+			t.Errorf("%s: paper Vertex SharedWrites = %d, want 2·N·iterations = %d", app.name, got, all)
+		}
+		if got := shipped.VertexCounters.SharedWrites; shipped.Iterations != paper.Iterations || got >= all {
+			t.Errorf("%s: shipped Vertex SharedWrites = %d over %d iterations, want fewer than %d over %d",
+				app.name, got, shipped.Iterations, all, paper.Iterations)
+		}
+	}
+	assertEdgeCountersPinned(t, g, root, cg)
+}
+
+// assertEdgeCountersPinned holds the Edge-phase Record counters of the
+// shipped configuration to the values measured before the kernels' lane
+// counters moved under `rec != nil`, the frontier test went branch-free and
+// the full-frontier iteration went unpredicated: none of that may change
+// what a Record run reports. Pull-only rows cover the pull kernel alone;
+// hybrid rows (one worker, so no CAS retry can vary) add the dense-scan push
+// and the list-driven round.
+func assertEdgeCountersPinned(t *testing.T, g *graph.Graph, root uint32, cg *Graph) {
+	t.Helper()
+	mk := map[string]func() apps.Program{"pr": func() apps.Program { return apps.NewPageRank(g) }}
+	for _, app := range frontierWorkApps(g, root) {
+		mk[app.name] = app.mk
+	}
+	pinned := []struct {
+		app     string
+		mode    EngineMode
+		workers int
+		want    perfmodel.Counters
+	}{
+		{"bfs", EnginePullOnly, 2, perfmodel.Counters{EdgesProcessed: 195, VectorsProcessed: 1520, TLSWrites: 195, SharedWrites: 138, MergeOps: 320, FrontierSkips: 4565, InvalidLanes: 1155, LocalAccesses: 195}},
+		{"bfs", EngineHybrid, 1, perfmodel.Counters{EdgesProcessed: 187, VectorsProcessed: 668, TLSWrites: 171, SharedWrites: 159, MergeOps: 96, FrontierSkips: 1729, InvalidLanes: 591, LocalAccesses: 171}},
+		{"cc", EnginePullOnly, 2, perfmodel.Counters{EdgesProcessed: 3817, VectorsProcessed: 2284, TLSWrites: 3817, SharedWrites: 393, MergeOps: 256, FrontierSkips: 3983, InvalidLanes: 1336, LocalAccesses: 3817}},
+		{"cc", EngineHybrid, 1, perfmodel.Counters{EdgesProcessed: 3817, VectorsProcessed: 1721, TLSWrites: 3801, SharedWrites: 424, MergeOps: 96, FrontierSkips: 2049, InvalidLanes: 1002, LocalAccesses: 3801, SkippedWrites: 6}},
+		{"sssp", EnginePullOnly, 2, perfmodel.Counters{EdgesProcessed: 4449, VectorsProcessed: 3997, TLSWrites: 4449, SharedWrites: 594, MergeOps: 448, FrontierSkips: 9201, InvalidLanes: 2338, LocalAccesses: 4449}},
+		{"sssp", EngineHybrid, 1, perfmodel.Counters{EdgesProcessed: 4449, VectorsProcessed: 2871, TLSWrites: 4403, SharedWrites: 660, MergeOps: 160, FrontierSkips: 5347, InvalidLanes: 1670, LocalAccesses: 4403, SkippedWrites: 5}},
+		{"kcore", EnginePullOnly, 2, perfmodel.Counters{EdgesProcessed: 176, VectorsProcessed: 1142, TLSWrites: 176, SharedWrites: 54, MergeOps: 128, FrontierSkips: 3724, InvalidLanes: 668, LocalAccesses: 176}},
+		{"kcore", EngineHybrid, 1, perfmodel.Counters{EdgesProcessed: 176, VectorsProcessed: 571, TLSWrites: 176, SharedWrites: 59, MergeOps: 32, FrontierSkips: 1774, InvalidLanes: 334, LocalAccesses: 176}},
+		{"pr", EnginePullOnly, 2, perfmodel.Counters{EdgesProcessed: 5850, VectorsProcessed: 1713, TLSWrites: 5850, SharedWrites: 474, MergeOps: 192, InvalidLanes: 1002, LocalAccesses: 5850}},
+		{"pr", EngineHybrid, 1, perfmodel.Counters{EdgesProcessed: 5850, VectorsProcessed: 1713, TLSWrites: 5850, SharedWrites: 507, MergeOps: 96, InvalidLanes: 1002, LocalAccesses: 5850}},
+	}
+	for _, pin := range pinned {
+		iters := 1 << 20
+		if pin.app == "pr" {
+			iters = 3
+		}
+		r := NewRunner(cg, Options{Workers: pin.workers, Record: true, Mode: pin.mode})
+		res := Run(r, mk[pin.app](), iters)
+		r.Close()
+		if res.EdgeCounters != pin.want {
+			t.Errorf("%s %v w%d: Edge counters\n got  %+v\n want %+v", pin.app, pin.mode, pin.workers, res.EdgeCounters, pin.want)
+		}
 	}
 }

@@ -65,6 +65,29 @@ func step[P apps.Program](p P, fz *fuse, props []uint64, acc, n uint64, w float3
 	}
 }
 
+// combine computes Combine(a, b) through the fused operator: the transition
+// flush and the merge fold pay an inlined compare or add per partial
+// aggregate instead of a call through the program's dictionary (on a mesh
+// every vector ends a destination, so the flush is per-vector work).
+func combine[P apps.Program](p P, fz *fuse, a, b uint64) uint64 {
+	switch fz.kind {
+	case apps.FusedRankSum:
+		return math.Float64bits(math.Float64frombits(a) + math.Float64frombits(b))
+	case apps.FusedMinProp, apps.FusedMinSrc:
+		if b < a {
+			return b
+		}
+		return a
+	case apps.FusedMinPropPlusW:
+		if math.Float64frombits(b) < math.Float64frombits(a) {
+			return b
+		}
+		return a
+	default:
+		return p.Combine(a, b)
+	}
+}
+
 // step4 folds a full 4-lane vector (all lanes valid) into acc — the fused
 // body of the full-vector fast path, with the kind switch hoisted off the
 // per-lane work.

@@ -115,16 +115,17 @@ type Options struct {
 	// still selected when the frontier's out-degree sum is at least this
 	// share of all edges — a few active hubs can put most of the edge set
 	// in play, where pull's sequential gather beats push's scattered
-	// synchronized writes. The share is computed lazily, only when the
-	// density test alone would choose push. Zero selects the default
-	// (0.15); negative disables the term (density-only, the prior
-	// behavior). The default is what the sweep in EXPERIMENTS.md
-	// ("Direction-rule sweep", benchfig dirsweep) supports with early-exit
-	// pull in place: over 40 roots per analog the term moves the second
-	// iteration of 5–15% of T/U roots from dense-scan push to pull, which
-	// BFS (it saturates) runs 2.5–5× faster and SSSP (it gathers every
-	// in-edge regardless) 10–20% slower; 0.05 and 0.10 differ from 0.15 by
-	// less than that either way.
+	// synchronized writes. The term applies only to programs whose pull
+	// scan can stop early (TracksConverged or FusedMinSrc); the share is
+	// computed lazily, only when the density test alone would choose push.
+	// Zero selects the default (0.15); negative disables the term
+	// (density-only, the prior behavior). The default is what the sweep in
+	// EXPERIMENTS.md ("Direction-rule sweep", benchfig dirsweep) supports:
+	// over 40 roots per analog the term moves the second iteration of
+	// 5–15% of T/U roots from dense-scan push to pull, which BFS (it
+	// saturates) runs 2.5–5× faster; 0.05 and 0.10 differ from 0.15 by less
+	// than that either way. SSSP, which gathers every in-edge regardless,
+	// ran the same iterations 10–20% slower as pulls and is left out.
 	PullDegreeShare float64
 	// Partitions splits execution into this many coordinator partitions
 	// (internal/coord): per-iteration scatter-gather of the edge and

@@ -77,18 +77,32 @@ func edgePullSA[P apps.Program](r *ExecContext, p P) {
 // are those of the full scan; a run that straddles chunks yields one
 // first-live-lane partial per chunk, and their min-fold is the first
 // chunk's — the full scan's answer, bit for bit.
+//
+// Live-lane cost: a frontier-gated vector pays for the lanes that survive,
+// not for four. The frontier test is one branch-free gather, the surviving
+// lanes are walked bit by bit (Mask.First/Rest), the lane counters are taken
+// only when a Recorder is attached, the transition flush combines through
+// the fused kind, and an iteration whose frontier is full drops the test
+// altogether. The last is frontier-work reduction like the early exit and
+// sits under the same AblateFrontierWork; none of it changes which lanes are
+// gathered or in what order.
 func pullSABody[P apps.Program](r *ExecContext, p P) func(rg sched.Range, chunkID, tid, node int) {
 	a := r.g.VSD
 	identity := p.Identity()
-	usesFrontier := p.UsesFrontier()
 	tracksConv := p.TracksConverged()
 	weighted := p.Weighted() && a.Weights != nil
 	frontWords := r.front.Words()
 	props, accum := r.props, r.accum
 	rec := r.edgeRec
 	fz := fuseFor(p, weighted)
-	earlyExit := !r.opt.AblateFrontierWork
-	saturates := earlyExit && fz.kind == apps.FusedMinSrc
+	frontierWork := !r.opt.AblateFrontierWork
+	saturates := frontierWork && fz.kind == apps.FusedMinSrc
+	fullVector := !r.opt.AblateFullVector
+	// A full frontier passes every membership test, so the iteration runs
+	// unpredicated — the path a frontier-blind program takes — and gathers
+	// exactly the lanes the tests would have let through. A saturating
+	// program keeps its tests: they are how it finds the lane to stop at.
+	gated := p.UsesFrontier() && !(frontierWork && !saturates && r.front.Full())
 
 	words := a.Words
 	index := a.Index
@@ -107,30 +121,32 @@ func pullSABody[P apps.Program](r *ExecContext, p P) func(rg sched.Range, chunkI
 				// the final inner iterations of prev, so this unsynchronized
 				// shared store is safe.
 				if acc != identity {
-					accum[prev] = p.Combine(accum[prev], acc)
+					accum[prev] = combine(p, &fz, accum[prev], acc)
 					c.SharedWrites++
 				}
 				prev, acc = dst, identity
 			}
 			c.VectorsProcessed++
 			if tracksConv && r.conv.Contains(dst) {
-				mask := signMask4(v0, v1, v2, v3)
-				c.FrontierSkips += uint64(mask.Count())
-				c.InvalidLanes += uint64(vec.Lanes - mask.Count())
-				if earlyExit {
+				if rec != nil {
+					valid := signMask4(v0, v1, v2, v3).Count()
+					c.FrontierSkips += uint64(valid)
+					c.InvalidLanes += uint64(vec.Lanes - valid)
+				}
+				if frontierWork {
 					vi = index[dst+1] - 1
 				}
 				continue
 			}
+			n0 := v0 & vsparse.VertexMask
+			n1 := v1 & vsparse.VertexMask
+			n2 := v2 & vsparse.VertexMask
+			n3 := v3 & vsparse.VertexMask
 			// Full-vector fast path (the common case the format is padded
 			// for: >90% of vectors on skewed graphs have all lanes valid):
 			// no per-lane predicate tests, one fused gather+combine per
 			// lane, as an AVX kernel would issue a single vgatherqpd.
-			if !usesFrontier && !r.opt.AblateFullVector && (v0&v1&v2&v3)>>63 != 0 {
-				n0 := v0 & vsparse.VertexMask
-				n1 := v1 & vsparse.VertexMask
-				n2 := v2 & vsparse.VertexMask
-				n3 := v3 & vsparse.VertexMask
+			if !gated && fullVector && (v0&v1&v2&v3)>>63 != 0 {
 				acc = step4(p, &fz, props, acc, n0, n1, n2, n3, base, a.Weights)
 				c.EdgesProcessed += vec.Lanes
 				c.TLSWrites += vec.Lanes
@@ -140,49 +156,57 @@ func pullSABody[P apps.Program](r *ExecContext, p P) func(rg sched.Range, chunkI
 				continue
 			}
 			// Predicated path: partially-filled vectors and frontier-gated
-			// lanes.
+			// lanes. The lane counters exist for Record runs only; a
+			// popcount per vector is not free on the software vector unit,
+			// so a run that records nothing does not take it.
 			mask := signMask4(v0, v1, v2, v3)
-			valid := mask.Count()
-			c.InvalidLanes += uint64(vec.Lanes - valid)
-			neigh := vec.U64x4{v0 & vsparse.VertexMask, v1 & vsparse.VertexMask,
-				v2 & vsparse.VertexMask, v3 & vsparse.VertexMask}
-			if usesFrontier {
-				live := vec.TestBits(frontWords, neigh, mask)
-				c.FrontierSkips += uint64(valid - live.Count())
+			if rec != nil {
+				c.InvalidLanes += uint64(vec.Lanes - mask.Count())
+			}
+			if gated {
+				// The open-coded vec.TestBits: an unpredicated gather of
+				// four frontier words, ANDed with the valid mask. Dead
+				// lanes repeat an in-range id, so no lane needs a branch.
+				live := mask & vec.Mask((frontWords[n0>>6]>>(n0&63))&1|
+					((frontWords[n1>>6]>>(n1&63))&1)<<1|
+					((frontWords[n2>>6]>>(n2&63))&1)<<2|
+					((frontWords[n3>>6]>>(n3&63))&1)<<3)
+				if rec != nil {
+					c.FrontierSkips += uint64(mask.Count() - live.Count())
+				}
 				mask = live
-			}
-			if mask == 0 {
-				continue
-			}
-			if saturates {
-				// The first live lane is the run's minimum live source:
-				// take it and leave the destination.
-				n := neigh[mask.First()]
-				acc = step(p, &fz, props, acc, n, 0)
-				c.EdgesProcessed++
-				c.TLSWrites++
-				if rec != nil {
-					countLocality(r, node, &c, n)
-				}
-				vi = index[dst+1] - 1
-				continue
-			}
-			if mask == vec.MaskAll && !r.opt.AblateFullVector {
-				// Every lane survived predication: take the fused
-				// full-vector path.
-				acc = step4(p, &fz, props, acc, neigh[0], neigh[1], neigh[2], neigh[3], base, a.Weights)
-				c.EdgesProcessed += vec.Lanes
-				c.TLSWrites += vec.Lanes
-				if rec != nil {
-					countLocality(r, node, &c, neigh[0], neigh[1], neigh[2], neigh[3])
-				}
-				continue
-			}
-			for lane := 0; lane < vec.Lanes; lane++ {
-				if !mask.Bit(lane) {
+				if mask == 0 {
 					continue
 				}
-				n := neigh[lane]
+				if saturates {
+					// The first live lane is the run's minimum live source:
+					// take it and leave the destination.
+					n := words[base+mask.First()] & vsparse.VertexMask
+					acc = step(p, &fz, props, acc, n, 0)
+					c.EdgesProcessed++
+					c.TLSWrites++
+					if rec != nil {
+						countLocality(r, node, &c, n)
+					}
+					vi = index[dst+1] - 1
+					continue
+				}
+				if mask == vec.MaskAll && fullVector {
+					// Every lane survived predication: take the fused
+					// full-vector path.
+					acc = step4(p, &fz, props, acc, n0, n1, n2, n3, base, a.Weights)
+					c.EdgesProcessed += vec.Lanes
+					c.TLSWrites += vec.Lanes
+					if rec != nil {
+						countLocality(r, node, &c, n0, n1, n2, n3)
+					}
+					continue
+				}
+			}
+			// One step per surviving lane, in ascending lane order.
+			for m := mask; m != 0; m = m.Rest() {
+				lane := m.First()
+				n := words[base+lane] & vsparse.VertexMask
 				var w float32
 				if weighted {
 					w = a.Weights[base+lane]
@@ -191,11 +215,7 @@ func pullSABody[P apps.Program](r *ExecContext, p P) func(rg sched.Range, chunkI
 				c.EdgesProcessed++
 				c.TLSWrites++
 				if rec != nil {
-					if r.propOwner.Owner(uint32(n)) == node {
-						c.LocalAccesses++
-					} else {
-						c.RemoteAccesses++
-					}
+					countLocality(r, node, &c, n)
 				}
 			}
 		}
@@ -211,9 +231,11 @@ func pullSABody[P apps.Program](r *ExecContext, p P) func(rg sched.Range, chunkI
 // this "extremely fast for the real-world graphs we studied".
 func mergeAccum[P apps.Program](r *ExecContext, p P, identity uint64) {
 	t0 := time.Now()
+	fz := fuseFor(p, false)
+	accum := r.accum
 	n := r.mergeBuf.Merge(func(dst uint32, v uint64) {
 		if v != identity {
-			r.accum[dst] = p.Combine(r.accum[dst], v)
+			accum[dst] = combine(p, &fz, accum[dst], v)
 		}
 	})
 	r.noteMerge(time.Since(t0))
@@ -304,10 +326,8 @@ func edgePullTraditional[P apps.Program](r *ExecContext, p P, useAtomics bool) {
 				if mask == 0 {
 					continue
 				}
-				for lane := 0; lane < vec.Lanes; lane++ {
-					if !mask.Bit(lane) {
-						continue
-					}
+				for m := mask; m != 0; m = m.Rest() {
+					lane := m.First()
 					n := neigh[lane]
 					var w float32
 					if weighted {
@@ -351,10 +371,8 @@ func edgePullTraditional[P apps.Program](r *ExecContext, p P, useAtomics bool) {
 			if mask == 0 {
 				continue
 			}
-			for lane := 0; lane < vec.Lanes; lane++ {
-				if !mask.Bit(lane) {
-					continue
-				}
+			for m := mask; m != 0; m = m.Rest() {
+				lane := m.First()
 				n := neigh[lane]
 				var w float32
 				if weighted {

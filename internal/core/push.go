@@ -96,10 +96,8 @@ func pushVectorizedBody[P apps.Program](r *ExecContext, p P) func(rg sched.Range
 				c.InvalidLanes += uint64(vec.Lanes - valid)
 				neigh := vec.U64x4{v0 & vsparse.VertexMask, v1 & vsparse.VertexMask,
 					v2 & vsparse.VertexMask, v3 & vsparse.VertexMask}
-				for lane := 0; lane < vec.Lanes; lane++ {
-					if !mask.Bit(lane) {
-						continue
-					}
+				for m := mask; m != 0; m = m.Rest() {
+					lane := m.First()
 					dst := uint32(neigh[lane])
 					if tracksConv && r.conv.Contains(dst) {
 						c.FrontierSkips++

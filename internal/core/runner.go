@@ -524,7 +524,21 @@ func runLoop[P apps.Program](ec *ExecContext, p P, maxIters int, seed *Seed) (Re
 		density float64
 		cs      census
 	)
-	degreeShare := ec.frontierDegreeShare
+	// The degree-sum term sends a low-density, hub-heavy frontier to pull.
+	// That pays only where the pull scan can stop early — at a converged
+	// destination or a saturated gather; a program that gathers every
+	// in-edge regardless (SSSP) runs such iterations faster as a dense-scan
+	// push (EXPERIMENTS.md, "Direction-rule sweep"), so it gets no term.
+	var degreeShare func() float64
+	if kind, _ := apps.KindOf(p); p.TracksConverged() || kind == apps.FusedMinSrc {
+		degreeShare = func() float64 {
+			if cs.list != nil {
+				// The census already summed the list's out-degrees.
+				return float64(cs.outEdges) / float64(ec.g.Edges)
+			}
+			return ec.frontierDegreeShare()
+		}
+	}
 	it := coord.Iteration{
 		Begin: func() coord.Status {
 			var st coord.Status
@@ -848,6 +862,13 @@ func vertexBody[P apps.Program](r *ExecContext, p P) func(rg sched.Range, tid in
 	tracksConv := p.TracksConverged()
 	nextWords := r.next.Words()
 	convWords := r.conv.Words()
+	// A frontier-driven program leaves a vertex whose aggregate is Identity
+	// exactly as it is — Apply(old, Identity, v) == (old, false), the
+	// precondition of the list-driven round, which the registry conformance
+	// suite enforces — so a 4-lane group nothing reached is skipped whole:
+	// no Apply, no stores, no counter. AblateFrontierWork restores the
+	// paper's every-vertex Vertex phase.
+	skipIdle := p.UsesFrontier() && !r.opt.AblateFrontierWork
 	return func(rg sched.Range, tid int) {
 		var c perfmodel.Counters
 		start := time.Now()
@@ -875,8 +896,12 @@ func vertexBody[P apps.Program](r *ExecContext, p P) func(rg sched.Range, tid in
 			// structure exists for the Fig 10a comparison.
 			v := rg.Lo
 			for ; v+vec.Lanes <= rg.Hi; v += vec.Lanes {
-				old := vec.Load(r.props, v)
 				agg := vec.Load(r.accum, v)
+				if skipIdle && agg[0] == identity && agg[1] == identity &&
+					agg[2] == identity && agg[3] == identity {
+					continue
+				}
+				old := vec.Load(r.props, v)
 				var changedMask uint64
 				for lane := 0; lane < vec.Lanes; lane++ {
 					nv, changed := p.Apply(old[lane], agg[lane], uint32(v+lane))

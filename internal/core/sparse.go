@@ -112,10 +112,8 @@ func runEdgePushSparse[P apps.Program](r *ExecContext, p P, front []uint32, inli
 				mask := signMask4(v0, v1, v2, v3)
 				neigh := vec.U64x4{v0 & vsparse.VertexMask, v1 & vsparse.VertexMask,
 					v2 & vsparse.VertexMask, v3 & vsparse.VertexMask}
-				for lane := 0; lane < vec.Lanes; lane++ {
-					if !mask.Bit(lane) {
-						continue
-					}
+				for m := mask; m != 0; m = m.Rest() {
+					lane := m.First()
 					dst := uint32(neigh[lane])
 					if tracksConv && r.conv.Contains(dst) {
 						c.FrontierSkips++

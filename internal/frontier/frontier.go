@@ -69,6 +69,19 @@ func (d *Dense) Count() int {
 	return c
 }
 
+// Full reports whether every vertex is active. It stops at the first word
+// with a hole, so on anything but a (nearly) full frontier it is O(1).
+func (d *Dense) Full() bool {
+	whole := d.n >> 6 // words every bit of which is a vertex
+	for _, w := range d.words[:whole] {
+		if w != ^uint64(0) {
+			return false
+		}
+	}
+	rem := d.n & 63
+	return rem == 0 || d.words[whole] == 1<<rem-1
+}
+
 // Empty reports whether no vertex is active.
 func (d *Dense) Empty() bool {
 	for _, w := range d.words {

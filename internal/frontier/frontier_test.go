@@ -49,6 +49,31 @@ func TestDenseFillRespectsLength(t *testing.T) {
 	}
 }
 
+// TestDenseFull: Full agrees with Count == Len at word-boundary sizes, with
+// the hole in the first, a middle and the last position.
+func TestDenseFull(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 128, 130} {
+		d := NewDense(n)
+		if got := d.Full(); got != (n == 0) {
+			t.Errorf("n=%d: empty frontier Full = %v", n, got)
+		}
+		d.Fill()
+		if !d.Full() {
+			t.Errorf("n=%d: Full false after Fill", n)
+		}
+		for _, hole := range []int{0, n / 2, n - 1} {
+			if n == 0 {
+				break
+			}
+			d.Remove(uint32(hole))
+			if d.Full() {
+				t.Errorf("n=%d: Full with vertex %d missing", n, hole)
+			}
+			d.Add(uint32(hole))
+		}
+	}
+}
+
 func TestDenseForEachAscending(t *testing.T) {
 	d := NewDense(200)
 	want := []uint32{3, 64, 65, 127, 128, 199}

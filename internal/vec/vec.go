@@ -30,20 +30,21 @@ const MaskAll Mask = (1 << Lanes) - 1
 // Bit reports whether lane i is enabled.
 func (m Mask) Bit(i int) bool { return m&(1<<i) != 0 }
 
-// Count returns the number of enabled lanes (popcount).
-func (m Mask) Count() int {
-	c := 0
-	for i := 0; i < Lanes; i++ {
-		if m.Bit(i) {
-			c++
-		}
-	}
-	return c
-}
+// Count returns the number of enabled lanes (popcnt on the mask register).
+func (m Mask) Count() int { return bits.OnesCount8(uint8(m)) }
 
 // First returns the index of the lowest enabled lane (tzcnt on the mask
 // register); 8 when no lane is enabled.
 func (m Mask) First() int { return bits.TrailingZeros8(uint8(m)) }
+
+// Rest returns m without its lowest enabled lane (blsr). The kernels' lane
+// loops walk a mask's set bits with it,
+//
+//	for m := mask; m != 0; m = m.Rest() { lane := m.First(); ... }
+//
+// so a vector costs one step per enabled lane, in ascending lane order,
+// instead of Lanes tests.
+func (m Mask) Rest() Mask { return m & (m - 1) }
 
 // Broadcast returns a vector with x in every lane (vpbroadcastq).
 func Broadcast(x uint64) U64x4 { return U64x4{x, x, x, x} }
@@ -144,14 +145,16 @@ func SignMask(v U64x4) Mask {
 }
 
 // TestBits returns a mask of lanes whose value has the probe bit set after
-// indexing a bitset: lane i is enabled iff bits[idx[i]/64] has bit idx[i]%64.
-// This is the vectorized frontier-membership check.
+// indexing a bitset: lane i is enabled iff m enables it and bits[idx[i]/64]
+// has bit idx[i]%64. This is the vectorized frontier-membership check: an
+// unpredicated four-word gather whose result is ANDed with m, with no
+// per-lane branch. Every lane of idx, enabled or not, must therefore index
+// inside the bitset — which Vector-Sparse guarantees by padding dead lanes
+// with a repeat of the group's last in-range id (vsparse.FromCSR).
 func TestBits(bits []uint64, idx U64x4, m Mask) Mask {
-	var out Mask
-	for i := 0; i < Lanes; i++ {
-		if m.Bit(i) && bits[idx[i]>>6]&(1<<(idx[i]&63)) != 0 {
-			out |= 1 << i
-		}
-	}
-	return out
+	b0 := (bits[idx[0]>>6] >> (idx[0] & 63)) & 1
+	b1 := (bits[idx[1]>>6] >> (idx[1] & 63)) & 1
+	b2 := (bits[idx[2]>>6] >> (idx[2] & 63)) & 1
+	b3 := (bits[idx[3]>>6] >> (idx[3] & 63)) & 1
+	return m & Mask(b0|b1<<1|b2<<2|b3<<3)
 }

@@ -138,6 +138,66 @@ func TestTestBits(t *testing.T) {
 	}
 }
 
+// TestMaskOpsMatchLaneByLane checks Count, the First/Rest walk and the
+// branch-free TestBits against the lane-by-lane definitions they replaced,
+// exhaustively: all 16 masks, every combination of the boundary ids (first
+// and last bit of a word, first bit of the next, last bit of the set) in the
+// four lanes, and bitsets holding every subset of those ids.
+func TestMaskOpsMatchLaneByLane(t *testing.T) {
+	for m := Mask(0); m <= MaskAll; m++ {
+		count, lanes := 0, []int(nil)
+		for i := 0; i < Lanes; i++ {
+			if m.Bit(i) {
+				count++
+				lanes = append(lanes, i)
+			}
+		}
+		if m.Count() != count {
+			t.Errorf("Count(%04b) = %d, want %d", m, m.Count(), count)
+		}
+		var walked []int
+		for w := m; w != 0; w = w.Rest() {
+			walked = append(walked, w.First())
+		}
+		if len(walked) != len(lanes) {
+			t.Fatalf("walk of %04b visits %v, want %v", m, walked, lanes)
+		}
+		for i := range lanes {
+			if walked[i] != lanes[i] {
+				t.Fatalf("walk of %04b visits %v, want %v", m, walked, lanes)
+			}
+		}
+	}
+
+	const n = 200 // bits in the set; the last word is partly used
+	ids := []uint64{0, 63, 64, n - 1}
+	for subset := 0; subset < 1<<len(ids); subset++ {
+		set := make([]uint64, (n+63)/64)
+		for i, id := range ids {
+			if subset&(1<<i) != 0 {
+				set[id>>6] |= 1 << (id & 63)
+			}
+		}
+		for pick := 0; pick < 1<<(2*Lanes); pick++ {
+			var idx U64x4
+			for lane := 0; lane < Lanes; lane++ {
+				idx[lane] = ids[pick>>(2*lane)&3]
+			}
+			for m := Mask(0); m <= MaskAll; m++ {
+				var want Mask
+				for i := 0; i < Lanes; i++ {
+					if m.Bit(i) && set[idx[i]>>6]&(1<<(idx[i]&63)) != 0 {
+						want |= 1 << i
+					}
+				}
+				if got := TestBits(set, idx, m); got != want {
+					t.Fatalf("TestBits(set %04b, idx %v, mask %04b) = %04b, want %04b", subset, idx, m, got, want)
+				}
+			}
+		}
+	}
+}
+
 // Property: ReduceAddF64 over all lanes equals the scalar sum.
 func TestReduceMatchesScalarProperty(t *testing.T) {
 	f := func(a, b, c, d float64, init float64) bool {

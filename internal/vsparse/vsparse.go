@@ -130,8 +130,9 @@ func Valid(v vec.U64x4) vec.Mask { return vec.SignMask(v) }
 // FromCSR converts a Compressed-Sparse matrix into Vector-Sparse form,
 // preserving grouping and neighbor order. Each top-level vertex's group is
 // padded to a multiple of the vector length; padding lanes are invalid and
-// replicate the group's last neighbor id (a benign in-range value, so even
-// an unpredicated gather cannot fault).
+// replicate the group's last neighbor id — an in-range value, which the
+// kernels rely on: their frontier test gathers through all four lanes
+// unpredicated and applies the valid mask afterwards (vec.TestBits).
 func FromCSR(m *csr.Matrix) *Array {
 	a := &Array{N: m.N, ByDest: m.ByDest, ValidEdges: m.NumEdges()}
 	a.Index = make([]int, m.N+1)
@@ -259,8 +260,9 @@ func (a *Array) ToCSR() *csr.Matrix {
 }
 
 // Validate checks encoding invariants: every vector's embedded top-level id
-// matches the index that owns it, valid lanes are in range, lane validity is
-// a prefix, and ValidEdges matches the live lane count.
+// matches the index that owns it, every lane — valid or padding — holds an
+// in-range id, lane validity is a prefix, and ValidEdges matches the live
+// lane count.
 func (a *Array) Validate() error {
 	if len(a.Index) != a.N+1 {
 		return fmt.Errorf("vsparse: index length %d, want %d", len(a.Index), a.N+1)
@@ -281,12 +283,14 @@ func (a *Array) Validate() error {
 			mask := Valid(vv)
 			seenInvalid := false
 			for lane := 0; lane < vec.Lanes; lane++ {
+				// Dead lanes too: the kernels gather through every lane
+				// unpredicated (vec.TestBits) and mask afterwards.
+				if vv[lane]&VertexMask >= uint64(a.N) {
+					return fmt.Errorf("vsparse: vector %d lane %d neighbor out of range", i, lane)
+				}
 				if mask.Bit(lane) {
 					if seenInvalid {
 						return fmt.Errorf("vsparse: vector %d validity is not a prefix", i)
-					}
-					if vv[lane]&VertexMask >= uint64(a.N) {
-						return fmt.Errorf("vsparse: vector %d lane %d neighbor out of range", i, lane)
 					}
 					live++
 				} else {

@@ -3,6 +3,7 @@ package vsparse
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -97,6 +98,84 @@ func TestPaddingRepeatsLastNeighbor(t *testing.T) {
 		if n[lane] != n[0] {
 			t.Errorf("padding lane %d = %d, want %d", lane, n[lane], n[0])
 		}
+	}
+}
+
+// assertDeadLanesInRange checks the invariant the kernels' branch-free
+// frontier test rests on: a padding lane is never dereferenced by a
+// predicated gather, but it is by an unpredicated one, so it must hold an id
+// below N like any live lane.
+func assertDeadLanesInRange(t *testing.T, a *Array) {
+	t.Helper()
+	dead := 0
+	for i := 0; i < a.NumVectors(); i++ {
+		v := a.Vector(i)
+		mask := Valid(v)
+		for lane := 0; lane < vec.Lanes; lane++ {
+			if mask.Bit(lane) {
+				continue
+			}
+			dead++
+			if id := v[lane] & VertexMask; id >= uint64(a.N) {
+				t.Fatalf("vector %d dead lane %d holds id %d, N = %d", i, lane, id, a.N)
+			}
+		}
+	}
+	if dead == 0 {
+		t.Fatal("array has no padding lanes; the check saw nothing")
+	}
+}
+
+// TestDeadLanesInRange: after FromCSR and after Patch — whose copied runs
+// were encoded against a smaller N, and whose touched groups lose their last
+// neighbour, gain one past the old N, or empty out — in both groupings.
+func TestDeadLanesInRange(t *testing.T) {
+	g := gen.AddUniformWeights(gen.RMAT(7, 900, gen.RMATParams{A: 0.57, B: 0.19, C: 0.19, D: 0.05}, 5), 6)
+	n := uint32(g.NumVertices)
+	var ops []graph.EdgeOp
+	for i := 0; i < 60; i++ {
+		e := g.Edges[i*11]
+		ops = append(ops, graph.EdgeOp{Delete: true, Src: e.Src, Dst: e.Dst})
+		ops = append(ops, graph.EdgeOp{Src: (e.Dst + uint32(i)) % n, Dst: e.Src, Weight: 1})
+	}
+	ops = append(ops,
+		graph.EdgeOp{Src: n + 2, Dst: 3, Weight: 1}, // grows N; id n+2 lands in an old group
+		graph.EdgeOp{Src: 3, Dst: n + 2, Weight: 1},
+		graph.EdgeOp{Src: n - 1, Dst: 0, Weight: 1})
+	edits := graph.ReduceEdgeOps(ops, true)
+	for _, byDest := range []bool{false, true} {
+		if byDest {
+			sort.Slice(edits, func(i, j int) bool {
+				if edits[i].Dst != edits[j].Dst {
+					return edits[i].Dst < edits[j].Dst
+				}
+				return edits[i].Src < edits[j].Src
+			})
+		}
+		m := csr.FromGraph(g, byDest)
+		a := FromCSR(m)
+		assertDeadLanesInRange(t, a)
+		pm, touched := m.Patch(int(n)+3, edits)
+		pa := a.Patch(pm, touched)
+		if !reflect.DeepEqual(pa, FromCSR(pm)) {
+			t.Fatalf("byDest=%v: Patch differs from FromCSR", byDest)
+		}
+		if err := pa.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		assertDeadLanesInRange(t, pa)
+	}
+
+	// Validate rejects a padding lane that points past N.
+	a := FromCSR(fig2CSC())
+	for i := 0; i < a.NumVectors(); i++ {
+		if v := a.Vector(i); !Valid(v).Bit(vec.Lanes - 1) {
+			a.Words[i*vec.Lanes+vec.Lanes-1] |= uint64(a.N)
+			break
+		}
+	}
+	if a.Validate() == nil {
+		t.Error("Validate accepted an out-of-range padding lane")
 	}
 }
 
