@@ -6,13 +6,39 @@ package grazelle
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/sched"
 )
+
+const benchScale = 0.25
+
+var (
+	benchMu     sync.Mutex
+	benchGraphs = map[gen.Dataset]*graph.Graph{}
+	benchCores  = map[gen.Dataset]*core.Graph{}
+)
+
+func benchGraph(b *testing.B, d gen.Dataset) (*graph.Graph, *core.Graph) {
+	b.Helper()
+	benchMu.Lock()
+	defer benchMu.Unlock()
+	if _, ok := benchGraphs[d]; !ok {
+		g := gen.Generate(d, benchScale)
+		benchGraphs[d] = g
+		benchCores[d] = core.BuildGraph(g)
+	}
+	return benchGraphs[d], benchCores[d]
+}
+
+func reportEdges(b *testing.B, edgesPerOp int) {
+	b.ReportMetric(float64(edgesPerOp), "edges/op")
+}
 
 // BenchmarkAblationChunksPerWorker sweeps the chunks-per-thread choice
 // around the paper's 32 (too few chunks → load imbalance on skewed inputs;

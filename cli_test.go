@@ -176,9 +176,21 @@ func TestCLIBenchfig(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
-	for _, want := range []string{"fig5", "fig9", "table1"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("-list missing %q", want)
+	// -list prints exactly the registered experiments, one per line in
+	// name order: the paper's tables and figures plus dirsweep.
+	var listed []string
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		listed = append(listed, strings.Fields(line)[0])
+	}
+	want := "dirsweep fig1 fig10 fig11 fig12 fig13 fig5 fig6 fig7 fig8 fig9 table1 table2"
+	if got := strings.Join(listed, " "); got != want {
+		t.Errorf("-list = %q, want %q", got, want)
+	}
+	// System numbers come from `bench`; the snapshot flags stay deleted.
+	for _, args := range [][]string{{"-bench-json", "x"}, {"-partition-ab"}, {"-wal-bench"}, {"-incremental-ab"}} {
+		out, err := runCLI(t, "benchfig", append(args, "fig9")...)
+		if err == nil || !strings.Contains(out, "flag provided but not defined") {
+			t.Errorf("benchfig %s: err=%v, want an undefined-flag failure:\n%s", args[0], err, out)
 		}
 	}
 	out, err = runCLI(t, "benchfig", "-quick", "-datasets", "C", "fig9")

@@ -35,10 +35,6 @@ func run() error {
 		repeats  = flag.Int("repeats", 0, "timing repetitions (minimum reported)")
 		quick    = flag.Bool("quick", false, "reduced sizes for a fast pass")
 		datasets = flag.String("datasets", "", "comma-free dataset abbreviations, e.g. \"TDU\" (default all)")
-		benchOut = flag.String("bench-json", "", "write a PR/CC/BFS timing snapshot as JSON to this file and exit")
-		partAB   = flag.Bool("partition-ab", false, "include partitioned-vs-monolithic coordinator A/B rows in the -bench-json snapshot")
-		walBench = flag.Bool("wal-bench", false, "include streaming-mutation write-throughput and recovery-replay rows in the -bench-json snapshot")
-		incrAB   = flag.Bool("incremental-ab", false, "include incremental-vs-full recompute A/B rows in the -bench-json snapshot")
 	)
 	flag.Parse()
 
@@ -50,14 +46,11 @@ func run() error {
 	}
 
 	cfg := harness.Config{
-		Scale:         *scale,
-		Workers:       *workers,
-		PRIters:       *prIters,
-		Repeats:       *repeats,
-		Quick:         *quick,
-		PartitionAB:   *partAB,
-		WALBench:      *walBench,
-		IncrementalAB: *incrAB,
+		Scale:   *scale,
+		Workers: *workers,
+		PRIters: *prIters,
+		Repeats: *repeats,
+		Quick:   *quick,
 	}
 	if *datasets != "" {
 		for _, ch := range *datasets {
@@ -67,19 +60,6 @@ func run() error {
 			}
 			cfg.Datasets = append(cfg.Datasets, d)
 		}
-	}
-
-	if *benchOut != "" {
-		f, err := os.Create(*benchOut)
-		if err != nil {
-			return err
-		}
-		if err := harness.BenchJSON(cfg, f); err != nil {
-			f.Close()
-			return err
-		}
-		fmt.Printf("benchfig: wrote %s\n", *benchOut)
-		return f.Close()
 	}
 
 	names := flag.Args()

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"runtime"
+	"strconv"
 	"sync"
 	"time"
 
@@ -12,7 +13,7 @@ import (
 
 // Config controls experiment sizing. The zero value is normalized by
 // withDefaults to the full benchfig settings; Quick selects the reduced
-// sizes used by unit tests and testing.B benchmarks.
+// sizes harness_test.go uses to execute every figure's code path.
 type Config struct {
 	// Scale multiplies the Table 1 analog dataset sizes (1.0 = default
 	// benchmark size; see internal/gen).
@@ -25,17 +26,12 @@ type Config struct {
 	PRIters int
 	// Repeats is the number of timed repetitions; the minimum is reported.
 	Repeats int
-	// Quick shrinks datasets (quarter scale) for fast runs.
+	// Quick defaults Scale to 0.12, PRIters to 3 and Repeats to 1, and
+	// trims the socket, granularity and degree sweeps: enough to check a
+	// figure's shape (which rows, which columns, which cells are n/a) in
+	// seconds. Its timings are single samples of tiny runs — paper-shape
+	// tables only; a regression claim goes through `bench -compare`.
 	Quick bool
-	// PartitionAB adds the partitioned-vs-monolithic coordinator A/B rows
-	// to BenchJSON snapshots (see PartitionAB).
-	PartitionAB bool
-	// WALBench adds streaming-mutation write-throughput and recovery-replay
-	// rows to BenchJSON snapshots (see WALBench).
-	WALBench bool
-	// IncrementalAB adds the incremental-vs-full recompute A/B rows to
-	// BenchJSON snapshots (see IncrementalAB).
-	IncrementalAB bool
 	// Datasets restricts the sweep; nil means all six.
 	Datasets []gen.Dataset
 }
@@ -80,12 +76,7 @@ var (
 )
 
 func cacheKey(d gen.Dataset, scale float64) string {
-	return string(d.Abbrev()) + ":" + fmtFloat(scale)
-}
-
-func fmtFloat(f float64) string {
-	// Stable short key.
-	return time.Duration(f * float64(time.Second)).String()
+	return string(d.Abbrev()) + ":" + strconv.FormatFloat(scale, 'g', -1, 64)
 }
 
 // DatasetGraph returns the (cached) analog of d at the config's scale.
@@ -128,8 +119,10 @@ func (c Config) DatasetCoreGraph(d gen.Dataset) *core.Graph {
 	return g
 }
 
-// timeBest runs fn Repeats times and returns the fastest wall time — the
-// convention of artifact-style measurements, insensitive to warm-up noise.
+// timeBest runs fn Repeats times and returns the fastest wall time, the
+// paper artifact's convention. It feeds the paper-shape tables only: a
+// minimum has no spread, so it can show which configuration wins a figure
+// but not whether a change moved it — that is `bench -compare`'s job.
 func (c Config) timeBest(fn func()) time.Duration {
 	best := time.Duration(1<<63 - 1)
 	for i := 0; i < c.Repeats; i++ {

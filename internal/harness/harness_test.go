@@ -1,9 +1,12 @@
 package harness
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+	"unicode/utf8"
 
 	"repro/internal/gen"
 	"repro/internal/race"
@@ -17,18 +20,10 @@ func quickCfg() Config {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"fig1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "table1", "table2", "dirsweep"}
+	want := []string{"dirsweep", "fig1", "fig10", "fig11", "fig12", "fig13", "fig5", "fig6", "fig7", "fig8", "fig9", "table1", "table2"}
 	names := Names()
-	for _, w := range want {
-		found := false
-		for _, n := range names {
-			if n == w {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("experiment %q not registered", w)
-		}
+	if !slices.Equal(names, want) {
+		t.Errorf("registered experiments = %v, want exactly %v", names, want)
 	}
 	if _, err := Lookup("fig5"); err != nil {
 		t.Error(err)
@@ -49,6 +44,22 @@ func TestTableRender(t *testing.T) {
 	for _, want := range []string{"== T ==", "a", "bb", "longer", "1.500"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("rendered table missing %q:\n%s", want, s)
+		}
+	}
+
+	// A "µs" cell is one byte longer than it is wide; columns must align
+	// by width. Every cell of the last column is as wide as its header
+	// (Render trims trailing padding), so aligned lines have equal widths.
+	tab = &Table{Title: "W", Columns: []string{"graph", "wall", "e"}}
+	tab.AddRow("C", 250*time.Microsecond, "x")
+	tab.AddRow("T", 12*time.Millisecond, "y")
+	lines := strings.Split(strings.TrimSpace(tab.String()), "\n")[1:]
+	if !strings.Contains(lines[2], "250.0µs") {
+		t.Fatalf("no µs cell in %q", lines[2])
+	}
+	for _, l := range lines {
+		if got, want := utf8.RuneCountInString(l), utf8.RuneCountInString(lines[0]); got != want {
+			t.Errorf("line %q is %d columns wide, header is %d:\n%s", l, got, want, tab)
 		}
 	}
 }

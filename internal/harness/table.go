@@ -1,8 +1,10 @@
 // Package harness regenerates every table and figure of the paper's
 // evaluation (§6) as printable tables: one exported function per
 // experiment, a registry for the benchfig CLI, and shared measurement
-// utilities. Scales and iteration counts are configurable so the same specs
-// serve both the full benchfig runs and the quick testing.B benchmarks.
+// utilities. Each figure's configuration matrix is written once, here;
+// scales and iteration counts are configurable so harness_test.go can
+// execute every figure in quick mode. System-level numbers (serving, store,
+// cluster, regressions) are not this package's job: they belong to `bench`.
 package harness
 
 import (
@@ -10,6 +12,7 @@ import (
 	"io"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // Table is one rendered experiment result: a title, a header, and rows of
@@ -56,12 +59,12 @@ func (t *Table) Render(w io.Writer) {
 	}
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
-		widths[i] = len(c)
+		widths[i] = utf8.RuneCountInString(c)
 	}
 	for _, row := range t.Rows {
 		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
+			if n := utf8.RuneCountInString(cell); i < len(widths) && n > widths[i] {
+				widths[i] = n
 			}
 		}
 	}
@@ -88,11 +91,13 @@ func (t *Table) Render(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
+// pad fills s to w columns, counting runes: fmtDuration's "µ" is two bytes.
 func pad(s string, w int) string {
-	if len(s) >= w {
+	n := utf8.RuneCountInString(s)
+	if n >= w {
 		return s
 	}
-	return s + strings.Repeat(" ", w-len(s))
+	return s + strings.Repeat(" ", w-n)
 }
 
 // String renders to a string.
