@@ -2,6 +2,8 @@ package apps_test
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
@@ -274,5 +276,113 @@ func TestRegistryApplyIdentityIsNoOp(t *testing.T) {
 				r.Close()
 			}
 		})
+	}
+}
+
+// TestRegistryMonotoneMinTrait holds every registered program that declares
+// the monotone-min trait (apps.MonotoneMin) to what the declaration promises
+// the engine's in-place pull: on lane values its own runs produce — every
+// iteration's lanes on the Twitter analog, plus Identity — Combine is an
+// idempotent, commutative, associative minimum with Identity on top, Apply is
+// exactly that minimum with a changed flag, and Message never turns a smaller
+// source value into a larger message (equal weights, zero weights and
+// Identity sources included). A tenth app cannot claim the trait by accident;
+// bfs, kcore and lp — whose Combine is also a minimum — are asserted not to.
+func TestRegistryMonotoneMinTrait(t *testing.T) {
+	base := gen.Generate(gen.Twitter, 0.05)
+	declared := map[string]bool{}
+	for _, ent := range apps.All() {
+		g := base
+		if ent.NeedsWeights {
+			g = gen.AddUniformWeights(g, 42)
+		}
+		p := conformanceParams(ent)
+		prog, err := ent.New(g, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !apps.IsMonotoneMin(prog) {
+			continue
+		}
+		declared[ent.Name] = true
+		t.Run(ent.Name, func(t *testing.T) {
+			// The value pool: every distinct lane of every iteration.
+			identity := prog.Identity()
+			seen := map[uint64]bool{identity: true}
+			r := core.NewRunner(core.BuildGraph(g), core.Options{Workers: 2})
+			for iters := 0; ; iters++ {
+				res := core.Run(r, prog, iters)
+				for _, v := range res.Props {
+					seen[v] = true
+				}
+				if res.Iterations < iters || iters >= ent.MaxIters(p) {
+					break
+				}
+			}
+			r.Close()
+			pool := make([]uint64, 0, len(seen))
+			for v := range seen {
+				pool = append(pool, v)
+			}
+			slices.Sort(pool)
+			if len(pool) < 8 {
+				t.Fatalf("only %d distinct lane values to test with", len(pool))
+			}
+			weights := []float32{0, 1, 1, 2.5, 9.75}
+			rng := rand.New(rand.NewSource(21))
+			pick := func() uint64 {
+				if rng.Intn(8) == 0 {
+					return identity
+				}
+				return pool[rng.Intn(len(pool))]
+			}
+			for i := 0; i < 20000; i++ {
+				a, b, c := pick(), pick(), pick()
+				if i%5 == 0 {
+					b = a // equal values are the case a strict < gets wrong
+				}
+				v := uint32(rng.Intn(g.NumVertices))
+				ab := prog.Combine(a, b)
+				if prog.Combine(a, a) != a {
+					t.Fatalf("Combine(%#x, %#x) = %#x: not idempotent", a, a, prog.Combine(a, a))
+				}
+				if ba := prog.Combine(b, a); ab != ba {
+					t.Fatalf("Combine(%#x, %#x) = %#x but reversed %#x: not commutative", a, b, ab, ba)
+				}
+				if ab != a && ab != b {
+					t.Fatalf("Combine(%#x, %#x) = %#x: not a selection", a, b, ab)
+				}
+				if l, r := prog.Combine(ab, c), prog.Combine(a, prog.Combine(b, c)); l != r {
+					t.Fatalf("Combine over (%#x, %#x, %#x): %#x vs %#x: not associative", a, b, c, l, r)
+				}
+				if got := prog.Combine(identity, a); got != a {
+					t.Fatalf("Combine(Identity, %#x) = %#x", a, got)
+				}
+				if nv, changed := prog.Apply(a, b, v); nv != ab || changed != (ab != a) {
+					t.Fatalf("Apply(%#x, %#x) = (%#x, %v), want (%#x, %v)", a, b, nv, changed, ab, ab != a)
+				}
+				if nv, changed := prog.Apply(a, identity, v); nv != a || changed {
+					t.Fatalf("Apply(%#x, Identity) = (%#x, %v)", a, nv, changed)
+				}
+				// lo ≤ hi in Combine's order; the same edge must keep it.
+				lo, hi := ab, a^b^ab
+				w := weights[rng.Intn(len(weights))]
+				mlo, mhi := prog.Message(lo, v, w), prog.Message(hi, v, w)
+				if got := prog.Combine(mlo, mhi); got != mlo {
+					t.Fatalf("Message(%#x) = %#x, Message(%#x) = %#x at w=%v: a smaller source sent the larger message",
+						lo, mlo, hi, mhi, w)
+				}
+			}
+		})
+	}
+	for _, name := range []string{"cc", "sssp"} {
+		if !declared[name] {
+			t.Errorf("%s does not declare the monotone-min trait", name)
+		}
+	}
+	for _, name := range []string{"bfs", "kcore", "lp", "pr", "ppr", "wpr", "tc"} {
+		if declared[name] {
+			t.Errorf("%s declares the monotone-min trait; its answer is not a schedule-free fixpoint", name)
+		}
 	}
 }

@@ -42,6 +42,43 @@ func KindOf(p Program) (FusedKind, []float64) {
 	return FusedNone, nil
 }
 
+// MonotoneMin is the optional interface by which a program declares the
+// monotone-min trait: its answer is the least fixpoint of a monotone map, so
+// any fair schedule of its edge reads reaches the same bits and an engine
+// may let a source's fresher aggregate be read before the iteration barrier
+// (core's in-place pull). A program that declares it promises, for every
+// lane value its runs can hold:
+//
+//   - Combine is an idempotent, commutative, associative minimum in some
+//     total order, with Identity as its top;
+//   - Apply(old, agg, v) == (Combine(old, agg), Combine(old, agg) != old),
+//     and so Apply(old, Identity, v) == (old, false);
+//   - Message is monotone in srcVal under that order: a smaller source value
+//     never sends a larger message along the same edge.
+//
+// BFS is the counter-example that keeps this a declaration and not an
+// inference from FusedKind: its Combine is a minimum, but its parent is the
+// minimum live source of the level that first reaches the vertex — a
+// function of the schedule, not a fixpoint. The registry conformance suite
+// property-checks every program that declares the trait.
+type MonotoneMin interface {
+	MonotoneMin() bool
+}
+
+// IsMonotoneMin reports whether p declares the monotone-min trait.
+func IsMonotoneMin(p Program) bool {
+	m, ok := p.(MonotoneMin)
+	return ok && m.MonotoneMin()
+}
+
+// MonotoneMin implements the trait: labels only fall, and a smaller source
+// label is a smaller message.
+func (c *ConnComp) MonotoneMin() bool { return true }
+
+// MonotoneMin implements the trait: distances only fall, and dist + w is
+// monotone in dist for any weight.
+func (s *SSSP) MonotoneMin() bool { return true }
+
 // FusedKind implements Fused.
 func (p *PageRank) FusedKind() FusedKind { return FusedRankSum }
 

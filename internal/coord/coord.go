@@ -82,6 +82,10 @@ type Status struct {
 	// SparseOK reports that this iteration's frontier fits the list-driven
 	// round's budget.
 	SparseOK bool
+	// InPlace reports that a pull round this iteration runs on the engine's
+	// coarse in-place grid (PartitionedCoordinator.InPlacePull) instead of
+	// the plan's.
+	InPlace bool
 }
 
 // Policy decides the per-iteration direction from the iteration status.

@@ -30,9 +30,12 @@ import (
 // which write disjoint global-grid state — determinism is preserved by
 // construction (package comment, DESIGN.md §13).
 type PartitionedCoordinator struct {
-	Policy   Policy
-	Plan     numa.Plan
-	Exchange Exchange
+	Policy Policy
+	Plan   numa.Plan
+	// InPlacePull spans the pull grid of iterations whose Status says
+	// InPlace, in place of Plan.PullChunks.
+	InPlacePull numa.Partition
+	Exchange    Exchange
 
 	stats []PartitionStat
 }
@@ -66,8 +69,11 @@ func (c *PartitionedCoordinator) Run(ctx context.Context, it Iteration, maxIters
 		}
 
 		grid := c.Plan.PullChunks
-		if dir == DirPush {
+		switch {
+		case dir == DirPush:
 			grid = c.Plan.VertexChunks
+		case st.InPlace:
+			grid = c.InPlacePull
 		}
 		it.EdgeBegin(dir)
 		c.scatter(grid, func(s Span, stat *PartitionStat) {

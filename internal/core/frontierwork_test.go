@@ -245,7 +245,13 @@ func TestRecordCountersUnderEarlyExit(t *testing.T) {
 		if got := paper.VertexCounters.SharedWrites; got != all {
 			t.Errorf("%s: paper Vertex SharedWrites = %d, want 2·N·iterations = %d", app.name, got, all)
 		}
-		if got := shipped.VertexCounters.SharedWrites; shipped.Iterations != paper.Iterations || got >= all {
+		// An in-place program may finish in fewer iterations than the paper
+		// configuration; everything else takes exactly as many.
+		sameIters := shipped.Iterations == paper.Iterations
+		if apps.IsMonotoneMin(app.mk()) {
+			sameIters = shipped.Iterations <= paper.Iterations
+		}
+		if got := shipped.VertexCounters.SharedWrites; !sameIters || got >= all {
 			t.Errorf("%s: shipped Vertex SharedWrites = %d over %d iterations, want fewer than %d over %d",
 				app.name, got, shipped.Iterations, all, paper.Iterations)
 		}
@@ -260,6 +266,14 @@ func TestRecordCountersUnderEarlyExit(t *testing.T) {
 // what a Record run reports. Pull-only rows cover the pull kernel alone;
 // hybrid rows (one worker, so no CAS retry can vary) add the dense-scan push
 // and the list-driven round.
+//
+// The cc Pull and both sssp rows were re-pinned once, when in-place pull
+// landed: those runs pull more than inPlaceAfter times, and from the fourth
+// pull on they read through the window on the inPlaceSpans grid — 571 vectors
+// in 8 chunks of 72 — so MergeOps falls with the chunk count and a fresher
+// read moves a few edges between processed and skipped. cc Hybrid pulls three
+// times and is byte-identical, as are bfs, kcore and pr, which do not carry
+// the trait.
 func assertEdgeCountersPinned(t *testing.T, g *graph.Graph, root uint32, cg *Graph) {
 	t.Helper()
 	mk := map[string]func() apps.Program{"pr": func() apps.Program { return apps.NewPageRank(g) }}
@@ -274,10 +288,10 @@ func assertEdgeCountersPinned(t *testing.T, g *graph.Graph, root uint32, cg *Gra
 	}{
 		{"bfs", EnginePullOnly, 2, perfmodel.Counters{EdgesProcessed: 195, VectorsProcessed: 1520, TLSWrites: 195, SharedWrites: 138, MergeOps: 320, FrontierSkips: 4565, InvalidLanes: 1155, LocalAccesses: 195}},
 		{"bfs", EngineHybrid, 1, perfmodel.Counters{EdgesProcessed: 187, VectorsProcessed: 668, TLSWrites: 171, SharedWrites: 159, MergeOps: 96, FrontierSkips: 1729, InvalidLanes: 591, LocalAccesses: 171}},
-		{"cc", EnginePullOnly, 2, perfmodel.Counters{EdgesProcessed: 3817, VectorsProcessed: 2284, TLSWrites: 3817, SharedWrites: 393, MergeOps: 256, FrontierSkips: 3983, InvalidLanes: 1336, LocalAccesses: 3817}},
+		{"cc", EnginePullOnly, 2, perfmodel.Counters{EdgesProcessed: 3817, VectorsProcessed: 2284, TLSWrites: 3817, SharedWrites: 396, MergeOps: 200, FrontierSkips: 3983, InvalidLanes: 1336, LocalAccesses: 3817}},
 		{"cc", EngineHybrid, 1, perfmodel.Counters{EdgesProcessed: 3817, VectorsProcessed: 1721, TLSWrites: 3801, SharedWrites: 424, MergeOps: 96, FrontierSkips: 2049, InvalidLanes: 1002, LocalAccesses: 3801, SkippedWrites: 6}},
-		{"sssp", EnginePullOnly, 2, perfmodel.Counters{EdgesProcessed: 4449, VectorsProcessed: 3997, TLSWrites: 4449, SharedWrites: 594, MergeOps: 448, FrontierSkips: 9201, InvalidLanes: 2338, LocalAccesses: 4449}},
-		{"sssp", EngineHybrid, 1, perfmodel.Counters{EdgesProcessed: 4449, VectorsProcessed: 2871, TLSWrites: 4403, SharedWrites: 660, MergeOps: 160, FrontierSkips: 5347, InvalidLanes: 1670, LocalAccesses: 4403, SkippedWrites: 5}},
+		{"sssp", EnginePullOnly, 2, perfmodel.Counters{EdgesProcessed: 4448, VectorsProcessed: 3997, TLSWrites: 4448, SharedWrites: 635, MergeOps: 224, FrontierSkips: 9202, InvalidLanes: 2338, LocalAccesses: 4448}},
+		{"sssp", EngineHybrid, 1, perfmodel.Counters{EdgesProcessed: 4453, VectorsProcessed: 2871, TLSWrites: 4407, SharedWrites: 669, MergeOps: 112, FrontierSkips: 5343, InvalidLanes: 1670, LocalAccesses: 4407, SkippedWrites: 5}},
 		{"kcore", EnginePullOnly, 2, perfmodel.Counters{EdgesProcessed: 176, VectorsProcessed: 1142, TLSWrites: 176, SharedWrites: 54, MergeOps: 128, FrontierSkips: 3724, InvalidLanes: 668, LocalAccesses: 176}},
 		{"kcore", EngineHybrid, 1, perfmodel.Counters{EdgesProcessed: 176, VectorsProcessed: 571, TLSWrites: 176, SharedWrites: 59, MergeOps: 32, FrontierSkips: 1774, InvalidLanes: 334, LocalAccesses: 176}},
 		{"pr", EnginePullOnly, 2, perfmodel.Counters{EdgesProcessed: 5850, VectorsProcessed: 1713, TLSWrites: 5850, SharedWrites: 474, MergeOps: 192, InvalidLanes: 1002, LocalAccesses: 5850}},

@@ -65,6 +65,26 @@ func step[P apps.Program](p P, fz *fuse, props []uint64, acc, n uint64, w float3
 	}
 }
 
+// stepVal is step with the source's value supplied by the caller instead of
+// read from props[n] — the in-place pull's window lanes, whose value is the
+// fresher of the property and the flushed aggregate.
+func stepVal[P apps.Program](p P, fz *fuse, acc, srcVal, n uint64, w float32) uint64 {
+	switch fz.kind {
+	case apps.FusedMinProp:
+		if srcVal < acc {
+			return srcVal
+		}
+		return acc
+	case apps.FusedMinPropPlusW:
+		if d := math.Float64frombits(srcVal) + float64(w); d < math.Float64frombits(acc) {
+			return math.Float64bits(d)
+		}
+		return acc
+	default:
+		return p.Combine(acc, p.Message(srcVal, uint32(n), w))
+	}
+}
+
 // combine computes Combine(a, b) through the fused operator: the transition
 // flush and the merge fold pay an inlined compare or add per partial
 // aggregate instead of a call through the program's dictionary (on a mesh

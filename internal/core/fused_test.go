@@ -12,6 +12,10 @@ import (
 // the engines down the generic Message/Combine path.
 type unfused struct{ apps.Program }
 
+// MonotoneMin forwards the wrapped program's trait: hiding the fused kind
+// must not also change which schedule the run takes.
+func (u unfused) MonotoneMin() bool { return apps.IsMonotoneMin(u.Program) }
+
 func TestKindOfResolution(t *testing.T) {
 	g := gen.ErdosRenyi(10, 30, 1)
 	cases := []struct {

@@ -1,0 +1,200 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"slices"
+	"testing"
+
+	"repro/internal/apps"
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/testgraph"
+)
+
+// inPlaceGraphs is the shared corpus plus the conformance suite's T/U/D
+// analogs, every one weighted so that sssp runs on all of them.
+func inPlaceGraphs() []testgraph.Graph {
+	out := testgraph.Corpus()
+	for _, d := range []gen.Dataset{gen.Twitter, gen.UK2007, gen.DimacsUSA} {
+		out = append(out, testgraph.Graph{Name: d.Abbrev() + "-analog", Root: 1, G: gen.Generate(d, 0.05)})
+	}
+	return out
+}
+
+// inPlaceApps is the subset of frontierWorkApps that declares the
+// monotone-min trait (cc and sssp), each with its sequential reference.
+func inPlaceApps(g *graph.Graph, root uint32) []frontierWorkApp {
+	var out []frontierWorkApp
+	for _, app := range frontierWorkApps(g, root) {
+		if apps.IsMonotoneMin(app.mk()) {
+			out = append(out, app)
+		}
+	}
+	return out
+}
+
+// TestInPlaceEquivalence: for the two programs that carry the monotone-min
+// trait, on every corpus graph and analog, the shipped run — synchronous for
+// its first inPlaceAfter pulls, in place after — ends at the bits of the
+// paper configuration and of the sequential reference at every worker,
+// partition, grid and mode combination, and takes the same number of
+// iterations at every worker and partition count of a given grid: what an
+// in-place round reads is a function of the graph and the chunk grid alone.
+// Pull-only is where sssp takes the path at all (a hybrid sssp from one root
+// is list-driven on these graphs).
+func TestInPlaceEquivalence(t *testing.T) {
+	fewer := map[string]bool{}
+	for _, c := range inPlaceGraphs() {
+		g := c.WithWeights()
+		cg := BuildGraph(g)
+		for _, app := range inPlaceApps(g, c.Root) {
+			t.Run(c.Name+"/"+app.name, func(t *testing.T) {
+				for _, mode := range []EngineMode{EngineHybrid, EnginePullOnly} {
+					for _, chunk := range []int{0, 16} {
+						paper := NewRunner(cg, Options{Workers: 1, ChunkVectors: chunk, Mode: mode, AblateFrontierWork: true})
+						ref := Run(paper, app.mk(), 1<<20)
+						paper.Close()
+						if !slices.Equal(ref.Props, app.want) {
+							t.Fatalf("%v chunk%d: paper configuration disagrees with the sequential reference", mode, chunk)
+						}
+						iters := -1
+						for _, workers := range []int{1, 2, 4} {
+							for _, parts := range []int{1, 2, 4} {
+								r := NewRunner(cg, Options{Workers: workers, Partitions: parts, ChunkVectors: chunk, Mode: mode})
+								res := Run(r, app.mk(), 1<<20)
+								r.Close()
+								label := fmt.Sprintf("%v chunk%d w%d p%d", mode, chunk, workers, parts)
+								if res.Partitions != parts {
+									t.Fatalf("%s: effective partitions = %d", label, res.Partitions)
+								}
+								if !slices.Equal(res.Props, app.want) {
+									t.Fatalf("%s: lanes differ from the reference", label)
+								}
+								if iters < 0 {
+									iters = res.Iterations
+								}
+								if res.Iterations != iters {
+									t.Fatalf("%s: %d iterations, w1 p1 took %d", label, res.Iterations, iters)
+								}
+							}
+						}
+						if iters > ref.Iterations {
+							t.Errorf("%v chunk%d: %d iterations, paper configuration %d", mode, chunk, iters, ref.Iterations)
+						}
+						if iters < ref.Iterations {
+							fewer[app.name] = true
+						}
+						// The road-mesh analog is the case this is for: a
+						// label crosses one span per in-place round.
+						if c.Name == "D-analog" && app.name == "cc" && chunk == 0 {
+							if bound := inPlaceAfter + inPlaceSpans + 2; iters > bound {
+								t.Errorf("%v: mesh cc took %d iterations, want at most %d (paper configuration: %d)",
+									mode, iters, bound, ref.Iterations)
+							}
+						}
+					}
+				}
+			})
+		}
+	}
+	for _, name := range []string{"cc", "sssp"} {
+		if !fewer[name] {
+			t.Errorf("%s never finished in fewer iterations than the paper configuration: the in-place path did not run", name)
+		}
+	}
+}
+
+// TestInPlaceRecordCounters: a Record run charges every lane of every vector
+// an in-place round visits to exactly one counter, like every other path —
+// cc and sssp neither converge nor saturate, so no vector is skipped and the
+// lanes tile 4 × VectorsProcessed.
+func TestInPlaceRecordCounters(t *testing.T) {
+	for _, c := range testgraph.Corpus() {
+		g := c.WithWeights()
+		cg := BuildGraph(g)
+		for _, app := range inPlaceApps(g, c.Root) {
+			r := NewRunner(cg, Options{Workers: 2, Record: true, Mode: EnginePullOnly, ChunkVectors: 16})
+			res := Run(r, app.mk(), 1<<20)
+			r.Close()
+			if !slices.Equal(res.Props, app.want) {
+				t.Fatalf("%s/%s: lanes differ from the reference", c.Name, app.name)
+			}
+			e := res.EdgeCounters
+			if got, want := e.EdgesProcessed+e.FrontierSkips+e.InvalidLanes, 4*e.VectorsProcessed; got != want {
+				t.Errorf("%s/%s: edges %d + skips %d + invalid %d = %d lanes, want 4 × %d vectors = %d",
+					c.Name, app.name, e.EdgesProcessed, e.FrontierSkips, e.InvalidLanes, got, e.VectorsProcessed, want)
+			}
+			if e.TLSWrites != e.EdgesProcessed || e.LocalAccesses+e.RemoteAccesses != e.EdgesProcessed {
+				t.Errorf("%s/%s: TLSWrites %d, locality %d+%d, want EdgesProcessed %d each",
+					c.Name, app.name, e.TLSWrites, e.LocalAccesses, e.RemoteAccesses, e.EdgesProcessed)
+			}
+			if want := uint64(res.PullIterations * cg.VSD.NumVectors()); e.VectorsProcessed != want {
+				t.Errorf("%s/%s: VectorsProcessed = %d, want every vector of %d pulls (%d)",
+					c.Name, app.name, e.VectorsProcessed, res.PullIterations, want)
+			}
+		}
+	}
+}
+
+// TestSparseChunkFloor: a list-driven round is cut into chunks of at least
+// sparseInlineWork units, so a round of up to four of them runs in at most
+// four chunks whatever the worker count, and sssp on a weighted mesh — all
+// list-driven rounds — ends at the same bits at every worker count.
+func TestSparseChunkFloor(t *testing.T) {
+	for _, c := range []struct{ work, workers, want int }{
+		{1, 4, 1}, {sparseInlineWork, 4, 1}, {sparseInlineWork + 1, 4, 1}, {2*sparseInlineWork - 1, 4, 1},
+		{2 * sparseInlineWork, 4, 2}, {4 * sparseInlineWork, 4, 4}, {5*sparseInlineWork - 1, 1, 4},
+		{1 << 20, 1, 32}, {1 << 20, 2, 64},
+	} {
+		if got := (census{count: c.work}).chunks(c.workers); got != c.want {
+			t.Errorf("work %d at %d workers: %d chunks, want %d", c.work, c.workers, got, c.want)
+		}
+	}
+
+	// One seeded round on the road mesh at kernel-frontier's size, its
+	// frontier the first k vertices: work = k + their out-edges.
+	g := gen.AddUniformWeights(gen.Generate(gen.DimacsUSA, 4), 5)
+	cg := BuildGraph(g)
+	props := make([]uint64, cg.N)
+	apps.NewConnComp().InitProps(props)
+	for _, k := range []int{270, 500, 840} {
+		front := make([]uint32, k)
+		work := k
+		for v := range front {
+			front[v] = uint32(v)
+			work += cg.CSR.Degree(uint32(v))
+		}
+		if work <= sparseInlineWork || work > 4*sparseInlineWork {
+			t.Fatalf("k=%d: round of %d units is outside the range under test", k, work)
+		}
+		r := NewRunner(cg, Options{Workers: 4, Trace: true})
+		res, err := RunSeededCtx(context.Background(), r, apps.NewConnComp(), 1, &Seed{Props: props, Frontier: front})
+		r.Close()
+		if err != nil || !res.Seeded || res.SparseIterations != 1 {
+			t.Fatalf("k=%d: err=%v seeded=%v sparse=%d, want one list-driven round", k, err, res.Seeded, res.SparseIterations)
+		}
+		for _, ph := range res.Trace.Phases {
+			if ph.Phase == "edge-push" && (ph.Chunks < 1 || ph.Chunks > 4) {
+				t.Errorf("k=%d: round of %d units ran in %d chunks, want at most 4", k, work, ph.Chunks)
+			}
+		}
+	}
+
+	var ref Result
+	for _, workers := range []int{1, 2, 4} {
+		r := NewRunner(cg, Options{Workers: workers})
+		res := Run(r, apps.NewSSSP(0), 1<<20)
+		r.Close()
+		if res.SparseIterations == 0 {
+			t.Fatalf("w%d: sssp on the mesh ran no list-driven round", workers)
+		}
+		if workers == 1 {
+			ref = res
+			continue
+		}
+		if !slices.Equal(res.Props, ref.Props) || res.Iterations != ref.Iterations {
+			t.Errorf("w%d: sssp differs from one worker (%d vs %d iterations)", workers, res.Iterations, ref.Iterations)
+		}
+	}
+}

@@ -150,11 +150,13 @@ type Options struct {
 	Trace bool
 	// AblateFrontierWork restores the paper's configuration for the
 	// design-choice benchmarks and the harness's "paper configuration"
-	// rows: every frontier-driven iteration scans whole arrays. It disables
-	// both mechanisms that make an iteration's cost proportional to its
-	// frontier — the list-driven round (sparse.go), which the hybrid
-	// otherwise runs whenever |F| + outEdges(F) ≤ E/20, and the pull
-	// kernel's early exit (pullSABody). Not part of the public facade.
+	// rows: every frontier-driven iteration scans whole arrays, one hop per
+	// barrier. It disables both mechanisms that make an iteration's cost
+	// proportional to its frontier — the list-driven round (sparse.go),
+	// which the hybrid otherwise runs whenever |F| + outEdges(F) ≤ E/20, and
+	// the pull kernel's early exit (pullSABody) — and the in-place pull that
+	// lets a monotone-min program's label cross a chunk per round
+	// (inPlaceAfter). Not part of the public facade.
 	AblateFrontierWork bool
 	// AblateFullVector disables the fused full-vector fast path in the
 	// pull kernels — an ablation knob for the design-choice benchmarks;
@@ -207,6 +209,34 @@ func (o Options) withDefaults(g *Graph) Options {
 		o.Partitions = 1
 	}
 	return o
+}
+
+// inPlaceSpans is the number of chunks an in-place pull round is cut into
+// (pullSABody). A label crosses one chunk per round, so a fixpoint is about
+// spans + 1 rounds away where it was a diameter's worth; fewer spans mean
+// fewer barriers and less to hand to idle workers. The count is a constant,
+// not a function of the worker count, so that a run's Iterations is the same
+// on every machine and replica (EXPERIMENTS.md, "In-place pull", has the
+// sweep).
+const inPlaceSpans = 8
+
+// inPlaceAfter is the number of pull iterations a run completes before its
+// pull rounds go in place. Reading through the window costs a low-diameter
+// run more than it saves — the skewed analogs finish their dense phase in two
+// or three pulls and in-place rounds saved them at most one, at +10–40% per
+// round (EXPERIMENTS.md, "In-place pull") — so a run first has to show it is
+// bound by hops: it is still pulling after this many. The mesh pays the
+// three synchronous rounds once, out of 305.
+const inPlaceAfter = 3
+
+// inPlaceChunkSizeFor resolves the chunk size, in vectors, of an in-place
+// pull round: the graph's vectors in inPlaceSpans chunks, unless ChunkVectors
+// fixes the grid.
+func (o Options) inPlaceChunkSizeFor(total int) int {
+	if o.ChunkVectors > 0 {
+		return o.ChunkVectors
+	}
+	return sched.ChunkSize(total, inPlaceSpans)
 }
 
 // chunkSizeFor resolves the chunk size in vectors for a given total.

@@ -53,8 +53,7 @@ func edgePullSA[P apps.Program](r *ExecContext, p P) {
 	if total == 0 {
 		return
 	}
-	chunkSize := r.opt.chunkSizeFor(total, r.pool.Workers())
-	r.dispatch(r.pullPart, chunkSize, r.edgeRec, pullSABody(r, p))
+	r.dispatch(r.pullPart, r.pullChunkFor(p), r.edgeRec, pullSABody(r, p))
 	mergeAccum(r, p, p.Identity())
 }
 
@@ -86,6 +85,22 @@ func edgePullSA[P apps.Program](r *ExecContext, p P) {
 // altogether. The last is frontier-work reduction like the early exit and
 // sits under the same AblateFrontierWork; none of it changes which lanes are
 // gathered or in what order.
+//
+// In-place pull (DESIGN.md §17): once a run of a program that declares the
+// monotone-min trait has completed inPlaceAfter pull iterations, its pull
+// rounds run on the coarse inPlaceSpans grid, and a source s inside the
+// chunk's own already-flushed destination window [firstDst(chunk), dst) is
+// read as Combine(props[s], accum[s]) — the transition store has just written
+// accum[s] and this goroutine is its only writer — and the lane is live when
+// that value is fresher than props[s], whether or not the frontier holds s.
+// A label then crosses a whole chunk inside one iteration instead of one hop.
+// The current destination's own run is still in acc (and its tail goes to the
+// merge buffer), so it is never in the window; every source outside the
+// window is read from props as the synchronous kernel reads it. Nothing
+// another goroutine writes is read, so the result and the iteration count
+// are functions of the graph and the chunk grid alone. The window is tested
+// once per vector; a vector with no lane inside takes the paths above
+// unchanged.
 func pullSABody[P apps.Program](r *ExecContext, p P) func(rg sched.Range, chunkID, tid, node int) {
 	a := r.g.VSD
 	identity := p.Identity()
@@ -103,6 +118,8 @@ func pullSABody[P apps.Program](r *ExecContext, p P) func(rg sched.Range, chunkI
 	// exactly the lanes the tests would have let through. A saturating
 	// program keeps its tests: they are how it finds the lane to stop at.
 	gated := p.UsesFrontier() && !(frontierWork && !saturates && r.front.Full())
+	inPlace := r.inPlace(p)
+	fast := !gated && fullVector
 
 	words := a.Words
 	index := a.Index
@@ -111,6 +128,7 @@ func pullSABody[P apps.Program](r *ExecContext, p P) func(rg sched.Range, chunkI
 		// StartChunk (Listing 3): TLS holds the previous destination and its
 		// partially-aggregated value.
 		prev := firstTop(a, rg.Lo)
+		first := uint64(prev)
 		acc := identity
 		for vi := rg.Lo; vi < rg.Hi; vi++ {
 			base := vi * vec.Lanes
@@ -142,11 +160,52 @@ func pullSABody[P apps.Program](r *ExecContext, p P) func(rg sched.Range, chunkI
 			n1 := v1 & vsparse.VertexMask
 			n2 := v2 & vsparse.VertexMask
 			n3 := v3 & vsparse.VertexMask
+			// In-place window. A run is ascending by source and padding
+			// repeats the last valid id, so n0 is the vector's smallest
+			// source and n3 its largest: one sign test rules out every vector
+			// that lies wholly before or after [first, dst).
+			if inPlace && ((n0-uint64(dst))&(first-n3-1))>>63 != 0 {
+				mask := signMask4(v0, v1, v2, v3)
+				if win := mask & window4(n0, n1, n2, n3, first, uint64(dst)-first); win != 0 {
+					if rec != nil {
+						c.InvalidLanes += uint64(vec.Lanes - mask.Count())
+					}
+					// One step per live lane, in ascending lane order. A window
+					// lane carries the fresher of the source's property and its
+					// flushed aggregate, and is live on the strength of either.
+					for m := mask; m != 0; m = m.Rest() {
+						lane := m.First()
+						n := words[base+lane] & vsparse.VertexMask
+						val := props[n]
+						live := !gated || (frontWords[n>>6]>>(n&63))&1 != 0
+						if win.Bit(lane) {
+							if fresh := combine(p, &fz, val, accum[n]); fresh != val {
+								val, live = fresh, true
+							}
+						}
+						if !live {
+							c.FrontierSkips++
+							continue
+						}
+						var w float32
+						if weighted {
+							w = a.Weights[base+lane]
+						}
+						acc = stepVal(p, &fz, acc, val, n, w)
+						c.EdgesProcessed++
+						c.TLSWrites++
+						if rec != nil {
+							countLocality(r, node, &c, n)
+						}
+					}
+					continue
+				}
+			}
 			// Full-vector fast path (the common case the format is padded
 			// for: >90% of vectors on skewed graphs have all lanes valid):
 			// no per-lane predicate tests, one fused gather+combine per
 			// lane, as an AVX kernel would issue a single vgatherqpd.
-			if !gated && fullVector && (v0&v1&v2&v3)>>63 != 0 {
+			if fast && (v0&v1&v2&v3)>>63 != 0 {
 				acc = step4(p, &fz, props, acc, n0, n1, n2, n3, base, a.Weights)
 				c.EdgesProcessed += vec.Lanes
 				c.TLSWrites += vec.Lanes
@@ -653,6 +712,16 @@ func decodeTop4(v0, v1, v2, v3 uint64) uint32 {
 		((v1>>pieceShift)&0x7FFF)<<30 |
 		((v2>>pieceShift)&0x7FFF)<<15 |
 		(v3>>pieceShift)&0x7FFF)
+}
+
+// window4 returns the lanes whose source id lies in [lo, lo+span), branch-
+// free: with d = n − lo (wrapping), a lane is inside when d − span borrows and
+// d itself did not. Ids are below 2^48, so neither test can be fooled by a
+// wrapped difference.
+func window4(n0, n1, n2, n3, lo, span uint64) vec.Mask {
+	d0, d1, d2, d3 := n0-lo, n1-lo, n2-lo, n3-lo
+	return vec.Mask(((d0-span)&^d0)>>63 | (((d1-span)&^d1)>>63)<<1 |
+		(((d2-span)&^d2)>>63)<<2 | (((d3-span)&^d3)>>63)<<3)
 }
 
 // signMask4 extracts the per-lane valid mask from four raw lane words (the

@@ -40,13 +40,20 @@ type Runner struct {
 	// chunk count across phases.
 	mergeSlots int
 
+	// pullChunkSize is the chunk size of the scheduler-aware pull grid and
+	// inPlaceChunkSize that of the coarse grid in-place rounds run on,
+	// monolithic or partitioned. Fixed at construction, like the coordinator
+	// state below, so every run of this Runner schedules identically.
+	pullChunkSize, inPlaceChunkSize int
+
 	// Coordinator state: the effective partition count (1 = monolithic), the
-	// partition plan over the global chunk grids, and the chunk sizes those
-	// grids were built from. Fixed at construction so every run of this
-	// Runner schedules identically.
-	parts                        int
-	plan                         numa.Plan
-	pullChunkSize, vertChunkSize int
+	// partition plan over the global chunk grids (inPlacePull spans the
+	// in-place pull grid instead of plan.PullChunks), and the vertex-space
+	// chunk size.
+	parts         int
+	plan          numa.Plan
+	inPlacePull   numa.Partition
+	vertChunkSize int
 
 	closeOnce sync.Once
 	ctxPool   sync.Pool
@@ -92,6 +99,10 @@ type ExecContext struct {
 	pendingMergeWall time.Duration
 	pendingMergeN    int
 
+	// pullsDone counts the pull iterations the current run has completed —
+	// the evidence inPlace waits for. Driver goroutine only.
+	pullsDone int
+
 	// ctx and done carry the run's cancellation signal; chunk-claim loops
 	// poll done so cancellation takes effect within one chunk boundary.
 	ctx  context.Context
@@ -132,8 +143,10 @@ func NewRunner(g *Graph, opt Options) *Runner {
 	chunkSize := r.opt.chunkSizeFor(maxVectors, r.pool.Workers())
 	// Two slots per chunk: the scheduler-aware kernels use one (the trailing
 	// partial aggregate), the traditional kernels use a pair (prefix and
-	// suffix boundary runs).
+	// suffix boundary runs). The in-place grid is never the finer one.
 	r.mergeSlots = 2 * (sched.NumChunks(maxVectors, chunkSize) + r.topo.Nodes)
+	r.pullChunkSize = r.opt.chunkSizeFor(g.VSD.NumVectors(), r.pool.Workers())
+	r.inPlaceChunkSize = r.opt.inPlaceChunkSizeFor(g.VSD.NumVectors())
 	// Partitioned execution drives the scheduler-aware vectorized kernels on
 	// single-node topologies; every other configuration falls back to the
 	// monolithic path (Result.Partitions reports the effective count).
@@ -145,15 +158,31 @@ func NewRunner(g *Graph, opt Options) *Runner {
 		r.parts = 1
 	}
 	if r.parts > 1 {
-		workers := r.pool.Workers()
-		r.pullChunkSize = r.opt.chunkSizeFor(g.VSD.NumVectors(), workers)
-		r.vertChunkSize = sched.ChunkSize(g.N, sched.DefaultChunks(workers))
+		r.vertChunkSize = sched.ChunkSize(g.N, sched.DefaultChunks(r.pool.Workers()))
 		r.plan = numa.NewPlan(r.parts,
 			sched.NumChunks(g.VSD.NumVectors(), r.pullChunkSize),
 			sched.NumChunks(g.N, r.vertChunkSize),
 			(g.N+63)/64)
+		r.inPlacePull = numa.PartitionEven(sched.NumChunks(g.VSD.NumVectors(), r.inPlaceChunkSize), r.parts)
 	}
 	return r
+}
+
+// inPlace reports whether the run's next scheduler-aware pull round reads
+// fresh values inside a chunk (pullSABody): the program declares the
+// monotone-min trait, the run is not the paper configuration, and it has
+// already completed inPlaceAfter pull iterations.
+func (ec *ExecContext) inPlace(p apps.Program) bool {
+	return ec.pullsDone >= inPlaceAfter && !ec.opt.AblateFrontierWork && apps.IsMonotoneMin(p)
+}
+
+// pullChunkFor resolves the grid of the run's next scheduler-aware pull
+// round, in vectors per chunk.
+func (ec *ExecContext) pullChunkFor(p apps.Program) int {
+	if ec.inPlace(p) {
+		return ec.inPlaceChunkSize
+	}
+	return ec.pullChunkSize
 }
 
 // Close releases the Runner's pool if it owns one. Close is idempotent.
@@ -262,6 +291,7 @@ func (ec *ExecContext) Init(p apps.Program) {
 	ec.phaseSteals = 0
 	ec.pendingMergeWall = 0
 	ec.pendingMergeN = 0
+	ec.pullsDone = 0
 }
 
 // cancelled reports whether the run's context is done. The check is a
@@ -562,17 +592,18 @@ func runLoop[P apps.Program](ec *ExecContext, p P, maxIters int, seed *Seed) (Re
 			p.PreIteration(ec.props)
 			st.UsesFrontier = usesFrontier
 			st.Density = density
+			st.InPlace = ec.inPlace(p)
 			return st
 		},
 		Sparse: func() {
-			inline := cs.fitsOneChunk()
+			chunks := cs.chunks(ec.pool.Workers())
 			t0 := time.Now()
-			touched := runEdgePushSparse(ec, p, cs.list, inline)
+			touched := runEdgePushSparse(ec, p, cs.list, chunks)
 			t1 := time.Now()
 			edgeWall := t1.Sub(t0)
 			res.EdgeTime += edgeWall
 			ec.traceEdge(obs.PhaseEdgePush, edgeWall, density)
-			runVertexSparse(ec, p, touched, inline)
+			runVertexSparse(ec, p, touched, chunks == 1)
 			vertexWall := time.Since(t1)
 			res.VertexTime += vertexWall
 			ec.traceVertex(vertexWall, density)
@@ -601,6 +632,7 @@ func runLoop[P apps.Program](ec *ExecContext, p P, maxIters int, seed *Seed) (Re
 			switch dir {
 			case coord.DirPull:
 				res.PullIterations++
+				ec.pullsDone++
 			case coord.DirSparse:
 				res.PushIterations++
 				res.SparseIterations++
@@ -621,7 +653,7 @@ func runLoop[P apps.Program](ec *ExecContext, p P, maxIters int, seed *Seed) (Re
 	var driver coord.Coordinator
 	if ec.parts > 1 {
 		bindPartitioned(ec, p, &it, &res, &density)
-		driver = &coord.PartitionedCoordinator{Policy: policy, Plan: ec.plan}
+		driver = &coord.PartitionedCoordinator{Policy: policy, Plan: ec.plan, InPlacePull: ec.inPlacePull}
 	} else {
 		driver = &coord.LocalCoordinator{Policy: policy}
 	}
@@ -676,17 +708,21 @@ func bindPartitioned[P apps.Program](ec *ExecContext, p P, it *coord.Iteration, 
 	pullTotal := ec.g.VSD.NumVectors()
 	grp := ec.pool.NewGroup()
 	var (
-		edgeBody func(rg sched.Range, chunkID, tid, node int)
-		vbody    func(rg sched.Range, tid int)
-		phaseT0  time.Time
+		edgeBody      func(rg sched.Range, chunkID, tid, node int)
+		vbody         func(rg sched.Range, tid int)
+		phaseT0       time.Time
+		pullChunkSize int
 	)
 	it.EdgeBegin = func(dir coord.Direction) {
 		phaseT0 = time.Now()
 		if dir == coord.DirPull {
 			edgeBody = pullSABody(ec, p)
+			// The coordinator scatters this round over the grid Begin's
+			// Status.InPlace named; both read the same ec.inPlace.
+			pullChunkSize = ec.pullChunkFor(p)
 			// Pre-grow on the driver: concurrent spans must never resize the
 			// shared merge buffer.
-			ec.mergeBuf.Grow(sched.NumChunks(pullTotal, ec.pullChunkSize))
+			ec.mergeBuf.Grow(sched.NumChunks(pullTotal, pullChunkSize))
 		} else {
 			edgeBody = pushVectorizedBody(ec, p)
 			if pushOrdered {
@@ -695,7 +731,7 @@ func bindPartitioned[P apps.Program](ec *ExecContext, p P, it *coord.Iteration, 
 		}
 	}
 	it.EdgeSpan = func(dir coord.Direction, s coord.Span) {
-		total, chunkSize := pullTotal, ec.pullChunkSize
+		total, chunkSize := pullTotal, pullChunkSize
 		if dir == coord.DirPush {
 			total, chunkSize = ec.g.N, ec.vertChunkSize
 		}

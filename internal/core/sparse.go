@@ -27,9 +27,10 @@ import (
 const sparseThresholdDivisor = 20
 
 // sparseInlineWork is the size, in frontier vertices plus out-edges, of the
-// smallest chunk a list-driven round is split into: below it, the round's
-// two fork-join barriers cost more than the work they would split, so it
-// runs on the driver goroutine without touching the pool.
+// smallest chunk a list-driven round is split into: a smaller chunk costs
+// more to hand out than to run, and a round that cannot be cut into two of
+// them runs on the driver goroutine without touching the pool — its two
+// fork-join barriers would cost more than the work they split.
 const sparseInlineWork = 1024
 
 // census is one iteration's view of the frontier, taken once in Begin and
@@ -71,18 +72,23 @@ func (r *ExecContext) sparseOK(cs census) bool {
 	return cs.list != nil && cs.work() <= r.g.Edges/sparseThresholdDivisor
 }
 
-// fitsOneChunk reports whether the list-driven round over this frontier runs
-// as one chunk on the driver goroutine (the touched list is no longer than
-// the out-edge sum, so it fits too). Chunks are contiguous ranges of a
-// sorted list folded in chunk-id order, so one chunk folds exactly as many
-// would.
-func (cs census) fitsOneChunk() bool { return cs.work() <= sparseInlineWork }
+// chunks is the number of chunks the list-driven round over this frontier is
+// cut into: as many as the scheduler's default, but none smaller than
+// sparseInlineWork units of work. One chunk runs inline on the driver
+// goroutine (the touched list is no longer than the out-edge sum, so it fits
+// too). Chunks are contiguous ranges of a sorted list folded in chunk-id
+// order, so any count folds exactly as one would.
+func (cs census) chunks(workers int) int {
+	return max(1, min(cs.work()/sparseInlineWork, sched.DefaultChunks(workers)))
+}
 
 // runEdgePushSparse scatters only the frontier's out-edges (vectorized over
-// VSS), collecting the set of touched destinations. It returns the touched
-// list for the sparse Vertex phase.
-func runEdgePushSparse[P apps.Program](r *ExecContext, p P, front []uint32, inline bool) []uint32 {
+// VSS), collecting the set of touched destinations, in the given number of
+// chunks (one runs inline). It returns the touched list for the sparse
+// Vertex phase.
+func runEdgePushSparse[P apps.Program](r *ExecContext, p P, front []uint32, chunks int) []uint32 {
 	t0 := time.Now()
+	inline := chunks == 1
 	a := r.g.VSS
 	words := a.Words
 	index := a.Index
@@ -158,7 +164,7 @@ func runEdgePushSparse[P apps.Program](r *ExecContext, p P, front []uint32, inli
 		}
 		r.runChunk(body, sched.Range{Lo: 0, Hi: len(front)}, 0, 0, 0)
 	} else {
-		chunk := sched.ChunkSize(len(front), sched.DefaultChunks(r.pool.Workers()))
+		chunk := sched.ChunkSize(len(front), chunks)
 		// Order-sensitive programs route contributions through the scatter
 		// buffer for a deterministic fold (see edgePushVectorized); the
 		// frontier list is sorted, so chunk ranges are stable across runs.
