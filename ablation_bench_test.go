@@ -62,8 +62,8 @@ func BenchmarkAblationChunksPerWorker(b *testing.B) {
 }
 
 // BenchmarkAblationFullVectorPath compares the pull kernel with and without
-// the fused full-vector fast path (per-lane predication everywhere when
-// ablated).
+// the fused full-vector fast path — for PageRank, the run-span gather of
+// pullSpanBody — against per-lane predication everywhere when ablated.
 func BenchmarkAblationFullVectorPath(b *testing.B) {
 	g, cg := benchGraph(b, gen.Twitter)
 	for _, ablate := range []bool{false, true} {

@@ -6,18 +6,23 @@
 // file. Execution statistics, including the PageRank Sum correctness check,
 // are printed to standard output.
 //
-// `grazelle serve` instead starts the JSON-over-HTTP service (see serve.go).
+// `grazelle serve` instead starts the JSON-over-HTTP service (see serve.go);
+// `grazelle version` prints the build and the gather kernel this machine
+// selects.
 package main
 
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 
 	grazelle "repro"
+	"repro/internal/vec"
 )
 
 func main() {
@@ -30,6 +35,8 @@ func main() {
 			sub = runWorker
 		case "router":
 			sub = runRouter
+		case "version":
+			sub = runVersion
 		}
 		if sub != nil {
 			if err := sub(os.Args[2:]); err != nil {
@@ -43,6 +50,22 @@ func main() {
 		fmt.Fprintln(os.Stderr, "grazelle:", err)
 		os.Exit(1)
 	}
+}
+
+// versionInfo is what `grazelle version` prints: the toolchain and target
+// of the build, and the rank-sum gather kernel selected on this machine
+// ("avx2" or "go") — the same value /v1/stats and every run record carry.
+func versionInfo() map[string]string {
+	return map[string]string{
+		"go":     runtime.Version(),
+		"os":     runtime.GOOS,
+		"arch":   runtime.GOARCH,
+		"kernel": vec.Kernel(),
+	}
+}
+
+func runVersion([]string) error {
+	return json.NewEncoder(os.Stdout).Encode(versionInfo())
 }
 
 func run() error {

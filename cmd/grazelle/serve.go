@@ -22,6 +22,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/qcache"
 	"repro/internal/service"
+	"repro/internal/vec"
 )
 
 // serve mode: `grazelle serve` turns the engine into a small JSON-over-HTTP
@@ -370,9 +371,12 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// exposes, so the views cannot drift.
 	out := struct {
 		grazelle.StoreStats
+		// Kernel is this process's rank-sum gather kernel; a routed run
+		// reports its worker's in the run record.
+		Kernel  string          `json:"kernel"`
 		Cache   *qcache.Stats   `json:"cache,omitempty"`
 		Cluster *cluster.Status `json:"cluster,omitempty"`
-	}{StoreStats: s.store.Stats()}
+	}{StoreStats: s.store.Stats(), Kernel: vec.Kernel()}
 	if s.cache != nil {
 		cs := s.cache.Stats()
 		out.Cache = &cs

@@ -19,6 +19,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/qcache"
 	"repro/internal/service"
+	"repro/internal/vec"
 )
 
 // TestQueryErrorStatus is the table of every error a query can end in on the
@@ -264,6 +265,58 @@ func TestWorkerCodec(t *testing.T) {
 				t.Errorf("response body does not carry the router's run ID: %.200s", eb.Body)
 			}
 		})
+	}
+}
+
+// TestKernelReported: the selected gather kernel is named by `grazelle
+// version`, by /v1/stats, and by the record of every run — a routed run's
+// record carrying the answering worker's, on the router and on the worker.
+func TestKernelReported(t *testing.T) {
+	want := vec.Kernel()
+	if want != "avx2" && want != "go" {
+		t.Fatalf("vec.Kernel() = %q", want)
+	}
+	if got := versionInfo()["kernel"]; got != want {
+		t.Errorf("version reports kernel %q, want %q", got, want)
+	}
+	_, wURL := newTestServer(t, "worker", grazelle.StoreConfig{}, nil)
+	_, rURL := newTestServer(t, "router", grazelle.StoreConfig{}, []string{wURL})
+	_, sURL := newTestServer(t, "serve", grazelle.StoreConfig{}, nil)
+	kernelAt := func(url string) string {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var doc struct {
+			Kernel string `json:"kernel"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil || resp.StatusCode != 200 {
+			t.Fatalf("GET %s: status %d, %v", url, resp.StatusCode, err)
+		}
+		return doc.Kernel
+	}
+	for _, base := range []string{sURL, rURL, wURL} {
+		if got := kernelAt(base + "/v1/stats"); got != want {
+			t.Errorf("%s/v1/stats reports kernel %q, want %q", base, got, want)
+		}
+	}
+	for _, base := range []string{sURL, rURL} {
+		resp, raw := post(t, base+"/v1/query", `{"app":"pr","iters":2,"no_cache":true}`)
+		if resp.StatusCode != 200 {
+			t.Fatalf("status %d: %.200s", resp.StatusCode, raw)
+		}
+		id := resp.Header.Get("X-Run-Id")
+		records := []string{base + "/v1/runs/" + id}
+		if base == rURL {
+			records = append(records, wURL+"/v1/runs/"+id)
+		}
+		for _, rec := range records {
+			if got := kernelAt(rec); got != want {
+				t.Errorf("%s reports kernel %q, want %q", rec, got, want)
+			}
+		}
 	}
 }
 

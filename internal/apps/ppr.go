@@ -56,7 +56,7 @@ func (p *PersonalizedPageRank) Message(srcVal uint64, src uint32, _ float32) uin
 func (p *PersonalizedPageRank) Apply(_, agg uint64, v uint32) (uint64, bool) {
 	rank := p.Damping * asF64(agg)
 	if v == p.Root {
-		rank += (1 - p.Damping) + p.Damping*p.dangling
+		rank += (1 - p.Damping) + float64(p.Damping*p.dangling) // rounded before the add: no FMA
 	}
 	return f64(rank), true
 }

@@ -110,9 +110,12 @@ func (p *PageRank) Message(srcVal uint64, src uint32, _ float32) uint64 {
 	return f64(asF64(srcVal) * p.invOutDeg[src])
 }
 
-// Apply implements Program: rank = (1-d)/N + d·(sum + dangling/N).
+// Apply implements Program: rank = (1-d)/N + d·(sum + dangling/N). The
+// float64 conversion rounds the product before the add; without it a
+// compiler may fuse the two (GOAMD64=v3, arm64) and two builds of one tree
+// disagree in the last bit.
 func (p *PageRank) Apply(_, agg uint64, _ uint32) (uint64, bool) {
-	rank := (1-p.Damping)/float64(p.N) + p.Damping*(asF64(agg)+p.dangling/float64(p.N))
+	rank := (1-p.Damping)/float64(p.N) + float64(p.Damping*(asF64(agg)+p.dangling/float64(p.N)))
 	return f64(rank), true
 }
 
@@ -455,7 +458,7 @@ func (p *WeightedRank) Message(srcVal uint64, src uint32, w float32) uint64 {
 
 // Apply implements Program.
 func (p *WeightedRank) Apply(_, agg uint64, _ uint32) (uint64, bool) {
-	rank := (1-p.Damping)/float64(p.N) + p.Damping*(asF64(agg)+p.dangling/float64(p.N))
+	rank := (1-p.Damping)/float64(p.N) + float64(p.Damping*(asF64(agg)+p.dangling/float64(p.N)))
 	return f64(rank), true
 }
 

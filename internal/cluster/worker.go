@@ -80,6 +80,7 @@ func (wk *Worker) HandleRun(w http.ResponseWriter, r *http.Request) {
 		Iterations: rec.Iters,
 		Mode:       rec.Mode,
 		Partitions: rec.Partitions,
+		Kernel:     rec.Kernel,
 		Trace:      rec.Trace,
 	})
 }

@@ -7,40 +7,20 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/frontier"
-	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/perfmodel"
+	"repro/internal/testgraph"
 	"repro/internal/vec"
 	"repro/internal/vsparse"
 )
 
-// frontierWorkGraph is a small weighted graph with every shape the
-// early-exit jump has to survive: hubs whose in-edge runs span many vectors
-// (and, at ChunkVectors 1 and 3, many chunks), self-loops, duplicate edges,
-// isolated vertices, and a root of in-degree 0. It returns the root too.
+// frontierWorkGraph is the corpus's skewed fixture — hubs whose in-edge runs
+// span many vectors (and, at ChunkVectors 1 and 3, many chunks), self-loops,
+// duplicate edges, isolated vertices, and a root of in-degree 0 — every shape
+// the early-exit jump has to survive. It returns the root too.
 func frontierWorkGraph() (*graph.Graph, uint32) {
-	base := gen.RMAT(8, 1800, gen.RMATParams{A: 0.6, B: 0.18, C: 0.17, D: 0.05}, 77)
-	n := uint32(base.NumVertices)
-	root := n // in-degree 0: only out-edges
-	// Vertices n+1 and n+2 get no edges at all.
-	b := graph.NewBuilder(int(n) + 3)
-	add := func(src, dst uint32) { b.AddEdge(src, dst) }
-	// Highest ids first, so grouping cannot lean on input order.
-	for i := len(base.Edges) - 1; i >= 0; i-- {
-		add(base.Edges[i].Src, base.Edges[i].Dst)
-	}
-	for v := uint32(0); v < n; v += 3 {
-		add(v, 5) // 86 more in-edges for a hub, on top of R-MAT's own
-	}
-	for v := uint32(0); v < 16; v++ {
-		add(v, v)      // self-loops
-		add(v+1, v)    // duplicates: same pair twice, apart in the list
-		add(root, 7*v) // the root fans out, nothing points back
-	}
-	for v := uint32(0); v < 16; v++ {
-		add(v+1, v)
-	}
-	return gen.AddUniformWeights(b.MustBuild(), 78), root
+	c := testgraph.Skewed()
+	return c.G, c.Root
 }
 
 type frontierWorkApp struct {

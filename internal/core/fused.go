@@ -40,9 +40,13 @@ func fuseFor(p apps.Program, weighted bool) fuse {
 func step[P apps.Program](p P, fz *fuse, props []uint64, acc, n uint64, w float32) uint64 {
 	switch fz.kind {
 	case apps.FusedRankSum:
-		m := math.Float64frombits(props[n]) * fz.scale[n]
+		// The float64 conversions round each product on its own: the spec
+		// lets a compiler fuse x*y + z into one rounding (GOAMD64=v3 and
+		// arm64 do), which would make two builds of one tree disagree in the
+		// last bit.
+		m := float64(math.Float64frombits(props[n]) * fz.scale[n])
 		if fz.weighted {
-			m *= float64(w)
+			m = float64(m * float64(w))
 		}
 		return math.Float64bits(math.Float64frombits(acc) + m)
 	case apps.FusedMinProp:
@@ -110,23 +114,10 @@ func combine[P apps.Program](p P, fz *fuse, a, b uint64) uint64 {
 
 // step4 folds a full 4-lane vector (all lanes valid) into acc — the fused
 // body of the full-vector fast path, with the kind switch hoisted off the
-// per-lane work.
+// per-lane work. Only frontier programs reach it (a frontier-blind one pulls
+// by run span, pullSpanBody), so it has no rank-sum arm.
 func step4[P apps.Program](p P, fz *fuse, props []uint64, acc, n0, n1, n2, n3 uint64, wbase int, weights []float32) uint64 {
 	switch fz.kind {
-	case apps.FusedRankSum:
-		s := math.Float64frombits(acc)
-		if fz.weighted {
-			s += math.Float64frombits(props[n0]) * fz.scale[n0] * float64(weights[wbase])
-			s += math.Float64frombits(props[n1]) * fz.scale[n1] * float64(weights[wbase+1])
-			s += math.Float64frombits(props[n2]) * fz.scale[n2] * float64(weights[wbase+2])
-			s += math.Float64frombits(props[n3]) * fz.scale[n3] * float64(weights[wbase+3])
-		} else {
-			s += math.Float64frombits(props[n0]) * fz.scale[n0]
-			s += math.Float64frombits(props[n1]) * fz.scale[n1]
-			s += math.Float64frombits(props[n2]) * fz.scale[n2]
-			s += math.Float64frombits(props[n3]) * fz.scale[n3]
-		}
-		return math.Float64bits(s)
 	case apps.FusedMinProp:
 		if v := props[n0]; v < acc {
 			acc = v
@@ -188,9 +179,10 @@ func step4[P apps.Program](p P, fz *fuse, props []uint64, acc, n0, n1, n2, n3 ui
 func stepMsg[P apps.Program](p P, fz *fuse, props []uint64, n uint64, w float32) uint64 {
 	switch fz.kind {
 	case apps.FusedRankSum:
-		m := math.Float64frombits(props[n]) * fz.scale[n]
+		// Rounded per product, as in step: a caller may add the message next.
+		m := float64(math.Float64frombits(props[n]) * fz.scale[n])
 		if fz.weighted {
-			m *= float64(w)
+			m = float64(m * float64(w))
 		}
 		return math.Float64bits(m)
 	case apps.FusedMinProp:

@@ -162,6 +162,12 @@ type Options struct {
 	// pull kernels — an ablation knob for the design-choice benchmarks;
 	// not part of the public facade.
 	AblateFullVector bool
+	// AblateSIMD runs the run-span pull of the rank-sum programs
+	// (pullSpanBody) on the pure-Go twin of the AVX2 gather kernel even where
+	// the CPU has AVX2. The two are bit-identical, so this changes time only:
+	// benchfig fig10's real-SIMD column and the parity tests set it. Not part
+	// of the public facade.
+	AblateSIMD bool
 	// WideVectors runs the scheduler-aware pull engine on the 512-bit
 	// (8-lane) Vector-Sparse encoding instead of the 256-bit one — the
 	// AVX-512 generalization §4 sketches. Wider vectors amortize more

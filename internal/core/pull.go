@@ -101,6 +101,9 @@ func edgePullSA[P apps.Program](r *ExecContext, p P) {
 // are functions of the graph and the chunk grid alone. The window is tested
 // once per vector; a vector with no lane inside takes the paths above
 // unchanged.
+//
+// A frontier-blind program never comes this far: it has no per-vector test to
+// make, and pulls by run span instead (pullSpanBody).
 func pullSABody[P apps.Program](r *ExecContext, p P) func(rg sched.Range, chunkID, tid, node int) {
 	a := r.g.VSD
 	identity := p.Identity()
@@ -110,13 +113,16 @@ func pullSABody[P apps.Program](r *ExecContext, p P) func(rg sched.Range, chunkI
 	props, accum := r.props, r.accum
 	rec := r.edgeRec
 	fz := fuseFor(p, weighted)
+	if r.pullsBySpan(p, fz.kind) {
+		return pullSpanBody(r, p, fz)
+	}
 	frontierWork := !r.opt.AblateFrontierWork
 	saturates := frontierWork && fz.kind == apps.FusedMinSrc
 	fullVector := !r.opt.AblateFullVector
 	// A full frontier passes every membership test, so the iteration runs
-	// unpredicated — the path a frontier-blind program takes — and gathers
-	// exactly the lanes the tests would have let through. A saturating
-	// program keeps its tests: they are how it finds the lane to stop at.
+	// unpredicated and gathers exactly the lanes the tests would have let
+	// through. A saturating program keeps its tests: they are how it finds
+	// the lane to stop at.
 	gated := p.UsesFrontier() && !(frontierWork && !saturates && r.front.Full())
 	inPlace := r.inPlace(p)
 	fast := !gated && fullVector

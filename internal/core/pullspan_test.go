@@ -1,0 +1,155 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+
+	"repro/internal/apps"
+	"repro/internal/graph"
+	"repro/internal/testgraph"
+	"repro/internal/vec"
+)
+
+// spanIters is the iteration count of every run in this file.
+const spanIters = 6
+
+// spanApps are the registry's rank-sum programs — the ones whose pull runs by
+// span through vec.RankSumRun — each with its sequential reference.
+func spanApps(g *graph.Graph, root uint32) []struct {
+	name string
+	mk   func() apps.Program
+	ref  []float64
+} {
+	return []struct {
+		name string
+		mk   func() apps.Program
+		ref  []float64
+	}{
+		{"pr", func() apps.Program { return apps.NewPageRank(g) }, apps.ReferencePageRank(g, 0.85, spanIters)},
+		{"ppr", func() apps.Program { return apps.NewPersonalizedPageRank(g, root) }, apps.ReferencePPR(g, 0.85, root, spanIters)},
+		{"wpr", func() apps.Program { return apps.NewWeightedRank(g) }, apps.ReferenceWeightedRank(g, 0.85, spanIters)},
+	}
+}
+
+// TestSpanPullParity: on every corpus graph, a rank-sum program's lanes are
+// the same bits whichever kernel reduces the spans (the selected one — AVX2
+// where the CPU has it — or the Go twin), whether or not the run records
+// counters, run fused or through the generic Message/Combine fold, at every
+// partition count, and — on a pinned chunk grid — at every worker count. The
+// default grid derives from the worker count, so there a run is compared with
+// the runs of its own worker count only. Every configuration also agrees with
+// the sequential reference to rounding, and a Record run charges each span
+// exactly once.
+func TestSpanPullParity(t *testing.T) {
+	for _, c := range testgraph.Corpus() {
+		g := c.WithWeights()
+		cg := BuildGraph(g)
+		for _, app := range spanApps(g, c.Root) {
+			t.Run(c.Name+"/"+app.name, func(t *testing.T) {
+				for _, chunk := range []int{0, 16} {
+					var pinned []uint64 // the lanes every worker count must reproduce at a pinned grid
+					for _, workers := range []int{1, 2, 4} {
+						var want []uint64
+						for _, parts := range []int{1, 2, 4} {
+							for _, goTwin := range []bool{true, false} {
+								for _, record := range []bool{false, true} {
+									for _, generic := range []bool{false, true} {
+										opt := Options{Workers: workers, Partitions: parts, ChunkVectors: chunk,
+											Mode: EnginePullOnly, AblateSIMD: goTwin, Record: record}
+										label := fmt.Sprintf("chunk%d w%d p%d gotwin=%v record=%v generic=%v",
+											chunk, workers, parts, goTwin, record, generic)
+										p := app.mk()
+										if generic {
+											p = unfused{p}
+										}
+										r := NewRunner(cg, opt)
+										res := Run(r, p, spanIters)
+										r.Close()
+										if want == nil {
+											want = res.Props
+											assertNearReference(t, label, res.Props, app.ref)
+										}
+										if !slices.Equal(res.Props, want) {
+											t.Fatalf("%s: lanes differ from the first run at this grid and worker count", label)
+										}
+										if record {
+											assertSpanCounters(t, label, cg, res, spanIters)
+										}
+									}
+								}
+							}
+						}
+						if chunk == 0 {
+							continue
+						}
+						if pinned == nil {
+							pinned = want
+						}
+						if !slices.Equal(want, pinned) {
+							t.Fatalf("chunk%d w%d: lanes differ from one worker's on the same grid", chunk, workers)
+						}
+					}
+				}
+			})
+		}
+	}
+	t.Logf("selected kernel: %s", vec.Kernel())
+}
+
+func assertNearReference(t *testing.T, label string, props []uint64, ref []float64) {
+	t.Helper()
+	for v, bits := range props {
+		if got := math.Float64frombits(bits); math.Abs(got-ref[v]) > 1e-12*(1+math.Abs(ref[v])) {
+			t.Fatalf("%s: rank[%d] = %v, sequential reference %v", label, v, got, ref[v])
+		}
+	}
+}
+
+// assertSpanCounters: every vector of every pull is charged once, its valid
+// lanes as edges and the rest as invalid, exactly as the vector-by-vector
+// walk charged them.
+func assertSpanCounters(t *testing.T, label string, cg *Graph, res Result, iters int) {
+	t.Helper()
+	e := res.EdgeCounters
+	vectors, edges := uint64(iters*cg.VSD.NumVectors()), uint64(iters*cg.VSD.ValidEdges)
+	if e.VectorsProcessed != vectors || e.EdgesProcessed != edges || e.TLSWrites != edges ||
+		e.InvalidLanes != 4*vectors-edges || e.LocalAccesses+e.RemoteAccesses != edges || e.FrontierSkips != 0 {
+		t.Fatalf("%s: Edge counters %+v, want %d vectors and %d edges", label, e, vectors, edges)
+	}
+}
+
+// TestSpanPullKeepsOtherPaths: only frontier-blind rank-sum and unclassified
+// programs pull by span; the full-vector ablation and every frontier program
+// stay on the vector-by-vector body.
+func TestSpanPullKeepsOtherPaths(t *testing.T) {
+	c := testgraph.Skewed()
+	cg := BuildGraph(c.G)
+	for _, tc := range []struct {
+		name string
+		p    apps.Program
+		opt  Options
+		want bool
+	}{
+		{"pr", apps.NewPageRank(c.G), Options{}, true},
+		{"wpr", apps.NewWeightedRank(c.G), Options{}, true},
+		{"ppr", apps.NewPersonalizedPageRank(c.G, c.Root), Options{}, true},
+		{"pr unfused", unfused{apps.NewPageRank(c.G)}, Options{}, true},
+		{"labelprop", apps.NewLabelProp(), Options{}, true},
+		{"pr full-vector ablation", apps.NewPageRank(c.G), Options{AblateFullVector: true}, false},
+		{"cc", apps.NewConnComp(), Options{}, false},
+		{"bfs", apps.NewBFS(c.Root), Options{}, false},
+		{"sssp", apps.NewSSSP(c.Root), Options{}, false},
+		{"kcore", apps.NewKCore(c.G, 3), Options{}, false},
+	} {
+		tc.opt.Workers = 1
+		r := NewRunner(cg, tc.opt)
+		ec := r.NewContext()
+		kind, _ := apps.KindOf(tc.p)
+		if got := ec.pullsBySpan(tc.p, kind); got != tc.want {
+			t.Errorf("%s: pullsBySpan = %v, want %v", tc.name, got, tc.want)
+		}
+		r.Close()
+	}
+}

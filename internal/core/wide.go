@@ -77,12 +77,12 @@ func edgePullSAWide[P apps.Program](r *ExecContext, p P) {
 					if weighted {
 						for lane, w := range lanes {
 							n := w & vsparse.VertexMask
-							s += math.Float64frombits(props[n]) * fz.scale[n] * float64(a.Weights[base+lane])
+							s += float64(float64(math.Float64frombits(props[n])*fz.scale[n]) * float64(a.Weights[base+lane]))
 						}
 					} else {
 						for _, w := range lanes {
 							n := w & vsparse.VertexMask
-							s += math.Float64frombits(props[n]) * fz.scale[n]
+							s += float64(math.Float64frombits(props[n]) * fz.scale[n])
 						}
 					}
 					acc = math.Float64bits(s)

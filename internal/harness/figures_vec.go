@@ -7,6 +7,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/vec"
 	"repro/internal/vsparse"
 )
 
@@ -57,12 +58,13 @@ func Fig9(cfg Config) []*Table {
 
 // phaseTimes measures one Grazelle phase in isolation: the runner is
 // initialized once and the phase re-executed repeats times.
-func phaseTime(cfg Config, cg *core.Graph, p apps.Program, scalar bool, phase string) time.Duration {
-	mode := core.EnginePullOnly
+func phaseTime(cfg Config, cg *core.Graph, p apps.Program, opt core.Options, phase string) time.Duration {
+	opt.Workers = cfg.Workers
+	opt.Mode = core.EnginePullOnly
 	if phase == "push" {
-		mode = core.EnginePushOnly
+		opt.Mode = core.EnginePushOnly
 	}
-	r := core.NewRunner(cg, core.Options{Workers: cfg.Workers, Scalar: scalar, Mode: mode})
+	r := core.NewRunner(cg, opt)
 	defer r.Close()
 	ec := r.NewContext()
 	ec.Init(p)
@@ -93,49 +95,62 @@ func phaseTime(cfg Config, cg *core.Graph, p apps.Program, scalar bool, phase st
 // scalar implementations of each Grazelle phase under PageRank (Edge-Pull
 // responds ~2×, Edge-Push and Vertex stay flat); 10b reports end-to-end
 // application speedups (PageRank > Connected Components > BFS, ordered by
-// Edge-Pull usage).
+// Edge-Pull usage). PageRank's Edge-Pull has two vectorized forms — the
+// software vector unit (the gather kernel's Go twin, core.Options.AblateSIMD)
+// and the process's selected kernel, the AVX2 vgatherqpd loop where the CPU
+// has it — so it gets a column each; every other phase and application has
+// the software unit only.
 func Fig10(cfg Config) []*Table {
 	cfg = cfg.withDefaults()
+	simd := "kernel: " + vec.Kernel()
+	var (
+		scalar   = core.Options{Scalar: true}
+		software = core.Options{AblateSIMD: true}
+		selected = core.Options{}
+	)
 	ta := &Table{
 		Title:   "Figure 10a: vectorization speedup by PageRank phase (scalar time / vectorized time)",
-		Columns: []string{"Graph", "Edge-Pull", "Edge-Push", "Vertex"},
+		Columns: []string{"Graph", "Edge-Pull (software unit)", "Edge-Pull (" + simd + ")", "Edge-Push", "Vertex"},
 	}
 	for _, d := range cfg.Datasets {
 		g := cfg.DatasetGraph(d)
 		cg := cfg.DatasetCoreGraph(d)
 		p := apps.NewPageRank(g)
-		row := []any{d.Abbrev()}
-		for _, phase := range []string{"pull", "push", "vertex"} {
-			scalar := phaseTime(cfg, cg, p, true, phase)
-			vectored := phaseTime(cfg, cg, p, false, phase)
-			row = append(row, ratio(scalar, vectored))
+		pull := phaseTime(cfg, cg, p, scalar, "pull")
+		row := []any{d.Abbrev(),
+			ratio(pull, phaseTime(cfg, cg, p, software, "pull")),
+			ratio(pull, phaseTime(cfg, cg, p, selected, "pull"))}
+		for _, phase := range []string{"push", "vertex"} {
+			row = append(row, ratio(phaseTime(cfg, cg, p, scalar, phase), phaseTime(cfg, cg, p, software, phase)))
 		}
 		ta.AddRow(row...)
 	}
 	tb := &Table{
 		Title:   "Figure 10b: end-to-end vectorization speedup by application",
-		Columns: []string{"Graph", "PR", "CC", "BFS"},
+		Columns: []string{"Graph", "PR (software unit)", "PR (" + simd + ")", "CC", "BFS"},
 	}
 	for _, d := range cfg.Datasets {
 		g := cfg.DatasetGraph(d)
 		cg := cfg.DatasetCoreGraph(d)
-		row := []any{d.Abbrev()}
-		for _, app := range []string{"PR", "CC", "BFS"} {
-			runOnce := func(scalar bool) time.Duration {
-				// The paper configuration: scalar and vectorized runs must
-				// differ only in the kernels the figure compares.
-				r := core.NewRunner(cg, core.Options{Workers: cfg.Workers, Scalar: scalar, AblateFrontierWork: true})
-				defer r.Close()
-				switch app {
-				case "PR":
-					return cfg.timeBest(func() { core.Run(r, apps.NewPageRank(g), cfg.PRIters) })
-				case "CC":
-					return cfg.timeBest(func() { core.Run(r, apps.NewConnComp(), 1<<20) })
-				default:
-					return cfg.timeBest(func() { core.Run(r, apps.NewBFS(0), 1<<20) })
-				}
+		runOnce := func(app string, opt core.Options) time.Duration {
+			// The paper configuration: scalar and vectorized runs must
+			// differ only in the kernels the figure compares.
+			opt.Workers, opt.AblateFrontierWork = cfg.Workers, true
+			r := core.NewRunner(cg, opt)
+			defer r.Close()
+			switch app {
+			case "PR":
+				return cfg.timeBest(func() { core.Run(r, apps.NewPageRank(g), cfg.PRIters) })
+			case "CC":
+				return cfg.timeBest(func() { core.Run(r, apps.NewConnComp(), 1<<20) })
+			default:
+				return cfg.timeBest(func() { core.Run(r, apps.NewBFS(0), 1<<20) })
 			}
-			row = append(row, ratio(runOnce(true), runOnce(false)))
+		}
+		pr := runOnce("PR", scalar)
+		row := []any{d.Abbrev(), ratio(pr, runOnce("PR", software)), ratio(pr, runOnce("PR", selected))}
+		for _, app := range []string{"CC", "BFS"} {
+			row = append(row, ratio(runOnce(app, scalar), runOnce(app, software)))
 		}
 		tb.AddRow(row...)
 	}

@@ -195,7 +195,7 @@ func TestFig10Runs(t *testing.T) {
 	if len(tabs) != 2 {
 		t.Fatalf("Fig10 produced %d tables", len(tabs))
 	}
-	if len(tabs[0].Rows) != 1 || len(tabs[0].Rows[0]) != 4 {
+	if len(tabs[0].Rows) != 1 || len(tabs[0].Rows[0]) != 5 {
 		t.Errorf("Fig10a row shape wrong: %v", tabs[0].Rows)
 	}
 }

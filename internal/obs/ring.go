@@ -26,6 +26,10 @@ type RunRecord struct {
 	// count the run executed under (Partitions 1 = monolithic).
 	Mode       string `json:"mode,omitempty"`
 	Partitions int    `json:"partitions,omitempty"`
+	// Kernel names the rank-sum gather kernel of the process that ran the
+	// engine ("avx2" or "go", vec.Kernel) — on a router, the answering
+	// worker's — so a slow pr on a machine without AVX2 explains itself.
+	Kernel string `json:"kernel,omitempty"`
 	// Incremental reports that the run was warm-started from the result
 	// cached at SeedVersion instead of cold-starting.
 	Incremental bool   `json:"incremental,omitempty"`

@@ -31,6 +31,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/qcache"
+	"repro/internal/vec"
 )
 
 // MaxBodyBytes bounds every JSON request body of the serving tier; graph-load
@@ -423,7 +424,7 @@ func (s *Service) runLocal(ctx context.Context, h *grazelle.StoreHandle, q *Quer
 	if !ran {
 		res, err = eng.Run(ctx, q.App, p)
 	}
-	rec.Workers = s.cfg.Workers
+	rec.Workers, rec.Kernel = s.cfg.Workers, vec.Kernel()
 	if res != nil {
 		stats := res.Stats
 		s.exchangeShmem.Add(uint64(stats.ExchangeBytes))

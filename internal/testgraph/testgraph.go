@@ -1,7 +1,7 @@
 // Package testgraph is the shared corpus of small fixture graphs: a table of
 // named graphs, each declaring the shapes it contains, so that a test can
 // range over the table and a reader can see which shape a failure came from.
-// Every graph is built by hand-rolled loops with fixed ids — no random
+// Every shape is built by hand-rolled loops with fixed ids — no random
 // generator decides whether a shape is present — and the package's own test
 // checks each declared property against the edge list.
 //
@@ -73,7 +73,7 @@ func (c Graph) WithWeights() *graph.Graph {
 func Corpus() []Graph {
 	return []Graph{
 		hub(), longHub(), loopsAndDuplicates(), isolated(), fanOutRoot(),
-		straddle(), mesh(), weightedMesh(), lateJoin(),
+		straddle(), mesh(), weightedMesh(), lateJoin(), Skewed(),
 	}
 }
 
@@ -183,6 +183,41 @@ func mesh() Graph {
 // paths zigzag, so sssp needs more rounds than the grid's diameter.
 func weightedMesh() Graph {
 	return Graph{Name: "weighted-mesh-9x9", Props: Mesh | Weighted, Root: 0, G: gen.Grid(9, 9, true, 2)}
+}
+
+// Skewed is the corpus's one graph of realistic size: a 256-vertex R-MAT
+// core with every shape an early-exit or run-span pull has to survive added
+// on top by fixed-id loops, in reverse edge order so grouping cannot lean on
+// input order — a hub (vertex 5) whose run spans many vectors and, at small
+// ChunkVectors, many chunks; self-loops; duplicate edges apart in the list; a
+// root of in-degree 0 that fans out; two vertices with no edge at all; its own
+// weights. The engine's pinned Record counters (internal/core) are measured
+// on it, so its edge list must not change.
+func Skewed() Graph {
+	base := gen.RMAT(8, 1800, gen.RMATParams{A: 0.6, B: 0.18, C: 0.17, D: 0.05}, 77)
+	n := uint32(base.NumVertices)
+	root := n // in-degree 0: only out-edges; n+1 and n+2 get no edge
+	b := graph.NewBuilder(int(n) + 3)
+	for i := len(base.Edges) - 1; i >= 0; i-- {
+		b.AddEdge(base.Edges[i].Src, base.Edges[i].Dst)
+	}
+	for v := uint32(0); v < n; v += 3 {
+		b.AddEdge(v, 5) // 86 more in-edges for a hub, on top of R-MAT's own
+	}
+	for v := uint32(0); v < 16; v++ {
+		b.AddEdge(v, v)      // self-loops
+		b.AddEdge(v+1, v)    // duplicates: same pair twice, apart in the list
+		b.AddEdge(root, 7*v) // the root fans out, nothing points back
+	}
+	for v := uint32(0); v < 16; v++ {
+		b.AddEdge(v+1, v)
+	}
+	return Graph{
+		Name:  "skewed",
+		Props: Hub | LongHubRun | SelfLoops | DuplicateEdges | Isolated | RootInDegree0 | Weighted,
+		Root:  root,
+		G:     gen.AddUniformWeights(b.MustBuild(), 78),
+	}
 }
 
 // lateJoin: paths 0…29 and 30…59, joined by one edge between their far ends

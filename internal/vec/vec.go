@@ -1,12 +1,23 @@
-// Package vec is the software vector unit standing in for the AVX2 SIMD
-// instructions Grazelle's kernels are written in (see DESIGN.md §2: pure Go
-// has no SIMD intrinsics, so the lane semantics are executed in software).
-// A value of type U64x4 models one 256-bit ymm register holding four 64-bit
-// lanes; masks model per-lane predication exactly as the AVX gather and
-// blend instructions consume it. The 512-bit width lives in
-// internal/vsparse's wide encoding (used by the AVX-512-style kernel), and
-// the packing-efficiency study of Fig 9 evaluates 8- and 16-lane widths
-// analytically from degree distributions.
+// Package vec is the engine's vector unit, in two parts.
+//
+// The software part stands in for the AVX2 SIMD instructions Grazelle's
+// kernels are written in: a value of type U64x4 models one 256-bit ymm
+// register holding four 64-bit lanes; masks model per-lane predication
+// exactly as the AVX gather and blend instructions consume it. The frontier
+// programs' pull kernels, the push kernels and the Vertex phase run on it, on
+// every platform. The 512-bit width lives in internal/vsparse's wide encoding
+// (used by the AVX-512-style kernel), and the packing-efficiency study of
+// Fig 9 evaluates 8- and 16-lane widths analytically from degree
+// distributions.
+//
+// The hardware part is one kernel: RankSumRun, the Edge-Pull of the rank-sum
+// programs over one destination's run of vectors. On amd64 with AVX2 it is
+// the loop in gather_amd64.s — the paper's vgatherqpd, masked by the lane
+// words' own valid bits — selected once per process by a CPUID+XGETBV check
+// in the same file; on any other platform, under -tags purego, or on a CPU
+// without AVX2 it is RankSumRunGo, a pure-Go twin written in the same
+// reduction order and bit-identical to the assembly (DESIGN.md §2, §5).
+// Kernel reports which one the process runs.
 package vec
 
 import (
