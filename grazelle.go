@@ -380,7 +380,7 @@ func (e *Engine) Run(ctx context.Context, app string, p Params) (*AppResult, err
 	if ent.NeedsWeights && !e.g.Weighted() {
 		return nil, fmt.Errorf("grazelle: %s requires a weighted graph", ent.Title)
 	}
-	prog, err := ent.New(e.g.src, p)
+	prog, err := ent.New(e.g.src, e.g.core, p)
 	if err != nil {
 		return nil, err
 	}

@@ -78,7 +78,7 @@ func (e *Engine) RunIncremental(ctx context.Context, app string, p Params, spec 
 		res, err = e.Run(ctx, app, p)
 		return res, false, err
 	}
-	prog, err := ent.New(e.g.src, p)
+	prog, err := ent.New(e.g.src, e.g.core, p)
 	if err != nil {
 		return nil, false, err
 	}

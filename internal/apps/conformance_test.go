@@ -50,7 +50,7 @@ func runConformanceParts(t *testing.T, cg *core.Graph, g *graph.Graph, ent apps.
 	t.Helper()
 	r := core.NewRunner(cg, core.Options{Workers: workers, ChunkVectors: 16, Partitions: partitions})
 	defer r.Close()
-	prog, err := ent.New(g, p)
+	prog, err := ent.New(g, cg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestRegistryRootValidation(t *testing.T) {
 		t.Run(ent.Name, func(t *testing.T) {
 			p := conformanceParams(ent)
 			p.Root = uint32(g.NumVertices)
-			if _, err := ent.New(g, p); err == nil {
+			if _, err := ent.New(g, apps.EdgeListScales{G: g}, p); err == nil {
 				t.Error("out-of-range root accepted")
 			}
 		})
@@ -252,7 +252,7 @@ func TestRegistryApplyIdentityIsNoOp(t *testing.T) {
 					g = gen.AddUniformWeights(g, 42)
 				}
 				p := conformanceParams(ent)
-				prog, err := ent.New(g, p)
+				prog, err := ent.New(g, apps.EdgeListScales{G: g}, p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -297,7 +297,7 @@ func TestRegistryMonotoneMinTrait(t *testing.T) {
 			g = gen.AddUniformWeights(g, 42)
 		}
 		p := conformanceParams(ent)
-		prog, err := ent.New(g, p)
+		prog, err := ent.New(g, apps.EdgeListScales{G: g}, p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -83,13 +83,13 @@ func (s *SSSP) MonotoneMin() bool { return true }
 func (p *PageRank) FusedKind() FusedKind { return FusedRankSum }
 
 // FusedScale implements Fused.
-func (p *PageRank) FusedScale() []float64 { return p.invOutDeg }
+func (p *PageRank) FusedScale() []float64 { return p.scale.Inv }
 
 // FusedKind implements Fused.
 func (p *WeightedRank) FusedKind() FusedKind { return FusedRankSum }
 
 // FusedScale implements Fused.
-func (p *WeightedRank) FusedScale() []float64 { return p.invWOutDeg }
+func (p *WeightedRank) FusedScale() []float64 { return p.scale.Inv }
 
 // FusedKind implements Fused.
 func (c *ConnComp) FusedKind() FusedKind { return FusedMinProp }
@@ -114,4 +114,4 @@ func (s *SSSP) FusedScale() []float64 { return nil }
 func (p *PersonalizedPageRank) FusedKind() FusedKind { return FusedRankSum }
 
 // FusedScale implements Fused.
-func (p *PersonalizedPageRank) FusedScale() []float64 { return p.invOutDeg }
+func (p *PersonalizedPageRank) FusedScale() []float64 { return p.scale.Inv }

@@ -108,7 +108,7 @@ func runSeeded(t *testing.T, g *graph.Graph, ent apps.Entry, p apps.Params, plan
 	t.Helper()
 	r := core.NewRunner(core.BuildGraph(g), core.Options{Workers: 2, ChunkVectors: 16})
 	defer r.Close()
-	prog, err := ent.New(g, p)
+	prog, err := ent.New(g, r.Graph(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func fuzzSeedSetup() {
 		}
 		p := conformanceParams(ent)
 		r := core.NewRunner(core.BuildGraph(g), core.Options{Workers: 2, ChunkVectors: 16})
-		prog, err := ent.New(g, p)
+		prog, err := ent.New(g, r.Graph(), p)
 		if err != nil {
 			panic(err)
 		}

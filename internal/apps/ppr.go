@@ -19,22 +19,21 @@ type PersonalizedPageRank struct {
 	// Root receives all teleport and dangling mass.
 	Root uint32
 
-	invOutDeg []float64
-	dangling  float64
+	scale    *RankScale // PageRank's: 1/outdeg and the dangling list
+	dangling float64
 }
 
 // NewPersonalizedPageRank creates a personalized PageRank program rooted at
-// root with damping 0.85.
+// root with damping 0.85 from an edge list (O(E)); the registry uses
+// PersonalizedPageRankOn.
 func NewPersonalizedPageRank(g *graph.Graph, root uint32) *PersonalizedPageRank {
-	p := &PersonalizedPageRank{Damping: 0.85, Root: root}
-	deg := g.OutDegrees()
-	p.invOutDeg = make([]float64, len(deg))
-	for v, d := range deg {
-		if d > 0 {
-			p.invOutDeg[v] = 1 / float64(d)
-		}
-	}
-	return p
+	return PersonalizedPageRankOn(EdgeListScales{g}.RankScale(false), root)
+}
+
+// PersonalizedPageRankOn creates a personalized PageRank program rooted at
+// root with damping 0.85 on an unweighted rank scale.
+func PersonalizedPageRankOn(scale *RankScale, root uint32) *PersonalizedPageRank {
+	return &PersonalizedPageRank{Damping: 0.85, Root: root, scale: scale}
 }
 
 // Name implements Program.
@@ -48,7 +47,7 @@ func (p *PersonalizedPageRank) Combine(a, b uint64) uint64 { return f64(asF64(a)
 
 // Message implements Program: rank(src) / outdeg(src).
 func (p *PersonalizedPageRank) Message(srcVal uint64, src uint32, _ float32) uint64 {
-	return f64(asF64(srcVal) * p.invOutDeg[src])
+	return f64(asF64(srcVal) * p.scale.Inv[src])
 }
 
 // Apply implements Program: rank = d·sum, plus the restart and dangling
@@ -74,13 +73,7 @@ func (p *PersonalizedPageRank) InitProps(props []uint64) {
 
 // PreIteration implements Program: sum the rank mass of dangling vertices.
 func (p *PersonalizedPageRank) PreIteration(props []uint64) {
-	sum := 0.0
-	for v, inv := range p.invOutDeg {
-		if inv == 0 {
-			sum += asF64(props[v])
-		}
-	}
-	p.dangling = sum
+	p.dangling = p.scale.danglingMass(props)
 }
 
 // InitFrontier implements Program.

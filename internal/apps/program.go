@@ -79,21 +79,21 @@ type PageRank struct {
 	// N is the vertex count, set by Attach.
 	N int
 
-	invOutDeg []float64 // 1/outdeg, 0 for dangling vertices
-	dangling  float64   // rank mass of dangling vertices, per iteration
+	scale    *RankScale // 1/outdeg and the dangling list, shared per graph version
+	dangling float64    // rank mass of dangling vertices, per iteration
 }
 
-// NewPageRank creates a PageRank program for graph g with damping 0.85.
+// NewPageRank creates a PageRank program with damping 0.85 from an edge
+// list, computing the rank scale on the spot (O(E)); the registry builds the
+// same program on a version's memoized scale with PageRankOn.
 func NewPageRank(g *graph.Graph) *PageRank {
-	p := &PageRank{Damping: 0.85, N: g.NumVertices}
-	deg := g.OutDegrees()
-	p.invOutDeg = make([]float64, len(deg))
-	for v, d := range deg {
-		if d > 0 {
-			p.invOutDeg[v] = 1 / float64(d)
-		}
-	}
-	return p
+	return PageRankOn(EdgeListScales{g}.RankScale(false))
+}
+
+// PageRankOn creates a PageRank program with damping 0.85 on an unweighted
+// rank scale.
+func PageRankOn(scale *RankScale) *PageRank {
+	return &PageRank{Damping: 0.85, N: len(scale.Inv), scale: scale}
 }
 
 // Name implements Program.
@@ -107,7 +107,7 @@ func (p *PageRank) Combine(a, b uint64) uint64 { return f64(asF64(a) + asF64(b))
 
 // Message implements Program: rank(src) / outdeg(src).
 func (p *PageRank) Message(srcVal uint64, src uint32, _ float32) uint64 {
-	return f64(asF64(srcVal) * p.invOutDeg[src])
+	return f64(asF64(srcVal) * p.scale.Inv[src])
 }
 
 // Apply implements Program: rank = (1-d)/N + d·(sum + dangling/N). The
@@ -130,15 +130,7 @@ func (p *PageRank) InitProps(props []uint64) {
 }
 
 // PreIteration implements Program: sum the rank mass of dangling vertices.
-func (p *PageRank) PreIteration(props []uint64) {
-	sum := 0.0
-	for v, inv := range p.invOutDeg {
-		if inv == 0 {
-			sum += asF64(props[v])
-		}
-	}
-	p.dangling = sum
-}
+func (p *PageRank) PreIteration(props []uint64) { p.dangling = p.scale.danglingMass(props) }
 
 // InitFrontier implements Program; PageRank processes every vertex.
 func (p *PageRank) InitFrontier(f *frontier.Dense) { f.Fill() }
@@ -420,24 +412,20 @@ type WeightedRank struct {
 	// N is the vertex count.
 	N int
 
-	invWOutDeg []float64
-	dangling   float64
+	scale    *RankScale // 1/Σw and the dangling list, shared per graph version
+	dangling float64
 }
 
-// NewWeightedRank creates the weighted-rank program for weighted graph g.
+// NewWeightedRank creates the weighted-rank program for weighted graph g
+// from its edge list (O(E), plus the grouping the canonical summation order
+// needs); the registry uses WeightedRankOn.
 func NewWeightedRank(g *graph.Graph) *WeightedRank {
-	p := &WeightedRank{Damping: 0.85, N: g.NumVertices}
-	wdeg := make([]float64, g.NumVertices)
-	for _, e := range g.Edges {
-		wdeg[e.Src] += float64(e.Weight)
-	}
-	p.invWOutDeg = make([]float64, g.NumVertices)
-	for v, d := range wdeg {
-		if d > 0 {
-			p.invWOutDeg[v] = 1 / d
-		}
-	}
-	return p
+	return WeightedRankOn(EdgeListScales{g}.RankScale(true))
+}
+
+// WeightedRankOn creates the weighted-rank program on a weighted rank scale.
+func WeightedRankOn(scale *RankScale) *WeightedRank {
+	return &WeightedRank{Damping: 0.85, N: len(scale.Inv), scale: scale}
 }
 
 // Name implements Program.
@@ -453,7 +441,7 @@ func (p *WeightedRank) Combine(a, b uint64) uint64 { return f64(asF64(a) + asF64
 // multiplies first so the result is bit-identical to the engines' fused
 // FusedRankSum kernel.
 func (p *WeightedRank) Message(srcVal uint64, src uint32, w float32) uint64 {
-	return f64(asF64(srcVal) * p.invWOutDeg[src] * float64(w))
+	return f64(asF64(srcVal) * p.scale.Inv[src] * float64(w))
 }
 
 // Apply implements Program.
@@ -472,15 +460,7 @@ func (p *WeightedRank) InitProps(props []uint64) {
 }
 
 // PreIteration implements Program.
-func (p *WeightedRank) PreIteration(props []uint64) {
-	sum := 0.0
-	for v, inv := range p.invWOutDeg {
-		if inv == 0 {
-			sum += asF64(props[v])
-		}
-	}
-	p.dangling = sum
-}
+func (p *WeightedRank) PreIteration(props []uint64) { p.dangling = p.scale.danglingMass(props) }
 
 // InitFrontier implements Program.
 func (p *WeightedRank) InitFrontier(f *frontier.Dense) { f.Fill() }

@@ -82,9 +82,11 @@ type Entry struct {
 	// compares against the reference with a relative tolerance instead of
 	// exact equality (the reference accumulates in a different order).
 	FloatLanes bool
-	// New constructs the Program for one run. It validates params against
-	// the graph (e.g. root in range).
-	New func(g *graph.Graph, p Params) (Program, error)
+	// New constructs the Program for one run on one graph version: g is its
+	// edge list and s its rank scales, which cost nothing unless the program
+	// asks for one. It validates params against the graph (e.g. root in
+	// range).
+	New func(g *graph.Graph, s Scales, p Params) (Program, error)
 	// MaxIters is the engine iteration bound (effectively unbounded for
 	// fixpoint apps).
 	MaxIters func(p Params) int
@@ -313,8 +315,8 @@ func init() {
 		Uses:        ParamIters,
 		Defaults:    Params{Iters: 16},
 		FloatLanes:  true,
-		New: func(g *graph.Graph, _ Params) (Program, error) {
-			return NewPageRank(g), nil
+		New: func(_ *graph.Graph, s Scales, _ Params) (Program, error) {
+			return PageRankOn(s.RankScale(false)), nil
 		},
 		MaxIters: func(p Params) int { return p.Iters },
 		Reference: func(g *graph.Graph, p Params) []uint64 {
@@ -336,8 +338,8 @@ func init() {
 		Defaults:     Params{Iters: 16},
 		NeedsWeights: true,
 		FloatLanes:   true,
-		New: func(g *graph.Graph, _ Params) (Program, error) {
-			return NewWeightedRank(g), nil
+		New: func(_ *graph.Graph, s Scales, _ Params) (Program, error) {
+			return WeightedRankOn(s.RankScale(true)), nil
 		},
 		MaxIters: func(p Params) int { return p.Iters },
 		Reference: func(g *graph.Graph, p Params) []uint64 {
@@ -354,7 +356,7 @@ func init() {
 		Name:        "cc",
 		Title:       "ConnectedComponents",
 		Description: "min-label propagation to a fixpoint (components on symmetric graphs)",
-		New: func(_ *graph.Graph, _ Params) (Program, error) {
+		New: func(*graph.Graph, Scales, Params) (Program, error) {
 			return NewConnComp(), nil
 		},
 		MaxIters: func(Params) int { return 1 << 30 },
@@ -377,7 +379,7 @@ func init() {
 		Title:       "BFS",
 		Description: "breadth-first search from root, minimum-id parent selection",
 		Uses:        ParamRoot,
-		New: func(g *graph.Graph, p Params) (Program, error) {
+		New: func(g *graph.Graph, _ Scales, p Params) (Program, error) {
 			if err := checkRoot(g, p.Root); err != nil {
 				return nil, err
 			}
@@ -409,7 +411,7 @@ func init() {
 		Uses:         ParamRoot,
 		NeedsWeights: true,
 		FloatLanes:   true,
-		New: func(g *graph.Graph, p Params) (Program, error) {
+		New: func(g *graph.Graph, _ Scales, p Params) (Program, error) {
 			if err := checkRoot(g, p.Root); err != nil {
 				return nil, err
 			}
@@ -435,7 +437,7 @@ func init() {
 		Name:        "tc",
 		Title:       "TriangleCount",
 		Description: "per-vertex triangle counting over the undirected simple closure",
-		New: func(g *graph.Graph, _ Params) (Program, error) {
+		New: func(g *graph.Graph, _ Scales, _ Params) (Program, error) {
 			return NewTriangleCount(g), nil
 		},
 		MaxIters: func(Params) int { return 1 },
@@ -460,7 +462,7 @@ func init() {
 		Description: "k-core decomposition by synchronous peeling (directed in-degrees)",
 		Uses:        ParamK,
 		Defaults:    Params{K: 2},
-		New: func(g *graph.Graph, p Params) (Program, error) {
+		New: func(g *graph.Graph, _ Scales, p Params) (Program, error) {
 			return NewKCore(g, p.K), nil
 		},
 		MaxIters: func(Params) int { return 1 << 30 },
@@ -487,7 +489,7 @@ func init() {
 		Description: "community detection by salted min-hash label propagation",
 		Uses:        ParamIters,
 		Defaults:    Params{Iters: 16},
-		New: func(_ *graph.Graph, _ Params) (Program, error) {
+		New: func(*graph.Graph, Scales, Params) (Program, error) {
 			return NewLabelProp(), nil
 		},
 		MaxIters: func(p Params) int { return p.Iters },
@@ -511,11 +513,11 @@ func init() {
 		Uses:        ParamIters | ParamRoot,
 		Defaults:    Params{Iters: 16},
 		FloatLanes:  true,
-		New: func(g *graph.Graph, p Params) (Program, error) {
+		New: func(g *graph.Graph, s Scales, p Params) (Program, error) {
 			if err := checkRoot(g, p.Root); err != nil {
 				return nil, err
 			}
-			return NewPersonalizedPageRank(g, p.Root), nil
+			return PersonalizedPageRankOn(s.RankScale(false), p.Root), nil
 		},
 		MaxIters: func(p Params) int { return p.Iters },
 		Reference: func(g *graph.Graph, p Params) []uint64 {

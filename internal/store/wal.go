@@ -27,6 +27,13 @@ import (
 // with the lock released, covering every record written before the sync
 // started. Batches appended while an fsync is in flight ride the next sync.
 // One fsync therefore acknowledges a whole burst of concurrent writers.
+//
+// A rollback resets seq to the durable watermark, so sequence numbers are
+// reused and a waiter cannot learn its record's fate by comparing them: by
+// the time it wakes, fresh appends may have taken its number and been synced
+// under it. Each written, not-yet-durable record therefore has an outcome
+// cell (unsynced) that only a rollback sets, and a waiter is acknowledged
+// when the watermark covers its number and its own cell is still clear.
 
 // walExt is the delta log file suffix, alongside <name+lineage>.grzg
 // snapshots in the data directory.
@@ -76,6 +83,10 @@ type deltaLog struct {
 	// (baseSeq, seq]. Entries above synced are written but not yet durable
 	// and are dropped if their group's sync fails.
 	batches []graph.DeltaBatch
+	// unsynced holds one flag per record in (synced, seq], in sequence
+	// order, shared with the appender waiting on it: a rollback sets every
+	// one (those records are gone) and a sync drops the ones it made durable.
+	unsynced []*bool
 	// wedged is set when even rolling back a failed sync failed: the file
 	// state is unknown and every append is refused until a heal (full
 	// rewrite from the acknowledged tail) succeeds. healAttempts backs off
@@ -315,16 +326,9 @@ func (l *deltaLog) append(ops []graph.EdgeOp) (uint64, error) {
 	// leader if no sync is in flight. The leader releases the lock around
 	// the fsync so concurrent appenders keep writing records that the next
 	// sync will cover.
-	for l.synced < seq {
-		if l.seq < seq {
-			// A failed sync rolled this record back; it was never
-			// acknowledged and is no longer in the file.
-			l.c.appendErrors.Add(1)
-			if l.wedged {
-				return 0, &WALWedgedError{Name: l.name, Err: errors.New("sync failed and rollback failed")}
-			}
-			return 0, fmt.Errorf("store: delta append for %q lost to a failed sync", l.name)
-		}
+	lost := new(bool)
+	l.unsynced = append(l.unsynced, lost)
+	for !*lost && l.synced < seq {
 		if l.syncing {
 			l.cond.Wait()
 			continue
@@ -339,16 +343,32 @@ func (l *deltaLog) append(ops []graph.EdgeOp) (uint64, error) {
 		}
 		l.mu.Lock()
 		l.syncing = false
-		if err != nil {
+		switch {
+		case err != nil:
 			l.c.fsyncErrors.Add(1)
 			l.rollbackLocked(err)
-		} else {
+		case !*lost:
 			l.c.fsyncs.Add(1)
+			l.unsynced = l.unsynced[mark-l.synced:]
 			l.synced = mark
 			l.syncedSize = markSize
 			l.publishTailLocked()
+		default:
+			// Another appender's failed write rolled the log back while this
+			// sync was in flight: the records it covered, the leader's own
+			// among them, are no longer in the file.
 		}
 		l.cond.Broadcast()
+	}
+	if *lost {
+		// A failed write or sync rolled this record back; it was never
+		// acknowledged and is no longer in the file, whatever the sequence
+		// numbers say by now.
+		l.c.appendErrors.Add(1)
+		if l.wedged {
+			return 0, &WALWedgedError{Name: l.name, Err: errors.New("sync failed and rollback failed")}
+		}
+		return 0, fmt.Errorf("store: delta append for %q lost to a failed sync", l.name)
 	}
 	l.c.appends.Add(1)
 	return seq, nil
@@ -372,6 +392,10 @@ func (l *deltaLog) rollbackLocked(cause error) {
 	for len(l.batches) > 0 && l.batches[len(l.batches)-1].Seq > l.synced {
 		l.batches = l.batches[:len(l.batches)-1]
 	}
+	for _, lost := range l.unsynced {
+		*lost = true
+	}
+	l.unsynced = nil
 	l.seq = l.synced
 	l.size = l.syncedSize
 	l.publishTailLocked()
@@ -476,6 +500,7 @@ func (l *deltaLog) rewriteLocked(newBaseSeq uint64) error {
 		l.seq = b.Seq
 	}
 	l.synced = l.seq
+	l.unsynced = nil // the new file's fsync made every ride-along durable
 	l.publishTailLocked()
 	l.c.rotations.Add(1)
 	return nil

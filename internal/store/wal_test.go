@@ -475,3 +475,82 @@ func TestWALWedgedErrorFormat(t *testing.T) {
 		t.Fatal("empty message")
 	}
 }
+
+// gatedLocker is a deltaLog's mutex as its condition variable sees it, with a
+// gate in front of Lock: cond.Wait re-acquires the mutex through it, so a
+// woken follower stays parked until the test opens the gate, while every
+// other path locks l.mu directly and is not held up.
+type gatedLocker struct {
+	mu   *sync.Mutex
+	gate chan struct{}
+}
+
+func (g *gatedLocker) Lock()   { <-g.gate; g.mu.Lock() }
+func (g *gatedLocker) Unlock() { g.mu.Unlock() }
+
+// TestDeltaLogFollowerLostToRollbackDespiteReusedSeq is the schedule behind
+// the once-in-hundreds "acknowledged batch lost on reopen": a follower's
+// record is rolled back by its group's failed sync, and before the follower
+// runs again a fresh append reuses its sequence number and is synced. The
+// follower must report the loss — comparing sequence numbers, as the log once
+// did, acknowledges a batch the truncate removed. The gate makes "before the
+// follower runs again" certain, and the test plays the failing leader itself,
+// statement for statement, because a real one gives no window in which to
+// park the follower.
+func TestDeltaLogFollowerLostToRollbackDespiteReusedSeq(t *testing.T) {
+	path := walPath(t)
+	var c walCounters
+	l, _, err := openDeltaLog("g", path, 1, &c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	l.cond = sync.NewCond(&gatedLocker{mu: &l.mu, gate: gate})
+	mustAppend(t, l, graph.EdgeOp{Src: 1, Dst: 1}) // seq 1, durable
+
+	// A sync is "in flight": the follower writes seq 2 and parks.
+	l.mu.Lock()
+	l.syncing = true
+	l.mu.Unlock()
+	followerErr := make(chan error, 1)
+	go func() {
+		_, err := l.append([]graph.EdgeOp{{Src: 66, Dst: 66}})
+		followerErr <- err
+	}()
+	for parked := false; !parked; {
+		// The record is written under the lock the follower only gives up
+		// inside cond.Wait, after joining the wait list.
+		l.mu.Lock()
+		parked = l.seq == 2
+		l.mu.Unlock()
+	}
+
+	// The sync fails: the leader's failure branch.
+	l.mu.Lock()
+	l.syncing = false
+	c.fsyncErrors.Add(1)
+	l.rollbackLocked(errors.New("injected"))
+	l.cond.Broadcast()
+	l.mu.Unlock()
+
+	// Seq 2 is taken again and acknowledged while the follower is still on
+	// its way back to the lock.
+	if seq := mustAppend(t, l, graph.EdgeOp{Src: 2, Dst: 2}); seq != 2 {
+		t.Fatalf("post-rollback seq = %d, want 2", seq)
+	}
+	close(gate)
+	if err := <-followerErr; err == nil {
+		t.Error("follower acknowledged a batch its group's failed sync rolled back")
+	}
+	l.close(false)
+
+	l2, _, err := openDeltaLog("g", path, 1, &c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.close(false)
+	ops := l2.opsThrough(^uint64(0))
+	if len(ops) != 2 || ops[0].Src != 1 || ops[1].Src != 2 {
+		t.Fatalf("replayed ops = %+v, want the two acknowledged batches", ops)
+	}
+}

@@ -29,14 +29,13 @@ func detectAVX2() bool {
 // RankSumRun is RankSumRunGo on the process's selected kernel: the AVX2
 // gather loop of gather_amd64.s when the CPU has it — the one place the
 // paper's vgatherqpd is issued for real — and the Go twin otherwise. The
-// assembly does not bounds-check its gathers; that every lane id indexes
-// props and scale is the Vector-Sparse format's guarantee
-// (vsparse.Array.Validate).
-func RankSumRun(words, props []uint64, scale []float64, weights []float32) float64 {
+// assembly does not bounds-check its gather; that every lane id indexes
+// contrib is the Vector-Sparse format's guarantee (vsparse.Array.Validate).
+func RankSumRun(words []uint64, contrib []float64, weights []float32) float64 {
 	if useAVX2 {
-		return rankSumRunAVX2(words, props, scale, weights)
+		return rankSumRunAVX2(words, contrib, weights)
 	}
-	return RankSumRunGo(words, props, scale, weights)
+	return RankSumRunGo(words, contrib, weights)
 }
 
 // Kernel names the implementation RankSumRun runs in this process: "avx2" or
@@ -53,4 +52,4 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 //go:noescape
-func rankSumRunAVX2(words, props []uint64, scale []float64, weights []float32) float64
+func rankSumRunAVX2(words []uint64, contrib []float64, weights []float32) float64

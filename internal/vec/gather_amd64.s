@@ -21,21 +21,21 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func rankSumRunAVX2(words, props []uint64, scale []float64, weights []float32) float64
+// func rankSumRunAVX2(words []uint64, contrib []float64, weights []float32) float64
 //
 // One iteration per vector: load four lane words, mask out the 48-bit source
-// ids, gather props[id] and scale[id] under the words' own bit 63 (a lane
-// whose valid bit is clear is not loaded and keeps the zero its register was
-// cleared to), multiply, and add into the four lane accumulators in Y0. No
-// FMA: each product is rounded before it is added, as RankSumRunGo does it.
-// The loop reads exactly len(words)/4 whole vectors and 16 bytes of weights
-// per vector, never past either slice.
-TEXT ·rankSumRunAVX2(SB), NOSPLIT, $0-104
+// ids, gather contrib[id] under the words' own bit 63 (a lane whose valid bit
+// is clear is not loaded and keeps the zero its register was cleared to;
+// the gather consumes its mask, and the words are not needed again), and add
+// into the four lane accumulators in Y0. The weighted loop multiplies by the
+// lane weights first; no FMA: the product is rounded before it is added, as
+// RankSumRunGo does it. The loop reads exactly len(words)/4 whole vectors
+// and 16 bytes of weights per vector, never past either slice.
+TEXT ·rankSumRunAVX2(SB), NOSPLIT, $0-80
 	MOVQ words_base+0(FP), SI
 	MOVQ words_len+8(FP), CX
-	MOVQ props_base+24(FP), R8
-	MOVQ scale_base+48(FP), R9
-	MOVQ weights_base+72(FP), R10
+	MOVQ contrib_base+24(FP), R8
+	MOVQ weights_base+48(FP), R10
 	VPXOR Y0, Y0, Y0 // l0..l3
 	SHRQ $2, CX      // vectors in the span
 	JZ   fold
@@ -48,12 +48,8 @@ TEXT ·rankSumRunAVX2(SB), NOSPLIT, $0-104
 plain:
 	VMOVDQU (SI), Y1
 	VPAND   Y7, Y1, Y2 // ids
-	VMOVDQA Y1, Y3     // a gather clears its mask register: one copy each
 	VPXOR   Y4, Y4, Y4
-	VPXOR   Y5, Y5, Y5
-	VGATHERQPD Y1, (R8)(Y2*8), Y4 // props[id]
-	VGATHERQPD Y3, (R9)(Y2*8), Y5 // scale[id]
-	VMULPD  Y5, Y4, Y4
+	VGATHERQPD Y1, (R8)(Y2*8), Y4 // contrib[id]
 	VADDPD  Y4, Y0, Y0
 	ADDQ    $32, SI
 	DECQ    CX
@@ -63,13 +59,9 @@ plain:
 weighted:
 	VMOVDQU (SI), Y1
 	VPAND   Y7, Y1, Y2
-	VMOVDQA Y1, Y3
 	VPXOR   Y4, Y4, Y4
-	VPXOR   Y5, Y5, Y5
 	VGATHERQPD Y1, (R8)(Y2*8), Y4
-	VGATHERQPD Y3, (R9)(Y2*8), Y5
 	VCVTPS2PD (R10), Y6 // four float32 lane weights
-	VMULPD  Y5, Y4, Y4
 	VMULPD  Y6, Y4, Y4
 	VADDPD  Y4, Y0, Y0
 	ADDQ    $32, SI
@@ -83,6 +75,6 @@ fold:
 	VHADDPD   X1, X0, X0 // X0 = [l0+l1, l2+l3]
 	VPERMILPD $1, X0, X1
 	VADDSD    X1, X0, X0
-	VMOVSD X0, ret+96(FP)
+	VMOVSD X0, ret+72(FP)
 	VZEROUPPER
 	RET

@@ -3,7 +3,6 @@
 package vec_test
 
 import (
-	"math"
 	"syscall"
 	"testing"
 	"unsafe"
@@ -33,7 +32,7 @@ func guarded(t *testing.T, n int) []byte {
 // on the last byte before a guard page.
 func TestRankSumRunNeverReadsPastLen(t *testing.T) {
 	const n = 64
-	props, scale := rankInputs(n, 4)
+	f := newRankFixture(n, 4)
 	for _, vectors := range []int{1, 2, 5, 16} {
 		lanes := vectors * vec.Lanes
 		words := unsafe.Slice((*uint64)(unsafe.Pointer(&guarded(t, lanes*8)[0])), lanes)
@@ -50,9 +49,8 @@ func TestRankSumRunNeverReadsPastLen(t *testing.T) {
 			}
 		}
 		for _, ws := range [][]float32{nil, weights} {
-			got := vec.RankSumRun(words, props, scale, ws)
-			if want := vec.RankSumRunGo(words, props, scale, ws); math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("%d vectors: %s kernel %v, Go twin %v", vectors, vec.Kernel(), got, want)
+			if kernel, twin, perEdge, ok := f.agree(words, ws); !ok {
+				t.Errorf("%d vectors: %s kernel %#x, Go twin %#x, per-edge product %#x", vectors, vec.Kernel(), kernel, twin, perEdge)
 			}
 		}
 	}

@@ -18,27 +18,60 @@ import (
 // twin, bit for bit. On a purego build, or a CPU without AVX2, the two are
 // the same function and the tests pass trivially; CI runs them on both.
 
-// rankInputs returns a props and a scale vector over n vertices: positive
-// ranks of mixed magnitude and 1/outdeg-like scales, zero for every seventh
-// vertex (a dangling source).
-func rankInputs(n int, seed int64) (props []uint64, scale []float64) {
-	rng := rand.New(rand.NewSource(seed))
-	props, scale = make([]uint64, n), make([]float64, n)
-	for v := range props {
-		props[v] = math.Float64bits(rng.Float64() * math.Pow(10, float64(rng.Intn(9)-6)))
-		if v%7 != 0 {
-			scale[v] = 1 / float64(1+rng.Intn(1000))
+// perEdgeRun is the sum as the two-gather kernel computed it before contrib
+// existed: props[src]·scale[src] multiplied out on every edge, in the same
+// lane-wise order. The one-gather kernels must reproduce it to the bit.
+func perEdgeRun(words, props []uint64, scale []float64, weights []float32) float64 {
+	var l [vec.Lanes]float64
+	for i, w := range words {
+		if w&vsparse.ValidBit == 0 {
+			continue
 		}
+		n := w & vsparse.VertexMask
+		term := float64(math.Float64frombits(props[n]) * scale[n])
+		if weights != nil {
+			term = float64(term * float64(weights[i]))
+		}
+		l[i%vec.Lanes] += term
 	}
-	return props, scale
+	return (l[0] + l[1]) + (l[2] + l[3])
 }
 
-func sameBits(t *testing.T, label string, words, props []uint64, scale []float64, weights []float32) {
+// rankFixture is one set of kernel inputs over n vertices: positive ranks of
+// mixed magnitude, 1/outdeg-like scales that are zero for every seventh vertex
+// (a dangling source), and the contrib vector the engine derives from the two,
+// one rounded product per vertex.
+type rankFixture struct {
+	props          []uint64
+	scale, contrib []float64
+}
+
+func newRankFixture(n int, seed int64) rankFixture {
+	rng := rand.New(rand.NewSource(seed))
+	f := rankFixture{make([]uint64, n), make([]float64, n), make([]float64, n)}
+	for v := range f.props {
+		f.props[v] = math.Float64bits(rng.Float64() * math.Pow(10, float64(rng.Intn(9)-6)))
+		if v%7 != 0 {
+			f.scale[v] = 1 / float64(1+rng.Intn(1000))
+		}
+		f.contrib[v] = float64(math.Float64frombits(f.props[v]) * f.scale[v])
+	}
+	return f
+}
+
+// agree reports whether the selected kernel, the Go twin and the per-edge
+// product all sum the span to the same bits.
+func (f rankFixture) agree(words []uint64, weights []float32) (kernel, twin, perEdge uint64, ok bool) {
+	kernel = math.Float64bits(vec.RankSumRun(words, f.contrib, weights))
+	twin = math.Float64bits(vec.RankSumRunGo(words, f.contrib, weights))
+	perEdge = math.Float64bits(perEdgeRun(words, f.props, f.scale, weights))
+	return kernel, twin, perEdge, kernel == twin && twin == perEdge
+}
+
+func sameBits(t *testing.T, label string, f rankFixture, words []uint64, weights []float32) {
 	t.Helper()
-	got := math.Float64bits(vec.RankSumRun(words, props, scale, weights))
-	want := math.Float64bits(vec.RankSumRunGo(words, props, scale, weights))
-	if got != want {
-		t.Fatalf("%s: %s kernel %#x, Go twin %#x", label, vec.Kernel(), got, want)
+	if kernel, twin, perEdge, ok := f.agree(words, weights); !ok {
+		t.Fatalf("%s: %s kernel %#x, Go twin %#x, per-edge product %#x", label, vec.Kernel(), kernel, twin, perEdge)
 	}
 }
 
@@ -50,21 +83,21 @@ func TestRankSumRunCorpus(t *testing.T) {
 	for _, c := range testgraph.Corpus() {
 		g := c.WithWeights()
 		a := vsparse.FromCSR(csr.FromGraph(g, true))
-		props, scale := rankInputs(a.N, 5)
+		f := newRankFixture(a.N, 5)
 		for dst := 0; dst < a.N; dst++ {
 			lo, hi := a.Index[dst], a.Index[dst+1]
 			for cut := lo; cut <= hi; cut++ {
 				for _, s := range [][2]int{{lo, cut}, {cut, hi}} {
 					label := fmt.Sprintf("%s dst %d vectors [%d,%d)", c.Name, dst, s[0], s[1])
 					words := a.Words[s[0]*vec.Lanes : s[1]*vec.Lanes]
-					sameBits(t, label, words, props, scale, nil)
-					sameBits(t, label+" weighted", words, props, scale, a.Weights[s[0]*vec.Lanes:s[1]*vec.Lanes])
+					sameBits(t, label, f, words, nil)
+					sameBits(t, label+" weighted", f, words, a.Weights[s[0]*vec.Lanes:s[1]*vec.Lanes])
 				}
 			}
 		}
 		// The span that ends on the last word of Words.
 		if n := a.NumVectors(); n > 0 {
-			sameBits(t, c.Name+" last vector", a.Words[(n-1)*vec.Lanes:], props, scale, nil)
+			sameBits(t, c.Name+" last vector", f, a.Words[(n-1)*vec.Lanes:], nil)
 		}
 	}
 }
@@ -75,7 +108,7 @@ func TestRankSumRunCorpus(t *testing.T) {
 // leave the allocation.
 func TestRankSumRunQuick(t *testing.T) {
 	const n = 97
-	props, scale := rankInputs(n, 9)
+	f := newRankFixture(n, 9)
 	check := func(seed int64, nvec uint8, allPartial bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		vectors := int(nvec) % 41
@@ -95,10 +128,8 @@ func TestRankSumRunQuick(t *testing.T) {
 				weights[v*vec.Lanes+lane] = 0.5 + 9*rng.Float32()
 			}
 		}
-		plain := math.Float64bits(vec.RankSumRun(words, props, scale, nil)) ==
-			math.Float64bits(vec.RankSumRunGo(words, props, scale, nil))
-		weighted := math.Float64bits(vec.RankSumRun(words, props, scale, weights)) ==
-			math.Float64bits(vec.RankSumRunGo(words, props, scale, weights))
+		_, _, _, plain := f.agree(words, nil)
+		_, _, _, weighted := f.agree(words, weights)
 		return plain && weighted
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
@@ -109,7 +140,7 @@ func TestRankSumRunQuick(t *testing.T) {
 			t.Errorf("kernels disagree on a span of %d vectors", vectors)
 		}
 	}
-	if got := vec.RankSumRun(nil, props, scale, nil); math.Float64bits(got) != 0 {
+	if got := vec.RankSumRun(nil, f.contrib, nil); math.Float64bits(got) != 0 {
 		t.Errorf("empty span sums to %v, want +0", got)
 	}
 }
@@ -118,12 +149,7 @@ func TestRankSumRunQuick(t *testing.T) {
 // matters: lane-wise partial sums folded (l0+l1)+(l2+l3), not a chain.
 func TestRankSumRunOrder(t *testing.T) {
 	vals := []float64{1, 1e-16, -1, 1e-16, 3, 1e-16, 1e-16, 1e-16}
-	props := make([]uint64, len(vals))
-	scale := make([]float64, len(vals))
 	words := make([]uint64, len(vals))
-	for i, v := range vals {
-		props[i], scale[i] = math.Float64bits(v), 1
-	}
 	for v := 0; v < len(vals)/vec.Lanes; v++ {
 		var ids [vec.Lanes]uint64
 		for lane := range ids {
@@ -140,10 +166,10 @@ func TestRankSumRunOrder(t *testing.T) {
 	if want == chain {
 		t.Fatal("fixture does not tell the lane-wise order from a chain")
 	}
-	for name, f := range map[string]func([]uint64, []uint64, []float64, []float32) float64{
+	for name, f := range map[string]func([]uint64, []float64, []float32) float64{
 		vec.Kernel(): vec.RankSumRun, "go twin": vec.RankSumRunGo,
 	} {
-		if got := f(words, props, scale, nil); got != want {
+		if got := f(words, vals, nil); got != want {
 			t.Errorf("%s: %v, want (l0+l1)+(l2+l3) = %v", name, got, want)
 		}
 	}
@@ -180,9 +206,9 @@ var sinkF64 float64
 // per-vector chain they replaced.
 func BenchmarkRankSumRun(b *testing.B) {
 	a := vsparse.FromCSR(csr.FromGraph(gen.Generate(gen.UK2007, 1), true))
-	props, scale := rankInputs(a.N, 3)
-	plain := func(f func([]uint64, []uint64, []float64, []float32) float64) func([]uint64) float64 {
-		return func(w []uint64) float64 { return f(w, props, scale, nil) }
+	in := newRankFixture(a.N, 3)
+	plain := func(f func([]uint64, []float64, []float32) float64) func([]uint64) float64 {
+		return func(w []uint64) float64 { return f(w, in.contrib, nil) }
 	}
 	for _, k := range []struct {
 		name string
@@ -190,7 +216,7 @@ func BenchmarkRankSumRun(b *testing.B) {
 	}{
 		{vec.Kernel(), plain(vec.RankSumRun)},
 		{"go-twin", plain(vec.RankSumRunGo)},
-		{"chain", func(w []uint64) float64 { return chainRun(w, props, scale) }},
+		{"chain", func(w []uint64) float64 { return chainRun(w, in.props, in.scale) }},
 	} {
 		b.Run(k.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -12,11 +12,14 @@
 //
 // The hardware part is one kernel: RankSumRun, the Edge-Pull of the rank-sum
 // programs over one destination's run of vectors. On amd64 with AVX2 it is
-// the loop in gather_amd64.s — the paper's vgatherqpd, masked by the lane
-// words' own valid bits — selected once per process by a CPUID+XGETBV check
-// in the same file; on any other platform, under -tags purego, or on a CPU
-// without AVX2 it is RankSumRunGo, a pure-Go twin written in the same
-// reduction order and bit-identical to the assembly (DESIGN.md §2, §5).
+// the loop in gather_amd64.s — the paper's vgatherqpd, one per vector, masked
+// by the lane words' own valid bits — selected once per process by a
+// CPUID+XGETBV check in the same file; on any other platform, under -tags
+// purego, or on a CPU without AVX2 it is RankSumRunGo, a pure-Go twin written
+// in the same reduction order and bit-identical to the assembly (DESIGN.md
+// §2, §5). What it gathers is a per-vertex array the engine prepares before
+// each sweep, contrib[n] = rank[n]·scale[n]: the product is the same on every
+// out-edge of n, so it is made once per vertex and read once per edge.
 // Kernel reports which one the process runs.
 package vec
 
