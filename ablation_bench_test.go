@@ -1,7 +1,8 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out: the
 // 32-chunks-per-thread scheduling granularity (§5), the fused full-vector
-// fast path of the pull kernel, the sparse-frontier extension, and the
-// dynamic-vs-static Edge-phase scheduler.
+// fast path of the pull kernel, the sparse-frontier extension, the
+// granularity sensitivity of a frontier application, and the merge-buffer
+// fold.
 package grazelle
 
 import (
@@ -145,55 +146,5 @@ func BenchmarkAblationMergeCost(b *testing.B) {
 			}
 			reportEdges(b, g.NumEdges())
 		})
-	}
-}
-
-// BenchmarkAblationScheduler compares the ticket-counter dynamic scheduler
-// against the work-stealing scheduler under the scheduler-aware engine —
-// §3's claim that scheduler awareness does not restrict the scheduler.
-func BenchmarkAblationScheduler(b *testing.B) {
-	g, cg := benchGraph(b, gen.UK2007)
-	for _, stealing := range []bool{false, true} {
-		name := "ticket"
-		if stealing {
-			name = "work-stealing"
-		}
-		b.Run(name, func(b *testing.B) {
-			r := core.NewRunner(cg, core.Options{Mode: core.EnginePullOnly, WorkStealing: stealing})
-			defer r.Close()
-			p := apps.NewPageRank(g)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				core.Run(r, p, 1)
-			}
-			reportEdges(b, g.NumEdges())
-		})
-	}
-}
-
-// BenchmarkAblationVectorWidth compares the 256-bit (4-lane) and 512-bit
-// (8-lane) Vector-Sparse pull kernels — the generalization §4 sketches for
-// AVX-512. Wider vectors amortize bookkeeping over more edges but carry the
-// packing penalty Fig 9 quantifies, so the winner depends on the degree
-// distribution: the skewed uk analog favors wide, the mesh does not.
-func BenchmarkAblationVectorWidth(b *testing.B) {
-	for _, d := range []gen.Dataset{gen.DimacsUSA, gen.UK2007} {
-		g, cg := benchGraph(b, d)
-		for _, wide := range []bool{false, true} {
-			name := "256-bit"
-			if wide {
-				name = "512-bit"
-			}
-			b.Run(d.Abbrev()+"/"+name, func(b *testing.B) {
-				r := core.NewRunner(cg, core.Options{Mode: core.EnginePullOnly, WideVectors: wide})
-				defer r.Close()
-				p := apps.NewPageRank(g)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					core.Run(r, p, 1)
-				}
-				reportEdges(b, g.NumEdges())
-			})
-		}
 	}
 }

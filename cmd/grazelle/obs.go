@@ -143,8 +143,8 @@ func (s *server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"runs": recent})
 }
 
-// handleRunByID returns one run's record — per-phase wall times, chunk and
-// steal counts, frontier densities — or 404 once it ages out of the ring.
+// handleRunByID returns one run's record — per-phase wall times, chunk
+// counts, frontier densities — or 404 once it ages out of the ring.
 func (s *server) handleRunByID(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	rec, ok := s.svc.Runs().Get(id)

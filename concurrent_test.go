@@ -115,8 +115,8 @@ func TestEngineConcurrentMixedQueries(t *testing.T) {
 	wg.Wait()
 }
 
-// TestEngineCtxCancellation: a cancelled context stops a run early with a
-// non-nil error from every Ctx variant.
+// TestEngineCtxCancellation: a cancelled context stops every application's
+// run early with a non-nil error.
 func TestEngineCtxCancellation(t *testing.T) {
 	g := concurrencyGraph(t)
 	e := NewEngine(g, Options{Workers: 2})
@@ -124,31 +124,33 @@ func TestEngineCtxCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.PageRankCtx(ctx, 100); !errors.Is(err, context.Canceled) {
-		t.Errorf("PageRankCtx err = %v, want context.Canceled", err)
-	}
-	if _, err := e.WeightedRankCtx(ctx, 100); !errors.Is(err, context.Canceled) {
-		t.Errorf("WeightedRankCtx err = %v, want context.Canceled", err)
-	}
-	if _, err := e.ConnectedComponentsCtx(ctx); !errors.Is(err, context.Canceled) {
-		t.Errorf("ConnectedComponentsCtx err = %v, want context.Canceled", err)
-	}
-	if _, err := e.BFSCtx(ctx, 0); !errors.Is(err, context.Canceled) {
-		t.Errorf("BFSCtx err = %v, want context.Canceled", err)
-	}
-	if _, err := e.SSSPCtx(ctx, 0); !errors.Is(err, context.Canceled) {
-		t.Errorf("SSSPCtx err = %v, want context.Canceled", err)
+	for _, q := range []struct {
+		app string
+		p   Params
+	}{
+		{"pr", Params{Iters: 100}},
+		{"wpr", Params{Iters: 100}},
+		{"cc", Params{}},
+		{"bfs", Params{Root: 0}},
+		{"sssp", Params{Root: 0}},
+	} {
+		if _, err := e.Run(ctx, q.app, q.p); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s err = %v, want context.Canceled", q.app, err)
+		}
 	}
 
 	// A live context cancelled mid-run still yields the partial result shape.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	go func() { time.Sleep(time.Millisecond); cancel2() }()
-	res, err := e.PageRankCtx(ctx2, 1<<20)
+	res, err := e.Run(ctx2, "pr", Params{Iters: 1 << 20})
 	if err == nil {
 		t.Fatal("mid-run cancellation returned nil error")
 	}
-	if len(res.Ranks) != g.NumVertices() {
-		t.Errorf("partial result has %d ranks, want %d", len(res.Ranks), g.NumVertices())
+	if res == nil {
+		t.Fatal("mid-run cancellation returned no partial result")
+	}
+	if len(res.Props) != g.NumVertices() {
+		t.Errorf("partial result has %d ranks, want %d", len(res.Props), g.NumVertices())
 	}
 }
 

@@ -165,14 +165,10 @@ type Options struct {
 	Mode EngineMode
 	// Record enables execution counters (small per-edge overhead).
 	Record bool
-	// MaxRunTime, when positive, bounds each run's wall-clock time: a run
-	// past the limit stops within one scheduler chunk and returns its
-	// partial result with an error wrapping context.DeadlineExceeded.
-	MaxRunTime time.Duration
 	// Trace enables the per-run phase tracer: Stats gains a Phases
-	// breakdown (wall time, chunks, steals, frontier density per engine
-	// phase). Overhead is phase-boundary-only — a fraction of a percent —
-	// so serving layers keep it on.
+	// breakdown (wall time, chunks, frontier density per engine phase).
+	// Overhead is phase-boundary-only — a fraction of a percent — so
+	// serving layers keep it on.
 	Trace bool
 	// Partitions splits each run into this many partitions executed through
 	// the partitioned coordinator (scatter-gather phases plus a frontier
@@ -182,14 +178,6 @@ type Options struct {
 	// non-default Variant, Record, multi-socket) quietly fall back, and
 	// Stats.Partitions reports the effective count.
 	Partitions int
-	// PullDegreeShare tunes the hybrid engine's degree-sum term (Besta et
-	// al.): a low-density frontier too large for the list-driven round
-	// still pulls when its out-edges cover at least this share of all
-	// edges — for applications whose pull scan can stop early (BFS, k-core),
-	// the ones it pays for. 0 selects the default (0.15, the value the
-	// direction-rule sweep in EXPERIMENTS.md supports); a negative value
-	// disables the term.
-	PullDegreeShare float64
 }
 
 // Engine executes graph applications on one Graph. Engines hold a worker
@@ -198,9 +186,9 @@ type Options struct {
 // An Engine is safe for concurrent use: any number of goroutines may run
 // applications on one Engine at once. Each run executes in its own
 // per-run context while the shared pool multiplexes their chunks over one
-// worker set, so results are identical to solo runs. The Ctx variants
-// (PageRankCtx, BFSCtx, ...) additionally honor cancellation and deadlines
-// at scheduler-chunk granularity.
+// worker set, so results are identical to solo runs. Run honors its
+// context's cancellation and deadline at scheduler-chunk granularity; the
+// per-application methods (PageRank, BFS, ...) run to completion.
 type Engine struct {
 	g *Graph
 	r *core.Runner
@@ -211,15 +199,13 @@ type Engine struct {
 // Store resolve differently.
 func (opt Options) coreOptions() core.Options {
 	return core.Options{
-		ChunkVectors:    opt.ChunkVectors,
-		Variant:         opt.Variant,
-		Scalar:          opt.Scalar,
-		Mode:            opt.Mode,
-		Record:          opt.Record,
-		MaxRunTime:      opt.MaxRunTime,
-		Trace:           opt.Trace,
-		Partitions:      opt.Partitions,
-		PullDegreeShare: opt.PullDegreeShare,
+		ChunkVectors: opt.ChunkVectors,
+		Variant:      opt.Variant,
+		Scalar:       opt.Scalar,
+		Mode:         opt.Mode,
+		Record:       opt.Record,
+		Trace:        opt.Trace,
+		Partitions:   opt.Partitions,
 	}
 }
 
@@ -251,7 +237,7 @@ func (e *Engine) Close() { e.r.Close() }
 func (e *Engine) Graph() *Graph { return e.g }
 
 // PhaseStat is one engine phase's aggregate within a run's trace: wall
-// time, chunk and steal counts, iteration count, and the frontier-density
+// time, chunk count, iteration count, and the frontier-density
 // bounds observed when the phase ran.
 type PhaseStat = obs.PhaseStat
 
@@ -285,8 +271,9 @@ type Stats struct {
 	// PartitionStats is the per-partition breakdown (empty unless
 	// Options.Trace was set and the run was partitioned).
 	PartitionStats []PartitionStat
-	// ExchangeBytes is the total frontier-delta volume the run moved
-	// through the coordinator's exchange (0 for monolithic runs).
+	// ExchangeBytes is the total frontier-bitmap volume the partitioned
+	// coordinator's barriers handed between partitions (0 for monolithic
+	// runs).
 	ExchangeBytes int64
 	// TraceDropped reports that tracing failed mid-run and was abandoned
 	// (the run itself succeeded); Phases may be incomplete.
@@ -367,8 +354,8 @@ func (r *AppResult) VertexText(v int) string { return r.entry.VertexText(r.Props
 // schema ignores are zeroed; fields it reads are used as given (so an
 // explicit Iters of 0 runs zero iterations — callers wanting schema
 // defaults applied should normalize via the registry first, as the CLI and
-// serve do). Like the Ctx variants, cancellation stops the run within one
-// scheduler chunk; on mid-run errors the partial result is returned
+// serve do). Cancelling ctx, or passing its deadline, stops the run within
+// one scheduler chunk; on mid-run errors the partial result is returned
 // alongside the error. A nil result means the run never started (unknown
 // app, invalid params, or an unweighted graph for a weighted app).
 func (e *Engine) Run(ctx context.Context, app string, p Params) (*AppResult, error) {
@@ -419,29 +406,15 @@ func rankResult(res *AppResult, err error) (PageRankResult, error) {
 // PageRank runs iters iterations of damped (0.85) PageRank with
 // dangling-mass redistribution.
 func (e *Engine) PageRank(iters int) PageRankResult {
-	res, _ := e.PageRankCtx(context.Background(), iters)
+	res, _ := rankResult(e.Run(context.Background(), "pr", Params{Iters: iters}))
 	return res
-}
-
-// PageRankCtx is PageRank with cancellation: when ctx is cancelled or its
-// deadline passes, the run stops within one scheduler chunk boundary and
-// returns the ranks of the last completed iteration alongside a non-nil
-// error wrapping ctx.Err().
-func (e *Engine) PageRankCtx(ctx context.Context, iters int) (PageRankResult, error) {
-	return rankResult(e.Run(ctx, "pr", Params{Iters: iters}))
 }
 
 // WeightedRank runs the Collaborative-Filtering-like weighted rank kernel
 // (§6: PageRank's access pattern with edge weights folded in). The graph
 // must be weighted.
 func (e *Engine) WeightedRank(iters int) (PageRankResult, error) {
-	return e.WeightedRankCtx(context.Background(), iters)
-}
-
-// WeightedRankCtx is WeightedRank with cancellation at scheduler-chunk
-// granularity (see PageRankCtx).
-func (e *Engine) WeightedRankCtx(ctx context.Context, iters int) (PageRankResult, error) {
-	return rankResult(e.Run(ctx, "wpr", Params{Iters: iters}))
+	return rankResult(e.Run(context.Background(), "wpr", Params{Iters: iters}))
 }
 
 // ComponentsResult holds Connected Components output.
@@ -456,18 +429,11 @@ type ComponentsResult struct {
 
 // ConnectedComponents runs min-label propagation to a fixpoint.
 func (e *Engine) ConnectedComponents() ComponentsResult {
-	res, _ := e.ConnectedComponentsCtx(context.Background())
-	return res
-}
-
-// ConnectedComponentsCtx is ConnectedComponents with cancellation at
-// scheduler-chunk granularity (see PageRankCtx).
-func (e *Engine) ConnectedComponentsCtx(ctx context.Context) (ComponentsResult, error) {
-	res, err := e.Run(ctx, "cc", Params{})
+	res, _ := e.Run(context.Background(), "cc", Params{})
 	if res == nil {
-		return ComponentsResult{}, err
+		return ComponentsResult{}
 	}
-	return ComponentsResult{Components: apps.Components(res.Props), Stats: res.Stats}, err
+	return ComponentsResult{Components: apps.Components(res.Props), Stats: res.Stats}
 }
 
 // NoParent marks an unreached vertex in BFSResult.Parents.
@@ -484,18 +450,11 @@ type BFSResult struct {
 
 // BFS runs breadth-first search from root.
 func (e *Engine) BFS(root uint32) BFSResult {
-	res, _ := e.BFSCtx(context.Background(), root)
-	return res
-}
-
-// BFSCtx is BFS with cancellation at scheduler-chunk granularity (see
-// PageRankCtx).
-func (e *Engine) BFSCtx(ctx context.Context, root uint32) (BFSResult, error) {
-	res, err := e.Run(ctx, "bfs", Params{Root: root})
+	res, _ := e.Run(context.Background(), "bfs", Params{Root: root})
 	if res == nil {
-		return BFSResult{}, err
+		return BFSResult{}
 	}
-	return BFSResult{Parents: apps.Parents(res.Props), Stats: res.Stats}, err
+	return BFSResult{Parents: apps.Parents(res.Props), Stats: res.Stats}
 }
 
 // SSSPResult holds Single-Source Shortest Paths output.
@@ -510,13 +469,7 @@ type SSSPResult struct {
 // SSSP runs synchronous Bellman-Ford from root over non-negative edge
 // weights. The graph must be weighted.
 func (e *Engine) SSSP(root uint32) (SSSPResult, error) {
-	return e.SSSPCtx(context.Background(), root)
-}
-
-// SSSPCtx is SSSP with cancellation at scheduler-chunk granularity (see
-// PageRankCtx).
-func (e *Engine) SSSPCtx(ctx context.Context, root uint32) (SSSPResult, error) {
-	res, err := e.Run(ctx, "sssp", Params{Root: root})
+	res, err := e.Run(context.Background(), "sssp", Params{Root: root})
 	if res == nil {
 		return SSSPResult{}, err
 	}

@@ -3,9 +3,12 @@ package grazelle
 import (
 	"math"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/core"
 	"repro/internal/gen"
 )
 
@@ -214,5 +217,55 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if single.NumEdges() != g.NumEdges() {
 		t.Error("single-file load wrong")
+	}
+}
+
+// TestOptionsSurface pins the engine's and the facade's option fields. Every
+// field is set by a binary, a benchfig experiment or an ablation row; adding
+// one means naming its setter here, and a field whose setter goes away
+// should go with it.
+func TestOptionsSurface(t *testing.T) {
+	coreFields := []string{
+		"Pool",               // Store.runnerOptions: serve's one shared pool
+		"Workers",            // grazelle -n
+		"Topology",           // grazelle -u (NewEngine's socket split)
+		"ChunkVectors",       // grazelle -s
+		"Variant",            // grazelle -variant
+		"Scalar",             // grazelle -scalar
+		"Mode",               // grazelle -engine
+		"PullDegreeShare",    // benchfig dirsweep
+		"Partitions",         // grazelle -partitions, serve -partitions
+		"Record",             // grazelle -counters
+		"Trace",              // serve (always on)
+		"AblateFrontierWork", // benchfig paper rows; BenchmarkAblationSparseFrontier
+		"AblateFullVector",   // BenchmarkAblationFullVectorPath (DESIGN.md §5)
+		"AblateSIMD",         // benchfig fig10's software-vector column
+		"OnRelease",          // Store.runnerOptions: LRU clock and run counts
+	}
+	facadeFields := []string{
+		"Workers",      // grazelle -n
+		"Sockets",      // grazelle -u
+		"ChunkVectors", // grazelle -s
+		"Variant",      // grazelle -variant
+		"Scalar",       // grazelle -scalar
+		"Mode",         // grazelle -engine
+		"Record",       // grazelle -counters
+		"Trace",        // serve (always on)
+		"Partitions",   // grazelle -partitions, serve -partitions
+	}
+	for _, tc := range []struct {
+		typ  reflect.Type
+		want []string
+	}{
+		{reflect.TypeOf(core.Options{}), coreFields},
+		{reflect.TypeOf(Options{}), facadeFields},
+	} {
+		var got []string
+		for i := 0; i < tc.typ.NumField(); i++ {
+			got = append(got, tc.typ.Field(i).Name)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s fields = %v, want %v", tc.typ, got, tc.want)
+		}
 	}
 }

@@ -8,10 +8,8 @@
 // Two coordinators exist today. LocalCoordinator replays the monolithic
 // schedule bit-for-bit. PartitionedCoordinator splits the run into P
 // partitions via the promoted internal/numa Plan and scatter-gathers each
-// phase across per-partition spans (GPOP-style blocking), exchanging
-// frontier state at the barrier through an Exchange — whose only in-process
-// implementation is shared-memory handoff, the hook where a network
-// transport plugs in without touching the engine.
+// phase across per-partition spans (GPOP-style blocking), handing the next
+// frontier between partitions at the barrier.
 //
 // Determinism contract: a coordinator may choose *where* work runs but
 // never *how it folds*. Spans partition the global chunk-id grid, chunk
@@ -53,8 +51,7 @@ func (d Direction) Mark() byte {
 }
 
 // Span is one partition's slice of a phase's work grid: chunk ids for the
-// edge and vertex phases, bitmap word indices for the frontier exchange.
-// Lo == Hi is an empty span and does no work.
+// edge and vertex phases. Lo == Hi is an empty span and does no work.
 type Span struct {
 	Part   int
 	Lo, Hi int
@@ -88,14 +85,15 @@ type Status struct {
 	InPlace bool
 }
 
+// PullDensity is the classic density term of the hybrid policy: pull when
+// frontier density ≥ this (1/20 of vertices active).
+const PullDensity = 0.05
+
 // Policy decides the per-iteration direction from the iteration status.
 type Policy struct {
 	// PullOnly / PushOnly force a direction (core's EngineMode pins);
 	// neither set means hybrid.
 	PullOnly, PushOnly bool
-	// PullThreshold is the classic density term: pull when frontier
-	// density ≥ this.
-	PullThreshold float64
 	// DegreeShareThreshold is the degree-sum term: pull when the
 	// frontier's out-edges are at least this share of all edges, even at
 	// low vertex density — a few hubs can put most of the edge set in
@@ -122,7 +120,7 @@ func (p Policy) Choose(st Status) Direction {
 	if !st.UsesFrontier {
 		return DirPull
 	}
-	if st.Density >= p.PullThreshold {
+	if st.Density >= PullDensity {
 		return DirPull
 	}
 	if p.DegreeShareThreshold > 0 && st.DegreeShare != nil &&
@@ -165,10 +163,8 @@ type Iteration struct {
 	VertexSpan  func(s Span)
 	VertexDone  func()
 
-	// Delta extracts one partition's outbound frontier segment — the words
-	// of the next-frontier bitmap covering its destination range. Publish
-	// installs the exchanged frontier as the next iteration's input.
-	Delta   func(s Span) FrontierDelta
+	// Publish installs the next frontier, which the spans wrote into the
+	// shared bitmap, as the next iteration's input.
 	Publish func()
 
 	// End closes the iteration's bookkeeping (counters, direction trace)
@@ -188,9 +184,9 @@ type PartitionStat struct {
 // Coordinator drives a run's iteration schedule.
 type Coordinator interface {
 	// Run iterates until the engine's Status stops it or maxIters is
-	// reached. A non-nil error aborts the run (today: a failed exchange);
-	// engine-internal failures surface through Status.Stop and the
-	// engine's own error channel instead.
+	// reached. A non-nil error aborts the run (today: a failed or cancelled
+	// partitioned barrier); engine-internal failures surface through
+	// Status.Stop and the engine's own error channel instead.
 	Run(ctx context.Context, it Iteration, maxIters int) error
 	// Partitions returns the partition count of the schedule (1 for the
 	// monolithic path).

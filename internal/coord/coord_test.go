@@ -1,12 +1,6 @@
 package coord
 
-import (
-	"context"
-	"errors"
-	"testing"
-
-	"repro/internal/fault"
-)
+import "testing"
 
 func TestDirectionMarks(t *testing.T) {
 	if DirPull.Mark() != '<' || DirPush.Mark() != '>' || DirSparse.Mark() != 's' {
@@ -15,7 +9,7 @@ func TestDirectionMarks(t *testing.T) {
 }
 
 func TestPolicyChoose(t *testing.T) {
-	hybrid := Policy{PullThreshold: 0.05, DegreeShareThreshold: 0.05}
+	hybrid := Policy{DegreeShareThreshold: 0.05}
 	share := func(v float64) func() float64 { return func() float64 { return v } }
 	cases := []struct {
 		name string
@@ -35,7 +29,7 @@ func TestPolicyChoose(t *testing.T) {
 		// hubs cover a big edge share still pulls.
 		{"hub-frontier-pulls", hybrid,
 			Status{UsesFrontier: true, Density: 0.001, DegreeShare: share(0.30)}, DirPull},
-		{"degree-term-disabled", Policy{PullThreshold: 0.05},
+		{"degree-term-disabled", Policy{},
 			Status{UsesFrontier: true, Density: 0.001, DegreeShare: share(0.30)}, DirPush},
 		{"nil-share-pushes", hybrid, Status{UsesFrontier: true, Density: 0.001}, DirPush},
 	}
@@ -49,7 +43,7 @@ func TestPolicyChoose(t *testing.T) {
 // TestPolicyDegreeShareLazy pins the laziness contract: the O(frontier) walk
 // must not run when density alone decides.
 func TestPolicyDegreeShareLazy(t *testing.T) {
-	p := Policy{PullThreshold: 0.05, DegreeShareThreshold: 0.05}
+	p := Policy{DegreeShareThreshold: 0.05}
 	called := false
 	st := Status{UsesFrontier: true, Density: 0.5,
 		DegreeShare: func() float64 { called = true; return 1 }}
@@ -58,50 +52,5 @@ func TestPolicyDegreeShareLazy(t *testing.T) {
 	}
 	if called {
 		t.Error("DegreeShare was invoked although density decided")
-	}
-}
-
-func TestSharedMemExchange(t *testing.T) {
-	deltas := []FrontierDelta{
-		{Part: 0, WordLo: 0, Words: []uint64{0xF, 0}},
-		{Part: 1, WordLo: 2, Words: []uint64{1 << 63}},
-		{Part: 2, WordLo: 3, Words: nil},
-	}
-	res, err := SharedMemExchange{}.Exchange(context.Background(), deltas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Active != 5 {
-		t.Errorf("active = %d, want 5", res.Active)
-	}
-	wantBytes := []int64{16, 8, 0}
-	for i, b := range res.Bytes {
-		if b != wantBytes[i] {
-			t.Errorf("bytes[%d] = %d, want %d", i, b, wantBytes[i])
-		}
-	}
-}
-
-func TestSharedMemExchangeCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := SharedMemExchange{}.Exchange(ctx, nil)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("error %v does not wrap context.Canceled", err)
-	}
-}
-
-func TestSharedMemExchangeFaultInjection(t *testing.T) {
-	disarm, err := fault.Enable("coord/exchange", "error*1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disarm()
-	_, err = SharedMemExchange{}.Exchange(context.Background(), nil)
-	if !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("error %v does not wrap fault.ErrInjected", err)
-	}
-	if _, err = (SharedMemExchange{}).Exchange(context.Background(), nil); err != nil {
-		t.Fatalf("exchange after budget drained: %v", err)
 	}
 }

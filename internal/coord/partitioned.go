@@ -2,22 +2,31 @@ package coord
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/numa"
 )
 
 // PartitionedCoordinator runs real partitioned execution: each iteration's
 // edge and vertex phases scatter across P per-partition spans of the global
 // work grid, gather at a barrier, and — for frontier-driven programs —
-// exchange per-partition frontier deltas through the configured Exchange
-// before the next convergence vote.
+// hand the next frontier between partitions before the next convergence
+// vote.
 //
 // The schedule per iteration is
 //
 //	Begin → Edge scatter-gather → ordered merge → Vertex scatter-gather
 //	      → frontier exchange → publish → vote (next Begin)
+//
+// The exchange is zero-copy: every partition already wrote its activation
+// bits into the shared bitmap, so the barrier only charges each partition
+// the bytes of its word range (Plan.Words) — what a transport would move.
+// The coord/exchange failpoint sits there, ahead of a context check, so the
+// chaos suite can fail or wedge the barrier and a watchdog-cancelled context
+// surfaces instead of a successful exchange.
 //
 // Sparse iterations (tiny frontiers) run through the fused monolithic
 // closure instead: the frontier is below E/20 edges, so span scatter and
@@ -35,7 +44,6 @@ type PartitionedCoordinator struct {
 	// InPlacePull spans the pull grid of iterations whose Status says
 	// InPlace, in place of Plan.PullChunks.
 	InPlacePull numa.Partition
-	Exchange    Exchange
 
 	stats []PartitionStat
 }
@@ -50,11 +58,6 @@ func (c *PartitionedCoordinator) Run(ctx context.Context, it Iteration, maxIters
 	for i := range c.stats {
 		c.stats[i].Part = i
 	}
-	ex := c.Exchange
-	if ex == nil {
-		ex = SharedMemExchange{}
-	}
-	deltas := make([]FrontierDelta, parts)
 
 	for i := 0; i < maxIters; i++ {
 		st := it.Begin()
@@ -94,11 +97,12 @@ func (c *PartitionedCoordinator) Run(ctx context.Context, it Iteration, maxIters
 		it.VertexDone()
 
 		if st.UsesFrontier {
-			for p := 0; p < parts; p++ {
-				lo, hi := c.Plan.Words.Range(p)
-				deltas[p] = it.Delta(Span{Part: p, Lo: lo, Hi: hi})
+			err := fault.Inject("coord/exchange")
+			if err != nil {
+				err = fmt.Errorf("coord: frontier exchange failed: %w", err)
+			} else if err = ctx.Err(); err != nil {
+				err = fmt.Errorf("coord: frontier exchange cancelled: %w", err)
 			}
-			res, err := ex.Exchange(ctx, deltas)
 			if err != nil {
 				// Count the iteration before failing: partial results
 				// reflect the last *published* frontier, and the engine
@@ -106,8 +110,9 @@ func (c *PartitionedCoordinator) Run(ctx context.Context, it Iteration, maxIters
 				it.End(dir)
 				return err
 			}
-			for p := 0; p < parts && p < len(res.Bytes); p++ {
-				c.stats[p].ExchangeBytes += res.Bytes[p]
+			for p := 0; p < parts; p++ {
+				lo, hi := c.Plan.Words.Range(p)
+				c.stats[p].ExchangeBytes += int64(hi-lo) * 8
 			}
 		}
 		it.Publish()

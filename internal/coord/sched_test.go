@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/numa"
 )
 
@@ -50,19 +52,15 @@ func (s *scriptedIteration) bundle() Iteration {
 		VertexBegin: func() { rec("vbegin") },
 		VertexSpan:  func(sp Span) { rec(fmt.Sprintf("vspan%d", sp.Part)) },
 		VertexDone:  func() { rec("vdone") },
-		Delta: func(sp Span) FrontierDelta {
-			rec(fmt.Sprintf("delta%d", sp.Part))
-			return FrontierDelta{Part: sp.Part, WordLo: sp.Lo, Words: []uint64{3}}
-		},
-		Publish: func() { rec("publish") },
-		End:     func(d Direction) { rec("end" + string(d.Mark())) },
+		Publish:     func() { rec("publish") },
+		End:         func(d Direction) { rec("end" + string(d.Mark())) },
 	}
 }
 
 func TestLocalCoordinatorSchedule(t *testing.T) {
 	s := &scriptedIteration{limit: 2, usesFrontier: true, density: 0.5,
 		sparseAt: map[int]bool{2: true}}
-	c := &LocalCoordinator{Policy: Policy{PullThreshold: 0.05}}
+	c := &LocalCoordinator{}
 	if err := c.Run(context.Background(), s.bundle(), 10); err != nil {
 		t.Fatal(err)
 	}
@@ -88,10 +86,7 @@ func TestLocalCoordinatorMaxIters(t *testing.T) {
 
 func TestPartitionedCoordinatorSchedule(t *testing.T) {
 	s := &scriptedIteration{limit: 1, usesFrontier: true, density: 0.5}
-	c := &PartitionedCoordinator{
-		Policy: Policy{PullThreshold: 0.05},
-		Plan:   numa.NewPlan(2, 4, 4, 2),
-	}
+	c := &PartitionedCoordinator{Plan: numa.NewPlan(2, 4, 4, 2)}
 	if err := c.Run(context.Background(), s.bundle(), 10); err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +94,7 @@ func TestPartitionedCoordinatorSchedule(t *testing.T) {
 	// the bracketing events and per-partition stats instead.
 	got := join(s.log)
 	want := []string{"begin", "ebegin<", "espan0", "espan1", "edone",
-		"vbegin", "vspan0", "vspan1", "vdone", "delta0", "delta1", "publish", "end<"}
+		"vbegin", "vspan0", "vspan1", "vdone", "publish", "end<"}
 	for _, ev := range want {
 		if !contains(s.log, ev) {
 			t.Errorf("schedule %s missing %s", got, ev)
@@ -122,27 +117,106 @@ func TestPartitionedCoordinatorSchedule(t *testing.T) {
 	}
 }
 
-// TestPartitionedCoordinatorExchangeError checks an exchange failure still
-// closes the iteration (End) but skips the publish, and surfaces the error.
-func TestPartitionedCoordinatorExchangeError(t *testing.T) {
-	boom := errors.New("boom")
-	s := &scriptedIteration{limit: 5, usesFrontier: true, density: 0.5}
+// TestPartitionedCoordinatorExchangeFault fails the barrier through the
+// coord/exchange failpoint and then through a cancelled context: either way
+// the iteration is still closed (End) but not published, the error is
+// returned, and once the failpoint's budget drains the next run exchanges
+// normally.
+func TestPartitionedCoordinatorExchangeFault(t *testing.T) {
+	if !fault.Available() {
+		t.Skip("failpoints compiled out")
+	}
+	disarm, err := fault.Enable("coord/exchange", "error*1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disarm()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		want error
+	}{
+		{"failpoint", context.Background(), fault.ErrInjected},
+		{"cancelled", cancelled, context.Canceled},
+	} {
+		s := &scriptedIteration{limit: 5, usesFrontier: true, density: 0.5}
+		c := &PartitionedCoordinator{Plan: numa.NewPlan(2, 4, 4, 2)}
+		err := c.Run(tc.ctx, s.bundle(), 10)
+		if !errors.Is(err, tc.want) {
+			t.Fatalf("%s: error = %v, want %v", tc.name, err, tc.want)
+		}
+		if contains(s.log, "publish") {
+			t.Errorf("%s: failed exchange still published the frontier", tc.name)
+		}
+		if s.log[len(s.log)-1] != "end<" {
+			t.Errorf("%s: schedule %s must close the iteration after a failed exchange", tc.name, join(s.log))
+		}
+		if s.iters != 1 {
+			t.Errorf("%s: ran %d iterations past a failed exchange", tc.name, s.iters)
+		}
+	}
+
+	s := &scriptedIteration{limit: 3, usesFrontier: true, density: 0.5}
+	c := &PartitionedCoordinator{Plan: numa.NewPlan(2, 4, 4, 3)}
+	if err := c.Run(context.Background(), s.bundle(), 10); err != nil {
+		t.Fatalf("exchange after budget drained: %v", err)
+	}
+	// Three words over two partitions, one and two, over three iterations.
+	for i, want := range []int64{3 * 8, 3 * 16} {
+		if got := c.PartitionStats()[i].ExchangeBytes; got != want {
+			t.Errorf("partition %d exchanged %d bytes, want %d", i, got, want)
+		}
+	}
+}
+
+// TestPartitionedCoordinatorGrids checks which grid each edge round scatters
+// over: a pull over the plan's pull chunks, or over InPlacePull when Begin
+// says InPlace, and a push over the vertex chunks. Empty spans never run.
+func TestPartitionedCoordinatorGrids(t *testing.T) {
+	statuses := []Status{
+		{UsesFrontier: true, Density: 0.5},
+		{UsesFrontier: true, Density: 0.5, InPlace: true},
+		{UsesFrontier: true, Density: 0.001},
+	}
+	var (
+		mu    sync.Mutex
+		spans []string
+		iter  int
+	)
+	it := Iteration{
+		Begin: func() Status {
+			if iter == len(statuses) {
+				return Status{Stop: true}
+			}
+			iter++
+			return statuses[iter-1]
+		},
+		EdgeBegin: func(Direction) {},
+		EdgeSpan: func(d Direction, sp Span) {
+			mu.Lock()
+			spans = append(spans, fmt.Sprintf("%d%c%d:%d-%d", iter, d.Mark(), sp.Part, sp.Lo, sp.Hi))
+			mu.Unlock()
+		},
+		EdgeDone:    func(Direction) {},
+		VertexBegin: func() {},
+		VertexSpan:  func(Span) {},
+		VertexDone:  func() {},
+		Publish:     func() {},
+		End:         func(Direction) {},
+	}
 	c := &PartitionedCoordinator{
-		Plan:     numa.NewPlan(2, 4, 4, 2),
-		Exchange: failingExchange{err: boom},
+		Plan:        numa.NewPlan(2, 8, 4, 2),
+		InPlacePull: numa.PartitionEven(1, 2), // partition 0's span is empty
 	}
-	err := c.Run(context.Background(), s.bundle(), 10)
-	if !errors.Is(err, boom) {
-		t.Fatalf("error = %v, want %v", err, boom)
+	if err := c.Run(context.Background(), it, 10); err != nil {
+		t.Fatal(err)
 	}
-	if contains(s.log, "publish") {
-		t.Error("failed exchange still published the frontier")
-	}
-	if s.log[len(s.log)-1] != "end<" {
-		t.Errorf("schedule %s must close the iteration after a failed exchange", join(s.log))
-	}
-	if s.iters != 1 {
-		t.Errorf("ran %d iterations past a failed exchange", s.iters)
+	slices.Sort(spans)
+	want := []string{"1<0:0-4", "1<1:4-8", "2<1:0-1", "3>0:0-2", "3>1:2-4"}
+	if !slices.Equal(spans, want) {
+		t.Errorf("edge spans = %v, want %v", spans, want)
 	}
 }
 
@@ -163,12 +237,6 @@ func TestPartitionedCoordinatorSparseIteration(t *testing.T) {
 			t.Errorf("sparse round charged partition %d: %+v", st.Part, st)
 		}
 	}
-}
-
-type failingExchange struct{ err error }
-
-func (f failingExchange) Exchange(context.Context, []FrontierDelta) (ExchangeResult, error) {
-	return ExchangeResult{}, f.err
 }
 
 func join(log []string) string {

@@ -55,10 +55,9 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestDeterminismSparseAndStealing extends the suite to the optional
-// engines: the paper configuration (no list-driven round, no early exit) and
-// the work-stealing scheduler must also reproduce the shipped 1-worker
-// ticket-scheduler output exactly.
+// TestDeterminismSparseAndStealing extends the suite to the paper
+// configuration (no list-driven round, no early exit), which must also
+// reproduce the shipped 1-worker output exactly.
 func TestDeterminismSparseAndStealing(t *testing.T) {
 	g := gen.RMAT(11, 20000, gen.DefaultRMAT, 98)
 	cg := BuildGraph(g)
@@ -66,18 +65,10 @@ func TestDeterminismSparseAndStealing(t *testing.T) {
 	for _, app := range detApps {
 		t.Run(app.name, func(t *testing.T) {
 			ref := runDet(t, cg, g, app.make, Options{Workers: 1})
-			for _, opt := range []struct {
-				name string
-				o    Options
-			}{
-				{"paper_w4", Options{Workers: 4, AblateFrontierWork: true, Trace: true}},
-				{"stealing_w4", Options{Workers: 4, WorkStealing: true, Trace: true}},
-			} {
-				t.Run(opt.name, func(t *testing.T) {
-					got := runDet(t, cg, g, app.make, opt.o)
-					diffProps(t, ref, got)
-				})
-			}
+			t.Run("paper_w4", func(t *testing.T) {
+				got := runDet(t, cg, g, app.make, Options{Workers: 4, AblateFrontierWork: true, Trace: true})
+				diffProps(t, ref, got)
+			})
 		})
 	}
 }

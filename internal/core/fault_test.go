@@ -135,19 +135,24 @@ func (p poisonedApply) Apply(old, agg uint64, v uint32) (uint64, bool) {
 	return p.PageRank.Apply(old, agg, v)
 }
 
-// TestMaxRunTimeDeadline: Options.MaxRunTime bounds the run like a caller
-// deadline, reporting context.DeadlineExceeded.
+// TestMaxRunTimeDeadline: a context deadline bounds a run's wall-clock time,
+// reporting context.DeadlineExceeded alongside the partial result.
 func TestMaxRunTimeDeadline(t *testing.T) {
 	g := gen.RMAT(12, 60000, gen.DefaultRMAT, 23)
-	r := NewRunner(BuildGraph(g), Options{Workers: 2, MaxRunTime: time.Millisecond})
+	r := NewRunner(BuildGraph(g), Options{Workers: 2})
 	defer r.Close()
 	const maxIters = 1 << 20
-	res, err := RunCtx(context.Background(), r, apps.NewPageRank(g), maxIters)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	res, err := RunCtx(ctx, r, apps.NewPageRank(g), maxIters)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 	if res.Iterations >= maxIters {
-		t.Error("run ignored MaxRunTime")
+		t.Error("run ignored the deadline")
+	}
+	if len(res.Props) != g.NumVertices {
+		t.Errorf("partial result has %d props, want %d", len(res.Props), g.NumVertices)
 	}
 }
 

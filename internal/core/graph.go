@@ -39,21 +39,15 @@ type Graph struct {
 	// Edges is the directed edge count.
 	Edges int
 
-	// vsd8 is the 512-bit (8-lane) pull encoding, built lazily on first use
-	// (Options.WideVectors); most runs never need it. It is an atomic
-	// pointer so MemoryBytes can observe it without racing the build.
-	vsd8     atomic.Pointer[vsparse.WideArray]
-	vsd8Once sync.Once
-
 	// scales are the version's rank scales, plain and weighted
 	// (apps.RankScale: what pr, ppr and wpr read of the graph), each built on
-	// its first use as vsd8 is — so no query pays for them per run and a
-	// version nobody ranks never pays at all.
+	// its first use — so no query pays for them per run and a version nobody
+	// ranks never pays at all.
 	scales [2]lazyScale
 }
 
-// lazyScale is one rank scale behind its once; the pointer is atomic for
-// MemoryBytes, as vsd8's is.
+// lazyScale is one rank scale behind its once; the pointer is atomic so
+// MemoryBytes can observe it without racing the build.
 type lazyScale struct {
 	once sync.Once
 	p    atomic.Pointer[apps.RankScale]
@@ -61,16 +55,11 @@ type lazyScale struct {
 
 // MemoryBytes returns the heap footprint of every preprocessed
 // representation the engines hold resident — the store's unit of memory
-// accounting. The lazily-built wide encoding and rank scales are counted
-// only once built.
+// accounting. The lazily-built rank scales are counted only once built.
 func (g *Graph) MemoryBytes() int64 {
 	total := g.CSR.MemoryBytes() + g.CSC.MemoryBytes() +
 		g.VSS.MemoryBytes() + g.VSD.MemoryBytes() +
 		int64(len(g.EdgeDst))*4
-	if w := g.vsd8.Load(); w != nil {
-		total += int64(len(w.Words))*8 + int64(len(w.Weights))*4 +
-			int64(len(w.Index))*8
-	}
 	for i := range g.scales {
 		if s := g.scales[i].p.Load(); s != nil {
 			total += s.MemoryBytes()
@@ -90,13 +79,6 @@ func (g *Graph) RankScale(weighted bool) *apps.RankScale {
 	}
 	l.once.Do(func() { l.p.Store(apps.NewRankScale(g.CSR, weighted)) })
 	return l.p.Load()
-}
-
-// VSD8 returns the 8-lane Vector-Sparse pull encoding, building it on first
-// call.
-func (g *Graph) VSD8() *vsparse.WideArray {
-	g.vsd8Once.Do(func() { g.vsd8.Store(vsparse.FromCSRWide(g.CSC)) })
-	return g.vsd8.Load()
 }
 
 // BuildGraph preprocesses an edge-list graph into every engine

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/numa"
 	"repro/internal/sched"
@@ -107,15 +106,13 @@ type Options struct {
 	Scalar bool
 	// Mode forces an engine or leaves the hybrid heuristic in charge.
 	Mode EngineMode
-	// PullThreshold is the frontier density at or above which the hybrid
-	// selects Edge-Pull (default 0.05, i.e. 1/20 of vertices active).
-	PullThreshold float64
 	// PullDegreeShare is the hybrid heuristic's degree-sum term (Besta et
-	// al., "To Push or To Pull"): below PullThreshold density, pull is
-	// still selected when the frontier's out-degree sum is at least this
-	// share of all edges — a few active hubs can put most of the edge set
-	// in play, where pull's sequential gather beats push's scattered
-	// synchronized writes. The term applies only to programs whose pull
+	// al., "To Push or To Pull"): below the density at which the hybrid
+	// selects Edge-Pull outright (coord.PullDensity), pull is still
+	// selected when the frontier's out-degree sum is at least this share of
+	// all edges — a few active hubs can put most of the edge set in play,
+	// where pull's sequential gather beats push's scattered synchronized
+	// writes. The term applies only to programs whose pull
 	// scan can stop early (TracksConverged or FusedMinSrc); the share is
 	// computed lazily, only when the density test alone would choose push.
 	// Zero selects the default (0.15); negative disables the term
@@ -129,24 +126,23 @@ type Options struct {
 	PullDegreeShare float64
 	// Partitions splits execution into this many coordinator partitions
 	// (internal/coord): per-iteration scatter-gather of the edge and
-	// vertex phases across spans of the global chunk grid, with frontier
-	// deltas exchanged at the barrier. Output is bit-identical to the
+	// vertex phases across spans of the global chunk grid, with the next
+	// frontier exchanged at the barrier. Output is bit-identical to the
 	// monolithic path for any value. 0 or 1 selects the monolithic
 	// LocalCoordinator. Partitioned execution drives the default
 	// scheduler-aware vectorized kernels on single-node topologies;
-	// Scalar, WideVectors, WorkStealing, Record, non-SA variants, and
-	// multi-node topologies fall back to the monolithic path
-	// (Result.Partitions reports the effective count).
+	// Scalar, Record, non-SA variants, and multi-node topologies fall back
+	// to the monolithic path (Result.Partitions reports the effective
+	// count).
 	Partitions int
 	// Record enables the perfmodel counters and time profiles. Metering
 	// adds per-edge accounting cost, so benchmarks leave it off.
 	Record bool
 	// Trace enables the per-run phase tracer: each run's Result carries a
-	// RunTrace of wall time, chunk count, steal count, and frontier density
-	// per engine phase. Unlike Record, tracing observes only phase
-	// boundaries (one timestamp pair and two counter swaps per phase), so
-	// its overhead is a fraction of a percent and serving layers leave it
-	// on.
+	// RunTrace of wall time, chunk count, and frontier density per engine
+	// phase. Unlike Record, tracing observes only phase boundaries (one
+	// timestamp pair and one counter swap per phase), so its overhead is a
+	// fraction of a percent and serving layers leave it on.
 	Trace bool
 	// AblateFrontierWork restores the paper's configuration for the
 	// design-choice benchmarks and the harness's "paper configuration"
@@ -168,32 +164,12 @@ type Options struct {
 	// benchfig fig10's real-SIMD column and the parity tests set it. Not part
 	// of the public facade.
 	AblateSIMD bool
-	// WideVectors runs the scheduler-aware pull engine on the 512-bit
-	// (8-lane) Vector-Sparse encoding instead of the 256-bit one — the
-	// AVX-512 generalization §4 sketches. Wider vectors amortize more
-	// bookkeeping per edge but waste more padding (Fig 9); the ablation
-	// benchmarks measure the trade-off. Applies to the scheduler-aware
-	// vectorized pull kernel only.
-	WideVectors bool
-	// MaxRunTime, when positive, bounds each Run/RunCtx call's wall-clock
-	// time: RunCtx derives a deadline context so a runaway run stops within
-	// one scheduler chunk of the limit and returns its partial result with an
-	// error wrapping context.DeadlineExceeded.
-	MaxRunTime time.Duration
 	// OnRelease, when non-nil, is invoked each time a run's ExecContext is
 	// returned to the Runner's recycling pool — i.e. once per completed (or
 	// cancelled) Run/RunCtx call, after the result has been detached. Layers
 	// above the engine (the graph store's refcounted handles) use it to
 	// observe run completion without wrapping every entry point.
 	OnRelease func()
-	// WorkStealing replaces the ticket-counter chunk scheduler with the
-	// work-stealing scheduler (sched.StealingFor). §3 requires only a
-	// static contiguous iteration→chunk mapping of the scheduler — the
-	// property Cilk Plus's work-stealing runtime also satisfies — so the
-	// scheduler-aware engine must run unchanged on either; this option
-	// exists to demonstrate and benchmark that claim. Single-node
-	// topologies only.
-	WorkStealing bool
 }
 
 // withDefaults normalizes an Options value.
@@ -204,9 +180,6 @@ func (o Options) withDefaults(g *Graph) Options {
 		} else {
 			o.Workers = 0 // NewPool resolves GOMAXPROCS
 		}
-	}
-	if o.PullThreshold <= 0 {
-		o.PullThreshold = 0.05
 	}
 	if o.PullDegreeShare == 0 {
 		o.PullDegreeShare = 0.15

@@ -98,8 +98,6 @@ func TestPartitionedFallback(t *testing.T) {
 	cg, _ := partitionTestGraph()
 	cases := map[string]Options{
 		"scalar":       {Partitions: 4, Scalar: true},
-		"wide":         {Partitions: 4, WideVectors: true},
-		"stealing":     {Partitions: 4, WorkStealing: true},
 		"record":       {Partitions: 4, Record: true},
 		"traditional":  {Partitions: 4, Variant: PullTraditional},
 		"multi-node":   {Partitions: 4, Workers: 4, Topology: numa.Topology{Nodes: 2, WorkersPerNode: 2}},
@@ -231,7 +229,7 @@ func TestPartitionedExchangeWatchdogChaos(t *testing.T) {
 	pool := sched.NewPool(2)
 	defer pool.Close()
 	pool.SetMaxActiveJobs(1)
-	r := NewRunner(cg, Options{Pool: pool, Partitions: 2, MaxRunTime: 50 * time.Millisecond})
+	r := NewRunner(cg, Options{Pool: pool, Partitions: 2})
 	defer r.Close()
 
 	disarm, err := fault.Enable("coord/exchange", "delay:300ms*1")
@@ -240,7 +238,9 @@ func TestPartitionedExchangeWatchdogChaos(t *testing.T) {
 	}
 	defer disarm()
 	t0 := time.Now()
-	_, err = RunCtx(context.Background(), r, apps.NewConnComp(), 1<<20)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	_, err = RunCtx(ctx, r, apps.NewConnComp(), 1<<20)
 	if err == nil {
 		t.Fatal("wedged run returned nil error")
 	}

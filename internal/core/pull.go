@@ -27,15 +27,10 @@ func RunEdgePull[P apps.Program](r *ExecContext, p P) {
 		default:
 			edgePullTraditionalScalar(r, p, r.opt.Variant == PullTraditional)
 		}
+	case r.opt.Variant == PullSchedulerAware:
+		edgePullSA(r, p)
 	default:
-		switch {
-		case r.opt.Variant == PullSchedulerAware && r.opt.WideVectors:
-			edgePullSAWide(r, p)
-		case r.opt.Variant == PullSchedulerAware:
-			edgePullSA(r, p)
-		default:
-			edgePullTraditional(r, p, r.opt.Variant == PullTraditional)
-		}
+		edgePullTraditional(r, p, r.opt.Variant == PullTraditional)
 	}
 	if r.edgeRec != nil {
 		r.edgeRec.Wall += time.Since(t0)

@@ -92,14 +92,13 @@ type ExecContext struct {
 
 	// tracer accumulates the per-phase breakdown when Options.Trace is set;
 	// nil otherwise. Only the driver goroutine writes it — workers feed the
-	// two counters below, which the driver swaps out at phase boundaries.
+	// chunk counter below, which the driver swaps out at phase boundaries.
 	tracer       *obs.TraceBuilder
 	traceDropped bool
 	// phaseChunks counts chunks executed since the last phase boundary
-	// (written by workers, hence atomic); phaseSteals and the pendingMerge
-	// pair are driver-goroutine-only.
+	// (written by workers, hence atomic); the pendingMerge pair is
+	// driver-goroutine-only.
 	phaseChunks      atomic.Int64
-	phaseSteals      int64
 	pendingMergeWall time.Duration
 	pendingMergeN    int
 
@@ -157,8 +156,8 @@ func NewRunner(g *Graph, opt Options) *Runner {
 	// Record is excluded because per-tid counter slots are private to one
 	// pool job and a scatter phase runs several concurrently.
 	r.parts = r.opt.Partitions
-	if r.parts > 1 && (r.opt.Scalar || r.opt.WideVectors || r.opt.WorkStealing ||
-		r.opt.Record || r.opt.Variant != PullSchedulerAware || r.topo.Nodes > 1) {
+	if r.parts > 1 && (r.opt.Scalar || r.opt.Record ||
+		r.opt.Variant != PullSchedulerAware || r.topo.Nodes > 1) {
 		r.parts = 1
 	}
 	if r.parts > 1 {
@@ -292,7 +291,6 @@ func (ec *ExecContext) Init(p apps.Program) {
 	}
 	ec.traceDropped = false
 	ec.phaseChunks.Store(0)
-	ec.phaseSteals = 0
 	ec.pendingMergeWall = 0
 	ec.pendingMergeN = 0
 	ec.pullsDone = 0
@@ -351,7 +349,7 @@ func (ec *ExecContext) countChunk() {
 // obs/trace failpoint and the recover barrier implement the containment
 // contract: a panic anywhere in the trace path drops the trace (marked
 // Dropped) but never fails the run.
-func (ec *ExecContext) tracePhase(ph obs.Phase, wall time.Duration, chunks, steals int64, density float64) {
+func (ec *ExecContext) tracePhase(ph obs.Phase, wall time.Duration, chunks int64, density float64) {
 	if ec.tracer == nil || ec.traceDropped {
 		return
 	}
@@ -364,16 +362,7 @@ func (ec *ExecContext) tracePhase(ph obs.Phase, wall time.Duration, chunks, stea
 	if err := fault.Inject("obs/trace"); err != nil {
 		panic(err)
 	}
-	ec.tracer.AddPhase(ph, wall, chunks, steals, density)
-}
-
-// takePhaseCounters drains the chunk and steal counters accumulated since
-// the previous phase boundary. Driver goroutine only.
-func (ec *ExecContext) takePhaseCounters() (chunks, steals int64) {
-	chunks = ec.phaseChunks.Swap(0)
-	steals = ec.phaseSteals
-	ec.phaseSteals = 0
-	return chunks, steals
+	ec.tracer.AddPhase(ph, wall, chunks, density)
 }
 
 // takeMerge drains the merge wall time the edge-phase kernels accumulated
@@ -411,26 +400,6 @@ type nodeState struct {
 // When the run's context is cancelled, no further chunks are claimed;
 // in-flight chunks complete.
 func (ec *ExecContext) dispatch(part numa.Partition, chunkSize int, rec *perfmodel.Recorder, body func(rg sched.Range, chunkID, tid, node int)) {
-	if ec.opt.WorkStealing && ec.topo.Nodes == 1 {
-		_, total := part.Range(0)
-		ec.mergeBuf.Grow(sched.NumChunks(total, chunkSize))
-		steals := ec.pool.StealingFor(total, chunkSize, func(rg sched.Range, chunkID, tid int) {
-			if ec.aborted() {
-				return
-			}
-			if rec != nil {
-				start := time.Now()
-				ec.runChunk(body, rg, chunkID, tid, 0)
-				rec.AddBusy(tid, time.Since(start))
-			} else {
-				ec.runChunk(body, rg, chunkID, tid, 0)
-			}
-		})
-		if ec.tracer != nil {
-			ec.phaseSteals += steals
-		}
-		return
-	}
 	nodes := part.Nodes()
 	if len(ec.nodeStates) < nodes {
 		ec.nodeStates = make([]nodeState, nodes)
@@ -504,9 +473,9 @@ type Result struct {
 	// executed with (1 = monolithic; see Options.Partitions for the
 	// configurations that fall back).
 	Partitions int
-	// ExchangeBytes is the total frontier-delta volume moved through the
-	// partitioned coordinator's Exchange across all partitions and
-	// iterations (0 on the monolithic path).
+	// ExchangeBytes is the total frontier-bitmap volume the partitioned
+	// coordinator's barriers hand between partitions, across all partitions
+	// and iterations (0 on the monolithic path).
 	ExchangeBytes int64
 	// Seeded reports that the run started from a warm seed (RunSeededCtx)
 	// rather than the program's cold init. False for a seeded call means the
@@ -524,8 +493,8 @@ func Run[P apps.Program](r *Runner, p P, maxIters int) Result {
 }
 
 // RunCtx is Run with cancellation and fault containment: the run stops
-// within one scheduler chunk boundary of ctx being cancelled (including an
-// Options.MaxRunTime deadline) and returns the partial result alongside a
+// within one scheduler chunk boundary of ctx being cancelled (including its
+// deadline passing) and returns the partial result alongside a
 // non-nil error wrapping ctx.Err(). A panic anywhere in the run — a chunk
 // body, a program callback, the iteration driver — is captured as a
 // *sched.PanicError wrapped in the returned error; the Runner, its pool, and
@@ -651,7 +620,6 @@ func runLoop[P apps.Program](ec *ExecContext, p P, maxIters int, seed *Seed) (Re
 	policy := coord.Policy{
 		PullOnly:             ec.opt.Mode == EnginePullOnly,
 		PushOnly:             ec.opt.Mode == EnginePushOnly,
-		PullThreshold:        ec.opt.PullThreshold,
 		DegreeShareThreshold: ec.opt.PullDegreeShare,
 	}
 	var driver coord.Coordinator
@@ -776,9 +744,6 @@ func bindPartitioned[P apps.Program](ec *ExecContext, p P, it *coord.Iteration, 
 		}
 		ec.traceVertex(vertexWall, *density)
 	}
-	it.Delta = func(s coord.Span) coord.FrontierDelta {
-		return coord.FrontierDelta{Part: s.Part, WordLo: s.Lo, Words: ec.next.Words()[s.Lo:s.Hi]}
-	}
 	it.Publish = ec.publishFrontier
 }
 
@@ -850,14 +815,14 @@ func (ec *ExecContext) traceEdge(ph obs.Phase, edgeWall time.Duration, density f
 	if ec.tracer == nil {
 		return
 	}
-	chunks, steals := ec.takePhaseCounters()
+	chunks := ec.phaseChunks.Swap(0)
 	mergeWall, mergeN := ec.takeMerge()
 	if mergeWall > edgeWall {
 		mergeWall = edgeWall // clock skew guard; keeps both walls nonnegative
 	}
-	ec.tracePhase(ph, edgeWall-mergeWall, chunks, steals, density)
+	ec.tracePhase(ph, edgeWall-mergeWall, chunks, density)
 	if mergeN > 0 {
-		ec.tracePhase(obs.PhaseMerge, mergeWall, 0, 0, density)
+		ec.tracePhase(obs.PhaseMerge, mergeWall, 0, density)
 	}
 }
 
@@ -866,8 +831,7 @@ func (ec *ExecContext) traceVertex(wall time.Duration, density float64) {
 	if ec.tracer == nil {
 		return
 	}
-	chunks, steals := ec.takePhaseCounters()
-	ec.tracePhase(obs.PhaseVertex, wall, chunks, steals, density)
+	ec.tracePhase(obs.PhaseVertex, wall, ec.phaseChunks.Swap(0), density)
 }
 
 // RunVertex executes the Vertex phase: apply aggregates, reset accumulators,

@@ -37,11 +37,6 @@ type Seed struct {
 // held (direct plans with maxIters 0) must check Seeded before trusting the
 // result.
 func RunSeededCtx[P apps.Program](ctx context.Context, r *Runner, p P, maxIters int, seed *Seed) (res Result, err error) {
-	if r.opt.MaxRunTime > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.opt.MaxRunTime)
-		defer cancel()
-	}
 	ec := r.acquire()
 	ec.ctx = ctx
 	ec.done = ctx.Done()

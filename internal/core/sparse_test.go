@@ -123,98 +123,3 @@ func TestAblateFullVectorStillCorrect(t *testing.T) {
 		}
 	}
 }
-
-func TestWorkStealingSchedulerMatchesTicket(t *testing.T) {
-	g := gen.RMAT(8, 2000, gen.RMATParams{A: 0.65, B: 0.17, C: 0.12, D: 0.06}, 31)
-	cg := BuildGraph(g)
-	ticket := NewRunner(cg, Options{Workers: 4})
-	stealing := NewRunner(cg, Options{Workers: 4, WorkStealing: true})
-	defer ticket.Close()
-	defer stealing.Close()
-	// PageRank: float sums must agree closely (chunk mapping is identical,
-	// so the association order within each destination is identical and the
-	// results should be bit-equal).
-	a := Run(ticket, apps.NewPageRank(g), 6)
-	b := Run(stealing, apps.NewPageRank(g), 6)
-	for v := range a.Props {
-		if a.Props[v] != b.Props[v] {
-			t.Fatalf("work stealing changed PageRank at %d", v)
-		}
-	}
-	// And the exact-valued applications.
-	ccA := apps.Components(Run(ticket, apps.NewConnComp(), 1<<20).Props)
-	ccB := apps.Components(Run(stealing, apps.NewConnComp(), 1<<20).Props)
-	for v := range ccA {
-		if ccA[v] != ccB[v] {
-			t.Fatalf("work stealing changed CC at %d", v)
-		}
-	}
-	bfsA := Run(ticket, apps.NewBFS(0), 1<<20)
-	bfsB := Run(stealing, apps.NewBFS(0), 1<<20)
-	for v := range bfsA.Props {
-		if bfsA.Props[v] != bfsB.Props[v] {
-			t.Fatalf("work stealing changed BFS at %d", v)
-		}
-	}
-}
-
-func TestWideVectorsMatchReferences(t *testing.T) {
-	g := gen.RMAT(8, 2000, gen.DefaultRMAT, 41)
-	cg := BuildGraph(g)
-	r := NewRunner(cg, Options{Workers: 4, WideVectors: true, Mode: EnginePullOnly})
-	defer r.Close()
-	// PageRank within float tolerance of the sequential spec.
-	want := apps.RunSequential(apps.NewPageRank(g), g, 8)
-	got := Run(r, apps.NewPageRank(g), 8)
-	for v := range want.Props {
-		a := math.Float64frombits(got.Props[v])
-		b := math.Float64frombits(want.Props[v])
-		if math.Abs(a-b) > 1e-10*(1+math.Abs(b)) {
-			t.Fatalf("wide PR rank[%d] = %v, want %v", v, a, b)
-		}
-	}
-	// CC and BFS exactly.
-	cc := apps.Components(Run(r, apps.NewConnComp(), 1<<20).Props)
-	wantCC := apps.ReferenceComponents(g)
-	for v := range wantCC {
-		if cc[v] != wantCC[v] {
-			t.Fatalf("wide CC[%d] = %d, want %d", v, cc[v], wantCC[v])
-		}
-	}
-	bfs := Run(r, apps.NewBFS(0), 1<<20)
-	wantB := apps.ReferenceBFS(g, 0)
-	for v := range wantB {
-		if bfs.Props[v] != wantB[v] {
-			t.Fatalf("wide BFS parent[%d] = %d, want %d", v, bfs.Props[v], wantB[v])
-		}
-	}
-}
-
-func TestWideVectorsWeighted(t *testing.T) {
-	g := gen.AddUniformWeights(gen.Grid(8, 8, false, 3), 4)
-	r := NewRunner(BuildGraph(g), Options{Workers: 2, WideVectors: true, Mode: EnginePullOnly})
-	defer r.Close()
-	got := apps.Distances(Run(r, apps.NewSSSP(0), 1<<20).Props)
-	want := apps.ReferenceSSSP(g, 0)
-	for v := range want {
-		if math.Abs(got[v]-want[v]) > 1e-9 {
-			t.Fatalf("wide SSSP dist[%d] = %v, want %v", v, got[v], want[v])
-		}
-	}
-}
-
-func TestVSD8LazyAndCached(t *testing.T) {
-	g := gen.ErdosRenyi(50, 200, 9)
-	cg := BuildGraph(g)
-	a := cg.VSD8()
-	b := cg.VSD8()
-	if a != b {
-		t.Error("VSD8 rebuilt instead of cached")
-	}
-	if err := a.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if a.ValidEdges != g.NumEdges() {
-		t.Errorf("VSD8 holds %d edges, want %d", a.ValidEdges, g.NumEdges())
-	}
-}

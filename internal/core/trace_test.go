@@ -126,22 +126,6 @@ func TestTraceDisabled(t *testing.T) {
 	}
 }
 
-// TestTraceWorkStealing: the stealing scheduler reports steal counts into
-// the trace; results stay identical to the ticket scheduler.
-func TestTraceWorkStealing(t *testing.T) {
-	g := gen.RMAT(10, 8000, gen.DefaultRMAT, 34)
-	r := NewRunner(BuildGraph(g), Options{Workers: 4, Trace: true, WorkStealing: true})
-	defer r.Close()
-	res := Run(r, apps.NewPageRank(g), 4)
-	edge, ok := phaseByName(res.Trace, "edge-pull")
-	if !ok {
-		t.Fatalf("edge-pull missing: %+v", res.Trace)
-	}
-	if edge.Steals < 0 || edge.Steals > edge.Chunks {
-		t.Errorf("steals %d out of range [0, %d]", edge.Steals, edge.Chunks)
-	}
-}
-
 // TestTraceSparsePath: sparse-frontier iterations are traced as edge-push
 // with the sparse vertex phase counted under vertex.
 func TestTraceSparsePath(t *testing.T) {

@@ -8,8 +8,8 @@
 // The paper argues performance phase by phase (Figs 5-7 decompose runtime
 // into Edge and Vertex phases); this package makes that decomposition a
 // production signal rather than a benchmark-only one: every run carries a
-// RunTrace of per-phase wall time, chunk counts, steal counts, and frontier
-// density, and every subsystem (scheduler, store, admission) exports its
+// RunTrace of per-phase wall time, chunk counts, and frontier density, and
+// every subsystem (scheduler, store, admission) exports its
 // load as metric families scrapable at /metrics.
 package obs
 

@@ -49,7 +49,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		want []uint64 // cumulative counts after observing v alone
 	}{
 		{0.5, []uint64{1, 1, 1, 1}},
-		{1, []uint64{1, 1, 1, 1}},     // exactly on first bound → first bucket
+		{1, []uint64{1, 1, 1, 1}}, // exactly on first bound → first bucket
 		{1.0001, []uint64{0, 1, 1, 1}},
 		{10, []uint64{0, 1, 1, 1}},
 		{99.9, []uint64{0, 0, 1, 1}},
@@ -215,10 +215,10 @@ func TestFormatFloat(t *testing.T) {
 
 func TestTraceBuilder(t *testing.T) {
 	var b TraceBuilder
-	b.AddPhase(PhaseEdgePull, 10*time.Millisecond, 8, 2, 1.0)
-	b.AddPhase(PhaseVertex, 5*time.Millisecond, 4, 0, 1.0)
-	b.AddPhase(PhaseEdgePush, 2*time.Millisecond, 3, 0, 0.01)
-	b.AddPhase(PhaseEdgePush, 3*time.Millisecond, 5, 1, 0.4)
+	b.AddPhase(PhaseEdgePull, 10*time.Millisecond, 8, 1.0)
+	b.AddPhase(PhaseVertex, 5*time.Millisecond, 4, 1.0)
+	b.AddPhase(PhaseEdgePush, 2*time.Millisecond, 3, 0.01)
+	b.AddPhase(PhaseEdgePush, 3*time.Millisecond, 5, 0.4)
 	tr := b.Trace()
 	if len(tr.Phases) != 3 {
 		t.Fatalf("phases = %d, want 3", len(tr.Phases))
@@ -228,7 +228,7 @@ func TestTraceBuilder(t *testing.T) {
 		t.Fatalf("phase order wrong: %+v", tr.Phases)
 	}
 	push := tr.Phases[1]
-	if push.Wall != 5*time.Millisecond || push.Chunks != 8 || push.Steals != 1 || push.Iters != 2 {
+	if push.Wall != 5*time.Millisecond || push.Chunks != 8 || push.Iters != 2 {
 		t.Fatalf("push aggregate wrong: %+v", push)
 	}
 	if push.MinDensity != 0.01 || push.MaxDensity != 0.4 {
@@ -245,6 +245,31 @@ func TestTraceBuilder(t *testing.T) {
 	b.Reset()
 	if tr2 := b.Trace(); len(tr2.Phases) != 0 || tr2.Dropped {
 		t.Fatalf("Reset left state: %+v", tr2)
+	}
+}
+
+// TestTraceBuilderDirectionsAndPartitions covers the direction string's cap,
+// the partition stats hand-off, a falling density bound, and an out-of-range
+// phase, which is ignored.
+func TestTraceBuilderDirectionsAndPartitions(t *testing.T) {
+	var b TraceBuilder
+	for i := 0; i < maxDirections+3; i++ {
+		b.AddDirection('<')
+	}
+	b.SetPartitions([]PartitionStat{{Part: 0, ExchangeBytes: 16}, {Part: 1, Spans: 2}})
+	b.AddPhase(PhaseVertex, time.Millisecond, 1, 0.4)
+	b.AddPhase(PhaseVertex, time.Millisecond, 1, 0.1)
+	b.AddPhase(NumPhases, time.Second, 9, 1)
+	tr := b.Trace()
+	if len(tr.Directions) != maxDirections || tr.Directions[maxDirections-1] != '+' {
+		t.Errorf("directions: %d marks ending %q, want %d ending '+'",
+			len(tr.Directions), tr.Directions[len(tr.Directions)-1], maxDirections)
+	}
+	if len(tr.Partitions) != 2 || tr.Partitions[0].ExchangeBytes != 16 || tr.Partitions[1].Spans != 2 {
+		t.Errorf("partitions = %+v", tr.Partitions)
+	}
+	if len(tr.Phases) != 1 || tr.Phases[0].MinDensity != 0.1 || tr.Phases[0].MaxDensity != 0.4 {
+		t.Errorf("phases = %+v, want one vertex phase with density [0.1, 0.4]", tr.Phases)
 	}
 }
 

@@ -41,9 +41,6 @@ type PhaseStat struct {
 	Wall time.Duration `json:"wall_ns"`
 	// Chunks is the number of scheduler chunks executed in the phase.
 	Chunks int64 `json:"chunks"`
-	// Steals is the number of chunks obtained by work-stealing (only the
-	// single-node stealing scheduler reports these; 0 elsewhere).
-	Steals int64 `json:"steals"`
 	// Iters is how many iterations ran the phase (edge-pull and edge-push
 	// partition the iteration count between them by frontier density).
 	Iters int64 `json:"iters"`
@@ -112,14 +109,13 @@ func (b *TraceBuilder) AddDirection(mark byte) {
 func (b *TraceBuilder) SetPartitions(ps []PartitionStat) { b.parts = ps }
 
 // AddPhase folds one phase execution into the builder.
-func (b *TraceBuilder) AddPhase(p Phase, wall time.Duration, chunks, steals int64, density float64) {
+func (b *TraceBuilder) AddPhase(p Phase, wall time.Duration, chunks int64, density float64) {
 	if p >= NumPhases {
 		return
 	}
 	s := &b.stats[p]
 	s.Wall += wall
 	s.Chunks += chunks
-	s.Steals += steals
 	s.Iters++
 	if !b.seen[p] {
 		s.MinDensity, s.MaxDensity = density, density

@@ -170,8 +170,8 @@ func TestPoolCloseIdempotent(t *testing.T) {
 	p.Close()
 }
 
-// TestConcurrentMixedLoops mixes Run, StaticFor, DynamicFor, and
-// work-stealing jobs on one pool under contention.
+// TestConcurrentMixedLoops mixes Run, StaticFor, ParallelFor, and
+// DynamicFor jobs on one pool under contention.
 func TestConcurrentMixedLoops(t *testing.T) {
 	withPool(t, 4, func(p *Pool) {
 		var wg sync.WaitGroup
@@ -203,14 +203,14 @@ func TestConcurrentMixedLoops(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				hits := make([]atomic.Int32, 1003)
-				p.StealingFor(1003, 17, func(r Range, chunkID, tid int) {
+				p.DynamicFor(1003, 17, func(r Range, chunkID, tid int) {
 					for i := r.Lo; i < r.Hi; i++ {
 						hits[i].Add(1)
 					}
 				})
 				for i := range hits {
 					if hits[i].Load() != 1 {
-						t.Errorf("StealingFor iteration %d ran %d times", i, hits[i].Load())
+						t.Errorf("DynamicFor iteration %d ran %d times", i, hits[i].Load())
 						return
 					}
 				}

@@ -163,27 +163,6 @@ func TestStaticForRethrows(t *testing.T) {
 	p.StaticFor(100, func(r Range, tid int) { panic("static") })
 }
 
-// TestStealingForRethrows covers the work-stealing scheduler's containment.
-func TestStealingForRethrows(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	defer func() {
-		if _, ok := recover().(*PanicError); !ok {
-			t.Fatal("StealingFor did not rethrow a *PanicError")
-		}
-		var n atomic.Int64
-		p.StealingFor(64, 4, func(r Range, chunkID, tid int) { n.Add(int64(r.Len())) })
-		if n.Load() != 64 {
-			t.Errorf("follow-up StealingFor covered %d, want 64", n.Load())
-		}
-	}()
-	p.StealingFor(100, 5, func(r Range, chunkID, tid int) {
-		if chunkID == 3 {
-			panic("steal")
-		}
-	})
-}
-
 // TestPanicErrorPreservedThroughRethrow: rethrowing and re-capturing must
 // not wrap the PanicError in another PanicError.
 func TestPanicErrorPreservedThroughRethrow(t *testing.T) {

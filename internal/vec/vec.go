@@ -5,10 +5,9 @@
 // register holding four 64-bit lanes; masks model per-lane predication
 // exactly as the AVX gather and blend instructions consume it. The frontier
 // programs' pull kernels, the push kernels and the Vertex phase run on it, on
-// every platform. The 512-bit width lives in internal/vsparse's wide encoding
-// (used by the AVX-512-style kernel), and the packing-efficiency study of
-// Fig 9 evaluates 8- and 16-lane widths analytically from degree
-// distributions.
+// every platform. Wider vectors are evaluated only analytically: the
+// packing-efficiency study of Fig 9 computes 8- and 16-lane widths from
+// degree distributions.
 //
 // The hardware part is two kernels in gather_amd64.s, selected once per
 // process by a CPUID+XGETBV check in the same file. RankSumRun is the
