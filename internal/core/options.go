@@ -158,11 +158,12 @@ type Options struct {
 	// pull kernels — an ablation knob for the design-choice benchmarks;
 	// not part of the public facade.
 	AblateFullVector bool
-	// AblateSIMD runs the run-span pull of the rank-sum programs
-	// (pullSpanBody) on the pure-Go twin of the AVX2 gather kernel even where
-	// the CPU has AVX2. The two are bit-identical, so this changes time only:
-	// benchfig fig10's real-SIMD column and the parity tests set it. Not part
-	// of the public facade.
+	// AblateSIMD runs pullSpanBody's kernels on their pure-Go twins even
+	// where the CPU has AVX2: vec.RankSumRunGo for the rank-sum programs and
+	// vec.MinPropChunkGo for cc's chunk walk, synchronous and in place. Each
+	// twin is bit-identical to its assembly, so this changes time only:
+	// benchfig fig10's real-SIMD column, the parity tests and the benchmarks'
+	// twin rows set it. Not part of the public facade.
 	AblateSIMD bool
 	// OnRelease, when non-nil, is invoked each time a run's ExecContext is
 	// returned to the Runner's recycling pool — i.e. once per completed (or
@@ -200,12 +201,15 @@ func (o Options) withDefaults(g *Graph) Options {
 const inPlaceSpans = 8
 
 // inPlaceAfter is the number of pull iterations a run completes before its
-// pull rounds go in place. Reading through the window costs a low-diameter
-// run more than it saves — the skewed analogs finish their dense phase in two
-// or three pulls and in-place rounds saved them at most one, at +10–40% per
-// round (EXPERIMENTS.md, "In-place pull") — so a run first has to show it is
-// bound by hops: it is still pulling after this many. The mesh pays the
-// three synchronous rounds once, out of 305.
+// pull rounds go in place. Going in place costs a low-diameter run more than
+// it saves — the skewed analogs finish their dense phase in two or three
+// pulls and in-place rounds saved them at most one, at +10–40% per round
+// when the read was a Go window test, and with the windowed chunk walk the
+// inPlaceSpans grid still starves a skewed round: from the first pull, T×8
+// and U×4 cc ran 8–30% slower while the mesh saved a fifth (EXPERIMENTS.md,
+// "In-place pull") — so a run first has to show it is bound by hops: it is
+// still pulling after this many. The mesh pays the three synchronous rounds
+// once, out of 305.
 const inPlaceAfter = 3
 
 // inPlaceChunkSizeFor resolves the chunk size, in vectors, of an in-place

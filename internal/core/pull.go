@@ -95,14 +95,17 @@ func edgePullSA[P apps.Program](r *ExecContext, p P) {
 // another goroutine writes is read, so the result and the iteration count
 // are functions of the graph and the chunk grid alone. The window is tested
 // once per vector; a vector with no lane inside takes the paths above
-// unchanged.
+// unchanged. cc's in-place rounds make the same read ungated inside
+// vec.MinPropChunk (pullSpanBody); this one serves sssp, Record runs and the
+// full-vector ablation.
 //
 // A frontier-blind program never comes this far: it has no per-vector test to
 // make, and pulls by run span instead (pullSpanBody). Neither does a
-// synchronous round of a FusedMinProp program (cc): it walks the chunk in one
-// vec.MinPropChunk call whose gathers make the frontier test. Its in-place
-// rounds and the full-vector ablation are the FusedMinProp rounds this body
-// still runs.
+// FusedMinProp program (cc), synchronous or in place: it walks the chunk in
+// one vec.MinPropChunk call whose gathers make the frontier test and, in
+// place, the window read. The in-place rounds this body still runs are
+// sssp's, a Record run's (its counters are this walk's) and the full-vector
+// ablation's.
 func pullSABody[P apps.Program](r *ExecContext, p P) func(rg sched.Range, chunkID, tid, node int) {
 	a := r.g.VSD
 	identity := p.Identity()

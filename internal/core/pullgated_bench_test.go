@@ -67,12 +67,16 @@ func BenchmarkPullFrontierGated(b *testing.B) {
 	}
 }
 
-// BenchmarkInPlaceCC times whole runs of cc in the shipped configuration on
-// the road mesh at kernel-frontier's scale and on the two skewed analogs, at
-// one and two workers, and reports the run's iteration count beside ms/run:
-// the mesh is where in-place pull turns a diameter's worth of barriers into
-// spans + 1, the skewed graphs (a handful of iterations either way) are where
-// it must cost nothing. T8 and U4 are the bench's own sizes, for paired runs
+// BenchmarkInPlaceCC times whole runs of cc on the road mesh at
+// kernel-frontier's scale and on the two skewed analogs, at one and two
+// workers, and reports the run's iteration count beside ms/run: the mesh is
+// where in-place pull turns a diameter's worth of barriers into spans + 1,
+// the skewed graphs (a handful of iterations either way) are where it must
+// cost nothing. Each has three rows, as BenchmarkPullFrontierGated does: the
+// shipped chunk walk on the selected kernel (every round one vec.MinPropChunk
+// call per chunk, in-place rounds ungated with the window on), the same walk
+// on the Go twin (AblateSIMD), and the gated vector-by-vector walk
+// (AblateFullVector). T8 and U4 are the bench's own sizes, for paired runs
 // against a parent checkout; CI runs the three small ones.
 func BenchmarkInPlaceCC(b *testing.B) {
 	for _, c := range []struct {
@@ -86,17 +90,27 @@ func BenchmarkInPlaceCC(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			cg := BuildGraph(gen.Generate(c.d, c.scale))
 			for _, workers := range []int{1, 2} {
-				b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
-					r := NewRunner(cg, Options{Workers: workers})
-					defer r.Close()
-					var res Result
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						res = Run(r, apps.NewConnComp(), 1<<30)
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e6, "ms/run")
-					b.ReportMetric(float64(res.Iterations), "iterations")
-				})
+				for _, k := range []struct {
+					name string
+					opt  Options
+				}{
+					{"kernel", Options{}},
+					{"twin", Options{AblateSIMD: true}},
+					{"walk", Options{AblateFullVector: true}},
+				} {
+					b.Run(fmt.Sprintf("w%d/%s", workers, k.name), func(b *testing.B) {
+						k.opt.Workers = workers
+						r := NewRunner(cg, k.opt)
+						defer r.Close()
+						var res Result
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							res = Run(r, apps.NewConnComp(), 1<<30)
+						}
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e6, "ms/run")
+						b.ReportMetric(float64(res.Iterations), "iterations")
+					})
+				}
 			}
 		})
 	}

@@ -14,19 +14,22 @@ import (
 // pullSpanBody. Two kinds of program qualify. One gathers every in-edge every
 // iteration (no frontier, no converged set) and its aggregate is a rank sum
 // or an operator the engine does not classify. The other is a FusedMinProp
-// program (cc), frontier-gated or not: its per-vector test is folded into
-// the chunk walk's gathers. Converged sets, in-place rounds, the other
-// frontier kinds and the full-vector ablation keep pullSABody's
-// vector-by-vector walk.
+// program (cc), frontier-gated or not, synchronous or in place: its
+// per-vector test is folded into the chunk walk's gathers, and its in-place
+// read into the walk's window. Converged sets, the other frontier kinds
+// (sssp's in-place rounds among them), a Record run's in-place rounds — their
+// counters are the gated walk's — and the full-vector ablation keep
+// pullSABody's vector-by-vector walk.
 func (ec *ExecContext) pullsBySpan(p apps.Program, kind apps.FusedKind) bool {
-	if p.TracksConverged() || ec.opt.AblateFullVector || ec.inPlace(p) {
+	if p.TracksConverged() || ec.opt.AblateFullVector {
 		return false
 	}
+	inPlace := ec.inPlace(p)
 	switch kind {
 	case apps.FusedMinProp:
-		return true
+		return !inPlace || !ec.opt.Record
 	case apps.FusedRankSum, apps.FusedNone:
-		return !p.UsesFrontier()
+		return !inPlace && !p.UsesFrontier()
 	}
 	return false
 }
@@ -42,6 +45,15 @@ func (ec *ExecContext) pullsBySpan(p apps.Program, kind apps.FusedKind) bool {
 // the trailing (dst, acc) comes back for the merge slot. One call per chunk,
 // not per run: on a mesh every run is one vector, and a per-run call's set-up
 // and fold cost more than the vector (DESIGN.md §5).
+//
+// An in-place round (DESIGN.md §17) is the same call with the window on: a
+// source inside the chunk's already-stored destinations [first, dst) is read
+// as min(props, accum), the fresher value the call itself has just stored. It
+// runs ungated, with no frontier gather: a monotone min's source outside the
+// frontier has not changed since every destination last pulled it, so
+// props[dst] ≤ props[src] already holds and reading it moves no lane, no
+// Apply outcome and no iteration count (TestMinPropChunkMatchesVectorWalk
+// pins every round to the gated walk's).
 //
 // A rank sum or an unclassified program reduces each run span — the run's
 // vectors clipped to the chunk — in one call: vec.RankSumRun for a rank sum
@@ -81,14 +93,16 @@ func pullSpanBody[P apps.Program](r *ExecContext, p P, fz fuse) func(rg sched.Ra
 		contrib = r.refreshContrib(fz.scale)
 	}
 	// A full frontier passes every membership test: the round runs ungated
-	// unless the paper configuration asks for the tests.
+	// unless the paper configuration asks for the tests. An in-place round
+	// runs ungated whatever the frontier holds (above).
+	inPlace := r.inPlace(p)
 	var front []uint64
-	if p.UsesFrontier() && (r.opt.AblateFrontierWork || !r.front.Full()) {
+	if p.UsesFrontier() && !inPlace && (r.opt.AblateFrontierWork || !r.front.Full()) {
 		front = r.front.Words()
 	}
 	if fz.kind == apps.FusedMinProp && rec == nil {
 		return func(rg sched.Range, chunkID, tid, node int) {
-			dst, acc := minProp(words, index, props, front, accum, int(firstTop(a, rg.Lo)), rg.Lo, rg.Hi)
+			dst, acc := minProp(words, index, props, front, accum, int(firstTop(a, rg.Lo)), rg.Lo, rg.Hi, inPlace)
 			r.mergeBuf.Save(chunkID, uint32(dst), acc)
 		}
 	}
@@ -116,8 +130,9 @@ func pullSpanBody[P apps.Program](r *ExecContext, p P, fz fuse) func(rg sched.Ra
 			case apps.FusedRankSum:
 				acc = math.Float64bits(rankSum(span, contrib, ws))
 			case apps.FusedMinProp:
-				// [lo, hi) is one run to its end: the call returns it.
-				_, acc = minProp(words, index, props, front, accum, int(dst), lo, hi)
+				// [lo, hi) is one run to its end: the call returns it. A
+				// Record run's in-place rounds never come here.
+				_, acc = minProp(words, index, props, front, accum, int(dst), lo, hi, false)
 			default:
 				acc = laneFold(p, span, ws, props, identity)
 			}

@@ -200,9 +200,10 @@ func assertSpanCounters(t *testing.T, label string, cg *Graph, res Result, iters
 }
 
 // TestSpanPullKeepsOtherPaths: frontier-blind rank-sum and unclassified
-// programs and the synchronous rounds of FusedMinProp programs (cc, both
-// variants) pull by span; the full-vector ablation, cc's in-place rounds and
-// every other frontier program stay on the vector-by-vector body.
+// programs and the synchronous and in-place rounds of FusedMinProp programs
+// (cc, both variants) pull by span; the full-vector ablation, a Record run's
+// in-place rounds, sssp's in-place rounds and every other frontier program
+// stay on the vector-by-vector body.
 func TestSpanPullKeepsOtherPaths(t *testing.T) {
 	c := testgraph.Skewed()
 	cg := BuildGraph(c.G)
@@ -223,7 +224,9 @@ func TestSpanPullKeepsOtherPaths(t *testing.T) {
 		{"cc paper configuration", apps.NewConnComp(), Options{AblateFrontierWork: true}, inPlaceAfter, true},
 		{"pr full-vector ablation", apps.NewPageRank(c.G), Options{AblateFullVector: true}, 0, false},
 		{"cc full-vector ablation", apps.NewConnComp(), Options{AblateFullVector: true}, 0, false},
-		{"cc in-place round", apps.NewConnComp(), Options{}, inPlaceAfter, false},
+		{"cc in-place round", apps.NewConnComp(), Options{}, inPlaceAfter, true},
+		{"cc in-place Record round", apps.NewConnComp(), Options{Record: true}, inPlaceAfter, false},
+		{"sssp in-place round", apps.NewSSSP(c.Root), Options{}, inPlaceAfter, false},
 		{"cc unfused", unfused{apps.NewConnComp()}, Options{}, 0, false},
 		{"bfs", apps.NewBFS(c.Root), Options{}, 0, false},
 		{"sssp", apps.NewSSSP(c.Root), Options{}, 0, false},
@@ -241,34 +244,55 @@ func TestSpanPullKeepsOtherPaths(t *testing.T) {
 	}
 }
 
-// TestMinPropChunkMatchesVectorWalk: cc's synchronous rounds run as one
-// vec.MinPropChunk call per chunk, and on every corpus graph and T/U/D analog
-// the run ends at the lanes and iteration count of the full-vector ablation —
-// the vector-by-vector walk — on the same grid, at every worker and partition
-// count, on the selected kernel and on the Go twin; a Record run charges
-// exactly the Edge counters the walk charges. Pull-only, so every round that
-// is not in place takes the chunk walk.
+// roundLog is cc with a log of the lanes each iteration starts from. Two runs
+// with equal logs made the same Apply decisions round by round, so their
+// frontiers — and each round's density — were equal too.
+type roundLog struct {
+	*apps.ConnComp
+	rounds []string
+}
+
+func (l *roundLog) PreIteration(props []uint64) { l.rounds = append(l.rounds, laneHash(props)) }
+
+// TestMinPropChunkMatchesVectorWalk: cc's synchronous rounds run as one gated
+// vec.MinPropChunk call per chunk and its in-place rounds as one ungated,
+// windowed call, and on every corpus graph and T/U/D analog the run matches
+// the full-vector ablation — the gated vector-by-vector walk — on the same
+// grid, at every worker and partition count, on the selected kernel and on
+// the Go twin: the same lanes at the start of every round (so the same
+// frontier and density per round: an ungated in-place round reads sources
+// outside the frontier and must change nothing by it), the same final lanes
+// and the same iteration count. A Record run charges exactly the Edge
+// counters the walk charges. Pull-only, so every round takes the chunk walk.
 func TestMinPropChunkMatchesVectorWalk(t *testing.T) {
+	inPlaceRounds := 0
 	for _, c := range inPlaceGraphs() {
 		cg := BuildGraph(c.G)
 		t.Run(c.Name, func(t *testing.T) {
 			for _, chunk := range []int{0, 16} {
 				for _, workers := range []int{1, 2, 4} {
-					walk := func(record bool) Result {
+					walk := func(record bool) (Result, []string) {
 						r := NewRunner(cg, Options{Workers: workers, ChunkVectors: chunk, Mode: EnginePullOnly,
 							AblateFullVector: true, Record: record})
 						defer r.Close()
-						return Run(r, apps.NewConnComp(), 1<<20)
+						p := &roundLog{ConnComp: apps.NewConnComp()}
+						return Run(r, p, 1<<20), p.rounds
 					}
-					want, wantRec := walk(false), walk(true)
+					want, wantRounds := walk(false)
+					wantRec, _ := walk(true)
+					inPlaceRounds += max(0, want.Iterations-inPlaceAfter)
 					for _, parts := range []int{1, 2, 4} {
 						for _, goTwin := range []bool{false, true} {
 							for _, record := range []bool{false, true} {
 								label := fmt.Sprintf("chunk%d w%d p%d gotwin=%v record=%v", chunk, workers, parts, goTwin, record)
 								r := NewRunner(cg, Options{Workers: workers, Partitions: parts, ChunkVectors: chunk,
 									Mode: EnginePullOnly, AblateSIMD: goTwin, Record: record})
-								res := Run(r, apps.NewConnComp(), 1<<20)
+								p := &roundLog{ConnComp: apps.NewConnComp()}
+								res := Run(r, p, 1<<20)
 								r.Close()
+								if !slices.Equal(p.rounds, wantRounds) {
+									t.Fatalf("%s: round lanes %v, the vector walk's %v", label, p.rounds, wantRounds)
+								}
 								if !slices.Equal(res.Props, want.Props) || res.Iterations != want.Iterations {
 									t.Fatalf("%s: %d iterations, lanes equal %v; the vector walk took %d",
 										label, res.Iterations, slices.Equal(res.Props, want.Props), want.Iterations)
@@ -282,5 +306,8 @@ func TestMinPropChunkMatchesVectorWalk(t *testing.T) {
 				}
 			}
 		})
+	}
+	if inPlaceRounds == 0 {
+		t.Error("no run reached an in-place round")
 	}
 }

@@ -84,16 +84,29 @@ func RankSumRunGo(words []uint64, contrib []float64, weights []float32) float64 
 // aggregates to Identity, ^uint64(0), which the interior store leaves as it
 // found it. A destination without vectors in the chunk is skipped.
 //
+// In place (DESIGN.md §17): when inPlace is set, a live lane whose source lies
+// in [first, dst) — first the chunk's StartChunk destination, the dst
+// argument, and dst the current run's destination — contributes
+// min(props[src], accum[src]) instead of props[src]. That window holds exactly
+// the destinations this call has already stored, so accum there is this
+// call's own write (or the Identity no chunk writes, for a destination without
+// vectors): the read races with nothing, and a label crosses the whole chunk
+// in one round. The current run is never in its own window, and a synchronous
+// call (inPlace false) reads props alone.
+//
 // Min is exact and order-free, so no reduction order is part of the contract:
 // the assembly keeps a running minimum per lane and folds them at the run's
 // end, this twin folds each vector into one, and both give the same bits as
 // any other order. The per-lane step is branch-free — a dead lane
 // reads props[n] | ^0 = Identity — so every lane reads props at its id;
 // Vector-Sparse pads dead lanes with an in-range id (vsparse.FromCSR), and
-// the frontier words are indexed the same way.
-func MinPropChunkGo(words []uint64, index []int, props, front, accum []uint64, dst, lo, hi int) (last int, acc uint64) {
+// the frontier words are indexed the same way. Inside the window the twin
+// reads accum for dead lanes too and masks it the same way; the assembly
+// gathers it for live lanes only.
+func MinPropChunkGo(words []uint64, index []int, props, front, accum []uint64, dst, lo, hi int, inPlace bool) (last int, acc uint64) {
 	const none = ^uint64(0)
 	gated := len(front) != 0
+	first := uint64(dst)
 	for vi := lo; vi < hi; dst++ {
 		end := index[dst+1]
 		if end <= vi {
@@ -101,6 +114,11 @@ func MinPropChunkGo(words []uint64, index []int, props, front, accum []uint64, d
 		}
 		if end > hi {
 			end = hi
+		}
+		// The window's width: 0 for a synchronous call and for the first run.
+		var span uint64
+		if inPlace {
+			span = uint64(dst) - first
 		}
 		acc = none
 		for ; vi < end; vi++ {
@@ -113,8 +131,25 @@ func MinPropChunkGo(words []uint64, index []int, props, front, accum []uint64, d
 				v2 &= front[n2>>6] >> (n2 & 63)
 				v3 &= front[n3>>6] >> (n3 & 63)
 			}
+			p0, p1, p2, p3 := props[n0], props[n1], props[n2], props[n3]
+			if span != 0 {
+				// n − first wraps for a source below first, so one unsigned
+				// compare tests both ends.
+				if n0-first < span {
+					p0 = min(p0, accum[n0])
+				}
+				if n1-first < span {
+					p1 = min(p1, accum[n1])
+				}
+				if n2-first < span {
+					p2 = min(p2, accum[n2])
+				}
+				if n3-first < span {
+					p3 = min(p3, accum[n3])
+				}
+			}
 			// v is 1 for a live lane and 0 for a dead one: v−1 is 0 or ^0.
-			acc = min(acc, min(min(props[n0]|(v0-1), props[n1]|(v1-1)), min(props[n2]|(v2-1), props[n3]|(v3-1))))
+			acc = min(acc, min(min(p0|(v0-1), p1|(v1-1)), min(p2|(v2-1), p3|(v3-1))))
 		}
 		if vi == hi {
 			return dst, acc

@@ -41,16 +41,17 @@ func RankSumRun(words []uint64, contrib []float64, weights []float32) float64 {
 
 // MinPropChunk is MinPropChunkGo on the process's selected kernel: the AVX2
 // chunk walk of gather_amd64.s — two VPGATHERQQ per gated vector, one per
-// ungated — when the CPU has it, the Go twin otherwise. Like RankSumRun it
-// does not bounds-check: lo ≤ hi ≤ len(words)/4, dst owns vector lo, every
-// valid lane id indexes props (and, gated, its frontier word front), and
-// every interior destination indexes accum — the Vector-Sparse format's
-// guarantees for a chunk of its own grid.
-func MinPropChunk(words []uint64, index []int, props, front, accum []uint64, dst, lo, hi int) (last int, acc uint64) {
+// ungated, and one more of accum per vector of an in-place run — when the
+// CPU has it, the Go twin otherwise. Like RankSumRun it does not
+// bounds-check: lo ≤ hi ≤ len(words)/4, dst owns vector lo, every valid lane
+// id indexes props and accum (and, gated, its frontier word front), and every
+// interior destination indexes accum — the Vector-Sparse format's guarantees
+// for a chunk of its own grid.
+func MinPropChunk(words []uint64, index []int, props, front, accum []uint64, dst, lo, hi int, inPlace bool) (last int, acc uint64) {
 	if useAVX2 {
-		return minPropChunkAVX2(words, index, props, front, accum, dst, lo, hi)
+		return minPropChunkAVX2(words, index, props, front, accum, dst, lo, hi, inPlace)
 	}
-	return MinPropChunkGo(words, index, props, front, accum, dst, lo, hi)
+	return MinPropChunkGo(words, index, props, front, accum, dst, lo, hi, inPlace)
 }
 
 // Kernel names the implementation RankSumRun and MinPropChunk run in this
@@ -70,4 +71,4 @@ func xgetbv() (eax, edx uint32)
 func rankSumRunAVX2(words []uint64, contrib []float64, weights []float32) float64
 
 //go:noescape
-func minPropChunkAVX2(words []uint64, index []int, props, front, accum []uint64, dst, lo, hi int) (last int, acc uint64)
+func minPropChunkAVX2(words []uint64, index []int, props, front, accum []uint64, dst, lo, hi int, inPlace bool) (last int, acc uint64)

@@ -56,9 +56,12 @@ func TestRankSumRunNeverReadsPastLen(t *testing.T) {
 	}
 }
 
-// TestMinPropChunkNeverReadsPastLen walks chunks whose words, index, props and
-// frontier words each end on the last byte before a guard page, the chunk's
-// last vector the array's last.
+// TestMinPropChunkNeverReadsPastLen walks chunks whose words, index, props,
+// accum and frontier words each end on the last byte before a guard page, the
+// chunk's last vector the array's last, in place and not: the top ids the
+// lanes carry lie inside the in-place window of the chunk's later runs, so
+// the accum gather reads to within one word of the guard page (the window
+// ends below the last destination, so no read can reach accum[n−1]).
 func TestMinPropChunkNeverReadsPastLen(t *testing.T) {
 	const n = 70 // two frontier words, the second partly used
 	words64 := func(k int) []uint64 { return unsafe.Slice((*uint64)(unsafe.Pointer(&guarded(t, k*8)[0])), k) }
@@ -66,6 +69,11 @@ func TestMinPropChunkNeverReadsPastLen(t *testing.T) {
 	props := words64(n)
 	copy(props, f.props)
 	f.props = props
+	accum := words64(n)
+	f.kernelAccum = func() []uint64 {
+		copy(accum, f.accum)
+		return accum
+	}
 	for _, vectors := range []int{1, 2, 5, 16} {
 		words := words64(vectors * vec.Lanes)
 		index := unsafe.Slice((*int)(unsafe.Pointer(&guarded(t, (n+1)*8)[0])), n+1)
@@ -86,7 +94,7 @@ func TestMinPropChunkNeverReadsPastLen(t *testing.T) {
 				copy(front, ff)
 			}
 			for lo := 0; lo < vectors; lo++ {
-				if err := f.chunkAgrees(words, index, front, lo, vectors); err != nil {
+				if _, err := f.chunkAgrees(words, index, front, lo, vectors); err != nil {
 					t.Errorf("%d vectors, %s, chunk [%d,%d): %v", vectors, name, lo, vectors, err)
 				}
 			}

@@ -18,8 +18,9 @@
 // n, so it is made once per vertex and read once per edge). MinPropChunk is
 // the Edge-Pull of Connected Components over a whole scheduler chunk: per
 // vector a VPGATHERQQ of the frontier words and one of props under the
-// resulting live mask, an unsigned lane-wise min, and per destination run a
-// horizontal min stored to accum. On any other platform, under -tags purego,
+// resulting live mask (in an in-place round, ungated, one of props and one of
+// the chunk's own fresher accum words), an unsigned lane-wise min, and per
+// destination run a horizontal min stored to accum. On any other platform, under -tags purego,
 // or on a CPU without AVX2 each is its pure-Go twin (RankSumRunGo,
 // MinPropChunkGo), bit-identical to the assembly (DESIGN.md §2, §5). Kernel
 // reports which one the process runs.
