@@ -355,93 +355,6 @@ func (sc *serveClient) do(method, path, body string) (int, map[string]any) {
 	return resp.StatusCode, m
 }
 
-// TestServePartitionedQuery starts a server with -partitions 2 and checks
-// the partitioned path end to end: query responses surface the effective
-// mode and partition count, the run record in GET /v1/runs/{id} carries the
-// per-partition trace, and the per-vertex output is identical to a
-// monolithic server's.
-func TestServePartitionedQuery(t *testing.T) {
-	base, cmd := startServe(t, "-d", "C", "-scale", "0.25", "-partitions", "2")
-	defer func() {
-		cmd.Process.Kill()
-		cmd.Wait()
-	}()
-	sc := newServeClient(t, base)
-
-	code, m := sc.do("POST", "/v1/query", `{"app":"cc","values":true}`)
-	if code != 200 {
-		t.Fatalf("cc query: status %d body %v", code, m)
-	}
-	if p, _ := m["partitions"].(float64); p != 2 {
-		t.Errorf("partitions = %v, want 2", m["partitions"])
-	}
-	if mode, _ := m["mode"].(string); mode != "Hybrid" {
-		t.Errorf("mode = %v, want Hybrid", m["mode"])
-	}
-	runID, _ := m["run_id"].(string)
-	if runID == "" {
-		t.Fatal("query response carries no run_id")
-	}
-
-	// The run record replays the partitioned trace.
-	code, rec := sc.do("GET", "/v1/runs/"+runID, "")
-	if code != 200 {
-		t.Fatalf("run record: status %d body %v", code, rec)
-	}
-	if p, _ := rec["partitions"].(float64); p != 2 {
-		t.Errorf("record partitions = %v, want 2", rec["partitions"])
-	}
-	if mode, _ := rec["mode"].(string); mode != "Hybrid" {
-		t.Errorf("record mode = %v, want Hybrid", rec["mode"])
-	}
-	trace, _ := rec["trace"].(map[string]any)
-	if trace == nil {
-		t.Fatalf("record has no trace: %v", rec)
-	}
-	if dirs, _ := trace["directions"].(string); dirs == "" {
-		t.Error("trace has no direction string")
-	}
-	pstats, _ := trace["partitions"].([]any)
-	if len(pstats) != 2 {
-		t.Fatalf("trace has %d partition stats, want 2: %v", len(pstats), trace)
-	}
-	var exchanged float64
-	for _, ps := range pstats {
-		st, _ := ps.(map[string]any)
-		b, _ := st["exchange_bytes"].(float64)
-		exchanged += b
-	}
-	if exchanged <= 0 {
-		t.Errorf("partitioned cc run exchanged %v bytes, want > 0", exchanged)
-	}
-
-	// Bit-identity across the API: a monolithic server must return the same
-	// per-vertex labels.
-	monoBase, monoCmd := startServe(t, "-d", "C", "-scale", "0.25")
-	defer func() {
-		monoCmd.Process.Kill()
-		monoCmd.Wait()
-	}()
-	msc := newServeClient(t, monoBase)
-	code, mono := msc.do("POST", "/v1/query", `{"app":"cc","values":true}`)
-	if code != 200 {
-		t.Fatalf("monolithic cc query: status %d body %v", code, mono)
-	}
-	if p, _ := mono["partitions"].(float64); p != 1 {
-		t.Errorf("monolithic partitions = %v, want 1", mono["partitions"])
-	}
-	want, _ := mono["values"].([]any)
-	got, _ := m["values"].([]any)
-	if len(want) == 0 || len(got) != len(want) {
-		t.Fatalf("values lengths: partitioned %d, monolithic %d", len(got), len(want))
-	}
-	for v := range want {
-		if got[v] != want[v] {
-			t.Fatalf("values[%d] = %v, monolithic has %v (first divergence)", v, got[v], want[v])
-		}
-	}
-}
-
 // TestCLIGrazelleServeStore exercises the store-backed serving surface:
 // snapshot persistence across a restart with bit-identical query results,
 // graph deletion, the stats endpoint, admission-control rejection, and

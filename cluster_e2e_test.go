@@ -160,11 +160,9 @@ func mutateEdges(t *testing.T, client *http.Client, base string) {
 }
 
 // TestClusterServeByteIdentity runs all nine applications through routers
-// over 1-, 2-, and 4-worker rosters, with the workers at their default and
-// at -partitions 2 (a routed run executes under the answering worker's own
-// flags), before and after a mutation through the router, and requires every
-// response to be byte-identical (modulo run_id and wall time) to a
-// single-process serve started with the workers' flags.
+// over 1-, 2-, and 4-worker rosters, before and after a mutation through the
+// router, and requires every response to be byte-identical (modulo run_id and
+// wall time) to a single-process serve.
 func TestClusterServeByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess cluster matrix")
@@ -191,40 +189,38 @@ func TestClusterServeByteIdentity(t *testing.T) {
 		return out
 	}
 
-	for _, flags := range [][]string{nil, {"-partitions", "2"}} {
-		t.Run("workers"+strings.Join(flags, ""), func(t *testing.T) {
-			// A routed run is always a cold run (the router's workers keep no
-			// result to warm-start from), so the reference recomputes in full
-			// after the mutation too.
-			sURL, sCmd := startServe(t, append([]string{"-i", base, "-incremental-threshold", "0"}, flags...)...)
-			reference := answers(t, sURL)
-			stopCmd(sCmd)
+	t.Run("workers", func(t *testing.T) {
+		// A routed run is always a cold run (the router's workers keep no
+		// result to warm-start from), so the reference recomputes in full
+		// after the mutation too.
+		sURL, sCmd := startServe(t, "-i", base, "-incremental-threshold", "0")
+		reference := answers(t, sURL)
+		stopCmd(sCmd)
 
-			// Worker pool shared by every roster size: each router's resync
-			// re-adds the graph, which resets the previous router's mutation.
-			workerURLs := make([]string, 4)
-			for i := range workerURLs {
-				u, cmd := startRole(t, "worker", flags...)
-				workerURLs[i] = u
-				t.Cleanup(func() { stopCmd(cmd) })
-			}
-			for _, workers := range []int{1, 2, 4} {
-				t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
-					rURL, rCmd := startRole(t, "router",
-						"-workers", strings.Join(workerURLs[:workers], ","), "-i", base,
-						"-health-interval", "100ms")
-					defer stopCmd(rCmd)
-					waitClusterReady(t, client, rURL, workers)
-					for i, got := range answers(t, rURL) {
-						if got != reference[i] {
-							t.Errorf("%s (answer %d): cluster response diverges from single-process\n got: %.300s\nwant: %.300s",
-								nineApps[i%len(nineApps)], i, got, reference[i])
-						}
+		// Worker pool shared by every roster size: each router's resync
+		// re-adds the graph, which resets the previous router's mutation.
+		workerURLs := make([]string, 4)
+		for i := range workerURLs {
+			u, cmd := startRole(t, "worker")
+			workerURLs[i] = u
+			t.Cleanup(func() { stopCmd(cmd) })
+		}
+		for _, workers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+				rURL, rCmd := startRole(t, "router",
+					"-workers", strings.Join(workerURLs[:workers], ","), "-i", base,
+					"-health-interval", "100ms")
+				defer stopCmd(rCmd)
+				waitClusterReady(t, client, rURL, workers)
+				for i, got := range answers(t, rURL) {
+					if got != reference[i] {
+						t.Errorf("%s (answer %d): cluster response diverges from single-process\n got: %.300s\nwant: %.300s",
+							nineApps[i%len(nineApps)], i, got, reference[i])
 					}
-				})
-			}
-		})
-	}
+				}
+			})
+		}
+	})
 }
 
 // TestClusterMutationVisibility applies a streaming edge mutation through
@@ -442,7 +438,8 @@ func TestClusterStatusEndpoint(t *testing.T) {
 		t.Errorf("routed run record lacks the worker or its engine trace: %+v", rec)
 	}
 
-	// No frontier crosses the network any more: shmem is the only transport.
+	// A routed query is one whole run on one worker: no frontier is
+	// exchanged anywhere, so there is no exchange family to report.
 	mresp, err := client.Get(rURL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -450,9 +447,8 @@ func TestClusterStatusEndpoint(t *testing.T) {
 	mb, _ := io.ReadAll(mresp.Body)
 	mresp.Body.Close()
 	metrics := string(mb)
-	if !strings.Contains(metrics, `grazelle_exchange_bytes_total{transport="shmem"}`) ||
-		strings.Count(metrics, "grazelle_exchange_bytes_total{") != 1 {
-		t.Error(`metrics: want grazelle_exchange_bytes_total{transport="shmem"} as the only exchange series`)
+	if strings.Contains(metrics, "grazelle_exchange_bytes_total") {
+		t.Error("metrics: grazelle_exchange_bytes_total is still exported")
 	}
 	for _, want := range []string{"grazelle_cluster_runs_total 1", `grazelle_cluster_routed_runs_total{worker="` + w1 + `"} 1`} {
 		if !strings.Contains(metrics, want) {

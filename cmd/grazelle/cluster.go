@@ -70,6 +70,6 @@ func (s *server) runOnCluster(ctx context.Context, h *grazelle.StoreHandle, q se
 	// The run record carries the answering worker's engine trace and which
 	// worker that was.
 	rec.Trace, rec.Worker = res.Trace, res.Worker
-	rec.Iters, rec.Mode, rec.Partitions, rec.Kernel = res.Iterations, res.Mode, res.Partitions, res.Kernel
+	rec.Iters, rec.Mode, rec.Kernel = res.Iterations, res.Mode, res.Kernel
 	return res.Body, nil
 }

@@ -85,7 +85,6 @@ func run() error {
 		mode    = flag.String("engine", "hybrid", "engine mode: hybrid, pull, push")
 		scalar  = flag.Bool("scalar", false, "disable the vectorized kernels")
 		record  = flag.Bool("counters", false, "collect and print execution counters")
-		parts   = flag.Int("partitions", 0, "run through the partitioned coordinator with this many partitions (0 or 1 = monolithic; output is bit-identical)")
 	)
 	flag.Parse()
 
@@ -115,7 +114,6 @@ func run() error {
 		ChunkVectors: *gran,
 		Scalar:       *scalar,
 		Record:       *record,
-		Partitions:   *parts,
 	}
 	switch strings.ToLower(*variant) {
 	case "sa":
@@ -159,9 +157,6 @@ func run() error {
 
 	fmt.Printf("Iterations: %d (pull %d, push %d)\n",
 		stats.Iterations, stats.PullIterations, stats.PushIterations)
-	if stats.Partitions > 1 {
-		fmt.Printf("Partitions: %d\n", stats.Partitions)
-	}
 	fmt.Printf("Running Time: %v (edge %v, vertex %v)\n",
 		stats.Total, stats.EdgeTime, stats.VertexTime)
 	if *record {

@@ -113,7 +113,6 @@ func runServeRole(role string, args []string) error {
 		logLevel    = fs.String("log-level", "info", "request log level (debug logs probe/scrape requests too)")
 		cacheBudget = fs.Int64("cache-budget", 256<<20, "query result cache byte budget (0 = cache nothing, coalescing stays on)")
 		cacheBypass = fs.Bool("cache-bypass", false, "disable the query result cache and coalescing entirely")
-		partitions  = fs.Int("partitions", 0, "run queries through the partitioned coordinator with this many partitions (0 or 1 = monolithic; output is bit-identical)")
 		deltaCap    = fs.Int64("delta-budget", 64<<20, "per-graph un-compacted mutation overlay budget in bytes; past it writes get 429 until compaction (0 = unlimited)")
 		compactAt   = fs.Int64("compact-after", 16<<20, "overlay bytes that trigger background compaction (0 = only explicit /compact)")
 		incrLimit   = fs.Int("incremental-threshold", 4096, "maximum mutation-delta edge ops for incremental recompute from a cached predecessor result (0 = always recompute in full)")
@@ -153,7 +152,7 @@ func runServeRole(role string, args []string) error {
 		CompactAfterBytes: *compactAt,
 		// Phase tracing is on for every serve-mode run: its cost is
 		// phase-boundary-only and it feeds /v1/runs and the phase histograms.
-		Options: grazelle.Options{Trace: true, Partitions: *partitions},
+		Options: grazelle.Options{Trace: true},
 	})
 	if err != nil {
 		return err

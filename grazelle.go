@@ -170,13 +170,10 @@ type Options struct {
 	// Overhead is phase-boundary-only — a fraction of a percent — so
 	// serving layers keep it on.
 	Trace bool
-	// Partitions splits each run into this many partitions executed through
-	// the partitioned coordinator (scatter-gather phases plus a frontier
-	// exchange at the barrier) — the scale-out seam. Output is bit-identical
-	// to a monolithic run for any count. 0 or 1 runs monolithically;
-	// configurations the partitioned path does not cover (Scalar,
-	// non-default Variant, Record, multi-socket) quietly fall back, and
-	// Stats.Partitions reports the effective count.
+	// Partitions has no effect: every run executes as one iteration loop on
+	// the engine's pool.
+	//
+	// Deprecated: partitioned execution was removed; leave the field unset.
 	Partitions int
 }
 
@@ -205,7 +202,6 @@ func (opt Options) coreOptions() core.Options {
 		Mode:         opt.Mode,
 		Record:       opt.Record,
 		Trace:        opt.Trace,
-		Partitions:   opt.Partitions,
 	}
 }
 
@@ -241,10 +237,6 @@ func (e *Engine) Graph() *Graph { return e.g }
 // bounds observed when the phase ran.
 type PhaseStat = obs.PhaseStat
 
-// PartitionStat is one partition's aggregate within a partitioned run's
-// trace: phase wall times, exchanged frontier bytes, and span count.
-type PartitionStat = obs.PartitionStat
-
 // Stats summarizes a run.
 type Stats struct {
 	// Iterations counts Edge+Vertex rounds; Pull/Push split them by engine.
@@ -252,9 +244,6 @@ type Stats struct {
 	// Mode is the engine mode the run executed under ("Hybrid", "Pull",
 	// "Push").
 	Mode string
-	// Partitions is the effective partition count the coordinator ran with
-	// (1 = monolithic, including fallbacks from a higher request).
-	Partitions int
 	// EdgeTime, VertexTime, and Total are wall-clock durations.
 	EdgeTime, VertexTime, Total time.Duration
 	// EdgeCounters and VertexCounters hold the perfmodel counters (zero
@@ -268,13 +257,6 @@ type Stats struct {
 	// Options.Trace was set): '<' pull, '>' push, 's' sparse, '+' elided
 	// tail on very long runs.
 	Directions string
-	// PartitionStats is the per-partition breakdown (empty unless
-	// Options.Trace was set and the run was partitioned).
-	PartitionStats []PartitionStat
-	// ExchangeBytes is the total frontier-bitmap volume the partitioned
-	// coordinator's barriers handed between partitions (0 for monolithic
-	// runs).
-	ExchangeBytes int64
 	// TraceDropped reports that tracing failed mid-run and was abandoned
 	// (the run itself succeeded); Phases may be incomplete.
 	TraceDropped bool
@@ -286,7 +268,6 @@ func statsOf(res core.Result) Stats {
 		PullIterations: res.PullIterations,
 		PushIterations: res.PushIterations,
 		Mode:           res.Mode.String(),
-		Partitions:     res.Partitions,
 		EdgeTime:       res.EdgeTime,
 		VertexTime:     res.VertexTime,
 		Total:          res.Total,
@@ -294,8 +275,6 @@ func statsOf(res core.Result) Stats {
 		VertexCounters: res.VertexCounters,
 		Phases:         res.Trace.Phases,
 		Directions:     res.Trace.Directions,
-		PartitionStats: res.Trace.Partitions,
-		ExchangeBytes:  res.ExchangeBytes,
 		TraceDropped:   res.Trace.Dropped,
 	}
 }

@@ -234,7 +234,6 @@ func TestOptionsSurface(t *testing.T) {
 		"Scalar",             // grazelle -scalar
 		"Mode",               // grazelle -engine
 		"PullDegreeShare",    // benchfig dirsweep
-		"Partitions",         // grazelle -partitions, serve -partitions
 		"Record",             // grazelle -counters
 		"Trace",              // serve (always on)
 		"AblateFrontierWork", // benchfig paper rows; BenchmarkAblationSparseFrontier
@@ -251,7 +250,7 @@ func TestOptionsSurface(t *testing.T) {
 		"Mode",         // grazelle -engine
 		"Record",       // grazelle -counters
 		"Trace",        // serve (always on)
-		"Partitions",   // grazelle -partitions, serve -partitions
+		"Partitions",   // deprecated and ignored; set only by bench/cluster.go
 	}
 	for _, tc := range []struct {
 		typ  reflect.Type

@@ -43,22 +43,13 @@ func conformanceParams(ent apps.Entry) apps.Params {
 
 func runConformance(t *testing.T, cg *core.Graph, g *graph.Graph, ent apps.Entry, p apps.Params, workers int) []uint64 {
 	t.Helper()
-	return runConformanceParts(t, cg, g, ent, p, workers, 1)
-}
-
-func runConformanceParts(t *testing.T, cg *core.Graph, g *graph.Graph, ent apps.Entry, p apps.Params, workers, partitions int) []uint64 {
-	t.Helper()
-	r := core.NewRunner(cg, core.Options{Workers: workers, ChunkVectors: 16, Partitions: partitions})
+	r := core.NewRunner(cg, core.Options{Workers: workers, ChunkVectors: 16})
 	defer r.Close()
 	prog, err := ent.New(g, cg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := core.Run(r, prog, ent.MaxIters(p))
-	if res.Partitions != partitions {
-		t.Fatalf("effective partitions = %d, want %d", res.Partitions, partitions)
-	}
-	return res.Props
+	return core.Run(r, prog, ent.MaxIters(p)).Props
 }
 
 func TestRegistryConformance(t *testing.T) {
@@ -105,37 +96,6 @@ func TestRegistryConformance(t *testing.T) {
 						}
 					}
 				})
-			}
-		})
-	}
-}
-
-// TestRegistryConformancePartitioned extends the conformance bar to the
-// partitioned coordinator: for every registered app, runs at partitions 2
-// and 4 across worker counts 1/2/4 must be bit-identical to the monolithic
-// run at the same worker count — the determinism contract of DESIGN.md §13,
-// enforced registry-wide so a future app cannot land without clearing it.
-func TestRegistryConformancePartitioned(t *testing.T) {
-	base := gen.Generate(gen.Twitter, 0.05)
-	for _, ent := range apps.All() {
-		t.Run(ent.Name, func(t *testing.T) {
-			g := base
-			if ent.NeedsWeights {
-				g = gen.AddUniformWeights(g, 42)
-			}
-			p := conformanceParams(ent)
-			cg := core.BuildGraph(g)
-			for _, workers := range []int{1, 2, 4} {
-				ref := runConformanceParts(t, cg, g, ent, p, workers, 1)
-				for _, parts := range []int{2, 4} {
-					got := runConformanceParts(t, cg, g, ent, p, workers, parts)
-					for v := range ref {
-						if got[v] != ref[v] {
-							t.Fatalf("w=%d p=%d lane[%d] = %#x, monolithic has %#x (first divergence)",
-								workers, parts, v, got[v], ref[v])
-						}
-					}
-				}
 			}
 		})
 	}

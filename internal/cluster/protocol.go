@@ -62,11 +62,10 @@ type RunResponse struct {
 	// would have written under this run ID — less the trailing newline, which
 	// JSON embedding drops and the router restores.
 	Body json.RawMessage `json:"body"`
-	// Iterations, Mode, Partitions, Kernel and Trace (the engine's phase,
-	// direction and partition breakdown) fill the router's run record.
+	// Iterations, Mode, Kernel and Trace (the engine's phase and direction
+	// breakdown) fill the router's run record.
 	Iterations int          `json:"iterations"`
 	Mode       string       `json:"mode"`
-	Partitions int          `json:"partitions"`
 	Kernel     string       `json:"kernel"`
 	Trace      obs.RunTrace `json:"trace"`
 }

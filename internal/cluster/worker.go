@@ -79,7 +79,6 @@ func (wk *Worker) HandleRun(w http.ResponseWriter, r *http.Request) {
 		Body:       body,
 		Iterations: rec.Iters,
 		Mode:       rec.Mode,
-		Partitions: rec.Partitions,
 		Kernel:     rec.Kernel,
 		Trace:      rec.Trace,
 	})

@@ -51,8 +51,8 @@ func frontierWorkApps(g *graph.Graph, root uint32) []frontierWorkApp {
 // TestFrontierWorkBitIdentity: the shipped kernels (early-exit pull, the
 // unpredicated full-frontier iteration, the identity-skipping Vertex phase,
 // the list-driven round, inline rounds), the paper configuration and the
-// sequential references agree bit for bit, at every worker, partition and
-// chunk-size combination. Pull-only runs put every iteration through the
+// sequential references agree bit for bit, at every worker and chunk-size
+// combination. Pull-only runs put every iteration through the
 // early-exit kernel; hybrid runs mix it with list-driven rounds. At
 // ChunkVectors 1 every multi-vector destination straddles chunks. cc and
 // kcore start from a full frontier, so their first iteration is the
@@ -76,32 +76,27 @@ func TestFrontierWorkBitIdentity(t *testing.T) {
 			exits, lists := false, false
 			for _, mode := range []EngineMode{EngineHybrid, EnginePullOnly} {
 				for _, workers := range []int{1, 2, 4} {
-					for _, parts := range []int{1, 2, 4} {
-						for _, chunk := range []int{1, 3, 0} {
-							for _, ablate := range []bool{false, true} {
-								opt := Options{Workers: workers, Partitions: parts, ChunkVectors: chunk,
-									Mode: mode, AblateFrontierWork: ablate, Trace: true}
-								r := NewRunner(cg, opt)
-								res := Run(r, app.mk(), 1<<20)
-								r.Close()
-								label := fmt.Sprintf("%v w%d p%d chunk%d ablate=%v", mode, workers, parts, chunk, ablate)
-								if res.Partitions != parts {
-									t.Fatalf("%s: effective partitions = %d", label, res.Partitions)
+					for _, chunk := range []int{1, 3, 0} {
+						for _, ablate := range []bool{false, true} {
+							opt := Options{Workers: workers, ChunkVectors: chunk,
+								Mode: mode, AblateFrontierWork: ablate, Trace: true}
+							r := NewRunner(cg, opt)
+							res := Run(r, app.mk(), 1<<20)
+							r.Close()
+							label := fmt.Sprintf("%v w%d chunk%d ablate=%v", mode, workers, chunk, ablate)
+							for v := range app.want {
+								if res.Props[v] != app.want[v] {
+									t.Fatalf("%s: lane[%d] = %#x, reference %#x", label, v, res.Props[v], app.want[v])
 								}
-								for v := range app.want {
-									if res.Props[v] != app.want[v] {
-										t.Fatalf("%s: lane[%d] = %#x, reference %#x", label, v, res.Props[v], app.want[v])
-									}
-								}
-								if ablate && res.SparseIterations != 0 {
-									t.Fatalf("%s: %d list-driven rounds under the ablation", label, res.SparseIterations)
-								}
-								if start.Full() && res.Trace.Directions[0] != '<' {
-									t.Fatalf("%s: full first frontier went %q, want pull", label, res.Trace.Directions[0])
-								}
-								exits = exits || (!ablate && res.PullIterations > 0)
-								lists = lists || res.SparseIterations > 0
 							}
+							if ablate && res.SparseIterations != 0 {
+								t.Fatalf("%s: %d list-driven rounds under the ablation", label, res.SparseIterations)
+							}
+							if start.Full() && res.Trace.Directions[0] != '<' {
+								t.Fatalf("%s: full first frontier went %q, want pull", label, res.Trace.Directions[0])
+							}
+							exits = exits || (!ablate && res.PullIterations > 0)
+							lists = lists || res.SparseIterations > 0
 						}
 					}
 				}

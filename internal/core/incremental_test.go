@@ -15,8 +15,7 @@ import (
 // for every seed-capable app, applying a mutation batch and warm-starting
 // from the predecessor's lanes must produce the same result as a cold run
 // on the mutated graph — exact for integer lanes, within float
-// reassociation tolerance for float lanes — at every worker and partition
-// count. Batches are shaped per app to land on the intended accepted path
+// reassociation tolerance for float lanes — at every worker count. Batches are shaped per app to land on the intended accepted path
 // (see the builders below); the deletion test covers the refused path, and
 // the fault tests cover a seed that breaks mid-install.
 
@@ -144,12 +143,12 @@ func incrementalBatch(name string, g *graph.Graph, pred []uint64, n int) []graph
 	return nil
 }
 
-// runIncrCold runs ent cold on g at the given config with ChunkVectors
-// pinned (the determinism contract makes the result identical across
-// configs, so one cold run is ground truth for the whole matrix).
-func runIncrCold(t *testing.T, cg *Graph, g *graph.Graph, ent apps.Entry, p apps.Params, workers, parts int) []uint64 {
+// runIncrCold runs ent cold on g at the given worker count with ChunkVectors
+// pinned (the determinism contract makes the result identical across worker
+// counts, so one cold run is ground truth for the whole matrix).
+func runIncrCold(t *testing.T, cg *Graph, g *graph.Graph, ent apps.Entry, p apps.Params, workers int) []uint64 {
 	t.Helper()
-	r := NewRunner(cg, Options{Workers: workers, Partitions: parts, ChunkVectors: 16})
+	r := NewRunner(cg, Options{Workers: workers, ChunkVectors: 16})
 	defer r.Close()
 	prog, err := ent.New(g, cg, p)
 	if err != nil {
@@ -159,9 +158,9 @@ func runIncrCold(t *testing.T, cg *Graph, g *graph.Graph, ent apps.Entry, p apps
 }
 
 // runIncrSeeded runs ent on g warm-started from plan.
-func runIncrSeeded(t *testing.T, cg *Graph, g *graph.Graph, ent apps.Entry, p apps.Params, plan *apps.SeedPlan, workers, parts int) Result {
+func runIncrSeeded(t *testing.T, cg *Graph, g *graph.Graph, ent apps.Entry, p apps.Params, plan *apps.SeedPlan, workers int) Result {
 	t.Helper()
-	r := NewRunner(cg, Options{Workers: workers, Partitions: parts, ChunkVectors: 16})
+	r := NewRunner(cg, Options{Workers: workers, ChunkVectors: 16})
 	defer r.Close()
 	prog, err := ent.New(g, cg, p)
 	if err != nil {
@@ -208,24 +207,9 @@ func assertIncrLanesEqual(t *testing.T, ent apps.Entry, want, got []uint64) {
 	}
 }
 
-// incrementalConfigs returns the (workers, partitions) sweep: the full
-// 3x3 matrix on the primary dataset, a reduced diagonal elsewhere.
-func incrementalConfigs(full bool) [][2]int {
-	if full {
-		var out [][2]int
-		for _, w := range []int{1, 2, 4} {
-			for _, parts := range []int{1, 2, 4} {
-				out = append(out, [2]int{w, parts})
-			}
-		}
-		return out
-	}
-	return [][2]int{{1, 1}, {4, 2}, {2, 4}}
-}
-
 func TestIncrementalMetamorphicEquivalence(t *testing.T) {
 	datasets := []gen.Dataset{gen.Twitter, gen.UK2007, gen.DimacsUSA}
-	for di, d := range datasets {
+	for _, d := range datasets {
 		base := gen.Generate(d, 0.05)
 		abbrev := string(d.Abbrev())
 		t.Run(abbrev, func(t *testing.T) {
@@ -245,7 +229,7 @@ func TestIncrementalMetamorphicEquivalence(t *testing.T) {
 						g0 = gen.AddUniformWeights(base, 42)
 					}
 					p := ent.Normalize(apps.Params{Iters: 4, Root: 1, K: 3})
-					pred := runIncrCold(t, BuildGraph(g0), g0, ent, p, 1, 1)
+					pred := runIncrCold(t, BuildGraph(g0), g0, ent, p, 1)
 					for _, n := range incrementalBatches {
 						ops := incrementalBatch(name, g0, pred, n)
 						if len(ops) == 0 {
@@ -264,11 +248,11 @@ func TestIncrementalMetamorphicEquivalence(t *testing.T) {
 							t.Fatalf("batch %d: planner refused a by-construction safe delta: %v", n, err)
 						}
 						cg1 := BuildGraph(g1)
-						cold := runIncrCold(t, cg1, g1, ent, p, 1, 1)
-						for _, c := range incrementalConfigs(di == 0) {
-							res := runIncrSeeded(t, cg1, g1, ent, p, plan, c[0], c[1])
+						cold := runIncrCold(t, cg1, g1, ent, p, 1)
+						for _, workers := range []int{1, 2, 4} {
+							res := runIncrSeeded(t, cg1, g1, ent, p, plan, workers)
 							if !res.Seeded {
-								t.Fatalf("batch %d workers %d parts %d: seed did not apply", n, c[0], c[1])
+								t.Fatalf("batch %d workers %d: seed did not apply", n, workers)
 							}
 							assertIncrLanesEqual(t, ent, cold, res.Props)
 						}
@@ -298,7 +282,7 @@ func TestIncrementalDeletionFallback(t *testing.T) {
 				g0 = gen.AddUniformWeights(base, 42)
 			}
 			p := ent.Normalize(apps.Params{Iters: 4, Root: 1, K: 3})
-			pred := runIncrCold(t, BuildGraph(g0), g0, ent, p, 1, 1)
+			pred := runIncrCold(t, BuildGraph(g0), g0, ent, p, 1)
 
 			var ops []graph.EdgeOp
 			if name == "bfs" {
@@ -329,7 +313,7 @@ func TestIncrementalDeletionFallback(t *testing.T) {
 			}); err == nil {
 				t.Fatal("planner accepted a deletion delta")
 			}
-			cold := runIncrCold(t, BuildGraph(g1), g1, ent, p, 1, 1)
+			cold := runIncrCold(t, BuildGraph(g1), g1, ent, p, 1)
 			assertIncrLanesEqual(t, ent, ent.Reference(g1, p), cold)
 		})
 	}
@@ -349,7 +333,7 @@ func TestIncrementalSeedFaultDegradesToCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := ent.Normalize(apps.Params{})
-	pred := runIncrCold(t, BuildGraph(base), base, ent, p, 4, 1)
+	pred := runIncrCold(t, BuildGraph(base), base, ent, p, 4)
 	ops := freshInserts(base, 16)
 	g1 := graph.ApplyEdgeOps(base, ops)
 	plan, err := ent.IncrementalSeed(apps.SeedInput{
@@ -360,7 +344,7 @@ func TestIncrementalSeedFaultDegradesToCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	cg1 := BuildGraph(g1)
-	cold := runIncrCold(t, cg1, g1, ent, p, 4, 1)
+	cold := runIncrCold(t, cg1, g1, ent, p, 4)
 	for _, mode := range []string{"panic*1", "error*1"} {
 		t.Run(mode, func(t *testing.T) {
 			disarm, err := fault.Enable("core/incremental-seed", mode)
@@ -368,7 +352,7 @@ func TestIncrementalSeedFaultDegradesToCold(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer disarm()
-			res := runIncrSeeded(t, cg1, g1, ent, p, plan, 4, 1)
+			res := runIncrSeeded(t, cg1, g1, ent, p, plan, 4)
 			if res.Seeded {
 				t.Fatalf("Seeded = true under %s", mode)
 			}
@@ -391,7 +375,7 @@ func TestIncrementalSeedFaultDirectPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := ent.Normalize(apps.Params{Iters: 4})
-	pred := runIncrCold(t, BuildGraph(base), base, ent, p, 2, 1)
+	pred := runIncrCold(t, BuildGraph(base), base, ent, p, 2)
 	ops := uniquePairReasserts(base, 8)
 	g1 := graph.ApplyEdgeOps(base, ops)
 	plan, err := ent.IncrementalSeed(apps.SeedInput{
@@ -409,7 +393,7 @@ func TestIncrementalSeedFaultDirectPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer disarm()
-	res := runIncrSeeded(t, BuildGraph(g1), g1, ent, p, plan, 2, 1)
+	res := runIncrSeeded(t, BuildGraph(g1), g1, ent, p, plan, 2)
 	if res.Seeded {
 		t.Fatal("Seeded = true under an injected seed panic")
 	}

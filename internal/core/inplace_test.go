@@ -38,9 +38,9 @@ func inPlaceApps(g *graph.Graph, root uint32) []frontierWorkApp {
 // trait, on every corpus graph and analog, the shipped run — synchronous for
 // its first inPlaceAfter pulls, in place after — ends at the bits of the
 // paper configuration and of the sequential reference at every worker,
-// partition, grid, mode and kernel (the selected one and the Go twin)
-// combination, and takes the same number of iterations at every worker and
-// partition count of a given grid on either kernel: what an in-place round
+// grid, mode and kernel (the selected one and the Go twin) combination, and
+// takes the same number of iterations at every worker count of a given grid
+// on either kernel: what an in-place round
 // reads is a function of the graph and the chunk grid alone. Pull-only is
 // where sssp takes the path at all (a hybrid sssp from one root is
 // list-driven on these graphs).
@@ -61,25 +61,19 @@ func TestInPlaceEquivalence(t *testing.T) {
 						}
 						iters := -1
 						for _, workers := range []int{1, 2, 4} {
-							for _, parts := range []int{1, 2, 4} {
-								for _, goTwin := range []bool{false, true} {
-									r := NewRunner(cg, Options{Workers: workers, Partitions: parts, ChunkVectors: chunk, Mode: mode,
-										AblateSIMD: goTwin})
-									res := Run(r, app.mk(), 1<<20)
-									r.Close()
-									label := fmt.Sprintf("%v chunk%d w%d p%d gotwin=%v", mode, chunk, workers, parts, goTwin)
-									if res.Partitions != parts {
-										t.Fatalf("%s: effective partitions = %d", label, res.Partitions)
-									}
-									if !slices.Equal(res.Props, app.want) {
-										t.Fatalf("%s: lanes differ from the reference", label)
-									}
-									if iters < 0 {
-										iters = res.Iterations
-									}
-									if res.Iterations != iters {
-										t.Fatalf("%s: %d iterations, w1 p1 took %d", label, res.Iterations, iters)
-									}
+							for _, goTwin := range []bool{false, true} {
+								r := NewRunner(cg, Options{Workers: workers, ChunkVectors: chunk, Mode: mode, AblateSIMD: goTwin})
+								res := Run(r, app.mk(), 1<<20)
+								r.Close()
+								label := fmt.Sprintf("%v chunk%d w%d gotwin=%v", mode, chunk, workers, goTwin)
+								if !slices.Equal(res.Props, app.want) {
+									t.Fatalf("%s: lanes differ from the reference", label)
+								}
+								if iters < 0 {
+									iters = res.Iterations
+								}
+								if res.Iterations != iters {
+									t.Fatalf("%s: %d iterations, w1 took %d", label, res.Iterations, iters)
 								}
 							}
 						}

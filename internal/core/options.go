@@ -108,7 +108,7 @@ type Options struct {
 	Mode EngineMode
 	// PullDegreeShare is the hybrid heuristic's degree-sum term (Besta et
 	// al., "To Push or To Pull"): below the density at which the hybrid
-	// selects Edge-Pull outright (coord.PullDensity), pull is still
+	// selects Edge-Pull outright (PullDensity), pull is still
 	// selected when the frontier's out-degree sum is at least this share of
 	// all edges — a few active hubs can put most of the edge set in play,
 	// where pull's sequential gather beats push's scattered synchronized
@@ -124,17 +124,6 @@ type Options struct {
 	// than that either way. SSSP, which gathers every in-edge regardless,
 	// ran the same iterations 10–20% slower as pulls and is left out.
 	PullDegreeShare float64
-	// Partitions splits execution into this many coordinator partitions
-	// (internal/coord): per-iteration scatter-gather of the edge and
-	// vertex phases across spans of the global chunk grid, with the next
-	// frontier exchanged at the barrier. Output is bit-identical to the
-	// monolithic path for any value. 0 or 1 selects the monolithic
-	// LocalCoordinator. Partitioned execution drives the default
-	// scheduler-aware vectorized kernels on single-node topologies;
-	// Scalar, Record, non-SA variants, and multi-node topologies fall back
-	// to the monolithic path (Result.Partitions reports the effective
-	// count).
-	Partitions int
 	// Record enables the perfmodel counters and time profiles. Metering
 	// adds per-edge accounting cost, so benchmarks leave it off.
 	Record bool
@@ -184,9 +173,6 @@ func (o Options) withDefaults(g *Graph) Options {
 	}
 	if o.PullDegreeShare == 0 {
 		o.PullDegreeShare = 0.15
-	}
-	if o.Partitions < 1 {
-		o.Partitions = 1
 	}
 	return o
 }

@@ -24,23 +24,16 @@ func TestEngineModeString(t *testing.T) {
 	}
 }
 
-// TestOptionsDefaults pins the withDefaults normalization added for the
-// coordinator: the degree-share default, its negative opt-out, and the
-// partition floor.
+// TestOptionsDefaults pins the withDefaults normalization of the direction
+// policy: the degree-share default and its negative opt-out.
 func TestOptionsDefaults(t *testing.T) {
 	g := &Graph{}
 	o := Options{}.withDefaults(g)
 	if o.PullDegreeShare != 0.15 {
 		t.Errorf("default PullDegreeShare = %v, want 0.15", o.PullDegreeShare)
 	}
-	if o.Partitions != 1 {
-		t.Errorf("default Partitions = %d, want 1", o.Partitions)
-	}
-	o = Options{PullDegreeShare: -1, Partitions: 8}.withDefaults(g)
+	o = Options{PullDegreeShare: -1}.withDefaults(g)
 	if o.PullDegreeShare != -1 {
 		t.Errorf("negative PullDegreeShare rewritten to %v", o.PullDegreeShare)
-	}
-	if o.Partitions != 8 {
-		t.Errorf("Partitions = %d, want 8", o.Partitions)
 	}
 }

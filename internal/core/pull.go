@@ -53,12 +53,10 @@ func edgePullSA[P apps.Program](r *ExecContext, p P) {
 }
 
 // pullSABody builds the scheduler-aware chunk body with every loop invariant
-// hoisted into the closure. The partitioned coordinator rebuilds it each
-// iteration (it snapshots the frontier words, which swap on publish) and
-// runs it concurrently over disjoint spans of the same global chunk grid —
-// chunk-local state, single-writer transition stores, and merge slots keyed
-// by global chunk id make that exactly as safe as concurrent chunks of one
-// dispatch.
+// hoisted into the closure. It snapshots the frontier words, which swap on
+// publish, so it is rebuilt every iteration; chunk-local state,
+// single-writer transition stores, and merge slots keyed by chunk id make
+// its chunks safe to run concurrently.
 //
 // Early exit: a destination whose gather can contribute nothing more is left
 // by jumping vi to the end of its vector run, Index[dst+1] (the loop bound

@@ -159,9 +159,9 @@ func pullSpanBody[P apps.Program](r *ExecContext, p P, fz fuse) func(rg sched.Ra
 
 // refreshContrib sets contrib[v] = props[v]·scale[v] for every vertex, each
 // product rounded to float64 on its own exactly as step rounds it per edge,
-// and returns the array. It runs on the driver goroutine between phases (the
-// monolithic pull, or the partitioned coordinator's EdgeBegin), when no chunk
-// of this run is in flight, as one statically scheduled pass.
+// and returns the array. It runs on the driver goroutine before the pull's
+// dispatch, when no chunk of this run is in flight, as one statically
+// scheduled pass.
 func (r *ExecContext) refreshContrib(scale []float64) []float64 {
 	if r.contrib == nil {
 		r.contrib = make([]float64, r.g.N)

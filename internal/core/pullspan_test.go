@@ -39,10 +39,10 @@ func spanApps(g *graph.Graph, root uint32) []struct {
 // TestSpanPullParity: on every corpus graph, a rank-sum program's lanes are
 // the same bits whichever kernel reduces the spans (the selected one — AVX2
 // where the CPU has it — or the Go twin), whether or not the run records
-// counters, run fused or through the generic Message/Combine fold, at every
-// partition count, and — on a pinned chunk grid — at every worker count. The
-// default grid derives from the worker count, so there a run is compared with
-// the runs of its own worker count only. Every configuration also agrees with
+// counters, run fused or through the generic Message/Combine fold, and — on a
+// pinned chunk grid — at every worker count. The default grid derives from
+// the worker count, so there a run is compared with the runs of its own
+// worker count only. Every configuration also agrees with
 // the sequential reference to rounding, and a Record run charges each span
 // exactly once.
 func TestSpanPullParity(t *testing.T) {
@@ -55,31 +55,29 @@ func TestSpanPullParity(t *testing.T) {
 					var pinned []uint64 // the lanes every worker count must reproduce at a pinned grid
 					for _, workers := range []int{1, 2, 4} {
 						var want []uint64
-						for _, parts := range []int{1, 2, 4} {
-							for _, goTwin := range []bool{true, false} {
-								for _, record := range []bool{false, true} {
-									for _, generic := range []bool{false, true} {
-										opt := Options{Workers: workers, Partitions: parts, ChunkVectors: chunk,
-											Mode: EnginePullOnly, AblateSIMD: goTwin, Record: record}
-										label := fmt.Sprintf("chunk%d w%d p%d gotwin=%v record=%v generic=%v",
-											chunk, workers, parts, goTwin, record, generic)
-										p := app.mk()
-										if generic {
-											p = unfused{p}
-										}
-										r := NewRunner(cg, opt)
-										res := Run(r, p, spanIters)
-										r.Close()
-										if want == nil {
-											want = res.Props
-											assertNearReference(t, label, res.Props, app.ref)
-										}
-										if !slices.Equal(res.Props, want) {
-											t.Fatalf("%s: lanes differ from the first run at this grid and worker count", label)
-										}
-										if record {
-											assertSpanCounters(t, label, cg, res, spanIters)
-										}
+						for _, goTwin := range []bool{true, false} {
+							for _, record := range []bool{false, true} {
+								for _, generic := range []bool{false, true} {
+									opt := Options{Workers: workers, ChunkVectors: chunk,
+										Mode: EnginePullOnly, AblateSIMD: goTwin, Record: record}
+									label := fmt.Sprintf("chunk%d w%d gotwin=%v record=%v generic=%v",
+										chunk, workers, goTwin, record, generic)
+									p := app.mk()
+									if generic {
+										p = unfused{p}
+									}
+									r := NewRunner(cg, opt)
+									res := Run(r, p, spanIters)
+									r.Close()
+									if want == nil {
+										want = res.Props
+										assertNearReference(t, label, res.Props, app.ref)
+									}
+									if !slices.Equal(res.Props, want) {
+										t.Fatalf("%s: lanes differ from the first run at this grid and worker count", label)
+									}
+									if record {
+										assertSpanCounters(t, label, cg, res, spanIters)
 									}
 								}
 							}
@@ -119,9 +117,9 @@ func laneHash(props []uint64) string {
 // hashes were taken there through the same registry entries, on the default
 // grid at one worker and on a 16-vector grid at two; gathering a per-vertex
 // contrib, reading degrees off CSR and walking a dangling list must not move
-// a bit, on either kernel or at any partition count. (The weighted mesh's edge
-// list is (src, dst)-sorted, so wpr's CSR-order weighted degree is the
-// parent's edge-list-order one.)
+// a bit, on either kernel. (The weighted mesh's edge list is (src,
+// dst)-sorted, so wpr's CSR-order weighted degree is the parent's
+// edge-list-order one.)
 func TestSpanPullPinnedToTwoGatherKernel(t *testing.T) {
 	var mesh testgraph.Graph
 	for _, c := range testgraph.Corpus() {
@@ -151,26 +149,24 @@ func TestSpanPullPinnedToTwoGatherKernel(t *testing.T) {
 		}
 		p := apps.Params{Iters: spanIters, Root: tc.root}
 		for _, goTwin := range []bool{false, true} {
-			for _, parts := range []int{1, 2} {
-				for _, run := range []struct {
-					opt  Options
-					want string
-				}{
-					{Options{Workers: 1}, tc.w1},
-					{Options{Workers: 2, ChunkVectors: 16}, tc.grid},
-				} {
-					run.opt.AblateSIMD, run.opt.Partitions = goTwin, parts
-					prog, err := ent.New(tc.g, cg, p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					r := NewRunner(cg, run.opt)
-					got := laneHash(Run(r, prog, spanIters).Props)
-					r.Close()
-					if got != run.want {
-						t.Errorf("%s w%d chunk%d p%d gotwin=%v: lanes hash to %s, the two-gather kernel's to %s",
-							tc.name, run.opt.Workers, run.opt.ChunkVectors, parts, goTwin, got, run.want)
-					}
+			for _, run := range []struct {
+				opt  Options
+				want string
+			}{
+				{Options{Workers: 1}, tc.w1},
+				{Options{Workers: 2, ChunkVectors: 16}, tc.grid},
+			} {
+				run.opt.AblateSIMD = goTwin
+				prog, err := ent.New(tc.g, cg, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := NewRunner(cg, run.opt)
+				got := laneHash(Run(r, prog, spanIters).Props)
+				r.Close()
+				if got != run.want {
+					t.Errorf("%s w%d chunk%d gotwin=%v: lanes hash to %s, the two-gather kernel's to %s",
+						tc.name, run.opt.Workers, run.opt.ChunkVectors, goTwin, got, run.want)
 				}
 			}
 		}
@@ -258,11 +254,11 @@ func (l *roundLog) PreIteration(props []uint64) { l.rounds = append(l.rounds, la
 // vec.MinPropChunk call per chunk and its in-place rounds as one ungated,
 // windowed call, and on every corpus graph and T/U/D analog the run matches
 // the full-vector ablation — the gated vector-by-vector walk — on the same
-// grid, at every worker and partition count, on the selected kernel and on
-// the Go twin: the same lanes at the start of every round (so the same
-// frontier and density per round: an ungated in-place round reads sources
-// outside the frontier and must change nothing by it), the same final lanes
-// and the same iteration count. A Record run charges exactly the Edge
+// grid, at every worker count, on the selected kernel and on the Go twin:
+// the same lanes at the start of every round (so the same frontier and
+// density per round: an ungated in-place round reads sources outside the
+// frontier and must change nothing by it), the same final lanes and the same
+// iteration count. A Record run charges exactly the Edge
 // counters the walk charges. Pull-only, so every round takes the chunk walk.
 func TestMinPropChunkMatchesVectorWalk(t *testing.T) {
 	inPlaceRounds := 0
@@ -281,25 +277,23 @@ func TestMinPropChunkMatchesVectorWalk(t *testing.T) {
 					want, wantRounds := walk(false)
 					wantRec, _ := walk(true)
 					inPlaceRounds += max(0, want.Iterations-inPlaceAfter)
-					for _, parts := range []int{1, 2, 4} {
-						for _, goTwin := range []bool{false, true} {
-							for _, record := range []bool{false, true} {
-								label := fmt.Sprintf("chunk%d w%d p%d gotwin=%v record=%v", chunk, workers, parts, goTwin, record)
-								r := NewRunner(cg, Options{Workers: workers, Partitions: parts, ChunkVectors: chunk,
-									Mode: EnginePullOnly, AblateSIMD: goTwin, Record: record})
-								p := &roundLog{ConnComp: apps.NewConnComp()}
-								res := Run(r, p, 1<<20)
-								r.Close()
-								if !slices.Equal(p.rounds, wantRounds) {
-									t.Fatalf("%s: round lanes %v, the vector walk's %v", label, p.rounds, wantRounds)
-								}
-								if !slices.Equal(res.Props, want.Props) || res.Iterations != want.Iterations {
-									t.Fatalf("%s: %d iterations, lanes equal %v; the vector walk took %d",
-										label, res.Iterations, slices.Equal(res.Props, want.Props), want.Iterations)
-								}
-								if record && res.EdgeCounters != wantRec.EdgeCounters {
-									t.Fatalf("%s: Edge counters %+v, the vector walk's %+v", label, res.EdgeCounters, wantRec.EdgeCounters)
-								}
+					for _, goTwin := range []bool{false, true} {
+						for _, record := range []bool{false, true} {
+							label := fmt.Sprintf("chunk%d w%d gotwin=%v record=%v", chunk, workers, goTwin, record)
+							r := NewRunner(cg, Options{Workers: workers, ChunkVectors: chunk,
+								Mode: EnginePullOnly, AblateSIMD: goTwin, Record: record})
+							p := &roundLog{ConnComp: apps.NewConnComp()}
+							res := Run(r, p, 1<<20)
+							r.Close()
+							if !slices.Equal(p.rounds, wantRounds) {
+								t.Fatalf("%s: round lanes %v, the vector walk's %v", label, p.rounds, wantRounds)
+							}
+							if !slices.Equal(res.Props, want.Props) || res.Iterations != want.Iterations {
+								t.Fatalf("%s: %d iterations, lanes equal %v; the vector walk took %d",
+									label, res.Iterations, slices.Equal(res.Props, want.Props), want.Iterations)
+							}
+							if record && res.EdgeCounters != wantRec.EdgeCounters {
+								t.Fatalf("%s: Edge counters %+v, the vector walk's %+v", label, res.EdgeCounters, wantRec.EdgeCounters)
 							}
 						}
 					}

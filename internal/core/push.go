@@ -59,11 +59,9 @@ func edgePushVectorized[P apps.Program](r *ExecContext, p P) {
 }
 
 // pushVectorizedBody builds the vectorized push chunk body with the loop
-// invariants hoisted into the closure. Like pullSABody, the partitioned
-// coordinator rebuilds it each iteration and runs it concurrently over
-// disjoint source-vertex spans: the scatter is a CAS (or an append to the
-// chunk's private scatter-buffer slot, keyed by global chunk id), so span
-// concurrency is exactly as safe as chunk concurrency.
+// invariants hoisted into the closure. The scatter is a CAS (or an append to
+// the chunk's private scatter-buffer slot, keyed by chunk id), so its chunks
+// are safe to run concurrently.
 func pushVectorizedBody[P apps.Program](r *ExecContext, p P) func(rg sched.Range, chunkID, tid, node int) {
 	a := r.g.VSS
 	usesFrontier := p.UsesFrontier()

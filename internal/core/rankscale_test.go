@@ -76,7 +76,7 @@ func TestRankScalePerVersion(t *testing.T) {
 
 		var want []uint64
 		for _, cg := range []*Graph{patched, rebuilt} {
-			for _, opt := range []Options{{Workers: 1, ChunkVectors: 16}, {Workers: 4, Partitions: 2, ChunkVectors: 16, AblateSIMD: true}} {
+			for _, opt := range []Options{{Workers: 1, ChunkVectors: 16}, {Workers: 4, ChunkVectors: 16, AblateSIMD: true}} {
 				r := NewRunner(cg, opt)
 				got := Run(r, apps.WeightedRankOn(cg.RankScale(true)), spanIters).Props
 				r.Close()

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/apps"
-	"repro/internal/coord"
 	"repro/internal/fault"
 	"repro/internal/frontier"
 	"repro/internal/numa"
@@ -41,19 +40,9 @@ type Runner struct {
 	mergeSlots int
 
 	// pullChunkSize is the chunk size of the scheduler-aware pull grid and
-	// inPlaceChunkSize that of the coarse grid in-place rounds run on,
-	// monolithic or partitioned. Fixed at construction, like the coordinator
-	// state below, so every run of this Runner schedules identically.
+	// inPlaceChunkSize that of the coarse grid in-place rounds run on. Fixed
+	// at construction, so every run of this Runner schedules identically.
 	pullChunkSize, inPlaceChunkSize int
-
-	// Coordinator state: the effective partition count (1 = monolithic), the
-	// partition plan over the global chunk grids (inPlacePull spans the
-	// in-place pull grid instead of plan.PullChunks), and the vertex-space
-	// chunk size.
-	parts         int
-	plan          numa.Plan
-	inPlacePull   numa.Partition
-	vertChunkSize int
 
 	closeOnce sync.Once
 	ctxPool   sync.Pool
@@ -150,24 +139,6 @@ func NewRunner(g *Graph, opt Options) *Runner {
 	r.mergeSlots = 2 * (sched.NumChunks(maxVectors, chunkSize) + r.topo.Nodes)
 	r.pullChunkSize = r.opt.chunkSizeFor(g.VSD.NumVectors(), r.pool.Workers())
 	r.inPlaceChunkSize = r.opt.inPlaceChunkSizeFor(g.VSD.NumVectors())
-	// Partitioned execution drives the scheduler-aware vectorized kernels on
-	// single-node topologies; every other configuration falls back to the
-	// monolithic path (Result.Partitions reports the effective count).
-	// Record is excluded because per-tid counter slots are private to one
-	// pool job and a scatter phase runs several concurrently.
-	r.parts = r.opt.Partitions
-	if r.parts > 1 && (r.opt.Scalar || r.opt.Record ||
-		r.opt.Variant != PullSchedulerAware || r.topo.Nodes > 1) {
-		r.parts = 1
-	}
-	if r.parts > 1 {
-		r.vertChunkSize = sched.ChunkSize(g.N, sched.DefaultChunks(r.pool.Workers()))
-		r.plan = numa.NewPlan(r.parts,
-			sched.NumChunks(g.VSD.NumVectors(), r.pullChunkSize),
-			sched.NumChunks(g.N, r.vertChunkSize),
-			(g.N+63)/64)
-		r.inPlacePull = numa.PartitionEven(sched.NumChunks(g.VSD.NumVectors(), r.inPlaceChunkSize), r.parts)
-	}
 	return r
 }
 
@@ -469,14 +440,6 @@ type Result struct {
 	Trace obs.RunTrace
 	// Mode is the engine mode the run was configured with.
 	Mode EngineMode
-	// Partitions is the effective coordinator partition count the run
-	// executed with (1 = monolithic; see Options.Partitions for the
-	// configurations that fall back).
-	Partitions int
-	// ExchangeBytes is the total frontier-bitmap volume the partitioned
-	// coordinator's barriers hand between partitions, across all partitions
-	// and iterations (0 on the monolithic path).
-	ExchangeBytes int64
 	// Seeded reports that the run started from a warm seed (RunSeededCtx)
 	// rather than the program's cold init. False for a seeded call means the
 	// seed failed to apply and the run degraded to a cold start.
@@ -504,29 +467,28 @@ func RunCtx[P apps.Program](ctx context.Context, r *Runner, p P, maxIters int) (
 	return RunSeededCtx(ctx, r, p, maxIters, nil)
 }
 
-// runLoop executes one run by binding the program's kernels into a
-// coord.Iteration closure bundle and handing the schedule to a Coordinator:
-// LocalCoordinator replays the monolithic loop, PartitionedCoordinator
-// scatter-gathers each phase across plan spans (see DESIGN.md §13).
+// runLoop is the iteration loop: per iteration, the frontier census, the
+// direction choice (Policy.Choose), then either one fused list-driven round
+// or a full Edge phase (its ordered merge included) followed by the Vertex
+// phase and the frontier publish (DESIGN.md §13). It stops at maxIters, when
+// the frontier empties, or when the run aborts (cancelled or panicked).
 func runLoop[P apps.Program](ec *ExecContext, p P, maxIters int, seed *Seed) (Result, error) {
 	start := time.Now()
 	ec.Init(p)
 	var res Result
 	res.Mode = ec.opt.Mode
-	res.Partitions = ec.parts
 	if seed != nil {
 		res.Seeded = applySeed(ec, p, seed)
 	}
 	usesFrontier := p.UsesFrontier()
+	policy := Policy{
+		PullOnly:             ec.opt.Mode == EnginePullOnly,
+		PushOnly:             ec.opt.Mode == EnginePushOnly,
+		DegreeShareThreshold: ec.opt.PullDegreeShare,
+	}
 
-	// density and cs carry per-iteration state from Begin into the phase
-	// closures. The coordinator invokes Begin/Sparse/Edge*/Vertex*/End
-	// strictly in sequence on this goroutine; only the *Span closures run
-	// concurrently, on disjoint chunk spans.
-	var (
-		density float64
-		cs      census
-	)
+	// cs is the current iteration's census; degreeShare reads it.
+	var cs census
 	// The degree-sum term sends a low-density, hub-heavy frontier to pull.
 	// That pays only where the pull scan can stop early — at a converged
 	// destination or a saturated gather; a program that gathers every
@@ -542,49 +504,42 @@ func runLoop[P apps.Program](ec *ExecContext, p P, maxIters int, seed *Seed) (Re
 			return ec.frontierDegreeShare()
 		}
 	}
-	it := coord.Iteration{
-		Begin: func() coord.Status {
-			var st coord.Status
-			if ec.aborted() {
-				st.Stop = true
-				return st
+
+	for i := 0; i < maxIters && !ec.aborted(); i++ {
+		// One census per iteration feeds the convergence vote, the direction
+		// choice and the trace, keeping the three consistent.
+		st := Status{UsesFrontier: usesFrontier, Density: 1}
+		if usesFrontier {
+			cs = ec.takeCensus()
+			if cs.count == 0 {
+				break
 			}
-			// One census per iteration feeds the convergence vote, the
-			// direction choice and the trace, keeping the three consistent.
-			density = 1.0
-			if usesFrontier {
-				cs = ec.takeCensus()
-				if cs.count == 0 {
-					st.Stop = true
-					return st
-				}
-				density = float64(cs.count) / float64(ec.g.N)
-				st.DegreeShare = degreeShare
-				st.SparseOK = ec.sparseOK(cs)
-			}
-			p.PreIteration(ec.props)
-			st.UsesFrontier = usesFrontier
-			st.Density = density
-			st.InPlace = ec.inPlace(p)
-			return st
-		},
-		Sparse: func() {
+			st.Density = float64(cs.count) / float64(ec.g.N)
+			st.DegreeShare = degreeShare
+			st.SparseOK = ec.sparseOK(cs)
+		}
+		p.PreIteration(ec.props)
+
+		dir := policy.Choose(st)
+		switch dir {
+		case DirSparse:
 			chunks := cs.chunks(ec.pool.Workers())
 			t0 := time.Now()
 			touched := runEdgePushSparse(ec, p, cs.list, chunks)
 			t1 := time.Now()
 			edgeWall := t1.Sub(t0)
 			res.EdgeTime += edgeWall
-			ec.traceEdge(obs.PhaseEdgePush, edgeWall, density)
+			ec.traceEdge(obs.PhaseEdgePush, edgeWall, st.Density)
 			runVertexSparse(ec, p, touched, chunks == 1)
 			vertexWall := time.Since(t1)
 			res.VertexTime += vertexWall
-			ec.traceVertex(vertexWall, density)
-		},
-		EdgeFull: func(dir coord.Direction) {
+			ec.traceVertex(vertexWall, st.Density)
+			res.PushIterations++
+			res.SparseIterations++
+		default:
 			t0 := time.Now()
 			ph := obs.PhaseEdgePush
-			if dir == coord.DirPull {
+			if dir == DirPull {
 				RunEdgePull(ec, p)
 				ph = obs.PhaseEdgePull
 			} else {
@@ -592,67 +547,27 @@ func runLoop[P apps.Program](ec *ExecContext, p P, maxIters int, seed *Seed) (Re
 			}
 			edgeWall := time.Since(t0)
 			res.EdgeTime += edgeWall
-			ec.traceEdge(ph, edgeWall, density)
-		},
-		VertexFull: func() {
-			t0 := time.Now()
+			ec.traceEdge(ph, edgeWall, st.Density)
+			t1 := time.Now()
 			RunVertex(ec, p)
-			vertexWall := time.Since(t0)
+			vertexWall := time.Since(t1)
 			res.VertexTime += vertexWall
-			ec.traceVertex(vertexWall, density)
-		},
-		End: func(dir coord.Direction) {
-			switch dir {
-			case coord.DirPull:
+			ec.traceVertex(vertexWall, st.Density)
+			if dir == DirPull {
 				res.PullIterations++
 				ec.pullsDone++
-			case coord.DirSparse:
-				res.PushIterations++
-				res.SparseIterations++
-			default:
+			} else {
 				res.PushIterations++
 			}
-			res.Iterations++
-			ec.noteDirection(dir.Mark())
-		},
+		}
+		res.Iterations++
+		ec.noteDirection(dir.Mark())
 	}
-
-	policy := coord.Policy{
-		PullOnly:             ec.opt.Mode == EnginePullOnly,
-		PushOnly:             ec.opt.Mode == EnginePushOnly,
-		DegreeShareThreshold: ec.opt.PullDegreeShare,
-	}
-	var driver coord.Coordinator
-	if ec.parts > 1 {
-		bindPartitioned(ec, p, &it, &res, &density)
-		driver = &coord.PartitionedCoordinator{Policy: policy, Plan: ec.plan, InPlacePull: ec.inPlacePull}
-	} else {
-		driver = &coord.LocalCoordinator{Policy: policy}
-	}
-	coordErr := driver.Run(ec.ctx, it, maxIters)
 
 	res.Total = time.Since(start)
 	res.EdgeCounters = ec.edgeRec.Total()
 	res.VertexCounters = ec.vertexRec.Total()
 	res.EdgeProfile = ec.edgeRec.Profile()
-	if ps := driver.PartitionStats(); len(ps) > 0 {
-		for _, s := range ps {
-			res.ExchangeBytes += s.ExchangeBytes
-		}
-		if ec.tracer != nil {
-			ops := make([]obs.PartitionStat, len(ps))
-			for i, s := range ps {
-				ops[i] = obs.PartitionStat{
-					Part:          s.Part,
-					EdgeWall:      s.EdgeWall,
-					VertexWall:    s.VertexWall,
-					ExchangeBytes: s.ExchangeBytes,
-					Spans:         s.Spans,
-				}
-			}
-			ec.tracer.SetPartitions(ops)
-		}
-	}
 	if ec.tracer != nil {
 		res.Trace = ec.tracer.Trace()
 	}
@@ -662,120 +577,7 @@ func runLoop[P apps.Program](ec *ExecContext, p P, maxIters int, seed *Seed) (Re
 	if err := ec.ctx.Err(); err != nil {
 		return res, fmt.Errorf("core: run cancelled after %d iterations: %w", res.Iterations, err)
 	}
-	if coordErr != nil {
-		return res, fmt.Errorf("core: run failed after %d iterations: %w", res.Iterations, coordErr)
-	}
 	return res, nil
-}
-
-// bindPartitioned installs the scatter-gather closures the partitioned
-// coordinator drives. Edge and vertex bodies are rebuilt each iteration —
-// they snapshot the frontier words, which swap on publish — and every span
-// executes chunks of the same global grid a monolithic dispatch would, so
-// merge slots, fold order, and output bits are independent of the partition
-// count.
-func bindPartitioned[P apps.Program](ec *ExecContext, p P, it *coord.Iteration, res *Result, density *float64) {
-	identity := p.Identity()
-	pushOrdered := fuseFor(p, p.Weighted() && ec.g.VSS.Weights != nil).ordered
-	pullTotal := ec.g.VSD.NumVectors()
-	grp := ec.pool.NewGroup()
-	var (
-		edgeBody      func(rg sched.Range, chunkID, tid, node int)
-		vbody         func(rg sched.Range, tid int)
-		phaseT0       time.Time
-		pullChunkSize int
-	)
-	it.EdgeBegin = func(dir coord.Direction) {
-		phaseT0 = time.Now()
-		if dir == coord.DirPull {
-			edgeBody = pullSABody(ec, p)
-			// The coordinator scatters this round over the grid Begin's
-			// Status.InPlace named; both read the same ec.inPlace.
-			pullChunkSize = ec.pullChunkFor(p)
-			// Pre-grow on the driver: concurrent spans must never resize the
-			// shared merge buffer.
-			ec.mergeBuf.Grow(sched.NumChunks(pullTotal, pullChunkSize))
-		} else {
-			edgeBody = pushVectorizedBody(ec, p)
-			if pushOrdered {
-				ec.scatterBuf.Grow(sched.NumChunks(ec.g.N, ec.vertChunkSize) + ec.topo.Nodes)
-			}
-		}
-	}
-	it.EdgeSpan = func(dir coord.Direction, s coord.Span) {
-		total, chunkSize := pullTotal, pullChunkSize
-		if dir == coord.DirPush {
-			total, chunkSize = ec.g.N, ec.vertChunkSize
-		}
-		ec.dispatchSpan(grp, s, total, chunkSize, edgeBody)
-	}
-	it.EdgeDone = func(dir coord.Direction) {
-		ph := obs.PhaseEdgePull
-		if dir == coord.DirPull {
-			mergeAccum(ec, p, identity)
-		} else {
-			ph = obs.PhaseEdgePush
-			if pushOrdered {
-				mergeScatter(ec, p)
-			}
-		}
-		edgeWall := time.Since(phaseT0)
-		if ec.edgeRec != nil {
-			ec.edgeRec.Wall += edgeWall
-		}
-		res.EdgeTime += edgeWall
-		ec.traceEdge(ph, edgeWall, *density)
-	}
-	it.VertexBegin = func() {
-		phaseT0 = time.Now()
-		vbody = vertexBody(ec, p)
-		ec.next.Clear()
-	}
-	it.VertexSpan = func(s coord.Span) {
-		ec.dispatchSpan(grp, s, ec.g.N, ec.vertChunkSize, func(rg sched.Range, chunkID, tid, node int) {
-			vbody(rg, tid)
-		})
-	}
-	it.VertexDone = func() {
-		vertexWall := time.Since(phaseT0)
-		res.VertexTime += vertexWall
-		if ec.vertexRec != nil {
-			ec.vertexRec.Wall += vertexWall
-		}
-		ec.traceVertex(vertexWall, *density)
-	}
-	it.Publish = ec.publishFrontier
-}
-
-// dispatchSpan executes global chunk ids [s.Lo, s.Hi) of one phase grid as a
-// single grouped pool job: chunk ranges, ids, and therefore merge-buffer
-// slots are exactly those a monolithic dispatch would produce, so the fold —
-// and the output bits — cannot depend on the partition count. Partitioned
-// execution is gated to single-node topologies, so chunks carry node 0.
-func (ec *ExecContext) dispatchSpan(grp *sched.Group, s coord.Span, total, chunkSize int, body func(rg sched.Range, chunkID, tid, node int)) {
-	if s.Lo >= s.Hi {
-		return
-	}
-	var next atomic.Int64
-	next.Store(int64(s.Lo))
-	// runChunk contains every body panic, so the job itself cannot fail.
-	_ = ec.pool.RunGrouped(grp, func(tid int) {
-		for {
-			if ec.aborted() {
-				return
-			}
-			c := int(next.Add(1)) - 1
-			if c >= s.Hi {
-				return
-			}
-			lo := c * chunkSize
-			hi := lo + chunkSize
-			if hi > total {
-				hi = total
-			}
-			ec.runChunk(body, sched.Range{Lo: lo, Hi: hi}, c, tid, 0)
-		}
-	})
 }
 
 // publishFrontier installs the just-built next frontier as the current one.
@@ -856,11 +658,10 @@ func RunVertex[P apps.Program](r *ExecContext, p P) {
 }
 
 // vertexBody builds the Vertex-phase range body with the loop invariants
-// hoisted into the closure. The partitioned coordinator rebuilds it each
-// iteration (it snapshots the next-frontier words, which swap on publish)
-// and runs it concurrently over disjoint vertex spans — every write is
-// either per-vertex state owned by the span or an atomic OR into the shared
-// bitmaps, so span concurrency is exactly as safe as chunk concurrency.
+// hoisted into the closure. It snapshots the next-frontier words, which swap
+// on publish, so it is rebuilt every iteration. Every write is either
+// per-vertex state owned by the range or an atomic OR into the shared
+// bitmaps, so ranges run concurrently.
 func vertexBody[P apps.Program](r *ExecContext, p P) func(rg sched.Range, tid int) {
 	identity := p.Identity()
 	tracksConv := p.TracksConverged()

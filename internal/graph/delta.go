@@ -280,7 +280,7 @@ func reduceEdgeOps(ops []EdgeOp, weighted bool) ([]EdgeOp, map[uint64]int) {
 // inserted edges are appended in (src, dst) order. The function is pure and
 // single-threaded, so the merged edge list — and therefore every
 // bit-deterministic engine result computed from it — depends only on (g,
-// ops), never on worker or partition count. The store uses it both to
+// ops), never on worker count. The store uses it both to
 // materialize the overlay view queries run on and to fold the overlay into a
 // compacted snapshot, which is what makes the two bit-identical.
 //

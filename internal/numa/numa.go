@@ -111,46 +111,3 @@ func (m PropertyMap) VertexRange(node int) (lo, hi uint32) {
 	return uint32(uint64(m.n) * uint64(node) / uint64(m.nodes)),
 		uint32(uint64(m.n) * uint64(node+1) / uint64(m.nodes))
 }
-
-// Plan is a partition layout promoted from placement *simulation* to an
-// execution artifact: the coordinator's P partitions each own one span of
-// the pull-phase chunk grid, one span of the vertex-space chunk grid (push
-// and vertex phases), and one word-aligned slice of the frontier bitmap —
-// the destination-range slice whose activation bits cross the exchange at
-// the iteration barrier.
-//
-// Chunk spans partition the *global* chunk-id grid, never re-chunk within a
-// partition: every chunk keeps the id, range, and merge-buffer slot it has
-// in a monolithic run, so the ordered merge folds partial aggregates in the
-// exact monolithic order and partitioned execution is bit-identical by
-// construction (see DESIGN.md §13). Empty spans are legal — P may exceed
-// the chunk, vertex, or word count — and simply contribute no work.
-type Plan struct {
-	// Parts is the partition count (≥ 1).
-	Parts int
-	// PullChunks spans the Edge-Pull chunk grid (global chunk ids over the
-	// destination-sorted vector array).
-	PullChunks Partition
-	// VertexChunks spans the vertex-space chunk grid shared by Edge-Push
-	// (source vertices) and the Vertex phase.
-	VertexChunks Partition
-	// Words spans the frontier bitmap's word space: partition i's outbound
-	// frontier delta is Words range [lo, hi) of the 64-bit word array, so
-	// exchange segments are disjoint and byte counts are exact.
-	Words Partition
-}
-
-// NewPlan lays out parts partitions over a pull grid of pullChunks chunks, a
-// vertex grid of vertexChunks chunks, and a frontier bitmap of words words.
-// parts < 1 is treated as 1 (the unpartitioned layout).
-func NewPlan(parts, pullChunks, vertexChunks, words int) Plan {
-	if parts < 1 {
-		parts = 1
-	}
-	return Plan{
-		Parts:        parts,
-		PullChunks:   PartitionEven(pullChunks, parts),
-		VertexChunks: PartitionEven(vertexChunks, parts),
-		Words:        PartitionEven(words, parts),
-	}
-}

@@ -140,96 +140,3 @@ func TestPropertyMapProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// Plan edge cases: the coordinator's partition planner must tolerate layouts
-// where partitions outnumber chunks, vertices, or words — trailing pieces
-// come out empty, never inverted — and P=1 must reproduce the unpartitioned
-// layout exactly.
-
-func requireTiling(t *testing.T, p Partition, total int) {
-	t.Helper()
-	prev := 0
-	for node := 0; node < p.Nodes(); node++ {
-		lo, hi := p.Range(node)
-		if lo != prev || hi < lo {
-			t.Fatalf("piece %d = [%d,%d), previous end %d", node, lo, hi, prev)
-		}
-		prev = hi
-	}
-	if prev != total {
-		t.Fatalf("pieces cover %d of %d", prev, total)
-	}
-}
-
-func TestPlanEmptyPartitions(t *testing.T) {
-	// 3 chunks over 8 partitions: at least five pieces must be empty, all
-	// pieces must still tile [0,3) in order.
-	pl := NewPlan(8, 3, 3, 1)
-	requireTiling(t, pl.PullChunks, 3)
-	requireTiling(t, pl.VertexChunks, 3)
-	requireTiling(t, pl.Words, 1)
-	empty := 0
-	for i := 0; i < 8; i++ {
-		if lo, hi := pl.PullChunks.Range(i); lo == hi {
-			empty++
-		}
-	}
-	if empty != 5 {
-		t.Errorf("8 partitions over 3 chunks: %d empty pieces, want 5", empty)
-	}
-}
-
-func TestPlanRaggedRanges(t *testing.T) {
-	// 10 chunks over 3 partitions does not divide evenly; pieces must tile
-	// and differ by at most one chunk.
-	pl := NewPlan(3, 10, 7, 5)
-	requireTiling(t, pl.PullChunks, 10)
-	requireTiling(t, pl.VertexChunks, 7)
-	requireTiling(t, pl.Words, 5)
-	for i := 0; i < 3; i++ {
-		lo, hi := pl.PullChunks.Range(i)
-		if n := hi - lo; n < 3 || n > 4 {
-			t.Errorf("pull piece %d has %d chunks, want 3 or 4", i, n)
-		}
-	}
-}
-
-func TestPlanMorePartitionsThanVertices(t *testing.T) {
-	// P far beyond every grid size: all spans empty or singleton, tiling
-	// preserved, zero-size spaces legal.
-	pl := NewPlan(64, 2, 1, 0)
-	requireTiling(t, pl.PullChunks, 2)
-	requireTiling(t, pl.VertexChunks, 1)
-	requireTiling(t, pl.Words, 0)
-	for i := 0; i < 64; i++ {
-		if lo, hi := pl.Words.Range(i); lo != 0 || hi != 0 {
-			t.Fatalf("word piece %d = [%d,%d) of an empty space", i, lo, hi)
-		}
-	}
-}
-
-func TestPlanSinglePartitionMatchesUnpartitioned(t *testing.T) {
-	// P=1 (and the P<1 normalization) must be the whole-space layout — the
-	// LocalCoordinator equivalence the conformance suite builds on.
-	for _, parts := range []int{1, 0, -3} {
-		pl := NewPlan(parts, 40, 23, 17)
-		if pl.Parts != 1 {
-			t.Fatalf("parts=%d normalized to %d, want 1", parts, pl.Parts)
-		}
-		for name, pair := range map[string][2]Partition{
-			"pull":   {pl.PullChunks, PartitionEven(40, 1)},
-			"vertex": {pl.VertexChunks, PartitionEven(23, 1)},
-			"words":  {pl.Words, PartitionEven(17, 1)},
-		} {
-			got, want := pair[0], pair[1]
-			if got.Nodes() != 1 {
-				t.Fatalf("%s: %d pieces", name, got.Nodes())
-			}
-			glo, ghi := got.Range(0)
-			wlo, whi := want.Range(0)
-			if glo != wlo || ghi != whi {
-				t.Fatalf("%s: [%d,%d) != unpartitioned [%d,%d)", name, glo, ghi, wlo, whi)
-			}
-		}
-	}
-}

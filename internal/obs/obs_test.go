@@ -248,15 +248,13 @@ func TestTraceBuilder(t *testing.T) {
 	}
 }
 
-// TestTraceBuilderDirectionsAndPartitions covers the direction string's cap,
-// the partition stats hand-off, a falling density bound, and an out-of-range
-// phase, which is ignored.
-func TestTraceBuilderDirectionsAndPartitions(t *testing.T) {
+// TestTraceBuilderDirections covers the direction string's cap, a falling
+// density bound, and an out-of-range phase, which is ignored.
+func TestTraceBuilderDirections(t *testing.T) {
 	var b TraceBuilder
 	for i := 0; i < maxDirections+3; i++ {
 		b.AddDirection('<')
 	}
-	b.SetPartitions([]PartitionStat{{Part: 0, ExchangeBytes: 16}, {Part: 1, Spans: 2}})
 	b.AddPhase(PhaseVertex, time.Millisecond, 1, 0.4)
 	b.AddPhase(PhaseVertex, time.Millisecond, 1, 0.1)
 	b.AddPhase(NumPhases, time.Second, 9, 1)
@@ -264,9 +262,6 @@ func TestTraceBuilderDirectionsAndPartitions(t *testing.T) {
 	if len(tr.Directions) != maxDirections || tr.Directions[maxDirections-1] != '+' {
 		t.Errorf("directions: %d marks ending %q, want %d ending '+'",
 			len(tr.Directions), tr.Directions[len(tr.Directions)-1], maxDirections)
-	}
-	if len(tr.Partitions) != 2 || tr.Partitions[0].ExchangeBytes != 16 || tr.Partitions[1].Spans != 2 {
-		t.Errorf("partitions = %+v", tr.Partitions)
 	}
 	if len(tr.Phases) != 1 || tr.Phases[0].MinDensity != 0.1 || tr.Phases[0].MaxDensity != 0.4 {
 		t.Errorf("phases = %+v, want one vertex phase with density [0.1, 0.4]", tr.Phases)

@@ -22,10 +22,8 @@ type RunRecord struct {
 	Iters    int           `json:"iterations,omitempty"`
 	Vertices int64         `json:"vertices,omitempty"`
 	Edges    int64         `json:"edges,omitempty"`
-	// Mode and Partitions record the engine mode and effective partition
-	// count the run executed under (Partitions 1 = monolithic).
-	Mode       string `json:"mode,omitempty"`
-	Partitions int    `json:"partitions,omitempty"`
+	// Mode records the engine mode the run executed under.
+	Mode string `json:"mode,omitempty"`
 	// Kernel names the rank-sum gather kernel of the process that ran the
 	// engine ("avx2" or "go", vec.Kernel) — on a router, the answering
 	// worker's — so a slow pr on a machine without AVX2 explains itself.

@@ -51,17 +51,6 @@ type PhaseStat struct {
 	MaxDensity float64 `json:"max_density"`
 }
 
-// PartitionStat is one coordinator partition's aggregate over a partitioned
-// run: wall time its spans spent in each phase, the frontier bytes it would
-// have shipped over a real transport, and how many spans it executed.
-type PartitionStat struct {
-	Part          int           `json:"part"`
-	EdgeWall      time.Duration `json:"edge_wall_ns"`
-	VertexWall    time.Duration `json:"vertex_wall_ns"`
-	ExchangeBytes int64         `json:"exchange_bytes"`
-	Spans         int           `json:"spans"`
-}
-
 // RunTrace is the per-run phase breakdown carried on the execution context
 // and surfaced through grazelle.Stats and GET /v1/runs/{id}.
 type RunTrace struct {
@@ -69,9 +58,6 @@ type RunTrace struct {
 	// Directions is the per-iteration Edge-phase direction string: '<' pull,
 	// '>' push, 's' sparse. Runs longer than the builder's cap end in '+'.
 	Directions string `json:"directions,omitempty"`
-	// Partitions is the per-partition breakdown of a partitioned run; empty
-	// for monolithic runs.
-	Partitions []PartitionStat `json:"partitions,omitempty"`
 	// Dropped reports that tracing failed mid-run (a panic inside the trace
 	// path was contained); the phases above may be incomplete.
 	Dropped bool `json:"dropped,omitempty"`
@@ -85,7 +71,6 @@ type TraceBuilder struct {
 	stats   [NumPhases]PhaseStat
 	seen    [NumPhases]bool
 	dirs    []byte
-	parts   []PartitionStat
 	dropped bool
 }
 
@@ -103,10 +88,6 @@ func (b *TraceBuilder) AddDirection(mark byte) {
 		b.dirs[maxDirections-1] = '+'
 	}
 }
-
-// SetPartitions installs the per-partition aggregates of a partitioned run.
-// The builder takes ownership of the slice.
-func (b *TraceBuilder) SetPartitions(ps []PartitionStat) { b.parts = ps }
 
 // AddPhase folds one phase execution into the builder.
 func (b *TraceBuilder) AddPhase(p Phase, wall time.Duration, chunks int64, density float64) {
@@ -138,14 +119,13 @@ func (b *TraceBuilder) Reset() {
 	b.stats = [NumPhases]PhaseStat{}
 	b.seen = [NumPhases]bool{}
 	b.dirs = b.dirs[:0]
-	b.parts = nil
 	b.dropped = false
 }
 
 // Trace snapshots the accumulated observations into a RunTrace. Phases that
 // never ran are omitted; phases appear in enum order.
 func (b *TraceBuilder) Trace() RunTrace {
-	t := RunTrace{Dropped: b.dropped, Directions: string(b.dirs), Partitions: b.parts}
+	t := RunTrace{Dropped: b.dropped, Directions: string(b.dirs)}
 	for p := Phase(0); p < NumPhases; p++ {
 		if !b.seen[p] {
 			continue

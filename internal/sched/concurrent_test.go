@@ -83,10 +83,12 @@ func TestConcurrentSchedulerAwareReductions(t *testing.T) {
 			go func(chunk int) {
 				defer wg.Done()
 				buf := NewMergeBuffer(NumChunks(total, chunk))
-				SchedulerAwareFor(p, total, chunk, Hooks[uint64]{
-					StartChunk:    func(first, tid int) uint64 { return 0 },
-					LoopIteration: func(acc uint64, i, tid int) uint64 { return acc + uint64(i) },
-					FinishChunk:   func(acc uint64, last, chunkID, tid int) { buf.Save(chunkID, 0, acc) },
+				p.DynamicFor(total, chunk, func(r Range, chunkID, tid int) {
+					var acc uint64
+					for i := r.Lo; i < r.Hi; i++ {
+						acc += uint64(i)
+					}
+					buf.Save(chunkID, 0, acc)
 				})
 				var sum uint64
 				buf.Merge(func(_ uint32, v uint64) { sum += v })

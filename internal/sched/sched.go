@@ -2,18 +2,19 @@
 // persistent worker pool, a traditional parallel_for whose body sees only an
 // iteration index, a dynamic chunk scheduler (contiguous chunks of the
 // iteration space handed to threads as they become available — Grazelle's
-// Edge-phase scheduler, 32·n chunks by default), and the scheduler-aware
-// interface, the paper's first contribution: StartChunk / LoopIteration /
-// FinishChunk hooks plus a per-chunk merge buffer that together eliminate
-// all inner-loop synchronization.
+// Edge-phase scheduler, 32·n chunks by default), and the per-chunk merge
+// buffer of the scheduler-aware interface, the paper's first contribution.
+// A DynamicFor body sees its whole chunk — range, chunk id, thread id — so
+// the paper's StartChunk / LoopIteration / FinishChunk hooks are the body's
+// prologue, loop and epilogue (the engine inlines them in its pull kernels),
+// and the chunk id names the merge slot its trailing partial goes to.
 //
 // The pool is a job-queue scheduler: any number of goroutines may submit
 // fork-join jobs concurrently and the pool multiplexes their slots over one
 // worker set. All per-job state (ticket counters, completion counts) lives
-// in the job, so concurrent DynamicFor/SchedulerAwareFor calls never share
-// scheduler state and each preserves its chunk contract — chunk ids, chunk
-// ranges, and therefore merge-buffer layout and results are identical to a
-// solo run.
+// in the job, so concurrent DynamicFor calls never share scheduler state and
+// each preserves its chunk contract — chunk ids, chunk ranges, and
+// therefore merge-buffer layout and results are identical to a solo run.
 package sched
 
 import (
@@ -55,11 +56,6 @@ type Pool struct {
 	// misbehaving caller cannot pile unbounded jobs onto the worker set.
 	maxJobs  int
 	jobsFree *sync.Cond
-	// capUnits counts active jobs against maxJobs, with every Group counted
-	// once no matter how many of its jobs are live — one admitted query may
-	// scatter per-partition jobs without eating sibling queries' slots.
-	// Guarded by mu.
-	capUnits int
 	// seq counts job submissions; idle workers watch it for new work.
 	seq atomic.Uint64
 	// panics counts recovered job-body panics (slot- and chunk-level), for
@@ -93,9 +89,6 @@ type PoolMetrics struct {
 type job struct {
 	fn    func(tid int)
 	slots int64
-	// group, when non-nil, makes this job share one active-job cap unit with
-	// every other live job of the same Group (see Pool.RunGrouped).
-	group *Group
 	// next is the slot ticket; done counts completed slots.
 	next atomic.Int64
 	done atomic.Int64
@@ -223,30 +216,12 @@ func (p *Pool) ActiveJobs() int {
 	return len(p.loadJobs())
 }
 
-// submit publishes a job and wakes parked workers. A job whose group
-// already holds a cap unit bypasses the active-job bound: the group was
-// admitted as a whole, and blocking its siblings behind other queries'
-// jobs would serialize (or, with reentrant submitters, deadlock) the
-// scatter phase the group exists for.
+// submit publishes a job and wakes parked workers, first waiting for a
+// free slot under the active-job bound.
 func (p *Pool) submit(j *job) {
 	p.mu.Lock()
-	for p.maxJobs > 0 && p.capUnits >= p.maxJobs && !p.closed.Load() &&
-		!(j.group != nil && j.group.active > 0) {
+	for p.maxJobs > 0 && len(p.loadJobs()) >= p.maxJobs && !p.closed.Load() {
 		p.jobsFree.Wait()
-	}
-	if j.group != nil {
-		if j.group.active == 0 {
-			p.capUnits++
-			// Parked siblings of this group must recheck: they bypass the
-			// cap now that the group holds its unit, and no job finish is
-			// coming to signal them.
-			if p.jobsFree != nil {
-				p.jobsFree.Broadcast()
-			}
-		}
-		j.group.active++
-	} else {
-		p.capUnits++
 	}
 	old := p.loadJobs()
 	nw := make([]*job, len(old)+1)
@@ -278,38 +253,12 @@ func (p *Pool) finish(j *job) {
 		}
 	}
 	p.jobs.Store(&nw)
-	if j.group != nil {
-		j.group.active--
-		if j.group.active == 0 {
-			p.capUnits--
-		}
-	} else {
-		p.capUnits--
-	}
 	if p.jobsFree != nil {
 		p.jobsFree.Signal()
 	}
 	p.mu.Unlock()
 	close(j.fin)
 }
-
-// Group ties several concurrent jobs of one logical run together so they
-// consume a single unit of the pool's active-job cap: the unit is taken when
-// the group's first job is published and returned when its last live job
-// finishes. The partitioned coordinator scatters one admitted query's edge
-// (or vertex) phase as P per-partition jobs through a Group, preserving the
-// serving layer's invariant that admitted queries == active cap units.
-//
-// A Group is safe for concurrent RunGrouped calls and may be reused across
-// phases; the zero state holds no cap unit.
-type Group struct {
-	// active counts the group's currently published jobs; the group holds a
-	// cap unit exactly while active > 0. Guarded by the pool's mu.
-	active int
-}
-
-// NewGroup returns a job group for use with RunGrouped.
-func (p *Pool) NewGroup() *Group { return &Group{} }
 
 // SetMetrics attaches (or detaches, with nil) the pool's timing histograms.
 // Safe to call concurrently with Run; in-flight jobs may observe either
@@ -354,15 +303,7 @@ func (p *Pool) Close() {
 // barrier, sibling jobs and the worker goroutines are untouched, and Run
 // returns the first panic as a *PanicError. A nil return means every slot
 // ran to completion.
-func (p *Pool) Run(fn func(tid int)) error { return p.runJob(fn, nil) }
-
-// RunGrouped is Run with the job accounted to g: all live jobs of one group
-// consume a single unit of the active-job cap, so a partitioned run can
-// scatter concurrent per-partition jobs under the one admission slot its
-// query holds. g == nil behaves exactly like Run.
-func (p *Pool) RunGrouped(g *Group, fn func(tid int)) error { return p.runJob(fn, g) }
-
-func (p *Pool) runJob(fn func(tid int), g *Group) error {
+func (p *Pool) Run(fn func(tid int)) error {
 	m := p.metrics.Load()
 	if p.workers == 1 {
 		var t0 time.Time
@@ -392,7 +333,7 @@ func (p *Pool) runJob(fn func(tid int), g *Group) error {
 		}
 		return nil
 	}
-	j := &job{fn: fn, slots: int64(p.workers), fin: make(chan struct{}), group: g}
+	j := &job{fn: fn, slots: int64(p.workers), fin: make(chan struct{})}
 	var t0 time.Time
 	if m != nil {
 		t0 = time.Now()
@@ -600,38 +541,5 @@ func (p *Pool) ParallelFor(total, chunkSize int, body func(i, tid int)) {
 		for i := r.Lo; i < r.Hi; i++ {
 			body(i, tid)
 		}
-	})
-}
-
-// Hooks is the scheduler-aware loop interface of Fig 3. T is the
-// thread-local chunk state (the paper's TLS block). StartChunk initializes
-// it, LoopIteration advances it over one iteration, FinishChunk disposes of
-// it — typically by saving a partial aggregate into a merge buffer slot
-// indexed by chunkID.
-type Hooks[T any] struct {
-	StartChunk    func(first, tid int) T
-	LoopIteration func(st T, i, tid int) T
-	FinishChunk   func(st T, last, chunkID, tid int)
-}
-
-// SchedulerAwareFor runs the scheduler-aware loop over [0, total) on pool p.
-// Chunking follows DynamicFor, so consecutive iterations of a chunk execute
-// on one thread and the hooks may keep their state in registers. A panic in
-// a hook fails only this loop and is rethrown on the calling goroutine.
-func SchedulerAwareFor[T any](p *Pool, total, chunkSize int, h Hooks[T]) {
-	Rethrow(SchedulerAwareForCtx(context.Background(), p, total, chunkSize, h))
-}
-
-// SchedulerAwareForCtx is SchedulerAwareFor with cancellation at chunk
-// boundaries: chunks that start always run StartChunk/LoopIteration*/
-// FinishChunk to completion (so every claimed chunk's merge slot is saved),
-// but no new chunks are claimed after ctx is cancelled.
-func SchedulerAwareForCtx[T any](ctx context.Context, p *Pool, total, chunkSize int, h Hooks[T]) error {
-	return p.DynamicForCtx(ctx, total, chunkSize, func(r Range, chunkID, tid int) {
-		st := h.StartChunk(r.Lo, tid)
-		for i := r.Lo; i < r.Hi; i++ {
-			st = h.LoopIteration(st, i, tid)
-		}
-		h.FinishChunk(st, r.Hi-1, chunkID, tid)
 	})
 }

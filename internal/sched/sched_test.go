@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -147,46 +148,45 @@ func TestParallelForSum(t *testing.T) {
 	})
 }
 
-func TestSchedulerAwareForHookSequence(t *testing.T) {
+// TestSchedulerAwareHookSequence pins the chunk contract the scheduler-aware
+// hooks rest on: on a single worker, chunks arrive in ascending id order,
+// each a contiguous range of chunkSize iterations (the last one short), so a
+// body's prologue, loop and epilogue are the paper's StartChunk,
+// LoopIteration and FinishChunk.
+func TestSchedulerAwareHookSequence(t *testing.T) {
 	withPool(t, 1, func(p *Pool) {
-		// Single worker: hooks must follow Start, Iter*, Finish per chunk in
-		// ascending chunk order.
-		type st struct{ first, count int }
-		var log []st
-		SchedulerAwareFor(p, 10, 4, Hooks[st]{
-			StartChunk: func(first, tid int) st { return st{first: first} },
-			LoopIteration: func(s st, i, tid int) st {
-				if i != s.first+s.count {
-					t.Errorf("iteration %d out of order (first %d, count %d)", i, s.first, s.count)
-				}
-				s.count++
-				return s
-			},
-			FinishChunk: func(s st, last, chunkID, tid int) {
-				if last != s.first+s.count-1 {
-					t.Errorf("chunk %d last = %d, want %d", chunkID, last, s.first+s.count-1)
-				}
-				log = append(log, s)
-			},
+		var log []Range
+		p.DynamicFor(10, 4, func(r Range, chunkID, tid int) {
+			if chunkID != len(log) {
+				t.Errorf("chunk %d arrived as number %d", chunkID, len(log))
+			}
+			if want := chunkID * 4; r.Lo != want {
+				t.Errorf("chunk %d starts at %d, want %d", chunkID, r.Lo, want)
+			}
+			log = append(log, r)
 		})
-		if len(log) != 3 || log[0].count != 4 || log[1].count != 4 || log[2].count != 2 {
-			t.Errorf("chunk log = %+v", log)
+		want := []Range{{0, 4}, {4, 8}, {8, 10}}
+		if !slices.Equal(log, want) {
+			t.Errorf("chunk log = %+v, want %+v", log, want)
 		}
 	})
 }
 
 // TestSchedulerAwareReduction verifies the paper's core claim mechanically:
-// a sum reduction built on the scheduler-aware interface with a per-chunk
-// merge needs no atomics and still produces the exact serial result.
+// a sum reduction built on the scheduler-aware pattern — chunk-local
+// accumulation, one partial per chunk id — needs no atomics and still
+// produces the exact serial result.
 func TestSchedulerAwareReduction(t *testing.T) {
 	withPool(t, 4, func(p *Pool) {
 		const total = 100000
 		numChunks := NumChunks(total, 37)
 		partials := make([]uint64, numChunks)
-		SchedulerAwareFor(p, total, 37, Hooks[uint64]{
-			StartChunk:    func(first, tid int) uint64 { return 0 },
-			LoopIteration: func(acc uint64, i, tid int) uint64 { return acc + uint64(i) },
-			FinishChunk:   func(acc uint64, last, chunkID, tid int) { partials[chunkID] = acc },
+		p.DynamicFor(total, 37, func(r Range, chunkID, tid int) {
+			var acc uint64
+			for i := r.Lo; i < r.Hi; i++ {
+				acc += uint64(i)
+			}
+			partials[chunkID] = acc
 		})
 		var sum uint64
 		for _, v := range partials {
@@ -296,15 +296,12 @@ func TestSchedulerAwareMinProperty(t *testing.T) {
 		}
 		numChunks := NumChunks(total, chunk)
 		buf := NewMergeBuffer(numChunks)
-		SchedulerAwareFor(p, total, chunk, Hooks[uint64]{
-			StartChunk: func(first, tid int) uint64 { return ^uint64(0) },
-			LoopIteration: func(acc uint64, i, tid int) uint64 {
-				if data[i] < acc {
-					return data[i]
-				}
-				return acc
-			},
-			FinishChunk: func(acc uint64, last, chunkID, tid int) { buf.Save(chunkID, 0, acc) },
+		p.DynamicFor(total, chunk, func(r Range, chunkID, tid int) {
+			acc := ^uint64(0)
+			for _, v := range data[r.Lo:r.Hi] {
+				acc = min(acc, v)
+			}
+			buf.Save(chunkID, 0, acc)
 		})
 		got := ^uint64(0)
 		buf.Merge(func(_ uint32, v uint64) {

@@ -108,7 +108,7 @@ func (e *OutOfSyncError) Error() string {
 
 // RemoteFunc runs q somewhere else — the router's placement on a worker — and
 // returns the finished response body, filling the parts of rec only the
-// answering process knows (Trace, Worker, Iters, Mode, Partitions). h pins the
+// answering process knows (Trace, Worker, Iters, Mode, Kernel). h pins the
 // version the result will be cached under and rec.ID is the run's ID.
 type RemoteFunc func(ctx context.Context, h *grazelle.StoreHandle, q Query, rec *obs.RunRecord) ([]byte, error)
 
@@ -155,10 +155,6 @@ type Service struct {
 	// under threshold) that still ran cold.
 	incrementalSeeded   *obs.Counter
 	incrementalFallback *obs.Counter
-	// exchangeShmem is grazelle_exchange_bytes_total{transport="shmem"}:
-	// frontier bytes moved through the partitioned coordinator's
-	// shared-memory exchange, the only transport there is.
-	exchangeShmem *obs.Counter
 }
 
 // New creates a Service and ties the cache's lifetime to the store's: its
@@ -181,8 +177,6 @@ func New(cfg Config) *Service {
 			"Query runs warm-started from a cached predecessor result.", nil),
 		incrementalFallback: reg.Counter("grazelle_incremental_fallback_total",
 			"Incremental attempts that fell back to a full recompute.", nil),
-		exchangeShmem: reg.Counter("grazelle_exchange_bytes_total",
-			"Frontier exchange bytes by transport.", obs.Labels{"transport": "shmem"}),
 	}
 	for p := obs.Phase(0); p < obs.NumPhases; p++ {
 		name := p.String()
@@ -427,14 +421,12 @@ func (s *Service) runLocal(ctx context.Context, h *grazelle.StoreHandle, q *Quer
 	rec.Workers, rec.Kernel = s.cfg.Workers, vec.Kernel()
 	if res != nil {
 		stats := res.Stats
-		s.exchangeShmem.Add(uint64(stats.ExchangeBytes))
 		rec.Trace = obs.RunTrace{
 			Phases:     stats.Phases,
 			Directions: stats.Directions,
-			Partitions: stats.PartitionStats,
 			Dropped:    stats.TraceDropped,
 		}
-		rec.Iters, rec.Mode, rec.Partitions = stats.Iterations, stats.Mode, stats.Partitions
+		rec.Iters, rec.Mode = stats.Iterations, stats.Mode
 	}
 	return res, err
 }
@@ -453,7 +445,6 @@ func encode(q *Query, rec *obs.RunRecord, res *grazelle.AppResult) ([]byte, erro
 		"pull_iterations": stats.PullIterations,
 		"push_iterations": stats.PushIterations,
 		"mode":            stats.Mode,
-		"partitions":      stats.Partitions,
 		"elapsed_ms":      stats.Total.Milliseconds(),
 	}
 	if rec.Incremental {

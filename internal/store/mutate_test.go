@@ -112,7 +112,7 @@ func TestApplyEdgesVisibleAndDurable(t *testing.T) {
 }
 
 // TestApplyEdgesDeterminismMatrix: the merged overlay view is bit-identical
-// at every worker and partition count — the engine sees one canonical merged
+// at every worker count — the engine sees one canonical merged
 // graph, so its existing determinism carries over to overlay serving.
 // ChunkVectors is pinned for the same reason as the core determinism suite:
 // the default chunk size derives from the worker count, and cross-count
@@ -121,26 +121,23 @@ func TestApplyEdgesDeterminismMatrix(t *testing.T) {
 	g := gen.RMAT(9, 4000, gen.DefaultRMAT, 21)
 	var want []uint64
 	for _, workers := range []int{1, 2, 4} {
-		for _, parts := range []int{1, 2, 4} {
-			s, err := Open(Config{Workers: workers, Engine: core.Options{Partitions: parts, ChunkVectors: 8}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Add("g", g); err != nil {
-				t.Fatal(err)
-			}
-			for round := 0; round < 4; round++ {
-				mustApply(t, s, "g", mutOps(g, round, true))
-			}
-			got := pagerankSolo(t, s, "g")
-			s.Close()
-			if want == nil {
-				want = got
-				continue
-			}
-			assertBitIdentical(t, want, got,
-				fmt.Sprintf("workers=%d partitions=%d", workers, parts))
+		s, err := Open(Config{Workers: workers, Engine: core.Options{ChunkVectors: 8}})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if err := s.Add("g", g); err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 4; round++ {
+			mustApply(t, s, "g", mutOps(g, round, true))
+		}
+		got := pagerankSolo(t, s, "g")
+		s.Close()
+		if want == nil {
+			want = got
+			continue
+		}
+		assertBitIdentical(t, want, got, fmt.Sprintf("workers=%d", workers))
 	}
 }
 

@@ -632,8 +632,8 @@ const patchMaxShare = 0.5
 // operations through e.viewSeq. The merge is the single-threaded canonical
 // graph.ApplyEdgeOps and the layouts are byte-identical to
 // core.BuildGraph's whichever arm produces them, so the result is a plain
-// graph the engine partitions like any other: bit-determinism at any worker
-// or partition count is inherited, not re-proven. Replay idempotence makes
+// graph the engine runs like any other: bit-determinism at any worker count
+// is inherited, not re-proven. Replay idempotence makes
 // the two base choices equivalent — re-applying operations a seed already
 // contains changes nothing.
 //

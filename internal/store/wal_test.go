@@ -125,6 +125,9 @@ func TestDeltaLogGroupCommitConcurrent(t *testing.T) {
 }
 
 func TestDeltaLogFsyncFailureRollsBack(t *testing.T) {
+	if !fault.Available() {
+		t.Skip("failpoints compiled out")
+	}
 	defer fault.Reset()
 	path := walPath(t)
 	var c walCounters
@@ -402,6 +405,9 @@ func TestDeltaLogMemoryOnly(t *testing.T) {
 }
 
 func TestDeltaLogAppendFailpoint(t *testing.T) {
+	if !fault.Available() {
+		t.Skip("failpoints compiled out")
+	}
 	defer fault.Reset()
 	var c walCounters
 	l, _, err := openDeltaLog("g", walPath(t), 1, &c)
@@ -423,6 +429,9 @@ func TestDeltaLogAppendFailpoint(t *testing.T) {
 func TestDeltaLogConcurrentAppendWithFsyncFault(t *testing.T) {
 	// Mixed success/failure under concurrency: every append must either be
 	// acknowledged (and survive reopen) or error (and be absent on reopen).
+	if !fault.Available() {
+		t.Skip("failpoints compiled out")
+	}
 	defer fault.Reset()
 	path := walPath(t)
 	var c walCounters

@@ -154,6 +154,7 @@ func TestServeMetricsEndToEnd(t *testing.T) {
 	var q struct {
 		RunID     string `json:"run_id"`
 		Iters     int    `json:"iterations"`
+		Mode      string `json:"mode"`
 		ElapsedMS int64  `json:"elapsed_ms"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&q); err != nil {
@@ -196,13 +197,15 @@ func TestServeMetricsEndToEnd(t *testing.T) {
 		App    string `json:"app"`
 		WallNS int64  `json:"wall_ns"`
 		Iters  int    `json:"iterations"`
+		Mode   string `json:"mode"`
 		Trace  struct {
 			Phases []struct {
 				Phase  string `json:"phase"`
 				WallNS int64  `json:"wall_ns"`
 				Iters  int64  `json:"iters"`
 			} `json:"phases"`
-			Dropped bool `json:"dropped"`
+			Directions string `json:"directions"`
+			Dropped    bool   `json:"dropped"`
 		} `json:"trace"`
 	}
 	recBody := fetchText(t, client, base+"/v1/runs/"+q.RunID)
@@ -214,6 +217,12 @@ func TestServeMetricsEndToEnd(t *testing.T) {
 	}
 	if rec.Iters != q.Iters {
 		t.Errorf("record iterations %d != response %d", rec.Iters, q.Iters)
+	}
+	if q.Mode != "Hybrid" || rec.Mode != q.Mode {
+		t.Errorf("mode: response %q, record %q, want Hybrid", q.Mode, rec.Mode)
+	}
+	if want := strings.Repeat("<", q.Iters); rec.Trace.Directions != want {
+		t.Errorf("trace directions %q, want one pull mark per iteration (%d)", rec.Trace.Directions, q.Iters)
 	}
 	if rec.Trace.Dropped || len(rec.Trace.Phases) == 0 {
 		t.Fatalf("trace missing or dropped: %+v", rec.Trace)
