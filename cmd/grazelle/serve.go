@@ -60,7 +60,7 @@ import (
 //	                            the distinct misses run over one pinned
 //	                            store handle ({"queries":[...]})
 //	GET    /metrics             Prometheus text exposition: store, scheduler,
-//	                            admission, watchdog, cache, HTTP, run families
+//	                            admission, cache, HTTP, run families
 //	GET    /v1/runs             recent run records, newest first (?n= bounds)
 //	GET    /v1/runs/{id}        one run's phase trace (404 once aged out)
 //
@@ -76,10 +76,10 @@ import (
 //
 // Admission rejections return 429 (queue full) with Retry-After; queries on
 // unknown graphs 404; unloadable graph payloads 422; a degraded store
-// (rehydration failing, shutting down) or a watchdog-killed run 503;
-// timeouts 504; a contained panic 500 — the server itself stays up (every
-// handler runs under a recovery wrapper). SIGINT/SIGTERM drain in-flight
-// requests before exiting.
+// (rehydration failing, shutting down) 503; a run past its deadline
+// (timeout_ms, capped by -timeout) 504; a contained panic 500 — the server
+// itself stays up (every handler runs under a recovery wrapper).
+// SIGINT/SIGTERM drain in-flight requests before exiting.
 //
 // Mutations degrade rather than fail the instance: an overlay past
 // -delta-budget returns 429 with Retry-After (compaction is already
@@ -106,8 +106,6 @@ func runServeRole(role string, args []string) error {
 		memCap      = fs.Int64("mem-budget", 0, "resident graph memory budget in bytes (0 = unlimited)")
 		inflight    = fs.Int("max-inflight", 0, "maximum concurrent queries (0 = unlimited)")
 		maxQueue    = fs.Int("max-queue", 0, "queries allowed to wait beyond -max-inflight")
-		softLimit   = fs.Duration("soft-limit", 0, "watchdog soft run limit: slower queries are counted in /v1/stats (0 = off)")
-		hardLimit   = fs.Duration("hard-limit", 0, "watchdog hard run limit: slower queries are cancelled with 503 (0 = off)")
 		pprofAddr   = fs.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = off)")
 		runHist     = fs.Int("run-history", 128, "run trace records retained for /v1/runs")
 		logLevel    = fs.String("log-level", "info", "request log level (debug logs probe/scrape requests too)")
@@ -146,8 +144,6 @@ func runServeRole(role string, args []string) error {
 		MaxInFlight:       *inflight,
 		MaxQueue:          *maxQueue,
 		Workers:           *threads,
-		SoftRunLimit:      *softLimit,
-		HardRunLimit:      *hardLimit,
 		DeltaBudgetBytes:  *deltaCap,
 		CompactAfterBytes: *compactAt,
 		// Phase tracing is on for every serve-mode run: its cost is
@@ -638,15 +634,15 @@ var (
 
 // queryStatus maps any failure on the query path — admission, version
 // lookup, acquire, or the run itself — to an HTTP status: overload 429,
-// unknown graph 404, a watchdog kill or degraded store 503, a client
-// deadline 504, a contained panic 500, anything else 400. Coalesced
-// followers share the leader's error, so the mapping depends only on the
-// error value, never on whose context ran the compute.
+// unknown graph 404, a degraded store 503, a deadline 504, a contained panic
+// 500, anything else 400. Coalesced followers share the leader's error, so
+// the mapping depends only on the error value, never on whose context ran
+// the compute.
 func queryStatus(err error) int {
 	switch {
 	case errors.Is(err, grazelle.ErrOverloaded):
 		return http.StatusTooManyRequests
-	case errors.Is(err, grazelle.ErrWatchdogKilled), errors.Is(err, grazelle.ErrStoreClosed):
+	case errors.Is(err, grazelle.ErrStoreClosed):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, grazelle.ErrGraphNotFound):
 		return http.StatusNotFound

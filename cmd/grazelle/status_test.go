@@ -48,7 +48,6 @@ func TestQueryErrorStatus(t *testing.T) {
 		{"worker store closing", peer(503, "closed"), 502, false},
 		{"worker unreachable, caller gave up", transport, 502, false},
 		{"version moved while placing the run", fmt.Errorf("%w: graph moved", grazelle.ErrMutationConflict), 409, false},
-		{"watchdog kill", fmt.Errorf("%w (%v)", grazelle.ErrWatchdogKilled, transport), 503, false},
 		{"request deadline", fmt.Errorf("post: %w", context.DeadlineExceeded), 504, false},
 		{"router admission full", grazelle.ErrOverloaded, 429, true},
 		{"unknown graph", grazelle.ErrGraphNotFound, 404, false},
@@ -351,9 +350,6 @@ func stagesOf(t *testing.T, base, runID string) map[string]time.Duration {
 // acquire of an evicted graph, the engine run, and the router's post; and a
 // routed run is on file under the same ID on the worker that answered it.
 func TestDelayedStageNamed(t *testing.T) {
-	if !fault.Available() {
-		t.Skip("failpoints compiled out")
-	}
 	const delay = 40 * time.Millisecond
 	_, wURL := newTestServer(t, "worker", grazelle.StoreConfig{}, nil)
 	_, rURL := newTestServer(t, "router", grazelle.StoreConfig{}, []string{wURL})

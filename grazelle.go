@@ -257,9 +257,6 @@ type Stats struct {
 	// Options.Trace was set): '<' pull, '>' push, 's' sparse, '+' elided
 	// tail on very long runs.
 	Directions string
-	// TraceDropped reports that tracing failed mid-run and was abandoned
-	// (the run itself succeeded); Phases may be incomplete.
-	TraceDropped bool
 }
 
 func statsOf(res core.Result) Stats {
@@ -275,7 +272,6 @@ func statsOf(res core.Result) Stats {
 		VertexCounters: res.VertexCounters,
 		Phases:         res.Trace.Phases,
 		Directions:     res.Trace.Directions,
-		TraceDropped:   res.Trace.Dropped,
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/store"
 )
 
 func twitterAnalog(t *testing.T) *Graph {
@@ -220,10 +221,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOptionsSurface pins the engine's and the facade's option fields. Every
-// field is set by a binary, a benchfig experiment or an ablation row; adding
-// one means naming its setter here, and a field whose setter goes away
-// should go with it.
+// TestOptionsSurface pins the engine's, the facade's and the store's option
+// fields. Every field is set by a binary, a benchfig experiment or an
+// ablation row; adding one means naming its setter here, and a field whose
+// setter goes away should go with it.
 func TestOptionsSurface(t *testing.T) {
 	coreFields := []string{
 		"Pool",               // Store.runnerOptions: serve's one shared pool
@@ -252,12 +253,34 @@ func TestOptionsSurface(t *testing.T) {
 		"Trace",        // serve (always on)
 		"Partitions",   // deprecated and ignored; set only by bench/cluster.go
 	}
+	storeConfigFields := []string{
+		"DataDir",           // serve -data-dir
+		"MemBudgetBytes",    // serve -mem-budget
+		"MaxInFlight",       // serve -max-inflight
+		"MaxQueue",          // serve -max-queue
+		"Workers",           // serve -n
+		"DeltaBudgetBytes",  // serve -delta-budget
+		"CompactAfterBytes", // serve -compact-after
+		"Options",           // serve (Trace always on)
+	}
+	storeFields := []string{
+		"DataDir",      // OpenStore: StoreConfig.DataDir
+		"MemBudget",    // OpenStore: StoreConfig.MemBudgetBytes
+		"MaxInFlight",  // OpenStore: StoreConfig.MaxInFlight
+		"MaxQueue",     // OpenStore: StoreConfig.MaxQueue
+		"Workers",      // OpenStore: StoreConfig.Workers
+		"DeltaBudget",  // OpenStore: StoreConfig.DeltaBudgetBytes
+		"CompactAfter", // OpenStore: StoreConfig.CompactAfterBytes
+		"Engine",       // OpenStore: StoreConfig.Options
+	}
 	for _, tc := range []struct {
 		typ  reflect.Type
 		want []string
 	}{
 		{reflect.TypeOf(core.Options{}), coreFields},
 		{reflect.TypeOf(Options{}), facadeFields},
+		{reflect.TypeOf(StoreConfig{}), storeConfigFields},
+		{reflect.TypeOf(store.Config{}), storeFields},
 	} {
 		var got []string
 		for i := 0; i < tc.typ.NumField(); i++ {

@@ -172,21 +172,21 @@ func (e *Engine) Run(p apps.Program, maxIters int) base.Result {
 				e.densePush(p)
 			}
 		default:
-			sp := e.st.Front.ToSparse()
+			front := e.st.Front.AppendTo(nil)
 			frontEdges := 0
-			for _, v := range sp.Vertices() {
+			for _, v := range front {
 				frontEdges += e.outDeg[v]
 			}
-			if !e.cfg.Loops.pullEnabled() || sp.Count()+frontEdges <= e.edges/e.cfg.ThresholdDivisor {
+			if !e.cfg.Loops.pullEnabled() || len(front)+frontEdges <= e.edges/e.cfg.ThresholdDivisor {
 				sparse = true
-				e.sparsePush(p, sp.Vertices())
+				e.sparsePush(p, front)
 			} else {
 				e.densePull(p)
 			}
 		}
 		if sparse {
 			res.SparseIterations++
-			e.st.ApplyCandidates(p, e.touched.ToSparse().Vertices())
+			e.st.ApplyCandidates(p, e.touched.AppendTo(nil))
 		} else {
 			e.st.ApplyAll(p)
 		}

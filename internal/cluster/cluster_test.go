@@ -284,9 +284,6 @@ func TestClusterPlacementMinimalDisruption(t *testing.T) {
 // the post to the chosen worker fails like a transport error, the router
 // retries on the next replica, and the answer is bit-identical.
 func TestClusterFailpointFailover(t *testing.T) {
-	if !fault.Available() {
-		t.Skip("failpoints compiled out")
-	}
 	rt := newTestCluster(t, 2)
 	disarm, err := fault.Enable("cluster/run", "error*1")
 	if err != nil {
@@ -312,9 +309,6 @@ func TestClusterFailpointFailover(t *testing.T) {
 // its one retry both fail, and the caller gets the typed unavailable error
 // carrying the last worker's failure.
 func TestClusterFailpointExhausted(t *testing.T) {
-	if !fault.Available() {
-		t.Skip("failpoints compiled out")
-	}
 	rt := newTestCluster(t, 3)
 	disarm, err := fault.Enable("cluster/run", "error")
 	if err != nil {

@@ -99,8 +99,7 @@ func runVerdict(err error) (status int, code string) {
 		return http.StatusServiceUnavailable, "closed"
 	case errors.Is(err, grazelle.ErrOverloaded):
 		return http.StatusTooManyRequests, "overloaded"
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled),
-		errors.Is(err, grazelle.ErrWatchdogKilled):
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return http.StatusGatewayTimeout, "timeout"
 	case errors.As(err, &ce), errors.As(err, &re):
 		return http.StatusInternalServerError, "acquire"

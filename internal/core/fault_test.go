@@ -18,9 +18,6 @@ import (
 // in the run error, not crash, and the Runner must serve a correct run
 // immediately afterwards.
 func TestRunCtxPanicContained(t *testing.T) {
-	if !fault.Available() {
-		t.Skip("failpoints compiled out")
-	}
 	g := gen.RMAT(10, 8000, gen.DefaultRMAT, 21)
 	r := NewRunner(BuildGraph(g), Options{Workers: 4})
 	defer r.Close()
@@ -52,9 +49,6 @@ func TestRunCtxPanicContained(t *testing.T) {
 // level: N concurrent queries, a failpoint panics exactly one chunk, and the
 // N-1 survivors return bit-identical results.
 func TestRunCtxPanicOneOfN(t *testing.T) {
-	if !fault.Available() {
-		t.Skip("failpoints compiled out")
-	}
 	g := gen.RMAT(10, 8000, gen.DefaultRMAT, 22)
 	r := NewRunner(BuildGraph(g), Options{Workers: 4})
 	defer r.Close()
@@ -160,9 +154,6 @@ func TestMaxRunTimeDeadline(t *testing.T) {
 // leaves scatter contributions behind; the recycled ExecContext must not
 // fold them into the next run. (Init drains the scatter buffer.)
 func TestAbortedRunDoesNotPoisonRecycledContext(t *testing.T) {
-	if !fault.Available() {
-		t.Skip("failpoints compiled out")
-	}
 	g := gen.RMAT(10, 8000, gen.DefaultRMAT, 24)
 	// Push-only keeps the scatter/CAS paths hot; one worker serializes runs
 	// onto one recycled ExecContext.

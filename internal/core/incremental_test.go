@@ -324,9 +324,6 @@ func TestIncrementalDeletionFallback(t *testing.T) {
 // run to a bit-exact cold start — Seeded false, no error surfaced, lanes
 // identical to an unseeded run.
 func TestIncrementalSeedFaultDegradesToCold(t *testing.T) {
-	if !fault.Available() {
-		t.Skip("failpoints compiled out")
-	}
 	base := gen.Generate(gen.Twitter, 0.05)
 	ent, err := apps.Lookup("cc")
 	if err != nil {
@@ -366,9 +363,6 @@ func TestIncrementalSeedFaultDegradesToCold(t *testing.T) {
 // the lanes are cold-init state, not the result, and re-runs in full — the
 // contract Engine.RunIncremental relies on.
 func TestIncrementalSeedFaultDirectPlan(t *testing.T) {
-	if !fault.Available() {
-		t.Skip("failpoints compiled out")
-	}
 	base := gen.Generate(gen.Twitter, 0.05)
 	ent, err := apps.Lookup("pr")
 	if err != nil {

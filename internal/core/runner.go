@@ -82,8 +82,7 @@ type ExecContext struct {
 	// tracer accumulates the per-phase breakdown when Options.Trace is set;
 	// nil otherwise. Only the driver goroutine writes it — workers feed the
 	// chunk counter below, which the driver swaps out at phase boundaries.
-	tracer       *obs.TraceBuilder
-	traceDropped bool
+	tracer *obs.TraceBuilder
 	// phaseChunks counts chunks executed since the last phase boundary
 	// (written by workers, hence atomic); the pendingMerge pair is
 	// driver-goroutine-only.
@@ -231,13 +230,6 @@ func (ec *ExecContext) Props() []uint64 { return ec.props }
 // Frontier exposes the current frontier.
 func (ec *ExecContext) Frontier() *frontier.Dense { return ec.front }
 
-// EdgeRecorder returns the Edge-phase recorder (nil unless Options.Record).
-func (ec *ExecContext) EdgeRecorder() *perfmodel.Recorder { return ec.edgeRec }
-
-// VertexRecorder returns the Vertex-phase recorder (nil unless
-// Options.Record).
-func (ec *ExecContext) VertexRecorder() *perfmodel.Recorder { return ec.vertexRec }
-
 // Init resets all state for a fresh run of program p.
 func (ec *ExecContext) Init(p apps.Program) {
 	p.InitProps(ec.props)
@@ -260,7 +252,6 @@ func (ec *ExecContext) Init(p apps.Program) {
 	if ec.tracer != nil {
 		ec.tracer.Reset()
 	}
-	ec.traceDropped = false
 	ec.phaseChunks.Store(0)
 	ec.pendingMergeWall = 0
 	ec.pendingMergeN = 0
@@ -314,26 +305,6 @@ func (ec *ExecContext) countChunk() {
 	if ec.tracer != nil {
 		ec.phaseChunks.Add(1)
 	}
-}
-
-// tracePhase records one phase execution into the run's trace builder. The
-// obs/trace failpoint and the recover barrier implement the containment
-// contract: a panic anywhere in the trace path drops the trace (marked
-// Dropped) but never fails the run.
-func (ec *ExecContext) tracePhase(ph obs.Phase, wall time.Duration, chunks int64, density float64) {
-	if ec.tracer == nil || ec.traceDropped {
-		return
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			ec.traceDropped = true
-			ec.tracer.MarkDropped()
-		}
-	}()
-	if err := fault.Inject("obs/trace"); err != nil {
-		panic(err)
-	}
-	ec.tracer.AddPhase(ph, wall, chunks, density)
 }
 
 // takeMerge drains the merge wall time the edge-phase kernels accumulated
@@ -603,7 +574,7 @@ func (ec *ExecContext) frontierDegreeShare() float64 {
 
 // noteDirection appends one iteration's direction mark to the run trace.
 func (ec *ExecContext) noteDirection(mark byte) {
-	if ec.tracer == nil || ec.traceDropped {
+	if ec.tracer == nil {
 		return
 	}
 	ec.tracer.AddDirection(mark)
@@ -622,9 +593,9 @@ func (ec *ExecContext) traceEdge(ph obs.Phase, edgeWall time.Duration, density f
 	if mergeWall > edgeWall {
 		mergeWall = edgeWall // clock skew guard; keeps both walls nonnegative
 	}
-	ec.tracePhase(ph, edgeWall-mergeWall, chunks, density)
+	ec.tracer.AddPhase(ph, edgeWall-mergeWall, chunks, density)
 	if mergeN > 0 {
-		ec.tracePhase(obs.PhaseMerge, mergeWall, 0, density)
+		ec.tracer.AddPhase(obs.PhaseMerge, mergeWall, 0, density)
 	}
 }
 
@@ -633,7 +604,7 @@ func (ec *ExecContext) traceVertex(wall time.Duration, density float64) {
 	if ec.tracer == nil {
 		return
 	}
-	ec.tracePhase(obs.PhaseVertex, wall, ec.phaseChunks.Swap(0), density)
+	ec.tracer.AddPhase(obs.PhaseVertex, wall, ec.phaseChunks.Swap(0), density)
 }
 
 // RunVertex executes the Vertex phase: apply aggregates, reset accumulators,

@@ -1,12 +1,9 @@
-//go:build !grazelle_nofault
-
 // Package fault is a stdlib-only failpoint framework for chaos testing the
 // serving stack. Production code marks fault injection sites with
 // Inject("layer/site"); tests (or an operator, via the GRAZELLE_FAILPOINTS
 // environment variable) arm those sites with a mode — return an error, panic,
 // or delay — and an optional shot budget. Disarmed, a site costs a single
-// atomic load, and the grazelle_nofault build tag compiles every site to a
-// true no-op.
+// atomic load.
 //
 // Spec mini-language (used by Enable and the environment variable):
 //
@@ -57,7 +54,7 @@ const (
 	// ModePanic makes Inject panic.
 	ModePanic
 	// ModeDelay makes Inject sleep, then return nil — for exercising
-	// timeout and watchdog paths without real slow I/O.
+	// timeout paths without real slow I/O.
 	ModeDelay
 )
 
@@ -87,10 +84,6 @@ func init() {
 		}
 	}
 }
-
-// Available reports whether failpoints are compiled into this build. Chaos
-// tests skip themselves when it is false (grazelle_nofault builds).
-func Available() bool { return true }
 
 // Inject evaluates the named failpoint. Disarmed (the overwhelmingly common
 // case) it returns nil after one atomic load. Armed, it consumes one shot

@@ -1,5 +1,3 @@
-//go:build !grazelle_nofault
-
 package fault
 
 import (

@@ -1,8 +1,8 @@
 // Package frontier provides the active-vertex set representations used by
 // the engines. Grazelle itself uses only the dense bitmask (§5 of the
 // paper: one bit per vertex, searched a word at a time with the tzcnt
-// idiom); the Ligra baseline additionally uses a sparse list and switches
-// between the two by density.
+// idiom); the Ligra baseline additionally takes a sparse vertex list from it
+// (AppendTo) and switches between the two by density.
 package frontier
 
 import "math/bits"
@@ -126,8 +126,7 @@ func (d *Dense) Clone() *Dense {
 }
 
 // AppendTo appends the active vertices to buf in ascending order and returns
-// the extended slice — ToSparse for callers that recycle one list buffer
-// across iterations.
+// the extended slice; callers may recycle one list buffer across iterations.
 func (d *Dense) AppendTo(buf []uint32) []uint32 {
 	for wi, w := range d.words {
 		base := uint32(wi) << 6
@@ -137,106 +136,4 @@ func (d *Dense) AppendTo(buf []uint32) []uint32 {
 		}
 	}
 	return buf
-}
-
-// ToSparse extracts the active vertices as a sorted list.
-func (d *Dense) ToSparse() *Sparse {
-	return &Sparse{n: d.n, verts: d.AppendTo(make([]uint32, 0, d.Count()))}
-}
-
-// Sparse is a list-of-vertices frontier, efficient when few vertices are
-// active (Ligra's sparse representation). Vertices are kept sorted and
-// unique.
-type Sparse struct {
-	verts []uint32
-	n     int
-}
-
-// NewSparse creates an empty sparse frontier over n vertices.
-func NewSparse(n int) *Sparse { return &Sparse{n: n} }
-
-// Len returns the number of vertices the frontier ranges over.
-func (s *Sparse) Len() int { return s.n }
-
-// Vertices returns the sorted active list; callers must not modify it.
-func (s *Sparse) Vertices() []uint32 { return s.verts }
-
-// Count returns the number of active vertices.
-func (s *Sparse) Count() int { return len(s.verts) }
-
-// Empty reports whether no vertex is active.
-func (s *Sparse) Empty() bool { return len(s.verts) == 0 }
-
-// Density is the active fraction.
-func (s *Sparse) Density() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return float64(len(s.verts)) / float64(s.n)
-}
-
-// AddUnsorted appends a vertex without maintaining order; call Normalize
-// before reading.
-func (s *Sparse) AddUnsorted(v uint32) { s.verts = append(s.verts, v) }
-
-// Normalize sorts and deduplicates the list.
-func (s *Sparse) Normalize() {
-	if len(s.verts) < 2 {
-		return
-	}
-	sortU32(s.verts)
-	out := s.verts[:1]
-	for _, v := range s.verts[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	s.verts = out
-}
-
-// ToDense converts to the bitmask representation.
-func (s *Sparse) ToDense() *Dense {
-	d := NewDense(s.n)
-	for _, v := range s.verts {
-		d.Add(v)
-	}
-	return d
-}
-
-func sortU32(a []uint32) {
-	// Insertion sort for short lists, else a simple bottom-up radix pass
-	// (frontiers can be large; avoid O(n^2)).
-	if len(a) <= 32 {
-		for i := 1; i < len(a); i++ {
-			v := a[i]
-			j := i - 1
-			for j >= 0 && a[j] > v {
-				a[j+1] = a[j]
-				j--
-			}
-			a[j+1] = v
-		}
-		return
-	}
-	buf := make([]uint32, len(a))
-	var counts [256]int
-	for shift := 0; shift < 32; shift += 8 {
-		for i := range counts {
-			counts[i] = 0
-		}
-		for _, v := range a {
-			counts[(v>>shift)&0xFF]++
-		}
-		sum := 0
-		for i := range counts {
-			counts[i], sum = sum, sum+counts[i]
-		}
-		for _, v := range a {
-			b := (v >> shift) & 0xFF
-			buf[counts[b]] = v
-			counts[b]++
-		}
-		a, buf = buf, a
-	}
-	// 4 passes: result already back in the original slice.
 }

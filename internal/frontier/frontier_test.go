@@ -3,7 +3,6 @@ package frontier
 import (
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -102,56 +101,6 @@ func TestDenseCloneAndCopy(t *testing.T) {
 	}
 }
 
-func TestSparseNormalize(t *testing.T) {
-	s := NewSparse(100)
-	for _, v := range []uint32{9, 3, 9, 1, 3, 99} {
-		s.AddUnsorted(v)
-	}
-	s.Normalize()
-	if !reflect.DeepEqual(s.Vertices(), []uint32{1, 3, 9, 99}) {
-		t.Errorf("Normalize = %v", s.Vertices())
-	}
-	if s.Count() != 4 || s.Empty() {
-		t.Error("Count/Empty wrong after Normalize")
-	}
-}
-
-func TestSparseNormalizeLarge(t *testing.T) {
-	// Exercise the radix-sort path (> 32 elements).
-	rng := rand.New(rand.NewSource(5))
-	s := NewSparse(1 << 20)
-	want := map[uint32]bool{}
-	for i := 0; i < 500; i++ {
-		v := uint32(rng.Intn(1 << 20))
-		s.AddUnsorted(v)
-		want[v] = true
-	}
-	s.Normalize()
-	got := s.Vertices()
-	if len(got) != len(want) {
-		t.Fatalf("Normalize kept %d, want %d", len(got), len(want))
-	}
-	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
-		t.Fatal("Normalize output not sorted")
-	}
-	for _, v := range got {
-		if !want[v] {
-			t.Fatalf("Normalize invented vertex %d", v)
-		}
-	}
-}
-
-func TestConversionRoundTrip(t *testing.T) {
-	d := NewDense(300)
-	for _, v := range []uint32{0, 5, 64, 255, 299} {
-		d.Add(v)
-	}
-	back := d.ToSparse().ToDense()
-	if !reflect.DeepEqual(d.Words(), back.Words()) {
-		t.Error("dense -> sparse -> dense changed contents")
-	}
-}
-
 func TestDensity(t *testing.T) {
 	d := NewDense(100)
 	for v := uint32(0); v < 25; v++ {
@@ -159,10 +108,6 @@ func TestDensity(t *testing.T) {
 	}
 	if d.Density() != 0.25 {
 		t.Errorf("Density = %v, want 0.25", d.Density())
-	}
-	s := d.ToSparse()
-	if s.Density() != 0.25 {
-		t.Errorf("sparse Density = %v, want 0.25", s.Density())
 	}
 	var empty Dense
 	if empty.Density() != 0 {
@@ -203,7 +148,8 @@ func TestDenseSetSemanticsProperty(t *testing.T) {
 	}
 }
 
-// Property: ToSparse produces exactly the vertices ForEach visits.
+// Property: AppendTo(nil), the sparse list the Ligra baseline walks, holds
+// exactly the vertices ForEach visits.
 func TestSparseDenseAgreeProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -214,7 +160,7 @@ func TestSparseDenseAgreeProperty(t *testing.T) {
 		}
 		var fromEach []uint32
 		d.ForEach(func(v uint32) { fromEach = append(fromEach, v) })
-		return reflect.DeepEqual(fromEach, append([]uint32(nil), d.ToSparse().Vertices()...))
+		return reflect.DeepEqual(fromEach, d.AppendTo(nil))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

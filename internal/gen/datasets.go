@@ -84,9 +84,6 @@ var recipes = map[Dataset]Recipe{
 	UK2007:      {Dataset: UK2007, RMATScale: 14, EdgesK: 910, Params: RMATParams{A: 0.68, B: 0.16, C: 0.11, D: 0.05}},
 }
 
-// RecipeFor returns the generation recipe of a dataset.
-func RecipeFor(d Dataset) Recipe { return recipes[d] }
-
 // OriginalSize returns the vertex and edge counts of the real dataset
 // (Table 1 of the paper). The edge counts drive the fidelity checks that
 // depend on original scale — e.g. GraphMat's 32-bit edge indexing cannot

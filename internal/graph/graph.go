@@ -123,16 +123,6 @@ func (g *Graph) Clone() *Graph {
 	return out
 }
 
-// Reverse returns a new graph with every edge direction flipped.
-func (g *Graph) Reverse() *Graph {
-	out := &Graph{NumVertices: g.NumVertices, Weighted: g.Weighted}
-	out.Edges = make([]Edge, len(g.Edges))
-	for i, e := range g.Edges {
-		out.Edges[i] = Edge{Src: e.Dst, Dst: e.Src, Weight: e.Weight}
-	}
-	return out
-}
-
 // Builder accumulates edges and produces an immutable Graph.
 type Builder struct {
 	numVertices int
@@ -186,50 +176,4 @@ func (b *Builder) MustBuild() *Graph {
 		panic(err)
 	}
 	return g
-}
-
-// Dedup removes duplicate (src, dst) pairs, keeping the first occurrence.
-// It sorts the edge list by source as a side effect.
-func (g *Graph) Dedup() {
-	g.SortBySource()
-	out := g.Edges[:0]
-	var last Edge
-	have := false
-	for _, e := range g.Edges {
-		if have && e.Src == last.Src && e.Dst == last.Dst {
-			continue
-		}
-		out = append(out, e)
-		last, have = e, true
-	}
-	g.Edges = out
-}
-
-// RemoveSelfLoops drops edges whose endpoints are equal.
-func (g *Graph) RemoveSelfLoops() {
-	out := g.Edges[:0]
-	for _, e := range g.Edges {
-		if e.Src != e.Dst {
-			out = append(out, e)
-		}
-	}
-	g.Edges = out
-}
-
-// DegreeHistogram returns counts of vertices bucketed by floor(log2(degree)),
-// with bucket 0 holding degree-0 and degree-1 vertices. It is used by the
-// dataset reports to characterize skew.
-func DegreeHistogram(deg []int) []int {
-	var hist []int
-	for _, d := range deg {
-		b := 0
-		for v := d; v > 1; v >>= 1 {
-			b++
-		}
-		for len(hist) <= b {
-			hist = append(hist, 0)
-		}
-		hist[b]++
-	}
-	return hist
 }

@@ -99,52 +99,6 @@ func TestSortByDest(t *testing.T) {
 	}
 }
 
-func TestReverse(t *testing.T) {
-	g := tinyGraph(t)
-	r := g.Reverse()
-	if r.NumEdges() != g.NumEdges() {
-		t.Fatalf("reverse changed edge count")
-	}
-	rr := r.Reverse()
-	rr.SortBySource()
-	g.SortBySource()
-	if !reflect.DeepEqual(g.Edges, rr.Edges) {
-		t.Error("double reverse is not identity")
-	}
-	if reflect.DeepEqual(g.OutDegrees(), r.OutDegrees()) && g.NumEdges() > 0 {
-		// Possible for symmetric graphs, but tinyGraph is asymmetric.
-		t.Error("reverse did not flip degree structure")
-	}
-}
-
-func TestDedup(t *testing.T) {
-	g := NewBuilder(4).
-		AddEdge(0, 1).AddEdge(0, 1).AddEdge(1, 2).AddEdge(0, 1).AddEdge(1, 2).
-		MustBuild()
-	g.Dedup()
-	if g.NumEdges() != 2 {
-		t.Fatalf("after dedup, %d edges, want 2", g.NumEdges())
-	}
-}
-
-func TestRemoveSelfLoops(t *testing.T) {
-	g := NewBuilder(4).AddEdge(0, 0).AddEdge(0, 1).AddEdge(3, 3).MustBuild()
-	g.RemoveSelfLoops()
-	if g.NumEdges() != 1 || g.Edges[0] != (Edge{Src: 0, Dst: 1}) {
-		t.Fatalf("self loops not removed: %v", g.Edges)
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	hist := DegreeHistogram([]int{0, 1, 1, 2, 3, 4, 7, 8})
-	// bucket 0: deg 0,1,1 -> 3; bucket 1: deg 2,3 -> 2; bucket 2: 4,7 -> 2;
-	// bucket 3: 8 -> 1.
-	want := []int{3, 2, 2, 1}
-	if !reflect.DeepEqual(hist, want) {
-		t.Errorf("DegreeHistogram = %v, want %v", hist, want)
-	}
-}
-
 func TestBinaryRoundTrip(t *testing.T) {
 	g := tinyGraph(t)
 	var buf bytes.Buffer

@@ -144,13 +144,6 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 	return c
 }
 
-// RegisterCounter registers an existing Counter (one owned by another
-// subsystem, e.g. the watchdog's slow-run count) so the registry and the
-// owner can never disagree about its value.
-func (r *Registry) RegisterCounter(name, help string, labels Labels, c *Counter) {
-	r.add(name, help, kindCounter, &series{labels: labels, counter: c})
-}
-
 // CounterFunc registers a counter whose value is read from fn at scrape
 // time — for monotonic values already maintained under another lock.
 func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() uint64) {
@@ -174,11 +167,6 @@ func (r *Registry) Histogram(name, help string, labels Labels, bounds []float64)
 	h := NewHistogram(bounds)
 	r.add(name, help, kindHistogram, &series{labels: labels, hist: h})
 	return h
-}
-
-// RegisterHistogram registers an existing Histogram under name.
-func (r *Registry) RegisterHistogram(name, help string, labels Labels, h *Histogram) {
-	r.add(name, help, kindHistogram, &series{labels: labels, hist: h})
 }
 
 // WritePrometheus renders every family in registration order in the

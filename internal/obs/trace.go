@@ -58,9 +58,6 @@ type RunTrace struct {
 	// Directions is the per-iteration Edge-phase direction string: '<' pull,
 	// '>' push, 's' sparse. Runs longer than the builder's cap end in '+'.
 	Directions string `json:"directions,omitempty"`
-	// Dropped reports that tracing failed mid-run (a panic inside the trace
-	// path was contained); the phases above may be incomplete.
-	Dropped bool `json:"dropped,omitempty"`
 }
 
 // TraceBuilder accumulates phase observations for one run. It is written
@@ -68,10 +65,9 @@ type RunTrace struct {
 // when chunk execution is parallel), so it needs no synchronization.
 // The zero value is ready to use.
 type TraceBuilder struct {
-	stats   [NumPhases]PhaseStat
-	seen    [NumPhases]bool
-	dirs    []byte
-	dropped bool
+	stats [NumPhases]PhaseStat
+	seen  [NumPhases]bool
+	dirs  []byte
 }
 
 // maxDirections caps the per-iteration direction string so a million-round
@@ -111,21 +107,17 @@ func (b *TraceBuilder) AddPhase(p Phase, wall time.Duration, chunks int64, densi
 	}
 }
 
-// MarkDropped records that tracing was aborted mid-run.
-func (b *TraceBuilder) MarkDropped() { b.dropped = true }
-
 // Reset clears the builder for reuse (execution contexts are recycled).
 func (b *TraceBuilder) Reset() {
 	b.stats = [NumPhases]PhaseStat{}
 	b.seen = [NumPhases]bool{}
 	b.dirs = b.dirs[:0]
-	b.dropped = false
 }
 
 // Trace snapshots the accumulated observations into a RunTrace. Phases that
 // never ran are omitted; phases appear in enum order.
 func (b *TraceBuilder) Trace() RunTrace {
-	t := RunTrace{Dropped: b.dropped, Directions: string(b.dirs)}
+	t := RunTrace{Directions: string(b.dirs)}
 	for p := Phase(0); p < NumPhases; p++ {
 		if !b.seen[p] {
 			continue

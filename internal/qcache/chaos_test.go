@@ -22,9 +22,6 @@ import (
 // the computed result but nothing is cached — the next identical call is a
 // fresh miss, and the drop is counted.
 func TestInsertFaultDegradesToMiss(t *testing.T) {
-	if !fault.Available() {
-		t.Skip("failpoints compiled out")
-	}
 	for _, spec := range []string{"error", "panic"} {
 		t.Run(spec, func(t *testing.T) {
 			disarm, err := fault.Enable("qcache/insert", spec+"*1")

@@ -171,92 +171,3 @@ func TestPanicErrorPreservedThroughRethrow(t *testing.T) {
 		t.Error("NewPanicError re-wrapped an existing *PanicError")
 	}
 }
-
-// TestWatchdogSoftAndHard: a tracked run crossing the soft limit is counted;
-// crossing the hard limit cancels its context with ErrWatchdogKilled.
-func TestWatchdogSoftAndHard(t *testing.T) {
-	w := NewWatchdog(20*time.Millisecond, 80*time.Millisecond)
-	defer w.Close()
-	ctx, done := w.Track(context.Background())
-	defer done()
-
-	deadline := time.After(5 * time.Second)
-	select {
-	case <-ctx.Done():
-	case <-deadline:
-		t.Fatal("watchdog never hard-cancelled the run")
-	}
-	if cause := context.Cause(ctx); !errors.Is(cause, ErrWatchdogKilled) {
-		t.Errorf("cancellation cause = %v, want ErrWatchdogKilled", cause)
-	}
-	st := w.Stats()
-	if st.SlowTotal < 1 {
-		t.Errorf("SlowTotal = %d, want >= 1", st.SlowTotal)
-	}
-	if st.HardKills != 1 {
-		t.Errorf("HardKills = %d, want 1", st.HardKills)
-	}
-	if st.Active != 1 {
-		t.Errorf("Active = %d, want 1 (done not yet called)", st.Active)
-	}
-	done()
-	if st := w.Stats(); st.Active != 0 {
-		t.Errorf("Active after done = %d, want 0", st.Active)
-	}
-}
-
-// TestWatchdogFastRunUntouched: runs finishing under the soft limit are
-// never counted or cancelled.
-func TestWatchdogFastRunUntouched(t *testing.T) {
-	w := NewWatchdog(500*time.Millisecond, time.Second)
-	defer w.Close()
-	for i := 0; i < 10; i++ {
-		ctx, done := w.Track(context.Background())
-		if ctx.Err() != nil {
-			t.Fatal("fresh tracked context already cancelled")
-		}
-		done()
-	}
-	st := w.Stats()
-	if st.SlowTotal != 0 || st.HardKills != 0 || st.Active != 0 {
-		t.Errorf("stats = %+v, want all zero", st)
-	}
-}
-
-// TestWatchdogNil: a nil watchdog is a transparent pass-through.
-func TestWatchdogNil(t *testing.T) {
-	var w *Watchdog
-	ctx, done := w.Track(context.Background())
-	if ctx != context.Background() {
-		t.Error("nil watchdog wrapped the context")
-	}
-	done()
-	w.Close()
-	if st := w.Stats(); st != (WatchdogStats{}) {
-		t.Errorf("nil watchdog stats = %+v", st)
-	}
-}
-
-// TestWatchdogCancelPropagatesToChunks: a hard kill must stop a pool loop at
-// chunk granularity, releasing the workers.
-func TestWatchdogCancelPropagatesToChunks(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	w := NewWatchdog(0, 30*time.Millisecond)
-	defer w.Close()
-	ctx, done := w.Track(context.Background())
-	defer done()
-	start := time.Now()
-	err := p.DynamicForCtx(ctx, 1<<30, 1, func(r Range, chunkID, tid int) {
-		time.Sleep(100 * time.Microsecond)
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("DynamicForCtx = %v, want context.Canceled", err)
-	}
-	if el := time.Since(start); el > 5*time.Second {
-		t.Errorf("loop survived %v past a 30ms hard limit", el)
-	}
-	if !errors.Is(context.Cause(ctx), ErrWatchdogKilled) {
-		t.Errorf("cause = %v, want ErrWatchdogKilled", context.Cause(ctx))
-	}
-}

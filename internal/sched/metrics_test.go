@@ -38,22 +38,6 @@ func TestPoolMetricsObserved(t *testing.T) {
 	}
 }
 
-func TestWatchdogCounterAccessors(t *testing.T) {
-	var w *Watchdog
-	if w.SlowTotalCounter() != nil || w.HardKillsCounter() != nil {
-		t.Fatal("nil watchdog must return nil counters")
-	}
-	wd := NewWatchdog(0, 0)
-	defer wd.Close()
-	// The accessor and Stats() must read the same cell.
-	wd.SlowTotalCounter().Add(3)
-	wd.HardKillsCounter().Add(2)
-	st := wd.Stats()
-	if st.SlowTotal != 3 || st.HardKills != 2 {
-		t.Fatalf("Stats = %+v, want SlowTotal 3 HardKills 2", st)
-	}
-}
-
 func TestAdmissionAdmittedCounter(t *testing.T) {
 	var nilA *Admission
 	if nilA.Admitted() != 0 {

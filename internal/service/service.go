@@ -5,13 +5,13 @@
 //	codec ──▶ Execute ──▶ normalize + cache key ──▶ qcache.Do (or bypass)
 //	                                                    │ miss
 //	          the spine: Admit ▶ serve/handler failpoint ▶ Acquire ▶ shape
-//	          check ▶ TrackRun ▶ run ID + clock ▶ RUNNER ▶ encode ▶ record
+//	          check ▶ run ID + clock ▶ RUNNER ▶ encode ▶ record
 //
 // The runner is the only step that differs by role: the local engine
 // (incremental seed lookup, RunIncremental or Run, seed offer), or — on a
 // router — Config.Remote, which places the run on a worker and hands back
 // that worker's finished response body. Everything around it — admission,
-// the watchdog, the run record with its stage clock, the response map — is
+// the deadline, the run record with its stage clock, the response map — is
 // written here once.
 package service
 
@@ -20,7 +20,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"strconv"
 	"sync/atomic"
@@ -145,11 +144,9 @@ type Service struct {
 	runSeq    atomic.Uint64
 
 	// runSeconds observes each run's wall time (the run stage); phaseSeconds
-	// splits it by engine phase; tracesDropped counts runs whose trace was
-	// abandoned mid-run.
-	runSeconds    *obs.Histogram
-	phaseSeconds  map[string]*obs.Histogram
-	tracesDropped *obs.Counter
+	// splits it by engine phase.
+	runSeconds   *obs.Histogram
+	phaseSeconds map[string]*obs.Histogram
 	// incrementalSeeded counts runs warm-started from a predecessor result;
 	// incrementalFallback counts attempts (capability + candidate + delta
 	// under threshold) that still ran cold.
@@ -167,12 +164,11 @@ func New(cfg Config) *Service {
 	var token [3]byte
 	rand.Read(token[:]) // never fails (crypto/rand, go 1.24)
 	s := &Service{
-		cfg:           cfg,
-		ring:          obs.NewTraceRing(cfg.RunHistory),
-		runPrefix:     "run-" + hex.EncodeToString(token[:]) + "-",
-		runSeconds:    reg.Histogram("grazelle_run_seconds", "Engine run wall time per query.", nil, obs.DefTimeBuckets),
-		phaseSeconds:  make(map[string]*obs.Histogram, int(obs.NumPhases)),
-		tracesDropped: reg.Counter("grazelle_run_traces_dropped_total", "Runs whose phase trace was abandoned mid-run.", nil),
+		cfg:          cfg,
+		ring:         obs.NewTraceRing(cfg.RunHistory),
+		runPrefix:    "run-" + hex.EncodeToString(token[:]) + "-",
+		runSeconds:   reg.Histogram("grazelle_run_seconds", "Engine run wall time per query.", nil, obs.DefTimeBuckets),
+		phaseSeconds: make(map[string]*obs.Histogram, int(obs.NumPhases)),
 		incrementalSeeded: reg.Counter("grazelle_incremental_seeded_total",
 			"Query runs warm-started from a cached predecessor result.", nil),
 		incrementalFallback: reg.Counter("grazelle_incremental_fallback_total",
@@ -303,11 +299,6 @@ func (s *Service) compute(ctx context.Context, q *Query, pinned *grazelle.StoreH
 		return qcache.Result{}, obs.RunRecord{}, &OutOfSyncError{vertices, edges, rt.vertices, rt.edges}
 	}
 
-	// Watchdog tracking: a run past -hard-limit is cancelled through ctx —
-	// on a router that cancels the post to the worker.
-	ctx, done := s.cfg.Store.TrackRun(ctx)
-	defer done()
-
 	rec := obs.RunRecord{Graph: q.Graph, App: q.App, Start: t0, Vertices: int64(vertices), Edges: int64(edges)}
 	if rt != nil {
 		rec.ID = rt.runID
@@ -350,18 +341,9 @@ func (s *Service) compute(ctx context.Context, q *Query, pinned *grazelle.StoreH
 			hist.Observe(ph.Wall.Seconds())
 		}
 	}
-	if rec.Trace.Dropped {
-		s.tracesDropped.Inc()
-	}
 	s.ring.Add(rec)
 
 	if err != nil {
-		// The watchdog cancels the tracked context, not the request's; fold
-		// its cause into the error so status mapping (and coalesced
-		// followers, who never see this context) can recognize the kill.
-		if errors.Is(context.Cause(ctx), grazelle.ErrWatchdogKilled) {
-			err = fmt.Errorf("%w (%v)", grazelle.ErrWatchdogKilled, err)
-		}
 		return qcache.Result{RunID: rec.ID}, rec, err
 	}
 	if res != nil && s.canSeed(q) {
@@ -424,7 +406,6 @@ func (s *Service) runLocal(ctx context.Context, h *grazelle.StoreHandle, q *Quer
 		rec.Trace = obs.RunTrace{
 			Phases:     stats.Phases,
 			Directions: stats.Directions,
-			Dropped:    stats.TraceDropped,
 		}
 		rec.Iters, rec.Mode = stats.Iterations, stats.Mode
 	}

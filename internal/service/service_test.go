@@ -72,9 +72,6 @@ func sameAnswer(a, b []byte) bool {
 
 func arm(t *testing.T, site, spec string) {
 	t.Helper()
-	if !fault.Available() {
-		t.Skip("failpoints compiled out")
-	}
 	disarm, err := fault.Enable(site, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -215,11 +212,14 @@ func TestHandlerPanicContained(t *testing.T) {
 	}
 }
 
-// TestWatchdogKillFolded: a run cancelled by the watchdog — not by the
-// request's own context — fails with ErrWatchdogKilled in the error chain for
-// the leader and for a coalesced follower alike, and is recorded.
-func TestWatchdogKillFolded(t *testing.T) {
-	s := newService(t, grazelle.StoreConfig{HardRunLimit: 200 * time.Millisecond})
+// TestDeadlineFailsCoalescedRun: a run past the request deadline (MaxTimeout)
+// fails with context.DeadlineExceeded for the leader and for a caller that
+// coalesced onto it — promoted when the leader gave up, it runs under its own
+// deadline — the leader's run is recorded as failed, and no admission slot
+// leaks.
+func TestDeadlineFailsCoalescedRun(t *testing.T) {
+	s := newService(t, grazelle.StoreConfig{MaxInFlight: 1, MaxQueue: 1})
+	s.cfg.MaxTimeout = 200 * time.Millisecond
 	q := Query{Graph: "g", App: "pr", Iters: 1 << 20}
 	leader := make(chan error, 1)
 	var leaderRun string
@@ -229,15 +229,17 @@ func TestWatchdogKillFolded(t *testing.T) {
 		leader <- err
 	}()
 	waitFor(t, "the leader's flight", func() bool { return s.cfg.Cache.Stats().Misses == 1 })
-	_, outcome, err := s.Execute(context.Background(), q)
-	if outcome != Coalesced || !errors.Is(err, grazelle.ErrWatchdogKilled) {
+	if _, outcome, err := s.Execute(context.Background(), q); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("follower: outcome %q err %v", outcome, err)
 	}
-	if err := <-leader; !errors.Is(err, grazelle.ErrWatchdogKilled) {
+	if err := <-leader; !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("leader: %v", err)
 	}
 	if rec, ok := s.ring.Get(leaderRun); !ok || rec.Error == "" {
-		t.Errorf("killed run %q not recorded as failed: %+v", leaderRun, rec)
+		t.Errorf("timed-out run %q not recorded as failed: %+v", leaderRun, rec)
+	}
+	if st := s.cfg.Store.Stats(); st.InFlight != 0 || st.Queued != 0 {
+		t.Errorf("admission slot leaked: in_flight %d queued %d", st.InFlight, st.Queued)
 	}
 }
 

@@ -3,7 +3,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -106,7 +105,6 @@ func (s *Store) Compact(name string) error {
 		s.mu.Unlock()
 		return nil
 	}
-	oldSnapshot := e.snapshot
 	ne := s.publishSuccessorLocked(e, target)
 	ne.snapshot = path
 	ne.vertices, ne.edges = content.NumVertices, content.NumEdges()
@@ -120,11 +118,6 @@ func (s *Store) Compact(name string) error {
 	if manifestErr != nil {
 		s.compactErrors.Add(1)
 		return manifestErr
-	}
-	if oldSnapshot != "" && oldSnapshot != path {
-		// Legacy un-qualified snapshot file superseded by the manifest
-		// commit above.
-		os.Remove(oldSnapshot)
 	}
 	if err := delta.rotate(target); err != nil {
 		// The fold itself is committed; only log truncation failed. Replay

@@ -1,21 +1,17 @@
 package store
 
 import (
-	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/apps"
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/sched"
 )
 
 // evictAll forces every idle entry cold so the next Acquire rehydrates.
@@ -34,11 +30,8 @@ func evictAll(t *testing.T, s *Store) {
 // success — Acquire must come back healthy, the retry counter must show the
 // two retries, and Ready must stay nil throughout.
 func TestRehydrateRetriesTransientError(t *testing.T) {
-	if !fault.Available() {
-		t.Skip("failpoints compiled out")
-	}
 	dir := t.TempDir()
-	s, err := Open(Config{DataDir: dir, Workers: 2, RehydrateBackoff: time.Millisecond})
+	s, err := Open(Config{DataDir: dir, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,15 +74,12 @@ func pagerankSolo(t *testing.T, s *Store, name string) []uint64 {
 	return pagerank(t, h)
 }
 
-// TestRehydrateExhaustedReportsDegraded: persistent transient failure turns
-// into a typed *RehydrateError, and enough consecutive failures flip Ready
-// to degraded; a later success heals it.
+// TestRehydrateExhaustedReportsDegraded: a transient failure on every
+// attempt turns into a typed *RehydrateError, and enough consecutive failures
+// flip Ready to degraded; a later success heals it.
 func TestRehydrateExhaustedReportsDegraded(t *testing.T) {
-	if !fault.Available() {
-		t.Skip("failpoints compiled out")
-	}
 	dir := t.TempDir()
-	s, err := Open(Config{DataDir: dir, Workers: 2, RehydrateAttempts: 2, RehydrateBackoff: time.Millisecond})
+	s, err := Open(Config{DataDir: dir, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,24 +90,26 @@ func TestRehydrateExhaustedReportsDegraded(t *testing.T) {
 	}
 	evictAll(t, s)
 
-	disarm, err := fault.Enable("store/rehydrate", "error:disk on fire")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < wedgedThreshold; i++ {
-		_, err := s.Acquire("g")
+		// One shot per attempt: exactly enough to exhaust this Acquire's
+		// retries.
+		disarm, err := fault.Enable("store/rehydrate", fmt.Sprintf("error:disk on fire*%d", rehydrateAttempts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = s.Acquire("g")
+		disarm()
 		var re *RehydrateError
 		if !errors.As(err, &re) {
 			t.Fatalf("Acquire %d = %v, want *RehydrateError", i, err)
 		}
-		if re.Attempts != 2 {
-			t.Errorf("RehydrateError.Attempts = %d, want 2", re.Attempts)
+		if re.Attempts != rehydrateAttempts {
+			t.Errorf("RehydrateError.Attempts = %d, want %d", re.Attempts, rehydrateAttempts)
 		}
 	}
 	if err := s.Ready(); err == nil {
 		t.Fatalf("Ready = nil after %d consecutive rehydrate failures, want degraded", wedgedThreshold)
 	}
-	disarm()
 
 	// The failure was transient, not sticky: the next Acquire succeeds and
 	// readiness recovers.
@@ -213,9 +205,6 @@ func TestCorruptSnapshotQuarantinedAndHealed(t *testing.T) {
 // rename) must fail the Add, keep the previous version serving, and leave
 // the store reopenable with the previous version intact.
 func TestSnapshotWriteFailureKeepsPreviousVersion(t *testing.T) {
-	if !fault.Available() {
-		t.Skip("failpoints compiled out")
-	}
 	dir := t.TempDir()
 	s, err := Open(Config{DataDir: dir, Workers: 2})
 	if err != nil {
@@ -266,9 +255,6 @@ func TestSnapshotWriteFailureKeepsPreviousVersion(t *testing.T) {
 // TestManifestWriteFailureSurfacesError: a failing manifest write errors the
 // Add but the on-disk manifest keeps its previous consistent content.
 func TestManifestWriteFailureSurfacesError(t *testing.T) {
-	if !fault.Available() {
-		t.Skip("failpoints compiled out")
-	}
 	dir := t.TempDir()
 	s, err := Open(Config{DataDir: dir, Workers: 2})
 	if err != nil {
@@ -309,9 +295,6 @@ func TestManifestWriteFailureSurfacesError(t *testing.T) {
 // under its final name, no temp file, the log un-rotated, and a store that
 // reopens to exactly the acknowledged batches.
 func TestCompactFaultAfterSnapshotSyncKeepsAckedPrefix(t *testing.T) {
-	if !fault.Available() {
-		t.Skip("failpoints compiled out")
-	}
 	dir := t.TempDir()
 	s, err := Open(Config{DataDir: dir, Workers: 2})
 	if err != nil {
@@ -373,45 +356,4 @@ func TestCompactFaultAfterSnapshotSyncKeepsAckedPrefix(t *testing.T) {
 		t.Fatalf("replayed %d batches, want the 3 acknowledged", st.ReplayedBatches)
 	}
 	assertBitIdentical(t, want, pagerankSolo(t, s2, "g"), "acknowledged prefix after faulted fold")
-}
-
-// TestWatchdogHardKillsRunawayQuery: a query tracked through the store's
-// watchdog is cancelled at the hard limit with the watchdog cause, and the
-// kill shows up in Stats.
-func TestWatchdogHardKillsRunawayQuery(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(Config{DataDir: dir, Workers: 2, SoftRunLimit: 5 * time.Millisecond, HardRunLimit: 25 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.Add("g", gen.RMAT(12, 60000, gen.DefaultRMAT, 11)); err != nil {
-		t.Fatal(err)
-	}
-	h, err := s.Acquire("g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-
-	ctx, done := s.TrackRun(context.Background())
-	defer done()
-	_, runErr := core.RunCtx(ctx, h.Runner(), apps.NewPageRank(h.Source()), 1<<20)
-	if runErr == nil {
-		t.Fatal("runaway query returned nil error")
-	}
-	if !errors.Is(context.Cause(ctx), sched.ErrWatchdogKilled) {
-		t.Errorf("cancellation cause = %v, want sched.ErrWatchdogKilled", context.Cause(ctx))
-	}
-	done()
-	st := s.Stats()
-	if st.Watchdog == nil {
-		t.Fatal("Stats.Watchdog nil with limits configured")
-	}
-	if st.Watchdog.HardKills != 1 {
-		t.Errorf("HardKills = %d, want 1", st.Watchdog.HardKills)
-	}
-	if st.Watchdog.SlowTotal < 1 {
-		t.Errorf("SlowTotal = %d, want >= 1", st.Watchdog.SlowTotal)
-	}
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -13,8 +12,8 @@ import (
 
 // This file is the store's fault-containment surface: typed errors for the
 // two ways rehydration fails (corruption vs. exhausted transient retries),
-// the retry/quarantine logic itself, the optional run watchdog, and the
-// readiness signal serving layers poll.
+// the retry/quarantine logic itself, and the readiness signal serving layers
+// poll.
 
 // QuarantineExt is appended to a snapshot file's name when rehydration finds
 // it corrupt. The damaged bytes are preserved for post-mortem instead of
@@ -43,7 +42,7 @@ func (e *CorruptSnapshotError) Error() string {
 func (e *CorruptSnapshotError) Unwrap() error { return e.Err }
 
 // RehydrateError reports that loading a graph's snapshot kept failing with
-// transient errors after the configured retries. Unlike corruption it is not
+// transient errors after rehydrateAttempts tries. Unlike corruption it is not
 // sticky: the next Acquire retries from scratch.
 type RehydrateError struct {
 	Name     string
@@ -63,22 +62,24 @@ func (e *RehydrateError) Unwrap() error { return e.Err }
 // traffic.
 const wedgedThreshold = 3
 
+// rehydrateAttempts bounds how often a transiently failing snapshot load is
+// tried before Acquire gives up with a *RehydrateError; corruption is never
+// retried. rehydrateBackoff is the first delay between attempts, doubling per
+// retry and capped at one second.
+const (
+	rehydrateAttempts = 3
+	rehydrateBackoff  = 10 * time.Millisecond
+)
+
 // rehydrate loads e's snapshot, retrying transient I/O errors with capped
 // exponential backoff and quarantining the file on corruption. It holds no
 // locks; the caller holds e.load. On success the store's consecutive-failure
 // streak resets.
 func (s *Store) rehydrate(e *entry) (*graph.Graph, error) {
-	attempts := s.cfg.RehydrateAttempts
-	if attempts < 1 {
-		attempts = 3
-	}
-	backoff := s.cfg.RehydrateBackoff
-	if backoff <= 0 {
-		backoff = 10 * time.Millisecond
-	}
+	backoff := rehydrateBackoff
 	const maxBackoff = time.Second
 	var lastErr error
-	for a := 1; a <= attempts; a++ {
+	for a := 1; a <= rehydrateAttempts; a++ {
 		err := fault.Inject("store/rehydrate")
 		var g *graph.Graph
 		if err == nil {
@@ -95,7 +96,7 @@ func (s *Store) rehydrate(e *entry) (*graph.Graph, error) {
 			return nil, s.quarantine(e, err)
 		}
 		lastErr = err
-		if a < attempts {
+		if a < rehydrateAttempts {
 			s.mu.Lock()
 			s.rehydrateRetries++
 			s.mu.Unlock()
@@ -108,7 +109,7 @@ func (s *Store) rehydrate(e *entry) (*graph.Graph, error) {
 	s.mu.Lock()
 	s.rehydrateStreak++
 	s.mu.Unlock()
-	return nil, &RehydrateError{Name: e.name, Attempts: attempts, Err: lastErr}
+	return nil, &RehydrateError{Name: e.name, Attempts: rehydrateAttempts, Err: lastErr}
 }
 
 // quarantine moves e's corrupt snapshot aside, marks the entry sticky-corrupt
@@ -154,13 +155,4 @@ func (s *Store) Ready() error {
 		return fmt.Errorf("store: %d delta log(s) wedged (writes refused pending heal)", wedged)
 	}
 	return nil
-}
-
-// TrackRun registers one query run with the store's watchdog: the returned
-// context is hard-cancelled (cause sched.ErrWatchdogKilled) if the run
-// exceeds Config.HardRunLimit, and runs past Config.SoftRunLimit are counted
-// in Stats. The returned done must be called when the run finishes. Without
-// configured limits both returns are pass-throughs.
-func (s *Store) TrackRun(ctx context.Context) (context.Context, func()) {
-	return s.watchdog.Track(ctx)
 }

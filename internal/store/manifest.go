@@ -62,15 +62,13 @@ type manifestEntry struct {
 	Edges    int    `json:"edges"`
 	Weighted bool   `json:"weighted"`
 	// Lineage is the base-graph ancestry the snapshot (and any delta log)
-	// belongs to; 0 in version-1 manifests, assigned at load.
+	// belongs to.
 	Lineage uint64 `json:"lineage,omitempty"`
 }
 
 func manifestPath(dir string) string { return filepath.Join(dir, manifestFile) }
 
-// snapshotFileName is the lineage-qualified file name new snapshot writes
-// use. Legacy (version-1) manifests reference plain <name>.grzg files; those
-// paths keep working and migrate to the qualified form on the next rewrite.
+// snapshotFileName is the lineage-qualified file name snapshot writes use.
 func snapshotFileName(name string, lineage uint64) string {
 	return fmt.Sprintf("%s.%d%s", name, lineage, snapshotExt)
 }
@@ -122,9 +120,7 @@ func loadManifest(path string) (*manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("store: parsing %s: %w", path, err)
 	}
-	// Version 1 (pre-lineage) loads fine: entries carry Lineage 0 and Open
-	// assigns them fresh lineages before first use.
-	if m.Version != manifestVersion && m.Version != 1 {
+	if m.Version != manifestVersion {
 		return nil, fmt.Errorf("store: manifest version %d, want %d", m.Version, manifestVersion)
 	}
 	return &m, nil

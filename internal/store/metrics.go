@@ -7,19 +7,18 @@ import (
 
 // This file wires the store's state into an obs.Registry. The store owns the
 // registry because it owns every subsystem worth measuring — the graph
-// registry, the shared scheduler pool, the admission controller, and the
-// watchdog — and the serving layer only adds HTTP- and run-level families on
-// top. Gauges read live store state at scrape time (closures under s.mu);
-// monotonic counts either read the same cells Stats() reports or, for the
-// watchdog, register the watchdog's own counters, so the registry and
-// /v1/stats can never disagree.
+// registry, the shared scheduler pool and the admission controller — and the
+// serving layer only adds HTTP- and run-level families on top. Gauges read
+// live store state at scrape time (closures under s.mu); monotonic counts
+// read the same cells Stats() reports, so the registry and /v1/stats can
+// never disagree.
 
 // Metrics returns the store's metric registry, for serving at /metrics and
 // for layering additional families above the store.
 func (s *Store) Metrics() *obs.Registry { return s.reg }
 
 // registerMetrics populates the registry. Called once from Open, after the
-// pool, admission controller, and watchdog exist.
+// pool and admission controller exist.
 func (s *Store) registerMetrics() {
 	r := obs.NewRegistry()
 	s.reg = r
@@ -137,16 +136,4 @@ func (s *Store) registerMetrics() {
 		JobWait: r.Histogram("grazelle_sched_job_wait_seconds", "Seconds a submitter blocked on the active-job cap.", nil, obs.DefTimeBuckets),
 		JobExec: r.Histogram("grazelle_sched_job_exec_seconds", "Seconds from job publication to barrier completion.", nil, obs.DefTimeBuckets),
 	})
-
-	if s.watchdog != nil {
-		// The watchdog's own counter cells: scan() increments, Stats() reads,
-		// and the registry renders one value.
-		r.RegisterCounter("grazelle_watchdog_slow_runs_total", "Runs that crossed the soft wall-clock limit.", nil, s.watchdog.SlowTotalCounter())
-		r.RegisterCounter("grazelle_watchdog_hard_kills_total", "Runs hard-cancelled at the wall-clock limit.", nil, s.watchdog.HardKillsCounter())
-	} else {
-		// Keep the families present (at zero) so scrapes and dashboards see a
-		// stable catalog whether or not a watchdog is configured.
-		r.CounterFunc("grazelle_watchdog_slow_runs_total", "Runs that crossed the soft wall-clock limit.", nil, func() uint64 { return 0 })
-		r.CounterFunc("grazelle_watchdog_hard_kills_total", "Runs hard-cancelled at the wall-clock limit.", nil, func() uint64 { return 0 })
-	}
 }

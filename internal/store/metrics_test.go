@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/gen"
 )
@@ -29,8 +28,6 @@ var metricFamilies = []string{
 	"grazelle_sched_pool_panics_total",
 	"grazelle_sched_job_wait_seconds",
 	"grazelle_sched_job_exec_seconds",
-	"grazelle_watchdog_slow_runs_total",
-	"grazelle_watchdog_hard_kills_total",
 }
 
 func scrape(t *testing.T, s *Store) string {
@@ -56,14 +53,14 @@ func metricValue(t *testing.T, text, name string) string {
 }
 
 // TestMetricsCatalogStable: every family is present, with HELP and TYPE
-// lines, whether or not a watchdog is configured.
+// lines, whether or not admission control is configured.
 func TestMetricsCatalogStable(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
 		{"bare", Config{Workers: 2}},
-		{"full", Config{Workers: 2, MaxInFlight: 4, MaxQueue: 2, SoftRunLimit: time.Minute, HardRunLimit: time.Hour}},
+		{"full", Config{Workers: 2, MaxInFlight: 4, MaxQueue: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := Open(tc.cfg)
@@ -149,39 +146,5 @@ func TestMetricsTrackStoreActivity(t *testing.T) {
 	// Pool histograms saw the runs' jobs.
 	if got := metricValue(t, text, "grazelle_sched_job_exec_seconds_count"); got == "0" {
 		t.Error("job exec histogram observed nothing across two PageRank runs")
-	}
-}
-
-// TestMetricsWatchdogSharesCells: the watchdog families render the very
-// counters Stats() reads, so a soft-limit crossing shows up identically in
-// both — they cannot disagree.
-func TestMetricsWatchdogSharesCells(t *testing.T) {
-	s, err := Open(Config{Workers: 2, SoftRunLimit: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	_, done := s.TrackRun(context.Background())
-	// Outlive the soft limit across several watchdog scans.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if w := s.Stats().Watchdog; w != nil && w.SlowTotal > 0 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	done()
-
-	st := s.Stats()
-	if st.Watchdog == nil || st.Watchdog.SlowTotal == 0 {
-		t.Fatal("soft limit never tripped within 2s")
-	}
-	text := scrape(t, s)
-	if got := metricValue(t, text, "grazelle_watchdog_slow_runs_total"); got != strconv.FormatUint(st.Watchdog.SlowTotal, 10) {
-		t.Errorf("registry slow_runs %s != Stats %d", got, st.Watchdog.SlowTotal)
-	}
-	if got := metricValue(t, text, "grazelle_watchdog_hard_kills_total"); got != strconv.FormatUint(st.Watchdog.HardKills, 10) {
-		t.Errorf("registry hard_kills %s != Stats %d", got, st.Watchdog.HardKills)
 	}
 }

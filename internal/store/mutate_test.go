@@ -329,9 +329,6 @@ func TestCompactOneOwnerPerGraph(t *testing.T) {
 // failing twice, the size-triggered background compactor retries with
 // backoff and lands the fold without intervention.
 func TestBackgroundCompactorRetriesFailures(t *testing.T) {
-	if !fault.Available() {
-		t.Skip("failpoints compiled out")
-	}
 	defer fault.Reset()
 	s, err := Open(Config{DataDir: t.TempDir(), Workers: 2, CompactAfter: 1})
 	if err != nil {
@@ -368,9 +365,6 @@ func TestBackgroundCompactorRetriesFailures(t *testing.T) {
 // plus a compaction forced to fail must still reopen to a bit-identical view
 // of every acknowledged batch.
 func TestCrashRecoveryTornTailAndFailedCompaction(t *testing.T) {
-	if !fault.Available() {
-		t.Skip("failpoints compiled out")
-	}
 	defer fault.Reset()
 	dir := t.TempDir()
 	s, err := Open(Config{DataDir: dir, Workers: 2})

@@ -81,19 +81,6 @@ type Config struct {
 	// Workers sizes the shared worker pool every graph's runner executes on
 	// (0 = GOMAXPROCS).
 	Workers int
-	// RehydrateAttempts bounds how often a transiently failing snapshot load
-	// is tried before Acquire gives up with a *RehydrateError (default 3).
-	// Corruption is never retried — it quarantines immediately.
-	RehydrateAttempts int
-	// RehydrateBackoff is the initial delay between rehydration attempts,
-	// doubling per retry and capped at one second (default 10ms).
-	RehydrateBackoff time.Duration
-	// SoftRunLimit and HardRunLimit configure the run watchdog: queries
-	// tracked via TrackRun that outlive SoftRunLimit are counted in Stats,
-	// and ones past HardRunLimit are cancelled with cause
-	// sched.ErrWatchdogKilled. Zero disables the respective limit; both zero
-	// disables the watchdog entirely.
-	SoftRunLimit, HardRunLimit time.Duration
 	// DeltaBudget soft-caps the bytes of acknowledged, un-compacted edge
 	// mutations a graph's delta log may hold: past it ApplyEdges refuses with
 	// a *DeltaBudgetError (backpressure; reads keep serving) until compaction
@@ -115,8 +102,6 @@ type Store struct {
 	cfg  Config
 	pool *sched.Pool
 	adm  *sched.Admission
-	// watchdog enforces Config's run limits; nil when both are zero.
-	watchdog *sched.Watchdog
 
 	mu     sync.Mutex
 	graphs map[string]*entry
@@ -281,12 +266,8 @@ func Open(cfg Config) (*Store, error) {
 		s.pool.SetMaxActiveJobs(cfg.MaxInFlight)
 	}
 	s.adm = sched.NewAdmission(cfg.MaxInFlight, cfg.MaxQueue)
-	if cfg.SoftRunLimit > 0 || cfg.HardRunLimit > 0 {
-		s.watchdog = sched.NewWatchdog(cfg.SoftRunLimit, cfg.HardRunLimit)
-	}
 	s.registerMetrics()
 	fail := func(err error) (*Store, error) {
-		s.watchdog.Close()
 		s.pool.Close()
 		return nil, err
 	}
@@ -310,14 +291,6 @@ func Open(cfg Config) (*Store, error) {
 		}
 		for _, me := range m.Graphs {
 			s.nextVersion++
-			lineage := me.Lineage
-			if lineage == 0 {
-				// Version-1 manifest entry: assign a fresh lineage (no delta
-				// log can exist yet, so any *.wal match is stale and the
-				// lineage check below discards it).
-				s.nextLineage++
-				lineage = s.nextLineage
-			}
 			s.graphs[me.Name] = &entry{
 				name:     me.Name,
 				vertices: me.Vertices,
@@ -325,7 +298,7 @@ func Open(cfg Config) (*Store, error) {
 				weighted: me.Weighted,
 				snapshot: filepath.Join(cfg.DataDir, me.File),
 				version:  s.nextVersion,
-				lineage:  lineage,
+				lineage:  me.Lineage,
 			}
 		}
 		// Replay each graph's delta log: acknowledged batches become the
@@ -383,7 +356,6 @@ func (s *Store) Close() error {
 	for _, l := range logs {
 		l.close(false)
 	}
-	s.watchdog.Close()
 	s.pool.Close()
 	return nil
 }
@@ -940,8 +912,6 @@ type Stats struct {
 	Rehydrations     uint64 `json:"rehydrations"`
 	Quarantined      uint64 `json:"quarantined"`
 	PoolPanics       uint64 `json:"pool_panics"`
-	// Watchdog summarizes the run watchdog (nil when disabled).
-	Watchdog *sched.WatchdogStats `json:"watchdog,omitempty"`
 	// WAL summarizes the streaming-mutation subsystem across all graphs.
 	WAL WALStats `json:"wal"`
 	// Materialize counts first reads of a version by how its layouts were
@@ -1010,10 +980,6 @@ func (s *Store) Stats() Stats {
 		Rehydrations:     s.rehydrations,
 		Quarantined:      s.quarantined,
 		PoolPanics:       s.pool.Panics(),
-	}
-	if s.watchdog != nil {
-		wst := s.watchdog.Stats()
-		st.Watchdog = &wst
 	}
 	for _, e := range s.graphs {
 		if e.runner != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,10 +88,11 @@ type deltaLog struct {
 	// order, shared with the appender waiting on it: a rollback sets every
 	// one (those records are gone) and a sync drops the ones it made durable.
 	unsynced []*bool
-	// wedged is set when even rolling back a failed sync failed: the file
-	// state is unknown and every append is refused until a heal (full
-	// rewrite from the acknowledged tail) succeeds. healAttempts backs off
-	// heal retries exponentially, capped at healBackoffCap.
+	// wedged is set when even rolling back a failed sync failed, or when a
+	// rewrite's directory sync failed: the file state is unknown and every
+	// append is refused until a heal (full rewrite from the acknowledged
+	// tail) succeeds. healAttempts backs off heal retries exponentially,
+	// capped at healBackoffCap.
 	wedged       bool
 	healAttempts int
 	healNotAfter time.Time
@@ -218,7 +220,9 @@ func (l *deltaLog) adoptLocked(baseSeq uint64, batches []graph.DeltaBatch) {
 	l.tailBatches.Store(int64(len(batches)))
 }
 
-// ensureOpenLocked opens (creating with a header if necessary) the log file.
+// ensureOpenLocked opens (creating with a header if necessary) the log file
+// and syncs the directory, so the file's name survives power loss before the
+// first record's fsync acknowledges anything.
 func (l *deltaLog) ensureOpenLocked() error {
 	if l.f != nil || l.path == "" {
 		return nil
@@ -240,6 +244,10 @@ func (l *deltaLog) ensureOpenLocked() error {
 		}
 		l.size = int64(len(hdr))
 		l.syncedSize = l.size
+	}
+	if err := syncPath(filepath.Dir(l.path)); err != nil {
+		f.Close()
+		return err
 	}
 	l.f = f
 	return nil
@@ -448,7 +456,10 @@ func (l *deltaLog) rotate(newBaseSeq uint64) error {
 
 // rewriteLocked atomically replaces the log file with a fresh one holding
 // every batch above newBaseSeq, then syncs and swaps file handles. The old
-// file is intact until the rename, so a failure leaves the previous state.
+// file is intact until the rename, so a failure before it leaves the previous
+// state. The directory sync after the rename is what makes the new file's
+// name durable (as in commitFile); if it fails, the batches that rode along
+// unacknowledged are rolled back and the log wedges until a heal rewrites it.
 func (l *deltaLog) rewriteLocked(newBaseSeq uint64) error {
 	keep := l.batches[:0:0]
 	for _, b := range l.batches {
@@ -464,8 +475,12 @@ func (l *deltaLog) rewriteLocked(newBaseSeq uint64) error {
 		return nil
 	}
 	buf := graph.EncodeDeltaHeader(l.lineage, newBaseSeq)
+	ackedLen := len(buf)
 	for _, b := range keep {
 		buf = graph.AppendDeltaRecord(buf, b.Seq, b.Ops)
+		if b.Seq <= l.synced {
+			ackedLen = len(buf)
+		}
 	}
 	tmp := l.path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -494,6 +509,13 @@ func (l *deltaLog) rewriteLocked(newBaseSeq uint64) error {
 	l.baseSeq = newBaseSeq
 	l.batches = keep
 	l.size = int64(len(buf))
+	if err := syncPath(filepath.Dir(l.path)); err != nil {
+		l.syncedSize = int64(ackedLen)
+		l.rollbackLocked(err)
+		l.wedged = true
+		l.wedgedFlag.Store(1)
+		return err
+	}
 	l.syncedSize = l.size
 	l.seq = newBaseSeq
 	for _, b := range keep {

@@ -17,8 +17,8 @@ func walPath(t *testing.T) string {
 	return filepath.Join(t.TempDir(), "g"+walExt)
 }
 
-// findSnapshot locates name's snapshot file in dir — lineage-qualified
-// (name.<L>.grzg) or legacy (name.grzg) — returning "" when absent.
+// findSnapshot locates name's lineage-qualified snapshot file
+// (name.<L>.grzg) in dir, returning "" when absent.
 func findSnapshot(t *testing.T, dir, name string) string {
 	t.Helper()
 	matches, err := filepath.Glob(filepath.Join(dir, name+".*"+snapshotExt))
@@ -30,10 +30,6 @@ func findSnapshot(t *testing.T, dir, name string) string {
 	}
 	if len(matches) == 1 {
 		return matches[0]
-	}
-	legacy := filepath.Join(dir, name+snapshotExt)
-	if _, err := os.Stat(legacy); err == nil {
-		return legacy
 	}
 	return ""
 }
@@ -125,9 +121,6 @@ func TestDeltaLogGroupCommitConcurrent(t *testing.T) {
 }
 
 func TestDeltaLogFsyncFailureRollsBack(t *testing.T) {
-	if !fault.Available() {
-		t.Skip("failpoints compiled out")
-	}
 	defer fault.Reset()
 	path := walPath(t)
 	var c walCounters
@@ -405,9 +398,6 @@ func TestDeltaLogMemoryOnly(t *testing.T) {
 }
 
 func TestDeltaLogAppendFailpoint(t *testing.T) {
-	if !fault.Available() {
-		t.Skip("failpoints compiled out")
-	}
 	defer fault.Reset()
 	var c walCounters
 	l, _, err := openDeltaLog("g", walPath(t), 1, &c)
@@ -429,9 +419,6 @@ func TestDeltaLogAppendFailpoint(t *testing.T) {
 func TestDeltaLogConcurrentAppendWithFsyncFault(t *testing.T) {
 	// Mixed success/failure under concurrency: every append must either be
 	// acknowledged (and survive reopen) or error (and be absent on reopen).
-	if !fault.Available() {
-		t.Skip("failpoints compiled out")
-	}
 	defer fault.Reset()
 	path := walPath(t)
 	var c walCounters

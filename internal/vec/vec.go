@@ -26,10 +26,7 @@
 // reports which one the process runs.
 package vec
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // Lanes is the number of 64-bit lanes in the primary (256-bit) vector width.
 const Lanes = 4
@@ -78,68 +75,6 @@ func Load(s []uint64, i int) U64x4 {
 func Store(s []uint64, i int, v U64x4) {
 	_ = s[i+3]
 	s[i], s[i+1], s[i+2], s[i+3] = v[0], v[1], v[2], v[3]
-}
-
-// GatherU64 is the vgatherqpd analog: for each enabled lane it loads
-// vals[idx[lane]]; disabled lanes receive fill (AVX leaves the destination
-// lane untouched — passing the pre-gather value as fill models that).
-func GatherU64(vals []uint64, idx U64x4, m Mask, fill uint64) U64x4 {
-	out := Broadcast(fill)
-	for i := 0; i < Lanes; i++ {
-		if m.Bit(i) {
-			out[i] = vals[idx[i]]
-		}
-	}
-	return out
-}
-
-// Blend selects per lane between a (mask bit clear) and b (mask bit set),
-// the vblendvpd analog.
-func Blend(a, b U64x4, m Mask) U64x4 {
-	for i := 0; i < Lanes; i++ {
-		if m.Bit(i) {
-			a[i] = b[i]
-		}
-	}
-	return a
-}
-
-// AddF64 adds lanes as float64 (vaddpd).
-func AddF64(a, b U64x4) U64x4 {
-	for i := 0; i < Lanes; i++ {
-		a[i] = math.Float64bits(math.Float64frombits(a[i]) + math.Float64frombits(b[i]))
-	}
-	return a
-}
-
-// MinU64 takes the lane-wise unsigned minimum (vpminuq).
-func MinU64(a, b U64x4) U64x4 {
-	for i := 0; i < Lanes; i++ {
-		if b[i] < a[i] {
-			a[i] = b[i]
-		}
-	}
-	return a
-}
-
-// ReduceAddF64 horizontally sums the enabled lanes as float64 into init.
-func ReduceAddF64(v U64x4, m Mask, init float64) float64 {
-	for i := 0; i < Lanes; i++ {
-		if m.Bit(i) {
-			init += math.Float64frombits(v[i])
-		}
-	}
-	return init
-}
-
-// ReduceMinU64 horizontally minimizes the enabled lanes into init.
-func ReduceMinU64(v U64x4, m Mask, init uint64) uint64 {
-	for i := 0; i < Lanes; i++ {
-		if m.Bit(i) && v[i] < init {
-			init = v[i]
-		}
-	}
-	return init
 }
 
 // And returns the lane-wise AND with a broadcast constant (vpand).

@@ -1,10 +1,6 @@
 package vec
 
-import (
-	"math"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestMaskBits(t *testing.T) {
 	m := Mask(0b1010)
@@ -36,73 +32,6 @@ func TestBroadcastLoadStore(t *testing.T) {
 	Store(s, 2, Broadcast(9))
 	if s[2] != 9 || s[5] != 9 || s[1] != 2 {
 		t.Errorf("Store result %v", s)
-	}
-}
-
-func TestGatherMaskedLanes(t *testing.T) {
-	vals := []uint64{10, 20, 30, 40, 50}
-	got := GatherU64(vals, U64x4{4, 3, 2, 1}, Mask(0b0101), 99)
-	want := U64x4{50, 99, 30, 99}
-	if got != want {
-		t.Errorf("GatherU64 = %v, want %v", got, want)
-	}
-}
-
-func TestGatherDisabledLaneNeverDereferences(t *testing.T) {
-	// A disabled lane may carry a garbage index beyond the array; the AVX
-	// gather does not fault on it and neither must we.
-	vals := []uint64{1}
-	got := GatherU64(vals, U64x4{0, 1 << 40, 1 << 50, ^uint64(0)}, Mask(0b0001), 0)
-	if got != (U64x4{1, 0, 0, 0}) {
-		t.Errorf("masked gather = %v", got)
-	}
-}
-
-func TestBlend(t *testing.T) {
-	a := U64x4{1, 2, 3, 4}
-	b := U64x4{9, 8, 7, 6}
-	if got := Blend(a, b, Mask(0b0110)); got != (U64x4{1, 8, 7, 4}) {
-		t.Errorf("Blend = %v", got)
-	}
-}
-
-func f64(x float64) uint64 { return math.Float64bits(x) }
-
-func TestAddF64(t *testing.T) {
-	a := U64x4{f64(1), f64(2.5), f64(-1), f64(0)}
-	b := U64x4{f64(2), f64(0.5), f64(1), f64(0)}
-	got := AddF64(a, b)
-	want := U64x4{f64(3), f64(3), f64(0), f64(0)}
-	if got != want {
-		t.Errorf("AddF64 = %v, want %v", got, want)
-	}
-}
-
-func TestMinU64(t *testing.T) {
-	a := U64x4{5, 1, 7, 0}
-	b := U64x4{3, 2, 7, 9}
-	if got := MinU64(a, b); got != (U64x4{3, 1, 7, 0}) {
-		t.Errorf("MinU64 = %v", got)
-	}
-}
-
-func TestReduceAddF64RespectsMask(t *testing.T) {
-	v := U64x4{f64(1), f64(10), f64(100), f64(1000)}
-	if got := ReduceAddF64(v, Mask(0b1001), 0.5); got != 1001.5 {
-		t.Errorf("ReduceAddF64 = %v, want 1001.5", got)
-	}
-	if got := ReduceAddF64(v, 0, 2); got != 2 {
-		t.Errorf("empty-mask reduce = %v, want 2", got)
-	}
-}
-
-func TestReduceMinU64(t *testing.T) {
-	v := U64x4{5, 3, 8, 1}
-	if got := ReduceMinU64(v, Mask(0b0111), 4); got != 3 {
-		t.Errorf("ReduceMinU64 = %d, want 3 (lane 3 masked off)", got)
-	}
-	if got := ReduceMinU64(v, MaskAll, 0); got != 0 {
-		t.Errorf("ReduceMinU64 with smaller init = %d, want 0", got)
 	}
 }
 
@@ -195,42 +124,5 @@ func TestMaskOpsMatchLaneByLane(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// Property: ReduceAddF64 over all lanes equals the scalar sum.
-func TestReduceMatchesScalarProperty(t *testing.T) {
-	f := func(a, b, c, d float64, init float64) bool {
-		if anyAbnormal(a, b, c, d, init) {
-			return true
-		}
-		v := U64x4{f64(a), f64(b), f64(c), f64(d)}
-		got := ReduceAddF64(v, MaskAll, init)
-		want := init + a + b + c + d
-		return math.Abs(got-want) <= 1e-9*(1+math.Abs(want))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func anyAbnormal(xs ...float64) bool {
-	for _, x := range xs {
-		if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e300 {
-			return true
-		}
-	}
-	return false
-}
-
-// Property: Blend(a, b, m) then Blend(result, a, m) restores a.
-func TestBlendInvolutionProperty(t *testing.T) {
-	f := func(a, b U64x4, mRaw uint8) bool {
-		m := Mask(mRaw) & MaskAll
-		out := Blend(Blend(a, b, m), a, m)
-		return out == a
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }

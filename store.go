@@ -2,7 +2,6 @@ package grazelle
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -16,16 +15,14 @@ import (
 // the state behind `grazelle serve`.
 
 // Store lifecycle and capacity errors. ErrOverloaded matches the typed
-// admission error Store.Admit returns under errors.Is; ErrWatchdogKilled is
-// the cancellation cause attached to runs the watchdog hard-cancels (detect
-// with context.Cause); ErrCorruptGraph matches any deserialization failure
-// caused by damaged data (including a *CorruptSnapshotError).
+// admission error Store.Admit returns under errors.Is; ErrCorruptGraph
+// matches any deserialization failure caused by damaged data (including a
+// *CorruptSnapshotError).
 var (
-	ErrGraphNotFound  = store.ErrNotFound
-	ErrStoreClosed    = store.ErrClosed
-	ErrOverloaded     = store.ErrOverloaded
-	ErrWatchdogKilled = sched.ErrWatchdogKilled
-	ErrCorruptGraph   = graph.ErrCorrupt
+	ErrGraphNotFound = store.ErrNotFound
+	ErrStoreClosed   = store.ErrClosed
+	ErrOverloaded    = store.ErrOverloaded
+	ErrCorruptGraph  = graph.ErrCorrupt
 	// ErrMutationConflict reports a mutation batch that raced an Add-replace
 	// or Delete of its graph and was not applied; retry against the new graph
 	// if still meaningful.
@@ -42,10 +39,8 @@ type (
 	// quarantined (sticky until the graph is re-added).
 	CorruptSnapshotError = store.CorruptSnapshotError
 	// RehydrateError reports a snapshot load that kept failing transiently
-	// after the configured retries (not sticky; the next Acquire retries).
+	// after its retries (not sticky; the next Acquire retries).
 	RehydrateError = store.RehydrateError
-	// WatchdogStats summarizes the run watchdog in StoreStats.
-	WatchdogStats = sched.WatchdogStats
 
 	// EdgeOp is one streaming edge mutation: an insert/re-weight (Delete
 	// false) or removal (Delete true) of the directed edge Src→Dst. Within a
@@ -93,17 +88,6 @@ type StoreConfig struct {
 	MaxInFlight, MaxQueue int
 	// Workers sizes the one worker pool all graphs share (0 = GOMAXPROCS).
 	Workers int
-	// RehydrateAttempts bounds retries of transiently failing snapshot loads
-	// (default 3); RehydrateBackoff is the initial retry delay, doubling per
-	// attempt and capped at one second (default 10ms). Corrupt snapshots are
-	// never retried — they are quarantined.
-	RehydrateAttempts int
-	RehydrateBackoff  time.Duration
-	// SoftRunLimit and HardRunLimit configure the run watchdog for queries
-	// tracked via TrackRun: past the soft limit a run is counted as slow in
-	// Stats, past the hard limit it is cancelled with cause
-	// ErrWatchdogKilled. Zero disables the respective limit.
-	SoftRunLimit, HardRunLimit time.Duration
 	// DeltaBudgetBytes caps the acknowledged un-compacted mutation overlay
 	// per graph: past it ApplyEdges returns a *DeltaBudgetError (and
 	// schedules compaction) until the overlay is folded. 0 means unlimited.
@@ -129,18 +113,14 @@ type Store struct {
 // cfg.DataDir (cold — loaded on first Acquire).
 func OpenStore(cfg StoreConfig) (*Store, error) {
 	s, err := store.Open(store.Config{
-		DataDir:           cfg.DataDir,
-		MemBudget:         cfg.MemBudgetBytes,
-		MaxInFlight:       cfg.MaxInFlight,
-		MaxQueue:          cfg.MaxQueue,
-		Workers:           cfg.Workers,
-		RehydrateAttempts: cfg.RehydrateAttempts,
-		RehydrateBackoff:  cfg.RehydrateBackoff,
-		SoftRunLimit:      cfg.SoftRunLimit,
-		HardRunLimit:      cfg.HardRunLimit,
-		DeltaBudget:       cfg.DeltaBudgetBytes,
-		CompactAfter:      cfg.CompactAfterBytes,
-		Engine:            cfg.Options.coreOptions(),
+		DataDir:      cfg.DataDir,
+		MemBudget:    cfg.MemBudgetBytes,
+		MaxInFlight:  cfg.MaxInFlight,
+		MaxQueue:     cfg.MaxQueue,
+		Workers:      cfg.Workers,
+		DeltaBudget:  cfg.DeltaBudgetBytes,
+		CompactAfter: cfg.CompactAfterBytes,
+		Engine:       cfg.Options.coreOptions(),
 	})
 	if err != nil {
 		return nil, err
@@ -226,7 +206,7 @@ func (s *Store) Stats() StoreStats { return s.s.Stats() }
 type Registry = obs.Registry
 
 // Metrics returns the store's metric registry: gauges and counters over the
-// graph registry, scheduler pool, admission controller, and watchdog. The
+// graph registry, scheduler pool and admission controller. The
 // counters are the same cells Stats reports, so the two views always agree.
 // Serving layers render it at /metrics and may register additional families.
 func (s *Store) Metrics() *Registry { return s.s.Metrics() }
@@ -243,14 +223,6 @@ func (s *Store) Admit(ctx context.Context) (release func(), err error) {
 // rehydration is persistently failing. Serving layers map a non-nil result
 // to an unready health check.
 func (s *Store) Ready() error { return s.s.Ready() }
-
-// TrackRun registers one query with the store's watchdog (configured via
-// SoftRunLimit/HardRunLimit): the returned context is cancelled with cause
-// ErrWatchdogKilled if the run exceeds the hard limit. Call done when the
-// run finishes. Without configured limits both returns are pass-throughs.
-func (s *Store) TrackRun(ctx context.Context) (tracked context.Context, done func()) {
-	return s.s.TrackRun(ctx)
-}
 
 // StoreHandle pins one version of a named graph and exposes an Engine bound
 // to it. The handle (and its engine) keeps working after the graph is
