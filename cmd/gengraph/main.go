@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/csr"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -71,7 +72,10 @@ func run() error {
 	if *weighted && !g.Weighted {
 		g = gen.AddUniformWeights(g, *seed+1)
 	}
-	if err := g.SavePair(*out); err != nil {
+	if err := csr.FromGraph(g, false).WriteFile(*out + "-push"); err != nil {
+		return err
+	}
+	if err := csr.FromGraph(g, true).WriteFile(*out + "-pull"); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s-push and %s-pull: %d vertices, %d edges, weighted=%v\n",

@@ -43,7 +43,6 @@ type Edge = graph.Edge
 // Graph is an immutable graph preprocessed into every engine
 // representation (CSR, CSC, and the Vector-Sparse VSS/VSD pair).
 type Graph struct {
-	src  *graph.Graph
 	core *core.Graph
 }
 
@@ -57,7 +56,7 @@ func NewGraph(numVertices int, edges []Edge, weighted bool) (*Graph, error) {
 }
 
 func wrap(g *graph.Graph) *Graph {
-	return &Graph{src: g, core: core.BuildGraph(g)}
+	return &Graph{core: core.BuildGraph(g)}
 }
 
 // LoadGraph reads a graph from a file in the repository's binary format
@@ -103,20 +102,26 @@ func GenerateDataset(name string, scale float64) (*Graph, error) {
 }
 
 // NumVertices returns the vertex count.
-func (g *Graph) NumVertices() int { return g.src.NumVertices }
+func (g *Graph) NumVertices() int { return g.core.N }
 
 // NumEdges returns the directed edge count.
-func (g *Graph) NumEdges() int { return g.src.NumEdges() }
+func (g *Graph) NumEdges() int { return g.core.Edges }
 
 // Weighted reports whether edges carry weights.
-func (g *Graph) Weighted() bool { return g.src.Weighted }
+func (g *Graph) Weighted() bool { return g.core.Weighted }
 
 // PackingEfficiency returns the Vector-Sparse packing efficiency of the
 // pull-direction (VSD) edge array — the Fig 9 metric.
 func (g *Graph) PackingEfficiency() float64 { return g.core.VSD.PackingEfficiency() }
 
-// Save writes the graph's "-push"/"-pull" binary file pair.
-func (g *Graph) Save(base string) error { return g.src.SavePair(base) }
+// Save writes the graph's "-push"/"-pull" binary file pair: its edges
+// grouped by source, from CSR, and by destination, from CSC.
+func (g *Graph) Save(base string) error {
+	if err := g.core.CSR.WriteFile(base + "-push"); err != nil {
+		return err
+	}
+	return g.core.CSC.WriteFile(base + "-pull")
+}
 
 // PullVariant selects the Edge-Pull inner-loop parallelization strategy.
 type PullVariant = core.PullVariant
@@ -342,7 +347,7 @@ func (e *Engine) Run(ctx context.Context, app string, p Params) (*AppResult, err
 	if ent.NeedsWeights && !e.g.Weighted() {
 		return nil, fmt.Errorf("grazelle: %s requires a weighted graph", ent.Title)
 	}
-	prog, err := ent.New(e.g.src, e.g.core, p)
+	prog, err := ent.New(e.g.core, p)
 	if err != nil {
 		return nil, err
 	}

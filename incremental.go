@@ -67,7 +67,8 @@ func (e *Engine) RunIncremental(ctx context.Context, app string, p Params, spec 
 		return res, false, err
 	}
 	plan, perr := ent.IncrementalSeed(apps.SeedInput{
-		Graph:           e.g.src,
+		Vertices:        e.g.NumVertices(),
+		Edges:           e.g.NumEdges(),
 		Params:          p,
 		Pred:            spec.PredProps,
 		Ops:             spec.Ops,
@@ -78,7 +79,7 @@ func (e *Engine) RunIncremental(ctx context.Context, app string, p Params, spec 
 		res, err = e.Run(ctx, app, p)
 		return res, false, err
 	}
-	prog, err := ent.New(e.g.src, e.g.core, p)
+	prog, err := ent.New(e.g.core, p)
 	if err != nil {
 		return nil, false, err
 	}

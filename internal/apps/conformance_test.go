@@ -45,7 +45,7 @@ func runConformance(t *testing.T, cg *core.Graph, g *graph.Graph, ent apps.Entry
 	t.Helper()
 	r := core.NewRunner(cg, core.Options{Workers: workers, ChunkVectors: 16})
 	defer r.Close()
-	prog, err := ent.New(g, cg, p)
+	prog, err := ent.New(cg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestRegistryRootValidation(t *testing.T) {
 		t.Run(ent.Name, func(t *testing.T) {
 			p := conformanceParams(ent)
 			p.Root = uint32(g.NumVertices)
-			if _, err := ent.New(g, apps.EdgeListScales{G: g}, p); err == nil {
+			if _, err := ent.New(core.BuildGraph(g), p); err == nil {
 				t.Error("out-of-range root accepted")
 			}
 		})
@@ -212,7 +212,7 @@ func TestRegistryApplyIdentityIsNoOp(t *testing.T) {
 					g = gen.AddUniformWeights(g, 42)
 				}
 				p := conformanceParams(ent)
-				prog, err := ent.New(g, apps.EdgeListScales{G: g}, p)
+				prog, err := ent.New(core.BuildGraph(g), p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -257,7 +257,7 @@ func TestRegistryMonotoneMinTrait(t *testing.T) {
 			g = gen.AddUniformWeights(g, 42)
 		}
 		p := conformanceParams(ent)
-		prog, err := ent.New(g, apps.EdgeListScales{G: g}, p)
+		prog, err := ent.New(core.BuildGraph(g), p)
 		if err != nil {
 			t.Fatal(err)
 		}

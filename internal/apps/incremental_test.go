@@ -108,7 +108,7 @@ func runSeeded(t *testing.T, g *graph.Graph, ent apps.Entry, p apps.Params, plan
 	t.Helper()
 	r := core.NewRunner(core.BuildGraph(g), core.Options{Workers: 2, ChunkVectors: 16})
 	defer r.Close()
-	prog, err := ent.New(g, r.Graph(), p)
+	prog, err := ent.New(r.Graph(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestRegistryConformanceIncremental(t *testing.T) {
 					}
 					g1 := graph.ApplyEdgeOps(g0, ops)
 					plan, err := ent.IncrementalSeed(apps.SeedInput{
-						Graph:           g1,
+						Vertices: g1.NumVertices, Edges: g1.NumEdges(),
 						Params:          p,
 						Pred:            pred,
 						Ops:             ops,
@@ -217,7 +217,7 @@ func fuzzSeedSetup() {
 		}
 		p := conformanceParams(ent)
 		r := core.NewRunner(core.BuildGraph(g), core.Options{Workers: 2, ChunkVectors: 16})
-		prog, err := ent.New(g, r.Graph(), p)
+		prog, err := ent.New(r.Graph(), p)
 		if err != nil {
 			panic(err)
 		}
@@ -264,7 +264,7 @@ func FuzzIncrementalSeed(f *testing.F) {
 		}
 		g1 := graph.ApplyEdgeOps(g0, ops)
 		plan, err := ent.IncrementalSeed(apps.SeedInput{
-			Graph:           g1,
+			Vertices: g1.NumVertices, Edges: g1.NumEdges(),
 			Params:          p,
 			Pred:            fuzzSeedPred[ent.Name],
 			Ops:             ops,

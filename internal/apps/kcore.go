@@ -1,8 +1,8 @@
 package apps
 
 import (
+	"repro/internal/csr"
 	"repro/internal/frontier"
-	"repro/internal/graph"
 )
 
 // KCoreDead is the property lane of a vertex peeled out of the k-core.
@@ -29,12 +29,13 @@ type KCore struct {
 	indeg []uint64
 }
 
-// NewKCore creates a k-core program for graph g with threshold k (negative
-// values clamp to 0, which keeps every vertex).
-func NewKCore(g *graph.Graph, k int) *KCore {
-	indeg := make([]uint64, g.NumVertices)
-	for _, e := range g.Edges {
-		indeg[e.Dst]++
+// NewKCore creates a k-core program with threshold k (negative values clamp
+// to 0, which keeps every vertex) for the graph whose edges in groups by
+// destination (CSC).
+func NewKCore(in *csr.Matrix, k int) *KCore {
+	indeg := make([]uint64, in.N)
+	for v := range indeg {
+		indeg[v] = in.Index[v+1] - in.Index[v]
 	}
 	if k < 0 {
 		k = 0

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/csr"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -13,9 +14,16 @@ import (
 // reproduce its textbook reference, plus targeted semantic checks on
 // hand-built graphs where the right answer is known by inspection.
 
+// newTriangleCount and newKCore build the programs from g's layouts.
+func newTriangleCount(g *graph.Graph) *TriangleCount {
+	return NewTriangleCount(csr.FromGraph(g, false), csr.FromGraph(g, true))
+}
+
+func newKCore(g *graph.Graph, k int) *KCore { return NewKCore(csr.FromGraph(g, true), k) }
+
 func TestTriangleCountMatchesReference(t *testing.T) {
 	for name, g := range testGraphs() {
-		res := RunSequential(NewTriangleCount(g), g, 1)
+		res := RunSequential(newTriangleCount(g), g, 1)
 		want := ReferenceTriangles(g)
 		for v := range want {
 			if res.Props[v] != want[v] {
@@ -31,7 +39,7 @@ func TestTriangleCountKnownGraphs(t *testing.T) {
 		AddEdge(0, 1).AddEdge(0, 2).AddEdge(0, 3).
 		AddEdge(1, 2).AddEdge(1, 3).AddEdge(2, 3).
 		MustBuild()
-	res := RunSequential(NewTriangleCount(k4), k4, 1)
+	res := RunSequential(newTriangleCount(k4), k4, 1)
 	if got := Triangles(res.Props); got != 4 {
 		t.Errorf("K4 triangles = %d, want 4", got)
 	}
@@ -48,8 +56,14 @@ func TestTriangleCountKnownGraphs(t *testing.T) {
 		AddEdge(1, 2). // duplicate
 		AddEdge(2, 2). // self-loop
 		MustBuild()
-	if got := Triangles(RunSequential(NewTriangleCount(messy), messy, 1).Props); got != 1 {
+	props := RunSequential(newTriangleCount(messy), messy, 1).Props
+	if got := Triangles(props); got != 1 {
 		t.Errorf("messy-closure triangles = %d, want 1", got)
+	}
+	for v, c := range props {
+		if c != 1 {
+			t.Errorf("messy-closure vertex %d local count = %d, want 1", v, c)
+		}
 	}
 }
 
@@ -74,7 +88,7 @@ func TestIntersectCountGallops(t *testing.T) {
 func TestKCoreMatchesReference(t *testing.T) {
 	for name, g := range testGraphs() {
 		for _, k := range []int{0, 1, 2, 3, 5} {
-			res := RunSequential(NewKCore(g, k), g, 1<<20)
+			res := RunSequential(newKCore(g, k), g, 1<<20)
 			want := ReferenceKCore(g, k)
 			for v := range want {
 				if res.Props[v] != want[v] {
@@ -94,7 +108,7 @@ func TestKCoreKnownGraph(t *testing.T) {
 		AddEdge(2, 0).AddEdge(0, 2).
 		AddEdge(0, 3).AddEdge(3, 0).
 		MustBuild()
-	props := RunSequential(NewKCore(g, 2), g, 1<<20).Props
+	props := RunSequential(newKCore(g, 2), g, 1<<20).Props
 	if got := InCore(props); got != 3 {
 		t.Fatalf("2-core size = %d, want 3", got)
 	}
@@ -108,10 +122,10 @@ func TestKCoreKnownGraph(t *testing.T) {
 		}
 	}
 	// k=0 keeps everyone; a huge k kills everyone.
-	if got := InCore(RunSequential(NewKCore(g, 0), g, 1<<20).Props); got != 4 {
+	if got := InCore(RunSequential(newKCore(g, 0), g, 1<<20).Props); got != 4 {
 		t.Errorf("0-core size = %d, want 4", got)
 	}
-	if got := InCore(RunSequential(NewKCore(g, 100), g, 1<<20).Props); got != 0 {
+	if got := InCore(RunSequential(newKCore(g, 100), g, 1<<20).Props); got != 0 {
 		t.Errorf("100-core size = %d, want 0", got)
 	}
 }
@@ -124,7 +138,7 @@ func TestKCoreCascade(t *testing.T) {
 		b.AddEdge(i, i+1).AddEdge(i+1, i)
 	}
 	g := b.MustBuild()
-	res := RunSequential(NewKCore(g, 2), g, 1<<20)
+	res := RunSequential(newKCore(g, 2), g, 1<<20)
 	if got := InCore(res.Props); got != 0 {
 		t.Errorf("path 2-core size = %d, want 0 (cascade)", got)
 	}

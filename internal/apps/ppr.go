@@ -27,7 +27,7 @@ type PersonalizedPageRank struct {
 // root with damping 0.85 from an edge list (O(E)); the registry uses
 // PersonalizedPageRankOn.
 func NewPersonalizedPageRank(g *graph.Graph, root uint32) *PersonalizedPageRank {
-	return PersonalizedPageRankOn(EdgeListScales{g}.RankScale(false), root)
+	return PersonalizedPageRankOn(EdgeListRankScale(g, false), root)
 }
 
 // PersonalizedPageRankOn creates a personalized PageRank program rooted at

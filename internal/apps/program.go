@@ -87,7 +87,7 @@ type PageRank struct {
 // list, computing the rank scale on the spot (O(E)); the registry builds the
 // same program on a version's memoized scale with PageRankOn.
 func NewPageRank(g *graph.Graph) *PageRank {
-	return PageRankOn(EdgeListScales{g}.RankScale(false))
+	return PageRankOn(EdgeListRankScale(g, false))
 }
 
 // PageRankOn creates a PageRank program with damping 0.85 on an unweighted
@@ -420,7 +420,7 @@ type WeightedRank struct {
 // from its edge list (O(E), plus the grouping the canonical summation order
 // needs); the registry uses WeightedRankOn.
 func NewWeightedRank(g *graph.Graph) *WeightedRank {
-	return WeightedRankOn(EdgeListScales{g}.RankScale(true))
+	return WeightedRankOn(EdgeListRankScale(g, true))
 }
 
 // WeightedRankOn creates the weighted-rank program on a weighted rank scale.

@@ -19,10 +19,16 @@ type RankScale struct {
 	Dangling []uint32
 }
 
-// Scales supplies a graph version's rank scales to Entry.New. core.Graph
-// memoizes them beside its layouts, so a query pays nothing per run;
-// EdgeListScales computes them from an edge list on every call.
-type Scales interface {
+// Layouts is what Entry.New reads of one graph version: its vertex count,
+// its edges grouped by source and by destination, and its rank scales, which
+// cost nothing unless a program asks for one. core.Graph implements it,
+// memoizing the scales beside its layouts, so a query pays nothing per run.
+type Layouts interface {
+	// NumVertices returns the vertex count.
+	NumVertices() int
+	// Matrices returns the edges grouped by source (CSR) and by destination
+	// (CSC). Both are shared and read-only.
+	Matrices() (out, in *csr.Matrix)
 	// RankScale returns the unweighted (1/outdeg) or weighted (1/Σw) scale.
 	// The result is shared and read-only.
 	RankScale(weighted bool) *RankScale
@@ -74,20 +80,17 @@ func (s *RankScale) danglingMass(props []uint64) float64 {
 	return sum
 }
 
-// EdgeListScales computes rank scales from an edge list, an O(E) pass on
-// every call: the Scales of a caller that holds no core.Graph (the harness's
+// EdgeListRankScale computes a rank scale from an edge list, an O(E) pass
+// on every call: for a caller that holds no core.Graph (the harness's
 // baseline figures, the sequential interpreter, tests). The values equal
 // core.Graph's for the same graph.
-type EdgeListScales struct{ G *graph.Graph }
-
-// RankScale implements Scales.
-func (e EdgeListScales) RankScale(weighted bool) *RankScale {
+func EdgeListRankScale(g *graph.Graph, weighted bool) *RankScale {
 	if weighted {
 		// Canonical (CSR) summation order takes the grouping, so build it.
-		return NewRankScale(csr.FromGraph(e.G, false), true)
+		return NewRankScale(csr.FromGraph(g, false), true)
 	}
-	s := &RankScale{Inv: make([]float64, e.G.NumVertices)}
-	for v, d := range e.G.OutDegrees() {
+	s := &RankScale{Inv: make([]float64, g.NumVertices)}
+	for v, d := range g.OutDegrees() {
 		s.set(v, float64(d))
 	}
 	return s

@@ -82,11 +82,10 @@ type Entry struct {
 	// compares against the reference with a relative tolerance instead of
 	// exact equality (the reference accumulates in a different order).
 	FloatLanes bool
-	// New constructs the Program for one run on one graph version: g is its
-	// edge list and s its rank scales, which cost nothing unless the program
-	// asks for one. It validates params against the graph (e.g. root in
-	// range).
-	New func(g *graph.Graph, s Scales, p Params) (Program, error)
+	// New constructs the Program for one run on one graph version, reading
+	// what it needs of the version's layouts. It validates params against the
+	// graph (e.g. root in range).
+	New func(g Layouts, p Params) (Program, error)
 	// MaxIters is the engine iteration bound (effectively unbounded for
 	// fixpoint apps).
 	MaxIters func(p Params) int
@@ -293,9 +292,9 @@ func countFinite(props []uint64) int {
 	return n
 }
 
-func checkRoot(g *graph.Graph, root uint32) error {
-	if int(root) >= g.NumVertices {
-		return fmt.Errorf("root %d out of range (graph has %d vertices)", root, g.NumVertices)
+func checkRoot(n int, root uint32) error {
+	if int(root) >= n {
+		return fmt.Errorf("root %d out of range (graph has %d vertices)", root, n)
 	}
 	return nil
 }
@@ -315,8 +314,8 @@ func init() {
 		Uses:        ParamIters,
 		Defaults:    Params{Iters: 16},
 		FloatLanes:  true,
-		New: func(_ *graph.Graph, s Scales, _ Params) (Program, error) {
-			return PageRankOn(s.RankScale(false)), nil
+		New: func(g Layouts, _ Params) (Program, error) {
+			return PageRankOn(g.RankScale(false)), nil
 		},
 		MaxIters: func(p Params) int { return p.Iters },
 		Reference: func(g *graph.Graph, p Params) []uint64 {
@@ -338,8 +337,8 @@ func init() {
 		Defaults:     Params{Iters: 16},
 		NeedsWeights: true,
 		FloatLanes:   true,
-		New: func(_ *graph.Graph, s Scales, _ Params) (Program, error) {
-			return WeightedRankOn(s.RankScale(true)), nil
+		New: func(g Layouts, _ Params) (Program, error) {
+			return WeightedRankOn(g.RankScale(true)), nil
 		},
 		MaxIters: func(p Params) int { return p.Iters },
 		Reference: func(g *graph.Graph, p Params) []uint64 {
@@ -356,7 +355,7 @@ func init() {
 		Name:        "cc",
 		Title:       "ConnectedComponents",
 		Description: "min-label propagation to a fixpoint (components on symmetric graphs)",
-		New: func(*graph.Graph, Scales, Params) (Program, error) {
+		New: func(Layouts, Params) (Program, error) {
 			return NewConnComp(), nil
 		},
 		MaxIters: func(Params) int { return 1 << 30 },
@@ -379,8 +378,8 @@ func init() {
 		Title:       "BFS",
 		Description: "breadth-first search from root, minimum-id parent selection",
 		Uses:        ParamRoot,
-		New: func(g *graph.Graph, _ Scales, p Params) (Program, error) {
-			if err := checkRoot(g, p.Root); err != nil {
+		New: func(g Layouts, p Params) (Program, error) {
+			if err := checkRoot(g.NumVertices(), p.Root); err != nil {
 				return nil, err
 			}
 			return NewBFS(p.Root), nil
@@ -411,8 +410,8 @@ func init() {
 		Uses:         ParamRoot,
 		NeedsWeights: true,
 		FloatLanes:   true,
-		New: func(g *graph.Graph, _ Scales, p Params) (Program, error) {
-			if err := checkRoot(g, p.Root); err != nil {
+		New: func(g Layouts, p Params) (Program, error) {
+			if err := checkRoot(g.NumVertices(), p.Root); err != nil {
 				return nil, err
 			}
 			return NewSSSP(p.Root), nil
@@ -437,8 +436,8 @@ func init() {
 		Name:        "tc",
 		Title:       "TriangleCount",
 		Description: "per-vertex triangle counting over the undirected simple closure",
-		New: func(g *graph.Graph, _ Scales, _ Params) (Program, error) {
-			return NewTriangleCount(g), nil
+		New: func(g Layouts, _ Params) (Program, error) {
+			return NewTriangleCount(g.Matrices()), nil
 		},
 		MaxIters: func(Params) int { return 1 },
 		Reference: func(g *graph.Graph, _ Params) []uint64 {
@@ -462,8 +461,9 @@ func init() {
 		Description: "k-core decomposition by synchronous peeling (directed in-degrees)",
 		Uses:        ParamK,
 		Defaults:    Params{K: 2},
-		New: func(g *graph.Graph, _ Scales, p Params) (Program, error) {
-			return NewKCore(g, p.K), nil
+		New: func(g Layouts, p Params) (Program, error) {
+			_, in := g.Matrices()
+			return NewKCore(in, p.K), nil
 		},
 		MaxIters: func(Params) int { return 1 << 30 },
 		Reference: func(g *graph.Graph, p Params) []uint64 {
@@ -489,7 +489,7 @@ func init() {
 		Description: "community detection by salted min-hash label propagation",
 		Uses:        ParamIters,
 		Defaults:    Params{Iters: 16},
-		New: func(*graph.Graph, Scales, Params) (Program, error) {
+		New: func(Layouts, Params) (Program, error) {
 			return NewLabelProp(), nil
 		},
 		MaxIters: func(p Params) int { return p.Iters },
@@ -513,11 +513,11 @@ func init() {
 		Uses:        ParamIters | ParamRoot,
 		Defaults:    Params{Iters: 16},
 		FloatLanes:  true,
-		New: func(g *graph.Graph, s Scales, p Params) (Program, error) {
-			if err := checkRoot(g, p.Root); err != nil {
+		New: func(g Layouts, p Params) (Program, error) {
+			if err := checkRoot(g.NumVertices(), p.Root); err != nil {
 				return nil, err
 			}
-			return PersonalizedPageRankOn(s.RankScale(false), p.Root), nil
+			return PersonalizedPageRankOn(g.RankScale(false), p.Root), nil
 		},
 		MaxIters: func(p Params) int { return p.Iters },
 		Reference: func(g *graph.Graph, p Params) []uint64 {

@@ -40,15 +40,16 @@ var (
 	ErrSeedUnknown  = errors.New("apps: seed: predecessor counts unknown")
 )
 
-// SeedInput is what a planner sees: the successor graph a query is about to
-// run on, the normalized params, the predecessor version's final property
-// lanes, and the delta connecting predecessor to successor. The predecessor
-// graph itself is NOT available — by the time a query arrives the old
+// SeedInput is what a planner sees: the dimensions of the successor graph a
+// query is about to run on, the normalized params, the predecessor version's
+// final property lanes, and the delta connecting predecessor to successor.
+// Neither graph's edges are available — by the time a query arrives the old
 // version's materialized form may be gone — so every rule must be stated in
 // terms of the ops, the predecessor lanes, and the recorded counts.
 type SeedInput struct {
-	// Graph is the new (successor) version's edge list.
-	Graph *graph.Graph
+	// Vertices and Edges are the new (successor) version's vertex and edge
+	// counts.
+	Vertices, Edges int
 	// Params are the normalized run parameters (identical to the
 	// predecessor run's, by cache-key construction).
 	Params Params
@@ -66,7 +67,7 @@ type SeedInput struct {
 // SeedPlan is a planner's accepted warm start.
 type SeedPlan struct {
 	// Props are the starting lanes for the new graph (length =
-	// Graph.NumVertices).
+	// SeedInput.Vertices).
 	Props []uint64
 	// Frontier lists the delta-touched vertices active in the first
 	// iteration (unused for Direct plans).
@@ -144,15 +145,15 @@ func deltaFrontier(ops []graph.EdgeOp, n int) []uint32 {
 // (weights may have changed, which rank ignores), so the topology is
 // unchanged and the predecessor result IS the new result.
 func seedRankDirect(in SeedInput) (*SeedPlan, error) {
-	n := in.Graph.NumVertices
+	n := in.Vertices
 	if len(in.Pred) != n {
 		return nil, fmt.Errorf("%w: %d lanes for %d vertices", ErrSeedShape, len(in.Pred), n)
 	}
 	if !in.FromCountsKnown {
 		return nil, ErrSeedUnknown
 	}
-	if in.Graph.NumEdges() != in.FromEdges {
-		return nil, fmt.Errorf("%w: edge count %d -> %d", ErrSeedTopology, in.FromEdges, in.Graph.NumEdges())
+	if in.Edges != in.FromEdges {
+		return nil, fmt.Errorf("%w: edge count %d -> %d", ErrSeedTopology, in.FromEdges, in.Edges)
 	}
 	for _, op := range finalOps(in.Ops) {
 		if op.Delete {
@@ -181,7 +182,7 @@ func seedCC(in SeedInput) (*SeedPlan, error) {
 			return nil, ErrSeedDeletes
 		}
 	}
-	n := in.Graph.NumVertices
+	n := in.Vertices
 	props, err := extendLanes(in.Pred, n, func(v int) uint64 { return uint64(v) })
 	if err != nil {
 		return nil, err
@@ -223,7 +224,7 @@ func seedSSSP(in SeedInput) (*SeedPlan, error) {
 			}
 		}
 	}
-	n := in.Graph.NumVertices
+	n := in.Vertices
 	props, err := extendLanes(in.Pred, n, func(int) uint64 { return Inf })
 	if err != nil {
 		return nil, err
@@ -276,7 +277,7 @@ func seedBFS(in SeedInput) (*SeedPlan, error) {
 			return nil, fmt.Errorf("%w: edge %d->%d lowers parent id", ErrSeedTopology, op.Src, op.Dst)
 		}
 	}
-	props, err := extendLanes(in.Pred, in.Graph.NumVertices, func(int) uint64 { return NoParent })
+	props, err := extendLanes(in.Pred, in.Vertices, func(int) uint64 { return NoParent })
 	if err != nil {
 		return nil, err
 	}

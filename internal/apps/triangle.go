@@ -1,10 +1,11 @@
 package apps
 
 import (
+	"slices"
 	"sort"
 
+	"repro/internal/csr"
 	"repro/internal/frontier"
-	"repro/internal/graph"
 )
 
 // TriangleCount counts, per vertex, the triangles of the graph's undirected
@@ -20,26 +21,15 @@ type TriangleCount struct {
 	adj [][]uint32 // sorted unique undirected neighbors, self-loops dropped
 }
 
-// NewTriangleCount creates a triangle-counting program for graph g.
-func NewTriangleCount(g *graph.Graph) *TriangleCount {
-	adj := make([][]uint32, g.NumVertices)
-	for _, e := range g.Edges {
-		if e.Src == e.Dst {
-			continue
-		}
-		adj[e.Src] = append(adj[e.Src], e.Dst)
-		adj[e.Dst] = append(adj[e.Dst], e.Src)
-	}
+// NewTriangleCount creates a triangle-counting program for the graph whose
+// edges out groups by source (CSR) and in by destination (CSC): a vertex's
+// undirected neighbors are the union of its two groups.
+func NewTriangleCount(out, in *csr.Matrix) *TriangleCount {
+	adj := make([][]uint32, out.N)
 	for v := range adj {
-		n := adj[v]
-		sort.Slice(n, func(i, j int) bool { return n[i] < n[j] })
-		out := n[:0]
-		for i, u := range n {
-			if i == 0 || u != n[i-1] {
-				out = append(out, u)
-			}
-		}
-		adj[v] = out
+		n := slices.Concat(out.Edges(uint32(v)), in.Edges(uint32(v)))
+		slices.Sort(n)
+		adj[v] = slices.DeleteFunc(slices.Compact(n), func(u uint32) bool { return u == uint32(v) })
 	}
 	return &TriangleCount{adj: adj}
 }

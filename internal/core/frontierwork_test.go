@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/csr"
 	"repro/internal/frontier"
 	"repro/internal/graph"
 	"repro/internal/perfmodel"
@@ -44,7 +45,7 @@ func frontierWorkApps(g *graph.Graph, root uint32) []frontierWorkApp {
 		{"bfs", func() apps.Program { return apps.NewBFS(root) }, apps.ReferenceBFS(g, root)},
 		{"cc", func() apps.Program { return apps.NewConnComp() }, ccBits},
 		{"sssp", func() apps.Program { return apps.NewSSSP(root) }, distBits},
-		{"kcore", func() apps.Program { return apps.NewKCore(g, 3) }, apps.ReferenceKCore(g, 3)},
+		{"kcore", func() apps.Program { return apps.NewKCore(csr.FromGraph(g, true), 3) }, apps.ReferenceKCore(g, 3)},
 	}
 }
 

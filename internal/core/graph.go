@@ -21,7 +21,9 @@ import (
 // Graph holds every preprocessed representation the engines consume. As in
 // the paper (§5), two edge lists are kept: one grouped by source (VSS, used
 // by Edge-Push) and one grouped by destination (VSD, used by Edge-Pull),
-// with Compressed-Sparse views retained for the scalar kernels.
+// with Compressed-Sparse views retained for the scalar kernels. It is the
+// whole of a served graph version: no edge list is kept beside it, and what
+// needs one rebuilds it from CSR (csr.Matrix.ToGraph, WriteFile).
 type Graph struct {
 	// N is the vertex count.
 	N int
@@ -29,11 +31,6 @@ type Graph struct {
 	CSR, CSC *csr.Matrix
 	// VSS and VSD are the Vector-Sparse encodings of CSR and CSC (Fig 4).
 	VSS, VSD *vsparse.Array
-	// EdgeDst maps each CSC edge-array position to its destination (the
-	// top-level vertex owning that position). The scalar pull kernels chunk
-	// over edges and need the destination without walking the vertex index,
-	// mirroring what the embedded top-level id provides in Vector-Sparse.
-	EdgeDst []uint32
 	// Weighted reports whether edge weights are present.
 	Weighted bool
 	// Edges is the directed edge count.
@@ -58,8 +55,7 @@ type lazyScale struct {
 // accounting. The lazily-built rank scales are counted only once built.
 func (g *Graph) MemoryBytes() int64 {
 	total := g.CSR.MemoryBytes() + g.CSC.MemoryBytes() +
-		g.VSS.MemoryBytes() + g.VSD.MemoryBytes() +
-		int64(len(g.EdgeDst))*4
+		g.VSS.MemoryBytes() + g.VSD.MemoryBytes()
 	for i := range g.scales {
 		if s := g.scales[i].p.Load(); s != nil {
 			total += s.MemoryBytes()
@@ -68,7 +64,13 @@ func (g *Graph) MemoryBytes() int64 {
 	return total
 }
 
-// RankScale implements apps.Scales: the version's 1/outdeg (or 1/Σw) array
+// NumVertices implements apps.Layouts.
+func (g *Graph) NumVertices() int { return g.N }
+
+// Matrices implements apps.Layouts.
+func (g *Graph) Matrices() (out, in *csr.Matrix) { return g.CSR, g.CSC }
+
+// RankScale implements apps.Layouts: the version's 1/outdeg (or 1/Σw) array
 // and dangling list, computed from CSR on the first call — O(N), plus one
 // pass over CSR.Weights for the weighted one — and shared by every program
 // built on this version afterwards.
@@ -92,22 +94,9 @@ func BuildGraph(g *graph.Graph) *Graph {
 		CSC:      cscM,
 		VSS:      vsparse.FromCSR(csrM),
 		VSD:      vsparse.FromCSR(cscM),
-		EdgeDst:  edgeDst(cscM),
 		Weighted: g.Weighted,
 		Edges:    g.NumEdges(),
 	}
-}
-
-// edgeDst expands a CSC index into the per-position destination array.
-func edgeDst(cscM *csr.Matrix) []uint32 {
-	dst := make([]uint32, cscM.NumEdges())
-	for v := uint32(0); int(v) < cscM.N; v++ {
-		lo, hi := cscM.Index[v], cscM.Index[v+1]
-		for i := lo; i < hi; i++ {
-			dst[i] = v
-		}
-	}
-	return dst
 }
 
 // PatchGraph returns BuildGraph(graph.ApplyEdgeOps(src, ops)), byte for
@@ -142,7 +131,6 @@ func PatchGraph(prev *Graph, ops []graph.EdgeOp) *Graph {
 		CSC:      cscM,
 		VSS:      prev.VSS.Patch(csrM, srcTouched),
 		VSD:      prev.VSD.Patch(cscM, dstTouched),
-		EdgeDst:  edgeDst(cscM),
 		Weighted: prev.Weighted,
 		Edges:    csrM.NumEdges(),
 	}

@@ -150,7 +150,7 @@ func runIncrCold(t *testing.T, cg *Graph, g *graph.Graph, ent apps.Entry, p apps
 	t.Helper()
 	r := NewRunner(cg, Options{Workers: workers, ChunkVectors: 16})
 	defer r.Close()
-	prog, err := ent.New(g, cg, p)
+	prog, err := ent.New(cg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func runIncrSeeded(t *testing.T, cg *Graph, g *graph.Graph, ent apps.Entry, p ap
 	t.Helper()
 	r := NewRunner(cg, Options{Workers: workers, ChunkVectors: 16})
 	defer r.Close()
-	prog, err := ent.New(g, cg, p)
+	prog, err := ent.New(cg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestIncrementalMetamorphicEquivalence(t *testing.T) {
 						}
 						g1 := graph.ApplyEdgeOps(g0, ops)
 						plan, err := ent.IncrementalSeed(apps.SeedInput{
-							Graph:           g1,
+							Vertices: g1.NumVertices, Edges: g1.NumEdges(),
 							Params:          p,
 							Pred:            pred,
 							Ops:             ops,
@@ -304,7 +304,7 @@ func TestIncrementalDeletionFallback(t *testing.T) {
 			}
 			g1 := graph.ApplyEdgeOps(g0, ops)
 			if _, err := ent.IncrementalSeed(apps.SeedInput{
-				Graph:           g1,
+				Vertices: g1.NumVertices, Edges: g1.NumEdges(),
 				Params:          p,
 				Pred:            pred,
 				Ops:             ops,
@@ -334,7 +334,7 @@ func TestIncrementalSeedFaultDegradesToCold(t *testing.T) {
 	ops := freshInserts(base, 16)
 	g1 := graph.ApplyEdgeOps(base, ops)
 	plan, err := ent.IncrementalSeed(apps.SeedInput{
-		Graph: g1, Params: p, Pred: pred, Ops: ops,
+		Vertices: g1.NumVertices, Edges: g1.NumEdges(), Params: p, Pred: pred, Ops: ops,
 		FromEdges: base.NumEdges(), FromCountsKnown: true,
 	})
 	if err != nil {
@@ -373,7 +373,7 @@ func TestIncrementalSeedFaultDirectPlan(t *testing.T) {
 	ops := uniquePairReasserts(base, 8)
 	g1 := graph.ApplyEdgeOps(base, ops)
 	plan, err := ent.IncrementalSeed(apps.SeedInput{
-		Graph: g1, Params: p, Pred: pred, Ops: ops,
+		Vertices: g1.NumVertices, Edges: g1.NumEdges(), Params: p, Pred: pred, Ops: ops,
 		FromEdges: base.NumEdges(), FromCountsKnown: true,
 	})
 	if err != nil {

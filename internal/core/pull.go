@@ -1,10 +1,12 @@
 package core
 
 import (
+	"sort"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/csr"
 	"repro/internal/numa"
 	"repro/internal/perfmodel"
 	"repro/internal/sched"
@@ -570,23 +572,24 @@ func edgePullSAScalar[P apps.Program](r *ExecContext, p P) {
 	tracksConv := p.TracksConverged()
 	weighted := p.Weighted() && m.Weights != nil
 	props, accum := r.props, r.accum
-	edgeDst := r.g.EdgeDst
 	rec := r.edgeRec
 	fz := fuseFor(p, weighted)
 	edgePart := r.edgePartition()
 
 	r.dispatch(edgePart, chunkSize, rec, func(rg sched.Range, chunkID, tid, node int) {
 		var c perfmodel.Counters
-		prev := edgeDst[rg.Lo]
+		dst := dstAt(m, rg.Lo)
 		acc := identity
 		for i := rg.Lo; i < rg.Hi; i++ {
-			dst := edgeDst[i]
-			if dst != prev {
+			if uint64(i) == m.Index[dst+1] {
 				if acc != identity {
-					accum[prev] = p.Combine(accum[prev], acc)
+					accum[dst] = p.Combine(accum[dst], acc)
 					c.SharedWrites++
 				}
-				prev, acc = dst, identity
+				for uint64(i) == m.Index[dst+1] {
+					dst++
+				}
+				acc = identity
 			}
 			if tracksConv && r.conv.Contains(dst) {
 				c.FrontierSkips++
@@ -612,10 +615,16 @@ func edgePullSAScalar[P apps.Program](r *ExecContext, p P) {
 				}
 			}
 		}
-		r.mergeBuf.Save(chunkID, prev, acc)
+		r.mergeBuf.Save(chunkID, dst, acc)
 		rec.Record(tid, c)
 	})
 	mergeAccum(r, p, identity)
+}
+
+// dstAt returns the destination whose run in the CSC edge array holds
+// position i, by one search of the index.
+func dstAt(m *csr.Matrix, i int) uint32 {
+	return uint32(sort.Search(m.N, func(v int) bool { return m.Index[v+1] > uint64(i) }))
 }
 
 // edgePullTraditionalScalar is the traditional interface on
@@ -639,7 +648,6 @@ func edgePullTraditionalScalar[P apps.Program](r *ExecContext, p P, useAtomics b
 	skipEqual := p.SkipEqualWrites()
 	weighted := p.Weighted() && m.Weights != nil
 	props, accum := r.props, r.accum
-	edgeDst := r.g.EdgeDst
 	rec := r.edgeRec
 	fz := fuseFor(p, weighted)
 	edgePart := r.edgePartition()
@@ -647,16 +655,10 @@ func edgePullTraditionalScalar[P apps.Program](r *ExecContext, p P, useAtomics b
 	r.mergeBuf.Grow(2 * (sched.NumChunks(total, chunkSize) + r.topo.Nodes))
 	r.dispatch(edgePart, chunkSize, rec, func(rg sched.Range, chunkID, tid, node int) {
 		var c perfmodel.Counters
-		lastDst := edgeDst[rg.Hi-1]
-		suffixStart := rg.Hi - 1
-		for suffixStart > rg.Lo && edgeDst[suffixStart-1] == lastDst {
-			suffixStart--
-		}
-		firstDst := edgeDst[rg.Lo]
-		prefixEnd := rg.Lo
-		for prefixEnd < suffixStart && edgeDst[prefixEnd] == firstDst {
-			prefixEnd++
-		}
+		lastDst := dstAt(m, rg.Hi-1)
+		suffixStart := max(int(m.Index[lastDst]), rg.Lo)
+		firstDst := dstAt(m, rg.Lo)
+		prefixEnd := min(int(m.Index[firstDst+1]), suffixStart)
 		gather := func(lo, hi int, dst uint32) uint64 {
 			acc := identity
 			if tracksConv && r.conv.Contains(dst) {
@@ -681,8 +683,11 @@ func edgePullTraditionalScalar[P apps.Program](r *ExecContext, p P, useAtomics b
 		}
 		r.mergeBuf.Save(2*chunkID, firstDst, gather(rg.Lo, prefixEnd, firstDst))
 		r.mergeBuf.Save(2*chunkID+1, lastDst, gather(suffixStart, rg.Hi, lastDst))
+		dst := firstDst
 		for i := prefixEnd; i < suffixStart; i++ {
-			dst := edgeDst[i]
+			for uint64(i) == m.Index[dst+1] {
+				dst++
+			}
 			if tracksConv && r.conv.Contains(dst) {
 				c.FrontierSkips++
 				continue

@@ -157,7 +157,7 @@ func TestSpanPullPinnedToTwoGatherKernel(t *testing.T) {
 				{Options{Workers: 2, ChunkVectors: 16}, tc.grid},
 			} {
 				run.opt.AblateSIMD = goTwin
-				prog, err := ent.New(tc.g, cg, p)
+				prog, err := ent.New(cg, p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -226,7 +226,7 @@ func TestSpanPullKeepsOtherPaths(t *testing.T) {
 		{"cc unfused", unfused{apps.NewConnComp()}, Options{}, 0, false},
 		{"bfs", apps.NewBFS(c.Root), Options{}, 0, false},
 		{"sssp", apps.NewSSSP(c.Root), Options{}, 0, false},
-		{"kcore", apps.NewKCore(c.G, 3), Options{}, 0, false},
+		{"kcore", apps.NewKCore(cg.CSC, 3), Options{}, 0, false},
 	} {
 		tc.opt.Workers = 1
 		r := NewRunner(cg, tc.opt)

@@ -37,7 +37,7 @@ func TestRankScalePerVersion(t *testing.T) {
 			{"mutated", merged, []*Graph{patched, rebuilt}},
 		} {
 			for _, weighted := range []bool{false, true} {
-				want := apps.EdgeListScales{G: v.g}.RankScale(weighted)
+				want := apps.EdgeListRankScale(v.g, weighted)
 				if len(want.Inv) != v.g.NumVertices || !slices.IsSorted(want.Dangling) {
 					t.Fatalf("%s/%s weighted=%v: edge-list scale has %d entries, dangling %v", c.Name, v.name, weighted, len(want.Inv), want.Dangling)
 				}
@@ -65,7 +65,7 @@ func TestRankScalePerVersion(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prog, err := ent.New(merged, patched, apps.Params{Iters: 1})
+			prog, err := ent.New(patched, apps.Params{Iters: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,7 +117,7 @@ func BenchmarkNewRankProgram(b *testing.B) {
 						cg.scales = [2]lazyScale{} // a version nobody has ranked yet
 						b.StartTimer()
 					}
-					if sinkProgram, err = ent.New(g, cg, apps.Params{Iters: 1}); err != nil {
+					if sinkProgram, err = ent.New(cg, apps.Params{Iters: 1}); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -31,9 +31,9 @@ type Runner struct {
 	ownPool bool
 	topo    numa.Topology
 
-	// partitions of the two vector arrays across simulated NUMA nodes.
-	pullPart, pushPart numa.Partition
-	propOwner          numa.PropertyMap
+	// pullPart partitions the VSD vector array across simulated NUMA nodes.
+	pullPart  numa.Partition
+	propOwner numa.PropertyMap
 
 	// mergeSlots sizes each ExecContext's merge buffer for the worst-case
 	// chunk count across phases.
@@ -45,7 +45,11 @@ type Runner struct {
 	pullChunkSize, inPlaceChunkSize int
 
 	closeOnce sync.Once
-	ctxPool   sync.Pool
+	// idle holds released ExecContexts for reuse. Not a sync.Pool, which
+	// keeps the Runner holding it, graph included, reachable for two GC
+	// cycles after its last use (DESIGN.md §7).
+	idleMu sync.Mutex
+	idle   []*ExecContext
 }
 
 // ExecContext is the per-run half: property and accumulator arrays, frontier
@@ -125,7 +129,6 @@ func NewRunner(g *Graph, opt Options) *Runner {
 		panic("core: topology workers != pool workers")
 	}
 	r.pullPart = numa.PartitionEven(g.VSD.NumVectors(), r.topo.Nodes)
-	r.pushPart = numa.PartitionEven(g.VSS.NumVectors(), r.topo.Nodes)
 	r.propOwner = numa.NewPropertyMap(g.N, r.topo)
 	maxVectors := g.VSD.NumVectors()
 	if g.CSC.NumEdges() > maxVectors {
@@ -200,25 +203,33 @@ func (r *Runner) NewContext() *ExecContext {
 	return ec
 }
 
-// acquire recycles an ExecContext from the Runner's pool. The props array
-// may have been detached by a previous release (run results hand it to the
+// acquire recycles an idle ExecContext, or makes one. The props array may
+// have been detached by a previous release (run results hand it to the
 // caller), so it is reallocated on demand.
 func (r *Runner) acquire() *ExecContext {
-	if ec, ok := r.ctxPool.Get().(*ExecContext); ok {
-		if ec.props == nil {
-			ec.props = make([]uint64, r.g.N)
-		}
-		return ec
+	r.idleMu.Lock()
+	var ec *ExecContext
+	if n := len(r.idle); n > 0 {
+		ec, r.idle = r.idle[n-1], r.idle[:n-1]
 	}
-	return r.NewContext()
+	r.idleMu.Unlock()
+	if ec == nil {
+		return r.NewContext()
+	}
+	if ec.props == nil {
+		ec.props = make([]uint64, r.g.N)
+	}
+	return ec
 }
 
-// release returns an ExecContext to the recycling pool. The caller must
-// have detached any state it handed out (Result.Props).
+// release returns an ExecContext to the idle list. The caller must have
+// detached any state it handed out (Result.Props).
 func (r *Runner) release(ec *ExecContext) {
 	ec.ctx, ec.done = context.Background(), nil
 	ec.runErr.Store(nil)
-	r.ctxPool.Put(ec)
+	r.idleMu.Lock()
+	r.idle = append(r.idle, ec)
+	r.idleMu.Unlock()
 	if r.opt.OnRelease != nil {
 		r.opt.OnRelease()
 	}

@@ -8,6 +8,8 @@ package csr
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -141,29 +143,41 @@ func sortGroup(neigh []uint32, w []float32) {
 }
 
 // ToGraph reconstructs the edge list the matrix encodes, always in
-// (src, dst) orientation regardless of grouping.
+// (src, dst) orientation regardless of grouping, in the matrix's order.
 func (m *Matrix) ToGraph() *graph.Graph {
 	g := &graph.Graph{NumVertices: m.N, Weighted: m.Weights != nil}
-	g.Edges = make([]graph.Edge, 0, len(m.Neigh))
-	for v := uint32(0); int(v) < m.N; v++ {
-		lo, hi := m.Index[v], m.Index[v+1]
-		for i := lo; i < hi; i++ {
-			e := graph.Edge{Src: v, Dst: m.Neigh[i]}
-			if m.ByDest {
-				e.Src, e.Dst = e.Dst, e.Src
-			}
-			if m.Weights != nil {
-				e.Weight = m.Weights[i]
-			}
-			g.Edges = append(g.Edges, e)
-		}
-	}
+	g.Edges = slices.AppendSeq(make([]graph.Edge, 0, len(m.Neigh)), m.all())
 	return g
 }
 
-// Transpose converts CSR to CSC or vice versa, preserving the edge set.
-func (m *Matrix) Transpose() *Matrix {
-	return FromGraph(m.ToGraph(), !m.ByDest)
+// WriteFile persists the edges the matrix encodes as a graph file
+// (graph.ReadFile reads it back), streamed out of the matrix in its order:
+// by (src, dst) for CSR, by (dst, src) for CSC. FromGraph is a stable scatter
+// followed by a stable per-group sort, so FromGraph of either grouping over
+// the file's edges rebuilds the matrices of the graph m came from byte for
+// byte, duplicate edges and their weights included.
+func (m *Matrix) WriteFile(path string) error {
+	return graph.WriteEdgesFile(path, m.N, m.NumEdges(), m.Weights != nil, m.all())
+}
+
+// all yields every edge in (src, dst) orientation, in the matrix's order.
+func (m *Matrix) all() iter.Seq[graph.Edge] {
+	return func(yield func(graph.Edge) bool) {
+		for v := uint32(0); int(v) < m.N; v++ {
+			for i := m.Index[v]; i < m.Index[v+1]; i++ {
+				e := graph.Edge{Src: v, Dst: m.Neigh[i]}
+				if m.ByDest {
+					e.Src, e.Dst = e.Dst, e.Src
+				}
+				if m.Weights != nil {
+					e.Weight = m.Weights[i]
+				}
+				if !yield(e) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // Validate checks structural invariants: a monotone index covering Neigh

@@ -2,6 +2,7 @@ package csr
 
 import (
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
@@ -84,16 +85,53 @@ func TestToGraphRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTransposeDuality: the edges CSR holds, regrouped by destination, are
+// the CSC built from the original list.
 func TestTransposeDuality(t *testing.T) {
 	g := gen.RMAT(8, 600, gen.DefaultRMAT, 5)
-	csrM := FromGraph(g, false)
-	cscM := FromGraph(g, true)
-	tr := csrM.Transpose()
-	if !tr.ByDest {
-		t.Fatal("transpose of CSR should be CSC")
+	if !reflect.DeepEqual(FromGraph(FromGraph(g, false).ToGraph(), true), FromGraph(g, true)) {
+		t.Error("CSC of CSR's edges != direct CSC construction")
 	}
-	if !reflect.DeepEqual(tr.Index, cscM.Index) || !reflect.DeepEqual(tr.Neigh, cscM.Neigh) {
-		t.Error("Transpose(CSR) != direct CSC construction")
+}
+
+// TestWriteFilePair: the "-push" file CSR writes and the "-pull" file CSC
+// writes load as a pair grouped by source and by destination, and each file
+// rebuilds both matrices byte for byte — duplicate edges, the order of their
+// weights and an isolated last vertex included.
+func TestWriteFilePair(t *testing.T) {
+	g := graph.NewBuilder(6).
+		AddWeightedEdge(3, 1, 2).AddWeightedEdge(0, 4, 1).AddWeightedEdge(3, 1, 7).
+		AddWeightedEdge(2, 2, 5).AddWeightedEdge(0, 1, 3).AddWeightedEdge(3, 1, 4).
+		AddWeightedEdge(4, 0, 6).
+		MustBuild()
+	csrM, cscM := FromGraph(g, false), FromGraph(g, true)
+	base := filepath.Join(t.TempDir(), "g")
+	if err := csrM.WriteFile(base + "-push"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cscM.WriteFile(base + "-pull"); err != nil {
+		t.Fatal(err)
+	}
+	push, pull, err := graph.LoadPair(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		name  string
+		g     *graph.Graph
+		outer func(graph.Edge) uint32
+	}{
+		{"push", push, func(e graph.Edge) uint32 { return e.Src }},
+		{"pull", pull, func(e graph.Edge) uint32 { return e.Dst }},
+	} {
+		for i := 1; i < len(f.g.Edges); i++ {
+			if f.outer(f.g.Edges[i-1]) > f.outer(f.g.Edges[i]) {
+				t.Fatalf("%s file not grouped at edge %d: %v", f.name, i, f.g.Edges)
+			}
+		}
+		if !reflect.DeepEqual(FromGraph(f.g, false), csrM) || !reflect.DeepEqual(FromGraph(f.g, true), cscM) {
+			t.Errorf("%s file does not rebuild the matrices it was written from", f.name)
+		}
 	}
 }
 

@@ -280,9 +280,9 @@ func reduceEdgeOps(ops []EdgeOp, weighted bool) ([]EdgeOp, map[uint64]int) {
 // inserted edges are appended in (src, dst) order. The function is pure and
 // single-threaded, so the merged edge list — and therefore every
 // bit-deterministic engine result computed from it — depends only on (g,
-// ops), never on worker count. The store uses it both to
-// materialize the overlay view queries run on and to fold the overlay into a
-// compacted snapshot, which is what makes the two bit-identical.
+// ops), never on worker count. A version the store serves is defined as the
+// layouts of its result (the rebuild arm computes them from it; the splice,
+// core.PatchGraph, reproduces them from the predecessor's).
 //
 // Inserts may name vertices beyond g.NumVertices; the merged graph's vertex
 // count grows to cover them. On unweighted graphs insert weights are forced

@@ -24,7 +24,7 @@ type Graph struct {
 	// NumVertices is the number of vertices; valid ids are [0, NumVertices).
 	NumVertices int
 	// Edges holds every directed edge. Order is unspecified unless the graph
-	// was produced by SortBySource or SortByDest.
+	// was produced by SortBySource.
 	Edges []Edge
 	// Weighted reports whether edge weights are meaningful.
 	Weighted bool
@@ -32,10 +32,6 @@ type Graph struct {
 
 // NumEdges returns the number of directed edges.
 func (g *Graph) NumEdges() int { return len(g.Edges) }
-
-// MemoryBytes returns the heap footprint of the edge list (12 bytes per
-// edge: two vertex ids and a weight).
-func (g *Graph) MemoryBytes() int64 { return int64(len(g.Edges)) * 12 }
 
 // Validate checks that every endpoint is within range. The comparison is
 // performed in 64 bits: NumVertices may legitimately be 2^32 when vertex
@@ -100,18 +96,6 @@ func (g *Graph) SortBySource() {
 			return a.Src < b.Src
 		}
 		return a.Dst < b.Dst
-	})
-}
-
-// SortByDest orders edges by (dst, src). This is the grouping a pull engine
-// (and CSC construction) wants.
-func (g *Graph) SortByDest() {
-	sort.Slice(g.Edges, func(i, j int) bool {
-		a, b := g.Edges[i], g.Edges[j]
-		if a.Dst != b.Dst {
-			return a.Dst < b.Dst
-		}
-		return a.Src < b.Src
 	})
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -88,17 +89,6 @@ func TestSortBySource(t *testing.T) {
 	}
 }
 
-func TestSortByDest(t *testing.T) {
-	g := tinyGraph(t)
-	g.SortByDest()
-	for i := 1; i < len(g.Edges); i++ {
-		a, b := g.Edges[i-1], g.Edges[i]
-		if a.Dst > b.Dst || (a.Dst == b.Dst && a.Src > b.Src) {
-			t.Fatalf("edges not sorted by dest at %d: %v then %v", i, a, b)
-		}
-	}
-}
-
 func TestBinaryRoundTrip(t *testing.T) {
 	g := tinyGraph(t)
 	var buf bytes.Buffer
@@ -140,35 +130,20 @@ func TestReadBinaryRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestSaveLoadPair(t *testing.T) {
-	g := tinyGraph(t)
-	base := filepath.Join(t.TempDir(), "tiny")
-	if err := g.SavePair(base); err != nil {
-		t.Fatal(err)
-	}
-	push, pull, err := LoadPair(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if push.NumEdges() != g.NumEdges() || pull.NumEdges() != g.NumEdges() {
-		t.Fatalf("pair edge counts differ from original")
-	}
-	// push file must be grouped by source, pull file by destination.
-	for i := 1; i < push.NumEdges(); i++ {
-		if push.Edges[i-1].Src > push.Edges[i].Src {
-			t.Fatal("push file not sorted by source")
-		}
-	}
-	for i := 1; i < pull.NumEdges(); i++ {
-		if pull.Edges[i-1].Dst > pull.Edges[i].Dst {
-			t.Fatal("pull file not sorted by destination")
-		}
-	}
-}
-
 func TestLoadPairMissing(t *testing.T) {
 	if _, _, err := LoadPair(filepath.Join(t.TempDir(), "nope")); err == nil {
 		t.Fatal("LoadPair succeeded on missing files")
+	}
+}
+
+// TestWriteEdgesFileCountsEdges: a sequence that yields fewer edges than the
+// header declares fails the write instead of leaving a file ReadFile would
+// call truncated.
+func TestWriteEdgesFileCountsEdges(t *testing.T) {
+	g := tinyGraph(t)
+	path := filepath.Join(t.TempDir(), "g")
+	if err := WriteEdgesFile(path, g.NumVertices, len(g.Edges)+1, false, slices.Values(g.Edges)); err == nil {
+		t.Fatal("WriteEdgesFile accepted a short edge sequence")
 	}
 }
 

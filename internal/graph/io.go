@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // ErrCorrupt is the sentinel wrapped by every deserialization failure that
@@ -22,60 +24,68 @@ var ErrCorrupt = errors.New("graph: corrupt data")
 //
 //	[4]byte  magic "GRZG"
 //	uint32   version (1)
-//	uint32   flags (bit 0: weighted, bit 1: sorted by source, bit 2: by dest)
+//	uint32   flags (bit 0: weighted; readers ignore the rest, which files
+//	         from earlier writers may use to mark a grouping by source, bit 1,
+//	         or by destination, bit 2)
 //	uint64   numVertices
 //	uint64   numEdges
 //	numEdges × { uint32 src, uint32 dst [, float32 weight] }
 //
 // The Grazelle artifact ships each dataset as a "-push" / "-pull" file pair
-// (edges grouped by source and by destination respectively); SavePair and
-// LoadPair reproduce that convention on top of this format.
+// (edges grouped by source and by destination respectively); LoadPair reads
+// that convention on top of this format, and csr.Matrix.WriteFile writes
+// either half of it.
 
 const (
 	magic   = "GRZG"
 	version = 1
 
-	flagWeighted     = 1 << 0
-	flagSortedBySrc  = 1 << 1
-	flagSortedByDest = 1 << 2
+	flagWeighted = 1 << 0
 )
 
 // WriteBinary serializes the graph to w.
 func (g *Graph) WriteBinary(w io.Writer) error {
-	return g.writeBinary(w, 0)
+	return writeEdges(w, g.NumVertices, len(g.Edges), g.Weighted, slices.Values(g.Edges))
 }
 
-func (g *Graph) writeBinary(w io.Writer, sortFlags uint32) error {
+// writeEdges writes the header for a graph of n vertices and numEdges edges,
+// then every edge the sequence yields; it must yield numEdges of them.
+func writeEdges(w io.Writer, n, numEdges int, weighted bool, edges iter.Seq[Edge]) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := bw.WriteString(magic); err != nil {
 		return err
 	}
-	flags := sortFlags
-	if g.Weighted {
+	var flags uint32
+	if weighted {
 		flags |= flagWeighted
 	}
 	var hdr [24]byte
 	binary.LittleEndian.PutUint32(hdr[0:], version)
 	binary.LittleEndian.PutUint32(hdr[4:], flags)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(g.NumVertices))
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(len(g.Edges)))
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(n))
+	binary.LittleEndian.PutUint64(hdr[16:], uint64(numEdges))
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return err
 	}
 	var rec [12]byte
 	recLen := 8
-	if g.Weighted {
+	if weighted {
 		recLen = 12
 	}
-	for _, e := range g.Edges {
+	written := 0
+	for e := range edges {
 		binary.LittleEndian.PutUint32(rec[0:], e.Src)
 		binary.LittleEndian.PutUint32(rec[4:], e.Dst)
-		if g.Weighted {
+		if weighted {
 			binary.LittleEndian.PutUint32(rec[8:], floatBits(e.Weight))
 		}
 		if _, err := bw.Write(rec[:recLen]); err != nil {
 			return err
 		}
+		written++
+	}
+	if written != numEdges {
+		return fmt.Errorf("graph: wrote %d edges under a header declaring %d", written, numEdges)
 	}
 	return bw.Flush()
 }
@@ -143,22 +153,8 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	return g, nil
 }
 
-// SavePair writes "<base>-push" (sorted by source) and "<base>-pull" (sorted
-// by destination), matching the artifact's file-pair convention. base may
-// include a directory path.
-func (g *Graph) SavePair(base string) error {
-	push := g.Clone()
-	push.SortBySource()
-	if err := writeFile(base+"-push", push, flagSortedBySrc); err != nil {
-		return err
-	}
-	pull := g.Clone()
-	pull.SortByDest()
-	return writeFile(base+"-pull", pull, flagSortedByDest)
-}
-
-// LoadPair reads the pair written by SavePair and returns the push-ordered
-// and pull-ordered graphs.
+// LoadPair reads the "<base>-push" / "<base>-pull" pair and returns the
+// push-ordered and pull-ordered graphs.
 func LoadPair(base string) (push, pull *Graph, err error) {
 	push, err = ReadFile(base + "-push")
 	if err != nil {
@@ -177,10 +173,13 @@ func LoadPair(base string) (push, pull *Graph, err error) {
 
 // WriteFile serializes the graph to the named file.
 func (g *Graph) WriteFile(path string) error {
-	return writeFile(path, g, 0)
+	return WriteEdgesFile(path, g.NumVertices, len(g.Edges), g.Weighted, slices.Values(g.Edges))
 }
 
-func writeFile(path string, g *Graph, sortFlags uint32) error {
+// WriteEdgesFile writes the file WriteFile writes for a graph of n vertices
+// whose numEdges edges are, in file order, the ones edges yields: a caller
+// holding them in another layout persists them without an edge list.
+func WriteEdgesFile(path string, n, numEdges int, weighted bool, edges iter.Seq[Edge]) error {
 	if dir := filepath.Dir(path); dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
@@ -190,7 +189,7 @@ func writeFile(path string, g *Graph, sortFlags uint32) error {
 	if err != nil {
 		return err
 	}
-	if err := g.writeBinary(f, sortFlags); err != nil {
+	if err := writeEdges(f, n, numEdges, weighted, edges); err != nil {
 		f.Close()
 		return err
 	}

@@ -76,11 +76,11 @@ func (s *Store) Compact(name string) error {
 	if delta == nil || delta.tailBatches.Load() == 0 {
 		return nil
 	}
-	// h.src is the materialized view through e.viewSeq — by construction the
-	// exact content a fresh base-plus-replay would produce, so it IS the new
-	// base. Batches acknowledged after this handle was acquired stay in the
-	// log for the next round.
-	content := h.src
+	// The handle's layouts are the view through e.viewSeq — by construction
+	// the exact layouts a fresh base-plus-replay would produce, so their edges
+	// ARE the new base. Batches acknowledged after this handle was acquired
+	// stay in the log for the next round.
+	content := h.runner.Graph()
 	target := e.viewSeq
 
 	var path string
@@ -107,7 +107,7 @@ func (s *Store) Compact(name string) error {
 	}
 	ne := s.publishSuccessorLocked(e, target)
 	ne.snapshot = path
-	ne.vertices, ne.edges = content.NumVertices, content.NumEdges()
+	ne.vertices, ne.edges = content.N, content.Edges
 	s.refreshViewCountsLocked(ne)
 	manifestErr := s.syncManifestLocked()
 	s.mu.Unlock()

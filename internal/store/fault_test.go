@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -37,7 +38,7 @@ func TestRehydrateRetriesTransientError(t *testing.T) {
 	}
 	defer s.Close()
 	g := gen.ErdosRenyi(300, 1500, 4)
-	if err := s.Add("g", g); err != nil {
+	if err := s.Add("g", core.BuildGraph(g)); err != nil {
 		t.Fatal(err)
 	}
 	want := pagerankSolo(t, s, "g")
@@ -85,7 +86,7 @@ func TestRehydrateExhaustedReportsDegraded(t *testing.T) {
 	}
 	defer s.Close()
 	g := gen.ErdosRenyi(200, 900, 5)
-	if err := s.Add("g", g); err != nil {
+	if err := s.Add("g", core.BuildGraph(g)); err != nil {
 		t.Fatal(err)
 	}
 	evictAll(t, s)
@@ -135,7 +136,7 @@ func TestCorruptSnapshotQuarantinedAndHealed(t *testing.T) {
 	}
 	defer s.Close()
 	g := gen.ErdosRenyi(300, 1500, 6)
-	if err := s.Add("g", g); err != nil {
+	if err := s.Add("g", core.BuildGraph(g)); err != nil {
 		t.Fatal(err)
 	}
 	want := pagerankSolo(t, s, "g")
@@ -192,7 +193,7 @@ func TestCorruptSnapshotQuarantinedAndHealed(t *testing.T) {
 	}
 
 	// Re-adding the graph heals it end to end, including persistence.
-	if err := s.Add("g", g); err != nil {
+	if err := s.Add("g", core.BuildGraph(g)); err != nil {
 		t.Fatalf("healing Add = %v", err)
 	}
 	evictAll(t, s)
@@ -211,7 +212,7 @@ func TestSnapshotWriteFailureKeepsPreviousVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	g1 := gen.ErdosRenyi(300, 1500, 7)
-	if err := s.Add("g", g1); err != nil {
+	if err := s.Add("g", core.BuildGraph(g1)); err != nil {
 		t.Fatal(err)
 	}
 	want := pagerankSolo(t, s, "g")
@@ -221,7 +222,7 @@ func TestSnapshotWriteFailureKeepsPreviousVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	g2 := gen.ErdosRenyi(400, 2000, 8)
-	if err := s.Add("g", g2); err == nil {
+	if err := s.Add("g", core.BuildGraph(g2)); err == nil {
 		t.Fatal("Add with dying snapshot write returned nil error")
 	}
 	disarm()
@@ -243,9 +244,8 @@ func TestSnapshotWriteFailureKeepsPreviousVersion(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Acquire after reopen = %v", err)
 	}
-	if h.Source().NumVertices != g1.NumVertices {
-		t.Errorf("reopened graph has %d vertices, want previous version's %d",
-			h.Source().NumVertices, g1.NumVertices)
+	if n := h.Runner().Graph().N; n != g1.NumVertices {
+		t.Errorf("reopened graph has %d vertices, want previous version's %d", n, g1.NumVertices)
 	}
 	got := pagerank(t, h)
 	h.Close()
@@ -261,7 +261,7 @@ func TestManifestWriteFailureSurfacesError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.Add("a", gen.ErdosRenyi(100, 400, 9)); err != nil {
+	if err := s.Add("a", core.BuildGraph(gen.ErdosRenyi(100, 400, 9))); err != nil {
 		t.Fatal(err)
 	}
 	before, err := os.ReadFile(manifestPath(dir))
@@ -273,7 +273,7 @@ func TestManifestWriteFailureSurfacesError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addErr := s.Add("b", gen.ErdosRenyi(100, 400, 10))
+	addErr := s.Add("b", core.BuildGraph(gen.ErdosRenyi(100, 400, 10)))
 	disarm()
 	if addErr == nil {
 		t.Fatal("Add with failing manifest write returned nil error")
@@ -301,7 +301,7 @@ func TestCompactFaultAfterSnapshotSyncKeepsAckedPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := gen.ErdosRenyi(400, 2400, 19)
-	if err := s.Add("g", g); err != nil {
+	if err := s.Add("g", core.BuildGraph(g)); err != nil {
 		t.Fatal(err)
 	}
 	var ops []graph.EdgeOp
@@ -343,8 +343,8 @@ func TestCompactFaultAfterSnapshotSyncKeepsAckedPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatalf("snapshot after the faulted fold: %v", err)
 	}
-	if !reflect.DeepEqual(folded, graph.ApplyEdgeOps(g, ops)) {
-		t.Fatal("snapshot on disk is not the folded view")
+	if !reflect.DeepEqual(core.BuildGraph(folded), core.BuildGraph(graph.ApplyEdgeOps(g, ops))) {
+		t.Fatal("snapshot on disk does not rebuild the folded view's layouts")
 	}
 
 	s2, err := Open(Config{DataDir: dir, Workers: 2})

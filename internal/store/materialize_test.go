@@ -24,35 +24,31 @@ func corpusGraph(t *testing.T, name string) *graph.Graph {
 }
 
 // assertServesRebuild checks that what h serves is what a store that always
-// rebuilds would serve for base ⊕ ops: the same edge list, byte-identical
-// engine layouts, and for every registered app the same property lanes as a
-// run over a from-scratch core.BuildGraph.
+// rebuilds would serve for base ⊕ ops: byte-identical engine layouts, and
+// for every registered app the same property lanes as a run over a
+// from-scratch core.BuildGraph.
 func assertServesRebuild(t *testing.T, h *Handle, base *graph.Graph, ops []graph.EdgeOp, label string) {
 	t.Helper()
-	want := graph.ApplyEdgeOps(base, ops)
-	if !reflect.DeepEqual(h.Source(), want) {
-		t.Fatalf("%s: served edge list differs from base ⊕ ops", label)
-	}
-	wantCG := core.BuildGraph(want)
+	want := core.BuildGraph(graph.ApplyEdgeOps(base, ops))
 	got := h.Runner().Graph()
 	for _, f := range []struct {
 		name      string
 		got, want any
 	}{
-		{"CSR", got.CSR, wantCG.CSR}, {"CSC", got.CSC, wantCG.CSC},
-		{"VSS", got.VSS, wantCG.VSS}, {"VSD", got.VSD, wantCG.VSD},
-		{"EdgeDst", got.EdgeDst, wantCG.EdgeDst},
+		{"N", got.N, want.N}, {"Edges", got.Edges, want.Edges}, {"Weighted", got.Weighted, want.Weighted},
+		{"CSR", got.CSR, want.CSR}, {"CSC", got.CSC, want.CSC},
+		{"VSS", got.VSS, want.VSS}, {"VSD", got.VSD, want.VSD},
 	} {
 		if !reflect.DeepEqual(f.got, f.want) {
 			t.Fatalf("%s: %s differs from a from-scratch BuildGraph", label, f.name)
 		}
 	}
-	ref := core.NewRunner(wantCG, core.Options{Workers: h.Runner().Pool().Workers()})
+	ref := core.NewRunner(want, core.Options{Workers: h.Runner().Pool().Workers()})
 	defer ref.Close()
 	for _, ent := range apps.All() {
 		p := ent.Normalize(apps.Params{Iters: 4, Root: 1, K: 3})
-		run := func(r *core.Runner, g *graph.Graph) []uint64 {
-			prog, err := ent.New(g, r.Graph(), p)
+		run := func(r *core.Runner) []uint64 {
+			prog, err := ent.New(r.Graph(), p)
 			if err != nil {
 				t.Fatalf("%s: %s: %v", label, ent.Name, err)
 			}
@@ -62,7 +58,7 @@ func assertServesRebuild(t *testing.T, h *Handle, base *graph.Graph, ops []graph
 			}
 			return res.Props
 		}
-		assertBitIdentical(t, run(ref, want), run(h.Runner(), h.Source()), label+": "+ent.Name)
+		assertBitIdentical(t, run(ref), run(h.Runner()), label+": "+ent.Name)
 	}
 }
 
@@ -78,7 +74,7 @@ func TestMaterializeArmsServeWhatRebuildServes(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := testgraph.Skewed().G
-	if err := s.Add("g", base); err != nil {
+	if err := s.Add("g", core.BuildGraph(base)); err != nil {
 		t.Fatal(err)
 	}
 	acquire := func(s *Store) *Handle {
@@ -111,7 +107,7 @@ func TestMaterializeArmsServeWhatRebuildServes(t *testing.T) {
 	}
 
 	// Compaction republishes identical content: nothing to apply, so the
-	// successor takes its predecessor's two graphs as they are.
+	// successor takes its predecessor's layouts as they are.
 	if err := s.Compact("g"); err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +115,8 @@ func TestMaterializeArmsServeWhatRebuildServes(t *testing.T) {
 	if hc.Version() == h.Version() {
 		t.Fatal("compaction did not publish a successor")
 	}
-	if hc.Source() != h.Source() || hc.Runner().Graph() != h.Runner().Graph() {
-		t.Fatal("compaction successor did not share its predecessor's graphs")
+	if hc.Runner().Graph() != h.Runner().Graph() {
+		t.Fatal("compaction successor did not share its predecessor's layouts")
 	}
 	if got := arms(s); got != (MaterializeStats{Patch: 2, Shared: 1}) {
 		t.Fatalf("after compaction: %+v, want one shared", got)
@@ -129,9 +125,6 @@ func TestMaterializeArmsServeWhatRebuildServes(t *testing.T) {
 	h.Close()
 	hc.Close()
 	s.Close()
-	// The fold is the base from here on: later batches apply to its edge
-	// order, in a rebuilding store as much as in this one.
-	base, ops = graph.ApplyEdgeOps(base, ops), nil
 
 	// No seed after a reopen, and none once the idle predecessor is evicted.
 	s, err = Open(Config{DataDir: dir, Workers: 2})
@@ -152,6 +145,76 @@ func TestMaterializeArmsServeWhatRebuildServes(t *testing.T) {
 	}
 }
 
+// TestSnapshotsRebuildTheServedLayouts: every snapshot the store writes — at
+// Add, Compact and Snapshot — holds its version's edges in CSR order, not in
+// the order they arrived. A store that evicts to, or reopens onto, any of
+// them, with the log's batches replayed on top, must still serve what a
+// from-scratch BuildGraph of the original base ⊕ every batch serves, for all
+// nine apps.
+func TestSnapshotsRebuildTheServedLayouts(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *Store {
+		t.Helper()
+		s, err := Open(Config{DataDir: dir, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	s := open()
+	defer func() { s.Close() }()
+	base := testgraph.Skewed().G
+	if err := s.Add("g", core.BuildGraph(base)); err != nil {
+		t.Fatal(err)
+	}
+	var ops []graph.EdgeOp
+	mutate := func(round int) {
+		t.Helper()
+		batch := append(mutOps(base, round, true), graph.EdgeOp{Src: uint32(round), Dst: 3, Weight: float32(round) + 0.25})
+		mustApply(t, s, "g", batch)
+		ops = append(ops, batch...)
+	}
+	check := func(label string) {
+		t.Helper()
+		h, err := s.Acquire("g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Close()
+		assertServesRebuild(t, h, base, ops, label)
+	}
+	reopen := func() {
+		t.Helper()
+		s.Close()
+		s = open()
+	}
+
+	evictAll(t, s)
+	check("the snapshot Add wrote")
+	mutate(0)
+	if err := s.Compact("g"); err != nil {
+		t.Fatal(err)
+	}
+	mutate(1)
+	evictAll(t, s)
+	check("the compacted snapshot and one batch")
+	mutate(2)
+	if err := s.Snapshot("g"); err != nil {
+		t.Fatal(err)
+	}
+	reopen()
+	check("the Snapshot file, its batches replayed again")
+	mutate(3)
+	if err := s.Compact("g"); err != nil {
+		t.Fatal(err)
+	}
+	reopen()
+	check("the compacted snapshot alone")
+	if got := s.Stats().Materialize; got != (MaterializeStats{Rebuild: 1}) {
+		t.Fatalf("reopened store: %+v, want one rebuild", got)
+	}
+}
+
 // TestMaterializeRebuildsWhenBatchTouchesMostGroups: a batch naming every
 // vertex leaves nothing to copy, so the store rebuilds — decided from the
 // batch and the predecessor, not from a setting.
@@ -162,7 +225,7 @@ func TestMaterializeRebuildsWhenBatchTouchesMostGroups(t *testing.T) {
 	}
 	defer s.Close()
 	base := corpusGraph(t, "weighted-mesh-9x9")
-	if err := s.Add("g", base); err != nil {
+	if err := s.Add("g", core.BuildGraph(base)); err != nil {
 		t.Fatal(err)
 	}
 	var ops []graph.EdgeOp
@@ -182,15 +245,15 @@ func TestMaterializeRebuildsWhenBatchTouchesMostGroups(t *testing.T) {
 	}
 }
 
-// TestSeedChargedAndDroppedFirst: a successor's seed — its predecessor's edge
-// list and layouts, kept to splice from — is charged to the resident total and
+// TestSeedChargedAndDroppedFirst: a successor's seed — its predecessor's
+// layouts, kept to splice from — is charged to the resident total and
 // reported, moves with its charge to a successor that inherits it, and under a
 // tight budget is dropped before any resident graph is evicted; the version's
 // first read then comes through the rebuild arm and serves what a rebuild
 // serves.
 func TestSeedChargedAndDroppedFirst(t *testing.T) {
 	base, other, third := testgraph.Skewed().G, corpusGraph(t, "long-hub"), corpusGraph(t, "weighted-mesh-9x9")
-	size := func(g *graph.Graph) int64 { return core.BuildGraph(g).MemoryBytes() + g.MemoryBytes() }
+	size := func(g *graph.Graph) int64 { return core.BuildGraph(g).MemoryBytes() }
 	sa, sb, sc := size(base), size(other), size(third)
 	s, err := Open(Config{DataDir: t.TempDir(), Workers: 2, MemBudget: sa + sb + sc - 1})
 	if err != nil {
@@ -201,7 +264,7 @@ func TestSeedChargedAndDroppedFirst(t *testing.T) {
 		name string
 		g    *graph.Graph
 	}{{"a", base}, {"b", other}} {
-		if err := s.Add(g.name, g.g); err != nil {
+		if err := s.Add(g.name, core.BuildGraph(g.g)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -226,7 +289,7 @@ func TestSeedChargedAndDroppedFirst(t *testing.T) {
 	check("after a second mutation", sa+sb, sa)
 
 	// A third graph overflows the budget: the seed goes, "b" stays resident.
-	if err := s.Add("c", third); err != nil {
+	if err := s.Add("c", core.BuildGraph(third)); err != nil {
 		t.Fatal(err)
 	}
 	check("after the overflow", sb+sc, 0)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 )
 
@@ -94,7 +95,7 @@ func TestMetricsTrackStoreActivity(t *testing.T) {
 	defer s.Close()
 
 	g := gen.RMAT(8, 2000, gen.DefaultRMAT, 21)
-	if err := s.Add("g1", g); err != nil {
+	if err := s.Add("g1", core.BuildGraph(g)); err != nil {
 		t.Fatal(err)
 	}
 	// The budget evicted the idle graph at Add; Acquire rehydrates it.

@@ -122,9 +122,9 @@ func (s *Store) ApplyEdges(name string, ops []graph.EdgeOp) (seq, version uint64
 // lineage, and delta log whose view extends through viewSeq. The successor
 // is published cold — materialization happens on first Acquire, so a write
 // burst costs one O(overlay) merge per version actually read, not per
-// batch. It captures cur's materialized graph and layouts (or inherited
-// seed) so that materialization can skip the disk, and splice instead of
-// rebuild, when a recent ancestor is in memory.
+// batch. It captures cur's layouts (or inherited seed) so that
+// materialization can skip the disk, and splice instead of rebuild, when a
+// recent ancestor is in memory.
 //
 // The seed is charged to the resident total on the entry that holds it: a
 // resident predecessor's bytes are charged anew (counted twice only while a
@@ -144,7 +144,7 @@ func (s *Store) publishSuccessorLocked(cur *entry, viewSeq uint64) *entry {
 		seed:     cur.seed,
 	}
 	if cur.runner != nil {
-		ne.seed = seed{src: cur.src, cg: cur.runner.Graph()}
+		ne.seed = cur.runner.Graph()
 		ne.seedBytes = cur.bytes
 		s.resident += cur.bytes
 		s.seedBytes += cur.bytes

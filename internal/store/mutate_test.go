@@ -61,7 +61,7 @@ func TestApplyEdgesVisibleAndDurable(t *testing.T) {
 		mu.Unlock()
 	})
 	g := gen.ErdosRenyi(400, 2400, 3)
-	if err := s.Add("g", g); err != nil {
+	if err := s.Add("g", core.BuildGraph(g)); err != nil {
 		t.Fatal(err)
 	}
 	v0, _ := s.Version("g")
@@ -125,7 +125,7 @@ func TestApplyEdgesDeterminismMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Add("g", g); err != nil {
+		if err := s.Add("g", core.BuildGraph(g)); err != nil {
 			t.Fatal(err)
 		}
 		for round := 0; round < 4; round++ {
@@ -153,7 +153,7 @@ func TestConcurrentReadBurstDuringWrites(t *testing.T) {
 	}
 	defer s.Close()
 	g := gen.ErdosRenyi(300, 1800, 9)
-	if err := s.Add("g", g); err != nil {
+	if err := s.Add("g", core.BuildGraph(g)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -222,7 +222,7 @@ func TestCompactFoldsOverlay(t *testing.T) {
 		}
 	})
 	g := gen.ErdosRenyi(400, 2400, 11)
-	if err := s.Add("g", g); err != nil {
+	if err := s.Add("g", core.BuildGraph(g)); err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 3; round++ {
@@ -269,7 +269,7 @@ func TestCompactOneOwnerPerGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := gen.ErdosRenyi(300, 1500, 31)
-	if err := s.Add("g", g); err != nil {
+	if err := s.Add("g", core.BuildGraph(g)); err != nil {
 		t.Fatal(err)
 	}
 	const rounds = 12
@@ -308,7 +308,7 @@ func TestCompactOneOwnerPerGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	if err := ref.Add("g", g); err != nil {
+	if err := ref.Add("g", core.BuildGraph(g)); err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < rounds; round++ {
@@ -336,7 +336,7 @@ func TestBackgroundCompactorRetriesFailures(t *testing.T) {
 	}
 	defer s.Close()
 	g := gen.ErdosRenyi(300, 1500, 13)
-	if err := s.Add("g", g); err != nil {
+	if err := s.Add("g", core.BuildGraph(g)); err != nil {
 		t.Fatal(err)
 	}
 	if err := fault.EnableFromSpec("store/compact=error*2"); err != nil {
@@ -372,7 +372,7 @@ func TestCrashRecoveryTornTailAndFailedCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := gen.ErdosRenyi(400, 2400, 17)
-	if err := s.Add("g", g); err != nil {
+	if err := s.Add("g", core.BuildGraph(g)); err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 3; round++ {
@@ -429,7 +429,7 @@ func TestCorruptWALSegmentQuarantinedNotFatal(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := gen.ErdosRenyi(400, 2400, 19)
-	if err := s.Add("g", g); err != nil {
+	if err := s.Add("g", core.BuildGraph(g)); err != nil {
 		t.Fatal(err)
 	}
 	mustApply(t, s, "g", mutOps(g, 0, false))
@@ -474,7 +474,7 @@ func TestApplyEdgesBudgetBackpressure(t *testing.T) {
 	}
 	defer s.Close()
 	g := gen.ErdosRenyi(300, 1500, 23)
-	if err := s.Add("g", g); err != nil {
+	if err := s.Add("g", core.BuildGraph(g)); err != nil {
 		t.Fatal(err)
 	}
 	mustApply(t, s, "g", mutOps(g, 0, false)) // 20 ops = 276 encoded bytes
@@ -506,7 +506,7 @@ func TestWALWedgedRefusesWritesServesReads(t *testing.T) {
 	}
 	defer s.Close()
 	g := gen.ErdosRenyi(300, 1500, 29)
-	if err := s.Add("g", g); err != nil {
+	if err := s.Add("g", core.BuildGraph(g)); err != nil {
 		t.Fatal(err)
 	}
 	mustApply(t, s, "g", mutOps(g, 0, false))
@@ -555,11 +555,11 @@ func TestReplaceSupersedesMutations(t *testing.T) {
 	}
 	g1 := gen.ErdosRenyi(300, 1500, 31)
 	g2 := gen.ErdosRenyi(300, 1700, 37)
-	if err := s.Add("g", g1); err != nil {
+	if err := s.Add("g", core.BuildGraph(g1)); err != nil {
 		t.Fatal(err)
 	}
 	mustApply(t, s, "g", mutOps(g1, 0, true))
-	if err := s.Add("g", g2); err != nil {
+	if err := s.Add("g", core.BuildGraph(g2)); err != nil {
 		t.Fatal(err)
 	}
 	want := pagerankSolo(t, s, "g")
@@ -569,7 +569,7 @@ func TestReplaceSupersedesMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.Add("g", g2); err != nil {
+	if err := ref.Add("g", core.BuildGraph(g2)); err != nil {
 		t.Fatal(err)
 	}
 	assertBitIdentical(t, want, pagerankSolo(t, ref, "g"), "replacement vs pristine g2")
@@ -595,7 +595,7 @@ func TestMutateMemoryOnlyStore(t *testing.T) {
 	}
 	defer s.Close()
 	g := gen.ErdosRenyi(300, 1500, 41)
-	if err := s.Add("g", g); err != nil {
+	if err := s.Add("g", core.BuildGraph(g)); err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 3; round++ {
@@ -628,10 +628,10 @@ func TestOnRetireShimAndReasons(t *testing.T) {
 	})
 
 	g := gen.ErdosRenyi(200, 900, 43)
-	if err := s.Add("g", g); err != nil {
+	if err := s.Add("g", core.BuildGraph(g)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Add("g", g); err != nil { // replace
+	if err := s.Add("g", core.BuildGraph(g)); err != nil { // replace
 		t.Fatal(err)
 	}
 	mustApply(t, s, "g", mutOps(g, 0, false)) // mutate

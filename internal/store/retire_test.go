@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 )
 
@@ -48,7 +49,7 @@ func TestVersionRetirementHook(t *testing.T) {
 	s.OnRetireReason(rec.record)
 
 	g := gen.RMAT(7, 500, gen.DefaultRMAT, 1)
-	if err := s.Add("a", g); err != nil {
+	if err := s.Add("a", core.BuildGraph(g)); err != nil {
 		t.Fatal(err)
 	}
 	v1, err := s.Version("a")
@@ -69,7 +70,7 @@ func TestVersionRetirementHook(t *testing.T) {
 	}
 
 	// Replace: the old version retires, the new one is strictly larger.
-	if err := s.Add("a", gen.RMAT(7, 500, gen.DefaultRMAT, 2)); err != nil {
+	if err := s.Add("a", core.BuildGraph(gen.RMAT(7, 500, gen.DefaultRMAT, 2))); err != nil {
 		t.Fatal(err)
 	}
 	v2, _ := s.Version("a")
@@ -99,7 +100,7 @@ func TestVersionRetirementHook(t *testing.T) {
 	}
 
 	// Re-adding the name mints a fresh version — versions are never reused.
-	if err := s.Add("a", g); err != nil {
+	if err := s.Add("a", core.BuildGraph(g)); err != nil {
 		t.Fatal(err)
 	}
 	v3, _ := s.Version("a")
@@ -122,13 +123,13 @@ func TestEvictionKeepsVersion(t *testing.T) {
 	rec := &retireRecorder{}
 	s.OnRetireReason(rec.record)
 
-	if err := s.Add("e", gen.RMAT(7, 500, gen.DefaultRMAT, 3)); err != nil {
+	if err := s.Add("e", core.BuildGraph(gen.RMAT(7, 500, gen.DefaultRMAT, 3))); err != nil {
 		t.Fatal(err)
 	}
 	v, _ := s.Version("e")
 
 	// Adding a second graph blows the 1-byte budget: the idle "e" is evicted.
-	if err := s.Add("f", gen.RMAT(7, 500, gen.DefaultRMAT, 4)); err != nil {
+	if err := s.Add("f", core.BuildGraph(gen.RMAT(7, 500, gen.DefaultRMAT, 4))); err != nil {
 		t.Fatal(err)
 	}
 	var cold bool

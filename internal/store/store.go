@@ -183,14 +183,14 @@ type entry struct {
 	// through viewSeq, exclusive of anything later. Immutable — a newer
 	// watermark publishes a successor entry.
 	viewSeq uint64
-	// seed, when set, is a predecessor's materialized state captured at
-	// publish time: materialization may start from it instead of the disk
-	// snapshot because the overlay merge is replay-idempotent (applying the
-	// view's full op range to any intermediate merge of a prefix yields
-	// bit-identical edges). It pins the predecessor's edge list and engine
-	// layouts — about as much memory as a resident version — until this entry
-	// is first read or freed, or the budget drops it. Guarded by load.
-	seed seed
+	// seed, when set, is a predecessor's layouts captured at publish time:
+	// materialization may start from them instead of the disk snapshot
+	// because the overlay merge is replay-idempotent (applying the view's
+	// full op range to any intermediate merge of a prefix yields
+	// bit-identical layouts). It pins as much memory as a resident version
+	// until this entry is first read or freed, or the budget drops it.
+	// Guarded by load.
+	seed *core.Graph
 	// seedBytes is what seed is charged to Store.resident (see
 	// publishSuccessorLocked). Guarded by Store.mu.
 	seedBytes int64
@@ -207,39 +207,27 @@ type entry struct {
 	runs     uint64
 	bytes    int64 // resident bytes (0 when cold)
 	runner   *core.Runner
-	src      *graph.Graph
 	// corrupt is the sticky *CorruptSnapshotError set when rehydration found
 	// the snapshot damaged; Acquire returns it without touching disk until a
 	// new Add replaces the entry.
 	corrupt error
 }
 
-// seed is the materialized state of one version, kept as the starting point
-// for a successor: the edge list and the engine layouts built from it, always
-// captured and released together. The zero value is no seed.
-type seed struct {
-	src *graph.Graph
-	cg  *core.Graph
-}
-
-// Handle pins one graph version. The runner and source pointers are
-// captured at acquisition, so a Handle keeps working unchanged after the
-// graph is deleted, replaced, or evicted; Close releases the pin (and, for
-// retired entries, the memory once the last handle is gone). Handles are
-// safe for concurrent use; Close is idempotent.
+// Handle pins one graph version. The runner is captured at acquisition, so
+// a Handle keeps working unchanged after the graph is deleted, replaced, or
+// evicted; Close releases the pin (and, for retired entries, the memory once
+// the last handle is gone). Handles are safe for concurrent use; Close is
+// idempotent.
 type Handle struct {
 	s         *Store
 	e         *entry
 	runner    *core.Runner
-	src       *graph.Graph
 	closeOnce sync.Once
 }
 
-// Runner returns the engine runner for this graph version.
+// Runner returns the engine runner for this graph version; its Graph is the
+// version's layouts.
 func (h *Handle) Runner() *core.Runner { return h.runner }
-
-// Source returns the graph's edge list.
-func (h *Handle) Source() *graph.Graph { return h.src }
 
 // Name returns the graph's registered name.
 func (h *Handle) Name() string { return h.e.name }
@@ -394,7 +382,8 @@ func (s *Store) tick() uint64 {
 
 // Add registers graph g under name, replacing any existing graph: the old
 // entry is retired immediately (its memory is released once the last handle
-// closes) and new Acquires see g. When a data directory is configured the
+// closes) and new Acquires see g, which the store takes over and never
+// modifies. When a data directory is configured the
 // graph is snapshotted before it becomes visible, so a crash never leaves
 // the manifest pointing at a missing file.
 //
@@ -404,12 +393,9 @@ func (s *Store) tick() uint64 {
 // here, or detected (stale lineage / orphan) and discarded at the next Open
 // if a crash interrupts the cleanup. Mutations previously applied to the
 // replaced graph do not carry over; the replacement supersedes them.
-func (s *Store) Add(name string, g *graph.Graph) error {
+func (s *Store) Add(name string, g *core.Graph) error {
 	if !ValidName(name) {
 		return fmt.Errorf("store: invalid graph name %q", name)
-	}
-	if err := g.Validate(); err != nil {
-		return err
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -422,15 +408,13 @@ func (s *Store) Add(name string, g *graph.Graph) error {
 
 	e := &entry{
 		name:     name,
-		vertices: g.NumVertices,
-		edges:    g.NumEdges(),
+		vertices: g.N,
+		edges:    g.Edges,
 		weighted: g.Weighted,
 		lineage:  lineage,
-		src:      g,
 	}
-	cg := core.BuildGraph(g)
-	e.runner = core.NewRunner(cg, s.runnerOptions(e))
-	e.bytes = cg.MemoryBytes() + g.MemoryBytes()
+	e.runner = core.NewRunner(g, s.runnerOptions(e))
+	e.bytes = g.MemoryBytes()
 	var walPath string
 	if s.cfg.DataDir != "" {
 		path := filepath.Join(s.cfg.DataDir, snapshotFileName(name, lineage))
@@ -569,89 +553,93 @@ func (s *Store) Acquire(name string) (*Handle, error) {
 			s.release(e)
 			return nil, ce
 		}
-		g, cg, err := s.materialize(e)
+		g, err := s.materialize(e)
 		if err != nil {
 			e.load.Unlock()
 			s.release(e)
 			return nil, err
 		}
-		runner := core.NewRunner(cg, s.runnerOptions(e))
-		bytes := cg.MemoryBytes() + g.MemoryBytes()
+		runner := core.NewRunner(g, s.runnerOptions(e))
+		bytes := g.MemoryBytes()
 		s.mu.Lock()
-		e.src, e.runner, e.bytes = g, runner, bytes
+		e.runner, e.bytes = runner, bytes
 		s.dropSeedLocked(e)
-		e.vertices, e.edges = g.NumVertices, g.NumEdges()
+		e.vertices, e.edges = g.N, g.Edges
 		s.refreshViewCountsLocked(e)
 		s.resident += bytes
 		s.ensureBudgetLocked()
 		s.mu.Unlock()
 	}
-	h := &Handle{s: s, e: e, runner: e.runner, src: e.src}
+	h := &Handle{s: s, e: e, runner: e.runner}
 	e.load.Unlock()
 	return h, nil
 }
 
 // patchMaxShare is the largest share of a predecessor's edge slots the
 // touched groups may hold (core.PatchShare) for materialize to splice rather
-// than rebuild. Measured on the T analog (N = 32 768, E = 1.44 M, uniform
-// random ops): the splice costs a fifth of a rebuild at a 5 % share, half at
-// 50 %, and more than the rebuild from about 70 %.
-const patchMaxShare = 0.5
+// than rebuild; both arms produce the same bytes, so it sets time only.
+// Measured on the T analog (N = 32 768, E = 1.44 M, uniform random inserts,
+// the rebuild fed from the seed's CSR): the splice costs a quarter of a
+// rebuild at a 3 % share, under half at 40 %, four fifths at 1.1, and the two
+// cross between 1.2 and 1.35 (the share passes 1 because each op adds its
+// own slots).
+const patchMaxShare = 1.2
 
-// materialize produces e's served graph and its engine layouts: a base — a
-// predecessor's materialized state when one was captured at publish time,
-// the disk snapshot otherwise — merged with the delta log's acknowledged
-// operations through e.viewSeq. The merge is the single-threaded canonical
-// graph.ApplyEdgeOps and the layouts are byte-identical to
-// core.BuildGraph's whichever arm produces them, so the result is a plain
-// graph the engine runs like any other: bit-determinism at any worker count
-// is inherited, not re-proven. Replay idempotence makes
-// the two base choices equivalent — re-applying operations a seed already
-// contains changes nothing.
+// materialize produces e's layouts: a base — a predecessor's layouts when
+// they were captured at publish time, the disk snapshot otherwise — merged
+// with the delta log's acknowledged operations through e.viewSeq. Whichever
+// arm produces them, the layouts are byte-identical to core.BuildGraph of
+// the single-threaded canonical merge graph.ApplyEdgeOps, so the result is a
+// plain graph the engine runs like any other: bit-determinism at any worker
+// count is inherited, not re-proven. Replay idempotence makes the two base
+// choices equivalent — re-applying operations a seed already contains
+// changes nothing.
 //
 // Three arms, chosen only from what is in hand. No operations to apply over
-// a seed (a compaction successor): the seed's two graphs ARE this version's,
-// shared outright. A seed and a batch whose touched groups hold at most
+// a seed (a compaction successor): the seed IS this version, shared
+// outright. A seed and a batch whose touched groups hold at most
 // patchMaxShare of the edges: core.PatchGraph splices the layouts out of the
 // seed's. Otherwise — no seed (cold start, recovery, evicted predecessor) or
-// a batch that rewrites most groups anyway — core.BuildGraph, with one log
-// line saying why. The caller holds e.load.
-func (s *Store) materialize(e *entry) (*graph.Graph, *core.Graph, error) {
+// a batch that rewrites most groups anyway — core.BuildGraph over the merge
+// of the snapshot's edges, or of the edges the seed's CSR holds, with one
+// log line saying why. The caller holds e.load.
+func (s *Store) materialize(e *entry) (*core.Graph, error) {
 	start := time.Now()
 	var ops []graph.EdgeOp
 	if e.delta != nil {
 		ops = e.delta.opsThrough(e.viewSeq)
 	}
-	g, cg := e.seed.src, e.seed.cg
-	why := "" // why not to splice
+	cg := e.seed
+	var g *graph.Graph // the rebuild's edges
+	var why string     // why it does not splice
 	switch {
-	case g == nil:
+	case cg == nil:
 		var err error
 		if g, err = s.rehydrate(e); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		why = "no predecessor in memory"
 	case len(ops) == 0:
 		s.materializeShared.Observe(time.Since(start).Seconds())
-		return g, cg, nil
+		return cg, nil
 	default:
-		if share := core.PatchShare(cg, ops); share > patchMaxShare {
-			why = fmt.Sprintf("touched groups hold %.0f%% of the edge slots, over %.0f%%", 100*share, 100*patchMaxShare)
+		share := core.PatchShare(cg, ops)
+		if share <= patchMaxShare {
+			cg = core.PatchGraph(cg, ops)
+			s.materializePatch.Observe(time.Since(start).Seconds())
+			return cg, nil
 		}
+		g = cg.CSR.ToGraph()
+		why = fmt.Sprintf("touched groups hold %.0f%% of the edge slots, over %.0f%%", 100*share, 100*patchMaxShare)
 	}
 	if len(ops) > 0 {
 		g = graph.ApplyEdgeOps(g, ops)
 	}
-	arm := s.materializePatch
-	if why == "" {
-		cg = core.PatchGraph(cg, ops)
-	} else {
-		arm, cg = s.materializeRebuild, core.BuildGraph(g)
-		slog.Info("store: materialized by full rebuild", "graph", e.name, "version", e.version,
-			"ops", len(ops), "reason", why)
-	}
-	arm.Observe(time.Since(start).Seconds())
-	return g, cg, nil
+	cg = core.BuildGraph(g)
+	slog.Info("store: materialized by full rebuild", "graph", e.name, "version", e.version,
+		"ops", len(ops), "reason", why)
+	s.materializeRebuild.Observe(time.Since(start).Seconds())
+	return cg, nil
 }
 
 // Delete unregisters the named graph and removes its snapshot. In-flight
@@ -706,7 +694,7 @@ func (s *Store) Snapshot(name string) error {
 	}
 	defer h.Close()
 	path := filepath.Join(s.cfg.DataDir, snapshotFileName(name, h.e.lineage))
-	if err := writeSnapshot(path, h.src); err != nil {
+	if err := writeSnapshot(path, h.runner.Graph()); err != nil {
 		return fmt.Errorf("store: snapshotting %q: %w", name, err)
 	}
 	s.mu.Lock()
@@ -738,7 +726,7 @@ func (s *Store) release(e *entry) {
 	s.mu.Unlock()
 }
 
-// freeLocked drops an entry's resident state (runner, source, accounting).
+// freeLocked drops an entry's resident state (runner, accounting).
 // For registry entries this is eviction to cold; for retired entries it is
 // the final release. Callers hold s.mu and guarantee refs == 0.
 func (s *Store) freeLocked(e *entry) {
@@ -748,7 +736,6 @@ func (s *Store) freeLocked(e *entry) {
 	s.resident -= e.bytes
 	e.bytes = 0
 	e.runner = nil
-	e.src = nil
 	s.dropSeedLocked(e)
 }
 
@@ -756,7 +743,7 @@ func (s *Store) freeLocked(e *entry) {
 // total. Callers hold s.mu, and either e.load or refs == 0 (no loader is
 // reading the seed).
 func (s *Store) dropSeedLocked(e *entry) {
-	e.seed = seed{}
+	e.seed = nil
 	s.resident -= e.seedBytes
 	s.seedBytes -= e.seedBytes
 	e.seedBytes = 0
@@ -768,7 +755,7 @@ func (s *Store) dropSeedLocked(e *entry) {
 func (s *Store) idleSeedLocked() *entry {
 	var oldest *entry
 	for _, e := range s.graphs {
-		if e.seed.src == nil || e.refs != 0 || e.snapshot == "" {
+		if e.seed == nil || e.refs != 0 || e.snapshot == "" {
 			continue
 		}
 		if oldest == nil || e.lastUsed < oldest.lastUsed {
@@ -812,7 +799,7 @@ func (s *Store) ensureBudgetLocked() {
 		if victim.snapshot == "" {
 			// Spill to disk before dropping the only copy.
 			path := filepath.Join(s.cfg.DataDir, snapshotFileName(victim.name, victim.lineage))
-			if err := writeSnapshot(path, victim.src); err != nil {
+			if err := writeSnapshot(path, victim.runner.Graph()); err != nil {
 				return
 			}
 			victim.snapshot = path
@@ -887,9 +874,8 @@ func (s *Store) List() []GraphInfo {
 type Stats struct {
 	// Graphs counts registered names; Resident counts those loaded in
 	// memory. BytesResident, held against MemBudget (0 = unlimited), counts
-	// them and the seeds — a predecessor's edge list and layouts a cold
-	// successor keeps to splice from — of which BytesSeeds is the seeds'
-	// share.
+	// them and the seeds — a predecessor's layouts a cold successor keeps to
+	// splice from — of which BytesSeeds is the seeds' share.
 	Graphs        int   `json:"graphs"`
 	Resident      int   `json:"resident"`
 	BytesResident int64 `json:"bytes_resident"`

@@ -23,7 +23,7 @@ const prIters = 8
 // so repeated calls must be bit-identical regardless of concurrency.
 func pagerank(t *testing.T, h *Handle) []uint64 {
 	t.Helper()
-	res, err := core.RunCtx(context.Background(), h.Runner(), apps.NewPageRank(h.Source()), prIters)
+	res, err := core.RunCtx(context.Background(), h.Runner(), apps.PageRankOn(h.Runner().Graph().RankScale(false)), prIters)
 	if err != nil {
 		t.Fatalf("pagerank: %v", err)
 	}
@@ -55,7 +55,7 @@ func TestDeleteReplaceWhileQuerying(t *testing.T) {
 	defer s.Close()
 
 	g1 := gen.RMAT(9, 4000, gen.DefaultRMAT, 7)
-	if err := s.Add("g", g1); err != nil {
+	if err := s.Add("g", core.BuildGraph(g1)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -96,7 +96,7 @@ func TestDeleteReplaceWhileQuerying(t *testing.T) {
 
 	// Replace the graph mid-flight, then delete the replacement too.
 	g2 := gen.ErdosRenyi(200, 900, 3)
-	if err := s.Add("g", g2); err != nil {
+	if err := s.Add("g", core.BuildGraph(g2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Delete("g"); err != nil {
@@ -206,7 +206,7 @@ func TestSnapshotRehydrateAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.Add("pr", g); err != nil {
+	if err := s1.Add("pr", core.BuildGraph(g)); err != nil {
 		t.Fatal(err)
 	}
 	h, err := s1.Acquire("pr")
@@ -292,7 +292,7 @@ func TestLRUEvictionUnderBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := probe.Add("a", g1); err != nil {
+	if err := probe.Add("a", core.BuildGraph(g1)); err != nil {
 		t.Fatal(err)
 	}
 	one := probe.Stats().BytesResident
@@ -303,7 +303,7 @@ func TestLRUEvictionUnderBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.Add("a", g1); err != nil {
+	if err := s.Add("a", core.BuildGraph(g1)); err != nil {
 		t.Fatal(err)
 	}
 	ha, err := s.Acquire("a")
@@ -313,7 +313,7 @@ func TestLRUEvictionUnderBudget(t *testing.T) {
 	wantA := pagerank(t, ha)
 	ha.Close()
 
-	if err := s.Add("b", g2); err != nil {
+	if err := s.Add("b", core.BuildGraph(g2)); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
@@ -347,14 +347,14 @@ func TestPinnedEntriesSurviveBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.Add("a", g1); err != nil {
+	if err := s.Add("a", core.BuildGraph(g1)); err != nil {
 		t.Fatal(err)
 	}
 	ha, err := s.Acquire("a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Add("b", g2); err != nil {
+	if err := s.Add("b", core.BuildGraph(g2)); err != nil {
 		t.Fatal(err)
 	}
 	// "b" is idle, so it was evicted immediately; "a" is pinned and stays.
@@ -384,7 +384,7 @@ func TestNameValidation(t *testing.T) {
 	defer s.Close()
 	g := gen.ErdosRenyi(10, 20, 1)
 	for _, bad := range []string{"", ".", "..", ".hidden", "a/b", "a b", "a\x00b", "../etc"} {
-		if err := s.Add(bad, g); err == nil {
+		if err := s.Add(bad, core.BuildGraph(g)); err == nil {
 			t.Errorf("Add(%q) accepted, want error", bad)
 		}
 	}
@@ -402,12 +402,12 @@ func TestClosedStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := gen.ErdosRenyi(10, 20, 1)
-	if err := s.Add("g", g); err != nil {
+	if err := s.Add("g", core.BuildGraph(g)); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
 	s.Close() // idempotent
-	if err := s.Add("h", g); !errors.Is(err, ErrClosed) {
+	if err := s.Add("h", core.BuildGraph(g)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Add after close: %v, want ErrClosed", err)
 	}
 	if _, err := s.Acquire("g"); !errors.Is(err, ErrClosed) {

@@ -134,16 +134,16 @@ func (s *Store) Close() error { return s.s.Close() }
 // Add registers g under name, replacing any existing graph of that name;
 // queries holding handles on the old version drain undisturbed. With a data
 // directory configured the graph is snapshotted before it becomes visible.
-func (s *Store) Add(name string, g *Graph) error { return s.s.Add(name, g.src) }
+func (s *Store) Add(name string, g *Graph) error { return s.s.Add(name, g.core) }
 
 // AddFromFile loads a binary graph file (see Graph.Save / cmd/gengraph)
 // directly into the store.
 func (s *Store) AddFromFile(name, path string) error {
-	g, err := graph.ReadFile(path)
+	g, err := LoadGraph(path)
 	if err != nil {
 		return err
 	}
-	return s.s.Add(name, g)
+	return s.Add(name, g)
 }
 
 // Delete unregisters the named graph and removes its snapshot; in-flight
@@ -247,7 +247,7 @@ func (s *Store) Acquire(name string) (*StoreHandle, error) {
 // pool and the handle's preprocessed graph.
 func engineFor(h *store.Handle) *Engine {
 	return &Engine{
-		g: &Graph{src: h.Source(), core: h.Runner().Graph()},
+		g: &Graph{core: h.Runner().Graph()},
 		r: h.Runner(),
 	}
 }
