@@ -351,7 +351,7 @@ func (e *Engine) Run(ctx context.Context, app string, p Params) (*AppResult, err
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.RunCtx(ctx, e.r, prog, ent.MaxIters(p))
+	res, err := core.RunCtx(ctx, e.r, prog, ent.MaxIters(p), nil)
 	return &AppResult{
 		App:    app,
 		Params: p,

@@ -87,7 +87,7 @@ func (e *Engine) RunIncremental(ctx context.Context, app string, p Params, spec 
 	if plan.Direct {
 		maxIters = 0
 	}
-	cres, err := core.RunSeededCtx(ctx, e.r, prog, maxIters, &core.Seed{
+	cres, err := core.RunCtx(ctx, e.r, prog, maxIters, &core.Seed{
 		Props:    plan.Props,
 		Frontier: plan.Frontier,
 	})

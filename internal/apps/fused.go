@@ -3,11 +3,11 @@ package apps
 // FusedKind identifies a program's aggregation pattern so engines can run a
 // fused, fully-inlined inner loop for it. This mirrors the original
 // Grazelle, whose Edge-phase kernels are hand-specialized per application
-// (2 KLOC of x86 assembly); Go's shape-based generics cannot monomorphize
-// the per-edge Message/Combine calls, so the engines instead recognize the
-// paper's aggregation operators and inline them. Semantics are identical to
-// Combine(acc, Message(srcVal, src, w)) — a property the tests enforce —
-// and FusedNone falls back to the generic calls.
+// (2 KLOC of x86 assembly). Engines take a Program interface value, on which
+// a per-edge Message/Combine is an indirect call, so they recognize the
+// paper's aggregation operators by this kind and inline them. Semantics are
+// identical to Combine(acc, Message(srcVal, src, w)) — a property the tests
+// enforce — and FusedNone falls back to the program's own calls.
 type FusedKind int
 
 const (

@@ -116,7 +116,7 @@ func runSeeded(t *testing.T, g *graph.Graph, ent apps.Entry, p apps.Params, plan
 	if plan.Direct {
 		max = 0
 	}
-	res, err := core.RunSeededCtx(context.Background(), r, prog, max, &core.Seed{
+	res, err := core.RunCtx(context.Background(), r, prog, max, &core.Seed{
 		Props:    plan.Props,
 		Frontier: plan.Frontier,
 	})

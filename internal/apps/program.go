@@ -7,8 +7,8 @@
 // Programs follow the Gather-Apply-Scatter-style contract Grazelle exposes:
 // a commutative, associative Combine over 64-bit property lanes, a Message
 // produced per edge, and an Apply folding the aggregate into the vertex
-// property. Engines are generic over the Program type so the per-edge calls
-// devirtualize.
+// property. Engines take a Program interface value and run the per-edge
+// calls of the paper's aggregation operators inline by their FusedKind.
 package apps
 
 import (

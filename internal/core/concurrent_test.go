@@ -71,7 +71,7 @@ func TestRunCtxCancellation(t *testing.T) {
 		cancel()
 	}()
 	const maxIters = 1 << 20
-	res, err := RunCtx(ctx, r, apps.NewPageRank(g), maxIters)
+	res, err := RunCtx(ctx, r, apps.NewPageRank(g), maxIters, nil)
 	if err == nil {
 		t.Fatal("cancelled run returned nil error")
 	}
@@ -105,7 +105,7 @@ func TestRunCtxPreCancelled(t *testing.T) {
 	defer r.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RunCtx(ctx, r, apps.NewPageRank(g), 10)
+	res, err := RunCtx(ctx, r, apps.NewPageRank(g), 10, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -122,7 +122,7 @@ func TestRunCtxDeadline(t *testing.T) {
 	defer r.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	_, err := RunCtx(ctx, r, apps.NewPageRank(g), 1<<20)
+	_, err := RunCtx(ctx, r, apps.NewPageRank(g), 1<<20, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -154,7 +154,7 @@ func TestConcurrentCancellationIsolated(t *testing.T) {
 		defer wg.Done()
 		ctx, cancel := context.WithCancel(context.Background())
 		go func() { time.Sleep(time.Millisecond); cancel() }()
-		if _, err := RunCtx(ctx, r, apps.NewPageRank(g), 1<<20); err == nil {
+		if _, err := RunCtx(ctx, r, apps.NewPageRank(g), 1<<20, nil); err == nil {
 			t.Error("cancelled run returned nil error")
 		}
 	}()

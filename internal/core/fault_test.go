@@ -29,7 +29,7 @@ func TestRunCtxPanicContained(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer disarm()
-	_, err = RunCtx(context.Background(), r, apps.NewPageRank(g), 6)
+	_, err = RunCtx(context.Background(), r, apps.NewPageRank(g), 6, nil)
 	var pe *sched.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("RunCtx = %v, want wrapped *sched.PanicError", err)
@@ -69,7 +69,7 @@ func TestRunCtxPanicOneOfN(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := RunCtx(context.Background(), r, apps.NewPageRank(g), 8)
+			res, err := RunCtx(context.Background(), r, apps.NewPageRank(g), 8, nil)
 			errs[i], results[i] = err, res.Props
 		}(i)
 	}
@@ -107,12 +107,12 @@ func TestRunCtxPanicInApplyPhase(t *testing.T) {
 	g := gen.ErdosRenyi(500, 3000, 3)
 	r := NewRunner(BuildGraph(g), Options{Workers: 2})
 	defer r.Close()
-	_, err := RunCtx(context.Background(), r, poisonedApply{apps.NewPageRank(g)}, 4)
+	_, err := RunCtx(context.Background(), r, poisonedApply{apps.NewPageRank(g)}, 4, nil)
 	var pe *sched.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("RunCtx = %v, want wrapped *sched.PanicError", err)
 	}
-	if _, err := RunCtx(context.Background(), r, apps.NewPageRank(g), 4); err != nil {
+	if _, err := RunCtx(context.Background(), r, apps.NewPageRank(g), 4, nil); err != nil {
 		t.Fatalf("follow-up run = %v", err)
 	}
 }
@@ -138,7 +138,7 @@ func TestMaxRunTimeDeadline(t *testing.T) {
 	const maxIters = 1 << 20
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	res, err := RunCtx(ctx, r, apps.NewPageRank(g), maxIters)
+	res, err := RunCtx(ctx, r, apps.NewPageRank(g), maxIters, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -167,7 +167,7 @@ func TestAbortedRunDoesNotPoisonRecycledContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer disarm()
-	if _, err := RunCtx(context.Background(), r, apps.NewPageRank(g), 5); err == nil {
+	if _, err := RunCtx(context.Background(), r, apps.NewPageRank(g), 5, nil); err == nil {
 		t.Fatal("injected run returned nil error")
 	}
 

@@ -9,8 +9,10 @@ import (
 // fuse is the per-phase resolved kernel specialization (see
 // apps.FusedKind): the engines run the paper's aggregation operators as
 // inlined code instead of per-edge indirect calls, mirroring Grazelle's
-// hand-specialized per-application assembly kernels.
+// hand-specialized per-application assembly kernels, and call the program p
+// only for a kind they do not recognize.
 type fuse struct {
+	p        apps.Program
 	kind     apps.FusedKind
 	scale    []float64
 	weighted bool
@@ -27,6 +29,7 @@ type fuse struct {
 func fuseFor(p apps.Program, weighted bool) fuse {
 	k, s := apps.KindOf(p)
 	return fuse{
+		p:        p,
 		kind:     k,
 		scale:    s,
 		weighted: weighted,
@@ -37,7 +40,7 @@ func fuseFor(p apps.Program, weighted bool) fuse {
 // step computes Combine(acc, Message(props[n], n, w)) through the fused
 // operator. The generic fallback preserves exact Program semantics for
 // kinds the engine does not recognize.
-func step[P apps.Program](p P, fz *fuse, props []uint64, acc, n uint64, w float32) uint64 {
+func (fz *fuse) step(props []uint64, acc, n uint64, w float32) uint64 {
 	switch fz.kind {
 	case apps.FusedRankSum:
 		// The float64 conversions round each product on its own: the spec
@@ -65,14 +68,14 @@ func step[P apps.Program](p P, fz *fuse, props []uint64, acc, n uint64, w float3
 		}
 		return acc
 	default:
-		return p.Combine(acc, p.Message(props[n], uint32(n), w))
+		return fz.p.Combine(acc, fz.p.Message(props[n], uint32(n), w))
 	}
 }
 
 // stepVal is step with the source's value supplied by the caller instead of
 // read from props[n] — the in-place pull's window lanes, whose value is the
 // fresher of the property and the flushed aggregate.
-func stepVal[P apps.Program](p P, fz *fuse, acc, srcVal, n uint64, w float32) uint64 {
+func (fz *fuse) stepVal(acc, srcVal, n uint64, w float32) uint64 {
 	switch fz.kind {
 	case apps.FusedMinProp:
 		if srcVal < acc {
@@ -85,15 +88,15 @@ func stepVal[P apps.Program](p P, fz *fuse, acc, srcVal, n uint64, w float32) ui
 		}
 		return acc
 	default:
-		return p.Combine(acc, p.Message(srcVal, uint32(n), w))
+		return fz.p.Combine(acc, fz.p.Message(srcVal, uint32(n), w))
 	}
 }
 
 // combine computes Combine(a, b) through the fused operator: the transition
-// flush and the merge fold pay an inlined compare or add per partial
-// aggregate instead of a call through the program's dictionary (on a mesh
-// every vector ends a destination, so the flush is per-vector work).
-func combine[P apps.Program](p P, fz *fuse, a, b uint64) uint64 {
+// flush, the merge folds and the CAS updates pay an inlined compare or add
+// per partial aggregate instead of an indirect call through the program (on a
+// mesh every vector ends a destination, so the flush is per-vector work).
+func (fz *fuse) combine(a, b uint64) uint64 {
 	switch fz.kind {
 	case apps.FusedRankSum:
 		return math.Float64bits(math.Float64frombits(a) + math.Float64frombits(b))
@@ -108,7 +111,7 @@ func combine[P apps.Program](p P, fz *fuse, a, b uint64) uint64 {
 		}
 		return a
 	default:
-		return p.Combine(a, b)
+		return fz.p.Combine(a, b)
 	}
 }
 
@@ -116,7 +119,7 @@ func combine[P apps.Program](p P, fz *fuse, a, b uint64) uint64 {
 // body of the full-vector fast path, with the kind switch hoisted off the
 // per-lane work. Only frontier programs reach it (a frontier-blind one pulls
 // by run span, pullSpanBody), so it has no rank-sum arm.
-func step4[P apps.Program](p P, fz *fuse, props []uint64, acc, n0, n1, n2, n3 uint64, wbase int, weights []float32) uint64 {
+func (fz *fuse) step4(props []uint64, acc, n0, n1, n2, n3 uint64, wbase int, weights []float32) uint64 {
 	switch fz.kind {
 	case apps.FusedMinProp:
 		if v := props[n0]; v < acc {
@@ -166,17 +169,17 @@ func step4[P apps.Program](p P, fz *fuse, props []uint64, acc, n0, n1, n2, n3 ui
 		if weights != nil {
 			w0, w1, w2, w3 = weights[wbase], weights[wbase+1], weights[wbase+2], weights[wbase+3]
 		}
-		acc = p.Combine(acc, p.Message(props[n0], uint32(n0), w0))
-		acc = p.Combine(acc, p.Message(props[n1], uint32(n1), w1))
-		acc = p.Combine(acc, p.Message(props[n2], uint32(n2), w2))
-		acc = p.Combine(acc, p.Message(props[n3], uint32(n3), w3))
+		acc = fz.p.Combine(acc, fz.p.Message(props[n0], uint32(n0), w0))
+		acc = fz.p.Combine(acc, fz.p.Message(props[n1], uint32(n1), w1))
+		acc = fz.p.Combine(acc, fz.p.Message(props[n2], uint32(n2), w2))
+		acc = fz.p.Combine(acc, fz.p.Message(props[n3], uint32(n3), w3))
 		return acc
 	}
 }
 
 // stepMsg computes Message(props[n], n, w) alone, for the push and
 // traditional kernels whose combine happens at the destination.
-func stepMsg[P apps.Program](p P, fz *fuse, props []uint64, n uint64, w float32) uint64 {
+func (fz *fuse) stepMsg(props []uint64, n uint64, w float32) uint64 {
 	switch fz.kind {
 	case apps.FusedRankSum:
 		// Rounded per product, as in step: a caller may add the message next.
@@ -192,6 +195,6 @@ func stepMsg[P apps.Program](p P, fz *fuse, props []uint64, n uint64, w float32)
 	case apps.FusedMinPropPlusW:
 		return math.Float64bits(math.Float64frombits(props[n]) + float64(w))
 	default:
-		return p.Message(props[n], uint32(n), w)
+		return fz.p.Message(props[n], uint32(n), w)
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/apps"
@@ -60,6 +62,9 @@ func TestFusedMatchesGenericExactly(t *testing.T) {
 	}
 	cases := []cse{
 		{"PageRank", cg, func() apps.Program { return apps.NewPageRank(g) }, 6},
+		// The one rank sum whose Apply is not PageRank's: the push, traditional
+		// and outer-only kernels merge it through the same fused add.
+		{"PPR", cg, func() apps.Program { return apps.NewPersonalizedPageRank(g, 3) }, 6},
 		{"WeightedRank", wcg, func() apps.Program { return apps.NewWeightedRank(wg) }, 6},
 		{"CC", cg, func() apps.Program { return apps.NewConnComp() }, 1 << 20},
 		{"CC-WI", cg, func() apps.Program { return apps.NewConnCompWriteIntense() }, 1 << 20},
@@ -102,28 +107,38 @@ func TestFusedMatchesGenericExactly(t *testing.T) {
 	}
 }
 
-// TestStepHelpersMatchDefinition cross-checks the fused step helpers against
-// Combine∘Message directly, per kind.
+// TestStepHelpersMatchDefinition cross-checks the fused operator against
+// Combine∘Message directly, for every registered app built as a query builds
+// it (Entry.New on a version's layouts): a fused kind's inlined arms, and the
+// program's own calls for the kinds the engine does not recognize (kcore, lp,
+// tc). combine is checked on edge-case lanes too — the CAS updates, the
+// transition flushes and both merge folds go through it.
 func TestStepHelpersMatchDefinition(t *testing.T) {
 	g := gen.AddUniformWeights(gen.ErdosRenyi(40, 200, 3), 4)
-	programs := []apps.Program{
-		apps.NewPageRank(g), apps.NewWeightedRank(g),
-		apps.NewConnComp(), apps.NewBFS(0), apps.NewSSSP(0),
-	}
+	cg := BuildGraph(g)
+	rng := rand.New(rand.NewSource(5))
 	props := make([]uint64, g.NumVertices)
-	for _, p := range programs {
+	for _, ent := range apps.All() {
+		p, err := ent.New(cg, ent.Normalize(apps.Params{Root: 1}))
+		if err != nil {
+			t.Fatalf("%s: %v", ent.Name, err)
+		}
 		p.InitProps(props)
+		p.PreIteration(props)
 		fz := fuseFor(p, p.Weighted())
 		acc := p.Identity()
 		for n := uint64(0); n < 20; n++ {
 			w := float32(n%7) + 0.5
 			wantMsg := p.Message(props[n], uint32(n), w)
-			if got := stepMsg(p, &fz, props, n, w); got != wantMsg {
-				t.Errorf("%s: stepMsg(%d) = %#x, want %#x", p.Name(), n, got, wantMsg)
+			if got := fz.stepMsg(props, n, w); got != wantMsg {
+				t.Errorf("%s: stepMsg(%d) = %#x, want %#x", ent.Name, n, got, wantMsg)
 			}
 			want := p.Combine(acc, wantMsg)
-			if got := step(p, &fz, props, acc, n, w); got != want {
-				t.Errorf("%s: step(%d) = %#x, want %#x", p.Name(), n, got, want)
+			if got := fz.step(props, acc, n, w); got != want {
+				t.Errorf("%s: step(%d) = %#x, want %#x", ent.Name, n, got, want)
+			}
+			if got := fz.stepVal(acc, props[n], n, w); got != want {
+				t.Errorf("%s: stepVal(%d) = %#x, want %#x", ent.Name, n, got, want)
 			}
 			acc = want
 		}
@@ -135,8 +150,24 @@ func TestStepHelpersMatchDefinition(t *testing.T) {
 		}
 		// A rank sum has no arm of its own in step4 (its full vectors are
 		// reduced by run span, pullSpanBody) and takes the generic one.
-		if accB := step4(p, &fz, props, p.Identity(), 3, 9, 9, 14, 0, weights); accA != accB {
-			t.Errorf("%s: step4 = %#x, want %#x", p.Name(), accB, accA)
+		if accB := fz.step4(props, p.Identity(), 3, 9, 9, 14, 0, weights); accA != accB {
+			t.Errorf("%s: step4 = %#x, want %#x", ent.Name, accB, accA)
+		}
+		// Every ordered pair of the edge-case lanes (identity, 0, +Inf, a
+		// live property, each paired with itself too), then random pairs.
+		lanes := []uint64{p.Identity(), 0, math.Float64bits(math.Inf(1)), props[1], acc, math.Float64bits(1)}
+		for _, a := range lanes {
+			for _, b := range lanes {
+				if got, want := fz.combine(a, b), p.Combine(a, b); got != want {
+					t.Errorf("%s: combine(%#x, %#x) = %#x, want %#x", ent.Name, a, b, got, want)
+				}
+			}
+		}
+		for range 256 {
+			a, b := rng.Uint64(), rng.Uint64()
+			if got, want := fz.combine(a, b), p.Combine(a, b); got != want {
+				t.Errorf("%s: combine(%#x, %#x) = %#x, want %#x", ent.Name, a, b, got, want)
+			}
 		}
 	}
 }

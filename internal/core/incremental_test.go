@@ -170,7 +170,7 @@ func runIncrSeeded(t *testing.T, cg *Graph, g *graph.Graph, ent apps.Entry, p ap
 	if plan.Direct {
 		max = 0
 	}
-	res, err := RunSeededCtx(context.Background(), r, prog, max, &Seed{
+	res, err := RunCtx(context.Background(), r, prog, max, &Seed{
 		Props:    plan.Props,
 		Frontier: plan.Frontier,
 	})

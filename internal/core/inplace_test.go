@@ -167,7 +167,7 @@ func TestSparseChunkFloor(t *testing.T) {
 			t.Fatalf("k=%d: round of %d units is outside the range under test", k, work)
 		}
 		r := NewRunner(cg, Options{Workers: 4, Trace: true})
-		res, err := RunSeededCtx(context.Background(), r, apps.NewConnComp(), 1, &Seed{Props: props, Frontier: front})
+		res, err := RunCtx(context.Background(), r, apps.NewConnComp(), 1, &Seed{Props: props, Frontier: front})
 		r.Close()
 		if err != nil || !res.Seeded || res.SparseIterations != 1 {
 			t.Fatalf("k=%d: err=%v seeded=%v sparse=%d, want one list-driven round", k, err, res.Seeded, res.SparseIterations)

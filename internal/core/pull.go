@@ -17,7 +17,7 @@ import (
 // RunEdgePull executes one Edge-Pull phase with the configured variant and
 // kernel (vectorized Vector-Sparse or scalar Compressed-Sparse). Aggregates
 // land in the Runner's accumulator array; RunVertex consumes them.
-func RunEdgePull[P apps.Program](r *ExecContext, p P) {
+func RunEdgePull(r *ExecContext, p apps.Program) {
 	t0 := time.Now()
 	switch {
 	case r.opt.Variant == PullOuterOnly:
@@ -45,13 +45,13 @@ func RunEdgePull[P apps.Program](r *ExecContext, p P) {
 // accumulator, to shared memory only on outer-loop transitions (at most one
 // chunk contains each vertex's last vector), or to the chunk's private merge
 // buffer slot.
-func edgePullSA[P apps.Program](r *ExecContext, p P) {
-	total := r.g.VSD.NumVectors()
-	if total == 0 {
+func edgePullSA(r *ExecContext, p apps.Program) {
+	if r.g.VSD.NumVectors() == 0 {
 		return
 	}
-	r.dispatch(r.pullPart, r.pullChunkFor(p), r.edgeRec, pullSABody(r, p))
-	mergeAccum(r, p, p.Identity())
+	fz := fuseFor(p, p.Weighted() && r.g.VSD.Weights != nil)
+	r.dispatch(r.pullPart, r.pullChunkFor(p), r.edgeRec, pullSABody(r, &fz))
+	mergeAccum(r, &fz)
 }
 
 // pullSABody builds the scheduler-aware chunk body with every loop invariant
@@ -106,18 +106,18 @@ func edgePullSA[P apps.Program](r *ExecContext, p P) {
 // place, the window read. The in-place rounds this body still runs are
 // sssp's, a Record run's (its counters are this walk's) and the full-vector
 // ablation's.
-func pullSABody[P apps.Program](r *ExecContext, p P) func(rg sched.Range, chunkID, tid, node int) {
+func pullSABody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, node int) {
+	p := fz.p
+	if r.pullsBySpan(p, fz.kind) {
+		return pullSpanBody(r, fz)
+	}
 	a := r.g.VSD
 	identity := p.Identity()
 	tracksConv := p.TracksConverged()
-	weighted := p.Weighted() && a.Weights != nil
+	weighted := fz.weighted
 	frontWords := r.front.Words()
 	props, accum := r.props, r.accum
 	rec := r.edgeRec
-	fz := fuseFor(p, weighted)
-	if r.pullsBySpan(p, fz.kind) {
-		return pullSpanBody(r, p, fz)
-	}
 	frontierWork := !r.opt.AblateFrontierWork
 	saturates := frontierWork && fz.kind == apps.FusedMinSrc
 	fullVector := !r.opt.AblateFullVector
@@ -147,7 +147,7 @@ func pullSABody[P apps.Program](r *ExecContext, p P) func(rg sched.Range, chunkI
 				// the final inner iterations of prev, so this unsynchronized
 				// shared store is safe.
 				if acc != identity {
-					accum[prev] = combine(p, &fz, accum[prev], acc)
+					accum[prev] = fz.combine(accum[prev], acc)
 					c.SharedWrites++
 				}
 				prev, acc = dst, identity
@@ -187,7 +187,7 @@ func pullSABody[P apps.Program](r *ExecContext, p P) func(rg sched.Range, chunkI
 						val := props[n]
 						live := !gated || (frontWords[n>>6]>>(n&63))&1 != 0
 						if win.Bit(lane) {
-							if fresh := combine(p, &fz, val, accum[n]); fresh != val {
+							if fresh := fz.combine(val, accum[n]); fresh != val {
 								val, live = fresh, true
 							}
 						}
@@ -199,7 +199,7 @@ func pullSABody[P apps.Program](r *ExecContext, p P) func(rg sched.Range, chunkI
 						if weighted {
 							w = a.Weights[base+lane]
 						}
-						acc = stepVal(p, &fz, acc, val, n, w)
+						acc = fz.stepVal(acc, val, n, w)
 						c.EdgesProcessed++
 						c.TLSWrites++
 						if rec != nil {
@@ -214,7 +214,7 @@ func pullSABody[P apps.Program](r *ExecContext, p P) func(rg sched.Range, chunkI
 			// no per-lane predicate tests, one fused gather+combine per
 			// lane, as an AVX kernel would issue a single vgatherqpd.
 			if fast && (v0&v1&v2&v3)>>63 != 0 {
-				acc = step4(p, &fz, props, acc, n0, n1, n2, n3, base, a.Weights)
+				acc = fz.step4(props, acc, n0, n1, n2, n3, base, a.Weights)
 				c.EdgesProcessed += vec.Lanes
 				c.TLSWrites += vec.Lanes
 				if rec != nil {
@@ -249,7 +249,7 @@ func pullSABody[P apps.Program](r *ExecContext, p P) func(rg sched.Range, chunkI
 					// The first live lane is the run's minimum live source:
 					// take it and leave the destination.
 					n := words[base+mask.First()] & vsparse.VertexMask
-					acc = step(p, &fz, props, acc, n, 0)
+					acc = fz.step(props, acc, n, 0)
 					c.EdgesProcessed++
 					c.TLSWrites++
 					if rec != nil {
@@ -261,7 +261,7 @@ func pullSABody[P apps.Program](r *ExecContext, p P) func(rg sched.Range, chunkI
 				if mask == vec.MaskAll && fullVector {
 					// Every lane survived predication: take the fused
 					// full-vector path.
-					acc = step4(p, &fz, props, acc, n0, n1, n2, n3, base, a.Weights)
+					acc = fz.step4(props, acc, n0, n1, n2, n3, base, a.Weights)
 					c.EdgesProcessed += vec.Lanes
 					c.TLSWrites += vec.Lanes
 					if rec != nil {
@@ -278,7 +278,7 @@ func pullSABody[P apps.Program](r *ExecContext, p P) func(rg sched.Range, chunkI
 				if weighted {
 					w = a.Weights[base+lane]
 				}
-				acc = step(p, &fz, props, acc, n, w)
+				acc = fz.step(props, acc, n, w)
 				c.EdgesProcessed++
 				c.TLSWrites++
 				if rec != nil {
@@ -296,13 +296,13 @@ func pullSABody[P apps.Program](r *ExecContext, p P) func(rg sched.Range, chunkI
 // mergeAccum folds the merge buffer into the shared accumulators
 // (Listing 6). It runs on one thread after the barrier — the paper found
 // this "extremely fast for the real-world graphs we studied".
-func mergeAccum[P apps.Program](r *ExecContext, p P, identity uint64) {
+func mergeAccum(r *ExecContext, fz *fuse) {
 	t0 := time.Now()
-	fz := fuseFor(p, false)
+	identity := fz.p.Identity()
 	accum := r.accum
 	n := r.mergeBuf.Merge(func(dst uint32, v uint64) {
 		if v != identity {
-			accum[dst] = combine(p, &fz, accum[dst], v)
+			accum[dst] = fz.combine(accum[dst], v)
 		}
 	})
 	r.noteMerge(time.Since(t0))
@@ -328,7 +328,7 @@ func mergeAccum[P apps.Program](r *ExecContext, p P, identity uint64) {
 // order-sensitive operators like floating-point addition — while the
 // interior runs keep the per-edge shared write that defines the traditional
 // interface's cost (the Fig 5 AtomicOps/SharedWrites measurement).
-func edgePullTraditional[P apps.Program](r *ExecContext, p P, useAtomics bool) {
+func edgePullTraditional(r *ExecContext, p apps.Program, useAtomics bool) {
 	a := r.g.VSD
 	total := a.NumVectors()
 	if total == 0 {
@@ -400,7 +400,7 @@ func edgePullTraditional[P apps.Program](r *ExecContext, p P, useAtomics bool) {
 					if weighted {
 						w = a.Weights[base+lane]
 					}
-					acc = step(p, &fz, props, acc, n, w)
+					acc = fz.step(props, acc, n, w)
 					c.EdgesProcessed++
 					c.TLSWrites++
 					if rec != nil {
@@ -445,12 +445,12 @@ func edgePullTraditional[P apps.Program](r *ExecContext, p P, useAtomics bool) {
 				if weighted {
 					w = a.Weights[base+lane]
 				}
-				msg := stepMsg(p, &fz, props, n, w)
+				msg := fz.stepMsg(props, n, w)
 				c.EdgesProcessed++
 				if useAtomics {
-					casCombine(p, &accum[dst], msg, skipEqual, &c)
+					casCombine(&fz, &accum[dst], msg, skipEqual, &c)
 				} else {
-					plainCombine(p, &accum[dst], msg, skipEqual, &c)
+					plainCombine(&fz, &accum[dst], msg, skipEqual, &c)
 				}
 				if rec != nil {
 					if r.propOwner.Owner(uint32(n)) == node {
@@ -463,16 +463,16 @@ func edgePullTraditional[P apps.Program](r *ExecContext, p P, useAtomics bool) {
 		}
 		rec.Record(tid, c)
 	})
-	mergeAccum(r, p, identity)
+	mergeAccum(r, &fz)
 }
 
 // casCombine performs one synchronized shared update: load, combine, CAS,
 // retrying on conflict. Retries are the direct measurement of the write
 // conflicts that motivate §3.
-func casCombine[P apps.Program](p P, addr *uint64, msg uint64, skipEqual bool, c *perfmodel.Counters) {
+func casCombine(fz *fuse, addr *uint64, msg uint64, skipEqual bool, c *perfmodel.Counters) {
 	for {
 		old := atomic.LoadUint64(addr)
-		merged := p.Combine(old, msg)
+		merged := fz.combine(old, msg)
 		if skipEqual && merged == old {
 			c.SkippedWrites++
 			return
@@ -490,9 +490,9 @@ func casCombine[P apps.Program](p P, addr *uint64, msg uint64, skipEqual bool, c
 // multiple workers this is intentionally racy (the paper runs it only to
 // isolate conflict cost from synchronization cost; its output may be
 // incorrect).
-func plainCombine[P apps.Program](p P, addr *uint64, msg uint64, skipEqual bool, c *perfmodel.Counters) {
+func plainCombine(fz *fuse, addr *uint64, msg uint64, skipEqual bool, c *perfmodel.Counters) {
 	old := *addr
-	merged := p.Combine(old, msg)
+	merged := fz.combine(old, msg)
 	if skipEqual && merged == old {
 		c.SkippedWrites++
 		return
@@ -506,7 +506,7 @@ func plainCombine[P apps.Program](p P, addr *uint64, msg uint64, skipEqual bool,
 // configuration of Fig 1). No synchronization is needed, but skewed
 // graphs suffer the load imbalance that motivates inner-loop
 // parallelization.
-func edgePullOuterOnly[P apps.Program](r *ExecContext, p P) {
+func edgePullOuterOnly(r *ExecContext, p apps.Program) {
 	m := r.g.CSC
 	identity := p.Identity()
 	usesFrontier := p.UsesFrontier()
@@ -540,12 +540,12 @@ func edgePullOuterOnly[P apps.Program](r *ExecContext, p P) {
 				if ws != nil {
 					w = ws[i]
 				}
-				acc = step(p, &fz, props, acc, uint64(s), w)
+				acc = fz.step(props, acc, uint64(s), w)
 				c.EdgesProcessed++
 				c.TLSWrites++
 			}
 			if acc != identity {
-				accum[dst] = p.Combine(accum[dst], acc)
+				accum[dst] = fz.combine(accum[dst], acc)
 				c.SharedWrites++
 			}
 		}
@@ -558,7 +558,7 @@ func edgePullOuterOnly[P apps.Program](r *ExecContext, p P) {
 // bar. It chunks the edge array directly; per-edge it pays the transition
 // check, frontier probe, and per-element access that the Vector-Sparse
 // kernel amortizes over four lanes.
-func edgePullSAScalar[P apps.Program](r *ExecContext, p P) {
+func edgePullSAScalar(r *ExecContext, p apps.Program) {
 	m := r.g.CSC
 	total := m.NumEdges()
 	if total == 0 {
@@ -583,7 +583,7 @@ func edgePullSAScalar[P apps.Program](r *ExecContext, p P) {
 		for i := rg.Lo; i < rg.Hi; i++ {
 			if uint64(i) == m.Index[dst+1] {
 				if acc != identity {
-					accum[dst] = p.Combine(accum[dst], acc)
+					accum[dst] = fz.combine(accum[dst], acc)
 					c.SharedWrites++
 				}
 				for uint64(i) == m.Index[dst+1] {
@@ -604,7 +604,7 @@ func edgePullSAScalar[P apps.Program](r *ExecContext, p P) {
 			if weighted {
 				w = m.Weights[i]
 			}
-			acc = step(p, &fz, props, acc, uint64(s), w)
+			acc = fz.step(props, acc, uint64(s), w)
 			c.EdgesProcessed++
 			c.TLSWrites++
 			if rec != nil {
@@ -618,7 +618,7 @@ func edgePullSAScalar[P apps.Program](r *ExecContext, p P) {
 		r.mergeBuf.Save(chunkID, dst, acc)
 		rec.Record(tid, c)
 	})
-	mergeAccum(r, p, identity)
+	mergeAccum(r, &fz)
 }
 
 // dstAt returns the destination whose run in the CSC edge array holds
@@ -635,7 +635,7 @@ func dstAt(m *csr.Matrix, i int) uint32 {
 // a chunk boundary in the destination-sorted edge array — into private
 // merge-buffer slots folded in fixed order, so results are bit-identical at
 // any worker count while interior runs keep the per-edge shared combine.
-func edgePullTraditionalScalar[P apps.Program](r *ExecContext, p P, useAtomics bool) {
+func edgePullTraditionalScalar(r *ExecContext, p apps.Program, useAtomics bool) {
 	m := r.g.CSC
 	total := m.NumEdges()
 	if total == 0 {
@@ -675,7 +675,7 @@ func edgePullTraditionalScalar[P apps.Program](r *ExecContext, p P, useAtomics b
 				if weighted {
 					w = m.Weights[i]
 				}
-				acc = step(p, &fz, props, acc, uint64(s), w)
+				acc = fz.step(props, acc, uint64(s), w)
 				c.EdgesProcessed++
 				c.TLSWrites++
 			}
@@ -701,17 +701,17 @@ func edgePullTraditionalScalar[P apps.Program](r *ExecContext, p P, useAtomics b
 			if weighted {
 				w = m.Weights[i]
 			}
-			msg := stepMsg(p, &fz, props, uint64(s), w)
+			msg := fz.stepMsg(props, uint64(s), w)
 			c.EdgesProcessed++
 			if useAtomics {
-				casCombine(p, &accum[dst], msg, skipEqual, &c)
+				casCombine(&fz, &accum[dst], msg, skipEqual, &c)
 			} else {
-				plainCombine(p, &accum[dst], msg, skipEqual, &c)
+				plainCombine(&fz, &accum[dst], msg, skipEqual, &c)
 			}
 		}
 		rec.Record(tid, c)
 	})
-	mergeAccum(r, p, identity)
+	mergeAccum(r, &fz)
 }
 
 // decodeTop4 reassembles the embedded 48-bit top-level vertex id from four

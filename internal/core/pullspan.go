@@ -74,7 +74,8 @@ func (ec *ExecContext) pullsBySpan(p apps.Program, kind apps.FusedKind) bool {
 // reduction order inside a rank-sum span is lane-wise — DESIGN.md §5 — and is
 // the same for the assembly, its Go twin and laneFold; a min needs no order.
 // So a run's bits depend on the graph and the chunk grid alone, as before.
-func pullSpanBody[P apps.Program](r *ExecContext, p P, fz fuse) func(rg sched.Range, chunkID, tid, node int) {
+func pullSpanBody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, node int) {
+	p := fz.p
 	a := r.g.VSD
 	identity := p.Identity()
 	props, accum := r.props, r.accum
@@ -134,7 +135,7 @@ func pullSpanBody[P apps.Program](r *ExecContext, p P, fz fuse) func(rg sched.Ra
 				// Record run's in-place rounds never come here.
 				_, acc = minProp(words, index, props, front, accum, int(dst), lo, hi, false)
 			default:
-				acc = laneFold(p, span, ws, props, identity)
+				acc = laneFold(fz, span, ws, props, identity)
 			}
 			if rec != nil {
 				countSpan(r, node, &c, span, front)
@@ -148,7 +149,7 @@ func pullSpanBody[P apps.Program](r *ExecContext, p P, fz fuse) func(rg sched.Ra
 			// Outer-loop transition (Listing 4): this chunk holds the final
 			// vectors of dst, so the unsynchronized shared store is safe.
 			if acc != identity {
-				accum[dst] = combine(p, &fz, accum[dst], acc)
+				accum[dst] = fz.combine(accum[dst], acc)
 				c.SharedWrites++
 			}
 			lo = hi
@@ -180,7 +181,7 @@ func (r *ExecContext) refreshContrib(scale []float64) []float64 {
 // own partial aggregate, in vector order, and the span's aggregate is
 // Combine(Combine(l0, l1), Combine(l2, l3)). A program the engine runs fused
 // therefore gets the same bits run generic (TestFusedMatchesGenericExactly).
-func laneFold[P apps.Program](p P, words []uint64, weights []float32, props []uint64, identity uint64) uint64 {
+func laneFold(fz *fuse, words []uint64, weights []float32, props []uint64, identity uint64) uint64 {
 	l := [vec.Lanes]uint64{identity, identity, identity, identity}
 	for i := 0; i+vec.Lanes <= len(words); i += vec.Lanes {
 		for lane := 0; lane < vec.Lanes; lane++ {
@@ -193,10 +194,10 @@ func laneFold[P apps.Program](p P, words []uint64, weights []float32, props []ui
 			if weights != nil {
 				wt = weights[i+lane]
 			}
-			l[lane] = p.Combine(l[lane], p.Message(props[n], uint32(n), wt))
+			l[lane] = fz.p.Combine(l[lane], fz.p.Message(props[n], uint32(n), wt))
 		}
 	}
-	return p.Combine(p.Combine(l[0], l[1]), p.Combine(l[2], l[3]))
+	return fz.p.Combine(fz.p.Combine(l[0], l[1]), fz.p.Combine(l[2], l[3]))
 }
 
 // countSpan charges one run span to the Record counters exactly as the

@@ -16,7 +16,7 @@ import (
 // write. Push uses the traditional parallelization in Grazelle (§5: "its
 // push engine uses the traditional approach"); scheduler awareness cannot
 // help because writes scatter across destinations.
-func RunEdgePush[P apps.Program](r *ExecContext, p P) {
+func RunEdgePush(r *ExecContext, p apps.Program) {
 	t0 := time.Now()
 	if r.opt.Scalar {
 		edgePushScalar(r, p)
@@ -39,22 +39,22 @@ func RunEdgePush[P apps.Program](r *ExecContext, p P) {
 // private scatter-buffer slot, folded in chunk-id order after the barrier —
 // deterministic at any worker count. Min-style operators keep the CAS:
 // their result is interleaving-independent.
-func edgePushVectorized[P apps.Program](r *ExecContext, p P) {
+func edgePushVectorized(r *ExecContext, p apps.Program) {
 	if r.g.VSS.NumVectors() == 0 {
 		return
 	}
-	ordered := fuseFor(p, p.Weighted() && r.g.VSS.Weights != nil).ordered
+	fz := fuseFor(p, p.Weighted() && r.g.VSS.Weights != nil)
 	// Chunk over source vertices: the per-source frontier bit skips whole
 	// adjacency lists (push's advantage, §2), and the vertex index — which
 	// §4 keeps around precisely for frontier checks — locates each active
 	// source's vectors.
 	vertChunk := sched.ChunkSize(r.g.N, sched.DefaultChunks(r.pool.Workers()))
-	if ordered {
+	if fz.ordered {
 		r.scatterBuf.Grow(sched.NumChunks(r.g.N, vertChunk) + r.topo.Nodes)
 	}
-	r.dispatch(r.vertexPartition(), vertChunk, r.edgeRec, pushVectorizedBody(r, p))
-	if ordered {
-		mergeScatter(r, p)
+	r.dispatch(r.vertexPartition(), vertChunk, r.edgeRec, pushVectorizedBody(r, &fz))
+	if fz.ordered {
+		mergeScatter(r, &fz)
 	}
 }
 
@@ -62,15 +62,15 @@ func edgePushVectorized[P apps.Program](r *ExecContext, p P) {
 // invariants hoisted into the closure. The scatter is a CAS (or an append to
 // the chunk's private scatter-buffer slot, keyed by chunk id), so its chunks
 // are safe to run concurrently.
-func pushVectorizedBody[P apps.Program](r *ExecContext, p P) func(rg sched.Range, chunkID, tid, node int) {
+func pushVectorizedBody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, node int) {
+	p := fz.p
 	a := r.g.VSS
 	usesFrontier := p.UsesFrontier()
 	tracksConv := p.TracksConverged()
 	skipEqual := p.SkipEqualWrites()
-	weighted := p.Weighted() && a.Weights != nil
+	weighted := fz.weighted
 	props, accum := r.props, r.accum
 	rec := r.edgeRec
-	fz := fuseFor(p, weighted)
 
 	words := a.Words
 	index := a.Index
@@ -105,13 +105,13 @@ func pushVectorizedBody[P apps.Program](r *ExecContext, p P) func(rg sched.Range
 					if weighted {
 						w = a.Weights[base+lane]
 					}
-					msg := stepMsg(p, &fz, props, uint64(src), w)
+					msg := fz.stepMsg(props, uint64(src), w)
 					c.EdgesProcessed++
 					if fz.ordered {
 						out = append(out, sched.Contribution{Dst: dst, Val: msg})
 						c.TLSWrites++
 					} else {
-						casCombine(p, &accum[dst], msg, skipEqual, &c)
+						casCombine(fz, &accum[dst], msg, skipEqual, &c)
 					}
 					if rec != nil {
 						if r.propOwner.Owner(dst) == node {
@@ -133,11 +133,11 @@ func pushVectorizedBody[P apps.Program](r *ExecContext, p P) func(rg sched.Range
 // mergeScatter folds the scatter buffer into the shared accumulators in
 // chunk-id order — the push-side analog of mergeAccum, running on one
 // thread after the barrier.
-func mergeScatter[P apps.Program](r *ExecContext, p P) {
+func mergeScatter(r *ExecContext, fz *fuse) {
 	t0 := time.Now()
 	accum := r.accum
 	n := r.scatterBuf.Merge(func(dst uint32, v uint64) {
-		accum[dst] = p.Combine(accum[dst], v)
+		accum[dst] = fz.combine(accum[dst], v)
 	})
 	r.noteMerge(time.Since(t0))
 	if r.edgeRec != nil {
@@ -150,7 +150,7 @@ func mergeScatter[P apps.Program](r *ExecContext, p P) {
 // vertices, inner loop serial, one CAS per live edge — or, for
 // order-sensitive programs, one scatter-buffer append (see
 // edgePushVectorized).
-func edgePushScalar[P apps.Program](r *ExecContext, p P) {
+func edgePushScalar(r *ExecContext, p apps.Program) {
 	m := r.g.CSR
 	usesFrontier := p.UsesFrontier()
 	tracksConv := p.TracksConverged()
@@ -189,13 +189,13 @@ func edgePushScalar[P apps.Program](r *ExecContext, p P) {
 				if ws != nil {
 					w = ws[i]
 				}
-				msg := stepMsg(p, &fz, props, uint64(src), w)
+				msg := fz.stepMsg(props, uint64(src), w)
 				c.EdgesProcessed++
 				if fz.ordered {
 					out = append(out, sched.Contribution{Dst: dst, Val: msg})
 					c.TLSWrites++
 				} else {
-					casCombine(p, &accum[dst], msg, skipEqual, &c)
+					casCombine(&fz, &accum[dst], msg, skipEqual, &c)
 				}
 			}
 		}
@@ -205,6 +205,6 @@ func edgePushScalar[P apps.Program](r *ExecContext, p P) {
 		rec.Record(tid, c)
 	})
 	if fz.ordered {
-		mergeScatter(r, p)
+		mergeScatter(r, &fz)
 	}
 }

@@ -422,31 +422,56 @@ type Result struct {
 	Trace obs.RunTrace
 	// Mode is the engine mode the run was configured with.
 	Mode EngineMode
-	// Seeded reports that the run started from a warm seed (RunSeededCtx)
-	// rather than the program's cold init. False for a seeded call means the
-	// seed failed to apply and the run degraded to a cold start.
+	// Seeded reports that the run started from RunCtx's warm seed rather
+	// than the program's cold init. False for a seeded call means the seed
+	// failed to apply and the run degraded to a cold start.
 	Seeded bool
 }
 
-// Run executes program p for at most maxIters iterations (frontier-driven
-// programs stop early when the frontier empties) and returns the result.
-// The generic parameter devirtualizes the per-edge program calls. Run is
+// Run executes program p from a cold start for at most maxIters iterations
+// (frontier-driven programs stop early when the frontier empties) and
+// returns the result: RunCtx on a background context with no seed. Run is
 // safe to call concurrently on one Runner.
-func Run[P apps.Program](r *Runner, p P, maxIters int) Result {
-	res, _ := RunCtx(context.Background(), r, p, maxIters)
+func Run(r *Runner, p apps.Program, maxIters int) Result {
+	res, _ := RunCtx(context.Background(), r, p, maxIters, nil)
 	return res
 }
 
-// RunCtx is Run with cancellation and fault containment: the run stops
-// within one scheduler chunk boundary of ctx being cancelled (including its
-// deadline passing) and returns the partial result alongside a
-// non-nil error wrapping ctx.Err(). A panic anywhere in the run — a chunk
+// RunCtx executes program p for at most maxIters iterations, starting from
+// seed, or from the program's cold init when seed is nil. Result.Seeded
+// reports whether the seed actually applied; when it did not (wrong shape,
+// or an injected fault) the run executed from the cold init instead —
+// callers running a truncated iteration budget on the assumption the seed
+// held (direct plans with maxIters 0) must check Seeded before trusting the
+// result.
+//
+// The run stops within one scheduler chunk boundary of ctx being cancelled
+// (including its deadline passing) and returns the partial result alongside
+// a non-nil error wrapping ctx.Err(). A panic anywhere in the run — a chunk
 // body, a program callback, the iteration driver — is captured as a
 // *sched.PanicError wrapped in the returned error; the Runner, its pool, and
 // concurrent sibling runs stay healthy. Props then reflect the last fully
 // applied iteration.
-func RunCtx[P apps.Program](ctx context.Context, r *Runner, p P, maxIters int) (Result, error) {
-	return RunSeededCtx(ctx, r, p, maxIters, nil)
+func RunCtx(ctx context.Context, r *Runner, p apps.Program, maxIters int, seed *Seed) (res Result, err error) {
+	ec := r.acquire()
+	ec.ctx = ctx
+	ec.done = ctx.Done()
+	func() {
+		// Last-resort containment for panics outside guarded chunks (program
+		// callbacks on the driver goroutine, frontier bookkeeping, or a
+		// *PanicError rethrown by a void pool wrapper).
+		defer func() {
+			if rec := recover(); rec != nil {
+				pe := sched.NewPanicError(rec)
+				err = fmt.Errorf("core: run panicked after %d iterations: %w", res.Iterations, pe)
+			}
+		}()
+		res, err = runLoop(ec, p, maxIters, seed)
+	}()
+	res.Props = ec.props
+	ec.props = nil // ownership passes to the caller
+	r.release(ec)
+	return res, err
 }
 
 // runLoop is the iteration loop: per iteration, the frontier census, the
@@ -454,7 +479,7 @@ func RunCtx[P apps.Program](ctx context.Context, r *Runner, p P, maxIters int) (
 // or a full Edge phase (its ordered merge included) followed by the Vertex
 // phase and the frontier publish (DESIGN.md §13). It stops at maxIters, when
 // the frontier empties, or when the run aborts (cancelled or panicked).
-func runLoop[P apps.Program](ec *ExecContext, p P, maxIters int, seed *Seed) (Result, error) {
+func runLoop(ec *ExecContext, p apps.Program, maxIters int, seed *Seed) (Result, error) {
 	start := time.Now()
 	ec.Init(p)
 	var res Result
@@ -621,7 +646,7 @@ func (ec *ExecContext) traceVertex(wall time.Duration, density float64) {
 // RunVertex executes the Vertex phase: apply aggregates, reset accumulators,
 // build the next frontier, and swap it in. Statically scheduled (§5: the
 // work is regular enough that load balancing is not a problem).
-func RunVertex[P apps.Program](r *ExecContext, p P) {
+func RunVertex(r *ExecContext, p apps.Program) {
 	t0 := time.Now()
 	body := vertexBody(r, p)
 	r.next.Clear()
@@ -644,7 +669,7 @@ func RunVertex[P apps.Program](r *ExecContext, p P) {
 // on publish, so it is rebuilt every iteration. Every write is either
 // per-vertex state owned by the range or an atomic OR into the shared
 // bitmaps, so ranges run concurrently.
-func vertexBody[P apps.Program](r *ExecContext, p P) func(rg sched.Range, tid int) {
+func vertexBody(r *ExecContext, p apps.Program) func(rg sched.Range, tid int) {
 	identity := p.Identity()
 	tracksConv := p.TracksConverged()
 	nextWords := r.next.Words()

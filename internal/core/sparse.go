@@ -86,7 +86,7 @@ func (cs census) chunks(workers int) int {
 // VSS), collecting the set of touched destinations, in the given number of
 // chunks (one runs inline). It returns the touched list for the sparse
 // Vertex phase.
-func runEdgePushSparse[P apps.Program](r *ExecContext, p P, front []uint32, chunks int) []uint32 {
+func runEdgePushSparse(r *ExecContext, p apps.Program, front []uint32, chunks int) []uint32 {
 	t0 := time.Now()
 	inline := chunks == 1
 	a := r.g.VSS
@@ -129,7 +129,7 @@ func runEdgePushSparse[P apps.Program](r *ExecContext, p P, front []uint32, chun
 					if weighted {
 						w = a.Weights[base+lane]
 					}
-					msg := stepMsg(p, &fz, props, uint64(src), w)
+					msg := fz.stepMsg(props, uint64(src), w)
 					c.EdgesProcessed++
 					switch {
 					case fz.ordered:
@@ -137,9 +137,9 @@ func runEdgePushSparse[P apps.Program](r *ExecContext, p P, front []uint32, chun
 						c.TLSWrites++
 					case inline:
 						// The driver goroutine is the only writer.
-						plainCombine(p, &accum[dst], msg, skipEqual, &c)
+						plainCombine(&fz, &accum[dst], msg, skipEqual, &c)
 					default:
-						casCombine(p, &accum[dst], msg, skipEqual, &c)
+						casCombine(&fz, &accum[dst], msg, skipEqual, &c)
 					}
 					if inline {
 						touchedWords[dst>>6] |= 1 << (dst & 63)
@@ -184,7 +184,7 @@ func runEdgePushSparse[P apps.Program](r *ExecContext, p P, front []uint32, chun
 		}
 	}
 	if fz.ordered {
-		mergeScatter(r, p)
+		mergeScatter(r, &fz)
 	}
 	if rec != nil {
 		rec.Wall += time.Since(t0)
@@ -198,7 +198,7 @@ func runEdgePushSparse[P apps.Program](r *ExecContext, p P, front []uint32, chun
 // cannot change (Apply(old, Identity, v) == (old, false) for every
 // frontier-driven program; the registry conformance suite holds them to
 // it), so skipping them is exact.
-func runVertexSparse[P apps.Program](r *ExecContext, p P, touched []uint32, inline bool) {
+func runVertexSparse(r *ExecContext, p apps.Program, touched []uint32, inline bool) {
 	t0 := time.Now()
 	identity := p.Identity()
 	tracksConv := p.TracksConverged()

@@ -52,7 +52,7 @@ func assertServesRebuild(t *testing.T, h *Handle, base *graph.Graph, ops []graph
 			if err != nil {
 				t.Fatalf("%s: %s: %v", label, ent.Name, err)
 			}
-			res, err := core.RunCtx(context.Background(), r, prog, ent.MaxIters(p))
+			res, err := core.RunCtx(context.Background(), r, prog, ent.MaxIters(p), nil)
 			if err != nil {
 				t.Fatalf("%s: %s: %v", label, ent.Name, err)
 			}

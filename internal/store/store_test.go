@@ -23,7 +23,7 @@ const prIters = 8
 // so repeated calls must be bit-identical regardless of concurrency.
 func pagerank(t *testing.T, h *Handle) []uint64 {
 	t.Helper()
-	res, err := core.RunCtx(context.Background(), h.Runner(), apps.PageRankOn(h.Runner().Graph().RankScale(false)), prIters)
+	res, err := core.RunCtx(context.Background(), h.Runner(), apps.PageRankOn(h.Runner().Graph().RankScale(false)), prIters, nil)
 	if err != nil {
 		t.Fatalf("pagerank: %v", err)
 	}
