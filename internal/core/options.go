@@ -71,9 +71,8 @@ var engineModeNames = [...]string{
 	EnginePushOnly: "Push",
 }
 
-// String returns the mode name. The table + explicit range check replaces
-// the earlier switch formatting so unknown values — negative or past the
-// last mode — always render as EngineMode(n).
+// String returns the mode name. The explicit range check makes unknown
+// values — negative or past the last mode — render as EngineMode(n).
 func (m EngineMode) String() string {
 	if m >= 0 && int(m) < len(engineModeNames) {
 		return engineModeNames[m]
@@ -163,7 +162,7 @@ type Options struct {
 }
 
 // withDefaults normalizes an Options value.
-func (o Options) withDefaults(g *Graph) Options {
+func (o Options) withDefaults() Options {
 	if o.Workers < 1 {
 		if o.Pool != nil {
 			o.Workers = o.Pool.Workers()

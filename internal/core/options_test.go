@@ -24,15 +24,26 @@ func TestEngineModeString(t *testing.T) {
 	}
 }
 
+// TestPullVariantString pins the variant names reports print.
+func TestPullVariantString(t *testing.T) {
+	for v, want := range map[PullVariant]string{
+		PullSchedulerAware: "Scheduler-Aware", PullTraditional: "Traditional",
+		PullTraditionalNonatomic: "Traditional-Nonatomic", PullOuterOnly: "Outer-Only", PullVariant(9): "PullVariant(9)",
+	} {
+		if got := v.String(); got != want {
+			t.Errorf("PullVariant(%d).String() = %q, want %q", int(v), got, want)
+		}
+	}
+}
+
 // TestOptionsDefaults pins the withDefaults normalization of the direction
 // policy: the degree-share default and its negative opt-out.
 func TestOptionsDefaults(t *testing.T) {
-	g := &Graph{}
-	o := Options{}.withDefaults(g)
+	o := Options{}.withDefaults()
 	if o.PullDegreeShare != 0.15 {
 		t.Errorf("default PullDegreeShare = %v, want 0.15", o.PullDegreeShare)
 	}
-	o = Options{PullDegreeShare: -1}.withDefaults(g)
+	o = Options{PullDegreeShare: -1}.withDefaults()
 	if o.PullDegreeShare != -1 {
 		t.Errorf("negative PullDegreeShare rewritten to %v", o.PullDegreeShare)
 	}

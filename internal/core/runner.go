@@ -112,7 +112,7 @@ type ExecContext struct {
 
 // NewRunner creates a Runner for graph g.
 func NewRunner(g *Graph, opt Options) *Runner {
-	opt = opt.withDefaults(g)
+	opt = opt.withDefaults()
 	r := &Runner{g: g, opt: opt}
 	if opt.Pool != nil {
 		r.pool = opt.Pool

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
@@ -120,6 +122,68 @@ func TestAblateFullVectorStillCorrect(t *testing.T) {
 		ra, rb := math.Float64frombits(a.Props[v]), math.Float64frombits(b.Props[v])
 		if math.Abs(ra-rb) > 1e-10*(1+math.Abs(ra)) {
 			t.Fatalf("ablated kernel diverges at %d: %v vs %v", v, ra, rb)
+		}
+	}
+}
+
+// TestSparseChunkFloor: a list-driven round is cut into chunks of at least
+// sparseInlineWork units, so a round of up to four of them runs in at most
+// four chunks whatever the worker count, and sssp on a weighted mesh — all
+// list-driven rounds — ends at the same bits at every worker count.
+func TestSparseChunkFloor(t *testing.T) {
+	for _, c := range []struct{ work, workers, want int }{
+		{1, 4, 1}, {sparseInlineWork, 4, 1}, {sparseInlineWork + 1, 4, 1}, {2*sparseInlineWork - 1, 4, 1},
+		{2 * sparseInlineWork, 4, 2}, {4 * sparseInlineWork, 4, 4}, {5*sparseInlineWork - 1, 1, 4},
+		{1 << 20, 1, 32}, {1 << 20, 2, 64},
+	} {
+		if got := (census{count: c.work}).chunks(c.workers); got != c.want {
+			t.Errorf("work %d at %d workers: %d chunks, want %d", c.work, c.workers, got, c.want)
+		}
+	}
+
+	// One seeded round on the road mesh at kernel-frontier's size, its
+	// frontier the first k vertices: work = k + their out-edges.
+	g := gen.AddUniformWeights(gen.Generate(gen.DimacsUSA, 4), 5)
+	cg := BuildGraph(g)
+	props := make([]uint64, cg.N)
+	apps.NewConnComp().InitProps(props)
+	for _, k := range []int{270, 500, 840} {
+		front := make([]uint32, k)
+		work := k
+		for v := range front {
+			front[v] = uint32(v)
+			work += cg.CSR.Degree(uint32(v))
+		}
+		if work <= sparseInlineWork || work > 4*sparseInlineWork {
+			t.Fatalf("k=%d: round of %d units is outside the range under test", k, work)
+		}
+		r := NewRunner(cg, Options{Workers: 4, Trace: true})
+		res, err := RunCtx(context.Background(), r, apps.NewConnComp(), 1, &Seed{Props: props, Frontier: front})
+		r.Close()
+		if err != nil || !res.Seeded || res.SparseIterations != 1 {
+			t.Fatalf("k=%d: err=%v seeded=%v sparse=%d, want one list-driven round", k, err, res.Seeded, res.SparseIterations)
+		}
+		for _, ph := range res.Trace.Phases {
+			if ph.Phase == "edge-push" && (ph.Chunks < 1 || ph.Chunks > 4) {
+				t.Errorf("k=%d: round of %d units ran in %d chunks, want at most 4", k, work, ph.Chunks)
+			}
+		}
+	}
+
+	var ref Result
+	for _, workers := range []int{1, 2, 4} {
+		r := NewRunner(cg, Options{Workers: workers})
+		res := Run(r, apps.NewSSSP(0), 1<<20)
+		r.Close()
+		if res.SparseIterations == 0 {
+			t.Fatalf("w%d: sssp on the mesh ran no list-driven round", workers)
+		}
+		if workers == 1 {
+			ref = res
+			continue
+		}
+		if !slices.Equal(res.Props, ref.Props) || res.Iterations != ref.Iterations {
+			t.Errorf("w%d: sssp differs from one worker (%d vs %d iterations)", workers, res.Iterations, ref.Iterations)
 		}
 	}
 }
