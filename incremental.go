@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
-	"repro/internal/store"
 )
 
 // Incremental recompute (DESIGN.md §15): when a query targets a graph
@@ -14,22 +13,34 @@ import (
 // delta connecting the two is small, RunIncremental warm-starts the run
 // from the predecessor's lanes instead of cold-starting. The app's registry
 // entry decides whether its semantics permit that (apps.Entry.
-// IncrementalSeed); every failure mode — app without the capability, delta
-// violating the app's preconditions, seed failing to install — degrades to
-// a plain full recompute, so the path can only save time, never change a
-// result.
+// IncrementalSeed; only cc has a planner); every failure mode — app without
+// the capability, delta violating the app's preconditions, seed failing to
+// install — degrades to a plain full recompute, so the path can only save
+// time, never change a result.
 
-// Delta is the materialized mutation delta between two published versions
-// of a stored graph (see Store.DeltaBetween).
-type Delta = store.Delta
+// Delta is the mutation delta between two published versions of a stored
+// graph (see Store.DeltaBetween).
+type Delta struct {
+	// Ops are the acknowledged edge operations connecting the older version
+	// to the newer, in log order (last-writer-wins per (src, dst) pair when
+	// applied). Empty means the two versions serve bit-identical content.
+	Ops []EdgeOp
+	// FromEdges and FromCountsKnown are always zero.
+	//
+	// Deprecated: no planner reads the predecessor's counts; leave them
+	// unread.
+	FromEdges       int
+	FromCountsKnown bool
+}
 
 // DeltaBetween returns the edge operations connecting version from to
-// version to of the named graph, plus the older version's dimensions. It
-// reports false whenever the delta cannot be recovered exactly — versions
-// from different lineages, history evicted, or the delta log already
-// compacted past the range — and callers then run cold.
+// version to of the named graph. It reports false whenever the delta cannot
+// be recovered exactly — versions from different lineages, history evicted,
+// or the delta log already compacted past the range — and callers then run
+// cold.
 func (s *Store) DeltaBetween(name string, from, to uint64) (Delta, bool) {
-	return s.s.DeltaBetween(name, from, to)
+	ops, ok := s.s.DeltaBetween(name, from, to)
+	return Delta{Ops: ops}, ok
 }
 
 // SeedSpec carries the warm-start inputs for RunIncremental: a predecessor
@@ -42,8 +53,10 @@ type SeedSpec struct {
 	// Ops is the mutation delta from the predecessor version to the
 	// engine's graph, in log order.
 	Ops []EdgeOp
-	// FromEdges is the predecessor's edge count; FromCountsKnown whether it
-	// is exact (Delta.FromEdges / Delta.FromCountsKnown).
+	// FromEdges and FromCountsKnown have no effect.
+	//
+	// Deprecated: no planner reads the predecessor's counts; leave them
+	// unset.
 	FromEdges       int
 	FromCountsKnown bool
 }
@@ -67,13 +80,9 @@ func (e *Engine) RunIncremental(ctx context.Context, app string, p Params, spec 
 		return res, false, err
 	}
 	plan, perr := ent.IncrementalSeed(apps.SeedInput{
-		Vertices:        e.g.NumVertices(),
-		Edges:           e.g.NumEdges(),
-		Params:          p,
-		Pred:            spec.PredProps,
-		Ops:             spec.Ops,
-		FromEdges:       spec.FromEdges,
-		FromCountsKnown: spec.FromCountsKnown,
+		Vertices: e.g.NumVertices(),
+		Pred:     spec.PredProps,
+		Ops:      spec.Ops,
 	})
 	if perr != nil || plan == nil {
 		res, err = e.Run(ctx, app, p)
@@ -83,22 +92,10 @@ func (e *Engine) RunIncremental(ctx context.Context, app string, p Params, spec 
 	if err != nil {
 		return nil, false, err
 	}
-	maxIters := ent.MaxIters(p)
-	if plan.Direct {
-		maxIters = 0
-	}
-	cres, err := core.RunCtx(ctx, e.r, prog, maxIters, &core.Seed{
+	cres, err := core.RunCtx(ctx, e.r, prog, ent.MaxIters(p), &core.Seed{
 		Props:    plan.Props,
 		Frontier: plan.Frontier,
 	})
-	if err == nil && plan.Direct && !cres.Seeded {
-		// The seed failed to install and the plan carried no iteration
-		// budget, so the engine returned cold-init lanes. Non-direct plans
-		// self-heal — a failed seed there just runs the full budget cold —
-		// but a direct plan must be re-run in full.
-		res, err = e.Run(ctx, app, p)
-		return res, false, err
-	}
 	return &AppResult{
 		App:    app,
 		Params: p,

@@ -12,94 +12,39 @@ import (
 	"repro/internal/graph"
 )
 
-// Incremental-seed conformance: the registry-wide bar for entries that set
-// IncrementalSeed (DESIGN.md §15). For every such entry, on the T/U/D
-// conformance analogs, a planner-accepted mutation batch warm-started from
-// the predecessor's lanes must reproduce the sequential reference on the
-// mutated graph. The suite iterates apps.All() like the rest of the
-// conformance file, so a future seed-capable registration cannot land
-// without clearing the same bar. FuzzIncrementalSeed extends the property
-// to arbitrary byte-derived deltas: the planner may refuse anything, but
-// whatever it accepts must be right.
+// Incremental-seed conformance (DESIGN.md §15): the registry-wide bar for
+// the apps that incremental recompute touches. On the T/U/D conformance
+// analogs, after a batch of fresh inserts, the run a query gets on the
+// mutated graph must reproduce a cold run there and the sequential
+// reference: warm-started from the predecessor's lanes for cc, the one app
+// with an IncrementalSeed planner, and cold for pr, ppr, bfs and sssp, which
+// have none. FuzzIncrementalSeed extends cc's property to arbitrary
+// byte-derived deltas: the planner may refuse anything, but whatever it
+// accepts must be right.
 
-// seedBatch shapes a planner-accepted delta for ent on g, mirroring the
-// per-app rules: topology-preserving re-assertions for the direct plans
-// (pr/ppr/bfs), fresh inserts for cc's warm fixpoint, distance-improving
-// upserts for sssp.
-func seedBatch(ent apps.Entry, g *graph.Graph, pred []uint64, n int) []graph.EdgeOp {
-	switch ent.Name {
-	case "pr", "ppr":
-		count := make(map[[2]uint32]int, len(g.Edges))
-		for _, e := range g.Edges {
-			count[[2]uint32{e.Src, e.Dst}]++
-		}
-		ops := make([]graph.EdgeOp, 0, n)
-		for _, e := range g.Edges {
-			if count[[2]uint32{e.Src, e.Dst}] == 1 {
-				ops = append(ops, graph.EdgeOp{Src: e.Src, Dst: e.Dst, Weight: e.Weight})
-				if len(ops) == n {
-					break
-				}
-			}
-		}
-		return ops
-	case "bfs":
-		if n > len(g.Edges) {
-			n = len(g.Edges)
-		}
-		ops := make([]graph.EdgeOp, 0, n)
-		for _, e := range g.Edges[:n] {
-			ops = append(ops, graph.EdgeOp{Src: e.Src, Dst: e.Dst, Weight: e.Weight})
-		}
-		return ops
-	case "cc":
-		have := make(map[[2]uint32]bool, len(g.Edges))
-		for _, e := range g.Edges {
-			have[[2]uint32{e.Src, e.Dst}] = true
-		}
-		nv := uint32(g.NumVertices)
-		ops := make([]graph.EdgeOp, 0, n)
-		for i := uint32(0); len(ops) < n && i < 16*nv; i++ {
-			src := (i * 2654435761) % nv
-			dst := (src + 1 + i%97) % nv
-			if src == dst || have[[2]uint32{src, dst}] {
-				continue
-			}
-			have[[2]uint32{src, dst}] = true
-			ops = append(ops, graph.EdgeOp{Src: src, Dst: dst, Weight: 1})
-		}
-		return ops
-	case "sssp":
-		seen := make(map[[2]uint32]bool, n)
-		nv := uint32(g.NumVertices)
-		ops := make([]graph.EdgeOp, 0, n)
-		for i := uint32(0); len(ops) < n && i < 64*nv; i++ {
-			src := (i * 2654435761) % nv
-			dst := (src + 1 + i%97) % nv
-			if src == dst || seen[[2]uint32{src, dst}] {
-				continue
-			}
-			du := math.Float64frombits(pred[src])
-			dv := math.Float64frombits(pred[dst])
-			if math.IsInf(du, 1) {
-				continue
-			}
-			w := float32(1)
-			if !math.IsInf(dv, 1) {
-				if dv <= du {
-					continue
-				}
-				w = float32(0.5 * (dv - du))
-				if w <= 0 {
-					continue
-				}
-			}
-			seen[[2]uint32{src, dst}] = true
-			ops = append(ops, graph.EdgeOp{Src: src, Dst: dst, Weight: w})
-		}
-		return ops
+// incrementalApps is the suite's fixed app list: cc, and the four apps that
+// must run cold after a mutation (DESIGN.md §15 says why).
+var incrementalApps = []string{"bfs", "cc", "ppr", "pr", "sssp"}
+
+// freshInserts builds up to n inserts of edges absent from g, the batch a
+// mutating client sends.
+func freshInserts(g *graph.Graph, n int) []graph.EdgeOp {
+	have := make(map[[2]uint32]bool, len(g.Edges))
+	for _, e := range g.Edges {
+		have[[2]uint32{e.Src, e.Dst}] = true
 	}
-	return nil
+	nv := uint32(g.NumVertices)
+	ops := make([]graph.EdgeOp, 0, n)
+	for i := uint32(0); len(ops) < n && i < 16*nv; i++ {
+		src := (i * 2654435761) % nv
+		dst := (src + 1 + i%97) % nv
+		if src == dst || have[[2]uint32{src, dst}] {
+			continue
+		}
+		have[[2]uint32{src, dst}] = true
+		ops = append(ops, graph.EdgeOp{Src: src, Dst: dst, Weight: 1})
+	}
+	return ops
 }
 
 // runSeeded executes ent on g warm-started from plan and returns the lanes,
@@ -112,11 +57,7 @@ func runSeeded(t *testing.T, g *graph.Graph, ent apps.Entry, p apps.Params, plan
 	if err != nil {
 		t.Fatal(err)
 	}
-	max := ent.MaxIters(p)
-	if plan.Direct {
-		max = 0
-	}
-	res, err := core.RunCtx(context.Background(), r, prog, max, &core.Seed{
+	res, err := core.RunCtx(context.Background(), r, prog, ent.MaxIters(p), &core.Seed{
 		Props:    plan.Props,
 		Frontier: plan.Frontier,
 	})
@@ -127,6 +68,24 @@ func runSeeded(t *testing.T, g *graph.Graph, ent apps.Entry, p apps.Params, plan
 		t.Fatal("accepted plan failed to install")
 	}
 	return res.Props
+}
+
+// runAfter returns the lanes a query on g1 gets after the batch ops: for cc,
+// a run warm-started from its planner's plan; for any other app, which must
+// register no planner, a cold run.
+func runAfter(t *testing.T, g1 *graph.Graph, ent apps.Entry, p apps.Params, pred []uint64, ops []graph.EdgeOp) []uint64 {
+	t.Helper()
+	if ent.Name != "cc" {
+		if ent.IncrementalSeed != nil {
+			t.Fatalf("%s registers an IncrementalSeed planner", ent.Name)
+		}
+		return runConformance(t, core.BuildGraph(g1), g1, ent, p, 2)
+	}
+	plan, err := ent.IncrementalSeed(apps.SeedInput{Vertices: g1.NumVertices, Pred: pred, Ops: ops})
+	if err != nil {
+		t.Fatalf("planner refused a by-construction safe delta: %v", err)
+	}
+	return runSeeded(t, g1, ent, p, plan)
 }
 
 // assertSeedReference compares got against ent's sequential reference
@@ -154,37 +113,27 @@ func assertSeedReference(t *testing.T, ent apps.Entry, want, got []uint64) {
 
 func TestRegistryConformanceIncremental(t *testing.T) {
 	graphs := conformanceGraphs()
-	for _, ent := range apps.All() {
-		if ent.IncrementalSeed == nil {
-			continue
+	for _, name := range incrementalApps {
+		ent, err := apps.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		ent := ent
-		t.Run(ent.Name, func(t *testing.T) {
-			for name, base := range graphs {
-				t.Run(name, func(t *testing.T) {
+		t.Run(name, func(t *testing.T) {
+			for gname, base := range graphs {
+				t.Run(gname, func(t *testing.T) {
 					g0 := base
 					if ent.NeedsWeights {
 						g0 = gen.AddUniformWeights(g0, 42)
 					}
 					p := conformanceParams(ent)
 					pred := runConformance(t, core.BuildGraph(g0), g0, ent, p, 1)
-					ops := seedBatch(ent, g0, pred, 16)
+					ops := freshInserts(g0, 16)
 					if len(ops) == 0 {
-						t.Fatal("no accepted batch constructible")
+						t.Fatal("no batch constructible")
 					}
 					g1 := graph.ApplyEdgeOps(g0, ops)
-					plan, err := ent.IncrementalSeed(apps.SeedInput{
-						Vertices: g1.NumVertices, Edges: g1.NumEdges(),
-						Params:          p,
-						Pred:            pred,
-						Ops:             ops,
-						FromEdges:       g0.NumEdges(),
-						FromCountsKnown: true,
-					})
-					if err != nil {
-						t.Fatalf("planner refused a by-construction safe delta: %v", err)
-					}
-					got := runSeeded(t, g1, ent, p, plan)
+					got := runAfter(t, g1, ent, p, pred, ops)
+					assertSeedReference(t, ent, runConformance(t, core.BuildGraph(g1), g1, ent, p, 1), got)
 					assertSeedReference(t, ent, ent.Reference(g1, p), got)
 				})
 			}
@@ -192,67 +141,54 @@ func TestRegistryConformanceIncremental(t *testing.T) {
 	}
 }
 
-// Fuzz state: one small base graph and the predecessor lanes per
-// seed-capable app, computed once — fuzz iterations only pay for the delta.
+// Fuzz state: one small base graph and cc's lanes on it, computed once —
+// fuzz iterations only pay for the delta.
 var (
-	fuzzSeedOnce  sync.Once
-	fuzzSeedBase  *graph.Graph
-	fuzzSeedBaseW *graph.Graph
-	fuzzSeedPred  map[string][]uint64
-	fuzzSeedApps  []apps.Entry
+	fuzzSeedOnce sync.Once
+	fuzzSeedBase *graph.Graph
+	fuzzSeedCC   apps.Entry
+	fuzzSeedPred []uint64
 )
 
 func fuzzSeedSetup() {
 	fuzzSeedBase = gen.Generate(gen.Twitter, 0.02)
-	fuzzSeedBaseW = gen.AddUniformWeights(fuzzSeedBase, 42)
-	fuzzSeedPred = map[string][]uint64{}
-	for _, ent := range apps.All() {
-		if ent.IncrementalSeed == nil {
-			continue
-		}
-		fuzzSeedApps = append(fuzzSeedApps, ent)
-		g := fuzzSeedBase
-		if ent.NeedsWeights {
-			g = fuzzSeedBaseW
-		}
-		p := conformanceParams(ent)
-		r := core.NewRunner(core.BuildGraph(g), core.Options{Workers: 2, ChunkVectors: 16})
-		prog, err := ent.New(r.Graph(), p)
-		if err != nil {
-			panic(err)
-		}
-		fuzzSeedPred[ent.Name] = core.Run(r, prog, ent.MaxIters(p)).Props
-		r.Close()
+	var err error
+	if fuzzSeedCC, err = apps.Lookup("cc"); err != nil {
+		panic(err)
 	}
+	p := conformanceParams(fuzzSeedCC)
+	r := core.NewRunner(core.BuildGraph(fuzzSeedBase), core.Options{Workers: 2, ChunkVectors: 16})
+	prog, err := fuzzSeedCC.New(r.Graph(), p)
+	if err != nil {
+		panic(err)
+	}
+	fuzzSeedPred = core.Run(r, prog, fuzzSeedCC.MaxIters(p)).Props
+	r.Close()
 }
 
 // FuzzIncrementalSeed derives an arbitrary mutation batch from fuzz bytes
-// and checks the one property every planner must uphold: refusing is
-// always allowed, but an accepted plan's seeded run must reproduce the
-// sequential reference on the mutated graph. Each op is six bytes: a kind
-// byte (bit 0 delete; bit 1 re-assert the base edge the next two bytes
-// index, the only batch the direct plans accept and one arbitrary ids
-// almost never hit), source, destination and weight.
+// and checks the one property cc's planner must uphold: refusing is always
+// allowed, but an accepted plan's seeded run must reproduce the sequential
+// reference on the mutated graph. Each op is six bytes: a kind byte (bit 0
+// delete; bit 1 re-assert the base edge the next two bytes index, a no-op
+// for the topology that arbitrary ids almost never hit), source,
+// destination and weight.
 func FuzzIncrementalSeed(f *testing.F) {
-	f.Add(byte(0), []byte{0, 0, 1, 0, 2, 8, 0, 0, 2, 0, 3, 4})
-	f.Add(byte(1), []byte{1, 0, 1, 0, 2, 0})
-	f.Add(byte(2), []byte{0, 0, 9, 0, 1, 2, 1, 0, 9, 0, 1, 0, 0, 0, 9, 0, 1, 6})
-	f.Add(byte(3), []byte{0, 255, 255, 255, 254, 1})
-	f.Add(byte(4), []byte{0, 0, 5, 0, 6, 31, 0, 0, 6, 0, 5, 31})
-	// Batches the planners accept: re-assertions (bfs, ppr, pr), a fresh
-	// insert (cc), a zero-weight edge out of the root (sssp).
-	f.Add(byte(0), []byte{2, 0, 3, 0, 0, 0})
-	f.Add(byte(1), []byte{0, 0, 9, 0, 1, 4})
-	f.Add(byte(2), []byte{2, 0, 5, 0, 0, 0, 2, 1, 7, 0, 0, 0})
-	f.Add(byte(3), []byte{2, 0, 7, 0, 0, 0})
-	f.Add(byte(4), []byte{0, 0, 1, 0, 9, 0})
-	f.Fuzz(func(t *testing.T, sel byte, data []byte) {
+	f.Add([]byte{0, 0, 1, 0, 2, 8, 0, 0, 2, 0, 3, 4})
+	f.Add([]byte{1, 0, 1, 0, 2, 0})
+	f.Add([]byte{0, 0, 9, 0, 1, 2, 1, 0, 9, 0, 1, 0, 0, 0, 9, 0, 1, 6})
+	f.Add([]byte{0, 255, 255, 255, 254, 1})
+	f.Add([]byte{0, 0, 5, 0, 6, 31, 0, 0, 6, 0, 5, 31})
+	// Batches the planner accepts: re-assertions, fresh inserts, an edge to
+	// a new vertex.
+	f.Add([]byte{2, 0, 3, 0, 0, 0})
+	f.Add([]byte{0, 0, 9, 0, 1, 4})
+	f.Add([]byte{2, 0, 5, 0, 0, 0, 2, 1, 7, 0, 0, 0})
+	f.Add([]byte{2, 0, 7, 0, 0, 0})
+	f.Add([]byte{0, 0, 1, 0, 9, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzSeedOnce.Do(fuzzSeedSetup)
-		ent := fuzzSeedApps[int(sel)%len(fuzzSeedApps)]
-		g0 := fuzzSeedBase
-		if ent.NeedsWeights {
-			g0 = fuzzSeedBaseW
-		}
+		ent, g0 := fuzzSeedCC, fuzzSeedBase
 		p := conformanceParams(ent)
 		nv := uint32(g0.NumVertices)
 		var ops []graph.EdgeOp
@@ -277,14 +213,7 @@ func FuzzIncrementalSeed(f *testing.F) {
 			return
 		}
 		g1 := graph.ApplyEdgeOps(g0, ops)
-		plan, err := ent.IncrementalSeed(apps.SeedInput{
-			Vertices: g1.NumVertices, Edges: g1.NumEdges(),
-			Params:          p,
-			Pred:            fuzzSeedPred[ent.Name],
-			Ops:             ops,
-			FromEdges:       g0.NumEdges(),
-			FromCountsKnown: true,
-		})
+		plan, err := ent.IncrementalSeed(apps.SeedInput{Vertices: g1.NumVertices, Pred: fuzzSeedPred, Ops: ops})
 		if err != nil {
 			return // fallback to full recompute: always safe
 		}

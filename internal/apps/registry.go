@@ -102,7 +102,7 @@ type Entry struct {
 	// predecessor version's result and the mutation delta connecting it to
 	// the current graph (DESIGN.md §15). A returned error means the delta
 	// violates the app's seeding preconditions; callers fall back to a full
-	// recompute. Optional — most apps leave it nil.
+	// recompute. Only cc sets it.
 	IncrementalSeed func(in SeedInput) (*SeedPlan, error)
 }
 
@@ -326,7 +326,6 @@ func init() {
 		VertexText: func(props []uint64, v int) string {
 			return fmt.Sprintf("%.12g", asF64(props[v]))
 		},
-		IncrementalSeed: seedRankDirect,
 	})
 
 	MustRegister(Entry{
@@ -400,7 +399,6 @@ func init() {
 			}
 			return fmt.Sprintf("%d", props[v])
 		},
-		IncrementalSeed: seedBFS,
 	})
 
 	MustRegister(Entry{
@@ -429,7 +427,6 @@ func init() {
 		VertexText: func(props []uint64, v int) string {
 			return fmt.Sprintf("%g", asF64(props[v]))
 		},
-		IncrementalSeed: seedSSSP,
 	})
 
 	MustRegister(Entry{
@@ -528,6 +525,5 @@ func init() {
 		VertexText: func(props []uint64, v int) string {
 			return fmt.Sprintf("%.12g", asF64(props[v]))
 		},
-		IncrementalSeed: seedRankDirect,
 	})
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
@@ -12,60 +14,26 @@ import (
 )
 
 // Metamorphic equivalence suite for incremental recompute (DESIGN.md §15):
-// for every seed-capable app, applying a mutation batch and warm-starting
-// from the predecessor's lanes must produce the same result as a cold run
-// on the mutated graph — exact for integer lanes, within float
-// reassociation tolerance for float lanes — at every worker count. Batches are shaped per app to land on the intended accepted path
-// (see the builders below); the deletion test covers the refused path, and
-// the fault tests cover a seed that breaks mid-install. The equivalence
-// matrix's seeded start (TestEquivalenceMatrixIncremental) runs the same
-// batches and also joins each seeded run to the path table.
+// after a batch of fresh inserts — the batch a mutating client sends — the
+// run a query gets on the mutated graph must equal a cold run there and the
+// sequential reference, at every worker count. For cc, the one app with a
+// planner, that run is warm-started from the predecessor's lanes (exact
+// against the cold run); pr, ppr, bfs and sssp have no planner, so theirs is
+// a cold run. The deletion test covers cc's refused path, and the fault tests
+// cover a seed that breaks mid-install. The equivalence matrix's seeded
+// start (TestEquivalenceMatrixIncremental) runs the same batches and also
+// joins each seeded run to the path table.
 
-// incrementalApps are the registry entries with an IncrementalSeed planner.
+// incrementalApps are the apps the incremental suites sweep: cc, and the four
+// that must run cold after a mutation (DESIGN.md §15 says why).
 var incrementalApps = []string{"pr", "ppr", "cc", "bfs", "sssp"}
+
+// plannedApp is the one app that registers an IncrementalSeed planner.
+const plannedApp = "cc"
 
 // incrementalBatches are the delta sizes the acceptance suite and the
 // matrix's seeded start sweep.
 var incrementalBatches = []int{1, 16, 256}
-
-// uniquePairReasserts builds up to n upserts that each re-assert an
-// existing edge whose (src, dst) pair is unique in g. Under last-writer-
-// wins apply the batch is a topology no-op, which is exactly what the
-// pr/ppr direct plan detects (equal edge count, no surviving deletes).
-// Duplicated base pairs would collapse under apply and change the count,
-// sending the planner — correctly — to fallback, so they are excluded.
-func uniquePairReasserts(g *graph.Graph, n int) []graph.EdgeOp {
-	count := make(map[[2]uint32]int, len(g.Edges))
-	for _, e := range g.Edges {
-		count[[2]uint32{e.Src, e.Dst}]++
-	}
-	ops := make([]graph.EdgeOp, 0, n)
-	for _, e := range g.Edges {
-		if count[[2]uint32{e.Src, e.Dst}] == 1 {
-			ops = append(ops, graph.EdgeOp{Src: e.Src, Dst: e.Dst, Weight: e.Weight})
-			if len(ops) == n {
-				break
-			}
-		}
-	}
-	return ops
-}
-
-// anyReasserts re-asserts the first n edges of g verbatim, duplicated base
-// pairs included. Safe for bfs: a min-parent BFS result has
-// depth[v] <= depth[u]+1 for every existing edge (u, v) with u reached,
-// and pred[v] <= u when the levels are equal, so no re-assertion can move
-// a tree edge.
-func anyReasserts(g *graph.Graph, n int) []graph.EdgeOp {
-	if n > len(g.Edges) {
-		n = len(g.Edges)
-	}
-	ops := make([]graph.EdgeOp, 0, n)
-	for _, e := range g.Edges[:n] {
-		ops = append(ops, graph.EdgeOp{Src: e.Src, Dst: e.Dst, Weight: e.Weight})
-	}
-	return ops
-}
 
 // freshInserts builds up to n inserts of edges absent from g — the
 // genuinely-new-edge batch cc's warm frontier-seeded plan propagates from.
@@ -95,55 +63,22 @@ func freshInserts(g *graph.Graph, n int) []graph.EdgeOp {
 	return ops
 }
 
-// improvingInserts builds up to n sssp-safe upserts: each new weight w on
-// (u, v) satisfies dist[u] + w < dist[v] (u reached), so the batch can
-// only lower distances and the planner's no-raise rule accepts it. For a
-// finite dist[v] the midpoint weight w = (dist[v]-dist[u])/2 improves the
-// path; for an unreached v any finite weight does.
-func improvingInserts(g *graph.Graph, pred []uint64, n int) []graph.EdgeOp {
-	seen := make(map[[2]uint32]bool, n)
-	nv := uint32(g.NumVertices)
-	ops := make([]graph.EdgeOp, 0, n)
-	for i := uint32(0); len(ops) < n && i < 64*nv; i++ {
-		src := (i * 2654435761) % nv
-		dst := (src + 1 + i%97) % nv
-		if src == dst || seen[[2]uint32{src, dst}] {
-			continue
+// seedAfter is the warm start a query on g1 gets after the batch ops: cc's
+// plan, or nil — a cold run — for an app without a planner. It fails t when
+// an app other than cc registers a planner, or cc's planner refuses ops.
+func seedAfter(t *testing.T, ent apps.Entry, g1 *graph.Graph, pred []uint64, ops []graph.EdgeOp) *Seed {
+	t.Helper()
+	if ent.Name != plannedApp {
+		if ent.IncrementalSeed != nil {
+			t.Fatalf("%s registers an IncrementalSeed planner", ent.Name)
 		}
-		du := math.Float64frombits(pred[src])
-		dv := math.Float64frombits(pred[dst])
-		if math.IsInf(du, 1) {
-			continue
-		}
-		w := float32(1)
-		if !math.IsInf(dv, 1) {
-			if dv <= du {
-				continue
-			}
-			w = float32(0.5 * (dv - du))
-			if w <= 0 {
-				continue
-			}
-		}
-		seen[[2]uint32{src, dst}] = true
-		ops = append(ops, graph.EdgeOp{Src: src, Dst: dst, Weight: w})
+		return nil
 	}
-	return ops
-}
-
-// incrementalBatch shapes a planner-accepted delta for the named app.
-func incrementalBatch(name string, g *graph.Graph, pred []uint64, n int) []graph.EdgeOp {
-	switch name {
-	case "pr", "ppr":
-		return uniquePairReasserts(g, n)
-	case "bfs":
-		return anyReasserts(g, n)
-	case "cc":
-		return freshInserts(g, n)
-	case "sssp":
-		return improvingInserts(g, pred, n)
+	plan, err := ent.IncrementalSeed(apps.SeedInput{Vertices: g1.NumVertices, Pred: pred, Ops: ops})
+	if err != nil {
+		t.Fatalf("batch of %d: planner refused a by-construction safe delta: %v", len(ops), err)
 	}
-	return nil
+	return &Seed{Props: plan.Props, Frontier: plan.Frontier}
 }
 
 // runIncrCold runs ent cold on g at the given worker count with ChunkVectors
@@ -160,8 +95,8 @@ func runIncrCold(t *testing.T, cg *Graph, g *graph.Graph, ent apps.Entry, p apps
 	return Run(r, prog, ent.MaxIters(p)).Props
 }
 
-// runIncrSeeded runs ent on g warm-started from plan.
-func runIncrSeeded(t *testing.T, cg *Graph, g *graph.Graph, ent apps.Entry, p apps.Params, plan *apps.SeedPlan, workers int) Result {
+// runIncrSeeded runs ent on cg for at most maxIters iterations from seed.
+func runIncrSeeded(t *testing.T, cg *Graph, ent apps.Entry, p apps.Params, maxIters int, seed *Seed, workers int) Result {
 	t.Helper()
 	r := NewRunner(cg, Options{Workers: workers, ChunkVectors: 16})
 	defer r.Close()
@@ -169,14 +104,7 @@ func runIncrSeeded(t *testing.T, cg *Graph, g *graph.Graph, ent apps.Entry, p ap
 	if err != nil {
 		t.Fatal(err)
 	}
-	max := ent.MaxIters(p)
-	if plan.Direct {
-		max = 0
-	}
-	res, err := RunCtx(context.Background(), r, prog, max, &Seed{
-		Props:    plan.Props,
-		Frontier: plan.Frontier,
-	})
+	res, err := RunCtx(context.Background(), r, prog, maxIters, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,9 +152,6 @@ func TestIncrementalMetamorphicEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if ent.IncrementalSeed == nil {
-						t.Fatalf("%s has no IncrementalSeed planner", name)
-					}
 					g0 := base
 					if ent.NeedsWeights {
 						g0 = gen.AddUniformWeights(base, 42)
@@ -234,28 +159,19 @@ func TestIncrementalMetamorphicEquivalence(t *testing.T) {
 					p := ent.Normalize(apps.Params{Iters: 4, Root: 1, K: 3})
 					pred := runIncrCold(t, BuildGraph(g0), g0, ent, p, 1)
 					for _, n := range incrementalBatches {
-						ops := incrementalBatch(name, g0, pred, n)
+						ops := freshInserts(g0, n)
 						if len(ops) == 0 {
 							t.Fatalf("no batch of size %d constructible", n)
 						}
 						g1 := graph.ApplyEdgeOps(g0, ops)
-						plan, err := ent.IncrementalSeed(apps.SeedInput{
-							Vertices: g1.NumVertices, Edges: g1.NumEdges(),
-							Params:          p,
-							Pred:            pred,
-							Ops:             ops,
-							FromEdges:       g0.NumEdges(),
-							FromCountsKnown: true,
-						})
-						if err != nil {
-							t.Fatalf("batch %d: planner refused a by-construction safe delta: %v", n, err)
-						}
+						seed := seedAfter(t, ent, g1, pred, ops)
 						cg1 := BuildGraph(g1)
 						cold := runIncrCold(t, cg1, g1, ent, p, 1)
+						assertIncrLanesEqual(t, ent, ent.Reference(g1, p), cold)
 						for _, workers := range []int{1, 2, 4} {
-							res := runIncrSeeded(t, cg1, g1, ent, p, plan, workers)
-							if !res.Seeded {
-								t.Fatalf("batch %d workers %d: seed did not apply", n, workers)
+							res := runIncrSeeded(t, cg1, ent, p, ent.MaxIters(p), seed, workers)
+							if res.Seeded != (seed != nil) {
+								t.Fatalf("batch %d workers %d: Seeded = %t, want %t", n, workers, res.Seeded, seed != nil)
 							}
 							assertIncrLanesEqual(t, ent, cold, res.Props)
 						}
@@ -266,10 +182,10 @@ func TestIncrementalMetamorphicEquivalence(t *testing.T) {
 	}
 }
 
-// TestIncrementalDeletionFallback: deltas that remove result-bearing edges
-// must be refused by every planner, and the fallback — a cold run on the
-// mutated graph — must agree with the sequential reference, so refusing is
-// always safe.
+// TestIncrementalDeletionFallback: cc's planner must refuse a delta that
+// removes an edge, the other apps have no planner to ask, and the run every
+// app then gets — a cold run on the mutated graph — must agree with the
+// sequential reference, so refusing is always safe.
 func TestIncrementalDeletionFallback(t *testing.T) {
 	base := gen.Generate(gen.Twitter, 0.05)
 	for _, name := range incrementalApps {
@@ -286,35 +202,15 @@ func TestIncrementalDeletionFallback(t *testing.T) {
 			}
 			p := ent.Normalize(apps.Params{Iters: 4, Root: 1, K: 3})
 			pred := runIncrCold(t, BuildGraph(g0), g0, ent, p, 1)
-
-			var ops []graph.EdgeOp
-			if name == "bfs" {
-				// Deleting a tree edge (pred[v] = u) is the case bfs cannot
-				// absorb: v may need a deeper parent, and depths only shrink
-				// under seeded iteration.
-				for v, pv := range pred {
-					if uint32(v) != p.Root && pv != apps.NoParent {
-						ops = []graph.EdgeOp{{Delete: true, Src: uint32(pv), Dst: uint32(v)}}
-						break
-					}
-				}
-			} else {
-				e := g0.Edges[0]
-				ops = []graph.EdgeOp{{Delete: true, Src: e.Src, Dst: e.Dst}}
-			}
-			if len(ops) == 0 {
-				t.Fatal("no deletable edge found")
-			}
+			e := g0.Edges[0]
+			ops := []graph.EdgeOp{{Delete: true, Src: e.Src, Dst: e.Dst}}
 			g1 := graph.ApplyEdgeOps(g0, ops)
-			if _, err := ent.IncrementalSeed(apps.SeedInput{
-				Vertices: g1.NumVertices, Edges: g1.NumEdges(),
-				Params:          p,
-				Pred:            pred,
-				Ops:             ops,
-				FromEdges:       g0.NumEdges(),
-				FromCountsKnown: true,
-			}); err == nil {
-				t.Fatal("planner accepted a deletion delta")
+			if name != plannedApp {
+				if ent.IncrementalSeed != nil {
+					t.Fatalf("%s registers an IncrementalSeed planner", name)
+				}
+			} else if _, err := ent.IncrementalSeed(apps.SeedInput{Vertices: g1.NumVertices, Pred: pred, Ops: ops}); !errors.Is(err, apps.ErrSeedDeletes) {
+				t.Fatalf("planner on a deletion delta: %v, want ErrSeedDeletes", err)
 			}
 			cold := runIncrCold(t, BuildGraph(g1), g1, ent, p, 1)
 			assertIncrLanesEqual(t, ent, ent.Reference(g1, p), cold)
@@ -328,7 +224,7 @@ func TestIncrementalDeletionFallback(t *testing.T) {
 // identical to an unseeded run.
 func TestIncrementalSeedFaultDegradesToCold(t *testing.T) {
 	base := gen.Generate(gen.Twitter, 0.05)
-	ent, err := apps.Lookup("cc")
+	ent, err := apps.Lookup(plannedApp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,13 +232,7 @@ func TestIncrementalSeedFaultDegradesToCold(t *testing.T) {
 	pred := runIncrCold(t, BuildGraph(base), base, ent, p, 4)
 	ops := freshInserts(base, 16)
 	g1 := graph.ApplyEdgeOps(base, ops)
-	plan, err := ent.IncrementalSeed(apps.SeedInput{
-		Vertices: g1.NumVertices, Edges: g1.NumEdges(), Params: p, Pred: pred, Ops: ops,
-		FromEdges: base.NumEdges(), FromCountsKnown: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	seed := seedAfter(t, ent, g1, pred, ops)
 	cg1 := BuildGraph(g1)
 	cold := runIncrCold(t, cg1, g1, ent, p, 4)
 	for _, mode := range []string{"panic*1", "error*1"} {
@@ -352,7 +242,7 @@ func TestIncrementalSeedFaultDegradesToCold(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer disarm()
-			res := runIncrSeeded(t, cg1, g1, ent, p, plan, 4)
+			res := runIncrSeeded(t, cg1, ent, p, ent.MaxIters(p), seed, 4)
 			if res.Seeded {
 				t.Fatalf("Seeded = true under %s", mode)
 			}
@@ -361,37 +251,31 @@ func TestIncrementalSeedFaultDegradesToCold(t *testing.T) {
 	}
 }
 
-// TestIncrementalSeedFaultDirectPlan: when a direct (zero-iteration) plan's
-// seed fails to install, Result.Seeded must be false so the caller knows
-// the lanes are cold-init state, not the result, and re-runs in full — the
-// contract Engine.RunIncremental relies on.
+// TestIncrementalSeedFaultDirectPlan: a run given a zero-iteration budget
+// returns whatever lanes it started from, so when its seed fails to install
+// Result.Seeded must be false — the caller's only sign that the lanes are
+// cold-init state, not the seed.
 func TestIncrementalSeedFaultDirectPlan(t *testing.T) {
 	base := gen.Generate(gen.Twitter, 0.05)
-	ent, err := apps.Lookup("pr")
+	ent, err := apps.Lookup(plannedApp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := ent.Normalize(apps.Params{Iters: 4})
+	p := ent.Normalize(apps.Params{})
 	pred := runIncrCold(t, BuildGraph(base), base, ent, p, 2)
-	ops := uniquePairReasserts(base, 8)
+	ops := freshInserts(base, 8)
 	g1 := graph.ApplyEdgeOps(base, ops)
-	plan, err := ent.IncrementalSeed(apps.SeedInput{
-		Vertices: g1.NumVertices, Edges: g1.NumEdges(), Params: p, Pred: pred, Ops: ops,
-		FromEdges: base.NumEdges(), FromCountsKnown: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !plan.Direct {
-		t.Fatal("re-assertion batch did not produce a direct plan")
+	seed := seedAfter(t, ent, g1, pred, ops)
+	cg1 := BuildGraph(g1)
+	if res := runIncrSeeded(t, cg1, ent, p, 0, seed, 2); !res.Seeded || !slices.Equal(res.Props, seed.Props) {
+		t.Fatalf("zero-iteration seeded run: Seeded = %t, lanes are the seed's: %t", res.Seeded, slices.Equal(res.Props, seed.Props))
 	}
 	disarm, err := fault.Enable("core/incremental-seed", "panic*1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer disarm()
-	res := runIncrSeeded(t, BuildGraph(g1), g1, ent, p, plan, 2)
-	if res.Seeded {
+	if res := runIncrSeeded(t, cg1, ent, p, 0, seed, 2); res.Seeded {
 		t.Fatal("Seeded = true under an injected seed panic")
 	}
 }

@@ -24,9 +24,9 @@ import (
 // Message/Combine fold — runs on every corpus graph and the T/U/D analogs, in
 // every engine cell of matrixCells, at the worker counts and chunk grids the
 // cell lists (fewer on the analogs: onAnalog), on the selected vec kernels and
-// on their Go twins, from a cold start (TestEquivalenceMatrix) and from its
-// incremental seed plan (TestEquivalenceMatrixIncremental). Every run is held
-// to:
+// on their Go twins, from a cold start (TestEquivalenceMatrix) and after a
+// mutation batch, cc warm-started from its incremental seed plan
+// (TestEquivalenceMatrixIncremental). Every run is held to:
 //
 //   - the sequential reference: integer lanes exactly, float lanes within
 //     1e-12·(1 + |ref|);
@@ -656,11 +656,11 @@ func TestEquivalenceMatrix(t *testing.T) {
 }
 
 // TestEquivalenceMatrixIncremental is the matrix's seeded start. On each
-// analog, every program with an incremental seed planner takes a planner-
-// accepted mutation batch of each size in incrementalBatches; its cold run on
-// the mutated graph meets the reference, and its runs warm-started from the
-// plan, on the hybrid cell's pinned grid at every worker count, report the
-// seed applied and reproduce the cold run.
+// analog, every program in incrementalApps takes a batch of fresh inserts of
+// each size in incrementalBatches; its cold run on the mutated graph meets the
+// reference, and the run a query then gets — warm-started from cc's plan, cold
+// for an app without a planner — on the hybrid cell's pinned grid at every
+// worker count reports whether a seed applied and reproduces the cold run.
 func TestEquivalenceMatrixIncremental(t *testing.T) {
 	cell := cellNamed("hybrid")
 	const chunk = 16
@@ -669,7 +669,7 @@ func TestEquivalenceMatrixIncremental(t *testing.T) {
 			continue
 		}
 		for _, app := range matrixApps(t) {
-			if app.ent.IncrementalSeed == nil || app.name != app.ent.Name {
+			if !slices.Contains(incrementalApps, app.name) || app.name != app.ent.Name {
 				continue
 			}
 			g0, cg0 := m.version(app.ent)
@@ -693,29 +693,19 @@ func TestEquivalenceMatrixIncremental(t *testing.T) {
 				}
 				pred := start(cg0, 1, app.ent.MaxIters(p), nil)
 				for _, n := range incrementalBatches {
-					ops := incrementalBatch(app.name, g0, pred.res.Props, n)
+					ops := freshInserts(g0, n)
 					if len(ops) == 0 {
 						t.Fatalf("no batch of size %d constructible", n)
 					}
 					g1 := graph.ApplyEdgeOps(g0, ops)
-					plan, err := app.ent.IncrementalSeed(apps.SeedInput{
-						Vertices: g1.NumVertices, Edges: g1.NumEdges(), Params: p, Pred: pred.res.Props, Ops: ops,
-						FromEdges: g0.NumEdges(), FromCountsKnown: true,
-					})
-					if err != nil {
-						t.Fatalf("batch %d: planner refused a by-construction safe delta: %v", n, err)
-					}
+					seed := seedAfter(t, app.ent, g1, pred.res.Props, ops)
 					cg1 := BuildGraph(g1)
 					want := start(cg1, 1, app.ent.MaxIters(p), nil)
 					checkLanes(t, want, "the reference has", app.ent, want.res.Props, app.ent.Reference(g1, p), refClose)
-					maxIters := app.ent.MaxIters(p)
-					if plan.Direct {
-						maxIters = 0
-					}
 					for _, workers := range cell.workers {
-						run := start(cg1, workers, maxIters, &Seed{Props: plan.Props, Frontier: plan.Frontier})
-						if !run.res.Seeded {
-							t.Fatalf("batch %d, %v: the seed did not apply", n, run)
+						run := start(cg1, workers, app.ent.MaxIters(p), seed)
+						if run.res.Seeded != (seed != nil) {
+							t.Fatalf("batch %d, %v: Seeded = %t", n, run, run.res.Seeded)
 						}
 						checkLanes(t, run, fmt.Sprintf("batch %d: the cold run has", n), app.ent, run.res.Props, want.res.Props, seedClose)
 					}

@@ -440,10 +440,7 @@ func Run(r *Runner, p apps.Program, maxIters int) Result {
 // RunCtx executes program p for at most maxIters iterations, starting from
 // seed, or from the program's cold init when seed is nil. Result.Seeded
 // reports whether the seed actually applied; when it did not (wrong shape,
-// or an injected fault) the run executed from the cold init instead —
-// callers running a truncated iteration budget on the assumption the seed
-// held (direct plans with maxIters 0) must check Seeded before trusting the
-// result.
+// or an injected fault) the run executed from the cold init instead.
 //
 // The run stops within one scheduler chunk boundary of ctx being cancelled
 // (including its deadline passing) and returns the partial result alongside

@@ -380,12 +380,7 @@ func (s *Service) runLocal(ctx context.Context, h *grazelle.StoreHandle, q *Quer
 		if sv, props, ok := s.cfg.Cache.SeedFor(q.Graph, q.App, q.params); ok && sv < h.Version() {
 			if d, dok := s.cfg.Store.DeltaBetween(q.Graph, sv, h.Version()); dok && len(d.Ops) <= s.cfg.IncrementalThreshold {
 				var seeded bool
-				res, seeded, err = eng.RunIncremental(ctx, q.App, p, grazelle.SeedSpec{
-					PredProps:       props,
-					Ops:             d.Ops,
-					FromEdges:       d.FromEdges,
-					FromCountsKnown: d.FromCountsKnown,
-				})
+				res, seeded, err = eng.RunIncremental(ctx, q.App, p, grazelle.SeedSpec{PredProps: props, Ops: d.Ops})
 				ran = true
 				if seeded {
 					rec.Incremental, rec.SeedVersion = true, sv

@@ -340,6 +340,31 @@ func TestIncrementalCounters(t *testing.T) {
 	}
 }
 
+// TestSeedsOnlyForPlannedApps: only an app with an incremental planner (cc)
+// leaves a seed candidate behind, one per graph. bfs and ppr queries on
+// distinct roots leave none — a candidate per root would pin one lane array
+// each in a table no budget bounds, on a graph that may never be mutated.
+func TestSeedsOnlyForPlannedApps(t *testing.T) {
+	s := newService(t, grazelle.StoreConfig{})
+	ctx := context.Background()
+	for root := uint32(0); root < 32; root++ {
+		for _, app := range []string{"bfs", "ppr"} {
+			if _, _, err := s.Execute(ctx, Query{Graph: "g", App: app, Root: root}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if cs := s.cfg.Cache.Stats(); cs.Entries != 64 || cs.SeedEntries != 0 || cs.SeedBytes != 0 {
+		t.Fatalf("after 64 bfs/ppr queries: %d entries, %d seeds holding %d bytes; want 64, 0, 0", cs.Entries, cs.SeedEntries, cs.SeedBytes)
+	}
+	if _, _, err := s.Execute(ctx, Query{Graph: "g", App: "cc"}); err != nil {
+		t.Fatal(err)
+	}
+	if cs := s.cfg.Cache.Stats(); cs.SeedEntries != 1 {
+		t.Fatalf("after one cc query: %d seeds, want 1", cs.SeedEntries)
+	}
+}
+
 // TestExecuteBatch: duplicates compute once and report coalesced, resident
 // entries hit, a bad entry fails alone, and the distinct misses share one
 // pinned handle per graph — where the same queries one by one re-acquire (and,

@@ -108,7 +108,6 @@ func (s *Store) Compact(name string) error {
 	ne := s.publishSuccessorLocked(e, target)
 	ne.snapshot = path
 	ne.vertices, ne.edges = content.N, content.Edges
-	s.refreshViewCountsLocked(ne)
 	manifestErr := s.syncManifestLocked()
 	s.mu.Unlock()
 

@@ -4,28 +4,21 @@ import "repro/internal/graph"
 
 // This file is the store's contribution to incremental recompute (DESIGN.md
 // §15): a bounded per-name history of recently published versions — which
-// delta-log sequence each version's view extends through, and the version's
-// vertex/edge counts when they are known exactly — plus DeltaBetween, which
-// materializes the edge operations connecting two published versions of the
-// same lineage. Serving layers use it to seed a run for version B from a
-// cached result computed at version A.
+// delta-log sequence each version's view extends through — plus
+// DeltaBetween, which materializes the edge operations connecting two
+// published versions of the same lineage. Serving layers use it to seed a
+// run for version B from a cached result computed at version A.
 
 // maxViewPoints bounds each name's retained history. Mutation bursts publish
 // a version per durable watermark; seeds only ever reach a few versions back,
 // so a short window is plenty and keeps the bookkeeping O(1) per publish.
 const maxViewPoints = 32
 
-// viewPoint is one published version of a name: the delta-log watermark its
-// view extends through and its graph dimensions. countsKnown reports whether
-// vertices/edges are exact content counts — true once the version has been
-// materialized (or was published with a fresh base), false for a successor
-// published cold, whose counts are inherited metadata.
+// viewPoint is one published version of a name and the delta-log watermark
+// its view extends through.
 type viewPoint struct {
-	version     uint64
-	viewSeq     uint64
-	vertices    int
-	edges       int
-	countsKnown bool
+	version uint64
+	viewSeq uint64
 }
 
 // lineageViews is the retained history for one name, in publish order.
@@ -34,39 +27,15 @@ type lineageViews struct {
 	points []viewPoint
 }
 
-// Delta is the materialized mutation delta connecting two published versions
-// of a graph, as returned by DeltaBetween. Ops are the acknowledged edge
-// operations in log order (last-writer-wins per (src, dst) pair when
-// applied); From* describe the older version's graph.
-type Delta struct {
-	// Ops transforms the older version's edge set into the newer version's
-	// when applied via graph.ApplyEdgeOps. Empty means the two versions serve
-	// bit-identical content (e.g. across a compaction republish).
-	Ops []graph.EdgeOp
-	// FromVertices/FromEdges are the older version's dimensions;
-	// FromCountsKnown reports whether they are exact content counts rather
-	// than inherited metadata (seed planners that compare edge counts must
-	// require it).
-	FromVertices    int
-	FromEdges       int
-	FromCountsKnown bool
-}
-
-// recordViewLocked appends e's current (version, viewSeq, counts) to its
-// name's history. Callers hold s.mu.
-func (s *Store) recordViewLocked(e *entry, countsKnown bool) {
+// recordViewLocked appends e's current (version, viewSeq) to its name's
+// history. Callers hold s.mu.
+func (s *Store) recordViewLocked(e *entry) {
 	lv := s.views[e.name]
 	if lv == nil {
 		lv = &lineageViews{}
 		s.views[e.name] = lv
 	}
-	lv.points = append(lv.points, viewPoint{
-		version:     e.version,
-		viewSeq:     e.viewSeq,
-		vertices:    e.vertices,
-		edges:       e.edges,
-		countsKnown: countsKnown,
-	})
+	lv.points = append(lv.points, viewPoint{version: e.version, viewSeq: e.viewSeq})
 	if len(lv.points) > maxViewPoints {
 		lv.points = lv.points[len(lv.points)-maxViewPoints:]
 	}
@@ -74,26 +43,9 @@ func (s *Store) recordViewLocked(e *entry, countsKnown bool) {
 
 // resetViewsLocked starts a fresh history for e — Add (new lineage) and the
 // cold registrations at Open. Callers hold s.mu.
-func (s *Store) resetViewsLocked(e *entry, countsKnown bool) {
+func (s *Store) resetViewsLocked(e *entry) {
 	s.views[e.name] = &lineageViews{}
-	s.recordViewLocked(e, countsKnown)
-}
-
-// refreshViewCountsLocked upgrades e's history point to exact content counts
-// after materialization established them. Callers hold s.mu.
-func (s *Store) refreshViewCountsLocked(e *entry) {
-	lv := s.views[e.name]
-	if lv == nil {
-		return
-	}
-	for i := range lv.points {
-		if lv.points[i].version == e.version {
-			lv.points[i].vertices = e.vertices
-			lv.points[i].edges = e.edges
-			lv.points[i].countsKnown = true
-			return
-		}
-	}
+	s.recordViewLocked(e)
 }
 
 // dropViewsLocked forgets a name's history (Delete). Callers hold s.mu.
@@ -102,23 +54,26 @@ func (s *Store) dropViewsLocked(name string) {
 }
 
 // DeltaBetween returns the edge operations connecting version from to
-// version to of the named graph, with the older version's dimensions. Both
-// versions must be retained in the name's history (same lineage — replace
-// and delete clear it), from must precede to, and the covered log range must
-// still be resident (compaction's log rotation can fold the range away). It
-// reports false whenever the delta cannot be recovered exactly; callers fall
-// back to a full recompute, so a miss is never wrong, only slower.
-func (s *Store) DeltaBetween(name string, from, to uint64) (Delta, bool) {
+// version to of the named graph, in log order: applied via
+// graph.ApplyEdgeOps they transform the older version's edge set into the
+// newer's, and none means the two serve bit-identical content (e.g. across a
+// compaction republish). Both versions must be retained in the name's
+// history (same lineage — replace and delete clear it), from must precede
+// to, and the covered log range must still be resident (compaction's log
+// rotation can fold the range away). It reports false whenever the delta
+// cannot be recovered exactly; callers fall back to a full recompute, so a
+// miss is never wrong, only slower.
+func (s *Store) DeltaBetween(name string, from, to uint64) ([]graph.EdgeOp, bool) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return Delta{}, false
+		return nil, false
 	}
 	lv := s.views[name]
 	e := s.graphs[name]
 	if lv == nil || e == nil || e.delta == nil || from >= to {
 		s.mu.Unlock()
-		return Delta{}, false
+		return nil, false
 	}
 	var fp, tp *viewPoint
 	for i := range lv.points {
@@ -131,23 +86,12 @@ func (s *Store) DeltaBetween(name string, from, to uint64) (Delta, bool) {
 	}
 	if fp == nil || tp == nil {
 		s.mu.Unlock()
-		return Delta{}, false
-	}
-	d := Delta{
-		FromVertices:    fp.vertices,
-		FromEdges:       fp.edges,
-		FromCountsKnown: fp.countsKnown,
+		return nil, false
 	}
 	fromSeq, toSeq := fp.viewSeq, tp.viewSeq
 	delta := e.delta
 	s.mu.Unlock()
-
-	ops, ok := delta.opsBetween(fromSeq, toSeq)
-	if !ok {
-		return Delta{}, false
-	}
-	d.Ops = ops
-	return d, true
+	return delta.opsBetween(fromSeq, toSeq)
 }
 
 // opsBetween returns a copy of the acknowledged operations for every batch

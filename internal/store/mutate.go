@@ -158,8 +158,6 @@ func (s *Store) publishSuccessorLocked(cur *entry, viewSeq uint64) *entry {
 	s.retireLocked(cur)
 	s.graphs[cur.name] = ne
 	ne.lastUsed = s.tick()
-	// The successor's counts are inherited metadata until it materializes;
-	// Acquire and Compact upgrade the history point to exact counts.
-	s.recordViewLocked(ne, false)
+	s.recordViewLocked(ne)
 	return ne
 }

@@ -300,9 +300,7 @@ func Open(cfg Config) (*Store, error) {
 			}
 			e.delta = l
 			e.viewSeq = l.ackedSeq()
-			// Manifest counts describe the base snapshot; they are exact for
-			// the served view only when no overlay batches replayed on top.
-			s.resetViewsLocked(e, rec.Replayed == 0)
+			s.resetViewsLocked(e)
 			if rec.NeedCompact {
 				needCompact = append(needCompact, e.name)
 			}
@@ -441,7 +439,7 @@ func (s *Store) Add(name string, g *core.Graph) error {
 		s.graphs[name] = e
 		s.resident += e.bytes
 		e.lastUsed = s.tick()
-		s.resetViewsLocked(e, true)
+		s.resetViewsLocked(e)
 		s.ensureBudgetLocked()
 		return s.syncManifestLocked()
 	}()
@@ -565,7 +563,6 @@ func (s *Store) Acquire(name string) (*Handle, error) {
 		e.runner, e.bytes = runner, bytes
 		s.dropSeedLocked(e)
 		e.vertices, e.edges = g.N, g.Edges
-		s.refreshViewCountsLocked(e)
 		s.resident += bytes
 		s.ensureBudgetLocked()
 		s.mu.Unlock()
