@@ -8,6 +8,12 @@ package apps
 // paper's aggregation operators by this kind and inline them. Semantics are
 // identical to Combine(acc, Message(srcVal, src, w)) — a property the tests
 // enforce — and FusedNone falls back to the program's own calls.
+//
+// FusedMinProp and FusedMinSrc also fix Apply: core's Vertex phase runs them
+// with the kind's Apply inlined (the min and once arms documented below)
+// instead of calling the program's, so a program that declares either kind
+// must have exactly that Apply and Identity ^uint64(0). The tests check both
+// for every registered program.
 type FusedKind int
 
 const (
@@ -18,9 +24,13 @@ const (
 	FusedRankSum
 	// FusedMinProp: uint64 acc = min(acc, props[src]) — Connected
 	// Components. Identity must be ^uint64(0): core's chunk walk
-	// (vec.MinPropChunk) gives a dead lane that value.
+	// (vec.MinPropChunk) gives a dead lane that value, and its Vertex arm
+	// resets accum to it. Apply(old, agg) is (min(old, agg), agg < old).
 	FusedMinProp
 	// FusedMinSrc: uint64 acc = min(acc, src) — BFS parent selection.
+	// Identity must be NoParent, which core's Vertex arm resets accum to.
+	// Apply adopts agg exactly once: (agg, true) when old == NoParent and
+	// agg != NoParent, (old, false) otherwise.
 	FusedMinSrc
 	// FusedMinPropPlusW: float64 acc = min(acc, props[src] + w) — SSSP.
 	FusedMinPropPlusW

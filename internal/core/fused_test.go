@@ -38,6 +38,9 @@ func TestKindOfResolution(t *testing.T) {
 		if c.want == apps.FusedMinProp && c.p.Identity() != ^uint64(0) {
 			t.Errorf("%s: Identity = %#x; the chunk walk's dead lanes read ^0", c.p.Name(), c.p.Identity())
 		}
+		if (c.want == apps.FusedMinProp || c.want == apps.FusedMinSrc) && c.p.Identity() != kindIdentity {
+			t.Errorf("%s: Identity = %#x; its Vertex arm resets accum to %#x", c.p.Name(), c.p.Identity(), kindIdentity)
+		}
 	}
 	if _, scale := apps.KindOf(apps.NewPageRank(g)); len(scale) != g.NumVertices {
 		t.Error("PageRank fused scale has wrong length")
@@ -112,7 +115,8 @@ func TestFusedMatchesGenericExactly(t *testing.T) {
 // it (Entry.New on a version's layouts): a fused kind's inlined arms, and the
 // program's own calls for the kinds the engine does not recognize (kcore, lp,
 // tc). combine is checked on edge-case lanes too — the CAS updates, the
-// transition flushes and both merge folds go through it.
+// transition flushes and both merge folds go through it — and so is the apply
+// step of a kind's Vertex arm (vertexArm) against the program's Apply.
 func TestStepHelpersMatchDefinition(t *testing.T) {
 	g := gen.AddUniformWeights(gen.ErdosRenyi(40, 200, 3), 4)
 	cg := BuildGraph(g)
@@ -169,5 +173,32 @@ func TestStepHelpersMatchDefinition(t *testing.T) {
 				t.Errorf("%s: combine(%#x, %#x) = %#x, want %#x", ent.Name, a, b, got, want)
 			}
 		}
+		// The arm's apply step on every ordered pair of Identity, 0, +Inf and
+		// a live lane, then on random pairs.
+		apply, ok := armApply[fz.kind]
+		if !ok {
+			continue
+		}
+		checkApply := func(old, agg uint64) {
+			gotV, gotC := apply(old, agg)
+			if wantV, wantC := p.Apply(old, agg, 1); gotV != wantV || gotC != wantC {
+				t.Errorf("%s: Vertex arm apply(%#x, %#x) = (%#x, %t), Apply says (%#x, %t)",
+					ent.Name, old, agg, gotV, gotC, wantV, wantC)
+			}
+		}
+		for _, old := range lanes[:4] {
+			for _, agg := range lanes[:4] {
+				checkApply(old, agg)
+			}
+		}
+		for range 256 {
+			checkApply(rng.Uint64(), rng.Uint64())
+		}
 	}
+}
+
+// armApply is the lane step of each fused kind's Vertex arm (vertexArm).
+var armApply = map[apps.FusedKind]func(old, agg uint64) (uint64, bool){
+	apps.FusedMinProp: applyMin,
+	apps.FusedMinSrc:  applyOnce,
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/numa"
+	"repro/internal/sched"
 	"repro/internal/testgraph"
 )
 
@@ -31,7 +32,8 @@ import (
 //   - the sequential reference: integer lanes exactly, float lanes within
 //     1e-12·(1 + |ref|);
 //   - the path table: each pull round built the Edge-Pull body the cell
-//     expects for the program, so a silent fallback to another body fails;
+//     expects for the program, and each round the Vertex arm (min, once or
+//     generic), so a silent fallback to another body fails;
 //   - determinism: on a pinned grid the lanes are the same bits at every
 //     worker count, and at one grid and worker count the same bits on the Go
 //     twin, under Record and through the generic fold; the iteration count is
@@ -46,9 +48,9 @@ import (
 // process computations, not stored hashes, so the matrix holds on hardware
 // with different float rounding.
 //
-// A new kernel is wired in by naming its body in closurePaths and giving the
-// cells that reach it in the path table; a new program by adding its row to
-// matrixPulls.
+// A new kernel is wired in by naming its body in closurePaths (a Vertex arm in
+// closureArms) and giving the cells that reach it in the path table; a new
+// program by adding its row to matrixPulls.
 
 // Edge-Pull bodies, the path table's vocabulary.
 const (
@@ -91,19 +93,57 @@ func builtPath(ec *ExecContext, p apps.Program) string {
 	return name
 }
 
+// Vertex-phase bodies, the Vertex column's vocabulary.
+const (
+	armMin     = "min arm"      // vertexMin
+	armOnce    = "once arm"     // vertexOnce
+	armGeneric = "generic body" // vertexBody, sparseVertexBody's scalar loop: the program's own Apply
+)
+
+// closureArms names the Vertex-phase bodies by the closures that
+// vertexPhaseBody and sparseVertexBody return.
+var closureArms = []struct{ suffix, arm string }{
+	{".vertexMin.func1", armMin},
+	{".vertexOnce.func1", armOnce},
+	{".vertexBody.func1", armGeneric},
+	{".sparseVertexBody.func1", armGeneric},
+}
+
+// builtArm names the Vertex-phase body a round of p would run on ec now: the
+// one RunVertex builds, which a list-driven round's Vertex phase
+// (sparseVertexBody) must match.
+func builtArm(ec *ExecContext, p apps.Program) string {
+	name := func(body func(rg sched.Range, tid int)) string {
+		fn := runtime.FuncForPC(reflect.ValueOf(body).Pointer()).Name()
+		for _, c := range closureArms {
+			if strings.HasSuffix(fn, c.suffix) {
+				return c.arm
+			}
+		}
+		return fn
+	}
+	dense, sparse := name(vertexPhaseBody(ec, p)), name(sparseVertexBody(ec, p, nil))
+	if dense != sparse {
+		return dense + ", list-driven " + sparse
+	}
+	return dense
+}
+
 // matrixPulls is the path table: the body a scheduler-aware pull round of
 // each registered program builds, fused and through the generic fold ("" for
-// a program the engine does not fuse, whose generic run is its only one).
-var matrixPulls = map[string]struct{ fused, generic string }{
-	"bfs":   {pathVector, pathVector},
-	"cc":    {pathChunk, pathVector},
-	"kcore": {pathVector, ""},
-	"lp":    {pathSpan, ""},
-	"ppr":   {pathSpan, pathSpan},
-	"pr":    {pathSpan, pathSpan},
-	"sssp":  {pathVector, pathVector},
-	"tc":    {pathSpan, ""},
-	"wpr":   {pathSpan, pathSpan},
+// a program the engine does not fuse, whose generic run is its only one), and
+// the Vertex arm its fused run takes outside the scalar cells (a generic row
+// and a scalar cell take the generic body).
+var matrixPulls = map[string]struct{ fused, generic, vertex string }{
+	"bfs":   {pathVector, pathVector, armOnce},
+	"cc":    {pathChunk, pathVector, armMin},
+	"kcore": {pathVector, "", armGeneric},
+	"lp":    {pathSpan, "", armGeneric},
+	"ppr":   {pathSpan, pathSpan, armGeneric},
+	"pr":    {pathSpan, pathSpan, armGeneric},
+	"sssp":  {pathVector, pathVector, armGeneric},
+	"tc":    {pathSpan, "", armGeneric},
+	"wpr":   {pathSpan, pathSpan, armGeneric},
 }
 
 // matrixApp is one program row of the matrix.
@@ -112,8 +152,8 @@ type matrixApp struct {
 	// ent supplies the parameters, the reference and the seed planner.
 	ent  apps.Entry
 	make func(apps.Layouts, apps.Params) (apps.Program, error)
-	// pull is the row's entry in the path table.
-	pull string
+	// pull and vertex are the row's entries in the path table.
+	pull, vertex string
 	// generic marks a fused program run through unfused; it runs in the cells
 	// that set generic, and is held to the fused run's bits.
 	generic bool
@@ -128,17 +168,17 @@ func matrixApps(t *testing.T) []matrixApp {
 		if !ok {
 			t.Fatalf("%s has no row in the path table", ent.Name)
 		}
-		out = append(out, matrixApp{name: ent.Name, ent: ent, make: ent.New, pull: row.fused})
+		out = append(out, matrixApp{name: ent.Name, ent: ent, make: ent.New, pull: row.fused, vertex: row.vertex})
 		if row.generic != "" {
 			mk := ent.New
-			out = append(out, matrixApp{name: ent.Name + "+generic", ent: ent, pull: row.generic, generic: true,
+			out = append(out, matrixApp{name: ent.Name + "+generic", ent: ent, pull: row.generic, vertex: armGeneric, generic: true,
 				make: func(g apps.Layouts, p apps.Params) (apps.Program, error) {
 					prog, err := mk(g, p)
 					return unfused{prog}, err
 				}})
 		}
 		if ent.Name == "cc" {
-			out = append(out, matrixApp{name: "cc-write-intense", ent: ent, pull: row.fused,
+			out = append(out, matrixApp{name: "cc-write-intense", ent: ent, pull: row.fused, vertex: row.vertex,
 				make: func(apps.Layouts, apps.Params) (apps.Program, error) { return apps.NewConnCompWriteIntense(), nil }})
 		}
 	}
@@ -259,11 +299,12 @@ type matrixGraph struct {
 	layouts  [2]*Graph
 	runners  map[matrixRunnerKey]*Runner
 	runs     map[string][]*matrixRun // by registry name
-	// ran counts the rows that ran to the end; paths, listDriven and fewer
-	// name the bodies pulls ran on, the programs that ran a list-driven
-	// round and those that finished ahead of the paper configuration.
-	ran                      int
-	paths, listDriven, fewer map[string]bool
+	// ran counts the rows that ran to the end; paths, arms, listDriven and
+	// fewer name the bodies pulls ran on, the Vertex arms rounds ran, the
+	// programs that ran a list-driven round and those that finished ahead of
+	// the paper configuration.
+	ran                            int
+	paths, arms, listDriven, fewer map[string]bool
 }
 
 type matrixRunnerKey struct {
@@ -329,11 +370,12 @@ type matrixRun struct {
 	seeded         bool
 	res            Result
 	// pulls is the run's pull count as each round started, then at its end;
-	// paths the body a pull in that round built; rounds (min-prop programs in
-	// the pull-only cells that go in place) a hash of the lanes the round
-	// started from.
+	// paths the body a pull in that round built, arms the Vertex-phase body
+	// the round built; rounds (min-prop programs in the pull-only cells that
+	// go in place) a hash of the lanes the round started from.
 	pulls  []int
 	paths  []string
+	arms   []string
 	rounds []uint64
 }
 
@@ -349,8 +391,8 @@ func (r *matrixRun) String() string {
 }
 
 // observed wraps the program of a matrix run and logs, as every round
-// starts, what the run's own ExecContext holds: its pull count and the body a
-// pull round would build from it.
+// starts, what the run's own ExecContext holds: its pull count, the body a
+// pull round would build from it and the Vertex-phase body it would run.
 type observed struct {
 	apps.Program
 	ec  *ExecContext
@@ -365,6 +407,7 @@ func (o *observed) PreIteration(props []uint64) {
 	o.Program.PreIteration(props)
 	o.run.pulls = append(o.run.pulls, o.ec.pullsDone)
 	o.run.paths = append(o.run.paths, builtPath(o.ec, o))
+	o.run.arms = append(o.run.arms, builtArm(o.ec, o))
 	if o.run.rounds != nil {
 		h := uint64(14695981039346656037)
 		for _, v := range props {
@@ -401,9 +444,19 @@ func observe(t *testing.T, r *Runner, p apps.Program, maxIters int, seed *Seed, 
 }
 
 // checkPaths joins a run to the path table: each of its pull rounds built the
-// body its cell expects.
-func checkPaths(t *testing.T, run *matrixRun, p apps.Program, seen map[string]bool) {
+// body its cell expects, and each of its rounds the Vertex arm.
+func checkPaths(t *testing.T, run *matrixRun, p apps.Program, seen, seenArms map[string]bool) {
 	t.Helper()
+	wantArm := run.app.vertex
+	if run.cell.opt.Scalar {
+		wantArm = armGeneric
+	}
+	for i, arm := range run.arms {
+		if arm != wantArm {
+			t.Fatalf("%v: round %d ran the Vertex phase on the %s, the path table says %s", run, i, arm, wantArm)
+		}
+		seenArms[arm] = true
+	}
 	for i, path := range run.paths {
 		if run.pulls[i+1] == run.pulls[i] {
 			continue // a push or list-driven round
@@ -580,7 +633,7 @@ func (m *matrixGraph) runCold(t *testing.T, app matrixApp) {
 					}
 					observe(t, m.runner(cg, cell, workers, chunk, twin), prog, app.ent.MaxIters(p), nil, run)
 					checkLanes(t, run, "the reference has", app.ent, run.res.Props, want, refClose)
-					checkPaths(t, run, prog, m.paths)
+					checkPaths(t, run, prog, m.paths, m.arms)
 					checkAgainst(t, run, m.runs[app.ent.Name], monotone, m.fewer)
 					if cell.opt.Record {
 						checkCounters(t, run, prog, cg)
@@ -610,19 +663,20 @@ func (m *matrixGraph) runCold(t *testing.T, app matrixApp) {
 }
 
 // TestEquivalenceMatrix runs the matrix from a cold start, one graph per
-// parallel subtest, then checks that it reached every Edge-Pull body, a
-// list-driven round of every frontier program and an in-place finish ahead
-// of the paper configuration for cc and sssp.
+// parallel subtest, then checks that it reached every Edge-Pull body, every
+// Vertex arm, a list-driven round of every frontier program and an in-place
+// finish ahead of the paper configuration for cc and sssp.
 func TestEquivalenceMatrix(t *testing.T) {
 	rows := matrixApps(t)
 	graphs := matrixGraphs()
 	t.Cleanup(func() {
-		paths, listDriven, fewer := map[string]bool{}, map[string]bool{}, map[string]bool{}
+		paths, arms, listDriven, fewer := map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}
 		for _, m := range graphs {
 			if m.ran < len(rows) {
 				return // a partial matrix proves nothing about its reach
 			}
 			maps.Copy(paths, m.paths)
+			maps.Copy(arms, m.arms)
 			maps.Copy(listDriven, m.listDriven)
 			maps.Copy(fewer, m.fewer)
 		}
@@ -632,6 +686,7 @@ func TestEquivalenceMatrix(t *testing.T) {
 			format string
 		}{
 			{paths, []string{pathSpan, pathChunk, pathVector, pathTraditional, pathOuterOnly, pathScalar}, "no pull round ran the %s"},
+			{arms, []string{armMin, armOnce, armGeneric}, "no Vertex phase ran the %s"},
 			{listDriven, []string{"bfs", "cc", "kcore", "sssp"}, "%s never ran a list-driven round"},
 			{fewer, []string{"cc", "sssp"}, "%s never finished in fewer iterations than the paper configuration: the in-place path did not run"},
 		} {
@@ -646,7 +701,7 @@ func TestEquivalenceMatrix(t *testing.T) {
 		t.Run(m.Name, func(t *testing.T) {
 			t.Parallel()
 			m.runs = map[string][]*matrixRun{}
-			m.paths, m.listDriven, m.fewer = map[string]bool{}, map[string]bool{}, map[string]bool{}
+			m.paths, m.arms, m.listDriven, m.fewer = map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}
 			defer m.close()
 			for _, app := range rows {
 				t.Run(app.name, func(t *testing.T) { m.runCold(t, app) })
@@ -675,7 +730,7 @@ func TestEquivalenceMatrixIncremental(t *testing.T) {
 			g0, cg0 := m.version(app.ent)
 			t.Run(m.Name+"/"+app.name, func(t *testing.T) {
 				t.Parallel()
-				paths := map[string]bool{}
+				paths, arms := map[string]bool{}, map[string]bool{}
 				p := matrixParams(app.ent, m.Root)
 				// start runs the row on cg at one point of the hybrid cell's
 				// pinned grid, cold when seed is nil.
@@ -688,7 +743,7 @@ func TestEquivalenceMatrixIncremental(t *testing.T) {
 					r := NewRunner(cg, cell.options(workers, chunk, false))
 					defer r.Close()
 					observe(t, r, prog, maxIters, seed, run)
-					checkPaths(t, run, prog, paths)
+					checkPaths(t, run, prog, paths, arms)
 					return run
 				}
 				pred := start(cg0, 1, app.ent.MaxIters(p), nil)

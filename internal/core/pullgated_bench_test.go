@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/apps"
 	"repro/internal/gen"
@@ -76,8 +77,11 @@ func BenchmarkPullFrontierGated(b *testing.B) {
 // shipped chunk walk on the selected kernel (every round one vec.MinPropChunk
 // call per chunk, in-place rounds ungated with the window on), the same walk
 // on the Go twin (AblateSIMD), and the gated vector-by-vector walk
-// (AblateFullVector). T8 and U4 are the bench's own sizes, for paired runs
-// against a parent checkout; CI runs the three small ones.
+// (AblateFullVector). vertex_ms/run is the part of a run its Vertex phases
+// took (Result.VertexTime): on the mesh, where every round applies most
+// vertices, it is what the Vertex arm of cc's fused kind saves. T8 and U4 are
+// the bench's own sizes, for paired runs against a parent checkout; CI runs
+// the three small ones.
 func BenchmarkInPlaceCC(b *testing.B) {
 	for _, c := range []struct {
 		name  string
@@ -103,15 +107,48 @@ func BenchmarkInPlaceCC(b *testing.B) {
 						r := NewRunner(cg, k.opt)
 						defer r.Close()
 						var res Result
+						var vertex time.Duration
 						b.ResetTimer()
 						for i := 0; i < b.N; i++ {
 							res = Run(r, apps.NewConnComp(), 1<<30)
+							vertex += res.VertexTime
 						}
 						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e6, "ms/run")
+						b.ReportMetric(float64(vertex.Nanoseconds())/float64(b.N)/1e6, "vertex_ms/run")
 						b.ReportMetric(float64(res.Iterations), "iterations")
 					})
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkMeshBFS times whole bfs runs on the road mesh at kernel-frontier's
+// scale, at one and two workers, from four roots spread over the vertex ids.
+// A mesh search is hundreds of list-driven rounds of a few hundred vertices,
+// so its Vertex phase is runVertexSparse's inline loop, which the Vertex arm
+// of bfs's fused kind serves; ms/run and vertex_ms/run are per search.
+func BenchmarkMeshBFS(b *testing.B) {
+	cg := BuildGraph(gen.Generate(gen.DimacsUSA, 4))
+	roots := []uint32{0, uint32(cg.N / 3), uint32(2 * cg.N / 3), uint32(cg.N - 1)}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("D4/w%d", workers), func(b *testing.B) {
+			r := NewRunner(cg, Options{Workers: workers})
+			defer r.Close()
+			var vertex time.Duration
+			iterations := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, root := range roots {
+					res := Run(r, apps.NewBFS(root), 1<<30)
+					vertex += res.VertexTime
+					iterations += res.Iterations
+				}
+			}
+			runs := float64(b.N * len(roots))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/runs/1e6, "ms/run")
+			b.ReportMetric(float64(vertex.Nanoseconds())/runs/1e6, "vertex_ms/run")
+			b.ReportMetric(float64(iterations)/runs, "iterations")
 		})
 	}
 }

@@ -642,10 +642,12 @@ func (ec *ExecContext) traceVertex(wall time.Duration, density float64) {
 
 // RunVertex executes the Vertex phase: apply aggregates, reset accumulators,
 // build the next frontier, and swap it in. Statically scheduled (§5: the
-// work is regular enough that load balancing is not a problem).
+// work is regular enough that load balancing is not a problem). The body is
+// the program's fused-kind arm where it has one (vertexArm), vertexBody
+// otherwise.
 func RunVertex(r *ExecContext, p apps.Program) {
 	t0 := time.Now()
-	body := vertexBody(r, p)
+	body := vertexPhaseBody(r, p)
 	r.next.Clear()
 	r.pool.StaticFor(r.g.N, func(rg sched.Range, tid int) {
 		if r.aborted() {
@@ -661,11 +663,13 @@ func RunVertex(r *ExecContext, p apps.Program) {
 	}
 }
 
-// vertexBody builds the Vertex-phase range body with the loop invariants
-// hoisted into the closure. It snapshots the next-frontier words, which swap
-// on publish, so it is rebuilt every iteration. Every write is either
-// per-vertex state owned by the range or an atomic OR into the shared
-// bitmaps, so ranges run concurrently.
+// vertexBody builds the generic Vertex-phase range body, which calls the
+// program's own Apply per lane: every fused kind without a Vertex arm (rank
+// sums, sssp) and every unfused program (kcore, lp, tc), and every Scalar
+// run. The loop invariants are hoisted into the closure. It snapshots the
+// next-frontier words, which swap on publish, so it is rebuilt every
+// iteration. Every write is either per-vertex state owned by the range or an
+// atomic OR into the shared bitmaps, so ranges run concurrently.
 func vertexBody(r *ExecContext, p apps.Program) func(rg sched.Range, tid int) {
 	identity := p.Identity()
 	tracksConv := p.TracksConverged()
@@ -701,8 +705,9 @@ func vertexBody(r *ExecContext, p apps.Program) func(rg sched.Range, tid int) {
 			// Vectorized Vertex phase: four lanes per step with one bounds
 			// check per vector and frontier bits coalesced into a single
 			// atomic OR per group. §6.2 found this phase memory-bandwidth-
-			// bound and therefore largely unresponsive to vectorization; the
-			// structure exists for the Fig 10a comparison.
+			// bound; here, with an indirect Apply per lane, it is call-bound
+			// instead, which is why cc and bfs run a fused-kind arm with
+			// Apply inlined (vertexArm).
 			v := rg.Lo
 			for ; v+vec.Lanes <= rg.Hi; v += vec.Lanes {
 				agg := vec.Load(r.accum, v)

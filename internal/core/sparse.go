@@ -193,19 +193,50 @@ func runEdgePushSparse(r *ExecContext, p apps.Program, front []uint32, chunks in
 	return r.touchedList
 }
 
-// runVertexSparse applies only the touched destinations and rebuilds the
-// next frontier from them. Untouched vertices hold identity aggregates and
-// cannot change (Apply(old, Identity, v) == (old, false) for every
-// frontier-driven program; the registry conformance suite holds them to
-// it), so skipping them is exact.
+// runVertexSparse is the list-driven round's Vertex phase: it applies only
+// the touched destinations, in ascending order, and rebuilds the next
+// frontier from them. Untouched vertices hold identity aggregates and cannot
+// change (Apply(old, Identity, v) == (old, false) for every frontier-driven
+// program; the registry conformance suite holds them to it), so skipping them
+// is exact. cc and bfs run their fused kind's Vertex arm over the list
+// (vertexArm), every other program the scalar loop of sparseVertexBody. An
+// inline round has one writer, so every frontier word it builds is a plain
+// OR.
 func runVertexSparse(r *ExecContext, p apps.Program, touched []uint32, inline bool) {
 	t0 := time.Now()
+	r.next.Clear()
+	body := sparseVertexBody(r, p, touched)
+	if inline {
+		r.runChunk(func(rg sched.Range, _, tid, _ int) { body(rg, tid) },
+			sched.Range{Lo: 0, Hi: len(touched)}, 0, 0, 0)
+	} else {
+		r.pool.StaticFor(len(touched), func(rg sched.Range, tid int) {
+			if r.aborted() {
+				return
+			}
+			defer r.guard()
+			r.countChunk()
+			body(rg, tid)
+		})
+	}
+	r.publishFrontier()
+	if r.vertexRec != nil {
+		r.vertexRec.Wall += time.Since(t0)
+	}
+}
+
+// sparseVertexBody returns the body of a list-driven round's Vertex phase
+// over touched: p's fused-kind arm, or a scalar loop over the program's own
+// Apply, with an atomic OR per changed vertex.
+func sparseVertexBody(r *ExecContext, p apps.Program, touched []uint32) func(rg sched.Range, tid int) {
+	if arm := vertexArm(r, p, touched); arm != nil {
+		return arm
+	}
 	identity := p.Identity()
 	tracksConv := p.TracksConverged()
-	r.next.Clear()
 	nextWords := r.next.Words()
 	convWords := r.conv.Words()
-	body := func(rg sched.Range, tid int) {
+	return func(rg sched.Range, tid int) {
 		var c perfmodel.Counters
 		start := time.Now()
 		for i := rg.Lo; i < rg.Hi; i++ {
@@ -225,22 +256,5 @@ func runVertexSparse(r *ExecContext, p apps.Program, touched []uint32, inline bo
 			r.vertexRec.Record(tid, c)
 			r.vertexRec.AddBusy(tid, time.Since(start))
 		}
-	}
-	if inline {
-		r.runChunk(func(rg sched.Range, _, tid, _ int) { body(rg, tid) },
-			sched.Range{Lo: 0, Hi: len(touched)}, 0, 0, 0)
-	} else {
-		r.pool.StaticFor(len(touched), func(rg sched.Range, tid int) {
-			if r.aborted() {
-				return
-			}
-			defer r.guard()
-			r.countChunk()
-			body(rg, tid)
-		})
-	}
-	r.publishFrontier()
-	if r.vertexRec != nil {
-		r.vertexRec.Wall += time.Since(t0)
 	}
 }
