@@ -202,8 +202,9 @@ func TestRegistryRootValidation(t *testing.T) {
 }
 
 // TestRegistryApplyIdentityIsNoOp holds every frontier-driven entry to the
-// precondition the engine's list-driven round rests on (core.runVertexSparse
-// applies only destinations some frontier edge touched): a vertex whose
+// precondition the engine's list-driven round rests on (its Vertex phase,
+// core.runVertex over the touched list, applies only destinations some
+// frontier edge touched): a vertex whose
 // aggregate is still Identity does not change — Apply(old, Identity, v) ==
 // (old, false) — on every state a run reaches, checked after each
 // iteration of a run on each conformance graph.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/fault"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/sched"
 )
 
@@ -127,6 +128,42 @@ func (p poisonedApply) Apply(old, agg uint64, v uint32) (uint64, bool) {
 		panic("poisoned apply")
 	}
 	return p.PageRank.Apply(old, agg, v)
+}
+
+// TestPanicInListDrivenRound arms the core/chunk failpoint on a bfs run
+// whose first round is a list-driven round cut into several chunks: every
+// phase chunk runs under runChunk, so the run must fail in that round.
+func TestPanicInListDrivenRound(t *testing.T) {
+	const n, hub = 4096, 2400
+	b := graph.NewBuilder(n)
+	for _, e := range gen.ErdosRenyi(n, 50000, 25).Edges {
+		b.AddEdge(e.Src, e.Dst)
+	}
+	for v := uint32(1); v <= hub; v++ {
+		b.AddEdge(0, v)
+	}
+	cg := BuildGraph(b.MustBuild())
+	cs := census{count: 1, list: []uint32{0}, outEdges: cg.CSR.Degree(0)}
+	if cs.chunks(2) < 2 || cs.work() > cg.Edges/sparseThresholdDivisor {
+		t.Fatalf("root's round: %d chunks, work %d of budget %d; want a multi-chunk list-driven round",
+			cs.chunks(2), cs.work(), cg.Edges/sparseThresholdDivisor)
+	}
+	r := NewRunner(cg, Options{Workers: 2, Trace: true})
+	defer r.Close()
+	if res := Run(r, apps.NewBFS(0), 1<<20); res.Trace.Directions[0] != 's' {
+		t.Fatalf("first round ran %q, want a list-driven round", res.Trace.Directions[0])
+	}
+
+	disarm, err := fault.Enable("core/chunk", "panic*1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disarm()
+	res, err := RunCtx(context.Background(), r, apps.NewBFS(0), 1<<20, nil)
+	var pe *sched.PanicError
+	if !errors.As(err, &pe) || res.Iterations != 1 {
+		t.Fatalf("RunCtx = %v after %d iterations, want a *sched.PanicError in round 1", err, res.Iterations)
+	}
 }
 
 // TestMaxRunTimeDeadline: a context deadline bounds a run's wall-clock time,

@@ -16,7 +16,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/numa"
-	"repro/internal/sched"
 	"repro/internal/testgraph"
 )
 
@@ -32,8 +31,9 @@ import (
 //   - the sequential reference: integer lanes exactly, float lanes within
 //     1e-12·(1 + |ref|);
 //   - the path table: each pull round built the Edge-Pull body the cell
-//     expects for the program, and each round the Vertex arm (min, once or
-//     generic), so a silent fallback to another body fails;
+//     expects for the program, and each round the Vertex body (select on
+//     min, select on once, or apply), so a silent fallback to another body
+//     fails;
 //   - determinism: on a pinned grid the lanes are the same bits at every
 //     worker count, and at one grid and worker count the same bits on the Go
 //     twin, under Record and through the generic fold; the iteration count is
@@ -48,8 +48,8 @@ import (
 // process computations, not stored hashes, so the matrix holds on hardware
 // with different float rounding.
 //
-// A new kernel is wired in by naming its body in closurePaths (a Vertex arm in
-// closureArms) and giving the cells that reach it in the path table; a new
+// A new kernel is wired in by naming its body in closurePaths (a Vertex body in
+// builtArm) and giving the cells that reach it in the path table; a new
 // program by adding its row to matrixPulls.
 
 // Edge-Pull bodies, the path table's vocabulary.
@@ -95,55 +95,42 @@ func builtPath(ec *ExecContext, p apps.Program) string {
 
 // Vertex-phase bodies, the Vertex column's vocabulary.
 const (
-	armMin     = "min arm"      // vertexMin
-	armOnce    = "once arm"     // vertexOnce
-	armGeneric = "generic body" // vertexBody, sparseVertexBody's scalar loop: the program's own Apply
+	armMin   = "select (min)"  // selectBody on applyMin
+	armOnce  = "select (once)" // selectBody on applyOnce
+	armApply = "apply"         // applyBody: the program's own Apply
 )
 
-// closureArms names the Vertex-phase bodies by the closures that
-// vertexPhaseBody and sparseVertexBody return.
-var closureArms = []struct{ suffix, arm string }{
-	{".vertexMin.func1", armMin},
-	{".vertexOnce.func1", armOnce},
-	{".vertexBody.func1", armGeneric},
-	{".sparseVertexBody.func1", armGeneric},
-}
-
 // builtArm names the Vertex-phase body a round of p would run on ec now: the
-// one RunVertex builds, which a list-driven round's Vertex phase
-// (sparseVertexBody) must match.
+// one vertexBodyFor builds, for a dense round and a list-driven one alike.
 func builtArm(ec *ExecContext, p apps.Program) string {
-	name := func(body func(rg sched.Range, tid int)) string {
-		fn := runtime.FuncForPC(reflect.ValueOf(body).Pointer()).Name()
-		for _, c := range closureArms {
-			if strings.HasSuffix(fn, c.suffix) {
-				return c.arm
-			}
-		}
+	fn := runtime.FuncForPC(reflect.ValueOf(vertexBodyFor(ec, p, nil)).Pointer()).Name()
+	switch {
+	case strings.HasSuffix(fn, ".applyBody.func1"):
+		return armApply
+	case !strings.HasSuffix(fn, ".selectBody.func1"):
 		return fn
 	}
-	dense, sparse := name(vertexPhaseBody(ec, p)), name(sparseVertexBody(ec, p, nil))
-	if dense != sparse {
-		return dense + ", list-driven " + sparse
+	if _, once := selects(ec, p); once {
+		return armOnce
 	}
-	return dense
+	return armMin
 }
 
 // matrixPulls is the path table: the body a scheduler-aware pull round of
 // each registered program builds, fused and through the generic fold ("" for
 // a program the engine does not fuse, whose generic run is its only one), and
-// the Vertex arm its fused run takes outside the scalar cells (a generic row
-// and a scalar cell take the generic body).
+// the Vertex body its fused run takes outside the scalar cells (a generic row
+// and a scalar cell take apply).
 var matrixPulls = map[string]struct{ fused, generic, vertex string }{
 	"bfs":   {pathVector, pathVector, armOnce},
 	"cc":    {pathChunk, pathVector, armMin},
-	"kcore": {pathVector, "", armGeneric},
-	"lp":    {pathSpan, "", armGeneric},
-	"ppr":   {pathSpan, pathSpan, armGeneric},
-	"pr":    {pathSpan, pathSpan, armGeneric},
-	"sssp":  {pathVector, pathVector, armGeneric},
-	"tc":    {pathSpan, "", armGeneric},
-	"wpr":   {pathSpan, pathSpan, armGeneric},
+	"kcore": {pathVector, "", armApply},
+	"lp":    {pathSpan, "", armApply},
+	"ppr":   {pathSpan, pathSpan, armApply},
+	"pr":    {pathSpan, pathSpan, armApply},
+	"sssp":  {pathVector, pathVector, armApply},
+	"tc":    {pathSpan, "", armApply},
+	"wpr":   {pathSpan, pathSpan, armApply},
 }
 
 // matrixApp is one program row of the matrix.
@@ -171,7 +158,7 @@ func matrixApps(t *testing.T) []matrixApp {
 		out = append(out, matrixApp{name: ent.Name, ent: ent, make: ent.New, pull: row.fused, vertex: row.vertex})
 		if row.generic != "" {
 			mk := ent.New
-			out = append(out, matrixApp{name: ent.Name + "+generic", ent: ent, pull: row.generic, vertex: armGeneric, generic: true,
+			out = append(out, matrixApp{name: ent.Name + "+generic", ent: ent, pull: row.generic, vertex: armApply, generic: true,
 				make: func(g apps.Layouts, p apps.Params) (apps.Program, error) {
 					prog, err := mk(g, p)
 					return unfused{prog}, err
@@ -300,7 +287,7 @@ type matrixGraph struct {
 	runners  map[matrixRunnerKey]*Runner
 	runs     map[string][]*matrixRun // by registry name
 	// ran counts the rows that ran to the end; paths, arms, listDriven and
-	// fewer name the bodies pulls ran on, the Vertex arms rounds ran, the
+	// fewer name the bodies pulls ran on, the Vertex bodies rounds ran, the
 	// programs that ran a list-driven round and those that finished ahead of
 	// the paper configuration.
 	ran                            int
@@ -444,12 +431,12 @@ func observe(t *testing.T, r *Runner, p apps.Program, maxIters int, seed *Seed, 
 }
 
 // checkPaths joins a run to the path table: each of its pull rounds built the
-// body its cell expects, and each of its rounds the Vertex arm.
+// body its cell expects, and each of its rounds the Vertex body.
 func checkPaths(t *testing.T, run *matrixRun, p apps.Program, seen, seenArms map[string]bool) {
 	t.Helper()
 	wantArm := run.app.vertex
 	if run.cell.opt.Scalar {
-		wantArm = armGeneric
+		wantArm = armApply
 	}
 	for i, arm := range run.arms {
 		if arm != wantArm {
@@ -664,7 +651,7 @@ func (m *matrixGraph) runCold(t *testing.T, app matrixApp) {
 
 // TestEquivalenceMatrix runs the matrix from a cold start, one graph per
 // parallel subtest, then checks that it reached every Edge-Pull body, every
-// Vertex arm, a list-driven round of every frontier program and an in-place
+// Vertex body, a list-driven round of every frontier program and an in-place
 // finish ahead of the paper configuration for cc and sssp.
 func TestEquivalenceMatrix(t *testing.T) {
 	rows := matrixApps(t)
@@ -686,7 +673,7 @@ func TestEquivalenceMatrix(t *testing.T) {
 			format string
 		}{
 			{paths, []string{pathSpan, pathChunk, pathVector, pathTraditional, pathOuterOnly, pathScalar}, "no pull round ran the %s"},
-			{arms, []string{armMin, armOnce, armGeneric}, "no Vertex phase ran the %s"},
+			{arms, []string{armMin, armOnce, armApply}, "no Vertex phase ran the %s"},
 			{listDriven, []string{"bfs", "cc", "kcore", "sssp"}, "%s never ran a list-driven round"},
 			{fewer, []string{"cc", "sssp"}, "%s never finished in fewer iterations than the paper configuration: the in-place path did not run"},
 		} {

@@ -79,7 +79,7 @@ func BenchmarkPullFrontierGated(b *testing.B) {
 // on the Go twin (AblateSIMD), and the gated vector-by-vector walk
 // (AblateFullVector). vertex_ms/run is the part of a run its Vertex phases
 // took (Result.VertexTime): on the mesh, where every round applies most
-// vertices, it is what the Vertex arm of cc's fused kind saves. T8 and U4 are
+// vertices, it is what selectBody saves over applyBody. T8 and U4 are
 // the bench's own sizes, for paired runs against a parent checkout; CI runs
 // the three small ones.
 func BenchmarkInPlaceCC(b *testing.B) {
@@ -126,8 +126,8 @@ func BenchmarkInPlaceCC(b *testing.B) {
 // BenchmarkMeshBFS times whole bfs runs on the road mesh at kernel-frontier's
 // scale, at one and two workers, from four roots spread over the vertex ids.
 // A mesh search is hundreds of list-driven rounds of a few hundred vertices,
-// so its Vertex phase is runVertexSparse's inline loop, which the Vertex arm
-// of bfs's fused kind serves; ms/run and vertex_ms/run are per search.
+// so its Vertex phase is selectBody's list loop, run inline; ms/run and
+// vertex_ms/run are per search.
 func BenchmarkMeshBFS(b *testing.B) {
 	cg := BuildGraph(gen.Generate(gen.DimacsUSA, 4))
 	roots := []uint32{0, uint32(cg.N / 3), uint32(2 * cg.N / 3), uint32(cg.N - 1)}

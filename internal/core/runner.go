@@ -14,7 +14,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/perfmodel"
 	"repro/internal/sched"
-	"repro/internal/vec"
 	"repro/internal/vsparse"
 )
 
@@ -289,33 +288,24 @@ func (ec *ExecContext) aborted() bool {
 	return ec.runErr.Load() != nil || ec.cancelled()
 }
 
-// guard is the deferred recover for phase chunk bodies: the first panic is
-// recorded (with stack) and the run aborts at the next chunk boundary, while
-// the worker, the pool, and sibling runs continue.
-func (ec *ExecContext) guard() {
-	if r := recover(); r != nil {
-		ec.runErr.CompareAndSwap(nil, sched.NewPanicError(r))
-	}
-}
-
-// runChunk executes one phase chunk under guard. The core/chunk failpoint
-// sits here so fault-injection tests can make exactly one chunk of one run
-// blow up.
+// runChunk executes one phase chunk; every phase runs its chunks here. The
+// first panic is recorded (with stack) and the run aborts at the next chunk
+// boundary, while the worker, the pool, and sibling runs continue. The
+// core/chunk failpoint sits here so fault-injection tests can make exactly
+// one chunk of one run blow up, and so does the phase tracer's chunk count.
 func (ec *ExecContext) runChunk(body func(rg sched.Range, chunkID, tid, node int), rg sched.Range, chunkID, tid, node int) {
-	defer ec.guard()
+	defer func() {
+		if r := recover(); r != nil {
+			ec.runErr.CompareAndSwap(nil, sched.NewPanicError(r))
+		}
+	}()
 	if err := fault.Inject("core/chunk"); err != nil {
 		panic(err)
 	}
-	ec.countChunk()
-	body(rg, chunkID, tid, node)
-}
-
-// countChunk feeds the phase tracer's chunk counter; called by every chunk
-// execution path (dispatch, the sparse edge loop, the static vertex loops).
-func (ec *ExecContext) countChunk() {
 	if ec.tracer != nil {
 		ec.phaseChunks.Add(1)
 	}
+	body(rg, chunkID, tid, node)
 }
 
 // takeMerge drains the merge wall time the edge-phase kernels accumulated
@@ -534,7 +524,7 @@ func runLoop(ec *ExecContext, p apps.Program, maxIters int, seed *Seed) (Result,
 			edgeWall := t1.Sub(t0)
 			res.EdgeTime += edgeWall
 			ec.traceEdge(obs.PhaseEdgePush, edgeWall, st.Density)
-			runVertexSparse(ec, p, touched, chunks == 1)
+			runVertex(ec, p, touched, len(touched), chunks == 1)
 			vertexWall := time.Since(t1)
 			res.VertexTime += vertexWall
 			ec.traceVertex(vertexWall, st.Density)
@@ -638,126 +628,6 @@ func (ec *ExecContext) traceVertex(wall time.Duration, density float64) {
 		return
 	}
 	ec.tracer.AddPhase(obs.PhaseVertex, wall, ec.phaseChunks.Swap(0), density)
-}
-
-// RunVertex executes the Vertex phase: apply aggregates, reset accumulators,
-// build the next frontier, and swap it in. Statically scheduled (§5: the
-// work is regular enough that load balancing is not a problem). The body is
-// the program's fused-kind arm where it has one (vertexArm), vertexBody
-// otherwise.
-func RunVertex(r *ExecContext, p apps.Program) {
-	t0 := time.Now()
-	body := vertexPhaseBody(r, p)
-	r.next.Clear()
-	r.pool.StaticFor(r.g.N, func(rg sched.Range, tid int) {
-		if r.aborted() {
-			return
-		}
-		defer r.guard()
-		r.countChunk()
-		body(rg, tid)
-	})
-	r.publishFrontier()
-	if r.vertexRec != nil {
-		r.vertexRec.Wall += time.Since(t0)
-	}
-}
-
-// vertexBody builds the generic Vertex-phase range body, which calls the
-// program's own Apply per lane: every fused kind without a Vertex arm (rank
-// sums, sssp) and every unfused program (kcore, lp, tc), and every Scalar
-// run. The loop invariants are hoisted into the closure. It snapshots the
-// next-frontier words, which swap on publish, so it is rebuilt every
-// iteration. Every write is either per-vertex state owned by the range or an
-// atomic OR into the shared bitmaps, so ranges run concurrently.
-func vertexBody(r *ExecContext, p apps.Program) func(rg sched.Range, tid int) {
-	identity := p.Identity()
-	tracksConv := p.TracksConverged()
-	nextWords := r.next.Words()
-	convWords := r.conv.Words()
-	// A frontier-driven program leaves a vertex whose aggregate is Identity
-	// exactly as it is — Apply(old, Identity, v) == (old, false), the
-	// precondition of the list-driven round, which the registry conformance
-	// suite enforces — so a 4-lane group nothing reached is skipped whole:
-	// no Apply, no stores, no counter. AblateFrontierWork restores the
-	// paper's every-vertex Vertex phase.
-	skipIdle := p.UsesFrontier() && !r.opt.AblateFrontierWork
-	return func(rg sched.Range, tid int) {
-		var c perfmodel.Counters
-		start := time.Now()
-		apply := func(v int) {
-			nv, changed := p.Apply(r.props[v], r.accum[v], uint32(v))
-			r.props[v] = nv
-			r.accum[v] = identity
-			c.SharedWrites += 2
-			if changed {
-				atomic.OrUint64(&nextWords[v>>6], 1<<(uint(v)&63))
-				if tracksConv {
-					atomic.OrUint64(&convWords[v>>6], 1<<(uint(v)&63))
-				}
-			}
-		}
-		if r.opt.Scalar {
-			for v := rg.Lo; v < rg.Hi; v++ {
-				apply(v)
-			}
-		} else {
-			// Vectorized Vertex phase: four lanes per step with one bounds
-			// check per vector and frontier bits coalesced into a single
-			// atomic OR per group. §6.2 found this phase memory-bandwidth-
-			// bound; here, with an indirect Apply per lane, it is call-bound
-			// instead, which is why cc and bfs run a fused-kind arm with
-			// Apply inlined (vertexArm).
-			v := rg.Lo
-			for ; v+vec.Lanes <= rg.Hi; v += vec.Lanes {
-				agg := vec.Load(r.accum, v)
-				if skipIdle && agg[0] == identity && agg[1] == identity &&
-					agg[2] == identity && agg[3] == identity {
-					continue
-				}
-				old := vec.Load(r.props, v)
-				var changedMask uint64
-				for lane := 0; lane < vec.Lanes; lane++ {
-					nv, changed := p.Apply(old[lane], agg[lane], uint32(v+lane))
-					old[lane] = nv
-					if changed {
-						changedMask |= 1 << lane
-					}
-				}
-				vec.Store(r.props, v, old)
-				vec.Store(r.accum, v, vec.Broadcast(identity))
-				c.SharedWrites += 2 * vec.Lanes
-				if changedMask != 0 {
-					// Lanes are consecutive vertices: shift the lane mask
-					// into bit position, splitting across two frontier words
-					// when the group straddles a boundary.
-					off := uint(v) & 63
-					lo := changedMask << off
-					if lo != 0 {
-						atomic.OrUint64(&nextWords[v>>6], lo)
-						if tracksConv {
-							atomic.OrUint64(&convWords[v>>6], lo)
-						}
-					}
-					if off > 64-vec.Lanes {
-						if hi := changedMask >> (64 - off); hi != 0 {
-							atomic.OrUint64(&nextWords[v>>6+1], hi)
-							if tracksConv {
-								atomic.OrUint64(&convWords[v>>6+1], hi)
-							}
-						}
-					}
-				}
-			}
-			for ; v < rg.Hi; v++ {
-				apply(v)
-			}
-		}
-		if r.vertexRec != nil {
-			r.vertexRec.Record(tid, c)
-			r.vertexRec.AddBusy(tid, time.Since(start))
-		}
-	}
 }
 
 // firstTop returns the top-level vertex of vector vi in array a — the

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"sync/atomic"
 	"time"
 
@@ -171,17 +170,11 @@ func runEdgePushSparse(r *ExecContext, p apps.Program, front []uint32, chunks in
 		if fz.ordered {
 			r.scatterBuf.Grow(sched.NumChunks(len(front), chunk))
 		}
-		err := r.pool.DynamicForCtx(r.ctx, len(front), chunk, func(rg sched.Range, chunkID, tid int) {
-			r.countChunk()
-			body(rg, chunkID, tid, 0)
+		r.pool.DynamicFor(len(front), chunk, func(rg sched.Range, chunkID, tid int) {
+			if !r.aborted() {
+				r.runChunk(body, rg, chunkID, tid, 0)
+			}
 		})
-		// A chunk panic surfaces here as a *sched.PanicError (the pool
-		// contains it); record it so the run aborts. Context errors are
-		// already observed by the iteration driver through aborted().
-		var pe *sched.PanicError
-		if errors.As(err, &pe) {
-			r.runErr.CompareAndSwap(nil, pe)
-		}
 	}
 	if fz.ordered {
 		mergeScatter(r, &fz)
@@ -191,70 +184,4 @@ func runEdgePushSparse(r *ExecContext, p apps.Program, front []uint32, chunks in
 	}
 	r.touchedList = r.touched.AppendTo(r.touchedList[:0])
 	return r.touchedList
-}
-
-// runVertexSparse is the list-driven round's Vertex phase: it applies only
-// the touched destinations, in ascending order, and rebuilds the next
-// frontier from them. Untouched vertices hold identity aggregates and cannot
-// change (Apply(old, Identity, v) == (old, false) for every frontier-driven
-// program; the registry conformance suite holds them to it), so skipping them
-// is exact. cc and bfs run their fused kind's Vertex arm over the list
-// (vertexArm), every other program the scalar loop of sparseVertexBody. An
-// inline round has one writer, so every frontier word it builds is a plain
-// OR.
-func runVertexSparse(r *ExecContext, p apps.Program, touched []uint32, inline bool) {
-	t0 := time.Now()
-	r.next.Clear()
-	body := sparseVertexBody(r, p, touched)
-	if inline {
-		r.runChunk(func(rg sched.Range, _, tid, _ int) { body(rg, tid) },
-			sched.Range{Lo: 0, Hi: len(touched)}, 0, 0, 0)
-	} else {
-		r.pool.StaticFor(len(touched), func(rg sched.Range, tid int) {
-			if r.aborted() {
-				return
-			}
-			defer r.guard()
-			r.countChunk()
-			body(rg, tid)
-		})
-	}
-	r.publishFrontier()
-	if r.vertexRec != nil {
-		r.vertexRec.Wall += time.Since(t0)
-	}
-}
-
-// sparseVertexBody returns the body of a list-driven round's Vertex phase
-// over touched: p's fused-kind arm, or a scalar loop over the program's own
-// Apply, with an atomic OR per changed vertex.
-func sparseVertexBody(r *ExecContext, p apps.Program, touched []uint32) func(rg sched.Range, tid int) {
-	if arm := vertexArm(r, p, touched); arm != nil {
-		return arm
-	}
-	identity := p.Identity()
-	tracksConv := p.TracksConverged()
-	nextWords := r.next.Words()
-	convWords := r.conv.Words()
-	return func(rg sched.Range, tid int) {
-		var c perfmodel.Counters
-		start := time.Now()
-		for i := rg.Lo; i < rg.Hi; i++ {
-			v := touched[i]
-			nv, changed := p.Apply(r.props[v], r.accum[v], v)
-			r.props[v] = nv
-			r.accum[v] = identity
-			c.SharedWrites += 2
-			if changed {
-				atomic.OrUint64(&nextWords[v>>6], 1<<(v&63))
-				if tracksConv {
-					atomic.OrUint64(&convWords[v>>6], 1<<(v&63))
-				}
-			}
-		}
-		if r.vertexRec != nil {
-			r.vertexRec.Record(tid, c)
-			r.vertexRec.AddBusy(tid, time.Since(start))
-		}
-	}
 }

@@ -10,14 +10,72 @@ import (
 	"repro/internal/vec"
 )
 
-// The Vertex phase by fused kind. A kind fixes Apply as well as the Edge
-// operator (apps.FusedKind), so for cc (FusedMinProp) and bfs (FusedMinSrc)
-// the phase runs a loop with Apply inlined — no indirect call per lane — and
-// writes each 64-vertex word of next and conv once per range instead of one
-// atomic OR per changed group. Every other kind, and every Scalar run (the
-// non-vectorized baseline of Fig 10), keeps the program's own Apply:
-// vertexBody, and sparseVertexBody's scalar loop. The lanes, the frontiers
-// and the Record counters are the same bits either way.
+// The Vertex phase: apply each vertex's aggregate, reset its accumulator and
+// build the next frontier (and the converged set, for a program that tracks
+// one). One driver, runVertex, serves the dense round — every vertex,
+// statically scheduled (§5: the work is regular enough that load balancing is
+// not a problem) — and the list-driven round, which visits only the touched
+// destinations. It runs one of two bodies:
+//
+//   - selectBody, for the two min kinds (cc's FusedMinProp, bfs's
+//     FusedMinSrc): a kind fixes Apply as well as the Edge operator
+//     (apps.FusedKind), so the body inlines it as a compare/select per lane,
+//     with no indirect call;
+//   - applyBody, the program's own Apply: every other kind, every unfused
+//     program, and every Scalar run (the non-vectorized baseline of Fig 10).
+//
+// Both collect changed-vertex bits a 64-vertex word at a time (wordBits), so
+// the only atomic in the phase is the OR into a word a neighbouring range
+// shares. The lanes, the frontiers and the Record counters are the same bits
+// whichever body runs.
+
+// RunVertex runs a dense Vertex phase and swaps the next frontier in.
+func RunVertex(r *ExecContext, p apps.Program) { runVertex(r, p, nil, r.g.N, false) }
+
+// runVertex runs the Vertex phase over n vertices — every vertex when list is
+// nil (n = N), otherwise list, the list-driven round's ascending touched
+// vertices (n = len(list)) — and publishes the next frontier. Skipping the
+// untouched vertices is exact: they hold identity aggregates, and Apply(old,
+// Identity, v) == (old, false) for every frontier-driven program (the
+// registry conformance suite holds them to it). inline runs the phase as one
+// chunk on the driver goroutine.
+func runVertex(r *ExecContext, p apps.Program, list []uint32, n int, inline bool) {
+	t0 := time.Now()
+	body := vertexBodyFor(r, p, list)
+	r.next.Clear()
+	if inline {
+		r.runChunk(body, sched.Range{Lo: 0, Hi: n}, 0, 0, 0)
+	} else {
+		r.pool.StaticFor(n, func(rg sched.Range, tid int) {
+			if !r.aborted() {
+				r.runChunk(body, rg, 0, tid, 0)
+			}
+		})
+	}
+	r.publishFrontier()
+	if r.vertexRec != nil {
+		r.vertexRec.Wall += time.Since(t0)
+	}
+}
+
+// vertexBodyFor returns p's Vertex-phase body: selectBody or applyBody. With
+// list nil a range is of vertices, otherwise of list's entries. It snapshots
+// the next-frontier words, which swap on publish, so it is rebuilt every
+// round.
+func vertexBodyFor(r *ExecContext, p apps.Program, list []uint32) func(rg sched.Range, chunkID, tid, node int) {
+	if sel, once := selects(r, p); sel {
+		return selectBody(r, p, list, once)
+	}
+	return applyBody(r, p, list)
+}
+
+// selects reports whether p's Vertex phase runs selectBody — a min kind
+// outside a Scalar run — and whether its lane step is applyOnce (bfs) rather
+// than applyMin (cc).
+func selects(r *ExecContext, p apps.Program) (sel, once bool) {
+	kind, _ := apps.KindOf(p)
+	return !r.opt.Scalar && (kind == apps.FusedMinProp || kind == apps.FusedMinSrc), kind == apps.FusedMinSrc
+}
 
 // applyMin is FusedMinProp's Apply: keep the smaller label.
 func applyMin(old, agg uint64) (uint64, bool) { return min(old, agg), agg < old }
@@ -30,51 +88,31 @@ func applyOnce(old, agg uint64) (uint64, bool) {
 	return old, false
 }
 
-// kindIdentity is the Identity of both kinds with a Vertex arm (cc's maximal
-// label, bfs's NoParent): the value the arms reset accum to and an idle lane
-// holds.
+// selectStep is selectBody's lane step.
+func selectStep(once bool, old, agg uint64) (uint64, bool) {
+	if once {
+		return applyOnce(old, agg)
+	}
+	return applyMin(old, agg)
+}
+
+// kindIdentity is the Identity of both min kinds (cc's maximal label, bfs's
+// NoParent): the value selectBody resets accum to and an idle lane holds.
 const kindIdentity = ^uint64(0)
 
-// vertexPhaseBody returns the body of a dense Vertex phase (RunVertex): p's
-// fused-kind arm, or vertexBody.
-func vertexPhaseBody(r *ExecContext, p apps.Program) func(rg sched.Range, tid int) {
-	if arm := vertexArm(r, p, nil); arm != nil {
-		return arm
-	}
-	return vertexBody(r, p)
-}
-
-// vertexArm returns the Vertex-phase body of p's fused kind (the kind fuseFor
-// resolves) — vertexMin or vertexOnce — or nil when the phase runs the
-// program's own Apply. With list nil, rg is a range of vertices; otherwise rg
-// indexes list, the list-driven round's ascending touched vertices (an empty
-// list is an empty range either way).
-func vertexArm(r *ExecContext, p apps.Program, list []uint32) func(rg sched.Range, tid int) {
-	if r.opt.Scalar {
-		return nil
-	}
-	switch kind, _ := apps.KindOf(p); kind {
-	case apps.FusedMinProp:
-		return vertexMin(r, p, list)
-	case apps.FusedMinSrc:
-		return vertexOnce(r, p, list)
-	}
-	return nil
-}
-
-// vertexMin is FusedMinProp's Vertex arm: per 4-lane group, the idle-group
-// skip, then an unsigned compare/select per lane, the props store, the accum
-// reset and a changed-lane mask.
-func vertexMin(r *ExecContext, p apps.Program, list []uint32) func(rg sched.Range, tid int) {
+// selectBody is the Vertex phase of the two min kinds: per 4-lane group, the
+// idle-group skip, then applyOnce or applyMin on every lane (one branch on
+// once per group), the props store, the accum reset and a changed-lane mask.
+func selectBody(r *ExecContext, p apps.Program, list []uint32, once bool) func(rg sched.Range, chunkID, tid, node int) {
 	props, accum := r.props, r.accum
 	skipIdle := p.UsesFrontier() && !r.opt.AblateFrontierWork
-	return func(rg sched.Range, tid int) {
+	return func(rg sched.Range, _, tid, _ int) {
 		var c perfmodel.Counters
 		start := r.startVertexRange()
 		fb := r.newWordBits(p, list, rg)
 		if list != nil {
 			for _, v := range list[rg.Lo:rg.Hi] {
-				nv, changed := applyMin(props[v], accum[v])
+				nv, changed := selectStep(once, props[v], accum[v])
 				props[v], accum[v] = nv, kindIdentity
 				if changed {
 					fb.add(int(v>>6), 1<<(v&63))
@@ -89,19 +127,34 @@ func vertexMin(r *ExecContext, p apps.Program, list []uint32) func(rg sched.Rang
 					continue
 				}
 				o := props[v : v+vec.Lanes : v+vec.Lanes]
-				n0, c0 := applyMin(o[0], a[0])
-				n1, c1 := applyMin(o[1], a[1])
-				n2, c2 := applyMin(o[2], a[2])
-				n3, c3 := applyMin(o[3], a[3])
-				o[0], o[1], o[2], o[3] = n0, n1, n2, n3
+				// Each arm stores its own lanes: a draft that merged the
+				// two arms' lanes before one shared store cost cc's Vertex
+				// phase about a fifth (EXPERIMENTS.md, "One Vertex driver,
+				// two bodies").
+				var m uint64
+				if once {
+					n0, c0 := applyOnce(o[0], a[0])
+					n1, c1 := applyOnce(o[1], a[1])
+					n2, c2 := applyOnce(o[2], a[2])
+					n3, c3 := applyOnce(o[3], a[3])
+					o[0], o[1], o[2], o[3] = n0, n1, n2, n3
+					m = laneMask(c0, c1, c2, c3)
+				} else {
+					n0, c0 := applyMin(o[0], a[0])
+					n1, c1 := applyMin(o[1], a[1])
+					n2, c2 := applyMin(o[2], a[2])
+					n3, c3 := applyMin(o[3], a[3])
+					o[0], o[1], o[2], o[3] = n0, n1, n2, n3
+					m = laneMask(c0, c1, c2, c3)
+				}
 				a[0], a[1], a[2], a[3] = kindIdentity, kindIdentity, kindIdentity, kindIdentity
 				c.SharedWrites += 2 * vec.Lanes
-				if m := laneMask(c0, c1, c2, c3); m != 0 {
+				if m != 0 {
 					fb.addGroup(v, m)
 				}
 			}
 			for ; v < rg.Hi; v++ {
-				nv, changed := applyMin(props[v], accum[v])
+				nv, changed := selectStep(once, props[v], accum[v])
 				props[v], accum[v] = nv, kindIdentity
 				c.SharedWrites += 2
 				if changed {
@@ -114,50 +167,67 @@ func vertexMin(r *ExecContext, p apps.Program, list []uint32) func(rg sched.Rang
 	}
 }
 
-// vertexOnce is FusedMinSrc's Vertex arm: vertexMin's loop with a lane that
-// changes exactly once, old == NoParent && agg != NoParent.
-func vertexOnce(r *ExecContext, p apps.Program, list []uint32) func(rg sched.Range, tid int) {
+// applyBody is the Vertex phase through the program's own Apply: over a
+// list, one vertex at a time; dense, four lanes per step with one bounds
+// check per vector (§6.2 found this phase memory-bandwidth-bound; with an
+// indirect Apply per lane it is call-bound instead, which is why the min
+// kinds run selectBody), or one vertex at a time in a Scalar run.
+func applyBody(r *ExecContext, p apps.Program, list []uint32) func(rg sched.Range, chunkID, tid, node int) {
 	props, accum := r.props, r.accum
+	identity := p.Identity()
+	scalar := r.opt.Scalar
+	// A frontier-driven program leaves a vertex whose aggregate is Identity
+	// exactly as it is, so a 4-lane group nothing reached is skipped whole:
+	// no Apply, no stores, no counter. AblateFrontierWork restores the
+	// paper's every-vertex Vertex phase.
 	skipIdle := p.UsesFrontier() && !r.opt.AblateFrontierWork
-	return func(rg sched.Range, tid int) {
+	return func(rg sched.Range, _, tid, _ int) {
 		var c perfmodel.Counters
 		start := r.startVertexRange()
 		fb := r.newWordBits(p, list, rg)
-		if list != nil {
-			for _, v := range list[rg.Lo:rg.Hi] {
-				nv, changed := applyOnce(props[v], accum[v])
-				props[v], accum[v] = nv, kindIdentity
-				if changed {
-					fb.add(int(v>>6), 1<<(v&63))
-				}
+		apply := func(v uint32) {
+			nv, changed := p.Apply(props[v], accum[v], v)
+			props[v], accum[v] = nv, identity
+			c.SharedWrites += 2
+			if changed {
+				fb.add(int(v>>6), 1<<(v&63))
 			}
-			c.SharedWrites += 2 * uint64(rg.Hi-rg.Lo)
-		} else {
+		}
+		switch {
+		case list != nil:
+			for _, v := range list[rg.Lo:rg.Hi] {
+				apply(v)
+			}
+		case scalar:
+			for v := rg.Lo; v < rg.Hi; v++ {
+				apply(uint32(v))
+			}
+		default:
 			v := rg.Lo
 			for ; v+vec.Lanes <= rg.Hi; v += vec.Lanes {
-				a := accum[v : v+vec.Lanes : v+vec.Lanes]
-				if skipIdle && a[0]&a[1]&a[2]&a[3] == kindIdentity {
+				agg := vec.Load(accum, v)
+				if skipIdle && agg[0] == identity && agg[1] == identity &&
+					agg[2] == identity && agg[3] == identity {
 					continue
 				}
-				o := props[v : v+vec.Lanes : v+vec.Lanes]
-				n0, c0 := applyOnce(o[0], a[0])
-				n1, c1 := applyOnce(o[1], a[1])
-				n2, c2 := applyOnce(o[2], a[2])
-				n3, c3 := applyOnce(o[3], a[3])
-				o[0], o[1], o[2], o[3] = n0, n1, n2, n3
-				a[0], a[1], a[2], a[3] = kindIdentity, kindIdentity, kindIdentity, kindIdentity
+				old := vec.Load(props, v)
+				var m uint64
+				for lane := 0; lane < vec.Lanes; lane++ {
+					nv, changed := p.Apply(old[lane], agg[lane], uint32(v+lane))
+					old[lane] = nv
+					if changed {
+						m |= 1 << lane
+					}
+				}
+				vec.Store(props, v, old)
+				vec.Store(accum, v, vec.Broadcast(identity))
 				c.SharedWrites += 2 * vec.Lanes
-				if m := laneMask(c0, c1, c2, c3); m != 0 {
+				if m != 0 {
 					fb.addGroup(v, m)
 				}
 			}
 			for ; v < rg.Hi; v++ {
-				nv, changed := applyOnce(props[v], accum[v])
-				props[v], accum[v] = nv, kindIdentity
-				c.SharedWrites += 2
-				if changed {
-					fb.add(v>>6, 1<<(uint(v)&63))
-				}
+				apply(uint32(v))
 			}
 		}
 		fb.flush()
