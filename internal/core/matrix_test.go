@@ -39,8 +39,9 @@ import (
 //     twin, under Record and through the generic fold; the iteration count is
 //     the same at every worker count of a grid, equal to the paper
 //     configuration's, or at most that for a monotone-min program;
-//   - for a min-prop program (cc), the lanes every round starts from are the
-//     full-vector walk's, and a Record run charges the walk's Edge counters;
+//   - for a min-prop or min-src program (cc, bfs), the lanes every round
+//     starts from are the full-vector walk's, and a Record run charges the
+//     walk's Edge counters;
 //   - for a Record run, counters that tile the lanes it visited.
 //
 // The default chunk grid derives from the worker count, so at ChunkVectors 0
@@ -56,6 +57,7 @@ import (
 const (
 	pathSpan        = "span walk"           // pullSpanBody by run span: vec.RankSumRun, laneFold, a Record run's min-prop rounds
 	pathChunk       = "min-prop chunk walk" // pullSpanBody: one vec.MinPropChunk call per chunk
+	pathMinSrc      = "min-src chunk walk"  // pullSpanBody: one vec.MinSrcChunk call per chunk
 	pathVector      = "vector walk"         // pullSABody, vector by vector
 	pathTraditional = "traditional"         // edgePullTraditional
 	pathOuterOnly   = "outer-only"          // edgePullOuterOnly
@@ -66,7 +68,8 @@ const (
 // returns.
 var closurePaths = []struct{ suffix, path string }{
 	{".pullSpanBody.func1", pathChunk},
-	{".pullSpanBody.func2", pathSpan},
+	{".pullSpanBody.func2", pathMinSrc},
+	{".pullSpanBody.func3", pathSpan},
 	{".pullSABody.func1", pathVector},
 }
 
@@ -122,7 +125,7 @@ func builtArm(ec *ExecContext, p apps.Program) string {
 // the Vertex body its fused run takes outside the scalar cells (a generic row
 // and a scalar cell take apply).
 var matrixPulls = map[string]struct{ fused, generic, vertex string }{
-	"bfs":   {pathVector, pathVector, armOnce},
+	"bfs":   {pathMinSrc, pathVector, armOnce},
 	"cc":    {pathChunk, pathVector, armMin},
 	"kcore": {pathVector, "", armApply},
 	"lp":    {pathSpan, "", armApply},
@@ -212,15 +215,25 @@ func fixedPath(path string) func(matrixApp, bool) string {
 }
 
 // recordPath: a Record run counts a min-prop round per run span, and its
-// in-place rounds vector by vector; every other program keeps its path.
+// in-place rounds and a min-src program's rounds vector by vector; every
+// other program keeps its path.
 func recordPath(app matrixApp, inPlace bool) string {
 	switch {
-	case app.pull != pathChunk:
-		return app.pull
-	case inPlace:
+	case app.pull == pathMinSrc || app.pull == pathChunk && inPlace:
+		return pathVector
+	case app.pull == pathChunk:
+		return pathSpan
+	}
+	return app.pull
+}
+
+// paperPath: the paper configuration has no early exit, so a min-src program
+// walks every vector; every other program keeps its path.
+func paperPath(app matrixApp, _ bool) string {
+	if app.pull == pathMinSrc {
 		return pathVector
 	}
-	return pathSpan
+	return app.pull
 }
 
 // matrixCells is the engine axis, in the order the cells run: the paper
@@ -230,9 +243,9 @@ func recordPath(app matrixApp, inPlace bool) string {
 // boundaries, 16 is the grid the counters are pinned on.
 var matrixCells = []matrixCell{
 	{name: "paper", opt: Options{AblateFrontierWork: true}, workers: []int{1, 4}, chunks: []int{0, 3},
-		analogs: true, path: tablePath},
+		analogs: true, path: paperPath},
 	{name: "paper-pull", opt: Options{Mode: EnginePullOnly, AblateFrontierWork: true}, workers: []int{1, 4},
-		chunks: []int{0, 1}, path: tablePath},
+		chunks: []int{0, 1}, path: paperPath},
 	{name: "full-vector", opt: Options{Mode: EnginePullOnly, AblateFullVector: true, Record: true},
 		workers: []int{1, 2, 4}, chunks: []int{0, 1, 16}, analogs: true, path: fixedPath(pathVector)},
 	{name: "hybrid", workers: []int{1, 2, 4}, chunks: []int{0, 3, 16}, analogs: true, path: tablePath},
@@ -358,8 +371,9 @@ type matrixRun struct {
 	res            Result
 	// pulls is the run's pull count as each round started, then at its end;
 	// paths the body a pull in that round built, arms the Vertex-phase body
-	// the round built; rounds (min-prop programs in the pull-only cells that
-	// go in place) a hash of the lanes the round started from.
+	// the round built; rounds (min-prop and min-src programs in the pull-only
+	// cells with the early exit on) a hash of the lanes the round started
+	// from.
 	pulls  []int
 	paths  []string
 	arms   []string
@@ -419,7 +433,8 @@ func observe(t *testing.T, r *Runner, p apps.Program, maxIters int, seed *Seed, 
 	t.Helper()
 	ec := r.acquire()
 	r.release(ec)
-	if opt := run.cell.opt; innerKind(p) == apps.FusedMinProp && opt.Mode == EnginePullOnly && !opt.AblateFrontierWork {
+	if k, opt := innerKind(p), run.cell.opt; (k == apps.FusedMinProp || k == apps.FusedMinSrc) &&
+		opt.Mode == EnginePullOnly && !opt.AblateFrontierWork {
 		run.rounds = []uint64{}
 	}
 	res, err := RunCtx(context.Background(), r, &observed{Program: p, ec: ec, run: run}, maxIters, seed)
@@ -513,9 +528,9 @@ func checkCounters(t *testing.T, run *matrixRun, p apps.Program, cg *Graph) {
 // the first one of its bits group on its grid (same lanes, unless the grid
 // is the worker-count default and the workers differ), of its group on its
 // grid (same iteration count), of the paper configuration (the iteration
-// bound) and, for a min-prop run, of the full-vector walk at its grid and
-// worker count (the same lanes at the start of every round, and under Record
-// the same Edge counters).
+// bound) and, for a min-prop or min-src run, of the full-vector walk at its
+// grid and worker count (the same lanes at the start of every round, and
+// under Record the same Edge counters).
 func checkAgainst(t *testing.T, run *matrixRun, earlier []*matrixRun, monotone bool, fewer map[string]bool) {
 	t.Helper()
 	var bits, iters, paper, walk *matrixRun
@@ -604,7 +619,7 @@ func (m *matrixGraph) runCold(t *testing.T, app matrixApp) {
 			continue
 		}
 		twins := []bool{false}
-		if cell.twin && !app.generic && (kind == apps.FusedRankSum || kind == apps.FusedMinProp) {
+		if cell.twin && !app.generic && (kind == apps.FusedRankSum || kind == apps.FusedMinProp || kind == apps.FusedMinSrc) {
 			twins = append(twins, true)
 		}
 		for _, workers := range cell.workers {
@@ -672,7 +687,7 @@ func TestEquivalenceMatrix(t *testing.T) {
 			want   []string
 			format string
 		}{
-			{paths, []string{pathSpan, pathChunk, pathVector, pathTraditional, pathOuterOnly, pathScalar}, "no pull round ran the %s"},
+			{paths, []string{pathSpan, pathChunk, pathMinSrc, pathVector, pathTraditional, pathOuterOnly, pathScalar}, "no pull round ran the %s"},
 			{arms, []string{armMin, armOnce, armApply}, "no Vertex phase ran the %s"},
 			{listDriven, []string{"bfs", "cc", "kcore", "sssp"}, "%s never ran a list-driven round"},
 			{fewer, []string{"cc", "sssp"}, "%s never finished in fewer iterations than the paper configuration: the in-place path did not run"},

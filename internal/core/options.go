@@ -143,12 +143,15 @@ type Options struct {
 	// (inPlaceAfter). Not part of the public facade.
 	AblateFrontierWork bool
 	// AblateFullVector disables the fused full-vector fast path in the
-	// pull kernels — an ablation knob for the design-choice benchmarks;
-	// not part of the public facade.
+	// pull kernels, and sends every scheduler-aware pull to pullSABody's
+	// vector-by-vector walk — an ablation knob for the design-choice
+	// benchmarks and the walk the chunk walks are tested against; not part
+	// of the public facade.
 	AblateFullVector bool
 	// AblateSIMD runs pullSpanBody's kernels on their pure-Go twins even
-	// where the CPU has AVX2: vec.RankSumRunGo for the rank-sum programs and
-	// vec.MinPropChunkGo for cc's chunk walk, synchronous and in place. Each
+	// where the CPU has AVX2: vec.RankSumRunGo for the rank-sum programs,
+	// vec.MinPropChunkGo for cc's chunk walk, synchronous and in place, and
+	// vec.MinSrcChunkGo for bfs's. Each
 	// twin is bit-identical to its assembly, so this changes time only:
 	// benchfig fig10's real-SIMD column, the parity tests and the benchmarks'
 	// twin rows set it. Not part of the public facade.

@@ -103,9 +103,12 @@ func edgePullSA(r *ExecContext, p apps.Program) {
 // make, and pulls by run span instead (pullSpanBody). Neither does a
 // FusedMinProp program (cc), synchronous or in place: it walks the chunk in
 // one vec.MinPropChunk call whose gathers make the frontier test and, in
-// place, the window read. The in-place rounds this body still runs are
-// sssp's, a Record run's (its counters are this walk's) and the full-vector
-// ablation's.
+// place, the window read. Nor does a FusedMinSrc program (bfs): one
+// vec.MinSrcChunk call makes both early exits per run. The in-place rounds
+// this body still runs are sssp's, a Record run's (its counters are this
+// walk's) and the full-vector ablation's; the saturating arm serves bfs's
+// Record runs and the full-vector ablation only, and the paper configuration
+// (AblateFrontierWork) walks bfs's every vector here with no early exit.
 func pullSABody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, node int) {
 	p := fz.p
 	if r.pullsBySpan(p, fz.kind) {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -149,6 +151,68 @@ func BenchmarkMeshBFS(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/runs/1e6, "ms/run")
 			b.ReportMetric(float64(vertex.Nanoseconds())/runs/1e6, "vertex_ms/run")
 			b.ReportMetric(float64(iterations)/runs, "iterations")
+		})
+	}
+}
+
+// BenchmarkHubBFS times whole bfs runs on the R-MAT analog from four of its
+// 256 highest-out-degree roots (hubs all reach the giant component, so every
+// search costs about the same), at one and two workers: T8 is
+// kernel-frontier's graph, T1 the CI smoke size. A hub search is a few
+// rounds, two of them dense pulls that leave each destination run at its
+// first live lane. Each size has three rows, as BenchmarkInPlaceCC does: the
+// shipped chunk walk on the selected kernel (one vec.MinSrcChunk call per
+// chunk), the same walk on the Go twin (AblateSIMD), and the gated
+// vector-by-vector walk (AblateFullVector). ms/run, edge_ms/run (the Edge
+// phases, push rounds included: Result.EdgeTime) and iterations are per
+// search.
+func BenchmarkHubBFS(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		scale float64
+	}{{"T1", 1}, {"T8", 8}} {
+		b.Run(c.name, func(b *testing.B) {
+			g := gen.Generate(gen.Twitter, c.scale)
+			cg := BuildGraph(g)
+			deg := g.OutDegrees()
+			ids := make([]uint32, cg.N)
+			for v := range ids {
+				ids[v] = uint32(v)
+			}
+			slices.SortFunc(ids, func(x, y uint32) int { return cmp.Or(cmp.Compare(deg[y], deg[x]), cmp.Compare(x, y)) })
+			hubs := ids[:min(256, len(ids))]
+			rand.New(rand.NewSource(11)).Shuffle(len(hubs), func(i, j int) { hubs[i], hubs[j] = hubs[j], hubs[i] })
+			roots := hubs[:4]
+			for _, workers := range []int{1, 2} {
+				for _, k := range []struct {
+					name string
+					opt  Options
+				}{
+					{"kernel", Options{}},
+					{"twin", Options{AblateSIMD: true}},
+					{"walk", Options{AblateFullVector: true}},
+				} {
+					b.Run(fmt.Sprintf("w%d/%s", workers, k.name), func(b *testing.B) {
+						k.opt.Workers = workers
+						r := NewRunner(cg, k.opt)
+						defer r.Close()
+						var edge time.Duration
+						iterations := 0
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							for _, root := range roots {
+								res := Run(r, apps.NewBFS(root), 1<<30)
+								edge += res.EdgeTime
+								iterations += res.Iterations
+							}
+						}
+						runs := float64(b.N * len(roots))
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/runs/1e6, "ms/run")
+						b.ReportMetric(float64(edge.Nanoseconds())/runs/1e6, "edge_ms/run")
+						b.ReportMetric(float64(iterations)/runs, "iterations")
+					})
+				}
+			}
 		})
 	}
 }

@@ -11,32 +11,40 @@ import (
 )
 
 // pullsBySpan reports whether the scheduler-aware pull of p runs as
-// pullSpanBody. Two kinds of program qualify. One gathers every in-edge every
-// iteration (no frontier, no converged set) and its aggregate is a rank sum
-// or an operator the engine does not classify. The other is a FusedMinProp
+// pullSpanBody. Three kinds of program qualify. One gathers every in-edge
+// every iteration (no frontier, no converged set) and its aggregate is a rank
+// sum or an operator the engine does not classify. Another is a FusedMinProp
 // program (cc), frontier-gated or not, synchronous or in place: its
 // per-vector test is folded into the chunk walk's gathers, and its in-place
-// read into the walk's window. Converged sets, the other frontier kinds
-// (sssp's in-place rounds among them), a Record run's in-place rounds — their
-// counters are the gated walk's — and the full-vector ablation keep
-// pullSABody's vector-by-vector walk.
+// read into the walk's window. The third is a FusedMinSrc program (bfs): it
+// tracks converged vertices, but its chunk walk tests conv once per run, as
+// the vector walk's early exit does. Converged sets otherwise, the other
+// frontier kinds (sssp's in-place rounds among them), a Record run's
+// in-place min-prop rounds and its bfs rounds — their counters are the
+// vector walk's — the paper configuration's bfs rounds (AblateFrontierWork:
+// no early exit) and the full-vector ablation keep pullSABody's
+// vector-by-vector walk.
 func (ec *ExecContext) pullsBySpan(p apps.Program, kind apps.FusedKind) bool {
-	if p.TracksConverged() || ec.opt.AblateFullVector {
+	switch {
+	case ec.opt.AblateFullVector:
 		return false
-	}
-	inPlace := ec.inPlace(p)
-	switch kind {
-	case apps.FusedMinProp:
-		return !inPlace || !ec.opt.Record
-	case apps.FusedRankSum, apps.FusedNone:
-		return !inPlace && !p.UsesFrontier()
+	case kind == apps.FusedMinSrc:
+		return p.UsesFrontier() && !ec.opt.Record && !ec.opt.AblateFrontierWork
+	case p.TracksConverged():
+		return false
+	case kind == apps.FusedMinProp:
+		return !ec.inPlace(p) || !ec.opt.Record
+	case kind == apps.FusedRankSum, kind == apps.FusedNone:
+		return !ec.inPlace(p) && !p.UsesFrontier()
 	}
 	return false
 }
 
 // pullSpanBody is the scheduler-aware chunk body of the programs pullsBySpan
-// admits. Nothing in their Edge-Pull needs a branch per vector, so the chunk
-// is walked by destination run instead of by vector.
+// admits. Nothing in their Edge-Pull needs a branch per lane or a
+// destination test per vector, so the chunk is walked by destination run
+// instead of by vector. The runs that still take pullSABody's vector walk are
+// the ones pullsBySpan turns away.
 //
 // A FusedMinProp program hands the whole chunk to one vec.MinPropChunk call
 // (the AVX2 VPGATHERQQ walk where the CPU has it): a frontier-gated round
@@ -55,6 +63,14 @@ func (ec *ExecContext) pullsBySpan(p apps.Program, kind apps.FusedKind) bool {
 // Apply outcome and no iteration count (TestMinPropChunkMatchesVectorWalk and
 // the equivalence matrix pin every round to the gated walk's).
 //
+// A FusedMinSrc program hands the chunk to one vec.MinSrcChunk call the same
+// way, always with the frontier and the converged words: a run whose
+// destination has converged is skipped whole, and any other ends at its
+// first live lane, the run's minimum live source, as pullSABody's saturating
+// arm ends it (TestMinSrcChunkMatchesVectorWalk pins every chunk, and the
+// equivalence matrix every round, to that walk). It needs no props gather:
+// its message is the source id.
+//
 // A rank sum or an unclassified program reduces each run span — the run's
 // vectors clipped to the chunk — in one call: vec.RankSumRun for a rank sum
 // (the AVX2 vgatherqpd loop where the CPU has it), laneFold for anything
@@ -65,8 +81,9 @@ func (ec *ExecContext) pullsBySpan(p apps.Program, kind apps.FusedKind) bool {
 // already rounded on its own before it was added, so the lanes are the bits
 // the per-edge product gave.
 //
-// A Record run walks the chunk span by span in Go for every kind, so the
-// counters are charged per run exactly as the vector walk charged them.
+// A Record run walks the chunk span by span in Go for every kind it admits,
+// so the counters are charged per run exactly as the vector walk charged
+// them; it does not admit bfs, whose early exit the vector walk charges.
 //
 // The chunk grid, the transition stores and the merge slots are pullSABody's:
 // an interior run flushes to accum[dst], which no other chunk writes, and the
@@ -85,9 +102,9 @@ func pullSpanBody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, n
 	if fz.weighted {
 		weights = a.Weights
 	}
-	rankSum, minProp := vec.RankSumRun, vec.MinPropChunk
+	rankSum, minProp, minSrc := vec.RankSumRun, vec.MinPropChunk, vec.MinSrcChunk
 	if r.opt.AblateSIMD {
-		rankSum, minProp = vec.RankSumRunGo, vec.MinPropChunkGo
+		rankSum, minProp, minSrc = vec.RankSumRunGo, vec.MinPropChunkGo, vec.MinSrcChunkGo
 	}
 	var contrib []float64
 	if fz.kind == apps.FusedRankSum {
@@ -104,6 +121,13 @@ func pullSpanBody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, n
 	if fz.kind == apps.FusedMinProp && rec == nil {
 		return func(rg sched.Range, chunkID, tid, node int) {
 			dst, acc := minProp(words, index, props, front, accum, int(firstTop(a, rg.Lo)), rg.Lo, rg.Hi, inPlace)
+			r.mergeBuf.Save(chunkID, uint32(dst), acc)
+		}
+	}
+	if fz.kind == apps.FusedMinSrc {
+		frontWords, conv := r.front.Words(), r.conv.Words()
+		return func(rg sched.Range, chunkID, tid, node int) {
+			dst, acc := minSrc(words, index, frontWords, conv, accum, int(firstTop(a, rg.Lo)), rg.Lo, rg.Hi)
 			r.mergeBuf.Save(chunkID, uint32(dst), acc)
 		}
 	}

@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/frontier"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/sched"
 	"repro/internal/testgraph"
 	"repro/internal/vec"
 )
@@ -259,5 +262,98 @@ func TestMinPropChunkMatchesVectorWalk(t *testing.T) {
 	}
 	if inPlaceRounds == 0 {
 		t.Error("no run reached an in-place round")
+	}
+}
+
+// TestMinSrcChunkMatchesVectorWalk: bfs's pull runs as one vec.MinSrcChunk
+// call per chunk, and on every corpus graph and the T×1 and D×1 analogs,
+// under frontiers and converged sets of density 0, 0.1, 0.5 and 1 each, on
+// chunk grids whose hub runs straddle chunks, each chunk's trailing (last,
+// acc) and every accum word the grid's interior runs leave are the same bits
+// on the selected kernel, on the Go twin and on pullSABody's saturating walk
+// (the full-vector ablation: a frontier test per vector, the first live lane
+// taken, the run left). accum starts from draws that mix small ids,
+// Identity and words with bit 63 set, so a store that should leave a word as
+// it found it is seen to.
+func TestMinSrcChunkMatchesVectorWalk(t *testing.T) {
+	graphs := testgraph.Corpus()
+	for _, d := range []gen.Dataset{gen.Twitter, gen.DimacsUSA} {
+		graphs = append(graphs, testgraph.Graph{Name: d.Abbrev() + "1", Root: 1, G: gen.Generate(d, 1)})
+	}
+	densities := []float64{0, 0.1, 0.5, 1}
+	straddled := 0
+	for _, c := range graphs {
+		cg := BuildGraph(c.G)
+		a := cg.VSD
+		r := NewRunner(cg, Options{Workers: 1, AblateFullVector: true})
+		ec := r.NewContext()
+		p := apps.NewBFS(c.Root)
+		ec.Init(p)
+		fz := fuseFor(p, false)
+		if path := builtPath(ec, p); path != pathVector {
+			t.Fatalf("%s: the full-vector ablation built the %s, not the %s", c.Name, path, pathVector)
+		}
+		rng := rand.New(rand.NewSource(12))
+		start := make([]uint64, cg.N)
+		for v := range start {
+			switch rng.Intn(4) {
+			case 0:
+				start[v] = apps.NoParent
+			case 1:
+				start[v] = 1<<63 | rng.Uint64()
+			default:
+				start[v] = uint64(rng.Intn(2 * cg.N))
+			}
+		}
+		for _, fd := range densities {
+			for _, cd := range densities {
+				fillAt(ec.front, fd, rng)
+				fillAt(ec.conv, cd, rng)
+				front, conv := ec.front.Words(), ec.conv.Words()
+				for _, chunk := range []int{1, 2, 3, 16, 64} {
+					label := fmt.Sprintf("%s front %.1f conv %.1f chunk %d", c.Name, fd, cd, chunk)
+					kAccum, tAccum := slices.Clone(start), slices.Clone(start)
+					copy(ec.accum, start)
+					walk := pullSABody(ec, &fz)
+					for lo := 0; lo < a.NumVectors(); lo += chunk {
+						hi := min(lo+chunk, a.NumVectors())
+						dst := int(firstTop(a, lo))
+						if a.Index[dst] < lo && a.Index[dst+1] > lo {
+							straddled++
+						}
+						kLast, kAcc := vec.MinSrcChunk(a.Words, a.Index, front, conv, kAccum, dst, lo, hi)
+						tLast, tAcc := vec.MinSrcChunkGo(a.Words, a.Index, front, conv, tAccum, dst, lo, hi)
+						walk(sched.Range{Lo: lo, Hi: hi}, 0, 0, 0)
+						wLast, wAcc := -1, uint64(0)
+						ec.mergeBuf.Merge(func(d uint32, v uint64) { wLast, wAcc = int(d), v })
+						if kLast != wLast || kAcc != wAcc || tLast != wLast || tAcc != wAcc {
+							t.Fatalf("%s: chunk [%d,%d) returned %s (%d, %#x), Go twin (%d, %#x), the vector walk saved (%d, %#x)",
+								label, lo, hi, vec.Kernel(), kLast, kAcc, tLast, tAcc, wLast, wAcc)
+						}
+					}
+					for v := range start {
+						if kAccum[v] != ec.accum[v] || tAccum[v] != ec.accum[v] {
+							t.Fatalf("%s: accum[%d]: %s %#x, Go twin %#x, the vector walk %#x",
+								label, v, vec.Kernel(), kAccum[v], tAccum[v], ec.accum[v])
+						}
+					}
+				}
+			}
+		}
+		r.Close()
+	}
+	if straddled == 0 {
+		t.Error("no chunk began inside a run")
+	}
+}
+
+// fillAt clears d and adds each vertex with the given probability (1 adds
+// all of them, 0 none).
+func fillAt(d *frontier.Dense, density float64, rng *rand.Rand) {
+	d.Clear()
+	for v := 0; v < d.Len(); v++ {
+		if density >= 1 || rng.Float64() < density {
+			d.Add(uint32(v))
+		}
 	}
 }

@@ -86,7 +86,6 @@ func (cs census) chunks(workers int) int {
 // chunks (one runs inline). It returns the touched list for the sparse
 // Vertex phase.
 func runEdgePushSparse(r *ExecContext, p apps.Program, front []uint32, chunks int) []uint32 {
-	t0 := time.Now()
 	inline := chunks == 1
 	a := r.g.VSS
 	words := a.Words
@@ -97,6 +96,12 @@ func runEdgePushSparse(r *ExecContext, p apps.Program, front []uint32, chunks in
 	props, accum := r.props, r.accum
 	rec := r.edgeRec
 	fz := fuseFor(p, weighted)
+	// The clock is read only for a Recorder: a mesh search runs hundreds of
+	// these rounds, most of them one inline chunk.
+	var t0 time.Time
+	if rec != nil {
+		t0 = time.Now()
+	}
 
 	r.touched.Clear()
 	touchedWords := r.touched.Words()
@@ -107,7 +112,10 @@ func runEdgePushSparse(r *ExecContext, p apps.Program, front []uint32, chunks in
 		if fz.ordered {
 			out = r.scatterBuf.Take(chunkID)
 		}
-		start := time.Now()
+		var start time.Time
+		if rec != nil {
+			start = time.Now()
+		}
 		for i := rg.Lo; i < rg.Hi; i++ {
 			src := front[i]
 			for vi := index[src]; vi < index[src+1]; vi++ {

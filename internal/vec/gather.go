@@ -1,5 +1,7 @@
 package vec
 
+import "math/bits"
+
 // laneIDMask selects the 48-bit source id of a Vector-Sparse lane word
 // (vsparse.VertexMask; vsparse imports this package, so the constant is
 // repeated here).
@@ -155,6 +157,61 @@ func MinPropChunkGo(words []uint64, index []int, props, front, accum []uint64, d
 			return dst, acc
 		}
 		accum[dst] = min(accum[dst], acc)
+	}
+	return dst, none
+}
+
+// MinSrcChunkGo is the Edge-Pull of a FusedMinSrc program (Breadth-First
+// Search) over one scheduler chunk: vectors [lo, hi) of a Vector-Sparse
+// array, walked destination run by destination run, each run reduced to the
+// smallest live source id it holds. MinSrcChunk is the same function on the
+// process's selected kernel; this is the portable twin every build has.
+//
+// index, dst, the interior stores and the returned last run are
+// MinPropChunkGo's. A run whose destination the converged bitset conv holds
+// is skipped whole, without a vector read, and aggregates to Identity,
+// ^uint64(0) (BFS's NoParent). In any other run a lane is live when its valid
+// bit (63) is set and the frontier bitset front has its source's bit; both
+// bitsets are required. A run ascends by source (csr.FromGraph sorts each
+// group; padding lanes are dead), so the first live lane in vector and lane
+// order holds the run's minimum: the walk takes that lane's id and leaves the
+// run for index[dst+1] without reading the rest of it. A run that straddles
+// chunks yields one such first lane per chunk, and the least of them — the
+// first chunk's — is what a walk of the whole run would have taken.
+//
+// The lane test is branch-free over the vector — four frontier words read
+// through every lane, dead ones included, and masked by the valid bits — and
+// the first live lane is the mask's lowest set bit; Vector-Sparse pads dead
+// lanes with an in-range id (vsparse.FromCSR), so the reads stay in front.
+// The assembly gathers the words under the valid bits instead; the live mask,
+// and so every returned and stored word, is the same.
+func MinSrcChunkGo(words []uint64, index []int, front, conv, accum []uint64, dst, lo, hi int) (last int, acc uint64) {
+	const none = ^uint64(0)
+	for vi := lo; vi < hi; dst++ {
+		end := index[dst+1]
+		if end <= vi {
+			continue // no vectors of dst left in the chunk
+		}
+		acc = none
+		if conv[dst>>6]>>(uint(dst)&63)&1 == 0 {
+			for v := vi; v < min(end, hi); v++ {
+				w := words[v*Lanes : v*Lanes+Lanes : v*Lanes+Lanes]
+				n0, n1, n2, n3 := w[0]&laneIDMask, w[1]&laneIDMask, w[2]&laneIDMask, w[3]&laneIDMask
+				live := w[0]>>63&(front[n0>>6]>>(n0&63)) |
+					(w[1]>>63&(front[n1>>6]>>(n1&63)))<<1 |
+					(w[2]>>63&(front[n2>>6]>>(n2&63)))<<2 |
+					(w[3]>>63&(front[n3>>6]>>(n3&63)))<<3
+				if live != 0 {
+					acc = w[bits.TrailingZeros64(live)] & laneIDMask
+					break
+				}
+			}
+		}
+		if end >= hi {
+			return dst, acc
+		}
+		accum[dst] = min(accum[dst], acc)
+		vi = end
 	}
 	return dst, none
 }

@@ -54,8 +54,21 @@ func MinPropChunk(words []uint64, index []int, props, front, accum []uint64, dst
 	return MinPropChunkGo(words, index, props, front, accum, dst, lo, hi, inPlace)
 }
 
-// Kernel names the implementation RankSumRun and MinPropChunk run in this
-// process: "avx2" or "go".
+// MinSrcChunk is MinSrcChunkGo on the process's selected kernel: the AVX2
+// chunk walk of gather_amd64.s — one VPGATHERQQ of frontier words per vector
+// visited — when the CPU has it, the Go twin otherwise. Like MinPropChunk it
+// does not bounds-check: lo ≤ hi ≤ len(words)/4, dst owns vector lo, every
+// valid lane id indexes its frontier word in front, and every destination the
+// chunk holds indexes accum and its word in conv.
+func MinSrcChunk(words []uint64, index []int, front, conv, accum []uint64, dst, lo, hi int) (last int, acc uint64) {
+	if useAVX2 {
+		return minSrcChunkAVX2(words, index, front, conv, accum, dst, lo, hi)
+	}
+	return MinSrcChunkGo(words, index, front, conv, accum, dst, lo, hi)
+}
+
+// Kernel names the implementation RankSumRun, MinPropChunk and MinSrcChunk
+// run in this process: "avx2" or "go".
 func Kernel() string {
 	if useAVX2 {
 		return "avx2"
@@ -72,3 +85,6 @@ func rankSumRunAVX2(words []uint64, contrib []float64, weights []float32) float6
 
 //go:noescape
 func minPropChunkAVX2(words []uint64, index []int, props, front, accum []uint64, dst, lo, hi int, inPlace bool) (last int, acc uint64)
+
+//go:noescape
+func minSrcChunkAVX2(words []uint64, index []int, front, conv, accum []uint64, dst, lo, hi int) (last int, acc uint64)

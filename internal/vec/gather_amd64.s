@@ -299,3 +299,104 @@ done:
 	MOVQ AX, acc+160(FP)
 	VZEROUPPER
 	RET
+
+// func minSrcChunkAVX2(words []uint64, index []int, front, conv, accum []uint64, dst, lo, hi int) (last int, acc uint64)
+//
+// The whole chunk in one call, run by run: a run whose destination's conv bit
+// is set is passed over without a vector read; any other walks its vectors
+// (index[dst+1] clipped to hi) until one has a live lane. Per vector: gather
+// the four frontier words front[id>>6] under the lanes' valid bits (a dead
+// lane is not loaded and keeps the zero its register was cleared to), shift
+// each lane's frontier bit into its sign (left by 63−id&63, which is ^id&63),
+// and take the four signs with VMOVMSKPD: the lowest set bit (BSF) is the
+// first live lane, whose id is the run's aggregate. The walk then leaves the
+// run for index[dst+1]. An interior run is stored as accum[dst] =
+// min(accum[dst], acc); the run that reaches hi is returned.
+//
+// Registers: SI words, DI index, R8 conv, R9 front, R10 accum, DX dst, BX
+// the vector the run starts at, R11 hi, R12 the run's end (index[dst+1],
+// unclipped), R13 the current vector's address, CX vectors left in the run
+// (before that, the destination's conv word), R14 the live mask, AX the run's
+// aggregate. Y14 the id mask, Y13 63.
+TEXT ·minSrcChunkAVX2(SB), NOSPLIT, $0-160
+	MOVQ words_base+0(FP), SI
+	MOVQ index_base+24(FP), DI
+	MOVQ front_base+48(FP), R9
+	MOVQ conv_base+72(FP), R8
+	MOVQ accum_base+96(FP), R10
+	MOVQ dst+120(FP), DX
+	MOVQ lo+128(FP), BX
+	MOVQ hi+136(FP), R11
+	MOVQ $-1, AX // an empty chunk aggregates to Identity
+	CMPQ BX, R11
+	JGE  srcdone
+
+	MOVQ $0x0000FFFFFFFFFFFF, AX
+	VMOVQ AX, X14
+	VPBROADCASTQ X14, Y14
+	MOVQ $63, AX
+	VMOVQ AX, X13
+	VPBROADCASTQ X13, Y13
+
+srcrun:
+	// The next destination with a vector at BX.
+	MOVQ 8(DI)(DX*8), R12
+	CMPQ R12, BX
+	JG   srcowned
+	INCQ DX
+	JMP  srcrun
+
+srcowned:
+	MOVQ $-1, AX
+	MOVQ DX, CX
+	SHRQ $6, CX
+	MOVQ (R8)(CX*8), CX
+	BTQ  DX, CX // CF = conv bit of dst
+	JCS  srcend
+	MOVQ R12, CX
+	CMPQ CX, R11
+	CMOVQGT R11, CX
+	SUBQ BX, CX // vectors of the run in the chunk
+	MOVQ BX, R13
+	SHLQ $5, R13
+	ADDQ SI, R13 // &words[BX*4]
+
+srcvec:
+	VMOVDQU (R13), Y1
+	VPAND   Y14, Y1, Y2 // ids
+	VPSRLQ  $6, Y2, Y5  // frontier word of each id
+	VPXOR   Y3, Y3, Y3
+	VPGATHERQQ Y1, (R9)(Y5*8), Y3 // the gather consumes its mask, Y1
+	VPANDN  Y13, Y2, Y4 // 63 − id&63
+	VPSLLVQ Y4, Y3, Y3  // frontier bit → bit 63
+	VMOVMSKPD Y3, R14
+	TESTQ   R14, R14
+	JNZ     srcfound
+	ADDQ    $32, R13
+	DECQ    CX
+	JNZ     srcvec
+	JMP     srcend
+
+srcfound:
+	BSFQ R14, R14
+	MOVQ (R13)(R14*8), AX
+	SHLQ $16, AX
+	SHRQ $16, AX // the lane's 48-bit id
+
+srcend:
+	CMPQ R12, R11
+	JGE  srcdone // the run reaches hi: it is the chunk's last
+	// Interior run: accum[dst] = min(accum[dst], acc).
+	MOVQ (R10)(DX*8), CX
+	CMPQ CX, AX
+	CMOVQCS CX, AX
+	MOVQ AX, (R10)(DX*8)
+	MOVQ R12, BX
+	INCQ DX
+	JMP  srcrun
+
+srcdone:
+	MOVQ DX, last+144(FP)
+	MOVQ AX, acc+152(FP)
+	VZEROUPPER
+	RET

@@ -12,6 +12,11 @@ func MinPropChunk(words []uint64, index []int, props, front, accum []uint64, dst
 	return MinPropChunkGo(words, index, props, front, accum, dst, lo, hi, inPlace)
 }
 
-// Kernel names the implementation RankSumRun and MinPropChunk run in this
-// process: "avx2" or "go".
+// MinSrcChunk is MinSrcChunkGo on a build without the AVX2 assembly.
+func MinSrcChunk(words []uint64, index []int, front, conv, accum []uint64, dst, lo, hi int) (last int, acc uint64) {
+	return MinSrcChunkGo(words, index, front, conv, accum, dst, lo, hi)
+}
+
+// Kernel names the implementation RankSumRun, MinPropChunk and MinSrcChunk
+// run in this process: "avx2" or "go".
 func Kernel() string { return "go" }

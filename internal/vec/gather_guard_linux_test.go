@@ -101,3 +101,50 @@ func TestMinPropChunkNeverReadsPastLen(t *testing.T) {
 		}
 	}
 }
+
+// TestMinSrcChunkNeverReadsPastLen walks chunks whose words, index, accum,
+// frontier words and converged words each end on the last byte before a
+// guard page, the chunk's last vector the array's last and its destinations
+// the top ids, so the conv and accum reads reach the last word of each; the
+// lanes carry the top ids too, so the frontier gather reads the last frontier
+// word.
+func TestMinSrcChunkNeverReadsPastLen(t *testing.T) {
+	const n = 70 // two bitset words, the second partly used
+	words64 := func(k int) []uint64 { return unsafe.Slice((*uint64)(unsafe.Pointer(&guarded(t, k*8)[0])), k) }
+	f := newSrcFixture(n, 4)
+	for name, c := range f.convs {
+		f.convs[name] = words64(len(c))
+		copy(f.convs[name], c)
+	}
+	accum := words64(n)
+	f.kernelAccum = func() []uint64 {
+		copy(accum, f.accum)
+		return accum
+	}
+	for _, vectors := range []int{1, 2, 5, 16} {
+		words := words64(vectors * vec.Lanes)
+		index := unsafe.Slice((*int)(unsafe.Pointer(&guarded(t, (n+1)*8)[0])), n+1)
+		for v := 0; v < vectors; v++ {
+			var ids [vec.Lanes]uint64
+			for lane := range ids {
+				ids[lane] = uint64((7*v + 3*lane + n - 8) % n)
+			}
+			vec.Store(words, v*vec.Lanes, vsparse.EncodeVector(uint64(n-vectors+v), ids, 1+v%vec.Lanes))
+		}
+		for dst := 0; dst <= n; dst++ {
+			index[dst] = max(0, dst-(n-vectors))
+		}
+		for name, ff := range frontiers(n, 3) {
+			if ff == nil {
+				continue
+			}
+			front := words64(len(ff))
+			copy(front, ff)
+			for lo := 0; lo < vectors; lo++ {
+				if err := f.chunkAgrees(words, index, front, lo, vectors); err != nil {
+					t.Errorf("%d vectors, %s, chunk [%d,%d): %v", vectors, name, lo, vectors, err)
+				}
+			}
+		}
+	}
+}

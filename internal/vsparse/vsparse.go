@@ -74,16 +74,6 @@ func (a *Array) MemoryBytes() int64 {
 // Vector loads vector i as a register value.
 func (a *Array) Vector(i int) vec.U64x4 { return vec.Load(a.Words, i*vec.Lanes) }
 
-// WeightVector loads the four lane weights of vector i; zero lanes when the
-// array is unweighted.
-func (a *Array) WeightVector(i int) [vec.Lanes]float32 {
-	var w [vec.Lanes]float32
-	if a.Weights != nil {
-		copy(w[:], a.Weights[i*vec.Lanes:(i+1)*vec.Lanes])
-	}
-	return w
-}
-
 // EncodeVector packs up to four neighbor ids of top-level vertex top into
 // one vector. valid gives the live lane count (1..4).
 func EncodeVector(top uint64, neighbors [vec.Lanes]uint64, valid int) vec.U64x4 {
@@ -119,10 +109,6 @@ func DecodeTop(v vec.U64x4) uint64 {
 		((v[2]>>pieceShift)&laneNPieceMask)<<15 |
 		(v[3]>>pieceShift)&laneNPieceMask
 }
-
-// Neighbors extracts the individual vertex id of every lane (extractSources
-// in Listing 7). Invalid lanes return their padding value.
-func Neighbors(v vec.U64x4) vec.U64x4 { return vec.And(v, VertexMask) }
 
 // Valid extracts the per-lane valid mask (consumed as gather predication).
 func Valid(v vec.U64x4) vec.Mask { return vec.SignMask(v) }
@@ -229,34 +215,6 @@ func (a *Array) Patch(m *csr.Matrix, touched []uint32) *Array {
 		})
 	out.Index[m.N] = pos
 	return out
-}
-
-// ToCSR reconstructs the Compressed-Sparse matrix the array encodes,
-// dropping padding lanes.
-func (a *Array) ToCSR() *csr.Matrix {
-	m := &csr.Matrix{N: a.N, ByDest: a.ByDest}
-	m.Index = make([]uint64, a.N+1)
-	m.Neigh = make([]uint32, 0, a.ValidEdges)
-	if a.Weights != nil {
-		m.Weights = make([]float32, 0, a.ValidEdges)
-	}
-	for v := 0; v < a.N; v++ {
-		m.Index[v] = uint64(len(m.Neigh))
-		for i := a.Index[v]; i < a.Index[v+1]; i++ {
-			vv := a.Vector(i)
-			mask := Valid(vv)
-			for lane := 0; lane < vec.Lanes; lane++ {
-				if mask.Bit(lane) {
-					m.Neigh = append(m.Neigh, uint32(vv[lane]&VertexMask))
-					if a.Weights != nil {
-						m.Weights = append(m.Weights, a.Weights[i*vec.Lanes+lane])
-					}
-				}
-			}
-		}
-	}
-	m.Index[a.N] = uint64(len(m.Neigh))
-	return m
 }
 
 // Validate checks encoding invariants: every vector's embedded top-level id
