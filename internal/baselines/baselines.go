@@ -35,11 +35,6 @@ func NewLigraDense(g *graph.Graph, workers int) Framework {
 	return ligra.New(g, ligra.Config{Workers: workers, Mode: ligra.ForceDensePull})
 }
 
-// NewLigraPush builds the push-only Ligra variant of Fig 11.
-func NewLigraPush(g *graph.Graph, workers int) Framework {
-	return ligra.New(g, ligra.Config{Workers: workers, Mode: ligra.ForcePush})
-}
-
 // NewLigraLoops builds Ligra in one of the Fig 1 loop-parallelization
 // configurations.
 func NewLigraLoops(g *graph.Graph, workers int, loops ligra.LoopConfig) Framework {

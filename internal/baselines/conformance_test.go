@@ -36,7 +36,7 @@ func frameworksUnder(t *testing.T, g *graph.Graph, workers int) []Framework {
 	return []Framework{
 		NewLigra(g, workers),
 		NewLigraDense(g, workers),
-		NewLigraPush(g, workers),
+		ligra.New(g, ligra.Config{Workers: workers, Mode: ligra.ForcePush}),
 		NewPolymer(g, numa.Topology{Nodes: 1, WorkersPerNode: workers}),
 		NewPolymer(g, numa.Topology{Nodes: 2, WorkersPerNode: (workers + 1) / 2}),
 		gm,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"time"
 
 	"repro/internal/apps"
@@ -10,90 +11,112 @@ import (
 	"repro/internal/vsparse"
 )
 
-// RunEdgePush executes one Edge-Push phase (Listing 1): the outer loop runs
-// over source vertices — letting the engine skip inactive sources cheaply,
-// push's advantage — and every destination update is a synchronized shared
-// write. Push uses the traditional parallelization in Grazelle (§5: "its
-// push engine uses the traditional approach"); scheduler awareness cannot
-// help because writes scatter across destinations.
+// RunEdgePush executes one dense Edge-Push phase (Listing 1): the outer loop
+// runs over every source vertex — letting the engine skip inactive sources
+// cheaply, push's advantage — and every destination update is a
+// synchronized shared write. Push uses the traditional parallelization in
+// Grazelle (§5: "its push engine uses the traditional approach"); scheduler
+// awareness cannot help because writes scatter across destinations.
+//
+// It is the one dense driver: the body is pushBody over VSS, or
+// pushScalarBody over CSR for Scalar runs, chunked over source vertices.
+// Min-style operators scatter by CAS, their result being
+// interleaving-independent. Order-sensitive ones (fuse.ordered) append
+// (destination, message) pairs to the chunk's private scatter-buffer slot
+// instead, folded in chunk-id order after the barrier — deterministic at any
+// worker count. Under Record a dense round charges every counter its body
+// counts, the vectorized body's InvalidLanes and Local/Remote split
+// included, plus the phase's Wall; dispatch charges each chunk's busy time.
 func RunEdgePush(r *ExecContext, p apps.Program) {
 	t0 := time.Now()
+	fz := fuseFor(p, p.Weighted() && r.g.CSR.Weights != nil)
+	var body func(rg sched.Range, chunkID, tid, node int)
 	if r.opt.Scalar {
-		edgePushScalar(r, p)
+		body = pushScalarBody(r, &fz)
 	} else {
-		edgePushVectorized(r, p)
+		body = pushBody(r, &fz, nil, false)
+	}
+	// Chunk over source vertices: the per-source frontier bit skips whole
+	// adjacency lists (push's advantage, §2), and the vertex index — which
+	// §4 keeps around precisely for frontier checks — locates each active
+	// source's vectors.
+	chunk := sched.ChunkSize(r.g.N, sched.DefaultChunks(r.pool.Workers()))
+	if fz.ordered {
+		r.scatterBuf.Grow(sched.NumChunks(r.g.N, chunk) + r.topo.Nodes)
+	}
+	r.dispatch(r.vertexPartition(), chunk, r.edgeRec, body)
+	if fz.ordered {
+		mergeScatter(r, &fz)
 	}
 	if r.edgeRec != nil {
 		r.edgeRec.Wall += time.Since(t0)
 	}
 }
 
-// edgePushVectorized iterates VSS vectors: one frontier check and one
-// property load per source vector, messages computed per lane, but the
-// scatter is a per-lane CAS — there is no atomic-update-scatter instruction
-// (§6.2's explanation for push's flat vectorization response).
+// pushBody builds the vectorized Edge-Push chunk body, the one body of both
+// round kinds: one frontier check and one property load per source vector,
+// messages computed per lane, and a per-lane scatter — there is no
+// atomic-update-scatter instruction (§6.2's explanation for push's flat
+// vectorization response). With list == nil a chunk is a range of vertex
+// ids, each tested against the frontier bitmap (a dense round); otherwise it
+// is a range of list's entries (a list-driven round), and every destination
+// the round reaches gets its touched bit. A lane's write is a scatter-buffer
+// append (fz.ordered), a plain write in an inline list round (the driver
+// goroutine is the only writer) or a CAS; the touched bit is a plain OR
+// inline and an atomic one otherwise. Each choice is a loop invariant fixed
+// when the body is built; no call per lane selects it.
 //
-// For order-sensitive combine operators (fuse.ordered) the per-lane CAS
-// would make the floating-point sum depend on thread interleaving, so those
-// programs instead append (destination, message) pairs to the chunk's
-// private scatter-buffer slot, folded in chunk-id order after the barrier —
-// deterministic at any worker count. Min-style operators keep the CAS:
-// their result is interleaving-independent.
-func edgePushVectorized(r *ExecContext, p apps.Program) {
-	if r.g.VSS.NumVectors() == 0 {
-		return
-	}
-	fz := fuseFor(p, p.Weighted() && r.g.VSS.Weights != nil)
-	// Chunk over source vertices: the per-source frontier bit skips whole
-	// adjacency lists (push's advantage, §2), and the vertex index — which
-	// §4 keeps around precisely for frontier checks — locates each active
-	// source's vectors.
-	vertChunk := sched.ChunkSize(r.g.N, sched.DefaultChunks(r.pool.Workers()))
-	if fz.ordered {
-		r.scatterBuf.Grow(sched.NumChunks(r.g.N, vertChunk) + r.topo.Nodes)
-	}
-	r.dispatch(r.vertexPartition(), vertChunk, r.edgeRec, pushVectorizedBody(r, &fz))
-	if fz.ordered {
-		mergeScatter(r, &fz)
-	}
-}
-
-// pushVectorizedBody builds the vectorized push chunk body with the loop
-// invariants hoisted into the closure. The scatter is a CAS (or an append to
-// the chunk's private scatter-buffer slot, keyed by chunk id), so its chunks
-// are safe to run concurrently.
-func pushVectorizedBody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, node int) {
+// Counters: under Record a dense round also charges InvalidLanes and the
+// Local/Remote split, which a list-driven round charges neither of; a
+// list-driven round charges its chunk's busy time here, since its chunks run
+// outside dispatch.
+func pushBody(r *ExecContext, fz *fuse, list []uint32, inline bool) func(rg sched.Range, chunkID, tid, node int) {
 	p := fz.p
 	a := r.g.VSS
+	words, index := a.Words, a.Index
 	usesFrontier := p.UsesFrontier()
 	tracksConv := p.TracksConverged()
 	skipEqual := p.SkipEqualWrites()
-	weighted := fz.weighted
 	props, accum := r.props, r.accum
 	rec := r.edgeRec
-
-	words := a.Words
-	index := a.Index
+	lanes := rec != nil && list == nil
+	var touched []uint64
+	if list != nil {
+		touched = r.touched.Words()
+	}
 	return func(rg sched.Range, chunkID, tid, node int) {
 		var c perfmodel.Counters
 		var out []sched.Contribution
 		if fz.ordered {
 			out = r.scatterBuf.Take(chunkID)
 		}
-		for sv := rg.Lo; sv < rg.Hi; sv++ {
-			src := uint32(sv)
-			if usesFrontier && !r.front.Contains(src) {
+		var start time.Time
+		if rec != nil && list != nil {
+			start = time.Now()
+		}
+		for i := rg.Lo; i < rg.Hi; i++ {
+			src := uint32(i)
+			if list != nil {
+				src = list[i]
+			} else if usesFrontier && !r.front.Contains(src) {
 				continue
 			}
-			for vi := index[sv]; vi < index[sv+1]; vi++ {
+			for vi := index[src]; vi < index[src+1]; vi++ {
 				base := vi * vec.Lanes
 				v0, v1, v2, v3 := words[base], words[base+1], words[base+2], words[base+3]
 				c.VectorsProcessed++
 				mask := signMask4(v0, v1, v2, v3)
-				valid := mask.Count()
-				c.InvalidLanes += uint64(vec.Lanes - valid)
 				neigh := vec.U64x4{v0 & vsparse.VertexMask, v1 & vsparse.VertexMask,
 					v2 & vsparse.VertexMask, v3 & vsparse.VertexMask}
+				// Record-only lane counters, kept out of the lane loop.
+				if lanes {
+					c.InvalidLanes += uint64(vec.Lanes - mask.Count())
+					for m := mask; m != 0; m = m.Rest() {
+						if dst := uint32(neigh[m.First()]); !tracksConv || !r.conv.Contains(dst) {
+							countLocality(r, node, &c, uint64(dst))
+						}
+					}
+				}
 				for m := mask; m != 0; m = m.Rest() {
 					lane := m.First()
 					dst := uint32(neigh[lane])
@@ -102,23 +125,24 @@ func pushVectorizedBody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, 
 						continue
 					}
 					var w float32
-					if weighted {
+					if fz.weighted {
 						w = a.Weights[base+lane]
 					}
 					msg := fz.stepMsg(props, uint64(src), w)
 					c.EdgesProcessed++
-					if fz.ordered {
+					switch {
+					case fz.ordered:
 						out = append(out, sched.Contribution{Dst: dst, Val: msg})
 						c.TLSWrites++
-					} else {
+					case inline:
+						plainCombine(fz, &accum[dst], msg, skipEqual, &c)
+					default:
 						casCombine(fz, &accum[dst], msg, skipEqual, &c)
 					}
-					if rec != nil {
-						if r.propOwner.Owner(dst) == node {
-							c.LocalAccesses++
-						} else {
-							c.RemoteAccesses++
-						}
+					if inline {
+						touched[dst>>6] |= 1 << (dst & 63)
+					} else if touched != nil {
+						atomic.OrUint64(&touched[dst>>6], 1<<(dst&63))
 					}
 				}
 			}
@@ -126,7 +150,12 @@ func pushVectorizedBody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, 
 		if fz.ordered {
 			r.scatterBuf.Save(chunkID, out)
 		}
-		rec.Record(tid, c)
+		if rec != nil {
+			rec.Record(tid, c)
+			if list != nil {
+				rec.AddBusy(tid, time.Since(start))
+			}
+		}
 	}
 }
 
@@ -146,28 +175,24 @@ func mergeScatter(r *ExecContext, fz *fuse) {
 	}
 }
 
-// edgePushScalar is the Compressed-Sparse push kernel: chunked over source
-// vertices, inner loop serial, one CAS per live edge — or, for
-// order-sensitive programs, one scatter-buffer append (see
-// edgePushVectorized).
-func edgePushScalar(r *ExecContext, p apps.Program) {
+// pushScalarBody builds the Compressed-Sparse Edge-Push chunk body, Fig
+// 10a's Edge-Push baseline: chunked over source vertices, inner loop
+// serial, one CAS per live edge — or, for order-sensitive programs, one
+// scatter-buffer append. It runs dense rounds only (RunEdgePush), charging
+// no InvalidLanes and no Local/Remote split.
+func pushScalarBody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, node int) {
 	m := r.g.CSR
+	p := fz.p
 	usesFrontier := p.UsesFrontier()
 	tracksConv := p.TracksConverged()
 	skipEqual := p.SkipEqualWrites()
-	weighted := p.Weighted() && m.Weights != nil
+	weighted, ordered := fz.weighted, fz.ordered
 	props, accum := r.props, r.accum
 	rec := r.edgeRec
-	fz := fuseFor(p, weighted)
-	chunkSize := sched.ChunkSize(r.g.N, sched.DefaultChunks(r.pool.Workers()))
-
-	if fz.ordered {
-		r.scatterBuf.Grow(sched.NumChunks(r.g.N, chunkSize) + r.topo.Nodes)
-	}
-	r.dispatch(r.vertexPartition(), chunkSize, rec, func(rg sched.Range, chunkID, tid, node int) {
+	return func(rg sched.Range, chunkID, tid, _ int) {
 		var c perfmodel.Counters
 		var out []sched.Contribution
-		if fz.ordered {
+		if ordered {
 			out = r.scatterBuf.Take(chunkID)
 		}
 		for v := rg.Lo; v < rg.Hi; v++ {
@@ -191,20 +216,17 @@ func edgePushScalar(r *ExecContext, p apps.Program) {
 				}
 				msg := fz.stepMsg(props, uint64(src), w)
 				c.EdgesProcessed++
-				if fz.ordered {
+				if ordered {
 					out = append(out, sched.Contribution{Dst: dst, Val: msg})
 					c.TLSWrites++
 				} else {
-					casCombine(&fz, &accum[dst], msg, skipEqual, &c)
+					casCombine(fz, &accum[dst], msg, skipEqual, &c)
 				}
 			}
 		}
-		if fz.ordered {
+		if ordered {
 			r.scatterBuf.Save(chunkID, out)
 		}
 		rec.Record(tid, c)
-	})
-	if fz.ordered {
-		mergeScatter(r, &fz)
 	}
 }

@@ -1,14 +1,10 @@
 package core
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/apps"
-	"repro/internal/perfmodel"
 	"repro/internal/sched"
-	"repro/internal/vec"
-	"repro/internal/vsparse"
 )
 
 // This file implements the list-driven round the paper explicitly defers
@@ -81,89 +77,25 @@ func (cs census) chunks(workers int) int {
 	return max(1, min(cs.work()/sparseInlineWork, sched.DefaultChunks(workers)))
 }
 
-// runEdgePushSparse scatters only the frontier's out-edges (vectorized over
-// VSS), collecting the set of touched destinations, in the given number of
-// chunks (one runs inline). It returns the touched list for the sparse
-// Vertex phase.
+// runEdgePushSparse is the list-driven round's Edge-Push driver: it scatters
+// only the frontier's out-edges through pushBody, collecting the set of
+// touched destinations, in the given number of chunks (one runs inline on
+// the driver goroutine, the others on the pool). It returns the touched
+// list for the list-driven Vertex phase. Under Record the round charges its
+// body's counters and per-chunk busy time and the phase's Wall, but no
+// InvalidLanes and no Local/Remote split.
 func runEdgePushSparse(r *ExecContext, p apps.Program, front []uint32, chunks int) []uint32 {
 	inline := chunks == 1
-	a := r.g.VSS
-	words := a.Words
-	index := a.Index
-	tracksConv := p.TracksConverged()
-	skipEqual := p.SkipEqualWrites()
-	weighted := p.Weighted() && a.Weights != nil
-	props, accum := r.props, r.accum
 	rec := r.edgeRec
-	fz := fuseFor(p, weighted)
 	// The clock is read only for a Recorder: a mesh search runs hundreds of
 	// these rounds, most of them one inline chunk.
 	var t0 time.Time
 	if rec != nil {
 		t0 = time.Now()
 	}
-
+	fz := fuseFor(p, p.Weighted() && r.g.VSS.Weights != nil)
 	r.touched.Clear()
-	touchedWords := r.touched.Words()
-
-	body := func(rg sched.Range, chunkID, tid, _ int) {
-		var c perfmodel.Counters
-		var out []sched.Contribution
-		if fz.ordered {
-			out = r.scatterBuf.Take(chunkID)
-		}
-		var start time.Time
-		if rec != nil {
-			start = time.Now()
-		}
-		for i := rg.Lo; i < rg.Hi; i++ {
-			src := front[i]
-			for vi := index[src]; vi < index[src+1]; vi++ {
-				base := vi * vec.Lanes
-				v0, v1, v2, v3 := words[base], words[base+1], words[base+2], words[base+3]
-				c.VectorsProcessed++
-				mask := signMask4(v0, v1, v2, v3)
-				neigh := vec.U64x4{v0 & vsparse.VertexMask, v1 & vsparse.VertexMask,
-					v2 & vsparse.VertexMask, v3 & vsparse.VertexMask}
-				for m := mask; m != 0; m = m.Rest() {
-					lane := m.First()
-					dst := uint32(neigh[lane])
-					if tracksConv && r.conv.Contains(dst) {
-						c.FrontierSkips++
-						continue
-					}
-					var w float32
-					if weighted {
-						w = a.Weights[base+lane]
-					}
-					msg := fz.stepMsg(props, uint64(src), w)
-					c.EdgesProcessed++
-					switch {
-					case fz.ordered:
-						out = append(out, sched.Contribution{Dst: dst, Val: msg})
-						c.TLSWrites++
-					case inline:
-						// The driver goroutine is the only writer.
-						plainCombine(&fz, &accum[dst], msg, skipEqual, &c)
-					default:
-						casCombine(&fz, &accum[dst], msg, skipEqual, &c)
-					}
-					if inline {
-						touchedWords[dst>>6] |= 1 << (dst & 63)
-					} else {
-						atomic.OrUint64(&touchedWords[dst>>6], 1<<(dst&63))
-					}
-				}
-			}
-		}
-		if fz.ordered {
-			r.scatterBuf.Save(chunkID, out)
-		}
-		if rec != nil {
-			rec.Record(tid, c)
-			rec.AddBusy(tid, time.Since(start))
-		}
-	}
+	body := pushBody(r, &fz, front, inline)
 
 	if inline {
 		if fz.ordered {
@@ -172,9 +104,9 @@ func runEdgePushSparse(r *ExecContext, p apps.Program, front []uint32, chunks in
 		r.runChunk(body, sched.Range{Lo: 0, Hi: len(front)}, 0, 0, 0)
 	} else {
 		chunk := sched.ChunkSize(len(front), chunks)
-		// Order-sensitive programs route contributions through the scatter
-		// buffer for a deterministic fold (see edgePushVectorized); the
-		// frontier list is sorted, so chunk ranges are stable across runs.
+		// The frontier list is sorted, so chunk ranges — and the scatter
+		// buffer's fold of an ordered program's contributions — are stable
+		// across runs.
 		if fz.ordered {
 			r.scatterBuf.Grow(sched.NumChunks(len(front), chunk))
 		}

@@ -128,8 +128,9 @@ func TestAblateFullVectorStillCorrect(t *testing.T) {
 
 // TestSparseChunkFloor: a list-driven round is cut into chunks of at least
 // sparseInlineWork units, so a round of up to four of them runs in at most
-// four chunks whatever the worker count, and sssp on a weighted mesh — all
-// list-driven rounds — ends at the same bits at every worker count.
+// four chunks whatever the worker count, and sssp (the CAS arm) and kcore
+// (the ordered scatter-buffer arm) on a weighted mesh — all list-driven
+// rounds — end at the same bits at every worker count.
 func TestSparseChunkFloor(t *testing.T) {
 	for _, c := range []struct{ work, workers, want int }{
 		{1, 4, 1}, {sparseInlineWork, 4, 1}, {sparseInlineWork + 1, 4, 1}, {2*sparseInlineWork - 1, 4, 1},
@@ -184,6 +185,42 @@ func TestSparseChunkFloor(t *testing.T) {
 		}
 		if !slices.Equal(res.Props, ref.Props) || res.Iterations != ref.Iterations {
 			t.Errorf("w%d: sssp differs from one worker (%d vs %d iterations)", workers, res.Iterations, ref.Iterations)
+		}
+	}
+
+	// kcore (k = 3) is FusedNone, so its list-driven rounds fold through the
+	// ordered scatter buffer. Cold, every one of its rounds on the mesh fits
+	// one chunk; seeded as if the first 840 vertices had just died, its
+	// first round is cut into several. Both runs end at the same bits at
+	// every worker count.
+	kprops := make([]uint64, cg.N)
+	apps.NewKCore(cg.CSC, 3).InitProps(kprops)
+	dead := make([]uint32, 840)
+	for v := range dead {
+		dead[v] = uint32(v)
+		kprops[v] = apps.KCoreDead
+	}
+	for _, seed := range []*Seed{nil, {Props: kprops, Frontier: dead}} {
+		var ref Result
+		for _, workers := range []int{1, 2, 4} {
+			r := NewRunner(cg, Options{Workers: workers, Trace: true})
+			res, err := RunCtx(context.Background(), r, apps.NewKCore(cg.CSC, 3), 1<<20, seed)
+			r.Close()
+			if err != nil || res.Seeded != (seed != nil) || res.SparseIterations == 0 || res.SparseIterations != res.Iterations {
+				t.Fatalf("w%d seeded=%v: err=%v sparse=%d of %d, want list-driven rounds only", workers, seed != nil, err, res.SparseIterations, res.Iterations)
+			}
+			for _, ph := range res.Trace.Phases {
+				if ph.Phase == "edge-push" && seed != nil && ph.Chunks < ph.Iters+1 {
+					t.Errorf("w%d: seeded kcore ran %d chunks in %d rounds, want one round cut in two or more", workers, ph.Chunks, ph.Iters)
+				}
+			}
+			if workers == 1 {
+				ref = res
+				continue
+			}
+			if !slices.Equal(res.Props, ref.Props) || res.Iterations != ref.Iterations {
+				t.Errorf("w%d seeded=%v: kcore differs from one worker (%d vs %d iterations)", workers, seed != nil, res.Iterations, ref.Iterations)
+			}
 		}
 	}
 }

@@ -37,9 +37,6 @@ func (t Topology) TotalWorkers() int { return t.Nodes * t.WorkersPerNode }
 // threads by NUMA node with local and global ids.
 func (t Topology) NodeOf(tid int) int { return tid / t.WorkersPerNode }
 
-// LocalID maps a global worker id to its id within its node.
-func (t Topology) LocalID(tid int) int { return tid % t.WorkersPerNode }
-
 // Partition is a division of a contiguous index space into per-node pieces.
 // Piece i covers [Bounds[i], Bounds[i+1]).
 type Partition struct {

@@ -13,9 +13,6 @@ func TestTopologyWorkers(t *testing.T) {
 	if top.NodeOf(0) != 0 || top.NodeOf(27) != 0 || top.NodeOf(28) != 1 || top.NodeOf(111) != 3 {
 		t.Error("NodeOf mapping wrong")
 	}
-	if top.LocalID(29) != 1 || top.LocalID(28) != 0 {
-		t.Error("LocalID mapping wrong")
-	}
 	if err := top.Validate(); err != nil {
 		t.Error(err)
 	}
