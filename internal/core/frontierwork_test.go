@@ -241,7 +241,10 @@ func TestRecordCountersUnderEarlyExit(t *testing.T) {
 // the full-frontier iteration went unpredicated: none of that may change
 // what a Record run reports. Pull-only rows cover the pull kernel alone;
 // hybrid rows (one worker, so no CAS retry can vary) add the dense-scan push
-// and the list-driven round.
+// and the list-driven round. The reference kernels' rows (the traditional,
+// nonatomic, outer-only and scalar cells of the equivalence matrix) were
+// measured on the four separate Edge-Pull functions those kernels had before
+// they became one run walk per layout.
 //
 // The cc Pull and both sssp rows were re-pinned once, when in-place pull
 // landed: those runs pull more than inPlaceAfter times, and from the fourth
@@ -256,33 +259,69 @@ func assertEdgeCountersPinned(t *testing.T, g *graph.Graph, root uint32, cg *Gra
 	for _, app := range frontierWorkApps(g, root) {
 		mk[app.name] = app.mk
 	}
+	pull := func(w int) Options { return Options{Mode: EnginePullOnly, Workers: w} }
+	hybrid := Options{Mode: EngineHybrid, Workers: 1}
+	// The reference kernels' cells at one worker (no CAS retry can vary) and
+	// three vectors per chunk (hub runs straddle chunks, so every boundary
+	// arm runs).
+	cell := func(v PullVariant, scalar bool) Options {
+		return Options{Mode: EnginePullOnly, Workers: 1, ChunkVectors: 3, Variant: v, Scalar: scalar}
+	}
+	trad, nonatomic, outer := cell(PullTraditional, false), cell(PullTraditionalNonatomic, false), cell(PullOuterOnly, false)
+	scalar, scalarTrad, scalarNonatomic := cell(PullSchedulerAware, true), cell(PullTraditional, true), cell(PullTraditionalNonatomic, true)
 	pinned := []struct {
-		app     string
-		mode    EngineMode
-		workers int
-		want    perfmodel.Counters
+		app  string
+		opt  Options
+		want perfmodel.Counters
 	}{
-		{"bfs", EnginePullOnly, 2, perfmodel.Counters{EdgesProcessed: 195, VectorsProcessed: 1520, TLSWrites: 195, SharedWrites: 138, MergeOps: 320, FrontierSkips: 4565, InvalidLanes: 1155, LocalAccesses: 195}},
-		{"bfs", EngineHybrid, 1, perfmodel.Counters{EdgesProcessed: 187, VectorsProcessed: 668, TLSWrites: 171, SharedWrites: 159, MergeOps: 96, FrontierSkips: 1729, InvalidLanes: 591, LocalAccesses: 171}},
-		{"cc", EnginePullOnly, 2, perfmodel.Counters{EdgesProcessed: 3817, VectorsProcessed: 2284, TLSWrites: 3817, SharedWrites: 396, MergeOps: 200, FrontierSkips: 3983, InvalidLanes: 1336, LocalAccesses: 3817}},
-		{"cc", EngineHybrid, 1, perfmodel.Counters{EdgesProcessed: 3817, VectorsProcessed: 1721, TLSWrites: 3801, SharedWrites: 424, MergeOps: 96, FrontierSkips: 2049, InvalidLanes: 1002, LocalAccesses: 3801, SkippedWrites: 6}},
-		{"sssp", EnginePullOnly, 2, perfmodel.Counters{EdgesProcessed: 4448, VectorsProcessed: 3997, TLSWrites: 4448, SharedWrites: 635, MergeOps: 224, FrontierSkips: 9202, InvalidLanes: 2338, LocalAccesses: 4448}},
-		{"sssp", EngineHybrid, 1, perfmodel.Counters{EdgesProcessed: 4453, VectorsProcessed: 2871, TLSWrites: 4407, SharedWrites: 669, MergeOps: 112, FrontierSkips: 5343, InvalidLanes: 1670, LocalAccesses: 4407, SkippedWrites: 5}},
-		{"kcore", EnginePullOnly, 2, perfmodel.Counters{EdgesProcessed: 176, VectorsProcessed: 1142, TLSWrites: 176, SharedWrites: 54, MergeOps: 128, FrontierSkips: 3724, InvalidLanes: 668, LocalAccesses: 176}},
-		{"kcore", EngineHybrid, 1, perfmodel.Counters{EdgesProcessed: 176, VectorsProcessed: 571, TLSWrites: 176, SharedWrites: 59, MergeOps: 32, FrontierSkips: 1774, InvalidLanes: 334, LocalAccesses: 176}},
-		{"pr", EnginePullOnly, 2, perfmodel.Counters{EdgesProcessed: 5850, VectorsProcessed: 1713, TLSWrites: 5850, SharedWrites: 474, MergeOps: 192, InvalidLanes: 1002, LocalAccesses: 5850}},
-		{"pr", EngineHybrid, 1, perfmodel.Counters{EdgesProcessed: 5850, VectorsProcessed: 1713, TLSWrites: 5850, SharedWrites: 507, MergeOps: 96, InvalidLanes: 1002, LocalAccesses: 5850}},
+		{"bfs", pull(2), perfmodel.Counters{EdgesProcessed: 195, VectorsProcessed: 1520, TLSWrites: 195, SharedWrites: 138, MergeOps: 320, FrontierSkips: 4565, InvalidLanes: 1155, LocalAccesses: 195}},
+		{"bfs", hybrid, perfmodel.Counters{EdgesProcessed: 187, VectorsProcessed: 668, TLSWrites: 171, SharedWrites: 159, MergeOps: 96, FrontierSkips: 1729, InvalidLanes: 591, LocalAccesses: 171}},
+		{"cc", pull(2), perfmodel.Counters{EdgesProcessed: 3817, VectorsProcessed: 2284, TLSWrites: 3817, SharedWrites: 396, MergeOps: 200, FrontierSkips: 3983, InvalidLanes: 1336, LocalAccesses: 3817}},
+		{"cc", hybrid, perfmodel.Counters{EdgesProcessed: 3817, VectorsProcessed: 1721, TLSWrites: 3801, SharedWrites: 424, MergeOps: 96, FrontierSkips: 2049, InvalidLanes: 1002, LocalAccesses: 3801, SkippedWrites: 6}},
+		{"sssp", pull(2), perfmodel.Counters{EdgesProcessed: 4448, VectorsProcessed: 3997, TLSWrites: 4448, SharedWrites: 635, MergeOps: 224, FrontierSkips: 9202, InvalidLanes: 2338, LocalAccesses: 4448}},
+		{"sssp", hybrid, perfmodel.Counters{EdgesProcessed: 4453, VectorsProcessed: 2871, TLSWrites: 4407, SharedWrites: 669, MergeOps: 112, FrontierSkips: 5343, InvalidLanes: 1670, LocalAccesses: 4407, SkippedWrites: 5}},
+		{"kcore", pull(2), perfmodel.Counters{EdgesProcessed: 176, VectorsProcessed: 1142, TLSWrites: 176, SharedWrites: 54, MergeOps: 128, FrontierSkips: 3724, InvalidLanes: 668, LocalAccesses: 176}},
+		{"kcore", hybrid, perfmodel.Counters{EdgesProcessed: 176, VectorsProcessed: 571, TLSWrites: 176, SharedWrites: 59, MergeOps: 32, FrontierSkips: 1774, InvalidLanes: 334, LocalAccesses: 176}},
+		{"pr", pull(2), perfmodel.Counters{EdgesProcessed: 5850, VectorsProcessed: 1713, TLSWrites: 5850, SharedWrites: 474, MergeOps: 192, InvalidLanes: 1002, LocalAccesses: 5850}},
+		{"pr", hybrid, perfmodel.Counters{EdgesProcessed: 5850, VectorsProcessed: 1713, TLSWrites: 5850, SharedWrites: 507, MergeOps: 96, InvalidLanes: 1002, LocalAccesses: 5850}},
+		{"pr", trad, perfmodel.Counters{EdgesProcessed: 5850, VectorsProcessed: 1713, TLSWrites: 5667, SharedWrites: 183, AtomicOps: 183, MergeOps: 1146, InvalidLanes: 1002, LocalAccesses: 5850}},
+		{"cc", trad, perfmodel.Counters{EdgesProcessed: 3817, VectorsProcessed: 2284, TLSWrites: 3707, SharedWrites: 56, AtomicOps: 56, MergeOps: 1528, FrontierSkips: 3983, InvalidLanes: 1336, LocalAccesses: 3817, SkippedWrites: 54}},
+		{"bfs", trad, perfmodel.Counters{EdgesProcessed: 451, VectorsProcessed: 2855, TLSWrites: 407, SharedWrites: 28, AtomicOps: 28, MergeOps: 1910, FrontierSkips: 9299, InvalidLanes: 1670, LocalAccesses: 451, SkippedWrites: 16}},
+		{"sssp", trad, perfmodel.Counters{EdgesProcessed: 4449, VectorsProcessed: 3997, TLSWrites: 4304, SharedWrites: 101, AtomicOps: 101, MergeOps: 2674, FrontierSkips: 9201, InvalidLanes: 2338, LocalAccesses: 4449, SkippedWrites: 44}},
+		{"pr", nonatomic, perfmodel.Counters{EdgesProcessed: 5850, VectorsProcessed: 1713, TLSWrites: 5667, SharedWrites: 183, MergeOps: 1146, InvalidLanes: 1002, LocalAccesses: 5850}},
+		{"cc", nonatomic, perfmodel.Counters{EdgesProcessed: 3817, VectorsProcessed: 2284, TLSWrites: 3707, SharedWrites: 56, MergeOps: 1528, FrontierSkips: 3983, InvalidLanes: 1336, LocalAccesses: 3817, SkippedWrites: 54}},
+		{"bfs", nonatomic, perfmodel.Counters{EdgesProcessed: 451, VectorsProcessed: 2855, TLSWrites: 407, SharedWrites: 28, MergeOps: 1910, FrontierSkips: 9299, InvalidLanes: 1670, LocalAccesses: 451, SkippedWrites: 16}},
+		{"sssp", nonatomic, perfmodel.Counters{EdgesProcessed: 4449, VectorsProcessed: 3997, TLSWrites: 4304, SharedWrites: 101, MergeOps: 2674, FrontierSkips: 9201, InvalidLanes: 2338, LocalAccesses: 4449, SkippedWrites: 44}},
+		{"pr", outer, perfmodel.Counters{EdgesProcessed: 5850, TLSWrites: 5850, SharedWrites: 534}},
+		{"cc", outer, perfmodel.Counters{EdgesProcessed: 3817, TLSWrites: 3817, SharedWrites: 445, FrontierSkips: 3983}},
+		{"bfs", outer, perfmodel.Counters{EdgesProcessed: 451, TLSWrites: 451, SharedWrites: 177, FrontierSkips: 3346}},
+		{"sssp", outer, perfmodel.Counters{EdgesProcessed: 4449, TLSWrites: 4449, SharedWrites: 700, FrontierSkips: 9201}},
+		{"pr", scalar, perfmodel.Counters{EdgesProcessed: 5850, TLSWrites: 5850, SharedWrites: 501, MergeOps: 489, LocalAccesses: 5850}},
+		{"cc", scalar, perfmodel.Counters{EdgesProcessed: 3817, TLSWrites: 3817, SharedWrites: 401, MergeOps: 652, FrontierSkips: 3983, LocalAccesses: 3817}},
+		{"bfs", scalar, perfmodel.Counters{EdgesProcessed: 451, TLSWrites: 451, SharedWrites: 119, MergeOps: 815, FrontierSkips: 9299, LocalAccesses: 451}},
+		{"sssp", scalar, perfmodel.Counters{EdgesProcessed: 4449, TLSWrites: 4449, SharedWrites: 558, MergeOps: 1141, FrontierSkips: 9201, LocalAccesses: 4449}},
+		{"pr", scalarTrad, perfmodel.Counters{EdgesProcessed: 5850, TLSWrites: 5103, SharedWrites: 747, AtomicOps: 747, MergeOps: 978}},
+		{"cc", scalarTrad, perfmodel.Counters{EdgesProcessed: 3817, TLSWrites: 3327, SharedWrites: 195, AtomicOps: 195, MergeOps: 1304, FrontierSkips: 3983, SkippedWrites: 295}},
+		{"bfs", scalarTrad, perfmodel.Counters{EdgesProcessed: 451, TLSWrites: 309, SharedWrites: 86, AtomicOps: 86, MergeOps: 1630, FrontierSkips: 9299, SkippedWrites: 56}},
+		{"sssp", scalarTrad, perfmodel.Counters{EdgesProcessed: 4449, TLSWrites: 3870, SharedWrites: 369, AtomicOps: 369, MergeOps: 2282, FrontierSkips: 9201, SkippedWrites: 210}},
+		{"pr", scalarNonatomic, perfmodel.Counters{EdgesProcessed: 5850, TLSWrites: 5103, SharedWrites: 747, MergeOps: 978}},
+		{"cc", scalarNonatomic, perfmodel.Counters{EdgesProcessed: 3817, TLSWrites: 3327, SharedWrites: 195, MergeOps: 1304, FrontierSkips: 3983, SkippedWrites: 295}},
+		{"bfs", scalarNonatomic, perfmodel.Counters{EdgesProcessed: 451, TLSWrites: 309, SharedWrites: 86, MergeOps: 1630, FrontierSkips: 9299, SkippedWrites: 56}},
+		{"sssp", scalarNonatomic, perfmodel.Counters{EdgesProcessed: 4449, TLSWrites: 3870, SharedWrites: 369, MergeOps: 2282, FrontierSkips: 9201, SkippedWrites: 210}},
 	}
 	for _, pin := range pinned {
 		iters := 1 << 20
 		if pin.app == "pr" {
 			iters = 3
 		}
-		r := NewRunner(cg, Options{Workers: pin.workers, Record: true, Mode: pin.mode})
+		opt := pin.opt
+		opt.Record = true
+		r := NewRunner(cg, opt)
 		res := Run(r, mk[pin.app](), iters)
 		r.Close()
 		if res.EdgeCounters != pin.want {
-			t.Errorf("%s %v w%d: Edge counters\n got  %+v\n want %+v", pin.app, pin.mode, pin.workers, res.EdgeCounters, pin.want)
+			t.Errorf("%s %v %v scalar=%v w%d c%d: Edge counters\n got  %+v\n want %+v", pin.app, opt.Mode, opt.Variant, opt.Scalar,
+				opt.Workers, opt.ChunkVectors, res.EdgeCounters, pin.want)
 		}
 	}
 }
