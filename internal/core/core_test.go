@@ -9,6 +9,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/numa"
+	"repro/internal/perfmodel"
 )
 
 type namedGraph struct {
@@ -269,26 +270,33 @@ func TestCountersSchedulerAwareVsTraditional(t *testing.T) {
 	}
 }
 
+// TestNUMACountersClassifyAccesses: under Record every kernel classifies each
+// edge it processes as one local or one remote read of its source, against
+// the worker's simulated node. Nonatomic is left out: it races at two
+// workers.
 func TestNUMACountersClassifyAccesses(t *testing.T) {
 	g := gen.RMAT(8, 2000, gen.DefaultRMAT, 6)
 	cg := BuildGraph(g)
-	single := NewRunner(cg, Options{Workers: 2, Record: true,
-		Topology: numa.Topology{Nodes: 1, WorkersPerNode: 2}})
-	defer single.Close()
-	resSingle := Run(single, apps.NewPageRank(g), 2)
-	if resSingle.EdgeCounters.RemoteAccesses != 0 {
-		t.Errorf("single node recorded %d remote accesses", resSingle.EdgeCounters.RemoteAccesses)
-	}
-	dual := NewRunner(cg, Options{Workers: 2, Record: true,
-		Topology: numa.Topology{Nodes: 2, WorkersPerNode: 1}})
-	defer dual.Close()
-	resDual := Run(dual, apps.NewPageRank(g), 2)
-	if resDual.EdgeCounters.RemoteAccesses == 0 {
-		t.Error("two nodes recorded no remote accesses on a scale-free graph")
-	}
-	total := resDual.EdgeCounters.RemoteAccesses + resDual.EdgeCounters.LocalAccesses
-	if total != resDual.EdgeCounters.EdgesProcessed {
-		t.Errorf("local+remote (%d) != edges processed (%d)", total, resDual.EdgeCounters.EdgesProcessed)
+	for _, v := range []PullVariant{PullSchedulerAware, PullTraditional, PullOuterOnly} {
+		for _, scalar := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v/scalar=%v", v, scalar), func(t *testing.T) {
+				run := func(topo numa.Topology) perfmodel.Counters {
+					r := NewRunner(cg, Options{Workers: 2, Record: true, Variant: v, Scalar: scalar, Topology: topo})
+					defer r.Close()
+					return Run(r, apps.NewPageRank(g), 2).EdgeCounters
+				}
+				if single := run(numa.Topology{Nodes: 1, WorkersPerNode: 2}); single.RemoteAccesses != 0 {
+					t.Errorf("single node recorded %d remote accesses", single.RemoteAccesses)
+				}
+				dual := run(numa.Topology{Nodes: 2, WorkersPerNode: 1})
+				if dual.RemoteAccesses == 0 {
+					t.Error("two nodes recorded no remote accesses on a scale-free graph")
+				}
+				if total := dual.RemoteAccesses + dual.LocalAccesses; total != dual.EdgesProcessed {
+					t.Errorf("local+remote (%d) != edges processed (%d)", total, dual.EdgesProcessed)
+				}
+			})
+		}
 	}
 }
 

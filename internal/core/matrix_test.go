@@ -60,8 +60,7 @@ const (
 	pathMinSrc      = "min-src chunk walk"  // pullSpanBody: one vec.MinSrcChunk call per chunk
 	pathVector      = "vector walk"         // pullSABody, vector by vector
 	pathTraditional = "traditional"         // edgePullTraditional
-	pathOuterOnly   = "outer-only"          // edgePullOuterOnly
-	pathScalar      = "scalar"              // edgePullSAScalar, edgePullTraditionalScalar
+	pathCS          = "compressed-sparse"   // edgePullCS, every variant's run walk
 )
 
 // closurePaths names the scheduler-aware bodies by the closure pullSABody
@@ -74,15 +73,13 @@ var closurePaths = []struct{ suffix, path string }{
 }
 
 // builtPath names the Edge-Pull body a pull round of p would run on ec now.
-// RunEdgePull's variant switch picks a function; the scheduler-aware one
-// builds its body as edgePullSA does, and runtime.FuncForPC names the closure
-// it gets back.
+// It mirrors RunEdgePull's three arms; the scheduler-aware one builds its
+// body as edgePullSA does, and runtime.FuncForPC names the closure it gets
+// back.
 func builtPath(ec *ExecContext, p apps.Program) string {
 	switch {
-	case ec.opt.Variant == PullOuterOnly:
-		return pathOuterOnly
-	case ec.opt.Scalar:
-		return pathScalar
+	case ec.opt.Scalar || ec.opt.Variant == PullOuterOnly:
+		return pathCS
 	case ec.opt.Variant != PullSchedulerAware:
 		return pathTraditional
 	}
@@ -258,21 +255,21 @@ var matrixCells = []matrixCell{
 	{name: "traditional", opt: Options{Variant: PullTraditional}, workers: []int{1, 4}, chunks: []int{0, 3},
 		path: fixedPath(pathTraditional)},
 	{name: "outer-only", opt: Options{Variant: PullOuterOnly}, workers: []int{1, 4}, chunks: []int{0},
-		path: fixedPath(pathOuterOnly)},
+		path: fixedPath(pathCS)},
 	// Nonatomic is racy by design at more than one worker.
 	{name: "nonatomic", opt: Options{Variant: PullTraditionalNonatomic}, workers: []int{1}, chunks: []int{0, 3},
 		path: fixedPath(pathTraditional)},
-	{name: "scalar", opt: Options{Scalar: true}, workers: []int{1, 4}, chunks: []int{0, 3}, path: fixedPath(pathScalar)},
+	{name: "scalar", opt: Options{Scalar: true}, workers: []int{1, 4}, chunks: []int{0, 3}, path: fixedPath(pathCS)},
 	{name: "scalar-traditional", opt: Options{Scalar: true, Variant: PullTraditional}, workers: []int{1, 4},
-		chunks: []int{0, 3}, path: fixedPath(pathScalar)},
+		chunks: []int{0, 3}, path: fixedPath(pathCS)},
 	{name: "scalar-outer-only", opt: Options{Scalar: true, Variant: PullOuterOnly}, workers: []int{1, 4},
-		chunks: []int{0}, path: fixedPath(pathOuterOnly)},
+		chunks: []int{0}, path: fixedPath(pathCS)},
 	{name: "scalar-nonatomic", opt: Options{Scalar: true, Variant: PullTraditionalNonatomic}, workers: []int{1},
-		chunks: []int{0}, path: fixedPath(pathScalar)},
+		chunks: []int{0}, path: fixedPath(pathCS)},
 	{name: "numa", opt: Options{Topology: numa.Topology{Nodes: 2}}, workers: []int{2, 4}, chunks: []int{0, 16},
 		path: tablePath},
 	{name: "scalar-numa", opt: Options{Scalar: true, Topology: numa.Topology{Nodes: 4}}, workers: []int{4},
-		chunks: []int{0}, path: fixedPath(pathScalar)},
+		chunks: []int{0}, path: fixedPath(pathCS)},
 }
 
 func cellNamed(name string) *matrixCell {
@@ -687,7 +684,7 @@ func TestEquivalenceMatrix(t *testing.T) {
 			want   []string
 			format string
 		}{
-			{paths, []string{pathSpan, pathChunk, pathMinSrc, pathVector, pathTraditional, pathOuterOnly, pathScalar}, "no pull round ran the %s"},
+			{paths, []string{pathSpan, pathChunk, pathMinSrc, pathVector, pathTraditional, pathCS}, "no pull round ran the %s"},
 			{arms, []string{armMin, armOnce, armApply}, "no Vertex phase ran the %s"},
 			{listDriven, []string{"bfs", "cc", "kcore", "sssp"}, "%s never ran a list-driven round"},
 			{fewer, []string{"cc", "sssp"}, "%s never finished in fewer iterations than the paper configuration: the in-place path did not run"},

@@ -15,20 +15,15 @@ import (
 )
 
 // RunEdgePull executes one Edge-Pull phase with the configured variant and
-// kernel (vectorized Vector-Sparse or scalar Compressed-Sparse). Aggregates
+// kernel: the scheduler-aware Vector-Sparse bodies (edgePullSA), the
+// traditional interface's Vector-Sparse walk, or the Compressed-Sparse run
+// walk every variant shares under Scalar, and outer-only always. Aggregates
 // land in the Runner's accumulator array; RunVertex consumes them.
 func RunEdgePull(r *ExecContext, p apps.Program) {
 	t0 := time.Now()
 	switch {
-	case r.opt.Variant == PullOuterOnly:
-		edgePullOuterOnly(r, p)
-	case r.opt.Scalar:
-		switch r.opt.Variant {
-		case PullSchedulerAware:
-			edgePullSAScalar(r, p)
-		default:
-			edgePullTraditionalScalar(r, p, r.opt.Variant == PullTraditional)
-		}
+	case r.opt.Scalar || r.opt.Variant == PullOuterOnly:
+		edgePullCS(r, p)
 	case r.opt.Variant == PullSchedulerAware:
 		edgePullSA(r, p)
 	default:
@@ -324,10 +319,11 @@ func mergeAccum(r *ExecContext, fz *fuse) {
 // The Vector-Sparse array is destination-sorted, so only a chunk's first and
 // last destination runs can span a chunk boundary; every interior run has
 // this chunk as its sole writer, making its per-edge shared combine
-// iteration-ordered even without the scheduler-aware interface. The two
-// boundary runs are accumulated thread-locally and routed through
-// merge-buffer slots 2*chunkID and 2*chunkID+1, folded in slot order after
-// the barrier. The result is bit-identical at any worker count — including
+// iteration-ordered even without the scheduler-aware interface. One walk
+// takes the whole chunk: a vector of its first or last destination steps
+// into that run's thread-local aggregate, which goes to merge-buffer slot
+// 2*chunkID or 2*chunkID+1, folded in slot order after the barrier; any
+// other vector writes each lane to shared memory. The result is bit-identical at any worker count — including
 // order-sensitive operators like floating-point addition — while the
 // interior runs keep the per-edge shared write that defines the traditional
 // interface's cost (the Fig 5 AtomicOps/SharedWrites measurement).
@@ -349,77 +345,17 @@ func edgePullTraditional(r *ExecContext, p apps.Program, useAtomics bool) {
 	fz := fuseFor(p, weighted)
 
 	words := a.Words
-	top := func(vi int) uint32 {
-		base := vi * vec.Lanes
-		return decodeTop4(words[base], words[base+1], words[base+2], words[base+3])
-	}
 	// Two merge slots per chunk (prefix and suffix runs); dispatch itself
 	// only guarantees one.
 	r.mergeBuf.Grow(2 * (sched.NumChunks(total, chunkSize) + r.topo.Nodes))
 	r.dispatch(r.pullPart, chunkSize, rec, func(rg sched.Range, chunkID, tid, node int) {
 		var c perfmodel.Counters
-		// [rg.Lo, prefixEnd) is the chunk's share of its first destination
-		// run, [suffixStart, rg.Hi) its share of the last; when the whole
-		// chunk is a single run the suffix takes all of it.
-		lastDst := top(rg.Hi - 1)
-		suffixStart := rg.Hi - 1
-		for suffixStart > rg.Lo && top(suffixStart-1) == lastDst {
-			suffixStart--
-		}
-		firstDst := top(rg.Lo)
-		prefixEnd := rg.Lo
-		for prefixEnd < suffixStart && top(prefixEnd) == firstDst {
-			prefixEnd++
-		}
-		// gather accumulates one boundary run thread-locally.
-		gather := func(lo, hi int, dst uint32) uint64 {
-			acc := identity
-			conv := tracksConv && r.conv.Contains(dst)
-			for vi := lo; vi < hi; vi++ {
-				base := vi * vec.Lanes
-				v0, v1, v2, v3 := words[base], words[base+1], words[base+2], words[base+3]
-				c.VectorsProcessed++
-				mask := signMask4(v0, v1, v2, v3)
-				valid := mask.Count()
-				c.InvalidLanes += uint64(vec.Lanes - valid)
-				if conv {
-					c.FrontierSkips += uint64(valid)
-					continue
-				}
-				neigh := vec.U64x4{v0 & vsparse.VertexMask, v1 & vsparse.VertexMask,
-					v2 & vsparse.VertexMask, v3 & vsparse.VertexMask}
-				if usesFrontier {
-					live := vec.TestBits(frontWords, neigh, mask)
-					c.FrontierSkips += uint64(valid - live.Count())
-					mask = live
-				}
-				if mask == 0 {
-					continue
-				}
-				for m := mask; m != 0; m = m.Rest() {
-					lane := m.First()
-					n := neigh[lane]
-					var w float32
-					if weighted {
-						w = a.Weights[base+lane]
-					}
-					acc = fz.step(props, acc, n, w)
-					c.EdgesProcessed++
-					c.TLSWrites++
-					if rec != nil {
-						if r.propOwner.Owner(uint32(n)) == node {
-							c.LocalAccesses++
-						} else {
-							c.RemoteAccesses++
-						}
-					}
-				}
-			}
-			return acc
-		}
-		r.mergeBuf.Save(2*chunkID, firstDst, gather(rg.Lo, prefixEnd, firstDst))
-		r.mergeBuf.Save(2*chunkID+1, lastDst, gather(suffixStart, rg.Hi, lastDst))
-		for vi := prefixEnd; vi < suffixStart; vi++ {
+		// ends holds the chunk's share of its first destination run and of
+		// its last; when the whole chunk is a single run the last takes all
+		// of it.
+		firstDst, lastDst := firstTop(a, rg.Lo), firstTop(a, rg.Hi-1)
+		ends := [2]uint64{identity, identity}
+		for vi := rg.Lo; vi < rg.Hi; vi++ {
 			base := vi * vec.Lanes
 			v0, v1, v2, v3 := words[base], words[base+1], words[base+2], words[base+3]
 			dst := decodeTop4(v0, v1, v2, v3)
@@ -438,8 +374,12 @@ func edgePullTraditional(r *ExecContext, p apps.Program, useAtomics bool) {
 				c.FrontierSkips += uint64(valid - live.Count())
 				mask = live
 			}
-			if mask == 0 {
-				continue
+			end := -1 // an interior run
+			switch dst {
+			case lastDst:
+				end = 1
+			case firstDst:
+				end = 0
 			}
 			for m := mask; m != 0; m = m.Rest() {
 				lane := m.First()
@@ -448,22 +388,23 @@ func edgePullTraditional(r *ExecContext, p apps.Program, useAtomics bool) {
 				if weighted {
 					w = a.Weights[base+lane]
 				}
-				msg := fz.stepMsg(props, n, w)
 				c.EdgesProcessed++
-				if useAtomics {
-					casCombine(&fz, &accum[dst], msg, skipEqual, &c)
-				} else {
-					plainCombine(&fz, &accum[dst], msg, skipEqual, &c)
-				}
 				if rec != nil {
-					if r.propOwner.Owner(uint32(n)) == node {
-						c.LocalAccesses++
-					} else {
-						c.RemoteAccesses++
-					}
+					countLocality(r, node, &c, n)
+				}
+				switch {
+				case end >= 0:
+					ends[end] = fz.step(props, ends[end], n, w)
+					c.TLSWrites++
+				case useAtomics:
+					casCombine(&fz, &accum[dst], fz.stepMsg(props, n, w), skipEqual, &c)
+				default:
+					plainCombine(&fz, &accum[dst], fz.stepMsg(props, n, w), skipEqual, &c)
 				}
 			}
 		}
+		r.mergeBuf.Save(2*chunkID, firstDst, ends[0])
+		r.mergeBuf.Save(2*chunkID+1, lastDst, ends[1])
 		rec.Record(tid, c)
 	})
 	mergeAccum(r, &fz)
@@ -504,147 +445,35 @@ func plainCombine(fz *fuse, addr *uint64, msg uint64, skipEqual bool, c *perfmod
 	c.SharedWrites++
 }
 
-// edgePullOuterOnly parallelizes only the outer (destination) loop; each
-// destination's in-edges run serially on one thread (the PushP+PullS
-// configuration of Fig 1). No synchronization is needed, but skewed
-// graphs suffer the load imbalance that motivates inner-loop
-// parallelization.
-func edgePullOuterOnly(r *ExecContext, p apps.Program) {
-	m := r.g.CSC
-	identity := p.Identity()
-	usesFrontier := p.UsesFrontier()
-	tracksConv := p.TracksConverged()
-	weighted := p.Weighted() && m.Weights != nil
-	props, accum := r.props, r.accum
-	rec := r.edgeRec
-	fz := fuseFor(p, weighted)
-	chunkSize := sched.ChunkSize(r.g.N, sched.DefaultChunks(r.pool.Workers()))
-	vertPart := r.vertexPartition()
-
-	r.dispatch(vertPart, chunkSize, rec, func(rg sched.Range, chunkID, tid, node int) {
-		var c perfmodel.Counters
-		for v := rg.Lo; v < rg.Hi; v++ {
-			dst := uint32(v)
-			if tracksConv && r.conv.Contains(dst) {
-				continue
-			}
-			acc := identity
-			neigh := m.Edges(dst)
-			var ws []float32
-			if weighted {
-				ws = m.EdgeWeights(dst)
-			}
-			for i, s := range neigh {
-				if usesFrontier && !r.front.Contains(s) {
-					c.FrontierSkips++
-					continue
-				}
-				var w float32
-				if ws != nil {
-					w = ws[i]
-				}
-				acc = fz.step(props, acc, uint64(s), w)
-				c.EdgesProcessed++
-				c.TLSWrites++
-			}
-			if acc != identity {
-				accum[dst] = fz.combine(accum[dst], acc)
-				c.SharedWrites++
-			}
-		}
-		rec.Record(tid, c)
-	})
-}
-
-// edgePullSAScalar is the scheduler-aware kernel on Compressed-Sparse,
-// one edge at a time — the non-vectorized baseline of Fig 10a's Edge-Pull
-// bar. It chunks the edge array directly; per-edge it pays the transition
-// check, frontier probe, and per-element access that the Vector-Sparse
-// kernel amortizes over four lanes.
-func edgePullSAScalar(r *ExecContext, p apps.Program) {
+// edgePullCS is the reference Edge-Pull on Compressed-Sparse, one edge at a
+// time (Listing 2): the non-vectorized baseline of Fig 10a's Edge-Pull bar
+// (Scalar) and Fig 1's outer-loop-only configuration. A chunk is walked
+// destination run by destination run, each run [s, e) clipped to the chunk,
+// and the interface is the write policy around that one loop, fixed by
+// Variant for the whole phase:
+//
+//   - scheduler-aware (§3): a run accumulates thread-locally and is stored
+//     at its transition — only this chunk holds its end — except the
+//     trailing run, which goes to merge slot chunkID (FinishChunk).
+//   - outer-only (PushP+PullS in Fig 1): the chunk is a range of
+//     destinations turned into its whole-run edge range, so every run is
+//     whole and stored at its end, with no merge. Skewed graphs keep the
+//     load imbalance that motivates inner-loop parallelization.
+//   - traditional, with (PullTraditional) or without atomics: the chunk's
+//     first and last runs, the only ones that can span a chunk boundary,
+//     accumulate into merge slots 2·chunkID and 2·chunkID+1, folded in slot
+//     order after the barrier, so results are bit-identical at any worker
+//     count; every interior run keeps the per-edge shared combine whose cost
+//     Figs 5–8 measure.
+func edgePullCS(r *ExecContext, p apps.Program) {
 	m := r.g.CSC
 	total := m.NumEdges()
 	if total == 0 {
 		return
 	}
-	// Granularity is configured in vectors; one vector covers vec.Lanes
-	// edges, keeping chunk work comparable across kernels.
-	chunkSize := r.opt.chunkSizeFor((total+vec.Lanes-1)/vec.Lanes, r.pool.Workers()) * vec.Lanes
-	identity := p.Identity()
-	usesFrontier := p.UsesFrontier()
-	tracksConv := p.TracksConverged()
-	weighted := p.Weighted() && m.Weights != nil
-	props, accum := r.props, r.accum
-	rec := r.edgeRec
-	fz := fuseFor(p, weighted)
-	edgePart := r.edgePartition()
-
-	r.dispatch(edgePart, chunkSize, rec, func(rg sched.Range, chunkID, tid, node int) {
-		var c perfmodel.Counters
-		dst := dstAt(m, rg.Lo)
-		acc := identity
-		for i := rg.Lo; i < rg.Hi; i++ {
-			if uint64(i) == m.Index[dst+1] {
-				if acc != identity {
-					accum[dst] = fz.combine(accum[dst], acc)
-					c.SharedWrites++
-				}
-				for uint64(i) == m.Index[dst+1] {
-					dst++
-				}
-				acc = identity
-			}
-			if tracksConv && r.conv.Contains(dst) {
-				c.FrontierSkips++
-				continue
-			}
-			s := m.Neigh[i]
-			if usesFrontier && !r.front.Contains(s) {
-				c.FrontierSkips++
-				continue
-			}
-			var w float32
-			if weighted {
-				w = m.Weights[i]
-			}
-			acc = fz.step(props, acc, uint64(s), w)
-			c.EdgesProcessed++
-			c.TLSWrites++
-			if rec != nil {
-				if r.propOwner.Owner(s) == node {
-					c.LocalAccesses++
-				} else {
-					c.RemoteAccesses++
-				}
-			}
-		}
-		r.mergeBuf.Save(chunkID, dst, acc)
-		rec.Record(tid, c)
-	})
-	mergeAccum(r, &fz)
-}
-
-// dstAt returns the destination whose run in the CSC edge array holds
-// position i, by one search of the index.
-func dstAt(m *csr.Matrix, i int) uint32 {
-	return uint32(sort.Search(m.N, func(v int) bool { return m.Index[v+1] > uint64(i) }))
-}
-
-// edgePullTraditionalScalar is the traditional interface on
-// Compressed-Sparse: a parallel loop over edges whose body writes each
-// contribution to shared memory (Listing 2 with the inner for changed to
-// parallel_for), with or without atomics. Like edgePullTraditional it peels
-// the chunk's first and last destination runs — the only ones that can span
-// a chunk boundary in the destination-sorted edge array — into private
-// merge-buffer slots folded in fixed order, so results are bit-identical at
-// any worker count while interior runs keep the per-edge shared combine.
-func edgePullTraditionalScalar(r *ExecContext, p apps.Program, useAtomics bool) {
-	m := r.g.CSC
-	total := m.NumEdges()
-	if total == 0 {
-		return
-	}
-	chunkSize := r.opt.chunkSizeFor((total+vec.Lanes-1)/vec.Lanes, r.pool.Workers()) * vec.Lanes
+	outerOnly := r.opt.Variant == PullOuterOnly
+	traditional := r.opt.Variant == PullTraditional || r.opt.Variant == PullTraditionalNonatomic
+	useAtomics := r.opt.Variant == PullTraditional
 	identity := p.Identity()
 	usesFrontier := p.UsesFrontier()
 	tracksConv := p.TracksConverged()
@@ -653,24 +482,41 @@ func edgePullTraditionalScalar(r *ExecContext, p apps.Program, useAtomics bool) 
 	props, accum := r.props, r.accum
 	rec := r.edgeRec
 	fz := fuseFor(p, weighted)
-	edgePart := r.edgePartition()
-
-	r.mergeBuf.Grow(2 * (sched.NumChunks(total, chunkSize) + r.topo.Nodes))
-	r.dispatch(edgePart, chunkSize, rec, func(rg sched.Range, chunkID, tid, node int) {
+	// Granularity is configured in vectors; one vector covers vec.Lanes
+	// edges, keeping chunk work comparable across kernels.
+	part := numa.PartitionEven(total, r.topo.Nodes)
+	chunkSize := r.opt.chunkSizeFor((total+vec.Lanes-1)/vec.Lanes, r.pool.Workers()) * vec.Lanes
+	if outerOnly {
+		part, chunkSize = r.vertexPartition(), sched.ChunkSize(r.g.N, sched.DefaultChunks(r.pool.Workers()))
+	}
+	if traditional {
+		r.mergeBuf.Grow(2 * (sched.NumChunks(total, chunkSize) + r.topo.Nodes))
+	}
+	r.dispatch(part, chunkSize, rec, func(rg sched.Range, chunkID, tid, node int) {
 		var c perfmodel.Counters
-		lastDst := dstAt(m, rg.Hi-1)
-		suffixStart := max(int(m.Index[lastDst]), rg.Lo)
-		firstDst := dstAt(m, rg.Lo)
-		prefixEnd := min(int(m.Index[firstDst+1]), suffixStart)
-		gather := func(lo, hi int, dst uint32) uint64 {
+		lo, hi := rg.Lo, rg.Hi
+		if outerOnly {
+			lo, hi = int(m.Index[lo]), int(m.Index[hi])
+		}
+		first := dstAt(m, lo)
+		if traditional {
+			// Slot 2·chunkID stays identity unless the chunk's first run
+			// ends inside it.
+			r.mergeBuf.Save(2*chunkID, first, identity)
+		}
+		for dst := first; int(m.Index[dst]) < hi; dst++ {
+			s, e := max(int(m.Index[dst]), lo), min(int(m.Index[dst+1]), hi)
+			shared := traditional && s > lo && e < hi
 			acc := identity
 			if tracksConv && r.conv.Contains(dst) {
-				c.FrontierSkips += uint64(hi - lo)
-				return acc
+				// A converged destination takes no message: its edges are
+				// skipped unread, and its run is written out as identity.
+				c.FrontierSkips += uint64(e - s)
+				s = e
 			}
-			for i := lo; i < hi; i++ {
-				s := m.Neigh[i]
-				if usesFrontier && !r.front.Contains(s) {
+			for i := s; i < e; i++ {
+				src := m.Neigh[i]
+				if usesFrontier && !r.front.Contains(src) {
 					c.FrontierSkips++
 					continue
 				}
@@ -678,43 +524,48 @@ func edgePullTraditionalScalar(r *ExecContext, p apps.Program, useAtomics bool) 
 				if weighted {
 					w = m.Weights[i]
 				}
-				acc = fz.step(props, acc, uint64(s), w)
 				c.EdgesProcessed++
-				c.TLSWrites++
+				if rec != nil {
+					countLocality(r, node, &c, uint64(src))
+				}
+				switch {
+				case !shared:
+					acc = fz.step(props, acc, uint64(src), w)
+					c.TLSWrites++
+				case useAtomics:
+					casCombine(&fz, &accum[dst], fz.stepMsg(props, uint64(src), w), skipEqual, &c)
+				default:
+					plainCombine(&fz, &accum[dst], fz.stepMsg(props, uint64(src), w), skipEqual, &c)
+				}
 			}
-			return acc
-		}
-		r.mergeBuf.Save(2*chunkID, firstDst, gather(rg.Lo, prefixEnd, firstDst))
-		r.mergeBuf.Save(2*chunkID+1, lastDst, gather(suffixStart, rg.Hi, lastDst))
-		dst := firstDst
-		for i := prefixEnd; i < suffixStart; i++ {
-			for uint64(i) == m.Index[dst+1] {
-				dst++
-			}
-			if tracksConv && r.conv.Contains(dst) {
-				c.FrontierSkips++
-				continue
-			}
-			s := m.Neigh[i]
-			if usesFrontier && !r.front.Contains(s) {
-				c.FrontierSkips++
-				continue
-			}
-			var w float32
-			if weighted {
-				w = m.Weights[i]
-			}
-			msg := fz.stepMsg(props, uint64(s), w)
-			c.EdgesProcessed++
-			if useAtomics {
-				casCombine(&fz, &accum[dst], msg, skipEqual, &c)
-			} else {
-				plainCombine(&fz, &accum[dst], msg, skipEqual, &c)
+			switch {
+			case shared: // written edge by edge
+			case traditional:
+				slot := 2 * chunkID
+				if e == hi {
+					slot++
+				}
+				r.mergeBuf.Save(slot, dst, acc)
+			case outerOnly || e < hi:
+				if acc != identity {
+					accum[dst] = fz.combine(accum[dst], acc)
+					c.SharedWrites++
+				}
+			default:
+				r.mergeBuf.Save(chunkID, dst, acc)
 			}
 		}
 		rec.Record(tid, c)
 	})
-	mergeAccum(r, &fz)
+	if !outerOnly {
+		mergeAccum(r, &fz)
+	}
+}
+
+// dstAt returns the destination whose run in the CSC edge array holds
+// position i, by one search of the index.
+func dstAt(m *csr.Matrix, i int) uint32 {
+	return uint32(sort.Search(m.N, func(v int) bool { return m.Index[v+1] > uint64(i) }))
 }
 
 // decodeTop4 reassembles the embedded 48-bit top-level vertex id from four
@@ -756,12 +607,8 @@ func countLocality(r *ExecContext, node int, c *perfmodel.Counters, ns ...uint64
 	}
 }
 
-// vertexPartition and edgePartition give the NUMA partitions of the vertex
-// and CSC-edge index spaces (cheap to recompute per phase).
+// vertexPartition gives the NUMA partition of the vertex index space (cheap
+// to recompute per phase).
 func (r *ExecContext) vertexPartition() numa.Partition {
 	return numa.PartitionEven(r.g.N, r.topo.Nodes)
-}
-
-func (r *ExecContext) edgePartition() numa.Partition {
-	return numa.PartitionEven(r.g.CSC.NumEdges(), r.topo.Nodes)
 }

@@ -102,9 +102,3 @@ func (m PropertyMap) Owner(v uint32) int {
 	}
 	return node
 }
-
-// VertexRange returns the contiguous vertex ids owned by node.
-func (m PropertyMap) VertexRange(node int) (lo, hi uint32) {
-	return uint32(uint64(m.n) * uint64(node) / uint64(m.nodes)),
-		uint32(uint64(m.n) * uint64(node+1) / uint64(m.nodes))
-}

@@ -42,8 +42,8 @@ func TestRunPanicContained(t *testing.T) {
 	if ran.Load() != 4 {
 		t.Errorf("follow-up Run reached %d workers, want 4", ran.Load())
 	}
-	if n := p.ActiveJobs(); n != 0 {
-		t.Errorf("ActiveJobs = %d after panicked job, want 0", n)
+	if n := p.activeJobs(); n != 0 {
+		t.Errorf("activeJobs = %d after panicked job, want 0", n)
 	}
 }
 

@@ -22,9 +22,6 @@ func NewMergeBuffer(chunks int) *MergeBuffer {
 	}
 }
 
-// Slots returns the buffer capacity in chunks.
-func (b *MergeBuffer) Slots() int { return len(b.used) }
-
 // Grow ensures capacity for at least chunks slots, reusing existing storage
 // when possible (the §3 "Discussion" case of a runtime creating more
 // chunks).

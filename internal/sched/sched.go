@@ -209,8 +209,8 @@ func (p *Pool) SetMaxActiveJobs(n int) {
 	p.mu.Unlock()
 }
 
-// ActiveJobs returns the number of jobs currently published to the workers.
-func (p *Pool) ActiveJobs() int {
+// activeJobs returns the number of jobs currently published to the workers.
+func (p *Pool) activeJobs() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.loadJobs())

@@ -200,8 +200,8 @@ func TestSchedulerAwareReduction(t *testing.T) {
 
 func TestMergeBufferSaveMerge(t *testing.T) {
 	b := NewMergeBuffer(4)
-	if b.Slots() != 4 {
-		t.Fatalf("Slots = %d", b.Slots())
+	if len(b.used) != 4 {
+		t.Fatalf("capacity = %d", len(b.used))
 	}
 	b.Save(0, 7, 100)
 	b.Save(2, 7, 11)
@@ -233,8 +233,8 @@ func TestMergeBufferGrow(t *testing.T) {
 	b := NewMergeBuffer(2)
 	b.Save(1, 5, 50)
 	b.Grow(8)
-	if b.Slots() != 8 {
-		t.Fatalf("Slots after Grow = %d", b.Slots())
+	if len(b.used) != 8 {
+		t.Fatalf("capacity after Grow = %d", len(b.used))
 	}
 	b.Save(7, 6, 60)
 	got := map[uint32]uint64{}
@@ -243,7 +243,7 @@ func TestMergeBufferGrow(t *testing.T) {
 		t.Errorf("Grow lost data: %v", got)
 	}
 	b.Grow(4) // shrink request is a no-op
-	if b.Slots() != 8 {
+	if len(b.used) != 8 {
 		t.Error("Grow shrank the buffer")
 	}
 }
