@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/apps"
-	"repro/internal/csr"
 	"repro/internal/numa"
 	"repro/internal/perfmodel"
 	"repro/internal/sched"
@@ -388,18 +387,25 @@ func edgePullTraditional(r *ExecContext, p apps.Program, useAtomics bool) {
 				if weighted {
 					w = a.Weights[base+lane]
 				}
-				c.EdgesProcessed++
-				if rec != nil {
-					countLocality(r, node, &c, n)
-				}
 				switch {
 				case end >= 0:
 					ends[end] = fz.step(props, ends[end], n, w)
-					c.TLSWrites++
 				case useAtomics:
 					casCombine(&fz, &accum[dst], fz.stepMsg(props, n, w), skipEqual, &c)
 				default:
 					plainCombine(&fz, &accum[dst], fz.stepMsg(props, n, w), skipEqual, &c)
+				}
+			}
+			// The vector's counters, charged in one place; a Record run walks
+			// the live lanes again to classify them by node.
+			edges := uint64(mask.Count())
+			c.EdgesProcessed += edges
+			if end >= 0 {
+				c.TLSWrites += edges
+			}
+			if rec != nil {
+				for m := mask; m != 0; m = m.Rest() {
+					countLocality(r, node, &c, neigh[m.First()])
 				}
 			}
 		}
@@ -498,7 +504,8 @@ func edgePullCS(r *ExecContext, p apps.Program) {
 		if outerOnly {
 			lo, hi = int(m.Index[lo]), int(m.Index[hi])
 		}
-		first := dstAt(m, lo)
+		// The destination whose run holds position lo, by one search.
+		first := uint32(sort.Search(m.N, func(v int) bool { return m.Index[v+1] > uint64(lo) }))
 		if traditional {
 			// Slot 2·chunkID stays identity unless the chunk's first run
 			// ends inside it.
@@ -507,35 +514,43 @@ func edgePullCS(r *ExecContext, p apps.Program) {
 		for dst := first; int(m.Index[dst]) < hi; dst++ {
 			s, e := max(int(m.Index[dst]), lo), min(int(m.Index[dst+1]), hi)
 			shared := traditional && s > lo && e < hi
-			acc := identity
+			acc, live, end := identity, 0, e
 			if tracksConv && r.conv.Contains(dst) {
 				// A converged destination takes no message: its edges are
 				// skipped unread, and its run is written out as identity.
-				c.FrontierSkips += uint64(e - s)
-				s = e
+				end = s
 			}
-			for i := s; i < e; i++ {
-				src := m.Neigh[i]
+			for i, src := range m.Neigh[s:end] {
 				if usesFrontier && !r.front.Contains(src) {
-					c.FrontierSkips++
 					continue
 				}
+				live++
 				var w float32
 				if weighted {
-					w = m.Weights[i]
-				}
-				c.EdgesProcessed++
-				if rec != nil {
-					countLocality(r, node, &c, uint64(src))
+					w = m.Weights[s+i]
 				}
 				switch {
 				case !shared:
 					acc = fz.step(props, acc, uint64(src), w)
-					c.TLSWrites++
 				case useAtomics:
 					casCombine(&fz, &accum[dst], fz.stepMsg(props, uint64(src), w), skipEqual, &c)
 				default:
 					plainCombine(&fz, &accum[dst], fz.stepMsg(props, uint64(src), w), skipEqual, &c)
+				}
+			}
+			// The run's counters, charged in one place: the edge loop keeps
+			// its count in a register. A Record run reads the live sources
+			// again to classify them by node.
+			c.EdgesProcessed += uint64(live)
+			c.FrontierSkips += uint64(e - s - live)
+			if !shared {
+				c.TLSWrites += uint64(live)
+			}
+			if rec != nil {
+				for _, src := range m.Neigh[s:end] {
+					if !usesFrontier || r.front.Contains(src) {
+						countLocality(r, node, &c, uint64(src))
+					}
 				}
 			}
 			switch {
@@ -560,12 +575,6 @@ func edgePullCS(r *ExecContext, p apps.Program) {
 	if !outerOnly {
 		mergeAccum(r, &fz)
 	}
-}
-
-// dstAt returns the destination whose run in the CSC edge array holds
-// position i, by one search of the index.
-func dstAt(m *csr.Matrix, i int) uint32 {
-	return uint32(sort.Search(m.N, func(v int) bool { return m.Index[v+1] > uint64(i) }))
 }
 
 // decodeTop4 reassembles the embedded 48-bit top-level vertex id from four
