@@ -319,13 +319,14 @@ func mergeAccum(r *ExecContext, fz *fuse) {
 // last destination runs can span a chunk boundary; every interior run has
 // this chunk as its sole writer, making its per-edge shared combine
 // iteration-ordered even without the scheduler-aware interface. One walk
-// takes the whole chunk: a vector of its first or last destination steps
-// into that run's thread-local aggregate, which goes to merge-buffer slot
-// 2*chunkID or 2*chunkID+1, folded in slot order after the barrier; any
-// other vector writes each lane to shared memory. The result is bit-identical at any worker count — including
-// order-sensitive operators like floating-point addition — while the
-// interior runs keep the per-edge shared write that defines the traditional
-// interface's cost (the Fig 5 AtomicOps/SharedWrites measurement).
+// takes the whole chunk: a vector of its first or last destination run steps
+// into a thread-local aggregate, which goes to merge-buffer slot 2*chunkID
+// or 2*chunkID+1, folded in slot order after the barrier; any other vector
+// writes each lane to shared memory. The result is bit-identical at any
+// worker count — including order-sensitive operators like floating-point
+// addition — while the interior runs keep the per-edge shared write that
+// defines the traditional interface's cost (the Fig 5 AtomicOps/SharedWrites
+// measurement).
 func edgePullTraditional(r *ExecContext, p apps.Program, useAtomics bool) {
 	a := r.g.VSD
 	total := a.NumVectors()
@@ -349,12 +350,20 @@ func edgePullTraditional(r *ExecContext, p apps.Program, useAtomics bool) {
 	r.mergeBuf.Grow(2 * (sched.NumChunks(total, chunkSize) + r.topo.Nodes))
 	r.dispatch(r.pullPart, chunkSize, rec, func(rg sched.Range, chunkID, tid, node int) {
 		var c perfmodel.Counters
-		// ends holds the chunk's share of its first destination run and of
-		// its last; when the whole chunk is a single run the last takes all
-		// of it.
+		// [rg.Lo, prefixEnd) is the chunk's share of its first destination
+		// run, [suffixStart, rg.Hi) its share of the last; when the whole
+		// chunk is a single run the suffix takes all of it. acc is the
+		// prefix's aggregate, then the suffix's.
 		firstDst, lastDst := firstTop(a, rg.Lo), firstTop(a, rg.Hi-1)
-		ends := [2]uint64{identity, identity}
+		suffixStart := max(a.Index[lastDst], rg.Lo)
+		prefixEnd := min(a.Index[firstDst+1], suffixStart)
+		acc := identity
+		ownLo, ownHi := r.ownedRange(node, rec)
 		for vi := rg.Lo; vi < rg.Hi; vi++ {
+			if vi == prefixEnd {
+				r.mergeBuf.Save(2*chunkID, firstDst, acc)
+				acc = identity
+			}
 			base := vi * vec.Lanes
 			v0, v1, v2, v3 := words[base], words[base+1], words[base+2], words[base+3]
 			dst := decodeTop4(v0, v1, v2, v3)
@@ -373,13 +382,7 @@ func edgePullTraditional(r *ExecContext, p apps.Program, useAtomics bool) {
 				c.FrontierSkips += uint64(valid - live.Count())
 				mask = live
 			}
-			end := -1 // an interior run
-			switch dst {
-			case lastDst:
-				end = 1
-			case firstDst:
-				end = 0
-			}
+			boundary := vi < prefixEnd || vi >= suffixStart
 			for m := mask; m != 0; m = m.Rest() {
 				lane := m.First()
 				n := neigh[lane]
@@ -388,8 +391,8 @@ func edgePullTraditional(r *ExecContext, p apps.Program, useAtomics bool) {
 					w = a.Weights[base+lane]
 				}
 				switch {
-				case end >= 0:
-					ends[end] = fz.step(props, ends[end], n, w)
+				case boundary:
+					acc = fz.step(props, acc, n, w)
 				case useAtomics:
 					casCombine(&fz, &accum[dst], fz.stepMsg(props, n, w), skipEqual, &c)
 				default:
@@ -400,17 +403,21 @@ func edgePullTraditional(r *ExecContext, p apps.Program, useAtomics bool) {
 			// the live lanes again to classify them by node.
 			edges := uint64(mask.Count())
 			c.EdgesProcessed += edges
-			if end >= 0 {
+			if boundary {
 				c.TLSWrites += edges
 			}
 			if rec != nil {
+				local := uint64(0)
 				for m := mask; m != 0; m = m.Rest() {
-					countLocality(r, node, &c, neigh[m.First()])
+					if uint32(neigh[m.First()])-ownLo < ownHi-ownLo {
+						local++
+					}
 				}
+				c.LocalAccesses += local
+				c.RemoteAccesses += edges - local
 			}
 		}
-		r.mergeBuf.Save(2*chunkID, firstDst, ends[0])
-		r.mergeBuf.Save(2*chunkID+1, lastDst, ends[1])
+		r.mergeBuf.Save(2*chunkID+1, lastDst, acc)
 		rec.Record(tid, c)
 	})
 	mergeAccum(r, &fz)
@@ -453,7 +460,7 @@ func plainCombine(fz *fuse, addr *uint64, msg uint64, skipEqual bool, c *perfmod
 
 // edgePullCS is the reference Edge-Pull on Compressed-Sparse, one edge at a
 // time (Listing 2): the non-vectorized baseline of Fig 10a's Edge-Pull bar
-// (Scalar) and Fig 1's outer-loop-only configuration. A chunk is walked
+// (Scalar) and the outer-loop-only configuration. A chunk is walked
 // destination run by destination run, each run [s, e) clipped to the chunk,
 // and the interface is the write policy around that one loop, fixed by
 // Variant for the whole phase:
@@ -506,11 +513,15 @@ func edgePullCS(r *ExecContext, p apps.Program) {
 		}
 		// The destination whose run holds position lo, by one search.
 		first := uint32(sort.Search(m.N, func(v int) bool { return m.Index[v+1] > uint64(lo) }))
+		ownLo, ownHi := r.ownedRange(node, rec)
 		if traditional {
 			// Slot 2·chunkID stays identity unless the chunk's first run
 			// ends inside it.
 			r.mergeBuf.Save(2*chunkID, first, identity)
 		}
+		// The chunk's counters, kept in registers and charged once below:
+		// every edge of [lo, hi) is processed or skipped.
+		edges, tls, local := 0, 0, 0
 		for dst := first; int(m.Index[dst]) < hi; dst++ {
 			s, e := max(int(m.Index[dst]), lo), min(int(m.Index[dst+1]), hi)
 			shared := traditional && s > lo && e < hi
@@ -538,18 +549,16 @@ func edgePullCS(r *ExecContext, p apps.Program) {
 					plainCombine(&fz, &accum[dst], fz.stepMsg(props, uint64(src), w), skipEqual, &c)
 				}
 			}
-			// The run's counters, charged in one place: the edge loop keeps
-			// its count in a register. A Record run reads the live sources
-			// again to classify them by node.
-			c.EdgesProcessed += uint64(live)
-			c.FrontierSkips += uint64(e - s - live)
+			edges += live
 			if !shared {
-				c.TLSWrites += uint64(live)
+				tls += live
 			}
 			if rec != nil {
+				// A Record run reads the live sources again to classify them
+				// by node.
 				for _, src := range m.Neigh[s:end] {
-					if !usesFrontier || r.front.Contains(src) {
-						countLocality(r, node, &c, uint64(src))
+					if (!usesFrontier || r.front.Contains(src)) && src-ownLo < ownHi-ownLo {
+						local++
 					}
 				}
 			}
@@ -569,6 +578,13 @@ func edgePullCS(r *ExecContext, p apps.Program) {
 			default:
 				r.mergeBuf.Save(chunkID, dst, acc)
 			}
+		}
+		c.EdgesProcessed += uint64(edges)
+		c.FrontierSkips += uint64(hi - lo - edges)
+		c.TLSWrites += uint64(tls)
+		if rec != nil {
+			c.LocalAccesses += uint64(local)
+			c.RemoteAccesses += uint64(edges - local)
 		}
 		rec.Record(tid, c)
 	})
@@ -602,6 +618,19 @@ func window4(n0, n1, n2, n3, lo, span uint64) vec.Mask {
 // open-coded vec.SignMask).
 func signMask4(v0, v1, v2, v3 uint64) vec.Mask {
 	return vec.Mask(v0>>63 | (v1>>63)<<1 | (v2>>63)<<2 | (v3>>63)<<3)
+}
+
+// ownedRange returns, for a Record run, the vertices [lo, hi) whose
+// properties node owns. Owner is monotone, so they are contiguous, and the
+// reference kernels' Record pass classifies a read with one compare instead
+// of Owner's division.
+func (r *ExecContext) ownedRange(node int, rec *perfmodel.Recorder) (lo, hi uint32) {
+	if rec == nil {
+		return 0, 0
+	}
+	owner := r.propOwner.Owner
+	return uint32(sort.Search(r.g.N, func(v int) bool { return owner(uint32(v)) >= node })),
+		uint32(sort.Search(r.g.N, func(v int) bool { return owner(uint32(v)) > node }))
 }
 
 // countLocality classifies four gathered source reads against the worker's
