@@ -525,14 +525,14 @@ func edgePullCS(r *ExecContext, p apps.Program) {
 		for dst := first; int(m.Index[dst]) < hi; dst++ {
 			s, e := max(int(m.Index[dst]), lo), min(int(m.Index[dst+1]), hi)
 			shared := traditional && s > lo && e < hi
-			acc, live, end := identity, 0, e
-			if tracksConv && r.conv.Contains(dst) {
-				// A converged destination takes no message: its edges are
-				// skipped unread, and its run is written out as identity.
-				end = s
-			}
-			for i, src := range m.Neigh[s:end] {
-				if usesFrontier && !r.front.Contains(src) {
+			// A converged destination takes no message, but its edges are
+			// still visited, one test each, as the paper configuration's
+			// vector walk visits its vectors; its run is written out as
+			// identity.
+			acc, live := identity, 0
+			conv := tracksConv && r.conv.Contains(dst)
+			for i, src := range m.Neigh[s:e] {
+				if conv || usesFrontier && !r.front.Contains(src) {
 					continue
 				}
 				live++
@@ -553,10 +553,10 @@ func edgePullCS(r *ExecContext, p apps.Program) {
 			if !shared {
 				tls += live
 			}
-			if rec != nil {
+			if rec != nil && !conv {
 				// A Record run reads the live sources again to classify them
 				// by node.
-				for _, src := range m.Neigh[s:end] {
+				for _, src := range m.Neigh[s:e] {
 					if (!usesFrontier || r.front.Contains(src)) && src-ownLo < ownHi-ownLo {
 						local++
 					}
