@@ -300,6 +300,26 @@ func TestNUMACountersClassifyAccesses(t *testing.T) {
 	}
 }
 
+// TestOwnedRangesMatchOwner: the per-node ranges a Record run classifies
+// reads with give every vertex to exactly the node numa.PropertyMap.Owner
+// names, also when there are fewer vertices than nodes.
+func TestOwnedRangesMatchOwner(t *testing.T) {
+	for _, nodes := range []int{1, 2, 3, 4, 7} {
+		topo := numa.Topology{Nodes: nodes, WorkersPerNode: 1}
+		for _, n := range []int{0, 1, 2, 3, 5, 64, 1000, 1001} {
+			owned := ownedRanges(n, topo)
+			owner := numa.NewPropertyMap(n, topo)
+			for v := uint32(0); v < uint32(n); v++ {
+				for node, o := range owned {
+					if got, want := o.has(v), owner.Owner(v) == node; got != want {
+						t.Fatalf("n=%d nodes=%d: node %d has(%d) = %v, Owner says %d", n, nodes, node, v, got, owner.Owner(v))
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestVectorCountersMatchFormat(t *testing.T) {
 	g := gen.RMAT(8, 1200, gen.DefaultRMAT, 9)
 	cg := BuildGraph(g)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/frontier"
 	"repro/internal/numa"
 	"repro/internal/perfmodel"
 	"repro/internal/sched"
@@ -358,7 +359,7 @@ func edgePullTraditional(r *ExecContext, p apps.Program, useAtomics bool) {
 		suffixStart := max(a.Index[lastDst], rg.Lo)
 		prefixEnd := min(a.Index[firstDst+1], suffixStart)
 		acc := identity
-		ownLo, ownHi := r.ownedRange(node, rec)
+		own := r.owned[node]
 		for vi := rg.Lo; vi < rg.Hi; vi++ {
 			if vi == prefixEnd {
 				r.mergeBuf.Save(2*chunkID, firstDst, acc)
@@ -409,7 +410,7 @@ func edgePullTraditional(r *ExecContext, p apps.Program, useAtomics bool) {
 			if rec != nil {
 				local := uint64(0)
 				for m := mask; m != 0; m = m.Rest() {
-					if uint32(neigh[m.First()])-ownLo < ownHi-ownLo {
+					if own.has(uint32(neigh[m.First()])) {
 						local++
 					}
 				}
@@ -463,12 +464,12 @@ func plainCombine(fz *fuse, addr *uint64, msg uint64, skipEqual bool, c *perfmod
 // (Scalar) and the outer-loop-only configuration. A chunk is walked
 // destination run by destination run, each run [s, e) clipped to the chunk,
 // and the interface is the write policy around that one loop, fixed by
-// Variant for the whole phase:
+// Variant for the whole phase and applied once per run:
 //
 //   - scheduler-aware (§3): a run accumulates thread-locally and is stored
 //     at its transition — only this chunk holds its end — except the
 //     trailing run, which goes to merge slot chunkID (FinishChunk).
-//   - outer-only (PushP+PullS in Fig 1): the chunk is a range of
+//   - outer-only (the PushP+PullS configuration): the chunk is a range of
 //     destinations turned into its whole-run edge range, so every run is
 //     whole and stored at its end, with no merge. Skewed graphs keep the
 //     load imbalance that motivates inner-loop parallelization.
@@ -487,14 +488,18 @@ func edgePullCS(r *ExecContext, p apps.Program) {
 	outerOnly := r.opt.Variant == PullOuterOnly
 	traditional := r.opt.Variant == PullTraditional || r.opt.Variant == PullTraditionalNonatomic
 	useAtomics := r.opt.Variant == PullTraditional
+	visitConv := r.opt.AblateFrontierWork && !outerOnly
 	identity := p.Identity()
-	usesFrontier := p.UsesFrontier()
 	tracksConv := p.TracksConverged()
 	skipEqual := p.SkipEqualWrites()
 	weighted := p.Weighted() && m.Weights != nil
 	props, accum := r.props, r.accum
 	rec := r.edgeRec
 	fz := fuseFor(p, weighted)
+	var front *frontier.Dense // nil: every source is live
+	if p.UsesFrontier() {
+		front = r.front
+	}
 	// Granularity is configured in vectors; one vector covers vec.Lanes
 	// edges, keeping chunk work comparable across kernels.
 	part := numa.PartitionEven(total, r.topo.Nodes)
@@ -513,7 +518,6 @@ func edgePullCS(r *ExecContext, p apps.Program) {
 		}
 		// The destination whose run holds position lo, by one search.
 		first := uint32(sort.Search(m.N, func(v int) bool { return m.Index[v+1] > uint64(lo) }))
-		ownLo, ownHi := r.ownedRange(node, rec)
 		if traditional {
 			// Slot 2·chunkID stays identity unless the chunk's first run
 			// ends inside it.
@@ -522,42 +526,50 @@ func edgePullCS(r *ExecContext, p apps.Program) {
 		// The chunk's counters, kept in registers and charged once below:
 		// every edge of [lo, hi) is processed or skipped.
 		edges, tls, local := 0, 0, 0
+		own := r.owned[node]
 		for dst := first; int(m.Index[dst]) < hi; dst++ {
 			s, e := max(int(m.Index[dst]), lo), min(int(m.Index[dst+1]), hi)
 			shared := traditional && s > lo && e < hi
-			// A converged destination takes no message, but its edges are
-			// still visited, one test each, as the paper configuration's
-			// vector walk visits its vectors; its run is written out as
-			// identity.
 			acc, live := identity, 0
-			conv := tracksConv && r.conv.Contains(dst)
-			for i, src := range m.Neigh[s:e] {
-				if conv || usesFrontier && !r.front.Contains(src) {
-					continue
+			switch {
+			case tracksConv && r.conv.Contains(dst):
+				// A converged destination takes no message: its run is
+				// skipped unread, as pullSABody skips one, except in the
+				// paper configuration. There the vector walk tests each
+				// vector of the run, so this walk, its scalar baseline in
+				// Fig 10b, tests each edge.
+				for i := s; visitConv && i < e && r.conv.Contains(dst); i++ {
 				}
-				live++
-				var w float32
+			case shared:
+				for i, src := range m.Neigh[s:e] {
+					if front != nil && !front.Contains(src) {
+						continue
+					}
+					live++
+					var w float32
+					if weighted {
+						w = m.Weights[s+i]
+					}
+					if useAtomics {
+						casCombine(&fz, &accum[dst], fz.stepMsg(props, uint64(src), w), skipEqual, &c)
+					} else {
+						plainCombine(&fz, &accum[dst], fz.stepMsg(props, uint64(src), w), skipEqual, &c)
+					}
+				}
+			default:
+				var ws []float32
 				if weighted {
-					w = m.Weights[s+i]
+					ws = m.Weights[s:e]
 				}
-				switch {
-				case !shared:
-					acc = fz.step(props, acc, uint64(src), w)
-				case useAtomics:
-					casCombine(&fz, &accum[dst], fz.stepMsg(props, uint64(src), w), skipEqual, &c)
-				default:
-					plainCombine(&fz, &accum[dst], fz.stepMsg(props, uint64(src), w), skipEqual, &c)
-				}
-			}
-			edges += live
-			if !shared {
+				acc, live = foldRun(&fz, props, front, m.Neigh[s:e], ws, acc)
 				tls += live
 			}
-			if rec != nil && !conv {
+			edges += live
+			if rec != nil && live > 0 {
 				// A Record run reads the live sources again to classify them
 				// by node.
 				for _, src := range m.Neigh[s:e] {
-					if (!usesFrontier || r.front.Contains(src)) && src-ownLo < ownHi-ownLo {
+					if (front == nil || front.Contains(src)) && own.has(src) {
 						local++
 					}
 				}
@@ -593,6 +605,27 @@ func edgePullCS(r *ExecContext, p apps.Program) {
 	}
 }
 
+// foldRun steps a run's live sources into acc thread-locally and returns the
+// aggregate and the number of live sources. It is edgePullCS's edge loop for
+// every run but a traditional interior one; a call of its own keeps the run
+// loop's state out of its registers (inline, the spills cost the walk
+// 10–20 % on the skewed analogs; EXPERIMENTS.md).
+func foldRun(fz *fuse, props []uint64, front *frontier.Dense, srcs []uint32, ws []float32, acc uint64) (uint64, int) {
+	live := 0
+	for i, src := range srcs {
+		if front != nil && !front.Contains(src) {
+			continue
+		}
+		live++
+		var w float32
+		if ws != nil {
+			w = ws[i]
+		}
+		acc = fz.step(props, acc, uint64(src), w)
+	}
+	return acc, live
+}
+
 // decodeTop4 reassembles the embedded 48-bit top-level vertex id from four
 // raw lane words (the open-coded form of vsparse.DecodeTop, kept branch-free
 // on the kernels' hot path).
@@ -620,24 +653,34 @@ func signMask4(v0, v1, v2, v3 uint64) vec.Mask {
 	return vec.Mask(v0>>63 | (v1>>63)<<1 | (v2>>63)<<2 | (v3>>63)<<3)
 }
 
-// ownedRange returns, for a Record run, the vertices [lo, hi) whose
-// properties node owns. Owner is monotone, so they are contiguous, and the
-// reference kernels' Record pass classifies a read with one compare instead
-// of Owner's division.
-func (r *ExecContext) ownedRange(node int, rec *perfmodel.Recorder) (lo, hi uint32) {
-	if rec == nil {
-		return 0, 0
+// ownedRange is the vertices [lo, hi) whose properties one simulated NUMA
+// node owns (Runner.owned).
+type ownedRange struct{ lo, hi uint32 }
+
+// has reports whether the node owns vertex v's property: whether a read of
+// it is local.
+func (o ownedRange) has(v uint32) bool { return v-o.lo < o.hi-o.lo }
+
+// ownedRanges splits n vertices by the node owning their properties
+// (numa.PropertyMap.Owner, which is monotone).
+func ownedRanges(n int, t numa.Topology) []ownedRange {
+	owner := numa.NewPropertyMap(n, t)
+	out := make([]ownedRange, t.Nodes)
+	for node := range out {
+		out[node] = ownedRange{
+			lo: uint32(sort.Search(n, func(v int) bool { return owner.Owner(uint32(v)) >= node })),
+			hi: uint32(sort.Search(n, func(v int) bool { return owner.Owner(uint32(v)) > node })),
+		}
 	}
-	owner := r.propOwner.Owner
-	return uint32(sort.Search(r.g.N, func(v int) bool { return owner(uint32(v)) >= node })),
-		uint32(sort.Search(r.g.N, func(v int) bool { return owner(uint32(v)) > node }))
+	return out
 }
 
-// countLocality classifies four gathered source reads against the worker's
+// countLocality classifies gathered source reads against the worker's
 // simulated NUMA node.
 func countLocality(r *ExecContext, node int, c *perfmodel.Counters, ns ...uint64) {
+	own := r.owned[node]
 	for _, n := range ns {
-		if r.propOwner.Owner(uint32(n)) == node {
+		if own.has(uint32(n)) {
 			c.LocalAccesses++
 		} else {
 			c.RemoteAccesses++

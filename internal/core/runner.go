@@ -31,8 +31,11 @@ type Runner struct {
 	topo    numa.Topology
 
 	// pullPart partitions the VSD vector array across simulated NUMA nodes.
-	pullPart  numa.Partition
-	propOwner numa.PropertyMap
+	pullPart numa.Partition
+	// owned holds, per node, the vertices whose properties it owns
+	// (numa.PropertyMap). Owner is monotone, so each node's share is one
+	// range, and a Record run classifies a read with one compare.
+	owned []ownedRange
 
 	// mergeSlots sizes each ExecContext's merge buffer for the worst-case
 	// chunk count across phases.
@@ -128,7 +131,7 @@ func NewRunner(g *Graph, opt Options) *Runner {
 		panic("core: topology workers != pool workers")
 	}
 	r.pullPart = numa.PartitionEven(g.VSD.NumVectors(), r.topo.Nodes)
-	r.propOwner = numa.NewPropertyMap(g.N, r.topo)
+	r.owned = ownedRanges(g.N, r.topo)
 	maxVectors := g.VSD.NumVectors()
 	if g.CSC.NumEdges() > maxVectors {
 		maxVectors = g.CSC.NumEdges() // scalar kernels chunk over edges
