@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -152,5 +154,122 @@ func TestTraceRecycledContextReset(t *testing.T) {
 	se, _ := phaseByName(second.Trace, "edge-pull")
 	if fe.Iters != se.Iters || fe.Chunks != se.Chunks {
 		t.Errorf("recycled context trace differs: first %+v, second %+v", fe, se)
+	}
+}
+
+// traceShape renders the wall-free part of a run: its iteration counters,
+// its direction string (run-length coded) and, per phase in trace order, the
+// iteration count, chunk count and density bounds.
+func traceShape(res Result) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "it=%d pull=%d push=%d sparse=%d dirs=", res.Iterations,
+		res.PullIterations, res.PushIterations, res.SparseIterations)
+	d := res.Trace.Directions
+	for i := 0; i < len(d); {
+		j := i
+		for j < len(d) && d[j] == d[i] {
+			j++
+		}
+		fmt.Fprintf(&b, "%c%d", d[i], j-i)
+		i = j
+	}
+	for _, ph := range res.Trace.Phases {
+		fmt.Fprintf(&b, " | %s %d it %d ch [%v,%v]", ph.Phase, ph.Iters, ph.Chunks, ph.MinDensity, ph.MaxDensity)
+	}
+	return b.String()
+}
+
+// tracePins holds each cell's traceShape, taken before one round record
+// came to time every phase: the record must leave every iteration counter,
+// direction, phase, chunk count and density of a completed run as it was.
+var tracePins = map[string]string{
+	"T1/w1/default/pr":     "it=4 pull=4 push=0 sparse=0 dirs=<4 | edge-pull 4 it 128 ch [1,1] | vertex 4 it 4 ch [1,1] | merge 4 it 0 ch [1,1]",
+	"T1/w1/default/cc":     "it=4 pull=3 push=1 sparse=1 dirs=<3s1 | edge-pull 3 it 96 ch [0.502685546875,1] | edge-push 1 it 1 ch [0.009033203125,0.009033203125] | vertex 4 it 4 ch [0.009033203125,1] | merge 3 it 0 ch [0.502685546875,1]",
+	"T1/w1/default/bfs":    "it=4 pull=2 push=2 sparse=2 dirs=s1<2s1 | edge-pull 2 it 64 ch [0.1710205078125,0.6300048828125] | edge-push 2 it 2 ch [0.0001220703125,0.025390625] | vertex 4 it 4 ch [0.0001220703125,0.6300048828125] | merge 2 it 0 ch [0.1710205078125,0.6300048828125]",
+	"T1/w1/default/sssp":   "it=5 pull=2 push=3 sparse=3 dirs=s1<2s2 | edge-pull 2 it 64 ch [0.1710205078125,0.7459716796875] | edge-push 3 it 19 ch [0.0001220703125,0.25830078125] | vertex 5 it 5 ch [0.0001220703125,0.7459716796875] | merge 2 it 0 ch [0.1710205078125,0.7459716796875]",
+	"T1/w1/default/kcore":  "it=2 pull=0 push=2 sparse=2 dirs=s2 | edge-push 2 it 7 ch [0.000732421875,0.3565673828125] | vertex 2 it 2 ch [0.000732421875,0.3565673828125] | merge 2 it 0 ch [0.000732421875,0.3565673828125]",
+	"T1/w1/record/pr":      "it=4 pull=4 push=0 sparse=0 dirs=<4 | edge-pull 4 it 128 ch [1,1] | vertex 4 it 4 ch [1,1] | merge 4 it 0 ch [1,1]",
+	"T1/w1/record/cc":      "it=4 pull=3 push=1 sparse=1 dirs=<3s1 | edge-pull 3 it 96 ch [0.502685546875,1] | edge-push 1 it 1 ch [0.009033203125,0.009033203125] | vertex 4 it 4 ch [0.009033203125,1] | merge 3 it 0 ch [0.502685546875,1]",
+	"T1/w1/scalar/pr":      "it=4 pull=4 push=0 sparse=0 dirs=<4 | edge-pull 4 it 128 ch [1,1] | vertex 4 it 4 ch [1,1] | merge 4 it 0 ch [1,1]",
+	"T1/w1/scalar/cc":      "it=4 pull=3 push=1 sparse=1 dirs=<3s1 | edge-pull 3 it 96 ch [0.502685546875,1] | edge-push 1 it 1 ch [0.009033203125,0.009033203125] | vertex 4 it 4 ch [0.009033203125,1] | merge 3 it 0 ch [0.502685546875,1]",
+	"T1/w1/traditional/pr": "it=4 pull=4 push=0 sparse=0 dirs=<4 | edge-pull 4 it 128 ch [1,1] | vertex 4 it 4 ch [1,1] | merge 4 it 0 ch [1,1]",
+	"T1/w1/traditional/cc": "it=4 pull=3 push=1 sparse=1 dirs=<3s1 | edge-pull 3 it 96 ch [0.502685546875,1] | edge-push 1 it 1 ch [0.009033203125,0.009033203125] | vertex 4 it 4 ch [0.009033203125,1] | merge 3 it 0 ch [0.502685546875,1]",
+	"T1/w2/default/pr":     "it=4 pull=4 push=0 sparse=0 dirs=<4 | edge-pull 4 it 256 ch [1,1] | vertex 4 it 8 ch [1,1] | merge 4 it 0 ch [1,1]",
+	"T1/w2/default/cc":     "it=4 pull=3 push=1 sparse=1 dirs=<3s1 | edge-pull 3 it 192 ch [0.502685546875,1] | edge-push 1 it 1 ch [0.009033203125,0.009033203125] | vertex 4 it 7 ch [0.009033203125,1] | merge 3 it 0 ch [0.502685546875,1]",
+	"T1/w2/default/bfs":    "it=4 pull=2 push=2 sparse=2 dirs=s1<2s1 | edge-pull 2 it 128 ch [0.1710205078125,0.6300048828125] | edge-push 2 it 2 ch [0.0001220703125,0.025390625] | vertex 4 it 7 ch [0.0001220703125,0.6300048828125] | merge 2 it 0 ch [0.1710205078125,0.6300048828125]",
+	"T1/w2/default/sssp":   "it=5 pull=2 push=3 sparse=3 dirs=s1<2s2 | edge-pull 2 it 128 ch [0.1710205078125,0.7459716796875] | edge-push 3 it 19 ch [0.0001220703125,0.25830078125] | vertex 5 it 9 ch [0.0001220703125,0.7459716796875] | merge 2 it 0 ch [0.1710205078125,0.7459716796875]",
+	"T1/w2/default/kcore":  "it=2 pull=0 push=2 sparse=2 dirs=s2 | edge-push 2 it 7 ch [0.000732421875,0.3565673828125] | vertex 2 it 3 ch [0.000732421875,0.3565673828125] | merge 2 it 0 ch [0.000732421875,0.3565673828125]",
+	"T1/w2/record/pr":      "it=4 pull=4 push=0 sparse=0 dirs=<4 | edge-pull 4 it 256 ch [1,1] | vertex 4 it 8 ch [1,1] | merge 4 it 0 ch [1,1]",
+	"T1/w2/record/cc":      "it=4 pull=3 push=1 sparse=1 dirs=<3s1 | edge-pull 3 it 192 ch [0.502685546875,1] | edge-push 1 it 1 ch [0.009033203125,0.009033203125] | vertex 4 it 7 ch [0.009033203125,1] | merge 3 it 0 ch [0.502685546875,1]",
+	"T1/w2/scalar/pr":      "it=4 pull=4 push=0 sparse=0 dirs=<4 | edge-pull 4 it 256 ch [1,1] | vertex 4 it 8 ch [1,1] | merge 4 it 0 ch [1,1]",
+	"T1/w2/scalar/cc":      "it=4 pull=3 push=1 sparse=1 dirs=<3s1 | edge-pull 3 it 192 ch [0.502685546875,1] | edge-push 1 it 1 ch [0.009033203125,0.009033203125] | vertex 4 it 7 ch [0.009033203125,1] | merge 3 it 0 ch [0.502685546875,1]",
+	"T1/w2/traditional/pr": "it=4 pull=4 push=0 sparse=0 dirs=<4 | edge-pull 4 it 256 ch [1,1] | vertex 4 it 8 ch [1,1] | merge 4 it 0 ch [1,1]",
+	"T1/w2/traditional/cc": "it=4 pull=3 push=1 sparse=1 dirs=<3s1 | edge-pull 3 it 192 ch [0.502685546875,1] | edge-push 1 it 1 ch [0.009033203125,0.009033203125] | vertex 4 it 7 ch [0.009033203125,1] | merge 3 it 0 ch [0.502685546875,1]",
+	"D1/w1/default/pr":     "it=4 pull=4 push=0 sparse=0 dirs=<4 | edge-pull 4 it 128 ch [1,1] | vertex 4 it 4 ch [1,1] | merge 4 it 0 ch [1,1]",
+	"D1/w1/default/cc":     "it=12 pull=12 push=0 sparse=0 dirs=<12 | edge-pull 12 it 168 ch [0.125,1] | vertex 12 it 12 ch [0.125,1] | merge 12 it 0 ch [0.125,1]",
+	"D1/w1/default/bfs":    "it=151 pull=0 push=151 sparse=151 dirs=s151 | edge-push 151 it 151 ch [0.00017146776406035664,0.012517146776406037] | vertex 151 it 151 ch [0.00017146776406035664,0.012517146776406037]",
+	"D1/w1/default/sssp":   "it=153 pull=0 push=153 sparse=153 dirs=s153 | edge-push 153 it 153 ch [0.00017146776406035664,0.03772290809327846] | vertex 153 it 153 ch [0.00017146776406035664,0.03772290809327846]",
+	"D1/w1/default/kcore":  "it=76 pull=0 push=76 sparse=76 dirs=s76 | edge-push 76 it 76 ch [0.0003429355281207133,0.024691358024691357] | vertex 76 it 76 ch [0.0003429355281207133,0.024691358024691357] | merge 76 it 0 ch [0.0003429355281207133,0.024691358024691357]",
+	"D1/w1/record/pr":      "it=4 pull=4 push=0 sparse=0 dirs=<4 | edge-pull 4 it 128 ch [1,1] | vertex 4 it 4 ch [1,1] | merge 4 it 0 ch [1,1]",
+	"D1/w1/record/cc":      "it=12 pull=12 push=0 sparse=0 dirs=<12 | edge-pull 12 it 168 ch [0.125,1] | vertex 12 it 12 ch [0.125,1] | merge 12 it 0 ch [0.125,1]",
+	"D1/w1/scalar/pr":      "it=4 pull=4 push=0 sparse=0 dirs=<4 | edge-pull 4 it 128 ch [1,1] | vertex 4 it 4 ch [1,1] | merge 4 it 0 ch [1,1]",
+	"D1/w1/scalar/cc":      "it=152 pull=129 push=23 sparse=21 dirs=<129>2s21 | edge-pull 129 it 4128 ch [0.051440329218107,1] | edge-push 23 it 85 ch [0.00017146776406035664,0.047325102880658436] | vertex 152 it 152 ch [0.00017146776406035664,1] | merge 129 it 0 ch [0.051440329218107,1]",
+	"D1/w1/traditional/pr": "it=4 pull=4 push=0 sparse=0 dirs=<4 | edge-pull 4 it 128 ch [1,1] | vertex 4 it 4 ch [1,1] | merge 4 it 0 ch [1,1]",
+	"D1/w1/traditional/cc": "it=152 pull=129 push=23 sparse=21 dirs=<129>2s21 | edge-pull 129 it 4128 ch [0.051440329218107,1] | edge-push 23 it 85 ch [0.00017146776406035664,0.047325102880658436] | vertex 152 it 152 ch [0.00017146776406035664,1] | merge 129 it 0 ch [0.051440329218107,1]",
+	"D1/w2/default/pr":     "it=4 pull=4 push=0 sparse=0 dirs=<4 | edge-pull 4 it 256 ch [1,1] | vertex 4 it 8 ch [1,1] | merge 4 it 0 ch [1,1]",
+	"D1/w2/default/cc":     "it=12 pull=12 push=0 sparse=0 dirs=<12 | edge-pull 12 it 264 ch [0.125,1] | vertex 12 it 24 ch [0.125,1] | merge 12 it 0 ch [0.125,1]",
+	"D1/w2/default/bfs":    "it=151 pull=0 push=151 sparse=151 dirs=s151 | edge-push 151 it 151 ch [0.00017146776406035664,0.012517146776406037] | vertex 151 it 151 ch [0.00017146776406035664,0.012517146776406037]",
+	"D1/w2/default/sssp":   "it=153 pull=0 push=153 sparse=153 dirs=s153 | edge-push 153 it 153 ch [0.00017146776406035664,0.03772290809327846] | vertex 153 it 153 ch [0.00017146776406035664,0.03772290809327846]",
+	"D1/w2/default/kcore":  "it=76 pull=0 push=76 sparse=76 dirs=s76 | edge-push 76 it 76 ch [0.0003429355281207133,0.024691358024691357] | vertex 76 it 76 ch [0.0003429355281207133,0.024691358024691357] | merge 76 it 0 ch [0.0003429355281207133,0.024691358024691357]",
+	"D1/w2/record/pr":      "it=4 pull=4 push=0 sparse=0 dirs=<4 | edge-pull 4 it 256 ch [1,1] | vertex 4 it 8 ch [1,1] | merge 4 it 0 ch [1,1]",
+	"D1/w2/record/cc":      "it=12 pull=12 push=0 sparse=0 dirs=<12 | edge-pull 12 it 264 ch [0.125,1] | vertex 12 it 24 ch [0.125,1] | merge 12 it 0 ch [0.125,1]",
+	"D1/w2/scalar/pr":      "it=4 pull=4 push=0 sparse=0 dirs=<4 | edge-pull 4 it 256 ch [1,1] | vertex 4 it 8 ch [1,1] | merge 4 it 0 ch [1,1]",
+	"D1/w2/scalar/cc":      "it=152 pull=129 push=23 sparse=21 dirs=<129>2s21 | edge-pull 129 it 8256 ch [0.051440329218107,1] | edge-push 23 it 149 ch [0.00017146776406035664,0.047325102880658436] | vertex 152 it 283 ch [0.00017146776406035664,1] | merge 129 it 0 ch [0.051440329218107,1]",
+	"D1/w2/traditional/pr": "it=4 pull=4 push=0 sparse=0 dirs=<4 | edge-pull 4 it 256 ch [1,1] | vertex 4 it 8 ch [1,1] | merge 4 it 0 ch [1,1]",
+	"D1/w2/traditional/cc": "it=152 pull=129 push=23 sparse=21 dirs=<129>2s21 | edge-pull 129 it 8256 ch [0.051440329218107,1] | edge-push 23 it 149 ch [0.00017146776406035664,0.047325102880658436] | vertex 152 it 283 ch [0.00017146776406035664,1] | merge 129 it 0 ch [0.051440329218107,1]",
+}
+
+// TestTraceShapePinned runs pr, cc, bfs, sssp and kcore on the weighted T
+// and D analogs at one and two workers with Trace on, and pr and cc again
+// under Record, Scalar and PullTraditional, and holds each run's trace
+// shape to its pin.
+func TestTraceShapePinned(t *testing.T) {
+	variants := []struct {
+		name string
+		opt  Options
+		apps []string
+	}{
+		{"default", Options{}, []string{"pr", "cc", "bfs", "sssp", "kcore"}},
+		{"record", Options{Record: true}, []string{"pr", "cc"}},
+		{"scalar", Options{Scalar: true}, []string{"pr", "cc"}},
+		{"traditional", Options{Variant: PullTraditional}, []string{"pr", "cc"}},
+	}
+	for _, d := range []gen.Dataset{gen.Twitter, gen.DimacsUSA} {
+		g := gen.AddUniformWeights(gen.Generate(d, 1), 97)
+		cg := BuildGraph(g)
+		for _, workers := range []int{1, 2} {
+			for _, v := range variants {
+				opt := v.opt
+				opt.Workers, opt.Trace = workers, true
+				r := NewRunner(cg, opt)
+				for _, name := range v.apps {
+					key := fmt.Sprintf("%s1/w%d/%s/%s", d.Abbrev(), workers, v.name, name)
+					ent, err := apps.Lookup(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					p := ent.Normalize(apps.Params{Iters: 4, Root: 1, K: 3})
+					prog, err := ent.New(cg, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := traceShape(Run(r, prog, ent.MaxIters(p)))
+					if want, ok := tracePins[key]; !ok || got != want {
+						t.Errorf("%q: %q,\n\twant %q", key, got, want)
+					}
+				}
+				r.Close()
+			}
+		}
 	}
 }
