@@ -123,14 +123,18 @@ type Options struct {
 	// than that either way. SSSP, which gathers every in-edge regardless,
 	// ran the same iterations 10–20% slower as pulls and is left out.
 	PullDegreeShare float64
-	// Record enables the perfmodel counters and time profiles. Metering
-	// adds per-edge accounting cost, so benchmarks leave it off.
+	// Record enables the perfmodel counters and the Edge phase's Fig 5b
+	// profile: its wall and merge time are the round records' readings
+	// (Result.EdgeTime and the trace's merge phase), and runChunk adds two
+	// clock reads per Edge chunk for its busy time. Metering adds per-edge
+	// accounting cost, so benchmarks leave it off.
 	Record bool
 	// Trace enables the per-run phase tracer: each run's Result carries a
 	// RunTrace of wall time, chunk count, and frontier density per engine
-	// phase. Unlike Record, tracing observes only phase boundaries (one
-	// timestamp pair and one counter swap per phase), so its overhead is a
-	// fraction of a percent and serving layers leave it on.
+	// phase. The tracer folds in each round's record, whose clock readings
+	// (one per phase boundary) and chunk counts every run takes anyway, so
+	// tracing adds no clock read and no per-chunk work, and serving layers
+	// leave it on.
 	Trace bool
 	// AblateFrontierWork restores the paper's configuration for the
 	// design-choice benchmarks and the harness's "paper configuration"

@@ -18,19 +18,16 @@ import (
 // kernel: the scheduler-aware Vector-Sparse bodies (edgePullSA), the
 // traditional interface's Vector-Sparse walk, or the Compressed-Sparse run
 // walk every variant shares under Scalar, and outer-only always. Aggregates
-// land in the Runner's accumulator array; RunVertex consumes them.
-func RunEdgePull(r *ExecContext, p apps.Program) {
-	t0 := time.Now()
+// land in the Runner's accumulator array; RunVertex consumes them. It
+// returns the chunks the phase cut and its merge fold's wall.
+func RunEdgePull(r *ExecContext, p apps.Program) edgeCost {
 	switch {
 	case r.opt.Scalar || r.opt.Variant == PullOuterOnly:
-		edgePullCS(r, p)
+		return edgePullCS(r, p)
 	case r.opt.Variant == PullSchedulerAware:
-		edgePullSA(r, p)
+		return edgePullSA(r, p)
 	default:
-		edgePullTraditional(r, p, r.opt.Variant == PullTraditional)
-	}
-	if r.edgeRec != nil {
-		r.edgeRec.Wall += time.Since(t0)
+		return edgePullTraditional(r, p, r.opt.Variant == PullTraditional)
 	}
 }
 
@@ -40,13 +37,13 @@ func RunEdgePull(r *ExecContext, p apps.Program) {
 // accumulator, to shared memory only on outer-loop transitions (at most one
 // chunk contains each vertex's last vector), or to the chunk's private merge
 // buffer slot.
-func edgePullSA(r *ExecContext, p apps.Program) {
+func edgePullSA(r *ExecContext, p apps.Program) edgeCost {
 	if r.g.VSD.NumVectors() == 0 {
-		return
+		return edgeCost{}
 	}
 	fz := fuseFor(p, p.Weighted() && r.g.VSD.Weights != nil)
-	r.dispatch(r.pullPart, r.pullChunkFor(p), r.edgeRec, pullSABody(r, &fz))
-	mergeAccum(r, &fz)
+	chunks := r.dispatch(r.pullPart, r.pullChunkFor(p), pullSABody(r, &fz))
+	return edgeCost{edgeChunks: chunks, merged: true, merge: mergeAccum(r, &fz)}
 }
 
 // pullSABody builds the scheduler-aware chunk body with every loop invariant
@@ -293,8 +290,9 @@ func pullSABody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, nod
 
 // mergeAccum folds the merge buffer into the shared accumulators
 // (Listing 6). It runs on one thread after the barrier — the paper found
-// this "extremely fast for the real-world graphs we studied".
-func mergeAccum(r *ExecContext, fz *fuse) {
+// this "extremely fast for the real-world graphs we studied". It returns
+// the fold's wall.
+func mergeAccum(r *ExecContext, fz *fuse) time.Duration {
 	t0 := time.Now()
 	identity := fz.p.Identity()
 	accum := r.accum
@@ -303,11 +301,8 @@ func mergeAccum(r *ExecContext, fz *fuse) {
 			accum[dst] = fz.combine(accum[dst], v)
 		}
 	})
-	r.noteMerge(time.Since(t0))
-	if r.edgeRec != nil {
-		r.edgeRec.MergeTime += time.Since(t0)
-		r.edgeRec.Record(0, perfmodel.Counters{MergeOps: uint64(n)})
-	}
+	r.edgeRec.Record(0, perfmodel.Counters{MergeOps: uint64(n)})
+	return time.Since(t0)
 }
 
 // edgePullTraditional parallelizes the same vectorized inner loop with the
@@ -328,11 +323,11 @@ func mergeAccum(r *ExecContext, fz *fuse) {
 // addition — while the interior runs keep the per-edge shared write that
 // defines the traditional interface's cost (the Fig 5 AtomicOps/SharedWrites
 // measurement).
-func edgePullTraditional(r *ExecContext, p apps.Program, useAtomics bool) {
+func edgePullTraditional(r *ExecContext, p apps.Program, useAtomics bool) edgeCost {
 	a := r.g.VSD
 	total := a.NumVectors()
 	if total == 0 {
-		return
+		return edgeCost{}
 	}
 	chunkSize := r.opt.chunkSizeFor(total, r.pool.Workers())
 	identity := p.Identity()
@@ -349,7 +344,7 @@ func edgePullTraditional(r *ExecContext, p apps.Program, useAtomics bool) {
 	// Two merge slots per chunk (prefix and suffix runs); dispatch itself
 	// only guarantees one.
 	r.mergeBuf.Grow(2 * (sched.NumChunks(total, chunkSize) + r.topo.Nodes))
-	r.dispatch(r.pullPart, chunkSize, rec, func(rg sched.Range, chunkID, tid, node int) {
+	chunks := r.dispatch(r.pullPart, chunkSize, func(rg sched.Range, chunkID, tid, node int) {
 		var c perfmodel.Counters
 		// [rg.Lo, prefixEnd) is the chunk's share of its first destination
 		// run, [suffixStart, rg.Hi) its share of the last; when the whole
@@ -421,7 +416,7 @@ func edgePullTraditional(r *ExecContext, p apps.Program, useAtomics bool) {
 		r.mergeBuf.Save(2*chunkID+1, lastDst, acc)
 		rec.Record(tid, c)
 	})
-	mergeAccum(r, &fz)
+	return edgeCost{edgeChunks: chunks, merged: true, merge: mergeAccum(r, &fz)}
 }
 
 // casCombine performs one synchronized shared update: load, combine, CAS,
@@ -479,11 +474,11 @@ func plainCombine(fz *fuse, addr *uint64, msg uint64, skipEqual bool, c *perfmod
 //     order after the barrier, so results are bit-identical at any worker
 //     count; every interior run keeps the per-edge shared combine whose cost
 //     Figs 5–8 measure.
-func edgePullCS(r *ExecContext, p apps.Program) {
+func edgePullCS(r *ExecContext, p apps.Program) edgeCost {
 	m := r.g.CSC
 	total := m.NumEdges()
 	if total == 0 {
-		return
+		return edgeCost{}
 	}
 	outerOnly := r.opt.Variant == PullOuterOnly
 	traditional := r.opt.Variant == PullTraditional || r.opt.Variant == PullTraditionalNonatomic
@@ -510,7 +505,7 @@ func edgePullCS(r *ExecContext, p apps.Program) {
 	if traditional {
 		r.mergeBuf.Grow(2 * (sched.NumChunks(total, chunkSize) + r.topo.Nodes))
 	}
-	r.dispatch(part, chunkSize, rec, func(rg sched.Range, chunkID, tid, node int) {
+	chunks := r.dispatch(part, chunkSize, func(rg sched.Range, chunkID, tid, node int) {
 		var c perfmodel.Counters
 		lo, hi := rg.Lo, rg.Hi
 		if outerOnly {
@@ -600,9 +595,10 @@ func edgePullCS(r *ExecContext, p apps.Program) {
 		}
 		rec.Record(tid, c)
 	})
-	if !outerOnly {
-		mergeAccum(r, &fz)
+	if outerOnly {
+		return edgeCost{edgeChunks: chunks}
 	}
+	return edgeCost{edgeChunks: chunks, merged: true, merge: mergeAccum(r, &fz)}
 }
 
 // foldRun steps a run's live sources into acc thread-locally and returns the

@@ -26,9 +26,9 @@ import (
 // instead, folded in chunk-id order after the barrier — deterministic at any
 // worker count. Under Record a dense round charges every counter its body
 // counts, the vectorized body's InvalidLanes and Local/Remote split
-// included, plus the phase's Wall; dispatch charges each chunk's busy time.
-func RunEdgePush(r *ExecContext, p apps.Program) {
-	t0 := time.Now()
+// included; runChunk charges each chunk's busy time. It returns the chunks
+// the phase cut and its merge fold's wall.
+func RunEdgePush(r *ExecContext, p apps.Program) edgeCost {
 	fz := fuseFor(p, p.Weighted() && r.g.CSR.Weights != nil)
 	var body func(rg sched.Range, chunkID, tid, node int)
 	if r.opt.Scalar {
@@ -44,13 +44,11 @@ func RunEdgePush(r *ExecContext, p apps.Program) {
 	if fz.ordered {
 		r.scatterBuf.Grow(sched.NumChunks(r.g.N, chunk) + r.topo.Nodes)
 	}
-	r.dispatch(r.vertexPartition(), chunk, r.edgeRec, body)
+	cost := edgeCost{edgeChunks: r.dispatch(r.vertexPartition(), chunk, body)}
 	if fz.ordered {
-		mergeScatter(r, &fz)
+		cost.merged, cost.merge = true, mergeScatter(r, &fz)
 	}
-	if r.edgeRec != nil {
-		r.edgeRec.Wall += time.Since(t0)
-	}
+	return cost
 }
 
 // pushBody builds the vectorized Edge-Push chunk body, the one body of both
@@ -67,9 +65,7 @@ func RunEdgePush(r *ExecContext, p apps.Program) {
 // when the body is built; no call per lane selects it.
 //
 // Counters: under Record a dense round also charges InvalidLanes and the
-// Local/Remote split, which a list-driven round charges neither of; a
-// list-driven round charges its chunk's busy time here, since its chunks run
-// outside dispatch.
+// Local/Remote split, which a list-driven round charges neither of.
 func pushBody(r *ExecContext, fz *fuse, list []uint32, inline bool) func(rg sched.Range, chunkID, tid, node int) {
 	p := fz.p
 	a := r.g.VSS
@@ -89,10 +85,6 @@ func pushBody(r *ExecContext, fz *fuse, list []uint32, inline bool) func(rg sche
 		var out []sched.Contribution
 		if fz.ordered {
 			out = r.scatterBuf.Take(chunkID)
-		}
-		var start time.Time
-		if rec != nil && list != nil {
-			start = time.Now()
 		}
 		for i := rg.Lo; i < rg.Hi; i++ {
 			src := uint32(i)
@@ -150,29 +142,21 @@ func pushBody(r *ExecContext, fz *fuse, list []uint32, inline bool) func(rg sche
 		if fz.ordered {
 			r.scatterBuf.Save(chunkID, out)
 		}
-		if rec != nil {
-			rec.Record(tid, c)
-			if list != nil {
-				rec.AddBusy(tid, time.Since(start))
-			}
-		}
+		rec.Record(tid, c)
 	}
 }
 
 // mergeScatter folds the scatter buffer into the shared accumulators in
 // chunk-id order — the push-side analog of mergeAccum, running on one
-// thread after the barrier.
-func mergeScatter(r *ExecContext, fz *fuse) {
+// thread after the barrier. It returns the fold's wall.
+func mergeScatter(r *ExecContext, fz *fuse) time.Duration {
 	t0 := time.Now()
 	accum := r.accum
 	n := r.scatterBuf.Merge(func(dst uint32, v uint64) {
 		accum[dst] = fz.combine(accum[dst], v)
 	})
-	r.noteMerge(time.Since(t0))
-	if r.edgeRec != nil {
-		r.edgeRec.MergeTime += time.Since(t0)
-		r.edgeRec.Record(0, perfmodel.Counters{MergeOps: uint64(n), SharedWrites: uint64(n)})
-	}
+	r.edgeRec.Record(0, perfmodel.Counters{MergeOps: uint64(n), SharedWrites: uint64(n)})
+	return time.Since(t0)
 }
 
 // pushScalarBody builds the Compressed-Sparse Edge-Push chunk body, Fig

@@ -86,15 +86,9 @@ type ExecContext struct {
 	edgeRec, vertexRec *perfmodel.Recorder
 
 	// tracer accumulates the per-phase breakdown when Options.Trace is set;
-	// nil otherwise. Only the driver goroutine writes it — workers feed the
-	// chunk counter below, which the driver swaps out at phase boundaries.
+	// nil otherwise. Only the driver goroutine writes it, folding in each
+	// round's record (round).
 	tracer *obs.TraceBuilder
-	// phaseChunks counts chunks executed since the last phase boundary
-	// (written by workers, hence atomic); the pendingMerge pair is
-	// driver-goroutine-only.
-	phaseChunks      atomic.Int64
-	pendingMergeWall time.Duration
-	pendingMergeN    int
 
 	// pullsDone counts the pull iterations the current run has completed —
 	// the evidence inPlace waits for. Driver goroutine only.
@@ -265,9 +259,6 @@ func (ec *ExecContext) Init(p apps.Program) {
 	if ec.tracer != nil {
 		ec.tracer.Reset()
 	}
-	ec.phaseChunks.Store(0)
-	ec.pendingMergeWall = 0
-	ec.pendingMergeN = 0
 	ec.pullsDone = 0
 }
 
@@ -295,8 +286,9 @@ func (ec *ExecContext) aborted() bool {
 // first panic is recorded (with stack) and the run aborts at the next chunk
 // boundary, while the worker, the pool, and sibling runs continue. The
 // core/chunk failpoint sits here so fault-injection tests can make exactly
-// one chunk of one run blow up, and so does the phase tracer's chunk count.
-func (ec *ExecContext) runChunk(body func(rg sched.Range, chunkID, tid, node int), rg sched.Range, chunkID, tid, node int) {
+// one chunk of one run blow up. A non-nil rec (an Edge phase under Record)
+// is charged the chunk's busy time: the only clock a chunk reads.
+func (ec *ExecContext) runChunk(rec *perfmodel.Recorder, body func(rg sched.Range, chunkID, tid, node int), rg sched.Range, chunkID, tid, node int) {
 	defer func() {
 		if r := recover(); r != nil {
 			ec.runErr.CompareAndSwap(nil, sched.NewPanicError(r))
@@ -305,29 +297,13 @@ func (ec *ExecContext) runChunk(body func(rg sched.Range, chunkID, tid, node int
 	if err := fault.Inject("core/chunk"); err != nil {
 		panic(err)
 	}
-	if ec.tracer != nil {
-		ec.phaseChunks.Add(1)
-	}
-	body(rg, chunkID, tid, node)
-}
-
-// takeMerge drains the merge wall time the edge-phase kernels accumulated
-// via noteMerge. Driver goroutine only.
-func (ec *ExecContext) takeMerge() (wall time.Duration, n int) {
-	wall, n = ec.pendingMergeWall, ec.pendingMergeN
-	ec.pendingMergeWall, ec.pendingMergeN = 0, 0
-	return wall, n
-}
-
-// noteMerge records one merge fold's wall time. The merge runs on the
-// driver goroutine inside the edge-phase window; runLoop subtracts this from
-// the edge wall so the merge phase is not double-counted.
-func (ec *ExecContext) noteMerge(wall time.Duration) {
-	if ec.tracer == nil {
+	if rec == nil {
+		body(rg, chunkID, tid, node)
 		return
 	}
-	ec.pendingMergeWall += wall
-	ec.pendingMergeN++
+	start := time.Now()
+	body(rg, chunkID, tid, node)
+	rec.AddBusy(tid, time.Since(start))
 }
 
 // nodeState is one simulated NUMA node's chunk-ticket state within a
@@ -344,8 +320,9 @@ type nodeState struct {
 // chunkSize, topology), so the merge buffer can be preallocated. body
 // receives the chunk range, its global id, the worker id, and the node.
 // When the run's context is cancelled, no further chunks are claimed;
-// in-flight chunks complete.
-func (ec *ExecContext) dispatch(part numa.Partition, chunkSize int, rec *perfmodel.Recorder, body func(rg sched.Range, chunkID, tid, node int)) {
+// in-flight chunks complete. dispatch serves Edge phases only, and returns
+// the number of chunks it cut.
+func (ec *ExecContext) dispatch(part numa.Partition, chunkSize int, body func(rg sched.Range, chunkID, tid, node int)) int {
 	nodes := part.Nodes()
 	if len(ec.nodeStates) < nodes {
 		ec.nodeStates = make([]nodeState, nodes)
@@ -361,7 +338,7 @@ func (ec *ExecContext) dispatch(part numa.Partition, chunkSize int, rec *perfmod
 		base += states[n].numChunks
 	}
 	if base == 0 {
-		return
+		return 0
 	}
 	ec.mergeBuf.Grow(base)
 	ec.pool.Run(func(tid int) {
@@ -381,15 +358,10 @@ func (ec *ExecContext) dispatch(part numa.Partition, chunkSize int, rec *perfmod
 			if end > hi {
 				end = hi
 			}
-			if rec != nil {
-				start := time.Now()
-				ec.runChunk(body, sched.Range{Lo: lo, Hi: end}, st.chunkBase+local, tid, node)
-				rec.AddBusy(tid, time.Since(start))
-			} else {
-				ec.runChunk(body, sched.Range{Lo: lo, Hi: end}, st.chunkBase+local, tid, node)
-			}
+			ec.runChunk(ec.edgeRec, body, sched.Range{Lo: lo, Hi: end}, st.chunkBase+local, tid, node)
 		}
 	})
+	return base
 }
 
 // Result reports a completed run.
@@ -409,7 +381,7 @@ type Result struct {
 	// EdgeCounters and VertexCounters aggregate the perfmodel counters
 	// (zero unless Options.Record).
 	EdgeCounters, VertexCounters perfmodel.Counters
-	// EdgeProfile is the Fig 5b Work/Merge/Write/Idle breakdown.
+	// EdgeProfile is the Fig 5b Work/Merge/Idle breakdown.
 	EdgeProfile perfmodel.Breakdown
 	// Trace is the per-phase breakdown (empty unless Options.Trace).
 	Trace obs.RunTrace
@@ -466,9 +438,10 @@ func RunCtx(ctx context.Context, r *Runner, p apps.Program, maxIters int, seed *
 
 // runLoop is the iteration loop: per iteration, the frontier census, the
 // direction choice (Policy.Choose), then either one fused list-driven round
-// or a full Edge phase (its ordered merge included) followed by the Vertex
-// phase and the frontier publish (DESIGN.md §13). It stops at maxIters, when
-// the frontier empties, or when the run aborts (cancelled or panicked).
+// or a full Edge phase (its ordered merge included), each followed by the
+// Vertex phase and the frontier publish (DESIGN.md §13), and the round's
+// record folded into the Result (fold). It stops at maxIters, when the
+// frontier empties, or when the run aborts (cancelled or panicked).
 func runLoop(ec *ExecContext, p apps.Program, maxIters int, seed *Seed) (Result, error) {
 	start := time.Now()
 	ec.Init(p)
@@ -517,48 +490,26 @@ func runLoop(ec *ExecContext, p apps.Program, maxIters int, seed *Seed) (Result,
 		}
 		p.PreIteration(ec.props)
 
-		dir := policy.Choose(st)
-		switch dir {
+		rd := round{dir: policy.Choose(st), density: st.Density}
+		// The Vertex phase visits every vertex, or only the list-driven
+		// round's touched destinations, inline when its Edge phase was.
+		var list []uint32
+		n, inline := ec.g.N, false
+		t0 := time.Now()
+		switch rd.dir {
 		case DirSparse:
 			chunks := cs.chunks(ec.pool.Workers())
-			t0 := time.Now()
-			touched := runEdgePushSparse(ec, p, cs.list, chunks)
-			t1 := time.Now()
-			edgeWall := t1.Sub(t0)
-			res.EdgeTime += edgeWall
-			ec.traceEdge(obs.PhaseEdgePush, edgeWall, st.Density)
-			runVertex(ec, p, touched, len(touched), chunks == 1)
-			vertexWall := time.Since(t1)
-			res.VertexTime += vertexWall
-			ec.traceVertex(vertexWall, st.Density)
-			res.PushIterations++
-			res.SparseIterations++
+			rd.edgeCost = runEdgePushSparse(ec, p, cs.list, chunks)
+			list, n, inline = ec.touchedList, len(ec.touchedList), chunks == 1
+		case DirPull:
+			rd.edgeCost = RunEdgePull(ec, p)
 		default:
-			t0 := time.Now()
-			ph := obs.PhaseEdgePush
-			if dir == DirPull {
-				RunEdgePull(ec, p)
-				ph = obs.PhaseEdgePull
-			} else {
-				RunEdgePush(ec, p)
-			}
-			edgeWall := time.Since(t0)
-			res.EdgeTime += edgeWall
-			ec.traceEdge(ph, edgeWall, st.Density)
-			t1 := time.Now()
-			RunVertex(ec, p)
-			vertexWall := time.Since(t1)
-			res.VertexTime += vertexWall
-			ec.traceVertex(vertexWall, st.Density)
-			if dir == DirPull {
-				res.PullIterations++
-				ec.pullsDone++
-			} else {
-				res.PushIterations++
-			}
+			rd.edgeCost = RunEdgePush(ec, p)
 		}
-		res.Iterations++
-		ec.noteDirection(dir.Mark())
+		t1 := time.Now()
+		rd.vertexChunks = runVertex(ec, p, list, n, inline)
+		rd.edge, rd.vertex = t1.Sub(t0), time.Since(t1)
+		ec.fold(&res, &rd)
 	}
 
 	res.Total = time.Since(start)
@@ -598,39 +549,59 @@ func (ec *ExecContext) frontierDegreeShare() float64 {
 	return float64(sum) / float64(ec.g.Edges)
 }
 
-// noteDirection appends one iteration's direction mark to the run trace.
-func (ec *ExecContext) noteDirection(mark byte) {
-	if ec.tracer == nil {
-		return
-	}
-	ec.tracer.AddDirection(mark)
+// edgeCost is an Edge phase's share of its round's record, reported by the
+// driver that ran the phase: the chunks it cut and, when it ran a merge
+// fold, that the fold ran and its wall.
+type edgeCost struct {
+	edgeChunks int
+	merged     bool
+	merge      time.Duration
 }
 
-// traceEdge records a completed edge phase: the merge fold ran inside the
-// edge window on the driver goroutine, so its wall time is subtracted here
-// and reported as its own phase — the sum of per-phase walls then tiles the
-// iteration instead of double-counting the merge.
-func (ec *ExecContext) traceEdge(ph obs.Phase, edgeWall time.Duration, density float64) {
-	if ec.tracer == nil {
-		return
-	}
-	chunks := ec.phaseChunks.Swap(0)
-	mergeWall, mergeN := ec.takeMerge()
-	if mergeWall > edgeWall {
-		mergeWall = edgeWall // clock skew guard; keeps both walls nonnegative
-	}
-	ec.tracer.AddPhase(ph, edgeWall-mergeWall, chunks, density)
-	if mergeN > 0 {
-		ec.tracer.AddPhase(obs.PhaseMerge, mergeWall, 0, density)
-	}
+// round is one iteration's record. runLoop reads the clock once per phase
+// boundary — the Edge phase's start, the Vertex phase's start and its end;
+// a merge fold reads its own start and end — and the census and the
+// direction choice stay outside both walls.
+type round struct {
+	dir     Direction
+	density float64
+	// edge is the Edge phase's wall, its merge fold included.
+	edge, vertex time.Duration
+	edgeCost
+	vertexChunks int
 }
 
-// traceVertex records a completed vertex phase.
-func (ec *ExecContext) traceVertex(wall time.Duration, density float64) {
-	if ec.tracer == nil {
-		return
+// fold adds one round's record to the Result, the tracer and, under Record,
+// the Edge Recorder. The trace reports the merge fold as a phase of its own
+// and the rest of the Edge wall as the Edge phase's, so the traced walls sum
+// to EdgeTime and VertexTime exactly, and the Recorder's Wall is EdgeTime.
+func (ec *ExecContext) fold(res *Result, rd *round) {
+	res.Iterations++
+	res.EdgeTime += rd.edge
+	res.VertexTime += rd.vertex
+	ph := obs.PhaseEdgePush
+	if rd.dir == DirPull {
+		ph = obs.PhaseEdgePull
+		res.PullIterations++
+		ec.pullsDone++
+	} else {
+		res.PushIterations++
 	}
-	ec.tracer.AddPhase(obs.PhaseVertex, wall, ec.phaseChunks.Swap(0), density)
+	if rd.dir == DirSparse {
+		res.SparseIterations++
+	}
+	if ec.edgeRec != nil {
+		ec.edgeRec.Wall += rd.edge
+		ec.edgeRec.MergeTime += rd.merge
+	}
+	if t := ec.tracer; t != nil {
+		t.AddPhase(ph, rd.edge-rd.merge, int64(rd.edgeChunks), rd.density)
+		if rd.merged {
+			t.AddPhase(obs.PhaseMerge, rd.merge, 0, rd.density)
+		}
+		t.AddPhase(obs.PhaseVertex, rd.vertex, int64(rd.vertexChunks), rd.density)
+		t.AddDirection(rd.dir.Mark())
+	}
 }
 
 // firstTop returns the top-level vertex of vector vi in array a — the

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/apps"
 	"repro/internal/sched"
 )
@@ -79,49 +77,41 @@ func (cs census) chunks(workers int) int {
 
 // runEdgePushSparse is the list-driven round's Edge-Push driver: it scatters
 // only the frontier's out-edges through pushBody, collecting the set of
-// touched destinations, in the given number of chunks (one runs inline on
-// the driver goroutine, the others on the pool). It returns the touched
-// list for the list-driven Vertex phase. Under Record the round charges its
-// body's counters and per-chunk busy time and the phase's Wall, but no
-// InvalidLanes and no Local/Remote split.
-func runEdgePushSparse(r *ExecContext, p apps.Program, front []uint32, chunks int) []uint32 {
+// touched destinations into r.touchedList for the list-driven Vertex phase,
+// in the given number of chunks (one runs inline on the driver goroutine,
+// the others on the pool). It returns the chunks it cut and its merge
+// fold's wall. Under Record the round charges its body's counters, but no
+// InvalidLanes and no Local/Remote split; runChunk charges each chunk's busy
+// time.
+func runEdgePushSparse(r *ExecContext, p apps.Program, front []uint32, chunks int) edgeCost {
 	inline := chunks == 1
-	rec := r.edgeRec
-	// The clock is read only for a Recorder: a mesh search runs hundreds of
-	// these rounds, most of them one inline chunk.
-	var t0 time.Time
-	if rec != nil {
-		t0 = time.Now()
-	}
 	fz := fuseFor(p, p.Weighted() && r.g.VSS.Weights != nil)
 	r.touched.Clear()
 	body := pushBody(r, &fz, front, inline)
 
+	// The frontier list is sorted, so chunk ranges — and the scatter
+	// buffer's fold of an ordered program's contributions — are stable
+	// across runs.
+	chunk := len(front)
+	if !inline {
+		chunk = sched.ChunkSize(len(front), chunks)
+	}
+	cost := edgeCost{edgeChunks: sched.NumChunks(len(front), chunk)}
+	if fz.ordered {
+		r.scatterBuf.Grow(cost.edgeChunks)
+	}
 	if inline {
-		if fz.ordered {
-			r.scatterBuf.Grow(1)
-		}
-		r.runChunk(body, sched.Range{Lo: 0, Hi: len(front)}, 0, 0, 0)
+		r.runChunk(r.edgeRec, body, sched.Range{Lo: 0, Hi: len(front)}, 0, 0, 0)
 	} else {
-		chunk := sched.ChunkSize(len(front), chunks)
-		// The frontier list is sorted, so chunk ranges — and the scatter
-		// buffer's fold of an ordered program's contributions — are stable
-		// across runs.
-		if fz.ordered {
-			r.scatterBuf.Grow(sched.NumChunks(len(front), chunk))
-		}
 		r.pool.DynamicFor(len(front), chunk, func(rg sched.Range, chunkID, tid int) {
 			if !r.aborted() {
-				r.runChunk(body, rg, chunkID, tid, 0)
+				r.runChunk(r.edgeRec, body, rg, chunkID, tid, 0)
 			}
 		})
 	}
 	if fz.ordered {
-		mergeScatter(r, &fz)
-	}
-	if rec != nil {
-		rec.Wall += time.Since(t0)
+		cost.merged, cost.merge = true, mergeScatter(r, &fz)
 	}
 	r.touchedList = r.touched.AppendTo(r.touchedList[:0])
-	return r.touchedList
+	return cost
 }

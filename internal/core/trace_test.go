@@ -254,21 +254,101 @@ func TestTraceShapePinned(t *testing.T) {
 				r := NewRunner(cg, opt)
 				for _, name := range v.apps {
 					key := fmt.Sprintf("%s1/w%d/%s/%s", d.Abbrev(), workers, v.name, name)
-					ent, err := apps.Lookup(name)
-					if err != nil {
-						t.Fatal(err)
-					}
-					p := ent.Normalize(apps.Params{Iters: 4, Root: 1, K: 3})
-					prog, err := ent.New(cg, p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := traceShape(Run(r, prog, ent.MaxIters(p)))
+					prog, iters := registryProgram(t, cg, name)
+					got := traceShape(Run(r, prog, iters))
 					if want, ok := tracePins[key]; !ok || got != want {
 						t.Errorf("%q: %q,\n\twant %q", key, got, want)
 					}
 				}
 				r.Close()
+			}
+		}
+	}
+}
+
+// registryProgram builds the registered program name on cg, with a root of
+// 1, k = 3 and four iterations where it takes them, and returns it with its
+// iteration bound.
+func registryProgram(t *testing.T, cg *Graph, name string) (apps.Program, int) {
+	t.Helper()
+	ent, err := apps.Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := ent.Normalize(apps.Params{Iters: 4, Root: 1, K: 3})
+	prog, err := ent.New(cg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog, ent.MaxIters(p)
+}
+
+// TestPhaseWallsOneReading holds the trace, the Result and the Fig 5b
+// profile to one clock reading per phase boundary: the trace's Edge and
+// merge walls sum to EdgeTime exactly and its vertex wall is VertexTime,
+// the profile's Merge is the trace's merge wall, and the profile's span is
+// workers × EdgeTime. It covers a merge fold (pr), the mesh's pull and
+// in-place rounds (cc), its pull, dense push and list-driven rounds (cc on
+// the traditional interface), its list-driven rounds (bfs), and an ordered
+// push, dense (push-only pr) and list-driven (kcore).
+func TestPhaseWallsOneReading(t *testing.T) {
+	skewed := BuildGraph(gen.Generate(gen.Twitter, 1))
+	mesh := BuildGraph(gen.Generate(gen.DimacsUSA, 1))
+	for _, c := range []struct {
+		name  string
+		cg    *Graph
+		opt   Options
+		app   string
+		marks string // direction marks the run must include
+		merge bool   // whether its trace must carry a merge phase
+	}{
+		{"T/pr", skewed, Options{}, "pr", "<", true},
+		{"D/cc", mesh, Options{}, "cc", "<", true},
+		{"D/cc/traditional", mesh, Options{Variant: PullTraditional}, "cc", "<>s", true},
+		{"D/bfs", mesh, Options{}, "bfs", "s", false},
+		{"T/pr/push", skewed, Options{Mode: EnginePushOnly}, "pr", ">", true},
+		{"D/kcore", mesh, Options{}, "kcore", "s", true},
+	} {
+		for _, workers := range []int{1, 2} {
+			opt := c.opt
+			opt.Workers, opt.Trace, opt.Record = workers, true, true
+			r := NewRunner(c.cg, opt)
+			prog, iters := registryProgram(t, c.cg, c.app)
+			res := Run(r, prog, iters)
+			r.Close()
+			name := fmt.Sprintf("%s/w%d", c.name, workers)
+			for _, m := range c.marks {
+				if !strings.ContainsRune(res.Trace.Directions, m) {
+					t.Errorf("%s: directions %q have no %q round", name, res.Trace.Directions, m)
+				}
+			}
+			var edge, merge, vertex time.Duration
+			for _, ph := range res.Trace.Phases {
+				switch ph.Phase {
+				case "edge-pull", "edge-push":
+					edge += ph.Wall
+				case "merge":
+					merge = ph.Wall
+				case "vertex":
+					vertex = ph.Wall
+				}
+			}
+			if _, ok := phaseByName(res.Trace, "merge"); ok != c.merge {
+				t.Errorf("%s: merge phase traced = %v, want %v", name, ok, c.merge)
+			}
+			if edge+merge != res.EdgeTime {
+				t.Errorf("%s: edge %v + merge %v != EdgeTime %v", name, edge, merge, res.EdgeTime)
+			}
+			if vertex != res.VertexTime {
+				t.Errorf("%s: vertex %v != VertexTime %v", name, vertex, res.VertexTime)
+			}
+			prof := res.EdgeProfile
+			if prof.Merge != merge {
+				t.Errorf("%s: profile Merge %v != traced merge %v", name, prof.Merge, merge)
+			}
+			if span := time.Duration(workers) * res.EdgeTime; prof.Idle > 0 && prof.Work+prof.Merge+prof.Idle != span {
+				t.Errorf("%s: Work %v + Merge %v + Idle %v != workers × EdgeTime %v",
+					name, prof.Work, prof.Merge, prof.Idle, span)
 			}
 		}
 	}

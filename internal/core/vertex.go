@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync/atomic"
-	"time"
 
 	"repro/internal/apps"
 	"repro/internal/perfmodel"
@@ -38,24 +37,22 @@ func RunVertex(r *ExecContext, p apps.Program) { runVertex(r, p, nil, r.g.N, fal
 // untouched vertices is exact: they hold identity aggregates, and Apply(old,
 // Identity, v) == (old, false) for every frontier-driven program (the
 // registry conformance suite holds them to it). inline runs the phase as one
-// chunk on the driver goroutine.
-func runVertex(r *ExecContext, p apps.Program, list []uint32, n int, inline bool) {
-	t0 := time.Now()
+// chunk on the driver goroutine. It returns the number of chunks it cut.
+func runVertex(r *ExecContext, p apps.Program, list []uint32, n int, inline bool) int {
 	body := vertexBodyFor(r, p, list)
 	r.next.Clear()
+	chunks := 1
 	if inline {
-		r.runChunk(body, sched.Range{Lo: 0, Hi: n}, 0, 0, 0)
+		r.runChunk(nil, body, sched.Range{Lo: 0, Hi: n}, 0, 0, 0)
 	} else {
-		r.pool.StaticFor(n, func(rg sched.Range, tid int) {
+		chunks = r.pool.StaticFor(n, func(rg sched.Range, tid int) {
 			if !r.aborted() {
-				r.runChunk(body, rg, 0, tid, 0)
+				r.runChunk(nil, body, rg, 0, tid, 0)
 			}
 		})
 	}
 	r.publishFrontier()
-	if r.vertexRec != nil {
-		r.vertexRec.Wall += time.Since(t0)
-	}
+	return chunks
 }
 
 // vertexBodyFor returns p's Vertex-phase body: selectBody or applyBody. With
@@ -108,7 +105,6 @@ func selectBody(r *ExecContext, p apps.Program, list []uint32, once bool) func(r
 	skipIdle := p.UsesFrontier() && !r.opt.AblateFrontierWork
 	return func(rg sched.Range, _, tid, _ int) {
 		var c perfmodel.Counters
-		start := r.startVertexRange()
 		fb := r.newWordBits(p, list, rg)
 		if list != nil {
 			for _, v := range list[rg.Lo:rg.Hi] {
@@ -163,7 +159,7 @@ func selectBody(r *ExecContext, p apps.Program, list []uint32, once bool) func(r
 			}
 		}
 		fb.flush()
-		r.endVertexRange(tid, c, start)
+		r.vertexRec.Record(tid, c)
 	}
 }
 
@@ -183,7 +179,6 @@ func applyBody(r *ExecContext, p apps.Program, list []uint32) func(rg sched.Rang
 	skipIdle := p.UsesFrontier() && !r.opt.AblateFrontierWork
 	return func(rg sched.Range, _, tid, _ int) {
 		var c perfmodel.Counters
-		start := r.startVertexRange()
 		fb := r.newWordBits(p, list, rg)
 		apply := func(v uint32) {
 			nv, changed := p.Apply(props[v], accum[v], v)
@@ -231,7 +226,7 @@ func applyBody(r *ExecContext, p apps.Program, list []uint32) func(rg sched.Rang
 			}
 		}
 		fb.flush()
-		r.endVertexRange(tid, c, start)
+		r.vertexRec.Record(tid, c)
 	}
 }
 
@@ -246,22 +241,6 @@ func bit(b bool) uint64 {
 		return 1
 	}
 	return 0
-}
-
-// startVertexRange reads the clock for a Record run's busy time.
-func (r *ExecContext) startVertexRange() time.Time {
-	if r.vertexRec == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// endVertexRange charges a range's counters and busy time to a Record run.
-func (r *ExecContext) endVertexRange(tid int, c perfmodel.Counters, start time.Time) {
-	if r.vertexRec != nil {
-		r.vertexRec.Record(tid, c)
-		r.vertexRec.AddBusy(tid, time.Since(start))
-	}
 }
 
 // wordBits collects one range's changed-vertex bits a 64-vertex word at a

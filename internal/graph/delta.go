@@ -107,9 +107,9 @@ func EncodeDeltaHeader(lineage, baseSeq uint64) []byte {
 	return h
 }
 
-// DecodeDeltaHeader parses a delta log header. Any failure is ErrCorrupt:
+// decodeDeltaHeader parses a delta log header. Any failure is ErrCorrupt:
 // a log whose header cannot be trusted has no safely decodable suffix.
-func DecodeDeltaHeader(b []byte) (lineage, baseSeq uint64, err error) {
+func decodeDeltaHeader(b []byte) (lineage, baseSeq uint64, err error) {
 	if len(b) < DeltaHeaderLen {
 		return 0, 0, fmt.Errorf("%w: delta header truncated (%d bytes)", ErrCorrupt, len(b))
 	}
@@ -167,7 +167,7 @@ type DeltaLog struct {
 // what was legible while it quarantines the segment.
 func DecodeDeltaLog(data []byte) (DeltaLog, error) {
 	var log DeltaLog
-	lineage, baseSeq, err := DecodeDeltaHeader(data)
+	lineage, baseSeq, err := decodeDeltaHeader(data)
 	if err != nil {
 		if len(data) < DeltaHeaderLen && canBeHeaderPrefix(data) {
 			// Shorter than one header and consistent with a crash during the

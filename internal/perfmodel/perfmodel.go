@@ -63,14 +63,12 @@ type Breakdown struct {
 	Work time.Duration
 	// Merge is time spent folding the merge buffer (scheduler-aware only).
 	Merge time.Duration
-	// Write is time spent in the final shared property write-back.
-	Write time.Duration
 	// Idle is worker time spent waiting at the phase barrier.
 	Idle time.Duration
 }
 
 // Total returns the summed profile time.
-func (b Breakdown) Total() time.Duration { return b.Work + b.Merge + b.Write + b.Idle }
+func (b Breakdown) Total() time.Duration { return b.Work + b.Merge + b.Idle }
 
 // paddedCounters keeps each worker's counters on separate cache lines so
 // that recording does not itself create the write conflicts it measures.
@@ -87,11 +85,12 @@ const unsafeSizeMod = 96 % 128
 type Recorder struct {
 	lanes []paddedCounters
 	busy  []time.Duration
-	// Wall is the wall-clock duration of the measured phase; set by the
-	// engine that owns the Recorder.
-	Wall time.Duration
-	// MergeTime and WriteTime profile the post-parallel sections.
-	MergeTime, WriteTime time.Duration
+	// Wall is the measured phase's wall time, summed over its rounds, and
+	// MergeTime the share of it spent in the merge fold after the parallel
+	// section. The engine that owns the Recorder sets both from the clock
+	// readings it reports the phase with (core: Result.EdgeTime and the
+	// trace's merge phase).
+	Wall, MergeTime time.Duration
 }
 
 // NewRecorder creates a recorder for the given worker count.
@@ -129,19 +128,18 @@ func (r *Recorder) Total() Counters {
 }
 
 // Profile derives the Fig 5b breakdown: Work is summed busy time, Idle is
-// the barrier wait (workers × wall − busy − merge − write, clamped at zero).
+// the barrier wait (workers × wall − busy − merge, clamped at zero).
 func (r *Recorder) Profile() Breakdown {
 	if r == nil {
 		return Breakdown{}
 	}
 	var b Breakdown
 	b.Merge = r.MergeTime
-	b.Write = r.WriteTime
 	for _, d := range r.busy {
 		b.Work += d
 	}
 	span := r.Wall * time.Duration(len(r.busy))
-	if idle := span - b.Work - b.Merge - b.Write; idle > 0 {
+	if idle := span - b.Work - b.Merge; idle > 0 {
 		b.Idle = idle
 	}
 	return b
@@ -158,5 +156,5 @@ func (r *Recorder) Reset() {
 	for i := range r.busy {
 		r.busy[i] = 0
 	}
-	r.Wall, r.MergeTime, r.WriteTime = 0, 0, 0
+	r.Wall, r.MergeTime = 0, 0
 }

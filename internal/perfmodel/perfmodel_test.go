@@ -44,14 +44,13 @@ func TestProfileBreakdown(t *testing.T) {
 	r.AddBusy(1, 50*time.Millisecond)
 	r.Wall = 60 * time.Millisecond
 	r.MergeTime = 5 * time.Millisecond
-	r.WriteTime = 5 * time.Millisecond
 	b := r.Profile()
 	if b.Work != 80*time.Millisecond {
 		t.Errorf("Work = %v", b.Work)
 	}
-	// span = 120ms; idle = 120 - 80 - 5 - 5 = 30ms.
-	if b.Idle != 30*time.Millisecond {
-		t.Errorf("Idle = %v, want 30ms", b.Idle)
+	// span = 120ms; idle = 120 - 80 - 5 = 35ms.
+	if b.Idle != 35*time.Millisecond {
+		t.Errorf("Idle = %v, want 35ms", b.Idle)
 	}
 	if b.Total() != 120*time.Millisecond {
 		t.Errorf("Total = %v", b.Total())

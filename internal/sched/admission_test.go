@@ -253,7 +253,7 @@ func TestAdmissionChurnExactAccounting(t *testing.T) {
 				return
 			}
 			defer release()
-			err = p.DynamicForCtx(ctx, 64, 8, func(r Range, chunkID, tid int) {
+			err = p.dynamicForCtx(ctx, 64, 8, func(r Range, chunkID, tid int) {
 				if i%7 == 3 && chunkID == 2 {
 					panic("churn")
 				}

@@ -109,7 +109,7 @@ func TestDynamicForCtxCancel(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		var started atomic.Int64
 		var completed atomic.Int64
-		err := p.DynamicForCtx(ctx, 10000, 10, func(r Range, chunkID, tid int) {
+		err := p.dynamicForCtx(ctx, 10000, 10, func(r Range, chunkID, tid int) {
 			// Later chunks wait for the cancellation: empty chunks take
 			// nanoseconds and cancel() microseconds, so the other workers
 			// could otherwise drain all 1000 before it lands.
@@ -139,7 +139,7 @@ func TestDynamicForCtxPreCancelled(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		ran := atomic.Int64{}
-		err := p.DynamicForCtx(ctx, 1000, 10, func(Range, int, int) { ran.Add(1) })
+		err := p.dynamicForCtx(ctx, 1000, 10, func(Range, int, int) { ran.Add(1) })
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
@@ -154,7 +154,7 @@ func TestDynamicForCtxPreCancelled(t *testing.T) {
 func TestDynamicForCtxNilError(t *testing.T) {
 	withPool(t, 2, func(p *Pool) {
 		var n atomic.Int64
-		if err := p.DynamicForCtx(context.Background(), 100, 7, func(r Range, _, _ int) {
+		if err := p.dynamicForCtx(context.Background(), 100, 7, func(r Range, _, _ int) {
 			n.Add(int64(r.Len()))
 		}); err != nil {
 			t.Fatalf("err = %v", err)

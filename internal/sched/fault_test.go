@@ -74,7 +74,7 @@ func TestRunPanicDoesNotDisturbSiblingJob(t *testing.T) {
 		var panicErr error
 		go func() {
 			defer wg.Done()
-			panicErr = p.DynamicForCtx(context.Background(), 64, 1, func(r Range, chunkID, tid int) {
+			panicErr = p.dynamicForCtx(context.Background(), 64, 1, func(r Range, chunkID, tid int) {
 				if chunkID == 13 {
 					panic("chunk 13")
 				}
@@ -108,7 +108,7 @@ func TestDynamicForCtxPanicFailFast(t *testing.T) {
 	defer p.Close()
 	const chunks = 10000
 	var executed atomic.Int64
-	err := p.DynamicForCtx(context.Background(), chunks, 1, func(r Range, chunkID, tid int) {
+	err := p.dynamicForCtx(context.Background(), chunks, 1, func(r Range, chunkID, tid int) {
 		if executed.Add(1) == 3 {
 			panic("early")
 		}
@@ -117,7 +117,7 @@ func TestDynamicForCtxPanicFailFast(t *testing.T) {
 	})
 	var pe *PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("DynamicForCtx = %v, want *PanicError", err)
+		t.Fatalf("dynamicForCtx = %v, want *PanicError", err)
 	}
 	if n := executed.Load(); n > chunks/10 {
 		t.Errorf("executed %d of %d chunks after panic, expected fail-fast", n, chunks)

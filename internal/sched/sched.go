@@ -427,20 +427,19 @@ func NumChunks(total, chunkSize int) int {
 // are independent.
 //
 // A panic in body is contained by the pool (workers and sibling jobs
-// survive) and rethrown on the calling goroutine as a *PanicError; callers
-// that want it as a value use DynamicForCtx.
+// survive) and rethrown on the calling goroutine as a *PanicError.
 func (p *Pool) DynamicFor(total, chunkSize int, body func(r Range, chunkID, tid int)) {
-	Rethrow(p.DynamicForCtx(context.Background(), total, chunkSize, body))
+	rethrow(p.dynamicForCtx(context.Background(), total, chunkSize, body))
 }
 
-// DynamicForCtx is DynamicFor with cancellation and panic containment at
+// dynamicForCtx is DynamicFor with cancellation and panic containment at
 // chunk granularity: when ctx is cancelled, no further chunks are claimed,
 // in-flight chunks run to completion, and the error (ctx.Err()) is
 // returned. When a chunk body panics, the panic is captured as a
 // *PanicError, no executor claims further chunks (fail fast — the loop's
 // output is already lost), and the error is returned. A nil error means
 // every chunk executed.
-func (p *Pool) DynamicForCtx(ctx context.Context, total, chunkSize int, body func(r Range, chunkID, tid int)) error {
+func (p *Pool) dynamicForCtx(ctx context.Context, total, chunkSize int, body func(r Range, chunkID, tid int)) error {
 	numChunks := NumChunks(total, chunkSize)
 	if numChunks == 0 {
 		return ctx.Err()
@@ -498,12 +497,12 @@ func (p *Pool) runChunk(panicked *atomic.Pointer[PanicError], body func(r Range,
 	body(rg, chunkID, tid)
 }
 
-// Rethrow re-raises a *PanicError returned by an error-reporting loop on
+// rethrow re-raises a *PanicError returned by an error-reporting loop on
 // the current goroutine — how the fire-and-forget loop variants (DynamicFor,
 // StaticFor, ...) preserve their historical contract that a body panic is
 // visible at the call site rather than silently swallowed. Non-panic errors
 // (and nil) pass through untouched.
-func Rethrow(err error) {
+func rethrow(err error) {
 	var pe *PanicError
 	if errors.As(err, &pe) {
 		panic(pe)
@@ -512,14 +511,15 @@ func Rethrow(err error) {
 
 // StaticFor divides [0, total) into one contiguous chunk per worker —
 // Grazelle's Vertex-phase scheduler, where work is regular enough that load
-// balancing is not a problem. A panic in body fails only this loop (the
-// pool survives) and is rethrown on the calling goroutine as a *PanicError.
-func (p *Pool) StaticFor(total int, body func(r Range, tid int)) {
+// balancing is not a problem — and returns the number of chunks it cut. A
+// panic in body fails only this loop (the pool survives) and is rethrown on
+// the calling goroutine as a *PanicError.
+func (p *Pool) StaticFor(total int, body func(r Range, tid int)) int {
 	if total == 0 {
-		return
+		return 0
 	}
 	per := (total + p.workers - 1) / p.workers
-	Rethrow(p.Run(func(tid int) {
+	rethrow(p.Run(func(tid int) {
 		lo := tid * per
 		if lo >= total {
 			return
@@ -530,6 +530,7 @@ func (p *Pool) StaticFor(total int, body func(r Range, tid int)) {
 		}
 		body(Range{Lo: lo, Hi: hi}, tid)
 	}))
+	return NumChunks(total, per)
 }
 
 // ParallelFor is the traditional interface (Cilk Plus / OpenMP style): the
