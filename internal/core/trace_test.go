@@ -179,9 +179,9 @@ func traceShape(res Result) string {
 	return b.String()
 }
 
-// tracePins holds each cell's traceShape, taken before one round record
-// came to time every phase: the record must leave every iteration counter,
-// direction, phase, chunk count and density of a completed run as it was.
+// tracePins holds each cell's traceShape: the part of a completed run's
+// trace and counters that no clock reading decides, so it is the same on
+// every run of the cell.
 var tracePins = map[string]string{
 	"T1/w1/default/pr":     "it=4 pull=4 push=0 sparse=0 dirs=<4 | edge-pull 4 it 128 ch [1,1] | vertex 4 it 4 ch [1,1] | merge 4 it 0 ch [1,1]",
 	"T1/w1/default/cc":     "it=4 pull=3 push=1 sparse=1 dirs=<3s1 | edge-pull 3 it 96 ch [0.502685546875,1] | edge-push 1 it 1 ch [0.009033203125,0.009033203125] | vertex 4 it 4 ch [0.009033203125,1] | merge 3 it 0 ch [0.502685546875,1]",
