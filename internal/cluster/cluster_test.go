@@ -55,13 +55,28 @@ func newTestService(t *testing.T) *service.Service {
 	return service.New(service.Config{Store: st, MaxTimeout: time.Minute, Workers: 2, RunHistory: 16})
 }
 
-// newTestWorker is one in-process worker: a real service behind the worker's
-// private mux.
+// newTestWorker is one in-process worker: a real service behind workerMux.
 func newTestWorker(t *testing.T) *httptest.Server {
 	t.Helper()
-	ts := httptest.NewServer(NewWorker(newTestService(t)).Mux())
+	ts := httptest.NewServer(workerMux(NewWorker(newTestService(t))))
 	t.Cleanup(ts.Close)
 	return ts
+}
+
+// workerMux is the minimal handler set an in-process worker needs: the run
+// endpoint plus a readiness probe. The real worker process serves these
+// routes from the full serve mux instead.
+func workerMux(wk *Worker) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /internal/run", wk.HandleRun)
+	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
+		if err := wk.svc.Store().Ready(); err != nil {
+			writeClusterError(w, http.StatusServiceUnavailable, "unready", err)
+			return
+		}
+		w.Write([]byte("ok\n"))
+	})
+	return mux
 }
 
 // verdictWorker is a worker whose /internal/run always answers with the

@@ -34,22 +34,6 @@ func NewWorker(svc *service.Service) *Worker {
 	}
 }
 
-// Mux returns a minimal handler set for in-process tests and harnesses:
-// the run endpoint plus a readiness probe. The real worker process serves
-// these routes from the full serve mux instead.
-func (wk *Worker) Mux() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /internal/run", wk.HandleRun)
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		if err := wk.svc.Store().Ready(); err != nil {
-			writeClusterError(w, http.StatusServiceUnavailable, "unready", err)
-			return
-		}
-		w.Write([]byte("ok\n"))
-	})
-	return mux
-}
-
 // HandleRun is the codec of POST /internal/run: decode, run the query through
 // the service exactly as this process's own /v1/query would — under the
 // router's run ID and shape expectation — and return the finished response

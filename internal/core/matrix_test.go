@@ -55,7 +55,8 @@ import (
 
 // Edge-Pull bodies, the path table's vocabulary.
 const (
-	pathSpan        = "span walk"           // pullSpanBody by run span: vec.RankSumRun, laneFold, a Record run's min-prop rounds
+	pathSpan        = "span walk"           // pullSpanBody by run span: laneFold, a Record run's rank-sum and min-prop rounds
+	pathRankSum     = "rank-sum chunk walk" // pullSpanBody: one vec.RankSumChunk call per chunk
 	pathChunk       = "min-prop chunk walk" // pullSpanBody: one vec.MinPropChunk call per chunk
 	pathMinSrc      = "min-src chunk walk"  // pullSpanBody: one vec.MinSrcChunk call per chunk
 	pathVector      = "vector walk"         // pullSABody, vector by vector
@@ -68,7 +69,8 @@ const (
 var closurePaths = []struct{ suffix, path string }{
 	{".pullSpanBody.func1", pathChunk},
 	{".pullSpanBody.func2", pathMinSrc},
-	{".pullSpanBody.func3", pathSpan},
+	{".pullSpanBody.func3", pathRankSum},
+	{".pullSpanBody.func4", pathSpan},
 	{".pullSABody.func1", pathVector},
 }
 
@@ -126,11 +128,11 @@ var matrixPulls = map[string]struct{ fused, generic, vertex string }{
 	"cc":    {pathChunk, pathVector, armMin},
 	"kcore": {pathVector, "", armApply},
 	"lp":    {pathSpan, "", armApply},
-	"ppr":   {pathSpan, pathSpan, armApply},
-	"pr":    {pathSpan, pathSpan, armApply},
+	"ppr":   {pathRankSum, pathSpan, armApply},
+	"pr":    {pathRankSum, pathSpan, armApply},
 	"sssp":  {pathVector, pathVector, armApply},
 	"tc":    {pathSpan, "", armApply},
-	"wpr":   {pathSpan, pathSpan, armApply},
+	"wpr":   {pathRankSum, pathSpan, armApply},
 }
 
 // matrixApp is one program row of the matrix.
@@ -211,14 +213,14 @@ func fixedPath(path string) func(matrixApp, bool) string {
 	return func(matrixApp, bool) string { return path }
 }
 
-// recordPath: a Record run counts a min-prop round per run span, and its
-// in-place rounds and a min-src program's rounds vector by vector; every
-// other program keeps its path.
+// recordPath: a Record run counts a rank-sum or min-prop round per run span,
+// and its in-place rounds and a min-src program's rounds vector by vector;
+// every other program keeps its path.
 func recordPath(app matrixApp, inPlace bool) string {
 	switch {
 	case app.pull == pathMinSrc || app.pull == pathChunk && inPlace:
 		return pathVector
-	case app.pull == pathChunk:
+	case app.pull == pathChunk || app.pull == pathRankSum:
 		return pathSpan
 	}
 	return app.pull
@@ -684,7 +686,7 @@ func TestEquivalenceMatrix(t *testing.T) {
 			want   []string
 			format string
 		}{
-			{paths, []string{pathSpan, pathChunk, pathMinSrc, pathVector, pathTraditional, pathCS}, "no pull round ran the %s"},
+			{paths, []string{pathSpan, pathRankSum, pathChunk, pathMinSrc, pathVector, pathTraditional, pathCS}, "no pull round ran the %s"},
 			{arms, []string{armMin, armOnce, armApply}, "no Vertex phase ran the %s"},
 			{listDriven, []string{"bfs", "cc", "kcore", "sssp"}, "%s never ran a list-driven round"},
 			{fewer, []string{"cc", "sssp"}, "%s never finished in fewer iterations than the paper configuration: the in-place path did not run"},

@@ -152,9 +152,9 @@ type Options struct {
 	// benchmarks and the walk the chunk walks are tested against; not part
 	// of the public facade.
 	AblateFullVector bool
-	// AblateSIMD runs pullSpanBody's kernels on their pure-Go twins even
-	// where the CPU has AVX2: vec.RankSumRunGo for the rank-sum programs,
-	// vec.MinPropChunkGo for cc's chunk walk, synchronous and in place, and
+	// AblateSIMD runs pullSpanBody's chunk walks on their pure-Go twins
+	// even where the CPU has AVX2: vec.RankSumChunkGo for the rank-sum
+	// programs, vec.MinPropChunkGo for cc's, synchronous and in place, and
 	// vec.MinSrcChunkGo for bfs's. Each
 	// twin is bit-identical to its assembly, so this changes time only:
 	// benchfig fig10's real-SIMD column, the parity tests and the benchmarks'

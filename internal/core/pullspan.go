@@ -71,24 +71,28 @@ func (ec *ExecContext) pullsBySpan(p apps.Program, kind apps.FusedKind) bool {
 // equivalence matrix every round, to that walk). It needs no props gather:
 // its message is the source id.
 //
-// A rank sum or an unclassified program reduces each run span — the run's
-// vectors clipped to the chunk — in one call: vec.RankSumRun for a rank sum
-// (the AVX2 vgatherqpd loop where the CPU has it), laneFold for anything
-// else. A rank sum's per-edge term, props[n]·scale[n], is the same number on
-// every out-edge of n, so building the body first multiplies it out once per
-// vertex into the context's contrib array (refreshContrib) and the sweep
-// gathers that: one array read per lane instead of two. Each product was
-// already rounded on its own before it was added, so the lanes are the bits
-// the per-edge product gave.
+// A rank sum hands the chunk to one vec.RankSumChunk call the same way (the
+// AVX2 walk, one vgatherqpd per vector, where the CPU has it): each run is
+// summed lane by lane, an interior one added to accum[dst] inside the call and
+// the trailing one returned for the merge slot. A rank sum's per-edge term,
+// props[n]·scale[n], is the same number on every out-edge of n, so building
+// the body first multiplies it out once per vertex into the context's contrib
+// array (refreshContrib) and the sweep gathers that: one array read per lane
+// instead of two. Each product was already rounded on its own before it was
+// added, so the lanes are the bits the per-edge product gave.
 //
-// A Record run walks the chunk span by span in Go for every kind it admits,
-// so the counters are charged per run exactly as the vector walk charged
-// them; it does not admit bfs, whose early exit the vector walk charges.
+// An unclassified program reduces each run span — the run's vectors clipped
+// to the chunk — through its own Message and Combine (laneFold), in a Go walk
+// of the chunk run by run. A Record run walks the chunk that way for every
+// kind it admits, handing each clipped run of a rank sum or a min-prop round
+// to the chunk kernel on its own, so the counters are charged per run exactly
+// as the vector walk charged them; it does not admit bfs, whose early exit
+// the vector walk charges.
 //
 // The chunk grid, the transition stores and the merge slots are pullSABody's:
 // an interior run flushes to accum[dst], which no other chunk writes, and the
 // chunk's last destination goes to its merge slot, folded in chunk order. The
-// reduction order inside a rank-sum span is lane-wise — DESIGN.md §5 — and is
+// reduction order inside a rank-sum run is lane-wise — DESIGN.md §5 — and is
 // the same for the assembly, its Go twin and laneFold; a min needs no order.
 // So a run's bits depend on the graph and the chunk grid alone, as before.
 func pullSpanBody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, node int) {
@@ -102,9 +106,9 @@ func pullSpanBody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, n
 	if fz.weighted {
 		weights = a.Weights
 	}
-	rankSum, minProp, minSrc := vec.RankSumRun, vec.MinPropChunk, vec.MinSrcChunk
+	rankSum, minProp, minSrc := vec.RankSumChunk, vec.MinPropChunk, vec.MinSrcChunk
 	if r.opt.AblateSIMD {
-		rankSum, minProp, minSrc = vec.RankSumRunGo, vec.MinPropChunkGo, vec.MinSrcChunkGo
+		rankSum, minProp, minSrc = vec.RankSumChunkGo, vec.MinPropChunkGo, vec.MinSrcChunkGo
 	}
 	var contrib []float64
 	if fz.kind == apps.FusedRankSum {
@@ -131,6 +135,12 @@ func pullSpanBody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, n
 			r.mergeBuf.Save(chunkID, uint32(dst), acc)
 		}
 	}
+	if fz.kind == apps.FusedRankSum && rec == nil {
+		return func(rg sched.Range, chunkID, tid, node int) {
+			dst, acc := rankSum(words, index, contrib, weights, accum, int(firstTop(a, rg.Lo)), rg.Lo, rg.Hi)
+			r.mergeBuf.Save(chunkID, uint32(dst), acc)
+		}
+	}
 	return func(rg sched.Range, chunkID, tid, node int) {
 		var c perfmodel.Counters
 		dst := firstTop(a, rg.Lo)
@@ -150,13 +160,14 @@ func pullSpanBody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, n
 			if weights != nil {
 				ws = weights[lo*vec.Lanes : hi*vec.Lanes]
 			}
+			// For a chunk kernel [lo, hi) is one run to its end: the call
+			// returns it.
 			var acc uint64
 			switch fz.kind {
 			case apps.FusedRankSum:
-				acc = math.Float64bits(rankSum(span, contrib, ws))
+				_, acc = rankSum(words, index, contrib, weights, accum, int(dst), lo, hi)
 			case apps.FusedMinProp:
-				// [lo, hi) is one run to its end: the call returns it. A
-				// Record run's in-place rounds never come here.
+				// A Record run's in-place rounds never come here.
 				_, acc = minProp(words, index, props, front, accum, int(dst), lo, hi, false)
 			default:
 				acc = laneFold(fz, span, ws, props, identity)
@@ -201,7 +212,7 @@ func (r *ExecContext) refreshContrib(scale []float64) []float64 {
 }
 
 // laneFold reduces one run span through the program's own Message and
-// Combine in vec.RankSumRun's order: lane k of every vector folds into its
+// Combine in vec.RankSumChunk's order: lane k of every vector folds into its
 // own partial aggregate, in vector order, and the span's aggregate is
 // Combine(Combine(l0, l1), Combine(l2, l3)). A program the engine runs fused
 // therefore gets the same bits run generic (TestFusedMatchesGenericExactly).

@@ -22,8 +22,9 @@ import (
 // the equivalence matrix.
 const spanIters = 6
 
-// spanApps are the registry's rank-sum programs — the ones whose pull runs by
-// span through vec.RankSumRun — each with its sequential reference.
+// spanApps are the registry's rank-sum programs — the ones whose pull runs on
+// vec.RankSumChunk, one call per chunk (per run span under Record) — each
+// with its sequential reference.
 func spanApps(g *graph.Graph, root uint32) []struct {
 	name string
 	mk   func() apps.Program

@@ -1,6 +1,6 @@
 // Package obs is the observability layer: a stdlib-only metrics registry
-// (atomic counters, gauges, and fixed-bucket histograms with Prometheus text
-// exposition) plus the per-run phase-trace types the engine records and the
+// (atomic counters, gauges read at scrape time, and fixed-bucket histograms
+// with Prometheus text exposition) plus the per-run phase-trace types the engine records and the
 // serving layer exposes. It sits below every other internal package — obs
 // imports nothing from this repository — so sched, core, store, and the
 // serve command can all feed the same registry without cycles.
@@ -33,21 +33,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is an integer value that can go up and down, safe for concurrent
-// use. The zero value is ready to use.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the value by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram is a fixed-bucket cumulative histogram in the Prometheus style:
 // each bucket counts observations at or below its upper bound, with an

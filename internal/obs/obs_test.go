@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -32,12 +33,21 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
+// TestGauge: a gauge series renders what its function returns at each
+// scrape, falling values and negative ones included.
 func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(7)
-	g.Add(-10)
-	if got := g.Value(); got != -3 {
-		t.Fatalf("gauge = %d, want -3", got)
+	r := NewRegistry()
+	v := 7.0
+	r.GaugeFunc("g", "", nil, func() float64 { return v })
+	for _, want := range []string{"g 7\n", "g -3\n"} {
+		var buf bytes.Buffer
+		if err := r.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := buf.String(); !strings.HasSuffix(got, want) {
+			t.Fatalf("exposition %q, want it to end %q", got, want)
+		}
+		v -= 10
 	}
 }
 
@@ -152,7 +162,7 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 			t.Fatal("kind mismatch did not panic")
 		}
 	}()
-	r.Gauge("x_total", "", Labels{"a": "2"})
+	r.GaugeFunc("x_total", "", Labels{"a": "2"}, func() float64 { return 0 })
 }
 
 func TestPrometheusGolden(t *testing.T) {
@@ -160,8 +170,7 @@ func TestPrometheusGolden(t *testing.T) {
 	c := r.Counter("grazelle_test_runs_total", "Completed runs.", nil)
 	c.Add(42)
 	r.Counter("grazelle_test_labeled_total", "Labeled counter.", Labels{"app": "pagerank", "graph": "web"}).Add(7)
-	g := r.Gauge("grazelle_test_inflight", "In-flight runs.", nil)
-	g.Set(3)
+	r.GaugeFunc("grazelle_test_inflight", "In-flight runs.", nil, func() float64 { return 3 })
 	r.GaugeFunc("grazelle_test_bytes", "Resident bytes.", nil, func() float64 { return 1048576 })
 	r.CounterFunc("grazelle_test_evictions_total", "Evictions.", nil, func() uint64 { return 5 })
 	h := r.Histogram("grazelle_test_duration_seconds", "Run wall time.", nil, []float64{0.001, 0.01, 0.1, 1})

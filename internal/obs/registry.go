@@ -83,7 +83,6 @@ func (k kind) String() string {
 type series struct {
 	labels      Labels
 	counter     *Counter
-	gauge       *Gauge
 	hist        *Histogram
 	counterFunc func() uint64
 	gaugeFunc   func() float64
@@ -150,13 +149,6 @@ func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() uint6
 	r.add(name, help, kindCounter, &series{labels: labels, counterFunc: fn})
 }
 
-// Gauge creates and registers a gauge series.
-func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	g := &Gauge{}
-	r.add(name, help, kindGauge, &series{labels: labels, gauge: g})
-	return g
-}
-
 // GaugeFunc registers a gauge read from fn at scrape time.
 func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
 	r.add(name, help, kindGauge, &series{labels: labels, gaugeFunc: fn})
@@ -205,11 +197,7 @@ func writeSeries(w io.Writer, f *family, s *series) error {
 		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, s.labels.render(), v)
 		return err
 	case kindGauge:
-		if s.gaugeFunc != nil {
-			_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, s.labels.render(), formatFloat(s.gaugeFunc()))
-			return err
-		}
-		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, s.labels.render(), s.gauge.Value())
+		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, s.labels.render(), formatFloat(s.gaugeFunc()))
 		return err
 	default:
 		h := s.hist

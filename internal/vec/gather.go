@@ -1,37 +1,71 @@
 package vec
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // laneIDMask selects the 48-bit source id of a Vector-Sparse lane word
 // (vsparse.VertexMask; vsparse imports this package, so the constant is
 // repeated here).
 const laneIDMask = uint64(1)<<48 - 1
 
-// RankSumRunGo sums contrib[src] (·weight when weights is non-nil) over the
-// valid lanes of one run span — the whole vectors of one destination that
-// fall inside one chunk — of a Vector-Sparse word array, and returns the sum:
-// the Edge-Pull inner loop of the rank-sum programs (PageRank and its
-// variants). RankSumRun is the same function on the process's selected
-// kernel; this is the portable twin every build has.
+// RankSumChunkGo is the Edge-Pull of the rank-sum programs (PageRank and its
+// variants) over one scheduler chunk: vectors [lo, hi) of a Vector-Sparse
+// array, walked destination run by destination run, each run reduced to the
+// sum of contrib[src] (·weight when weights is non-nil) over its valid lanes.
+// RankSumChunk is the same function on the process's selected kernel; this
+// is the portable twin every build has.
 //
-// words holds the span's lanes, four per vector; bit 63 of a lane marks it
-// valid and bits 47:0 carry the source id. contrib[n] is what source n sends
-// along each of its out-edges this iteration, rank[n]·scale[n] rounded to
-// float64 on its own — one product per vertex, made by the engine before the
-// sweep, where a product per edge would gather two arrays for the same
-// number. weights, when non-nil, is lane-parallel to words, and its padding
-// lanes hold zero. Every valid lane's id must index contrib.
+// words holds four lanes per vector; bit 63 of a lane marks it valid and bits
+// 47:0 carry the source id. contrib[n] is what source n sends along each of
+// its out-edges this iteration, rank[n]·scale[n] rounded to float64 on its
+// own — one product per vertex, made by the engine before the sweep, where a
+// product per edge would gather two arrays for the same number. weights, when
+// non-nil, is lane-parallel to words, and its padding lanes hold zero. Every
+// valid lane's id must index contrib.
+//
+// index, dst, the interior stores and the returned last run are
+// MinPropChunkGo's, with float64 addition for min: every run the chunk holds
+// to its end is stored as accum[dst] = accum[dst] + sum, the words read and
+// written as float64 bits, and the run that reaches hi, complete or not, is
+// returned as (last, acc) with acc the sum's bits. Identity is +0, so an
+// empty chunk returns (dst, 0).
 //
 // Reduction order — part of the engine's determinism contract, DESIGN.md §5:
-// lane k of every vector accumulates into its own partial sum l_k, in vector
-// order, each weighted term rounded to float64 before it is added (no FMA),
-// and the span's sum is (l0+l1)+(l2+l3). The AVX2 kernel follows it exactly,
-// so the two are bit-identical. An invalid lane is skipped here where the
-// assembly adds the +0 its masked gather left in the lane; a partial sum
-// starts at +0 and can never become −0, so that agrees to the bit too. The
-// float64 conversions keep a compiler that may fuse x*y + z (GOAMD64=v3,
-// arm64) from doing so.
-func RankSumRunGo(words []uint64, contrib []float64, weights []float32) float64 {
+// within a run, lane k of every vector accumulates into its own partial sum
+// l_k, in vector order, each weighted term rounded to float64 before it is
+// added (no FMA), and the run's sum is (l0+l1)+(l2+l3). The AVX2 kernel
+// follows it exactly, so the two are bit-identical. An invalid lane is
+// skipped here where the assembly adds the +0 its masked gather left in the
+// lane; a partial sum starts at +0 and can never become −0, so that agrees to
+// the bit too. The float64 conversions keep a compiler that may fuse x*y + z
+// (GOAMD64=v3, arm64) from doing so.
+func RankSumChunkGo(words []uint64, index []int, contrib []float64, weights []float32, accum []uint64, dst, lo, hi int) (last int, acc uint64) {
+	for vi := lo; vi < hi; dst++ {
+		end := index[dst+1]
+		if end <= vi {
+			continue // no vectors of dst left in the chunk
+		}
+		end = min(end, hi)
+		var ws []float32
+		if weights != nil {
+			ws = weights[vi*Lanes : end*Lanes]
+		}
+		sum := rankSumSpan(words[vi*Lanes:end*Lanes], contrib, ws)
+		if end == hi {
+			return dst, math.Float64bits(sum)
+		}
+		accum[dst] = math.Float64bits(math.Float64frombits(accum[dst]) + sum)
+		vi = end
+	}
+	return dst, 0
+}
+
+// rankSumSpan is RankSumChunkGo's sum of one run span, the run's vectors
+// clipped to the chunk, in the documented order. It is a call of its own:
+// inlined into the chunk walk, the lane loop spilled its slice headers.
+func rankSumSpan(words []uint64, contrib []float64, weights []float32) float64 {
 	var l0, l1, l2, l3 float64
 	if weights == nil {
 		for i := 0; i+Lanes <= len(words); i += Lanes {

@@ -4,7 +4,7 @@ package vec
 
 // useAVX2 is decided once, at package initialization, from CPUID and XGETBV
 // (gather_amd64.s): the CPU has AVX2 and the OS saves the ymm state. It
-// selects both kernels.
+// selects all three kernels.
 var useAVX2 = detectAVX2()
 
 func detectAVX2() bool {
@@ -27,22 +27,25 @@ func detectAVX2() bool {
 	return ebx&avx2 != 0
 }
 
-// RankSumRun is RankSumRunGo on the process's selected kernel: the AVX2
-// gather loop of gather_amd64.s when the CPU has it — the one place the
-// paper's vgatherqpd is issued for real — and the Go twin otherwise. The
-// assembly does not bounds-check its gather; that every lane id indexes
-// contrib is the Vector-Sparse format's guarantee (vsparse.Array.Validate).
-func RankSumRun(words []uint64, contrib []float64, weights []float32) float64 {
+// RankSumChunk is RankSumChunkGo on the process's selected kernel: the AVX2
+// chunk walk of gather_amd64.s — one VGATHERQPD per vector, the one place the
+// paper's vgatherqpd is issued for real — when the CPU has it, the Go twin
+// otherwise. The assembly does not bounds-check: lo ≤ hi ≤ len(words)/4,
+// weights (when non-nil) as long as words, dst owns vector lo, every valid
+// lane id indexes contrib, and every interior destination indexes accum —
+// the Vector-Sparse format's guarantees for a chunk of its own grid
+// (vsparse.Array.Validate).
+func RankSumChunk(words []uint64, index []int, contrib []float64, weights []float32, accum []uint64, dst, lo, hi int) (last int, acc uint64) {
 	if useAVX2 {
-		return rankSumRunAVX2(words, contrib, weights)
+		return rankSumChunkAVX2(words, index, contrib, weights, accum, dst, lo, hi)
 	}
-	return RankSumRunGo(words, contrib, weights)
+	return RankSumChunkGo(words, index, contrib, weights, accum, dst, lo, hi)
 }
 
 // MinPropChunk is MinPropChunkGo on the process's selected kernel: the AVX2
 // chunk walk of gather_amd64.s — two VPGATHERQQ per gated vector, one per
 // ungated, and one more of accum per vector of an in-place run — when the
-// CPU has it, the Go twin otherwise. Like RankSumRun it does not
+// CPU has it, the Go twin otherwise. Like RankSumChunk it does not
 // bounds-check: lo ≤ hi ≤ len(words)/4, dst owns vector lo, every valid lane
 // id indexes props and accum (and, gated, its frontier word front), and every
 // interior destination indexes accum — the Vector-Sparse format's guarantees
@@ -67,7 +70,7 @@ func MinSrcChunk(words []uint64, index []int, front, conv, accum []uint64, dst, 
 	return MinSrcChunkGo(words, index, front, conv, accum, dst, lo, hi)
 }
 
-// Kernel names the implementation RankSumRun, MinPropChunk and MinSrcChunk
+// Kernel names the implementation RankSumChunk, MinPropChunk and MinSrcChunk
 // run in this process: "avx2" or "go".
 func Kernel() string {
 	if useAVX2 {
@@ -81,7 +84,7 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 //go:noescape
-func rankSumRunAVX2(words []uint64, contrib []float64, weights []float32) float64
+func rankSumChunkAVX2(words []uint64, index []int, contrib []float64, weights []float32, accum []uint64, dst, lo, hi int) (last int, acc uint64)
 
 //go:noescape
 func minPropChunkAVX2(words []uint64, index []int, props, front, accum []uint64, dst, lo, hi int, inPlace bool) (last int, acc uint64)

@@ -21,61 +21,112 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func rankSumRunAVX2(words []uint64, contrib []float64, weights []float32) float64
+// func rankSumChunkAVX2(words []uint64, index []int, contrib []float64, weights []float32, accum []uint64, dst, lo, hi int) (last int, acc uint64)
 //
-// One iteration per vector: load four lane words, mask out the 48-bit source
-// ids, gather contrib[id] under the words' own bit 63 (a lane whose valid bit
-// is clear is not loaded and keeps the zero its register was cleared to;
-// the gather consumes its mask, and the words are not needed again), and add
-// into the four lane accumulators in Y0. The weighted loop multiplies by the
-// lane weights first; no FMA: the product is rounded before it is added, as
-// RankSumRunGo does it. The loop reads exactly len(words)/4 whole vectors
-// and 16 bytes of weights per vector, never past either slice.
-TEXT ·rankSumRunAVX2(SB), NOSPLIT, $0-80
+// The whole chunk in one call, run by run: per destination run (index[dst+1]
+// clipped to hi) a vector loop into the four lane partial sums in Y0, then
+// the fold (l0+l1)+(l2+l3), then an interior store or the return. Per
+// vector: load four lane words, mask out the 48-bit source ids, and gather
+// contrib[id] under the words' own bit 63 (a lane whose valid bit is clear
+// is not loaded and keeps the zero its register was cleared to; the gather
+// consumes its mask, and the words are not needed again). The weighted loop
+// multiplies by the four float32 lane weights, widened, first; no FMA: the
+// product is rounded before it is added, as RankSumChunkGo does it. An
+// interior run is stored as accum[dst] = accum[dst] + sum; the run that
+// reaches hi is returned. The walk reads exactly the chunk's vectors and 16
+// bytes of weights per vector, never past hi.
+//
+// Registers: SI words, DI index, R8 contrib, R10 weights (0: unweighted), R9
+// accum, DX dst, BX the vector the next run starts at, R11 hi, R12 the run's
+// end, R13 the current vector's address, R14 its weights' address, CX
+// vectors left in the run, AX the returned sum. Y7 the id mask, Y0 the lane
+// partial sums.
+TEXT ·rankSumChunkAVX2(SB), NOSPLIT, $0-160
 	MOVQ words_base+0(FP), SI
-	MOVQ words_len+8(FP), CX
-	MOVQ contrib_base+24(FP), R8
-	MOVQ weights_base+48(FP), R10
-	VPXOR Y0, Y0, Y0 // l0..l3
-	SHRQ $2, CX      // vectors in the span
-	JZ   fold
+	MOVQ index_base+24(FP), DI
+	MOVQ contrib_base+48(FP), R8
+	MOVQ weights_base+72(FP), R10
+	MOVQ accum_base+96(FP), R9
+	MOVQ dst+120(FP), DX
+	MOVQ lo+128(FP), BX
+	MOVQ hi+136(FP), R11
+	XORQ AX, AX // an empty chunk aggregates to +0
+	CMPQ BX, R11
+	JGE  sumdone
+
 	MOVQ $0x0000FFFFFFFFFFFF, AX
 	VMOVQ AX, X7 // VEX-encoded: a legacy SSE move between 256-bit instructions costs two state transitions
 	VPBROADCASTQ X7, Y7 // the id mask in every lane
-	TESTQ R10, R10
-	JNZ  weighted
+	MOVQ BX, R13
+	SHLQ $5, R13
+	ADDQ SI, R13 // &words[lo*4]
+	MOVQ BX, R14
+	SHLQ $4, R14
+	ADDQ R10, R14 // &weights[lo*4], read only when weighted
 
-plain:
-	VMOVDQU (SI), Y1
+sumrun:
+	// The next destination with a vector at BX.
+	MOVQ 8(DI)(DX*8), R12
+	CMPQ R12, BX
+	JG   sumowned
+	INCQ DX
+	JMP  sumrun
+
+sumowned:
+	CMPQ R12, R11
+	CMOVQGT R11, R12 // dst's share of the chunk is [BX, R12)
+	MOVQ R12, CX
+	SUBQ BX, CX
+	MOVQ R12, BX
+	VPXOR Y0, Y0, Y0 // l0..l3
+	TESTQ R10, R10
+	JNZ  sumweighted
+
+sumplain:
+	VMOVDQU (R13), Y1
 	VPAND   Y7, Y1, Y2 // ids
 	VPXOR   Y4, Y4, Y4
 	VGATHERQPD Y1, (R8)(Y2*8), Y4 // contrib[id]
 	VADDPD  Y4, Y0, Y0
-	ADDQ    $32, SI
+	ADDQ    $32, R13
 	DECQ    CX
-	JNZ     plain
-	JMP     fold
+	JNZ     sumplain
+	JMP     sumfold
 
-weighted:
-	VMOVDQU (SI), Y1
+sumweighted:
+	VMOVDQU (R13), Y1
 	VPAND   Y7, Y1, Y2
 	VPXOR   Y4, Y4, Y4
 	VGATHERQPD Y1, (R8)(Y2*8), Y4
-	VCVTPS2PD (R10), Y6 // four float32 lane weights
+	VCVTPS2PD (R14), Y6 // four float32 lane weights
 	VMULPD  Y6, Y4, Y4
 	VADDPD  Y4, Y0, Y0
-	ADDQ    $32, SI
-	ADDQ    $16, R10
+	ADDQ    $32, R13
+	ADDQ    $16, R14
 	DECQ    CX
-	JNZ     weighted
+	JNZ     sumweighted
 
-fold:
+sumfold:
 	// (l0+l1)+(l2+l3)
 	VEXTRACTF128 $1, Y0, X1
 	VHADDPD   X1, X0, X0 // X0 = [l0+l1, l2+l3]
 	VPERMILPD $1, X0, X1
 	VADDSD    X1, X0, X0
-	VMOVSD X0, ret+72(FP)
+	CMPQ BX, R11
+	JGE  sumlast // the run reaches hi: it is the chunk's last
+	// Interior run: accum[dst] = accum[dst] + sum.
+	VMOVSD (R9)(DX*8), X1
+	VADDSD X0, X1, X1
+	VMOVSD X1, (R9)(DX*8)
+	INCQ DX
+	JMP  sumrun
+
+sumlast:
+	VMOVQ X0, AX
+
+sumdone:
+	MOVQ DX, last+144(FP)
+	MOVQ AX, acc+152(FP)
 	VZEROUPPER
 	RET
 

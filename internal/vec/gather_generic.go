@@ -2,9 +2,9 @@
 
 package vec
 
-// RankSumRun is RankSumRunGo on a build without the AVX2 assembly.
-func RankSumRun(words []uint64, contrib []float64, weights []float32) float64 {
-	return RankSumRunGo(words, contrib, weights)
+// RankSumChunk is RankSumChunkGo on a build without the AVX2 assembly.
+func RankSumChunk(words []uint64, index []int, contrib []float64, weights []float32, accum []uint64, dst, lo, hi int) (last int, acc uint64) {
+	return RankSumChunkGo(words, index, contrib, weights, accum, dst, lo, hi)
 }
 
 // MinPropChunk is MinPropChunkGo on a build without the AVX2 assembly.
@@ -17,6 +17,6 @@ func MinSrcChunk(words []uint64, index []int, front, conv, accum []uint64, dst, 
 	return MinSrcChunkGo(words, index, front, conv, accum, dst, lo, hi)
 }
 
-// Kernel names the implementation RankSumRun, MinPropChunk and MinSrcChunk
+// Kernel names the implementation RankSumChunk, MinPropChunk and MinSrcChunk
 // run in this process: "avx2" or "go".
 func Kernel() string { return "go" }

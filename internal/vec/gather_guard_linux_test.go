@@ -28,29 +28,53 @@ func guarded(t *testing.T, n int) []byte {
 	return mem[size-page-n : size-page]
 }
 
-// TestRankSumRunNeverReadsPastLen runs spans whose words and weights both end
-// on the last byte before a guard page.
-func TestRankSumRunNeverReadsPastLen(t *testing.T) {
+// TestRankSumChunkNeverReadsPastLen walks chunks whose words, weights, index,
+// accum and contrib each end on the last byte before a guard page, plain and
+// weighted: the chunk's last vector is the array's last, one vector per
+// destination and the destinations the top ids, so index is read to its last
+// word and the interior stores reach accum[n−2], the last word of the n−1
+// the kernel is given (the last destination is returned, never stored); the
+// lanes carry the top ids too, so the gather reads to within a few words of
+// contrib's end.
+func TestRankSumChunkNeverReadsPastLen(t *testing.T) {
 	const n = 64
+	words64 := func(k int) []uint64 { return unsafe.Slice((*uint64)(unsafe.Pointer(&guarded(t, k*8)[0])), k) }
 	f := newRankFixture(n, 4)
+	contrib := unsafe.Slice((*float64)(unsafe.Pointer(&guarded(t, n*8)[0])), n)
+	copy(contrib, f.contrib)
+	f.contrib = contrib
+	accum := words64(n - 1)
+	f.kernelAccum = func() []uint64 {
+		copy(accum, f.accum)
+		return accum
+	}
 	for _, vectors := range []int{1, 2, 5, 16} {
 		lanes := vectors * vec.Lanes
-		words := unsafe.Slice((*uint64)(unsafe.Pointer(&guarded(t, lanes*8)[0])), lanes)
+		words := words64(lanes)
 		weights := unsafe.Slice((*float32)(unsafe.Pointer(&guarded(t, lanes*4)[0])), lanes)
+		index := unsafe.Slice((*int)(unsafe.Pointer(&guarded(t, (n+1)*8)[0])), n+1)
 		for v := 0; v < vectors; v++ {
 			var ids [vec.Lanes]uint64
 			for lane := range ids {
-				ids[lane] = uint64((7*v + 3*lane) % n)
+				ids[lane] = uint64((7*v + 3*lane + n - 8) % n)
 			}
 			valid := 1 + v%vec.Lanes
-			vec.Store(words, v*vec.Lanes, vsparse.EncodeVector(9, ids, valid))
-			for lane := 0; lane < valid; lane++ {
-				weights[v*vec.Lanes+lane] = float32(1 + lane)
+			vec.Store(words, v*vec.Lanes, vsparse.EncodeVector(uint64(n-vectors+v), ids, valid))
+			for lane := 0; lane < vec.Lanes; lane++ {
+				weights[v*vec.Lanes+lane] = 0
+				if lane < valid {
+					weights[v*vec.Lanes+lane] = float32(1 + lane)
+				}
 			}
 		}
+		for dst := 0; dst <= n; dst++ {
+			index[dst] = max(0, dst-(n-vectors))
+		}
 		for _, ws := range [][]float32{nil, weights} {
-			if kernel, twin, perEdge, ok := f.agree(words, ws); !ok {
-				t.Errorf("%d vectors: %s kernel %#x, Go twin %#x, per-edge product %#x", vectors, vec.Kernel(), kernel, twin, perEdge)
+			for lo := 0; lo < vectors; lo++ {
+				if err := f.chunkAgrees(words, index, ws, lo, vectors); err != nil {
+					t.Errorf("%d vectors, weighted %v, chunk [%d,%d): %v", vectors, ws != nil, lo, vectors, err)
+				}
 			}
 		}
 	}

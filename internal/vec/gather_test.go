@@ -4,159 +4,248 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/csr"
 	"repro/internal/gen"
+	"repro/internal/sched"
 	"repro/internal/testgraph"
 	"repro/internal/vec"
 	"repro/internal/vsparse"
 )
 
-// The selected kernel (the AVX2 assembly where the CPU has it) against the Go
-// twin, bit for bit. On a purego build, or a CPU without AVX2, the two are
-// the same function and the tests pass trivially; CI runs them on both.
+// The selected rank-sum chunk walk (the AVX2 assembly where the CPU has it)
+// against the Go twin and against a per-edge-product reference, bit for bit,
+// on the returned pair and on every accum word. On a purego build, or a CPU
+// without AVX2, the first two are the same function and agree trivially; CI
+// runs the tests on both.
 
-// perEdgeRun is the sum as the two-gather kernel computed it before contrib
-// existed: props[src]·scale[src] multiplied out on every edge, in the same
-// lane-wise order. The one-gather kernels must reproduce it to the bit.
-func perEdgeRun(words, props []uint64, scale []float64, weights []float32) float64 {
+// perEdgeChunk is the rank-sum chunk walk as the two-gather kernel computed
+// it before contrib existed, written from the vectors' own embedded
+// destination ids, not from index: every valid lane adds
+// props[src]·scale[src] (·weight), multiplied out on that edge, into its
+// lane's partial sum of the current destination; a destination change folds
+// the previous one's partials as (l0+l1)+(l2+l3) and adds the sum to its
+// accum word; the chunk's last destination is returned unflushed. The
+// one-gather kernels must reproduce it to the bit.
+func perEdgeChunk(words, props []uint64, scale []float64, weights []float32, accum []uint64, lo, hi int) (last int, acc uint64) {
+	last = -1
 	var l [vec.Lanes]float64
-	for i, w := range words {
-		if w&vsparse.ValidBit == 0 {
-			continue
+	fold := func() float64 { return (l[0] + l[1]) + (l[2] + l[3]) }
+	for vi := lo; vi < hi; vi++ {
+		v := vec.Load(words, vi*vec.Lanes)
+		if dst := int(vsparse.DecodeTop(v)); dst != last {
+			if last >= 0 {
+				accum[last] = math.Float64bits(math.Float64frombits(accum[last]) + fold())
+			}
+			last, l = dst, [vec.Lanes]float64{}
 		}
-		n := w & vsparse.VertexMask
-		term := float64(math.Float64frombits(props[n]) * scale[n])
-		if weights != nil {
-			term = float64(term * float64(weights[i]))
+		for lane, w := range v {
+			if w&vsparse.ValidBit == 0 {
+				continue
+			}
+			n := w & vsparse.VertexMask
+			term := float64(math.Float64frombits(props[n]) * scale[n])
+			if weights != nil {
+				term = float64(term * float64(weights[vi*vec.Lanes+lane]))
+			}
+			l[lane] += term
 		}
-		l[i%vec.Lanes] += term
 	}
-	return (l[0] + l[1]) + (l[2] + l[3])
+	return last, math.Float64bits(fold())
 }
 
 // rankFixture is one set of kernel inputs over n vertices: positive ranks of
 // mixed magnitude, 1/outdeg-like scales that are zero for every seventh vertex
-// (a dangling source), and the contrib vector the engine derives from the two,
-// one rounded product per vertex.
+// (a dangling source), the contrib vector the engine derives from the two,
+// one rounded product per vertex, and accum words the interior stores add
+// to — +0 for every third vertex, as the engine starts a sweep, and a rank-
+// sized value otherwise, so a store that overwrote instead of adding is seen.
 type rankFixture struct {
-	props          []uint64
+	props, accum   []uint64
 	scale, contrib []float64
+	// kernelAccum, when set, returns the copy of accum the selected kernel
+	// runs on (the guard-page test places it before an inaccessible page).
+	kernelAccum func() []uint64
 }
 
 func newRankFixture(n int, seed int64) rankFixture {
 	rng := rand.New(rand.NewSource(seed))
-	f := rankFixture{make([]uint64, n), make([]float64, n), make([]float64, n)}
+	f := rankFixture{props: make([]uint64, n), accum: make([]uint64, n), scale: make([]float64, n), contrib: make([]float64, n)}
 	for v := range f.props {
 		f.props[v] = math.Float64bits(rng.Float64() * math.Pow(10, float64(rng.Intn(9)-6)))
 		if v%7 != 0 {
 			f.scale[v] = 1 / float64(1+rng.Intn(1000))
 		}
 		f.contrib[v] = float64(math.Float64frombits(f.props[v]) * f.scale[v])
+		if v%3 != 0 {
+			f.accum[v] = math.Float64bits(rng.Float64() * 1e-3)
+		}
 	}
 	return f
 }
 
-// agree reports whether the selected kernel, the Go twin and the per-edge
-// product all sum the span to the same bits.
-func (f rankFixture) agree(words []uint64, weights []float32) (kernel, twin, perEdge uint64, ok bool) {
-	kernel = math.Float64bits(vec.RankSumRun(words, f.contrib, weights))
-	twin = math.Float64bits(vec.RankSumRunGo(words, f.contrib, weights))
-	perEdge = math.Float64bits(perEdgeRun(words, f.props, f.scale, weights))
-	return kernel, twin, perEdge, kernel == twin && twin == perEdge
-}
-
-func sameBits(t *testing.T, label string, f rankFixture, words []uint64, weights []float32) {
-	t.Helper()
-	if kernel, twin, perEdge, ok := f.agree(words, weights); !ok {
-		t.Fatalf("%s: %s kernel %#x, Go twin %#x, per-edge product %#x", label, vec.Kernel(), kernel, twin, perEdge)
+// firstDst is the destination that owns vector lo of a chunk, as the engine
+// passes it (0 for an empty chunk).
+func firstDst(words []uint64, lo, hi int) int {
+	if lo == hi {
+		return 0
 	}
+	return int(vsparse.DecodeTop(vec.Load(words, lo*vec.Lanes)))
 }
 
-// TestRankSumRunCorpus: every run of every corpus graph, whole and clipped at
-// every vector boundary (a chunk edge can fall anywhere inside a run), plain
-// and weighted — hub runs longer than a chunk, groups of one to four lanes,
-// duplicate edges, self-loops, and destinations with no run at all.
-func TestRankSumRunCorpus(t *testing.T) {
+// rankImpl is one implementation of the chunk walk under test.
+type rankImpl struct {
+	name string
+	run  func(words []uint64, index []int, contrib []float64, weights []float32, accum []uint64, dst, lo, hi int) (int, uint64)
+}
+
+func rankImpls() []rankImpl {
+	return []rankImpl{{vec.Kernel() + " kernel", vec.RankSumChunk}, {"Go twin", vec.RankSumChunkGo}}
+}
+
+// gridAgrees walks chunks [lo, hi) in order through the selected kernel, the
+// Go twin and the per-edge reference, each on its own accum carried from chunk
+// to chunk as the engine's is, and reports the first returned pair or accum
+// word on which they differ.
+func (f rankFixture) gridAgrees(words []uint64, index []int, weights []float32, chunks [][2]int) error {
+	rAccum := slices.Clone(f.accum)
+	accums := make([][]uint64, len(rankImpls()))
+	for i := range accums {
+		accums[i] = slices.Clone(f.accum)
+	}
+	if f.kernelAccum != nil {
+		accums[0] = f.kernelAccum()
+	}
+	for _, c := range chunks {
+		lo, hi := c[0], c[1]
+		dst := firstDst(words, lo, hi)
+		rLast, rAcc := dst, uint64(0)
+		if lo < hi {
+			rLast, rAcc = perEdgeChunk(words, f.props, f.scale, weights, rAccum, lo, hi)
+		}
+		for i, k := range rankImpls() {
+			if last, acc := k.run(words, index, f.contrib, weights, accums[i], dst, lo, hi); last != rLast || acc != rAcc {
+				return fmt.Errorf("chunk [%d,%d): %s returned (%d, %#x), per-edge product (%d, %#x)", lo, hi, k.name, last, acc, rLast, rAcc)
+			}
+		}
+	}
+	for i, k := range rankImpls() {
+		for v := range accums[i] {
+			if accums[i][v] != rAccum[v] {
+				return fmt.Errorf("accum[%d]: %s %#x, per-edge product %#x", v, k.name, accums[i][v], rAccum[v])
+			}
+		}
+	}
+	return nil
+}
+
+// chunkAgrees is gridAgrees on one chunk.
+func (f rankFixture) chunkAgrees(words []uint64, index []int, weights []float32, lo, hi int) error {
+	return f.gridAgrees(words, index, weights, [][2]int{{lo, hi}})
+}
+
+// grid cuts nv vectors into chunks of size vectors, the last one short.
+func grid(nv, size int) [][2]int {
+	var out [][2]int
+	for lo := 0; lo < nv; lo += size {
+		out = append(out, [2]int{lo, min(lo+size, nv)})
+	}
+	return out
+}
+
+// TestRankSumChunkCorpus: every corpus graph's pull array, plain and weighted,
+// cut into a chunk pair at every vector boundary — [0, cut) and [cut, end),
+// so every run is clipped at every vector boundary (a chunk edge can fall
+// anywhere inside a run): hub runs longer than a chunk, groups of one to four
+// lanes, duplicate edges, self-loops, and destinations with no run at all —
+// plus a chunk of at most 16 vectors from every boundary, and the whole array
+// walked on grids of 1, 2, 3 and 16 vectors and as one chunk.
+func TestRankSumChunkCorpus(t *testing.T) {
 	for _, c := range testgraph.Corpus() {
-		g := c.WithWeights()
-		a := vsparse.FromCSR(csr.FromGraph(g, true))
+		a := vsparse.FromCSR(csr.FromGraph(c.WithWeights(), true))
 		f := newRankFixture(a.N, 5)
-		for dst := 0; dst < a.N; dst++ {
-			lo, hi := a.Index[dst], a.Index[dst+1]
-			for cut := lo; cut <= hi; cut++ {
-				for _, s := range [][2]int{{lo, cut}, {cut, hi}} {
-					label := fmt.Sprintf("%s dst %d vectors [%d,%d)", c.Name, dst, s[0], s[1])
-					words := a.Words[s[0]*vec.Lanes : s[1]*vec.Lanes]
-					sameBits(t, label, f, words, nil)
-					sameBits(t, label+" weighted", f, words, a.Weights[s[0]*vec.Lanes:s[1]*vec.Lanes])
+		nv := a.NumVectors()
+		for _, ws := range []struct {
+			name string
+			w    []float32
+		}{{"plain", nil}, {"weighted", a.Weights}} {
+			for cut := 0; cut <= nv; cut++ {
+				for _, s := range [][2]int{{0, cut}, {cut, nv}, {cut, min(cut+16, nv)}} {
+					if err := f.chunkAgrees(a.Words, a.Index, ws.w, s[0], s[1]); err != nil {
+						t.Fatalf("%s %s: %v", c.Name, ws.name, err)
+					}
+				}
+			}
+			for _, size := range []int{1, 2, 3, 16, max(nv, 1)} {
+				if err := f.gridAgrees(a.Words, a.Index, ws.w, grid(nv, size)); err != nil {
+					t.Fatalf("%s %s grid %d: %v", c.Name, ws.name, size, err)
 				}
 			}
 		}
-		// The span that ends on the last word of Words.
-		if n := a.NumVectors(); n > 0 {
-			sameBits(t, c.Name+" last vector", f, a.Words[(n-1)*vec.Lanes:], nil)
-		}
 	}
 }
 
-// TestRankSumRunQuick: random spans of 0 to 40 vectors whose every vector has
-// a random valid prefix (all-partial spans included), random ids, and the
-// span placed at the very end of its backing array, so a read past len would
-// leave the allocation.
-func TestRankSumRunQuick(t *testing.T) {
+// TestRankSumChunkQuick: random arrays of 0 to 40 vectors — destinations with
+// zero to three vectors each, random valid prefixes (all-partial arrays
+// included), random ids and weights — cut at a random chunk and walked on
+// grids of 1, 2, 3 and 16 vectors and whole, plain and weighted. Words and
+// weights end at the very end of their backing arrays, so a read past len
+// would leave the allocation.
+func TestRankSumChunkQuick(t *testing.T) {
 	const n = 97
 	f := newRankFixture(n, 9)
 	check := func(seed int64, nvec uint8, allPartial bool) bool {
 		rng := rand.New(rand.NewSource(seed))
-		vectors := int(nvec) % 41
-		words := make([]uint64, vectors*vec.Lanes)
+		words, index := randomArray(rng, n, int(nvec)%41)
 		weights := make([]float32, len(words))
-		for v := 0; v < vectors; v++ {
-			valid := 1 + rng.Intn(vec.Lanes)
-			if allPartial {
-				valid = 1 + rng.Intn(vec.Lanes-1)
+		for i := range words {
+			if allPartial && i%vec.Lanes == vec.Lanes-1 {
+				words[i] &^= vsparse.ValidBit
 			}
-			var ids [vec.Lanes]uint64
-			for lane := range ids {
-				ids[lane] = uint64(rng.Intn(n))
-			}
-			vec.Store(words, v*vec.Lanes, vsparse.EncodeVector(uint64(rng.Intn(n)), ids, valid))
-			for lane := 0; lane < valid; lane++ {
-				weights[v*vec.Lanes+lane] = 0.5 + 9*rng.Float32()
+			if words[i]&vsparse.ValidBit != 0 {
+				weights[i] = 0.5 + 9*rng.Float32()
 			}
 		}
-		_, _, _, plain := f.agree(words, nil)
-		_, _, _, weighted := f.agree(words, weights)
-		return plain && weighted
+		nv := len(words) / vec.Lanes
+		lo := rng.Intn(nv + 1)
+		hi := lo + rng.Intn(nv-lo+1)
+		for _, ws := range [][]float32{nil, weights} {
+			if err := f.chunkAgrees(words, index, ws, lo, hi); err != nil {
+				t.Logf("seed %d, %d vectors, weighted %v: %v", seed, nv, ws != nil, err)
+				return false
+			}
+			for _, size := range []int{1, 2, 3, 16, max(nv, 1)} {
+				if err := f.gridAgrees(words, index, ws, grid(nv, size)); err != nil {
+					t.Logf("seed %d, %d vectors, weighted %v, grid %d: %v", seed, nv, ws != nil, size, err)
+					return false
+				}
+			}
+		}
+		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
-	for _, vectors := range []uint8{0, 1} {
+	for _, vectors := range []uint8{0, 1, 40} {
 		if !check(1, vectors, false) || !check(2, vectors, true) {
-			t.Errorf("kernels disagree on a span of %d vectors", vectors)
+			t.Errorf("kernels disagree on an array of %d vectors", vectors)
 		}
 	}
-	if got := vec.RankSumRun(nil, f.contrib, nil); math.Float64bits(got) != 0 {
-		t.Errorf("empty span sums to %v, want +0", got)
+	for _, k := range rankImpls() {
+		if last, acc := k.run(nil, []int{0, 0}, f.contrib, nil, nil, 0, 0, 0); last != 0 || acc != 0 {
+			t.Errorf("%s: empty chunk returns (%d, %#x), want (0, +0)", k.name, last, acc)
+		}
 	}
 }
 
-// TestRankSumRunOrder pins the documented reduction order on a span where it
-// matters: lane-wise partial sums folded (l0+l1)+(l2+l3), not a chain.
-func TestRankSumRunOrder(t *testing.T) {
+// TestRankSumChunkOrder pins the documented reduction order on a run where it
+// matters — lane-wise partial sums folded (l0+l1)+(l2+l3), not a chain — both
+// for a run stored inside the call and for the run it returns.
+func TestRankSumChunkOrder(t *testing.T) {
 	vals := []float64{1, 1e-16, -1, 1e-16, 3, 1e-16, 1e-16, 1e-16}
-	words := make([]uint64, len(vals))
-	for v := 0; v < len(vals)/vec.Lanes; v++ {
-		var ids [vec.Lanes]uint64
-		for lane := range ids {
-			ids[lane] = uint64(v*vec.Lanes + lane)
-		}
-		vec.Store(words, v*vec.Lanes, vsparse.EncodeVector(0, ids, vec.Lanes))
-	}
 	l0, l1, l2, l3 := vals[0]+vals[4], vals[1]+vals[5], vals[2]+vals[6], vals[3]+vals[7]
 	want := (l0 + l1) + (l2 + l3)
 	chain := 0.0
@@ -166,18 +255,31 @@ func TestRankSumRunOrder(t *testing.T) {
 	if want == chain {
 		t.Fatal("fixture does not tell the lane-wise order from a chain")
 	}
-	for name, f := range map[string]func([]uint64, []float64, []float32) float64{
-		vec.Kernel(): vec.RankSumRun, "go twin": vec.RankSumRunGo,
-	} {
-		if got := f(words, vals, nil); got != want {
-			t.Errorf("%s: %v, want (l0+l1)+(l2+l3) = %v", name, got, want)
+	// Destinations 0 and 1 each own the same two vectors of ids 0..7.
+	words := make([]uint64, 4*vec.Lanes)
+	for vi := 0; vi < 4; vi++ {
+		var ids [vec.Lanes]uint64
+		for lane := range ids {
+			ids[lane] = uint64(vi%2*vec.Lanes + lane)
+		}
+		vec.Store(words, vi*vec.Lanes, vsparse.EncodeVector(uint64(vi/2), ids, vec.Lanes))
+	}
+	index := []int{0, 2, 4}
+	for _, k := range rankImpls() {
+		accum := []uint64{0, 0}
+		last, acc := k.run(words, index, vals, nil, accum, 0, 0, 4)
+		if got := math.Float64frombits(accum[0]); got != want {
+			t.Errorf("%s: stored %v, want (l0+l1)+(l2+l3) = %v", k.name, got, want)
+		}
+		if got := math.Float64frombits(acc); last != 1 || got != want {
+			t.Errorf("%s: returned (%d, %v), want (1, (l0+l1)+(l2+l3) = %v)", k.name, last, got, want)
 		}
 	}
 }
 
-// chainRun is the per-vector chain the pull kernel ran before RankSumRun:
-// one running sum through all four lanes of every vector, the full-vector
-// test first and a lane walk for partial vectors.
+// chainRun is the per-vector chain the pull kernel ran before the gather
+// kernels: one running sum through all four lanes of every vector, the
+// full-vector test first and a lane walk for partial vectors.
 func chainRun(words, props []uint64, scale []float64) float64 {
 	s := 0.0
 	for i := 0; i+vec.Lanes <= len(words); i += vec.Lanes {
@@ -198,37 +300,53 @@ func chainRun(words, props []uint64, scale []float64) float64 {
 	return s
 }
 
-var sinkF64 float64
+var sinkU64 uint64
 
-// BenchmarkRankSumRun walks every destination run of the uk-2007 analog's
-// pull array once per iteration, one call per run as the engine makes them,
-// and reports ns/edge for the selected kernel, the Go twin, and the
-// per-vector chain they replaced.
-func BenchmarkRankSumRun(b *testing.B) {
+// BenchmarkRankSumChunk walks the uk-2007 analog's pull array once per
+// iteration and reports ns/edge. The chunk rows make one call per chunk of
+// the engine's grid at two workers, as pullSpanBody does; the run rows make
+// one call per destination run, as the engine did before the chunk walk;
+// each on the selected kernel and on the Go twin. The chain row is the
+// per-vector Go chain the gather kernels replaced, one call per run.
+func BenchmarkRankSumChunk(b *testing.B) {
 	a := vsparse.FromCSR(csr.FromGraph(gen.Generate(gen.UK2007, 1), true))
 	in := newRankFixture(a.N, 3)
-	plain := func(f func([]uint64, []float64, []float32) float64) func([]uint64) float64 {
-		return func(w []uint64) float64 { return f(w, in.contrib, nil) }
+	nv := a.NumVectors()
+	// Each span is {dst, lo, hi}.
+	var chunks, runs [][3]int
+	for _, c := range grid(nv, sched.ChunkSize(nv, sched.DefaultChunks(2))) {
+		chunks = append(chunks, [3]int{firstDst(a.Words, c[0], c[1]), c[0], c[1]})
 	}
-	for _, k := range []struct {
-		name string
-		run  func(words []uint64) float64
-	}{
-		{vec.Kernel(), plain(vec.RankSumRun)},
-		{"go-twin", plain(vec.RankSumRunGo)},
-		{"chain", func(w []uint64) float64 { return chainRun(w, in.props, in.scale) }},
-	} {
-		b.Run(k.name, func(b *testing.B) {
+	for dst := 0; dst < a.N; dst++ {
+		if lo, hi := a.Index[dst], a.Index[dst+1]; hi > lo {
+			runs = append(runs, [3]int{dst, lo, hi})
+		}
+	}
+	walk := func(k rankImpl, spans [][3]int) func(b *testing.B) {
+		return func(b *testing.B) {
+			accum := make([]uint64, a.N)
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sum := 0.0
-				for dst := 0; dst < a.N; dst++ {
-					if lo, hi := a.Index[dst], a.Index[dst+1]; hi > lo {
-						sum += k.run(a.Words[lo*vec.Lanes : hi*vec.Lanes])
-					}
+				for _, s := range spans {
+					_, acc := k.run(a.Words, a.Index, in.contrib, nil, accum, s[0], s[1], s[2])
+					sinkU64 += acc
 				}
-				sinkF64 = sum
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*a.ValidEdges), "ns/edge")
-		})
+		}
 	}
+	for _, k := range []rankImpl{{vec.Kernel(), vec.RankSumChunk}, {"go-twin", vec.RankSumChunkGo}} {
+		b.Run(k.name+"/chunk", walk(k, chunks))
+		b.Run(k.name+"/run", walk(k, runs))
+	}
+	b.Run("chain", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sum := 0.0
+			for _, s := range runs {
+				sum += chainRun(a.Words[s[1]*vec.Lanes:s[2]*vec.Lanes], in.props, in.scale)
+			}
+			sinkU64 += math.Float64bits(sum)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*a.ValidEdges), "ns/edge")
+	})
 }

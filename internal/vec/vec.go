@@ -9,21 +9,32 @@
 // packing-efficiency study of Fig 9 computes 8- and 16-lane widths from
 // degree distributions.
 //
-// The hardware part is two kernels in gather_amd64.s, selected once per
-// process by a CPUID+XGETBV check in the same file. RankSumRun is the
-// Edge-Pull of the rank-sum programs over one destination's run of vectors:
-// the paper's vgatherqpd, one per vector, masked by the lane words' own valid
-// bits, of a per-vertex array the engine prepares before each sweep,
-// contrib[n] = rank[n]·scale[n] (the product is the same on every out-edge of
-// n, so it is made once per vertex and read once per edge). MinPropChunk is
-// the Edge-Pull of Connected Components over a whole scheduler chunk: per
-// vector a VPGATHERQQ of the frontier words and one of props under the
-// resulting live mask (in an in-place round, ungated, one of props and one of
-// the chunk's own fresher accum words), an unsigned lane-wise min, and per
-// destination run a horizontal min stored to accum. On any other platform, under -tags purego,
-// or on a CPU without AVX2 each is its pure-Go twin (RankSumRunGo,
-// MinPropChunkGo), bit-identical to the assembly (DESIGN.md §2, §5). Kernel
-// reports which one the process runs.
+// The hardware part is three chunk kernels in gather_amd64.s, selected once
+// per process by a CPUID+XGETBV check in the same file. Each is the
+// Edge-Pull of one operator over a whole scheduler chunk, vectors [lo, hi) of
+// a Vector-Sparse array, walked destination run by destination run: a run the
+// chunk holds to its end is stored to accum inside the call, and the run that
+// reaches hi is returned for the caller's merge slot.
+//
+//   - RankSumChunk, the rank-sum programs': the paper's vgatherqpd, one per
+//     vector, masked by the lane words' own valid bits, of a per-vertex
+//     array the engine prepares before each sweep, contrib[n] =
+//     rank[n]·scale[n] (the product is the same on every out-edge of n, so it
+//     is made once per vertex and read once per edge), summed lane by lane
+//     and folded per run as (l0+l1)+(l2+l3).
+//   - MinPropChunk, Connected Components': per vector a VPGATHERQQ of the
+//     frontier words and one of props under the resulting live mask (in an
+//     in-place round, ungated, one of props and one of the chunk's own
+//     fresher accum words), an unsigned lane-wise min, and per run a
+//     horizontal min.
+//   - MinSrcChunk, Breadth-First Search's: a converged destination's run
+//     skipped unread, otherwise one VPGATHERQQ of frontier words per vector
+//     until a lane is live, whose source id is the run's aggregate.
+//
+// On any other platform, under -tags purego, or on a CPU without AVX2 each is
+// its pure-Go twin (RankSumChunkGo, MinPropChunkGo, MinSrcChunkGo),
+// bit-identical to the assembly (DESIGN.md §2, §5). Kernel reports which one
+// the process runs.
 package vec
 
 import "math/bits"
