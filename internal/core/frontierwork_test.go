@@ -8,6 +8,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/csr"
 	"repro/internal/frontier"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/perfmodel"
 	"repro/internal/testgraph"
@@ -257,14 +258,31 @@ func TestRecordCountersUnderEarlyExit(t *testing.T) {
 // read moves a few edges between processed and skipped. cc Hybrid pulls three
 // times and is byte-identical, as are bfs, kcore and pr, which do not carry
 // the trait.
+//
+// The ppr, wpr (on g's weighted version), lp and cc write-intense rows, the
+// full-vector ablation's cc, bfs and sssp rows and the paper configuration's
+// bfs and cc rows were measured while each of those paths still charged its
+// counters inside its own chunk walk. They hold every body's counters by
+// number, independently of the walk the other tests compare against.
 func assertEdgeCountersPinned(t *testing.T, g *graph.Graph, root uint32, cg *Graph) {
 	t.Helper()
-	mk := map[string]func() apps.Program{"pr": func() apps.Program { return apps.NewPageRank(g) }}
+	// wpr runs on the weighted version of g, every other row on g.
+	gw := gen.AddUniformWeights(g, 97)
+	cgw := BuildGraph(gw)
+	mk := map[string]func() apps.Program{
+		"pr":               func() apps.Program { return apps.NewPageRank(g) },
+		"ppr":              func() apps.Program { return apps.NewPersonalizedPageRank(g, root) },
+		"wpr":              func() apps.Program { return apps.NewWeightedRank(gw) },
+		"lp":               func() apps.Program { return apps.NewLabelProp() },
+		"cc-write-intense": func() apps.Program { return apps.NewConnCompWriteIntense() },
+	}
 	for _, app := range frontierWorkApps(g, root) {
 		mk[app.name] = app.mk
 	}
 	pull := func(w int) Options { return Options{Mode: EnginePullOnly, Workers: w} }
 	hybrid := Options{Mode: EngineHybrid, Workers: 1}
+	fullVector := Options{Mode: EnginePullOnly, Workers: 2, AblateFullVector: true}
+	paper := Options{Mode: EnginePullOnly, Workers: 2, AblateFrontierWork: true}
 	// The reference kernels' cells at one worker (no CAS retry can vary) and
 	// three vectors per chunk (hub runs straddle chunks, so every boundary
 	// arm runs).
@@ -288,6 +306,15 @@ func assertEdgeCountersPinned(t *testing.T, g *graph.Graph, root uint32, cg *Gra
 		{"kcore", hybrid, perfmodel.Counters{EdgesProcessed: 176, VectorsProcessed: 571, TLSWrites: 176, SharedWrites: 59, MergeOps: 32, FrontierSkips: 1774, InvalidLanes: 334, LocalAccesses: 176}},
 		{"pr", pull(2), perfmodel.Counters{EdgesProcessed: 5850, VectorsProcessed: 1713, TLSWrites: 5850, SharedWrites: 474, MergeOps: 192, InvalidLanes: 1002, LocalAccesses: 5850}},
 		{"pr", hybrid, perfmodel.Counters{EdgesProcessed: 5850, VectorsProcessed: 1713, TLSWrites: 5850, SharedWrites: 507, MergeOps: 96, InvalidLanes: 1002, LocalAccesses: 5850}},
+		{"ppr", pull(2), perfmodel.Counters{EdgesProcessed: 5850, VectorsProcessed: 1713, TLSWrites: 5850, SharedWrites: 245, MergeOps: 192, InvalidLanes: 1002, LocalAccesses: 5850}},
+		{"wpr", pull(2), perfmodel.Counters{EdgesProcessed: 5850, VectorsProcessed: 1713, TLSWrites: 5850, SharedWrites: 474, MergeOps: 192, InvalidLanes: 1002, LocalAccesses: 5850}},
+		{"lp", pull(2), perfmodel.Counters{EdgesProcessed: 5850, VectorsProcessed: 1713, TLSWrites: 5850, SharedWrites: 474, MergeOps: 192, InvalidLanes: 1002, LocalAccesses: 5850}},
+		{"cc-write-intense", pull(2), perfmodel.Counters{EdgesProcessed: 3817, VectorsProcessed: 2284, TLSWrites: 3817, SharedWrites: 396, MergeOps: 200, FrontierSkips: 3983, InvalidLanes: 1336, LocalAccesses: 3817}},
+		{"cc", fullVector, perfmodel.Counters{EdgesProcessed: 3817, VectorsProcessed: 2284, TLSWrites: 3817, SharedWrites: 396, MergeOps: 200, FrontierSkips: 3983, InvalidLanes: 1336, LocalAccesses: 3817}},
+		{"bfs", fullVector, perfmodel.Counters{EdgesProcessed: 195, VectorsProcessed: 1520, TLSWrites: 195, SharedWrites: 138, MergeOps: 320, FrontierSkips: 4565, InvalidLanes: 1155, LocalAccesses: 195}},
+		{"sssp", fullVector, perfmodel.Counters{EdgesProcessed: 4448, VectorsProcessed: 3997, TLSWrites: 4448, SharedWrites: 635, MergeOps: 224, FrontierSkips: 9202, InvalidLanes: 2338, LocalAccesses: 4448}},
+		{"bfs", paper, perfmodel.Counters{EdgesProcessed: 451, VectorsProcessed: 2855, TLSWrites: 451, SharedWrites: 138, MergeOps: 320, FrontierSkips: 9299, InvalidLanes: 1670, LocalAccesses: 451}},
+		{"cc", paper, perfmodel.Counters{EdgesProcessed: 3817, VectorsProcessed: 2284, TLSWrites: 3817, SharedWrites: 393, MergeOps: 256, FrontierSkips: 3983, InvalidLanes: 1336, LocalAccesses: 3817}},
 		{"pr", trad, perfmodel.Counters{EdgesProcessed: 5850, VectorsProcessed: 1713, TLSWrites: 5667, SharedWrites: 183, AtomicOps: 183, MergeOps: 1146, InvalidLanes: 1002, LocalAccesses: 5850}},
 		{"cc", trad, perfmodel.Counters{EdgesProcessed: 3817, VectorsProcessed: 2284, TLSWrites: 3707, SharedWrites: 56, AtomicOps: 56, MergeOps: 1528, FrontierSkips: 3983, InvalidLanes: 1336, LocalAccesses: 3817, SkippedWrites: 54}},
 		{"bfs", trad, perfmodel.Counters{EdgesProcessed: 451, VectorsProcessed: 2855, TLSWrites: 407, SharedWrites: 28, AtomicOps: 28, MergeOps: 1910, FrontierSkips: 9299, InvalidLanes: 1670, LocalAccesses: 451, SkippedWrites: 16}},
@@ -315,17 +342,22 @@ func assertEdgeCountersPinned(t *testing.T, g *graph.Graph, root uint32, cg *Gra
 	}
 	for _, pin := range pinned {
 		iters := 1 << 20
-		if pin.app == "pr" {
+		switch pin.app {
+		case "pr", "ppr", "wpr", "lp":
 			iters = 3
+		}
+		layout := cg
+		if pin.app == "wpr" {
+			layout = cgw
 		}
 		opt := pin.opt
 		opt.Record = true
-		r := NewRunner(cg, opt)
+		r := NewRunner(layout, opt)
 		res := Run(r, mk[pin.app](), iters)
 		r.Close()
 		if res.EdgeCounters != pin.want {
-			t.Errorf("%s %v %v scalar=%v w%d c%d: Edge counters\n got  %+v\n want %+v", pin.app, opt.Mode, opt.Variant, opt.Scalar,
-				opt.Workers, opt.ChunkVectors, res.EdgeCounters, pin.want)
+			t.Errorf("%s %v %v scalar=%v fullVector=%v paper=%v w%d c%d: Edge counters\n got  %+v\n want %+v", pin.app, opt.Mode,
+				opt.Variant, opt.Scalar, opt.AblateFullVector, opt.AblateFrontierWork, opt.Workers, opt.ChunkVectors, res.EdgeCounters, pin.want)
 		}
 	}
 }
