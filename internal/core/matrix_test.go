@@ -55,7 +55,7 @@ import (
 
 // Edge-Pull bodies, the path table's vocabulary.
 const (
-	pathSpan        = "span walk"           // pullSpanBody by run span: laneFold, a Record run's rank-sum and min-prop rounds
+	pathSpan        = "span walk"           // pullSpanBody by run span: laneFold
 	pathRankSum     = "rank-sum chunk walk" // pullSpanBody: one vec.RankSumChunk call per chunk
 	pathChunk       = "min-prop chunk walk" // pullSpanBody: one vec.MinPropChunk call per chunk
 	pathMinSrc      = "min-src chunk walk"  // pullSpanBody: one vec.MinSrcChunk call per chunk
@@ -213,19 +213,6 @@ func fixedPath(path string) func(matrixApp, bool) string {
 	return func(matrixApp, bool) string { return path }
 }
 
-// recordPath: a Record run counts a rank-sum or min-prop round per run span,
-// and its in-place rounds and a min-src program's rounds vector by vector;
-// every other program keeps its path.
-func recordPath(app matrixApp, inPlace bool) string {
-	switch {
-	case app.pull == pathMinSrc || app.pull == pathChunk && inPlace:
-		return pathVector
-	case app.pull == pathChunk || app.pull == pathRankSum:
-		return pathSpan
-	}
-	return app.pull
-}
-
 // paperPath: the paper configuration has no early exit, so a min-src program
 // walks every vector; every other program keeps its path.
 func paperPath(app matrixApp, _ bool) string {
@@ -252,7 +239,7 @@ var matrixCells = []matrixCell{
 		twin: true, analogs: true, generic: true, path: tablePath},
 	// Trace rides along: neither it nor Record may move a lane.
 	{name: "record", bits: "pull", opt: Options{Mode: EnginePullOnly, Record: true, Trace: true},
-		workers: []int{1, 2, 4}, chunks: []int{0, 16}, twin: true, analogs: true, generic: true, path: recordPath},
+		workers: []int{1, 2, 4}, chunks: []int{0, 16}, twin: true, analogs: true, generic: true, path: tablePath},
 	{name: "push", opt: Options{Mode: EnginePushOnly}, workers: []int{1, 4}, chunks: []int{0, 16}, path: tablePath},
 	{name: "traditional", opt: Options{Variant: PullTraditional}, workers: []int{1, 4}, chunks: []int{0, 3},
 		path: fixedPath(pathTraditional)},

@@ -126,8 +126,14 @@ type Options struct {
 	// Record enables the perfmodel counters and the Edge phase's Fig 5b
 	// profile: its wall and merge time are the round records' readings
 	// (Result.EdgeTime and the trace's merge phase), and runChunk adds two
-	// clock reads per Edge chunk for its busy time. Metering adds per-edge
-	// accounting cost, so benchmarks leave it off.
+	// clock reads per Edge chunk for its busy time. It picks no Edge-Pull
+	// body: a scheduler-aware Vector-Sparse chunk runs the body a plain run
+	// runs, and then countChunk walks the chunk's words and Index again,
+	// with the frontier and converged words, props and the accum words the
+	// body left, to charge the vector walk's counters. That pass sits inside
+	// the chunk's busy time and costs about one more read of the chunk's
+	// words, so timed runs (the benchmarks, Figs 5a and 7) leave Record off
+	// and take their counters from a separate Record run.
 	Record bool
 	// Trace enables the per-run phase tracer: each run's Result carries a
 	// RunTrace of wall time, chunk count, and frontier density per engine
@@ -149,8 +155,10 @@ type Options struct {
 	// AblateFullVector disables the fused full-vector fast path in the
 	// pull kernels, and sends every scheduler-aware pull to pullSABody's
 	// vector-by-vector walk — an ablation knob for the design-choice
-	// benchmarks and the walk the chunk walks are tested against; not part
-	// of the public facade.
+	// benchmarks and the walk the chunk walks are tested against (their
+	// lanes round by round; under Record both are charged by the same
+	// countChunk pass, so the counters are held by the pinned tables); not
+	// part of the public facade.
 	AblateFullVector bool
 	// AblateSIMD runs pullSpanBody's chunk walks on their pure-Go twins
 	// even where the CPU has AVX2: vec.RankSumChunkGo for the rank-sum

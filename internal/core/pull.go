@@ -36,13 +36,23 @@ func RunEdgePull(r *ExecContext, p apps.Program) edgeCost {
 // hooks. It performs no synchronization: writes go to the chunk-local
 // accumulator, to shared memory only on outer-loop transitions (at most one
 // chunk contains each vertex's last vector), or to the chunk's private merge
-// buffer slot.
+// buffer slot. A Record run calls the same body a plain run calls and charges
+// the counters in a separate pass over the chunk once the body has returned
+// (countChunk), inside runChunk's busy window.
 func edgePullSA(r *ExecContext, p apps.Program) edgeCost {
 	if r.g.VSD.NumVectors() == 0 {
 		return edgeCost{}
 	}
 	fz := fuseFor(p, p.Weighted() && r.g.VSD.Weights != nil)
-	chunks := r.dispatch(r.pullPart, r.pullChunkFor(p), pullSABody(r, &fz))
+	body := pullSABody(r, &fz)
+	if rec := r.edgeRec; rec != nil {
+		run, count := body, countChunk(r, &fz)
+		body = func(rg sched.Range, chunkID, tid, node int) {
+			run(rg, chunkID, tid, node)
+			rec.Record(tid, count(rg, node))
+		}
+	}
+	chunks := r.dispatch(r.pullPart, r.pullChunkFor(p), body)
 	return edgeCost{edgeChunks: chunks, merged: true, merge: mergeAccum(r, &fz)}
 }
 
@@ -66,12 +76,12 @@ func edgePullSA(r *ExecContext, p apps.Program) edgeCost {
 //
 // Live-lane cost: a frontier-gated vector pays for the lanes that survive,
 // not for four. The frontier test is one branch-free gather, the surviving
-// lanes are walked bit by bit (Mask.First/Rest), the lane counters are taken
-// only when a Recorder is attached, the transition flush combines through
-// the fused kind, and an iteration whose frontier is full drops the test
-// altogether. The last is frontier-work reduction like the early exit and
-// sits under the same AblateFrontierWork; none of it changes which lanes are
-// gathered or in what order.
+// lanes are walked bit by bit (Mask.First/Rest), the transition flush
+// combines through the fused kind, and an iteration whose frontier is full
+// drops the test altogether. The last is frontier-work reduction like the
+// early exit and sits under the same AblateFrontierWork; none of it changes
+// which lanes are gathered or in what order. The walk keeps no counter:
+// countChunk charges a Record run's chunks.
 //
 // In-place pull (DESIGN.md §17): once a run of a program that declares the
 // monotone-min trait has completed inPlaceAfter pull iterations, its pull
@@ -88,8 +98,8 @@ func edgePullSA(r *ExecContext, p apps.Program) edgeCost {
 // are functions of the graph and the chunk grid alone. The window is tested
 // once per vector; a vector with no lane inside takes the paths above
 // unchanged. cc's in-place rounds make the same read ungated inside
-// vec.MinPropChunk (pullSpanBody); this one serves sssp, Record runs and the
-// full-vector ablation.
+// vec.MinPropChunk (pullSpanBody); this one serves sssp and the full-vector
+// ablation.
 //
 // A frontier-blind program never comes this far: it has no per-vector test to
 // make, and pulls by run span instead (pullSpanBody). Neither does a
@@ -97,10 +107,10 @@ func edgePullSA(r *ExecContext, p apps.Program) edgeCost {
 // one vec.MinPropChunk call whose gathers make the frontier test and, in
 // place, the window read. Nor does a FusedMinSrc program (bfs): one
 // vec.MinSrcChunk call makes both early exits per run. The in-place rounds
-// this body still runs are sssp's, a Record run's (its counters are this
-// walk's) and the full-vector ablation's; the saturating arm serves bfs's
-// Record runs and the full-vector ablation only, and the paper configuration
-// (AblateFrontierWork) walks bfs's every vector here with no early exit.
+// this body still runs are sssp's and the full-vector ablation's; the
+// saturating arm serves the full-vector ablation only, and the paper
+// configuration (AblateFrontierWork) walks bfs's every vector here with no
+// early exit.
 func pullSABody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, node int) {
 	p := fz.p
 	if r.pullsBySpan(p, fz.kind) {
@@ -112,7 +122,6 @@ func pullSABody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, nod
 	weighted := fz.weighted
 	frontWords := r.front.Words()
 	props, accum := r.props, r.accum
-	rec := r.edgeRec
 	frontierWork := !r.opt.AblateFrontierWork
 	saturates := frontierWork && fz.kind == apps.FusedMinSrc
 	fullVector := !r.opt.AblateFullVector
@@ -122,12 +131,8 @@ func pullSABody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, nod
 	// the lane to stop at.
 	gated := p.UsesFrontier() && !(frontierWork && !saturates && r.front.Full())
 	inPlace := r.inPlace(p)
-	fast := !gated && fullVector
-
-	words := a.Words
-	index := a.Index
+	words, index := a.Words, a.Index
 	return func(rg sched.Range, chunkID, tid, node int) {
-		var c perfmodel.Counters
 		// StartChunk (Listing 3): TLS holds the previous destination and its
 		// partially-aggregated value.
 		prev := firstTop(a, rg.Lo)
@@ -143,17 +148,10 @@ func pullSABody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, nod
 				// shared store is safe.
 				if acc != identity {
 					accum[prev] = fz.combine(accum[prev], acc)
-					c.SharedWrites++
 				}
 				prev, acc = dst, identity
 			}
-			c.VectorsProcessed++
 			if tracksConv && r.conv.Contains(dst) {
-				if rec != nil {
-					valid := signMask4(v0, v1, v2, v3).Count()
-					c.FrontierSkips += uint64(valid)
-					c.InvalidLanes += uint64(vec.Lanes - valid)
-				}
 				if frontierWork {
 					vi = index[dst+1] - 1
 				}
@@ -163,16 +161,13 @@ func pullSABody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, nod
 			n1 := v1 & vsparse.VertexMask
 			n2 := v2 & vsparse.VertexMask
 			n3 := v3 & vsparse.VertexMask
+			mask := signMask4(v0, v1, v2, v3)
 			// In-place window. A run is ascending by source and padding
 			// repeats the last valid id, so n0 is the vector's smallest
 			// source and n3 its largest: one sign test rules out every vector
 			// that lies wholly before or after [first, dst).
 			if inPlace && ((n0-uint64(dst))&(first-n3-1))>>63 != 0 {
-				mask := signMask4(v0, v1, v2, v3)
 				if win := mask & window4(n0, n1, n2, n3, first, uint64(dst)-first); win != 0 {
-					if rec != nil {
-						c.InvalidLanes += uint64(vec.Lanes - mask.Count())
-					}
 					// One step per live lane, in ascending lane order. A window
 					// lane carries the fresher of the source's property and its
 					// flushed aggregate, and is live on the strength of either.
@@ -187,7 +182,6 @@ func pullSABody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, nod
 							}
 						}
 						if !live {
-							c.FrontierSkips++
 							continue
 						}
 						var w float32
@@ -195,96 +189,143 @@ func pullSABody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, nod
 							w = a.Weights[base+lane]
 						}
 						acc = fz.stepVal(acc, val, n, w)
-						c.EdgesProcessed++
-						c.TLSWrites++
-						if rec != nil {
-							countLocality(r, node, &c, n)
-						}
 					}
 					continue
 				}
-			}
-			// Full-vector fast path (the common case the format is padded
-			// for: >90% of vectors on skewed graphs have all lanes valid):
-			// no per-lane predicate tests, one fused gather+combine per
-			// lane, as an AVX kernel would issue a single vgatherqpd.
-			if fast && (v0&v1&v2&v3)>>63 != 0 {
-				acc = fz.step4(props, acc, n0, n1, n2, n3, base, a.Weights)
-				c.EdgesProcessed += vec.Lanes
-				c.TLSWrites += vec.Lanes
-				if rec != nil {
-					countLocality(r, node, &c, n0, n1, n2, n3)
-				}
-				continue
-			}
-			// Predicated path: partially-filled vectors and frontier-gated
-			// lanes. The lane counters exist for Record runs only; a
-			// popcount per vector is not free on the software vector unit,
-			// so a run that records nothing does not take it.
-			mask := signMask4(v0, v1, v2, v3)
-			if rec != nil {
-				c.InvalidLanes += uint64(vec.Lanes - mask.Count())
 			}
 			if gated {
 				// The open-coded vec.TestBits: an unpredicated gather of
 				// four frontier words, ANDed with the valid mask. Dead
 				// lanes repeat an in-range id, so no lane needs a branch.
-				live := mask & vec.Mask((frontWords[n0>>6]>>(n0&63))&1|
-					((frontWords[n1>>6]>>(n1&63))&1)<<1|
-					((frontWords[n2>>6]>>(n2&63))&1)<<2|
+				mask &= vec.Mask((frontWords[n0>>6]>>(n0&63))&1 |
+					((frontWords[n1>>6]>>(n1&63))&1)<<1 |
+					((frontWords[n2>>6]>>(n2&63))&1)<<2 |
 					((frontWords[n3>>6]>>(n3&63))&1)<<3)
-				if rec != nil {
-					c.FrontierSkips += uint64(mask.Count() - live.Count())
-				}
-				mask = live
 				if mask == 0 {
 					continue
 				}
 				if saturates {
 					// The first live lane is the run's minimum live source:
 					// take it and leave the destination.
-					n := words[base+mask.First()] & vsparse.VertexMask
-					acc = fz.step(props, acc, n, 0)
-					c.EdgesProcessed++
-					c.TLSWrites++
-					if rec != nil {
-						countLocality(r, node, &c, n)
-					}
+					acc = fz.step(props, acc, words[base+mask.First()]&vsparse.VertexMask, 0)
 					vi = index[dst+1] - 1
 					continue
 				}
-				if mask == vec.MaskAll && fullVector {
-					// Every lane survived predication: take the fused
-					// full-vector path.
-					acc = fz.step4(props, acc, n0, n1, n2, n3, base, a.Weights)
-					c.EdgesProcessed += vec.Lanes
-					c.TLSWrites += vec.Lanes
-					if rec != nil {
-						countLocality(r, node, &c, n0, n1, n2, n3)
-					}
-					continue
-				}
+			}
+			// Full-vector fast path (the common case the format is padded
+			// for: >90% of vectors on skewed graphs have all lanes valid,
+			// and every lane may survive predication): no per-lane tests,
+			// one fused gather+combine per lane, as an AVX kernel would
+			// issue a single vgatherqpd.
+			if mask == vec.MaskAll && fullVector {
+				acc = fz.step4(props, acc, n0, n1, n2, n3, base, a.Weights)
+				continue
 			}
 			// One step per surviving lane, in ascending lane order.
 			for m := mask; m != 0; m = m.Rest() {
 				lane := m.First()
-				n := words[base+lane] & vsparse.VertexMask
 				var w float32
 				if weighted {
 					w = a.Weights[base+lane]
 				}
-				acc = fz.step(props, acc, n, w)
-				c.EdgesProcessed++
-				c.TLSWrites++
-				if rec != nil {
-					countLocality(r, node, &c, n)
-				}
+				acc = fz.step(props, acc, words[base+lane]&vsparse.VertexMask, w)
 			}
 		}
 		// FinishChunk (Listing 5): the trailing partial aggregate goes to
 		// this chunk's private merge-buffer slot.
 		r.mergeBuf.Save(chunkID, prev, acc)
-		rec.Record(tid, c)
+	}
+}
+
+// countChunk builds the Record pass of the scheduler-aware Vector-Sparse
+// pull. edgePullSA runs it on each chunk after the chunk's body, whichever
+// body that was, and it charges what pullSABody's vector walk would do there.
+// It reads the chunk's words and Index, the frontier and converged words,
+// props, and the accum words the body left, and writes only the counters:
+//
+//   - every vector the walk visits is processed, its invalid lanes invalid
+//     and each valid lane an edge or a frontier skip;
+//   - a converged destination's run is left after one vector (charged every
+//     vector under AblateFrontierWork), its valid lanes skipped;
+//   - a lane is live when its source is in the frontier (every valid lane in
+//     a round whose frontier is full), or, in place, when the source lies in
+//     the window [first, dst) and Combine(props[n], accum[n]) != props[n];
+//   - a saturating program (bfs) takes its run's first live lane;
+//   - each lane taken is an edge, a thread-local write and a Local or Remote
+//     read;
+//   - an interior run is a shared write when it had a live lane and
+//     accum[dst] is not the identity.
+//
+// Transition stores are single-writer, so the accum words the chunk's
+// interior runs leave are exactly what its window reads saw. The word alone
+// does not tell which runs the walk stored: the ungated in-place
+// vec.MinPropChunk also stores runs whose gated lanes were all dead, which
+// the live-lane test leaves out.
+func countChunk(r *ExecContext, fz *fuse) func(rg sched.Range, node int) perfmodel.Counters {
+	p := fz.p
+	a := r.g.VSD
+	words, index := a.Words, a.Index
+	identity := p.Identity()
+	tracksConv := p.TracksConverged()
+	frontWords := r.front.Words()
+	props, accum := r.props, r.accum
+	frontierWork := !r.opt.AblateFrontierWork
+	saturates := frontierWork && fz.kind == apps.FusedMinSrc
+	gated := p.UsesFrontier() && !(frontierWork && !saturates && r.front.Full())
+	inPlace := r.inPlace(p)
+	return func(rg sched.Range, node int) perfmodel.Counters {
+		var c perfmodel.Counters
+		first := firstTop(a, rg.Lo)
+		prev, taken := first, false
+		for vi := rg.Lo; vi < rg.Hi; vi++ {
+			base := vi * vec.Lanes
+			v0, v1, v2, v3 := words[base], words[base+1], words[base+2], words[base+3]
+			dst := decodeTop4(v0, v1, v2, v3)
+			if dst != prev {
+				if taken && accum[prev] != identity {
+					c.SharedWrites++
+				}
+				prev, taken = dst, false
+			}
+			c.VectorsProcessed++
+			mask := signMask4(v0, v1, v2, v3)
+			c.InvalidLanes += uint64(vec.Lanes - mask.Count())
+			if tracksConv && r.conv.Contains(dst) {
+				c.FrontierSkips += uint64(mask.Count())
+				if frontierWork {
+					vi = index[dst+1] - 1
+				}
+				continue
+			}
+			n := vec.U64x4{v0 & vsparse.VertexMask, v1 & vsparse.VertexMask, v2 & vsparse.VertexMask, v3 & vsparse.VertexMask}
+			live := mask
+			if gated {
+				live = vec.TestBits(frontWords, n, mask)
+			}
+			if inPlace {
+				win := mask &^ live & window4(n[0], n[1], n[2], n[3], uint64(first), uint64(dst-first))
+				for m := win; m != 0; m = m.Rest() {
+					if s := n[m.First()]; fz.combine(props[s], accum[s]) != props[s] {
+						live |= 1 << m.First()
+					}
+				}
+			}
+			c.FrontierSkips += uint64(mask.Count() - live.Count())
+			if live == 0 {
+				continue
+			}
+			taken = true
+			if saturates {
+				live &= -live
+				vi = index[dst+1] - 1
+			}
+			c.EdgesProcessed += uint64(live.Count())
+			c.TLSWrites += uint64(live.Count())
+			for m := live; m != 0; m = m.Rest() {
+				countLocality(r, node, &c, n[m.First()])
+			}
+		}
+		return c
 	}
 }
 
@@ -671,16 +712,13 @@ func ownedRanges(n int, t numa.Topology) []ownedRange {
 	return out
 }
 
-// countLocality classifies gathered source reads against the worker's
+// countLocality classifies a gathered source read against the worker's
 // simulated NUMA node.
-func countLocality(r *ExecContext, node int, c *perfmodel.Counters, ns ...uint64) {
-	own := r.owned[node]
-	for _, n := range ns {
-		if own.has(uint32(n)) {
-			c.LocalAccesses++
-		} else {
-			c.RemoteAccesses++
-		}
+func countLocality(r *ExecContext, node int, c *perfmodel.Counters, n uint64) {
+	if r.owned[node].has(uint32(n)) {
+		c.LocalAccesses++
+	} else {
+		c.RemoteAccesses++
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/apps"
-	"repro/internal/perfmodel"
 	"repro/internal/sched"
 	"repro/internal/vec"
 	"repro/internal/vsparse"
@@ -19,21 +18,20 @@ import (
 // read into the walk's window. The third is a FusedMinSrc program (bfs): it
 // tracks converged vertices, but its chunk walk tests conv once per run, as
 // the vector walk's early exit does. Converged sets otherwise, the other
-// frontier kinds (sssp's in-place rounds among them), a Record run's
-// in-place min-prop rounds and its bfs rounds — their counters are the
-// vector walk's — the paper configuration's bfs rounds (AblateFrontierWork:
-// no early exit) and the full-vector ablation keep pullSABody's
-// vector-by-vector walk.
+// frontier kinds (sssp's in-place rounds among them), the paper
+// configuration's bfs rounds (AblateFrontierWork: no early exit) and the
+// full-vector ablation keep pullSABody's vector-by-vector walk. Record picks
+// no body: a Record run's counters come from countChunk, whichever body ran.
 func (ec *ExecContext) pullsBySpan(p apps.Program, kind apps.FusedKind) bool {
 	switch {
 	case ec.opt.AblateFullVector:
 		return false
 	case kind == apps.FusedMinSrc:
-		return p.UsesFrontier() && !ec.opt.Record && !ec.opt.AblateFrontierWork
+		return p.UsesFrontier() && !ec.opt.AblateFrontierWork
 	case p.TracksConverged():
 		return false
 	case kind == apps.FusedMinProp:
-		return !ec.inPlace(p) || !ec.opt.Record
+		return true
 	case kind == apps.FusedRankSum, kind == apps.FusedNone:
 		return !ec.inPlace(p) && !p.UsesFrontier()
 	}
@@ -83,11 +81,8 @@ func (ec *ExecContext) pullsBySpan(p apps.Program, kind apps.FusedKind) bool {
 //
 // An unclassified program reduces each run span — the run's vectors clipped
 // to the chunk — through its own Message and Combine (laneFold), in a Go walk
-// of the chunk run by run. A Record run walks the chunk that way for every
-// kind it admits, handing each clipped run of a rank sum or a min-prop round
-// to the chunk kernel on its own, so the counters are charged per run exactly
-// as the vector walk charged them; it does not admit bfs, whose early exit
-// the vector walk charges.
+// of the chunk run by run. No body here keeps a counter: countChunk charges a
+// Record run's chunks after them.
 //
 // The chunk grid, the transition stores and the merge slots are pullSABody's:
 // an interior run flushes to accum[dst], which no other chunk writes, and the
@@ -100,7 +95,6 @@ func pullSpanBody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, n
 	a := r.g.VSD
 	identity := p.Identity()
 	props, accum := r.props, r.accum
-	rec := r.edgeRec
 	words, index := a.Words, a.Index
 	var weights []float32
 	if fz.weighted {
@@ -110,86 +104,56 @@ func pullSpanBody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, n
 	if r.opt.AblateSIMD {
 		rankSum, minProp, minSrc = vec.RankSumChunkGo, vec.MinPropChunkGo, vec.MinSrcChunkGo
 	}
-	var contrib []float64
-	if fz.kind == apps.FusedRankSum {
-		contrib = r.refreshContrib(fz.scale)
-	}
-	// A full frontier passes every membership test: the round runs ungated
-	// unless the paper configuration asks for the tests. An in-place round
-	// runs ungated whatever the frontier holds (above).
-	inPlace := r.inPlace(p)
-	var front []uint64
-	if p.UsesFrontier() && !inPlace && (r.opt.AblateFrontierWork || !r.front.Full()) {
-		front = r.front.Words()
-	}
-	if fz.kind == apps.FusedMinProp && rec == nil {
+	switch fz.kind {
+	case apps.FusedMinProp:
+		// A full frontier passes every membership test: the round runs
+		// ungated unless the paper configuration asks for the tests. An
+		// in-place round runs ungated whatever the frontier holds (above).
+		inPlace := r.inPlace(p)
+		var front []uint64
+		if p.UsesFrontier() && !inPlace && (r.opt.AblateFrontierWork || !r.front.Full()) {
+			front = r.front.Words()
+		}
 		return func(rg sched.Range, chunkID, tid, node int) {
 			dst, acc := minProp(words, index, props, front, accum, int(firstTop(a, rg.Lo)), rg.Lo, rg.Hi, inPlace)
 			r.mergeBuf.Save(chunkID, uint32(dst), acc)
 		}
-	}
-	if fz.kind == apps.FusedMinSrc {
+	case apps.FusedMinSrc:
 		frontWords, conv := r.front.Words(), r.conv.Words()
 		return func(rg sched.Range, chunkID, tid, node int) {
 			dst, acc := minSrc(words, index, frontWords, conv, accum, int(firstTop(a, rg.Lo)), rg.Lo, rg.Hi)
 			r.mergeBuf.Save(chunkID, uint32(dst), acc)
 		}
-	}
-	if fz.kind == apps.FusedRankSum && rec == nil {
+	case apps.FusedRankSum:
+		contrib := r.refreshContrib(fz.scale)
 		return func(rg sched.Range, chunkID, tid, node int) {
 			dst, acc := rankSum(words, index, contrib, weights, accum, int(firstTop(a, rg.Lo)), rg.Lo, rg.Hi)
 			r.mergeBuf.Save(chunkID, uint32(dst), acc)
 		}
 	}
 	return func(rg sched.Range, chunkID, tid, node int) {
-		var c perfmodel.Counters
 		dst := firstTop(a, rg.Lo)
 		for lo := rg.Lo; ; dst++ {
 			// [lo, hi) is dst's share of the chunk; a destination without
 			// in-edges owns no vectors.
-			hi := index[dst+1]
-			last := hi >= rg.Hi
-			if last {
-				hi = rg.Hi
-			}
+			hi := min(index[dst+1], rg.Hi)
 			if hi == lo {
 				continue
 			}
-			span := words[lo*vec.Lanes : hi*vec.Lanes]
-			var ws []float32
-			if weights != nil {
-				ws = weights[lo*vec.Lanes : hi*vec.Lanes]
-			}
-			// For a chunk kernel [lo, hi) is one run to its end: the call
-			// returns it.
-			var acc uint64
-			switch fz.kind {
-			case apps.FusedRankSum:
-				_, acc = rankSum(words, index, contrib, weights, accum, int(dst), lo, hi)
-			case apps.FusedMinProp:
-				// A Record run's in-place rounds never come here.
-				_, acc = minProp(words, index, props, front, accum, int(dst), lo, hi, false)
-			default:
-				acc = laneFold(fz, span, ws, props, identity)
-			}
-			if rec != nil {
-				countSpan(r, node, &c, span, front)
-			}
-			if last {
+			acc := laneFold(fz, words, weights, props, identity, lo, hi)
+			if hi == rg.Hi {
 				// FinishChunk (Listing 5): the trailing aggregate goes to
 				// this chunk's private merge-buffer slot.
 				r.mergeBuf.Save(chunkID, dst, acc)
-				break
+				return
 			}
 			// Outer-loop transition (Listing 4): this chunk holds the final
 			// vectors of dst, so the unsynchronized shared store is safe.
 			if acc != identity {
 				accum[dst] = fz.combine(accum[dst], acc)
-				c.SharedWrites++
 			}
 			lo = hi
 		}
-		rec.Record(tid, c)
 	}
 }
 
@@ -211,14 +175,15 @@ func (r *ExecContext) refreshContrib(scale []float64) []float64 {
 	return contrib
 }
 
-// laneFold reduces one run span through the program's own Message and
-// Combine in vec.RankSumChunk's order: lane k of every vector folds into its
-// own partial aggregate, in vector order, and the span's aggregate is
-// Combine(Combine(l0, l1), Combine(l2, l3)). A program the engine runs fused
-// therefore gets the same bits run generic (TestFusedMatchesGenericExactly).
-func laneFold(fz *fuse, words []uint64, weights []float32, props []uint64, identity uint64) uint64 {
+// laneFold reduces one run span, vectors [lo, hi), through the program's own
+// Message and Combine in vec.RankSumChunk's order: lane k of every vector
+// folds into its own partial aggregate, in vector order, and the span's
+// aggregate is Combine(Combine(l0, l1), Combine(l2, l3)). A program the engine
+// runs fused therefore gets the same bits run generic
+// (TestFusedMatchesGenericExactly).
+func laneFold(fz *fuse, words []uint64, weights []float32, props []uint64, identity uint64, lo, hi int) uint64 {
 	l := [vec.Lanes]uint64{identity, identity, identity, identity}
-	for i := 0; i+vec.Lanes <= len(words); i += vec.Lanes {
+	for i := lo * vec.Lanes; i < hi*vec.Lanes; i += vec.Lanes {
 		for lane := 0; lane < vec.Lanes; lane++ {
 			w := words[i+lane]
 			if w&vsparse.ValidBit == 0 {
@@ -233,30 +198,4 @@ func laneFold(fz *fuse, words []uint64, weights []float32, props []uint64, ident
 		}
 	}
 	return fz.p.Combine(fz.p.Combine(l[0], l[1]), fz.p.Combine(l[2], l[3]))
-}
-
-// countSpan charges one run span to the Record counters exactly as the
-// vector-by-vector walk would have: every vector processed, every invalid
-// lane invalid, every valid lane whose source the frontier words front lack
-// (when front is non-nil) a frontier skip, and every other lane an edge
-// gathered into thread-local state.
-func countSpan(r *ExecContext, node int, c *perfmodel.Counters, words, front []uint64) {
-	valid, live := uint64(0), uint64(0)
-	for _, w := range words {
-		if w&vsparse.ValidBit == 0 {
-			continue
-		}
-		valid++
-		n := w & vsparse.VertexMask
-		if front != nil && (front[n>>6]>>(n&63))&1 == 0 {
-			continue
-		}
-		live++
-		countLocality(r, node, c, n)
-	}
-	c.VectorsProcessed += uint64(len(words) / vec.Lanes)
-	c.EdgesProcessed += live
-	c.TLSWrites += live
-	c.InvalidLanes += uint64(len(words)) - valid
-	c.FrontierSkips += valid - live
 }

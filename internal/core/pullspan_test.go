@@ -23,8 +23,8 @@ import (
 const spanIters = 6
 
 // spanApps are the registry's rank-sum programs — the ones whose pull runs on
-// vec.RankSumChunk, one call per chunk (per run span under Record) — each
-// with its sequential reference.
+// vec.RankSumChunk, one call per chunk, under Record too — each with its
+// sequential reference.
 func spanApps(g *graph.Graph, root uint32) []struct {
 	name string
 	mk   func() apps.Program
