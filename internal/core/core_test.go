@@ -413,7 +413,7 @@ func TestRunLoopSchedule(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		switch res.Trace.Directions[i] {
-		case DirPull.Mark(), DirPush.Mark(), DirSparse.Mark():
+		case dirPull.Mark(), dirPush.Mark(), dirSparse.Mark():
 		default:
 			t.Errorf("round %d traced %q, not a direction mark", i, res.Trace.Directions[i])
 		}

@@ -107,7 +107,7 @@ type Options struct {
 	Mode EngineMode
 	// PullDegreeShare is the hybrid heuristic's degree-sum term (Besta et
 	// al., "To Push or To Pull"): below the density at which the hybrid
-	// selects Edge-Pull outright (PullDensity), pull is still
+	// selects Edge-Pull outright (pullDensity), pull is still
 	// selected when the frontier's out-degree sum is at least this share of
 	// all edges — a few active hubs can put most of the edge set in play,
 	// where pull's sequential gather beats push's scattered synchronized

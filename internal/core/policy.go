@@ -1,35 +1,35 @@
 package core
 
-// Direction is the per-iteration Edge-phase direction, chosen by Policy from
+// direction is the per-iteration Edge-phase direction, chosen by policy from
 // the iteration's frontier census (Besta et al., "To Push or To Pull").
-type Direction int
+type direction int
 
 const (
-	// DirPull runs Edge-Pull: every destination aggregates over in-edges.
-	DirPull Direction = iota
-	// DirPush runs Edge-Push: active sources scatter over out-edges.
-	DirPush
-	// DirSparse runs the fused list-driven round (push over the frontier's
+	// dirPull runs Edge-Pull: every destination aggregates over in-edges.
+	dirPull direction = iota
+	// dirPush runs Edge-Push: active sources scatter over out-edges.
+	dirPush
+	// dirSparse runs the fused list-driven round (push over the frontier's
 	// vertex list only).
-	DirSparse
+	dirSparse
 )
 
 // Mark returns the direction's single-character trace encoding: '<' pull,
 // '>' push, 's' sparse.
-func (d Direction) Mark() byte {
+func (d direction) Mark() byte {
 	switch d {
-	case DirPull:
+	case dirPull:
 		return '<'
-	case DirPush:
+	case dirPush:
 		return '>'
 	default:
 		return 's'
 	}
 }
 
-// Status is the iteration's census as the direction choice sees it, taken at
+// status is the iteration's census as the direction choice sees it, taken at
 // the top of each iteration of runLoop.
-type Status struct {
+type status struct {
 	// UsesFrontier reports whether the program is frontier-driven; blind
 	// programs always pull.
 	UsesFrontier bool
@@ -48,12 +48,12 @@ type Status struct {
 	SparseOK bool
 }
 
-// PullDensity is the classic density term of the hybrid policy: pull when
+// pullDensity is the classic density term of the hybrid policy: pull when
 // frontier density ≥ this (1/20 of vertices active).
-const PullDensity = 0.05
+const pullDensity = 0.05
 
-// Policy decides the per-iteration direction from the iteration status.
-type Policy struct {
+// policy decides the per-iteration direction from the iteration status.
+type policy struct {
 	// PullOnly / PushOnly force a direction (the EngineMode pins); neither
 	// set means hybrid.
 	PullOnly, PushOnly bool
@@ -70,25 +70,25 @@ type Policy struct {
 // tiny); the engine pins come next; then density, then degree share, and
 // otherwise the dense-scan push. All three outcomes occur on the
 // direction-rule sweep in EXPERIMENTS.md.
-func (p Policy) Choose(st Status) Direction {
+func (p policy) Choose(st status) direction {
 	if st.SparseOK {
-		return DirSparse
+		return dirSparse
 	}
 	if p.PullOnly {
-		return DirPull
+		return dirPull
 	}
 	if p.PushOnly {
-		return DirPush
+		return dirPush
 	}
 	if !st.UsesFrontier {
-		return DirPull
+		return dirPull
 	}
-	if st.Density >= PullDensity {
-		return DirPull
+	if st.Density >= pullDensity {
+		return dirPull
 	}
 	if p.DegreeShareThreshold > 0 && st.DegreeShare != nil &&
 		st.DegreeShare() >= p.DegreeShareThreshold {
-		return DirPull
+		return dirPull
 	}
-	return DirPush
+	return dirPush
 }

@@ -3,35 +3,35 @@ package core
 import "testing"
 
 func TestDirectionMarks(t *testing.T) {
-	if DirPull.Mark() != '<' || DirPush.Mark() != '>' || DirSparse.Mark() != 's' {
-		t.Errorf("marks = %c %c %c, want < > s", DirPull.Mark(), DirPush.Mark(), DirSparse.Mark())
+	if dirPull.Mark() != '<' || dirPush.Mark() != '>' || dirSparse.Mark() != 's' {
+		t.Errorf("marks = %c %c %c, want < > s", dirPull.Mark(), dirPush.Mark(), dirSparse.Mark())
 	}
 }
 
 func TestPolicyChoose(t *testing.T) {
-	hybrid := Policy{DegreeShareThreshold: 0.05}
+	hybrid := policy{DegreeShareThreshold: 0.05}
 	share := func(v float64) func() float64 { return func() float64 { return v } }
 	cases := []struct {
 		name string
-		p    Policy
-		st   Status
-		want Direction
+		p    policy
+		st   status
+		want direction
 	}{
-		{"sparse-wins", hybrid, Status{SparseOK: true, UsesFrontier: true, Density: 0.9}, DirSparse},
-		{"sparse-beats-pin", Policy{PushOnly: true}, Status{SparseOK: true, UsesFrontier: true}, DirSparse},
-		{"pull-pin", Policy{PullOnly: true}, Status{UsesFrontier: true, Density: 0.001}, DirPull},
-		{"push-pin", Policy{PushOnly: true}, Status{UsesFrontier: true, Density: 0.9}, DirPush},
-		{"blind-pulls", hybrid, Status{UsesFrontier: false}, DirPull},
-		{"dense-pulls", hybrid, Status{UsesFrontier: true, Density: 0.5}, DirPull},
+		{"sparse-wins", hybrid, status{SparseOK: true, UsesFrontier: true, Density: 0.9}, dirSparse},
+		{"sparse-beats-pin", policy{PushOnly: true}, status{SparseOK: true, UsesFrontier: true}, dirSparse},
+		{"pull-pin", policy{PullOnly: true}, status{UsesFrontier: true, Density: 0.001}, dirPull},
+		{"push-pin", policy{PushOnly: true}, status{UsesFrontier: true, Density: 0.9}, dirPush},
+		{"blind-pulls", hybrid, status{UsesFrontier: false}, dirPull},
+		{"dense-pulls", hybrid, status{UsesFrontier: true, Density: 0.5}, dirPull},
 		{"sparse-frontier-pushes", hybrid,
-			Status{UsesFrontier: true, Density: 0.001, DegreeShare: share(0.01)}, DirPush},
+			status{UsesFrontier: true, Density: 0.001, DegreeShare: share(0.01)}, dirPush},
 		// The degree-sum term (Besta et al.): a low-density frontier whose
 		// hubs cover a big edge share still pulls.
 		{"hub-frontier-pulls", hybrid,
-			Status{UsesFrontier: true, Density: 0.001, DegreeShare: share(0.30)}, DirPull},
-		{"degree-term-disabled", Policy{},
-			Status{UsesFrontier: true, Density: 0.001, DegreeShare: share(0.30)}, DirPush},
-		{"nil-share-pushes", hybrid, Status{UsesFrontier: true, Density: 0.001}, DirPush},
+			status{UsesFrontier: true, Density: 0.001, DegreeShare: share(0.30)}, dirPull},
+		{"degree-term-disabled", policy{},
+			status{UsesFrontier: true, Density: 0.001, DegreeShare: share(0.30)}, dirPush},
+		{"nil-share-pushes", hybrid, status{UsesFrontier: true, Density: 0.001}, dirPush},
 	}
 	for _, tc := range cases {
 		if got := tc.p.Choose(tc.st); got != tc.want {
@@ -43,11 +43,11 @@ func TestPolicyChoose(t *testing.T) {
 // TestPolicyDegreeShareLazy pins the laziness contract: the O(frontier) walk
 // must not run when density alone decides.
 func TestPolicyDegreeShareLazy(t *testing.T) {
-	p := Policy{DegreeShareThreshold: 0.05}
+	p := policy{DegreeShareThreshold: 0.05}
 	called := false
-	st := Status{UsesFrontier: true, Density: 0.5,
+	st := status{UsesFrontier: true, Density: 0.5,
 		DegreeShare: func() float64 { called = true; return 1 }}
-	if p.Choose(st) != DirPull {
+	if p.Choose(st) != dirPull {
 		t.Fatal("dense frontier did not pull")
 	}
 	if called {

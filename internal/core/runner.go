@@ -437,7 +437,7 @@ func RunCtx(ctx context.Context, r *Runner, p apps.Program, maxIters int, seed *
 }
 
 // runLoop is the iteration loop: per iteration, the frontier census, the
-// direction choice (Policy.Choose), then either one fused list-driven round
+// direction choice (policy.Choose), then either one fused list-driven round
 // or a full Edge phase (its ordered merge included), each followed by the
 // Vertex phase and the frontier publish (DESIGN.md §13), and the round's
 // record folded into the Result (fold). It stops at maxIters, when the
@@ -451,7 +451,7 @@ func runLoop(ec *ExecContext, p apps.Program, maxIters int, seed *Seed) (Result,
 		res.Seeded = applySeed(ec, p, seed)
 	}
 	usesFrontier := p.UsesFrontier()
-	policy := Policy{
+	pol := policy{
 		PullOnly:             ec.opt.Mode == EnginePullOnly,
 		PushOnly:             ec.opt.Mode == EnginePushOnly,
 		DegreeShareThreshold: ec.opt.PullDegreeShare,
@@ -478,7 +478,7 @@ func runLoop(ec *ExecContext, p apps.Program, maxIters int, seed *Seed) (Result,
 	for i := 0; i < maxIters && !ec.aborted(); i++ {
 		// One census per iteration feeds the convergence vote, the direction
 		// choice and the trace, keeping the three consistent.
-		st := Status{UsesFrontier: usesFrontier, Density: 1}
+		st := status{UsesFrontier: usesFrontier, Density: 1}
 		if usesFrontier {
 			cs = ec.takeCensus()
 			if cs.count == 0 {
@@ -490,18 +490,18 @@ func runLoop(ec *ExecContext, p apps.Program, maxIters int, seed *Seed) (Result,
 		}
 		p.PreIteration(ec.props)
 
-		rd := round{dir: policy.Choose(st), density: st.Density}
+		rd := round{dir: pol.Choose(st), density: st.Density}
 		// The Vertex phase visits every vertex, or only the list-driven
 		// round's touched destinations, inline when its Edge phase was.
 		var list []uint32
 		n, inline := ec.g.N, false
 		t0 := time.Now()
 		switch rd.dir {
-		case DirSparse:
+		case dirSparse:
 			chunks := cs.chunks(ec.pool.Workers())
 			rd.edgeCost = runEdgePushSparse(ec, p, cs.list, chunks)
 			list, n, inline = ec.touchedList, len(ec.touchedList), chunks == 1
-		case DirPull:
+		case dirPull:
 			rd.edgeCost = RunEdgePull(ec, p)
 		default:
 			rd.edgeCost = RunEdgePush(ec, p)
@@ -535,7 +535,7 @@ func (ec *ExecContext) publishFrontier() {
 
 // frontierDegreeShare returns the current frontier's out-degree sum as a
 // share of all edges — the lazy degree-sum term of the hybrid heuristic
-// (Policy.DegreeShareThreshold). Only invoked when the density test alone
+// (policy.DegreeShareThreshold). Only invoked when the density test alone
 // would choose push, so the O(frontier) walk is paid exactly when the
 // decision is in doubt.
 func (ec *ExecContext) frontierDegreeShare() float64 {
@@ -563,7 +563,7 @@ type edgeCost struct {
 // a merge fold reads its own start and end — and the census and the
 // direction choice stay outside both walls.
 type round struct {
-	dir     Direction
+	dir     direction
 	density float64
 	// edge is the Edge phase's wall, its merge fold included.
 	edge, vertex time.Duration
@@ -580,14 +580,14 @@ func (ec *ExecContext) fold(res *Result, rd *round) {
 	res.EdgeTime += rd.edge
 	res.VertexTime += rd.vertex
 	ph := obs.PhaseEdgePush
-	if rd.dir == DirPull {
+	if rd.dir == dirPull {
 		ph = obs.PhaseEdgePull
 		res.PullIterations++
 		ec.pullsDone++
 	} else {
 		res.PushIterations++
 	}
-	if rd.dir == DirSparse {
+	if rd.dir == dirSparse {
 		res.SparseIterations++
 	}
 	if ec.edgeRec != nil {

@@ -57,12 +57,12 @@ func ParseDataset(s string) (Dataset, error) {
 	return 0, fmt.Errorf("gen: unknown dataset %q (want one of C,D,L,T,F,U)", s)
 }
 
-// Recipe describes how the synthetic analog of one dataset is produced.
+// recipe describes how the synthetic analog of one dataset is produced.
 // Vertex and edge counts at Scale 1.0 approximate each original divided by
 // 2^12 (≈ 4096×), which keeps the most expensive benchmark (the uk-2007
 // analog) under a million edges; Scale linearly multiplies edge counts and
 // shifts the R-MAT vertex scale to keep average degree fixed.
-type Recipe struct {
+type recipe struct {
 	Dataset   Dataset
 	RMATScale int        // log2 vertices at Scale 1.0 (0 for the mesh)
 	EdgesK    int        // thousand edges at Scale 1.0
@@ -75,7 +75,7 @@ type Recipe struct {
 // paper: dimacs-usa is near-constant degree; cit-Patents mild; livejournal
 // moderate; twitter and friendster heavy-tailed; uk-2007 the most skewed
 // (over 10× more vertices of in-degree ≥ 100k than twitter).
-var recipes = map[Dataset]Recipe{
+var recipes = map[Dataset]recipe{
 	CitPatents:  {Dataset: CitPatents, RMATScale: 10, EdgesK: 4, Params: RMATParams{A: 0.45, B: 0.22, C: 0.22, D: 0.11}},
 	DimacsUSA:   {Dataset: DimacsUSA, MeshRows: 72, MeshCols: 81, EdgesK: 23},
 	LiveJournal: {Dataset: LiveJournal, RMATScale: 10, EdgesK: 17, Params: RMATParams{A: 0.52, B: 0.20, C: 0.20, D: 0.08}},
