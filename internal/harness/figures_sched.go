@@ -75,21 +75,28 @@ func schedVariants() []core.PullVariant {
 }
 
 // runPR times cfg.PRIters PageRank iterations under the given pull variant
-// and granularity, returning the wall time and, when record is set, the
-// final run's result for counter inspection.
+// and granularity on plain runs, which charge no counter. With record set it
+// then makes one separate Record run of the same cell and returns its result
+// for the counters and the Fig 5b profile; the timed runs never record.
 func runPR(cfg Config, d gen.Dataset, variant core.PullVariant, chunkVectors int, record bool) (time.Duration, core.Result) {
 	cg := cfg.DatasetCoreGraph(d)
-	r := core.NewRunner(cg, core.Options{
+	opt := core.Options{
 		Workers:      cfg.Workers,
 		Variant:      variant,
 		ChunkVectors: chunkVectors,
 		Mode:         core.EnginePullOnly,
-		Record:       record,
-	})
-	defer r.Close()
+	}
 	p := apps.PageRankOn(cg.RankScale(false))
+	r := core.NewRunner(cg, opt)
+	dur := cfg.timeBest(func() { core.Run(r, p, cfg.PRIters) })
+	r.Close()
 	var res core.Result
-	dur := cfg.timeBest(func() { res = core.Run(r, p, cfg.PRIters) })
+	if record {
+		opt.Record = true
+		r := core.NewRunner(cg, opt)
+		res = core.Run(r, p, cfg.PRIters)
+		r.Close()
+	}
 	return dur, res
 }
 
@@ -97,8 +104,9 @@ func runPR(cfg Config, d gen.Dataset, variant core.PullVariant, chunkVectors int
 // traditional, traditional-nonatomic, and scheduler-aware interfaces at a
 // fixed granularity of 1,000 edge vectors per chunk, across all six
 // datasets. Fig 5a reports execution time relative to the traditional
-// interface (lower is better); Fig 5b reports the execution-time profile
-// and the conflict counters that explain it.
+// interface (lower is better), timed on runs that record nothing; Fig 5b
+// reports the execution-time profile and the conflict counters that explain
+// it, from one Record run per cell.
 func Fig5(cfg Config) []*Table {
 	cfg = cfg.withDefaults()
 	const granularity = 1000
@@ -182,9 +190,10 @@ func Fig6(cfg Config) []*Table {
 
 // Fig7 reproduces the multi-core scaling study: PageRank performance of the
 // two interfaces as worker count grows, normalized to the traditional
-// interface at one worker. The reproduction machine has few cores, so the
-// CAS-retry counter — the direct mechanism behind the paper's scaling gap —
-// is reported alongside.
+// interface at one worker, timed on runs that record nothing. The
+// reproduction machine has few cores, so the CAS-retry counter — the direct
+// mechanism behind the paper's scaling gap — is reported alongside, with the
+// scheduler-aware atomics, from one Record run per cell.
 func Fig7(cfg Config) []*Table {
 	cfg = cfg.withDefaults()
 	var tables []*Table
