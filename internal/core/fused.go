@@ -116,25 +116,13 @@ func (fz *fuse) combine(a, b uint64) uint64 {
 }
 
 // step4 folds a full 4-lane vector (all lanes valid) into acc — the fused
-// body of the full-vector fast path, with the kind switch hoisted off the
-// per-lane work. Only frontier programs reach it (a frontier-blind one pulls
-// by run span, pullSpanBody), so it has no rank-sum arm.
+// body of pullSABody's full-vector fast path, with the kind switch hoisted
+// off the per-lane work. A frontier-blind program pulls by run span and a
+// FusedMinProp one (cc) by one vec.MinPropChunk call per chunk
+// (pullSpanBody); the full-vector ablation, which sends cc to pullSABody,
+// turns this path off. So neither kind has an arm of its own.
 func (fz *fuse) step4(props []uint64, acc, n0, n1, n2, n3 uint64, wbase int, weights []float32) uint64 {
 	switch fz.kind {
-	case apps.FusedMinProp:
-		if v := props[n0]; v < acc {
-			acc = v
-		}
-		if v := props[n1]; v < acc {
-			acc = v
-		}
-		if v := props[n2]; v < acc {
-			acc = v
-		}
-		if v := props[n3]; v < acc {
-			acc = v
-		}
-		return acc
 	case apps.FusedMinSrc:
 		if n0 < acc {
 			acc = n0

@@ -152,8 +152,8 @@ func TestStepHelpersMatchDefinition(t *testing.T) {
 		for i, n := range []uint64{3, 9, 9, 14} {
 			accA = p.Combine(accA, p.Message(props[n], uint32(n), weights[i]))
 		}
-		// A rank sum has no arm of its own in step4 (its full vectors are
-		// reduced by run span, pullSpanBody) and takes the generic one.
+		// A rank sum and a min-prop program have no arm of their own in
+		// step4 (both pull in pullSpanBody) and take the generic one.
 		if accB := fz.step4(props, p.Identity(), 3, 9, 9, 14, 0, weights); accA != accB {
 			t.Errorf("%s: step4 = %#x, want %#x", ent.Name, accB, accA)
 		}

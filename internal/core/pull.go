@@ -62,6 +62,12 @@ func edgePullSA(r *ExecContext, p apps.Program) edgeCost {
 // single-writer transition stores, and merge slots keyed by chunk id make
 // its chunks safe to run concurrently.
 //
+// Run bounds come from Index, the one record of a vector's owner: the chunk
+// starts at the destination that owns rg.Lo (firstTop), a transition falls
+// at vi == Index[dst+1], and the destination after it is the next one that
+// owns vectors (one without in-edges owns none and is passed over), as the
+// vec chunk walks find them.
+//
 // Early exit: a destination whose gather can contribute nothing more is left
 // by jumping vi to the end of its vector run, Index[dst+1] (the loop bound
 // clips the jump at rg.Hi), instead of visiting every vector. Two cases
@@ -133,24 +139,25 @@ func pullSABody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, nod
 	inPlace := r.inPlace(p)
 	words, index := a.Words, a.Index
 	return func(rg sched.Range, chunkID, tid, node int) {
-		// StartChunk (Listing 3): TLS holds the previous destination and its
+		// StartChunk (Listing 3): TLS holds the current destination and its
 		// partially-aggregated value.
-		prev := firstTop(a, rg.Lo)
-		first := uint64(prev)
+		dst := firstTop(a, rg.Lo)
+		first := uint64(dst)
 		acc := identity
 		for vi := rg.Lo; vi < rg.Hi; vi++ {
-			base := vi * vec.Lanes
-			v0, v1, v2, v3 := words[base], words[base+1], words[base+2], words[base+3]
-			dst := decodeTop4(v0, v1, v2, v3)
-			if dst != prev {
+			if vi == index[dst+1] {
 				// Outer-loop transition (Listing 4): at most one chunk holds
-				// the final inner iterations of prev, so this unsynchronized
+				// the final inner iterations of dst, so this unsynchronized
 				// shared store is safe.
 				if acc != identity {
-					accum[prev] = fz.combine(accum[prev], acc)
+					accum[dst] = fz.combine(accum[dst], acc)
 				}
-				prev, acc = dst, identity
+				acc = identity
+				for dst++; index[dst+1] == vi; dst++ {
+				}
 			}
+			base := vi * vec.Lanes
+			v0, v1, v2, v3 := words[base], words[base+1], words[base+2], words[base+3]
 			if tracksConv && r.conv.Contains(dst) {
 				if frontierWork {
 					vi = index[dst+1] - 1
@@ -233,7 +240,7 @@ func pullSABody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, nod
 		}
 		// FinishChunk (Listing 5): the trailing partial aggregate goes to
 		// this chunk's private merge-buffer slot.
-		r.mergeBuf.Save(chunkID, prev, acc)
+		r.mergeBuf.Save(chunkID, dst, acc)
 	}
 }
 
@@ -276,17 +283,18 @@ func countChunk(r *ExecContext, fz *fuse) func(rg sched.Range, node int) perfmod
 	return func(rg sched.Range, node int) perfmodel.Counters {
 		var c perfmodel.Counters
 		first := firstTop(a, rg.Lo)
-		prev, taken := first, false
+		dst, taken := first, false
 		for vi := rg.Lo; vi < rg.Hi; vi++ {
-			base := vi * vec.Lanes
-			v0, v1, v2, v3 := words[base], words[base+1], words[base+2], words[base+3]
-			dst := decodeTop4(v0, v1, v2, v3)
-			if dst != prev {
-				if taken && accum[prev] != identity {
+			if vi == index[dst+1] {
+				if taken && accum[dst] != identity {
 					c.SharedWrites++
 				}
-				prev, taken = dst, false
+				taken = false
+				for dst++; index[dst+1] == vi; dst++ {
+				}
 			}
+			base := vi * vec.Lanes
+			v0, v1, v2, v3 := words[base], words[base+1], words[base+2], words[base+3]
 			c.VectorsProcessed++
 			mask := signMask4(v0, v1, v2, v3)
 			c.InvalidLanes += uint64(vec.Lanes - mask.Count())
@@ -381,7 +389,7 @@ func edgePullTraditional(r *ExecContext, p apps.Program, useAtomics bool) edgeCo
 	rec := r.edgeRec
 	fz := fuseFor(p, weighted)
 
-	words := a.Words
+	words, index := a.Words, a.Index
 	// Two merge slots per chunk (prefix and suffix runs); dispatch itself
 	// only guarantees one.
 	r.mergeBuf.Grow(2 * (sched.NumChunks(total, chunkSize) + r.topo.Nodes))
@@ -392,18 +400,23 @@ func edgePullTraditional(r *ExecContext, p apps.Program, useAtomics bool) edgeCo
 		// chunk is a single run the suffix takes all of it. acc is the
 		// prefix's aggregate, then the suffix's.
 		firstDst, lastDst := firstTop(a, rg.Lo), firstTop(a, rg.Hi-1)
-		suffixStart := max(a.Index[lastDst], rg.Lo)
-		prefixEnd := min(a.Index[firstDst+1], suffixStart)
+		suffixStart := max(index[lastDst], rg.Lo)
+		prefixEnd := min(index[firstDst+1], suffixStart)
 		acc := identity
 		own := r.owned[node]
+		dst := firstDst
 		for vi := rg.Lo; vi < rg.Hi; vi++ {
 			if vi == prefixEnd {
 				r.mergeBuf.Save(2*chunkID, firstDst, acc)
 				acc = identity
 			}
+			// dst owns vi: step past a run that ended here and past any
+			// destination without vectors.
+			for vi == index[dst+1] {
+				dst++
+			}
 			base := vi * vec.Lanes
 			v0, v1, v2, v3 := words[base], words[base+1], words[base+2], words[base+3]
-			dst := decodeTop4(v0, v1, v2, v3)
 			c.VectorsProcessed++
 			mask := signMask4(v0, v1, v2, v3)
 			valid := mask.Count()
@@ -663,15 +676,11 @@ func foldRun(fz *fuse, props []uint64, front *frontier.Dense, srcs []uint32, ws 
 	return acc, live
 }
 
-// decodeTop4 reassembles the embedded 48-bit top-level vertex id from four
-// raw lane words (the open-coded form of vsparse.DecodeTop, kept branch-free
-// on the kernels' hot path).
-func decodeTop4(v0, v1, v2, v3 uint64) uint32 {
-	const pieceShift = 48
-	return uint32(((v0>>pieceShift)&0x7)<<45 |
-		((v1>>pieceShift)&0x7FFF)<<30 |
-		((v2>>pieceShift)&0x7FFF)<<15 |
-		(v3>>pieceShift)&0x7FFF)
+// firstTop returns the top-level vertex that owns vector vi of array a — the
+// scheduler-aware StartChunk initialization — by one search of Index: the
+// first vertex whose run ends past vi.
+func firstTop(a *vsparse.Array, vi int) uint32 {
+	return uint32(sort.Search(a.N, func(v int) bool { return a.Index[v+1] > vi }))
 }
 
 // window4 returns the lanes whose source id lies in [lo, lo+span), branch-

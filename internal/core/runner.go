@@ -14,7 +14,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/perfmodel"
 	"repro/internal/sched"
-	"repro/internal/vsparse"
 )
 
 // Runner is the shared, immutable half of the execution stack: the
@@ -602,10 +601,4 @@ func (ec *ExecContext) fold(res *Result, rd *round) {
 		t.AddPhase(obs.PhaseVertex, rd.vertex, int64(rd.vertexChunks), rd.density)
 		t.AddDirection(rd.dir.Mark())
 	}
-}
-
-// firstTop returns the top-level vertex of vector vi in array a — the
-// scheduler-aware StartChunk initialization.
-func firstTop(a *vsparse.Array, vi int) uint32 {
-	return uint32(vsparse.DecodeTop(a.Vector(vi)))
 }

@@ -59,7 +59,7 @@ func TestRankSumChunkNeverReadsPastLen(t *testing.T) {
 				ids[lane] = uint64((7*v + 3*lane + n - 8) % n)
 			}
 			valid := 1 + v%vec.Lanes
-			vec.Store(words, v*vec.Lanes, vsparse.EncodeVector(uint64(n-vectors+v), ids, valid))
+			vec.Store(words, v*vec.Lanes, vsparse.EncodeVector(ids, valid))
 			for lane := 0; lane < vec.Lanes; lane++ {
 				weights[v*vec.Lanes+lane] = 0
 				if lane < valid {
@@ -106,7 +106,7 @@ func TestMinPropChunkNeverReadsPastLen(t *testing.T) {
 			for lane := range ids {
 				ids[lane] = uint64((7*v + 3*lane + n - 8) % n) // the top ids: the last frontier word
 			}
-			vec.Store(words, v*vec.Lanes, vsparse.EncodeVector(uint64(n-vectors+v), ids, 1+v%vec.Lanes))
+			vec.Store(words, v*vec.Lanes, vsparse.EncodeVector(ids, 1+v%vec.Lanes))
 		}
 		for dst := 0; dst <= n; dst++ {
 			index[dst] = max(0, dst-(n-vectors))
@@ -153,7 +153,7 @@ func TestMinSrcChunkNeverReadsPastLen(t *testing.T) {
 			for lane := range ids {
 				ids[lane] = uint64((7*v + 3*lane + n - 8) % n)
 			}
-			vec.Store(words, v*vec.Lanes, vsparse.EncodeVector(uint64(n-vectors+v), ids, 1+v%vec.Lanes))
+			vec.Store(words, v*vec.Lanes, vsparse.EncodeVector(ids, 1+v%vec.Lanes))
 		}
 		for dst := 0; dst <= n; dst++ {
 			index[dst] = max(0, dst-(n-vectors))

@@ -23,20 +23,20 @@ import (
 // runs the tests on both.
 
 // perEdgeChunk is the rank-sum chunk walk as the two-gather kernel computed
-// it before contrib existed, written from the vectors' own embedded
-// destination ids, not from index: every valid lane adds
-// props[src]·scale[src] (·weight), multiplied out on that edge, into its
-// lane's partial sum of the current destination; a destination change folds
-// the previous one's partials as (l0+l1)+(l2+l3) and adds the sum to its
-// accum word; the chunk's last destination is returned unflushed. The
-// one-gather kernels must reproduce it to the bit.
-func perEdgeChunk(words, props []uint64, scale []float64, weights []float32, accum []uint64, lo, hi int) (last int, acc uint64) {
+// it before contrib existed, written vector by vector from own, the owner of
+// each vector (owners), not from the kernels' run-bound walk of index: every
+// valid lane adds props[src]·scale[src] (·weight), multiplied out on that
+// edge, into its lane's partial sum of the current destination; a
+// destination change folds the previous one's partials as (l0+l1)+(l2+l3)
+// and adds the sum to its accum word; the chunk's last destination is
+// returned unflushed. The one-gather kernels must reproduce it to the bit.
+func perEdgeChunk(words []uint64, own []int, props []uint64, scale []float64, weights []float32, accum []uint64, lo, hi int) (last int, acc uint64) {
 	last = -1
 	var l [vec.Lanes]float64
 	fold := func() float64 { return (l[0] + l[1]) + (l[2] + l[3]) }
 	for vi := lo; vi < hi; vi++ {
 		v := vec.Load(words, vi*vec.Lanes)
-		if dst := int(vsparse.DecodeTop(v)); dst != last {
+		if dst := own[vi]; dst != last {
 			if last >= 0 {
 				accum[last] = math.Float64bits(math.Float64frombits(accum[last]) + fold())
 			}
@@ -87,13 +87,26 @@ func newRankFixture(n int, seed int64) rankFixture {
 	return f
 }
 
+// owners expands a Vector-Sparse index group by group into the owner of
+// every vector: vector vi belongs to the d with index[d] <= vi < index[d+1].
+// The references read a vector's destination from it, one vector at a time.
+func owners(index []int) []int {
+	own := make([]int, index[len(index)-1])
+	for d := 0; d+1 < len(index); d++ {
+		for vi := index[d]; vi < index[d+1]; vi++ {
+			own[vi] = d
+		}
+	}
+	return own
+}
+
 // firstDst is the destination that owns vector lo of a chunk, as the engine
 // passes it (0 for an empty chunk).
-func firstDst(words []uint64, lo, hi int) int {
+func firstDst(own []int, lo, hi int) int {
 	if lo == hi {
 		return 0
 	}
-	return int(vsparse.DecodeTop(vec.Load(words, lo*vec.Lanes)))
+	return own[lo]
 }
 
 // rankImpl is one implementation of the chunk walk under test.
@@ -119,12 +132,13 @@ func (f rankFixture) gridAgrees(words []uint64, index []int, weights []float32, 
 	if f.kernelAccum != nil {
 		accums[0] = f.kernelAccum()
 	}
+	own := owners(index)
 	for _, c := range chunks {
 		lo, hi := c[0], c[1]
-		dst := firstDst(words, lo, hi)
+		dst := firstDst(own, lo, hi)
 		rLast, rAcc := dst, uint64(0)
 		if lo < hi {
-			rLast, rAcc = perEdgeChunk(words, f.props, f.scale, weights, rAccum, lo, hi)
+			rLast, rAcc = perEdgeChunk(words, own, f.props, f.scale, weights, rAccum, lo, hi)
 		}
 		for i, k := range rankImpls() {
 			if last, acc := k.run(words, index, f.contrib, weights, accums[i], dst, lo, hi); last != rLast || acc != rAcc {
@@ -262,7 +276,7 @@ func TestRankSumChunkOrder(t *testing.T) {
 		for lane := range ids {
 			ids[lane] = uint64(vi%2*vec.Lanes + lane)
 		}
-		vec.Store(words, vi*vec.Lanes, vsparse.EncodeVector(uint64(vi/2), ids, vec.Lanes))
+		vec.Store(words, vi*vec.Lanes, vsparse.EncodeVector(ids, vec.Lanes))
 	}
 	index := []int{0, 2, 4}
 	for _, k := range rankImpls() {
@@ -314,8 +328,9 @@ func BenchmarkRankSumChunk(b *testing.B) {
 	nv := a.NumVectors()
 	// Each span is {dst, lo, hi}.
 	var chunks, runs [][3]int
+	own := owners(a.Index)
 	for _, c := range grid(nv, sched.ChunkSize(nv, sched.DefaultChunks(2))) {
-		chunks = append(chunks, [3]int{firstDst(a.Words, c[0], c[1]), c[0], c[1]})
+		chunks = append(chunks, [3]int{firstDst(own, c[0], c[1]), c[0], c[1]})
 	}
 	for dst := 0; dst < a.N; dst++ {
 		if lo, hi := a.Index[dst], a.Index[dst+1]; hi > lo {

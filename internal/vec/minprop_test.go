@@ -20,18 +20,19 @@ import (
 
 const identity = ^uint64(0)
 
-// perLaneChunk is the chunk walk written from the vectors' own embedded
-// destination ids, not from index: every live lane folds props[src] into its
-// destination's aggregate, a destination change flushes the previous one into
-// accum, and the chunk's last destination is returned unflushed. In place, a
-// live lane whose source lies between the chunk's first destination and the
-// current one also folds accum[src] as this walk's own flushes have left it.
-func perLaneChunk(words, props, front, accum []uint64, lo, hi int, inPlace bool) (last int, acc uint64) {
+// perLaneChunk is the chunk walk written vector by vector from own, the
+// owner of each vector (owners), not from the kernels' run-bound walk of
+// index: every live lane folds props[src] into its destination's aggregate, a
+// destination change flushes the previous one into accum, and the chunk's
+// last destination is returned unflushed. In place, a live lane whose source
+// lies between the chunk's first destination and the current one also folds
+// accum[src] as this walk's own flushes have left it.
+func perLaneChunk(words []uint64, own []int, props, front, accum []uint64, lo, hi int, inPlace bool) (last int, acc uint64) {
 	last, acc = -1, identity
-	first := vsparse.DecodeTop(vec.Load(words, lo*vec.Lanes))
+	first := uint64(own[lo])
 	for vi := lo; vi < hi; vi++ {
 		v := vec.Load(words, vi*vec.Lanes)
-		if dst := int(vsparse.DecodeTop(v)); dst != last {
+		if dst := own[vi]; dst != last {
 			if last >= 0 {
 				accum[last] = min(accum[last], acc)
 			}
@@ -101,10 +102,8 @@ func frontierAt(n int, density float64, seed int64) []uint64 {
 // on and off, and reports a mismatch. It also reports whether the window
 // changed anything, so a test can tell that it was exercised.
 func (f minFixture) chunkAgrees(words []uint64, index []int, front []uint64, lo, hi int) (windowed bool, err error) {
-	dst := 0
-	if lo < hi {
-		dst = int(vsparse.DecodeTop(vec.Load(words, lo*vec.Lanes)))
-	}
+	own := owners(index)
+	dst := firstDst(own, lo, hi)
 	var sync []uint64
 	for _, inPlace := range []bool{false, true} {
 		kAccum, tAccum, rAccum := slices.Clone(f.accum), slices.Clone(f.accum), slices.Clone(f.accum)
@@ -115,7 +114,7 @@ func (f minFixture) chunkAgrees(words []uint64, index []int, front []uint64, lo,
 		tLast, tAcc := vec.MinPropChunkGo(words, index, f.props, front, tAccum, dst, lo, hi, inPlace)
 		rLast, rAcc := dst, identity
 		if lo < hi {
-			rLast, rAcc = perLaneChunk(words, f.props, front, rAccum, lo, hi, inPlace)
+			rLast, rAcc = perLaneChunk(words, own, f.props, front, rAccum, lo, hi, inPlace)
 		}
 		if kLast != rLast || kAcc != rAcc || tLast != rLast || tAcc != rAcc {
 			return false, fmt.Errorf("in place %v: returned %s (%d, %#x), Go twin (%d, %#x), per-lane (%d, %#x)",
@@ -233,7 +232,7 @@ func randomArray(rng *rand.Rand, n, vectors int) (words []uint64, index []int) {
 			for lane := range ids {
 				ids[lane] = uint64(rng.Intn(n))
 			}
-			vec.Store(words, vi*vec.Lanes, vsparse.EncodeVector(uint64(dst), ids, 1+rng.Intn(vec.Lanes)))
+			vec.Store(words, vi*vec.Lanes, vsparse.EncodeVector(ids, 1+rng.Intn(vec.Lanes)))
 			vi++
 		}
 	}

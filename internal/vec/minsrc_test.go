@@ -17,17 +17,18 @@ import (
 // against the Go twin and against a lane-by-lane reference, on the returned
 // pair and on every accum word.
 
-// perLaneMinSrc is the min-src chunk walk written from the vectors' own
-// embedded destination ids, not from index: a destination change flushes the
-// previous one's aggregate into accum, a converged destination's vectors are
-// passed over, and in any other the first live lane the walk meets sets the
-// aggregate, after which the destination's later vectors are passed over. The
-// chunk's last destination is returned unflushed.
-func perLaneMinSrc(words, front, conv, accum []uint64, lo, hi int) (last int, acc uint64) {
+// perLaneMinSrc is the min-src chunk walk written vector by vector from own,
+// the owner of each vector (owners), not from the kernels' run-bound walk of
+// index: a destination change flushes the previous one's aggregate into
+// accum, a converged destination's vectors are passed over, and in any other
+// the first live lane the walk meets sets the aggregate, after which the
+// destination's later vectors are passed over. The chunk's last destination
+// is returned unflushed.
+func perLaneMinSrc(words []uint64, own []int, front, conv, accum []uint64, lo, hi int) (last int, acc uint64) {
 	last, acc = -1, identity
 	for vi := lo; vi < hi; vi++ {
 		v := vec.Load(words, vi*vec.Lanes)
-		if dst := int(vsparse.DecodeTop(v)); dst != last {
+		if dst := own[vi]; dst != last {
 			if last >= 0 {
 				accum[last] = min(accum[last], acc)
 			}
@@ -68,10 +69,8 @@ func newSrcFixture(n int, seed int64) srcFixture {
 // per-lane reference under one frontier and every converged set, each on its
 // own copy of accum, and reports a mismatch.
 func (f srcFixture) chunkAgrees(words []uint64, index []int, front []uint64, lo, hi int) error {
-	dst := 0
-	if lo < hi {
-		dst = int(vsparse.DecodeTop(vec.Load(words, lo*vec.Lanes)))
-	}
+	own := owners(index)
+	dst := firstDst(own, lo, hi)
 	for name, conv := range f.convs {
 		kAccum, tAccum, rAccum := slices.Clone(f.accum), slices.Clone(f.accum), slices.Clone(f.accum)
 		if f.kernelAccum != nil {
@@ -81,7 +80,7 @@ func (f srcFixture) chunkAgrees(words []uint64, index []int, front []uint64, lo,
 		tLast, tAcc := vec.MinSrcChunkGo(words, index, front, conv, tAccum, dst, lo, hi)
 		rLast, rAcc := dst, identity
 		if lo < hi {
-			rLast, rAcc = perLaneMinSrc(words, front, conv, rAccum, lo, hi)
+			rLast, rAcc = perLaneMinSrc(words, own, front, conv, rAccum, lo, hi)
 		}
 		if kLast != rLast || kAcc != rAcc || tLast != rLast || tAcc != rAcc {
 			return fmt.Errorf("%s: returned %s (%d, %#x), Go twin (%d, %#x), per-lane (%d, %#x)",

@@ -2,19 +2,20 @@
 // paper), the modification of Compressed-Sparse that makes the pull engine's
 // inner loop vectorizable. Edges are packed four per 256-bit vector; each
 // vertex's edge group is padded to a whole number of vectors so every load
-// is aligned and unguarded, per-lane valid bits drive predicated execution
-// instead of bounds checks, and the 48-bit top-level vertex id is embedded
-// in the vector itself so the inner loop can detect outer-loop transitions
-// without touching the vertex index.
+// is aligned and unguarded, and per-lane valid bits drive predicated
+// execution instead of bounds checks. Index is the one record of which
+// vectors a top-level vertex owns: the pull kernels take every run's end and
+// a chunk's first destination from it, and the push kernels every source's
+// vectors. The paper also splits the 48-bit top-level id across each
+// vector's upper lane bits, so that its assembly loop can detect outer-loop
+// transitions without the index; no kernel here would read such a copy, so a
+// lane carries none (DESIGN.md §2).
 //
-// Bit layout of one 64-bit lane (Fig 4):
+// Bit layout of one 64-bit lane:
 //
 //	bit  63     valid
-//	bits 62:48  piece of the top-level vertex id (lane 0 uses only 50:48)
+//	bits 62:48  zero
 //	bits 47:0   individual (neighbor) vertex id
-//
-// The 48-bit top-level id is split 3+15+15+15 across the four lanes, most
-// significant piece first.
 package vsparse
 
 import (
@@ -29,19 +30,11 @@ const (
 	ValidBit = uint64(1) << 63
 	// VertexMask selects the 48-bit individual vertex id of a lane.
 	VertexMask = (uint64(1) << 48) - 1
-
-	// Lane 0 carries top-level id bits 47:45 in lane bits 50:48; lanes 1-3
-	// carry 15-bit pieces in lane bits 62:48.
-	lane0PieceBits = 3
-	laneNPieceBits = 15
-	pieceShift     = 48
-	lane0PieceMask = (uint64(1) << lane0PieceBits) - 1
-	laneNPieceMask = (uint64(1) << laneNPieceBits) - 1
 )
 
-// Array is a Vector-Sparse edge structure. When ByDest is true the top-level
-// vertices are destinations (VSD, the pull engine's layout); otherwise
-// sources (VSS, the push engine's layout).
+// Array is a Vector-Sparse edge structure, grouped by destination (VSD, the
+// pull engine's layout) or by source (VSS, the push engine's layout) as the
+// csr.Matrix it was built from is.
 type Array struct {
 	// N is the number of top-level vertices.
 	N int
@@ -54,11 +47,10 @@ type Array struct {
 	Weights []float32
 	// Index maps a top-level vertex to its first vector; vertex v owns
 	// vectors [Index[v], Index[v+1]). Degree-0 vertices own zero vectors.
-	// The inner loop never reads this — it exists for frontier-driven
-	// engines that skip whole vertices.
+	// It is the only record of a vector's owner: the chunk kernels read it
+	// for every run's end, and the engine searches it for a chunk's first
+	// destination.
 	Index []int
-	// ByDest records the grouping (VSD when true, VSS when false).
-	ByDest bool
 	// ValidEdges is the number of real (non-padding) lanes.
 	ValidEdges int
 }
@@ -74,40 +66,17 @@ func (a *Array) MemoryBytes() int64 {
 // Vector loads vector i as a register value.
 func (a *Array) Vector(i int) vec.U64x4 { return vec.Load(a.Words, i*vec.Lanes) }
 
-// EncodeVector packs up to four neighbor ids of top-level vertex top into
-// one vector. valid gives the live lane count (1..4).
-func EncodeVector(top uint64, neighbors [vec.Lanes]uint64, valid int) vec.U64x4 {
+// EncodeVector packs up to four neighbor ids into one vector. valid gives
+// the live lane count (1..4).
+func EncodeVector(neighbors [vec.Lanes]uint64, valid int) vec.U64x4 {
 	var v vec.U64x4
-	pieces := splitTop(top)
-	for i := 0; i < vec.Lanes; i++ {
-		lane := pieces[i] | (neighbors[i] & VertexMask)
+	for i := range v {
+		v[i] = neighbors[i] & VertexMask
 		if i < valid {
-			lane |= ValidBit
+			v[i] |= ValidBit
 		}
-		v[i] = lane
 	}
 	return v
-}
-
-// splitTop distributes the 48-bit top-level id across the four lanes'
-// piece fields (already shifted into position).
-func splitTop(top uint64) [vec.Lanes]uint64 {
-	return [vec.Lanes]uint64{
-		((top >> 45) & lane0PieceMask) << pieceShift,
-		((top >> 30) & laneNPieceMask) << pieceShift,
-		((top >> 15) & laneNPieceMask) << pieceShift,
-		(top & laneNPieceMask) << pieceShift,
-	}
-}
-
-// DecodeTop reassembles the 48-bit top-level vertex id embedded in a vector.
-// This is the extractDest() of the paper's Listing 7: the inner loop calls
-// it instead of consulting the vertex index or performing bounds checks.
-func DecodeTop(v vec.U64x4) uint64 {
-	return ((v[0]>>pieceShift)&lane0PieceMask)<<45 |
-		((v[1]>>pieceShift)&laneNPieceMask)<<30 |
-		((v[2]>>pieceShift)&laneNPieceMask)<<15 |
-		(v[3]>>pieceShift)&laneNPieceMask
 }
 
 // Valid extracts the per-lane valid mask (consumed as gather predication).
@@ -120,7 +89,7 @@ func Valid(v vec.U64x4) vec.Mask { return vec.SignMask(v) }
 // kernels rely on: their frontier test gathers through all four lanes
 // unpredicated and applies the valid mask afterwards (vec.TestBits).
 func FromCSR(m *csr.Matrix) *Array {
-	a := &Array{N: m.N, ByDest: m.ByDest, ValidEdges: m.NumEdges()}
+	a := &Array{N: m.N, ValidEdges: m.NumEdges()}
 	a.Index = make([]int, m.N+1)
 	totalVectors := 0
 	for v := 0; v < m.N; v++ {
@@ -134,18 +103,19 @@ func FromCSR(m *csr.Matrix) *Array {
 	}
 	out := 0
 	for v := 0; v < m.N; v++ {
-		out = a.encodeGroup(out, uint64(v), m.Edges(uint32(v)), m.EdgeWeights(uint32(v)))
+		out = a.encodeGroup(out, m.Edges(uint32(v)), m.EdgeWeights(uint32(v)))
 	}
 	return a
 }
 
-// encodeGroup writes top's vector run — neigh packed four to a vector, the
-// last one padded — at vector position out and returns the position after
-// it. Nothing it writes depends on out: a vector embeds its top-level id and
-// its neighbour ids, so a run is valid wherever it lands. FromCSR and Patch
-// both encode through here, which is what keeps a spliced array
-// byte-identical to a rebuilt one. weights is nil on unweighted arrays.
-func (a *Array) encodeGroup(out int, top uint64, neigh []uint32, weights []float32) int {
+// encodeGroup writes one top-level vertex's vector run — neigh packed four
+// to a vector, the last one padded — at vector position out and returns the
+// position after it. Nothing it writes depends on out or on the vertex: a
+// vector holds neighbour ids and valid bits alone, so a run is valid wherever
+// it lands, and Index alone says whose it is. FromCSR and Patch both encode
+// through here, which is what keeps a spliced array byte-identical to a
+// rebuilt one. weights is nil on unweighted arrays.
+func (a *Array) encodeGroup(out int, neigh []uint32, weights []float32) int {
 	for lo := 0; lo < len(neigh); lo += vec.Lanes {
 		valid := len(neigh) - lo
 		if valid > vec.Lanes {
@@ -159,7 +129,7 @@ func (a *Array) encodeGroup(out int, top uint64, neigh []uint32, weights []float
 				lanes[i] = uint64(neigh[lo+valid-1]) // padding: repeat last
 			}
 		}
-		vec.Store(a.Words, out*vec.Lanes, EncodeVector(top, lanes, valid))
+		vec.Store(a.Words, out*vec.Lanes, EncodeVector(lanes, valid))
 		if weights != nil {
 			copy(a.Weights[out*vec.Lanes:], weights[lo:lo+valid])
 		}
@@ -178,7 +148,7 @@ func vectorsFor(degree int) int { return (degree + vec.Lanes - 1) / vec.Lanes }
 // their new offset because nothing in a vector is positional; only touched
 // groups are encoded again.
 func (a *Array) Patch(m *csr.Matrix, touched []uint32) *Array {
-	out := &Array{N: m.N, ByDest: m.ByDest, ValidEdges: m.NumEdges()}
+	out := &Array{N: m.N, ValidEdges: m.NumEdges()}
 	total := a.NumVectors()
 	for _, v := range touched {
 		total += vectorsFor(m.Degree(v))
@@ -211,22 +181,29 @@ func (a *Array) Patch(m *csr.Matrix, touched []uint32) *Array {
 		},
 		func(v uint32) {
 			out.Index[v] = pos
-			pos = out.encodeGroup(pos, uint64(v), m.Edges(v), m.EdgeWeights(v))
+			pos = out.encodeGroup(pos, m.Edges(v), m.EdgeWeights(v))
 		})
 	out.Index[m.N] = pos
 	return out
 }
 
-// Validate checks encoding invariants: every vector's embedded top-level id
-// matches the index that owns it, every lane — valid or padding — holds an
-// in-range id, lane validity is a prefix, and ValidEdges matches the live
-// lane count.
+// Validate checks encoding invariants: Index starts at vector 0, is
+// monotone and covers every vector; a weighted array has one weight per lane;
+// every lane — valid or padding — holds an in-range id and leaves bits 62:48
+// zero; lane validity is a prefix; and ValidEdges matches the live lane
+// count.
 func (a *Array) Validate() error {
 	if len(a.Index) != a.N+1 {
 		return fmt.Errorf("vsparse: index length %d, want %d", len(a.Index), a.N+1)
 	}
 	if len(a.Words)%vec.Lanes != 0 {
 		return fmt.Errorf("vsparse: %d words is not a whole number of vectors", len(a.Words))
+	}
+	if a.Weights != nil && len(a.Weights) != len(a.Words) {
+		return fmt.Errorf("vsparse: %d weights for %d lanes", len(a.Weights), len(a.Words))
+	}
+	if a.Index[0] != 0 || a.Index[a.N] != a.NumVectors() {
+		return fmt.Errorf("vsparse: index spans vectors [%d, %d), want [0, %d)", a.Index[0], a.Index[a.N], a.NumVectors())
 	}
 	live := 0
 	for v := 0; v < a.N; v++ {
@@ -235,12 +212,12 @@ func (a *Array) Validate() error {
 		}
 		for i := a.Index[v]; i < a.Index[v+1]; i++ {
 			vv := a.Vector(i)
-			if got := DecodeTop(vv); got != uint64(v) {
-				return fmt.Errorf("vsparse: vector %d embeds top id %d, owned by %d", i, got, v)
-			}
 			mask := Valid(vv)
 			seenInvalid := false
 			for lane := 0; lane < vec.Lanes; lane++ {
+				if vv[lane]&^(ValidBit|VertexMask) != 0 {
+					return fmt.Errorf("vsparse: vector %d lane %d sets bits 62:48", i, lane)
+				}
 				// Dead lanes too: the kernels gather through every lane
 				// unpredicated (vec.TestBits) and mask afterwards.
 				if vv[lane]&VertexMask >= uint64(a.N) {
@@ -259,9 +236,6 @@ func (a *Array) Validate() error {
 				return fmt.Errorf("vsparse: vector %d has no valid lanes", i)
 			}
 		}
-	}
-	if a.Index[a.N] != a.NumVectors() {
-		return fmt.Errorf("vsparse: index does not cover all %d vectors", a.NumVectors())
 	}
 	if live != a.ValidEdges {
 		return fmt.Errorf("vsparse: %d live lanes, recorded %d", live, a.ValidEdges)

@@ -13,17 +13,31 @@ import (
 	"repro/internal/vec"
 )
 
-func TestEncodeDecodeTop(t *testing.T) {
-	for _, top := range []uint64{0, 1, 7, 1 << 15, 1<<30 + 3, (1 << 48) - 1, 0xDEAD_BEEF_CAFE} {
-		v := EncodeVector(top, [vec.Lanes]uint64{1, 2, 3, 4}, 4)
-		if got := DecodeTop(v); got != top {
-			t.Errorf("DecodeTop(EncodeVector(%#x)) = %#x", top, got)
+// TestLaneLayout: a lane is the valid bit (63), zero bits 62:48 and the
+// neighbour id in bits 47:0, for ids across the whole 48-bit range and every
+// valid count; bits of an id above 47 are dropped, not carried into 62:48.
+func TestLaneLayout(t *testing.T) {
+	for _, id := range []uint64{0, 1, 7, 1 << 15, 1<<30 + 3, (1 << 48) - 1, 0xDEAD_BEEF_CAFE} {
+		ids := [vec.Lanes]uint64{id, id ^ 1, id | 0x7FFF<<48, id >> 1}
+		want := [vec.Lanes]uint64{id, id ^ 1, id, id >> 1}
+		for valid := 1; valid <= vec.Lanes; valid++ {
+			for lane, w := range EncodeVector(ids, valid) {
+				if w&^(ValidBit|VertexMask) != 0 {
+					t.Errorf("id %#x, lane %d: %#x sets bits 62:48", id, lane, w)
+				}
+				if got := w & VertexMask; got != want[lane] {
+					t.Errorf("id %#x, lane %d: neighbour %#x, want %#x", id, lane, got, want[lane])
+				}
+				if live := w&ValidBit != 0; live != (lane < valid) {
+					t.Errorf("id %#x, lane %d of %d valid: valid bit %v", id, lane, valid, live)
+				}
+			}
 		}
 	}
 }
 
 func TestEncodeValidPrefix(t *testing.T) {
-	v := EncodeVector(5, [vec.Lanes]uint64{10, 20, 30, 30}, 3)
+	v := EncodeVector([vec.Lanes]uint64{10, 20, 30, 30}, 3)
 	if got := Valid(v); got != vec.Mask(0b0111) {
 		t.Errorf("Valid = %04b, want 0111", got)
 	}
@@ -53,9 +67,6 @@ func TestFromCSRStructure(t *testing.T) {
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !a.ByDest {
-		t.Error("grouping flag lost")
-	}
 	if a.ValidEdges != 8 {
 		t.Errorf("ValidEdges = %d, want 8", a.ValidEdges)
 	}
@@ -63,18 +74,29 @@ func TestFromCSRStructure(t *testing.T) {
 	if a.NumVectors() != 7 {
 		t.Errorf("NumVectors = %d, want 7", a.NumVectors())
 	}
-	// Vertex 10 (in-degree 2, from 0 and 2) occupies exactly one vector with
-	// two valid lanes.
-	lo, hi := a.Index[10], a.Index[11]
-	if hi-lo != 1 {
-		t.Fatalf("vertex 10 owns %d vectors, want 1", hi-lo)
+	// Index is the only record of ownership: the seven destinations own one
+	// vector each, in id order, and every other vertex owns none.
+	var owners []int
+	for v := 0; v < a.N; v++ {
+		switch k := a.Index[v+1] - a.Index[v]; k {
+		case 0:
+		case 1:
+			if a.Index[v] != len(owners) {
+				t.Errorf("vertex %d owns vector %d, want %d", v, a.Index[v], len(owners))
+			}
+			owners = append(owners, v)
+		default:
+			t.Errorf("vertex %d owns %d vectors, want at most 1", v, k)
+		}
 	}
-	v := a.Vector(lo)
-	if DecodeTop(v) != 10 {
-		t.Errorf("embedded top id = %d, want 10", DecodeTop(v))
+	if want := []int{0, 10, 14, 23, 50, 54, 62}; !reflect.DeepEqual(owners, want) {
+		t.Errorf("owners = %v, want %v", owners, want)
 	}
-	if Valid(v).Count() != 2 {
-		t.Errorf("valid lanes = %d, want 2", Valid(v).Count())
+	// Vertex 10's vector holds its two in-neighbours, 0 and 2, in two valid
+	// lanes.
+	v := a.Vector(a.Index[10])
+	if Valid(v).Count() != 2 || v[0]&VertexMask != 0 || v[1]&VertexMask != 2 {
+		t.Errorf("vertex 10's vector = %#x, want sources 0 and 2 valid", v)
 	}
 }
 
@@ -213,16 +235,38 @@ func TestRoundTripWeighted(t *testing.T) {
 	}
 }
 
+// TestValidateDetectsCorruption: each corruption of a valid array, alone,
+// makes Validate fail.
 func TestValidateDetectsCorruption(t *testing.T) {
-	a := FromCSR(fig2CSC())
-	a.Words[0] ^= 1 << pieceShift // corrupt embedded top id
-	if a.Validate() == nil {
-		t.Error("Validate accepted corrupted top-level id")
+	plain := func() *Array { return FromCSR(fig2CSC()) }
+	weighted := func() *Array {
+		return FromCSR(csr.FromGraph(gen.AddUniformWeights(gen.ErdosRenyi(30, 150, 2), 7), true))
 	}
-	a = FromCSR(fig2CSC())
-	a.ValidEdges++
-	if a.Validate() == nil {
-		t.Error("Validate accepted wrong ValidEdges")
+	for _, c := range []struct {
+		name    string
+		build   func() *Array
+		corrupt func(a *Array)
+	}{
+		{"bit 48 of a valid lane", plain, func(a *Array) { a.Words[0] |= 1 << 48 }},
+		// Every fig 2 vector has a padding lane 3.
+		{"bit 62 of a padding lane", plain, func(a *Array) { a.Words[vec.Lanes-1] |= 1 << 62 }},
+		{"wrong ValidEdges", plain, func(a *Array) { a.ValidEdges++ }},
+		// Vector 0 is left to no vertex; ValidEdges drops its live lanes, so
+		// only the start of Index is wrong.
+		{"Index[0] != 0", plain, func(a *Array) {
+			a.ValidEdges -= Valid(a.Vector(0)).Count()
+			a.Index[0] = 1
+		}},
+		{"weights one vector short", weighted, func(a *Array) { a.Weights = a.Weights[:len(a.Weights)-vec.Lanes] }},
+	} {
+		a := c.build()
+		if err := a.Validate(); err != nil {
+			t.Fatalf("%s: the array before corruption: %v", c.name, err)
+		}
+		c.corrupt(a)
+		if a.Validate() == nil {
+			t.Errorf("Validate accepted %s", c.name)
+		}
 	}
 }
 
@@ -318,7 +362,7 @@ func TestEfficiencyMonotoneInLanesProperty(t *testing.T) {
 // toCSR reconstructs the Compressed-Sparse matrix a encodes, dropping
 // padding lanes: the round-trip tests' inverse of FromCSR.
 func toCSR(a *Array) *csr.Matrix {
-	m := &csr.Matrix{N: a.N, ByDest: a.ByDest}
+	m := &csr.Matrix{N: a.N}
 	m.Index = make([]uint64, a.N+1)
 	m.Neigh = make([]uint32, 0, a.ValidEdges)
 	if a.Weights != nil {
