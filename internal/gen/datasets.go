@@ -63,7 +63,6 @@ func ParseDataset(s string) (Dataset, error) {
 // analog) under a million edges; Scale linearly multiplies edge counts and
 // shifts the R-MAT vertex scale to keep average degree fixed.
 type recipe struct {
-	Dataset   Dataset
 	RMATScale int        // log2 vertices at Scale 1.0 (0 for the mesh)
 	EdgesK    int        // thousand edges at Scale 1.0
 	Params    RMATParams // quadrant skew (ignored for the mesh)
@@ -76,12 +75,12 @@ type recipe struct {
 // moderate; twitter and friendster heavy-tailed; uk-2007 the most skewed
 // (over 10× more vertices of in-degree ≥ 100k than twitter).
 var recipes = map[Dataset]recipe{
-	CitPatents:  {Dataset: CitPatents, RMATScale: 10, EdgesK: 4, Params: RMATParams{A: 0.45, B: 0.22, C: 0.22, D: 0.11}},
-	DimacsUSA:   {Dataset: DimacsUSA, MeshRows: 72, MeshCols: 81, EdgesK: 23},
-	LiveJournal: {Dataset: LiveJournal, RMATScale: 10, EdgesK: 17, Params: RMATParams{A: 0.52, B: 0.20, C: 0.20, D: 0.08}},
-	Twitter:     {Dataset: Twitter, RMATScale: 13, EdgesK: 360, Params: RMATParams{A: 0.57, B: 0.19, C: 0.19, D: 0.05}},
-	Friendster:  {Dataset: Friendster, RMATScale: 14, EdgesK: 440, Params: RMATParams{A: 0.55, B: 0.19, C: 0.19, D: 0.07}},
-	UK2007:      {Dataset: UK2007, RMATScale: 14, EdgesK: 910, Params: RMATParams{A: 0.68, B: 0.16, C: 0.11, D: 0.05}},
+	CitPatents:  {RMATScale: 10, EdgesK: 4, Params: RMATParams{A: 0.45, B: 0.22, C: 0.22, D: 0.11}},
+	DimacsUSA:   {MeshRows: 72, MeshCols: 81, EdgesK: 23},
+	LiveJournal: {RMATScale: 10, EdgesK: 17, Params: RMATParams{A: 0.52, B: 0.20, C: 0.20, D: 0.08}},
+	Twitter:     {RMATScale: 13, EdgesK: 360, Params: RMATParams{A: 0.57, B: 0.19, C: 0.19, D: 0.05}},
+	Friendster:  {RMATScale: 14, EdgesK: 440, Params: RMATParams{A: 0.55, B: 0.19, C: 0.19, D: 0.07}},
+	UK2007:      {RMATScale: 14, EdgesK: 910, Params: RMATParams{A: 0.68, B: 0.16, C: 0.11, D: 0.05}},
 }
 
 // OriginalSize returns the vertex and edge counts of the real dataset

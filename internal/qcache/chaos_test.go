@@ -109,22 +109,7 @@ func TestLeaderCancelChaosPromotion(t *testing.T) {
 		out = o
 		follower <- err
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		c.mu.Lock()
-		w := 0
-		if f := c.flights[k]; f != nil {
-			w = f.waiters
-		}
-		c.mu.Unlock()
-		if w == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("follower never attached")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, "follower attached", func() bool { return c.Stats().Coalesced == 1 })
 
 	cancelLeader()
 	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
@@ -170,40 +155,13 @@ func TestComputePanicSharedWithFollowers(t *testing.T) {
 		c.Do(context.Background(), k, compute)
 	}()
 	// Make sure the first goroutine holds leadership before the second joins.
-	flightUp := time.Now().Add(5 * time.Second)
-	for {
-		c.mu.Lock()
-		_, up := c.flights[k]
-		c.mu.Unlock()
-		if up {
-			break
-		}
-		if time.Now().After(flightUp) {
-			t.Fatal("leader never opened the flight")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, "leader opened the flight", func() bool { return flightLive(c, k) })
 	followerErr := make(chan error, 1)
 	go func() {
 		_, _, err := c.Do(context.Background(), k, compute)
 		followerErr <- err
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		c.mu.Lock()
-		w := 0
-		if f := c.flights[k]; f != nil {
-			w = f.waiters
-		}
-		c.mu.Unlock()
-		if w == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("follower never attached")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, "follower attached", func() bool { return c.Stats().Coalesced == 1 })
 	close(armed)
 
 	if rec := <-leaderPanicked; rec == nil || !strings.Contains(rec.(string), "kaboom") {
@@ -222,5 +180,109 @@ func TestComputePanicSharedWithFollowers(t *testing.T) {
 		return payload(3, "n"), nil
 	}); err != nil || o != OutcomeMiss {
 		t.Errorf("post-panic Do: outcome %v err %v", o, err)
+	}
+}
+
+// TestAbandonedFlightRetriesOnce: a leader holding an admission slot is
+// cancelled while three followers wait. The followers retry under their own
+// contexts: the first re-admits and re-runs compute, the other two attach to
+// that run, and all three get the same bytes from exactly one re-run.
+func TestAbandonedFlightRetriesOnce(t *testing.T) {
+	adm := sched.NewAdmission(1, 4)
+	c := New(Config{Budget: 1 << 20})
+	k := Key{Graph: "g", Version: 1, App: "pr", Params: "x"}
+
+	var mu sync.Mutex
+	runs := 0
+	started := make(chan struct{}, 1)
+	compute := func(ctx context.Context) (Result, error) {
+		release, err := adm.Acquire(ctx)
+		if err != nil {
+			return Result{}, err
+		}
+		defer release()
+		mu.Lock()
+		runs++
+		n := runs
+		mu.Unlock()
+		if n == 1 {
+			started <- struct{}{}
+			<-ctx.Done()
+			return Result{}, ctx.Err()
+		}
+		// Hold the re-run open so the other followers find it indexed
+		// rather than cached; the counts below hold either way.
+		time.Sleep(10 * time.Millisecond)
+		return payload(10, "r"), nil
+	}
+
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(leaderCtx, k, compute)
+		leaderErr <- err
+	}()
+	<-started
+
+	const followers = 3
+	type reply struct {
+		res Result
+		out Outcome
+		err error
+	}
+	replies := make(chan reply, followers)
+	for i := 0; i < followers; i++ {
+		go func() {
+			r, o, err := c.Do(context.Background(), k, compute)
+			replies <- reply{r, o, err}
+		}()
+	}
+	waitUntil(t, "followers attached", func() bool { return c.Stats().Coalesced == followers })
+
+	cancelLeader()
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader err = %v, want canceled", err)
+	}
+	misses, coalesced := 0, 0
+	var first []byte
+	for i := 0; i < followers; i++ {
+		r := <-replies
+		if r.err != nil {
+			t.Fatalf("follower err = %v", r.err)
+		}
+		if i == 0 {
+			first = r.res.Payload
+		} else if !bytes.Equal(r.res.Payload, first) {
+			t.Fatalf("follower payload %q diverges from %q", r.res.Payload, first)
+		}
+		switch r.out {
+		case OutcomeMiss:
+			misses++
+		case OutcomeCoalesced:
+			coalesced++
+		}
+	}
+	if len(first) == 0 {
+		t.Fatal("followers got no payload")
+	}
+	if misses != 1 || coalesced != followers-1 {
+		t.Errorf("outcomes: %d miss / %d coalesced, want 1 / %d", misses, coalesced, followers-1)
+	}
+	if runs != 2 {
+		t.Errorf("compute ran %d times, want 2 (leader + one re-run)", runs)
+	}
+	if got := adm.Admitted(); got != 2 {
+		t.Errorf("Admitted = %d, want 2", got)
+	}
+	if got := adm.InFlight(); got != 0 {
+		t.Errorf("InFlight = %d, want 0", got)
+	}
+	st := c.Stats()
+	if st.Misses != 1 || st.Coalesced != followers || st.Promotions != 1 {
+		t.Errorf("stats: misses %d coalesced %d promotions %d, want 1 %d 1",
+			st.Misses, st.Coalesced, st.Promotions, followers)
+	}
+	if flightLive(c, k) {
+		t.Error("a flight is still indexed after every call returned")
 	}
 }

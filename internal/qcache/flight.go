@@ -2,6 +2,7 @@ package qcache
 
 import (
 	"context"
+	"errors"
 
 	"repro/internal/sched"
 )
@@ -12,13 +13,12 @@ import (
 // wait. Coalesced requests therefore consume one admission slot, not N —
 // admission happens inside compute, which only the leader runs.
 //
-// Leadership is a token, not a lifetime: a leader whose own context dies
-// while followers wait posts the token into the flight, and one waiting
-// follower picks it up and re-runs compute under its own context. One
-// impatient client can't starve the rest. The token lives in a 1-buffered
-// channel; `leading` and `waiters` (guarded by Cache.mu) track whether
-// someone is computing and how many are waiting, which is what lets the last
-// departing follower detect an orphaned flight and clean it up.
+// A leader whose own context ends mid-compute settles its flight as
+// abandoned rather than failing its followers with its error: each follower
+// still waiting retries under its own context, the first one starting a
+// fresh flight and the rest attaching to it. One impatient client can't
+// starve the rest, and every flight is settled by the call that started it,
+// so none is ever left indexed without a leader.
 
 // Outcome classifies how Do satisfied a request.
 type Outcome int
@@ -43,30 +43,26 @@ func (o Outcome) String() string {
 	}
 }
 
-// flight is one in-flight compute and the callers attached to it.
+// flight is one in-flight compute, settled once by the call that leads it.
 type flight struct {
-	// done is closed exactly once, after res/err are set, when a result (or
-	// terminal error) is published to the attached followers.
+	// done is closed exactly once, after res/err are set, when the leader
+	// settles the flight.
 	done chan struct{}
 	res  Result
 	err  error
-	// lead carries the leadership token when a cancelled leader abdicates.
-	lead chan struct{}
-	// waiters and leading are guarded by Cache.mu. waiters counts attached
-	// followers (including one that took the token but hasn't re-entered the
-	// lock yet — it decrements itself only when it flips leading back on, so
-	// the orphan check below can't misfire mid-promotion).
-	waiters int
-	leading bool
 }
+
+// errAbandoned is the error of a flight whose leader's own context ended
+// mid-compute; its followers retry instead of returning it.
+var errAbandoned = errors.New("qcache: flight abandoned by its leader")
 
 // Do returns the result for k, serving from cache, attaching to an in-flight
 // compute, or running compute itself. compute receives the caller's ctx and
-// is only invoked by the call that holds leadership; its error (or panic,
-// republished to followers as a *sched.PanicError before re-panicking) is
-// shared by every attached caller. A leader whose own ctx ends mid-run hands
-// leadership to a waiting follower and keeps what its compute returned (the
-// failed run's ID, the ctx error) to itself.
+// is only invoked by a flight's leader; its error (or panic, republished to
+// followers as a *sched.PanicError before re-panicking) is shared by every
+// attached caller. A leader whose own ctx ends mid-run keeps what its
+// compute returned (the failed run's ID, the ctx error) to itself and
+// abandons the flight, and its followers retry (see follow).
 func (c *Cache) Do(ctx context.Context, k Key, compute func(context.Context) (Result, error)) (Result, Outcome, error) {
 	c.mu.Lock()
 	if r, ok := c.getLocked(k); ok {
@@ -74,33 +70,32 @@ func (c *Cache) Do(ctx context.Context, k Key, compute func(context.Context) (Re
 		c.mu.Unlock()
 		return r, OutcomeHit, nil
 	}
-	f, ok := c.flights[k]
-	if !ok {
-		f = &flight{done: make(chan struct{}), lead: make(chan struct{}, 1), leading: true}
-		c.flights[k] = f
-		c.misses++
+	if f, ok := c.flights[k]; ok {
+		c.coalesced++
 		c.mu.Unlock()
-		return c.leadFlight(ctx, k, f, compute)
+		return c.follow(ctx, k, f, compute)
 	}
-	f.waiters++
-	c.coalesced++
-	c.mu.Unlock()
-	return c.follow(ctx, k, f, compute)
+	c.misses++
+	return c.leadFlight(ctx, k, compute)
 }
 
-// leadFlight runs compute as the flight's leader and settles the flight.
-func (c *Cache) leadFlight(ctx context.Context, k Key, f *flight, compute func(context.Context) (Result, error)) (Result, Outcome, error) {
+// leadFlight indexes a fresh flight for k, runs compute as its leader and
+// settles it. c.mu is held on entry and released here.
+func (c *Cache) leadFlight(ctx context.Context, k Key, compute func(context.Context) (Result, error)) (Result, Outcome, error) {
+	f := &flight{done: make(chan struct{})}
+	c.flights[k] = f
+	c.mu.Unlock()
 	res, err := c.runCompute(ctx, k, f, compute)
-	if err != nil && ctx.Err() != nil {
-		// The leader's own context died. Followers are healthy — hand one of
-		// them the leadership token instead of failing them all.
-		c.abdicate(k, f, err)
-		return res, OutcomeMiss, err
-	}
-	if err == nil {
+	switch {
+	case err == nil:
 		c.insert(k, res)
+		c.publish(k, f, res, nil)
+	case ctx.Err() != nil:
+		// The leader's own context died; its followers are healthy.
+		c.publish(k, f, Result{}, errAbandoned)
+	default:
+		c.publish(k, f, res, err)
 	}
-	c.publish(k, f, res, err)
 	return res, OutcomeMiss, err
 }
 
@@ -118,75 +113,43 @@ func (c *Cache) runCompute(ctx context.Context, k Key, f *flight, compute func(c
 }
 
 // publish settles the flight: removes it from the index so new callers start
-// fresh, stores the outcome, and wakes every follower.
+// fresh, stores the outcome, and wakes every follower. A flight stays indexed
+// from leadFlight to its one publish, and no other flight for k is indexed
+// meanwhile, so the index entry removed is f's.
 func (c *Cache) publish(k Key, f *flight, res Result, err error) {
 	c.mu.Lock()
-	if c.flights[k] == f {
-		delete(c.flights, k)
-	}
+	delete(c.flights, k)
 	f.res, f.err = res, err
 	close(f.done)
 	c.mu.Unlock()
 }
 
-// abdicate hands leadership off after the leader's ctx died: with waiters
-// present the token is posted for one of them to claim; with none the flight
-// is settled with the leader's error.
-func (c *Cache) abdicate(k Key, f *flight, err error) {
-	c.mu.Lock()
-	if f.waiters == 0 {
-		if c.flights[k] == f {
-			delete(c.flights, k)
-		}
-		f.err = err
-		close(f.done)
-		c.mu.Unlock()
-		return
-	}
-	f.leading = false
-	f.lead <- struct{}{} // cap 1; only ever posted by the abdicating leader
-	c.mu.Unlock()
-}
-
-// follow waits on a flight as a follower: for the published result, for the
-// leadership token (promotion), or for the caller's own deadline.
+// follow waits on a flight as a follower until it settles or the caller's
+// own deadline passes. When the flight was abandoned, the follower looks k
+// up again under its own context: it attaches to a newer flight if one is
+// indexed, and otherwise leads a fresh one, counted as a promotion. The call
+// was counted once, as coalesced, when it first attached.
 func (c *Cache) follow(ctx context.Context, k Key, f *flight, compute func(context.Context) (Result, error)) (Result, Outcome, error) {
-	select {
-	case <-f.done:
-		c.mu.Lock()
-		f.waiters--
-		c.mu.Unlock()
-		return f.res, OutcomeCoalesced, f.err
-	case <-f.lead:
-		c.mu.Lock()
-		f.waiters--
-		f.leading = true
-		c.promotions++
-		c.mu.Unlock()
-		return c.leadFlight(ctx, k, f, compute)
-	case <-ctx.Done():
-		c.abandonFollower(k, f, ctx.Err())
-		return Result{}, OutcomeCoalesced, ctx.Err()
-	}
-}
-
-// abandonFollower detaches a follower whose own ctx died. If it was the last
-// waiter and the leadership token is sitting unclaimed (the leader already
-// abdicated), the flight is orphaned: settle and drop it so later callers
-// start a fresh run.
-func (c *Cache) abandonFollower(k Key, f *flight, err error) {
-	c.mu.Lock()
-	f.waiters--
-	if f.waiters == 0 && !f.leading {
+	for {
 		select {
-		case <-f.lead:
-			if c.flights[k] == f {
-				delete(c.flights, k)
-			}
-			f.err = err
-			close(f.done)
-		default:
+		case <-f.done:
+		case <-ctx.Done():
+			return Result{}, OutcomeCoalesced, ctx.Err()
 		}
+		if f.err != errAbandoned {
+			return f.res, OutcomeCoalesced, f.err
+		}
+		c.mu.Lock()
+		if r, ok := c.getLocked(k); ok {
+			c.mu.Unlock()
+			return r, OutcomeCoalesced, nil
+		}
+		next, ok := c.flights[k]
+		if !ok {
+			c.promotions++
+			return c.leadFlight(ctx, k, compute)
+		}
+		c.mu.Unlock()
+		f = next
 	}
-	c.mu.Unlock()
 }

@@ -14,6 +14,27 @@ func payload(n int, tag string) Result {
 	return Result{Payload: bytes.Repeat([]byte(tag[:1]), n), RunID: tag}
 }
 
+// waitUntil polls cond every millisecond, failing the test if it does not
+// hold within five seconds.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// flightLive reports whether a flight for k is indexed.
+func flightLive(c *Cache, k Key) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.flights[k]
+	return ok
+}
+
 // Canonical-parameter derivation lives with the app registry now
 // (apps.Entry.Canonical); internal/apps/registry_test.go holds the
 // table-driven ignored-field tests. The cache treats Params as opaque.
@@ -134,24 +155,9 @@ func TestDoCoalescing(t *testing.T) {
 			results[i], outcomes[i] = r, o
 		}(i)
 	}
-	// Wait until all n calls are attached (1 leading + n-1 waiting), then
+	// Wait until all n calls are attached (1 leading + n-1 coalesced), then
 	// release the leader.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		c.mu.Lock()
-		w := 0
-		if f := c.flights[k]; f != nil {
-			w = f.waiters
-		}
-		c.mu.Unlock()
-		if w == n-1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("followers never attached (waiters=%d)", w)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, "followers attached", func() bool { return c.Stats().Coalesced == n-1 })
 	close(attached)
 	wg.Wait()
 
@@ -200,27 +206,7 @@ func TestFollowerDeadline(t *testing.T) {
 		_, _, err := c.Do(context.Background(), k, compute)
 		leaderDone <- err
 	}()
-	waitForWaiters := func(want int) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			c.mu.Lock()
-			f := c.flights[k]
-			w := -1
-			if f != nil {
-				w = f.waiters
-			}
-			c.mu.Unlock()
-			if w == want {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("waiters = %d, want %d", w, want)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	waitForWaiters(0) // leader attached
+	waitUntil(t, "leader opened the flight", func() bool { return flightLive(c, k) })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
@@ -275,22 +261,7 @@ func TestLeaderCancelPromotion(t *testing.T) {
 		fRes, fOut, fErr = c.Do(context.Background(), k, compute)
 	}()
 	// Wait for the follower to attach before cancelling the leader.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		c.mu.Lock()
-		w := 0
-		if f := c.flights[k]; f != nil {
-			w = f.waiters
-		}
-		c.mu.Unlock()
-		if w == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("follower never attached")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, "follower attached", func() bool { return c.Stats().Coalesced == 1 })
 
 	cancelLeader()
 	if err := <-leaderDone; !errors.Is(err, context.Canceled) {
@@ -318,33 +289,48 @@ func TestLeaderCancelPromotion(t *testing.T) {
 	}
 }
 
-// TestAbandonedOrphanFlight: white-box — the last follower leaving a flight
-// whose leader already posted the token settles and drops the flight, so a
-// later call starts fresh instead of attaching to a corpse.
+// TestAbandonedOrphanFlight: a leader is cancelled and its only follower's
+// context ends too. Whatever the follower did — left, or retried and gave
+// up under its own dead context — no flight is left indexed, and the next
+// call is a fresh miss rather than an attach to a settled flight.
 func TestAbandonedOrphanFlight(t *testing.T) {
 	c := New(Config{Budget: 1 << 20})
 	k := Key{Graph: "g", Version: 1, App: "pr", Params: "x"}
-	f := &flight{done: make(chan struct{}), lead: make(chan struct{}, 1), waiters: 1}
-	f.lead <- struct{}{} // the leader abdicated; nobody claimed the token
-	c.mu.Lock()
-	c.flights[k] = f
-	c.mu.Unlock()
-
-	c.abandonFollower(k, f, context.Canceled)
-
-	select {
-	case <-f.done:
-	default:
-		t.Fatal("orphaned flight not settled")
+	started := make(chan struct{}, 1)
+	block := func(ctx context.Context) (Result, error) {
+		select {
+		case started <- struct{}{}:
+		default:
+		}
+		<-ctx.Done()
+		return Result{}, ctx.Err()
 	}
-	if !errors.Is(f.err, context.Canceled) {
-		t.Errorf("orphan err = %v", f.err)
+
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(leaderCtx, k, block)
+		leaderErr <- err
+	}()
+	<-started
+	followerCtx, cancelFollower := context.WithCancel(context.Background())
+	followerErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(followerCtx, k, block)
+		followerErr <- err
+	}()
+	waitUntil(t, "follower attached", func() bool { return c.Stats().Coalesced == 1 })
+
+	cancelLeader()
+	cancelFollower()
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader err = %v, want canceled", err)
 	}
-	c.mu.Lock()
-	_, live := c.flights[k]
-	c.mu.Unlock()
-	if live {
-		t.Fatal("orphaned flight still indexed")
+	if err := <-followerErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("follower err = %v, want canceled", err)
+	}
+	if flightLive(c, k) {
+		t.Fatal("abandoned flight still indexed")
 	}
 
 	// A fresh Do computes anew.
@@ -353,6 +339,9 @@ func TestAbandonedOrphanFlight(t *testing.T) {
 	})
 	if err != nil || o != OutcomeMiss || len(r.Payload) != 5 {
 		t.Errorf("post-orphan Do: %v %v %v", r, o, err)
+	}
+	if st := c.Stats(); st.Misses != 2 {
+		t.Errorf("Misses = %d, want 2 (the cancelled leader and the fresh call)", st.Misses)
 	}
 }
 

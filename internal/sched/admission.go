@@ -34,10 +34,10 @@ func (e *OverloadedError) Is(target error) bool { return target == ErrOverloaded
 // Admission is a two-stage admission controller for query-shaped work: at
 // most MaxInFlight units run concurrently, at most MaxQueue more wait for a
 // slot, and everything beyond that is rejected immediately with a typed
-// *OverloadedError. It is the backpressure companion to Pool's job-count
-// bound (SetMaxActiveJobs): the store admits queries through an Admission
-// and sizes the pool's job cap from the same limit, so work admitted here is
-// exactly the work the pool will accept.
+// *OverloadedError. It is the only in-flight bound: Pool caps no job count.
+// The store admits every query through an Admission before its run touches
+// the shared pool, and a run submits one job at a time, so at most
+// MaxInFlight queries' jobs are ever active.
 type Admission struct {
 	maxInFlight, maxQueue int
 	// sem holds one token per in-flight unit.

@@ -131,52 +131,6 @@ func TestAdmissionConcurrentNeverExceedsBound(t *testing.T) {
 	}
 }
 
-// TestPoolMaxActiveJobs drives more concurrent fork-join jobs at the pool
-// than its job cap and asserts the cap is never exceeded while every job
-// still completes.
-func TestPoolMaxActiveJobs(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	const cap = 2
-	p.SetMaxActiveJobs(cap)
-
-	var active, peak, runs atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < 12; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			started := false
-			p.Run(func(tid int) {
-				if tid == 0 {
-					// Count the job once, via slot 0.
-					n := active.Add(1)
-					for {
-						pk := peak.Load()
-						if n <= pk || peak.CompareAndSwap(pk, n) {
-							break
-						}
-					}
-					started = true
-					time.Sleep(time.Millisecond)
-					active.Add(-1)
-				}
-				runs.Add(1)
-			})
-			if !started {
-				t.Error("job ran without executing slot 0")
-			}
-		}()
-	}
-	wg.Wait()
-	if got := runs.Load(); got != 12*4 {
-		t.Errorf("slot executions = %d, want %d", got, 12*4)
-	}
-	if pk := peak.Load(); pk > cap {
-		t.Errorf("peak active jobs %d exceeds cap %d", pk, cap)
-	}
-}
-
 func TestScatterBufferMergeOrder(t *testing.T) {
 	b := NewScatterBuffer(2)
 	b.Grow(3)
@@ -253,11 +207,14 @@ func TestAdmissionChurnExactAccounting(t *testing.T) {
 				return
 			}
 			defer release()
-			err = p.dynamicForCtx(ctx, 64, 8, func(r Range, chunkID, tid int) {
-				if i%7 == 3 && chunkID == 2 {
+			err = p.Run(func(tid int) {
+				if i%7 == 3 && tid == 2 {
 					panic("churn")
 				}
 			})
+			if err == nil {
+				err = ctx.Err()
+			}
 			var pe *PanicError
 			switch {
 			case errors.As(err, &pe):

@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -98,70 +96,6 @@ func TestConcurrentSchedulerAwareReductions(t *testing.T) {
 			}(13 + j*19)
 		}
 		wg.Wait()
-	})
-}
-
-// TestDynamicForCtxCancel checks chunk-granularity cancellation: after the
-// context is cancelled no further chunks start, the loop returns the
-// context error, and in-flight chunks ran to completion (no partial chunk).
-func TestDynamicForCtxCancel(t *testing.T) {
-	withPool(t, 4, func(p *Pool) {
-		ctx, cancel := context.WithCancel(context.Background())
-		var started atomic.Int64
-		var completed atomic.Int64
-		err := p.dynamicForCtx(ctx, 10000, 10, func(r Range, chunkID, tid int) {
-			// Later chunks wait for the cancellation: empty chunks take
-			// nanoseconds and cancel() microseconds, so the other workers
-			// could otherwise drain all 1000 before it lands.
-			if n := started.Add(1); n == 5 {
-				cancel()
-			} else if n > 5 {
-				<-ctx.Done()
-			}
-			completed.Add(1)
-		})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-		if started.Load() != completed.Load() {
-			t.Errorf("started %d chunks but completed %d", started.Load(), completed.Load())
-		}
-		if completed.Load() >= 1000 {
-			t.Errorf("cancellation did not stop chunk claiming (%d chunks ran)", completed.Load())
-		}
-	})
-}
-
-// TestDynamicForCtxPreCancelled: a context cancelled before submission runs
-// no chunks at all.
-func TestDynamicForCtxPreCancelled(t *testing.T) {
-	withPool(t, 2, func(p *Pool) {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		ran := atomic.Int64{}
-		err := p.dynamicForCtx(ctx, 1000, 10, func(Range, int, int) { ran.Add(1) })
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-		if ran.Load() != 0 {
-			t.Errorf("%d chunks ran on a pre-cancelled context", ran.Load())
-		}
-	})
-}
-
-// TestDynamicForCtxNilError: an uncancelled context yields nil and full
-// coverage.
-func TestDynamicForCtxNilError(t *testing.T) {
-	withPool(t, 2, func(p *Pool) {
-		var n atomic.Int64
-		if err := p.dynamicForCtx(context.Background(), 100, 7, func(r Range, _, _ int) {
-			n.Add(int64(r.Len()))
-		}); err != nil {
-			t.Fatalf("err = %v", err)
-		}
-		if n.Load() != 100 {
-			t.Errorf("covered %d iterations, want 100", n.Load())
-		}
 	})
 }
 

@@ -10,7 +10,6 @@ func TestPoolMetricsObserved(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		p := NewPool(workers)
 		m := &PoolMetrics{
-			JobWait: obs.NewHistogram(obs.DefTimeBuckets),
 			JobExec: obs.NewHistogram(obs.DefTimeBuckets),
 		}
 		p.SetMetrics(m)
@@ -19,9 +18,6 @@ func TestPoolMetricsObserved(t *testing.T) {
 			if err := p.Run(func(tid int) {}); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if got := m.JobWait.Count(); got != jobs {
-			t.Errorf("workers=%d: JobWait count = %d, want %d", workers, got, jobs)
 		}
 		if got := m.JobExec.Count(); got != jobs {
 			t.Errorf("workers=%d: JobExec count = %d, want %d", workers, got, jobs)

@@ -18,7 +18,6 @@
 package sched
 
 import (
-	"context"
 	"errors"
 	"runtime"
 	"sync"
@@ -26,7 +25,6 @@ import (
 
 	"sync/atomic"
 
-	"repro/internal/fault"
 	"repro/internal/obs"
 )
 
@@ -49,17 +47,9 @@ type Pool struct {
 	// it lock-free; mu serializes the writers (submit and finish).
 	jobs atomic.Pointer[[]*job]
 	mu   sync.Mutex
-	// maxJobs bounds the active job count when positive: submit parks the
-	// submitting goroutine on jobsFree until a slot opens. This is how an
-	// admission limit threads down to job submission — a serving layer caps
-	// concurrent queries and gives the shared pool the same bound, so even a
-	// misbehaving caller cannot pile unbounded jobs onto the worker set.
-	maxJobs  int
-	jobsFree *sync.Cond
 	// seq counts job submissions; idle workers watch it for new work.
 	seq atomic.Uint64
-	// panics counts recovered job-body panics (slot- and chunk-level), for
-	// health reporting.
+	// panics counts recovered job-body panics, for health reporting.
 	panics atomic.Uint64
 	// sleeping[wid] marks a worker parked on its wake channel.
 	sleeping  []atomic.Bool
@@ -72,13 +62,10 @@ type Pool struct {
 	metrics atomic.Pointer[PoolMetrics]
 }
 
-// PoolMetrics carries the optional scheduler histograms fed by Run: JobWait
-// observes seconds a submitter spent blocked on the active-job cap before
-// its job was published (0 when it sailed through — the count then equals
-// jobs submitted), JobExec observes seconds from publication to barrier
-// completion. Nil histograms are skipped individually.
+// PoolMetrics carries the optional scheduler histogram fed by Run: JobExec
+// observes seconds from publication to barrier completion. A nil histogram
+// is skipped.
 type PoolMetrics struct {
-	JobWait *obs.Histogram
 	JobExec *obs.Histogram
 }
 
@@ -195,34 +182,10 @@ func (p *Pool) worker(wid int) {
 	}
 }
 
-// SetMaxActiveJobs bounds the number of concurrently active jobs; further
-// submissions block until a running job finishes. n < 1 removes the bound.
-// Blocked submissions proceed when the pool is closed (the submitter then
-// executes its own slots inline). Call before the pool is shared.
-func (p *Pool) SetMaxActiveJobs(n int) {
-	p.mu.Lock()
-	p.maxJobs = n
-	if p.jobsFree == nil {
-		p.jobsFree = sync.NewCond(&p.mu)
-	}
-	p.jobsFree.Broadcast()
-	p.mu.Unlock()
-}
-
-// activeJobs returns the number of jobs currently published to the workers.
-func (p *Pool) activeJobs() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.loadJobs())
-}
-
-// submit publishes a job and wakes parked workers, first waiting for a
-// free slot under the active-job bound.
+// submit publishes a job and wakes parked workers. The pool bounds no job
+// count: callers bound their in-flight work one layer up (Admission).
 func (p *Pool) submit(j *job) {
 	p.mu.Lock()
-	for p.maxJobs > 0 && len(p.loadJobs()) >= p.maxJobs && !p.closed.Load() {
-		p.jobsFree.Wait()
-	}
 	old := p.loadJobs()
 	nw := make([]*job, len(old)+1)
 	copy(nw, old)
@@ -253,9 +216,6 @@ func (p *Pool) finish(j *job) {
 		}
 	}
 	p.jobs.Store(&nw)
-	if p.jobsFree != nil {
-		p.jobsFree.Signal()
-	}
 	p.mu.Unlock()
 	close(j.fin)
 }
@@ -278,11 +238,6 @@ func (p *Pool) Panics() uint64 { return p.panics.Load() }
 func (p *Pool) Close() {
 	p.closeOnce.Do(func() {
 		p.closed.Store(true)
-		p.mu.Lock()
-		if p.jobsFree != nil {
-			p.jobsFree.Broadcast()
-		}
-		p.mu.Unlock()
 		for wid := 1; wid < p.workers; wid++ {
 			select {
 			case p.wake[wid] <- struct{}{}:
@@ -320,13 +275,8 @@ func (p *Pool) Run(fn func(tid int)) error {
 			}()
 			fn(0)
 		}()
-		if m != nil {
-			if m.JobWait != nil {
-				m.JobWait.Observe(0)
-			}
-			if m.JobExec != nil {
-				m.JobExec.Observe(time.Since(t0).Seconds())
-			}
+		if m != nil && m.JobExec != nil {
+			m.JobExec.Observe(time.Since(t0).Seconds())
 		}
 		if pe != nil {
 			return pe
@@ -334,17 +284,10 @@ func (p *Pool) Run(fn func(tid int)) error {
 		return nil
 	}
 	j := &job{fn: fn, slots: int64(p.workers), fin: make(chan struct{})}
-	var t0 time.Time
-	if m != nil {
-		t0 = time.Now()
-	}
 	p.submit(j)
 	var t1 time.Time
 	if m != nil {
 		t1 = time.Now()
-		if m.JobWait != nil {
-			m.JobWait.Observe(t1.Sub(t0).Seconds())
-		}
 	}
 	for {
 		s := j.next.Add(1) - 1
@@ -426,75 +369,25 @@ func NumChunks(total, chunkSize int) int {
 // chunk. The ticket is per-call, so concurrent DynamicFor jobs on one pool
 // are independent.
 //
-// A panic in body is contained by the pool (workers and sibling jobs
-// survive) and rethrown on the calling goroutine as a *PanicError.
+// A panic in body unwinds to its slot's barrier in the pool (workers and
+// sibling jobs survive; the panicking slot claims no further chunks) and is
+// rethrown on the calling goroutine as a *PanicError once every slot is done.
 func (p *Pool) DynamicFor(total, chunkSize int, body func(r Range, chunkID, tid int)) {
-	rethrow(p.dynamicForCtx(context.Background(), total, chunkSize, body))
-}
-
-// dynamicForCtx is DynamicFor with cancellation and panic containment at
-// chunk granularity: when ctx is cancelled, no further chunks are claimed,
-// in-flight chunks run to completion, and the error (ctx.Err()) is
-// returned. When a chunk body panics, the panic is captured as a
-// *PanicError, no executor claims further chunks (fail fast — the loop's
-// output is already lost), and the error is returned. A nil error means
-// every chunk executed.
-func (p *Pool) dynamicForCtx(ctx context.Context, total, chunkSize int, body func(r Range, chunkID, tid int)) error {
 	numChunks := NumChunks(total, chunkSize)
 	if numChunks == 0 {
-		return ctx.Err()
+		return
 	}
-	done := ctx.Done()
 	var next atomic.Int64
-	var panicked atomic.Pointer[PanicError]
-	err := p.Run(func(tid int) {
+	rethrow(p.Run(func(tid int) {
 		for {
-			if panicked.Load() != nil {
-				return
-			}
-			if done != nil {
-				select {
-				case <-done:
-					return
-				default:
-				}
-			}
 			id := int(next.Add(1)) - 1
 			if id >= numChunks {
 				return
 			}
 			lo := id * chunkSize
-			hi := lo + chunkSize
-			if hi > total {
-				hi = total
-			}
-			p.runChunk(&panicked, body, Range{Lo: lo, Hi: hi}, id, tid)
+			body(Range{Lo: lo, Hi: min(lo+chunkSize, total)}, id, tid)
 		}
-	})
-	if pe := panicked.Load(); pe != nil {
-		return pe
-	}
-	if err != nil {
-		return err
-	}
-	return ctx.Err()
-}
-
-// runChunk executes one chunk under a recover barrier, recording the first
-// panic in the loop's shared slot. Containing the panic here (rather than
-// letting it unwind to the slot barrier in runSlot) keeps the executor's
-// claim loop alive for sibling jobs' work and lets the loop fail fast.
-func (p *Pool) runChunk(panicked *atomic.Pointer[PanicError], body func(r Range, chunkID, tid int), rg Range, chunkID, tid int) {
-	defer func() {
-		if r := recover(); r != nil {
-			panicked.CompareAndSwap(nil, NewPanicError(r))
-			p.panics.Add(1)
-		}
-	}()
-	if err := fault.Inject("sched/chunk"); err != nil {
-		panic(err)
-	}
-	body(rg, chunkID, tid)
+	}))
 }
 
 // rethrow re-raises a *PanicError returned by an error-reporting loop on

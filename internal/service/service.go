@@ -218,8 +218,10 @@ func (s *Service) cacheKey(q *Query) (qcache.Key, error) {
 
 // Execute answers one query: from the result cache, by attaching to an
 // identical in-flight run, or by running the spine. Concurrent identical
-// queries coalesce onto one run and one admission slot; a promoted leader
-// re-admits under its own context. The outcome is empty only when the request
+// queries coalesce onto one run and one admission slot; when a leader's own
+// context ends, its followers retry and the first re-admits under its own
+// context. Admission in compute is the only bound on the runs in flight: the
+// shared pool caps no job count. The outcome is empty only when the request
 // failed before the cache was consulted (unknown app, unknown graph).
 func (s *Service) Execute(ctx context.Context, q Query) (qcache.Result, Outcome, error) {
 	ctx, cancel := s.deadline(ctx, q.TimeoutMS)

@@ -133,7 +133,6 @@ func (s *Store) registerMetrics() {
 
 	r.CounterFunc("grazelle_sched_pool_panics_total", "Job-body panics the worker pool contained.", nil, s.pool.Panics)
 	s.pool.SetMetrics(&sched.PoolMetrics{
-		JobWait: r.Histogram("grazelle_sched_job_wait_seconds", "Seconds a submitter blocked on the active-job cap.", nil, obs.DefTimeBuckets),
 		JobExec: r.Histogram("grazelle_sched_job_exec_seconds", "Seconds from job publication to barrier completion.", nil, obs.DefTimeBuckets),
 	})
 }

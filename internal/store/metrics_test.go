@@ -27,7 +27,6 @@ var metricFamilies = []string{
 	"grazelle_admission_admitted_total",
 	"grazelle_admission_rejected_total",
 	"grazelle_sched_pool_panics_total",
-	"grazelle_sched_job_wait_seconds",
 	"grazelle_sched_job_exec_seconds",
 }
 

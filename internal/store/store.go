@@ -74,9 +74,8 @@ type Config struct {
 	MemBudget int64
 	// MaxInFlight bounds concurrently admitted queries; MaxQueue bounds
 	// callers waiting for admission beyond that. MaxInFlight 0 disables
-	// admission control. The same bound is threaded down to the shared
-	// scheduler pool's job cap, so admitted work is exactly the work the
-	// pool accepts.
+	// admission control. Admit is the only bound: the shared pool caps no
+	// job count, so a run started without Admit is not capped.
 	MaxInFlight, MaxQueue int
 	// Workers sizes the shared worker pool every graph's runner executes on
 	// (0 = GOMAXPROCS).
@@ -250,9 +249,6 @@ func Open(cfg Config) (*Store, error) {
 	s := &Store{cfg: cfg, graphs: make(map[string]*entry), views: make(map[string]*lineageViews),
 		foldOwners: make(map[string]*sync.Mutex)}
 	s.pool = sched.NewPool(cfg.Workers)
-	if cfg.MaxInFlight > 0 {
-		s.pool.SetMaxActiveJobs(cfg.MaxInFlight)
-	}
 	s.adm = sched.NewAdmission(cfg.MaxInFlight, cfg.MaxQueue)
 	s.registerMetrics()
 	fail := func(err error) (*Store, error) {
@@ -294,14 +290,14 @@ func Open(cfg Config) (*Store, error) {
 		// quarantined (with the legible prefix re-logged and scheduled for
 		// compaction), and stale-lineage logs discarded.
 		for _, e := range s.graphs {
-			l, rec, err := openDeltaLog(e.name, filepath.Join(cfg.DataDir, walFileName(e.name)), e.lineage, &s.walc)
+			l, compact, err := openDeltaLog(e.name, filepath.Join(cfg.DataDir, walFileName(e.name)), e.lineage, &s.walc)
 			if err != nil {
 				return fail(err)
 			}
 			e.delta = l
 			e.viewSeq = l.ackedSeq()
 			s.resetViewsLocked(e)
-			if rec.NeedCompact {
+			if compact {
 				needCompact = append(needCompact, e.name)
 			}
 		}

@@ -126,41 +126,29 @@ func newDeltaLog(name, path string, lineage uint64, c *walCounters) *deltaLog {
 	return l
 }
 
-// walRecovery describes what openDeltaLog found on disk, so the store can
-// count it and schedule repair work (a quarantined segment leaves the
-// surviving prefix durable only via the quarantine file — compacting it
-// into the snapshot restores normal durability).
-type walRecovery struct {
-	Replayed    int
-	TornTail    bool
-	Quarantined bool
-	// NeedCompact is set when the surviving tail should be folded into the
-	// snapshot promptly (quarantine recovery).
-	NeedCompact bool
-}
-
 // openDeltaLog opens (or concludes the absence of) the delta log for name,
 // replaying acknowledged batches. A torn tail is truncated in place; a
 // corrupt segment is renamed aside with QuarantineExt and the legible
 // prefix re-logged into a fresh file; a log whose lineage does not match
 // the manifest's is a stale leftover from before a whole-graph replace and
-// is removed unread.
-func openDeltaLog(name, path string, lineage uint64, c *walCounters) (*deltaLog, walRecovery, error) {
-	l := newDeltaLog(name, path, lineage, c)
-	var rec walRecovery
+// is removed unread. What it found is counted in c; needCompact reports a
+// quarantine, whose surviving prefix should be folded into the snapshot
+// promptly to restore normal durability.
+func openDeltaLog(name, path string, lineage uint64, c *walCounters) (l *deltaLog, needCompact bool, err error) {
+	l = newDeltaLog(name, path, lineage, c)
 	if path == "" {
-		return l, rec, nil
+		return l, false, nil
 	}
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return l, rec, nil
+		return l, false, nil
 	}
 	if err != nil {
-		return nil, rec, fmt.Errorf("store: reading delta log for %q: %w", name, err)
+		return nil, false, fmt.Errorf("store: reading delta log for %q: %w", name, err)
 	}
 	if len(data) == 0 {
 		// Created but never written: indistinguishable from absent.
-		return l, rec, nil
+		return l, false, nil
 	}
 	log, decErr := graph.DecodeDeltaLog(data)
 	if decErr == nil && log.Lineage != lineage {
@@ -168,39 +156,36 @@ func openDeltaLog(name, path string, lineage uint64, c *walCounters) (*deltaLog,
 		// manifest commit and its log cleanup). Its deltas were superseded
 		// by the replace; discard.
 		os.Remove(path)
-		return l, rec, nil
+		return l, false, nil
 	}
 	switch {
 	case decErr == nil:
 	case errors.Is(decErr, graph.ErrTornTail):
 		if err := os.Truncate(path, int64(log.GoodLen)); err != nil {
-			return nil, rec, fmt.Errorf("store: truncating torn delta log for %q: %w", name, err)
+			return nil, false, fmt.Errorf("store: truncating torn delta log for %q: %w", name, err)
 		}
-		rec.TornTail = true
 		c.tornTails.Add(1)
 	case errors.Is(decErr, graph.ErrCorrupt):
 		// Preserve the damaged bytes for post-mortem and re-log the legible
 		// prefix so it stays durable without the quarantined file.
 		qpath := path + QuarantineExt
 		if err := os.Rename(path, qpath); err != nil {
-			return nil, rec, fmt.Errorf("store: quarantining delta log for %q: %w", name, err)
+			return nil, false, fmt.Errorf("store: quarantining delta log for %q: %w", name, err)
 		}
-		rec.Quarantined = true
-		rec.NeedCompact = true
+		needCompact = true
 		c.quarantined.Add(1)
 	default:
-		return nil, rec, decErr
+		return nil, false, decErr
 	}
 	l.adoptLocked(log.BaseSeq, log.Batches)
-	rec.Replayed = len(log.Batches)
 	c.replayed.Add(uint64(len(log.Batches)))
-	if rec.Quarantined && len(log.Batches) > 0 {
+	if needCompact && len(log.Batches) > 0 {
 		// Rewrite the surviving prefix into a fresh log immediately.
 		if err := l.rotate(log.BaseSeq); err != nil {
-			return nil, rec, fmt.Errorf("store: re-logging after quarantine for %q: %w", name, err)
+			return nil, false, fmt.Errorf("store: re-logging after quarantine for %q: %w", name, err)
 		}
 	}
-	return l, rec, nil
+	return l, needCompact, nil
 }
 
 // adoptLocked installs replayed state. Only called before the log is shared.

@@ -43,10 +43,31 @@ func mustAppend(t *testing.T, l *deltaLog, ops ...graph.EdgeOp) uint64 {
 	return seq
 }
 
+// recovery is what one open of a delta log added to its counters.
+type recovery struct {
+	Replayed    int
+	TornTail    bool
+	Quarantined bool
+	NeedCompact bool
+}
+
+// openCounted opens graph "g"'s log at path and reports what the open
+// counted in c.
+func openCounted(path string, lineage uint64, c *walCounters) (*deltaLog, recovery, error) {
+	replayed, torn, quarantined := c.replayed.Load(), c.tornTails.Load(), c.quarantined.Load()
+	l, needCompact, err := openDeltaLog("g", path, lineage, c)
+	return l, recovery{
+		Replayed:    int(c.replayed.Load() - replayed),
+		TornTail:    c.tornTails.Load() > torn,
+		Quarantined: c.quarantined.Load() > quarantined,
+		NeedCompact: needCompact,
+	}, err
+}
+
 func TestDeltaLogAppendReopen(t *testing.T) {
 	path := walPath(t)
 	var c walCounters
-	l, rec, err := openDeltaLog("g", path, 7, &c)
+	l, rec, err := openCounted(path, 7, &c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +81,7 @@ func TestDeltaLogAppendReopen(t *testing.T) {
 	}
 	l.close(false)
 
-	l2, rec2, err := openDeltaLog("g", path, 7, &c)
+	l2, rec2, err := openCounted(path, 7, &c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +131,7 @@ func TestDeltaLogGroupCommitConcurrent(t *testing.T) {
 	}
 	l.close(false)
 
-	l2, rec, err := openDeltaLog("g", path, 1, &c)
+	l2, rec, err := openCounted(path, 1, &c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +176,7 @@ func TestDeltaLogFsyncFailureRollsBack(t *testing.T) {
 	}
 	l.close(false)
 
-	l2, rec, err := openDeltaLog("g", path, 1, &c)
+	l2, rec, err := openCounted(path, 1, &c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +206,7 @@ func TestDeltaLogTornTailTruncatedOnOpen(t *testing.T) {
 	if err := os.Truncate(path, st.Size()-5); err != nil {
 		t.Fatal(err)
 	}
-	l2, rec, err := openDeltaLog("g", path, 1, &c)
+	l2, rec, err := openCounted(path, 1, &c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +221,7 @@ func TestDeltaLogTornTailTruncatedOnOpen(t *testing.T) {
 		t.Fatalf("post-truncation seq = %d, want 2", seq)
 	}
 	l2.close(false)
-	if _, rec, err := openDeltaLog("g", path, 1, &c); err != nil || rec.Replayed != 2 {
+	if _, rec, err := openCounted(path, 1, &c); err != nil || rec.Replayed != 2 {
 		t.Fatalf("reopen after repair: %v, %+v", err, rec)
 	}
 }
@@ -227,7 +248,7 @@ func TestDeltaLogCorruptSegmentQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, rec, err := openDeltaLog("g", path, 1, &c)
+	l2, rec, err := openCounted(path, 1, &c)
 	if err != nil {
 		t.Fatalf("corrupt log must not be fatal: %v", err)
 	}
@@ -264,7 +285,7 @@ func TestDeltaLogStaleLineageDiscarded(t *testing.T) {
 
 	// Reopen under a new lineage, as after a whole-graph replace whose log
 	// cleanup was lost to a crash: the old deltas must not replay.
-	l2, rec, err := openDeltaLog("g", path, 2, &c)
+	l2, rec, err := openCounted(path, 2, &c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +323,7 @@ func TestDeltaLogRotateDropsCompacted(t *testing.T) {
 	}
 	l.close(false)
 
-	l2, rec, err := openDeltaLog("g", path, 1, &c)
+	l2, rec, err := openCounted(path, 1, &c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +365,7 @@ func TestDeltaLogWedgeHeals(t *testing.T) {
 	}
 	l.close(false)
 
-	if _, rec, err := openDeltaLog("g", path, 1, &c); err != nil || rec.Replayed != 2 {
+	if _, rec, err := openCounted(path, 1, &c); err != nil || rec.Replayed != 2 {
 		t.Fatalf("reopen after heal: %v, %+v", err, rec)
 	}
 }

@@ -123,7 +123,6 @@ func TestServeMetricsEndToEnd(t *testing.T) {
 		"grazelle_run_seconds",
 		"grazelle_run_phase_seconds",
 		"grazelle_sched_job_exec_seconds",
-		"grazelle_sched_job_wait_seconds",
 		"grazelle_admission_admitted_total",
 		"grazelle_admission_rejected_total",
 		"grazelle_store_graphs",

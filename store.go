@@ -82,9 +82,10 @@ type StoreConfig struct {
 	// first) and rehydrate from their snapshots on demand. 0 means
 	// unlimited.
 	MemBudgetBytes int64
-	// MaxInFlight bounds concurrently admitted queries and the worker
-	// pool's concurrent jobs; MaxQueue bounds callers waiting beyond that.
-	// 0 disables admission control.
+	// MaxInFlight bounds concurrently admitted queries; MaxQueue bounds
+	// callers waiting beyond that. 0 disables admission control. Admit is
+	// the only bound: the shared worker pool caps no job count, so a run
+	// started without Admit is not capped.
 	MaxInFlight, MaxQueue int
 	// Workers sizes the one worker pool all graphs share (0 = GOMAXPROCS).
 	Workers int
