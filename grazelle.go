@@ -339,26 +339,45 @@ func (r *AppResult) VertexText(v int) string { return r.entry.VertexText(r.Props
 // alongside the error. A nil result means the run never started (unknown
 // app, invalid params, or an unweighted graph for a weighted app).
 func (e *Engine) Run(ctx context.Context, app string, p Params) (*AppResult, error) {
+	res, _, err := e.run(ctx, app, p, nil)
+	return res, err
+}
+
+// run is the one body of Run and RunIncremental. A non-nil spec asks for a
+// warm start; the app's planner may refuse it, and the run is then cold.
+// seeded reports whether the engine installed a seed.
+func (e *Engine) run(ctx context.Context, app string, p Params, spec *SeedSpec) (res *AppResult, seeded bool, err error) {
 	ent, err := apps.Lookup(app)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	p = ent.ZeroUnused(p)
 	if ent.NeedsWeights && !e.g.Weighted() {
-		return nil, fmt.Errorf("grazelle: %s requires a weighted graph", ent.Title)
+		return nil, false, fmt.Errorf("grazelle: %s requires a weighted graph", ent.Title)
+	}
+	var seed *core.Seed
+	if spec != nil && ent.IncrementalSeed != nil {
+		plan, perr := ent.IncrementalSeed(apps.SeedInput{
+			Vertices: e.g.NumVertices(),
+			Pred:     spec.PredProps,
+			Ops:      spec.Ops,
+		})
+		if perr == nil && plan != nil {
+			seed = &core.Seed{Props: plan.Props, Frontier: plan.Frontier}
+		}
 	}
 	prog, err := ent.New(e.g.core, p)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	res, err := core.RunCtx(ctx, e.r, prog, ent.MaxIters(p), nil)
+	cres, err := core.RunCtx(ctx, e.r, prog, ent.MaxIters(p), seed)
 	return &AppResult{
 		App:    app,
 		Params: p,
-		Props:  res.Props,
-		Stats:  statsOf(res),
+		Props:  cres.Props,
+		Stats:  statsOf(cres),
 		entry:  ent,
-	}, err
+	}, cres.Seeded, err
 }
 
 // PageRankResult holds damped PageRank output.

@@ -1,12 +1,6 @@
 package grazelle
 
-import (
-	"context"
-	"fmt"
-
-	"repro/internal/apps"
-	"repro/internal/core"
-)
+import "context"
 
 // Incremental recompute (DESIGN.md §15): when a query targets a graph
 // version whose predecessor already has a computed result and the mutation
@@ -67,40 +61,5 @@ type SeedSpec struct {
 // preconditions, or a seed-installation failure) — the result is valid
 // either way and bit-compatible with a cold Run.
 func (e *Engine) RunIncremental(ctx context.Context, app string, p Params, spec SeedSpec) (res *AppResult, seeded bool, err error) {
-	ent, err := apps.Lookup(app)
-	if err != nil {
-		return nil, false, err
-	}
-	p = ent.ZeroUnused(p)
-	if ent.NeedsWeights && !e.g.Weighted() {
-		return nil, false, fmt.Errorf("grazelle: %s requires a weighted graph", ent.Title)
-	}
-	if ent.IncrementalSeed == nil {
-		res, err = e.Run(ctx, app, p)
-		return res, false, err
-	}
-	plan, perr := ent.IncrementalSeed(apps.SeedInput{
-		Vertices: e.g.NumVertices(),
-		Pred:     spec.PredProps,
-		Ops:      spec.Ops,
-	})
-	if perr != nil || plan == nil {
-		res, err = e.Run(ctx, app, p)
-		return res, false, err
-	}
-	prog, err := ent.New(e.g.core, p)
-	if err != nil {
-		return nil, false, err
-	}
-	cres, err := core.RunCtx(ctx, e.r, prog, ent.MaxIters(p), &core.Seed{
-		Props:    plan.Props,
-		Frontier: plan.Frontier,
-	})
-	return &AppResult{
-		App:    app,
-		Params: p,
-		Props:  cres.Props,
-		Stats:  statsOf(cres),
-		entry:  ent,
-	}, cres.Seeded, err
+	return e.run(ctx, app, p, &spec)
 }

@@ -2,6 +2,8 @@ package apps
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/frontier"
@@ -62,7 +64,7 @@ func TestConnCompMatchesReference(t *testing.T) {
 			want := ReferenceComponents(g)
 			for v := range want {
 				if got[v] != want[v] {
-					t.Fatalf("%s/%s: component[%d] = %d, want %d", name, p.Name(), v, got[v], want[v])
+					t.Fatalf("%s/%+v: component[%d] = %d, want %d", name, p, v, got[v], want[v])
 				}
 			}
 		}
@@ -218,18 +220,49 @@ func TestProgramFlagContracts(t *testing.T) {
 	}
 	for _, c := range cases {
 		if c.p.UsesFrontier() != c.frontier {
-			t.Errorf("%s: UsesFrontier = %v", c.p.Name(), c.p.UsesFrontier())
+			t.Errorf("%+v: UsesFrontier = %v", c.p, c.p.UsesFrontier())
 		}
 		if c.p.TracksConverged() != c.converged {
-			t.Errorf("%s: TracksConverged = %v", c.p.Name(), c.p.TracksConverged())
+			t.Errorf("%+v: TracksConverged = %v", c.p, c.p.TracksConverged())
 		}
 		if c.p.Weighted() != c.weighted {
-			t.Errorf("%s: Weighted = %v", c.p.Name(), c.p.Weighted())
+			t.Errorf("%+v: Weighted = %v", c.p, c.p.Weighted())
 		}
 	}
 	// CC variants differ only in write intent.
 	if !NewConnComp().SkipEqualWrites() || NewConnCompWriteIntense().SkipEqualWrites() {
 		t.Error("CC SkipEqualWrites variants wrong")
+	}
+}
+
+// TestProgramSurface pins Program's method set. Every method is read by the
+// engine (internal/core; the baselines read the same set); adding one means
+// naming its reader here, and a method no engine reads should go.
+func TestProgramSurface(t *testing.T) {
+	readers := []struct{ method, reader string }{
+		{"Apply", "core.applyBody: the Vertex phase of non-select kinds"},
+		{"Combine", "core.fuse.step: the FusedNone per-edge fold"},
+		{"Identity", "core.applyBody and pullSABody: the accumulator reset"},
+		{"InitConverged", "core.ExecContext.Init"},
+		{"InitFrontier", "core.ExecContext.Init"},
+		{"InitProps", "core.ExecContext.Init"},
+		{"Message", "core.fuse.step: the FusedNone per-edge message"},
+		{"PreIteration", "core.runLoop: once per round, after the census"},
+		{"SkipEqualWrites", "core.pushBody and edgePullTraditional"},
+		{"TracksConverged", "core.pullsBySpan, pushBody and newWordBits"},
+		{"UsesFrontier", "core.runLoop (census and direction), pullsBySpan and pushBody"},
+		{"Weighted", "core.RunEdgePush, edgePullSA and the sparse round: fuseFor's weights"},
+	}
+	typ := reflect.TypeOf((*Program)(nil)).Elem()
+	var got, want []string
+	for i := 0; i < typ.NumMethod(); i++ {
+		got = append(got, typ.Method(i).Name)
+	}
+	for _, r := range readers {
+		want = append(want, r.method)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("Program methods = %v, want %v", got, want)
 	}
 }
 
@@ -243,17 +276,17 @@ func TestCombineIdentityLaws(t *testing.T) {
 		id := p.Identity()
 		for _, v := range values {
 			if got := p.Combine(id, v); got != v {
-				t.Errorf("%s: Combine(identity, %#x) = %#x", p.Name(), v, got)
+				t.Errorf("%T: Combine(identity, %#x) = %#x", p, v, got)
 			}
 			if got := p.Combine(v, id); got != v {
-				t.Errorf("%s: Combine(%#x, identity) = %#x", p.Name(), v, got)
+				t.Errorf("%T: Combine(%#x, identity) = %#x", p, v, got)
 			}
 		}
 		// Commutativity on a sample.
 		for _, a := range values {
 			for _, b := range values {
 				if p.Combine(a, b) != p.Combine(b, a) {
-					t.Errorf("%s: Combine not commutative on %#x, %#x", p.Name(), a, b)
+					t.Errorf("%T: Combine not commutative on %#x, %#x", p, a, b)
 				}
 			}
 		}

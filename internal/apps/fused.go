@@ -20,7 +20,7 @@ const (
 	// FusedNone: no specialization; engines call Message/Combine per edge.
 	FusedNone FusedKind = iota
 	// FusedRankSum: float64 acc += props[src] · Scale[src] (· w when the
-	// program is weighted) — PageRank and WeightedRank.
+	// program is weighted) — PageRank in all three flavours (pr, wpr, ppr).
 	FusedRankSum
 	// FusedMinProp: uint64 acc = min(acc, props[src]) — Connected
 	// Components. Identity must be ^uint64(0): core's chunk walk
@@ -91,17 +91,12 @@ func (c *ConnComp) MonotoneMin() bool { return true }
 // monotone in dist for any weight.
 func (s *SSSP) MonotoneMin() bool { return true }
 
-// FusedKind implements Fused.
+// FusedKind implements Fused: the flavours differ in Message's weight and in
+// the Vertex phase, so the Edge phase is one rank-sum kernel for all three.
 func (p *PageRank) FusedKind() FusedKind { return FusedRankSum }
 
 // FusedScale implements Fused.
 func (p *PageRank) FusedScale() []float64 { return p.scale.Inv }
-
-// FusedKind implements Fused.
-func (p *WeightedRank) FusedKind() FusedKind { return FusedRankSum }
-
-// FusedScale implements Fused.
-func (p *WeightedRank) FusedScale() []float64 { return p.scale.Inv }
 
 // FusedKind implements Fused.
 func (c *ConnComp) FusedKind() FusedKind { return FusedMinProp }
@@ -120,10 +115,3 @@ func (s *SSSP) FusedKind() FusedKind { return FusedMinPropPlusW }
 
 // FusedScale implements Fused.
 func (s *SSSP) FusedScale() []float64 { return nil }
-
-// FusedKind implements Fused: personalization changes only the Vertex phase,
-// so the Edge phase is PageRank's rank-sum kernel unchanged.
-func (p *PersonalizedPageRank) FusedKind() FusedKind { return FusedRankSum }
-
-// FusedScale implements Fused.
-func (p *PersonalizedPageRank) FusedScale() []float64 { return p.scale.Inv }

@@ -43,9 +43,6 @@ func NewKCore(in *csr.Matrix, k int) *KCore {
 	return &KCore{K: uint64(k), indeg: indeg}
 }
 
-// Name implements Program.
-func (p *KCore) Name() string { return "KCore" }
-
 // Identity implements Program: zero decrements.
 func (p *KCore) Identity() uint64 { return 0 }
 

@@ -47,9 +47,6 @@ func lpKey(label uint32, salt uint64) uint64 {
 	return (x << 32) | uint64(label)
 }
 
-// Name implements Program.
-func (p *LabelProp) Name() string { return "LabelPropagation" }
-
 // Identity implements Program: the maximal key.
 func (p *LabelProp) Identity() uint64 { return ^uint64(0) }
 
@@ -110,15 +107,6 @@ func (p *LabelProp) SkipEqualWrites() bool { return false }
 
 // Weighted implements Program.
 func (p *LabelProp) Weighted() bool { return false }
-
-// Labels converts property lanes to per-vertex community labels.
-func Labels(props []uint64) []uint32 {
-	out := make([]uint32, len(props))
-	for i, v := range props {
-		out[i] = uint32(v)
-	}
-	return out
-}
 
 // DistinctLabels counts distinct labels. Labels are vertex ids, so a dense
 // bitmap over the vertex space suffices.

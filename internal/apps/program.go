@@ -23,8 +23,6 @@ import (
 // CC/BFS), matching the 64-bit vector elements the paper's kernels operate
 // on.
 type Program interface {
-	// Name identifies the program in reports.
-	Name() string
 	// Identity is the aggregation identity: Combine(Identity, x) == x.
 	Identity() uint64
 	// Combine merges two aggregate lanes; it must be commutative and
@@ -68,19 +66,34 @@ func f64(x float64) uint64 { return math.Float64bits(x) }
 // asF64 converts a property lane back to float64.
 func asF64(x uint64) float64 { return math.Float64frombits(x) }
 
-// PageRank is the damped PageRank program. Property lanes hold each
+// PageRank is the rank-sum program behind pr, wpr and ppr: one access
+// pattern (FusedRankSum: acc += rank[src]·scale[src]) with three flavours
+// that differ only in Message, Apply and InitProps. Property lanes hold each
 // vertex's current rank as float64 bits; Message divides by the source's
 // out-degree. A per-iteration global (the paper's "global variables"
 // feature) redistributes the rank mass of dangling vertices so the rank sum
 // stays 1.0 — the correctness check the artifact prints.
+//
+//   - pr (PageRankOn): teleport and dangling mass spread uniformly.
+//   - wpr (WeightedRankOn): the Collaborative-Filtering-like kernel §6
+//     describes — edge weights fold into each message, rank·w/weightedOutDeg
+//     ("the use of edge weights adds additional transfers but does not change
+//     the access pattern").
+//   - ppr (PersonalizedPageRankOn): all teleport mass — the (1-d) restart and
+//     the dangling mass — returns to Root, so ranks measure proximity to it.
 type PageRank struct {
 	// Damping is the damping factor d (default 0.85).
 	Damping float64
-	// N is the vertex count, set by Attach.
+	// N is the vertex count, set by the constructors.
 	N int
+	// Root receives all teleport and dangling mass in the personalized
+	// flavour; the others ignore it.
+	Root uint32
 
-	scale    *RankScale // 1/outdeg and the dangling list, shared per graph version
-	dangling float64    // rank mass of dangling vertices, per iteration
+	scale        *RankScale // 1/outdeg (1/Σw) and the dangling list, shared per graph version
+	dangling     float64    // rank mass of dangling vertices, per iteration
+	weighted     bool       // wpr: messages carry the edge weight
+	personalized bool       // ppr: teleport mass returns to Root
 }
 
 // NewPageRank creates a PageRank program with damping 0.85 from an edge
@@ -96,8 +109,34 @@ func PageRankOn(scale *RankScale) *PageRank {
 	return &PageRank{Damping: 0.85, N: len(scale.Inv), scale: scale}
 }
 
-// Name implements Program.
-func (p *PageRank) Name() string { return "PageRank" }
+// NewWeightedRank creates the weighted-rank program for weighted graph g
+// from its edge list (O(E), plus the grouping the canonical summation order
+// needs); the registry uses WeightedRankOn.
+func NewWeightedRank(g *graph.Graph) *PageRank {
+	return WeightedRankOn(EdgeListRankScale(g, true))
+}
+
+// WeightedRankOn creates the weighted-rank program on a weighted rank scale.
+func WeightedRankOn(scale *RankScale) *PageRank {
+	p := PageRankOn(scale)
+	p.weighted = true
+	return p
+}
+
+// NewPersonalizedPageRank creates a personalized PageRank program rooted at
+// root with damping 0.85 from an edge list (O(E)); the registry uses
+// PersonalizedPageRankOn.
+func NewPersonalizedPageRank(g *graph.Graph, root uint32) *PageRank {
+	return PersonalizedPageRankOn(EdgeListRankScale(g, false), root)
+}
+
+// PersonalizedPageRankOn creates a personalized PageRank program rooted at
+// root with damping 0.85 on an unweighted rank scale.
+func PersonalizedPageRankOn(scale *RankScale, root uint32) *PageRank {
+	p := PageRankOn(scale)
+	p.Root, p.personalized = root, true
+	return p
+}
 
 // Identity implements Program: the additive identity 0.0.
 func (p *PageRank) Identity() uint64 { return f64(0) }
@@ -105,27 +144,46 @@ func (p *PageRank) Identity() uint64 { return f64(0) }
 // Combine implements Program: float64 addition.
 func (p *PageRank) Combine(a, b uint64) uint64 { return f64(asF64(a) + asF64(b)) }
 
-// Message implements Program: rank(src) / outdeg(src).
-func (p *PageRank) Message(srcVal uint64, src uint32, _ float32) uint64 {
+// Message implements Program: rank(src) / outdeg(src), or
+// rank(src)/weightedOutDeg(src) · w when weighted. The scale multiplies
+// first so the weighted result is bit-identical to the engines' fused
+// FusedRankSum kernel.
+func (p *PageRank) Message(srcVal uint64, src uint32, w float32) uint64 {
+	if p.weighted {
+		return f64(asF64(srcVal) * p.scale.Inv[src] * float64(w))
+	}
 	return f64(asF64(srcVal) * p.scale.Inv[src])
 }
 
-// Apply implements Program: rank = (1-d)/N + d·(sum + dangling/N). The
-// float64 conversion rounds the product before the add; without it a
+// Apply implements Program: rank = (1-d)/N + d·(sum + dangling/N), or, when
+// personalized, rank = d·sum plus the restart and dangling mass at the root.
+// The float64 conversions round each product before the add; without them a
 // compiler may fuse the two (GOAMD64=v3, arm64) and two builds of one tree
 // disagree in the last bit.
-func (p *PageRank) Apply(_, agg uint64, _ uint32) (uint64, bool) {
+func (p *PageRank) Apply(_, agg uint64, v uint32) (uint64, bool) {
+	if p.personalized {
+		rank := p.Damping * asF64(agg)
+		if v == p.Root {
+			rank += (1 - p.Damping) + float64(p.Damping*p.dangling)
+		}
+		return f64(rank), true
+	}
 	rank := (1-p.Damping)/float64(p.N) + float64(p.Damping*(asF64(agg)+p.dangling/float64(p.N)))
 	return f64(rank), true
 }
 
-// InitProps implements Program: uniform initial ranks 1/N.
+// InitProps implements Program: uniform initial ranks 1/N, or, when
+// personalized, all mass at the root.
 func (p *PageRank) InitProps(props []uint64) {
-	init := f64(1 / float64(p.N))
-	for i := range props {
-		props[i] = init
+	if p.personalized {
+		clear(props) // f64(0) is the zero lane
+		props[p.Root] = f64(1)
+	} else {
+		init := f64(1 / float64(p.N))
+		for i := range props {
+			props[i] = init
+		}
 	}
-	p.dangling = 0
 	p.PreIteration(props)
 }
 
@@ -148,7 +206,7 @@ func (p *PageRank) TracksConverged() bool { return false }
 func (p *PageRank) SkipEqualWrites() bool { return false }
 
 // Weighted implements Program.
-func (p *PageRank) Weighted() bool { return false }
+func (p *PageRank) Weighted() bool { return p.weighted }
 
 // RankSum returns the total rank mass in props — the artifact's "PageRank
 // Sum" correctness check, which should be very close to 1.0.
@@ -183,14 +241,6 @@ func NewConnComp() *ConnComp { return &ConnComp{} }
 
 // NewConnCompWriteIntense creates the write-intense variant of Fig 8a.
 func NewConnCompWriteIntense() *ConnComp { return &ConnComp{WriteIntense: true} }
-
-// Name implements Program.
-func (c *ConnComp) Name() string {
-	if c.WriteIntense {
-		return "ConnectedComponents-WriteIntense"
-	}
-	return "ConnectedComponents"
-}
 
 // Identity implements Program: the maximal label.
 func (c *ConnComp) Identity() uint64 { return ^uint64(0) }
@@ -266,9 +316,6 @@ type BFS struct {
 // NewBFS creates a BFS program from the given root.
 func NewBFS(root uint32) *BFS { return &BFS{Root: root} }
 
-// Name implements Program.
-func (b *BFS) Name() string { return "BFS" }
-
 // Identity implements Program.
 func (b *BFS) Identity() uint64 { return NoParent }
 
@@ -337,9 +384,6 @@ type SSSP struct {
 // NewSSSP creates an SSSP program from the given root.
 func NewSSSP(root uint32) *SSSP { return &SSSP{Root: root} }
 
-// Name implements Program.
-func (s *SSSP) Name() string { return "SSSP" }
-
 // Identity implements Program: +Inf distance.
 func (s *SSSP) Identity() uint64 { return Inf }
 
@@ -401,81 +445,3 @@ func Distances(props []uint64) []float64 {
 	}
 	return out
 }
-
-// WeightedRank is the Collaborative-Filtering-like kernel §6 describes:
-// identical access pattern to PageRank but with edge weights folded into
-// each message ("the use of edge weights adds additional transfers but does
-// not change the access pattern"). Messages are rank·w/weightedOutDeg.
-type WeightedRank struct {
-	// Damping is the damping factor (default 0.85).
-	Damping float64
-	// N is the vertex count.
-	N int
-
-	scale    *RankScale // 1/Σw and the dangling list, shared per graph version
-	dangling float64
-}
-
-// NewWeightedRank creates the weighted-rank program for weighted graph g
-// from its edge list (O(E), plus the grouping the canonical summation order
-// needs); the registry uses WeightedRankOn.
-func NewWeightedRank(g *graph.Graph) *WeightedRank {
-	return WeightedRankOn(EdgeListRankScale(g, true))
-}
-
-// WeightedRankOn creates the weighted-rank program on a weighted rank scale.
-func WeightedRankOn(scale *RankScale) *WeightedRank {
-	return &WeightedRank{Damping: 0.85, N: len(scale.Inv), scale: scale}
-}
-
-// Name implements Program.
-func (p *WeightedRank) Name() string { return "WeightedRank" }
-
-// Identity implements Program.
-func (p *WeightedRank) Identity() uint64 { return f64(0) }
-
-// Combine implements Program.
-func (p *WeightedRank) Combine(a, b uint64) uint64 { return f64(asF64(a) + asF64(b)) }
-
-// Message implements Program: rank(src)/weightedOutDeg(src) · w. The scale
-// multiplies first so the result is bit-identical to the engines' fused
-// FusedRankSum kernel.
-func (p *WeightedRank) Message(srcVal uint64, src uint32, w float32) uint64 {
-	return f64(asF64(srcVal) * p.scale.Inv[src] * float64(w))
-}
-
-// Apply implements Program.
-func (p *WeightedRank) Apply(_, agg uint64, _ uint32) (uint64, bool) {
-	rank := (1-p.Damping)/float64(p.N) + float64(p.Damping*(asF64(agg)+p.dangling/float64(p.N)))
-	return f64(rank), true
-}
-
-// InitProps implements Program.
-func (p *WeightedRank) InitProps(props []uint64) {
-	init := f64(1 / float64(p.N))
-	for i := range props {
-		props[i] = init
-	}
-	p.PreIteration(props)
-}
-
-// PreIteration implements Program.
-func (p *WeightedRank) PreIteration(props []uint64) { p.dangling = p.scale.danglingMass(props) }
-
-// InitFrontier implements Program.
-func (p *WeightedRank) InitFrontier(f *frontier.Dense) { f.Fill() }
-
-// InitConverged implements Program.
-func (p *WeightedRank) InitConverged(*frontier.Dense) {}
-
-// UsesFrontier implements Program.
-func (p *WeightedRank) UsesFrontier() bool { return false }
-
-// TracksConverged implements Program.
-func (p *WeightedRank) TracksConverged() bool { return false }
-
-// SkipEqualWrites implements Program.
-func (p *WeightedRank) SkipEqualWrites() bool { return false }
-
-// Weighted implements Program.
-func (p *WeightedRank) Weighted() bool { return true }

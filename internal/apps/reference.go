@@ -286,7 +286,7 @@ func ReferencePPR(g *graph.Graph, damping float64, root uint32, iters int) []flo
 		for i := range next {
 			next[i] = 0
 		}
-		next[root] = (1 - damping) + float64(damping*dangling) // as PersonalizedPageRank.Apply rounds it
+		next[root] = (1 - damping) + float64(damping*dangling) // as PageRank.Apply's personalized arm rounds it
 		for _, e := range g.Edges {
 			next[e.Dst] += damping * rank[e.Src] / float64(outDeg[e.Src])
 		}

@@ -299,6 +299,15 @@ func checkRoot(n int, root uint32) error {
 	return nil
 }
 
+// fixedIters is the iteration bound of the apps that run exactly Params.Iters
+// rounds (pr, wpr, ppr, lp).
+func fixedIters(p Params) int { return p.Iters }
+
+// rankValues and rankText decode the rank lanes of pr, wpr and ppr.
+func rankValues(props []uint64) any { return Ranks(props) }
+
+func rankText(props []uint64, v int) string { return fmt.Sprintf("%.12g", asF64(props[v])) }
+
 func rankStat(label string, props []uint64) []Stat {
 	s := RankSum(props)
 	return []Stat{{Key: "rank_sum", Label: label, Value: s, Text: fmt.Sprintf("%.12f", s)}}
@@ -317,15 +326,13 @@ func init() {
 		New: func(g Layouts, _ Params) (Program, error) {
 			return PageRankOn(g.RankScale(false)), nil
 		},
-		MaxIters: func(p Params) int { return p.Iters },
+		MaxIters: fixedIters,
 		Reference: func(g *graph.Graph, p Params) []uint64 {
 			return floatLanes(ReferencePageRank(g, 0.85, p.Iters))
 		},
-		Summary: func(_ Params, props []uint64) []Stat { return rankStat("PageRank Sum", props) },
-		Values:  func(props []uint64) any { return Ranks(props) },
-		VertexText: func(props []uint64, v int) string {
-			return fmt.Sprintf("%.12g", asF64(props[v]))
-		},
+		Summary:    func(_ Params, props []uint64) []Stat { return rankStat("PageRank Sum", props) },
+		Values:     rankValues,
+		VertexText: rankText,
 	})
 
 	MustRegister(Entry{
@@ -339,15 +346,13 @@ func init() {
 		New: func(g Layouts, _ Params) (Program, error) {
 			return WeightedRankOn(g.RankScale(true)), nil
 		},
-		MaxIters: func(p Params) int { return p.Iters },
+		MaxIters: fixedIters,
 		Reference: func(g *graph.Graph, p Params) []uint64 {
 			return floatLanes(ReferenceWeightedRank(g, 0.85, p.Iters))
 		},
-		Summary: func(_ Params, props []uint64) []Stat { return rankStat("WeightedRank Sum", props) },
-		Values:  func(props []uint64) any { return Ranks(props) },
-		VertexText: func(props []uint64, v int) string {
-			return fmt.Sprintf("%.12g", asF64(props[v]))
-		},
+		Summary:    func(_ Params, props []uint64) []Stat { return rankStat("WeightedRank Sum", props) },
+		Values:     rankValues,
+		VertexText: rankText,
 	})
 
 	MustRegister(Entry{
@@ -489,7 +494,7 @@ func init() {
 		New: func(Layouts, Params) (Program, error) {
 			return NewLabelProp(), nil
 		},
-		MaxIters: func(p Params) int { return p.Iters },
+		MaxIters: fixedIters,
 		Reference: func(g *graph.Graph, p Params) []uint64 {
 			return ReferenceLabelProp(g, p.Iters)
 		},
@@ -497,7 +502,7 @@ func init() {
 			n := DistinctLabels(props)
 			return []Stat{{Key: "labels", Label: "Labels", Value: n, Text: fmt.Sprintf("%d", n)}}
 		},
-		Values: func(props []uint64) any { return Labels(props) },
+		Values: func(props []uint64) any { return Components(props) },
 		VertexText: func(props []uint64, v int) string {
 			return fmt.Sprintf("%d", uint32(props[v]))
 		},
@@ -516,14 +521,12 @@ func init() {
 			}
 			return PersonalizedPageRankOn(g.RankScale(false), p.Root), nil
 		},
-		MaxIters: func(p Params) int { return p.Iters },
+		MaxIters: fixedIters,
 		Reference: func(g *graph.Graph, p Params) []uint64 {
 			return floatLanes(ReferencePPR(g, 0.85, p.Root, p.Iters))
 		},
-		Summary: func(_ Params, props []uint64) []Stat { return rankStat("PPR Sum", props) },
-		Values:  func(props []uint64) any { return Ranks(props) },
-		VertexText: func(props []uint64, v int) string {
-			return fmt.Sprintf("%.12g", asF64(props[v]))
-		},
+		Summary:    func(_ Params, props []uint64) []Stat { return rankStat("PPR Sum", props) },
+		Values:     rankValues,
+		VertexText: rankText,
 	})
 }

@@ -34,9 +34,6 @@ func NewTriangleCount(out, in *csr.Matrix) *TriangleCount {
 	return &TriangleCount{adj: adj}
 }
 
-// Name implements Program.
-func (t *TriangleCount) Name() string { return "TriangleCount" }
-
 // Identity implements Program: the additive identity.
 func (t *TriangleCount) Identity() uint64 { return 0 }
 

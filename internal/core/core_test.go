@@ -102,7 +102,7 @@ func TestConnectedComponentsAllEngines(t *testing.T) {
 					got := apps.Components(Run(r, p, 1<<20).Props)
 					for v := range want {
 						if got[v] != want[v] {
-							t.Fatalf("%s: component[%d] = %d, want %d", p.Name(), v, got[v], want[v])
+							t.Fatalf("%+v: component[%d] = %d, want %d", p, v, got[v], want[v])
 						}
 					}
 				}

@@ -33,13 +33,13 @@ func TestKindOfResolution(t *testing.T) {
 	}
 	for _, c := range cases {
 		if k, _ := apps.KindOf(c.p); k != c.want {
-			t.Errorf("%s: KindOf = %v, want %v", c.p.Name(), k, c.want)
+			t.Errorf("%T: KindOf = %v, want %v", c.p, k, c.want)
 		}
 		if c.want == apps.FusedMinProp && c.p.Identity() != ^uint64(0) {
-			t.Errorf("%s: Identity = %#x; the chunk walk's dead lanes read ^0", c.p.Name(), c.p.Identity())
+			t.Errorf("%+v: Identity = %#x; the chunk walk's dead lanes read ^0", c.p, c.p.Identity())
 		}
 		if (c.want == apps.FusedMinProp || c.want == apps.FusedMinSrc) && c.p.Identity() != kindIdentity {
-			t.Errorf("%s: Identity = %#x; selectBody resets accum to %#x", c.p.Name(), c.p.Identity(), kindIdentity)
+			t.Errorf("%+v: Identity = %#x; selectBody resets accum to %#x", c.p, c.p.Identity(), kindIdentity)
 		}
 	}
 	if _, scale := apps.KindOf(apps.NewPageRank(g)); len(scale) != g.NumVertices {

@@ -88,14 +88,6 @@ func Store(s []uint64, i int, v U64x4) {
 	s[i], s[i+1], s[i+2], s[i+3] = v[0], v[1], v[2], v[3]
 }
 
-// And returns the lane-wise AND with a broadcast constant (vpand).
-func And(v U64x4, c uint64) U64x4 {
-	for i := 0; i < Lanes; i++ {
-		v[i] &= c
-	}
-	return v
-}
-
 // SignMask extracts bit 63 of each lane into a Mask (vmovmskpd). In the
 // Vector-Sparse encoding bit 63 is the valid bit, so this yields the
 // predicate for the whole vector in one operation.

@@ -35,13 +35,6 @@ func TestBroadcastLoadStore(t *testing.T) {
 	}
 }
 
-func TestAnd(t *testing.T) {
-	v := U64x4{0xFF00, 0x0FF0, 0xFFFF, 0}
-	if got := And(v, 0x00F0); got != (U64x4{0, 0x00F0, 0x00F0, 0}) {
-		t.Errorf("And = %v", got)
-	}
-}
-
 func TestSignMask(t *testing.T) {
 	hi := uint64(1) << 63
 	v := U64x4{hi, 0, hi | 5, 7}

@@ -41,7 +41,7 @@ func TestEncodeValidPrefix(t *testing.T) {
 	if got := Valid(v); got != vec.Mask(0b0111) {
 		t.Errorf("Valid = %04b, want 0111", got)
 	}
-	n := vec.And(v, VertexMask)
+	n := laneIDs(v)
 	if n[0] != 10 || n[1] != 20 || n[2] != 30 {
 		t.Errorf("lane ids = %v", n)
 	}
@@ -51,6 +51,14 @@ func TestEncodeValidPrefix(t *testing.T) {
 			t.Errorf("lane %d leaked metadata: %#x", i, n[i])
 		}
 	}
+}
+
+// laneIDs masks every lane of v down to its vertex id.
+func laneIDs(v vec.U64x4) vec.U64x4 {
+	for i := range v {
+		v[i] &= VertexMask
+	}
+	return v
 }
 
 func fig2CSC() *csr.Matrix {
@@ -115,7 +123,7 @@ func TestPaddingRepeatsLastNeighbor(t *testing.T) {
 	if Valid(second) != vec.Mask(0b0001) {
 		t.Fatalf("second vector valid mask = %04b", Valid(second))
 	}
-	n := vec.And(second, VertexMask)
+	n := laneIDs(second)
 	for lane := 1; lane < vec.Lanes; lane++ {
 		if n[lane] != n[0] {
 			t.Errorf("padding lane %d = %d, want %d", lane, n[lane], n[0])
