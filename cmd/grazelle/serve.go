@@ -569,7 +569,10 @@ func (s *server) handleCompactGraph(w http.ResponseWriter, r *http.Request) {
 func mutationStatus(err error) (status int, retryAfter string) {
 	var be *grazelle.DeltaBudgetError
 	var we *grazelle.WALWedgedError
+	var ve *grazelle.VertexIDError
 	switch {
+	case errors.As(err, &ve):
+		return http.StatusBadRequest, ""
 	case errors.As(err, &be):
 		return http.StatusTooManyRequests, "1"
 	case errors.As(err, &we):

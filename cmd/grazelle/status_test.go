@@ -190,6 +190,27 @@ func TestQueryCodec(t *testing.T) {
 	}
 }
 
+// TestMutateCodec: POST …/edges refuses an empty batch and any op naming a
+// vertex id at or past the 2^31 bound with 400, before anything is logged —
+// the next batch the graph accepts is its first.
+func TestMutateCodec(t *testing.T) {
+	_, base := newTestServer(t, "serve", grazelle.StoreConfig{}, nil)
+	for name, body := range map[string]string{
+		"empty":          `{"ops":[]}`,
+		"src past bound": `{"ops":[{"src":2147483648,"dst":0}]}`,
+		"dst past bound": `{"ops":[{"src":1,"dst":2},{"src":0,"dst":4294967295}]}`,
+	} {
+		if resp, raw := post(t, base+"/v1/graphs/default/edges", body); resp.StatusCode != 400 || !bytes.Contains(raw, []byte(`"error"`)) {
+			t.Errorf("%s: status %d body %.200s", name, resp.StatusCode, raw)
+		}
+	}
+	resp, raw := post(t, base+"/v1/graphs/default/edges", `{"ops":[{"src":1,"dst":2}]}`)
+	var out struct{ Seq uint64 }
+	if err := json.Unmarshal(raw, &out); err != nil || resp.StatusCode != 200 || out.Seq != 1 {
+		t.Errorf("a valid batch after the refused ones: status %d, %v: %.200s; want 200 and seq 1", resp.StatusCode, err, raw)
+	}
+}
+
 // TestBatchCodec: the requests /v1/batch refuses whole, and the per-entry
 // status, code and response of one it runs.
 func TestBatchCodec(t *testing.T) {

@@ -308,6 +308,9 @@ func rankValues(props []uint64) any { return Ranks(props) }
 
 func rankText(props []uint64, v int) string { return fmt.Sprintf("%.12g", asF64(props[v])) }
 
+// componentText renders the label lanes of cc and lp.
+func componentText(props []uint64, v int) string { return fmt.Sprintf("%d", uint32(props[v])) }
+
 func rankStat(label string, props []uint64) []Stat {
 	s := RankSum(props)
 	return []Stat{{Key: "rank_sum", Label: label, Value: s, Text: fmt.Sprintf("%.12f", s)}}
@@ -370,10 +373,8 @@ func init() {
 			n := DistinctLabels(props)
 			return []Stat{{Key: "components", Label: "Components", Value: n, Text: fmt.Sprintf("%d", n)}}
 		},
-		Values: func(props []uint64) any { return Components(props) },
-		VertexText: func(props []uint64, v int) string {
-			return fmt.Sprintf("%d", uint32(props[v]))
-		},
+		Values:          func(props []uint64) any { return Components(props) },
+		VertexText:      componentText,
 		IncrementalSeed: seedCC,
 	})
 
@@ -502,10 +503,8 @@ func init() {
 			n := DistinctLabels(props)
 			return []Stat{{Key: "labels", Label: "Labels", Value: n, Text: fmt.Sprintf("%d", n)}}
 		},
-		Values: func(props []uint64) any { return Components(props) },
-		VertexText: func(props []uint64, v int) string {
-			return fmt.Sprintf("%d", uint32(props[v]))
-		},
+		Values:     func(props []uint64) any { return Components(props) },
+		VertexText: componentText,
 	})
 
 	MustRegister(Entry{

@@ -121,7 +121,7 @@ func TestFrontierWorkBitIdentity(t *testing.T) {
 func assertRunsAscending(t *testing.T, a *vsparse.Array) {
 	t.Helper()
 	for dst := 0; dst < a.N; dst++ {
-		prev := uint64(0)
+		prev := uint32(0)
 		for vi := a.Index[dst]; vi < a.Index[dst+1]; vi++ {
 			v := a.Vector(vi)
 			mask := vsparse.Valid(v)

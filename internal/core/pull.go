@@ -164,10 +164,10 @@ func pullSABody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, nod
 				}
 				continue
 			}
-			n0 := v0 & vsparse.VertexMask
-			n1 := v1 & vsparse.VertexMask
-			n2 := v2 & vsparse.VertexMask
-			n3 := v3 & vsparse.VertexMask
+			n0 := uint64(v0 & vsparse.VertexMask)
+			n1 := uint64(v1 & vsparse.VertexMask)
+			n2 := uint64(v2 & vsparse.VertexMask)
+			n3 := uint64(v3 & vsparse.VertexMask)
 			mask := signMask4(v0, v1, v2, v3)
 			// In-place window. A run is ascending by source and padding
 			// repeats the last valid id, so n0 is the vector's smallest
@@ -180,7 +180,7 @@ func pullSABody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, nod
 					// flushed aggregate, and is live on the strength of either.
 					for m := mask; m != 0; m = m.Rest() {
 						lane := m.First()
-						n := words[base+lane] & vsparse.VertexMask
+						n := uint64(words[base+lane] & vsparse.VertexMask)
 						val := props[n]
 						live := !gated || (frontWords[n>>6]>>(n&63))&1 != 0
 						if win.Bit(lane) {
@@ -214,7 +214,7 @@ func pullSABody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, nod
 				if saturates {
 					// The first live lane is the run's minimum live source:
 					// take it and leave the destination.
-					acc = fz.step(props, acc, words[base+mask.First()]&vsparse.VertexMask, 0)
+					acc = fz.step(props, acc, uint64(words[base+mask.First()]&vsparse.VertexMask), 0)
 					vi = index[dst+1] - 1
 					continue
 				}
@@ -223,7 +223,7 @@ func pullSABody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, nod
 			// for: >90% of vectors on skewed graphs have all lanes valid,
 			// and every lane may survive predication): no per-lane tests,
 			// one fused gather+combine per lane, as an AVX kernel would
-			// issue a single vgatherqpd.
+			// issue a single gather.
 			if mask == vec.MaskAll && fullVector {
 				acc = fz.step4(props, acc, n0, n1, n2, n3, base, a.Weights)
 				continue
@@ -235,7 +235,7 @@ func pullSABody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, nod
 				if weighted {
 					w = a.Weights[base+lane]
 				}
-				acc = fz.step(props, acc, words[base+lane]&vsparse.VertexMask, w)
+				acc = fz.step(props, acc, uint64(words[base+lane]&vsparse.VertexMask), w)
 			}
 		}
 		// FinishChunk (Listing 5): the trailing partial aggregate goes to
@@ -305,7 +305,7 @@ func countChunk(r *ExecContext, fz *fuse) func(rg sched.Range, node int) perfmod
 				}
 				continue
 			}
-			n := vec.U64x4{v0 & vsparse.VertexMask, v1 & vsparse.VertexMask, v2 & vsparse.VertexMask, v3 & vsparse.VertexMask}
+			n := widen4(v0, v1, v2, v3)
 			live := mask
 			if gated {
 				live = vec.TestBits(frontWords, n, mask)
@@ -425,8 +425,7 @@ func edgePullTraditional(r *ExecContext, p apps.Program, useAtomics bool) edgeCo
 				c.FrontierSkips += uint64(valid)
 				continue
 			}
-			neigh := vec.U64x4{v0 & vsparse.VertexMask, v1 & vsparse.VertexMask,
-				v2 & vsparse.VertexMask, v3 & vsparse.VertexMask}
+			neigh := widen4(v0, v1, v2, v3)
 			if usesFrontier {
 				live := vec.TestBits(frontWords, neigh, mask)
 				c.FrontierSkips += uint64(valid - live.Count())
@@ -685,7 +684,7 @@ func firstTop(a *vsparse.Array, vi int) uint32 {
 
 // window4 returns the lanes whose source id lies in [lo, lo+span), branch-
 // free: with d = n − lo (wrapping), a lane is inside when d − span borrows and
-// d itself did not. Ids are below 2^48, so neither test can be fooled by a
+// d itself did not. Ids are below 2^31, so neither test can be fooled by a
 // wrapped difference.
 func window4(n0, n1, n2, n3, lo, span uint64) vec.Mask {
 	d0, d1, d2, d3 := n0-lo, n1-lo, n2-lo, n3-lo
@@ -695,8 +694,15 @@ func window4(n0, n1, n2, n3, lo, span uint64) vec.Mask {
 
 // signMask4 extracts the per-lane valid mask from four raw lane words (the
 // open-coded vec.SignMask).
-func signMask4(v0, v1, v2, v3 uint64) vec.Mask {
-	return vec.Mask(v0>>63 | (v1>>63)<<1 | (v2>>63)<<2 | (v3>>63)<<3)
+func signMask4(v0, v1, v2, v3 uint32) vec.Mask {
+	return vec.Mask(v0>>31 | (v1>>31)<<1 | (v2>>31)<<2 | (v3>>31)<<3)
+}
+
+// widen4 returns the source ids of four raw lane words, widened to 64 bits
+// (the open-coded vpmovzxdq of the masked words).
+func widen4(v0, v1, v2, v3 uint32) vec.U64x4 {
+	return vec.U64x4{uint64(v0 & vsparse.VertexMask), uint64(v1 & vsparse.VertexMask),
+		uint64(v2 & vsparse.VertexMask), uint64(v3 & vsparse.VertexMask)}
 }
 
 // ownedRange is the vertices [lo, hi) whose properties one simulated NUMA

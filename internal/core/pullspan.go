@@ -45,7 +45,7 @@ func (ec *ExecContext) pullsBySpan(p apps.Program, kind apps.FusedKind) bool {
 // the ones pullsBySpan turns away.
 //
 // A FusedMinProp program hands the whole chunk to one vec.MinPropChunk call
-// (the AVX2 VPGATHERQQ walk where the CPU has it): a frontier-gated round
+// (the AVX2 VPGATHERDQ walk where the CPU has it): a frontier-gated round
 // passes the frontier words, one whose frontier is full passes none, as
 // pullSABody's gated rule decides. Interior runs are stored inside the call;
 // the trailing (dst, acc) comes back for the merge slot. One call per chunk,
@@ -70,7 +70,7 @@ func (ec *ExecContext) pullsBySpan(p apps.Program, kind apps.FusedKind) bool {
 // its message is the source id.
 //
 // A rank sum hands the chunk to one vec.RankSumChunk call the same way (the
-// AVX2 walk, one vgatherqpd per vector, where the CPU has it): each run is
+// AVX2 walk, one vgatherdpd per vector, where the CPU has it): each run is
 // summed lane by lane, an interior one added to accum[dst] inside the call and
 // the trailing one returned for the merge slot. A rank sum's per-edge term,
 // props[n]·scale[n], is the same number on every out-edge of n, so building
@@ -181,7 +181,7 @@ func (r *ExecContext) refreshContrib(scale []float64) []float64 {
 // aggregate is Combine(Combine(l0, l1), Combine(l2, l3)). A program the engine
 // runs fused therefore gets the same bits run generic
 // (TestFusedMatchesGenericExactly).
-func laneFold(fz *fuse, words []uint64, weights []float32, props []uint64, identity uint64, lo, hi int) uint64 {
+func laneFold(fz *fuse, words []uint32, weights []float32, props []uint64, identity uint64, lo, hi int) uint64 {
 	l := [vec.Lanes]uint64{identity, identity, identity, identity}
 	for i := lo * vec.Lanes; i < hi*vec.Lanes; i += vec.Lanes {
 		for lane := 0; lane < vec.Lanes; lane++ {
@@ -189,7 +189,7 @@ func laneFold(fz *fuse, words []uint64, weights []float32, props []uint64, ident
 			if w&vsparse.ValidBit == 0 {
 				continue
 			}
-			n := w & vsparse.VertexMask
+			n := uint64(w & vsparse.VertexMask)
 			var wt float32
 			if weights != nil {
 				wt = weights[i+lane]

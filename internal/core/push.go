@@ -8,7 +8,6 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/sched"
 	"repro/internal/vec"
-	"repro/internal/vsparse"
 )
 
 // RunEdgePush executes one dense Edge-Push phase (Listing 1): the outer loop
@@ -98,8 +97,7 @@ func pushBody(r *ExecContext, fz *fuse, list []uint32, inline bool) func(rg sche
 				v0, v1, v2, v3 := words[base], words[base+1], words[base+2], words[base+3]
 				c.VectorsProcessed++
 				mask := signMask4(v0, v1, v2, v3)
-				neigh := vec.U64x4{v0 & vsparse.VertexMask, v1 & vsparse.VertexMask,
-					v2 & vsparse.VertexMask, v3 & vsparse.VertexMask}
+				neigh := widen4(v0, v1, v2, v3)
 				// Record-only lane counters, kept out of the lane loop.
 				if lanes {
 					c.InvalidLanes += uint64(vec.Lanes - mask.Count())

@@ -330,9 +330,10 @@ func ApplyEdgeOps(g *Graph, ops []EdgeOp) *Graph {
 }
 
 // ValidateEdgeOps checks a mutation batch before it is logged: it must be
-// non-empty, within the per-batch cap, and free of ops that could never
-// decode back (there are none today — every field value round-trips — but
-// the bound keeps a single request from monopolizing the log).
+// non-empty, within the per-batch cap (the bound keeps a single request from
+// monopolizing the log), and name no vertex id at or past MaxVertices — an
+// insert grows the graph to cover its ids, so such an op would make a graph
+// Validate refuses. That failure is a *VertexIDError.
 func ValidateEdgeOps(ops []EdgeOp) error {
 	if len(ops) == 0 {
 		return errors.New("graph: empty mutation batch")
@@ -340,5 +341,20 @@ func ValidateEdgeOps(ops []EdgeOp) error {
 	if len(ops) > MaxDeltaOps {
 		return fmt.Errorf("graph: mutation batch of %d ops exceeds the %d cap", len(ops), MaxDeltaOps)
 	}
+	for i, op := range ops {
+		if id := max(op.Src, op.Dst); id >= MaxVertices {
+			return &VertexIDError{Op: i, ID: id}
+		}
+	}
 	return nil
+}
+
+// VertexIDError is a mutation op naming a vertex id at or past MaxVertices.
+type VertexIDError struct {
+	Op int    // the op's position in its batch
+	ID uint32 // the offending id
+}
+
+func (e *VertexIDError) Error() string {
+	return fmt.Sprintf("graph: op %d names vertex %d; ids must be below %d", e.Op, e.ID, MaxVertices)
 }

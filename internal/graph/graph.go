@@ -33,12 +33,18 @@ type Graph struct {
 // NumEdges returns the number of directed edges.
 func (g *Graph) NumEdges() int { return len(g.Edges) }
 
-// Validate checks that every endpoint is within range. The comparison is
-// performed in 64 bits: NumVertices may legitimately be 2^32 when vertex
-// ids span the full uint32 range, which a uint32 cast would truncate to 0.
+// MaxVertices bounds a graph's vertex count, so every vertex id is below
+// 2^31: a Vector-Sparse lane carries a 31-bit source id beside its valid bit,
+// and the pull kernels' dword-index gathers read a lane word as a signed
+// index (internal/vsparse).
+const MaxVertices = 1 << 31
+
+// Validate checks that the vertex count is within [0, MaxVertices] and that
+// every endpoint is within range. It reads no more than the edge list, so a
+// vertex count past the bound is refused before anything is sized by it.
 func (g *Graph) Validate() error {
-	if g.NumVertices < 0 {
-		return fmt.Errorf("graph: negative vertex count %d", g.NumVertices)
+	if g.NumVertices < 0 || g.NumVertices > MaxVertices {
+		return fmt.Errorf("graph: vertex count %d outside [0, %d]", g.NumVertices, MaxVertices)
 	}
 	n := uint64(g.NumVertices)
 	for i, e := range g.Edges {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -191,5 +192,30 @@ func TestBinaryRoundTripZeroEdges(t *testing.T) {
 	}
 	if got.Edges != nil {
 		t.Error("decoder produced a non-nil empty edge slice")
+	}
+}
+
+// TestVertexBound: a graph may have MaxVertices = 2^31 vertices and no more,
+// and a mutation op naming id MaxVertices or past it, as source or
+// destination, is refused with a *VertexIDError; id MaxVertices − 1 is
+// accepted. Both checks read the op or the count alone: nothing is sized by N.
+func TestVertexBound(t *testing.T) {
+	if err := (&Graph{NumVertices: 1 << 31}).Validate(); err != nil {
+		t.Errorf("2^31 vertices: %v", err)
+	}
+	for _, n := range []int{1<<31 + 1, 1 << 32, -1} {
+		if (&Graph{NumVertices: n}).Validate() == nil {
+			t.Errorf("Validate accepted %d vertices", n)
+		}
+	}
+	for _, op := range []EdgeOp{{Src: 1 << 31}, {Dst: 1 << 31}, {Delete: true, Src: 1<<32 - 1, Dst: 3}} {
+		err := ValidateEdgeOps([]EdgeOp{op})
+		var ve *VertexIDError
+		if !errors.As(err, &ve) || ve.Op != 0 || ve.ID != max(op.Src, op.Dst) {
+			t.Errorf("op %+v: %v, want a *VertexIDError for op 0", op, err)
+		}
+	}
+	if err := ValidateEdgeOps([]EdgeOp{{Src: 1<<31 - 1, Dst: 1<<31 - 1}}); err != nil {
+		t.Errorf("id 2^31 − 1: %v", err)
 	}
 }

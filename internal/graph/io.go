@@ -109,7 +109,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	flags := binary.LittleEndian.Uint32(head[8:])
 	numV := binary.LittleEndian.Uint64(head[12:])
 	numE := binary.LittleEndian.Uint64(head[20:])
-	if numV > 1<<40 || numE > 1<<48 {
+	if numV > MaxVertices || numE > 1<<48 {
 		return nil, fmt.Errorf("%w: implausible header (%d vertices, %d edges)", ErrCorrupt, numV, numE)
 	}
 	g := &Graph{

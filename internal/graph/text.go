@@ -13,8 +13,9 @@ import (
 // SNAP and the WebGraph-derived datasets of Table 1 are distributed in.
 // Lines starting with '#' or '%' are comments; each data line is
 // "src dst [weight]". Vertex ids may be sparse; the vertex count is
-// 1 + the maximum id seen. A weight column on any line makes the whole
-// graph weighted (absent weights default to 1).
+// 1 + the maximum id seen, and an id must be below MaxVertices. A weight
+// column on any line makes the whole graph weighted (absent weights default
+// to 1).
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -31,11 +32,11 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		if len(fields) < 2 {
 			return nil, fmt.Errorf("graph: line %d: want \"src dst [weight]\", got %q", lineNo, line)
 		}
-		src, err := strconv.ParseUint(fields[0], 10, 32)
+		src, err := strconv.ParseUint(fields[0], 10, 31) // ids below MaxVertices
 		if err != nil {
 			return nil, fmt.Errorf("graph: line %d: bad source %q", lineNo, fields[0])
 		}
-		dst, err := strconv.ParseUint(fields[1], 10, 32)
+		dst, err := strconv.ParseUint(fields[1], 10, 31)
 		if err != nil {
 			return nil, fmt.Errorf("graph: line %d: bad destination %q", lineNo, fields[1])
 		}

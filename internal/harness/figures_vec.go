@@ -97,7 +97,7 @@ func phaseTime(cfg Config, cg *core.Graph, p apps.Program, opt core.Options, pha
 // application speedups (PageRank > Connected Components > BFS, ordered by
 // Edge-Pull usage). PageRank's Edge-Pull has two vectorized forms — the
 // software vector unit (the gather kernel's Go twin, core.Options.AblateSIMD)
-// and the process's selected kernel, the AVX2 vgatherqpd loop where the CPU
+// and the process's selected kernel, the AVX2 vgatherdpd loop where the CPU
 // has it — so it gets a column each; every other phase and application has
 // the software unit only (for CC that is its chunk walk's Go twin,
 // vec.MinPropChunkGo).

@@ -5,10 +5,10 @@ import (
 	"math/bits"
 )
 
-// laneIDMask selects the 48-bit source id of a Vector-Sparse lane word
+// laneIDMask selects the 31-bit source id of a Vector-Sparse lane word
 // (vsparse.VertexMask; vsparse imports this package, so the constant is
 // repeated here).
-const laneIDMask = uint64(1)<<48 - 1
+const laneIDMask = uint32(1)<<31 - 1
 
 // RankSumChunkGo is the Edge-Pull of the rank-sum programs (PageRank and its
 // variants) over one scheduler chunk: vectors [lo, hi) of a Vector-Sparse
@@ -17,11 +17,11 @@ const laneIDMask = uint64(1)<<48 - 1
 // RankSumChunk is the same function on the process's selected kernel; this
 // is the portable twin every build has.
 //
-// words holds four lanes per vector; bit 63 of a lane marks it valid and bits
-// 47:0 carry the source id. contrib[n] is what source n sends along each of
-// its out-edges this iteration, rank[n]·scale[n] rounded to float64 on its
-// own — one product per vertex, made by the engine before the sweep, where a
-// product per edge would gather two arrays for the same number. weights, when
+// words holds four 32-bit lanes per vector; bit 31 of a lane marks it valid
+// and bits 30:0 carry the source id. contrib[n] is what source n sends along
+// each of its out-edges this iteration, rank[n]·scale[n] rounded to float64
+// on its own — one product per vertex, made by the engine before the sweep,
+// where a product per edge would gather two arrays for the same number. weights, when
 // non-nil, is lane-parallel to words, and its padding lanes hold zero. Every
 // valid lane's id must index contrib.
 //
@@ -41,7 +41,7 @@ const laneIDMask = uint64(1)<<48 - 1
 // lane; a partial sum starts at +0 and can never become −0, so that agrees to
 // the bit too. The float64 conversions keep a compiler that may fuse x*y + z
 // (GOAMD64=v3, arm64) from doing so.
-func RankSumChunkGo(words []uint64, index []int, contrib []float64, weights []float32, accum []uint64, dst, lo, hi int) (last int, acc uint64) {
+func RankSumChunkGo(words []uint32, index []int, contrib []float64, weights []float32, accum []uint64, dst, lo, hi int) (last int, acc uint64) {
 	for vi := lo; vi < hi; dst++ {
 		end := index[dst+1]
 		if end <= vi {
@@ -65,21 +65,21 @@ func RankSumChunkGo(words []uint64, index []int, contrib []float64, weights []fl
 // rankSumSpan is RankSumChunkGo's sum of one run span, the run's vectors
 // clipped to the chunk, in the documented order. It is a call of its own:
 // inlined into the chunk walk, the lane loop spilled its slice headers.
-func rankSumSpan(words []uint64, contrib []float64, weights []float32) float64 {
+func rankSumSpan(words []uint32, contrib []float64, weights []float32) float64 {
 	var l0, l1, l2, l3 float64
 	if weights == nil {
 		for i := 0; i+Lanes <= len(words); i += Lanes {
 			w0, w1, w2, w3 := words[i], words[i+1], words[i+2], words[i+3]
-			if w0>>63 != 0 {
+			if w0>>31 != 0 {
 				l0 += contrib[w0&laneIDMask]
 			}
-			if w1>>63 != 0 {
+			if w1>>31 != 0 {
 				l1 += contrib[w1&laneIDMask]
 			}
-			if w2>>63 != 0 {
+			if w2>>31 != 0 {
 				l2 += contrib[w2&laneIDMask]
 			}
-			if w3>>63 != 0 {
+			if w3>>31 != 0 {
 				l3 += contrib[w3&laneIDMask]
 			}
 		}
@@ -87,16 +87,16 @@ func rankSumSpan(words []uint64, contrib []float64, weights []float32) float64 {
 	}
 	for i := 0; i+Lanes <= len(words); i += Lanes {
 		w0, w1, w2, w3 := words[i], words[i+1], words[i+2], words[i+3]
-		if w0>>63 != 0 {
+		if w0>>31 != 0 {
 			l0 += float64(contrib[w0&laneIDMask] * float64(weights[i]))
 		}
-		if w1>>63 != 0 {
+		if w1>>31 != 0 {
 			l1 += float64(contrib[w1&laneIDMask] * float64(weights[i+1]))
 		}
-		if w2>>63 != 0 {
+		if w2>>31 != 0 {
 			l2 += float64(contrib[w2&laneIDMask] * float64(weights[i+2]))
 		}
-		if w3>>63 != 0 {
+		if w3>>31 != 0 {
 			l3 += float64(contrib[w3&laneIDMask] * float64(weights[i+3]))
 		}
 	}
@@ -111,7 +111,7 @@ func rankSumSpan(words []uint64, contrib []float64, weights []float32) float64 {
 //
 // index is the array's per-destination vector index (vsparse.Array.Index) and
 // dst the destination that owns vector lo, the chunk's StartChunk top. A lane
-// is live when its valid bit (63) is set and, if front is non-empty, the
+// is live when its valid bit (31) is set and, if front is non-empty, the
 // frontier bitset front has its source's bit; an ungated round passes nil.
 // Every run the chunk holds to its end is an interior run: this chunk is its
 // only writer, and accum[dst] = min(accum[dst], acc) stores it. The chunk's
@@ -139,7 +139,7 @@ func rankSumSpan(words []uint64, contrib []float64, weights []float32) float64 {
 // the frontier words are indexed the same way. Inside the window the twin
 // reads accum for dead lanes too and masks it the same way; the assembly
 // gathers it for live lanes only.
-func MinPropChunkGo(words []uint64, index []int, props, front, accum []uint64, dst, lo, hi int, inPlace bool) (last int, acc uint64) {
+func MinPropChunkGo(words []uint32, index []int, props, front, accum []uint64, dst, lo, hi int, inPlace bool) (last int, acc uint64) {
 	const none = ^uint64(0)
 	gated := len(front) != 0
 	first := uint64(dst)
@@ -159,8 +159,8 @@ func MinPropChunkGo(words []uint64, index []int, props, front, accum []uint64, d
 		acc = none
 		for ; vi < end; vi++ {
 			w := words[vi*Lanes : vi*Lanes+Lanes : vi*Lanes+Lanes]
-			n0, n1, n2, n3 := w[0]&laneIDMask, w[1]&laneIDMask, w[2]&laneIDMask, w[3]&laneIDMask
-			v0, v1, v2, v3 := w[0]>>63, w[1]>>63, w[2]>>63, w[3]>>63
+			n0, n1, n2, n3 := uint64(w[0]&laneIDMask), uint64(w[1]&laneIDMask), uint64(w[2]&laneIDMask), uint64(w[3]&laneIDMask)
+			v0, v1, v2, v3 := uint64(w[0]>>31), uint64(w[1]>>31), uint64(w[2]>>31), uint64(w[3]>>31)
 			if gated {
 				v0 &= front[n0>>6] >> (n0 & 63)
 				v1 &= front[n1>>6] >> (n1 & 63)
@@ -205,7 +205,7 @@ func MinPropChunkGo(words []uint64, index []int, props, front, accum []uint64, d
 // MinPropChunkGo's. A run whose destination the converged bitset conv holds
 // is skipped whole, without a vector read, and aggregates to Identity,
 // ^uint64(0) (BFS's NoParent). In any other run a lane is live when its valid
-// bit (63) is set and the frontier bitset front has its source's bit; both
+// bit (31) is set and the frontier bitset front has its source's bit; both
 // bitsets are required. A run ascends by source (csr.FromGraph sorts each
 // group; padding lanes are dead), so the first live lane in vector and lane
 // order holds the run's minimum: the walk takes that lane's id and leaves the
@@ -219,7 +219,7 @@ func MinPropChunkGo(words []uint64, index []int, props, front, accum []uint64, d
 // lanes with an in-range id (vsparse.FromCSR), so the reads stay in front.
 // The assembly gathers the words under the valid bits instead; the live mask,
 // and so every returned and stored word, is the same.
-func MinSrcChunkGo(words []uint64, index []int, front, conv, accum []uint64, dst, lo, hi int) (last int, acc uint64) {
+func MinSrcChunkGo(words []uint32, index []int, front, conv, accum []uint64, dst, lo, hi int) (last int, acc uint64) {
 	const none = ^uint64(0)
 	for vi := lo; vi < hi; dst++ {
 		end := index[dst+1]
@@ -231,12 +231,12 @@ func MinSrcChunkGo(words []uint64, index []int, front, conv, accum []uint64, dst
 			for v := vi; v < min(end, hi); v++ {
 				w := words[v*Lanes : v*Lanes+Lanes : v*Lanes+Lanes]
 				n0, n1, n2, n3 := w[0]&laneIDMask, w[1]&laneIDMask, w[2]&laneIDMask, w[3]&laneIDMask
-				live := w[0]>>63&(front[n0>>6]>>(n0&63)) |
-					(w[1]>>63&(front[n1>>6]>>(n1&63)))<<1 |
-					(w[2]>>63&(front[n2>>6]>>(n2&63)))<<2 |
-					(w[3]>>63&(front[n3>>6]>>(n3&63)))<<3
+				live := uint64(w[0]>>31)&(front[n0>>6]>>(n0&63)) |
+					(uint64(w[1]>>31)&(front[n1>>6]>>(n1&63)))<<1 |
+					(uint64(w[2]>>31)&(front[n2>>6]>>(n2&63)))<<2 |
+					(uint64(w[3]>>31)&(front[n3>>6]>>(n3&63)))<<3
 				if live != 0 {
-					acc = w[bits.TrailingZeros64(live)] & laneIDMask
+					acc = uint64(w[bits.TrailingZeros64(live)] & laneIDMask)
 					break
 				}
 			}

@@ -3,17 +3,17 @@
 package vec
 
 // RankSumChunk is RankSumChunkGo on a build without the AVX2 assembly.
-func RankSumChunk(words []uint64, index []int, contrib []float64, weights []float32, accum []uint64, dst, lo, hi int) (last int, acc uint64) {
+func RankSumChunk(words []uint32, index []int, contrib []float64, weights []float32, accum []uint64, dst, lo, hi int) (last int, acc uint64) {
 	return RankSumChunkGo(words, index, contrib, weights, accum, dst, lo, hi)
 }
 
 // MinPropChunk is MinPropChunkGo on a build without the AVX2 assembly.
-func MinPropChunk(words []uint64, index []int, props, front, accum []uint64, dst, lo, hi int, inPlace bool) (last int, acc uint64) {
+func MinPropChunk(words []uint32, index []int, props, front, accum []uint64, dst, lo, hi int, inPlace bool) (last int, acc uint64) {
 	return MinPropChunkGo(words, index, props, front, accum, dst, lo, hi, inPlace)
 }
 
 // MinSrcChunk is MinSrcChunkGo on a build without the AVX2 assembly.
-func MinSrcChunk(words []uint64, index []int, front, conv, accum []uint64, dst, lo, hi int) (last int, acc uint64) {
+func MinSrcChunk(words []uint32, index []int, front, conv, accum []uint64, dst, lo, hi int) (last int, acc uint64) {
 	return MinSrcChunkGo(words, index, front, conv, accum, dst, lo, hi)
 }
 

@@ -3,6 +3,7 @@
 package vec_test
 
 import (
+	"math"
 	"syscall"
 	"testing"
 	"unsafe"
@@ -28,6 +29,12 @@ func guarded(t *testing.T, n int) []byte {
 	return mem[size-page-n : size-page]
 }
 
+// guardedSlice is guarded as a slice of n values of type T.
+func guardedSlice[T any](t *testing.T, n int) []T {
+	t.Helper()
+	return unsafe.Slice((*T)(unsafe.Pointer(&guarded(t, n*int(unsafe.Sizeof(*new(T))))[0])), n)
+}
+
 // TestRankSumChunkNeverReadsPastLen walks chunks whose words, weights, index,
 // accum and contrib each end on the last byte before a guard page, plain and
 // weighted: the chunk's last vector is the array's last, one vector per
@@ -38,28 +45,27 @@ func guarded(t *testing.T, n int) []byte {
 // contrib's end.
 func TestRankSumChunkNeverReadsPastLen(t *testing.T) {
 	const n = 64
-	words64 := func(k int) []uint64 { return unsafe.Slice((*uint64)(unsafe.Pointer(&guarded(t, k*8)[0])), k) }
 	f := newRankFixture(n, 4)
-	contrib := unsafe.Slice((*float64)(unsafe.Pointer(&guarded(t, n*8)[0])), n)
+	contrib := guardedSlice[float64](t, n)
 	copy(contrib, f.contrib)
 	f.contrib = contrib
-	accum := words64(n - 1)
+	accum := guardedSlice[uint64](t, n-1)
 	f.kernelAccum = func() []uint64 {
 		copy(accum, f.accum)
 		return accum
 	}
 	for _, vectors := range []int{1, 2, 5, 16} {
 		lanes := vectors * vec.Lanes
-		words := words64(lanes)
-		weights := unsafe.Slice((*float32)(unsafe.Pointer(&guarded(t, lanes*4)[0])), lanes)
-		index := unsafe.Slice((*int)(unsafe.Pointer(&guarded(t, (n+1)*8)[0])), n+1)
+		words := guardedSlice[uint32](t, lanes)
+		weights := guardedSlice[float32](t, lanes)
+		index := guardedSlice[int](t, n+1)
 		for v := 0; v < vectors; v++ {
-			var ids [vec.Lanes]uint64
+			var ids [vec.Lanes]uint32
 			for lane := range ids {
-				ids[lane] = uint64((7*v + 3*lane + n - 8) % n)
+				ids[lane] = uint32((7*v + 3*lane + n - 8) % n)
 			}
 			valid := 1 + v%vec.Lanes
-			vec.Store(words, v*vec.Lanes, vsparse.EncodeVector(ids, valid))
+			store(words, v, vsparse.EncodeVector(ids, valid))
 			for lane := 0; lane < vec.Lanes; lane++ {
 				weights[v*vec.Lanes+lane] = 0
 				if lane < valid {
@@ -88,25 +94,24 @@ func TestRankSumChunkNeverReadsPastLen(t *testing.T) {
 // ends below the last destination, so no read can reach accum[n−1]).
 func TestMinPropChunkNeverReadsPastLen(t *testing.T) {
 	const n = 70 // two frontier words, the second partly used
-	words64 := func(k int) []uint64 { return unsafe.Slice((*uint64)(unsafe.Pointer(&guarded(t, k*8)[0])), k) }
 	f := newMinFixture(n, 4)
-	props := words64(n)
+	props := guardedSlice[uint64](t, n)
 	copy(props, f.props)
 	f.props = props
-	accum := words64(n)
+	accum := guardedSlice[uint64](t, n)
 	f.kernelAccum = func() []uint64 {
 		copy(accum, f.accum)
 		return accum
 	}
 	for _, vectors := range []int{1, 2, 5, 16} {
-		words := words64(vectors * vec.Lanes)
-		index := unsafe.Slice((*int)(unsafe.Pointer(&guarded(t, (n+1)*8)[0])), n+1)
+		words := guardedSlice[uint32](t, vectors*vec.Lanes)
+		index := guardedSlice[int](t, n+1)
 		for v := 0; v < vectors; v++ {
-			var ids [vec.Lanes]uint64
+			var ids [vec.Lanes]uint32
 			for lane := range ids {
-				ids[lane] = uint64((7*v + 3*lane + n - 8) % n) // the top ids: the last frontier word
+				ids[lane] = uint32((7*v + 3*lane + n - 8) % n) // the top ids: the last frontier word
 			}
-			vec.Store(words, v*vec.Lanes, vsparse.EncodeVector(ids, 1+v%vec.Lanes))
+			store(words, v, vsparse.EncodeVector(ids, 1+v%vec.Lanes))
 		}
 		for dst := 0; dst <= n; dst++ {
 			index[dst] = max(0, dst-(n-vectors))
@@ -114,7 +119,7 @@ func TestMinPropChunkNeverReadsPastLen(t *testing.T) {
 		for name, ff := range frontiers(n, 3) {
 			front := ff
 			if ff != nil {
-				front = words64(len(ff))
+				front = guardedSlice[uint64](t, len(ff))
 				copy(front, ff)
 			}
 			for lo := 0; lo < vectors; lo++ {
@@ -134,26 +139,25 @@ func TestMinPropChunkNeverReadsPastLen(t *testing.T) {
 // word.
 func TestMinSrcChunkNeverReadsPastLen(t *testing.T) {
 	const n = 70 // two bitset words, the second partly used
-	words64 := func(k int) []uint64 { return unsafe.Slice((*uint64)(unsafe.Pointer(&guarded(t, k*8)[0])), k) }
 	f := newSrcFixture(n, 4)
 	for name, c := range f.convs {
-		f.convs[name] = words64(len(c))
+		f.convs[name] = guardedSlice[uint64](t, len(c))
 		copy(f.convs[name], c)
 	}
-	accum := words64(n)
+	accum := guardedSlice[uint64](t, n)
 	f.kernelAccum = func() []uint64 {
 		copy(accum, f.accum)
 		return accum
 	}
 	for _, vectors := range []int{1, 2, 5, 16} {
-		words := words64(vectors * vec.Lanes)
-		index := unsafe.Slice((*int)(unsafe.Pointer(&guarded(t, (n+1)*8)[0])), n+1)
+		words := guardedSlice[uint32](t, vectors*vec.Lanes)
+		index := guardedSlice[int](t, n+1)
 		for v := 0; v < vectors; v++ {
-			var ids [vec.Lanes]uint64
+			var ids [vec.Lanes]uint32
 			for lane := range ids {
-				ids[lane] = uint64((7*v + 3*lane + n - 8) % n)
+				ids[lane] = uint32((7*v + 3*lane + n - 8) % n)
 			}
-			vec.Store(words, v*vec.Lanes, vsparse.EncodeVector(ids, 1+v%vec.Lanes))
+			store(words, v, vsparse.EncodeVector(ids, 1+v%vec.Lanes))
 		}
 		for dst := 0; dst <= n; dst++ {
 			index[dst] = max(0, dst-(n-vectors))
@@ -162,12 +166,104 @@ func TestMinSrcChunkNeverReadsPastLen(t *testing.T) {
 			if ff == nil {
 				continue
 			}
-			front := words64(len(ff))
+			front := guardedSlice[uint64](t, len(ff))
 			copy(front, ff)
 			for lo := 0; lo < vectors; lo++ {
 				if err := f.chunkAgrees(words, index, front, lo, vectors); err != nil {
 					t.Errorf("%d vectors, %s, chunk [%d,%d): %v", vectors, name, lo, vectors, err)
 				}
+			}
+		}
+	}
+}
+
+// sparse returns a slice of n words whose first and last pages alone are
+// backed: the rest of the range is reserved and inaccessible, so a kernel
+// can index the top of a 2^31-entry array without it being allocated.
+func sparse[T any](t *testing.T, n int) []T {
+	t.Helper()
+	size := n * int(unsafe.Sizeof(*new(T)))
+	page := syscall.Getpagesize()
+	mem, err := syscall.Mmap(-1, 0, size, syscall.PROT_NONE, syscall.MAP_ANON|syscall.MAP_PRIVATE|syscall.MAP_NORESERVE)
+	if err != nil {
+		t.Skipf("mmap: %v", err)
+	}
+	t.Cleanup(func() { syscall.Munmap(mem) })
+	for _, p := range [][]byte{mem[:page], mem[size-page:]} {
+		if err := syscall.Mprotect(p, syscall.PROT_READ|syscall.PROT_WRITE); err != nil {
+			t.Skipf("mprotect: %v", err)
+		}
+	}
+	return unsafe.Slice((*T)(unsafe.Pointer(&mem[0])), n)
+}
+
+// TestChunkKernelsTopID runs every kernel, and its Go twin, on lanes that
+// carry the largest id a lane can hold, 2^31 − 1, next to lanes carrying 0:
+// the gathers read contrib, props and the frontier words at both ends of
+// 2^31-vertex arrays. The assembly takes each lane word as a signed dword
+// index through a base biased by 2^31 elements, so a slip of the bias or of
+// the id mask reads the wrong end or faults on the reserved middle.
+func TestChunkKernelsTopID(t *testing.T) {
+	const top = 1<<31 - 1
+	var words []uint32
+	for _, v := range []vec.U32x4{
+		vsparse.EncodeVector([vec.Lanes]uint32{top, 0, top, top}, 3), // dst 0
+		vsparse.EncodeVector([vec.Lanes]uint32{0, top, top, top}, 2), // dst 1
+	} {
+		words = append(words, v[:]...)
+	}
+	index := []int{0, 1, 2}
+
+	contrib := sparse[float64](t, 1<<31)
+	contrib[0], contrib[top] = 0.25, 1e-17
+	for _, k := range rankImpls() {
+		accum := []uint64{math.Float64bits(1), 0}
+		last, acc := k.run(words, index, contrib, nil, accum, 0, 0, 2)
+		// dst 0: lanes top, 0, top; dst 1: lanes 0, top.
+		if want := (1e-17 + 0.25) + (1e-17 + 0.0); accum[0] != math.Float64bits(1+want) {
+			t.Errorf("%s: stored %v, want 1 + %v", k.name, math.Float64frombits(accum[0]), want)
+		}
+		if want := (0.25 + 1e-17) + (0.0 + 0.0); last != 1 || acc != math.Float64bits(want) {
+			t.Errorf("%s: returned (%d, %v), want (1, %v)", k.name, last, math.Float64frombits(acc), want)
+		}
+	}
+
+	props := sparse[uint64](t, 1<<31)
+	props[0], props[top] = 7, 3
+	frontTop, frontZero := sparse[uint64](t, 1<<25), sparse[uint64](t, 1<<25)
+	frontTop[top>>6] = 1 << (top & 63)
+	frontZero[0] = 1
+	for _, c := range []struct {
+		name      string
+		front     []uint64
+		prop, src [2]uint64 // each destination's min prop and min live source
+	}{
+		{"ungated", nil, [2]uint64{3, 3}, [2]uint64{}},
+		{"top only", frontTop, [2]uint64{3, 3}, [2]uint64{top, top}},
+		{"0 only", frontZero, [2]uint64{7, 7}, [2]uint64{0, 0}},
+	} {
+		for _, k := range []struct {
+			name string
+			run  func(words []uint32, index []int, props, front, accum []uint64, dst, lo, hi int, inPlace bool) (int, uint64)
+		}{{vec.Kernel() + " kernel", vec.MinPropChunk}, {"Go twin", vec.MinPropChunkGo}} {
+			accum := []uint64{identity, identity}
+			last, acc := k.run(words, index, props, c.front, accum, 0, 0, 2, false)
+			if got := [2]uint64{accum[0], acc}; last != 1 || got != c.prop {
+				t.Errorf("min-prop %s, %s: stored and returned %v (last %d), want %v (last 1)", k.name, c.name, got, last, c.prop)
+			}
+		}
+		if c.front == nil {
+			continue
+		}
+		conv := []uint64{0}
+		for _, k := range []struct {
+			name string
+			run  func(words []uint32, index []int, front, conv, accum []uint64, dst, lo, hi int) (int, uint64)
+		}{{vec.Kernel() + " kernel", vec.MinSrcChunk}, {"Go twin", vec.MinSrcChunkGo}} {
+			accum := []uint64{identity, identity}
+			last, acc := k.run(words, index, c.front, conv, accum, 0, 0, 2)
+			if got := [2]uint64{accum[0], acc}; last != 1 || got != c.src {
+				t.Errorf("min-src %s, %s: stored and returned %v (last %d), want %v (last 1)", k.name, c.name, got, last, c.src)
 			}
 		}
 	}

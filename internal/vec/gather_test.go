@@ -30,12 +30,12 @@ import (
 // destination change folds the previous one's partials as (l0+l1)+(l2+l3)
 // and adds the sum to its accum word; the chunk's last destination is
 // returned unflushed. The one-gather kernels must reproduce it to the bit.
-func perEdgeChunk(words []uint64, own []int, props []uint64, scale []float64, weights []float32, accum []uint64, lo, hi int) (last int, acc uint64) {
+func perEdgeChunk(words []uint32, own []int, props []uint64, scale []float64, weights []float32, accum []uint64, lo, hi int) (last int, acc uint64) {
 	last = -1
 	var l [vec.Lanes]float64
 	fold := func() float64 { return (l[0] + l[1]) + (l[2] + l[3]) }
 	for vi := lo; vi < hi; vi++ {
-		v := vec.Load(words, vi*vec.Lanes)
+		v := vec.U32x4(words[vi*vec.Lanes:])
 		if dst := own[vi]; dst != last {
 			if last >= 0 {
 				accum[last] = math.Float64bits(math.Float64frombits(accum[last]) + fold())
@@ -112,7 +112,7 @@ func firstDst(own []int, lo, hi int) int {
 // rankImpl is one implementation of the chunk walk under test.
 type rankImpl struct {
 	name string
-	run  func(words []uint64, index []int, contrib []float64, weights []float32, accum []uint64, dst, lo, hi int) (int, uint64)
+	run  func(words []uint32, index []int, contrib []float64, weights []float32, accum []uint64, dst, lo, hi int) (int, uint64)
 }
 
 func rankImpls() []rankImpl {
@@ -123,7 +123,7 @@ func rankImpls() []rankImpl {
 // Go twin and the per-edge reference, each on its own accum carried from chunk
 // to chunk as the engine's is, and reports the first returned pair or accum
 // word on which they differ.
-func (f rankFixture) gridAgrees(words []uint64, index []int, weights []float32, chunks [][2]int) error {
+func (f rankFixture) gridAgrees(words []uint32, index []int, weights []float32, chunks [][2]int) error {
 	rAccum := slices.Clone(f.accum)
 	accums := make([][]uint64, len(rankImpls()))
 	for i := range accums {
@@ -157,9 +157,12 @@ func (f rankFixture) gridAgrees(words []uint64, index []int, weights []float32, 
 }
 
 // chunkAgrees is gridAgrees on one chunk.
-func (f rankFixture) chunkAgrees(words []uint64, index []int, weights []float32, lo, hi int) error {
+func (f rankFixture) chunkAgrees(words []uint32, index []int, weights []float32, lo, hi int) error {
 	return f.gridAgrees(words, index, weights, [][2]int{{lo, hi}})
 }
+
+// store writes vector vi of a lane-word array.
+func store(words []uint32, vi int, v vec.U32x4) { copy(words[vi*vec.Lanes:], v[:]) }
 
 // grid cuts nv vectors into chunks of size vectors, the last one short.
 func grid(nv, size int) [][2]int {
@@ -270,13 +273,13 @@ func TestRankSumChunkOrder(t *testing.T) {
 		t.Fatal("fixture does not tell the lane-wise order from a chain")
 	}
 	// Destinations 0 and 1 each own the same two vectors of ids 0..7.
-	words := make([]uint64, 4*vec.Lanes)
+	words := make([]uint32, 4*vec.Lanes)
 	for vi := 0; vi < 4; vi++ {
-		var ids [vec.Lanes]uint64
+		var ids [vec.Lanes]uint32
 		for lane := range ids {
-			ids[lane] = uint64(vi%2*vec.Lanes + lane)
+			ids[lane] = uint32(vi%2*vec.Lanes + lane)
 		}
-		vec.Store(words, vi*vec.Lanes, vsparse.EncodeVector(ids, vec.Lanes))
+		store(words, vi, vsparse.EncodeVector(ids, vec.Lanes))
 	}
 	index := []int{0, 2, 4}
 	for _, k := range rankImpls() {
@@ -294,11 +297,11 @@ func TestRankSumChunkOrder(t *testing.T) {
 // chainRun is the per-vector chain the pull kernel ran before the gather
 // kernels: one running sum through all four lanes of every vector, the
 // full-vector test first and a lane walk for partial vectors.
-func chainRun(words, props []uint64, scale []float64) float64 {
+func chainRun(words []uint32, props []uint64, scale []float64) float64 {
 	s := 0.0
 	for i := 0; i+vec.Lanes <= len(words); i += vec.Lanes {
 		v0, v1, v2, v3 := words[i], words[i+1], words[i+2], words[i+3]
-		if (v0&v1&v2&v3)>>63 != 0 {
+		if (v0&v1&v2&v3)>>31 != 0 {
 			n0, n1, n2, n3 := v0&vsparse.VertexMask, v1&vsparse.VertexMask, v2&vsparse.VertexMask, v3&vsparse.VertexMask
 			s += float64(math.Float64frombits(props[n0]) * scale[n0])
 			s += float64(math.Float64frombits(props[n1]) * scale[n1])
@@ -306,7 +309,7 @@ func chainRun(words, props []uint64, scale []float64) float64 {
 			s += float64(math.Float64frombits(props[n3]) * scale[n3])
 			continue
 		}
-		for m := vec.SignMask(vec.U64x4{v0, v1, v2, v3}); m != 0; m = m.Rest() {
+		for m := vec.SignMask(vec.U32x4{v0, v1, v2, v3}); m != 0; m = m.Rest() {
 			n := words[i+m.First()] & vsparse.VertexMask
 			s += float64(math.Float64frombits(props[n]) * scale[n])
 		}
@@ -317,7 +320,7 @@ func chainRun(words, props []uint64, scale []float64) float64 {
 var sinkU64 uint64
 
 // BenchmarkRankSumChunk walks the uk-2007 analog's pull array once per
-// iteration and reports ns/edge. The chunk rows make one call per chunk of
+// iteration and reports ns/edge, and MB/s of the lane words it streams. The chunk rows make one call per chunk of
 // the engine's grid at two workers, as pullSpanBody does; the run rows make
 // one call per destination run, as the engine did before the chunk walk;
 // each on the selected kernel and on the Go twin. The chain row is the
@@ -326,6 +329,7 @@ func BenchmarkRankSumChunk(b *testing.B) {
 	a := vsparse.FromCSR(csr.FromGraph(gen.Generate(gen.UK2007, 1), true))
 	in := newRankFixture(a.N, 3)
 	nv := a.NumVectors()
+	wordBytes := int64(len(a.Words)) * 4
 	// Each span is {dst, lo, hi}.
 	var chunks, runs [][3]int
 	own := owners(a.Index)
@@ -340,6 +344,7 @@ func BenchmarkRankSumChunk(b *testing.B) {
 	walk := func(k rankImpl, spans [][3]int) func(b *testing.B) {
 		return func(b *testing.B) {
 			accum := make([]uint64, a.N)
+			b.SetBytes(wordBytes)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, s := range spans {
@@ -355,6 +360,7 @@ func BenchmarkRankSumChunk(b *testing.B) {
 		b.Run(k.name+"/run", walk(k, runs))
 	}
 	b.Run("chain", func(b *testing.B) {
+		b.SetBytes(wordBytes)
 		for i := 0; i < b.N; i++ {
 			sum := 0.0
 			for _, s := range runs {

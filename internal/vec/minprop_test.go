@@ -27,11 +27,11 @@ const identity = ^uint64(0)
 // last destination is returned unflushed. In place, a live lane whose source
 // lies between the chunk's first destination and the current one also folds
 // accum[src] as this walk's own flushes have left it.
-func perLaneChunk(words []uint64, own []int, props, front, accum []uint64, lo, hi int, inPlace bool) (last int, acc uint64) {
+func perLaneChunk(words []uint32, own []int, props, front, accum []uint64, lo, hi int, inPlace bool) (last int, acc uint64) {
 	last, acc = -1, identity
 	first := uint64(own[lo])
 	for vi := lo; vi < hi; vi++ {
-		v := vec.Load(words, vi*vec.Lanes)
+		v := vec.U32x4(words[vi*vec.Lanes:])
 		if dst := own[vi]; dst != last {
 			if last >= 0 {
 				accum[last] = min(accum[last], acc)
@@ -39,7 +39,7 @@ func perLaneChunk(words []uint64, own []int, props, front, accum []uint64, lo, h
 			last, acc = dst, identity
 		}
 		for _, w := range v {
-			n := w & vsparse.VertexMask
+			n := uint64(w & vsparse.VertexMask)
 			if w&vsparse.ValidBit == 0 || (front != nil && front[n/64]&(1<<(n%64)) == 0) {
 				continue
 			}
@@ -101,7 +101,7 @@ func frontierAt(n int, density float64, seed int64) []uint64 {
 // per-lane reference, each on its own copy of accum, with the in-place window
 // on and off, and reports a mismatch. It also reports whether the window
 // changed anything, so a test can tell that it was exercised.
-func (f minFixture) chunkAgrees(words []uint64, index []int, front []uint64, lo, hi int) (windowed bool, err error) {
+func (f minFixture) chunkAgrees(words []uint32, index []int, front []uint64, lo, hi int) (windowed bool, err error) {
 	own := owners(index)
 	dst := firstDst(own, lo, hi)
 	var sync []uint64
@@ -217,8 +217,8 @@ func TestMinPropChunkQuick(t *testing.T) {
 
 // randomArray builds a Vector-Sparse word array of exactly vectors vectors over
 // n vertices, destination by destination in id order, and its index.
-func randomArray(rng *rand.Rand, n, vectors int) (words []uint64, index []int) {
-	words = make([]uint64, vectors*vec.Lanes)
+func randomArray(rng *rand.Rand, n, vectors int) (words []uint32, index []int) {
+	words = make([]uint32, vectors*vec.Lanes)
 	index = make([]int, n+1)
 	vi := 0
 	for dst := 0; dst < n; dst++ {
@@ -228,11 +228,11 @@ func randomArray(rng *rand.Rand, n, vectors int) (words []uint64, index []int) {
 			k = vectors - vi
 		}
 		for ; k > 0 && vi < vectors; k-- {
-			var ids [vec.Lanes]uint64
+			var ids [vec.Lanes]uint32
 			for lane := range ids {
-				ids[lane] = uint64(rng.Intn(n))
+				ids[lane] = uint32(rng.Intn(n))
 			}
-			vec.Store(words, vi*vec.Lanes, vsparse.EncodeVector(ids, 1+rng.Intn(vec.Lanes)))
+			store(words, vi, vsparse.EncodeVector(ids, 1+rng.Intn(vec.Lanes)))
 			vi++
 		}
 	}

@@ -24,10 +24,10 @@ import (
 // the first live lane the walk meets sets the aggregate, after which the
 // destination's later vectors are passed over. The chunk's last destination
 // is returned unflushed.
-func perLaneMinSrc(words []uint64, own []int, front, conv, accum []uint64, lo, hi int) (last int, acc uint64) {
+func perLaneMinSrc(words []uint32, own []int, front, conv, accum []uint64, lo, hi int) (last int, acc uint64) {
 	last, acc = -1, identity
 	for vi := lo; vi < hi; vi++ {
-		v := vec.Load(words, vi*vec.Lanes)
+		v := vec.U32x4(words[vi*vec.Lanes:])
 		if dst := own[vi]; dst != last {
 			if last >= 0 {
 				accum[last] = min(accum[last], acc)
@@ -39,7 +39,7 @@ func perLaneMinSrc(words []uint64, own []int, front, conv, accum []uint64, lo, h
 		}
 		for _, w := range v {
 			if n := w & vsparse.VertexMask; w&vsparse.ValidBit != 0 && front[n/64]&(1<<(n%64)) != 0 {
-				acc = n
+				acc = uint64(n)
 				break
 			}
 		}
@@ -68,7 +68,7 @@ func newSrcFixture(n int, seed int64) srcFixture {
 // chunkAgrees runs one chunk through the selected kernel, the Go twin and the
 // per-lane reference under one frontier and every converged set, each on its
 // own copy of accum, and reports a mismatch.
-func (f srcFixture) chunkAgrees(words []uint64, index []int, front []uint64, lo, hi int) error {
+func (f srcFixture) chunkAgrees(words []uint32, index []int, front []uint64, lo, hi int) error {
 	own := owners(index)
 	dst := firstDst(own, lo, hi)
 	for name, conv := range f.convs {

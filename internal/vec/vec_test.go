@@ -36,8 +36,8 @@ func TestBroadcastLoadStore(t *testing.T) {
 }
 
 func TestSignMask(t *testing.T) {
-	hi := uint64(1) << 63
-	v := U64x4{hi, 0, hi | 5, 7}
+	hi := uint32(1) << 31
+	v := U32x4{hi, 0, hi | 5, 7}
 	if got := SignMask(v); got != Mask(0b0101) {
 		t.Errorf("SignMask = %04b, want 0101", got)
 	}

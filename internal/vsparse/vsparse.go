@@ -6,16 +6,21 @@
 // execution instead of bounds checks. Index is the one record of which
 // vectors a top-level vertex owns: the pull kernels take every run's end and
 // a chunk's first destination from it, and the push kernels every source's
-// vectors. The paper also splits the 48-bit top-level id across each
-// vector's upper lane bits, so that its assembly loop can detect outer-loop
-// transitions without the index; no kernel here would read such a copy, so a
-// lane carries none (DESIGN.md §2).
+// vectors. The paper's lanes are 64 bits: a valid bit, a 48-bit neighbor id,
+// and a slice of the top-level id split across each vector's upper lane
+// bits, so that its assembly loop can detect outer-loop transitions without
+// the index. No kernel here reads such a copy, so a lane carries none, and a
+// lane is 32 bits, all the kernels read: a vector is 16 bytes, and the pull
+// kernels stream half the bytes per edge (DESIGN.md §2).
 //
-// Bit layout of one 64-bit lane:
+// Bit layout of one 32-bit lane:
 //
-//	bit  63     valid
-//	bits 62:48  zero
-//	bits 47:0   individual (neighbor) vertex id
+//	bit  31     valid
+//	bits 30:0   individual (neighbor) vertex id
+//
+// The kernels' dword-index gathers read a lane word as a signed index, so an
+// id must be below 2^31; graph.Validate bounds every graph to
+// graph.MaxVertices = 2^31 vertices.
 package vsparse
 
 import (
@@ -27,9 +32,9 @@ import (
 
 const (
 	// ValidBit flags a lane as carrying a real edge.
-	ValidBit = uint64(1) << 63
-	// VertexMask selects the 48-bit individual vertex id of a lane.
-	VertexMask = (uint64(1) << 48) - 1
+	ValidBit = uint32(1) << 31
+	// VertexMask selects the 31-bit individual vertex id of a lane.
+	VertexMask = ValidBit - 1
 )
 
 // Array is a Vector-Sparse edge structure, grouped by destination (VSD, the
@@ -40,7 +45,7 @@ type Array struct {
 	N int
 	// Words holds the lane data, 4 lanes (one vector) at a time; its length
 	// is 4×NumVectors.
-	Words []uint64
+	Words []uint32
 	// Weights holds lane-parallel edge weights (the paper appends one weight
 	// vector per edge vector); nil for unweighted graphs. Padding lanes hold
 	// zero.
@@ -60,16 +65,16 @@ func (a *Array) NumVectors() int { return len(a.Words) / vec.Lanes }
 
 // MemoryBytes returns the heap footprint of the array's backing storage.
 func (a *Array) MemoryBytes() int64 {
-	return int64(len(a.Words))*8 + int64(len(a.Weights))*4 + int64(len(a.Index))*8
+	return int64(len(a.Words))*4 + int64(len(a.Weights))*4 + int64(len(a.Index))*8
 }
 
 // Vector loads vector i as a register value.
-func (a *Array) Vector(i int) vec.U64x4 { return vec.Load(a.Words, i*vec.Lanes) }
+func (a *Array) Vector(i int) vec.U32x4 { return vec.U32x4(a.Words[i*vec.Lanes:]) }
 
 // EncodeVector packs up to four neighbor ids into one vector. valid gives
 // the live lane count (1..4).
-func EncodeVector(neighbors [vec.Lanes]uint64, valid int) vec.U64x4 {
-	var v vec.U64x4
+func EncodeVector(neighbors [vec.Lanes]uint32, valid int) vec.U32x4 {
+	var v vec.U32x4
 	for i := range v {
 		v[i] = neighbors[i] & VertexMask
 		if i < valid {
@@ -80,7 +85,7 @@ func EncodeVector(neighbors [vec.Lanes]uint64, valid int) vec.U64x4 {
 }
 
 // Valid extracts the per-lane valid mask (consumed as gather predication).
-func Valid(v vec.U64x4) vec.Mask { return vec.SignMask(v) }
+func Valid(v vec.U32x4) vec.Mask { return vec.SignMask(v) }
 
 // FromCSR converts a Compressed-Sparse matrix into Vector-Sparse form,
 // preserving grouping and neighbor order. Each top-level vertex's group is
@@ -97,7 +102,7 @@ func FromCSR(m *csr.Matrix) *Array {
 		totalVectors += vectorsFor(m.Degree(uint32(v)))
 	}
 	a.Index[m.N] = totalVectors
-	a.Words = make([]uint64, totalVectors*vec.Lanes)
+	a.Words = make([]uint32, totalVectors*vec.Lanes)
 	if m.Weights != nil {
 		a.Weights = make([]float32, totalVectors*vec.Lanes)
 	}
@@ -121,15 +126,15 @@ func (a *Array) encodeGroup(out int, neigh []uint32, weights []float32) int {
 		if valid > vec.Lanes {
 			valid = vec.Lanes
 		}
-		var lanes [vec.Lanes]uint64
+		var lanes [vec.Lanes]uint32
 		for i := 0; i < vec.Lanes; i++ {
 			if i < valid {
-				lanes[i] = uint64(neigh[lo+i])
+				lanes[i] = neigh[lo+i]
 			} else {
-				lanes[i] = uint64(neigh[lo+valid-1]) // padding: repeat last
+				lanes[i] = neigh[lo+valid-1] // padding: repeat last
 			}
 		}
-		vec.Store(a.Words, out*vec.Lanes, EncodeVector(lanes, valid))
+		*(*vec.U32x4)(a.Words[out*vec.Lanes:]) = EncodeVector(lanes, valid)
 		if weights != nil {
 			copy(a.Weights[out*vec.Lanes:], weights[lo:lo+valid])
 		}
@@ -157,7 +162,7 @@ func (a *Array) Patch(m *csr.Matrix, touched []uint32) *Array {
 		}
 	}
 	out.Index = make([]int, m.N+1)
-	out.Words = make([]uint64, total*vec.Lanes)
+	out.Words = make([]uint32, total*vec.Lanes)
 	if m.Weights != nil {
 		out.Weights = make([]float32, total*vec.Lanes)
 	}
@@ -189,9 +194,8 @@ func (a *Array) Patch(m *csr.Matrix, touched []uint32) *Array {
 
 // Validate checks encoding invariants: Index starts at vector 0, is
 // monotone and covers every vector; a weighted array has one weight per lane;
-// every lane — valid or padding — holds an in-range id and leaves bits 62:48
-// zero; lane validity is a prefix; and ValidEdges matches the live lane
-// count.
+// every lane — valid or padding — holds an in-range id; lane validity is a
+// prefix; and ValidEdges matches the live lane count.
 func (a *Array) Validate() error {
 	if len(a.Index) != a.N+1 {
 		return fmt.Errorf("vsparse: index length %d, want %d", len(a.Index), a.N+1)
@@ -215,12 +219,11 @@ func (a *Array) Validate() error {
 			mask := Valid(vv)
 			seenInvalid := false
 			for lane := 0; lane < vec.Lanes; lane++ {
-				if vv[lane]&^(ValidBit|VertexMask) != 0 {
-					return fmt.Errorf("vsparse: vector %d lane %d sets bits 62:48", i, lane)
-				}
 				// Dead lanes too: the kernels gather through every lane
-				// unpredicated (vec.TestBits) and mask afterwards.
-				if vv[lane]&VertexMask >= uint64(a.N) {
+				// unpredicated (vec.TestBits) and mask afterwards. A dead
+				// lane's word is its id alone, so a stray bit 31 would read
+				// as valid and anything in bits 30:0 past N as out of range.
+				if uint64(vv[lane]&VertexMask) >= uint64(a.N) {
 					return fmt.Errorf("vsparse: vector %d lane %d neighbor out of range", i, lane)
 				}
 				if mask.Bit(lane) {

@@ -10,21 +10,19 @@ import (
 	"repro/internal/csr"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/testgraph"
 	"repro/internal/vec"
 )
 
-// TestLaneLayout: a lane is the valid bit (63), zero bits 62:48 and the
-// neighbour id in bits 47:0, for ids across the whole 48-bit range and every
-// valid count; bits of an id above 47 are dropped, not carried into 62:48.
+// TestLaneLayout: a 32-bit lane is the valid bit (31) and the neighbour id in
+// bits 30:0, for ids across the whole 31-bit range and every valid count; bit
+// 31 of an id is dropped, not carried into the valid bit.
 func TestLaneLayout(t *testing.T) {
-	for _, id := range []uint64{0, 1, 7, 1 << 15, 1<<30 + 3, (1 << 48) - 1, 0xDEAD_BEEF_CAFE} {
-		ids := [vec.Lanes]uint64{id, id ^ 1, id | 0x7FFF<<48, id >> 1}
-		want := [vec.Lanes]uint64{id, id ^ 1, id, id >> 1}
+	for _, id := range []uint32{0, 1, 7, 1 << 15, 1<<30 + 3, 1<<31 - 1, 0x5EAD_BEEF} {
+		ids := [vec.Lanes]uint32{id, id ^ 1, id | 1<<31, id >> 1}
+		want := [vec.Lanes]uint32{id, id ^ 1, id, id >> 1}
 		for valid := 1; valid <= vec.Lanes; valid++ {
 			for lane, w := range EncodeVector(ids, valid) {
-				if w&^(ValidBit|VertexMask) != 0 {
-					t.Errorf("id %#x, lane %d: %#x sets bits 62:48", id, lane, w)
-				}
 				if got := w & VertexMask; got != want[lane] {
 					t.Errorf("id %#x, lane %d: neighbour %#x, want %#x", id, lane, got, want[lane])
 				}
@@ -37,7 +35,7 @@ func TestLaneLayout(t *testing.T) {
 }
 
 func TestEncodeValidPrefix(t *testing.T) {
-	v := EncodeVector([vec.Lanes]uint64{10, 20, 30, 30}, 3)
+	v := EncodeVector([vec.Lanes]uint32{10, 20, 30, 30}, 3)
 	if got := Valid(v); got != vec.Mask(0b0111) {
 		t.Errorf("Valid = %04b, want 0111", got)
 	}
@@ -54,7 +52,7 @@ func TestEncodeValidPrefix(t *testing.T) {
 }
 
 // laneIDs masks every lane of v down to its vertex id.
-func laneIDs(v vec.U64x4) vec.U64x4 {
+func laneIDs(v vec.U32x4) vec.U32x4 {
 	for i := range v {
 		v[i] &= VertexMask
 	}
@@ -146,7 +144,7 @@ func assertDeadLanesInRange(t *testing.T, a *Array) {
 				continue
 			}
 			dead++
-			if id := v[lane] & VertexMask; id >= uint64(a.N) {
+			if id := v[lane] & VertexMask; uint64(id) >= uint64(a.N) {
 				t.Fatalf("vector %d dead lane %d holds id %d, N = %d", i, lane, id, a.N)
 			}
 		}
@@ -200,7 +198,7 @@ func TestDeadLanesInRange(t *testing.T) {
 	a := FromCSR(fig2CSC())
 	for i := 0; i < a.NumVectors(); i++ {
 		if v := a.Vector(i); !Valid(v).Bit(vec.Lanes - 1) {
-			a.Words[i*vec.Lanes+vec.Lanes-1] |= uint64(a.N)
+			a.Words[i*vec.Lanes+vec.Lanes-1] |= uint32(a.N)
 			break
 		}
 	}
@@ -255,9 +253,11 @@ func TestValidateDetectsCorruption(t *testing.T) {
 		build   func() *Array
 		corrupt func(a *Array)
 	}{
-		{"bit 48 of a valid lane", plain, func(a *Array) { a.Words[0] |= 1 << 48 }},
-		// Every fig 2 vector has a padding lane 3.
-		{"bit 62 of a padding lane", plain, func(a *Array) { a.Words[vec.Lanes-1] |= 1 << 62 }},
+		{"id N in a valid lane", plain, func(a *Array) { a.Words[0] = ValidBit | uint32(a.N) }},
+		// Every fig 2 vector has a padding lane 3. Bit 31 makes it read as
+		// valid; bit 30 puts its id past N.
+		{"bit 31 of a padding lane", plain, func(a *Array) { a.Words[vec.Lanes-1] |= 1 << 31 }},
+		{"bit 30 of a padding lane", plain, func(a *Array) { a.Words[vec.Lanes-1] |= 1 << 30 }},
 		{"wrong ValidEdges", plain, func(a *Array) { a.ValidEdges++ }},
 		// Vector 0 is left to no vertex; ValidEdges drops its live lanes, so
 		// only the start of Index is wrong.
@@ -289,6 +289,29 @@ func TestPackingEfficiencyExamples(t *testing.T) {
 	if got := a.PackingEfficiency(); got != 7.0/8.0 {
 		t.Errorf("PackingEfficiency = %v, want 7/8", got)
 	}
+}
+
+// TestMemoryBytes pins the footprint of one corpus graph's pull array: 4
+// bytes a lane, 4 a weight, 8 an Index entry.
+func TestMemoryBytes(t *testing.T) {
+	for _, c := range testgraph.Corpus() {
+		if c.Name != "hub" {
+			continue
+		}
+		a := FromCSR(csr.FromGraph(c.G, true))
+		if a.N != 48 || a.NumVectors() != 53 || a.Weights != nil {
+			t.Fatalf("hub's pull array: N %d, %d vectors, weighted %v; want 48, 53, false", a.N, a.NumVectors(), a.Weights != nil)
+		}
+		if got, want := a.MemoryBytes(), int64(53*vec.Lanes*4+49*8); got != want {
+			t.Errorf("MemoryBytes = %d, want %d", got, want)
+		}
+		w := FromCSR(csr.FromGraph(c.WithWeights(), true))
+		if got, want := w.MemoryBytes(), int64(53*vec.Lanes*(4+4)+49*8); got != want {
+			t.Errorf("weighted MemoryBytes = %d, want %d", got, want)
+		}
+		return
+	}
+	t.Fatal("the corpus has no hub graph")
 }
 
 func TestPackingEfficiencyForLanes(t *testing.T) {
@@ -383,7 +406,7 @@ func toCSR(a *Array) *csr.Matrix {
 			mask := Valid(vv)
 			for lane := 0; lane < vec.Lanes; lane++ {
 				if mask.Bit(lane) {
-					m.Neigh = append(m.Neigh, uint32(vv[lane]&VertexMask))
+					m.Neigh = append(m.Neigh, vv[lane]&VertexMask)
 					if a.Weights != nil {
 						m.Weights = append(m.Weights, a.Weights[i*vec.Lanes+lane])
 					}

@@ -46,6 +46,9 @@ type (
 	// false) or removal (Delete true) of the directed edge Src→Dst. Within a
 	// batch the last op for a (Src, Dst) pair wins.
 	EdgeOp = graph.EdgeOp
+	// VertexIDError reports a mutation batch refused because an op names a
+	// vertex id at or past the 2^31 bound every graph keeps (HTTP: 400).
+	VertexIDError = graph.VertexIDError
 	// DeltaBudgetError reports a mutation batch refused because the graph's
 	// un-compacted overlay is over budget; compaction has been scheduled and
 	// the write should be retried shortly (HTTP layers map it to 429).
