@@ -115,12 +115,12 @@ func (g *Graph) Weighted() bool { return g.core.Weighted }
 func (g *Graph) PackingEfficiency() float64 { return g.core.VSD.PackingEfficiency() }
 
 // Save writes the graph's "-push"/"-pull" binary file pair: its edges
-// grouped by source, from CSR, and by destination, from CSC.
+// grouped by source, from VSS, and by destination, from VSD.
 func (g *Graph) Save(base string) error {
-	if err := g.core.CSR.WriteFile(base + "-push"); err != nil {
+	if err := g.core.VSS.WriteFile(base + "-push"); err != nil {
 		return err
 	}
-	return g.core.CSC.WriteFile(base + "-pull")
+	return g.core.VSD.WriteFile(base + "-pull")
 }
 
 // PullVariant selects the Edge-Pull inner-loop parallelization strategy.
@@ -262,6 +262,10 @@ type Stats struct {
 	// Options.Trace was set): '<' pull, '>' push, 's' sparse, '+' elided
 	// tail on very long runs.
 	Directions string
+	// Untimed is the part of Total no phase holds — set-up, and each
+	// iteration's census and direction choice — so the Phases walls plus
+	// Untimed equal Total exactly (zero unless Options.Trace was set).
+	Untimed time.Duration
 }
 
 func statsOf(res core.Result) Stats {
@@ -277,6 +281,7 @@ func statsOf(res core.Result) Stats {
 		VertexCounters: res.VertexCounters,
 		Phases:         res.Trace.Phases,
 		Directions:     res.Trace.Directions,
+		Untimed:        res.Trace.Untimed,
 	}
 }
 

@@ -1,8 +1,8 @@
 package apps
 
 import (
-	"repro/internal/csr"
 	"repro/internal/frontier"
+	"repro/internal/vsparse"
 )
 
 // KCoreDead is the property lane of a vertex peeled out of the k-core.
@@ -31,11 +31,11 @@ type KCore struct {
 
 // NewKCore creates a k-core program with threshold k (negative values clamp
 // to 0, which keeps every vertex) for the graph whose edges in groups by
-// destination (CSC).
-func NewKCore(in *csr.Matrix, k int) *KCore {
+// destination (VSD).
+func NewKCore(in *vsparse.Array, k int) *KCore {
 	indeg := make([]uint64, in.N)
 	for v := range indeg {
-		indeg[v] = in.Index[v+1] - in.Index[v]
+		indeg[v] = uint64(in.Degree(uint32(v)))
 	}
 	if k < 0 {
 		k = 0

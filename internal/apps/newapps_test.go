@@ -7,6 +7,7 @@ import (
 	"repro/internal/csr"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/vsparse"
 )
 
 // Unit tests for the registry-era applications (tc, kcore, lp, ppr) and the
@@ -16,10 +17,15 @@ import (
 
 // newTriangleCount and newKCore build the programs from g's layouts.
 func newTriangleCount(g *graph.Graph) *TriangleCount {
-	return NewTriangleCount(csr.FromGraph(g, false), csr.FromGraph(g, true))
+	return NewTriangleCount(arrayOf(g, false), arrayOf(g, true))
 }
 
-func newKCore(g *graph.Graph, k int) *KCore { return NewKCore(csr.FromGraph(g, true), k) }
+func newKCore(g *graph.Graph, k int) *KCore { return NewKCore(arrayOf(g, true), k) }
+
+// arrayOf encodes g's edges grouped by source or by destination.
+func arrayOf(g *graph.Graph, byDest bool) *vsparse.Array {
+	return vsparse.FromCSR(csr.FromGraph(g, byDest))
+}
 
 func TestTriangleCountMatchesReference(t *testing.T) {
 	for name, g := range testGraphs() {

@@ -3,6 +3,7 @@ package apps
 import (
 	"repro/internal/csr"
 	"repro/internal/graph"
+	"repro/internal/vsparse"
 )
 
 // RankScale is what a rank-sum program (pr, ppr, wpr) reads of one graph
@@ -26,31 +27,32 @@ type RankScale struct {
 type Layouts interface {
 	// NumVertices returns the vertex count.
 	NumVertices() int
-	// Matrices returns the edges grouped by source (CSR) and by destination
-	// (CSC). Both are shared and read-only.
-	Matrices() (out, in *csr.Matrix)
+	// Arrays returns the edges grouped by source (VSS) and by destination
+	// (VSD). Both are shared and read-only.
+	Arrays() (out, in *vsparse.Array)
 	// RankScale returns the unweighted (1/outdeg) or weighted (1/Σw) scale.
 	// The result is shared and read-only.
 	RankScale(weighted bool) *RankScale
 }
 
-// NewRankScale computes a rank scale from the by-source matrix of a graph:
-// out-degrees come from m.Index in O(N); the weighted flavour sums m.Weights
-// in CSR order — ascending destination within a source — so a vertex's
-// weighted degree is a function of the graph, not of the order its edge list
-// happened to arrive in. An unweighted matrix has weighted degree 0
-// everywhere.
-func NewRankScale(m *csr.Matrix, weighted bool) *RankScale {
-	s := &RankScale{Inv: make([]float64, m.N)}
-	for v := 0; v < m.N; v++ {
-		d := float64(m.Index[v+1] - m.Index[v])
+// NewRankScale computes a rank scale from the by-source array of a graph:
+// out-degrees come from out.Degree in O(N); the weighted flavour sums each
+// group's weights in group order — ascending destination within a source —
+// so a vertex's weighted degree is a function of the graph, not of the order
+// its edge list happened to arrive in. An unweighted array has weighted
+// degree 0 everywhere.
+func NewRankScale(out *vsparse.Array, weighted bool) *RankScale {
+	s := &RankScale{Inv: make([]float64, out.N)}
+	for v := uint32(0); int(v) < out.N; v++ {
+		d := float64(out.Degree(v))
 		if weighted {
 			d = 0
-			for _, w := range m.EdgeWeights(uint32(v)) {
+			_, ws := out.Group(v)
+			for _, w := range ws {
 				d += float64(w)
 			}
 		}
-		s.set(v, d)
+		s.set(int(v), d)
 	}
 	return s
 }
@@ -86,8 +88,8 @@ func (s *RankScale) danglingMass(props []uint64) float64 {
 // core.Graph's for the same graph.
 func EdgeListRankScale(g *graph.Graph, weighted bool) *RankScale {
 	if weighted {
-		// Canonical (CSR) summation order takes the grouping, so build it.
-		return NewRankScale(csr.FromGraph(g, false), true)
+		// Canonical (group) summation order takes the grouping, so build it.
+		return NewRankScale(vsparse.FromCSR(csr.FromGraph(g, false)), true)
 	}
 	s := &RankScale{Inv: make([]float64, g.NumVertices)}
 	for v, d := range g.OutDegrees() {

@@ -440,7 +440,7 @@ func init() {
 		Title:       "TriangleCount",
 		Description: "per-vertex triangle counting over the undirected simple closure",
 		New: func(g Layouts, _ Params) (Program, error) {
-			return NewTriangleCount(g.Matrices()), nil
+			return NewTriangleCount(g.Arrays()), nil
 		},
 		MaxIters: func(Params) int { return 1 },
 		Reference: func(g *graph.Graph, _ Params) []uint64 {
@@ -465,7 +465,7 @@ func init() {
 		Uses:        ParamK,
 		Defaults:    Params{K: 2},
 		New: func(g Layouts, p Params) (Program, error) {
-			_, in := g.Matrices()
+			_, in := g.Arrays()
 			return NewKCore(in, p.K), nil
 		},
 		MaxIters: func(Params) int { return 1 << 30 },

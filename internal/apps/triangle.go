@@ -4,8 +4,8 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/csr"
 	"repro/internal/frontier"
+	"repro/internal/vsparse"
 )
 
 // TriangleCount counts, per vertex, the triangles of the graph's undirected
@@ -22,12 +22,17 @@ type TriangleCount struct {
 }
 
 // NewTriangleCount creates a triangle-counting program for the graph whose
-// edges out groups by source (CSR) and in by destination (CSC): a vertex's
+// edges out groups by source (VSS) and in by destination (VSD): a vertex's
 // undirected neighbors are the union of its two groups.
-func NewTriangleCount(out, in *csr.Matrix) *TriangleCount {
+func NewTriangleCount(out, in *vsparse.Array) *TriangleCount {
 	adj := make([][]uint32, out.N)
 	for v := range adj {
-		n := slices.Concat(out.Edges(uint32(v)), in.Edges(uint32(v)))
+		o, _ := out.Group(uint32(v))
+		i, _ := in.Group(uint32(v))
+		n := slices.Concat(o, i)
+		for k := range n {
+			n[k] &= vsparse.VertexMask
+		}
 		slices.Sort(n)
 		adj[v] = slices.DeleteFunc(slices.Compact(n), func(u uint32) bool { return u == uint32(v) })
 	}

@@ -143,7 +143,7 @@ func TestPanicInListDrivenRound(t *testing.T) {
 		b.AddEdge(0, v)
 	}
 	cg := BuildGraph(b.MustBuild())
-	cs := census{count: 1, list: []uint32{0}, outEdges: cg.CSR.Degree(0)}
+	cs := census{count: 1, list: []uint32{0}, outEdges: cg.VSS.Degree(0)}
 	if cs.chunks(2) < 2 || cs.work() > cg.Edges/sparseThresholdDivisor {
 		t.Fatalf("root's round: %d chunks, work %d of budget %d; want a multi-chunk list-driven round",
 			cs.chunks(2), cs.work(), cg.Edges/sparseThresholdDivisor)

@@ -46,7 +46,7 @@ func frontierWorkApps(g *graph.Graph, root uint32) []frontierWorkApp {
 		{"bfs", func() apps.Program { return apps.NewBFS(root) }, apps.ReferenceBFS(g, root)},
 		{"cc", func() apps.Program { return apps.NewConnComp() }, ccBits},
 		{"sssp", func() apps.Program { return apps.NewSSSP(root) }, distBits},
-		{"kcore", func() apps.Program { return apps.NewKCore(csr.FromGraph(g, true), 3) }, apps.ReferenceKCore(g, 3)},
+		{"kcore", func() apps.Program { return apps.NewKCore(vsparse.FromCSR(csr.FromGraph(g, true)), 3) }, apps.ReferenceKCore(g, 3)},
 	}
 }
 
@@ -64,7 +64,7 @@ func frontierWorkApps(g *graph.Graph, root uint32) []frontierWorkApp {
 func TestFrontierWorkBitIdentity(t *testing.T) {
 	g, root := frontierWorkGraph()
 	cg := BuildGraph(g)
-	if in := cg.CSC.Degree(root); in != 0 {
+	if in := cg.VSD.Degree(root); in != 0 {
 		t.Fatalf("root in-degree = %d, want 0", in)
 	}
 	if hub := cg.VSD.Index[6] - cg.VSD.Index[5]; hub < 8 {

@@ -18,18 +18,18 @@ import (
 	"repro/internal/vsparse"
 )
 
-// Graph holds every preprocessed representation the engines consume. As in
-// the paper (§5), two edge lists are kept: one grouped by source (VSS, used
-// by Edge-Push) and one grouped by destination (VSD, used by Edge-Pull),
-// with Compressed-Sparse views retained for the scalar kernels. It is the
-// whole of a served graph version: no edge list is kept beside it, and what
-// needs one rebuilds it from CSR (csr.Matrix.ToGraph, WriteFile).
+// Graph is one graph version as the engines consume it: as in the paper
+// (§5), two edge lists, one grouped by source (VSS, used by Edge-Push) and
+// one grouped by destination (VSD, used by Edge-Pull), each in Vector-Sparse
+// form. They are the whole of a served version: no edge list or
+// Compressed-Sparse matrix is kept beside them. A reader of a vertex's edges
+// takes vsparse.Array.Degree and Group; what needs an edge list streams one
+// out of VSS (vsparse.Array.ToGraph, WriteFile).
 type Graph struct {
 	// N is the vertex count.
 	N int
-	// CSR groups edges by source; CSC groups by destination (Fig 2).
-	CSR, CSC *csr.Matrix
-	// VSS and VSD are the Vector-Sparse encodings of CSR and CSC (Fig 4).
+	// VSS and VSD are the Vector-Sparse encodings of the edges grouped by
+	// source and by destination (Figs 2 and 4).
 	VSS, VSD *vsparse.Array
 	// Weighted reports whether edge weights are present.
 	Weighted bool
@@ -40,26 +40,46 @@ type Graph struct {
 	// (apps.RankScale: what pr, ppr and wpr read of the graph), each built on
 	// its first use — so no query pays for them per run and a version nobody
 	// ranks never pays at all.
-	scales [2]lazyScale
+	scales [2]lazy[apps.RankScale]
+	// csc is VSD decoded to Compressed-Sparse, built on its first use: only
+	// edgePullCS, the paper's traditional Compressed-Sparse pull, walks edge
+	// positions rather than vectors.
+	csc lazy[csr.Matrix]
+	// outDeg is VSS.Degree of every vertex, built on its first use: the
+	// census sums it over a frontier every iteration, where Degree's read of
+	// each vertex's last vector would miss cache once per vertex.
+	outDeg lazy[[]uint32]
 }
 
-// lazyScale is one rank scale behind its once; the pointer is atomic so
+// lazy is one derived structure behind its once; the pointer is atomic so
 // MemoryBytes can observe it without racing the build.
-type lazyScale struct {
+type lazy[T any] struct {
 	once sync.Once
-	p    atomic.Pointer[apps.RankScale]
+	p    atomic.Pointer[T]
+}
+
+// get returns the structure, building it on the first call.
+func (l *lazy[T]) get(build func() *T) *T {
+	l.once.Do(func() { l.p.Store(build()) })
+	return l.p.Load()
 }
 
 // MemoryBytes returns the heap footprint of every preprocessed
 // representation the engines hold resident — the store's unit of memory
-// accounting. The lazily-built rank scales are counted only once built.
+// accounting. The lazily-built rank scales and CSC are counted only once
+// built.
 func (g *Graph) MemoryBytes() int64 {
-	total := g.CSR.MemoryBytes() + g.CSC.MemoryBytes() +
-		g.VSS.MemoryBytes() + g.VSD.MemoryBytes()
+	total := g.VSS.MemoryBytes() + g.VSD.MemoryBytes()
 	for i := range g.scales {
 		if s := g.scales[i].p.Load(); s != nil {
 			total += s.MemoryBytes()
 		}
+	}
+	if m := g.csc.p.Load(); m != nil {
+		total += m.MemoryBytes()
+	}
+	if d := g.outDeg.p.Load(); d != nil {
+		total += int64(len(*d)) * 4
 	}
 	return total
 }
@@ -67,33 +87,49 @@ func (g *Graph) MemoryBytes() int64 {
 // NumVertices implements apps.Layouts.
 func (g *Graph) NumVertices() int { return g.N }
 
-// Matrices implements apps.Layouts.
-func (g *Graph) Matrices() (out, in *csr.Matrix) { return g.CSR, g.CSC }
+// Arrays implements apps.Layouts.
+func (g *Graph) Arrays() (out, in *vsparse.Array) { return g.VSS, g.VSD }
 
 // RankScale implements apps.Layouts: the version's 1/outdeg (or 1/Σw) array
-// and dangling list, computed from CSR on the first call — O(N), plus one
-// pass over CSR.Weights for the weighted one — and shared by every program
+// and dangling list, computed from VSS on the first call — O(N), plus one
+// pass over VSS's weights for the weighted one — and shared by every program
 // built on this version afterwards.
 func (g *Graph) RankScale(weighted bool) *apps.RankScale {
 	l := &g.scales[0]
 	if weighted {
 		l = &g.scales[1]
 	}
-	l.once.Do(func() { l.p.Store(apps.NewRankScale(g.CSR, weighted)) })
-	return l.p.Load()
+	return l.get(func() *apps.RankScale { return apps.NewRankScale(g.VSS, weighted) })
+}
+
+// outDegrees returns every vertex's out-degree, computed from VSS on the
+// first call and shared afterwards. A group holds fewer than 2^32 edges.
+func (g *Graph) outDegrees() []uint32 {
+	return *g.outDeg.get(func() *[]uint32 {
+		d := make([]uint32, g.N)
+		for v := range d {
+			d[v] = uint32(g.VSS.Degree(uint32(v)))
+		}
+		return &d
+	})
+}
+
+// pullCS returns the version's edges grouped by destination in
+// Compressed-Sparse form (CSC), decoded from VSD on the first call and shared
+// afterwards. VSD's edges stream out in CSC order, so the stable sort leaves
+// them in place.
+func (g *Graph) pullCS() *csr.Matrix {
+	return g.csc.get(func() *csr.Matrix { return csr.FromGraph(g.VSD.ToGraph(), true) })
 }
 
 // BuildGraph preprocesses an edge-list graph into every engine
-// representation.
+// representation. The Compressed-Sparse matrices the encoder reads are
+// transient.
 func BuildGraph(g *graph.Graph) *Graph {
-	csrM := csr.FromGraph(g, false)
-	cscM := csr.FromGraph(g, true)
 	return &Graph{
 		N:        g.NumVertices,
-		CSR:      csrM,
-		CSC:      cscM,
-		VSS:      vsparse.FromCSR(csrM),
-		VSD:      vsparse.FromCSR(cscM),
+		VSS:      vsparse.FromCSR(csr.FromGraph(g, false)),
+		VSD:      vsparse.FromCSR(csr.FromGraph(g, true)),
 		Weighted: g.Weighted,
 		Edges:    g.NumEdges(),
 	}
@@ -104,11 +140,11 @@ func BuildGraph(g *graph.Graph) *Graph {
 // prev alone, so a mutated version costs its delta plus one streaming copy
 // of each array instead of two counting sorts and two encodes over every
 // edge. Per direction the ops reduce to one edit per (src, dst) pair; groups
-// no edit names are copied run by run (csr.Matrix.Patch,
-// vsparse.Array.Patch) and the rest are merged and encoded again through the
-// encoder FromCSR uses. Because the output is the rebuild's output, every
-// engine's determinism carries over with nothing to re-prove. prev is not
-// modified and shares no memory with the result.
+// no edit names are copied run by run and the rest are merged and encoded
+// again through the encoder FromCSR uses (vsparse.Array.Patch). Because the
+// output is the rebuild's output, every engine's determinism carries over
+// with nothing to re-prove. prev is not modified and shares no memory with
+// the result.
 func PatchGraph(prev *Graph, ops []graph.EdgeOp) *Graph {
 	edits := graph.ReduceEdgeOps(ops, prev.Weighted) // ascending (src, dst)
 	n := prev.N
@@ -117,22 +153,19 @@ func PatchGraph(prev *Graph, ops []graph.EdgeOp) *Graph {
 			n = max(n, int(op.Src)+1, int(op.Dst)+1)
 		}
 	}
-	csrM, srcTouched := prev.CSR.Patch(n, edits)
+	vss := prev.VSS.Patch(n, edits)
 	sort.Slice(edits, func(i, j int) bool {
 		if edits[i].Dst != edits[j].Dst {
 			return edits[i].Dst < edits[j].Dst
 		}
 		return edits[i].Src < edits[j].Src
 	})
-	cscM, dstTouched := prev.CSC.Patch(n, edits)
 	return &Graph{
 		N:        n,
-		CSR:      csrM,
-		CSC:      cscM,
-		VSS:      prev.VSS.Patch(csrM, srcTouched),
-		VSD:      prev.VSD.Patch(cscM, dstTouched),
+		VSS:      vss,
+		VSD:      prev.VSD.Patch(n, edits),
 		Weighted: prev.Weighted,
-		Edges:    csrM.NumEdges(),
+		Edges:    vss.ValidEdges,
 	}
 }
 
@@ -149,11 +182,11 @@ func PatchShare(prev *Graph, ops []graph.EdgeOp) float64 {
 	for _, op := range ops {
 		if s := op.Src; int(s) < prev.N && seen[s>>6]&(1<<(s&63)) == 0 {
 			seen[s>>6] |= 1 << (s & 63)
-			slots += prev.CSR.Degree(s)
+			slots += prev.VSS.Degree(s)
 		}
 		if d := op.Dst; int(d) < prev.N && in[d>>6]&(1<<(d&63)) == 0 {
 			in[d>>6] |= 1 << (d & 63)
-			slots += prev.CSC.Degree(d)
+			slots += prev.VSD.Degree(d)
 		}
 	}
 	return float64(slots) / float64(2*prev.Edges)

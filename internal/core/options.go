@@ -176,6 +176,11 @@ type Options struct {
 	OnRelease func()
 }
 
+// pullsCS reports whether the Edge-Pull phase runs edgePullCS, the
+// Compressed-Sparse walk: under Scalar, whatever the variant, and outer-only
+// always.
+func (o Options) pullsCS() bool { return o.Scalar || o.Variant == PullOuterOnly }
+
 // withDefaults normalizes an Options value.
 func (o Options) withDefaults() Options {
 	if o.Workers < 1 {

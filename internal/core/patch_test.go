@@ -1,12 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"repro/internal/csr"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/testgraph"
 )
@@ -15,16 +19,16 @@ import (
 // the predecessor's layout is the rebuild of the merged edge list, field by
 // field and byte for byte, and every array in it is structurally valid. It
 // also holds the patched graph to the store's round trip: the snapshot its
-// CSR writes, read back and rebuilt, is the patched graph again.
+// VSS writes, read back and rebuilt, is the patched graph again; and every
+// edge list it streams is the merged list's Compressed-Sparse one
+// (assertWritesCSROrder).
 func assertPatchEqualsRebuild(t *testing.T, g *graph.Graph, ops []graph.EdgeOp) *Graph {
 	t.Helper()
 	prev := BuildGraph(g)
 	got := PatchGraph(prev, ops)
-	assertSameLayouts(t, fmt.Sprintf("rebuild after %d ops", len(ops)), got, BuildGraph(graph.ApplyEdgeOps(g, ops)))
-	for name, err := range map[string]error{
-		"CSR": got.CSR.Validate(), "CSC": got.CSC.Validate(),
-		"VSS": got.VSS.Validate(), "VSD": got.VSD.Validate(),
-	} {
+	merged := graph.ApplyEdgeOps(g, ops)
+	assertSameLayouts(t, fmt.Sprintf("rebuild after %d ops", len(ops)), got, BuildGraph(merged))
+	for name, err := range map[string]error{"VSS": got.VSS.Validate(), "VSD": got.VSD.Validate()} {
 		if err != nil {
 			t.Fatalf("patched %s invalid: %v", name, err)
 		}
@@ -32,8 +36,9 @@ func assertPatchEqualsRebuild(t *testing.T, g *graph.Graph, ops []graph.EdgeOp) 
 	if !reflect.DeepEqual(prev, BuildGraph(g)) {
 		t.Fatal("PatchGraph modified its predecessor")
 	}
+	assertWritesCSROrder(t, got, merged)
 	path := filepath.Join(t.TempDir(), "snapshot")
-	if err := got.CSR.WriteFile(path); err != nil {
+	if err := got.VSS.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
 	back, err := graph.ReadFile(path)
@@ -42,6 +47,41 @@ func assertPatchEqualsRebuild(t *testing.T, g *graph.Graph, ops []graph.EdgeOp) 
 	}
 	assertSameLayouts(t, "the rebuild of its snapshot", got, BuildGraph(back))
 	return got
+}
+
+// assertWritesCSROrder holds every edge list cg streams out to the file a
+// transient Compressed-Sparse matrix of g, its edge list, writes, byte for
+// byte: the store's snapshot file and its rebuild arm's edge list (both out
+// of VSS), and Save's "-push"/"-pull" pair (VSS, VSD).
+func assertWritesCSROrder(t *testing.T, cg *Graph, g *graph.Graph) {
+	t.Helper()
+	dir := t.TempDir()
+	read := func(name string, write func(string) error) []byte {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := write(path); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	push := read("csr", csr.FromGraph(g, false).WriteFile)
+	for _, c := range []struct {
+		name  string
+		write func(string) error
+		want  []byte
+	}{
+		{"snapshot and -push (VSS)", cg.VSS.WriteFile, push},
+		{"-pull (VSD)", cg.VSD.WriteFile, read("csc", csr.FromGraph(g, true).WriteFile)},
+		{"rebuild edge list (VSS.ToGraph)", cg.VSS.ToGraph().WriteFile, push},
+	} {
+		if got := read("got", c.write); !bytes.Equal(got, c.want) {
+			t.Fatalf("%s: %d bytes differ from the Compressed-Sparse writer's %d", c.name, len(got), len(c.want))
+		}
+	}
 }
 
 // assertSameLayouts fails unless got and want hold byte-identical layouts.
@@ -54,8 +94,6 @@ func assertSameLayouts(t *testing.T, what string, got, want *Graph) {
 		{"N", got.N, want.N},
 		{"Edges", got.Edges, want.Edges},
 		{"Weighted", got.Weighted, want.Weighted},
-		{"CSR", got.CSR, want.CSR},
-		{"CSC", got.CSC, want.CSC},
 		{"VSS", got.VSS, want.VSS},
 		{"VSD", got.VSD, want.VSD},
 	} {
@@ -145,16 +183,23 @@ func randomOps(rng *rand.Rand, g *graph.Graph, size int) []graph.EdgeOp {
 // TestPatchGraphProperty: random batches of every size from one op to more
 // ops than edges, chained so each patched layout is the next one's
 // predecessor — the way the store uses it — from every corpus graph, weighted
-// and not, and from two graphs with no edge at all.
+// and not, and from two graphs with no edge at all; and one batch on T×1,
+// weighted and not, the skewed analog at the size CI times.
 func TestPatchGraphProperty(t *testing.T) {
 	bases := []*graph.Graph{{NumVertices: 0}, {NumVertices: 5, Weighted: true}}
 	for _, c := range testgraph.Corpus() {
 		bases = append(bases, c.WithWeights(), unweighted(c.G))
 	}
-	for _, base := range bases {
+	twitter := gen.Generate(gen.Twitter, 1)
+	bases = append(bases, gen.AddUniformWeights(twitter, 3), twitter)
+	for i, base := range bases {
+		rounds := 40
+		if i >= len(bases)-2 {
+			rounds = 1
+		}
 		rng := rand.New(rand.NewSource(15))
 		g := base
-		for round := 0; round < 40; round++ {
+		for round := 0; round < rounds; round++ {
 			size := 1 + rng.Intn(1<<uint(rng.Intn(12)))
 			ops := randomOps(rng, g, size)
 			assertPatchEqualsRebuild(t, g, ops)

@@ -22,7 +22,7 @@ import (
 // returns the chunks the phase cut and its merge fold's wall.
 func RunEdgePull(r *ExecContext, p apps.Program) edgeCost {
 	switch {
-	case r.opt.Scalar || r.opt.Variant == PullOuterOnly:
+	case r.opt.pullsCS():
 		return edgePullCS(r, p)
 	case r.opt.Variant == PullSchedulerAware:
 		return edgePullSA(r, p)
@@ -528,7 +528,7 @@ func plainCombine(fz *fuse, addr *uint64, msg uint64, skipEqual bool, c *perfmod
 //     count; every interior run keeps the per-edge shared combine whose cost
 //     Figs 5–8 measure.
 func edgePullCS(r *ExecContext, p apps.Program) edgeCost {
-	m := r.g.CSC
+	m := r.g.pullCS()
 	total := m.NumEdges()
 	if total == 0 {
 		return edgeCost{}

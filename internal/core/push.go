@@ -8,6 +8,7 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/sched"
 	"repro/internal/vec"
+	"repro/internal/vsparse"
 )
 
 // RunEdgePush executes one dense Edge-Push phase (Listing 1): the outer loop
@@ -17,8 +18,9 @@ import (
 // Grazelle (§5: "its push engine uses the traditional approach"); scheduler
 // awareness cannot help because writes scatter across destinations.
 //
-// It is the one dense driver: the body is pushBody over VSS, or
-// pushScalarBody over CSR for Scalar runs, chunked over source vertices.
+// It is the one dense driver: the body is pushBody over VSS's vectors, or
+// pushScalarBody over VSS's groups edge by edge for Scalar runs, chunked
+// over source vertices.
 // Min-style operators scatter by CAS, their result being
 // interleaving-independent. Order-sensitive ones (fuse.ordered) append
 // (destination, message) pairs to the chunk's private scatter-buffer slot
@@ -28,7 +30,7 @@ import (
 // included; runChunk charges each chunk's busy time. It returns the chunks
 // the phase cut and its merge fold's wall.
 func RunEdgePush(r *ExecContext, p apps.Program) edgeCost {
-	fz := fuseFor(p, p.Weighted() && r.g.CSR.Weights != nil)
+	fz := fuseFor(p, p.Weighted() && r.g.VSS.Weights != nil)
 	var body func(rg sched.Range, chunkID, tid, node int)
 	if r.opt.Scalar {
 		body = pushScalarBody(r, &fz)
@@ -157,13 +159,14 @@ func mergeScatter(r *ExecContext, fz *fuse) time.Duration {
 	return time.Since(t0)
 }
 
-// pushScalarBody builds the Compressed-Sparse Edge-Push chunk body, Fig
-// 10a's Edge-Push baseline: chunked over source vertices, inner loop
-// serial, one CAS per live edge — or, for order-sensitive programs, one
-// scatter-buffer append. It runs dense rounds only (RunEdgePush), charging
-// no InvalidLanes and no Local/Remote split.
+// pushScalarBody builds the scalar Edge-Push chunk body, Fig 10a's
+// Edge-Push baseline: chunked over source vertices, inner loop serial over
+// a source's group (vsparse.Array.Group: its valid lanes, the
+// Compressed-Sparse group edge for edge), one CAS per live edge — or, for
+// order-sensitive programs, one scatter-buffer append. It runs dense rounds
+// only (RunEdgePush), charging no InvalidLanes and no Local/Remote split.
 func pushScalarBody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, node int) {
-	m := r.g.CSR
+	a := r.g.VSS
 	p := fz.p
 	usesFrontier := p.UsesFrontier()
 	tracksConv := p.TracksConverged()
@@ -182,18 +185,15 @@ func pushScalarBody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid,
 			if usesFrontier && !r.front.Contains(src) {
 				continue
 			}
-			neigh := m.Edges(src)
-			var ws []float32
-			if weighted {
-				ws = m.EdgeWeights(src)
-			}
-			for i, dst := range neigh {
+			lanes, ws := a.Group(src)
+			for i, lane := range lanes {
+				dst := lane & vsparse.VertexMask
 				if tracksConv && r.conv.Contains(dst) {
 					c.FrontierSkips++
 					continue
 				}
 				var w float32
-				if ws != nil {
+				if weighted {
 					w = ws[i]
 				}
 				msg := fz.stepMsg(props, uint64(src), w)

@@ -18,8 +18,8 @@ import (
 // edge list) and the same as the from-edge-list constructors compute; they
 // are built once, on first use, shared by every program on the version, and
 // charged to MemoryBytes from then on. A wpr run then reads the same bits off
-// a patched version as off its rebuild: the weighted degree is summed in CSR
-// order, which the splice reproduces byte for byte, not in the order the
+// a patched version as off its rebuild: the weighted degree is summed in VSS
+// group order, which the splice reproduces byte for byte, not in the order the
 // mutated edge list happens to have (ApplyEdgeOps appends inserts at the end).
 func TestRankScalePerVersion(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
@@ -95,8 +95,8 @@ var sinkProgram apps.Program
 
 // BenchmarkNewRankProgram is what a query pays to build its rank program on
 // the uk-2007 analog through the registry: the first construction on a
-// version computes the scale (O(N) off CSR.Index; wpr also sums CSR.Weights),
-// every later one is three words.
+// version computes the scale (O(N) off VSS's Degree; wpr also sums its
+// weights), every later one is three words.
 func BenchmarkNewRankProgram(b *testing.B) {
 	g := gen.AddUniformWeights(gen.Generate(gen.UK2007, 1), 1)
 	cg := BuildGraph(g)
@@ -114,7 +114,7 @@ func BenchmarkNewRankProgram(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if first {
 						b.StopTimer()
-						cg.scales = [2]lazyScale{} // a version nobody has ranked yet
+						cg.scales = [2]lazy[apps.RankScale]{} // a version nobody has ranked yet
 						b.StartTimer()
 					}
 					if sinkProgram, err = ent.New(cg, apps.Params{Iters: 1}); err != nil {

@@ -126,8 +126,11 @@ func NewRunner(g *Graph, opt Options) *Runner {
 	r.pullPart = numa.PartitionEven(g.VSD.NumVectors(), r.topo.Nodes)
 	r.owned = ownedRanges(g.N, r.topo)
 	maxVectors := g.VSD.NumVectors()
-	if g.CSC.NumEdges() > maxVectors {
-		maxVectors = g.CSC.NumEdges() // scalar kernels chunk over edges
+	if opt.pullsCS() {
+		// edgePullCS's CSC is built here, before any run is timed, and its
+		// chunks are over edges.
+		g.pullCS()
+		maxVectors = max(maxVectors, g.Edges)
 	}
 	chunkSize := r.opt.chunkSizeFor(maxVectors, r.pool.Workers())
 	// Two slots per chunk: the scheduler-aware kernels use one (the trailing
@@ -474,6 +477,10 @@ func runLoop(ec *ExecContext, p apps.Program, maxIters int, seed *Seed) (Result,
 		}
 	}
 
+	// last is the clock reading that ended the previous round (the run's
+	// start before the first); untimed sums the gaps between rounds and the
+	// tail, so the phase walls plus untimed are Total exactly.
+	last, untimed := start, time.Duration(0)
 	for i := 0; i < maxIters && !ec.aborted(); i++ {
 		// One census per iteration feeds the convergence vote, the direction
 		// choice and the trace, keeping the three consistent.
@@ -495,6 +502,7 @@ func runLoop(ec *ExecContext, p apps.Program, maxIters int, seed *Seed) (Result,
 		var list []uint32
 		n, inline := ec.g.N, false
 		t0 := time.Now()
+		untimed += t0.Sub(last)
 		switch rd.dir {
 		case dirSparse:
 			chunks := cs.chunks(ec.pool.Workers())
@@ -507,16 +515,19 @@ func runLoop(ec *ExecContext, p apps.Program, maxIters int, seed *Seed) (Result,
 		}
 		t1 := time.Now()
 		rd.vertexChunks = runVertex(ec, p, list, n, inline)
-		rd.edge, rd.vertex = t1.Sub(t0), time.Since(t1)
+		last = time.Now()
+		rd.edge, rd.vertex = t1.Sub(t0), last.Sub(t1)
 		ec.fold(&res, &rd)
 	}
 
-	res.Total = time.Since(start)
+	end := time.Now()
+	res.Total = end.Sub(start)
 	res.EdgeCounters = ec.edgeRec.Total()
 	res.VertexCounters = ec.vertexRec.Total()
 	res.EdgeProfile = ec.edgeRec.Profile()
 	if ec.tracer != nil {
 		res.Trace = ec.tracer.Trace()
+		res.Trace.Span, res.Trace.Untimed = res.Total, untimed+end.Sub(last)
 	}
 	if pe := ec.runErr.Load(); pe != nil {
 		return res, fmt.Errorf("core: run aborted after %d iterations: %w", res.Iterations, pe)
@@ -542,8 +553,9 @@ func (ec *ExecContext) frontierDegreeShare() float64 {
 		return 0
 	}
 	var sum uint64
+	deg := ec.g.outDegrees()
 	ec.front.ForEach(func(v uint32) {
-		sum += uint64(ec.g.CSR.Degree(v))
+		sum += uint64(deg[v])
 	})
 	return float64(sum) / float64(ec.g.Edges)
 }
@@ -560,7 +572,7 @@ type edgeCost struct {
 // round is one iteration's record. runLoop reads the clock once per phase
 // boundary — the Edge phase's start, the Vertex phase's start and its end;
 // a merge fold reads its own start and end — and the census and the
-// direction choice stay outside both walls.
+// direction choice stay outside both walls, in the trace's Untimed.
 type round struct {
 	dir     direction
 	density float64

@@ -50,8 +50,9 @@ func (r *ExecContext) takeCensus() census {
 	}
 	r.frontList = r.front.AppendTo(r.frontList[:0])
 	cs.list = r.frontList
+	deg := r.g.outDegrees()
 	for _, v := range cs.list {
-		cs.outEdges += r.g.CSR.Degree(v)
+		cs.outEdges += int(deg[v])
 	}
 	return cs
 }

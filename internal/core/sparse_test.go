@@ -153,7 +153,7 @@ func TestSparseChunkFloor(t *testing.T) {
 		work := k
 		for v := range front {
 			front[v] = uint32(v)
-			work += cg.CSR.Degree(uint32(v))
+			work += cg.VSS.Degree(uint32(v))
 		}
 		if work <= sparseInlineWork || work > 4*sparseInlineWork {
 			t.Fatalf("k=%d: round of %d units is outside the range under test", k, work)
@@ -194,7 +194,7 @@ func TestSparseChunkFloor(t *testing.T) {
 	// first round is cut into several. Both runs end at the same bits at
 	// every worker count.
 	kprops := make([]uint64, cg.N)
-	apps.NewKCore(cg.CSC, 3).InitProps(kprops)
+	apps.NewKCore(cg.VSD, 3).InitProps(kprops)
 	dead := make([]uint32, 840)
 	for v := range dead {
 		dead[v] = uint32(v)
@@ -204,7 +204,7 @@ func TestSparseChunkFloor(t *testing.T) {
 		var ref Result
 		for _, workers := range []int{1, 2, 4} {
 			r := NewRunner(cg, Options{Workers: workers, Trace: true})
-			res, err := RunCtx(context.Background(), r, apps.NewKCore(cg.CSC, 3), 1<<20, seed)
+			res, err := RunCtx(context.Background(), r, apps.NewKCore(cg.VSD, 3), 1<<20, seed)
 			r.Close()
 			if err != nil || res.Seeded != (seed != nil) || res.SparseIterations == 0 || res.SparseIterations != res.Iterations {
 				t.Fatalf("w%d seeded=%v: err=%v sparse=%d of %d, want list-driven rounds only", workers, seed != nil, err, res.SparseIterations, res.Iterations)

@@ -285,7 +285,8 @@ func registryProgram(t *testing.T, cg *Graph, name string) (apps.Program, int) {
 
 // TestPhaseWallsOneReading holds the trace, the Result and the Fig 5b
 // profile to one clock reading per phase boundary: the trace's Edge and
-// merge walls sum to EdgeTime exactly and its vertex wall is VertexTime,
+// merge walls sum to EdgeTime exactly and its vertex wall is VertexTime, its
+// phase walls and untimed remainder sum to its span, which is Total,
 // the profile's Merge is the trace's merge wall, and the profile's span is
 // workers × EdgeTime. It covers a merge fold (pr), the mesh's pull and
 // in-place rounds (cc), its pull, dense push and list-driven rounds (cc on
@@ -341,6 +342,10 @@ func TestPhaseWallsOneReading(t *testing.T) {
 			}
 			if vertex != res.VertexTime {
 				t.Errorf("%s: vertex %v != VertexTime %v", name, vertex, res.VertexTime)
+			}
+			if tr := res.Trace; tr.Span != res.Total || edge+merge+vertex+tr.Untimed != tr.Span || tr.Untimed <= 0 {
+				t.Errorf("%s: edge %v + merge %v + vertex %v + untimed %v != span %v (Total %v)",
+					name, edge, merge, vertex, tr.Untimed, tr.Span, res.Total)
 			}
 			prof := res.EdgeProfile
 			if prof.Merge != merge {

@@ -1,9 +1,11 @@
 // Package csr implements the two-level Compressed-Sparse format of the
 // paper's Fig 2: a vertex index holding each top-level vertex's starting
-// position in a flat edge array. Grouping by source gives CSR (the push
-// engine's layout); grouping by destination gives CSC (the pull engine's
-// layout). The scalar engines and all baselines run on this format; the
-// Vector-Sparse format (package vsparse) is derived from it.
+// position in a flat edge array. Grouping by source gives CSR; grouping by
+// destination gives CSC. All baselines run on this format. Grazelle builds
+// it only on the way to Vector-Sparse (package vsparse), which is derived
+// from it and holds the same groups in the same order; a served graph keeps
+// no matrix beside its two Vector-Sparse arrays, except the CSC the scalar
+// pull kernel decodes back from one of them.
 package csr
 
 import (

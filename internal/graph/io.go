@@ -33,8 +33,8 @@ var ErrCorrupt = errors.New("graph: corrupt data")
 //
 // The Grazelle artifact ships each dataset as a "-push" / "-pull" file pair
 // (edges grouped by source and by destination respectively); LoadPair reads
-// that convention on top of this format, and csr.Matrix.WriteFile writes
-// either half of it.
+// that convention on top of this format, and csr.Matrix.WriteFile and
+// vsparse.Array.WriteFile write either half of it, byte for byte alike.
 
 const (
 	magic   = "GRZG"

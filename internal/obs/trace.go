@@ -55,6 +55,12 @@ type PhaseStat struct {
 // and surfaced through grazelle.Stats and GET /v1/runs/{id}.
 type RunTrace struct {
 	Phases []PhaseStat `json:"phases"`
+	// Span is the engine's timed span of the run, set-up through its last
+	// phase; Untimed is the part of it no phase holds — set-up, and each
+	// iteration's census and direction choice — so the phase walls plus
+	// Untimed equal Span exactly.
+	Span    time.Duration `json:"span_ns"`
+	Untimed time.Duration `json:"untimed_ns"`
 	// Directions is the per-iteration Edge-phase direction string: '<' pull,
 	// '>' push, 's' sparse. Runs longer than the builder's cap end in '+'.
 	Directions string `json:"directions,omitempty"`
@@ -114,8 +120,9 @@ func (b *TraceBuilder) Reset() {
 	b.dirs = b.dirs[:0]
 }
 
-// Trace snapshots the accumulated observations into a RunTrace. Phases that
-// never ran are omitted; phases appear in enum order.
+// Trace snapshots the accumulated observations into a RunTrace; the caller
+// sets Span and Untimed. Phases that never ran are omitted; phases appear in
+// enum order.
 func (b *TraceBuilder) Trace() RunTrace {
 	t := RunTrace{Directions: string(b.dirs)}
 	for p := Phase(0); p < NumPhases; p++ {

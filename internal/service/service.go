@@ -403,6 +403,8 @@ func (s *Service) runLocal(ctx context.Context, h *grazelle.StoreHandle, q *Quer
 		rec.Trace = obs.RunTrace{
 			Phases:     stats.Phases,
 			Directions: stats.Directions,
+			Span:       stats.Total,
+			Untimed:    stats.Untimed,
 		}
 		rec.Iters, rec.Mode = stats.Iterations, stats.Mode
 	}

@@ -18,7 +18,7 @@ import (
 //	<data-dir>/
 //	    manifest.json      {"version":2,"next_lineage":N,"graphs":[...]}
 //	    <name>.<L>.grzg    graph.WriteFile binary format (GRZG v1), edges in
-//	                       CSR order (csr.Matrix.WriteFile)
+//	                       by-source group order (vsparse.Array.WriteFile)
 //	    <name>.wal         edge delta log (GRZW v1, see internal/graph)
 //
 // Both the manifest and each snapshot are written to a temporary file,
@@ -192,19 +192,20 @@ func syncPath(path string) error {
 	return f.Close()
 }
 
-// writeSnapshot persists g's edges, streamed out of its CSR, atomically and
-// durably (write-to-temp, sync, rename, sync the directory). The
-// store/snapshot-write failpoint simulates a process dying mid-stream: it
-// leaves a torn temp file behind and never reaches the rename, exactly the
-// on-disk state a crash produces — the previous snapshot and manifest stay
-// intact.
+// writeSnapshot persists g's edges, streamed out of VSS's valid lanes in
+// group order — byte for byte the file csr.Matrix.WriteFile writes of the
+// CSR — atomically and durably (write-to-temp, sync, rename, sync the
+// directory). The store/snapshot-write failpoint simulates a process dying
+// mid-stream: it leaves a torn temp file behind and never reaches the
+// rename, exactly the on-disk state a crash produces — the previous snapshot
+// and manifest stay intact.
 func writeSnapshot(path string, g *core.Graph) error {
 	tmp := path + ".tmp"
 	if err := fault.Inject("store/snapshot-write"); err != nil {
 		os.WriteFile(tmp, []byte(`GRZG torn write`), 0o644)
 		return err
 	}
-	if err := g.CSR.WriteFile(tmp); err != nil {
+	if err := g.VSS.WriteFile(tmp); err != nil {
 		os.Remove(tmp)
 		return err
 	}

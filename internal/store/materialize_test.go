@@ -1,12 +1,17 @@
 package store
 
 import (
+	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/csr"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/testgraph"
 )
@@ -25,27 +30,17 @@ func corpusGraph(t *testing.T, name string) *graph.Graph {
 
 // assertServesRebuild checks that what h serves is what a store that always
 // rebuilds would serve for base ⊕ ops: byte-identical engine layouts, and
-// for every registered app the same property lanes as a run over a
-// from-scratch core.BuildGraph.
+// for every registered app the base's weights allow the same property lanes
+// as a run over a from-scratch core.BuildGraph.
 func assertServesRebuild(t *testing.T, h *Handle, base *graph.Graph, ops []graph.EdgeOp, label string) {
 	t.Helper()
-	want := core.BuildGraph(graph.ApplyEdgeOps(base, ops))
-	got := h.Runner().Graph()
-	for _, f := range []struct {
-		name      string
-		got, want any
-	}{
-		{"N", got.N, want.N}, {"Edges", got.Edges, want.Edges}, {"Weighted", got.Weighted, want.Weighted},
-		{"CSR", got.CSR, want.CSR}, {"CSC", got.CSC, want.CSC},
-		{"VSS", got.VSS, want.VSS}, {"VSD", got.VSD, want.VSD},
-	} {
-		if !reflect.DeepEqual(f.got, f.want) {
-			t.Fatalf("%s: %s differs from a from-scratch BuildGraph", label, f.name)
-		}
-	}
+	want := assertRebuildLayouts(t, h, base, ops, label)
 	ref := core.NewRunner(want, core.Options{Workers: h.Runner().Pool().Workers()})
 	defer ref.Close()
 	for _, ent := range apps.All() {
+		if ent.NeedsWeights && !want.Weighted {
+			continue // the registry refuses it (apps.Entry.NeedsWeights)
+		}
 		p := ent.Normalize(apps.Params{Iters: 4, Root: 1, K: 3})
 		run := func(r *core.Runner) []uint64 {
 			prog, err := ent.New(r.Graph(), p)
@@ -60,6 +55,26 @@ func assertServesRebuild(t *testing.T, h *Handle, base *graph.Graph, ops []graph
 		}
 		assertBitIdentical(t, run(ref), run(h.Runner()), label+": "+ent.Name)
 	}
+}
+
+// assertRebuildLayouts checks that h serves the layouts a from-scratch
+// core.BuildGraph of base ⊕ ops holds, byte for byte, and returns them.
+func assertRebuildLayouts(t *testing.T, h *Handle, base *graph.Graph, ops []graph.EdgeOp, label string) *core.Graph {
+	t.Helper()
+	want := core.BuildGraph(graph.ApplyEdgeOps(base, ops))
+	got := h.Runner().Graph()
+	for _, f := range []struct {
+		name      string
+		got, want any
+	}{
+		{"N", got.N, want.N}, {"Edges", got.Edges, want.Edges}, {"Weighted", got.Weighted, want.Weighted},
+		{"VSS", got.VSS, want.VSS}, {"VSD", got.VSD, want.VSD},
+	} {
+		if !reflect.DeepEqual(f.got, f.want) {
+			t.Fatalf("%s: %s differs from a from-scratch BuildGraph", label, f.name)
+		}
+	}
+	return want
 }
 
 // TestMaterializeArmsServeWhatRebuildServes drives one graph through every
@@ -147,11 +162,35 @@ func TestMaterializeArmsServeWhatRebuildServes(t *testing.T) {
 
 // TestSnapshotsRebuildTheServedLayouts: every snapshot the store writes — at
 // Add, Compact and Snapshot — holds its version's edges in CSR order, not in
-// the order they arrived. A store that evicts to, or reopens onto, any of
-// them, with the log's batches replayed on top, must still serve what a
-// from-scratch BuildGraph of the original base ⊕ every batch serves, for all
-// nine apps.
+// the order they arrived: byte for byte the file a Compressed-Sparse matrix
+// of base ⊕ every batch so far writes, as is the edge list the rebuild arm
+// streams out of a served version. A store that evicts to, or reopens onto,
+// any of them, with the log's batches replayed on top, must still serve what
+// a from-scratch BuildGraph of the original base ⊕ every batch serves, for
+// all nine apps. It runs on every corpus graph, as it is and weighted, and
+// on a weighted T×1, where it holds the layouts and leaves the apps to the
+// corpus (tc alone takes seconds a run there).
 func TestSnapshotsRebuildTheServedLayouts(t *testing.T) {
+	type base struct {
+		name    string
+		g       *graph.Graph
+		runApps bool
+	}
+	bases := []base{{"T1/weighted", gen.AddUniformWeights(gen.Generate(gen.Twitter, 1), 3), false}}
+	for _, c := range testgraph.Corpus() {
+		bases = append(bases, base{c.Name + "/weighted", c.WithWeights(), true})
+		if !c.G.Weighted {
+			bases = append(bases, base{c.Name, c.G, true})
+		}
+	}
+	for _, b := range bases {
+		t.Run(b.name, func(t *testing.T) { assertSnapshotsRebuild(t, b.g, b.runApps) })
+	}
+}
+
+// assertSnapshotsRebuild drives one base graph through the snapshots of
+// TestSnapshotsRebuildTheServedLayouts.
+func assertSnapshotsRebuild(t *testing.T, base *graph.Graph, runApps bool) {
 	dir := t.TempDir()
 	open := func() *Store {
 		t.Helper()
@@ -163,11 +202,23 @@ func TestSnapshotsRebuildTheServedLayouts(t *testing.T) {
 	}
 	s := open()
 	defer func() { s.Close() }()
-	base := testgraph.Skewed().G
 	if err := s.Add("g", core.BuildGraph(base)); err != nil {
 		t.Fatal(err)
 	}
 	var ops []graph.EdgeOp
+	// writtenInCSROrder checks the bytes one writer streams of the current
+	// version against a transient CSR's.
+	writtenInCSROrder := func(label, path string) {
+		t.Helper()
+		want := filepath.Join(t.TempDir(), "csr")
+		if err := csr.FromGraph(graph.ApplyEdgeOps(base, ops), false).WriteFile(want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(readBytes(t, path), readBytes(t, want)) {
+			t.Fatalf("%s: not the file the CSR of base ⊕ %d ops writes", label, len(ops))
+		}
+	}
+	writtenInCSROrder("the snapshot Add wrote", findSnapshot(t, dir, "g"))
 	mutate := func(round int) {
 		t.Helper()
 		batch := append(mutOps(base, round, true), graph.EdgeOp{Src: uint32(round), Dst: 3, Weight: float32(round) + 0.25})
@@ -181,7 +232,16 @@ func TestSnapshotsRebuildTheServedLayouts(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer h.Close()
-		assertServesRebuild(t, h, base, ops, label)
+		if runApps {
+			assertServesRebuild(t, h, base, ops, label)
+		} else {
+			assertRebuildLayouts(t, h, base, ops, label)
+		}
+		rebuilt := filepath.Join(t.TempDir(), "rebuild")
+		if err := h.Runner().Graph().VSS.ToGraph().WriteFile(rebuilt); err != nil {
+			t.Fatal(err)
+		}
+		writtenInCSROrder(label+": the rebuild arm's edge list", rebuilt)
 	}
 	reopen := func() {
 		t.Helper()
@@ -195,6 +255,7 @@ func TestSnapshotsRebuildTheServedLayouts(t *testing.T) {
 	if err := s.Compact("g"); err != nil {
 		t.Fatal(err)
 	}
+	writtenInCSROrder("the compacted snapshot", findSnapshot(t, dir, "g"))
 	mutate(1)
 	evictAll(t, s)
 	check("the compacted snapshot and one batch")
@@ -202,17 +263,29 @@ func TestSnapshotsRebuildTheServedLayouts(t *testing.T) {
 	if err := s.Snapshot("g"); err != nil {
 		t.Fatal(err)
 	}
+	writtenInCSROrder("the Snapshot file", findSnapshot(t, dir, "g"))
 	reopen()
 	check("the Snapshot file, its batches replayed again")
 	mutate(3)
 	if err := s.Compact("g"); err != nil {
 		t.Fatal(err)
 	}
+	writtenInCSROrder("the second compacted snapshot", findSnapshot(t, dir, "g"))
 	reopen()
 	check("the compacted snapshot alone")
 	if got := s.Stats().Materialize; got != (MaterializeStats{Rebuild: 1}) {
 		t.Fatalf("reopened store: %+v, want one rebuild", got)
 	}
+}
+
+// readBytes returns the named file's contents.
+func readBytes(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestMaterializeRebuildsWhenBatchTouchesMostGroups: a batch naming every

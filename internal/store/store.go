@@ -594,7 +594,7 @@ const patchMaxShare = 1.2
 // patchMaxShare of the edges: core.PatchGraph splices the layouts out of the
 // seed's. Otherwise — no seed (cold start, recovery, evicted predecessor) or
 // a batch that rewrites most groups anyway — core.BuildGraph over the merge
-// of the snapshot's edges, or of the edges the seed's CSR holds, with one
+// of the snapshot's edges, or of the edges the seed's VSS holds, with one
 // log line saying why. The caller holds e.load.
 func (s *Store) materialize(e *entry) (*core.Graph, error) {
 	start := time.Now()
@@ -622,7 +622,7 @@ func (s *Store) materialize(e *entry) (*core.Graph, error) {
 			s.materializePatch.Observe(time.Since(start).Seconds())
 			return cg, nil
 		}
-		g = cg.CSR.ToGraph()
+		g = cg.VSS.ToGraph()
 		why = fmt.Sprintf("touched groups hold %.0f%% of the edge slots, over %.0f%%", 100*share, 100*patchMaxShare)
 	}
 	if len(ops) > 0 {

@@ -13,6 +13,11 @@
 // lane is 32 bits, all the kernels read: a vector is 16 bytes, and the pull
 // kernels stream half the bytes per edge (DESIGN.md §2).
 //
+// An array is the whole of its grouping: a group's valid lanes are a prefix
+// of its vectors, in the Compressed-Sparse group's order, so Degree and Group
+// read a vertex's edges back, ToGraph and WriteFile every edge, and Patch
+// splices a mutation in without a Compressed-Sparse matrix beside it.
+//
 // Bit layout of one 32-bit lane:
 //
 //	bit  31     valid
@@ -25,8 +30,11 @@ package vsparse
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 
 	"repro/internal/csr"
+	"repro/internal/graph"
 	"repro/internal/vec"
 )
 
@@ -38,8 +46,7 @@ const (
 )
 
 // Array is a Vector-Sparse edge structure, grouped by destination (VSD, the
-// pull engine's layout) or by source (VSS, the push engine's layout) as the
-// csr.Matrix it was built from is.
+// pull engine's layout) or by source (VSS, the push engine's layout).
 type Array struct {
 	// N is the number of top-level vertices.
 	N int
@@ -58,6 +65,9 @@ type Array struct {
 	Index []int
 	// ValidEdges is the number of real (non-padding) lanes.
 	ValidEdges int
+	// ByDest records whether top-level vertices are destinations (VSD) or
+	// sources (VSS), as csr.Matrix.ByDest does.
+	ByDest bool
 }
 
 // NumVectors returns the number of 4-lane vectors.
@@ -70,6 +80,30 @@ func (a *Array) MemoryBytes() int64 {
 
 // Vector loads vector i as a register value.
 func (a *Array) Vector(i int) vec.U32x4 { return vec.U32x4(a.Words[i*vec.Lanes:]) }
+
+// Degree returns the number of edges grouped under top-level vertex v: the
+// lanes of its vectors less the dead lanes of the last one.
+func (a *Array) Degree(v uint32) int {
+	lo, hi := a.Index[v], a.Index[v+1]
+	if lo == hi {
+		return 0
+	}
+	return (hi-lo-1)*vec.Lanes + Valid(a.Vector(hi-1)).Count()
+}
+
+// Group returns top-level vertex v's edges: its valid lanes — each a
+// neighbour id with ValidBit set, in the order of the Compressed-Sparse group
+// they encode — and their weights, nil when the array is unweighted. Valid
+// lanes are a prefix of the group's vectors, so both are subslices of the
+// array, shared and read-only.
+func (a *Array) Group(v uint32) (lanes []uint32, weights []float32) {
+	lo := a.Index[v] * vec.Lanes
+	hi := lo + a.Degree(v)
+	if a.Weights != nil {
+		weights = a.Weights[lo:hi]
+	}
+	return a.Words[lo:hi], weights
+}
 
 // EncodeVector packs up to four neighbor ids into one vector. valid gives
 // the live lane count (1..4).
@@ -94,102 +128,208 @@ func Valid(v vec.U32x4) vec.Mask { return vec.SignMask(v) }
 // kernels rely on: their frontier test gathers through all four lanes
 // unpredicated and applies the valid mask afterwards (vec.TestBits).
 func FromCSR(m *csr.Matrix) *Array {
-	a := &Array{N: m.N, ValidEdges: m.NumEdges()}
-	a.Index = make([]int, m.N+1)
-	totalVectors := 0
-	for v := 0; v < m.N; v++ {
-		a.Index[v] = totalVectors
-		totalVectors += vectorsFor(m.Degree(uint32(v)))
+	a := &Array{N: m.N, ValidEdges: m.NumEdges(), ByDest: m.ByDest, Index: make([]int, m.N+1)}
+	vectors := 0
+	for v := range m.N {
+		vectors += vectorsFor(m.Degree(uint32(v)))
 	}
-	a.Index[m.N] = totalVectors
-	a.Words = make([]uint32, totalVectors*vec.Lanes)
+	a.Words = make([]uint32, 0, vectors*vec.Lanes)
 	if m.Weights != nil {
-		a.Weights = make([]float32, totalVectors*vec.Lanes)
+		a.Weights = make([]float32, 0, vectors*vec.Lanes)
 	}
-	out := 0
-	for v := 0; v < m.N; v++ {
-		out = a.encodeGroup(out, m.Edges(uint32(v)), m.EdgeWeights(uint32(v)))
+	for v := range m.N {
+		a.Index[v] = a.NumVectors()
+		a.appendGroup(m.Edges(uint32(v)), m.EdgeWeights(uint32(v)))
 	}
+	a.Index[m.N] = a.NumVectors()
 	return a
 }
 
-// encodeGroup writes one top-level vertex's vector run — neigh packed four
-// to a vector, the last one padded — at vector position out and returns the
-// position after it. Nothing it writes depends on out or on the vertex: a
-// vector holds neighbour ids and valid bits alone, so a run is valid wherever
-// it lands, and Index alone says whose it is. FromCSR and Patch both encode
-// through here, which is what keeps a spliced array byte-identical to a
-// rebuilt one. weights is nil on unweighted arrays.
-func (a *Array) encodeGroup(out int, neigh []uint32, weights []float32) int {
+// appendGroup appends one top-level vertex's vector run: neigh (neighbour
+// ids, with or without ValidBit) packed four to a vector, the last one
+// padded. Nothing it writes depends on where the run lands or on the vertex:
+// a vector holds neighbour ids and valid bits alone, so a run is valid
+// wherever it lands, and Index alone says whose it is. FromCSR and Patch both
+// encode through here, which is what keeps a spliced array byte-identical to
+// a rebuilt one. weights is read only on weighted arrays.
+func (a *Array) appendGroup(neigh []uint32, weights []float32) {
 	for lo := 0; lo < len(neigh); lo += vec.Lanes {
-		valid := len(neigh) - lo
-		if valid > vec.Lanes {
-			valid = vec.Lanes
-		}
+		valid := min(len(neigh)-lo, vec.Lanes)
 		var lanes [vec.Lanes]uint32
-		for i := 0; i < vec.Lanes; i++ {
-			if i < valid {
-				lanes[i] = neigh[lo+i]
-			} else {
-				lanes[i] = neigh[lo+valid-1] // padding: repeat last
-			}
+		for i := range lanes {
+			lanes[i] = neigh[lo+min(i, valid-1)] // padding: repeat last
 		}
-		*(*vec.U32x4)(a.Words[out*vec.Lanes:]) = EncodeVector(lanes, valid)
-		if weights != nil {
-			copy(a.Weights[out*vec.Lanes:], weights[lo:lo+valid])
+		v := EncodeVector(lanes, valid)
+		a.Words = append(a.Words, v[:]...)
+		if a.Weights != nil {
+			var w [vec.Lanes]float32
+			copy(w[:], weights[lo:lo+valid])
+			a.Weights = append(a.Weights, w[:]...)
 		}
-		out++
 	}
-	return out
 }
 
 // vectorsFor is the number of vectors a group of the given degree occupies.
 func vectorsFor(degree int) int { return (degree + vec.Lanes - 1) / vec.Lanes }
 
-// Patch returns FromCSR(m) given a, the encoding of m's predecessor, and the
-// ascending list of top-level vertices whose groups differ between the two
-// (csr.Matrix.Patch reports it); m may have more vertices than a. A maximal
-// run of untouched vertices is one copy of its vectors, which stay valid at
-// their new offset because nothing in a vector is positional; only touched
-// groups are encoded again.
-func (a *Array) Patch(m *csr.Matrix, touched []uint32) *Array {
-	out := &Array{N: m.N, ValidEdges: m.NumEdges()}
-	total := a.NumVectors()
-	for _, v := range touched {
-		total += vectorsFor(m.Degree(v))
-		if int(v) < a.N {
-			total -= a.Index[v+1] - a.Index[v]
+// ToGraph reconstructs the edge list the array encodes, in (src, dst)
+// orientation, in group order.
+func (a *Array) ToGraph() *graph.Graph {
+	g := &graph.Graph{NumVertices: a.N, Weighted: a.Weights != nil}
+	g.Edges = slices.AppendSeq(make([]graph.Edge, 0, a.ValidEdges), a.all())
+	return g
+}
+
+// WriteFile persists the edges the array encodes as a graph file
+// (graph.ReadFile reads it back), streamed out of its valid lanes in group
+// order: by (src, dst) for VSS, by (dst, src) for VSD. That is the order of
+// the Compressed-Sparse matrix the array encodes, edge for edge, so the file
+// is byte for byte the one csr.Matrix.WriteFile writes, and csr.FromGraph of
+// either grouping over its edges rebuilds the layouts of the graph a came
+// from, duplicate edges and their weights included.
+func (a *Array) WriteFile(path string) error {
+	return graph.WriteEdgesFile(path, a.N, a.ValidEdges, a.Weights != nil, a.all())
+}
+
+// all yields every edge in (src, dst) orientation, in group order.
+func (a *Array) all() iter.Seq[graph.Edge] {
+	return func(yield func(graph.Edge) bool) {
+		for v := uint32(0); int(v) < a.N; v++ {
+			lanes, weights := a.Group(v)
+			for i, w := range lanes {
+				e := graph.Edge{Src: v, Dst: w & VertexMask}
+				if a.ByDest {
+					e.Src, e.Dst = e.Dst, e.Src
+				}
+				if weights != nil {
+					e.Weight = weights[i]
+				}
+				if !yield(e) {
+					return
+				}
+			}
 		}
 	}
-	out.Index = make([]int, m.N+1)
-	out.Words = make([]uint32, total*vec.Lanes)
-	if m.Weights != nil {
-		out.Weights = make([]float32, total*vec.Lanes)
+}
+
+// Patch returns the array a rebuild would encode, in a's grouping, from
+// graph.ApplyEdgeOps(src, ops) — for any edge list src whose encoding is
+// a — without seeing src. A maximal run of untouched vertices is one copy of
+// its vectors, which stay valid at their new offset because nothing in a
+// vector is positional; only the groups an edit names are merged and
+// encoded again.
+//
+// edits is graph.ReduceEdgeOps(ops, weighted) — one operation per (src, dst)
+// pair — sorted by (top-level vertex, neighbour) in a's grouping, and n ≥ a.N
+// is the merged graph's vertex count.
+//
+// Why the result is byte-identical to a rebuild: a group is the stable sort
+// by neighbour of its vertex's base edges in base order. ApplyEdgeOps keeps
+// untouched base edges in base order, so their stable sort is the old group
+// minus the touched neighbours; and a touched pair leaves at most one edge,
+// whose neighbour id no surviving edge of the group shares, so its sorted
+// position is unique however the rebuild would have reached it.
+func (a *Array) Patch(n int, edits []graph.EdgeOp) *Array {
+	out := &Array{N: n, ValidEdges: a.ValidEdges, ByDest: a.ByDest, Index: make([]int, n+1)}
+	// An edit adds at most one lane to a group, so at most one vector: the
+	// appends below never outgrow this.
+	out.Words = make([]uint32, 0, len(a.Words)+len(edits)*vec.Lanes)
+	if a.Weights != nil {
+		out.Weights = make([]float32, 0, cap(out.Words))
 	}
-	pos := 0 // next free vector of out
-	csr.WalkPatch(a.N, m.N, touched,
-		func(lo, hi int) {
-			from, to := a.Index[lo], a.Index[hi]
-			copy(out.Words[pos*vec.Lanes:], a.Words[from*vec.Lanes:to*vec.Lanes])
-			if out.Weights != nil {
-				copy(out.Weights[pos*vec.Lanes:], a.Weights[from*vec.Lanes:to*vec.Lanes])
+	next := 0 // first vertex not yet placed
+	// upTo places the untouched vertices [next, hi): old ones by one copy of
+	// their vectors, new ones as empty groups.
+	upTo := func(hi int) {
+		if mid := min(hi, a.N); next < mid {
+			from, to := a.Index[next], a.Index[mid]
+			for v := next; v < mid; v++ {
+				out.Index[v] = a.Index[v] - from + out.NumVectors()
 			}
-			for v := lo; v < hi; v++ {
-				out.Index[v] = a.Index[v] - from + pos
+			out.Words = append(out.Words, a.Words[from*vec.Lanes:to*vec.Lanes]...)
+			if a.Weights != nil {
+				out.Weights = append(out.Weights, a.Weights[from*vec.Lanes:to*vec.Lanes]...)
 			}
-			pos += to - from
-		},
-		func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				out.Index[v] = pos
+			next = mid
+		}
+		for ; next < hi; next++ {
+			out.Index[next] = out.NumVectors()
+		}
+	}
+	var lanes []uint32 // one touched group's merge
+	var weights []float32
+	for i := 0; i < len(edits); {
+		v, _ := a.ends(edits[i])
+		j := i + 1
+		for j < len(edits) {
+			if t, _ := a.ends(edits[j]); t != v {
+				break
 			}
-		},
-		func(v uint32) {
-			out.Index[v] = pos
-			pos = out.encodeGroup(pos, m.Edges(v), m.EdgeWeights(v))
-		})
-	out.Index[m.N] = pos
+			j++
+		}
+		// A group at or past n can only be named by deletes of edges that
+		// never existed: the merged graph has no such vertex.
+		if int(v) < n {
+			upTo(int(v))
+			var old []uint32
+			var oldW []float32
+			if int(v) < a.N {
+				old, oldW = a.Group(v)
+			}
+			lanes, weights = a.mergeGroup(lanes[:0], weights[:0], old, oldW, edits[i:j])
+			out.ValidEdges += len(lanes) - len(old)
+			out.Index[v] = out.NumVectors()
+			out.appendGroup(lanes, weights)
+			next = int(v) + 1
+		}
+		i = j
+	}
+	upTo(n)
+	out.Index[n] = out.NumVectors()
 	return out
+}
+
+// ends returns op's top-level vertex and neighbour in a's grouping.
+func (a *Array) ends(op graph.EdgeOp) (top, neighbour uint32) {
+	if a.ByDest {
+		return op.Dst, op.Src
+	}
+	return op.Src, op.Dst
+}
+
+// mergeGroup appends one touched group to lanes/weights: the old group's
+// lanes (Group) with every neighbour an edit names removed, merged with the
+// edits that insert. edits name one top-level vertex and ascend by
+// neighbour.
+func (a *Array) mergeGroup(lanes []uint32, weights []float32, old []uint32, oldW []float32, edits []graph.EdgeOp) ([]uint32, []float32) {
+	weighted := a.Weights != nil
+	k := 0
+	keep := func(hi int) {
+		lanes = append(lanes, old[k:hi]...)
+		if weighted {
+			weights = append(weights, oldW[k:hi]...)
+		}
+		k = hi
+	}
+	for _, op := range edits {
+		_, nb := a.ends(op)
+		hi := k
+		for hi < len(old) && old[hi]&VertexMask < nb {
+			hi++
+		}
+		keep(hi)
+		for k < len(old) && old[k]&VertexMask == nb {
+			k++ // every old edge of a touched pair goes
+		}
+		if !op.Delete {
+			lanes = append(lanes, ValidBit|nb)
+			if weighted {
+				weights = append(weights, op.Weight)
+			}
+		}
+	}
+	keep(len(old))
+	return lanes, weights
 }
 
 // Validate checks encoding invariants: Index starts at vector 0, is

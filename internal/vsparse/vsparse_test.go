@@ -34,19 +34,52 @@ func TestLaneLayout(t *testing.T) {
 	}
 }
 
+// TestEncodeValidPrefix: a vector's valid lanes are a prefix, for every live
+// count; so a group's valid lanes are a prefix of its vectors, and Degree and
+// Group read back the Compressed-Sparse group they encode — its degree, its
+// neighbours with ValidBit set, its weights — for every vertex of every
+// corpus graph, as it is and weighted, in both groupings.
 func TestEncodeValidPrefix(t *testing.T) {
-	v := EncodeVector([vec.Lanes]uint32{10, 20, 30, 30}, 3)
-	if got := Valid(v); got != vec.Mask(0b0111) {
-		t.Errorf("Valid = %04b, want 0111", got)
+	for _, c := range []struct {
+		ids   [vec.Lanes]uint32
+		valid int
+		mask  vec.Mask
+	}{
+		{[vec.Lanes]uint32{10, 10, 10, 10}, 1, 0b0001},
+		{[vec.Lanes]uint32{10, 20, 20, 20}, 2, 0b0011},
+		{[vec.Lanes]uint32{10, 20, 30, 30}, 3, 0b0111},
+		{[vec.Lanes]uint32{10, 20, 30, 40}, 4, 0b1111},
+	} {
+		v := EncodeVector(c.ids, c.valid)
+		if got := Valid(v); got != c.mask {
+			t.Errorf("%d valid: Valid = %04b, want %04b", c.valid, got, c.mask)
+		}
+		// Masking with VertexMask must strip the metadata bits entirely.
+		if n := laneIDs(v); n != vec.U32x4(c.ids) {
+			t.Errorf("%d valid: lane ids = %v, want %v", c.valid, n, c.ids)
+		}
 	}
-	n := laneIDs(v)
-	if n[0] != 10 || n[1] != 20 || n[2] != 30 {
-		t.Errorf("lane ids = %v", n)
-	}
-	// Masking with VertexMask must strip the metadata bits entirely.
-	for i := 0; i < vec.Lanes; i++ {
-		if n[i] > VertexMask {
-			t.Errorf("lane %d leaked metadata: %#x", i, n[i])
+
+	for _, c := range testgraph.Corpus() {
+		for _, g := range []*graph.Graph{c.WithWeights(), c.G} {
+			for _, byDest := range []bool{false, true} {
+				m := csr.FromGraph(g, byDest)
+				a := FromCSR(m)
+				for v := uint32(0); int(v) < m.N; v++ {
+					lanes, weights := a.Group(v)
+					if d := a.Degree(v); d != m.Degree(v) || len(lanes) != d {
+						t.Fatalf("%s weighted=%v byDest=%v vertex %d: Degree %d, group of %d; want %d", c.Name, g.Weighted, byDest, v, d, len(lanes), m.Degree(v))
+					}
+					for i, w := range lanes {
+						if w&ValidBit == 0 || w&VertexMask != m.Edges(v)[i] {
+							t.Fatalf("%s byDest=%v vertex %d lane %d: %#x, want neighbour %d, valid", c.Name, byDest, v, i, w, m.Edges(v)[i])
+						}
+					}
+					if !reflect.DeepEqual(weights, m.EdgeWeights(v)) {
+						t.Fatalf("%s weighted=%v byDest=%v vertex %d: weights %v, want %v", c.Name, g.Weighted, byDest, v, weights, m.EdgeWeights(v))
+					}
+				}
+			}
 		}
 	}
 }
@@ -180,12 +213,10 @@ func TestDeadLanesInRange(t *testing.T) {
 				return edits[i].Src < edits[j].Src
 			})
 		}
-		m := csr.FromGraph(g, byDest)
-		a := FromCSR(m)
+		a := FromCSR(csr.FromGraph(g, byDest))
 		assertDeadLanesInRange(t, a)
-		pm, touched := m.Patch(int(n)+3, edits)
-		pa := a.Patch(pm, touched)
-		if !reflect.DeepEqual(pa, FromCSR(pm)) {
+		pa := a.Patch(int(n)+3, edits)
+		if !reflect.DeepEqual(pa, FromCSR(csr.FromGraph(graph.ApplyEdgeOps(g, ops), byDest))) {
 			t.Fatalf("byDest=%v: Patch differs from FromCSR", byDest)
 		}
 		if err := pa.Validate(); err != nil {

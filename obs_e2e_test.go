@@ -203,7 +203,12 @@ func TestServeMetricsEndToEnd(t *testing.T) {
 				Iters  int64  `json:"iters"`
 			} `json:"phases"`
 			Directions string `json:"directions"`
+			SpanNS     int64  `json:"span_ns"`
+			UntimedNS  int64  `json:"untimed_ns"`
 		} `json:"trace"`
+		Stages struct {
+			RunNS int64 `json:"run_ns"`
+		} `json:"stages"`
 	}
 	recBody := fetchText(t, client, base+"/v1/runs/"+q.RunID)
 	if err := json.Unmarshal([]byte(recBody), &rec); err != nil {
@@ -235,13 +240,15 @@ func TestServeMetricsEndToEnd(t *testing.T) {
 			t.Errorf("phase %s missing from trace %+v", want, rec.Trace.Phases)
 		}
 	}
-	// Sum-of-phases ≈ total wall time: never above it, and with 32 dense
-	// PageRank iterations the engine phases dominate the run.
-	if phaseSum > rec.WallNS {
-		t.Errorf("phase wall sum %d exceeds run wall %d", phaseSum, rec.WallNS)
+	// Two exact facts, whatever the load: the phase walls and the engine's
+	// untimed remainder (set-up, census, direction choice) make up its timed
+	// span, so a phase that went untimed falls short; and that span lies
+	// inside the request's run stage.
+	if span := rec.Trace.SpanNS; phaseSum+rec.Trace.UntimedNS != span || span <= 0 {
+		t.Errorf("phase walls %d + untimed %d != engine span %d", phaseSum, rec.Trace.UntimedNS, span)
 	}
-	if phaseSum < rec.WallNS/2 {
-		t.Errorf("phase wall sum %d under half the run wall %d — phases should dominate", phaseSum, rec.WallNS)
+	if rec.Trace.SpanNS > rec.Stages.RunNS {
+		t.Errorf("engine span %d exceeds the run stage %d", rec.Trace.SpanNS, rec.Stages.RunNS)
 	}
 
 	// The listing shows the same run newest-first; an unknown ID is 404.
