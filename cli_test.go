@@ -121,6 +121,15 @@ func TestCLIGrazelleRejectsBadFlags(t *testing.T) {
 	if out, err := runCLI(t, "grazelle", "-d", "C", "-a", "sssp"); err == nil {
 		t.Errorf("SSSP on unweighted graph accepted:\n%s", out)
 	}
+	// Outer-only is reproduced by the Ligra-style baseline, not the engine.
+	if out, err := runCLI(t, "grazelle", "-d", "C", "-variant", "outer"); err == nil || !strings.Contains(out, `unknown variant "outer"`) {
+		t.Errorf("outer-only variant accepted (err %v):\n%s", err, out)
+	}
+	// The scalar kernel is scheduler-aware only: an error, not a panic.
+	if out, err := runCLI(t, "grazelle", "-d", "C", "-scalar", "-variant", "trad"); err == nil ||
+		!strings.Contains(out, "scheduler-aware pull only") || strings.Contains(out, "panic") {
+		t.Errorf("scalar traditional pull not rejected with an error (err %v):\n%s", err, out)
+	}
 }
 
 func TestCLIGengraphAndLoad(t *testing.T) {

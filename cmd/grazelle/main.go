@@ -81,7 +81,7 @@ func run() error {
 		output  = flag.String("o", "", "write per-vertex results to this file")
 		root    = flag.Uint("r", 0, "root vertex for rooted apps (bfs, sssp, ppr)")
 		kcore   = flag.Int("k", 2, "core threshold for kcore")
-		variant = flag.String("variant", "sa", "pull variant: sa, trad, tradna, outer")
+		variant = flag.String("variant", "sa", "vectorized pull variant: sa, trad, tradna")
 		mode    = flag.String("engine", "hybrid", "engine mode: hybrid, pull, push")
 		scalar  = flag.Bool("scalar", false, "disable the vectorized kernels")
 		record  = flag.Bool("counters", false, "collect and print execution counters")
@@ -122,10 +122,11 @@ func run() error {
 		opt.Variant = grazelle.Traditional
 	case "tradna":
 		opt.Variant = grazelle.TraditionalNonatomic
-	case "outer":
-		opt.Variant = grazelle.OuterOnly
 	default:
 		return fmt.Errorf("unknown variant %q", *variant)
+	}
+	if opt.Scalar && opt.Variant != grazelle.SchedulerAware {
+		return fmt.Errorf("-scalar runs the scheduler-aware pull only, not -variant %s", *variant)
 	}
 	switch strings.ToLower(*mode) {
 	case "hybrid":

@@ -131,7 +131,6 @@ const (
 	SchedulerAware       = core.PullSchedulerAware
 	Traditional          = core.PullTraditional
 	TraditionalNonatomic = core.PullTraditionalNonatomic
-	OuterOnly            = core.PullOuterOnly
 )
 
 // EngineMode selects which Edge-phase engine runs.
@@ -160,11 +159,12 @@ type Options struct {
 	// ChunkVectors is the dynamic-scheduling granularity in edge vectors
 	// per chunk (0 = 32 chunks per worker, the paper's default).
 	ChunkVectors int
-	// Variant selects the pull-engine parallelization (default
+	// Variant selects the vectorized pull's parallelization (default
 	// SchedulerAware).
 	Variant PullVariant
 	// Scalar disables the software-vectorized kernels (the Fig 10
-	// baseline).
+	// baseline). Its pull is scheduler-aware only: NewEngine panics on
+	// Scalar with another Variant.
 	Scalar bool
 	// Mode forces an engine (default Hybrid).
 	Mode EngineMode

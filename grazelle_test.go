@@ -231,7 +231,7 @@ func TestOptionsSurface(t *testing.T) {
 		"Workers",            // grazelle -n
 		"Topology",           // grazelle -u (NewEngine's socket split)
 		"ChunkVectors",       // grazelle -s
-		"Variant",            // grazelle -variant
+		"Variant",            // grazelle -variant (the vectorized pull's)
 		"Scalar",             // grazelle -scalar
 		"Mode",               // grazelle -engine
 		"PullDegreeShare",    // benchfig dirsweep

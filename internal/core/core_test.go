@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/numa"
 	"repro/internal/perfmodel"
+	"repro/internal/testgraph"
 )
 
 type namedGraph struct {
@@ -25,23 +28,22 @@ func testGraphs() []namedGraph {
 	}
 }
 
-// engineConfigs spans the variant × kernel × mode space. The nonatomic
-// variant appears only with one worker (its multi-worker output is
+// engineConfigs spans the variant × kernel × mode space: every variant of the
+// vectorized pull, and the scalar one, which is scheduler-aware only. The
+// nonatomic variant appears only with one worker (its multi-worker output is
 // intentionally unreliable; see TestNonatomicCompletes).
 func engineConfigs() []Options {
 	var out []Options
 	for _, workers := range []int{1, 2, 4} {
-		for _, scalar := range []bool{false, true} {
-			for _, variant := range []PullVariant{PullSchedulerAware, PullTraditional, PullOuterOnly} {
-				out = append(out, Options{Workers: workers, Scalar: scalar, Variant: variant})
-			}
+		for _, variant := range []PullVariant{PullSchedulerAware, PullTraditional} {
+			out = append(out, Options{Workers: workers, Variant: variant})
 		}
+		out = append(out, Options{Workers: workers, Scalar: true})
 		out = append(out, Options{Workers: workers, Variant: PullSchedulerAware, Mode: EnginePushOnly})
 		out = append(out, Options{Workers: workers, Variant: PullSchedulerAware, Mode: EnginePullOnly})
 	}
 	// Nonatomic, single worker: deterministic, must be exact.
 	out = append(out, Options{Workers: 1, Variant: PullTraditionalNonatomic})
-	out = append(out, Options{Workers: 1, Variant: PullTraditionalNonatomic, Scalar: true})
 	// Tight granularity stresses chunk-boundary vertex splitting.
 	out = append(out, Options{Workers: 4, Variant: PullSchedulerAware, ChunkVectors: 2})
 	out = append(out, Options{Workers: 4, Variant: PullSchedulerAware, ChunkVectors: 2, Scalar: true})
@@ -145,6 +147,41 @@ func TestSSSPAllEngines(t *testing.T) {
 				}
 				if !math.IsInf(want[v], 1) && math.Abs(got[v]-want[v]) > 1e-9 {
 					t.Fatalf("dist[%d] = %v, want %v", v, got[v], want[v])
+				}
+			}
+		})
+	}
+}
+
+// TestSSSPUnweighted: sssp on a graph without weights reads every weight as
+// 0 on every path, the pull's full-vector fast path included, so each engine
+// reaches the reference's distances with the same lanes.
+func TestSSSPUnweighted(t *testing.T) {
+	for _, c := range testgraph.Corpus() {
+		if c.G.Weighted {
+			continue
+		}
+		t.Run(c.Name, func(t *testing.T) {
+			cg := BuildGraph(c.G)
+			want := apps.ReferenceSSSP(c.G, c.Root)
+			var first []uint64
+			for _, opt := range []Options{{Mode: EngineHybrid}, {Mode: EnginePullOnly}, {Mode: EnginePushOnly}, {Scalar: true}} {
+				opt.Workers = 2
+				r := NewRunner(cg, opt)
+				res, err := RunCtx(context.Background(), r, apps.NewSSSP(c.Root), 1<<20, nil)
+				r.Close()
+				if err != nil {
+					t.Fatalf("%s: %v", optName(opt), err)
+				}
+				for v, d := range apps.Distances(res.Props) {
+					if d != want[v] {
+						t.Fatalf("%s: dist[%d] = %v, want %v", optName(opt), v, d, want[v])
+					}
+				}
+				if first == nil {
+					first = res.Props
+				} else if !slices.Equal(res.Props, first) {
+					t.Fatalf("%s: lanes differ from %s's", optName(opt), optName(Options{Workers: 2}))
 				}
 			}
 		})
@@ -277,8 +314,11 @@ func TestCountersSchedulerAwareVsTraditional(t *testing.T) {
 func TestNUMACountersClassifyAccesses(t *testing.T) {
 	g := gen.RMAT(8, 2000, gen.DefaultRMAT, 6)
 	cg := BuildGraph(g)
-	for _, v := range []PullVariant{PullSchedulerAware, PullTraditional, PullOuterOnly} {
+	for _, v := range []PullVariant{PullSchedulerAware, PullTraditional} {
 		for _, scalar := range []bool{false, true} {
+			if scalar && v != PullSchedulerAware {
+				continue // the scalar pull is scheduler-aware only
+			}
 			t.Run(fmt.Sprintf("%v/scalar=%v", v, scalar), func(t *testing.T) {
 				run := func(topo numa.Topology) perfmodel.Counters {
 					r := NewRunner(cg, Options{Workers: 2, Record: true, Variant: v, Scalar: scalar, Topology: topo})

@@ -243,13 +243,9 @@ func TestRecordCountersUnderEarlyExit(t *testing.T) {
 // what a Record run reports. Pull-only rows cover the pull kernel alone;
 // hybrid rows (one worker, so no CAS retry can vary) add the dense-scan push
 // and the list-driven round. The reference kernels' rows (the traditional,
-// nonatomic, outer-only and scalar cells of the equivalence matrix) were
-// measured on the four separate Edge-Pull functions those kernels had before
-// they became one run walk per layout; the fold moved two counters, on
-// purpose. Outer-only and the scalar traditional cells now classify every
-// processed edge as a Local or Remote access, as every other kernel does,
-// and outer-only charges a converged destination's edges to FrontierSkips,
-// as the scalar cell does.
+// nonatomic and scalar cells of the equivalence matrix) were measured on the
+// separate Edge-Pull functions those kernels had before they became one run
+// walk per layout, and that fold left them as they were.
 //
 // The cc Pull and both sssp rows were re-pinned once, when in-place pull
 // landed: those runs pull more than inPlaceAfter times, and from the fourth
@@ -289,8 +285,7 @@ func assertEdgeCountersPinned(t *testing.T, g *graph.Graph, root uint32, cg *Gra
 	cell := func(v PullVariant, scalar bool) Options {
 		return Options{Mode: EnginePullOnly, Workers: 1, ChunkVectors: 3, Variant: v, Scalar: scalar}
 	}
-	trad, nonatomic, outer := cell(PullTraditional, false), cell(PullTraditionalNonatomic, false), cell(PullOuterOnly, false)
-	scalar, scalarTrad, scalarNonatomic := cell(PullSchedulerAware, true), cell(PullTraditional, true), cell(PullTraditionalNonatomic, true)
+	trad, nonatomic, scalar := cell(PullTraditional, false), cell(PullTraditionalNonatomic, false), cell(PullSchedulerAware, true)
 	pinned := []struct {
 		app  string
 		opt  Options
@@ -323,22 +318,10 @@ func assertEdgeCountersPinned(t *testing.T, g *graph.Graph, root uint32, cg *Gra
 		{"cc", nonatomic, perfmodel.Counters{EdgesProcessed: 3817, VectorsProcessed: 2284, TLSWrites: 3707, SharedWrites: 56, MergeOps: 1528, FrontierSkips: 3983, InvalidLanes: 1336, LocalAccesses: 3817, SkippedWrites: 54}},
 		{"bfs", nonatomic, perfmodel.Counters{EdgesProcessed: 451, VectorsProcessed: 2855, TLSWrites: 407, SharedWrites: 28, MergeOps: 1910, FrontierSkips: 9299, InvalidLanes: 1670, LocalAccesses: 451, SkippedWrites: 16}},
 		{"sssp", nonatomic, perfmodel.Counters{EdgesProcessed: 4449, VectorsProcessed: 3997, TLSWrites: 4304, SharedWrites: 101, MergeOps: 2674, FrontierSkips: 9201, InvalidLanes: 2338, LocalAccesses: 4449, SkippedWrites: 44}},
-		{"pr", outer, perfmodel.Counters{EdgesProcessed: 5850, TLSWrites: 5850, SharedWrites: 534, LocalAccesses: 5850}},
-		{"cc", outer, perfmodel.Counters{EdgesProcessed: 3817, TLSWrites: 3817, SharedWrites: 445, FrontierSkips: 3983, LocalAccesses: 3817}},
-		{"bfs", outer, perfmodel.Counters{EdgesProcessed: 451, TLSWrites: 451, SharedWrites: 177, FrontierSkips: 9299, LocalAccesses: 451}},
-		{"sssp", outer, perfmodel.Counters{EdgesProcessed: 4449, TLSWrites: 4449, SharedWrites: 700, FrontierSkips: 9201, LocalAccesses: 4449}},
 		{"pr", scalar, perfmodel.Counters{EdgesProcessed: 5850, TLSWrites: 5850, SharedWrites: 501, MergeOps: 489, LocalAccesses: 5850}},
 		{"cc", scalar, perfmodel.Counters{EdgesProcessed: 3817, TLSWrites: 3817, SharedWrites: 401, MergeOps: 652, FrontierSkips: 3983, LocalAccesses: 3817}},
 		{"bfs", scalar, perfmodel.Counters{EdgesProcessed: 451, TLSWrites: 451, SharedWrites: 119, MergeOps: 815, FrontierSkips: 9299, LocalAccesses: 451}},
 		{"sssp", scalar, perfmodel.Counters{EdgesProcessed: 4449, TLSWrites: 4449, SharedWrites: 558, MergeOps: 1141, FrontierSkips: 9201, LocalAccesses: 4449}},
-		{"pr", scalarTrad, perfmodel.Counters{EdgesProcessed: 5850, TLSWrites: 5103, SharedWrites: 747, AtomicOps: 747, MergeOps: 978, LocalAccesses: 5850}},
-		{"cc", scalarTrad, perfmodel.Counters{EdgesProcessed: 3817, TLSWrites: 3327, SharedWrites: 195, AtomicOps: 195, MergeOps: 1304, FrontierSkips: 3983, LocalAccesses: 3817, SkippedWrites: 295}},
-		{"bfs", scalarTrad, perfmodel.Counters{EdgesProcessed: 451, TLSWrites: 309, SharedWrites: 86, AtomicOps: 86, MergeOps: 1630, FrontierSkips: 9299, LocalAccesses: 451, SkippedWrites: 56}},
-		{"sssp", scalarTrad, perfmodel.Counters{EdgesProcessed: 4449, TLSWrites: 3870, SharedWrites: 369, AtomicOps: 369, MergeOps: 2282, FrontierSkips: 9201, LocalAccesses: 4449, SkippedWrites: 210}},
-		{"pr", scalarNonatomic, perfmodel.Counters{EdgesProcessed: 5850, TLSWrites: 5103, SharedWrites: 747, MergeOps: 978, LocalAccesses: 5850}},
-		{"cc", scalarNonatomic, perfmodel.Counters{EdgesProcessed: 3817, TLSWrites: 3327, SharedWrites: 195, MergeOps: 1304, FrontierSkips: 3983, LocalAccesses: 3817, SkippedWrites: 295}},
-		{"bfs", scalarNonatomic, perfmodel.Counters{EdgesProcessed: 451, TLSWrites: 309, SharedWrites: 86, MergeOps: 1630, FrontierSkips: 9299, LocalAccesses: 451, SkippedWrites: 56}},
-		{"sssp", scalarNonatomic, perfmodel.Counters{EdgesProcessed: 4449, TLSWrites: 3870, SharedWrites: 369, MergeOps: 2282, FrontierSkips: 9201, LocalAccesses: 4449, SkippedWrites: 210}},
 	}
 	for _, pin := range pinned {
 		iters := 1 << 20

@@ -120,8 +120,13 @@ func (fz *fuse) combine(a, b uint64) uint64 {
 // off the per-lane work. A frontier-blind program pulls by run span and a
 // FusedMinProp one (cc) by one vec.MinPropChunk call per chunk
 // (pullSpanBody); the full-vector ablation, which sends cc to pullSABody,
-// turns this path off. So neither kind has an arm of its own.
+// turns this path off. So neither kind has an arm of its own. Nil weights
+// read as 0, one test per vector.
 func (fz *fuse) step4(props []uint64, acc, n0, n1, n2, n3 uint64, wbase int, weights []float32) uint64 {
+	var w0, w1, w2, w3 float32
+	if weights != nil {
+		w0, w1, w2, w3 = weights[wbase], weights[wbase+1], weights[wbase+2], weights[wbase+3]
+	}
 	switch fz.kind {
 	case apps.FusedMinSrc:
 		if n0 < acc {
@@ -139,24 +144,20 @@ func (fz *fuse) step4(props []uint64, acc, n0, n1, n2, n3 uint64, wbase int, wei
 		return acc
 	case apps.FusedMinPropPlusW:
 		a := math.Float64frombits(acc)
-		if d := math.Float64frombits(props[n0]) + float64(weights[wbase]); d < a {
+		if d := math.Float64frombits(props[n0]) + float64(w0); d < a {
 			a = d
 		}
-		if d := math.Float64frombits(props[n1]) + float64(weights[wbase+1]); d < a {
+		if d := math.Float64frombits(props[n1]) + float64(w1); d < a {
 			a = d
 		}
-		if d := math.Float64frombits(props[n2]) + float64(weights[wbase+2]); d < a {
+		if d := math.Float64frombits(props[n2]) + float64(w2); d < a {
 			a = d
 		}
-		if d := math.Float64frombits(props[n3]) + float64(weights[wbase+3]); d < a {
+		if d := math.Float64frombits(props[n3]) + float64(w3); d < a {
 			a = d
 		}
 		return math.Float64bits(a)
 	default:
-		var w0, w1, w2, w3 float32
-		if weights != nil {
-			w0, w1, w2, w3 = weights[wbase], weights[wbase+1], weights[wbase+2], weights[wbase+3]
-		}
 		acc = fz.p.Combine(acc, fz.p.Message(props[n0], uint32(n0), w0))
 		acc = fz.p.Combine(acc, fz.p.Message(props[n1], uint32(n1), w1))
 		acc = fz.p.Combine(acc, fz.p.Message(props[n2], uint32(n2), w2))

@@ -65,8 +65,8 @@ func TestFusedMatchesGenericExactly(t *testing.T) {
 	}
 	cases := []cse{
 		{"PageRank", cg, func() apps.Program { return apps.NewPageRank(g) }, 6},
-		// The one rank sum whose Apply is not PageRank's: the push, traditional
-		// and outer-only kernels merge it through the same fused add.
+		// The one rank sum whose Apply is not PageRank's: the push and
+		// traditional kernels merge it through the same fused add.
 		{"PPR", cg, func() apps.Program { return apps.NewPersonalizedPageRank(g, 3) }, 6},
 		{"WeightedRank", wcg, func() apps.Program { return apps.NewWeightedRank(wg) }, 6},
 		{"CC", cg, func() apps.Program { return apps.NewConnComp() }, 1 << 20},
@@ -85,10 +85,8 @@ func TestFusedMatchesGenericExactly(t *testing.T) {
 		{Workers: 2},
 		{Workers: 2, Scalar: true},
 		{Workers: 2, Variant: PullTraditional},
-		{Workers: 2, Variant: PullTraditional, Scalar: true},
 		{Workers: 2, Mode: EnginePushOnly},
 		{Workers: 2, Mode: EnginePushOnly, Scalar: true},
-		{Workers: 2, Variant: PullOuterOnly},
 	}
 	for _, c := range cases {
 		for _, opt := range opts {

@@ -29,18 +29,16 @@ func TestMemoryBytes(t *testing.T) {
 	if got := cg.MemoryBytes(); got != arrays+4*int64(cg.N) || got > 12_600_000 {
 		t.Fatalf("T×4 version with out-degrees: MemoryBytes %d, want %d and ≤ 12.6 MB", got, arrays+4*int64(cg.N))
 	}
-	for _, opt := range []Options{{Workers: 1, Scalar: true}, {Workers: 1, Variant: PullOuterOnly}} {
-		cg := BuildGraph(g)
-		NewRunner(cg, opt).Close()
-		csc := cg.csc.p.Load()
-		if csc == nil {
-			t.Fatalf("%+v: the runner left edgePullCS's CSC unbuilt", opt)
-		}
-		if grew := cg.MemoryBytes() - arrays; grew != csc.MemoryBytes() {
-			t.Fatalf("%+v: MemoryBytes grew by %d with the CSC built, which holds %d", opt, grew, csc.MemoryBytes())
-		}
-		if !reflect.DeepEqual(csc, csr.FromGraph(g, true)) {
-			t.Fatalf("%+v: the CSC decoded from VSD differs from a rebuild's", opt)
-		}
+	cg = BuildGraph(g)
+	NewRunner(cg, Options{Workers: 1, Scalar: true}).Close()
+	csc := cg.csc.p.Load()
+	if csc == nil {
+		t.Fatal("a scalar runner left edgePullCS's CSC unbuilt")
+	}
+	if grew := cg.MemoryBytes() - arrays; grew != csc.MemoryBytes() {
+		t.Fatalf("MemoryBytes grew by %d with the CSC built, which holds %d", grew, csc.MemoryBytes())
+	}
+	if !reflect.DeepEqual(csc, csr.FromGraph(g, true)) {
+		t.Fatal("the CSC decoded from VSD differs from a rebuild's")
 	}
 }

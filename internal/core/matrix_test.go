@@ -61,7 +61,7 @@ const (
 	pathMinSrc      = "min-src chunk walk"  // pullSpanBody: one vec.MinSrcChunk call per chunk
 	pathVector      = "vector walk"         // pullSABody, vector by vector
 	pathTraditional = "traditional"         // edgePullTraditional
-	pathCS          = "compressed-sparse"   // edgePullCS, every variant's run walk
+	pathCS          = "compressed-sparse"   // edgePullCS, the scalar run walk
 )
 
 // closurePaths names the scheduler-aware bodies by the closure pullSABody
@@ -80,7 +80,7 @@ var closurePaths = []struct{ suffix, path string }{
 // back.
 func builtPath(ec *ExecContext, p apps.Program) string {
 	switch {
-	case ec.opt.Scalar || ec.opt.Variant == PullOuterOnly:
+	case ec.opt.Scalar:
 		return pathCS
 	case ec.opt.Variant != PullSchedulerAware:
 		return pathTraditional
@@ -243,18 +243,10 @@ var matrixCells = []matrixCell{
 	{name: "push", opt: Options{Mode: EnginePushOnly}, workers: []int{1, 4}, chunks: []int{0, 16}, path: tablePath},
 	{name: "traditional", opt: Options{Variant: PullTraditional}, workers: []int{1, 4}, chunks: []int{0, 3},
 		path: fixedPath(pathTraditional)},
-	{name: "outer-only", opt: Options{Variant: PullOuterOnly}, workers: []int{1, 4}, chunks: []int{0},
-		path: fixedPath(pathCS)},
 	// Nonatomic is racy by design at more than one worker.
 	{name: "nonatomic", opt: Options{Variant: PullTraditionalNonatomic}, workers: []int{1}, chunks: []int{0, 3},
 		path: fixedPath(pathTraditional)},
 	{name: "scalar", opt: Options{Scalar: true}, workers: []int{1, 4}, chunks: []int{0, 3}, path: fixedPath(pathCS)},
-	{name: "scalar-traditional", opt: Options{Scalar: true, Variant: PullTraditional}, workers: []int{1, 4},
-		chunks: []int{0, 3}, path: fixedPath(pathCS)},
-	{name: "scalar-outer-only", opt: Options{Scalar: true, Variant: PullOuterOnly}, workers: []int{1, 4},
-		chunks: []int{0}, path: fixedPath(pathCS)},
-	{name: "scalar-nonatomic", opt: Options{Scalar: true, Variant: PullTraditionalNonatomic}, workers: []int{1},
-		chunks: []int{0}, path: fixedPath(pathCS)},
 	{name: "numa", opt: Options{Topology: numa.Topology{Nodes: 2}}, workers: []int{2, 4}, chunks: []int{0, 16},
 		path: tablePath},
 	{name: "scalar-numa", opt: Options{Scalar: true, Topology: numa.Topology{Nodes: 4}}, workers: []int{4},

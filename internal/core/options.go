@@ -7,8 +7,10 @@ import (
 	"repro/internal/sched"
 )
 
-// PullVariant selects the Edge-Pull inner-loop parallelization strategy —
-// the axis of the paper's Figs 5–8.
+// PullVariant selects the Edge-Pull inner-loop parallelization strategy of
+// the vectorized kernel — the axis of the paper's Figs 5–8. The scalar
+// kernel (Options.Scalar) is Fig 10's baseline and runs the scheduler-aware
+// interface only.
 type PullVariant int
 
 const (
@@ -24,10 +26,6 @@ const (
 	// conflict cost but produces potentially incorrect output under
 	// multiple workers.
 	PullTraditionalNonatomic
-	// PullOuterOnly parallelizes only the outer (destination) loop; the
-	// inner loop runs serially per destination (the PushP+PullS
-	// configuration of Fig 1).
-	PullOuterOnly
 )
 
 // String returns the variant name used in reports.
@@ -39,8 +37,6 @@ func (v PullVariant) String() string {
 		return "Traditional"
 	case PullTraditionalNonatomic:
 		return "Traditional-Nonatomic"
-	case PullOuterOnly:
-		return "Outer-Only"
 	default:
 		return fmt.Sprintf("PullVariant(%d)", int(v))
 	}
@@ -96,12 +92,13 @@ type Options struct {
 	// (the artifact's -s flag). Zero selects the default of 32 chunks per
 	// thread (§5).
 	ChunkVectors int
-	// Variant picks the Edge-Pull parallelization strategy.
+	// Variant picks the vectorized Edge-Pull's parallelization strategy.
 	Variant PullVariant
 	// Scalar disables the software-vectorized kernels, running the
 	// edge-at-a-time Compressed-Sparse implementations instead (the
 	// baselines of Fig 10, which also pin AblateFrontierWork: the hybrid's
-	// list-driven round has one kernel and runs it either way).
+	// list-driven round has one kernel and runs it either way). Its pull is
+	// scheduler-aware only: NewRunner panics on Scalar with another Variant.
 	Scalar bool
 	// Mode forces an engine or leaves the hybrid heuristic in charge.
 	Mode EngineMode
@@ -175,11 +172,6 @@ type Options struct {
 	// observe run completion without wrapping every entry point.
 	OnRelease func()
 }
-
-// pullsCS reports whether the Edge-Pull phase runs edgePullCS, the
-// Compressed-Sparse walk: under Scalar, whatever the variant, and outer-only
-// always.
-func (o Options) pullsCS() bool { return o.Scalar || o.Variant == PullOuterOnly }
 
 // withDefaults normalizes an Options value.
 func (o Options) withDefaults() Options {

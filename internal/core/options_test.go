@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/testgraph"
+)
 
 // TestEngineModeString pins the canonical names and the out-of-range
 // formatting on both sides — the table lookup must never borrow a neighbor's
@@ -28,7 +32,7 @@ func TestEngineModeString(t *testing.T) {
 func TestPullVariantString(t *testing.T) {
 	for v, want := range map[PullVariant]string{
 		PullSchedulerAware: "Scheduler-Aware", PullTraditional: "Traditional",
-		PullTraditionalNonatomic: "Traditional-Nonatomic", PullOuterOnly: "Outer-Only", PullVariant(9): "PullVariant(9)",
+		PullTraditionalNonatomic: "Traditional-Nonatomic", PullVariant(3): "PullVariant(3)", PullVariant(9): "PullVariant(9)",
 	} {
 		if got := v.String(); got != want {
 			t.Errorf("PullVariant(%d).String() = %q, want %q", int(v), got, want)
@@ -47,4 +51,23 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.PullDegreeShare != -1 {
 		t.Errorf("negative PullDegreeShare rewritten to %v", o.PullDegreeShare)
 	}
+}
+
+// TestScalarIsSchedulerAwareOnly: the scalar pull is Fig 10's baseline, which
+// runs the scheduler-aware interface alone, so NewRunner refuses Scalar with
+// a traditional variant — before it starts a pool — as it refuses a topology
+// that does not hold the pool's workers.
+func TestScalarIsSchedulerAwareOnly(t *testing.T) {
+	cg := BuildGraph(testgraph.Skewed().G)
+	for _, v := range []PullVariant{PullTraditional, PullTraditionalNonatomic} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewRunner accepted Scalar with %v", v)
+				}
+			}()
+			NewRunner(cg, Options{Workers: 1, Scalar: true, Variant: v}).Close()
+		}()
+	}
+	NewRunner(cg, Options{Workers: 1, Scalar: true}).Close()
 }

@@ -7,12 +7,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/csr"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/testgraph"
+	"repro/internal/vsparse"
 )
 
 // assertPatchEqualsRebuild checks the splice's one contract: PatchGraph from
@@ -21,8 +23,10 @@ import (
 // also holds the patched graph to the store's round trip: the snapshot its
 // VSS writes, read back and rebuilt, is the patched graph again; and every
 // edge list it streams is the merged list's Compressed-Sparse one
-// (assertWritesCSROrder).
-func assertPatchEqualsRebuild(t *testing.T, g *graph.Graph, ops []graph.EdgeOp) *Graph {
+// (assertWritesCSROrder). The streams are compared in memory; with a
+// directory they also go through the files, and the snapshot is read back
+// from its file.
+func assertPatchEqualsRebuild(t *testing.T, g *graph.Graph, ops []graph.EdgeOp, dir string) *Graph {
 	t.Helper()
 	prev := BuildGraph(g)
 	got := PatchGraph(prev, ops)
@@ -36,12 +40,11 @@ func assertPatchEqualsRebuild(t *testing.T, g *graph.Graph, ops []graph.EdgeOp) 
 	if !reflect.DeepEqual(prev, BuildGraph(g)) {
 		t.Fatal("PatchGraph modified its predecessor")
 	}
-	assertWritesCSROrder(t, got, merged)
-	path := filepath.Join(t.TempDir(), "snapshot")
-	if err := got.VSS.WriteFile(path); err != nil {
-		t.Fatal(err)
+	snapshot := assertWritesCSROrder(t, got, merged, dir)
+	back, err := graph.ReadBinary(bytes.NewReader(snapshot))
+	if dir != "" {
+		back, err = graph.ReadFile(filepath.Join(dir, "snapshot"))
 	}
-	back, err := graph.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,39 +52,71 @@ func assertPatchEqualsRebuild(t *testing.T, g *graph.Graph, ops []graph.EdgeOp) 
 	return got
 }
 
+// edgeList is one writer of a graph file: the header its WriteFile gives
+// graph.WriteEdges, its edges in file order, and the WriteFile itself.
+type edgeList struct {
+	n, numEdges int
+	weighted    bool
+	edges       []graph.Edge
+	writeFile   func(string) error
+}
+
+func arrayList(a *vsparse.Array) edgeList {
+	return edgeList{a.N, a.ValidEdges, a.Weights != nil, a.ToGraph().Edges, a.WriteFile}
+}
+
+func matrixList(m *csr.Matrix) edgeList {
+	return edgeList{m.N, m.NumEdges(), m.Weights != nil, m.ToGraph().Edges, m.WriteFile}
+}
+
+func graphList(g *graph.Graph) edgeList {
+	return edgeList{g.NumVertices, len(g.Edges), g.Weighted, g.Edges, g.WriteFile}
+}
+
+// stream returns the file l's WriteFile writes, streamed in memory through the
+// one writer every WriteFile shares. With a directory, WriteFile also writes
+// it there under name, and the file must hold the same bytes.
+func (l edgeList) stream(t *testing.T, dir, name string) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.Grow(32 + 12*len(l.edges))
+	if err := graph.WriteEdges(&buf, l.n, l.numEdges, l.weighted, slices.Values(l.edges)); err != nil {
+		t.Fatal(err)
+	}
+	if dir != "" {
+		path := filepath.Join(dir, name)
+		if err := l.writeFile(path); err != nil {
+			t.Fatal(err)
+		}
+		if b, err := os.ReadFile(path); err != nil || !bytes.Equal(b, buf.Bytes()) {
+			t.Fatalf("%s: the file (%d bytes, %v) differs from the stream's %d bytes", name, len(b), err, buf.Len())
+		}
+	}
+	return buf.Bytes()
+}
+
 // assertWritesCSROrder holds every edge list cg streams out to the file a
 // transient Compressed-Sparse matrix of g, its edge list, writes, byte for
 // byte: the store's snapshot file and its rebuild arm's edge list (both out
-// of VSS), and Save's "-push"/"-pull" pair (VSS, VSD).
-func assertWritesCSROrder(t *testing.T, cg *Graph, g *graph.Graph) {
+// of VSS), and Save's "-push"/"-pull" pair (VSS, VSD). It returns the
+// snapshot's bytes; with a directory, the snapshot file is there too.
+func assertWritesCSROrder(t *testing.T, cg *Graph, g *graph.Graph, dir string) []byte {
 	t.Helper()
-	dir := t.TempDir()
-	read := func(name string, write func(string) error) []byte {
-		t.Helper()
-		path := filepath.Join(dir, name)
-		if err := write(path); err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	push := read("csr", csr.FromGraph(g, false).WriteFile)
+	push := matrixList(csr.FromGraph(g, false)).stream(t, dir, "csr")
+	snapshot := arrayList(cg.VSS).stream(t, dir, "snapshot")
 	for _, c := range []struct {
-		name  string
-		write func(string) error
-		want  []byte
+		name      string
+		got, want []byte
 	}{
-		{"snapshot and -push (VSS)", cg.VSS.WriteFile, push},
-		{"-pull (VSD)", cg.VSD.WriteFile, read("csc", csr.FromGraph(g, true).WriteFile)},
-		{"rebuild edge list (VSS.ToGraph)", cg.VSS.ToGraph().WriteFile, push},
+		{"snapshot and -push (VSS)", snapshot, push},
+		{"-pull (VSD)", arrayList(cg.VSD).stream(t, dir, "pull"), matrixList(csr.FromGraph(g, true)).stream(t, dir, "csc")},
+		{"rebuild edge list (VSS.ToGraph)", graphList(cg.VSS.ToGraph()).stream(t, dir, "rebuild"), push},
 	} {
-		if got := read("got", c.write); !bytes.Equal(got, c.want) {
-			t.Fatalf("%s: %d bytes differ from the Compressed-Sparse writer's %d", c.name, len(got), len(c.want))
+		if !bytes.Equal(c.got, c.want) {
+			t.Fatalf("%s: %d bytes differ from the Compressed-Sparse writer's %d", c.name, len(c.got), len(c.want))
 		}
 	}
+	return snapshot
 }
 
 // assertSameLayouts fails unless got and want hold byte-identical layouts.
@@ -146,7 +181,15 @@ func TestPatchGraphShapes(t *testing.T) {
 	}
 	for name, ops := range cases {
 		for _, g := range []*graph.Graph{wg, unweighted(wg)} {
-			t.Run(name, func(t *testing.T) { assertPatchEqualsRebuild(t, g, ops) })
+			t.Run(name, func(t *testing.T) {
+				// One case, weighted and growing the header's N, goes
+				// through the files.
+				dir := ""
+				if name == "grow past N" && g == wg {
+					dir = t.TempDir()
+				}
+				assertPatchEqualsRebuild(t, g, ops, dir)
+			})
 		}
 	}
 }
@@ -202,7 +245,12 @@ func TestPatchGraphProperty(t *testing.T) {
 		for round := 0; round < rounds; round++ {
 			size := 1 + rng.Intn(1<<uint(rng.Intn(12)))
 			ops := randomOps(rng, g, size)
-			assertPatchEqualsRebuild(t, g, ops)
+			// The weighted T×1 batch goes through the files.
+			dir := ""
+			if i == len(bases)-2 {
+				dir = t.TempDir()
+			}
+			assertPatchEqualsRebuild(t, g, ops, dir)
 			g = graph.ApplyEdgeOps(g, ops)
 		}
 	}
@@ -257,6 +305,6 @@ func FuzzPatchGraph(f *testing.F) {
 				Weight: float32(batch[i+3]),
 			})
 		}
-		assertPatchEqualsRebuild(t, g, ops)
+		assertPatchEqualsRebuild(t, g, ops, t.TempDir())
 	})
 }

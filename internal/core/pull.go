@@ -14,15 +14,15 @@ import (
 	"repro/internal/vsparse"
 )
 
-// RunEdgePull executes one Edge-Pull phase with the configured variant and
-// kernel: the scheduler-aware Vector-Sparse bodies (edgePullSA), the
-// traditional interface's Vector-Sparse walk, or the Compressed-Sparse run
-// walk every variant shares under Scalar, and outer-only always. Aggregates
+// RunEdgePull executes one Edge-Pull phase with the configured kernel and
+// variant: under Scalar, the Compressed-Sparse run walk (Fig 10's
+// baseline); otherwise the scheduler-aware Vector-Sparse bodies (edgePullSA)
+// or the traditional interface's Vector-Sparse walk (Figs 5–8). Aggregates
 // land in the Runner's accumulator array; RunVertex consumes them. It
 // returns the chunks the phase cut and its merge fold's wall.
 func RunEdgePull(r *ExecContext, p apps.Program) edgeCost {
 	switch {
-	case r.opt.pullsCS():
+	case r.opt.Scalar:
 		return edgePullCS(r, p)
 	case r.opt.Variant == PullSchedulerAware:
 		return edgePullSA(r, p)
@@ -138,6 +138,12 @@ func pullSABody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, nod
 	gated := p.UsesFrontier() && !(frontierWork && !saturates && r.front.Full())
 	inPlace := r.inPlace(p)
 	words, index := a.Words, a.Index
+	// The full-vector fast path reads every weight as 0 when the program
+	// takes none or the graph has none, as the per-lane steps do.
+	var weights []float32
+	if weighted {
+		weights = a.Weights
+	}
 	return func(rg sched.Range, chunkID, tid, node int) {
 		// StartChunk (Listing 3): TLS holds the current destination and its
 		// partially-aggregated value.
@@ -225,7 +231,7 @@ func pullSABody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, nod
 			// one fused gather+combine per lane, as an AVX kernel would
 			// issue a single gather.
 			if mask == vec.MaskAll && fullVector {
-				acc = fz.step4(props, acc, n0, n1, n2, n3, base, a.Weights)
+				acc = fz.step4(props, acc, n0, n1, n2, n3, base, weights)
 				continue
 			}
 			// One step per surviving lane, in ascending lane order.
@@ -508,38 +514,21 @@ func plainCombine(fz *fuse, addr *uint64, msg uint64, skipEqual bool, c *perfmod
 }
 
 // edgePullCS is the reference Edge-Pull on Compressed-Sparse, one edge at a
-// time (Listing 2): the non-vectorized baseline of Fig 10a's Edge-Pull bar
-// (Scalar) and the outer-loop-only configuration. A chunk is walked
-// destination run by destination run, each run [s, e) clipped to the chunk,
-// and the interface is the write policy around that one loop, fixed by
-// Variant for the whole phase and applied once per run:
-//
-//   - scheduler-aware (§3): a run accumulates thread-locally and is stored
-//     at its transition — only this chunk holds its end — except the
-//     trailing run, which goes to merge slot chunkID (FinishChunk).
-//   - outer-only (the PushP+PullS configuration): the chunk is a range of
-//     destinations turned into its whole-run edge range, so every run is
-//     whole and stored at its end, with no merge. Skewed graphs keep the
-//     load imbalance that motivates inner-loop parallelization.
-//   - traditional, with (PullTraditional) or without atomics: the chunk's
-//     first and last runs, the only ones that can span a chunk boundary,
-//     accumulate into merge slots 2·chunkID and 2·chunkID+1, folded in slot
-//     order after the barrier, so results are bit-identical at any worker
-//     count; every interior run keeps the per-edge shared combine whose cost
-//     Figs 5–8 measure.
+// time (Listing 2): the non-vectorized baseline of Fig 10's Edge-Pull bars
+// (Scalar), under the scheduler-aware interface (§3). A chunk of edge
+// positions is walked destination run by destination run, each run [s, e)
+// clipped to the chunk. A run accumulates thread-locally and is stored at its
+// transition — only this chunk holds its end — except the trailing run, which
+// goes to merge slot chunkID (FinishChunk).
 func edgePullCS(r *ExecContext, p apps.Program) edgeCost {
 	m := r.g.pullCS()
 	total := m.NumEdges()
 	if total == 0 {
 		return edgeCost{}
 	}
-	outerOnly := r.opt.Variant == PullOuterOnly
-	traditional := r.opt.Variant == PullTraditional || r.opt.Variant == PullTraditionalNonatomic
-	useAtomics := r.opt.Variant == PullTraditional
-	visitConv := r.opt.AblateFrontierWork && !outerOnly
+	visitConv := r.opt.AblateFrontierWork
 	identity := p.Identity()
 	tracksConv := p.TracksConverged()
-	skipEqual := p.SkipEqualWrites()
 	weighted := p.Weighted() && m.Weights != nil
 	props, accum := r.props, r.accum
 	rec := r.edgeRec
@@ -552,35 +541,20 @@ func edgePullCS(r *ExecContext, p apps.Program) edgeCost {
 	// edges, keeping chunk work comparable across kernels.
 	part := numa.PartitionEven(total, r.topo.Nodes)
 	chunkSize := r.opt.chunkSizeFor((total+vec.Lanes-1)/vec.Lanes, r.pool.Workers()) * vec.Lanes
-	if outerOnly {
-		part, chunkSize = r.vertexPartition(), sched.ChunkSize(r.g.N, sched.DefaultChunks(r.pool.Workers()))
-	}
-	if traditional {
-		r.mergeBuf.Grow(2 * (sched.NumChunks(total, chunkSize) + r.topo.Nodes))
-	}
 	chunks := r.dispatch(part, chunkSize, func(rg sched.Range, chunkID, tid, node int) {
 		var c perfmodel.Counters
 		lo, hi := rg.Lo, rg.Hi
-		if outerOnly {
-			lo, hi = int(m.Index[lo]), int(m.Index[hi])
-		}
 		// The destination whose run holds position lo, by one search.
 		first := uint32(sort.Search(m.N, func(v int) bool { return m.Index[v+1] > uint64(lo) }))
-		if traditional {
-			// Slot 2·chunkID stays identity unless the chunk's first run
-			// ends inside it.
-			r.mergeBuf.Save(2*chunkID, first, identity)
-		}
 		// The chunk's counters, kept in registers and charged once below:
-		// every edge of [lo, hi) is processed or skipped.
-		edges, tls, local := 0, 0, 0
+		// every edge of [lo, hi) is processed or skipped, and every one
+		// processed is a thread-local write.
+		edges, local := 0, 0
 		own := r.owned[node]
 		for dst := first; int(m.Index[dst]) < hi; dst++ {
 			s, e := max(int(m.Index[dst]), lo), min(int(m.Index[dst+1]), hi)
-			shared := traditional && s > lo && e < hi
 			acc, live := identity, 0
-			switch {
-			case tracksConv && r.conv.Contains(dst):
+			if tracksConv && r.conv.Contains(dst) {
 				// A converged destination takes no message: its run is
 				// skipped unread, as pullSABody skips one, except in the
 				// paper configuration. There the vector walk tests each
@@ -588,29 +562,12 @@ func edgePullCS(r *ExecContext, p apps.Program) edgeCost {
 				// Fig 10b, tests each edge.
 				for i := s; visitConv && i < e && r.conv.Contains(dst); i++ {
 				}
-			case shared:
-				for i, src := range m.Neigh[s:e] {
-					if front != nil && !front.Contains(src) {
-						continue
-					}
-					live++
-					var w float32
-					if weighted {
-						w = m.Weights[s+i]
-					}
-					if useAtomics {
-						casCombine(&fz, &accum[dst], fz.stepMsg(props, uint64(src), w), skipEqual, &c)
-					} else {
-						plainCombine(&fz, &accum[dst], fz.stepMsg(props, uint64(src), w), skipEqual, &c)
-					}
-				}
-			default:
+			} else {
 				var ws []float32
 				if weighted {
 					ws = m.Weights[s:e]
 				}
 				acc, live = foldRun(&fz, props, front, m.Neigh[s:e], ws, acc)
-				tls += live
 			}
 			edges += live
 			if rec != nil && live > 0 {
@@ -622,43 +579,29 @@ func edgePullCS(r *ExecContext, p apps.Program) edgeCost {
 					}
 				}
 			}
-			switch {
-			case shared: // written edge by edge
-			case traditional:
-				slot := 2 * chunkID
-				if e == hi {
-					slot++
-				}
-				r.mergeBuf.Save(slot, dst, acc)
-			case outerOnly || e < hi:
-				if acc != identity {
-					accum[dst] = fz.combine(accum[dst], acc)
-					c.SharedWrites++
-				}
-			default:
+			if e == hi {
 				r.mergeBuf.Save(chunkID, dst, acc)
+			} else if acc != identity {
+				accum[dst] = fz.combine(accum[dst], acc)
+				c.SharedWrites++
 			}
 		}
 		c.EdgesProcessed += uint64(edges)
 		c.FrontierSkips += uint64(hi - lo - edges)
-		c.TLSWrites += uint64(tls)
+		c.TLSWrites += uint64(edges)
 		if rec != nil {
 			c.LocalAccesses += uint64(local)
 			c.RemoteAccesses += uint64(edges - local)
 		}
 		rec.Record(tid, c)
 	})
-	if outerOnly {
-		return edgeCost{edgeChunks: chunks}
-	}
 	return edgeCost{edgeChunks: chunks, merged: true, merge: mergeAccum(r, &fz)}
 }
 
 // foldRun steps a run's live sources into acc thread-locally and returns the
-// aggregate and the number of live sources. It is edgePullCS's edge loop for
-// every run but a traditional interior one; a call of its own keeps the run
-// loop's state out of its registers (inline, the spills cost the walk
-// 10–20 % on the skewed analogs; EXPERIMENTS.md).
+// aggregate and the number of live sources. It is edgePullCS's edge loop; a
+// call of its own keeps the run loop's state out of its registers (inline,
+// the spills cost the walk 10–20 % on the skewed analogs; EXPERIMENTS.md).
 func foldRun(fz *fuse, props []uint64, front *frontier.Dense, srcs []uint32, ws []float32, acc uint64) (uint64, int) {
 	live := 0
 	for i, src := range srcs {
@@ -735,10 +678,4 @@ func countLocality(r *ExecContext, node int, c *perfmodel.Counters, n uint64) {
 	} else {
 		c.RemoteAccesses++
 	}
-}
-
-// vertexPartition gives the NUMA partition of the vertex index space (cheap
-// to recompute per phase).
-func (r *ExecContext) vertexPartition() numa.Partition {
-	return numa.PartitionEven(r.g.N, r.topo.Nodes)
 }

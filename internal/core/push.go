@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/numa"
 	"repro/internal/perfmodel"
 	"repro/internal/sched"
 	"repro/internal/vec"
@@ -211,4 +212,10 @@ func pushScalarBody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid,
 		}
 		rec.Record(tid, c)
 	}
+}
+
+// vertexPartition gives the NUMA partition of the vertex index space (cheap
+// to recompute per phase).
+func (r *ExecContext) vertexPartition() numa.Partition {
+	return numa.PartitionEven(r.g.N, r.topo.Nodes)
 }

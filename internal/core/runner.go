@@ -105,8 +105,14 @@ type ExecContext struct {
 	runErr atomic.Pointer[sched.PanicError]
 }
 
-// NewRunner creates a Runner for graph g.
+// NewRunner creates a Runner for graph g. It panics on a Topology that does
+// not hold the pool's workers, and on Scalar with a Variant other than
+// PullSchedulerAware: the scalar kernel is Fig 10's baseline, which the paper
+// runs under the scheduler-aware interface only.
 func NewRunner(g *Graph, opt Options) *Runner {
+	if opt.Scalar && opt.Variant != PullSchedulerAware {
+		panic("core: the scalar pull is scheduler-aware only, not " + opt.Variant.String())
+	}
 	opt = opt.withDefaults()
 	r := &Runner{g: g, opt: opt}
 	if opt.Pool != nil {
@@ -126,7 +132,7 @@ func NewRunner(g *Graph, opt Options) *Runner {
 	r.pullPart = numa.PartitionEven(g.VSD.NumVectors(), r.topo.Nodes)
 	r.owned = ownedRanges(g.N, r.topo)
 	maxVectors := g.VSD.NumVectors()
-	if opt.pullsCS() {
+	if opt.Scalar {
 		// edgePullCS's CSC is built here, before any run is timed, and its
 		// chunks are over edges.
 		g.pullCS()
@@ -134,8 +140,8 @@ func NewRunner(g *Graph, opt Options) *Runner {
 	}
 	chunkSize := r.opt.chunkSizeFor(maxVectors, r.pool.Workers())
 	// Two slots per chunk: the scheduler-aware kernels use one (the trailing
-	// partial aggregate), the traditional kernels use a pair (prefix and
-	// suffix boundary runs). The in-place grid is never the finer one.
+	// partial aggregate), the traditional kernel a pair (prefix and suffix
+	// boundary runs). The in-place grid is never the finer one.
 	r.mergeSlots = 2 * (sched.NumChunks(maxVectors, chunkSize) + r.topo.Nodes)
 	r.pullChunkSize = r.opt.chunkSizeFor(g.VSD.NumVectors(), r.pool.Workers())
 	r.inPlaceChunkSize = r.opt.inPlaceChunkSizeFor(g.VSD.NumVectors())

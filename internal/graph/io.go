@@ -43,16 +43,19 @@ const (
 	flagWeighted = 1 << 0
 )
 
-// WriteBinary serializes the graph to w.
+// WriteBinary serializes the graph to w, one Write call per edge (see
+// WriteEdges).
 func (g *Graph) WriteBinary(w io.Writer) error {
-	return writeEdges(w, g.NumVertices, len(g.Edges), g.Weighted, slices.Values(g.Edges))
+	return WriteEdges(w, g.NumVertices, len(g.Edges), g.Weighted, slices.Values(g.Edges))
 }
 
-// writeEdges writes the header for a graph of n vertices and numEdges edges,
-// then every edge the sequence yields; it must yield numEdges of them.
-func writeEdges(w io.Writer, n, numEdges int, weighted bool, edges iter.Seq[Edge]) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.WriteString(magic); err != nil {
+// WriteEdges writes the header for a graph of n vertices and numEdges edges,
+// then every edge the sequence yields; it must yield numEdges of them. It
+// makes one Write call per edge and buffers nothing, so a file or a socket
+// wants a bufio.Writer around it (WriteEdgesFile has one) and an in-memory
+// buffer does not.
+func WriteEdges(w io.Writer, n, numEdges int, weighted bool, edges iter.Seq[Edge]) error {
+	if _, err := io.WriteString(w, magic); err != nil {
 		return err
 	}
 	var flags uint32
@@ -64,7 +67,7 @@ func writeEdges(w io.Writer, n, numEdges int, weighted bool, edges iter.Seq[Edge
 	binary.LittleEndian.PutUint32(hdr[4:], flags)
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(n))
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(numEdges))
-	if _, err := bw.Write(hdr[:]); err != nil {
+	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
 	var rec [12]byte
@@ -79,7 +82,7 @@ func writeEdges(w io.Writer, n, numEdges int, weighted bool, edges iter.Seq[Edge
 		if weighted {
 			binary.LittleEndian.PutUint32(rec[8:], floatBits(e.Weight))
 		}
-		if _, err := bw.Write(rec[:recLen]); err != nil {
+		if _, err := w.Write(rec[:recLen]); err != nil {
 			return err
 		}
 		written++
@@ -87,7 +90,7 @@ func writeEdges(w io.Writer, n, numEdges int, weighted bool, edges iter.Seq[Edge
 	if written != numEdges {
 		return fmt.Errorf("graph: wrote %d edges under a header declaring %d", written, numEdges)
 	}
-	return bw.Flush()
+	return nil
 }
 
 // ReadBinary deserializes a graph written by WriteBinary.
@@ -189,11 +192,15 @@ func WriteEdgesFile(path string, n, numEdges int, weighted bool, edges iter.Seq[
 	if err != nil {
 		return err
 	}
-	if err := writeEdges(f, n, numEdges, weighted, edges); err != nil {
-		f.Close()
-		return err
+	bw := bufio.NewWriterSize(f, 1<<20)
+	err = WriteEdges(bw, n, numEdges, weighted, edges)
+	if err == nil {
+		err = bw.Flush()
 	}
-	return f.Close()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // ReadFile deserializes a graph from the named file.
