@@ -7,10 +7,10 @@
 //     parallelized with StartChunk/LoopIteration/FinishChunk hooks and a
 //     per-chunk merge buffer, eliminating synchronization and nearly all
 //     shared write traffic.
-//   - The Vector-Sparse format (§4): a padded, predicated, 64-bit-lane
+//   - The Vector-Sparse format (§4): a padded, predicated, 32-bit-lane
 //     edge encoding that makes the inner loop vectorizable with aligned,
-//     unguarded vector loads (executed here by a software vector unit; see
-//     DESIGN.md for the SIMD substitution).
+//     unguarded vector loads (AVX2 gathers in the rank-sum, cc and bfs pulls,
+//     a software vector unit elsewhere; DESIGN.md has the SIMD substitution).
 //
 // Basic use:
 //
@@ -40,8 +40,8 @@ import (
 // Edge is a directed edge with an optional weight.
 type Edge = graph.Edge
 
-// Graph is an immutable graph preprocessed into every engine
-// representation (CSR, CSC, and the Vector-Sparse VSS/VSD pair).
+// Graph is an immutable graph preprocessed into the engine's representation,
+// the Vector-Sparse pair VSS (edges by source) and VSD (by destination).
 type Graph struct {
 	core *core.Graph
 }
@@ -80,7 +80,7 @@ func LoadEdgeList(path string) (*Graph, error) {
 	return wrap(g), nil
 }
 
-// LoadGraphPair reads the "-push"/"-pull" file pair written by SavePair or
+// LoadGraphPair reads the "-push"/"-pull" file pair written by Graph.Save or
 // cmd/gengraph, mirroring the artifact's input convention.
 func LoadGraphPair(base string) (*Graph, error) {
 	push, _, err := graph.LoadPair(base)

@@ -36,32 +36,25 @@ type Graph struct {
 	// Edges is the directed edge count.
 	Edges int
 
+	// Each derived structure below is built under its once and published
+	// through its pointer, which MemoryBytes loads without racing the build.
+
 	// scales are the version's rank scales, plain and weighted
 	// (apps.RankScale: what pr, ppr and wpr read of the graph), each built on
 	// its first use — so no query pays for them per run and a version nobody
 	// ranks never pays at all.
-	scales [2]lazy[apps.RankScale]
+	scales     [2]atomic.Pointer[apps.RankScale]
+	scalesOnce [2]sync.Once
 	// csc is VSD decoded to Compressed-Sparse, built on its first use: only
-	// edgePullCS, the paper's traditional Compressed-Sparse pull, walks edge
+	// edgePullCS, the scalar Compressed-Sparse pull of Fig 10, walks edge
 	// positions rather than vectors.
-	csc lazy[csr.Matrix]
+	csc     atomic.Pointer[csr.Matrix]
+	cscOnce sync.Once
 	// outDeg is VSS.Degree of every vertex, built on its first use: the
 	// census sums it over a frontier every iteration, where Degree's read of
 	// each vertex's last vector would miss cache once per vertex.
-	outDeg lazy[[]uint32]
-}
-
-// lazy is one derived structure behind its once; the pointer is atomic so
-// MemoryBytes can observe it without racing the build.
-type lazy[T any] struct {
-	once sync.Once
-	p    atomic.Pointer[T]
-}
-
-// get returns the structure, building it on the first call.
-func (l *lazy[T]) get(build func() *T) *T {
-	l.once.Do(func() { l.p.Store(build()) })
-	return l.p.Load()
+	outDeg     atomic.Pointer[[]uint32]
+	outDegOnce sync.Once
 }
 
 // MemoryBytes returns the heap footprint of every preprocessed
@@ -71,14 +64,14 @@ func (l *lazy[T]) get(build func() *T) *T {
 func (g *Graph) MemoryBytes() int64 {
 	total := g.VSS.MemoryBytes() + g.VSD.MemoryBytes()
 	for i := range g.scales {
-		if s := g.scales[i].p.Load(); s != nil {
+		if s := g.scales[i].Load(); s != nil {
 			total += s.MemoryBytes()
 		}
 	}
-	if m := g.csc.p.Load(); m != nil {
+	if m := g.csc.Load(); m != nil {
 		total += m.MemoryBytes()
 	}
-	if d := g.outDeg.p.Load(); d != nil {
+	if d := g.outDeg.Load(); d != nil {
 		total += int64(len(*d)) * 4
 	}
 	return total
@@ -95,23 +88,25 @@ func (g *Graph) Arrays() (out, in *vsparse.Array) { return g.VSS, g.VSD }
 // pass over VSS's weights for the weighted one — and shared by every program
 // built on this version afterwards.
 func (g *Graph) RankScale(weighted bool) *apps.RankScale {
-	l := &g.scales[0]
+	i := 0
 	if weighted {
-		l = &g.scales[1]
+		i = 1
 	}
-	return l.get(func() *apps.RankScale { return apps.NewRankScale(g.VSS, weighted) })
+	g.scalesOnce[i].Do(func() { g.scales[i].Store(apps.NewRankScale(g.VSS, weighted)) })
+	return g.scales[i].Load()
 }
 
 // outDegrees returns every vertex's out-degree, computed from VSS on the
 // first call and shared afterwards. A group holds fewer than 2^32 edges.
 func (g *Graph) outDegrees() []uint32 {
-	return *g.outDeg.get(func() *[]uint32 {
+	g.outDegOnce.Do(func() {
 		d := make([]uint32, g.N)
 		for v := range d {
 			d[v] = uint32(g.VSS.Degree(uint32(v)))
 		}
-		return &d
+		g.outDeg.Store(&d)
 	})
+	return *g.outDeg.Load()
 }
 
 // pullCS returns the version's edges grouped by destination in
@@ -119,7 +114,8 @@ func (g *Graph) outDegrees() []uint32 {
 // afterwards. VSD's edges stream out in CSC order, so the stable sort leaves
 // them in place.
 func (g *Graph) pullCS() *csr.Matrix {
-	return g.csc.get(func() *csr.Matrix { return csr.FromGraph(g.VSD.ToGraph(), true) })
+	g.cscOnce.Do(func() { g.csc.Store(csr.FromGraph(g.VSD.ToGraph(), true)) })
+	return g.csc.Load()
 }
 
 // BuildGraph preprocesses an edge-list graph into every engine

@@ -24,25 +24,31 @@ import (
 // Message/Combine fold — runs on every corpus graph and the T/U/D analogs, in
 // every engine cell of matrixCells, at the worker counts and chunk grids the
 // cell lists (fewer on the analogs: onAnalog), on the selected vec kernels and
-// on their Go twins, from a cold start (TestEquivalenceMatrix) and after a
-// mutation batch, cc warm-started from its incremental seed plan
-// (TestEquivalenceMatrixIncremental). Every run is held to:
+// on their Go twins, from a cold start (TestEquivalenceMatrix, one subtest per
+// graph, program and cell: -run 'EquivalenceMatrix$/^skewed$/^cc$/^record$' selects
+// one cell's runs) and after a mutation batch, cc warm-started from its
+// incremental seed plan (TestEquivalenceMatrixIncremental). Every run is held
+// to:
 //
-//   - the sequential reference: integer lanes exactly, float lanes within
-//     1e-12·(1 + |ref|);
+//   - the sequential reference: integer lanes and a monotone-min program's
+//     exactly, other float lanes within 1e-12·(1 + |ref|);
 //   - the path table: each pull round built the Edge-Pull body the cell
 //     expects for the program, and each round the Vertex body (select on
 //     min, select on once, or apply), so a silent fallback to another body
 //     fails;
 //   - determinism: on a pinned grid the lanes are the same bits at every
 //     worker count, and at one grid and worker count the same bits on the Go
-//     twin, under Record and through the generic fold; the iteration count is
-//     the same at every worker count of a grid, equal to the paper
+//     twin, under Record and Trace and through the generic fold, and in the
+//     shipped configuration the paper configuration's bits; the iteration
+//     count is the same at every worker count of a grid, equal to the paper
 //     configuration's, or at most that for a monotone-min program;
 //   - for a min-prop or min-src program (cc, bfs), the lanes every round
 //     starts from are the full-vector walk's, and a Record run charges the
 //     walk's Edge counters;
-//   - for a Record run, counters that tile the lanes it visited.
+//   - for a Record run, counters that tile the lanes it visited;
+//   - for the paper configuration, no list-driven round; for a program whose
+//     first frontier is full, a first round that pulls; for cc on the
+//     road-mesh analog, at most inPlaceAfter + inPlaceSpans + 2 iterations.
 //
 // The default chunk grid derives from the worker count, so at ChunkVectors 0
 // lanes are compared within one worker count only. References are same-
@@ -184,6 +190,9 @@ type matrixCell struct {
 	workers, chunks  []int
 	twin             bool // also on the Go twins of the vec kernels (AblateSIMD)
 	analogs, generic bool // also on the T/U/D analogs (onAnalog); also the generic rows
+	// paperBits: at one grid (and worker count, on the default grid) the
+	// runs are the paper configuration's bits.
+	paperBits bool
 	// path is the body a pull round of app builds in this cell; inPlace
 	// reports whether the round reads in place.
 	path func(app matrixApp, inPlace bool) string
@@ -228,16 +237,16 @@ func paperPath(app matrixApp, _ bool) string {
 // kernel is sensitive to: ChunkVectors 1 and 3 put every hub run across chunk
 // boundaries, 16 is the grid the counters are pinned on.
 var matrixCells = []matrixCell{
-	{name: "paper", opt: Options{AblateFrontierWork: true}, workers: []int{1, 4}, chunks: []int{0, 3},
+	// Trace rides along here and in the record cell: it may not move a lane.
+	{name: "paper", opt: Options{AblateFrontierWork: true, Trace: true}, workers: []int{1, 4}, chunks: []int{0, 3},
 		analogs: true, path: paperPath},
 	{name: "paper-pull", opt: Options{Mode: EnginePullOnly, AblateFrontierWork: true}, workers: []int{1, 4},
 		chunks: []int{0, 1}, path: paperPath},
 	{name: "full-vector", opt: Options{Mode: EnginePullOnly, AblateFullVector: true, Record: true},
 		workers: []int{1, 2, 4}, chunks: []int{0, 1, 16}, analogs: true, path: fixedPath(pathVector)},
-	{name: "hybrid", workers: []int{1, 2, 4}, chunks: []int{0, 3, 16}, analogs: true, path: tablePath},
+	{name: "hybrid", workers: []int{1, 2, 4}, chunks: []int{0, 3, 16}, twin: true, analogs: true, paperBits: true, path: tablePath},
 	{name: "pull", bits: "pull", opt: Options{Mode: EnginePullOnly}, workers: []int{1, 2, 4}, chunks: []int{0, 1, 16},
 		twin: true, analogs: true, generic: true, path: tablePath},
-	// Trace rides along: neither it nor Record may move a lane.
 	{name: "record", bits: "pull", opt: Options{Mode: EnginePullOnly, Record: true, Trace: true},
 		workers: []int{1, 2, 4}, chunks: []int{0, 16}, twin: true, analogs: true, generic: true, path: tablePath},
 	{name: "push", opt: Options{Mode: EnginePushOnly}, workers: []int{1, 4}, chunks: []int{0, 16}, path: tablePath},
@@ -272,17 +281,20 @@ func matrixParams(ent apps.Entry, root uint32) apps.Params {
 // built on first use), and what those runs reached.
 type matrixGraph struct {
 	testgraph.Graph
+	// analog marks a T/U/D analog, generated from dataset on first use.
 	analog   bool
+	dataset  gen.Dataset
 	versions [2]*graph.Graph
 	layouts  [2]*Graph
 	runners  map[matrixRunnerKey]*Runner
 	runs     map[string][]*matrixRun // by registry name
-	// ran counts the rows that ran to the end; paths, arms, listDriven and
-	// fewer name the bodies pulls ran on, the Vertex bodies rounds ran, the
-	// programs that ran a list-driven round and those that finished ahead of
-	// the paper configuration.
-	ran                            int
-	paths, arms, listDriven, fewer map[string]bool
+	// ran counts the rows that ran in every cell; paths, arms, listDriven,
+	// fewer and full name the bodies pulls ran on, the Vertex bodies rounds
+	// ran, the programs that ran a list-driven round, those that finished
+	// ahead of the paper configuration and those that start from a full
+	// frontier.
+	ran                                  int
+	paths, arms, listDriven, fewer, full map[string]bool
 }
 
 type matrixRunnerKey struct {
@@ -299,8 +311,8 @@ func matrixGraphs() []*matrixGraph {
 		out = append(out, &matrixGraph{Graph: c})
 	}
 	for _, d := range []gen.Dataset{gen.Twitter, gen.UK2007, gen.DimacsUSA} {
-		c := testgraph.Graph{Name: d.Abbrev() + "-analog", Root: 1, G: gen.Generate(d, 0.05)}
-		out = append(out, &matrixGraph{Graph: c, analog: true})
+		c := testgraph.Graph{Name: d.Abbrev() + "-analog", Root: 1}
+		out = append(out, &matrixGraph{Graph: c, analog: true, dataset: d})
 	}
 	return out
 }
@@ -308,6 +320,9 @@ func matrixGraphs() []*matrixGraph {
 // version returns the graph an entry runs on — weighted when it needs
 // weights — and its layouts.
 func (m *matrixGraph) version(ent apps.Entry) (*graph.Graph, *Graph) {
+	if m.G == nil {
+		m.G = gen.Generate(m.dataset, 0.05)
+	}
 	i := 0
 	if ent.NeedsWeights {
 		i = 1
@@ -459,7 +474,7 @@ func seedClose(got, want float64) bool {
 }
 
 // checkLanes holds got to want: bit for bit, or within close for float lanes.
-func checkLanes(t *testing.T, what fmt.Stringer, against string, ent apps.Entry, got, want []uint64, close func(got, want float64) bool) {
+func checkLanes(t *testing.T, what any, against string, ent apps.Entry, got, want []uint64, close func(got, want float64) bool) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%v: %d lanes, %s has %d", what, len(got), against, len(want))
@@ -503,20 +518,25 @@ func checkCounters(t *testing.T, run *matrixRun, p apps.Program, cg *Graph) {
 }
 
 // checkAgainst holds a cold run to the runs of the same program before it:
-// the first one of its bits group on its grid (same lanes, unless the grid
-// is the worker-count default and the workers differ), of its group on its
-// grid (same iteration count), of the paper configuration (the iteration
-// bound) and, for a min-prop or min-src run, of the full-vector walk at its
-// grid and worker count (the same lanes at the start of every round, and
-// under Record the same Edge counters).
+// the first one of its bits group on its grid and, in a paperBits cell, of
+// the paper configuration on its grid (same lanes, unless the grid is the
+// worker-count default and the workers differ), of its group on its grid
+// (same iteration count), of the paper configuration (the iteration bound)
+// and, for a min-prop or min-src run, of the full-vector walk at its grid and
+// worker count (the same lanes at the start of every round, and under Record
+// the same Edge counters).
 func checkAgainst(t *testing.T, run *matrixRun, earlier []*matrixRun, monotone bool, fewer map[string]bool) {
 	t.Helper()
-	var bits, iters, paper, walk *matrixRun
+	var bits, paperBits, iters, paper, walk *matrixRun
 	for _, prev := range earlier {
 		sameGrid := prev.chunk == run.chunk
+		sameLayout := sameGrid && (run.chunk > 0 || prev.workers == run.workers)
 		sameGroup := sameGrid && prev.cell.group() == run.cell.group()
+		if paperBits == nil && run.cell.paperBits && prev.cell.name == "paper" && sameLayout {
+			paperBits = prev
+		}
 		switch {
-		case bits == nil && sameGroup && (run.chunk > 0 || prev.workers == run.workers):
+		case bits == nil && sameGroup && sameLayout:
 			bits = prev
 		case iters == nil && sameGroup:
 			iters = prev
@@ -527,8 +547,10 @@ func checkAgainst(t *testing.T, run *matrixRun, earlier []*matrixRun, monotone b
 			walk = prev
 		}
 	}
-	if bits != nil && !slices.Equal(run.res.Props, bits.res.Props) {
-		t.Fatalf("%v: lanes differ from %v", run, bits)
+	for _, prev := range []*matrixRun{bits, paperBits} {
+		if prev != nil && !slices.Equal(run.res.Props, prev.res.Props) {
+			t.Fatalf("%v: lanes differ from %v", run, prev)
+		}
 	}
 	for _, prev := range []*matrixRun{bits, iters} {
 		if prev != nil && prev.res.Iterations != run.res.Iterations {
@@ -577,80 +599,117 @@ func onAnalog(app matrixApp, cell *matrixCell, kind apps.FusedKind, monotone boo
 	return cell.analogs && monotone
 }
 
-// runCold runs one program row through every cell on one graph.
+// rowTraits is what runCold reads of a row's program once per graph: the
+// sequential reference (computed for the row's first run) and the traits
+// the checks turn on.
+type rowTraits struct {
+	want                 []uint64
+	kind                 apps.FusedKind
+	monotone, startsFull bool
+}
+
+// runCold runs one program row through every cell on one graph, one subtest
+// per cell, and counts the row as run when -run left no cell out.
 func (m *matrixGraph) runCold(t *testing.T, app matrixApp) {
 	g, cg := m.version(app.ent)
 	p := matrixParams(app.ent, m.Root)
-	want := app.ent.Reference(g, p)
 	probe, err := app.make(cg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	start := frontier.NewDense(cg.N)
 	probe.InitFrontier(start)
-	startsFull := probe.UsesFrontier() && start.Full()
-	monotone := apps.IsMonotoneMin(probe)
-	kind := innerKind(probe)
+	row := rowTraits{kind: innerKind(probe), monotone: apps.IsMonotoneMin(probe),
+		startsFull: probe.UsesFrontier() && start.Full()}
+	if row.startsFull {
+		m.full[app.ent.Name] = true
+	}
+	eligible, ran := 0, 0
 	for i := range matrixCells {
 		cell := &matrixCells[i]
 		if app.generic && !cell.generic {
 			continue
 		}
-		twins := []bool{false}
-		if cell.twin && !app.generic && (kind == apps.FusedRankSum || kind == apps.FusedMinProp || kind == apps.FusedMinSrc) {
-			twins = append(twins, true)
-		}
-		for _, workers := range cell.workers {
-			for _, chunk := range cell.chunks {
-				if m.analog && !onAnalog(app, cell, kind, monotone, chunk) {
-					continue
-				}
-				for _, twin := range twins {
-					run := &matrixRun{app: app, cell: cell, workers: workers, chunk: chunk, twin: twin}
-					prog, err := app.make(cg, p)
-					if err != nil {
-						t.Fatal(err)
+		eligible++
+		t.Run(cell.name, func(t *testing.T) {
+			ran++
+			twins := []bool{false}
+			if cell.twin && !app.generic && (row.kind == apps.FusedRankSum || row.kind == apps.FusedMinProp || row.kind == apps.FusedMinSrc) {
+				twins = append(twins, true)
+			}
+			for _, workers := range cell.workers {
+				for _, chunk := range cell.chunks {
+					if m.analog && !onAnalog(app, cell, row.kind, row.monotone, chunk) {
+						continue
 					}
-					observe(t, m.runner(cg, cell, workers, chunk, twin), prog, app.ent.MaxIters(p), nil, run)
-					checkLanes(t, run, "the reference has", app.ent, run.res.Props, want, refClose)
-					checkPaths(t, run, prog, m.paths, m.arms)
-					checkAgainst(t, run, m.runs[app.ent.Name], monotone, m.fewer)
-					if cell.opt.Record {
-						checkCounters(t, run, prog, cg)
+					for _, twin := range twins {
+						run := &matrixRun{app: app, cell: cell, workers: workers, chunk: chunk, twin: twin}
+						prog, err := app.make(cg, p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						observe(t, m.runner(cg, cell, workers, chunk, twin), prog, app.ent.MaxIters(p), nil, run)
+						if row.want == nil {
+							row.want = app.ent.Reference(g, p)
+						}
+						m.checkRun(t, run, prog, cg, &row)
+						m.runs[app.ent.Name] = append(m.runs[app.ent.Name], run)
 					}
-					if cell.opt.AblateFrontierWork && run.res.SparseIterations != 0 {
-						t.Fatalf("%v: %d list-driven rounds in the paper configuration", run, run.res.SparseIterations)
-					}
-					if startsFull && cell.opt.Mode != EnginePushOnly && run.pulls[1] == 0 {
-						t.Fatalf("%v: a full first frontier did not pull", run)
-					}
-					// The road-mesh analog is what in-place pull is for: a
-					// label crosses one span per round. (Every cell that runs
-					// on the analogs is scheduler-aware.)
-					if bound := inPlaceAfter + inPlaceSpans + 2; m.Name == "D-analog" && kind == apps.FusedMinProp &&
-						chunk == 0 && !cell.opt.AblateFrontierWork && run.res.Iterations > bound {
-						t.Fatalf("%v: mesh cc took %d iterations, want at most %d", run, run.res.Iterations, bound)
-					}
-					if run.res.SparseIterations > 0 {
-						m.listDriven[app.ent.Name] = true
-					}
-					m.runs[app.ent.Name] = append(m.runs[app.ent.Name], run)
 				}
 			}
-		}
+		})
 	}
-	m.ran++
+	if ran == eligible {
+		m.ran++
+	}
+}
+
+// checkRun makes every check of the matrix on one cold run of prog on m's
+// layouts cg: the reference, the path table, the runs of the program before
+// it, a Record run's counters and the bounds of the run's cell and graph.
+func (m *matrixGraph) checkRun(t *testing.T, run *matrixRun, prog apps.Program, cg *Graph, row *rowTraits) {
+	t.Helper()
+	// A monotone-min program's answer is a schedule-free fixpoint: its float
+	// lanes are the reference's bits too.
+	close := refClose
+	if row.monotone {
+		close = func(float64, float64) bool { return false }
+	}
+	checkLanes(t, run, "the reference has", run.app.ent, run.res.Props, row.want, close)
+	checkPaths(t, run, prog, m.paths, m.arms)
+	checkAgainst(t, run, m.runs[run.app.ent.Name], row.monotone, m.fewer)
+	opt := run.cell.opt
+	if opt.Record {
+		checkCounters(t, run, prog, cg)
+	}
+	if opt.AblateFrontierWork && run.res.SparseIterations != 0 {
+		t.Fatalf("%v: %d list-driven rounds in the paper configuration", run, run.res.SparseIterations)
+	}
+	if row.startsFull && opt.Mode != EnginePushOnly && run.pulls[1] == 0 {
+		t.Fatalf("%v: a full first frontier did not pull", run)
+	}
+	// The road-mesh analog is what in-place pull is for: a label crosses one
+	// span per round. (Every cell that runs on the analogs is
+	// scheduler-aware.)
+	if bound := inPlaceAfter + inPlaceSpans + 2; m.Name == "D-analog" && row.kind == apps.FusedMinProp &&
+		run.chunk == 0 && !opt.AblateFrontierWork && run.res.Iterations > bound {
+		t.Fatalf("%v: mesh cc took %d iterations, want at most %d", run, run.res.Iterations, bound)
+	}
+	if run.res.SparseIterations > 0 {
+		m.listDriven[run.app.ent.Name] = true
+	}
 }
 
 // TestEquivalenceMatrix runs the matrix from a cold start, one graph per
 // parallel subtest, then checks that it reached every Edge-Pull body, every
-// Vertex body, a list-driven round of every frontier program and an in-place
-// finish ahead of the paper configuration for cc and sssp.
+// Vertex body, a list-driven round of every frontier program, an in-place
+// finish ahead of the paper configuration for cc and sssp, and a full first
+// frontier for cc and kcore.
 func TestEquivalenceMatrix(t *testing.T) {
 	rows := matrixApps(t)
 	graphs := matrixGraphs()
 	t.Cleanup(func() {
-		paths, arms, listDriven, fewer := map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}
+		paths, arms, listDriven, fewer, full := map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}
 		for _, m := range graphs {
 			if m.ran < len(rows) {
 				return // a partial matrix proves nothing about its reach
@@ -659,6 +718,7 @@ func TestEquivalenceMatrix(t *testing.T) {
 			maps.Copy(arms, m.arms)
 			maps.Copy(listDriven, m.listDriven)
 			maps.Copy(fewer, m.fewer)
+			maps.Copy(full, m.full)
 		}
 		for _, reach := range []struct {
 			got    map[string]bool
@@ -669,6 +729,7 @@ func TestEquivalenceMatrix(t *testing.T) {
 			{arms, []string{armMin, armOnce, armApply}, "no Vertex phase ran the %s"},
 			{listDriven, []string{"bfs", "cc", "kcore", "sssp"}, "%s never ran a list-driven round"},
 			{fewer, []string{"cc", "sssp"}, "%s never finished in fewer iterations than the paper configuration: the in-place path did not run"},
+			{full, []string{"cc", "kcore"}, "%s never started from a full frontier: no round ran unpredicated"},
 		} {
 			for _, k := range reach.want {
 				if !reach.got[k] {
@@ -681,7 +742,7 @@ func TestEquivalenceMatrix(t *testing.T) {
 		t.Run(m.Name, func(t *testing.T) {
 			t.Parallel()
 			m.runs = map[string][]*matrixRun{}
-			m.paths, m.arms, m.listDriven, m.fewer = map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}
+			m.paths, m.arms, m.listDriven, m.fewer, m.full = map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}
 			defer m.close()
 			for _, app := range rows {
 				t.Run(app.name, func(t *testing.T) { m.runCold(t, app) })
@@ -695,7 +756,8 @@ func TestEquivalenceMatrix(t *testing.T) {
 // each size in incrementalBatches; its cold run on the mutated graph meets the
 // reference, and the run a query then gets — warm-started from cc's plan, cold
 // for an app without a planner — on the hybrid cell's pinned grid at every
-// worker count reports whether a seed applied and reproduces the cold run.
+// worker count reports whether a seed applied and reproduces the cold run
+// within seedClose.
 func TestEquivalenceMatrixIncremental(t *testing.T) {
 	cell := cellNamed("hybrid")
 	const chunk = 16
@@ -736,7 +798,9 @@ func TestEquivalenceMatrixIncremental(t *testing.T) {
 					seed := seedAfter(t, app.ent, g1, pred.res.Props, ops)
 					cg1 := BuildGraph(g1)
 					want := start(cg1, 1, app.ent.MaxIters(p), nil)
-					checkLanes(t, want, "the reference has", app.ent, want.res.Props, app.ent.Reference(g1, p), refClose)
+					// Within both tolerances: seedClose is the tighter one on small lanes.
+					bothClose := func(got, want float64) bool { return refClose(got, want) && seedClose(got, want) }
+					checkLanes(t, want, "the reference has", app.ent, want.res.Props, app.ent.Reference(g1, p), bothClose)
 					for _, workers := range cell.workers {
 						run := start(cg1, workers, app.ent.MaxIters(p), seed)
 						if run.res.Seeded != (seed != nil) {

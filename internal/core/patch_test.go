@@ -233,7 +233,7 @@ func TestPatchGraphProperty(t *testing.T) {
 	for _, c := range testgraph.Corpus() {
 		bases = append(bases, c.WithWeights(), unweighted(c.G))
 	}
-	twitter := gen.Generate(gen.Twitter, 1)
+	twitter := analogs1[gen.Twitter]()
 	bases = append(bases, gen.AddUniformWeights(twitter, 3), twitter)
 	for i, base := range bases {
 		rounds := 40

@@ -58,14 +58,14 @@ func (ec *ExecContext) pullsBySpan(p apps.Program, kind apps.FusedKind) bool {
 // runs ungated, with no frontier gather: a monotone min's source outside the
 // frontier has not changed since every destination last pulled it, so
 // props[dst] ≤ props[src] already holds and reading it moves no lane, no
-// Apply outcome and no iteration count (TestMinPropChunkMatchesVectorWalk and
-// the equivalence matrix pin every round to the gated walk's).
+// Apply outcome and no iteration count (the equivalence matrix pins every
+// round to the gated walk's).
 //
 // A FusedMinSrc program hands the chunk to one vec.MinSrcChunk call the same
 // way, always with the frontier and the converged words: a run whose
 // destination has converged is skipped whole, and any other ends at its
 // first live lane, the run's minimum live source, as pullSABody's saturating
-// arm ends it (TestMinSrcChunkMatchesVectorWalk pins every chunk, and the
+// arm ends it (TestMinChunkMatchesVectorWalk pins every chunk, and the
 // equivalence matrix every round, to that walk). It needs no props gather:
 // its message is the source id.
 //

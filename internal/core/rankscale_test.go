@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/apps"
@@ -114,7 +116,7 @@ func BenchmarkNewRankProgram(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if first {
 						b.StopTimer()
-						cg.scales = [2]lazy[apps.RankScale]{} // a version nobody has ranked yet
+						cg.scales, cg.scalesOnce = [2]atomic.Pointer[apps.RankScale]{}, [2]sync.Once{} // a version nobody has ranked yet
 						b.StartTimer()
 					}
 					if sinkProgram, err = ent.New(cg, apps.Params{Iters: 1}); err != nil {

@@ -245,7 +245,7 @@ func TestTraceShapePinned(t *testing.T) {
 		{"traditional", Options{Variant: PullTraditional}, []string{"pr", "cc"}},
 	}
 	for _, d := range []gen.Dataset{gen.Twitter, gen.DimacsUSA} {
-		g := gen.AddUniformWeights(gen.Generate(d, 1), 97)
+		g := gen.AddUniformWeights(analogs1[d](), 97)
 		cg := BuildGraph(g)
 		for _, workers := range []int{1, 2} {
 			for _, v := range variants {
@@ -293,8 +293,8 @@ func registryProgram(t *testing.T, cg *Graph, name string) (apps.Program, int) {
 // the traditional interface), its list-driven rounds (bfs), and an ordered
 // push, dense (push-only pr) and list-driven (kcore).
 func TestPhaseWallsOneReading(t *testing.T) {
-	skewed := BuildGraph(gen.Generate(gen.Twitter, 1))
-	mesh := BuildGraph(gen.Generate(gen.DimacsUSA, 1))
+	skewed := BuildGraph(analogs1[gen.Twitter]())
+	mesh := BuildGraph(analogs1[gen.DimacsUSA]())
 	for _, c := range []struct {
 		name  string
 		cg    *Graph

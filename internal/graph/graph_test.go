@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -119,6 +120,24 @@ func TestBinaryRoundTripWeighted(t *testing.T) {
 	}
 	if !got.Weighted || got.Edges[0].Weight != 2.5 || got.Edges[1].Weight != -1 {
 		t.Errorf("weighted round trip mismatch: %+v", got)
+	}
+}
+
+// TestReadBinaryInMemoryBuffer: decoding a small graph from an in-memory
+// reader allocates a default-sized read buffer, not ReadFile's 1 MB one.
+func TestReadBinaryInMemoryBuffer(t *testing.T) {
+	var buf bytes.Buffer
+	if err := tinyGraph(t).WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ReadBinary(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("decoding %d bytes allocated %d bytes, want under 64 KiB", buf.Len(), got)
 	}
 }
 

@@ -93,9 +93,11 @@ func WriteEdges(w io.Writer, n, numEdges int, weighted bool, edges iter.Seq[Edge
 	return nil
 }
 
-// ReadBinary deserializes a graph written by WriteBinary.
+// ReadBinary deserializes a graph written by WriteBinary. It reads through
+// r itself when r is a bufio.Reader (ReadFile passes one of 1 MB), through a
+// default-sized one otherwise.
 func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	br := bufio.NewReader(r)
 	var head [28]byte
 	if _, err := io.ReadFull(br, head[:]); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
@@ -210,7 +212,7 @@ func ReadFile(path string) (*Graph, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadBinary(f)
+	return ReadBinary(bufio.NewReaderSize(f, 1<<20))
 }
 
 func floatBits(f float32) uint32 { return math.Float32bits(f) }
