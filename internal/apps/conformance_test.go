@@ -11,18 +11,23 @@ import (
 	"repro/internal/graph"
 )
 
-// Registry conformance suite: what every registered application must hold
-// to before it is servable, beyond the engine's own bar. That bar is
-// internal/core's equivalence matrix (matrix_test.go), which iterates
-// apps.All(): on small analogs of the paper's T/U/D datasets every entry
-// agrees with its sequential reference and is bit-identical at 1, 2 and 4
-// workers on a pinned grid (TestEquivalenceMatrix's hybrid cell), and reaches
-// the cold run after a batch of fresh inserts, warm-started where the entry
-// has a planner (TestEquivalenceMatrixIncremental). The tests here hold each
-// entry's serializers, weight and root contracts, and the traits the engine
-// trusts it to declare. They iterate apps.All() too, so a future
-// registration cannot land without them — with the matrix, they are the CI
-// registry-conformance job.
+// Registry conformance suite: the bar every registered application must
+// clear before it is servable. For each entry, on small analogs of the
+// paper's T/U/D datasets:
+//
+//	(a) the engine's 1-worker output agrees with the entry's sequential
+//	    reference implementation (exact for integer lanes, 1e-9 relative
+//	    for float lanes — references accumulate in a different order);
+//	(b) 2- and 4-worker runs are bit-identical to the 1-worker run, with
+//	    ChunkVectors pinned because the default chunk layout derives from
+//	    the worker count (see internal/core/determinism_test.go).
+//
+// The suite iterates apps.All(), so a future registration cannot land
+// without passing the same bar — this test is the CI registry-conformance
+// job. Run under -race in the race shard. internal/core's equivalence matrix
+// (matrix_test.go) also iterates apps.All() and holds every row to a
+// stricter bar: every engine cell, and the Edge-Pull body each pull round
+// built.
 
 // conformanceGraphs returns the T/U/D analogs at test scale, plus a
 // weighted copy for NeedsWeights apps.
@@ -47,6 +52,39 @@ func runConformance(t *testing.T, cg *core.Graph, g *graph.Graph, ent apps.Entry
 		t.Fatal(err)
 	}
 	return core.Run(r, prog, ent.MaxIters(p)).Props
+}
+
+func TestRegistryConformance(t *testing.T) {
+	graphs := conformanceGraphs()
+	for _, ent := range apps.All() {
+		t.Run(ent.Name, func(t *testing.T) {
+			for name, base := range graphs {
+				t.Run(name, func(t *testing.T) {
+					g := base
+					if ent.NeedsWeights {
+						g = gen.AddUniformWeights(g, 42)
+					}
+					p := conformanceParams(ent)
+					cg := core.BuildGraph(g)
+
+					// (a) reference agreement at one worker.
+					ref := runConformance(t, cg, g, ent, p, 1)
+					assertSeedReference(t, ent, ent.Reference(g, p), ref)
+
+					// (b) bit-identical across worker counts.
+					for _, workers := range []int{2, 4} {
+						got := runConformance(t, cg, g, ent, p, workers)
+						for v := range ref {
+							if got[v] != ref[v] {
+								t.Fatalf("w=%d lane[%d] = %#x, w=1 has %#x (first divergence)",
+									workers, v, got[v], ref[v])
+							}
+						}
+					}
+				})
+			}
+		})
+	}
 }
 
 // TestRegistrySummaryStatsSane spot-checks that each entry's serializers

@@ -12,12 +12,40 @@ import (
 	"repro/internal/graph"
 )
 
-// Incremental-seed fuzzing (DESIGN.md §15): FuzzIncrementalSeed derives
-// arbitrary mutation batches from fuzz bytes and holds cc's planner, the one
-// IncrementalSeed planner, to its property: it may refuse anything, but a
-// run warm-started from a plan it accepts must reproduce the sequential
-// reference on the mutated graph. The registry-wide bar after a batch of
-// fresh inserts is internal/core's TestEquivalenceMatrixIncremental.
+// Incremental-seed conformance (DESIGN.md §15): the registry-wide bar for
+// the apps that incremental recompute touches. On the T/U/D conformance
+// analogs, after a batch of fresh inserts, the run a query gets on the
+// mutated graph must reproduce a cold run there and the sequential
+// reference: warm-started from the predecessor's lanes for cc, the one app
+// with an IncrementalSeed planner, and cold for pr, ppr, bfs and sssp, which
+// have none. FuzzIncrementalSeed extends cc's property to arbitrary
+// byte-derived deltas: the planner may refuse anything, but whatever it
+// accepts must be right.
+
+// incrementalApps is the suite's fixed app list: cc, and the four apps that
+// must run cold after a mutation (DESIGN.md §15 says why).
+var incrementalApps = []string{"bfs", "cc", "ppr", "pr", "sssp"}
+
+// freshInserts builds up to n inserts of edges absent from g, the batch a
+// mutating client sends.
+func freshInserts(g *graph.Graph, n int) []graph.EdgeOp {
+	have := make(map[[2]uint32]bool, len(g.Edges))
+	for _, e := range g.Edges {
+		have[[2]uint32{e.Src, e.Dst}] = true
+	}
+	nv := uint32(g.NumVertices)
+	ops := make([]graph.EdgeOp, 0, n)
+	for i := uint32(0); len(ops) < n && i < 16*nv; i++ {
+		src := (i * 2654435761) % nv
+		dst := (src + 1 + i%97) % nv
+		if src == dst || have[[2]uint32{src, dst}] {
+			continue
+		}
+		have[[2]uint32{src, dst}] = true
+		ops = append(ops, graph.EdgeOp{Src: src, Dst: dst, Weight: 1})
+	}
+	return ops
+}
 
 // runSeeded executes ent on g warm-started from plan and returns the lanes,
 // failing the test if the seed does not install.
@@ -42,6 +70,24 @@ func runSeeded(t *testing.T, g *graph.Graph, ent apps.Entry, p apps.Params, plan
 	return res.Props
 }
 
+// runAfter returns the lanes a query on g1 gets after the batch ops: for cc,
+// a run warm-started from its planner's plan; for any other app, which must
+// register no planner, a cold run.
+func runAfter(t *testing.T, g1 *graph.Graph, ent apps.Entry, p apps.Params, pred []uint64, ops []graph.EdgeOp) []uint64 {
+	t.Helper()
+	if ent.Name != "cc" {
+		if ent.IncrementalSeed != nil {
+			t.Fatalf("%s registers an IncrementalSeed planner", ent.Name)
+		}
+		return runConformance(t, core.BuildGraph(g1), g1, ent, p, 2)
+	}
+	plan, err := ent.IncrementalSeed(apps.SeedInput{Vertices: g1.NumVertices, Pred: pred, Ops: ops})
+	if err != nil {
+		t.Fatalf("planner refused a by-construction safe delta: %v", err)
+	}
+	return runSeeded(t, g1, ent, p, plan)
+}
+
 // assertSeedReference compares got against ent's sequential reference
 // lanes with the conformance tolerance (exact for integer lanes, 1e-9 for
 // float lanes).
@@ -62,6 +108,36 @@ func assertSeedReference(t *testing.T, ent apps.Entry, want, got []uint64) {
 		} else if got[v] != want[v] {
 			t.Fatalf("lane[%d] = %#x, reference %#x", v, got[v], want[v])
 		}
+	}
+}
+
+func TestRegistryConformanceIncremental(t *testing.T) {
+	graphs := conformanceGraphs()
+	for _, name := range incrementalApps {
+		ent, err := apps.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) {
+			for gname, base := range graphs {
+				t.Run(gname, func(t *testing.T) {
+					g0 := base
+					if ent.NeedsWeights {
+						g0 = gen.AddUniformWeights(g0, 42)
+					}
+					p := conformanceParams(ent)
+					pred := runConformance(t, core.BuildGraph(g0), g0, ent, p, 1)
+					ops := freshInserts(g0, 16)
+					if len(ops) == 0 {
+						t.Fatal("no batch constructible")
+					}
+					g1 := graph.ApplyEdgeOps(g0, ops)
+					got := runAfter(t, g1, ent, p, pred, ops)
+					assertSeedReference(t, ent, runConformance(t, core.BuildGraph(g1), g1, ent, p, 1), got)
+					assertSeedReference(t, ent, ent.Reference(g1, p), got)
+				})
+			}
+		})
 	}
 }
 

@@ -15,9 +15,71 @@ import (
 	"repro/internal/testgraph"
 )
 
+type namedGraph struct {
+	name string
+	g    *graph.Graph
+}
+
+func testGraphs() []namedGraph {
+	return []namedGraph{
+		{"rmat", gen.RMAT(8, 1500, gen.DefaultRMAT, 1)},
+		{"skewed", gen.RMAT(9, 3000, gen.RMATParams{A: 0.68, B: 0.16, C: 0.11, D: 0.05}, 2)},
+		{"mesh", gen.Grid(11, 12, false, 3)},
+	}
+}
+
+// engineConfigs spans the variant × kernel × mode space: every variant of the
+// vectorized pull, and the scalar one, which is scheduler-aware only. The
+// nonatomic variant appears only with one worker (its multi-worker output is
+// intentionally unreliable; see TestNonatomicCompletes).
+func engineConfigs() []Options {
+	var out []Options
+	for _, workers := range []int{1, 2, 4} {
+		for _, variant := range []PullVariant{PullSchedulerAware, PullTraditional} {
+			out = append(out, Options{Workers: workers, Variant: variant})
+		}
+		out = append(out, Options{Workers: workers, Scalar: true})
+		out = append(out, Options{Workers: workers, Variant: PullSchedulerAware, Mode: EnginePushOnly})
+		out = append(out, Options{Workers: workers, Variant: PullSchedulerAware, Mode: EnginePullOnly})
+	}
+	// Nonatomic, single worker: deterministic, must be exact.
+	out = append(out, Options{Workers: 1, Variant: PullTraditionalNonatomic})
+	// Tight granularity stresses chunk-boundary vertex splitting.
+	out = append(out, Options{Workers: 4, Variant: PullSchedulerAware, ChunkVectors: 2})
+	out = append(out, Options{Workers: 4, Variant: PullSchedulerAware, ChunkVectors: 2, Scalar: true})
+	// Simulated NUMA topologies.
+	out = append(out, Options{Workers: 4, Variant: PullSchedulerAware,
+		Topology: numa.Topology{Nodes: 2, WorkersPerNode: 2}})
+	out = append(out, Options{Workers: 4, Variant: PullSchedulerAware, Scalar: true,
+		Topology: numa.Topology{Nodes: 4, WorkersPerNode: 1}})
+	return out
+}
+
 func optName(o Options) string {
 	return fmt.Sprintf("w%d-%s-scalar%v-%s-chunk%d-nodes%d",
 		o.Workers, o.Variant, o.Scalar, o.Mode, o.ChunkVectors, o.Topology.Nodes)
+}
+
+func TestPageRankAllEngines(t *testing.T) {
+	const iters = 12
+	for _, tg := range testGraphs() {
+		cg := BuildGraph(tg.g)
+		want := apps.RunSequential(apps.NewPageRank(tg.g), tg.g, iters)
+		for _, opt := range engineConfigs() {
+			t.Run(tg.name+"/"+optName(opt), func(t *testing.T) {
+				r := NewRunner(cg, opt)
+				defer r.Close()
+				got := Run(r, apps.NewPageRank(tg.g), iters)
+				if got.Iterations != iters {
+					t.Fatalf("ran %d iterations, want %d", got.Iterations, iters)
+				}
+				compareRanks(t, got.Props, want.Props)
+				if sum := apps.RankSum(got.Props); math.Abs(sum-1) > 1e-9 {
+					t.Errorf("rank sum = %v, want 1", sum)
+				}
+			})
+		}
+	}
 }
 
 func compareRanks(t *testing.T, got, want []uint64) {
@@ -27,6 +89,67 @@ func compareRanks(t *testing.T, got, want []uint64) {
 		if math.Abs(g-w) > 1e-10*(1+math.Abs(w)) {
 			t.Fatalf("rank[%d] = %v, want %v", v, g, w)
 		}
+	}
+}
+
+func TestConnectedComponentsAllEngines(t *testing.T) {
+	for _, tg := range testGraphs() {
+		cg := BuildGraph(tg.g)
+		want := apps.ReferenceComponents(tg.g)
+		for _, opt := range engineConfigs() {
+			t.Run(tg.name+"/"+optName(opt), func(t *testing.T) {
+				r := NewRunner(cg, opt)
+				defer r.Close()
+				for _, p := range []*apps.ConnComp{apps.NewConnComp(), apps.NewConnCompWriteIntense()} {
+					got := apps.Components(Run(r, p, 1<<20).Props)
+					for v := range want {
+						if got[v] != want[v] {
+							t.Fatalf("%+v: component[%d] = %d, want %d", p, v, got[v], want[v])
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+func TestBFSAllEngines(t *testing.T) {
+	for _, tg := range testGraphs() {
+		cg := BuildGraph(tg.g)
+		want := apps.ReferenceBFS(tg.g, 0)
+		for _, opt := range engineConfigs() {
+			t.Run(tg.name+"/"+optName(opt), func(t *testing.T) {
+				r := NewRunner(cg, opt)
+				defer r.Close()
+				got := Run(r, apps.NewBFS(0), 1<<20)
+				for v := range want {
+					if got.Props[v] != want[v] {
+						t.Fatalf("parent[%d] = %d, want %d", v, got.Props[v], want[v])
+					}
+				}
+			})
+		}
+	}
+}
+
+func TestSSSPAllEngines(t *testing.T) {
+	g := gen.AddUniformWeights(gen.RMAT(8, 1800, gen.DefaultRMAT, 7), 8)
+	cg := BuildGraph(g)
+	want := apps.ReferenceSSSP(g, 0)
+	for _, opt := range engineConfigs() {
+		t.Run(optName(opt), func(t *testing.T) {
+			r := NewRunner(cg, opt)
+			defer r.Close()
+			got := apps.Distances(Run(r, apps.NewSSSP(0), 1<<20).Props)
+			for v := range want {
+				if math.IsInf(want[v], 1) != math.IsInf(got[v], 1) {
+					t.Fatalf("reachability of %d differs", v)
+				}
+				if !math.IsInf(want[v], 1) && math.Abs(got[v]-want[v]) > 1e-9 {
+					t.Fatalf("dist[%d] = %v, want %v", v, got[v], want[v])
+				}
+			}
+		})
 	}
 }
 

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/csr"
+	"repro/internal/frontier"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/perfmodel"
@@ -22,19 +25,94 @@ func frontierWorkGraph() (*graph.Graph, uint32) {
 	return c.G, c.Root
 }
 
-// frontierWorkApp is one of the frontier programs the Record counters are
-// pinned for.
 type frontierWorkApp struct {
 	name string
 	mk   func() apps.Program
+	want []uint64
 }
 
 func frontierWorkApps(g *graph.Graph, root uint32) []frontierWorkApp {
+	dist := apps.ReferenceSSSP(g, root)
+	distBits := make([]uint64, len(dist))
+	for v, d := range dist {
+		distBits[v] = math.Float64bits(d)
+	}
+	cc := apps.ReferenceComponents(g)
+	ccBits := make([]uint64, len(cc))
+	for v, c := range cc {
+		ccBits[v] = uint64(c)
+	}
 	return []frontierWorkApp{
-		{"bfs", func() apps.Program { return apps.NewBFS(root) }},
-		{"cc", func() apps.Program { return apps.NewConnComp() }},
-		{"sssp", func() apps.Program { return apps.NewSSSP(root) }},
-		{"kcore", func() apps.Program { return apps.NewKCore(vsparse.FromCSR(csr.FromGraph(g, true)), 3) }},
+		{"bfs", func() apps.Program { return apps.NewBFS(root) }, apps.ReferenceBFS(g, root)},
+		{"cc", func() apps.Program { return apps.NewConnComp() }, ccBits},
+		{"sssp", func() apps.Program { return apps.NewSSSP(root) }, distBits},
+		{"kcore", func() apps.Program { return apps.NewKCore(vsparse.FromCSR(csr.FromGraph(g, true)), 3) }, apps.ReferenceKCore(g, 3)},
+	}
+}
+
+// TestFrontierWorkBitIdentity: the shipped kernels (early-exit pull, the
+// unpredicated full-frontier iteration, the identity-skipping Vertex phase,
+// the list-driven round, inline rounds), the paper configuration and the
+// sequential references agree bit for bit, at every worker and chunk-size
+// combination. Pull-only runs put every iteration through the
+// early-exit kernel; hybrid runs mix it with list-driven rounds. At
+// ChunkVectors 1 every multi-vector destination straddles chunks. cc and
+// kcore start from a full frontier, so their first iteration is the
+// unpredicated one; every app's later iterations leave most 4-vertex groups
+// with identity aggregates for the Vertex phase to skip
+// (TestRecordCountersUnderEarlyExit counts them).
+func TestFrontierWorkBitIdentity(t *testing.T) {
+	g, root := frontierWorkGraph()
+	cg := BuildGraph(g)
+	if in := cg.VSD.Degree(root); in != 0 {
+		t.Fatalf("root in-degree = %d, want 0", in)
+	}
+	if hub := cg.VSD.Index[6] - cg.VSD.Index[5]; hub < 8 {
+		t.Fatalf("hub spans %d vectors, want a run long enough to straddle chunks", hub)
+	}
+	fullStarts := 0
+	for _, app := range frontierWorkApps(g, root) {
+		t.Run(app.name, func(t *testing.T) {
+			start := frontier.NewDense(cg.N)
+			app.mk().InitFrontier(start)
+			exits, lists := false, false
+			for _, mode := range []EngineMode{EngineHybrid, EnginePullOnly} {
+				for _, workers := range []int{1, 2, 4} {
+					for _, chunk := range []int{1, 3, 0} {
+						for _, ablate := range []bool{false, true} {
+							opt := Options{Workers: workers, ChunkVectors: chunk,
+								Mode: mode, AblateFrontierWork: ablate, Trace: true}
+							r := NewRunner(cg, opt)
+							res := Run(r, app.mk(), 1<<20)
+							r.Close()
+							label := fmt.Sprintf("%v w%d chunk%d ablate=%v", mode, workers, chunk, ablate)
+							for v := range app.want {
+								if res.Props[v] != app.want[v] {
+									t.Fatalf("%s: lane[%d] = %#x, reference %#x", label, v, res.Props[v], app.want[v])
+								}
+							}
+							if ablate && res.SparseIterations != 0 {
+								t.Fatalf("%s: %d list-driven rounds under the ablation", label, res.SparseIterations)
+							}
+							if start.Full() && res.Trace.Directions[0] != '<' {
+								t.Fatalf("%s: full first frontier went %q, want pull", label, res.Trace.Directions[0])
+							}
+							exits = exits || (!ablate && res.PullIterations > 0)
+							lists = lists || res.SparseIterations > 0
+						}
+					}
+				}
+			}
+			if !exits || !lists {
+				t.Errorf("matrix never ran a pull iteration (%v) or a list-driven round (%v)", exits, lists)
+			}
+			if start.Full() {
+				fullStarts++
+			}
+		})
+	}
+	if fullStarts == 0 {
+		t.Error("no app starts from a full frontier: the unpredicated iteration never ran")
 	}
 }
 

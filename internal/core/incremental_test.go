@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -12,24 +13,26 @@ import (
 	"repro/internal/graph"
 )
 
-// Incremental recompute (DESIGN.md §15): after a batch of fresh inserts — the
-// batch a mutating client sends — the run a query gets on the mutated graph
-// must equal a cold run there and the sequential reference, at every worker
-// count. For cc, the one app with a planner, that run is warm-started from
-// the predecessor's lanes; pr, ppr, bfs and sssp have no planner, so theirs
-// is a cold run. The equivalence matrix's seeded start
-// (TestEquivalenceMatrixIncremental) runs those batches and joins each seeded
-// run to the path table; the deletion test here covers cc's refused path, and
-// the fault tests cover a seed that breaks mid-install.
+// Metamorphic equivalence suite for incremental recompute (DESIGN.md §15):
+// after a batch of fresh inserts — the batch a mutating client sends — the
+// run a query gets on the mutated graph must equal a cold run there and the
+// sequential reference, at every worker count. For cc, the one app with a
+// planner, that run is warm-started from the predecessor's lanes (exact
+// against the cold run); pr, ppr, bfs and sssp have no planner, so theirs is
+// a cold run. The deletion test covers cc's refused path, and the fault tests
+// cover a seed that breaks mid-install. The equivalence matrix's seeded
+// start (TestEquivalenceMatrixIncremental) runs the same batches and also
+// joins each seeded run to the path table.
 
-// incrementalApps are the apps the incremental tests sweep: cc, and the four
+// incrementalApps are the apps the incremental suites sweep: cc, and the four
 // that must run cold after a mutation (DESIGN.md §15 says why).
 var incrementalApps = []string{"pr", "ppr", "cc", "bfs", "sssp"}
 
 // plannedApp is the one app that registers an IncrementalSeed planner.
 const plannedApp = "cc"
 
-// incrementalBatches are the delta sizes the matrix's seeded start sweeps.
+// incrementalBatches are the delta sizes the acceptance suite and the
+// matrix's seeded start sweep.
 var incrementalBatches = []int{1, 16, 256}
 
 // freshInserts builds up to n inserts of edges absent from g — the
@@ -106,6 +109,50 @@ func runIncrSeeded(t *testing.T, cg *Graph, ent apps.Entry, p apps.Params, maxIt
 		t.Fatal(err)
 	}
 	return res
+}
+
+func TestIncrementalMetamorphicEquivalence(t *testing.T) {
+	datasets := []gen.Dataset{gen.Twitter, gen.UK2007, gen.DimacsUSA}
+	for _, d := range datasets {
+		base := gen.Generate(d, 0.05)
+		abbrev := string(d.Abbrev())
+		t.Run(abbrev, func(t *testing.T) {
+			for _, name := range incrementalApps {
+				name := name
+				t.Run(name, func(t *testing.T) {
+					t.Parallel()
+					ent, err := apps.Lookup(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					g0 := base
+					if ent.NeedsWeights {
+						g0 = gen.AddUniformWeights(base, 42)
+					}
+					p := ent.Normalize(apps.Params{Iters: 4, Root: 1, K: 3})
+					pred := runIncrCold(t, BuildGraph(g0), g0, ent, p, 1)
+					for _, n := range incrementalBatches {
+						ops := freshInserts(g0, n)
+						if len(ops) == 0 {
+							t.Fatalf("no batch of size %d constructible", n)
+						}
+						g1 := graph.ApplyEdgeOps(g0, ops)
+						seed := seedAfter(t, ent, g1, pred, ops)
+						cg1 := BuildGraph(g1)
+						cold := runIncrCold(t, cg1, g1, ent, p, 1)
+						checkLanes(t, fmt.Sprintf("batch %d: the cold run", n), "the reference has", ent, cold, ent.Reference(g1, p), seedClose)
+						for _, workers := range []int{1, 2, 4} {
+							res := runIncrSeeded(t, cg1, ent, p, ent.MaxIters(p), seed, workers)
+							if res.Seeded != (seed != nil) {
+								t.Fatalf("batch %d workers %d: Seeded = %t, want %t", n, workers, res.Seeded, seed != nil)
+							}
+							checkLanes(t, fmt.Sprintf("batch %d workers %d", n, workers), "the cold run has", ent, res.Props, cold, seedClose)
+						}
+					}
+				})
+			}
+		})
+	}
 }
 
 // TestIncrementalDeletionFallback: cc's planner must refuse a delta that

@@ -65,7 +65,7 @@ func (ec *ExecContext) pullsBySpan(p apps.Program, kind apps.FusedKind) bool {
 // way, always with the frontier and the converged words: a run whose
 // destination has converged is skipped whole, and any other ends at its
 // first live lane, the run's minimum live source, as pullSABody's saturating
-// arm ends it (TestMinChunkMatchesVectorWalk pins every chunk, and the
+// arm ends it (TestMinSrcChunkMatchesVectorWalk pins every chunk, and the
 // equivalence matrix every round, to that walk). It needs no props gather:
 // its message is the source id.
 //

@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
@@ -19,6 +21,88 @@ import (
 // spanIters is the iteration count of the rank-sum runs in this file and in
 // the equivalence matrix.
 const spanIters = 6
+
+// spanApps are the registry's rank-sum programs — the ones whose pull runs on
+// vec.RankSumChunk, one call per chunk, under Record too — each with its
+// sequential reference.
+func spanApps(g *graph.Graph, root uint32) []struct {
+	name string
+	mk   func() apps.Program
+	ref  []float64
+} {
+	return []struct {
+		name string
+		mk   func() apps.Program
+		ref  []float64
+	}{
+		{"pr", func() apps.Program { return apps.NewPageRank(g) }, apps.ReferencePageRank(g, 0.85, spanIters)},
+		{"ppr", func() apps.Program { return apps.NewPersonalizedPageRank(g, root) }, apps.ReferencePPR(g, 0.85, root, spanIters)},
+		{"wpr", func() apps.Program { return apps.NewWeightedRank(g) }, apps.ReferenceWeightedRank(g, 0.85, spanIters)},
+	}
+}
+
+// TestSpanPullParity: on every corpus graph, a rank-sum program's lanes are
+// the same bits whichever kernel reduces the spans (the selected one — AVX2
+// where the CPU has it — or the Go twin), whether or not the run records
+// counters, run fused or through the generic Message/Combine fold, and — on a
+// pinned chunk grid — at every worker count. The default grid derives from
+// the worker count, so there a run is compared with the runs of its own
+// worker count only. Every configuration also agrees with
+// the sequential reference to rounding, and a Record run charges each span
+// exactly once.
+func TestSpanPullParity(t *testing.T) {
+	for _, c := range testgraph.Corpus() {
+		g := c.WithWeights()
+		cg := BuildGraph(g)
+		for _, app := range spanApps(g, c.Root) {
+			t.Run(c.Name+"/"+app.name, func(t *testing.T) {
+				for _, chunk := range []int{0, 16} {
+					var pinned []uint64 // the lanes every worker count must reproduce at a pinned grid
+					for _, workers := range []int{1, 2, 4} {
+						var want []uint64
+						for _, goTwin := range []bool{true, false} {
+							for _, record := range []bool{false, true} {
+								for _, generic := range []bool{false, true} {
+									opt := Options{Workers: workers, ChunkVectors: chunk,
+										Mode: EnginePullOnly, AblateSIMD: goTwin, Record: record}
+									label := fmt.Sprintf("chunk%d w%d gotwin=%v record=%v generic=%v",
+										chunk, workers, goTwin, record, generic)
+									p := app.mk()
+									if generic {
+										p = unfused{p}
+									}
+									r := NewRunner(cg, opt)
+									res := Run(r, p, spanIters)
+									r.Close()
+									if want == nil {
+										want = res.Props
+										assertNearReference(t, label, res.Props, app.ref)
+									}
+									if !slices.Equal(res.Props, want) {
+										t.Fatalf("%s: lanes differ from the first run at this grid and worker count", label)
+									}
+									if record {
+										assertSpanCounters(t, label, cg, res, spanIters)
+									}
+								}
+							}
+						}
+						if chunk == 0 {
+							continue
+						}
+						if pinned == nil {
+							pinned = want
+						}
+						if !slices.Equal(want, pinned) {
+							t.Fatalf("chunk%d w%d: lanes differ from one worker's on the same grid", chunk, workers)
+						}
+					}
+				}
+			})
+		}
+	}
+	t.Logf("selected kernel: %s", vec.Kernel())
+}
 
 // laneHash is FNV-1a over the lanes, little-endian.
 func laneHash(props []uint64) string {
@@ -94,6 +178,15 @@ func TestSpanPullPinnedToTwoGatherKernel(t *testing.T) {
 	}
 }
 
+func assertNearReference(t *testing.T, label string, props []uint64, ref []float64) {
+	t.Helper()
+	for v, bits := range props {
+		if got := math.Float64frombits(bits); math.Abs(got-ref[v]) > 1e-12*(1+math.Abs(ref[v])) {
+			t.Fatalf("%s: rank[%d] = %v, sequential reference %v", label, v, got, ref[v])
+		}
+	}
+}
+
 // assertSpanCounters: every vector of every pull is charged once, its valid
 // lanes as edges and the rest as invalid, exactly as the vector-by-vector
 // walk charged them.
@@ -107,21 +200,45 @@ func assertSpanCounters(t *testing.T, label string, cg *Graph, res Result, iters
 	}
 }
 
-// TestMinChunkMatchesVectorWalk is the chunk-parity driver of the two min
-// walks: cc's pull (one vec.MinPropChunk call per chunk) and bfs's (one
-// vec.MinSrcChunk call per chunk), each on the selected kernel and on its Go
-// twin (AblateSIMD), leave chunk by chunk the same trailing (last, acc) and
-// the same accum words as pullSABody's vector walk (AblateFullVector: a
-// frontier test per vector and, for bfs, the first live lane taken and the
-// run left). It runs on every corpus graph, the T/U/D analogs, T×1 and D×1,
-// under frontiers and (bfs) converged sets of density 0, 0.1, 0.5 and 1, on
-// chunk grids whose hub runs straddle chunks. Lanes and accum start from
-// draws that mix small ids, Identity and words with bit 63 set, so a store
-// that should leave a word as it found it is seen to. cc's rounds are
-// synchronous here: an in-place round reads its window ungated, which agrees
-// with the walk only on the lanes a run reaches, and the equivalence matrix
-// holds those round by round.
-func TestMinChunkMatchesVectorWalk(t *testing.T) {
+// minChunkRow is one min walk of the chunk-parity driver: the program whose
+// pull it is, the body its chunk walk builds and the converged-set densities
+// it runs under (cc tracks no converged set).
+type minChunkRow struct {
+	mk    func(root uint32) apps.Program
+	path  string
+	convs []float64
+}
+
+// TestMinPropChunkMatchesVectorWalk: cc's pull, one vec.MinPropChunk call
+// per chunk, meets the vector walk chunk by chunk (minChunkParity). Its rounds
+// are synchronous here: an in-place round reads its window ungated, which
+// agrees with the walk only on the lanes a run reaches, and the equivalence
+// matrix holds those round by round against the full-vector walk.
+func TestMinPropChunkMatchesVectorWalk(t *testing.T) {
+	minChunkParity(t, minChunkRow{func(uint32) apps.Program { return apps.NewConnComp() }, pathChunk, chunkDensities[:1]})
+}
+
+// TestMinSrcChunkMatchesVectorWalk: bfs's pull, one vec.MinSrcChunk call per
+// chunk, meets the vector walk chunk by chunk (minChunkParity), the walk
+// taking a run's first live lane and leaving the run.
+func TestMinSrcChunkMatchesVectorWalk(t *testing.T) {
+	minChunkParity(t, minChunkRow{func(root uint32) apps.Program { return apps.NewBFS(root) }, pathMinSrc, chunkDensities})
+}
+
+// chunkDensities are the frontier and converged-set densities of the
+// chunk-parity driver.
+var chunkDensities = []float64{0, 0.1, 0.5, 1}
+
+// minChunkParity is the chunk-parity driver of the two min walks: row's chunk
+// walk on the selected kernel and on its Go twin (AblateSIMD) leaves chunk by
+// chunk the same trailing (last, acc) and the same accum words as
+// pullSABody's vector walk (AblateFullVector: a frontier test per vector). It
+// runs on every corpus graph, the T/U/D analogs, T×1 and D×1, one subtest
+// each, under frontiers of density 0, 0.1, 0.5 and 1 and the row's converged
+// sets, on chunk grids whose hub runs straddle chunks. Lanes and accum start
+// from draws that mix small ids, Identity and words with bit 63 set, so a
+// store that should leave a word as it found it is seen to.
+func minChunkParity(t *testing.T, row minChunkRow) {
 	graphs := testgraph.Corpus()
 	for _, d := range []gen.Dataset{gen.Twitter, gen.UK2007, gen.DimacsUSA} {
 		graphs = append(graphs, testgraph.Graph{Name: d.Abbrev() + "-analog", Root: 1, G: gen.Generate(d, 0.05)})
@@ -129,31 +246,25 @@ func TestMinChunkMatchesVectorWalk(t *testing.T) {
 	for _, d := range []gen.Dataset{gen.Twitter, gen.DimacsUSA} {
 		graphs = append(graphs, testgraph.Graph{Name: d.Abbrev() + "1", Root: 1, G: analogs1[d]()})
 	}
-	densities := []float64{0, 0.1, 0.5, 1}
 	straddled := 0
 	for _, c := range graphs {
-		cg := BuildGraph(c.G)
-		a := cg.VSD
-		// The chunk walk on the selected kernel and on its Go twin, then the
-		// vector walk, each on a context of its own.
-		var ecs [3]*ExecContext
-		for i, opt := range []Options{{Workers: 1}, {Workers: 1, AblateSIMD: true}, {Workers: 1, AblateFullVector: true}} {
-			ecs[i] = NewRunner(cg, opt).NewContext()
-		}
-		walk := ecs[2]
-		rng := rand.New(rand.NewSource(12))
-		for _, row := range []struct {
-			p     apps.Program
-			path  string
-			convs []float64 // converged-set densities: cc tracks none
-		}{
-			{apps.NewConnComp(), pathChunk, densities[:1]},
-			{apps.NewBFS(c.Root), pathMinSrc, densities},
-		} {
+		t.Run(c.Name, func(t *testing.T) {
+			cg := BuildGraph(c.G)
+			a := cg.VSD
+			p := row.mk(c.Root)
+			// The chunk walk on the selected kernel and on its Go twin, then the
+			// vector walk, each on a context of its own.
+			var ecs [3]*ExecContext
+			for i, opt := range []Options{{Workers: 1}, {Workers: 1, AblateSIMD: true}, {Workers: 1, AblateFullVector: true}} {
+				ecs[i] = NewRunner(cg, opt).NewContext()
+				defer ecs[i].Close()
+			}
+			walk := ecs[2]
+			rng := rand.New(rand.NewSource(12))
 			draw := func() uint64 {
 				switch rng.Intn(4) {
 				case 0:
-					return row.p.Identity()
+					return p.Identity()
 				case 1:
 					return 1<<63 | rng.Uint64()
 				}
@@ -164,20 +275,20 @@ func TestMinChunkMatchesVectorWalk(t *testing.T) {
 				props[v], start[v] = draw(), draw()
 			}
 			for i, ec := range ecs {
-				ec.Init(row.p)
+				ec.Init(p)
 				// One merge slot: a body here runs every chunk as chunk 0.
 				ec.props, ec.front, ec.conv, ec.mergeBuf = props, walk.front, walk.conv, sched.NewMergeBuffer(1)
-				if want := []string{row.path, row.path, pathVector}[i]; builtPath(ec, row.p) != want {
-					t.Fatalf("%s: context %d built the %s, not the %s", c.Name, i, builtPath(ec, row.p), want)
+				if want := []string{row.path, row.path, pathVector}[i]; builtPath(ec, p) != want {
+					t.Fatalf("context %d built the %s, not the %s", i, builtPath(ec, p), want)
 				}
 			}
-			fz := fuseFor(row.p, false)
-			for _, fd := range densities {
+			fz := fuseFor(p, false)
+			for _, fd := range chunkDensities {
 				for _, cd := range row.convs {
 					fillAt(walk.front, fd, rng)
 					fillAt(walk.conv, cd, rng)
 					for _, chunk := range []int{1, 2, 3, 16, 64} {
-						label := fmt.Sprintf("%s %s front %.1f conv %.1f chunk %d", c.Name, row.path, fd, cd, chunk)
+						label := fmt.Sprintf("front %.1f conv %.1f chunk %d", fd, cd, chunk)
 						var bodies [3]func(sched.Range, int, int, int)
 						for i, ec := range ecs {
 							copy(ec.accum, start)
@@ -207,10 +318,7 @@ func TestMinChunkMatchesVectorWalk(t *testing.T) {
 					}
 				}
 			}
-		}
-		for _, ec := range ecs {
-			ec.Close()
-		}
+		})
 	}
 	if straddled == 0 {
 		t.Error("no chunk began inside a run")
