@@ -13,7 +13,9 @@ package apps
 // on its select body, with the kind's Apply (documented below) inlined,
 // instead of calling the program's through its apply body, so a program that
 // declares either kind must have exactly that Apply and Identity ^uint64(0).
-// The tests check both for every registered program.
+// The tests check both for every registered program. A FusedRankSum program
+// that is a RankStepper likewise has its dense Vertex rounds run on core's
+// rank body, which calls the RankStep and never the program's Apply.
 type FusedKind int
 
 const (
@@ -21,6 +23,9 @@ const (
 	FusedNone FusedKind = iota
 	// FusedRankSum: float64 acc += props[src] · Scale[src] (· w when the
 	// program is weighted) — PageRank in all three flavours (pr, wpr, ppr).
+	// Identity must be +0, which core's rank body resets accum to. When the
+	// program is a RankStepper, Apply(old, agg, v) must be
+	// (float64 bits of RankStep().Rank(agg, v), true).
 	FusedRankSum
 	// FusedMinProp: uint64 acc = min(acc, props[src]) — Connected
 	// Components. Identity must be ^uint64(0): core's chunk walk

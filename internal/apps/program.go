@@ -91,9 +91,55 @@ type PageRank struct {
 	Root uint32
 
 	scale        *RankScale // 1/outdeg (1/Σw) and the dangling list, shared per graph version
-	dangling     float64    // rank mass of dangling vertices, per iteration
+	step         RankStep   // this iteration's Apply arithmetic, set by PreIteration
 	weighted     bool       // wpr: messages carry the edge weight
 	personalized bool       // ppr: teleport mass returns to Root
+}
+
+// RankStep is one iteration of PageRank's Vertex-phase arithmetic, with the
+// terms that are the same for every vertex — (1-d)/N, dangling/N and the
+// root's restart mass — computed once by PreIteration. Apply is Rank, and
+// core's rank-sum Vertex body calls Rank directly, so the two are one body.
+// Its four words stay in registers across that body's loop.
+type RankStep struct {
+	damping, teleport float64
+	// mass is dangling/N (pr, wpr) or, when root >= 0, the restart and
+	// dangling mass the root takes (ppr).
+	mass float64
+	// root is ppr's root, -1 for pr and wpr.
+	root int64
+}
+
+// Rank returns vertex v's new rank for aggregate agg: (1-d)/N + d·(agg +
+// dangling/N), or, when personalized, d·agg plus the root's restart and
+// dangling mass, (1-d) + d·dangling, at the root. Every product is rounded by
+// an explicit float64 conversion before it is added: without one a compiler
+// may fuse the two (GOAMD64=v3, arm64) and two builds of one tree disagree in
+// the last bit.
+func (s RankStep) Rank(agg uint64, v uint32) float64 {
+	if s.root >= 0 {
+		rank := float64(s.damping * asF64(agg))
+		if int64(v) == s.root {
+			rank += s.mass
+		}
+		return rank
+	}
+	return s.teleport + float64(s.damping*(asF64(agg)+s.mass))
+}
+
+// RankStepper is the optional interface by which a FusedRankSum program
+// hands the engine its Apply as a RankStep (see FusedRankSum).
+type RankStepper interface {
+	RankStep() RankStep
+}
+
+// RankStepOf resolves a program's rank step, reporting false for a program
+// that has none.
+func RankStepOf(p Program) (RankStep, bool) {
+	if s, ok := p.(RankStepper); ok {
+		return s.RankStep(), true
+	}
+	return RankStep{}, false
 }
 
 // NewPageRank creates a PageRank program with damping 0.85 from an edge
@@ -155,21 +201,10 @@ func (p *PageRank) Message(srcVal uint64, src uint32, w float32) uint64 {
 	return f64(asF64(srcVal) * p.scale.Inv[src])
 }
 
-// Apply implements Program: rank = (1-d)/N + d·(sum + dangling/N), or, when
-// personalized, rank = d·sum plus the restart and dangling mass at the root.
-// The float64 conversions round each product before the add; without them a
-// compiler may fuse the two (GOAMD64=v3, arm64) and two builds of one tree
-// disagree in the last bit.
+// Apply implements Program: the rank the step of the last PreIteration (which
+// InitProps runs) gives. Every vertex reports a change.
 func (p *PageRank) Apply(_, agg uint64, v uint32) (uint64, bool) {
-	if p.personalized {
-		rank := p.Damping * asF64(agg)
-		if v == p.Root {
-			rank += (1 - p.Damping) + float64(p.Damping*p.dangling)
-		}
-		return f64(rank), true
-	}
-	rank := (1-p.Damping)/float64(p.N) + float64(p.Damping*(asF64(agg)+p.dangling/float64(p.N)))
-	return f64(rank), true
+	return f64(p.step.Rank(agg, v)), true
 }
 
 // InitProps implements Program: uniform initial ranks 1/N, or, when
@@ -187,8 +222,20 @@ func (p *PageRank) InitProps(props []uint64) {
 	p.PreIteration(props)
 }
 
-// PreIteration implements Program: sum the rank mass of dangling vertices.
-func (p *PageRank) PreIteration(props []uint64) { p.dangling = p.scale.danglingMass(props) }
+// PreIteration implements Program: sum the rank mass of dangling vertices
+// and compute the iteration's RankStep from it.
+func (p *PageRank) PreIteration(props []uint64) {
+	dangling := p.scale.danglingMass(props)
+	d := p.Damping
+	if p.personalized {
+		p.step = RankStep{damping: d, mass: (1 - d) + float64(d*dangling), root: int64(p.Root)}
+		return
+	}
+	p.step = RankStep{damping: d, teleport: (1 - d) / float64(p.N), mass: dangling / float64(p.N), root: -1}
+}
+
+// RankStep implements RankStepper: the step the last PreIteration computed.
+func (p *PageRank) RankStep() RankStep { return p.step }
 
 // InitFrontier implements Program; PageRank processes every vertex.
 func (p *PageRank) InitFrontier(f *frontier.Dense) { f.Fill() }

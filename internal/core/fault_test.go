@@ -118,16 +118,18 @@ func TestRunCtxPanicInApplyPhase(t *testing.T) {
 	}
 }
 
-// poisonedApply panics on the first Apply of vertex 0.
+// poisonedApply panics on the first Apply of vertex 0. It embeds the
+// Program interface, which hides the fused kind and the rank step: a fused
+// rank sum's Vertex phase runs rankBody and never calls Apply.
 type poisonedApply struct {
-	*apps.PageRank
+	apps.Program
 }
 
 func (p poisonedApply) Apply(old, agg uint64, v uint32) (uint64, bool) {
 	if v == 0 {
 		panic("poisoned apply")
 	}
-	return p.PageRank.Apply(old, agg, v)
+	return p.Program.Apply(old, agg, v)
 }
 
 // TestPanicInListDrivenRound arms the core/chunk failpoint on a bfs run

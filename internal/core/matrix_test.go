@@ -106,15 +106,19 @@ const (
 	armMin   = "select (min)"  // selectBody on applyMin
 	armOnce  = "select (once)" // selectBody on applyOnce
 	armApply = "apply"         // applyBody: the program's own Apply
+	armRank  = "rank"          // rankBody: the program's RankStep
 )
 
 // builtArm names the Vertex-phase body a round of p would run on ec now: the
 // one vertexBodyFor builds, for a dense round and a list-driven one alike.
 func builtArm(ec *ExecContext, p apps.Program) string {
-	fn := runtime.FuncForPC(reflect.ValueOf(vertexBodyFor(ec, p, nil)).Pointer()).Name()
+	body, _ := vertexBodyFor(ec, p, nil)
+	fn := runtime.FuncForPC(reflect.ValueOf(body).Pointer()).Name()
 	switch {
 	case strings.HasSuffix(fn, ".applyBody.func1"):
 		return armApply
+	case strings.HasSuffix(fn, ".rankBody.func1"):
+		return armRank
 	case !strings.HasSuffix(fn, ".selectBody.func1"):
 		return fn
 	}
@@ -127,18 +131,18 @@ func builtArm(ec *ExecContext, p apps.Program) string {
 // matrixPulls is the path table: the body a scheduler-aware pull round of
 // each registered program builds, fused and through the generic fold ("" for
 // a program the engine does not fuse, whose generic run is its only one), and
-// the Vertex body its fused run takes outside the scalar cells (a generic row
-// and a scalar cell take apply).
+// the Vertex body its fused run takes (a generic row takes apply, and so does
+// a scalar cell, except that a rank sum's dense rounds keep rank there).
 var matrixPulls = map[string]struct{ fused, generic, vertex string }{
 	"bfs":   {pathMinSrc, pathVector, armOnce},
 	"cc":    {pathChunk, pathVector, armMin},
 	"kcore": {pathVector, "", armApply},
 	"lp":    {pathSpan, "", armApply},
-	"ppr":   {pathRankSum, pathSpan, armApply},
-	"pr":    {pathRankSum, pathSpan, armApply},
+	"ppr":   {pathRankSum, pathSpan, armRank},
+	"pr":    {pathRankSum, pathSpan, armRank},
 	"sssp":  {pathVector, pathVector, armApply},
 	"tc":    {pathSpan, "", armApply},
-	"wpr":   {pathRankSum, pathSpan, armApply},
+	"wpr":   {pathRankSum, pathSpan, armRank},
 }
 
 // matrixApp is one program row of the matrix.
@@ -366,11 +370,12 @@ type matrixRun struct {
 	// paths the body a pull in that round built, arms the Vertex-phase body
 	// the round built; rounds (min-prop and min-src programs in the pull-only
 	// cells with the early exit on) a hash of the lanes the round started
-	// from.
+	// from; fresh whether contrib was current as the round started.
 	pulls  []int
 	paths  []string
 	arms   []string
 	rounds []uint64
+	fresh  []bool
 }
 
 func (r *matrixRun) String() string {
@@ -385,8 +390,10 @@ func (r *matrixRun) String() string {
 }
 
 // observed wraps the program of a matrix run and logs, as every round
-// starts, what the run's own ExecContext holds: its pull count, the body a
-// pull round would build from it and the Vertex-phase body it would run.
+// starts, what the run's own ExecContext holds: its pull count, whether
+// contrib is current, the body a pull round would build from it and the
+// Vertex-phase body it would run. It forwards every optional interface the
+// engine resolves.
 type observed struct {
 	apps.Program
 	ec  *ExecContext
@@ -396,10 +403,12 @@ type observed struct {
 func (o *observed) FusedKind() apps.FusedKind { k, _ := apps.KindOf(o.Program); return k }
 func (o *observed) FusedScale() []float64     { _, s := apps.KindOf(o.Program); return s }
 func (o *observed) MonotoneMin() bool         { return apps.IsMonotoneMin(o.Program) }
+func (o *observed) RankStep() apps.RankStep   { s, _ := apps.RankStepOf(o.Program); return s }
 
 func (o *observed) PreIteration(props []uint64) {
 	o.Program.PreIteration(props)
 	o.run.pulls = append(o.run.pulls, o.ec.pullsDone)
+	o.run.fresh = append(o.run.fresh, o.ec.contribCurrent)
 	o.run.paths = append(o.run.paths, builtPath(o.ec, o))
 	o.run.arms = append(o.run.arms, builtArm(o.ec, o))
 	if o.run.rounds != nil {
@@ -439,11 +448,14 @@ func observe(t *testing.T, r *Runner, p apps.Program, maxIters int, seed *Seed, 
 }
 
 // checkPaths joins a run to the path table: each of its pull rounds built the
-// body its cell expects, and each of its rounds the Vertex body.
+// body its cell expects, and each of its rounds the Vertex body. A rank sum
+// on the rank body finds contrib current at the start of every round but the
+// first (the full-vector walk's never: it does not gather contrib), so a run
+// refreshes it at most once; no other run finds it current.
 func checkPaths(t *testing.T, run *matrixRun, p apps.Program, seen, seenArms map[string]bool) {
 	t.Helper()
 	wantArm := run.app.vertex
-	if run.cell.opt.Scalar {
+	if run.cell.opt.Scalar && wantArm != armRank {
 		wantArm = armApply
 	}
 	for i, arm := range run.arms {
@@ -451,6 +463,12 @@ func checkPaths(t *testing.T, run *matrixRun, p apps.Program, seen, seenArms map
 			t.Fatalf("%v: round %d ran the Vertex phase on the %s, the path table says %s", run, i, arm, wantArm)
 		}
 		seenArms[arm] = true
+	}
+	gathers := wantArm == armRank && !run.cell.opt.AblateFullVector
+	for i, fresh := range run.fresh {
+		if want := gathers && i > 0; fresh != want {
+			t.Fatalf("%v: round %d started with contrib current %v, want %v", run, i, fresh, want)
+		}
 	}
 	for i, path := range run.paths {
 		if run.pulls[i+1] == run.pulls[i] {
@@ -726,7 +744,7 @@ func TestEquivalenceMatrix(t *testing.T) {
 			format string
 		}{
 			{paths, []string{pathSpan, pathRankSum, pathChunk, pathMinSrc, pathVector, pathTraditional, pathCS}, "no pull round ran the %s"},
-			{arms, []string{armMin, armOnce, armApply}, "no Vertex phase ran the %s"},
+			{arms, []string{armMin, armOnce, armApply, armRank}, "no Vertex phase ran the %s"},
 			{listDriven, []string{"bfs", "cc", "kcore", "sssp"}, "%s never ran a list-driven round"},
 			{fewer, []string{"cc", "sssp"}, "%s never finished in fewer iterations than the paper configuration: the in-place path did not run"},
 			{full, []string{"cc", "kcore"}, "%s never started from a full frontier: no round ran unpredicated"},

@@ -155,6 +155,33 @@ func BenchmarkMeshBFS(b *testing.B) {
 	}
 }
 
+// BenchmarkPageRank times whole 8-iteration pr runs on the uk-2007 analog at
+// scale 4 (kernel-dense's graph and run) at one and two workers: every round
+// a dense rank-sum pull (one vec.RankSumChunk call per chunk) and a rank-body
+// Vertex phase, which also writes the contrib array the next pull gathers.
+// ms/run, edge_ms/run (Result.EdgeTime, the merge fold and the run's one
+// contrib refresh included) and vertex_ms/run (Result.VertexTime) are per run.
+func BenchmarkPageRank(b *testing.B) {
+	cg := BuildGraph(gen.Generate(gen.UK2007, 4))
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("U4/w%d", workers), func(b *testing.B) {
+			r := NewRunner(cg, Options{Workers: workers})
+			defer r.Close()
+			var edge, vertex time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res := Run(r, apps.PageRankOn(cg.RankScale(false)), 8)
+				edge += res.EdgeTime
+				vertex += res.VertexTime
+			}
+			runs := float64(b.N)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/runs/1e6, "ms/run")
+			b.ReportMetric(float64(edge.Nanoseconds())/runs/1e6, "edge_ms/run")
+			b.ReportMetric(float64(vertex.Nanoseconds())/runs/1e6, "vertex_ms/run")
+		})
+	}
+}
+
 // BenchmarkHubBFS times whole bfs runs on the R-MAT analog from four of its
 // 256 highest-out-degree roots (hubs all reach the giant component, so every
 // search costs about the same), at one and two workers: T8 is

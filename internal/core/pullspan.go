@@ -74,10 +74,13 @@ func (ec *ExecContext) pullsBySpan(p apps.Program, kind apps.FusedKind) bool {
 // summed lane by lane, an interior one added to accum[dst] inside the call and
 // the trailing one returned for the merge slot. A rank sum's per-edge term,
 // props[n]·scale[n], is the same number on every out-edge of n, so building
-// the body first multiplies it out once per vertex into the context's contrib
-// array (refreshContrib) and the sweep gathers that: one array read per lane
-// instead of two. Each product was already rounded on its own before it was
-// added, so the lanes are the bits the per-edge product gave.
+// the sweep gathers the context's contrib array, the products multiplied out
+// once per vertex: one array read per lane instead of two. The previous dense
+// Vertex phase (rankBody) writes contrib beside the ranks, so only a run's
+// first sweep, or one after a Vertex phase on another body, multiplies it out
+// itself (refreshContrib, through currentContrib). Each product was already
+// rounded on its own before it was added, so the lanes are the bits the
+// per-edge product gave.
 //
 // An unclassified program reduces each run span — the run's vectors clipped
 // to the chunk — through its own Message and Combine (laneFold), in a Go walk
@@ -125,7 +128,7 @@ func pullSpanBody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, n
 			r.mergeBuf.Save(chunkID, uint32(dst), acc)
 		}
 	case apps.FusedRankSum:
-		contrib := r.refreshContrib(fz.scale)
+		contrib := r.currentContrib(fz.scale)
 		return func(rg sched.Range, chunkID, tid, node int) {
 			dst, acc := rankSum(words, index, contrib, weights, accum, int(firstTop(a, rg.Lo)), rg.Lo, rg.Hi)
 			r.mergeBuf.Save(chunkID, uint32(dst), acc)
@@ -157,22 +160,37 @@ func pullSpanBody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, n
 	}
 }
 
-// refreshContrib sets contrib[v] = props[v]·scale[v] for every vertex, each
-// product rounded to float64 on its own exactly as step rounds it per edge,
-// and returns the array. It runs on the driver goroutine before the pull's
-// dispatch, when no chunk of this run is in flight, as one statically
-// scheduled pass.
-func (r *ExecContext) refreshContrib(scale []float64) []float64 {
+// contribArray returns the context's contrib array, allocated on first use.
+func (r *ExecContext) contribArray() []float64 {
 	if r.contrib == nil {
 		r.contrib = make([]float64, r.g.N)
 	}
-	props, contrib := r.props, r.contrib
+	return r.contrib
+}
+
+// currentContrib returns the contrib array for a rank-sum sweep. The dense
+// Vertex phase of a rank sum (rankBody) writes it beside the ranks, so it is
+// stale only at the start of a run — after Init or a seed install — or after
+// a Vertex phase that ran another body; only then is it refreshed.
+func (r *ExecContext) currentContrib(scale []float64) []float64 {
+	if !r.contribCurrent {
+		r.refreshContrib(scale)
+		r.contribCurrent = true
+	}
+	return r.contrib
+}
+
+// refreshContrib sets contrib[v] = props[v]·scale[v] for every vertex, each
+// product rounded to float64 on its own exactly as step rounds it per edge.
+// It runs on the driver goroutine before the pull's dispatch, when no chunk
+// of this run is in flight, as one statically scheduled pass.
+func (r *ExecContext) refreshContrib(scale []float64) {
+	props, contrib := r.props, r.contribArray()
 	r.pool.StaticFor(len(contrib), func(rg sched.Range, _ int) {
 		for v := rg.Lo; v < rg.Hi; v++ {
 			contrib[v] = float64(math.Float64frombits(props[v]) * scale[v])
 		}
 	})
-	return contrib
 }
 
 // laneFold reduces one run span, vectors [lo, hi), through the program's own

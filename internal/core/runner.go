@@ -76,9 +76,14 @@ type ExecContext struct {
 	frontList, touchedList []uint32
 	nodeStates             []nodeState
 	// contrib is the rank-sum span pull's gather target, rank[v]·scale[v] per
-	// vertex, refreshed before every such sweep (pullSpanBody); nil until a
-	// rank-sum program first runs on this context.
-	contrib []float64
+	// vertex (pullSpanBody); nil until a rank-sum program first runs on this
+	// context. contribCurrent records that it matches props: the last Vertex
+	// phase was a rank body that wrote it, or a sweep has refreshed it since.
+	// Init, applySeed and every other Vertex body clear it, and a sweep that
+	// finds it clear refreshes contrib first (currentContrib). Driver
+	// goroutine only.
+	contrib        []float64
+	contribCurrent bool
 
 	// edgeRec and vertexRec collect counters when Options.Record is set;
 	// nil otherwise.
@@ -268,6 +273,7 @@ func (ec *ExecContext) Init(p apps.Program) {
 		ec.tracer.Reset()
 	}
 	ec.pullsDone = 0
+	ec.contribCurrent = false
 }
 
 // cancelled reports whether the run's context is done. The check is a

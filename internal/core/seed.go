@@ -43,6 +43,7 @@ func applySeed(ec *ExecContext, p apps.Program, seed *Seed) (ok bool) {
 		return false
 	}
 	copy(ec.props, seed.Props)
+	ec.contribCurrent = false
 	ec.front.Clear()
 	n := uint32(ec.g.N)
 	for _, v := range seed.Frontier {

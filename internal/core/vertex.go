@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync/atomic"
 
 	"repro/internal/apps"
@@ -14,19 +15,24 @@ import (
 // one). One driver, runVertex, serves the dense round — every vertex,
 // statically scheduled (§5: the work is regular enough that load balancing is
 // not a problem) — and the list-driven round, which visits only the touched
-// destinations. It runs one of two bodies:
+// destinations. It runs one of three bodies:
 //
 //   - selectBody, for the two min kinds (cc's FusedMinProp, bfs's
 //     FusedMinSrc): a kind fixes Apply as well as the Edge operator
 //     (apps.FusedKind), so the body inlines it as a compare/select per lane,
 //     with no indirect call;
+//   - rankBody, for a dense round of a rank sum (FusedRankSum: pr, ppr, wpr),
+//     Scalar runs included: the program's per-iteration apps.RankStep
+//     inlined, and in the same pass the contrib array the next rank-sum pull
+//     gathers;
 //   - applyBody, the program's own Apply: every other kind, every unfused
-//     program, and every Scalar run (the non-vectorized baseline of Fig 10).
+//     program, and every other Scalar run (the non-vectorized baseline of
+//     Fig 10).
 //
-// Both collect changed-vertex bits a 64-vertex word at a time (wordBits), so
-// the only atomic in the phase is the OR into a word a neighbouring range
-// shares. The lanes, the frontiers and the Record counters are the same bits
-// whichever body runs.
+// All three collect changed-vertex bits a 64-vertex word at a time
+// (wordBits), so the only atomic in the phase is the OR into a word a
+// neighbouring range shares. The lanes, the frontiers and the Record counters
+// are the same bits whichever body runs.
 
 // RunVertex runs a dense Vertex phase and swaps the next frontier in.
 func RunVertex(r *ExecContext, p apps.Program) { runVertex(r, p, nil, r.g.N, false) }
@@ -39,7 +45,7 @@ func RunVertex(r *ExecContext, p apps.Program) { runVertex(r, p, nil, r.g.N, fal
 // registry conformance suite holds them to it). inline runs the phase as one
 // chunk on the driver goroutine. It returns the number of chunks it cut.
 func runVertex(r *ExecContext, p apps.Program, list []uint32, n int, inline bool) int {
-	body := vertexBodyFor(r, p, list)
+	body, fresh := vertexBodyFor(r, p, list)
 	r.next.Clear()
 	chunks := 1
 	if inline {
@@ -52,18 +58,35 @@ func runVertex(r *ExecContext, p apps.Program, list []uint32, n int, inline bool
 		})
 	}
 	r.publishFrontier()
+	r.contribCurrent = fresh
 	return chunks
 }
 
-// vertexBodyFor returns p's Vertex-phase body: selectBody or applyBody. With
+// vertexBodyFor returns p's Vertex-phase body — selectBody, rankBody or
+// applyBody — and whether it leaves contrib current for the next pull. With
 // list nil a range is of vertices, otherwise of list's entries. It snapshots
 // the next-frontier words, which swap on publish, so it is rebuilt every
 // round.
-func vertexBodyFor(r *ExecContext, p apps.Program, list []uint32) func(rg sched.Range, chunkID, tid, node int) {
+func vertexBodyFor(r *ExecContext, p apps.Program, list []uint32) (body func(rg sched.Range, chunkID, tid, node int), fresh bool) {
 	if sel, once := selects(r, p); sel {
-		return selectBody(r, p, list, once)
+		return selectBody(r, p, list, once), false
 	}
-	return applyBody(r, p, list)
+	if step, scale, ok := rankStep(p); ok && list == nil {
+		fresh = r.pullsBySpan(p, apps.FusedRankSum)
+		return rankBody(r, p, step, scale, fresh), fresh
+	}
+	return applyBody(r, p, list), false
+}
+
+// rankStep resolves the iteration's rank step and the per-source scale of a
+// FusedRankSum program that is an apps.RankStepper, or reports false.
+func rankStep(p apps.Program) (step apps.RankStep, scale []float64, ok bool) {
+	kind, scale := apps.KindOf(p)
+	if kind != apps.FusedRankSum {
+		return step, nil, false
+	}
+	step, ok = apps.RankStepOf(p)
+	return step, scale, ok
 }
 
 // selects reports whether p's Vertex phase runs selectBody — a min kind
@@ -163,11 +186,63 @@ func selectBody(r *ExecContext, p apps.Program, list []uint32, once bool) func(r
 	}
 }
 
+// rankBody is the dense Vertex phase of a rank sum, one vertex at a time:
+// the new rank from the iteration's step (the body PageRank.Apply calls, so
+// the lanes are Apply's bits) into props, +0 (FusedRankSum's Identity) into
+// accum and, when writeContrib, rank·scale[v] into contrib — each product
+// rounded on its own, refreshContrib's number — so the next pull finds
+// contrib current and skips refreshContrib's pass. Apply reports every
+// vertex changed, so the range's next-frontier bits are set whole words at
+// a time. There is no 4-lane step: this loop is also the Scalar baseline's.
+//
+// vertexBodyFor sets writeContrib when pullsBySpan admits the program, so
+// the engine cells whose pulls read props instead (Scalar, the traditional
+// variants, push-only) run this same phase, contrib store included: the
+// figures compare their Edge phases on equal Vertex work, and Fig 10a's
+// Vertex column compares one loop with itself.
+//
+// rankBody is kept out of line: inlined into vertexBodyFor, its closure was
+// compiled without Rank and math.Float64bits inlined into the loop (Go 1.24),
+// a call per vertex that tripled the loop's cost.
+//
+//go:noinline
+func rankBody(r *ExecContext, p apps.Program, step apps.RankStep, scale []float64, writeContrib bool) func(rg sched.Range, chunkID, tid, node int) {
+	props, accum := r.props, r.accum
+	var contrib []float64
+	if writeContrib {
+		contrib = r.contribArray()
+	}
+	return func(rg sched.Range, _, tid, _ int) {
+		lo, hi := rg.Lo, rg.Hi
+		a := accum[lo:hi]
+		o := props[lo:hi]
+		o = o[:len(a)]
+		if writeContrib {
+			c, sc := contrib[lo:hi], scale[lo:hi]
+			c, sc = c[:len(a)], sc[:len(a)]
+			for i, agg := range a {
+				rank := step.Rank(agg, uint32(lo+i))
+				o[i], a[i] = math.Float64bits(rank), 0
+				c[i] = float64(rank * sc[i])
+			}
+		} else {
+			for i, agg := range a {
+				o[i], a[i] = math.Float64bits(step.Rank(agg, uint32(lo+i))), 0
+			}
+		}
+		fb := r.newWordBits(p, nil, rg)
+		fb.addRange(lo, hi)
+		fb.flush()
+		r.vertexRec.Record(tid, perfmodel.Counters{SharedWrites: 2 * uint64(hi-lo)})
+	}
+}
+
 // applyBody is the Vertex phase through the program's own Apply: over a
 // list, one vertex at a time; dense, four lanes per step with one bounds
 // check per vector (§6.2 found this phase memory-bandwidth-bound; with an
 // indirect Apply per lane it is call-bound instead, which is why the min
-// kinds run selectBody), or one vertex at a time in a Scalar run.
+// kinds run selectBody and the rank sums rankBody), or one vertex at a time
+// in a Scalar run.
 func applyBody(r *ExecContext, p apps.Program, list []uint32) func(rg sched.Range, chunkID, tid, node int) {
 	props, accum := r.props, r.accum
 	identity := p.Identity()
@@ -306,6 +381,15 @@ func (fb *wordBits) addGroup(v int, m uint64) {
 		if hi := m >> (64 - off); hi != 0 {
 			fb.add(v>>6+1, hi)
 		}
+	}
+}
+
+// addRange adds every vertex of [lo, hi), one word at a time.
+func (fb *wordBits) addRange(lo, hi int) {
+	for v := lo; v < hi; {
+		end := min(hi, (v|63)+1)
+		fb.add(v>>6, ^uint64(0)>>(64-uint(end-v))<<(uint(v)&63))
+		v = end
 	}
 }
 

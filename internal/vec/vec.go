@@ -22,7 +22,7 @@
 //
 //   - RankSumChunk, the rank-sum programs': the paper's vgatherqpd in its
 //     dword-index form, VGATHERDPD, one per vector, masked by the lane words'
-//     own valid bits, of a per-vertex array the engine prepares before each
+//     own valid bits, of a per-vertex array the engine keeps current for each
 //     sweep, contrib[n] = rank[n]·scale[n] (the product is the same on every
 //     out-edge of n, so it is made once per vertex and read once per edge),
 //     summed lane by lane and folded per run as (l0+l1)+(l2+l3).
