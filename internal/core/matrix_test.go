@@ -449,9 +449,11 @@ func observe(t *testing.T, r *Runner, p apps.Program, maxIters int, seed *Seed, 
 
 // checkPaths joins a run to the path table: each of its pull rounds built the
 // body its cell expects, and each of its rounds the Vertex body. A rank sum
-// on the rank body finds contrib current at the start of every round but the
-// first (the full-vector walk's never: it does not gather contrib), so a run
-// refreshes it at most once; no other run finds it current.
+// on the rank body whose cell's pull gathers contrib finds it current at the
+// start of every round but the first, so a run refreshes it at most once; no
+// other run finds it current (Scalar's, the traditional variants', push-only
+// and the full-vector walk's pulls read props, so their rank body does not
+// store contrib).
 func checkPaths(t *testing.T, run *matrixRun, p apps.Program, seen, seenArms map[string]bool) {
 	t.Helper()
 	wantArm := run.app.vertex
@@ -464,7 +466,9 @@ func checkPaths(t *testing.T, run *matrixRun, p apps.Program, seen, seenArms map
 		}
 		seenArms[arm] = true
 	}
-	gathers := wantArm == armRank && !run.cell.opt.AblateFullVector
+	opt := run.cell.opt
+	gathers := wantArm == armRank && !opt.Scalar && opt.Variant == PullSchedulerAware &&
+		opt.Mode != EnginePushOnly && !opt.AblateFullVector
 	for i, fresh := range run.fresh {
 		if want := gathers && i > 0; fresh != want {
 			t.Fatalf("%v: round %d started with contrib current %v, want %v", run, i, fresh, want)

@@ -160,6 +160,22 @@ func pullSpanBody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, n
 	}
 }
 
+// gathersContrib reports whether this context's Edge-Pull of the rank sum p
+// gathers contrib: a vectorized, scheduler-aware pull (not Scalar's
+// Compressed-Sparse walk, not the traditional variants, not a push-only run)
+// that pullsBySpan admits. Only then does rankBody store contrib.
+func (ec *ExecContext) gathersContrib(p apps.Program) bool {
+	return !ec.opt.Scalar && ec.opt.Variant == PullSchedulerAware &&
+		ec.opt.Mode != EnginePushOnly && ec.pullsBySpan(p, apps.FusedRankSum)
+}
+
+// InvalidateContrib marks the contrib array stale, so the next rank-sum
+// Edge-Pull multiplies it out again (refreshContrib). An Edge-Pull phase
+// timed on its own has no Vertex phase before it to write contrib, so each
+// repetition calls this to pay for the products the engine's rank body
+// writes in a run.
+func (ec *ExecContext) InvalidateContrib() { ec.contribCurrent = false }
+
 // contribArray returns the context's contrib array, allocated on first use.
 func (r *ExecContext) contribArray() []float64 {
 	if r.contrib == nil {

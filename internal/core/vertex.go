@@ -23,8 +23,8 @@ import (
 //     with no indirect call;
 //   - rankBody, for a dense round of a rank sum (FusedRankSum: pr, ppr, wpr),
 //     Scalar runs included: the program's per-iteration apps.RankStep
-//     inlined, and in the same pass the contrib array the next rank-sum pull
-//     gathers;
+//     inlined, and in the same pass, when the run's pull gathers it, the
+//     contrib array the next sweep reads;
 //   - applyBody, the program's own Apply: every other kind, every unfused
 //     program, and every other Scalar run (the non-vectorized baseline of
 //     Fig 10).
@@ -72,7 +72,7 @@ func vertexBodyFor(r *ExecContext, p apps.Program, list []uint32) (body func(rg 
 		return selectBody(r, p, list, once), false
 	}
 	if step, scale, ok := rankStep(p); ok && list == nil {
-		fresh = r.pullsBySpan(p, apps.FusedRankSum)
+		fresh = r.gathersContrib(p)
 		return rankBody(r, p, step, scale, fresh), fresh
 	}
 	return applyBody(r, p, list), false
@@ -195,11 +195,9 @@ func selectBody(r *ExecContext, p apps.Program, list []uint32, once bool) func(r
 // vertex changed, so the range's next-frontier bits are set whole words at
 // a time. There is no 4-lane step: this loop is also the Scalar baseline's.
 //
-// vertexBodyFor sets writeContrib when pullsBySpan admits the program, so
-// the engine cells whose pulls read props instead (Scalar, the traditional
-// variants, push-only) run this same phase, contrib store included: the
-// figures compare their Edge phases on equal Vertex work, and Fig 10a's
-// Vertex column compares one loop with itself.
+// vertexBodyFor sets writeContrib only when the context's Edge-Pull gathers
+// contrib (gathersContrib); the cells whose pulls read props instead (Scalar,
+// the traditional variants, push-only) run the loop without the store.
 //
 // rankBody is kept out of line: inlined into vertexBodyFor, its closure was
 // compiled without Rank and math.Float64bits inlined into the loop (Go 1.24),

@@ -157,9 +157,10 @@ func TestWordBits(t *testing.T) {
 // for pr, wpr and ppr, to the program's Apply bit for bit: the rank it stores
 // for every vertex (ppr's root and the rest), the +0 it leaves in accum and
 // the contrib product, on aggregates of +0, -0, a subnormal, 1, +Inf and
-// random lanes, with zero and non-zero dangling mass. The body inlines the
-// step into core's loop, so a GOAMD64=v3 build that fused a product there
-// and not in Apply (or the reverse) would fail here.
+// random lanes, with zero and non-zero dangling mass; and it holds the cells
+// whose pulls read props to the same body without the contrib store. The
+// body inlines the step into core's loop, so a GOAMD64=v3 build that fused a
+// product there and not in Apply (or the reverse) would fail here.
 func TestFusedRankStepMatchesApply(t *testing.T) {
 	g := gen.AddUniformWeights(gen.RMAT(7, 400, gen.DefaultRMAT, 4), 5)
 	cg := BuildGraph(g)
@@ -207,6 +208,24 @@ func TestFusedRankStepMatchesApply(t *testing.T) {
 				}
 			}
 		}
+	}
+	// A cell whose Edge-Pull reads props instead runs the same body without
+	// the contrib store, and leaves contrib stale.
+	p := apps.PageRankOn(cg.RankScale(false))
+	for name, opt := range map[string]Options{
+		"scalar": {Scalar: true}, "traditional": {Variant: PullTraditional},
+		"push": {Mode: EnginePushOnly}, "full-vector": {AblateFullVector: true},
+	} {
+		opt.Workers = 1
+		r := NewRunner(cg, opt)
+		ec := r.NewContext()
+		ec.Init(p)
+		body, fresh := vertexBodyFor(ec, p, nil)
+		body(sched.Range{Lo: 0, Hi: cg.N}, 0, 0, 0)
+		if arm := builtArm(ec, p); arm != armRank || fresh || ec.contrib != nil {
+			t.Fatalf("%s: the Vertex phase built the %s, contrib current %v, contrib stored %v", name, arm, fresh, ec.contrib != nil)
+		}
+		r.Close()
 	}
 }
 

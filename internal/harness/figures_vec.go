@@ -61,7 +61,12 @@ func Fig9(cfg Config) []*Table {
 func phaseTime(cfg Config, cg *core.Graph, p apps.Program, opt core.Options, phase string) time.Duration {
 	opt.Workers = cfg.Workers
 	opt.Mode = core.EnginePullOnly
-	if phase == "push" {
+	if phase != "pull" {
+		// A rank sum's Vertex phase also stores contrib when the run's pull
+		// gathers it. The pull column pays for those products (each
+		// repetition below multiplies them out again), so the Vertex phase
+		// is timed on a runner that does not pull: the same rank loop,
+		// without the store, on both sides of the ratio.
 		opt.Mode = core.EnginePushOnly
 	}
 	r := core.NewRunner(cg, opt)
@@ -71,8 +76,13 @@ func phaseTime(cfg Config, cg *core.Graph, p apps.Program, opt core.Options, pha
 	reps := cfg.PRIters
 	switch phase {
 	case "pull":
+		// A rank sum's vectorized pull gathers contrib, which a run's Vertex
+		// phase writes; each repetition multiplies it out again instead, so
+		// the phase is timed with that work in it, as the scalar pull's
+		// per-edge products are.
 		return cfg.timeBest(func() {
 			for i := 0; i < reps; i++ {
+				ec.InvalidateContrib()
 				core.RunEdgePull(ec, p)
 			}
 		})
