@@ -133,14 +133,15 @@ func BuildGraph(g *graph.Graph) *Graph {
 
 // PatchGraph returns BuildGraph(graph.ApplyEdgeOps(src, ops)), byte for
 // byte, for any edge list src with BuildGraph(src) == prev — computed from
-// prev alone, so a mutated version costs its delta plus one streaming copy
-// of each array instead of two counting sorts and two encodes over every
-// edge. Per direction the ops reduce to one edit per (src, dst) pair; groups
-// no edit names are copied run by run and the rest are merged and encoded
+// prev alone, so a mutated version costs its delta, the slabs it touches
+// and two Index arrays instead of two counting sorts and two encodes over
+// every edge. Per direction the ops reduce to one edit per (src, dst) pair;
+// a slab no edit names is prev's, shared by slice header, and in the others
+// untouched groups are copied run by run and the rest merged and encoded
 // again through the encoder FromCSR uses (vsparse.Array.Patch). Because the
 // output is the rebuild's output, every engine's determinism carries over
-// with nothing to re-prove. prev is not modified and shares no memory with
-// the result.
+// with nothing to re-prove. prev is not modified; the result shares every
+// untouched slab with it, which no one writes after its array is built.
 func PatchGraph(prev *Graph, ops []graph.EdgeOp) *Graph {
 	edits := graph.ReduceEdgeOps(ops, prev.Weighted) // ascending (src, dst)
 	n := prev.N

@@ -62,21 +62,22 @@ import (
 // Edge-Pull bodies, the path table's vocabulary.
 const (
 	pathSpan        = "span walk"           // pullSpanBody by run span: laneFold
-	pathRankSum     = "rank-sum chunk walk" // pullSpanBody: one vec.RankSumChunk call per chunk
-	pathChunk       = "min-prop chunk walk" // pullSpanBody: one vec.MinPropChunk call per chunk
-	pathMinSrc      = "min-src chunk walk"  // pullSpanBody: one vec.MinSrcChunk call per chunk
+	pathRankSum     = "rank-sum chunk walk" // pullSpanBody: one vec.RankSumChunk call per slab of a chunk
+	pathChunk       = "min-prop chunk walk" // pullSpanBody: one vec.MinPropChunk call per slab of a chunk
+	pathMinSrc      = "min-src chunk walk"  // pullSpanBody: one vec.MinSrcChunk call per slab of a chunk
 	pathVector      = "vector walk"         // pullSABody, vector by vector
 	pathTraditional = "traditional"         // edgePullTraditional
 	pathCS          = "compressed-sparse"   // edgePullCS, the scalar run walk
 )
 
 // closurePaths names the scheduler-aware bodies by the closure pullSABody
-// returns.
+// returns. Each chunk walk of pullSpanBody builds its per-slab walk and its
+// boundary store first, so its body is the third closure of the three.
 var closurePaths = []struct{ suffix, path string }{
-	{".pullSpanBody.func1", pathChunk},
-	{".pullSpanBody.func2", pathMinSrc},
-	{".pullSpanBody.func3", pathRankSum},
-	{".pullSpanBody.func4", pathSpan},
+	{".pullSpanBody.func3", pathChunk},
+	{".pullSpanBody.func6", pathMinSrc},
+	{".pullSpanBody.func9", pathRankSum},
+	{".pullSpanBody.func10", pathSpan},
 	{".pullSABody.func1", pathVector},
 }
 
@@ -91,7 +92,7 @@ func builtPath(ec *ExecContext, p apps.Program) string {
 	case ec.opt.Variant != PullSchedulerAware:
 		return pathTraditional
 	}
-	fz := fuseFor(p, p.Weighted() && ec.g.VSD.Weights != nil)
+	fz := fuseFor(p, p.Weighted() && ec.g.VSD.Weighted)
 	name := runtime.FuncForPC(reflect.ValueOf(pullSABody(ec, &fz)).Pointer()).Name()
 	for _, c := range closurePaths {
 		if strings.HasSuffix(name, c.suffix) {

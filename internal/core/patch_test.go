@@ -62,7 +62,7 @@ type edgeList struct {
 }
 
 func arrayList(a *vsparse.Array) edgeList {
-	return edgeList{a.N, a.ValidEdges, a.Weights != nil, a.ToGraph().Edges, a.WriteFile}
+	return edgeList{a.N, a.ValidEdges, a.Weighted, a.ToGraph().Edges, a.WriteFile}
 }
 
 func matrixList(m *csr.Matrix) edgeList {

@@ -43,7 +43,7 @@ func edgePullSA(r *ExecContext, p apps.Program) edgeCost {
 	if r.g.VSD.NumVectors() == 0 {
 		return edgeCost{}
 	}
-	fz := fuseFor(p, p.Weighted() && r.g.VSD.Weights != nil)
+	fz := fuseFor(p, p.Weighted() && r.g.VSD.Weighted)
 	body := pullSABody(r, &fz)
 	if rec := r.edgeRec; rec != nil {
 		run, count := body, countChunk(r, &fz)
@@ -137,19 +137,20 @@ func pullSABody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, nod
 	// the lane to stop at.
 	gated := p.UsesFrontier() && !(frontierWork && !saturates && r.front.Full())
 	inPlace := r.inPlace(p)
-	words, index := a.Words, a.Index
-	// The full-vector fast path reads every weight as 0 when the program
-	// takes none or the graph has none, as the per-lane steps do.
-	var weights []float32
-	if weighted {
-		weights = a.Weights
-	}
+	index := a.Index
 	return func(rg sched.Range, chunkID, tid, node int) {
 		// StartChunk (Listing 3): TLS holds the current destination and its
 		// partially-aggregated value.
 		dst := firstTop(a, rg.Lo)
 		first := uint64(dst)
 		acc := identity
+		// The current slab's lanes, numbered from its first vector; the walk
+		// moves to the next slab where the current one ends. The full-vector
+		// fast path reads every weight as 0 when the program takes none or
+		// the graph has none, as the per-lane steps do.
+		var words []uint32
+		var weights []float32
+		slabBase, slabEnd := 0, rg.Lo
 		for vi := rg.Lo; vi < rg.Hi; vi++ {
 			if vi == index[dst+1] {
 				// Outer-loop transition (Listing 4): at most one chunk holds
@@ -162,7 +163,10 @@ func pullSABody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, nod
 				for dst++; index[dst+1] == vi; dst++ {
 				}
 			}
-			base := vi * vec.Lanes
+			if vi == slabEnd {
+				words, weights, slabBase, slabEnd = slabAt(a, dst, weighted)
+			}
+			base := (vi - slabBase) * vec.Lanes
 			v0, v1, v2, v3 := words[base], words[base+1], words[base+2], words[base+3]
 			if tracksConv && r.conv.Contains(dst) {
 				if frontierWork {
@@ -199,7 +203,7 @@ func pullSABody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, nod
 						}
 						var w float32
 						if weighted {
-							w = a.Weights[base+lane]
+							w = weights[base+lane]
 						}
 						acc = fz.stepVal(acc, val, n, w)
 					}
@@ -239,7 +243,7 @@ func pullSABody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, nod
 				lane := m.First()
 				var w float32
 				if weighted {
-					w = a.Weights[base+lane]
+					w = weights[base+lane]
 				}
 				acc = fz.step(props, acc, uint64(words[base+lane]&vsparse.VertexMask), w)
 			}
@@ -277,7 +281,7 @@ func pullSABody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, nod
 func countChunk(r *ExecContext, fz *fuse) func(rg sched.Range, node int) perfmodel.Counters {
 	p := fz.p
 	a := r.g.VSD
-	words, index := a.Words, a.Index
+	index := a.Index
 	identity := p.Identity()
 	tracksConv := p.TracksConverged()
 	frontWords := r.front.Words()
@@ -290,6 +294,8 @@ func countChunk(r *ExecContext, fz *fuse) func(rg sched.Range, node int) perfmod
 		var c perfmodel.Counters
 		first := firstTop(a, rg.Lo)
 		dst, taken := first, false
+		var words []uint32
+		slabBase, slabEnd := 0, rg.Lo
 		for vi := rg.Lo; vi < rg.Hi; vi++ {
 			if vi == index[dst+1] {
 				if taken && accum[dst] != identity {
@@ -299,7 +305,10 @@ func countChunk(r *ExecContext, fz *fuse) func(rg sched.Range, node int) perfmod
 				for dst++; index[dst+1] == vi; dst++ {
 				}
 			}
-			base := vi * vec.Lanes
+			if vi == slabEnd {
+				words, _, slabBase, slabEnd = slabAt(a, dst, false)
+			}
+			base := (vi - slabBase) * vec.Lanes
 			v0, v1, v2, v3 := words[base], words[base+1], words[base+2], words[base+3]
 			c.VectorsProcessed++
 			mask := signMask4(v0, v1, v2, v3)
@@ -389,13 +398,13 @@ func edgePullTraditional(r *ExecContext, p apps.Program, useAtomics bool) edgeCo
 	usesFrontier := p.UsesFrontier()
 	tracksConv := p.TracksConverged()
 	skipEqual := p.SkipEqualWrites()
-	weighted := p.Weighted() && a.Weights != nil
+	weighted := p.Weighted() && a.Weighted
 	frontWords := r.front.Words()
 	props, accum := r.props, r.accum
 	rec := r.edgeRec
 	fz := fuseFor(p, weighted)
 
-	words, index := a.Words, a.Index
+	index := a.Index
 	// Two merge slots per chunk (prefix and suffix runs); dispatch itself
 	// only guarantees one.
 	r.mergeBuf.Grow(2 * (sched.NumChunks(total, chunkSize) + r.topo.Nodes))
@@ -411,6 +420,9 @@ func edgePullTraditional(r *ExecContext, p apps.Program, useAtomics bool) edgeCo
 		acc := identity
 		own := r.owned[node]
 		dst := firstDst
+		var words []uint32
+		var weights []float32
+		slabBase, slabEnd := 0, rg.Lo
 		for vi := rg.Lo; vi < rg.Hi; vi++ {
 			if vi == prefixEnd {
 				r.mergeBuf.Save(2*chunkID, firstDst, acc)
@@ -421,7 +433,10 @@ func edgePullTraditional(r *ExecContext, p apps.Program, useAtomics bool) edgeCo
 			for vi == index[dst+1] {
 				dst++
 			}
-			base := vi * vec.Lanes
+			if vi == slabEnd {
+				words, weights, slabBase, slabEnd = slabAt(a, dst, weighted)
+			}
+			base := (vi - slabBase) * vec.Lanes
 			v0, v1, v2, v3 := words[base], words[base+1], words[base+2], words[base+3]
 			c.VectorsProcessed++
 			mask := signMask4(v0, v1, v2, v3)
@@ -443,7 +458,7 @@ func edgePullTraditional(r *ExecContext, p apps.Program, useAtomics bool) edgeCo
 				n := neigh[lane]
 				var w float32
 				if weighted {
-					w = a.Weights[base+lane]
+					w = weights[base+lane]
 				}
 				switch {
 				case boundary:
@@ -623,6 +638,19 @@ func foldRun(fz *fuse, props []uint64, front *frontier.Dense, srcs []uint32, ws 
 // first vertex whose run ends past vi.
 func firstTop(a *vsparse.Array, vi int) uint32 {
 	return uint32(sort.Search(a.N, func(v int) bool { return a.Index[v+1] > vi }))
+}
+
+// slabAt returns the slab that holds top-level vertex v's vectors — its lane
+// words, its weights when weighted (nil otherwise), the array-wide number of
+// its first vector and of the first vector past it — for a vector walk that
+// has just reached v's first vector at a slab boundary.
+func slabAt(a *vsparse.Array, v uint32, weighted bool) (words []uint32, weights []float32, base, end int) {
+	s := int(v >> vsparse.SlabShift)
+	sl := &a.Slabs[s]
+	if weighted {
+		weights = sl.Weights
+	}
+	return sl.Words, weights, sl.Base, a.SlabEnd(s)
 }
 
 // window4 returns the lanes whose source id lies in [lo, lo+span), branch-

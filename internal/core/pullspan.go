@@ -87,6 +87,12 @@ func (ec *ExecContext) pullsBySpan(p apps.Program, kind apps.FusedKind) bool {
 // of the chunk run by run. No body here keeps a counter: countChunk charges a
 // Record run's chunks after them.
 //
+// Every walk here takes the chunk one slab at a time (slabWalk): VSD's lanes
+// lie in slabs of whole destination runs (vsparse.Slab), so a chunk that
+// crosses a slab boundary is one call per slab it touches, each on that
+// slab's words, and the run a call ends on at a boundary is complete and
+// stored as an interior one.
+//
 // The chunk grid, the transition stores and the merge slots are pullSABody's:
 // an interior run flushes to accum[dst], which no other chunk writes, and the
 // chunk's last destination goes to its merge slot, folded in chunk order. The
@@ -98,11 +104,8 @@ func pullSpanBody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, n
 	a := r.g.VSD
 	identity := p.Identity()
 	props, accum := r.props, r.accum
-	words, index := a.Words, a.Index
-	var weights []float32
-	if fz.weighted {
-		weights = a.Weights
-	}
+	index := a.Index
+	weighted := fz.weighted
 	rankSum, minProp, minSrc := vec.RankSumChunk, vec.MinPropChunk, vec.MinSrcChunk
 	if r.opt.AblateSIMD {
 		rankSum, minProp, minSrc = vec.RankSumChunkGo, vec.MinPropChunkGo, vec.MinSrcChunkGo
@@ -117,20 +120,38 @@ func pullSpanBody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, n
 		if p.UsesFrontier() && !inPlace && (r.opt.AblateFrontierWork || !r.front.Full()) {
 			front = r.front.Words()
 		}
+		walk := func(s *vsparse.Slab, first, dst, lo, hi int) (int, uint64) {
+			return minProp(s.Words, s.Base, index, props, front, accum, first, dst, lo, hi, inPlace)
+		}
+		store := func(dst int, acc uint64) { accum[dst] = min(accum[dst], acc) }
 		return func(rg sched.Range, chunkID, tid, node int) {
-			dst, acc := minProp(words, index, props, front, accum, int(firstTop(a, rg.Lo)), rg.Lo, rg.Hi, inPlace)
+			dst, acc := slabWalk(a, rg, walk, store)
 			r.mergeBuf.Save(chunkID, uint32(dst), acc)
 		}
 	case apps.FusedMinSrc:
 		frontWords, conv := r.front.Words(), r.conv.Words()
+		walk := func(s *vsparse.Slab, _, dst, lo, hi int) (int, uint64) {
+			return minSrc(s.Words, s.Base, index, frontWords, conv, accum, dst, lo, hi)
+		}
+		store := func(dst int, acc uint64) { accum[dst] = min(accum[dst], acc) }
 		return func(rg sched.Range, chunkID, tid, node int) {
-			dst, acc := minSrc(words, index, frontWords, conv, accum, int(firstTop(a, rg.Lo)), rg.Lo, rg.Hi)
+			dst, acc := slabWalk(a, rg, walk, store)
 			r.mergeBuf.Save(chunkID, uint32(dst), acc)
 		}
 	case apps.FusedRankSum:
 		contrib := r.currentContrib(fz.scale)
+		walk := func(s *vsparse.Slab, _, dst, lo, hi int) (int, uint64) {
+			var weights []float32
+			if weighted {
+				weights = s.Weights
+			}
+			return rankSum(s.Words, s.Base, index, contrib, weights, accum, dst, lo, hi)
+		}
+		store := func(dst int, acc uint64) {
+			accum[dst] = math.Float64bits(math.Float64frombits(accum[dst]) + math.Float64frombits(acc))
+		}
 		return func(rg sched.Range, chunkID, tid, node int) {
-			dst, acc := rankSum(words, index, contrib, weights, accum, int(firstTop(a, rg.Lo)), rg.Lo, rg.Hi)
+			dst, acc := slabWalk(a, rg, walk, store)
 			r.mergeBuf.Save(chunkID, uint32(dst), acc)
 		}
 	}
@@ -143,7 +164,13 @@ func pullSpanBody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, n
 			if hi == lo {
 				continue
 			}
-			acc := laneFold(fz, words, weights, props, identity, lo, hi)
+			// A run lies in one slab: its destination's.
+			s := &a.Slabs[dst>>vsparse.SlabShift]
+			var weights []float32
+			if weighted {
+				weights = s.Weights
+			}
+			acc := laneFold(fz, s.Words, weights, props, identity, lo-s.Base, hi-s.Base)
 			if hi == rg.Hi {
 				// FinishChunk (Listing 5): the trailing aggregate goes to
 				// this chunk's private merge-buffer slot.
@@ -207,6 +234,31 @@ func (r *ExecContext) refreshContrib(scale []float64) {
 			contrib[v] = float64(math.Float64frombits(props[v]) * scale[v])
 		}
 	})
+}
+
+// slabWalk walks chunk rg of VSD one slab at a time: walk gets one slab's
+// share [lo, hi) of the chunk, the chunk's first destination and the first
+// destination to look at in the share, and returns the run the share ends on.
+// A share that ends before rg.Hi ends where its slab does, on a complete run,
+// and store folds that run into accum as the kernels fold an interior one; a
+// slab without vectors in the chunk is passed over. It returns the chunk's
+// last run, for the merge slot. A chunk inside one slab is one call, as
+// before slabs.
+func slabWalk(a *vsparse.Array, rg sched.Range, walk func(s *vsparse.Slab, first, dst, lo, hi int) (int, uint64), store func(dst int, acc uint64)) (int, uint64) {
+	first := int(firstTop(a, rg.Lo))
+	dst, lo := first, rg.Lo
+	for {
+		s := dst >> vsparse.SlabShift
+		hi := min(a.SlabEnd(s), rg.Hi)
+		if hi == rg.Hi {
+			return walk(&a.Slabs[s], first, dst, lo, hi)
+		}
+		if hi > lo {
+			store(walk(&a.Slabs[s], first, dst, lo, hi))
+			lo = hi
+		}
+		dst = (s + 1) << vsparse.SlabShift
+	}
 }
 
 // laneFold reduces one run span, vectors [lo, hi), through the program's own

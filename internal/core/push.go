@@ -31,7 +31,7 @@ import (
 // included; runChunk charges each chunk's busy time. It returns the chunks
 // the phase cut and its merge fold's wall.
 func RunEdgePush(r *ExecContext, p apps.Program) edgeCost {
-	fz := fuseFor(p, p.Weighted() && r.g.VSS.Weights != nil)
+	fz := fuseFor(p, p.Weighted() && r.g.VSS.Weighted)
 	var body func(rg sched.Range, chunkID, tid, node int)
 	if r.opt.Scalar {
 		body = pushScalarBody(r, &fz)
@@ -71,7 +71,6 @@ func RunEdgePush(r *ExecContext, p apps.Program) edgeCost {
 func pushBody(r *ExecContext, fz *fuse, list []uint32, inline bool) func(rg sched.Range, chunkID, tid, node int) {
 	p := fz.p
 	a := r.g.VSS
-	words, index := a.Words, a.Index
 	usesFrontier := p.UsesFrontier()
 	tracksConv := p.TracksConverged()
 	skipEqual := p.SkipEqualWrites()
@@ -95,8 +94,9 @@ func pushBody(r *ExecContext, fz *fuse, list []uint32, inline bool) func(rg sche
 			} else if usesFrontier && !r.front.Contains(src) {
 				continue
 			}
-			for vi := index[src]; vi < index[src+1]; vi++ {
-				base := vi * vec.Lanes
+			// One slab holds the source's vectors.
+			words, weights := a.Vectors(src)
+			for base := 0; base < len(words); base += vec.Lanes {
 				v0, v1, v2, v3 := words[base], words[base+1], words[base+2], words[base+3]
 				c.VectorsProcessed++
 				mask := signMask4(v0, v1, v2, v3)
@@ -119,7 +119,7 @@ func pushBody(r *ExecContext, fz *fuse, list []uint32, inline bool) func(rg sche
 					}
 					var w float32
 					if fz.weighted {
-						w = a.Weights[base+lane]
+						w = weights[base+lane]
 					}
 					msg := fz.stepMsg(props, uint64(src), w)
 					c.EdgesProcessed++

@@ -517,9 +517,8 @@ func runLoop(ec *ExecContext, p apps.Program, maxIters int, seed *Seed) (Result,
 		untimed += t0.Sub(last)
 		switch rd.dir {
 		case dirSparse:
-			chunks := cs.chunks(ec.pool.Workers())
-			rd.edgeCost = runEdgePushSparse(ec, p, cs.list, chunks)
-			list, n, inline = ec.touchedList, len(ec.touchedList), chunks == 1
+			rd.edgeCost = runEdgePushSparse(ec, p, cs.list, cs.chunks(ec.pool.Workers()))
+			list, n, inline = ec.touchedList, len(ec.touchedList), rd.edgeChunks == 1
 		case dirPull:
 			rd.edgeCost = RunEdgePull(ec, p)
 		default:

@@ -66,12 +66,10 @@ func (r *ExecContext) sparseOK(cs census) bool {
 	return cs.list != nil && cs.work() <= r.g.Edges/sparseThresholdDivisor
 }
 
-// chunks is the number of chunks the list-driven round over this frontier is
-// cut into: as many as the scheduler's default, but none smaller than
-// sparseInlineWork units of work. One chunk runs inline on the driver
-// goroutine (the touched list is no longer than the out-edge sum, so it fits
-// too). Chunks are contiguous ranges of a sorted list folded in chunk-id
-// order, so any count folds exactly as one would.
+// chunks is the number of chunks the list-driven round over this frontier
+// asks for: as many as the scheduler's default, but none smaller than
+// sparseInlineWork units of work. Chunks are contiguous ranges of a sorted
+// list folded in chunk-id order, so any count folds exactly as one would.
 func (cs census) chunks(workers int) int {
 	return max(1, min(cs.work()/sparseInlineWork, sched.DefaultChunks(workers)))
 }
@@ -79,25 +77,24 @@ func (cs census) chunks(workers int) int {
 // runEdgePushSparse is the list-driven round's Edge-Push driver: it scatters
 // only the frontier's out-edges through pushBody, collecting the set of
 // touched destinations into r.touchedList for the list-driven Vertex phase,
-// in the given number of chunks (one runs inline on the driver goroutine,
-// the others on the pool). It returns the chunks it cut and its merge
-// fold's wall. Under Record the round charges its body's counters, but no
-// InvalidLanes and no Local/Remote split; runChunk charges each chunk's busy
-// time.
+// cutting the list into the given number of chunks. A cut that comes out as
+// one chunk — a short list, or one hub whose out-edges alone make the work —
+// runs inline on the driver goroutine (the touched list is no longer than
+// the out-edge sum, so it fits too), with plain writes; the others run on the
+// pool. It returns the chunks it cut (the caller runs the Vertex phase
+// inline when that is one) and its merge fold's wall. Under Record the round
+// charges its body's counters, but no InvalidLanes and no Local/Remote
+// split; runChunk charges each chunk's busy time.
 func runEdgePushSparse(r *ExecContext, p apps.Program, front []uint32, chunks int) edgeCost {
-	inline := chunks == 1
-	fz := fuseFor(p, p.Weighted() && r.g.VSS.Weights != nil)
-	r.touched.Clear()
-	body := pushBody(r, &fz, front, inline)
-
 	// The frontier list is sorted, so chunk ranges — and the scatter
 	// buffer's fold of an ordered program's contributions — are stable
 	// across runs.
-	chunk := len(front)
-	if !inline {
-		chunk = sched.ChunkSize(len(front), chunks)
-	}
+	chunk := sched.ChunkSize(len(front), chunks)
 	cost := edgeCost{edgeChunks: sched.NumChunks(len(front), chunk)}
+	inline := cost.edgeChunks == 1
+	fz := fuseFor(p, p.Weighted() && r.g.VSS.Weighted)
+	r.touched.Clear()
+	body := pushBody(r, &fz, front, inline)
 	if fz.ordered {
 		r.scatterBuf.Grow(cost.edgeChunks)
 	}

@@ -196,8 +196,8 @@ var tracePins = map[string]string{
 	"T1/w1/traditional/cc": "it=4 pull=3 push=1 sparse=1 dirs=<3s1 | edge-pull 3 it 96 ch [0.502685546875,1] | edge-push 1 it 1 ch [0.009033203125,0.009033203125] | vertex 4 it 4 ch [0.009033203125,1] | merge 3 it 0 ch [0.502685546875,1]",
 	"T1/w2/default/pr":     "it=4 pull=4 push=0 sparse=0 dirs=<4 | edge-pull 4 it 256 ch [1,1] | vertex 4 it 8 ch [1,1] | merge 4 it 0 ch [1,1]",
 	"T1/w2/default/cc":     "it=4 pull=3 push=1 sparse=1 dirs=<3s1 | edge-pull 3 it 192 ch [0.502685546875,1] | edge-push 1 it 1 ch [0.009033203125,0.009033203125] | vertex 4 it 7 ch [0.009033203125,1] | merge 3 it 0 ch [0.502685546875,1]",
-	"T1/w2/default/bfs":    "it=4 pull=2 push=2 sparse=2 dirs=s1<2s1 | edge-pull 2 it 128 ch [0.1710205078125,0.6300048828125] | edge-push 2 it 2 ch [0.0001220703125,0.025390625] | vertex 4 it 7 ch [0.0001220703125,0.6300048828125] | merge 2 it 0 ch [0.1710205078125,0.6300048828125]",
-	"T1/w2/default/sssp":   "it=5 pull=2 push=3 sparse=3 dirs=s1<2s2 | edge-pull 2 it 128 ch [0.1710205078125,0.7459716796875] | edge-push 3 it 19 ch [0.0001220703125,0.25830078125] | vertex 5 it 9 ch [0.0001220703125,0.7459716796875] | merge 2 it 0 ch [0.1710205078125,0.7459716796875]",
+	"T1/w2/default/bfs":    "it=4 pull=2 push=2 sparse=2 dirs=s1<2s1 | edge-pull 2 it 128 ch [0.1710205078125,0.6300048828125] | edge-push 2 it 2 ch [0.0001220703125,0.025390625] | vertex 4 it 6 ch [0.0001220703125,0.6300048828125] | merge 2 it 0 ch [0.1710205078125,0.6300048828125]",
+	"T1/w2/default/sssp":   "it=5 pull=2 push=3 sparse=3 dirs=s1<2s2 | edge-pull 2 it 128 ch [0.1710205078125,0.7459716796875] | edge-push 3 it 19 ch [0.0001220703125,0.25830078125] | vertex 5 it 8 ch [0.0001220703125,0.7459716796875] | merge 2 it 0 ch [0.1710205078125,0.7459716796875]",
 	"T1/w2/default/kcore":  "it=2 pull=0 push=2 sparse=2 dirs=s2 | edge-push 2 it 7 ch [0.000732421875,0.3565673828125] | vertex 2 it 3 ch [0.000732421875,0.3565673828125] | merge 2 it 0 ch [0.000732421875,0.3565673828125]",
 	"T1/w2/record/pr":      "it=4 pull=4 push=0 sparse=0 dirs=<4 | edge-pull 4 it 256 ch [1,1] | vertex 4 it 8 ch [1,1] | merge 4 it 0 ch [1,1]",
 	"T1/w2/record/cc":      "it=4 pull=3 push=1 sparse=1 dirs=<3s1 | edge-pull 3 it 192 ch [0.502685546875,1] | edge-push 1 it 1 ch [0.009033203125,0.009033203125] | vertex 4 it 7 ch [0.009033203125,1] | merge 3 it 0 ch [0.502685546875,1]",

@@ -3,10 +3,12 @@ package store
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/apps"
 	"repro/internal/core"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/testgraph"
+	"repro/internal/vsparse"
 )
 
 // corpusGraph returns the named testgraph corpus entry's graph.
@@ -286,6 +289,56 @@ func readBytes(t *testing.T, path string) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestMaterializeSplicesOnlyNewBatches: a version whose predecessor's
+// layouts are in memory applies only the batches since that predecessor, so
+// every slab no later batch touches is the predecessor's own memory — the
+// earlier batches, already in the seed, are not spliced in again. Each
+// version serves what a rebuild of base ⊕ every batch so far serves.
+func TestMaterializeSplicesOnlyNewBatches(t *testing.T) {
+	s, err := Open(Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	base := gen.RMAT(10, 6000, gen.DefaultRMAT, 4) // eight slabs a direction
+	if err := s.Add("g", core.BuildGraph(base)); err != nil {
+		t.Fatal(err)
+	}
+	var prev *core.Graph
+	var ops []graph.EdgeOp
+	for i, batch := range [][]graph.EdgeOp{
+		{{Src: 3, Dst: 5}},       // slab 0 both ways
+		{{Src: 1000, Dst: 1001}}, // slab 7 both ways
+		{{Src: 500, Dst: 501}},   // slab 3 both ways
+	} {
+		mustApply(t, s, "g", batch)
+		ops = append(ops, batch...)
+		h, err := s.Acquire("g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("after batch %d", i+1)
+		assertServesRebuild(t, h, base, ops, label)
+		cg := h.Runner().Graph()
+		if prev != nil {
+			touched := int(batch[0].Src) >> vsparse.SlabShift
+			for _, arr := range [][2]*vsparse.Array{{prev.VSS, cg.VSS}, {prev.VSD, cg.VSD}} {
+				for k := range arr[1].Slabs {
+					shared := unsafe.SliceData(arr[0].Slabs[k].Words) == unsafe.SliceData(arr[1].Slabs[k].Words)
+					if shared == (k == touched) {
+						t.Errorf("%s: slab %d shared %v, want %v", label, k, shared, k != touched)
+					}
+				}
+			}
+		}
+		prev = cg
+		h.Close()
+	}
+	if got := s.Stats().Materialize; got != (MaterializeStats{Patch: 3}) {
+		t.Fatalf("%+v, want three patches", got)
+	}
 }
 
 // TestMaterializeRebuildsWhenBatchTouchesMostGroups: a batch naming every

@@ -142,9 +142,10 @@ func (s *Store) publishSuccessorLocked(cur *entry, viewSeq uint64) *entry {
 		delta:    cur.delta,
 		viewSeq:  viewSeq,
 		seed:     cur.seed,
+		seedSeq:  cur.seedSeq,
 	}
 	if cur.runner != nil {
-		ne.seed = cur.runner.Graph()
+		ne.seed, ne.seedSeq = cur.runner.Graph(), cur.viewSeq
 		ne.seedBytes = cur.bytes
 		s.resident += cur.bytes
 		s.seedBytes += cur.bytes

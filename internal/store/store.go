@@ -190,6 +190,10 @@ type entry struct {
 	// until this entry is first read or freed, or the budget drops it.
 	// Guarded by load.
 	seed *core.Graph
+	// seedSeq is the viewSeq of the version seed was captured from: seed is
+	// base ⊕ overlay through seedSeq, so materialize applies only the
+	// batches after it. Set with seed.
+	seedSeq uint64
 	// seedBytes is what seed is charged to Store.resident (see
 	// publishSuccessorLocked). Guarded by Store.mu.
 	seedBytes int64
@@ -572,10 +576,13 @@ func (s *Store) Acquire(name string) (*Handle, error) {
 // touched groups may hold (core.PatchShare) for materialize to splice rather
 // than rebuild; both arms produce the same bytes, so it sets time only.
 // Measured on the T analog (N = 32 768, E = 1.44 M, uniform random inserts,
-// the rebuild fed from the seed's CSR): the splice costs a quarter of a
-// rebuild at a 3 % share, under half at 40 %, four fifths at 1.1, and the two
-// cross between 1.2 and 1.35 (the share passes 1 because each op adds its
-// own slots).
+// the rebuild fed from the seed's VSS.ToGraph, the splice sharing untouched
+// slabs; median of seven, 2-core box): the splice costs a hundredth of a
+// rebuild at a 0.1 % share, a fifth at 22 %, two fifths at 65 %, three fifths
+// at 1.02 and nine tenths at 1.18, and the two cross between 1.32 and 1.36
+// (the share passes 1 because each op adds its own slots). Past 1.2 the
+// splice saves under a tenth of a rebuild, within one pass's spread, so the
+// bound stays where the crossover's lower edge was first measured.
 const patchMaxShare = 1.2
 
 // materialize produces e's layouts: a base — a predecessor's layouts when
@@ -586,7 +593,11 @@ const patchMaxShare = 1.2
 // plain graph the engine runs like any other: bit-determinism at any worker
 // count is inherited, not re-proven. Replay idempotence makes the two base
 // choices equivalent — re-applying operations a seed already contains
-// changes nothing.
+// changes nothing — so a seed takes only the batches past e.seedSeq, the
+// view it holds: a splice then touches the slabs of the batches since the
+// predecessor, not of every batch since the log last rotated. Should that
+// range not be resident, the seed takes the log's whole range, as a stale
+// seed always could.
 //
 // Three arms, chosen only from what is in hand. No operations to apply over
 // a seed (a compaction successor): the seed IS this version, shared
@@ -598,11 +609,17 @@ const patchMaxShare = 1.2
 // log line saying why. The caller holds e.load.
 func (s *Store) materialize(e *entry) (*core.Graph, error) {
 	start := time.Now()
+	cg := e.seed
 	var ops []graph.EdgeOp
 	if e.delta != nil {
-		ops = e.delta.opsThrough(e.viewSeq)
+		var ok bool
+		if cg != nil {
+			ops, ok = e.delta.opsBetween(e.seedSeq, e.viewSeq)
+		}
+		if !ok {
+			ops = e.delta.opsThrough(e.viewSeq)
+		}
 	}
-	cg := e.seed
 	var g *graph.Graph // the rebuild's edges
 	var why string     // why it does not splice
 	switch {

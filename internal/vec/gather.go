@@ -17,8 +17,11 @@ const laneIDMask = uint32(1)<<31 - 1
 // RankSumChunk is the same function on the process's selected kernel; this
 // is the portable twin every build has.
 //
-// words holds four 32-bit lanes per vector; bit 31 of a lane marks it valid
-// and bits 30:0 carry the source id. contrib[n] is what source n sends along
+// words holds four 32-bit lanes per vector, from vector base on: vector vi,
+// numbered array-wide as index numbers it, is words[(vi−base)·4:]. A caller
+// passes one slab of the array (vsparse.Slab) and its Base, so [lo, hi) lies
+// in that slab. Bit 31 of a lane marks it valid and bits 30:0 carry the
+// source id. contrib[n] is what source n sends along
 // each of its out-edges this iteration, rank[n]·scale[n] rounded to float64
 // on its own — one product per vertex, made by the engine before the sweep,
 // where a product per edge would gather two arrays for the same number. weights, when
@@ -41,18 +44,19 @@ const laneIDMask = uint32(1)<<31 - 1
 // lane; a partial sum starts at +0 and can never become −0, so that agrees to
 // the bit too. The float64 conversions keep a compiler that may fuse x*y + z
 // (GOAMD64=v3, arm64) from doing so.
-func RankSumChunkGo(words []uint32, index []int, contrib []float64, weights []float32, accum []uint64, dst, lo, hi int) (last int, acc uint64) {
+func RankSumChunkGo(words []uint32, base int, index []int, contrib []float64, weights []float32, accum []uint64, dst, lo, hi int) (last int, acc uint64) {
 	for vi := lo; vi < hi; dst++ {
 		end := index[dst+1]
 		if end <= vi {
 			continue // no vectors of dst left in the chunk
 		}
 		end = min(end, hi)
+		from, to := (vi-base)*Lanes, (end-base)*Lanes
 		var ws []float32
 		if weights != nil {
-			ws = weights[vi*Lanes : end*Lanes]
+			ws = weights[from:to]
 		}
-		sum := rankSumSpan(words[vi*Lanes:end*Lanes], contrib, ws)
+		sum := rankSumSpan(words[from:to], contrib, ws)
 		if end == hi {
 			return dst, math.Float64bits(sum)
 		}
@@ -109,8 +113,10 @@ func rankSumSpan(words []uint32, contrib []float64, weights []float32) float64 {
 // min(props[src]) over its live lanes. MinPropChunk is the same function on
 // the process's selected kernel; this is the portable twin every build has.
 //
-// index is the array's per-destination vector index (vsparse.Array.Index) and
-// dst the destination that owns vector lo, the chunk's StartChunk top. A lane
+// words and base are RankSumChunkGo's. index is the array's per-destination
+// vector index (vsparse.Array.Index) and dst the first destination to look
+// at: the chunk's StartChunk top, or any destination up to the one that owns
+// vector lo, destinations without vectors at lo being passed over. A lane
 // is live when its valid bit (31) is set and, if front is non-empty, the
 // frontier bitset front has its source's bit; an ungated round passes nil.
 // Every run the chunk holds to its end is an interior run: this chunk is its
@@ -121,14 +127,16 @@ func rankSumSpan(words []uint32, contrib []float64, weights []float32) float64 {
 // found it. A destination without vectors in the chunk is skipped.
 //
 // In place (DESIGN.md §17): when inPlace is set, a live lane whose source lies
-// in [first, dst) — first the chunk's StartChunk destination, the dst
-// argument, and dst the current run's destination — contributes
-// min(props[src], accum[src]) instead of props[src]. That window holds exactly
-// the destinations this call has already stored, so accum there is this
-// call's own write (or the Identity no chunk writes, for a destination without
-// vectors): the read races with nothing, and a label crosses the whole chunk
-// in one round. The current run is never in its own window, and a synchronous
-// call (inPlace false) reads props alone.
+// in [first, dst) — first the chunk's StartChunk destination and dst the
+// current run's destination — contributes min(props[src], accum[src]) instead
+// of props[src]. That window holds exactly the destinations the chunk has
+// already stored, so accum there is the chunk's own write (or the Identity no
+// chunk writes, for a destination without vectors): the read races with
+// nothing, and a label crosses the whole chunk in one round. A chunk walked
+// in several calls, one per slab, passes every call the chunk's first, so the
+// window is the chunk's and takes in the runs earlier calls and their caller
+// stored; the first call passes dst = first. The current run is never in its
+// own window, and a synchronous call (inPlace false) reads props alone.
 //
 // Min is exact and order-free, so no reduction order is part of the contract:
 // the assembly keeps a running minimum per lane and folds them at the run's
@@ -139,10 +147,9 @@ func rankSumSpan(words []uint32, contrib []float64, weights []float32) float64 {
 // the frontier words are indexed the same way. Inside the window the twin
 // reads accum for dead lanes too and masks it the same way; the assembly
 // gathers it for live lanes only.
-func MinPropChunkGo(words []uint32, index []int, props, front, accum []uint64, dst, lo, hi int, inPlace bool) (last int, acc uint64) {
+func MinPropChunkGo(words []uint32, base int, index []int, props, front, accum []uint64, first, dst, lo, hi int, inPlace bool) (last int, acc uint64) {
 	const none = ^uint64(0)
 	gated := len(front) != 0
-	first := uint64(dst)
 	for vi := lo; vi < hi; dst++ {
 		end := index[dst+1]
 		if end <= vi {
@@ -154,11 +161,12 @@ func MinPropChunkGo(words []uint32, index []int, props, front, accum []uint64, d
 		// The window's width: 0 for a synchronous call and for the first run.
 		var span uint64
 		if inPlace {
-			span = uint64(dst) - first
+			span = uint64(dst - first)
 		}
 		acc = none
 		for ; vi < end; vi++ {
-			w := words[vi*Lanes : vi*Lanes+Lanes : vi*Lanes+Lanes]
+			k := (vi - base) * Lanes
+			w := words[k : k+Lanes : k+Lanes]
 			n0, n1, n2, n3 := uint64(w[0]&laneIDMask), uint64(w[1]&laneIDMask), uint64(w[2]&laneIDMask), uint64(w[3]&laneIDMask)
 			v0, v1, v2, v3 := uint64(w[0]>>31), uint64(w[1]>>31), uint64(w[2]>>31), uint64(w[3]>>31)
 			if gated {
@@ -171,16 +179,17 @@ func MinPropChunkGo(words []uint32, index []int, props, front, accum []uint64, d
 			if span != 0 {
 				// n − first wraps for a source below first, so one unsigned
 				// compare tests both ends.
-				if n0-first < span {
+				f := uint64(first)
+				if n0-f < span {
 					p0 = min(p0, accum[n0])
 				}
-				if n1-first < span {
+				if n1-f < span {
 					p1 = min(p1, accum[n1])
 				}
-				if n2-first < span {
+				if n2-f < span {
 					p2 = min(p2, accum[n2])
 				}
-				if n3-first < span {
+				if n3-f < span {
 					p3 = min(p3, accum[n3])
 				}
 			}
@@ -201,7 +210,7 @@ func MinPropChunkGo(words []uint32, index []int, props, front, accum []uint64, d
 // smallest live source id it holds. MinSrcChunk is the same function on the
 // process's selected kernel; this is the portable twin every build has.
 //
-// index, dst, the interior stores and the returned last run are
+// words, base, index, dst, the interior stores and the returned last run are
 // MinPropChunkGo's. A run whose destination the converged bitset conv holds
 // is skipped whole, without a vector read, and aggregates to Identity,
 // ^uint64(0) (BFS's NoParent). In any other run a lane is live when its valid
@@ -219,7 +228,7 @@ func MinPropChunkGo(words []uint32, index []int, props, front, accum []uint64, d
 // lanes with an in-range id (vsparse.FromCSR), so the reads stay in front.
 // The assembly gathers the words under the valid bits instead; the live mask,
 // and so every returned and stored word, is the same.
-func MinSrcChunkGo(words []uint32, index []int, front, conv, accum []uint64, dst, lo, hi int) (last int, acc uint64) {
+func MinSrcChunkGo(words []uint32, base int, index []int, front, conv, accum []uint64, dst, lo, hi int) (last int, acc uint64) {
 	const none = ^uint64(0)
 	for vi := lo; vi < hi; dst++ {
 		end := index[dst+1]
@@ -229,7 +238,8 @@ func MinSrcChunkGo(words []uint32, index []int, front, conv, accum []uint64, dst
 		acc = none
 		if conv[dst>>6]>>(uint(dst)&63)&1 == 0 {
 			for v := vi; v < min(end, hi); v++ {
-				w := words[v*Lanes : v*Lanes+Lanes : v*Lanes+Lanes]
+				k := (v - base) * Lanes
+				w := words[k : k+Lanes : k+Lanes]
 				n0, n1, n2, n3 := w[0]&laneIDMask, w[1]&laneIDMask, w[2]&laneIDMask, w[3]&laneIDMask
 				live := uint64(w[0]>>31)&(front[n0>>6]>>(n0&63)) |
 					(uint64(w[1]>>31)&(front[n1>>6]>>(n1&63)))<<1 |

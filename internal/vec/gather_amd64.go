@@ -31,44 +31,47 @@ func detectAVX2() bool {
 // chunk walk of gather_amd64.s — one VGATHERDPD per vector, the dword-index
 // form of the paper's vgatherqpd and the one place it is issued for real —
 // when the CPU has it, the Go twin
-// otherwise. The assembly does not bounds-check: lo ≤ hi ≤ len(words)/4,
-// weights (when non-nil) as long as words, dst owns vector lo, every valid
+// otherwise. The assembly does not bounds-check: base ≤ lo ≤ hi ≤
+// base + len(words)/4, weights (when non-nil) as long as words, dst owns
+// vector lo or precedes it with no vectors in between, every valid
 // lane id indexes contrib, and every interior destination indexes accum —
 // the Vector-Sparse format's guarantees for a chunk of its own grid
 // (vsparse.Array.Validate).
-func RankSumChunk(words []uint32, index []int, contrib []float64, weights []float32, accum []uint64, dst, lo, hi int) (last int, acc uint64) {
+func RankSumChunk(words []uint32, base int, index []int, contrib []float64, weights []float32, accum []uint64, dst, lo, hi int) (last int, acc uint64) {
 	if useAVX2 {
-		return rankSumChunkAVX2(words, index, contrib, weights, accum, dst, lo, hi)
+		return rankSumChunkAVX2(words, base, index, contrib, weights, accum, dst, lo, hi)
 	}
-	return RankSumChunkGo(words, index, contrib, weights, accum, dst, lo, hi)
+	return RankSumChunkGo(words, base, index, contrib, weights, accum, dst, lo, hi)
 }
 
 // MinPropChunk is MinPropChunkGo on the process's selected kernel: the AVX2
 // chunk walk of gather_amd64.s — two VPGATHERDQ per gated vector, one per
 // ungated, and one more of accum per vector of an in-place run — when the
 // CPU has it, the Go twin otherwise. Like RankSumChunk it does not
-// bounds-check: lo ≤ hi ≤ len(words)/4, dst owns vector lo, every valid lane
+// bounds-check: base ≤ lo ≤ hi ≤ base + len(words)/4, dst owns vector lo or
+// precedes it with no vectors in between, first ≤ dst, every valid lane
 // id indexes props and accum (and, gated, its frontier word front), and every
 // interior destination indexes accum — the Vector-Sparse format's guarantees
 // for a chunk of its own grid.
-func MinPropChunk(words []uint32, index []int, props, front, accum []uint64, dst, lo, hi int, inPlace bool) (last int, acc uint64) {
+func MinPropChunk(words []uint32, base int, index []int, props, front, accum []uint64, first, dst, lo, hi int, inPlace bool) (last int, acc uint64) {
 	if useAVX2 {
-		return minPropChunkAVX2(words, index, props, front, accum, dst, lo, hi, inPlace)
+		return minPropChunkAVX2(words, base, index, props, front, accum, first, dst, lo, hi, inPlace)
 	}
-	return MinPropChunkGo(words, index, props, front, accum, dst, lo, hi, inPlace)
+	return MinPropChunkGo(words, base, index, props, front, accum, first, dst, lo, hi, inPlace)
 }
 
 // MinSrcChunk is MinSrcChunkGo on the process's selected kernel: the AVX2
 // chunk walk of gather_amd64.s — one VPGATHERDQ of frontier words per vector
 // visited — when the CPU has it, the Go twin otherwise. Like MinPropChunk it
-// does not bounds-check: lo ≤ hi ≤ len(words)/4, dst owns vector lo, every
+// does not bounds-check: base ≤ lo ≤ hi ≤ base + len(words)/4, dst owns
+// vector lo or precedes it with no vectors in between, every
 // valid lane id indexes its frontier word in front, and every destination the
 // chunk holds indexes accum and its word in conv.
-func MinSrcChunk(words []uint32, index []int, front, conv, accum []uint64, dst, lo, hi int) (last int, acc uint64) {
+func MinSrcChunk(words []uint32, base int, index []int, front, conv, accum []uint64, dst, lo, hi int) (last int, acc uint64) {
 	if useAVX2 {
-		return minSrcChunkAVX2(words, index, front, conv, accum, dst, lo, hi)
+		return minSrcChunkAVX2(words, base, index, front, conv, accum, dst, lo, hi)
 	}
-	return MinSrcChunkGo(words, index, front, conv, accum, dst, lo, hi)
+	return MinSrcChunkGo(words, base, index, front, conv, accum, dst, lo, hi)
 }
 
 // Kernel names the implementation RankSumChunk, MinPropChunk and MinSrcChunk
@@ -85,10 +88,10 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 //go:noescape
-func rankSumChunkAVX2(words []uint32, index []int, contrib []float64, weights []float32, accum []uint64, dst, lo, hi int) (last int, acc uint64)
+func rankSumChunkAVX2(words []uint32, base int, index []int, contrib []float64, weights []float32, accum []uint64, dst, lo, hi int) (last int, acc uint64)
 
 //go:noescape
-func minPropChunkAVX2(words []uint32, index []int, props, front, accum []uint64, dst, lo, hi int, inPlace bool) (last int, acc uint64)
+func minPropChunkAVX2(words []uint32, base int, index []int, props, front, accum []uint64, first, dst, lo, hi int, inPlace bool) (last int, acc uint64)
 
 //go:noescape
-func minSrcChunkAVX2(words []uint32, index []int, front, conv, accum []uint64, dst, lo, hi int) (last int, acc uint64)
+func minSrcChunkAVX2(words []uint32, base int, index []int, front, conv, accum []uint64, dst, lo, hi int) (last int, acc uint64)

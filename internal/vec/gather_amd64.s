@@ -34,7 +34,7 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 // itself, a scalar accum store or a window gather of accum, uses the id
 // masked out of its word.
 
-// func rankSumChunkAVX2(words []uint32, index []int, contrib []float64, weights []float32, accum []uint64, dst, lo, hi int) (last int, acc uint64)
+// func rankSumChunkAVX2(words []uint32, base int, index []int, contrib []float64, weights []float32, accum []uint64, dst, lo, hi int) (last int, acc uint64)
 //
 // The whole chunk in one call, run by run: per destination run (index[dst+1]
 // clipped to hi) a vector loop into the four lane partial sums in Y0, then
@@ -47,22 +47,23 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 // rounded before it is added, as RankSumChunkGo does it. An interior run is
 // stored as accum[dst] = accum[dst] + sum; the run that reaches hi is
 // returned. The walk reads exactly the chunk's vectors and 16 bytes of
-// weights per vector, never past hi.
+// weights per vector, never past hi; words and weights start at vector base,
+// so vector lo is (lo − base)·16 bytes in.
 //
 // Registers: SI words, DI index, R8 contrib biased by 2^31 elements, R10
 // weights (0: unweighted), R9 accum, DX dst, BX the vector the next run
 // starts at, R11 hi, R12 the run's end, R13 the current vector's address, R14
 // its weights' address, CX vectors left in the run, AX the returned sum. Y0
 // the lane partial sums.
-TEXT ·rankSumChunkAVX2(SB), NOSPLIT, $0-160
+TEXT ·rankSumChunkAVX2(SB), NOSPLIT, $0-168
 	MOVQ words_base+0(FP), SI
-	MOVQ index_base+24(FP), DI
-	MOVQ contrib_base+48(FP), R8
-	MOVQ weights_base+72(FP), R10
-	MOVQ accum_base+96(FP), R9
-	MOVQ dst+120(FP), DX
-	MOVQ lo+128(FP), BX
-	MOVQ hi+136(FP), R11
+	MOVQ index_base+32(FP), DI
+	MOVQ contrib_base+56(FP), R8
+	MOVQ weights_base+80(FP), R10
+	MOVQ accum_base+104(FP), R9
+	MOVQ dst+128(FP), DX
+	MOVQ lo+136(FP), BX
+	MOVQ hi+144(FP), R11
 	XORQ AX, AX // an empty chunk aggregates to +0
 	CMPQ BX, R11
 	JGE  sumdone
@@ -70,11 +71,11 @@ TEXT ·rankSumChunkAVX2(SB), NOSPLIT, $0-160
 	MOVQ $0x400000000, AX
 	ADDQ AX, R8 // &contrib[2^31]: a valid word indexes contrib[id]
 	MOVQ BX, R13
+	SUBQ base+24(FP), R13
 	SHLQ $4, R13
-	ADDQ SI, R13 // &words[lo*4]
-	MOVQ BX, R14
-	SHLQ $4, R14
-	ADDQ R10, R14 // &weights[lo*4], read only when weighted
+	MOVQ R13, R14
+	ADDQ SI, R13 // &words[(lo−base)*4]
+	ADDQ R10, R14 // &weights[(lo−base)*4], read only when weighted
 
 sumrun:
 	// The next destination with a vector at BX.
@@ -137,12 +138,12 @@ sumlast:
 	VMOVQ X0, AX
 
 sumdone:
-	MOVQ DX, last+144(FP)
-	MOVQ AX, acc+152(FP)
+	MOVQ DX, last+152(FP)
+	MOVQ AX, acc+160(FP)
 	VZEROUPPER
 	RET
 
-// func minPropChunkAVX2(words []uint32, index []int, props, front, accum []uint64, dst, lo, hi int, inPlace bool) (last int, acc uint64)
+// func minPropChunkAVX2(words []uint32, base int, index []int, props, front, accum []uint64, first, dst, lo, hi int, inPlace bool) (last int, acc uint64)
 //
 // The whole chunk in one call: per destination run (index[dst+1] clipped to
 // hi) a vector loop, then a horizontal min, then an interior store or the
@@ -162,9 +163,11 @@ sumdone:
 // destination the previous run has just stored: gathering it makes the run
 // wait for that store to retire, so it is masked out, and the stored value,
 // kept in AX, joins the run's minimum after the horizontal min if any live
-// lane read it. Every other run takes the loops above, and their runs end
-// exactly as before; a synchronous call sets first so high that no window is
-// ever open.
+// lane read it. A call that starts past first (a later slab's share of the
+// chunk) has no such store in AX — its caller stored the run before — so
+// every window lane gathers accum. Every other run takes the loops above, and
+// their runs end exactly as before; a synchronous call sets first so high
+// that no window is ever open.
 //
 // AVX2 has no unsigned 64-bit min, so the lane accumulators in Y0 hold their
 // values with bit 63 flipped, where a signed VPCMPGTQ orders them as
@@ -180,21 +183,21 @@ sumdone:
 // (dwords), Y13 63, Y12 all ones, Y11 the run's window width with bit 63
 // flipped, Y10 first + 2^31, X7 the last stored destination + 2^31
 // (broadcast to Y7 in a window run), Y8 the window run's lanes that read it.
-TEXT ·minPropChunkAVX2(SB), NOSPLIT, $0-168
+TEXT ·minPropChunkAVX2(SB), NOSPLIT, $0-184
 	MOVQ words_base+0(FP), R13
-	MOVQ index_base+24(FP), DI
-	MOVQ props_base+48(FP), R8
-	MOVQ front_base+72(FP), R9
-	MOVQ front_len+80(FP), AX
+	MOVQ index_base+32(FP), DI
+	MOVQ props_base+56(FP), R8
+	MOVQ front_base+80(FP), R9
+	MOVQ front_len+88(FP), AX
 	TESTQ AX, AX
 	CMOVQEQ AX, R9 // an empty frontier slice means ungated
-	MOVQ accum_base+96(FP), R10
-	MOVQ dst+120(FP), DX
-	MOVQ lo+128(FP), BX
-	MOVQ hi+136(FP), R11
-	MOVQ DX, R14
+	MOVQ accum_base+104(FP), R10
+	MOVQ dst+136(FP), DX
+	MOVQ lo+144(FP), BX
+	MOVQ hi+152(FP), R11
+	MOVQ first+128(FP), R14
 	MOVQ $0x7FFFFFFFFFFFFFFF, AX
-	CMPB inPlace+144(FP), $0
+	CMPB inPlace+160(FP), $0
 	CMOVQEQ AX, R14 // synchronous: dst − first < 0 for every dst
 	MOVQ $-1, AX // an empty chunk aggregates to Identity
 	CMPQ BX, R11
@@ -220,8 +223,14 @@ TEXT ·minPropChunkAVX2(SB), NOSPLIT, $0-168
 	VPSRLQ $1, Y12, Y0 // flipped Identity
 
 	MOVQ BX, R12
+	SUBQ base+24(FP), R12
 	SHLQ $4, R12
-	ADDQ R12, R13 // &words[lo*4]
+	ADDQ R12, R13 // &words[(lo−base)*4]
+	CMPQ DX, R14
+	JEQ  firstrun
+	VPCMPEQQ X7, X7, X7 // a later call of the chunk: no store of its own in AX
+
+firstrun:
 	MOVQ 8(DI)(DX*8), R12
 	CMPQ R12, BX
 	JG   run
@@ -372,12 +381,12 @@ live:
 	JMP  store
 
 done:
-	MOVQ DX, last+152(FP)
-	MOVQ AX, acc+160(FP)
+	MOVQ DX, last+168(FP)
+	MOVQ AX, acc+176(FP)
 	VZEROUPPER
 	RET
 
-// func minSrcChunkAVX2(words []uint32, index []int, front, conv, accum []uint64, dst, lo, hi int) (last int, acc uint64)
+// func minSrcChunkAVX2(words []uint32, base int, index []int, front, conv, accum []uint64, dst, lo, hi int) (last int, acc uint64)
 //
 // The whole chunk in one call, run by run: a run whose destination's conv bit
 // is set is passed over without a vector read; any other walks its vectors
@@ -391,20 +400,24 @@ done:
 // run is stored as accum[dst] = min(accum[dst], acc); the run that reaches hi
 // is returned.
 //
-// Registers: SI words, DI index, R8 conv, R9 front biased by 2^25 words, R10
+// Registers: SI words biased back by base vectors, so that vector BX is at
+// SI + 16·BX, DI index, R8 conv, R9 front biased by 2^25 words, R10
 // accum, DX dst, BX the vector the run starts at, R11 hi, R12 the run's end
 // (index[dst+1], unclipped), R13 the current vector's address, CX vectors
 // left in the run (before that, the destination's conv word), R14 the live
 // mask, AX the run's aggregate. Y13 63.
-TEXT ·minSrcChunkAVX2(SB), NOSPLIT, $0-160
+TEXT ·minSrcChunkAVX2(SB), NOSPLIT, $0-168
 	MOVQ words_base+0(FP), SI
-	MOVQ index_base+24(FP), DI
-	MOVQ front_base+48(FP), R9
-	MOVQ conv_base+72(FP), R8
-	MOVQ accum_base+96(FP), R10
-	MOVQ dst+120(FP), DX
-	MOVQ lo+128(FP), BX
-	MOVQ hi+136(FP), R11
+	MOVQ base+24(FP), AX
+	SHLQ $4, AX
+	SUBQ AX, SI
+	MOVQ index_base+32(FP), DI
+	MOVQ front_base+56(FP), R9
+	MOVQ conv_base+80(FP), R8
+	MOVQ accum_base+104(FP), R10
+	MOVQ dst+128(FP), DX
+	MOVQ lo+136(FP), BX
+	MOVQ hi+144(FP), R11
 	MOVQ $-1, AX // an empty chunk aggregates to Identity
 	CMPQ BX, R11
 	JGE  srcdone
@@ -435,7 +448,7 @@ srcowned:
 	SUBQ BX, CX // vectors of the run in the chunk
 	MOVQ BX, R13
 	SHLQ $4, R13
-	ADDQ SI, R13 // &words[BX*4]
+	ADDQ SI, R13 // &words[(BX−base)*4]
 
 srcvec:
 	VMOVDQU   (R13), X2 // four lane words
@@ -472,7 +485,7 @@ srcend:
 	JMP  srcrun
 
 srcdone:
-	MOVQ DX, last+144(FP)
-	MOVQ AX, acc+152(FP)
+	MOVQ DX, last+152(FP)
+	MOVQ AX, acc+160(FP)
 	VZEROUPPER
 	RET

@@ -42,7 +42,9 @@ func guardedSlice[T any](t *testing.T, n int) []T {
 // word and the interior stores reach accum[n−2], the last word of the n−1
 // the kernel is given (the last destination is returned, never stored); the
 // lanes carry the top ids too, so the gather reads to within a few words of
-// contrib's end.
+// contrib's end. Each chunk's words and weights are passed from its first
+// vector on, with that vector as base (chunkAgrees), as a slab's are: every
+// chunk but the first runs with a nonzero base.
 func TestRankSumChunkNeverReadsPastLen(t *testing.T) {
 	const n = 64
 	f := newRankFixture(n, 4)
@@ -91,7 +93,8 @@ func TestRankSumChunkNeverReadsPastLen(t *testing.T) {
 // chunk's last vector the array's last, in place and not: the top ids the
 // lanes carry lie inside the in-place window of the chunk's later runs, so
 // the accum gather reads to within one word of the guard page (the window
-// ends below the last destination, so no read can reach accum[n−1]).
+// ends below the last destination, so no read can reach accum[n−1]). Words
+// are passed from the chunk's first vector on with a nonzero base, as above.
 func TestMinPropChunkNeverReadsPastLen(t *testing.T) {
 	const n = 70 // two frontier words, the second partly used
 	f := newMinFixture(n, 4)
@@ -136,7 +139,8 @@ func TestMinPropChunkNeverReadsPastLen(t *testing.T) {
 // guard page, the chunk's last vector the array's last and its destinations
 // the top ids, so the conv and accum reads reach the last word of each; the
 // lanes carry the top ids too, so the frontier gather reads the last frontier
-// word.
+// word. Words are passed from the chunk's first vector on with a nonzero
+// base, as above.
 func TestMinSrcChunkNeverReadsPastLen(t *testing.T) {
 	const n = 70 // two bitset words, the second partly used
 	f := newSrcFixture(n, 4)
@@ -202,7 +206,8 @@ func sparse[T any](t *testing.T, n int) []T {
 // the gathers read contrib, props and the frontier words at both ends of
 // 2^31-vertex arrays. The assembly takes each lane word as a signed dword
 // index through a base biased by 2^31 elements, so a slip of the bias or of
-// the id mask reads the wrong end or faults on the reserved middle.
+// the id mask reads the wrong end or faults on the reserved middle. The two
+// vectors are vectors 5 and 6 of their array, passed as a slab with base 5.
 func TestChunkKernelsTopID(t *testing.T) {
 	const top = 1<<31 - 1
 	var words []uint32
@@ -212,13 +217,14 @@ func TestChunkKernelsTopID(t *testing.T) {
 	} {
 		words = append(words, v[:]...)
 	}
-	index := []int{0, 1, 2}
+	const base = 5
+	index := []int{base, base + 1, base + 2}
 
 	contrib := sparse[float64](t, 1<<31)
 	contrib[0], contrib[top] = 0.25, 1e-17
 	for _, k := range rankImpls() {
 		accum := []uint64{math.Float64bits(1), 0}
-		last, acc := k.run(words, index, contrib, nil, accum, 0, 0, 2)
+		last, acc := k.run(words, base, index, contrib, nil, accum, 0, base, base+2)
 		// dst 0: lanes top, 0, top; dst 1: lanes 0, top.
 		if want := (1e-17 + 0.25) + (1e-17 + 0.0); accum[0] != math.Float64bits(1+want) {
 			t.Errorf("%s: stored %v, want 1 + %v", k.name, math.Float64frombits(accum[0]), want)
@@ -244,10 +250,10 @@ func TestChunkKernelsTopID(t *testing.T) {
 	} {
 		for _, k := range []struct {
 			name string
-			run  func(words []uint32, index []int, props, front, accum []uint64, dst, lo, hi int, inPlace bool) (int, uint64)
+			run  func(words []uint32, base int, index []int, props, front, accum []uint64, first, dst, lo, hi int, inPlace bool) (int, uint64)
 		}{{vec.Kernel() + " kernel", vec.MinPropChunk}, {"Go twin", vec.MinPropChunkGo}} {
 			accum := []uint64{identity, identity}
-			last, acc := k.run(words, index, props, c.front, accum, 0, 0, 2, false)
+			last, acc := k.run(words, base, index, props, c.front, accum, 0, 0, base, base+2, false)
 			if got := [2]uint64{accum[0], acc}; last != 1 || got != c.prop {
 				t.Errorf("min-prop %s, %s: stored and returned %v (last %d), want %v (last 1)", k.name, c.name, got, last, c.prop)
 			}
@@ -258,10 +264,10 @@ func TestChunkKernelsTopID(t *testing.T) {
 		conv := []uint64{0}
 		for _, k := range []struct {
 			name string
-			run  func(words []uint32, index []int, front, conv, accum []uint64, dst, lo, hi int) (int, uint64)
+			run  func(words []uint32, base int, index []int, front, conv, accum []uint64, dst, lo, hi int) (int, uint64)
 		}{{vec.Kernel() + " kernel", vec.MinSrcChunk}, {"Go twin", vec.MinSrcChunkGo}} {
 			accum := []uint64{identity, identity}
-			last, acc := k.run(words, index, c.front, conv, accum, 0, 0, 2)
+			last, acc := k.run(words, base, index, c.front, conv, accum, 0, base, base+2)
 			if got := [2]uint64{accum[0], acc}; last != 1 || got != c.src {
 				t.Errorf("min-src %s, %s: stored and returned %v (last %d), want %v (last 1)", k.name, c.name, got, last, c.src)
 			}

@@ -112,7 +112,29 @@ func firstDst(own []int, lo, hi int) int {
 // rankImpl is one implementation of the chunk walk under test.
 type rankImpl struct {
 	name string
-	run  func(words []uint32, index []int, contrib []float64, weights []float32, accum []uint64, dst, lo, hi int) (int, uint64)
+	run  func(words []uint32, base int, index []int, contrib []float64, weights []float32, accum []uint64, dst, lo, hi int) (int, uint64)
+}
+
+// flat returns an array's lane words and weights end to end, as one slab
+// starting at vector 0 (nil weights when the array is unweighted).
+func flat(a *vsparse.Array) (words []uint32, weights []float32) {
+	for _, s := range a.Slabs {
+		words = append(words, s.Words...)
+		if a.Weighted {
+			weights = append(weights, s.Weights...)
+		}
+	}
+	return words, weights
+}
+
+// from returns the lanes of a lane-parallel array from vector lo on: what a
+// kernel takes with base lo. Every chunk below is walked that way, so its
+// first vector is the first word the kernel is given.
+func from[T any](lanes []T, lo int) []T {
+	if lanes == nil {
+		return nil
+	}
+	return lanes[lo*vec.Lanes:]
 }
 
 func rankImpls() []rankImpl {
@@ -122,7 +144,8 @@ func rankImpls() []rankImpl {
 // gridAgrees walks chunks [lo, hi) in order through the selected kernel, the
 // Go twin and the per-edge reference, each on its own accum carried from chunk
 // to chunk as the engine's is, and reports the first returned pair or accum
-// word on which they differ.
+// word on which they differ. The kernels take each chunk's words from lo on,
+// with base lo.
 func (f rankFixture) gridAgrees(words []uint32, index []int, weights []float32, chunks [][2]int) error {
 	rAccum := slices.Clone(f.accum)
 	accums := make([][]uint64, len(rankImpls()))
@@ -141,7 +164,7 @@ func (f rankFixture) gridAgrees(words []uint32, index []int, weights []float32, 
 			rLast, rAcc = perEdgeChunk(words, own, f.props, f.scale, weights, rAccum, lo, hi)
 		}
 		for i, k := range rankImpls() {
-			if last, acc := k.run(words, index, f.contrib, weights, accums[i], dst, lo, hi); last != rLast || acc != rAcc {
+			if last, acc := k.run(from(words, lo), lo, index, f.contrib, from(weights, lo), accums[i], dst, lo, hi); last != rLast || acc != rAcc {
 				return fmt.Errorf("chunk [%d,%d): %s returned (%d, %#x), per-edge product (%d, %#x)", lo, hi, k.name, last, acc, rLast, rAcc)
 			}
 		}
@@ -183,21 +206,22 @@ func grid(nv, size int) [][2]int {
 func TestRankSumChunkCorpus(t *testing.T) {
 	for _, c := range testgraph.Corpus() {
 		a := vsparse.FromCSR(csr.FromGraph(c.WithWeights(), true))
+		words, weights := flat(a)
 		f := newRankFixture(a.N, 5)
 		nv := a.NumVectors()
 		for _, ws := range []struct {
 			name string
 			w    []float32
-		}{{"plain", nil}, {"weighted", a.Weights}} {
+		}{{"plain", nil}, {"weighted", weights}} {
 			for cut := 0; cut <= nv; cut++ {
 				for _, s := range [][2]int{{0, cut}, {cut, nv}, {cut, min(cut+16, nv)}} {
-					if err := f.chunkAgrees(a.Words, a.Index, ws.w, s[0], s[1]); err != nil {
+					if err := f.chunkAgrees(words, a.Index, ws.w, s[0], s[1]); err != nil {
 						t.Fatalf("%s %s: %v", c.Name, ws.name, err)
 					}
 				}
 			}
 			for _, size := range []int{1, 2, 3, 16, max(nv, 1)} {
-				if err := f.gridAgrees(a.Words, a.Index, ws.w, grid(nv, size)); err != nil {
+				if err := f.gridAgrees(words, a.Index, ws.w, grid(nv, size)); err != nil {
 					t.Fatalf("%s %s grid %d: %v", c.Name, ws.name, size, err)
 				}
 			}
@@ -252,7 +276,7 @@ func TestRankSumChunkQuick(t *testing.T) {
 		}
 	}
 	for _, k := range rankImpls() {
-		if last, acc := k.run(nil, []int{0, 0}, f.contrib, nil, nil, 0, 0, 0); last != 0 || acc != 0 {
+		if last, acc := k.run(nil, 0, []int{0, 0}, f.contrib, nil, nil, 0, 0, 0); last != 0 || acc != 0 {
 			t.Errorf("%s: empty chunk returns (%d, %#x), want (0, +0)", k.name, last, acc)
 		}
 	}
@@ -284,7 +308,7 @@ func TestRankSumChunkOrder(t *testing.T) {
 	index := []int{0, 2, 4}
 	for _, k := range rankImpls() {
 		accum := []uint64{0, 0}
-		last, acc := k.run(words, index, vals, nil, accum, 0, 0, 4)
+		last, acc := k.run(words, 0, index, vals, nil, accum, 0, 0, 4)
 		if got := math.Float64frombits(accum[0]); got != want {
 			t.Errorf("%s: stored %v, want (l0+l1)+(l2+l3) = %v", k.name, got, want)
 		}
@@ -327,9 +351,10 @@ var sinkU64 uint64
 // per-vector Go chain the gather kernels replaced, one call per run.
 func BenchmarkRankSumChunk(b *testing.B) {
 	a := vsparse.FromCSR(csr.FromGraph(gen.Generate(gen.UK2007, 1), true))
+	words, _ := flat(a)
 	in := newRankFixture(a.N, 3)
 	nv := a.NumVectors()
-	wordBytes := int64(len(a.Words)) * 4
+	wordBytes := int64(len(words)) * 4
 	// Each span is {dst, lo, hi}.
 	var chunks, runs [][3]int
 	own := owners(a.Index)
@@ -348,7 +373,7 @@ func BenchmarkRankSumChunk(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, s := range spans {
-					_, acc := k.run(a.Words, a.Index, in.contrib, nil, accum, s[0], s[1], s[2])
+					_, acc := k.run(words, 0, a.Index, in.contrib, nil, accum, s[0], s[1], s[2])
 					sinkU64 += acc
 				}
 			}
@@ -364,7 +389,7 @@ func BenchmarkRankSumChunk(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sum := 0.0
 			for _, s := range runs {
-				sum += chainRun(a.Words[s[1]*vec.Lanes:s[2]*vec.Lanes], in.props, in.scale)
+				sum += chainRun(words[s[1]*vec.Lanes:s[2]*vec.Lanes], in.props, in.scale)
 			}
 			sinkU64 += math.Float64bits(sum)
 		}

@@ -110,8 +110,8 @@ func (f minFixture) chunkAgrees(words []uint32, index []int, front []uint64, lo,
 		if f.kernelAccum != nil {
 			kAccum = f.kernelAccum()
 		}
-		kLast, kAcc := vec.MinPropChunk(words, index, f.props, front, kAccum, dst, lo, hi, inPlace)
-		tLast, tAcc := vec.MinPropChunkGo(words, index, f.props, front, tAccum, dst, lo, hi, inPlace)
+		kLast, kAcc := vec.MinPropChunk(from(words, lo), lo, index, f.props, front, kAccum, dst, dst, lo, hi, inPlace)
+		tLast, tAcc := vec.MinPropChunkGo(from(words, lo), lo, index, f.props, front, tAccum, dst, dst, lo, hi, inPlace)
 		rLast, rAcc := dst, identity
 		if lo < hi {
 			rLast, rAcc = perLaneChunk(words, own, f.props, front, rAccum, lo, hi, inPlace)
@@ -155,12 +155,13 @@ func TestMinPropChunkCorpus(t *testing.T) {
 	windowed := 0
 	for _, c := range testgraph.Corpus() {
 		a := vsparse.FromCSR(csr.FromGraph(c.G, true))
+		words, _ := flat(a)
 		f := newMinFixture(a.N, 5)
 		nv := a.NumVectors()
 		for name, front := range frontiers(a.N, 6) {
 			for cut := 0; cut <= nv; cut++ {
 				for _, s := range [][2]int{{0, cut}, {cut, nv}, {cut, min(cut+16, nv)}} {
-					w, err := f.chunkAgrees(a.Words, a.Index, front, s[0], s[1])
+					w, err := f.chunkAgrees(words, a.Index, front, s[0], s[1])
 					if err != nil {
 						t.Fatalf("%s %s chunk [%d,%d): %v", c.Name, name, s[0], s[1], err)
 					}

@@ -76,8 +76,8 @@ func (f srcFixture) chunkAgrees(words []uint32, index []int, front []uint64, lo,
 		if f.kernelAccum != nil {
 			kAccum = f.kernelAccum()
 		}
-		kLast, kAcc := vec.MinSrcChunk(words, index, front, conv, kAccum, dst, lo, hi)
-		tLast, tAcc := vec.MinSrcChunkGo(words, index, front, conv, tAccum, dst, lo, hi)
+		kLast, kAcc := vec.MinSrcChunk(from(words, lo), lo, index, front, conv, kAccum, dst, lo, hi)
+		tLast, tAcc := vec.MinSrcChunkGo(from(words, lo), lo, index, front, conv, tAccum, dst, lo, hi)
 		rLast, rAcc := dst, identity
 		if lo < hi {
 			rLast, rAcc = perLaneMinSrc(words, own, front, conv, rAccum, lo, hi)
@@ -102,6 +102,7 @@ func (f srcFixture) chunkAgrees(words []uint32, index []int, front []uint64, lo,
 func TestMinSrcChunkCorpus(t *testing.T) {
 	for _, c := range testgraph.Corpus() {
 		a := vsparse.FromCSR(csr.FromGraph(c.G, true))
+		words, _ := flat(a)
 		f := newSrcFixture(a.N, 5)
 		nv := a.NumVectors()
 		for name, front := range frontiers(a.N, 6) {
@@ -110,7 +111,7 @@ func TestMinSrcChunkCorpus(t *testing.T) {
 			}
 			for cut := 0; cut <= nv; cut++ {
 				for _, s := range [][2]int{{0, cut}, {cut, nv}, {cut, min(cut+16, nv)}} {
-					if err := f.chunkAgrees(a.Words, a.Index, front, s[0], s[1]); err != nil {
+					if err := f.chunkAgrees(words, a.Index, front, s[0], s[1]); err != nil {
 						t.Fatalf("%s %s chunk [%d,%d): %v", c.Name, name, s[0], s[1], err)
 					}
 				}

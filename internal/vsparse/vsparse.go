@@ -16,7 +16,10 @@
 // An array is the whole of its grouping: a group's valid lanes are a prefix
 // of its vectors, in the Compressed-Sparse group's order, so Degree and Group
 // read a vertex's edges back, ToGraph and WriteFile every edge, and Patch
-// splices a mutation in without a Compressed-Sparse matrix beside it.
+// splices a mutation in without a Compressed-Sparse matrix beside it. Its
+// lanes lie in slabs, each the vectors of SlabVertices consecutive top-level
+// vertices, so a patched array shares every slab its edits leave alone with
+// the array it was patched from.
 //
 // Bit layout of one 32-bit lane:
 //
@@ -32,6 +35,8 @@ import (
 	"fmt"
 	"iter"
 	"slices"
+	"sort"
+	"unsafe"
 
 	"repro/internal/csr"
 	"repro/internal/graph"
@@ -45,18 +50,44 @@ const (
 	VertexMask = ValidBit - 1
 )
 
+// SlabShift sets the slab size: slab s holds the vectors of the top-level
+// vertices [s·SlabVertices, (s+1)·SlabVertices), the last slab fewer. A slab
+// is the unit a mutated version shares with its predecessor (Patch): a slab
+// no edit names is the predecessor's, by slice header, and only the slabs a
+// batch touches are encoded again. Smaller slabs copy less per touched group
+// and cost the chunk walks more sub-calls; DESIGN.md §18 records the sizes
+// measured.
+const SlabShift = 7
+
+// SlabVertices is the number of top-level vertices a slab holds, a power of
+// two and a multiple of 64, so a slab's vertices are whole frontier words.
+const SlabVertices = 1 << SlabShift
+
+// Slab is the lane data of one slab's vertices, in vertex order.
+type Slab struct {
+	// Base is the array-wide number of the slab's first vector, Index of its
+	// first vertex: vector vi of the array is vector vi − Base of the slab
+	// that holds it. It is the kernels' base argument, kept beside Index so
+	// that a lookup of one vertex's vectors (Vectors, once per pushed
+	// source) reads the slab header it needs anyway, not another Index line.
+	Base int
+	// Words holds the lane data, 4 lanes (one vector) at a time.
+	Words []uint32
+	// Weights holds lane-parallel edge weights (the paper appends one weight
+	// vector per edge vector); nil for unweighted arrays. Padding lanes hold
+	// zero.
+	Weights []float32
+}
+
 // Array is a Vector-Sparse edge structure, grouped by destination (VSD, the
-// pull engine's layout) or by source (VSS, the push engine's layout).
+// pull engine's layout) or by source (VSS, the push engine's layout). Its
+// vectors are numbered array-wide, as if the slabs lay end to end; Index and
+// every chunk grid count in that numbering.
 type Array struct {
 	// N is the number of top-level vertices.
 	N int
-	// Words holds the lane data, 4 lanes (one vector) at a time; its length
-	// is 4×NumVectors.
-	Words []uint32
-	// Weights holds lane-parallel edge weights (the paper appends one weight
-	// vector per edge vector); nil for unweighted graphs. Padding lanes hold
-	// zero.
-	Weights []float32
+	// Slabs holds the lane data, (N+SlabVertices−1)/SlabVertices slabs.
+	Slabs []Slab
 	// Index maps a top-level vertex to its first vector; vertex v owns
 	// vectors [Index[v], Index[v+1]). Degree-0 vertices own zero vectors.
 	// It is the only record of a vector's owner: the chunk kernels read it
@@ -65,44 +96,91 @@ type Array struct {
 	Index []int
 	// ValidEdges is the number of real (non-padding) lanes.
 	ValidEdges int
+	// Weighted records whether every slab carries Weights.
+	Weighted bool
 	// ByDest records whether top-level vertices are destinations (VSD) or
 	// sources (VSS), as csr.Matrix.ByDest does.
 	ByDest bool
 }
 
-// NumVectors returns the number of 4-lane vectors.
-func (a *Array) NumVectors() int { return len(a.Words) / vec.Lanes }
+// numSlabs is the number of slabs an array of n top-level vertices has.
+func numSlabs(n int) int { return (n + SlabVertices - 1) / SlabVertices }
 
-// MemoryBytes returns the heap footprint of the array's backing storage.
-func (a *Array) MemoryBytes() int64 {
-	return int64(len(a.Words))*4 + int64(len(a.Weights))*4 + int64(len(a.Index))*8
+// slabVertices returns the top-level vertices [lo, hi) slab s of an n-vertex
+// array holds.
+func slabVertices(s, n int) (lo, hi int) {
+	return s << SlabShift, min((s+1)<<SlabShift, n)
 }
 
-// Vector loads vector i as a register value.
-func (a *Array) Vector(i int) vec.U32x4 { return vec.U32x4(a.Words[i*vec.Lanes:]) }
+// NumVectors returns the number of 4-lane vectors.
+func (a *Array) NumVectors() int { return a.Index[a.N] }
+
+// SlabEnd returns the array-wide number of the first vector past slab s: the
+// vector a chunk walk that reaches it cuts its sub-call at.
+func (a *Array) SlabEnd(s int) int {
+	_, hi := slabVertices(s, a.N)
+	return a.Index[hi]
+}
+
+// MemoryBytes returns the heap footprint of the array's backing storage:
+// every slab it references, whether or not another version shares it.
+func (a *Array) MemoryBytes() int64 {
+	total := int64(len(a.Index))*8 + int64(len(a.Slabs))*int64(unsafe.Sizeof(Slab{}))
+	for _, s := range a.Slabs {
+		total += int64(len(s.Words))*4 + int64(len(s.Weights))*4
+	}
+	return total
+}
+
+// Vectors returns the lane words of top-level vertex v's vectors, padding
+// included, and their weights (nil when the array is unweighted): subslices
+// of v's slab, shared and read-only.
+func (a *Array) Vectors(v uint32) (words []uint32, weights []float32) {
+	s := &a.Slabs[v>>SlabShift]
+	lo, hi := (a.Index[v]-s.Base)*vec.Lanes, (a.Index[v+1]-s.Base)*vec.Lanes
+	if s.Weights != nil {
+		weights = s.Weights[lo:hi]
+	}
+	return s.Words[lo:hi], weights
+}
+
+// Vector loads vector i, numbered array-wide, as a register value. It finds
+// i's slab by a search; the engine's walks know their slab and read its
+// words directly.
+func (a *Array) Vector(i int) vec.U32x4 {
+	s := &a.Slabs[sort.Search(len(a.Slabs), func(s int) bool {
+		return a.Slabs[s].Base+len(a.Slabs[s].Words)/vec.Lanes > i
+	})]
+	return vec.U32x4(s.Words[(i-s.Base)*vec.Lanes:])
+}
 
 // Degree returns the number of edges grouped under top-level vertex v: the
 // lanes of its vectors less the dead lanes of the last one.
 func (a *Array) Degree(v uint32) int {
-	lo, hi := a.Index[v], a.Index[v+1]
-	if lo == hi {
+	words, _ := a.Vectors(v)
+	return lanesIn(words)
+}
+
+// lanesIn is the number of valid lanes in one group's vectors.
+func lanesIn(words []uint32) int {
+	if len(words) == 0 {
 		return 0
 	}
-	return (hi-lo-1)*vec.Lanes + Valid(a.Vector(hi-1)).Count()
+	return len(words) - vec.Lanes + Valid(vec.U32x4(words[len(words)-vec.Lanes:])).Count()
 }
 
 // Group returns top-level vertex v's edges: its valid lanes — each a
 // neighbour id with ValidBit set, in the order of the Compressed-Sparse group
 // they encode — and their weights, nil when the array is unweighted. Valid
-// lanes are a prefix of the group's vectors, so both are subslices of the
-// array, shared and read-only.
+// lanes are a prefix of the group's vectors, so both are subslices of v's
+// slab, shared and read-only.
 func (a *Array) Group(v uint32) (lanes []uint32, weights []float32) {
-	lo := a.Index[v] * vec.Lanes
-	hi := lo + a.Degree(v)
-	if a.Weights != nil {
-		weights = a.Weights[lo:hi]
+	words, ws := a.Vectors(v)
+	d := lanesIn(words)
+	if ws != nil {
+		ws = ws[:d]
 	}
-	return a.Words[lo:hi], weights
+	return words[:d], ws
 }
 
 // EncodeVector packs up to four neighbor ids into one vector. valid gives
@@ -126,23 +204,45 @@ func Valid(v vec.U32x4) vec.Mask { return vec.SignMask(v) }
 // padded to a multiple of the vector length; padding lanes are invalid and
 // replicate the group's last neighbor id — an in-range value, which the
 // kernels rely on: their frontier test gathers through all four lanes
-// unpredicated and applies the valid mask afterwards (vec.TestBits).
+// unpredicated and applies the valid mask afterwards (vec.TestBits). The
+// slabs are consecutive, capacity-bounded pieces of one allocation: a walk
+// streams the array as one run of memory (per-slab allocations cost a
+// rank-sum sweep of U×4 3 %), and a later version shares any one of them.
 func FromCSR(m *csr.Matrix) *Array {
-	a := &Array{N: m.N, ValidEdges: m.NumEdges(), ByDest: m.ByDest, Index: make([]int, m.N+1)}
-	vectors := 0
+	a := &Array{N: m.N, ValidEdges: m.NumEdges(), Weighted: m.Weights != nil, ByDest: m.ByDest,
+		Index: make([]int, m.N+1), Slabs: make([]Slab, numSlabs(m.N))}
 	for v := range m.N {
-		vectors += vectorsFor(m.Degree(uint32(v)))
+		a.Index[v+1] = a.Index[v] + vectorsFor(m.Degree(uint32(v)))
 	}
-	a.Words = make([]uint32, 0, vectors*vec.Lanes)
-	if m.Weights != nil {
-		a.Weights = make([]float32, 0, vectors*vec.Lanes)
+	words := make([]uint32, a.NumVectors()*vec.Lanes)
+	var weights []float32
+	if a.Weighted {
+		weights = make([]float32, len(words))
 	}
-	for v := range m.N {
-		a.Index[v] = a.NumVectors()
-		a.appendGroup(m.Edges(uint32(v)), m.EdgeWeights(uint32(v)))
+	for s := range a.Slabs {
+		lo, hi := slabVertices(s, m.N)
+		from, to := a.Index[lo]*vec.Lanes, a.Index[hi]*vec.Lanes
+		sl := Slab{Base: a.Index[lo], Words: words[from:from:to]}
+		if a.Weighted {
+			sl.Weights = weights[from:from:to]
+		}
+		for v := lo; v < hi; v++ {
+			sl.appendGroup(m.Edges(uint32(v)), m.EdgeWeights(uint32(v)))
+		}
+		a.Slabs[s] = sl
 	}
-	a.Index[m.N] = a.NumVectors()
 	return a
+}
+
+// newSlab returns an empty slab starting at vector base with room for the
+// given number of vectors, weighted when the array is: an allocation of its
+// own, for a slab Patch encodes again.
+func (a *Array) newSlab(base, vectors int) Slab {
+	s := Slab{Base: base, Words: make([]uint32, 0, vectors*vec.Lanes)}
+	if a.Weighted {
+		s.Weights = make([]float32, 0, vectors*vec.Lanes)
+	}
+	return s
 }
 
 // appendGroup appends one top-level vertex's vector run: neigh (neighbour
@@ -151,8 +251,8 @@ func FromCSR(m *csr.Matrix) *Array {
 // a vector holds neighbour ids and valid bits alone, so a run is valid
 // wherever it lands, and Index alone says whose it is. FromCSR and Patch both
 // encode through here, which is what keeps a spliced array byte-identical to
-// a rebuilt one. weights is read only on weighted arrays.
-func (a *Array) appendGroup(neigh []uint32, weights []float32) {
+// a rebuilt one. weights is read only on weighted slabs.
+func (s *Slab) appendGroup(neigh []uint32, weights []float32) {
 	for lo := 0; lo < len(neigh); lo += vec.Lanes {
 		valid := min(len(neigh)-lo, vec.Lanes)
 		var lanes [vec.Lanes]uint32
@@ -160,12 +260,22 @@ func (a *Array) appendGroup(neigh []uint32, weights []float32) {
 			lanes[i] = neigh[lo+min(i, valid-1)] // padding: repeat last
 		}
 		v := EncodeVector(lanes, valid)
-		a.Words = append(a.Words, v[:]...)
-		if a.Weights != nil {
+		s.Words = append(s.Words, v[:]...)
+		if s.Weights != nil {
 			var w [vec.Lanes]float32
 			copy(w[:], weights[lo:lo+valid])
-			a.Weights = append(a.Weights, w[:]...)
+			s.Weights = append(s.Weights, w[:]...)
 		}
+	}
+}
+
+// appendVectors appends vectors [lo, hi) of slab from, numbered array-wide,
+// as they are.
+func (s *Slab) appendVectors(from *Slab, lo, hi int) {
+	lo, hi = (lo-from.Base)*vec.Lanes, (hi-from.Base)*vec.Lanes
+	s.Words = append(s.Words, from.Words[lo:hi]...)
+	if s.Weights != nil {
+		s.Weights = append(s.Weights, from.Weights[lo:hi]...)
 	}
 }
 
@@ -175,7 +285,7 @@ func vectorsFor(degree int) int { return (degree + vec.Lanes - 1) / vec.Lanes }
 // ToGraph reconstructs the edge list the array encodes, in (src, dst)
 // orientation, in group order.
 func (a *Array) ToGraph() *graph.Graph {
-	g := &graph.Graph{NumVertices: a.N, Weighted: a.Weights != nil}
+	g := &graph.Graph{NumVertices: a.N, Weighted: a.Weighted}
 	g.Edges = slices.AppendSeq(make([]graph.Edge, 0, a.ValidEdges), a.all())
 	return g
 }
@@ -188,7 +298,7 @@ func (a *Array) ToGraph() *graph.Graph {
 // either grouping over its edges rebuilds the layouts of the graph a came
 // from, duplicate edges and their weights included.
 func (a *Array) WriteFile(path string) error {
-	return graph.WriteEdgesFile(path, a.N, a.ValidEdges, a.Weights != nil, a.all())
+	return graph.WriteEdgesFile(path, a.N, a.ValidEdges, a.Weighted, a.all())
 }
 
 // all yields every edge in (src, dst) orientation, in group order.
@@ -214,10 +324,12 @@ func (a *Array) all() iter.Seq[graph.Edge] {
 
 // Patch returns the array a rebuild would encode, in a's grouping, from
 // graph.ApplyEdgeOps(src, ops) — for any edge list src whose encoding is
-// a — without seeing src. A maximal run of untouched vertices is one copy of
-// its vectors, which stay valid at their new offset because nothing in a
-// vector is positional; only the groups an edit names are merged and
-// encoded again.
+// a — without seeing src. A slab no edit names is a's, shared by slice
+// header: its vectors stay valid at their new offset because nothing in a
+// vector is positional, and only its Base and its vertices' Index entries
+// move. A slab an edit names is encoded again: a maximal run of its
+// untouched vertices is one copy of their vectors, and only the groups an
+// edit names are merged and encoded again. Index is rebuilt, O(n).
 //
 // edits is graph.ReduceEdgeOps(ops, weighted) — one operation per (src, dst)
 // pair — sorted by (top-level vertex, neighbour) in a's grouping, and n ≥ a.N
@@ -228,32 +340,81 @@ func (a *Array) all() iter.Seq[graph.Edge] {
 // untouched base edges in base order, so their stable sort is the old group
 // minus the touched neighbours; and a touched pair leaves at most one edge,
 // whose neighbour id no surviving edge of the group shares, so its sorted
-// position is unique however the rebuild would have reached it.
+// position is unique however the rebuild would have reached it. A slab's
+// vectors are its vertices' groups in vertex order, and vertices a.N and up
+// own none unless an edit names them, so a shared slab is the one a rebuild
+// would encode too.
 func (a *Array) Patch(n int, edits []graph.EdgeOp) *Array {
-	out := &Array{N: n, ValidEdges: a.ValidEdges, ByDest: a.ByDest, Index: make([]int, n+1)}
-	// An edit adds at most one lane to a group, so at most one vector: the
-	// appends below never outgrow this.
-	out.Words = make([]uint32, 0, len(a.Words)+len(edits)*vec.Lanes)
-	if a.Weights != nil {
-		out.Weights = make([]float32, 0, cap(out.Words))
+	out := &Array{N: n, ValidEdges: a.ValidEdges, Weighted: a.Weighted, ByDest: a.ByDest,
+		Index: make([]int, n+1), Slabs: make([]Slab, numSlabs(n))}
+	base := 0 // vectors placed so far
+	i := 0    // first edit not yet applied
+	for s := range out.Slabs {
+		lo, hi := slabVertices(s, n)
+		j := i
+		for j < len(edits) {
+			if t, _ := a.ends(edits[j]); int(t) >= hi {
+				break
+			}
+			j++
+		}
+		var old *Slab
+		if s < len(a.Slabs) {
+			old = &a.Slabs[s]
+		}
+		if i == j {
+			// Untouched: a's slab at its new offset, or an empty one past a.
+			if old != nil {
+				out.Slabs[s] = Slab{Base: base, Words: old.Words, Weights: old.Weights}
+			} else {
+				out.Slabs[s] = out.newSlab(base, 0)
+			}
+			end := base + len(out.Slabs[s].Words)/vec.Lanes
+			for v := lo; v < hi; v++ {
+				out.Index[v] = end // vertices a.N and up own no vectors
+				if v < a.N {
+					out.Index[v] = a.Index[v] - old.Base + base
+				}
+			}
+			base = end
+			continue
+		}
+		// An edit adds at most one lane to a group, so at most one vector.
+		oldVectors := 0
+		if old != nil {
+			oldVectors = len(old.Words) / vec.Lanes
+		}
+		sl := out.newSlab(base, oldVectors+j-i)
+		out.patchSlab(&sl, a, old, lo, hi, edits[i:j])
+		out.Slabs[s] = sl
+		base += len(sl.Words) / vec.Lanes
+		i = j
 	}
-	next := 0 // first vertex not yet placed
-	// upTo places the untouched vertices [next, hi): old ones by one copy of
+	// Edits left over name groups at or past n: only deletes of edges that
+	// never existed do, and the merged graph has no such vertex.
+	out.Index[n] = base
+	return out
+}
+
+// patchSlab encodes slab sl, vertices [lo, hi) of out, from old — a's slab
+// of the same vertices, nil past a's last — and edits, the ones naming a
+// vertex of the slab. It sets those vertices' Index entries and adds the
+// lane difference to out.ValidEdges.
+func (out *Array) patchSlab(sl *Slab, a *Array, old *Slab, lo, hi int, edits []graph.EdgeOp) {
+	next := lo // first vertex not yet placed
+	// upTo places the untouched vertices [next, to): old ones by one copy of
 	// their vectors, new ones as empty groups.
-	upTo := func(hi int) {
-		if mid := min(hi, a.N); next < mid {
-			from, to := a.Index[next], a.Index[mid]
+	upTo := func(to int) {
+		if mid := min(to, a.N); next < mid {
+			from := a.Index[next]
 			for v := next; v < mid; v++ {
-				out.Index[v] = a.Index[v] - from + out.NumVectors()
+				out.Index[v] = a.Index[v] - from + sl.Base + len(sl.Words)/vec.Lanes
 			}
-			out.Words = append(out.Words, a.Words[from*vec.Lanes:to*vec.Lanes]...)
-			if a.Weights != nil {
-				out.Weights = append(out.Weights, a.Weights[from*vec.Lanes:to*vec.Lanes]...)
-			}
+			sl.appendVectors(old, from, a.Index[mid])
 			next = mid
 		}
-		for ; next < hi; next++ {
-			out.Index[next] = out.NumVectors()
+		for ; next < to; next++ {
+			out.Index[next] = sl.Base + len(sl.Words)/vec.Lanes
 		}
 	}
 	var lanes []uint32 // one touched group's merge
@@ -267,26 +428,20 @@ func (a *Array) Patch(n int, edits []graph.EdgeOp) *Array {
 			}
 			j++
 		}
-		// A group at or past n can only be named by deletes of edges that
-		// never existed: the merged graph has no such vertex.
-		if int(v) < n {
-			upTo(int(v))
-			var old []uint32
-			var oldW []float32
-			if int(v) < a.N {
-				old, oldW = a.Group(v)
-			}
-			lanes, weights = a.mergeGroup(lanes[:0], weights[:0], old, oldW, edits[i:j])
-			out.ValidEdges += len(lanes) - len(old)
-			out.Index[v] = out.NumVectors()
-			out.appendGroup(lanes, weights)
-			next = int(v) + 1
+		upTo(int(v))
+		var oldLanes []uint32
+		var oldW []float32
+		if int(v) < a.N {
+			oldLanes, oldW = a.Group(v)
 		}
+		lanes, weights = a.mergeGroup(lanes[:0], weights[:0], oldLanes, oldW, edits[i:j])
+		out.ValidEdges += len(lanes) - len(oldLanes)
+		out.Index[v] = sl.Base + len(sl.Words)/vec.Lanes
+		sl.appendGroup(lanes, weights)
+		next = int(v) + 1
 		i = j
 	}
-	upTo(n)
-	out.Index[n] = out.NumVectors()
-	return out
+	upTo(hi)
 }
 
 // ends returns op's top-level vertex and neighbour in a's grouping.
@@ -302,7 +457,7 @@ func (a *Array) ends(op graph.EdgeOp) (top, neighbour uint32) {
 // edits that insert. edits name one top-level vertex and ascend by
 // neighbour.
 func (a *Array) mergeGroup(lanes []uint32, weights []float32, old []uint32, oldW []float32, edits []graph.EdgeOp) ([]uint32, []float32) {
-	weighted := a.Weights != nil
+	weighted := a.Weighted
 	k := 0
 	keep := func(hi int) {
 		lanes = append(lanes, old[k:hi]...)
@@ -332,30 +487,43 @@ func (a *Array) mergeGroup(lanes []uint32, weights []float32, old []uint32, oldW
 	return lanes, weights
 }
 
-// Validate checks encoding invariants: Index starts at vector 0, is
-// monotone and covers every vector; a weighted array has one weight per lane;
-// every lane — valid or padding — holds an in-range id; lane validity is a
-// prefix; and ValidEdges matches the live lane count.
+// Validate checks encoding invariants: Index starts at vector 0 and is
+// monotone; there is one slab per SlabVertices vertices, each starting at its
+// first vertex's Index entry and holding exactly its vertices' vectors; a
+// weighted array has one weight per lane in every slab; every lane — valid or
+// padding — holds an in-range id; lane validity is a prefix; and ValidEdges
+// matches the live lane count.
 func (a *Array) Validate() error {
 	if len(a.Index) != a.N+1 {
 		return fmt.Errorf("vsparse: index length %d, want %d", len(a.Index), a.N+1)
 	}
-	if len(a.Words)%vec.Lanes != 0 {
-		return fmt.Errorf("vsparse: %d words is not a whole number of vectors", len(a.Words))
+	if len(a.Slabs) != numSlabs(a.N) {
+		return fmt.Errorf("vsparse: %d slabs for %d vertices, want %d", len(a.Slabs), a.N, numSlabs(a.N))
 	}
-	if a.Weights != nil && len(a.Weights) != len(a.Words) {
-		return fmt.Errorf("vsparse: %d weights for %d lanes", len(a.Weights), len(a.Words))
+	if a.Index[0] != 0 {
+		return fmt.Errorf("vsparse: index starts at vector %d, want 0", a.Index[0])
 	}
-	if a.Index[0] != 0 || a.Index[a.N] != a.NumVectors() {
-		return fmt.Errorf("vsparse: index spans vectors [%d, %d), want [0, %d)", a.Index[0], a.Index[a.N], a.NumVectors())
-	}
-	live := 0
 	for v := 0; v < a.N; v++ {
 		if a.Index[v+1] < a.Index[v] {
 			return fmt.Errorf("vsparse: index not monotone at %d", v)
 		}
-		for i := a.Index[v]; i < a.Index[v+1]; i++ {
-			vv := a.Vector(i)
+	}
+	for s, sl := range a.Slabs {
+		lo, hi := slabVertices(s, a.N)
+		if sl.Base != a.Index[lo] || len(sl.Words) != (a.Index[hi]-a.Index[lo])*vec.Lanes {
+			return fmt.Errorf("vsparse: slab %d holds %d words from vector %d, want vectors [%d, %d)",
+				s, len(sl.Words), sl.Base, a.Index[lo], a.Index[hi])
+		}
+		if (sl.Weights != nil) != a.Weighted || (a.Weighted && len(sl.Weights) != len(sl.Words)) {
+			return fmt.Errorf("vsparse: slab %d has %d weights for %d lanes (weighted %v)", s, len(sl.Weights), len(sl.Words), a.Weighted)
+		}
+	}
+	live := 0
+	for v := 0; v < a.N; v++ {
+		words, _ := a.Vectors(uint32(v))
+		for k := 0; k < len(words); k += vec.Lanes {
+			i := a.Index[v] + k/vec.Lanes
+			vv := vec.U32x4(words[k:])
 			mask := Valid(vv)
 			seenInvalid := false
 			for lane := 0; lane < vec.Lanes; lane++ {
@@ -390,10 +558,10 @@ func (a *Array) Validate() error {
 // metric of the paper's Fig 9. It ranges over (0, 1]; 25% means every vector
 // holds a single edge.
 func (a *Array) PackingEfficiency() float64 {
-	if len(a.Words) == 0 {
+	if a.NumVectors() == 0 {
 		return 0
 	}
-	return float64(a.ValidEdges) / float64(len(a.Words))
+	return float64(a.ValidEdges) / float64(a.NumVectors()*vec.Lanes)
 }
 
 // PackingEfficiencyForLanes computes, analytically from a degree

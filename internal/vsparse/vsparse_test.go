@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/csr"
 	"repro/internal/gen"
@@ -229,7 +230,7 @@ func TestDeadLanesInRange(t *testing.T) {
 	a := FromCSR(fig2CSC())
 	for i := 0; i < a.NumVectors(); i++ {
 		if v := a.Vector(i); !Valid(v).Bit(vec.Lanes - 1) {
-			a.Words[i*vec.Lanes+vec.Lanes-1] |= uint32(a.N)
+			a.Slabs[0].Words[i*vec.Lanes+vec.Lanes-1] |= uint32(a.N)
 			break
 		}
 	}
@@ -253,7 +254,7 @@ func TestRoundTripWeighted(t *testing.T) {
 	g := gen.AddUniformWeights(gen.ErdosRenyi(30, 150, 2), 7)
 	m := csr.FromGraph(g, true)
 	a := FromCSR(m)
-	if a.Weights == nil {
+	if !a.Weighted {
 		t.Fatal("weights dropped")
 	}
 	back := toCSR(a)
@@ -279,16 +280,17 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	weighted := func() *Array {
 		return FromCSR(csr.FromGraph(gen.AddUniformWeights(gen.ErdosRenyi(30, 150, 2), 7), true))
 	}
+	multi := func() *Array { return FromCSR(csr.FromGraph(gen.RMAT(10, 4000, gen.DefaultRMAT, 4), true)) }
 	for _, c := range []struct {
 		name    string
 		build   func() *Array
 		corrupt func(a *Array)
 	}{
-		{"id N in a valid lane", plain, func(a *Array) { a.Words[0] = ValidBit | uint32(a.N) }},
+		{"id N in a valid lane", plain, func(a *Array) { a.Slabs[0].Words[0] = ValidBit | uint32(a.N) }},
 		// Every fig 2 vector has a padding lane 3. Bit 31 makes it read as
 		// valid; bit 30 puts its id past N.
-		{"bit 31 of a padding lane", plain, func(a *Array) { a.Words[vec.Lanes-1] |= 1 << 31 }},
-		{"bit 30 of a padding lane", plain, func(a *Array) { a.Words[vec.Lanes-1] |= 1 << 30 }},
+		{"bit 31 of a padding lane", plain, func(a *Array) { a.Slabs[0].Words[vec.Lanes-1] |= 1 << 31 }},
+		{"bit 30 of a padding lane", plain, func(a *Array) { a.Slabs[0].Words[vec.Lanes-1] |= 1 << 30 }},
 		{"wrong ValidEdges", plain, func(a *Array) { a.ValidEdges++ }},
 		// Vector 0 is left to no vertex; ValidEdges drops its live lanes, so
 		// only the start of Index is wrong.
@@ -296,7 +298,11 @@ func TestValidateDetectsCorruption(t *testing.T) {
 			a.ValidEdges -= Valid(a.Vector(0)).Count()
 			a.Index[0] = 1
 		}},
-		{"weights one vector short", weighted, func(a *Array) { a.Weights = a.Weights[:len(a.Weights)-vec.Lanes] }},
+		{"weights one vector short", weighted, func(a *Array) { a.Slabs[0].Weights = a.Slabs[0].Weights[:len(a.Slabs[0].Weights)-vec.Lanes] }},
+		{"weights on an unweighted array", plain, func(a *Array) { a.Slabs[0].Weights = make([]float32, len(a.Slabs[0].Words)) }},
+		{"a slab's Base off its first vertex", multi, func(a *Array) { a.Slabs[1].Base++ }},
+		{"a slab one vector short", multi, func(a *Array) { a.Slabs[1].Words = a.Slabs[1].Words[:len(a.Slabs[1].Words)-vec.Lanes] }},
+		{"a slab missing", multi, func(a *Array) { a.Slabs = a.Slabs[:len(a.Slabs)-1] }},
 	} {
 		a := c.build()
 		if err := a.Validate(); err != nil {
@@ -330,14 +336,15 @@ func TestMemoryBytes(t *testing.T) {
 			continue
 		}
 		a := FromCSR(csr.FromGraph(c.G, true))
-		if a.N != 48 || a.NumVectors() != 53 || a.Weights != nil {
-			t.Fatalf("hub's pull array: N %d, %d vectors, weighted %v; want 48, 53, false", a.N, a.NumVectors(), a.Weights != nil)
+		if a.N != 48 || a.NumVectors() != 53 || a.Weighted || len(a.Slabs) != 1 {
+			t.Fatalf("hub's pull array: N %d, %d vectors, weighted %v, %d slabs; want 48, 53, false, 1", a.N, a.NumVectors(), a.Weighted, len(a.Slabs))
 		}
-		if got, want := a.MemoryBytes(), int64(53*vec.Lanes*4+49*8); got != want {
+		slab := int64(unsafe.Sizeof(Slab{}))
+		if got, want := a.MemoryBytes(), int64(53*vec.Lanes*4+49*8)+slab; got != want {
 			t.Errorf("MemoryBytes = %d, want %d", got, want)
 		}
 		w := FromCSR(csr.FromGraph(c.WithWeights(), true))
-		if got, want := w.MemoryBytes(), int64(53*vec.Lanes*(4+4)+49*8); got != want {
+		if got, want := w.MemoryBytes(), int64(53*vec.Lanes*(4+4)+49*8)+slab; got != want {
 			t.Errorf("weighted MemoryBytes = %d, want %d", got, want)
 		}
 		return
@@ -373,6 +380,73 @@ func TestPackingEfficiencyMatchesAnalytic(t *testing.T) {
 	if got := a.PackingEfficiency(); got != analytic {
 		t.Errorf("encoded efficiency %v != analytic %v", got, analytic)
 	}
+}
+
+// TestPatchSharesUntouchedSlabs: on arrays of several slabs — the last one
+// full, and the last one partial, so that it grows untouched — in both
+// groupings, plain and weighted, Patch equals FromCSR of the merged graph;
+// every slab no edit names is the predecessor's by pointer, every slab one
+// names is fresh memory, and slabs past the old N (the merged graph grows by
+// over a slab) are empty unless an edit names a vertex there.
+func TestPatchSharesUntouchedSlabs(t *testing.T) {
+	for _, base := range []*graph.Graph{gen.RMAT(10, 6000, gen.DefaultRMAT, 4), gen.ErdosRenyi(700, 5000, 4)} {
+		testPatchShares(t, base)
+	}
+}
+
+func testPatchShares(t *testing.T, base *graph.Graph) {
+	n := uint32(base.NumVertices)
+	ops := []graph.EdgeOp{
+		{Src: 300, Dst: 301, Weight: 2},                                // slab 1 both ways
+		{Delete: true, Src: base.Edges[7].Src, Dst: base.Edges[7].Dst}, // an existing edge
+		{Src: 5, Dst: n + SlabVertices + 7, Weight: 3},                 // grows N past a slab
+	}
+	for _, g := range []*graph.Graph{base, gen.AddUniformWeights(base, 5)} {
+		for _, byDest := range []bool{false, true} {
+			edits := graph.ReduceEdgeOps(ops, g.Weighted)
+			a := FromCSR(csr.FromGraph(g, byDest))
+			if byDest {
+				sort.Slice(edits, func(i, j int) bool {
+					if edits[i].Dst != edits[j].Dst {
+						return edits[i].Dst < edits[j].Dst
+					}
+					return edits[i].Src < edits[j].Src
+				})
+			}
+			touched := map[int]bool{}
+			for _, e := range edits {
+				top, _ := a.ends(e)
+				touched[int(top)>>SlabShift] = true
+			}
+			merged := graph.ApplyEdgeOps(g, ops)
+			pa := a.Patch(merged.NumVertices, edits)
+			if !reflect.DeepEqual(pa, FromCSR(csr.FromGraph(merged, byDest))) {
+				t.Fatalf("weighted=%v byDest=%v: Patch differs from FromCSR", g.Weighted, byDest)
+			}
+			if err := pa.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if len(a.Slabs) < 3 || len(pa.Slabs) < len(a.Slabs)+1 {
+				t.Fatalf("%d slabs before, %d after; want 3 or more, and more after", len(a.Slabs), len(pa.Slabs))
+			}
+			for s := range pa.Slabs {
+				switch {
+				case s >= len(a.Slabs):
+					if len(pa.Slabs[s].Words) != 0 && !touched[s] {
+						t.Errorf("slab %d past the old N holds %d words with no edit", s, len(pa.Slabs[s].Words))
+					}
+				case touched[s] == sameWords(a.Slabs[s], pa.Slabs[s]):
+					t.Errorf("weighted=%v byDest=%v slab %d: touched %v, shared %v", g.Weighted, byDest, s, touched[s], !touched[s])
+				}
+			}
+		}
+	}
+}
+
+// sameWords reports whether two slabs are one slab's memory.
+func sameWords(x, y Slab) bool {
+	return unsafe.SliceData(x.Words) == unsafe.SliceData(y.Words) &&
+		unsafe.SliceData(x.Weights) == unsafe.SliceData(y.Weights)
 }
 
 // Property: round trip through Vector-Sparse preserves any random CSC, and
@@ -427,19 +501,20 @@ func toCSR(a *Array) *csr.Matrix {
 	m := &csr.Matrix{N: a.N}
 	m.Index = make([]uint64, a.N+1)
 	m.Neigh = make([]uint32, 0, a.ValidEdges)
-	if a.Weights != nil {
+	if a.Weighted {
 		m.Weights = make([]float32, 0, a.ValidEdges)
 	}
 	for v := 0; v < a.N; v++ {
 		m.Index[v] = uint64(len(m.Neigh))
-		for i := a.Index[v]; i < a.Index[v+1]; i++ {
-			vv := a.Vector(i)
+		words, weights := a.Vectors(uint32(v))
+		for i := 0; i < len(words); i += vec.Lanes {
+			vv := vec.U32x4(words[i:])
 			mask := Valid(vv)
 			for lane := 0; lane < vec.Lanes; lane++ {
 				if mask.Bit(lane) {
 					m.Neigh = append(m.Neigh, vv[lane]&VertexMask)
-					if a.Weights != nil {
-						m.Weights = append(m.Weights, a.Weights[i*vec.Lanes+lane])
+					if a.Weighted {
+						m.Weights = append(m.Weights, weights[i+lane])
 					}
 				}
 			}
@@ -453,8 +528,10 @@ func toCSR(a *Array) *csr.Matrix {
 // the array is unweighted.
 func weightVector(a *Array, i int) [vec.Lanes]float32 {
 	var w [vec.Lanes]float32
-	if a.Weights != nil {
-		copy(w[:], a.Weights[i*vec.Lanes:(i+1)*vec.Lanes])
+	for _, s := range a.Slabs {
+		if k := i - s.Base; a.Weighted && k >= 0 && k < len(s.Words)/vec.Lanes {
+			copy(w[:], s.Weights[k*vec.Lanes:(k+1)*vec.Lanes])
+		}
 	}
 	return w
 }
