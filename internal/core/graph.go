@@ -120,12 +120,16 @@ func (g *Graph) pullCS() *csr.Matrix {
 
 // BuildGraph preprocesses an edge-list graph into every engine
 // representation. The Compressed-Sparse matrices the encoder reads are
-// transient.
+// transient. The two directions share nothing and each build is
+// deterministic, so VSD is built on a goroutine of its own beside VSS.
 func BuildGraph(g *graph.Graph) *Graph {
+	vsd := make(chan *vsparse.Array, 1) // never blocks its sender, even if the caller panics
+	go func() { vsd <- vsparse.FromCSR(csr.FromGraph(g, true)) }()
+	vss := vsparse.FromCSR(csr.FromGraph(g, false))
 	return &Graph{
 		N:        g.NumVertices,
-		VSS:      vsparse.FromCSR(csr.FromGraph(g, false)),
-		VSD:      vsparse.FromCSR(csr.FromGraph(g, true)),
+		VSS:      vss,
+		VSD:      <-vsd,
 		Weighted: g.Weighted,
 		Edges:    g.NumEdges(),
 	}

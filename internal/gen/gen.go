@@ -59,22 +59,29 @@ func RMAT(scale int, numEdges int, p RMATParams, seed int64) *graph.Graph {
 	return g
 }
 
+// rmatPick draws one edge, a quadrant per bit, without a branch per bit:
+// src's bit is set when r ≥ A+B (quadrants C and D), and dst's when r lies
+// in [A, A+B) or past A+B+C (quadrants B and D), which is the parity of the
+// three comparisons. A+B+C is summed as (A+B)+C, the float a chain of
+// tests r < A, r < A+B, r < A+B+C forms, so every r picks that chain's
+// quadrant and the generated graphs stay as pinned.
 func rmatPick(scale int, p RMATParams, rng *rand.Rand) (src, dst uint32) {
+	ab := p.A + p.B
+	abc := ab + p.C
 	for bit := 0; bit < scale; bit++ {
 		r := rng.Float64()
-		switch {
-		case r < p.A:
-			// top-left: neither bit set
-		case r < p.A+p.B:
-			dst |= 1 << bit
-		case r < p.A+p.B+p.C:
-			src |= 1 << bit
-		default:
-			src |= 1 << bit
-			dst |= 1 << bit
-		}
+		s := r >= ab
+		src |= b2u(s) << bit
+		dst |= b2u((r >= p.A) != s != (r >= abc)) << bit
 	}
 	return src, dst
+}
+
+func b2u(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Grid generates a 2-D mesh of rows × cols vertices with bidirectional edges

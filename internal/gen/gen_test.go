@@ -198,3 +198,24 @@ func TestRMATPickInRangeProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// generated keeps BenchmarkGenerate's result live.
+var generated *graph.Graph
+
+// BenchmarkGenerate times whole analog generation, sort included, for the
+// benchmark's four graphs: the web analog at scale 4, the R-MAT analog at
+// scales 4 and 8, and the mesh at scale 4.
+func BenchmarkGenerate(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		d     Dataset
+		scale float64
+	}{{"U4", UK2007, 4}, {"T4", Twitter, 4}, {"T8", Twitter, 8}, {"D4", DimacsUSA, 4}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				generated = Generate(c.d, c.scale)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/op")
+		})
+	}
+}

@@ -7,7 +7,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Edge is a single directed edge. Weight is meaningful only when the owning
@@ -93,16 +92,35 @@ func (g *Graph) AvgDegree() float64 {
 	return float64(len(g.Edges)) / float64(g.NumVertices)
 }
 
-// SortBySource orders edges by (src, dst). This is the grouping a push
-// engine (and CSR construction) wants.
+// SortBySource orders edges by (src, dst), stably: edges with equal
+// endpoints keep their input order. This is the grouping a push engine (and
+// CSR construction) wants. It is a two-pass counting sort, by dst into one
+// scratch edge list and then stably by src back into Edges, linear in edges
+// plus vertices. Every endpoint must be below NumVertices: one that is not
+// panics, naming the edge, before anything is moved.
 func (g *Graph) SortBySource() {
-	sort.Slice(g.Edges, func(i, j int) bool {
-		a, b := g.Edges[i], g.Edges[j]
-		if a.Src != b.Src {
-			return a.Src < b.Src
+	n := g.NumVertices
+	bySrc, byDst := make([]int, n+1), make([]int, n+1)
+	for i, e := range g.Edges {
+		if int(e.Src) >= n || int(e.Dst) >= n {
+			panic(fmt.Sprintf("graph: SortBySource: edge %d (%d -> %d) out of range for %d vertices", i, e.Src, e.Dst, n))
 		}
-		return a.Dst < b.Dst
-	})
+		bySrc[e.Src+1]++
+		byDst[e.Dst+1]++
+	}
+	for v := 1; v <= n; v++ {
+		bySrc[v] += bySrc[v-1]
+		byDst[v] += byDst[v-1]
+	}
+	tmp := make([]Edge, len(g.Edges))
+	for _, e := range g.Edges {
+		tmp[byDst[e.Dst]] = e
+		byDst[e.Dst]++
+	}
+	for _, e := range tmp {
+		g.Edges[bySrc[e.Src]] = e
+		bySrc[e.Src]++
+	}
 }
 
 // Clone returns a deep copy of the graph.

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -77,18 +78,71 @@ func TestAvgDegree(t *testing.T) {
 	}
 }
 
+// TestSortBySource holds SortBySource's contract: (src, dst) order, stable
+// among equal endpoints, on any input size, and a panic naming the edge for
+// an endpoint past NumVertices.
 func TestSortBySource(t *testing.T) {
-	g := tinyGraph(t)
-	rand.New(rand.NewSource(1)).Shuffle(len(g.Edges), func(i, j int) {
-		g.Edges[i], g.Edges[j] = g.Edges[j], g.Edges[i]
-	})
-	g.SortBySource()
-	for i := 1; i < len(g.Edges); i++ {
-		a, b := g.Edges[i-1], g.Edges[i]
-		if a.Src > b.Src || (a.Src == b.Src && a.Dst > b.Dst) {
-			t.Fatalf("edges not sorted by source at %d: %v then %v", i, a, b)
+	bySrcDst := func(a, b Edge) int {
+		if a.Src != b.Src {
+			return int(a.Src) - int(b.Src)
 		}
+		return int(a.Dst) - int(b.Dst)
 	}
+	t.Run("stable", func(t *testing.T) {
+		// Duplicate (src, dst) pairs told apart by weight keep their order.
+		g := NewBuilder(3).
+			AddWeightedEdge(2, 1, 5).AddWeightedEdge(0, 2, 1).AddWeightedEdge(2, 1, 3).
+			AddWeightedEdge(0, 2, 4).AddWeightedEdge(2, 0, 9).AddWeightedEdge(2, 1, 7).
+			MustBuild()
+		g.SortBySource()
+		want := []Edge{{0, 2, 1}, {0, 2, 4}, {2, 0, 9}, {2, 1, 5}, {2, 1, 3}, {2, 1, 7}}
+		if !slices.Equal(g.Edges, want) {
+			t.Fatalf("got %v, want %v", g.Edges, want)
+		}
+	})
+	t.Run("empty-and-one", func(t *testing.T) {
+		for _, g := range []*Graph{{}, {NumVertices: 5}, {NumVertices: 5, Edges: []Edge{{4, 3, 2}}}} {
+			want := slices.Clone(g.Edges)
+			g.SortBySource()
+			if !slices.Equal(g.Edges, want) {
+				t.Fatalf("got %v, want %v", g.Edges, want)
+			}
+		}
+	})
+	t.Run("random", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		for _, n := range []int{1, 2, 17, 300} {
+			g := &Graph{NumVertices: n, Weighted: true}
+			for i := 0; i < 20*n; i++ {
+				g.Edges = append(g.Edges, Edge{uint32(rng.Intn(n)), uint32(rng.Intn(n)), float32(i)})
+			}
+			want := slices.Clone(g.Edges)
+			slices.SortStableFunc(want, bySrcDst)
+			g.SortBySource()
+			if !slices.Equal(g.Edges, want) {
+				t.Fatalf("%d vertices: counting sort differs from a stable comparison sort", n)
+			}
+		}
+	})
+	t.Run("out-of-range", func(t *testing.T) {
+		// The bad id is near 2^32: a sort that sized anything by it would
+		// allocate gigabytes before it failed.
+		g := &Graph{NumVertices: 4, Edges: []Edge{{0, 1, 0}, {1, 1<<32 - 2, 0}}}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		msg := func() (msg any) {
+			defer func() { msg = recover() }()
+			g.SortBySource()
+			return nil
+		}()
+		runtime.ReadMemStats(&after)
+		if s, _ := msg.(string); !strings.Contains(s, "edge 1 (1 -> 4294967294)") {
+			t.Fatalf("panic %v, want one naming edge 1", msg)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("out-of-range sort allocated %d bytes", grew)
+		}
+	})
 }
 
 func TestBinaryRoundTrip(t *testing.T) {
