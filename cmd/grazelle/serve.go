@@ -164,8 +164,9 @@ func runServeRole(role string, args []string) error {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	log := slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
-	// The store explains a full rebuild on a version's first read through the
-	// default logger: route it into the same stream as the request logs.
+	// The store logs a full rebuild — a version first read with no
+	// predecessor's layouts in memory — through the default logger: route it
+	// into the same stream as the request logs.
 	slog.SetDefault(log)
 	cfg := service.Config{
 		Store:                st,

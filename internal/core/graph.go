@@ -24,7 +24,8 @@ import (
 // form. They are the whole of a served version: no edge list or
 // Compressed-Sparse matrix is kept beside them. A reader of a vertex's edges
 // takes vsparse.Array.Degree and Group; what needs an edge list streams one
-// out of VSS (vsparse.Array.ToGraph, WriteFile).
+// out of an array (vsparse.Array.WriteFile for a snapshot, ToGraph for the
+// scalar runner's CSC).
 type Graph struct {
 	// N is the vertex count.
 	N int
@@ -168,27 +169,4 @@ func PatchGraph(prev *Graph, ops []graph.EdgeOp) *Graph {
 		Weighted: prev.Weighted,
 		Edges:    vss.ValidEdges,
 	}
-}
-
-// PatchShare is the fraction of prev's edge slots, over both directions,
-// that lie in groups ops would make PatchGraph re-derive rather than copy,
-// counting each op as one more slot: what a caller weighs against a rebuild.
-func PatchShare(prev *Graph, ops []graph.EdgeOp) float64 {
-	if prev.Edges == 0 {
-		return 1
-	}
-	slots := 2 * len(ops)
-	seen := make([]uint64, 2*((prev.N+63)/64))
-	in := seen[len(seen)/2:]
-	for _, op := range ops {
-		if s := op.Src; int(s) < prev.N && seen[s>>6]&(1<<(s&63)) == 0 {
-			seen[s>>6] |= 1 << (s & 63)
-			slots += prev.VSS.Degree(s)
-		}
-		if d := op.Dst; int(d) < prev.N && in[d>>6]&(1<<(d&63)) == 0 {
-			in[d>>6] |= 1 << (d & 63)
-			slots += prev.VSD.Degree(d)
-		}
-	}
-	return float64(slots) / float64(2*prev.Edges)
 }

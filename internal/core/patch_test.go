@@ -97,9 +97,9 @@ func (l edgeList) stream(t *testing.T, dir, name string) []byte {
 
 // assertWritesCSROrder holds every edge list cg streams out to the file a
 // transient Compressed-Sparse matrix of g, its edge list, writes, byte for
-// byte: the store's snapshot file and its rebuild arm's edge list (both out
-// of VSS), and Save's "-push"/"-pull" pair (VSS, VSD). It returns the
-// snapshot's bytes; with a directory, the snapshot file is there too.
+// byte: the store's snapshot file and the edge list VSS.ToGraph decodes
+// (both out of VSS), and Save's "-push"/"-pull" pair (VSS, VSD). It returns
+// the snapshot's bytes; with a directory, the snapshot file is there too.
 func assertWritesCSROrder(t *testing.T, cg *Graph, g *graph.Graph, dir string) []byte {
 	t.Helper()
 	push := matrixList(csr.FromGraph(g, false)).stream(t, dir, "csr")
@@ -110,7 +110,7 @@ func assertWritesCSROrder(t *testing.T, cg *Graph, g *graph.Graph, dir string) [
 	}{
 		{"snapshot and -push (VSS)", snapshot, push},
 		{"-pull (VSD)", arrayList(cg.VSD).stream(t, dir, "pull"), matrixList(csr.FromGraph(g, true)).stream(t, dir, "csc")},
-		{"rebuild edge list (VSS.ToGraph)", graphList(cg.VSS.ToGraph()).stream(t, dir, "rebuild"), push},
+		{"edge list (VSS.ToGraph)", graphList(cg.VSS.ToGraph()).stream(t, dir, "decoded"), push},
 	} {
 		if !bytes.Equal(c.got, c.want) {
 			t.Fatalf("%s: %d bytes differ from the Compressed-Sparse writer's %d", c.name, len(c.got), len(c.want))
@@ -253,23 +253,6 @@ func TestPatchGraphProperty(t *testing.T) {
 			assertPatchEqualsRebuild(t, g, ops, dir)
 			g = graph.ApplyEdgeOps(g, ops)
 		}
-	}
-}
-
-// TestPatchShare pins the fallback measure's two ends.
-func TestPatchShare(t *testing.T) {
-	skewed := testgraph.Skewed()
-	g, root := skewed.G, skewed.Root
-	cg := BuildGraph(g)
-	if s := PatchShare(cg, []graph.EdgeOp{{Src: root, Dst: root}}); s <= 0 || s > 0.01 {
-		t.Fatalf("one op on a 16-edge group: share %v, want a sliver", s)
-	}
-	var all []graph.EdgeOp
-	for v := 0; v < g.NumVertices; v++ {
-		all = append(all, graph.EdgeOp{Src: uint32(v), Dst: uint32(v)})
-	}
-	if s := PatchShare(cg, all); s < 1 {
-		t.Fatalf("every group touched: share %v, want ≥ 1", s)
 	}
 }
 

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/graph"
@@ -114,7 +115,7 @@ func Generate(d Dataset, scale float64) *graph.Graph {
 	edges := int(float64(r.EdgesK) * 1000 * scale)
 	if d == DimacsUSA {
 		f := meshFactor(scale)
-		return Grid(int(float64(r.MeshRows)*f), int(float64(r.MeshCols)*f), false, seed)
+		return Grid(max(2, int(float64(r.MeshRows)*f)), max(2, int(float64(r.MeshCols)*f)), false, seed)
 	}
 	rs := r.RMATScale
 	for s := scale; s >= 4; s /= 4 {
@@ -126,6 +127,9 @@ func Generate(d Dataset, scale float64) *graph.Graph {
 // meshFactor converts an edge-scale factor into a side-length factor for the
 // 2-D mesh (edges grow quadratically in side length).
 func meshFactor(scale float64) float64 {
+	if scale < 1 {
+		return math.Sqrt(scale)
+	}
 	f := 1.0
 	for ; scale >= 4; scale /= 4 {
 		f *= 2

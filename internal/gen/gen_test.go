@@ -165,11 +165,18 @@ func TestGenerateSkewOrdering(t *testing.T) {
 }
 
 func TestGenerateScaleGrowsEdges(t *testing.T) {
-	small := Generate(Twitter, 0.25)
-	big := Generate(Twitter, 1.0)
-	if big.NumEdges() <= small.NumEdges() {
-		t.Errorf("scale 1.0 (%d edges) should exceed scale 0.25 (%d)",
-			big.NumEdges(), small.NumEdges())
+	for _, d := range []Dataset{Twitter, DimacsUSA} {
+		small := Generate(d, 0.25)
+		big := Generate(d, 1.0)
+		if big.NumEdges() <= small.NumEdges() {
+			t.Errorf("%s: scale 1.0 (%d edges) should exceed scale 0.25 (%d)",
+				d, big.NumEdges(), small.NumEdges())
+		}
+	}
+	// The mesh's sides shrink with the scale but never below two vertices.
+	if g := Generate(DimacsUSA, 1e-6); g.NumVertices != 4 || g.NumEdges() != 8 {
+		t.Errorf("D at scale 1e-6: %d vertices, %d edges, want the 2×2 mesh (4, 8)",
+			g.NumVertices, g.NumEdges())
 	}
 }
 

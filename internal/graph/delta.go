@@ -281,8 +281,10 @@ func reduceEdgeOps(ops []EdgeOp, weighted bool) ([]EdgeOp, map[uint64]int) {
 // single-threaded, so the merged edge list — and therefore every
 // bit-deterministic engine result computed from it — depends only on (g,
 // ops), never on worker count. A version the store serves is defined as the
-// layouts of its result (the rebuild arm computes them from it; the splice,
-// core.PatchGraph, reproduces them from the predecessor's).
+// layouts of its result: the store computes them from it only when no
+// predecessor's layouts are in memory (a cold start, recovery, an evicted
+// predecessor); otherwise the splice, core.PatchGraph, reproduces them from
+// the predecessor's.
 //
 // Inserts may name vertices beyond g.NumVertices; the merged graph's vertex
 // count grows to cover them. On unweighted graphs insert weights are forced

@@ -105,23 +105,5 @@ func (l *deltaLog) opsBetween(fromSeq, toSeq uint64) ([]graph.EdgeOp, bool) {
 	if fromSeq < l.baseSeq || toSeq > l.synced || fromSeq > toSeq {
 		return nil, false
 	}
-	var n int
-	for _, b := range l.batches {
-		if b.Seq > toSeq {
-			break
-		}
-		if b.Seq > fromSeq {
-			n += len(b.Ops)
-		}
-	}
-	ops := make([]graph.EdgeOp, 0, n)
-	for _, b := range l.batches {
-		if b.Seq > toSeq {
-			break
-		}
-		if b.Seq > fromSeq {
-			ops = append(ops, b.Ops...)
-		}
-	}
-	return ops, true
+	return l.opsInLocked(fromSeq, toSeq), true
 }

@@ -166,8 +166,8 @@ func TestMaterializeArmsServeWhatRebuildServes(t *testing.T) {
 // TestSnapshotsRebuildTheServedLayouts: every snapshot the store writes — at
 // Add, Compact and Snapshot — holds its version's edges in CSR order, not in
 // the order they arrived: byte for byte the file a Compressed-Sparse matrix
-// of base ⊕ every batch so far writes, as is the edge list the rebuild arm
-// streams out of a served version. A store that evicts to, or reopens onto,
+// of base ⊕ every batch so far writes, as is the edge list VSS.ToGraph
+// decodes out of a served version. A store that evicts to, or reopens onto,
 // any of them, with the log's batches replayed on top, must still serve what
 // a from-scratch BuildGraph of the original base ⊕ every batch serves, for
 // all nine apps. It runs on every corpus graph, as it is and weighted, and
@@ -240,11 +240,11 @@ func assertSnapshotsRebuild(t *testing.T, base *graph.Graph, runApps bool) {
 		} else {
 			assertRebuildLayouts(t, h, base, ops, label)
 		}
-		rebuilt := filepath.Join(t.TempDir(), "rebuild")
-		if err := h.Runner().Graph().VSS.ToGraph().WriteFile(rebuilt); err != nil {
+		decoded := filepath.Join(t.TempDir(), "decoded")
+		if err := h.Runner().Graph().VSS.ToGraph().WriteFile(decoded); err != nil {
 			t.Fatal(err)
 		}
-		writtenInCSROrder(label+": the rebuild arm's edge list", rebuilt)
+		writtenInCSROrder(label+": VSS's edge list", decoded)
 	}
 	reopen := func() {
 		t.Helper()
@@ -341,33 +341,54 @@ func TestMaterializeSplicesOnlyNewBatches(t *testing.T) {
 	}
 }
 
-// TestMaterializeRebuildsWhenBatchTouchesMostGroups: a batch naming every
-// vertex leaves nothing to copy, so the store rebuilds — decided from the
-// batch and the predecessor, not from a setting.
-func TestMaterializeRebuildsWhenBatchTouchesMostGroups(t *testing.T) {
-	s, err := Open(Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+// TestMaterializePatchesWhateverTheShare: a version with its predecessor's
+// layouts in hand is spliced out of them however much of the graph its
+// batches rewrite — one batch naming every vertex, or a chain of unread
+// batches over one seed that together name every vertex four times — and
+// serves what a from-scratch rebuild serves, for all nine apps. On the 9×9
+// mesh (288 edges) the touched groups plus each op's own slots come to 1.28
+// of the predecessor's edge slots for the one batch and 2.1 for the chain.
+func TestMaterializePatchesWhateverTheShare(t *testing.T) {
 	base := corpusGraph(t, "weighted-mesh-9x9")
-	if err := s.Add("g", core.BuildGraph(base)); err != nil {
-		t.Fatal(err)
-	}
-	var ops []graph.EdgeOp
 	n := uint32(base.NumVertices)
-	for v := uint32(0); v < n; v++ {
-		ops = append(ops, graph.EdgeOp{Src: v, Dst: (v + 1) % n})
+	ring := func(step uint32) []graph.EdgeOp {
+		ops := make([]graph.EdgeOp, n)
+		for v := range n {
+			ops[v] = graph.EdgeOp{Src: v, Dst: (v + step) % n, Weight: float32(step)}
+		}
+		return ops
 	}
-	mustApply(t, s, "g", ops)
-	h, err := s.Acquire("g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	assertServesRebuild(t, h, base, ops, "dense batch")
-	if got := s.Stats().Materialize; got != (MaterializeStats{Rebuild: 1}) {
-		t.Fatalf("%+v, want one rebuild", got)
+	for _, tc := range []struct {
+		name    string
+		batches [][]graph.EdgeOp
+	}{
+		{"one batch naming every vertex", [][]graph.EdgeOp{ring(1)}},
+		{"four unread batches over one seed", [][]graph.EdgeOp{ring(1), ring(2), ring(3), ring(4)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := Open(Config{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.Add("g", core.BuildGraph(base)); err != nil {
+				t.Fatal(err)
+			}
+			var ops []graph.EdgeOp
+			for _, batch := range tc.batches {
+				mustApply(t, s, "g", batch)
+				ops = append(ops, batch...)
+			}
+			h, err := s.Acquire("g")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer h.Close()
+			assertServesRebuild(t, h, base, ops, tc.name)
+			if got := s.Stats().Materialize; got != (MaterializeStats{Patch: 1}) {
+				t.Fatalf("%+v, want one patch", got)
+			}
+		})
 	}
 }
 

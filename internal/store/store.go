@@ -572,19 +572,6 @@ func (s *Store) Acquire(name string) (*Handle, error) {
 	return h, nil
 }
 
-// patchMaxShare is the largest share of a predecessor's edge slots the
-// touched groups may hold (core.PatchShare) for materialize to splice rather
-// than rebuild; both arms produce the same bytes, so it sets time only.
-// Measured on the T analog (N = 32 768, E = 1.44 M, uniform random inserts,
-// the rebuild fed from the seed's VSS.ToGraph, the splice sharing untouched
-// slabs; median of seven, 2-core box): the splice costs a hundredth of a
-// rebuild at a 0.1 % share, a fifth at 22 %, two fifths at 65 %, three fifths
-// at 1.02 and nine tenths at 1.18, and the two cross between 1.32 and 1.36
-// (the share passes 1 because each op adds its own slots). Past 1.2 the
-// splice saves under a tenth of a rebuild, within one pass's spread, so the
-// bound stays where the crossover's lower edge was first measured.
-const patchMaxShare = 1.2
-
 // materialize produces e's layouts: a base — a predecessor's layouts when
 // they were captured at publish time, the disk snapshot otherwise — merged
 // with the delta log's acknowledged operations through e.viewSeq. Whichever
@@ -599,14 +586,12 @@ const patchMaxShare = 1.2
 // range not be resident, the seed takes the log's whole range, as a stale
 // seed always could.
 //
-// Three arms, chosen only from what is in hand. No operations to apply over
-// a seed (a compaction successor): the seed IS this version, shared
-// outright. A seed and a batch whose touched groups hold at most
-// patchMaxShare of the edges: core.PatchGraph splices the layouts out of the
-// seed's. Otherwise — no seed (cold start, recovery, evicted predecessor) or
-// a batch that rewrites most groups anyway — core.BuildGraph over the merge
-// of the snapshot's edges, or of the edges the seed's VSS holds, with one
-// log line saying why. The caller holds e.load.
+// Three arms, chosen only from what is in hand. A seed and no operations to
+// apply (a compaction successor): the seed IS this version, shared outright.
+// A seed and some operations: core.PatchGraph splices the layouts out of the
+// seed's, however many groups the operations touch. No seed (cold start,
+// recovery, evicted predecessor): core.BuildGraph over the merge of the
+// snapshot's edges, with one log line. The caller holds e.load.
 func (s *Store) materialize(e *entry) (*core.Graph, error) {
 	start := time.Now()
 	cg := e.seed
@@ -620,34 +605,24 @@ func (s *Store) materialize(e *entry) (*core.Graph, error) {
 			ops = e.delta.opsThrough(e.viewSeq)
 		}
 	}
-	var g *graph.Graph // the rebuild's edges
-	var why string     // why it does not splice
-	switch {
-	case cg == nil:
-		var err error
-		if g, err = s.rehydrate(e); err != nil {
-			return nil, err
+	if cg != nil {
+		arm := s.materializeShared
+		if len(ops) > 0 {
+			cg, arm = core.PatchGraph(cg, ops), s.materializePatch
 		}
-		why = "no predecessor in memory"
-	case len(ops) == 0:
-		s.materializeShared.Observe(time.Since(start).Seconds())
+		arm.Observe(time.Since(start).Seconds())
 		return cg, nil
-	default:
-		share := core.PatchShare(cg, ops)
-		if share <= patchMaxShare {
-			cg = core.PatchGraph(cg, ops)
-			s.materializePatch.Observe(time.Since(start).Seconds())
-			return cg, nil
-		}
-		g = cg.VSS.ToGraph()
-		why = fmt.Sprintf("touched groups hold %.0f%% of the edge slots, over %.0f%%", 100*share, 100*patchMaxShare)
+	}
+	g, err := s.rehydrate(e)
+	if err != nil {
+		return nil, err
 	}
 	if len(ops) > 0 {
 		g = graph.ApplyEdgeOps(g, ops)
 	}
 	cg = core.BuildGraph(g)
 	slog.Info("store: materialized by full rebuild", "graph", e.name, "version", e.version,
-		"ops", len(ops), "reason", why)
+		"ops", len(ops), "reason", "no predecessor in memory")
 	s.materializeRebuild.Observe(time.Since(start).Seconds())
 	return cg, nil
 }

@@ -251,19 +251,29 @@ func (l *deltaLog) ackedSeq() uint64 {
 func (l *deltaLog) opsThrough(seq uint64) []graph.EdgeOp {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.opsInLocked(l.baseSeq, min(seq, l.synced))
+}
+
+// opsInLocked returns a copy of the operations of every resident batch with
+// sequence in (fromSeq, toSeq], concatenated in order. Callers hold l.mu.
+func (l *deltaLog) opsInLocked(fromSeq, toSeq uint64) []graph.EdgeOp {
 	var n int
 	for _, b := range l.batches {
-		if b.Seq > seq || b.Seq > l.synced {
+		if b.Seq > toSeq {
 			break
 		}
-		n += len(b.Ops)
+		if b.Seq > fromSeq {
+			n += len(b.Ops)
+		}
 	}
 	ops := make([]graph.EdgeOp, 0, n)
 	for _, b := range l.batches {
-		if b.Seq > seq || b.Seq > l.synced {
+		if b.Seq > toSeq {
 			break
 		}
-		ops = append(ops, b.Ops...)
+		if b.Seq > fromSeq {
+			ops = append(ops, b.Ops...)
+		}
 	}
 	return ops
 }
