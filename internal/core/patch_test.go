@@ -65,8 +65,24 @@ func arrayList(a *vsparse.Array) edgeList {
 	return edgeList{a.N, a.ValidEdges, a.Weighted, a.ToGraph().Edges, a.WriteFile}
 }
 
+// matrixList reads m's edges out of its groups, in (src, dst) orientation
+// and in m's order.
 func matrixList(m *csr.Matrix) edgeList {
-	return edgeList{m.N, m.NumEdges(), m.Weights != nil, m.ToGraph().Edges, m.WriteFile}
+	edges := make([]graph.Edge, 0, m.NumEdges())
+	for v := range uint32(m.N) {
+		ws := m.EdgeWeights(v)
+		for i, u := range m.Edges(v) {
+			e := graph.Edge{Src: v, Dst: u}
+			if m.ByDest {
+				e.Src, e.Dst = u, v
+			}
+			if ws != nil {
+				e.Weight = ws[i]
+			}
+			edges = append(edges, e)
+		}
+	}
+	return edgeList{m.N, m.NumEdges(), m.Weights != nil, edges, m.WriteFile}
 }
 
 func graphList(g *graph.Graph) edgeList {

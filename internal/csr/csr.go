@@ -11,7 +11,6 @@ package csr
 import (
 	"fmt"
 	"iter"
-	"slices"
 
 	"repro/internal/graph"
 )
@@ -142,14 +141,6 @@ func sortGroup(neigh []uint32, w []float32) {
 			w[j+1] = wv
 		}
 	}
-}
-
-// ToGraph reconstructs the edge list the matrix encodes, always in
-// (src, dst) orientation regardless of grouping, in the matrix's order.
-func (m *Matrix) ToGraph() *graph.Graph {
-	g := &graph.Graph{NumVertices: m.N, Weighted: m.Weights != nil}
-	g.Edges = slices.AppendSeq(make([]graph.Edge, 0, len(m.Neigh)), m.all())
-	return g
 }
 
 // WriteFile persists the edges the matrix encodes as a graph file

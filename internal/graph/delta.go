@@ -12,8 +12,8 @@ import (
 // write-ahead log (WAL) the store keeps under its data directory, and the
 // canonical merge that folds a sequence of edge operations into a graph. The
 // codec lives next to the snapshot format (io.go) because the two together
-// define everything the store persists; the log lifecycle (group commit,
-// rotation, recovery policy) lives in internal/store.
+// define everything the store persists; the log lifecycle (serialized
+// appends, rotation, recovery policy) lives in internal/store.
 //
 // Delta log format ("GRZW"), little-endian:
 //

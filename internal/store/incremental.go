@@ -102,7 +102,7 @@ func (s *Store) DeltaBetween(name string, from, to uint64) ([]graph.EdgeOp, bool
 func (l *deltaLog) opsBetween(fromSeq, toSeq uint64) ([]graph.EdgeOp, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if fromSeq < l.baseSeq || toSeq > l.synced || fromSeq > toSeq {
+	if fromSeq < l.baseSeq || toSeq > l.seq || fromSeq > toSeq {
 		return nil, false
 	}
 	return l.opsInLocked(fromSeq, toSeq), true

@@ -74,8 +74,8 @@ func (s *Store) registerMetrics() {
 	// Stats().WAL reports; gauges scan the per-graph delta-log mirrors.
 	r.CounterFunc("grazelle_wal_appends_total", "Acknowledged (durable) mutation batches.", nil, s.walc.appends.Load)
 	r.CounterFunc("grazelle_wal_append_errors_total", "Rejected or rolled-back mutation batches.", nil, s.walc.appendErrors.Load)
-	r.CounterFunc("grazelle_wal_fsyncs_total", "Delta-log group commits.", nil, s.walc.fsyncs.Load)
-	r.CounterFunc("grazelle_wal_fsync_errors_total", "Failed delta-log syncs (each rolls back its group).", nil, s.walc.fsyncErrors.Load)
+	r.CounterFunc("grazelle_wal_fsyncs_total", "Delta-log fsyncs, one per acknowledged batch.", nil, s.walc.fsyncs.Load)
+	r.CounterFunc("grazelle_wal_fsync_errors_total", "Failed delta-log syncs (each rolls back its batch).", nil, s.walc.fsyncErrors.Load)
 	r.CounterFunc("grazelle_wal_replayed_batches_total", "Mutation batches replayed from disk at open.", nil, s.walc.replayed.Load)
 	r.CounterFunc("grazelle_wal_torn_tails_total", "Torn delta-log tails truncated at open.", nil, s.walc.tornTails.Load)
 	r.CounterFunc("grazelle_wal_quarantined_segments_total", "Corrupt delta-log segments moved aside.", nil, s.walc.quarantined.Load)

@@ -38,7 +38,7 @@ func (e *DeltaBudgetError) Error() string {
 
 // ApplyEdges applies one batch of edge insertions/deletions to the named
 // graph. The call returns only after the batch is durable in the graph's
-// delta log (group-commit fsync when a data directory is configured), with
+// delta log (fsynced on its own when a data directory is configured), with
 // the log sequence number assigned to the batch and the store version whose
 // view includes it.
 //
@@ -80,7 +80,7 @@ func (s *Store) ApplyEdges(name string, ops []graph.EdgeOp) (seq, version uint64
 
 	// The append blocks for durability with no store lock held, so readers
 	// and mutators of other graphs proceed; concurrent appenders to the same
-	// log share fsyncs via group commit.
+	// log take their turns, one write and fsync each.
 	seq, err = delta.append(ops)
 	if err != nil {
 		return 0, 0, err

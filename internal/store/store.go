@@ -755,8 +755,13 @@ func (s *Store) idleSeedLocked() *entry {
 // rebuild from its snapshot instead of a splice, where evicting a graph costs
 // a rehydration and a rebuild. Then least-recently-used idle entries are
 // evicted. Entries pinned by handles (including the provisional reference an
-// in-progress Acquire holds), already cold, or lacking any path back from
-// disk are never evicted, so the budget is soft. Callers hold s.mu.
+// in-progress Acquire holds), already cold, or without a snapshot to
+// rehydrate from (every entry of a memory-only store) are never evicted, so
+// the budget is soft. With a data directory every resident entry has a
+// snapshot: Add writes one before it registers the entry, Open registers
+// entries from the manifest, a successor inherits its predecessor's and
+// Compact sets a new one; quarantine clears it only on a cold entry that
+// never gets a runner. Callers hold s.mu.
 func (s *Store) ensureBudgetLocked() {
 	if s.cfg.MemBudget <= 0 {
 		return
@@ -768,11 +773,8 @@ func (s *Store) ensureBudgetLocked() {
 		}
 		var victim *entry
 		for _, e := range s.graphs {
-			if e.refs != 0 || e.runner == nil {
+			if e.refs != 0 || e.runner == nil || e.snapshot == "" {
 				continue
-			}
-			if e.snapshot == "" && s.cfg.DataDir == "" {
-				continue // nothing to rehydrate from
 			}
 			if victim == nil || e.lastUsed < victim.lastUsed {
 				victim = e
@@ -780,15 +782,6 @@ func (s *Store) ensureBudgetLocked() {
 		}
 		if victim == nil {
 			return
-		}
-		if victim.snapshot == "" {
-			// Spill to disk before dropping the only copy.
-			path := filepath.Join(s.cfg.DataDir, snapshotFileName(victim.name, victim.lineage))
-			if err := writeSnapshot(path, victim.runner.Graph()); err != nil {
-				return
-			}
-			victim.snapshot = path
-			s.syncManifestLocked()
 		}
 		s.freeLocked(victim)
 		s.evictions++
@@ -907,7 +900,7 @@ type WALStats struct {
 	// counts rejected or rolled-back ones.
 	Appends      uint64 `json:"appends"`
 	AppendErrors uint64 `json:"append_errors"`
-	// Fsyncs counts group commits; one fsync may acknowledge many batches.
+	// Fsyncs counts delta-log fsyncs, one per acknowledged batch.
 	Fsyncs      uint64 `json:"fsyncs"`
 	FsyncErrors uint64 `json:"fsync_errors"`
 	// ReplayedBatches counts batches recovered from disk at open; TornTails

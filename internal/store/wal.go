@@ -19,22 +19,19 @@ import (
 // overlay view is materialized from. The log guarantees exactly the WAL
 // contract: a batch is acknowledged only after its record is durable
 // (written and fsynced), an unacknowledged batch never survives a crash
-// (failed syncs roll the file back before the error is returned), and
-// reopening replays acknowledged batches in order — truncating a torn tail,
-// quarantining a segment damaged beyond what truncation explains.
+// (a failed write or sync truncates the file back before the error is
+// returned), and reopening replays acknowledged batches in order —
+// truncating a torn tail, quarantining a segment damaged beyond what
+// truncation explains.
 //
-// Concurrency follows the group-commit pattern: appenders serialize record
-// writes under l.mu, then one of them becomes the sync leader and fsyncs
-// with the lock released, covering every record written before the sync
-// started. Batches appended while an fsync is in flight ride the next sync.
-// One fsync therefore acknowledges a whole burst of concurrent writers.
-//
-// A rollback resets seq to the durable watermark, so sequence numbers are
-// reused and a waiter cannot learn its record's fate by comparing them: by
-// the time it wakes, fresh appends may have taken its number and been synced
-// under it. Each written, not-yet-durable record therefore has an outcome
-// cell (unsynced) that only a rollback sets, and a waiter is acknowledged
-// when the watermark covers its number and its own cell is still clear.
+// Appends are serialized: append holds l.mu from the record's write through
+// its fsync, as rewriteLocked does through its own syncs. At most one record
+// is ever unacknowledged, and only its own appender waits on it, so a failed
+// write or sync removes that record and nothing else, and no sequence number
+// is reused while anyone could still be waiting on it. Concurrent appenders
+// to one log pay one fsync each in turn; no workload has two (the router
+// applies a graph's batches one at a time, and the benchmark's mutation
+// workload runs one client).
 
 // walExt is the delta log file suffix, alongside <name+lineage>.grzg
 // snapshots in the data directory.
@@ -46,8 +43,8 @@ const walExt = ".wal"
 type walCounters struct {
 	appends      atomic.Uint64 // acknowledged batches
 	appendErrors atomic.Uint64 // rejected or rolled-back appends
-	fsyncs       atomic.Uint64 // successful group commits
-	fsyncErrors  atomic.Uint64 // failed syncs (each rolls back its group)
+	fsyncs       atomic.Uint64 // successful syncs, one per acknowledged batch
+	fsyncErrors  atomic.Uint64 // failed syncs (each rolls back its batch)
 	replayed     atomic.Uint64 // batches replayed from disk at open
 	tornTails    atomic.Uint64 // torn tails truncated at open
 	quarantined  atomic.Uint64 // corrupt segments moved aside
@@ -71,28 +68,20 @@ type deltaLog struct {
 	tailBatches atomic.Int64
 	wedgedFlag  atomic.Int32
 
-	mu   sync.Mutex
-	cond *sync.Cond
-	f    *os.File
-	// baseSeq is the last sequence number folded into the base snapshot;
-	// seq the last written; synced the last durable. size/syncedSize are the
-	// file lengths covering seq/synced respectively.
-	baseSeq, seq, synced uint64
-	size, syncedSize     int64
-	syncing              bool
+	mu sync.Mutex
+	f  *os.File
+	// baseSeq is the last sequence number folded into the base snapshot and
+	// seq the last acknowledged; size is the file length covering seq.
+	baseSeq, seq uint64
+	size         int64
 	// batches is the un-compacted tail in sequence order: everything in
-	// (baseSeq, seq]. Entries above synced are written but not yet durable
-	// and are dropped if their group's sync fails.
+	// (baseSeq, seq]. A batch joins it only once its record is durable.
 	batches []graph.DeltaBatch
-	// unsynced holds one flag per record in (synced, seq], in sequence
-	// order, shared with the appender waiting on it: a rollback sets every
-	// one (those records are gone) and a sync drops the ones it made durable.
-	unsynced []*bool
-	// wedged is set when even rolling back a failed sync failed, or when a
-	// rewrite's directory sync failed: the file state is unknown and every
-	// append is refused until a heal (full rewrite from the acknowledged
-	// tail) succeeds. healAttempts backs off heal retries exponentially,
-	// capped at healBackoffCap.
+	// wedged is set when even rolling back a failed write or sync failed, or
+	// when a rewrite's directory sync failed: the file state is unknown and
+	// every append is refused until a heal (full rewrite from the
+	// acknowledged tail) succeeds. healAttempts backs off heal retries
+	// exponentially, capped at healBackoffCap.
 	wedged       bool
 	healAttempts int
 	healNotAfter time.Time
@@ -104,10 +93,10 @@ const (
 	healBackoffCap  = time.Second
 )
 
-// WALWedgedError reports that a graph's delta log is wedged: a sync failed
-// and the rollback failed too, so the file cannot be trusted until a heal
-// rewrite succeeds. Writes are refused while wedged; reads keep serving the
-// last acknowledged state.
+// WALWedgedError reports that a graph's delta log is wedged: a write or sync
+// failed and the rollback failed too, so the file cannot be trusted until a
+// heal rewrite succeeds. Writes are refused while wedged; reads keep serving
+// the last acknowledged state.
 type WALWedgedError struct {
 	Name string
 	Err  error
@@ -121,9 +110,7 @@ func (e *WALWedgedError) Unwrap() error { return e.Err }
 
 // newDeltaLog creates the in-memory state for a graph with no existing log.
 func newDeltaLog(name, path string, lineage uint64, c *walCounters) *deltaLog {
-	l := &deltaLog{name: name, path: path, lineage: lineage, c: c}
-	l.cond = sync.NewCond(&l.mu)
-	return l
+	return &deltaLog{name: name, path: path, lineage: lineage, c: c}
 }
 
 // openDeltaLog opens (or concludes the absence of) the delta log for name,
@@ -190,19 +177,12 @@ func openDeltaLog(name, path string, lineage uint64, c *walCounters) (l *deltaLo
 
 // adoptLocked installs replayed state. Only called before the log is shared.
 func (l *deltaLog) adoptLocked(baseSeq uint64, batches []graph.DeltaBatch) {
-	l.baseSeq = baseSeq
-	l.seq = baseSeq
-	var bytes int64
-	for _, b := range batches {
-		l.seq = b.Seq
-		bytes += int64(graph.EncodedDeltaLen(len(b.Ops)))
+	l.baseSeq, l.seq, l.batches = baseSeq, baseSeq, batches
+	if len(batches) > 0 {
+		l.seq = batches[len(batches)-1].Seq
 	}
-	l.synced = l.seq
-	l.batches = batches
-	l.size = int64(graph.DeltaHeaderLen) + bytes
-	l.syncedSize = l.size
-	l.tailBytes.Store(bytes)
-	l.tailBatches.Store(int64(len(batches)))
+	l.publishTailLocked()
+	l.size = int64(graph.DeltaHeaderLen) + l.tailBytes.Load()
 }
 
 // ensureOpenLocked opens (creating with a header if necessary) the log file
@@ -228,7 +208,6 @@ func (l *deltaLog) ensureOpenLocked() error {
 			return err
 		}
 		l.size = int64(len(hdr))
-		l.syncedSize = l.size
 	}
 	if err := syncPath(filepath.Dir(l.path)); err != nil {
 		f.Close()
@@ -242,7 +221,7 @@ func (l *deltaLog) ensureOpenLocked() error {
 func (l *deltaLog) ackedSeq() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.synced
+	return l.seq
 }
 
 // opsThrough returns a copy of the acknowledged operations for every batch
@@ -251,7 +230,7 @@ func (l *deltaLog) ackedSeq() uint64 {
 func (l *deltaLog) opsThrough(seq uint64) []graph.EdgeOp {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.opsInLocked(l.baseSeq, min(seq, l.synced))
+	return l.opsInLocked(l.baseSeq, min(seq, l.seq))
 }
 
 // opsInLocked returns a copy of the operations of every resident batch with
@@ -278,11 +257,10 @@ func (l *deltaLog) opsInLocked(fromSeq, toSeq uint64) []graph.EdgeOp {
 	return ops
 }
 
-// append logs one batch and blocks until it is durable (or the log has no
-// file, in which case acknowledgement is immediate). It returns the batch's
-// sequence number. On a failed sync the file is rolled back to the last
-// durable length so the unacknowledged record cannot survive a crash; if
-// even the rollback fails the log wedges.
+// append logs one batch and returns its sequence number once the record is
+// durable (immediately when the log has no file). It holds l.mu from the
+// record's write through its fsync, so the record is the only one not yet
+// acknowledged and the batch joins the tail only after the sync succeeds.
 func (l *deltaLog) append(ops []graph.EdgeOp) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -307,101 +285,40 @@ func (l *deltaLog) append(ops []graph.EdgeOp) (uint64, error) {
 	rec := graph.AppendDeltaRecord(nil, seq, ops)
 	if l.f != nil {
 		if _, err := l.f.WriteAt(rec, l.size); err != nil {
-			l.rollbackLocked(err)
-			l.c.appendErrors.Add(1)
-			return 0, err
+			return 0, l.rollbackLocked(err)
 		}
+		err := fault.Inject("store/wal-fsync")
+		if err == nil {
+			err = l.f.Sync()
+		}
+		if err != nil {
+			l.c.fsyncErrors.Add(1)
+			return 0, l.rollbackLocked(fmt.Errorf("store: delta log fsync for %q: %w", l.name, err))
+		}
+		l.c.fsyncs.Add(1)
 	}
 	l.seq = seq
 	l.size += int64(len(rec))
 	l.batches = append(l.batches, graph.DeltaBatch{Seq: seq, Ops: ops})
-
-	if l.f == nil {
-		// Memory-only: acknowledged by definition.
-		l.synced = seq
-		l.syncedSize = l.size
-		l.publishTailLocked()
-		l.c.appends.Add(1)
-		return seq, nil
-	}
-
-	// Group commit: wait until a sync covers this record, becoming the
-	// leader if no sync is in flight. The leader releases the lock around
-	// the fsync so concurrent appenders keep writing records that the next
-	// sync will cover.
-	lost := new(bool)
-	l.unsynced = append(l.unsynced, lost)
-	for !*lost && l.synced < seq {
-		if l.syncing {
-			l.cond.Wait()
-			continue
-		}
-		l.syncing = true
-		mark, markSize := l.seq, l.size
-		f := l.f
-		l.mu.Unlock()
-		err := fault.Inject("store/wal-fsync")
-		if err == nil {
-			err = f.Sync()
-		}
-		l.mu.Lock()
-		l.syncing = false
-		switch {
-		case err != nil:
-			l.c.fsyncErrors.Add(1)
-			l.rollbackLocked(err)
-		case !*lost:
-			l.c.fsyncs.Add(1)
-			l.unsynced = l.unsynced[mark-l.synced:]
-			l.synced = mark
-			l.syncedSize = markSize
-			l.publishTailLocked()
-		default:
-			// Another appender's failed write rolled the log back while this
-			// sync was in flight: the records it covered, the leader's own
-			// among them, are no longer in the file.
-		}
-		l.cond.Broadcast()
-	}
-	if *lost {
-		// A failed write or sync rolled this record back; it was never
-		// acknowledged and is no longer in the file, whatever the sequence
-		// numbers say by now.
-		l.c.appendErrors.Add(1)
-		if l.wedged {
-			return 0, &WALWedgedError{Name: l.name, Err: errors.New("sync failed and rollback failed")}
-		}
-		return 0, fmt.Errorf("store: delta append for %q lost to a failed sync", l.name)
-	}
+	l.publishTailLocked()
 	l.c.appends.Add(1)
 	return seq, nil
 }
 
-// rollbackLocked discards every record above the durable watermark after a
-// failed write or sync: the file is truncated back to the acknowledged
-// length and the in-memory tail trimmed to match, so an unacknowledged
-// batch can neither be served nor replayed. If the truncate fails the file
+// rollbackLocked truncates the file back to l.size after the next record's
+// write or sync failed, so no crash can bring that unacknowledged record
+// back, and returns the error append reports. If the truncate fails the file
 // state is unknowable and the log wedges.
-func (l *deltaLog) rollbackLocked(cause error) {
-	if l.f != nil {
-		if err := os.Truncate(l.path, l.syncedSize); err != nil {
-			l.wedged = true
-			l.wedgedFlag.Store(1)
-			l.healAttempts = 0
-			l.healNotAfter = time.Time{}
-			_ = cause
-		}
+func (l *deltaLog) rollbackLocked(err error) error {
+	l.c.appendErrors.Add(1)
+	if terr := os.Truncate(l.path, l.size); terr != nil {
+		l.wedged = true
+		l.wedgedFlag.Store(1)
+		l.healAttempts = 0
+		l.healNotAfter = time.Time{}
+		return &WALWedgedError{Name: l.name, Err: errors.Join(err, terr)}
 	}
-	for len(l.batches) > 0 && l.batches[len(l.batches)-1].Seq > l.synced {
-		l.batches = l.batches[:len(l.batches)-1]
-	}
-	for _, lost := range l.unsynced {
-		*lost = true
-	}
-	l.unsynced = nil
-	l.seq = l.synced
-	l.size = l.syncedSize
-	l.publishTailLocked()
+	return err
 }
 
 // healLocked attempts to recover a wedged log by rewriting it wholesale
@@ -429,14 +346,9 @@ func (l *deltaLog) healLocked() error {
 
 // rotate rewrites the log to contain only batches above newBaseSeq — the
 // compaction step that drops everything already folded into the snapshot.
-// Batches written but not yet durable ride along into the new file, whose
-// fsync acknowledges them.
 func (l *deltaLog) rotate(newBaseSeq uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for l.syncing {
-		l.cond.Wait()
-	}
 	if err := l.rewriteLocked(newBaseSeq); err != nil {
 		return err
 	}
@@ -445,7 +357,6 @@ func (l *deltaLog) rotate(newBaseSeq uint64) error {
 		l.wedgedFlag.Store(0)
 		l.c.healed.Add(1)
 	}
-	l.cond.Broadcast()
 	return nil
 }
 
@@ -453,8 +364,8 @@ func (l *deltaLog) rotate(newBaseSeq uint64) error {
 // every batch above newBaseSeq, then syncs and swaps file handles. The old
 // file is intact until the rename, so a failure before it leaves the previous
 // state. The directory sync after the rename is what makes the new file's
-// name durable (as in commitFile); if it fails, the batches that rode along
-// unacknowledged are rolled back and the log wedges until a heal rewrites it.
+// name durable (as in commitFile); if it fails, the log wedges until a heal
+// rewrites it.
 func (l *deltaLog) rewriteLocked(newBaseSeq uint64) error {
 	keep := l.batches[:0:0]
 	for _, b := range l.batches {
@@ -470,12 +381,8 @@ func (l *deltaLog) rewriteLocked(newBaseSeq uint64) error {
 		return nil
 	}
 	buf := graph.EncodeDeltaHeader(l.lineage, newBaseSeq)
-	ackedLen := len(buf)
 	for _, b := range keep {
 		buf = graph.AppendDeltaRecord(buf, b.Seq, b.Ops)
-		if b.Seq <= l.synced {
-			ackedLen = len(buf)
-		}
 	}
 	tmp := l.path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -504,21 +411,12 @@ func (l *deltaLog) rewriteLocked(newBaseSeq uint64) error {
 	l.baseSeq = newBaseSeq
 	l.batches = keep
 	l.size = int64(len(buf))
+	l.publishTailLocked()
 	if err := syncPath(filepath.Dir(l.path)); err != nil {
-		l.syncedSize = int64(ackedLen)
-		l.rollbackLocked(err)
 		l.wedged = true
 		l.wedgedFlag.Store(1)
 		return err
 	}
-	l.syncedSize = l.size
-	l.seq = newBaseSeq
-	for _, b := range keep {
-		l.seq = b.Seq
-	}
-	l.synced = l.seq
-	l.unsynced = nil // the new file's fsync made every ride-along durable
-	l.publishTailLocked()
 	l.c.rotations.Add(1)
 	return nil
 }
@@ -527,25 +425,17 @@ func (l *deltaLog) rewriteLocked(newBaseSeq uint64) error {
 // acknowledged tail.
 func (l *deltaLog) publishTailLocked() {
 	var bytes int64
-	var n int64
 	for _, b := range l.batches {
-		if b.Seq > l.synced {
-			break
-		}
 		bytes += int64(graph.EncodedDeltaLen(len(b.Ops)))
-		n++
 	}
 	l.tailBytes.Store(bytes)
-	l.tailBatches.Store(n)
+	l.tailBatches.Store(int64(len(l.batches)))
 }
 
 // close releases the file handle; with remove set the log file (and any
 // quarantined sibling) is deleted — the Delete path.
 func (l *deltaLog) close(remove bool) {
 	l.mu.Lock()
-	for l.syncing {
-		l.cond.Wait()
-	}
 	l.closed = true
 	if l.f != nil {
 		l.f.Close()
@@ -555,5 +445,4 @@ func (l *deltaLog) close(remove bool) {
 	if remove && l.path != "" {
 		os.Remove(l.path)
 	}
-	l.cond.Broadcast()
 }

@@ -124,10 +124,10 @@ func TestDeltaLogGroupCommitConcurrent(t *testing.T) {
 	if got := c.appends.Load(); got != writers {
 		t.Fatalf("appends = %d, want %d", got, writers)
 	}
-	// Group commit should have covered multiple records per fsync at least
-	// occasionally, and never more syncs than appends.
-	if syncs := c.fsyncs.Load(); syncs == 0 || syncs > writers {
-		t.Fatalf("fsyncs = %d for %d appends", syncs, writers)
+	// Appends are serialized from write through fsync: each acknowledged
+	// batch paid for exactly one sync of its own.
+	if syncs := c.fsyncs.Load(); syncs != writers {
+		t.Fatalf("fsyncs = %d for %d appends, want one each", syncs, writers)
 	}
 	l.close(false)
 
@@ -440,6 +440,9 @@ func TestDeltaLogAppendFailpoint(t *testing.T) {
 func TestDeltaLogConcurrentAppendWithFsyncFault(t *testing.T) {
 	// Mixed success/failure under concurrency: every append must either be
 	// acknowledged (and survive reopen) or error (and be absent on reopen).
+	// The log's last append fails too: an earlier failed record is
+	// overwritten in place by the next append, so only a failure with
+	// nothing after it shows a record that a failed fsync left on disk.
 	defer fault.Reset()
 	path := walPath(t)
 	var c walCounters
@@ -451,7 +454,7 @@ func TestDeltaLogConcurrentAppendWithFsyncFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	const writers = 12
-	acked := make([]bool, writers)
+	acked := make([]bool, writers+1)
 	var wg sync.WaitGroup
 	for i := 0; i < writers; i++ {
 		wg.Add(1)
@@ -462,6 +465,11 @@ func TestDeltaLogConcurrentAppendWithFsyncFault(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	if err := fault.EnableFromSpec("store/wal-fsync=error*1"); err != nil {
+		t.Fatal(err)
+	}
+	_, err = l.append([]graph.EdgeOp{{Src: writers, Dst: writers}})
+	acked[writers] = err == nil
 	l.close(false)
 
 	l2, _, err := openDeltaLog("g", path, 1, &c)
@@ -493,79 +501,44 @@ func TestWALWedgedErrorFormat(t *testing.T) {
 	}
 }
 
-// gatedLocker is a deltaLog's mutex as its condition variable sees it, with a
-// gate in front of Lock: cond.Wait re-acquires the mutex through it, so a
-// woken follower stays parked until the test opens the gate, while every
-// other path locks l.mu directly and is not held up.
-type gatedLocker struct {
-	mu   *sync.Mutex
-	gate chan struct{}
-}
-
-func (g *gatedLocker) Lock()   { <-g.gate; g.mu.Lock() }
-func (g *gatedLocker) Unlock() { g.mu.Unlock() }
-
-// TestDeltaLogFollowerLostToRollbackDespiteReusedSeq is the schedule behind
-// the once-in-hundreds "acknowledged batch lost on reopen": a follower's
-// record is rolled back by its group's failed sync, and before the follower
-// runs again a fresh append reuses its sequence number and is synced. The
-// follower must report the loss — comparing sequence numbers, as the log once
-// did, acknowledges a batch the truncate removed. The gate makes "before the
-// follower runs again" certain, and the test plays the failing leader itself,
-// statement for statement, because a real one gives no window in which to
-// park the follower.
+// TestDeltaLogFollowerLostToRollbackDespiteReusedSeq: a record rolled back by
+// a failed fsync gives its sequence number up to the next append. The failed
+// append reports an error, the next batch alone holds the number, and a
+// reopen replays exactly the acknowledged batches. (The name is from the
+// log's group commit, under which a parked follower could wake to find its
+// number reused and acknowledge a batch the truncate had removed.) The failed
+// batch is the longer one, so a record a missing rollback left behind would
+// show on reopen as a torn or corrupt tail past the batch that overwrote its
+// start.
 func TestDeltaLogFollowerLostToRollbackDespiteReusedSeq(t *testing.T) {
+	defer fault.Reset()
 	path := walPath(t)
 	var c walCounters
 	l, _, err := openDeltaLog("g", path, 1, &c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate := make(chan struct{})
-	l.cond = sync.NewCond(&gatedLocker{mu: &l.mu, gate: gate})
 	mustAppend(t, l, graph.EdgeOp{Src: 1, Dst: 1}) // seq 1, durable
 
-	// A sync is "in flight": the follower writes seq 2 and parks.
-	l.mu.Lock()
-	l.syncing = true
-	l.mu.Unlock()
-	followerErr := make(chan error, 1)
-	go func() {
-		_, err := l.append([]graph.EdgeOp{{Src: 66, Dst: 66}})
-		followerErr <- err
-	}()
-	for parked := false; !parked; {
-		// The record is written under the lock the follower only gives up
-		// inside cond.Wait, after joining the wait list.
-		l.mu.Lock()
-		parked = l.seq == 2
-		l.mu.Unlock()
+	if err := fault.EnableFromSpec("store/wal-fsync=error*1"); err != nil {
+		t.Fatal(err)
 	}
-
-	// The sync fails: the leader's failure branch.
-	l.mu.Lock()
-	l.syncing = false
-	c.fsyncErrors.Add(1)
-	l.rollbackLocked(errors.New("injected"))
-	l.cond.Broadcast()
-	l.mu.Unlock()
-
-	// Seq 2 is taken again and acknowledged while the follower is still on
-	// its way back to the lock.
+	if seq, err := l.append([]graph.EdgeOp{{Src: 66, Dst: 66}, {Src: 67, Dst: 67}}); err == nil {
+		t.Fatalf("append acknowledged seq %d through a failed fsync", seq)
+	}
 	if seq := mustAppend(t, l, graph.EdgeOp{Src: 2, Dst: 2}); seq != 2 {
 		t.Fatalf("post-rollback seq = %d, want 2", seq)
 	}
-	close(gate)
-	if err := <-followerErr; err == nil {
-		t.Error("follower acknowledged a batch its group's failed sync rolled back")
-	}
 	l.close(false)
 
-	l2, _, err := openDeltaLog("g", path, 1, &c)
+	l2, rec, err := openCounted(path, 1, &c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.close(false)
+	if rec != (recovery{Replayed: 2}) {
+		t.Fatalf("recovery = %+v, want a clean replay of 2 batches", rec)
+	}
 	ops := l2.opsThrough(^uint64(0))
 	if len(ops) != 2 || ops[0].Src != 1 || ops[1].Src != 2 {
 		t.Fatalf("replayed ops = %+v, want the two acknowledged batches", ops)
