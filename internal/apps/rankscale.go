@@ -1,6 +1,8 @@
 package apps
 
 import (
+	"slices"
+
 	"repro/internal/csr"
 	"repro/internal/graph"
 	"repro/internal/vsparse"
@@ -44,20 +46,58 @@ type Layouts interface {
 func NewRankScale(out *vsparse.Array, weighted bool) *RankScale {
 	s := &RankScale{Inv: make([]float64, out.N)}
 	for v := uint32(0); int(v) < out.N; v++ {
-		d := float64(out.Degree(v))
-		if weighted {
-			d = 0
-			_, ws := out.Group(v)
-			for _, w := range ws {
-				d += float64(w)
-			}
-		}
-		s.set(int(v), d)
+		s.set(int(v), degree(out, v, weighted))
 	}
 	return s
 }
 
-// set records vertex v's out-degree d (plain or weighted).
+// PatchRankScale returns NewRankScale(out, weighted) for a successor version
+// whose by-source array out differs from its predecessor's, which prev was
+// computed from, only in the groups of the vertices in recompute —
+// ascending, no duplicates, and naming every vertex past len(prev.Inv). It
+// clones prev.Inv, sets those entries through the per-vertex degree
+// NewRankScale reads, and merges them into prev.Dangling in one pass, so the
+// result is NewRankScale's bit for bit at O(N) copying and O(|recompute|)
+// degree reads. prev is not modified.
+func PatchRankScale(prev *RankScale, out *vsparse.Array, weighted bool, recompute []uint32) *RankScale {
+	// Clone, then extend: a fresh make would clear N words only to have
+	// them overwritten.
+	s := &RankScale{Inv: append(slices.Clone(prev.Inv), make([]float64, out.N-len(prev.Inv))...)}
+	s.Dangling = make([]uint32, 0, len(prev.Dangling)+len(recompute))
+	old := prev.Dangling
+	for _, v := range recompute {
+		k, found := slices.BinarySearch(old, v)
+		s.Dangling = append(s.Dangling, old[:k]...)
+		if found {
+			k++
+		}
+		old = old[k:]
+		s.Inv[v] = 0
+		s.set(int(v), degree(out, v, weighted))
+	}
+	s.Dangling = append(s.Dangling, old...)
+	if len(s.Dangling) == 0 {
+		s.Dangling = nil // as NewRankScale leaves it
+	}
+	return s
+}
+
+// degree returns vertex v's out-degree in out: its edge count or, weighted,
+// the sum of its group's weights in group order.
+func degree(out *vsparse.Array, v uint32, weighted bool) float64 {
+	if !weighted {
+		return float64(out.Degree(v))
+	}
+	d := 0.0
+	_, ws := out.Group(v)
+	for _, w := range ws {
+		d += float64(w)
+	}
+	return d
+}
+
+// set records vertex v's out-degree d (plain or weighted) in an Inv entry
+// that holds 0, appending v to Dangling if it has none to leave by.
 func (s *RankScale) set(v int, d float64) {
 	if d > 0 {
 		s.Inv[v] = 1 / d

@@ -8,6 +8,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -39,11 +40,13 @@ type Graph struct {
 
 	// Each derived structure below is built under its once and published
 	// through its pointer, which MemoryBytes loads without racing the build.
+	// PatchGraph publishes a successor's copy of each per-vertex memo
+	// (scales, outDeg) its predecessor had built.
 
 	// scales are the version's rank scales, plain and weighted
 	// (apps.RankScale: what pr, ppr and wpr read of the graph), each built on
-	// its first use — so no query pays for them per run and a version nobody
-	// ranks never pays at all.
+	// its first use or inherited — so no query pays for them per run and a
+	// lineage nobody ranks never pays at all.
 	scales     [2]atomic.Pointer[apps.RankScale]
 	scalesOnce [2]sync.Once
 	// csc is VSD decoded to Compressed-Sparse, built on its first use: only
@@ -51,17 +54,18 @@ type Graph struct {
 	// positions rather than vectors.
 	csc     atomic.Pointer[csr.Matrix]
 	cscOnce sync.Once
-	// outDeg is VSS.Degree of every vertex, built on its first use: the
-	// census sums it over a frontier every iteration, where Degree's read of
-	// each vertex's last vector would miss cache once per vertex.
+	// outDeg is VSS.Degree of every vertex, built on its first use or
+	// inherited: the census sums it over a frontier every iteration, where
+	// Degree's read of each vertex's last vector would miss cache once per
+	// vertex.
 	outDeg     atomic.Pointer[[]uint32]
 	outDegOnce sync.Once
 }
 
 // MemoryBytes returns the heap footprint of every preprocessed
 // representation the engines hold resident — the store's unit of memory
-// accounting. The lazily-built rank scales and CSC are counted only once
-// built.
+// accounting. The lazily-built memos are counted once built; inherited ones
+// from the version's birth.
 func (g *Graph) MemoryBytes() int64 {
 	total := g.VSS.MemoryBytes() + g.VSD.MemoryBytes()
 	for i := range g.scales {
@@ -147,6 +151,14 @@ func BuildGraph(g *graph.Graph) *Graph {
 // output is the rebuild's output, every engine's determinism carries over
 // with nothing to re-prove. prev is not modified; the result shares every
 // untouched slab with it, which no one writes after its array is built.
+//
+// The result also inherits each per-vertex memo prev has built (the rank
+// scales and outDegrees): a copy of prev's with the entries of the edited
+// sources and of the vertices past prev.N computed again by the function
+// that built them, which reads only groups — so the memo is the one the
+// result would build, published before it is returned. A memo prev has not
+// built stays lazy. Besides the two Index arrays, those copies are the only
+// work that grows with N rather than with the batch.
 func PatchGraph(prev *Graph, ops []graph.EdgeOp) *Graph {
 	edits := graph.ReduceEdgeOps(ops, prev.Weighted) // ascending (src, dst)
 	n := prev.N
@@ -155,6 +167,16 @@ func PatchGraph(prev *Graph, ops []graph.EdgeOp) *Graph {
 			n = max(n, int(op.Src)+1, int(op.Dst)+1)
 		}
 	}
+	// The vertices whose out-groups may differ from prev's, ascending.
+	var recompute []uint32
+	for _, op := range edits {
+		if int(op.Src) < prev.N && (len(recompute) == 0 || recompute[len(recompute)-1] != op.Src) {
+			recompute = append(recompute, op.Src)
+		}
+	}
+	for v := prev.N; v < n; v++ {
+		recompute = append(recompute, uint32(v))
+	}
 	vss := prev.VSS.Patch(n, edits)
 	sort.Slice(edits, func(i, j int) bool {
 		if edits[i].Dst != edits[j].Dst {
@@ -162,11 +184,26 @@ func PatchGraph(prev *Graph, ops []graph.EdgeOp) *Graph {
 		}
 		return edits[i].Src < edits[j].Src
 	})
-	return &Graph{
+	g := &Graph{
 		N:        n,
 		VSS:      vss,
 		VSD:      prev.VSD.Patch(n, edits),
 		Weighted: prev.Weighted,
 		Edges:    vss.ValidEdges,
 	}
+	for i := range prev.scales {
+		if s := prev.scales[i].Load(); s != nil {
+			g.scalesOnce[i].Do(func() { g.scales[i].Store(apps.PatchRankScale(s, vss, i == 1, recompute)) })
+		}
+	}
+	if d := prev.outDeg.Load(); d != nil {
+		g.outDegOnce.Do(func() {
+			deg := append(slices.Clone(*d), make([]uint32, n-prev.N)...)
+			for _, v := range recompute {
+				deg[v] = uint32(vss.Degree(v))
+			}
+			g.outDeg.Store(&deg)
+		})
+	}
+	return g
 }

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/csr"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -18,27 +19,32 @@ import (
 )
 
 // assertPatchEqualsRebuild checks the splice's one contract: PatchGraph from
-// the predecessor's layout is the rebuild of the merged edge list, field by
-// field and byte for byte, and every array in it is structurally valid. It
-// also holds the patched graph to the store's round trip: the snapshot its
-// VSS writes, read back and rebuilt, is the patched graph again; and every
-// edge list it streams is the merged list's Compressed-Sparse one
+// the predecessor's layout, prev, whose layouts are BuildGraph(g)'s, is the
+// rebuild of the merged edge list, field by field and byte for byte, and
+// every array in it is structurally valid. The memos prev has built are
+// inherited and equal the rebuild's own (assertInherits). It also holds the
+// patched graph to the store's round trip: the snapshot its VSS writes, read
+// back and rebuilt, is the patched graph again; and every edge list it
+// streams is the merged list's Compressed-Sparse one
 // (assertWritesCSROrder). The streams are compared in memory; with a
 // directory they also go through the files, and the snapshot is read back
 // from its file.
-func assertPatchEqualsRebuild(t *testing.T, g *graph.Graph, ops []graph.EdgeOp, dir string) *Graph {
+func assertPatchEqualsRebuild(t *testing.T, prev *Graph, g *graph.Graph, ops []graph.EdgeOp, dir string) *Graph {
 	t.Helper()
-	prev := BuildGraph(g)
+	before := loadedMemos(prev).clone()
 	got := PatchGraph(prev, ops)
 	merged := graph.ApplyEdgeOps(g, ops)
-	assertSameLayouts(t, fmt.Sprintf("rebuild after %d ops", len(ops)), got, BuildGraph(merged))
+	rebuilt := BuildGraph(merged)
+	assertSameLayouts(t, fmt.Sprintf("rebuild after %d ops", len(ops)), got, rebuilt)
+	assertInherits(t, prev, got, rebuilt)
 	for name, err := range map[string]error{"VSS": got.VSS.Validate(), "VSD": got.VSD.Validate()} {
 		if err != nil {
 			t.Fatalf("patched %s invalid: %v", name, err)
 		}
 	}
-	if !reflect.DeepEqual(prev, BuildGraph(g)) {
-		t.Fatal("PatchGraph modified its predecessor")
+	assertSameLayouts(t, "its own layouts before PatchGraph (PatchGraph modified its predecessor)", prev, BuildGraph(g))
+	if !reflect.DeepEqual(loadedMemos(prev), before) {
+		t.Fatal("PatchGraph modified its predecessor's memos")
 	}
 	snapshot := assertWritesCSROrder(t, got, merged, dir)
 	back, err := graph.ReadBinary(bytes.NewReader(snapshot))
@@ -50,6 +56,82 @@ func assertPatchEqualsRebuild(t *testing.T, g *graph.Graph, ops []graph.EdgeOp, 
 	}
 	assertSameLayouts(t, "the rebuild of its snapshot", got, BuildGraph(back))
 	return got
+}
+
+// memos is what a Graph's per-vertex memos hold; nil for one not built.
+type memos struct {
+	Scales [2]*apps.RankScale // plain, weighted
+	OutDeg []uint32
+}
+
+// The memos a test builds on a version, as a bit set.
+const (
+	plainScale = 1 << iota
+	weightedScale
+	outDegs
+	allMemos = plainScale | weightedScale | outDegs
+)
+
+// memoized builds the memos named by which on cg and returns cg.
+func memoized(cg *Graph, which int) *Graph {
+	for i, bit := range []int{plainScale, weightedScale} {
+		if which&bit != 0 {
+			cg.RankScale(i == 1)
+		}
+	}
+	if which&outDegs != 0 {
+		cg.outDegrees()
+	}
+	return cg
+}
+
+// loadedMemos returns the memos cg has published, building none.
+func loadedMemos(cg *Graph) memos {
+	m := memos{Scales: [2]*apps.RankScale{cg.scales[0].Load(), cg.scales[1].Load()}}
+	if d := cg.outDeg.Load(); d != nil {
+		m.OutDeg = *d
+	}
+	return m
+}
+
+// built returns the bit set of the memos in m.
+func (m memos) built() int {
+	which := 0
+	for i, bit := range []int{plainScale, weightedScale} {
+		if m.Scales[i] != nil {
+			which |= bit
+		}
+	}
+	if m.OutDeg != nil {
+		which |= outDegs
+	}
+	return which
+}
+
+// clone deep-copies m, so a later write into one of its arrays shows.
+func (m memos) clone() memos {
+	c := memos{OutDeg: slices.Clone(m.OutDeg)}
+	for i, s := range m.Scales {
+		if s != nil {
+			c.Scales[i] = &apps.RankScale{Inv: slices.Clone(s.Inv), Dangling: slices.Clone(s.Dangling)}
+		}
+	}
+	return c
+}
+
+// assertInherits: next, patched from prev, has published exactly the memos
+// prev had built when it was patched — read without asking next for one —
+// and each equals the memo that rebuilt, next's layouts built from its edge
+// list with no memo yet, computes.
+func assertInherits(t *testing.T, prev, next, rebuilt *Graph) {
+	t.Helper()
+	got := loadedMemos(next)
+	if which := loadedMemos(prev).built(); got.built() != which {
+		t.Fatalf("successor holds memos %03b, its predecessor had built %03b", got.built(), which)
+	}
+	if want := loadedMemos(memoized(rebuilt, got.built())); !reflect.DeepEqual(got, want) {
+		t.Fatalf("inherited memos differ from a fresh build's\n got %+v\nwant %+v", got, want)
+	}
 }
 
 // edgeList is one writer of a graph file: the header its WriteFile gives
@@ -204,8 +286,103 @@ func TestPatchGraphShapes(t *testing.T) {
 				if name == "grow past N" && g == wg {
 					dir = t.TempDir()
 				}
-				assertPatchEqualsRebuild(t, g, ops, dir)
+				assertPatchEqualsRebuild(t, memoized(BuildGraph(g), allMemos), g, ops, dir)
 			})
+		}
+	}
+
+	// A source with one out-edge, and one with none.
+	outs := map[uint32][]uint32{}
+	for _, e := range wg.Edges {
+		if !slices.Contains(outs[e.Src], e.Dst) {
+			outs[e.Src] = append(outs[e.Src], e.Dst)
+		}
+	}
+	leaf, sink := n, n
+	for v := range n {
+		if len(outs[v]) == 1 && leaf == n {
+			leaf = v
+		}
+		if len(outs[v]) == 0 {
+			sink = v
+		}
+	}
+	if leaf == n || sink == n {
+		t.Fatalf("skewed graph has no one-edge source (%d) or no sink (%d)", leaf, sink)
+	}
+	// Cases that move vertex v into or out of the dangling lists, each
+	// checked to do so: dangling says whether v is in the plain list
+	// afterwards, and in the weighted list of the weighted graph.
+	for _, c := range []struct {
+		name     string
+		ops      []graph.EdgeOp
+		v        uint32
+		dangling [2]bool
+	}{
+		{"touched source past N", []graph.EdgeOp{ins(n+4, 0, 1), ins(n+1, n+4, 1), del(n+9, 0)}, n + 4, [2]bool{false, false}},
+		{"vertex past N with no out-edge", []graph.EdgeOp{ins(n+4, 0, 1), ins(n+1, n+4, 1)}, n + 3, [2]bool{true, true}},
+		{"delete leaves a source dangling", []graph.EdgeOp{del(leaf, outs[leaf][0])}, leaf, [2]bool{true, true}},
+		{"insert un-dangles a source", []graph.EdgeOp{ins(sink, 0, 1)}, sink, [2]bool{false, false}},
+		{"weights sum to 0", []graph.EdgeOp{ins(sink, 0, 2), ins(sink, 3, -2)}, sink, [2]bool{false, true}},
+		{"zero weights", []graph.EdgeOp{ins(sink, 0, 0)}, sink, [2]bool{false, true}},
+	} {
+		for _, g := range []*graph.Graph{wg, unweighted(wg)} {
+			t.Run(c.name, func(t *testing.T) {
+				got := assertPatchEqualsRebuild(t, memoized(BuildGraph(g), allMemos), g, c.ops, "")
+				for i, want := range c.dangling {
+					if (i == 0 || g.Weighted) && slices.Contains(got.RankScale(i == 1).Dangling, c.v) != want {
+						t.Fatalf("weighted=%v: vertex %d dangling is %v, want %v", i == 1, c.v, !want, want)
+					}
+				}
+			})
+		}
+	}
+
+	for _, g := range []*graph.Graph{wg, unweighted(wg)} {
+		// Each subset of the memos built on the predecessor is the subset
+		// its successor inherits.
+		t.Run("some memos built", func(t *testing.T) {
+			for which := range allMemos + 1 {
+				assertPatchEqualsRebuild(t, memoized(BuildGraph(g), which), g, cases["hub in and out"], "")
+			}
+		})
+		// A successor of a successor, the way the store chains versions:
+		// only the first predecessor ever builds a memo.
+		t.Run("chained", func(t *testing.T) {
+			rng := rand.New(rand.NewSource(54))
+			cg := memoized(BuildGraph(g), allMemos)
+			for range 6 {
+				ops := randomOps(rng, g, 1+rng.Intn(64))
+				cg = assertPatchEqualsRebuild(t, cg, g, ops, "")
+				g = graph.ApplyEdgeOps(g, ops)
+			}
+		})
+	}
+}
+
+// TestPatchGraphRacesFirstMemo: PatchGraph runs while another goroutine is
+// inside its predecessor's first RankScale and outDegrees. The successor
+// inherits each memo published before PatchGraph loads it and builds the
+// others lazily, bit-identical to a fresh build's either way.
+func TestPatchGraphRacesFirstMemo(t *testing.T) {
+	base := testgraph.Skewed().G
+	rng := rand.New(rand.NewSource(54))
+	for _, g := range []*graph.Graph{base, unweighted(base)} {
+		for range 8 {
+			ops := randomOps(rng, g, 1+rng.Intn(16))
+			want := loadedMemos(memoized(BuildGraph(graph.ApplyEdgeOps(g, ops)), allMemos))
+			prev := BuildGraph(g)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				memoized(prev, allMemos)
+			}()
+			next := PatchGraph(prev, ops)
+			inherited := loadedMemos(next).built()
+			<-done
+			if got := loadedMemos(memoized(next, allMemos)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("memos %03b inherited: successor's memos differ from a fresh build's\n got %+v\nwant %+v", inherited, got, want)
+			}
 		}
 	}
 }
@@ -266,7 +443,7 @@ func TestPatchGraphProperty(t *testing.T) {
 			if i == len(bases)-2 {
 				dir = t.TempDir()
 			}
-			assertPatchEqualsRebuild(t, g, ops, dir)
+			assertPatchEqualsRebuild(t, memoized(BuildGraph(g), allMemos), g, ops, dir)
 			g = graph.ApplyEdgeOps(g, ops)
 		}
 	}
@@ -304,6 +481,6 @@ func FuzzPatchGraph(f *testing.F) {
 				Weight: float32(batch[i+3]),
 			})
 		}
-		assertPatchEqualsRebuild(t, g, ops, t.TempDir())
+		assertPatchEqualsRebuild(t, memoized(BuildGraph(g), allMemos), g, ops, t.TempDir())
 	})
 }

@@ -456,3 +456,93 @@ func TestSeedChargedAndDroppedFirst(t *testing.T) {
 	}
 	assertServesRebuild(t, h, base, ops, "rebuild after the seed was dropped")
 }
+
+// TestPatchInheritsSeedMemos: a version patched out of a seed whose rank
+// scales (and census degrees) its queries built inherits them, is charged
+// them in its resident bytes from the moment it is materialized, and serves
+// pr, ppr and wpr bit for bit what the same version materialized by the
+// rebuild arm serves.
+func TestPatchInheritsSeedMemos(t *testing.T) {
+	s, err := Open(Config{DataDir: t.TempDir(), Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	base := testgraph.Skewed().G
+	if err := s.Add("g", core.BuildGraph(base)); err != nil {
+		t.Fatal(err)
+	}
+	ranks := []string{"pr", "ppr", "wpr"}
+	serve := func(h *Handle, names ...string) map[string]core.Result {
+		t.Helper()
+		out := map[string]core.Result{}
+		for _, name := range names {
+			ent, err := apps.Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := ent.Normalize(apps.Params{Iters: 6, Root: 1})
+			prog, err := ent.New(h.Runner().Graph(), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := core.RunCtx(context.Background(), h.Runner(), prog, ent.MaxIters(p), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[name] = res
+		}
+		return out
+	}
+	acquire := func() (*Handle, *core.Graph) {
+		t.Helper()
+		h, err := s.Acquire("g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h, h.Runner().Graph()
+	}
+	// memoBytes is what cg holds beyond its two layouts.
+	memoBytes := func(cg *core.Graph) int64 { return cg.MemoryBytes() - cg.VSS.MemoryBytes() - cg.VSD.MemoryBytes() }
+	charged := func() int64 { return s.List()[0].MemoryBytes }
+
+	h, seed := acquire()
+	serve(h, append(ranks, "bfs", "cc")...)
+	h.Close()
+	seedMemos := memoBytes(seed)
+	if want := seed.RankScale(false).MemoryBytes() + seed.RankScale(true).MemoryBytes() + int64(seed.N)*4; seedMemos != want {
+		t.Fatalf("seed holds %d memo bytes after pr, wpr, bfs and cc, want %d (both scales and the census degrees)", seedMemos, want)
+	}
+	ops := mutOps(base, 0, true)
+	mustApply(t, s, "g", ops)
+
+	h, patched := acquire()
+	if got := s.Stats().Materialize; got != (MaterializeStats{Patch: 1}) {
+		t.Fatalf("%+v, want one patch", got)
+	}
+	inherited := memoBytes(patched)
+	if charged() != patched.MemoryBytes() {
+		t.Fatalf("charged %d bytes, the patched version holds %d", charged(), patched.MemoryBytes())
+	}
+	if want := patched.RankScale(false).MemoryBytes() + patched.RankScale(true).MemoryBytes() + int64(patched.N)*4; inherited != want {
+		t.Fatalf("patched version holds %d memo bytes at birth, want %d (inherited scales and degrees)", inherited, want)
+	}
+	onPatch := serve(h, ranks...)
+	h.Close()
+
+	evictAll(t, s)
+	h, rebuilt := acquire()
+	defer h.Close()
+	if got := s.Stats().Materialize; got != (MaterializeStats{Patch: 1, Rebuild: 1}) {
+		t.Fatalf("%+v, want a patch and a rebuild", got)
+	}
+	if rebuilt == patched || memoBytes(rebuilt) != 0 {
+		t.Fatalf("rebuild arm reused the patched version or holds %d memo bytes", memoBytes(rebuilt))
+	}
+	for name, res := range serve(h, ranks...) {
+		assertBitIdentical(t, res.Props, onPatch[name].Props, name)
+		if res.Iterations != onPatch[name].Iterations {
+			t.Fatalf("%s: %d iterations on the patch arm, %d on the rebuild arm", name, onPatch[name].Iterations, res.Iterations)
+		}
+	}
+}
