@@ -30,7 +30,9 @@ const (
 	// FusedMinProp: uint64 acc = min(acc, props[src]) — Connected
 	// Components. Identity must be ^uint64(0): core's chunk walk
 	// (vec.MinPropChunk) gives a dead lane that value, and its Vertex
-	// phase (selectBody) resets accum to it. Apply(old, agg) is (min(old, agg), agg < old).
+	// phase (selectBody) resets accum to it. Apply(old, agg) is (min(old, agg), agg < old),
+	// so a label of 0 never moves, and the chunk walk skips a destination
+	// at 0.
 	FusedMinProp
 	// FusedMinSrc: uint64 acc = min(acc, src) — BFS parent selection.
 	// Identity must be NoParent, which core's Vertex phase (selectBody)

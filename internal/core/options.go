@@ -142,12 +142,16 @@ type Options struct {
 	// AblateFrontierWork restores the paper's configuration for the
 	// design-choice benchmarks and the harness's "paper configuration"
 	// rows: every frontier-driven iteration scans whole arrays, one hop per
-	// barrier. It disables both mechanisms that make an iteration's cost
+	// barrier. It disables the mechanisms that make an iteration's cost
 	// proportional to its frontier — the list-driven round (sparse.go),
-	// which the hybrid otherwise runs whenever |F| + outEdges(F) ≤ E/20, and
-	// the pull kernel's early exit (pullSABody) — and the in-place pull that
-	// lets a monotone-min program's label cross a chunk per round
-	// (inPlaceAfter). Not part of the public facade.
+	// which the hybrid otherwise runs whenever |F| + outEdges(F) ≤ E/20, the
+	// pull kernels' early exits (pullSABody; bfs's chunk walk), the ungated
+	// pull of a full frontier and the Vertex phase's idle-group skip — and
+	// two that make it proportional to what can still change: the in-place
+	// pull that lets a monotone-min program's label cross a chunk per round
+	// (inPlaceAfter), and cc's pass over a destination whose label is already
+	// 0 (vec.MinPropChunk's skipZero), so benchfig's Fig 10b times the
+	// paper's kernel. Not part of the public facade.
 	AblateFrontierWork bool
 	// AblateFullVector disables the fused full-vector fast path in the
 	// pull kernels, and sends every scheduler-aware pull to pullSABody's

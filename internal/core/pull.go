@@ -271,13 +271,17 @@ func pullSABody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, nod
 //   - each lane taken is an edge, a thread-local write and a Local or Remote
 //     read;
 //   - an interior run is a shared write when it had a live lane and
-//     accum[dst] is not the identity.
+//     accum[dst] is not the identity, or when it had a live lane and
+//     vec.MinPropChunk skipped it for its label of 0: that body leaves such
+//     a run's word as it found it, where the vector walk stores the least
+//     live label (a cc label is a vertex id, never the identity).
 //
 // Transition stores are single-writer, so the accum words the chunk's
 // interior runs leave are exactly what its window reads saw. The word alone
 // does not tell which runs the walk stored: the ungated in-place
 // vec.MinPropChunk also stores runs whose gated lanes were all dead, which
-// the live-lane test leaves out.
+// the live-lane test leaves out. A run the body skipped reads the same in the
+// window either way: its props is 0, which no accum word lowers.
 func countChunk(r *ExecContext, fz *fuse) func(rg sched.Range, node int) perfmodel.Counters {
 	p := fz.p
 	a := r.g.VSD
@@ -290,6 +294,7 @@ func countChunk(r *ExecContext, fz *fuse) func(rg sched.Range, node int) perfmod
 	saturates := frontierWork && fz.kind == apps.FusedMinSrc
 	gated := p.UsesFrontier() && !(frontierWork && !saturates && r.front.Full())
 	inPlace := r.inPlace(p)
+	skipZero := r.skipsZero(p, fz.kind)
 	return func(rg sched.Range, node int) perfmodel.Counters {
 		var c perfmodel.Counters
 		first := firstTop(a, rg.Lo)
@@ -298,7 +303,7 @@ func countChunk(r *ExecContext, fz *fuse) func(rg sched.Range, node int) perfmod
 		slabBase, slabEnd := 0, rg.Lo
 		for vi := rg.Lo; vi < rg.Hi; vi++ {
 			if vi == index[dst+1] {
-				if taken && accum[dst] != identity {
+				if taken && (accum[dst] != identity || skipZero && props[dst] == 0) {
 					c.SharedWrites++
 				}
 				taken = false

@@ -77,9 +77,10 @@ func BenchmarkPullFrontierGated(b *testing.B) {
 // the skewed graphs (a handful of iterations either way) are where it must
 // cost nothing. Each has three rows, as BenchmarkPullFrontierGated does: the
 // shipped chunk walk on the selected kernel (every round one vec.MinPropChunk
-// call per chunk, in-place rounds ungated with the window on), the same walk
-// on the Go twin (AblateSIMD), and the gated vector-by-vector walk
-// (AblateFullVector). vertex_ms/run is the part of a run its Vertex phases
+// call per chunk, in-place rounds ungated with the window on, a run whose
+// destination is already at 0 passed over), the same walk on the Go twin
+// (AblateSIMD), and the gated vector-by-vector walk (AblateFullVector), which
+// walks every run. vertex_ms/run is the part of a run its Vertex phases
 // took (Result.VertexTime): on the mesh, where every round applies most
 // vertices, it is what selectBody saves over applyBody. T8 and U4 are
 // the bench's own sizes, for paired runs against a parent checkout; CI runs

@@ -38,6 +38,13 @@ func (ec *ExecContext) pullsBySpan(p apps.Program, kind apps.FusedKind) bool {
 	return false
 }
 
+// skipsZero reports whether the scheduler-aware pull of p passes over a
+// destination whose label is already 0: cc's chunk walk does, except in the
+// paper configuration (AblateFrontierWork), which walks every run.
+func (ec *ExecContext) skipsZero(p apps.Program, kind apps.FusedKind) bool {
+	return kind == apps.FusedMinProp && !ec.opt.AblateFrontierWork && ec.pullsBySpan(p, kind)
+}
+
 // pullSpanBody is the scheduler-aware chunk body of the programs pullsBySpan
 // admits. Nothing in their Edge-Pull needs a branch per lane or a
 // destination test per vector, so the chunk is walked by destination run
@@ -60,6 +67,12 @@ func (ec *ExecContext) pullsBySpan(p apps.Program, kind apps.FusedKind) bool {
 // props[dst] ≤ props[src] already holds and reading it moves no lane, no
 // Apply outcome and no iteration count (the equivalence matrix pins every
 // round to the gated walk's).
+//
+// Every FusedMinProp round, gated, ungated or in place, also passes over a
+// run whose destination's label is already 0, without reading its vectors or
+// storing it (skipsZero; DESIGN.md §5, "A destination at 0"): Apply cannot
+// move the least label, so no label, changed bit or iteration count moves. On
+// the R-MAT analogs such runs are most of what the later rounds would gather.
 //
 // A FusedMinSrc program hands the chunk to one vec.MinSrcChunk call the same
 // way, always with the frontier and the converged words: a run whose
@@ -115,13 +128,13 @@ func pullSpanBody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, n
 		// A full frontier passes every membership test: the round runs
 		// ungated unless the paper configuration asks for the tests. An
 		// in-place round runs ungated whatever the frontier holds (above).
-		inPlace := r.inPlace(p)
+		inPlace, skipZero := r.inPlace(p), r.skipsZero(p, fz.kind)
 		var front []uint64
 		if p.UsesFrontier() && !inPlace && (r.opt.AblateFrontierWork || !r.front.Full()) {
 			front = r.front.Words()
 		}
 		walk := func(s *vsparse.Slab, first, dst, lo, hi int) (int, uint64) {
-			return minProp(s.Words, s.Base, index, props, front, accum, first, dst, lo, hi, inPlace)
+			return minProp(s.Words, s.Base, index, props, front, accum, first, dst, lo, hi, inPlace, skipZero)
 		}
 		store := func(dst int, acc uint64) { accum[dst] = min(accum[dst], acc) }
 		return func(rg sched.Range, chunkID, tid, node int) {

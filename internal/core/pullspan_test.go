@@ -201,28 +201,34 @@ func assertSpanCounters(t *testing.T, label string, cg *Graph, res Result, iters
 }
 
 // minChunkRow is one min walk of the chunk-parity driver: the program whose
-// pull it is, the body its chunk walk builds and the converged-set densities
-// it runs under (cc tracks no converged set).
+// pull it is, the body its chunk walk builds, the converged-set densities it
+// runs under (cc tracks no converged set) and whether the walk skips a
+// destination at 0 (cc's does, outside the paper configuration).
 type minChunkRow struct {
-	mk    func(root uint32) apps.Program
-	path  string
-	convs []float64
+	mk       func(root uint32) apps.Program
+	path     string
+	convs    []float64
+	skipZero bool
 }
 
 // TestMinPropChunkMatchesVectorWalk: cc's pull, one vec.MinPropChunk call
-// per chunk, meets the vector walk chunk by chunk (minChunkParity). Its rounds
-// are synchronous here: an in-place round reads its window ungated, which
-// agrees with the walk only on the lanes a run reaches, and the equivalence
-// matrix holds those round by round against the full-vector walk.
+// per chunk, meets the vector walk chunk by chunk (minChunkParity), with the
+// skip applied to the walk's output: a destination at 0 keeps the accum word
+// it started with, and a chunk that ends on it saves Identity. Under the paper
+// configuration (AblateFrontierWork) the call walks those runs too and meets
+// the vector walk exactly. Its rounds are synchronous here: an in-place
+// round reads its window ungated, which agrees with the walk only on the
+// lanes a run reaches, and the equivalence matrix holds those round by round
+// against the full-vector walk.
 func TestMinPropChunkMatchesVectorWalk(t *testing.T) {
-	minChunkParity(t, minChunkRow{func(uint32) apps.Program { return apps.NewConnComp() }, pathChunk, chunkDensities[:1]})
+	minChunkParity(t, minChunkRow{func(uint32) apps.Program { return apps.NewConnComp() }, pathChunk, chunkDensities[:1], true})
 }
 
 // TestMinSrcChunkMatchesVectorWalk: bfs's pull, one vec.MinSrcChunk call per
 // chunk, meets the vector walk chunk by chunk (minChunkParity), the walk
 // taking a run's first live lane and leaving the run.
 func TestMinSrcChunkMatchesVectorWalk(t *testing.T) {
-	minChunkParity(t, minChunkRow{func(root uint32) apps.Program { return apps.NewBFS(root) }, pathMinSrc, chunkDensities})
+	minChunkParity(t, minChunkRow{func(root uint32) apps.Program { return apps.NewBFS(root) }, pathMinSrc, chunkDensities, false})
 }
 
 // chunkDensities are the frontier and converged-set densities of the
@@ -232,12 +238,14 @@ var chunkDensities = []float64{0, 0.1, 0.5, 1}
 // minChunkParity is the chunk-parity driver of the two min walks: row's chunk
 // walk on the selected kernel and on its Go twin (AblateSIMD) leaves chunk by
 // chunk the same trailing (last, acc) and the same accum words as
-// pullSABody's vector walk (AblateFullVector: a frontier test per vector). It
-// runs on every corpus graph, the T/U/D analogs, T×1 and D×1, one subtest
-// each, under frontiers of density 0, 0.1, 0.5 and 1 and the row's converged
-// sets, on chunk grids whose hub runs straddle chunks. Lanes and accum start
-// from draws that mix small ids, Identity and words with bit 63 set, so a
-// store that should leave a word as it found it is seen to.
+// pullSABody's vector walk (AblateFullVector: a frontier test per vector),
+// with a row's skip of destinations at 0 applied to the walk's output. The
+// paper configuration's walk (AblateFrontierWork: cc's chunk walk without the
+// skip, bfs's vector walk without the early exit) meets it exactly. It runs on every corpus graph, the T/U/D analogs, T×1 and D×1, one
+// subtest each, under frontiers of density 0, 0.1, 0.5 and 1 and the row's
+// converged sets, on chunk grids whose hub runs straddle chunks. Lanes and
+// accum start from draws that mix small ids, 0, Identity and words with bit
+// 63 set, so a store that should leave a word as it found it is seen to.
 func minChunkParity(t *testing.T, row minChunkRow) {
 	graphs := testgraph.Corpus()
 	for _, d := range []gen.Dataset{gen.Twitter, gen.UK2007, gen.DimacsUSA} {
@@ -246,27 +254,30 @@ func minChunkParity(t *testing.T, row minChunkRow) {
 	for _, d := range []gen.Dataset{gen.Twitter, gen.DimacsUSA} {
 		graphs = append(graphs, testgraph.Graph{Name: d.Abbrev() + "1", Root: 1, G: analogs1[d]()})
 	}
-	straddled := 0
+	straddled, skipped := 0, 0
 	for _, c := range graphs {
 		t.Run(c.Name, func(t *testing.T) {
 			cg := BuildGraph(c.G)
 			a := cg.VSD
 			p := row.mk(c.Root)
-			// The chunk walk on the selected kernel and on its Go twin, then the
-			// vector walk, each on a context of its own.
-			var ecs [3]*ExecContext
-			for i, opt := range []Options{{Workers: 1}, {Workers: 1, AblateSIMD: true}, {Workers: 1, AblateFullVector: true}} {
+			// The chunk walk on the selected kernel, on its Go twin and in
+			// the paper configuration, then the vector walk, each on a
+			// context of its own.
+			var ecs [4]*ExecContext
+			for i, opt := range []Options{{Workers: 1}, {Workers: 1, AblateSIMD: true}, {Workers: 1, AblateFrontierWork: true}, {Workers: 1, AblateFullVector: true}} {
 				ecs[i] = NewRunner(cg, opt).NewContext()
 				defer ecs[i].Close()
 			}
-			walk := ecs[2]
+			walk := ecs[3]
 			rng := rand.New(rand.NewSource(12))
 			draw := func() uint64 {
-				switch rng.Intn(4) {
+				switch rng.Intn(5) {
 				case 0:
 					return p.Identity()
 				case 1:
 					return 1<<63 | rng.Uint64()
+				case 2:
+					return 0
 				}
 				return uint64(rng.Intn(2 * cg.N))
 			}
@@ -274,11 +285,17 @@ func minChunkParity(t *testing.T, row minChunkRow) {
 			for v := range start {
 				props[v], start[v] = draw(), draw()
 			}
+			// atZero reports whether the chunk walk skips destination d.
+			atZero := func(d uint64) bool { return row.skipZero && props[d] == 0 }
 			for i, ec := range ecs {
 				ec.Init(p)
 				// One merge slot: a body here runs every chunk as chunk 0.
 				ec.props, ec.front, ec.conv, ec.mergeBuf = props, walk.front, walk.conv, sched.NewMergeBuffer(1)
-				if want := []string{row.path, row.path, pathVector}[i]; builtPath(ec, p) != want {
+				want := []string{row.path, row.path, row.path, pathVector}[i]
+				if i == 2 && !row.skipZero {
+					want = pathVector // the paper configuration's bfs has no early exit
+				}
+				if builtPath(ec, p) != want {
 					t.Fatalf("context %d built the %s, not the %s", i, builtPath(ec, p), want)
 				}
 			}
@@ -289,7 +306,7 @@ func minChunkParity(t *testing.T, row minChunkRow) {
 					fillAt(walk.conv, cd, rng)
 					for _, chunk := range []int{1, 2, 3, 16, 64} {
 						label := fmt.Sprintf("front %.1f conv %.1f chunk %d", fd, cd, chunk)
-						var bodies [3]func(sched.Range, int, int, int)
+						var bodies [4]func(sched.Range, int, int, int)
 						for i, ec := range ecs {
 							copy(ec.accum, start)
 							bodies[i] = pullSABody(ec, &fz)
@@ -299,20 +316,31 @@ func minChunkParity(t *testing.T, row minChunkRow) {
 							if straddled == 0 && a.Index[firstTop(a, lo)] < lo {
 								straddled++ // the chunk begins inside a run
 							}
-							var saved [3][2]uint64 // the (last, acc) each body left in its merge slot
+							var saved [4][2]uint64 // the (last, acc) each body left in its merge slot
 							for i, body := range bodies {
 								body(rg, 0, 0, 0)
 								ecs[i].mergeBuf.Merge(func(d uint32, v uint64) { saved[i] = [2]uint64{uint64(d), v} })
 							}
-							if saved[0] != saved[2] || saved[1] != saved[2] {
-								t.Fatalf("%s: chunk [%d,%d) saved %#x on %s, %#x on the Go twin, the vector walk %#x",
-									label, rg.Lo, rg.Hi, saved[0], vec.Kernel(), saved[1], saved[2])
+							want := saved[3]
+							if atZero(want[0]) {
+								want[1] = p.Identity()
+							}
+							if saved[0] != want || saved[1] != want || saved[2] != saved[3] {
+								t.Fatalf("%s: chunk [%d,%d) saved %#x on %s, %#x on the Go twin, %#x in the paper configuration; the vector walk %#x, with the skip %#x",
+									label, rg.Lo, rg.Hi, saved[0], vec.Kernel(), saved[1], saved[2], saved[3], want)
 							}
 						}
 						for v := range start {
-							if ecs[0].accum[v] != walk.accum[v] || ecs[1].accum[v] != walk.accum[v] {
-								t.Fatalf("%s: accum[%d]: %s %#x, Go twin %#x, the vector walk %#x",
-									label, v, vec.Kernel(), ecs[0].accum[v], ecs[1].accum[v], walk.accum[v])
+							want := walk.accum[v]
+							if atZero(uint64(v)) {
+								if want != start[v] {
+									skipped++ // the walk stored a run the chunk walk skips
+								}
+								want = start[v]
+							}
+							if ecs[0].accum[v] != want || ecs[1].accum[v] != want || ecs[2].accum[v] != walk.accum[v] {
+								t.Fatalf("%s: accum[%d]: %s %#x, Go twin %#x, paper configuration %#x; the vector walk %#x, with the skip %#x",
+									label, v, vec.Kernel(), ecs[0].accum[v], ecs[1].accum[v], ecs[2].accum[v], walk.accum[v], want)
 							}
 						}
 					}
@@ -322,6 +350,9 @@ func minChunkParity(t *testing.T, row minChunkRow) {
 	}
 	if straddled == 0 {
 		t.Error("no chunk began inside a run")
+	}
+	if row.skipZero && skipped == 0 {
+		t.Error("no run the chunk walk skipped at 0 was one the vector walk stored")
 	}
 }
 

@@ -37,6 +37,7 @@ func flatLanes(a *vsparse.Array) (words []uint32, weights []float32) {
 // pr and wpr (rank sums, plain and weighted), cc synchronous and in place,
 // and bfs — on T×1 (weighted) and D×1, on chunk grids that cross slab
 // boundaries, under a frontier of density 0.5 and a converged set of 0.1.
+// Every fifth label is 0, so cc's walks skip runs at slab edges too.
 func TestChunkWalksAcrossSlabs(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -74,6 +75,8 @@ func TestChunkWalksAcrossSlabs(t *testing.T) {
 						ec.props[v] = uint64(rng.Intn(2 * cg.N))
 						if rank {
 							ec.props[v] = math.Float64bits(rng.Float64())
+						} else if v%5 == 0 {
+							ec.props[v] = 0 // cc's walks skip this destination's run
 						}
 					}
 					ec.contribCurrent = false
@@ -145,7 +148,7 @@ func reference(ec *ExecContext, fz *fuse, words []uint32, weights []float32, inP
 			front = nil
 		}
 		return func(accum []uint64, first, lo, hi int) (int, uint64) {
-			return minProp(words, 0, index, ec.props, front, accum, first, first, lo, hi, inPlace)
+			return minProp(words, 0, index, ec.props, front, accum, first, first, lo, hi, inPlace, ec.skipsZero(fz.p, fz.kind))
 		}
 	}
 	return func(accum []uint64, first, lo, hi int) (int, uint64) {

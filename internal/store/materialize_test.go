@@ -457,6 +457,42 @@ func TestSeedChargedAndDroppedFirst(t *testing.T) {
 	assertServesRebuild(t, h, base, ops, "rebuild after the seed was dropped")
 }
 
+// TestReleaseChargesMemos: a memo a query builds on a resident version after
+// its layouts were charged — here pr's rank scale — is charged when the
+// query's handle is released. The entry's memory_bytes and the store's
+// bytes_resident then equal the version's MemoryBytes, and the seed charge a
+// successor takes over is that figure too.
+func TestReleaseChargesMemos(t *testing.T) {
+	s, err := Open(Config{DataDir: t.TempDir(), Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	base := testgraph.Skewed().G
+	if err := s.Add("g", core.BuildGraph(base)); err != nil {
+		t.Fatal(err)
+	}
+	h, err := s.Acquire("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cg := h.Runner().Graph()
+	layouts := cg.MemoryBytes()
+	pagerank(t, h)
+	h.Close()
+	want := cg.MemoryBytes()
+	if want <= layouts {
+		t.Fatalf("pr built no memo: the version holds %d bytes before and after", want)
+	}
+	if got, st := s.List()[0].MemoryBytes, s.Stats(); got != want || st.BytesResident != want {
+		t.Fatalf("after pr: memory_bytes %d, bytes_resident %d, want both %d (%d before pr)", got, st.BytesResident, want, layouts)
+	}
+	mustApply(t, s, "g", mutOps(base, 0, true))
+	if st := s.Stats(); st.BytesSeeds != want || st.BytesResident != want {
+		t.Fatalf("after a mutation: bytes_seeds %d, bytes_resident %d, want both %d", st.BytesSeeds, st.BytesResident, want)
+	}
+}
+
 // TestPatchInheritsSeedMemos: a version patched out of a seed whose rank
 // scales (and census degrees) its queries built inherits them, is charged
 // them in its resident bytes from the moment it is materialized, and serves

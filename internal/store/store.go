@@ -700,9 +700,18 @@ func (s *Store) retireLocked(e *entry) {
 }
 
 // release drops one handle reference, freeing a retired entry when the last
-// reference disappears.
+// reference disappears. It first charges what the handle's runs built on the
+// version since it was last charged: a query builds a rank scale, the census
+// degrees or a scalar runner's CSC on first use, after the layouts were
+// counted, and the entry's bytes, the resident total and the seed charge a
+// successor takes over must count them too.
 func (s *Store) release(e *entry) {
 	s.mu.Lock()
+	if e.runner != nil {
+		bytes := e.runner.Graph().MemoryBytes()
+		s.resident += bytes - e.bytes
+		e.bytes = bytes
+	}
 	e.refs--
 	e.lastUsed = s.tick()
 	if e.retired && e.refs == 0 {

@@ -126,6 +126,13 @@ func rankSumSpan(words []uint32, contrib []float64, weights []float32) float64 {
 // aggregates to Identity, ^uint64(0), which the interior store leaves as it
 // found it. A destination without vectors in the chunk is skipped.
 //
+// When skipZero is set, a run whose destination's own label props[dst] is 0
+// is passed over without a vector read: nothing is stored, and as the chunk's
+// last run it returns (dst, Identity). Zero is the least label, so the
+// program's fixed Apply, (min(old, agg), agg < old), cannot move it whatever
+// the run aggregates (DESIGN.md §5, "A destination at 0"). The paper
+// configuration clears it and walks every run.
+//
 // In place (DESIGN.md §17): when inPlace is set, a live lane whose source lies
 // in [first, dst) — first the chunk's StartChunk destination and dst the
 // current run's destination — contributes min(props[src], accum[src]) instead
@@ -136,7 +143,9 @@ func rankSumSpan(words []uint32, contrib []float64, weights []float32) float64 {
 // in several calls, one per slab, passes every call the chunk's first, so the
 // window is the chunk's and takes in the runs earlier calls and their caller
 // stored; the first call passes dst = first. The current run is never in its
-// own window, and a synchronous call (inPlace false) reads props alone.
+// own window, and a synchronous call (inPlace false) reads props alone. A
+// skipped run leaves its accum word as it found it, and a window lane that
+// reads it also reads its props, 0, which no accum word can lower.
 //
 // Min is exact and order-free, so no reduction order is part of the contract:
 // the assembly keeps a running minimum per lane and folds them at the run's
@@ -147,7 +156,7 @@ func rankSumSpan(words []uint32, contrib []float64, weights []float32) float64 {
 // the frontier words are indexed the same way. Inside the window the twin
 // reads accum for dead lanes too and masks it the same way; the assembly
 // gathers it for live lanes only.
-func MinPropChunkGo(words []uint32, base int, index []int, props, front, accum []uint64, first, dst, lo, hi int, inPlace bool) (last int, acc uint64) {
+func MinPropChunkGo(words []uint32, base int, index []int, props, front, accum []uint64, first, dst, lo, hi int, inPlace, skipZero bool) (last int, acc uint64) {
 	const none = ^uint64(0)
 	gated := len(front) != 0
 	for vi := lo; vi < hi; dst++ {
@@ -157,6 +166,12 @@ func MinPropChunkGo(words []uint32, base int, index []int, props, front, accum [
 		}
 		if end > hi {
 			end = hi
+		}
+		if skipZero && props[dst] == 0 {
+			if vi = end; vi == hi {
+				return dst, none
+			}
+			continue
 		}
 		// The window's width: 0 for a synchronous call and for the first run.
 		var span uint64

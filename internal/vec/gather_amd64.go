@@ -51,13 +51,14 @@ func RankSumChunk(words []uint32, base int, index []int, contrib []float64, weig
 // bounds-check: base ≤ lo ≤ hi ≤ base + len(words)/4, dst owns vector lo or
 // precedes it with no vectors in between, first ≤ dst, every valid lane
 // id indexes props and accum (and, gated, its frontier word front), and every
-// interior destination indexes accum — the Vector-Sparse format's guarantees
-// for a chunk of its own grid.
-func MinPropChunk(words []uint32, base int, index []int, props, front, accum []uint64, first, dst, lo, hi int, inPlace bool) (last int, acc uint64) {
+// destination the chunk holds indexes props and accum — the Vector-Sparse
+// format's guarantees for a chunk of its own grid. With skipZero, the one
+// scalar read of props[dst] per run skips a run at 0 before its vectors.
+func MinPropChunk(words []uint32, base int, index []int, props, front, accum []uint64, first, dst, lo, hi int, inPlace, skipZero bool) (last int, acc uint64) {
 	if useAVX2 {
-		return minPropChunkAVX2(words, base, index, props, front, accum, first, dst, lo, hi, inPlace)
+		return minPropChunkAVX2(words, base, index, props, front, accum, first, dst, lo, hi, inPlace, skipZero)
 	}
-	return MinPropChunkGo(words, base, index, props, front, accum, first, dst, lo, hi, inPlace)
+	return MinPropChunkGo(words, base, index, props, front, accum, first, dst, lo, hi, inPlace, skipZero)
 }
 
 // MinSrcChunk is MinSrcChunkGo on the process's selected kernel: the AVX2
@@ -91,7 +92,7 @@ func xgetbv() (eax, edx uint32)
 func rankSumChunkAVX2(words []uint32, base int, index []int, contrib []float64, weights []float32, accum []uint64, dst, lo, hi int) (last int, acc uint64)
 
 //go:noescape
-func minPropChunkAVX2(words []uint32, base int, index []int, props, front, accum []uint64, first, dst, lo, hi int, inPlace bool) (last int, acc uint64)
+func minPropChunkAVX2(words []uint32, base int, index []int, props, front, accum []uint64, first, dst, lo, hi int, inPlace, skipZero bool) (last int, acc uint64)
 
 //go:noescape
 func minSrcChunkAVX2(words []uint32, base int, index []int, front, conv, accum []uint64, dst, lo, hi int) (last int, acc uint64)

@@ -143,11 +143,13 @@ sumdone:
 	VZEROUPPER
 	RET
 
-// func minPropChunkAVX2(words []uint32, base int, index []int, props, front, accum []uint64, first, dst, lo, hi int, inPlace bool) (last int, acc uint64)
+// func minPropChunkAVX2(words []uint32, base int, index []int, props, front, accum []uint64, first, dst, lo, hi int, inPlace, skipZero bool) (last int, acc uint64)
 //
 // The whole chunk in one call: per destination run (index[dst+1] clipped to
 // hi) a vector loop, then a horizontal min, then an interior store or the
-// return. Per vector, gated: gather the four frontier words front[id>>6]
+// return. With skipZero, a run whose destination's props[dst] is 0 is passed
+// over before its vectors: R13 steps past them unread, nothing is stored, and
+// as the chunk's last run it returns Identity. Per vector, gated: gather the four frontier words front[id>>6]
 // under the lanes' valid bits, shift each lane's frontier bit into its sign
 // (left by 63−id&63, which is ^word&63 of the word widened with VPMOVZXDQ),
 // AND with the valid mask so the sign is valid∧member, and gather props[id]
@@ -175,14 +177,20 @@ sumdone:
 // minimum flipped back once on its way out.
 //
 // Registers: SI front biased by 2^25 words (after set-up), DI index, R8
-// props biased by 2^31 words, R9 front (0: ungated), R10 accum, DX dst, BX
-// the vector the next run starts at, R11 hi, R12 the run's end, R13 the
-// current vector's address, CX vectors left in the run (after a window run's
-// loop, its fold value), R14 first (2^63−1 for a synchronous call), AX the
-// run's minimum, then the value it stored. Y15 the sign bit, Y14 the id mask
-// (dwords), Y13 63, Y12 all ones, Y11 the run's window width with bit 63
-// flipped, Y10 first + 2^31, X7 the last stored destination + 2^31
-// (broadcast to Y7 in a window run), Y8 the window run's lanes that read it.
+// props biased by 2^31 words, R15 props (0: skipZero clear, no run is
+// skipped), R9 front (0: ungated), R10 accum, DX dst, BX the vector the next
+// run starts at, R11 hi, R12 the run's end, R13 the current vector's address,
+// CX vectors left in the run (after a window run's loop, its fold value), R14
+// first (2^63−1 for a synchronous call), AX the run's minimum, then the value
+// it stored. Y15 the sign bit, Y14 the id mask (dwords), Y13 63, Y12 all
+// ones, Y11 the run's window width with bit 63 flipped, Y10 first + 2^31, X7
+// the last stored destination + 2^31 (broadcast to Y7 in a window run), Y8
+// the window run's lanes that read it. A skipped run leaves X7 and AX as they
+// were, still naming an earlier store, except an in-place call's first run:
+// X7 names first before that run stores, so a skip there resets X7 to all
+// ones, no store. Left naming first, it would pair first with an AX that
+// holds no stored value; only a lane that also gathers props[first] = 0 could
+// read it, so it could not lower a minimum, but the pair would still be false.
 TEXT ·minPropChunkAVX2(SB), NOSPLIT, $0-184
 	MOVQ words_base+0(FP), R13
 	MOVQ index_base+32(FP), DI
@@ -203,6 +211,9 @@ TEXT ·minPropChunkAVX2(SB), NOSPLIT, $0-184
 	CMPQ BX, R11
 	JGE  done
 
+	XORQ R15, R15
+	CMPB skipZero+161(FP), $0
+	CMOVQNE R8, R15 // props, read at dst once per run
 	MOVQ $0x400000000, AX
 	ADDQ AX, R8 // &props[2^31]
 	MOVQ R9, SI
@@ -244,6 +255,12 @@ run:
 	MOVQ R12, CX
 	SUBQ BX, CX
 	MOVQ R12, BX
+	TESTQ R15, R15
+	JZ   walk
+	CMPQ (R15)(DX*8), $0
+	JEQ  skip // props[dst] = 0: no aggregate can move it
+
+walk:
 	MOVQ DX, R12
 	SUBQ R14, R12 // the window's width, dst − first
 	JG   inplace
@@ -312,6 +329,19 @@ next:
 	CMPQ R12, BX
 	JLE  next
 	JMP  run
+
+skip:
+	// The run's vectors, unread; nothing stored, X7 and AX kept.
+	SHLQ $4, CX
+	ADDQ CX, R13
+	MOVQ $-1, CX
+	CMPQ BX, R11
+	CMOVQGE CX, AX // the chunk's last run returns Identity
+	JGE  done
+	CMPQ DX, R14
+	JNE  next
+	VPCMPEQQ X7, X7, X7 // an in-place call's first run stored nothing at first
+	JMP  next
 
 inplace:
 	BTCQ $63, R12

@@ -8,8 +8,8 @@ func RankSumChunk(words []uint32, base int, index []int, contrib []float64, weig
 }
 
 // MinPropChunk is MinPropChunkGo on a build without the AVX2 assembly.
-func MinPropChunk(words []uint32, base int, index []int, props, front, accum []uint64, first, dst, lo, hi int, inPlace bool) (last int, acc uint64) {
-	return MinPropChunkGo(words, base, index, props, front, accum, first, dst, lo, hi, inPlace)
+func MinPropChunk(words []uint32, base int, index []int, props, front, accum []uint64, first, dst, lo, hi int, inPlace, skipZero bool) (last int, acc uint64) {
+	return MinPropChunkGo(words, base, index, props, front, accum, first, dst, lo, hi, inPlace, skipZero)
 }
 
 // MinSrcChunk is MinSrcChunkGo on a build without the AVX2 assembly.

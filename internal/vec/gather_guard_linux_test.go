@@ -4,6 +4,8 @@ package vec_test
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"syscall"
 	"testing"
 	"unsafe"
@@ -234,11 +236,14 @@ func TestChunkKernelsTopID(t *testing.T) {
 		}
 	}
 
+	// Destination 1's own label is 9: nonzero, so its run is walked, and
+	// above every lane's label, so it is no lane's minimum.
 	props := sparse[uint64](t, 1<<31)
-	props[0], props[top] = 7, 3
+	props[0], props[1], props[top] = 7, 9, 3
 	frontTop, frontZero := sparse[uint64](t, 1<<25), sparse[uint64](t, 1<<25)
 	frontTop[top>>6] = 1 << (top & 63)
 	frontZero[0] = 1
+	minProps := minPropImpls()
 	for _, c := range []struct {
 		name      string
 		front     []uint64
@@ -248,12 +253,9 @@ func TestChunkKernelsTopID(t *testing.T) {
 		{"top only", frontTop, [2]uint64{3, 3}, [2]uint64{top, top}},
 		{"0 only", frontZero, [2]uint64{7, 7}, [2]uint64{0, 0}},
 	} {
-		for _, k := range []struct {
-			name string
-			run  func(words []uint32, base int, index []int, props, front, accum []uint64, first, dst, lo, hi int, inPlace bool) (int, uint64)
-		}{{vec.Kernel() + " kernel", vec.MinPropChunk}, {"Go twin", vec.MinPropChunkGo}} {
+		for _, k := range minProps {
 			accum := []uint64{identity, identity}
-			last, acc := k.run(words, base, index, props, c.front, accum, 0, 0, base, base+2, false)
+			last, acc := k.run(words, base, index, props, c.front, accum, 0, 0, base, base+2, false, true)
 			if got := [2]uint64{accum[0], acc}; last != 1 || got != c.prop {
 				t.Errorf("min-prop %s, %s: stored and returned %v (last %d), want %v (last 1)", k.name, c.name, got, last, c.prop)
 			}
@@ -270,6 +272,135 @@ func TestChunkKernelsTopID(t *testing.T) {
 			last, acc := k.run(words, base, index, c.front, conv, accum, 0, base, base+2)
 			if got := [2]uint64{accum[0], acc}; last != 1 || got != c.src {
 				t.Errorf("min-src %s, %s: stored and returned %v (last %d), want %v (last 1)", k.name, c.name, got, last, c.src)
+			}
+		}
+	}
+
+	// A destination at 0, ungated: skipped, it stores nothing (dst 0) or
+	// returns Identity (dst 1); walked, it stores or returns its minimum. With
+	// destination 0 at 0, both runs read lane 0's label, 0, from the bottom of
+	// props.
+	for _, c := range []struct {
+		name         string
+		zero         int
+		skip, noSkip [2]uint64 // stored and returned, skipped and walked
+	}{
+		{"dst 1 at 0", 1, [2]uint64{3, identity}, [2]uint64{3, 3}},
+		{"dst 0 at 0", 0, [2]uint64{identity, 0}, [2]uint64{0, 0}},
+	} {
+		saved := props[c.zero]
+		props[c.zero] = 0
+		for _, k := range minProps {
+			for _, skipZero := range []bool{true, false} {
+				want := c.noSkip
+				if skipZero {
+					want = c.skip
+				}
+				accum := []uint64{identity, identity}
+				last, acc := k.run(words, base, index, props, nil, accum, 0, 0, base, base+2, false, skipZero)
+				if got := [2]uint64{accum[0], acc}; last != 1 || got != want {
+					t.Errorf("min-prop %s, %s, skip %v: stored and returned %v (last %d), want %v (last 1)", k.name, c.name, skipZero, got, last, want)
+				}
+			}
+		}
+		props[c.zero] = saved
+	}
+}
+
+// TestMinPropChunkSkipsUnread: a run whose destination is at 0 is passed over
+// without a read of its vectors. The bottom destination z owns the 256
+// vectors of one page, which is made inaccessible once the lanes are written,
+// between two pages of runs of other destinations; the selected kernel and
+// its Go twin walk chunks that put z's run first, interior and last, that
+// begin, end or lie inside it (a run straddling a chunk edge), and that end or
+// begin at its edge with the words handed over as a slab that ends or begins
+// there, gated and ungated, synchronous and in place, among them an in-place
+// call whose first run is z's. Lanes name z often, so window reads meet it.
+// Each walk is held to the per-lane reference, with the skip, on a readable
+// copy of the words.
+func TestMinPropChunkSkipsUnread(t *testing.T) {
+	const n, z = 40, 10
+	page := syscall.Getpagesize()
+	per := page / (vec.Lanes * 4) // vectors a page holds
+	mem, err := syscall.Mmap(-1, 0, 3*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Skipf("mmap: %v", err)
+	}
+	t.Cleanup(func() { syscall.Munmap(mem) })
+	guardedWords := unsafe.Slice((*uint32)(unsafe.Pointer(&mem[0])), 3*per*vec.Lanes)
+
+	// Destinations 2…9 share the first page's vectors, z owns the second's,
+	// 11…18 share the third's; the others own none.
+	index := make([]int, n+1)
+	for d := range index {
+		switch {
+		case d <= z:
+			index[d] = max(0, d-2) * per / 8
+		case d <= 19:
+			index[d] = 2*per + (d-z-1)*per/8
+		default:
+			index[d] = 3 * per
+		}
+	}
+	rng := rand.New(rand.NewSource(31))
+	words := make([]uint32, len(guardedWords))
+	for v := 0; v < 3*per; v++ {
+		var ids [vec.Lanes]uint32
+		for lane := range ids {
+			ids[lane] = uint32(rng.Intn(n))
+			if rng.Intn(4) == 0 {
+				ids[lane] = z
+			}
+		}
+		store(words, v, vsparse.EncodeVector(ids, 1+rng.Intn(vec.Lanes)))
+	}
+	copy(guardedWords, words)
+	if err := syscall.Mprotect(mem[page:2*page], syscall.PROT_NONE); err != nil {
+		t.Skipf("mprotect: %v", err)
+	}
+
+	f := newMinFixture(n, 8)
+	for d := range f.props {
+		if f.props[d] == 0 {
+			f.props[d] = uint64(n + d) // z is the one destination at 0
+		}
+	}
+	f.props[z] = 0
+	own := owners(index)
+	zs, ze := per, 2*per // z's run
+	// Each chunk's words are handed over as slabs: one from lo to hi, or two
+	// split at a slab edge, the caller storing the first one's last run as
+	// the engine's slab walk does and the second call getting the chunk's
+	// first destination.
+	for _, ch := range []struct{ lo, hi, split int }{
+		{zs, 3 * per, 0}, {zs, ze + 7, 0}, {zs, ze, 0}, // first (an in-place call's first run); the whole chunk
+		{0, 3 * per, 0}, {per / 2, ze + per/2, 0}, // interior
+		{0, ze, 0}, {per / 2, ze, 0}, // last: the chunk and its slab end with it
+		{zs + 9, 3 * per, 0}, {0, zs + 9, 0}, {zs + 5, ze - 5, 0}, {ze - 1, ze + 1, 0}, // straddling a chunk edge
+		{per / 2, 3 * per, ze}, {per / 2, 3 * per, zs}, // straddling a slab edge: a slab ends with it, or begins with it
+	} {
+		lo, hi := ch.lo, ch.hi
+		first := own[lo]
+		call := func(k minPropImpl, front, accum []uint64, inPlace bool) (int, uint64) {
+			if ch.split == 0 {
+				return k.run(guardedWords[lo*vec.Lanes:hi*vec.Lanes], lo, index, f.props, front, accum, first, first, lo, hi, inPlace, true)
+			}
+			last, acc := k.run(guardedWords[lo*vec.Lanes:ch.split*vec.Lanes], lo, index, f.props, front, accum, first, first, lo, ch.split, inPlace, true)
+			accum[last] = min(accum[last], acc)
+			return k.run(guardedWords[ch.split*vec.Lanes:hi*vec.Lanes], ch.split, index, f.props, front, accum, first, own[ch.split], ch.split, hi, inPlace, true)
+		}
+		for name, front := range frontiers(n, 4) {
+			for _, inPlace := range []bool{false, true} {
+				rAccum := slices.Clone(f.accum)
+				rLast, rAcc := perLaneChunk(words, own, f.props, front, rAccum, lo, hi, inPlace, true)
+				for _, k := range minPropImpls() {
+					accum := slices.Clone(f.accum)
+					last, acc := call(k, front, accum, inPlace)
+					if last != rLast || acc != rAcc || !slices.Equal(accum, rAccum) {
+						t.Errorf("%s, %s, in place %v, chunk [%d,%d) split at %d: returned (%d, %#x), per-lane (%d, %#x); accum equal %v",
+							k.name, name, inPlace, lo, hi, ch.split, last, acc, rLast, rAcc, slices.Equal(accum, rAccum))
+					}
+				}
 			}
 		}
 	}

@@ -26,8 +26,10 @@ const identity = ^uint64(0)
 // destination change flushes the previous one into accum, and the chunk's
 // last destination is returned unflushed. In place, a live lane whose source
 // lies between the chunk's first destination and the current one also folds
-// accum[src] as this walk's own flushes have left it.
-func perLaneChunk(words []uint32, own []int, props, front, accum []uint64, lo, hi int, inPlace bool) (last int, acc uint64) {
+// accum[src] as this walk's own flushes have left it. With skipZero, a
+// destination whose props is 0 folds nothing: its accum word is left as it
+// was and, as the last destination, it returns Identity.
+func perLaneChunk(words []uint32, own []int, props, front, accum []uint64, lo, hi int, inPlace, skipZero bool) (last int, acc uint64) {
 	last, acc = -1, identity
 	first := uint64(own[lo])
 	for vi := lo; vi < hi; vi++ {
@@ -37,6 +39,9 @@ func perLaneChunk(words []uint32, own []int, props, front, accum []uint64, lo, h
 				accum[last] = min(accum[last], acc)
 			}
 			last, acc = dst, identity
+		}
+		if skipZero && props[last] == 0 {
+			continue
 		}
 		for _, w := range v {
 			n := uint64(w & vsparse.VertexMask)
@@ -52,10 +57,21 @@ func perLaneChunk(words []uint32, own []int, props, front, accum []uint64, lo, h
 	return last, acc
 }
 
+// minPropImpl is one implementation of the min-prop chunk walk under test.
+type minPropImpl struct {
+	name string
+	run  func(words []uint32, base int, index []int, props, front, accum []uint64, first, dst, lo, hi int, inPlace, skipZero bool) (int, uint64)
+}
+
+func minPropImpls() []minPropImpl {
+	return []minPropImpl{{vec.Kernel() + " kernel", vec.MinPropChunk}, {"Go twin", vec.MinPropChunkGo}}
+}
+
 // minFixture is one set of chunk-walk inputs over n vertices. Its props mix
-// small labels, Identity, and values with bit 63 set — a signed comparison
-// would order the last below the first — and accum starts the same way, so an
-// interior store that should not lower a word is seen not to.
+// small labels, 0, Identity, and values with bit 63 set — a signed
+// comparison would order the last below the first — and accum starts the same
+// way, so an interior store that should not lower a word is seen not to, and
+// a destination at 0 is skipped or walked as the call asks.
 type minFixture struct {
 	props, accum []uint64
 	// kernelAccum, when set, returns the copy of accum the selected kernel
@@ -66,13 +82,15 @@ type minFixture struct {
 func newMinFixture(n int, seed int64) minFixture {
 	rng := rand.New(rand.NewSource(seed))
 	draw := func() uint64 {
-		switch rng.Intn(5) {
+		switch rng.Intn(6) {
 		case 0:
 			return identity
 		case 1:
 			return 1<<63 | rng.Uint64()
 		case 2:
 			return identity - uint64(rng.Intn(3))
+		case 3:
+			return 0
 		default:
 			return uint64(rng.Intn(4 * n))
 		}
@@ -99,37 +117,40 @@ func frontierAt(n int, density float64, seed int64) []uint64 {
 
 // chunkAgrees runs one chunk through the selected kernel, the Go twin and the
 // per-lane reference, each on its own copy of accum, with the in-place window
-// on and off, and reports a mismatch. It also reports whether the window
-// changed anything, so a test can tell that it was exercised.
+// on and off and the skip of destinations at 0 on and off, and reports a
+// mismatch. It also reports whether the window changed anything, so a test
+// can tell that it was exercised.
 func (f minFixture) chunkAgrees(words []uint32, index []int, front []uint64, lo, hi int) (windowed bool, err error) {
 	own := owners(index)
 	dst := firstDst(own, lo, hi)
-	var sync []uint64
-	for _, inPlace := range []bool{false, true} {
-		kAccum, tAccum, rAccum := slices.Clone(f.accum), slices.Clone(f.accum), slices.Clone(f.accum)
-		if f.kernelAccum != nil {
-			kAccum = f.kernelAccum()
-		}
-		kLast, kAcc := vec.MinPropChunk(from(words, lo), lo, index, f.props, front, kAccum, dst, dst, lo, hi, inPlace)
-		tLast, tAcc := vec.MinPropChunkGo(from(words, lo), lo, index, f.props, front, tAccum, dst, dst, lo, hi, inPlace)
-		rLast, rAcc := dst, identity
-		if lo < hi {
-			rLast, rAcc = perLaneChunk(words, own, f.props, front, rAccum, lo, hi, inPlace)
-		}
-		if kLast != rLast || kAcc != rAcc || tLast != rLast || tAcc != rAcc {
-			return false, fmt.Errorf("in place %v: returned %s (%d, %#x), Go twin (%d, %#x), per-lane (%d, %#x)",
-				inPlace, vec.Kernel(), kLast, kAcc, tLast, tAcc, rLast, rAcc)
-		}
-		for v := range rAccum {
-			if kAccum[v] != rAccum[v] || tAccum[v] != rAccum[v] {
-				return false, fmt.Errorf("in place %v: accum[%d]: %s %#x, Go twin %#x, per-lane %#x",
-					inPlace, v, vec.Kernel(), kAccum[v], tAccum[v], rAccum[v])
+	for _, skipZero := range []bool{false, true} {
+		var sync []uint64
+		for _, inPlace := range []bool{false, true} {
+			kAccum, tAccum, rAccum := slices.Clone(f.accum), slices.Clone(f.accum), slices.Clone(f.accum)
+			if f.kernelAccum != nil {
+				kAccum = f.kernelAccum()
 			}
-		}
-		if !inPlace {
-			sync = append(rAccum, rAcc)
-		} else {
-			windowed = !slices.Equal(sync, append(rAccum, rAcc))
+			kLast, kAcc := vec.MinPropChunk(from(words, lo), lo, index, f.props, front, kAccum, dst, dst, lo, hi, inPlace, skipZero)
+			tLast, tAcc := vec.MinPropChunkGo(from(words, lo), lo, index, f.props, front, tAccum, dst, dst, lo, hi, inPlace, skipZero)
+			rLast, rAcc := dst, identity
+			if lo < hi {
+				rLast, rAcc = perLaneChunk(words, own, f.props, front, rAccum, lo, hi, inPlace, skipZero)
+			}
+			if kLast != rLast || kAcc != rAcc || tLast != rLast || tAcc != rAcc {
+				return false, fmt.Errorf("in place %v, skip %v: returned %s (%d, %#x), Go twin (%d, %#x), per-lane (%d, %#x)",
+					inPlace, skipZero, vec.Kernel(), kLast, kAcc, tLast, tAcc, rLast, rAcc)
+			}
+			for v := range rAccum {
+				if kAccum[v] != rAccum[v] || tAccum[v] != rAccum[v] {
+					return false, fmt.Errorf("in place %v, skip %v: accum[%d]: %s %#x, Go twin %#x, per-lane %#x",
+						inPlace, skipZero, v, vec.Kernel(), kAccum[v], tAccum[v], rAccum[v])
+				}
+			}
+			if !inPlace {
+				sync = append(rAccum, rAcc)
+			} else if !slices.Equal(sync, append(rAccum, rAcc)) {
+				windowed = true
+			}
 		}
 	}
 	return windowed, nil

@@ -92,15 +92,14 @@ func TestRankSumChunkSplitAtSlabs(t *testing.T) {
 }
 
 // TestMinPropChunkSplitAtSlabs: the min-prop walk of every corpus pull array,
-// under every frontier, synchronous and in place, split at slab boundaries
-// against one call per chunk. In place, every call gets the chunk's first
-// destination, so a later slab's window holds the runs the earlier calls and
-// their caller stored.
+// under every frontier, synchronous and in place, with destinations at 0
+// skipped and walked, split at slab boundaries against one call per chunk. In
+// place, every call gets the chunk's first destination, so a later slab's
+// window holds the runs the earlier calls and their caller stored. A slab's
+// last run at 0 comes back as Identity, which the caller's store leaves as
+// the whole call leaves an interior run at 0.
 func TestMinPropChunkSplitAtSlabs(t *testing.T) {
-	impls := []struct {
-		name string
-		run  func(words []uint32, base int, index []int, props, front, accum []uint64, first, dst, lo, hi int, inPlace bool) (int, uint64)
-	}{{vec.Kernel() + " kernel", vec.MinPropChunk}, {"Go twin", vec.MinPropChunkGo}}
+	impls := minPropImpls()
 	for _, c := range testgraph.Corpus() {
 		a := vsparse.FromCSR(csr.FromGraph(c.G, true))
 		words, _ := flat(a)
@@ -108,26 +107,27 @@ func TestMinPropChunkSplitAtSlabs(t *testing.T) {
 		own := owners(a.Index)
 		chunks, slabs := splitGrids(a.NumVectors())
 		for name, front := range frontiers(a.N, 6) {
-			for _, inPlace := range []bool{false, true} {
+			for _, mode := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
+				inPlace, skipZero := mode[0], mode[1]
 				for _, k := range impls {
 					for _, perSlab := range slabs {
 						whole, split := slices.Clone(f.accum), slices.Clone(f.accum)
 						for _, ch := range chunks {
 							lo, hi := ch[0], ch[1]
 							dst := firstDst(own, lo, hi)
-							wLast, wAcc := k.run(words, 0, a.Index, f.props, front, whole, dst, dst, lo, hi, inPlace)
+							wLast, wAcc := k.run(words, 0, a.Index, f.props, front, whole, dst, dst, lo, hi, inPlace, skipZero)
 							sLast, sAcc := splitWalk(a.Index, perSlab, dst, lo, hi,
 								func(base, first, dst, lo, hi int) (int, uint64) {
-									return k.run(from(words, base), base, a.Index, f.props, front, split, first, dst, lo, hi, inPlace)
+									return k.run(from(words, base), base, a.Index, f.props, front, split, first, dst, lo, hi, inPlace, skipZero)
 								},
 								func(last int, acc uint64) { split[last] = min(split[last], acc) })
 							if sLast != wLast || sAcc != wAcc {
-								t.Fatalf("%s %s in place %v, %s, slabs of %d, chunk [%d,%d): split returned (%d, %#x), whole (%d, %#x)",
-									c.Name, name, inPlace, k.name, perSlab, lo, hi, sLast, sAcc, wLast, wAcc)
+								t.Fatalf("%s %s in place %v skip %v, %s, slabs of %d, chunk [%d,%d): split returned (%d, %#x), whole (%d, %#x)",
+									c.Name, name, inPlace, skipZero, k.name, perSlab, lo, hi, sLast, sAcc, wLast, wAcc)
 							}
 						}
 						if err := sameAccum(whole, split); err != nil {
-							t.Fatalf("%s %s in place %v, %s, slabs of %d: %v", c.Name, name, inPlace, k.name, perSlab, err)
+							t.Fatalf("%s %s in place %v skip %v, %s, slabs of %d: %v", c.Name, name, inPlace, skipZero, k.name, perSlab, err)
 						}
 					}
 				}

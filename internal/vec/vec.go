@@ -30,7 +30,8 @@
 //     frontier words and one of props under the resulting live mask (in an
 //     in-place round, ungated, one of props and one of the chunk's own
 //     fresher accum words), an unsigned lane-wise min, and per run a
-//     horizontal min.
+//     horizontal min; a run whose destination's label is already 0 is
+//     skipped unread unless the caller asks for every run.
 //   - MinSrcChunk, Breadth-First Search's: a converged destination's run
 //     skipped unread, otherwise one VPGATHERDQ of frontier words per vector
 //     until a lane is live, whose source id is the run's aggregate.
