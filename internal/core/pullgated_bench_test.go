@@ -130,7 +130,8 @@ func BenchmarkInPlaceCC(b *testing.B) {
 // scale, at one and two workers, from four roots spread over the vertex ids.
 // A mesh search is hundreds of list-driven rounds of a few hundred vertices,
 // so its Vertex phase is selectBody's list loop, run inline; ms/run and
-// vertex_ms/run are per search.
+// vertex_ms/run are per search, and us/round is the wall of one round, all
+// of a search's per-round machinery included.
 func BenchmarkMeshBFS(b *testing.B) {
 	cg := BuildGraph(gen.Generate(gen.DimacsUSA, 4))
 	roots := []uint32{0, uint32(cg.N / 3), uint32(2 * cg.N / 3), uint32(cg.N - 1)}
@@ -152,6 +153,7 @@ func BenchmarkMeshBFS(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/runs/1e6, "ms/run")
 			b.ReportMetric(float64(vertex.Nanoseconds())/runs/1e6, "vertex_ms/run")
 			b.ReportMetric(float64(iterations)/runs, "iterations")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(iterations)/1e3, "us/round")
 		})
 	}
 }
@@ -193,7 +195,8 @@ func BenchmarkPageRank(b *testing.B) {
 // chunk), the same walk on the Go twin (AblateSIMD), and the gated
 // vector-by-vector walk (AblateFullVector). ms/run, edge_ms/run (the Edge
 // phases, push rounds included: Result.EdgeTime) and iterations are per
-// search.
+// search; us/round is a round's mean wall, dense pulls and list-driven rounds
+// alike.
 func BenchmarkHubBFS(b *testing.B) {
 	for _, c := range []struct {
 		name  string
@@ -238,6 +241,7 @@ func BenchmarkHubBFS(b *testing.B) {
 						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/runs/1e6, "ms/run")
 						b.ReportMetric(float64(edge.Nanoseconds())/runs/1e6, "edge_ms/run")
 						b.ReportMetric(float64(iterations)/runs, "iterations")
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(iterations)/1e3, "us/round")
 					})
 				}
 			}

@@ -60,11 +60,14 @@ func RunEdgePush(r *ExecContext, p apps.Program) edgeCost {
 // vectorization response). With list == nil a chunk is a range of vertex
 // ids, each tested against the frontier bitmap (a dense round); otherwise it
 // is a range of list's entries (a list-driven round), and every destination
-// the round reaches gets its touched bit. A lane's write is a scatter-buffer
+// the round reaches joins the touched set. A lane's write is a scatter-buffer
 // append (fz.ordered), a plain write in an inline list round (the driver
-// goroutine is the only writer) or a CAS; the touched bit is a plain OR
+// goroutine is the only writer) or a CAS; the touched insert is a plain one
 // inline and an atomic one otherwise. Each choice is a loop invariant fixed
 // when the body is built; no call per lane selects it.
+//
+// The min kinds (bfs, cc) are resolved as selectBody resolves them: a message
+// per source, and a lane's min inline, charged as plainCombine/casCombine do.
 //
 // Counters: under Record a dense round also charges InvalidLanes and the
 // Local/Remote split, which a list-driven round charges neither of.
@@ -74,13 +77,11 @@ func pushBody(r *ExecContext, fz *fuse, list []uint32, inline bool) func(rg sche
 	usesFrontier := p.UsesFrontier()
 	tracksConv := p.TracksConverged()
 	skipEqual := p.SkipEqualWrites()
-	props, accum := r.props, r.accum
+	minProp, minKind := fz.kind == apps.FusedMinProp, fz.kind == apps.FusedMinProp || fz.kind == apps.FusedMinSrc
+	props, accum, conv := r.props, r.accum, r.conv.Words()
 	rec := r.edgeRec
 	lanes := rec != nil && list == nil
-	var touched []uint64
-	if list != nil {
-		touched = r.touched.Words()
-	}
+	touched := r.touched
 	return func(rg sched.Range, chunkID, tid, node int) {
 		var c perfmodel.Counters
 		var out []sched.Contribution
@@ -93,6 +94,10 @@ func pushBody(r *ExecContext, fz *fuse, list []uint32, inline bool) func(rg sche
 				src = list[i]
 			} else if usesFrontier && !r.front.Contains(src) {
 				continue
+			}
+			msg := uint64(src)
+			if minProp {
+				msg = props[src]
 			}
 			// One slab holds the source's vectors.
 			words, weights := a.Vectors(src)
@@ -113,29 +118,53 @@ func pushBody(r *ExecContext, fz *fuse, list []uint32, inline bool) func(rg sche
 				for m := mask; m != 0; m = m.Rest() {
 					lane := m.First()
 					dst := uint32(neigh[lane])
-					if tracksConv && r.conv.Contains(dst) {
+					if tracksConv && conv[dst>>6]&(1<<(dst&63)) != 0 {
 						c.FrontierSkips++
 						continue
 					}
-					var w float32
-					if fz.weighted {
-						w = weights[base+lane]
-					}
-					msg := fz.stepMsg(props, uint64(src), w)
 					c.EdgesProcessed++
 					switch {
-					case fz.ordered:
-						out = append(out, sched.Contribution{Dst: dst, Val: msg})
-						c.TLSWrites++
-					case inline:
-						plainCombine(fz, &accum[dst], msg, skipEqual, &c)
+					case minKind && inline:
+						if old := accum[dst]; msg < old || !skipEqual {
+							accum[dst] = min(old, msg)
+							c.SharedWrites++
+						} else {
+							c.SkippedWrites++
+						}
+					case minKind: // casCombine's loop: merged == old exactly when msg >= old
+						for {
+							old := atomic.LoadUint64(&accum[dst])
+							if skipEqual && msg >= old {
+								c.SkippedWrites++
+								break
+							}
+							c.AtomicOps++
+							if atomic.CompareAndSwapUint64(&accum[dst], old, min(old, msg)) {
+								c.SharedWrites++
+								break
+							}
+							c.CASRetries++
+						}
 					default:
-						casCombine(fz, &accum[dst], msg, skipEqual, &c)
+						var w float32
+						if fz.weighted {
+							w = weights[base+lane]
+						}
+						msg := fz.stepMsg(props, uint64(src), w)
+						switch {
+						case fz.ordered:
+							out = append(out, sched.Contribution{Dst: dst, Val: msg})
+							c.TLSWrites++
+						case inline:
+							plainCombine(fz, &accum[dst], msg, skipEqual, &c)
+						default:
+							casCombine(fz, &accum[dst], msg, skipEqual, &c)
+						}
 					}
 					if inline {
-						touched[dst>>6] |= 1 << (dst & 63)
-					} else if touched != nil {
-						atomic.OrUint64(&touched[dst>>6], 1<<(dst&63))
+						touched.add(dst)
+					} else if list != nil {
+						touched.addAtomic(dst)
 					}
 				}
 			}

@@ -64,7 +64,7 @@ type ExecContext struct {
 	props, accum []uint64
 	front, next  *frontier.Dense
 	conv         *frontier.Dense
-	touched      *frontier.Dense
+	touched      touchedSet
 	mergeBuf     *sched.MergeBuffer
 	// scatterBuf holds the push kernels' ordered (dst, value) contribution
 	// lists for order-sensitive combine operators; grown lazily by the
@@ -75,6 +75,10 @@ type ExecContext struct {
 	// iterations rather than reallocated by each one.
 	frontList, touchedList []uint32
 	nodeStates             []nodeState
+	// nextParts is the census a list-driven selectBody takes, a part per
+	// range; carried reports that the last Vertex phase took it.
+	nextParts []census
+	carried   bool
 	// contrib is the rank-sum span pull's gather target, rank[v]·scale[v] per
 	// vertex (pullSpanBody); nil until a rank-sum program first runs on this
 	// context. contribCurrent records that it matches props: the last Vertex
@@ -197,7 +201,8 @@ func (r *Runner) NewContext() *ExecContext {
 		front:      frontier.NewDense(n),
 		next:       frontier.NewDense(n),
 		conv:       frontier.NewDense(n),
-		touched:    frontier.NewDense(n),
+		touched:    touchedSet{words: make([]uint64, (n+63)/64), sum: make([]uint64, (n+4095)/4096)},
+		nextParts:  make([]census, r.pool.Workers()),
 		mergeBuf:   sched.NewMergeBuffer(r.mergeSlots),
 		scatterBuf: sched.NewScatterBuffer(0),
 		ctx:        context.Background(),
@@ -260,6 +265,10 @@ func (ec *ExecContext) Init(p apps.Program) {
 	ec.front.Clear()
 	ec.next.Clear()
 	ec.conv.Clear()
+	// An aborted run may leave a round's touched bits or a census behind.
+	clear(ec.touched.words)
+	clear(ec.touched.sum)
+	ec.carried = false
 	p.InitFrontier(ec.front)
 	p.InitConverged(ec.conv)
 	ec.mergeBuf.Reset()

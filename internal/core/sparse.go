@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math/bits"
+	"sync/atomic"
+
 	"repro/internal/apps"
 	"repro/internal/sched"
 )
@@ -26,7 +29,7 @@ const sparseThresholdDivisor = 20
 // fork-join barriers would cost more than the work they split.
 const sparseInlineWork = 1024
 
-// census is one iteration's view of the frontier, taken once in Begin and
+// census is one iteration's view of the frontier, taken once by runLoop and
 // shared by the convergence vote, the direction policy, the list-driven
 // round and the trace.
 type census struct {
@@ -38,22 +41,36 @@ type census struct {
 	outEdges int
 }
 
-// takeCensus walks the frontier bitmap once for the count and, when the
-// list-driven round is still possible, once more for the list and its
-// out-degree sum. The round is a push kernel, so pull-only runs never take
-// it.
+// takeCensus concatenates the parts the last Vertex phase took, when that
+// was a list-driven round's selectBody (DESIGN.md §13 says why a dense round
+// does not). Otherwise it walks the frontier bitmap once for the count and,
+// when the list-driven round is still possible, once more for the list and
+// its out-degree sum. The round is a push kernel, so pull-only runs never
+// take it.
 func (r *ExecContext) takeCensus() census {
-	cs := census{count: r.front.Count()}
+	cs, carried := census{}, r.carried
+	if r.carried = false; carried {
+		r.frontList = r.frontList[:0]
+		for _, part := range r.nextParts {
+			r.frontList = append(r.frontList, part.list...)
+			cs.outEdges += part.outEdges
+		}
+		cs.count = len(r.frontList)
+	} else {
+		cs.count = r.front.Count()
+	}
 	if r.opt.AblateFrontierWork || r.opt.Mode == EnginePullOnly ||
 		cs.count == 0 || cs.count > r.g.Edges/sparseThresholdDivisor {
-		return cs
+		return census{count: cs.count}
 	}
-	r.frontList = r.front.AppendTo(r.frontList[:0])
+	if !carried {
+		r.frontList = r.front.AppendTo(r.frontList[:0])
+		deg := r.g.outDegrees()
+		for _, v := range r.frontList {
+			cs.outEdges += int(deg[v])
+		}
+	}
 	cs.list = r.frontList
-	deg := r.g.outDegrees()
-	for _, v := range cs.list {
-		cs.outEdges += int(deg[v])
-	}
 	return cs
 }
 
@@ -93,7 +110,6 @@ func runEdgePushSparse(r *ExecContext, p apps.Program, front []uint32, chunks in
 	cost := edgeCost{edgeChunks: sched.NumChunks(len(front), chunk)}
 	inline := cost.edgeChunks == 1
 	fz := fuseFor(p, p.Weighted() && r.g.VSS.Weighted)
-	r.touched.Clear()
 	body := pushBody(r, &fz, front, inline)
 	if fz.ordered {
 		r.scatterBuf.Grow(cost.edgeChunks)
@@ -110,6 +126,57 @@ func runEdgePushSparse(r *ExecContext, p apps.Program, front []uint32, chunks in
 	if fz.ordered {
 		cost.merged, cost.merge = true, mergeScatter(r, &fz)
 	}
-	r.touchedList = r.touched.AppendTo(r.touchedList[:0])
+	r.touchedList = r.touched.drain(r.touchedList[:0])
 	return cost
+}
+
+// touchedSet is the list-driven round's reached destinations: a bit per
+// vertex and one per word, set by the insert that finds the word zero, so a
+// round's drain reads and zeroes only the words it touched.
+type touchedSet struct {
+	words, sum []uint64
+}
+
+// add inserts v; the caller is the set's only writer.
+func (s touchedSet) add(v uint32) {
+	w := &s.words[v>>6]
+	if *w == 0 {
+		s.sum[v>>12] |= 1 << (v >> 6 & 63)
+	}
+	*w |= 1 << (v & 63)
+}
+
+// addAtomic inserts v beside other goroutines' inserts. The old word comes
+// from a CAS: Go 1.24.0's amd64 atomic.OrUint64, its result used, can
+// clobber a live register (summary bits landed in the wrong place).
+func (s touchedSet) addAtomic(v uint32) {
+	w, bit := &s.words[v>>6], uint64(1)<<(v&63)
+	for {
+		old := atomic.LoadUint64(w)
+		if old&bit != 0 {
+			return
+		}
+		if atomic.CompareAndSwapUint64(w, old, old|bit) {
+			if old == 0 {
+				atomic.OrUint64(&s.sum[v>>12], 1<<(v>>6&63))
+			}
+			return
+		}
+	}
+}
+
+// drain appends the set's vertices to buf in ascending order, empties the
+// set and returns buf.
+func (s touchedSet) drain(buf []uint32) []uint32 {
+	for si, sum := range s.sum {
+		for ; sum != 0; sum &= sum - 1 {
+			wi := si<<6 | bits.TrailingZeros64(sum)
+			for w := s.words[wi]; w != 0; w &= w - 1 {
+				buf = append(buf, uint32(wi)<<6|uint32(bits.TrailingZeros64(w)))
+			}
+			s.words[wi] = 0
+		}
+		s.sum[si] = 0
+	}
+	return buf
 }

@@ -123,20 +123,35 @@ const kindIdentity = ^uint64(0)
 // selectBody is the Vertex phase of the two min kinds: per 4-lane group, the
 // idle-group skip, then applyOnce or applyMin on every lane (one branch on
 // once per group), the props store, the accum reset and a changed-lane mask.
+// Over a list it also takes the next census: a range appends each vertex it
+// activates, with its out-degree, to part tid (StaticFor's tid-th range).
 func selectBody(r *ExecContext, p apps.Program, list []uint32, once bool) func(rg sched.Range, chunkID, tid, node int) {
 	props, accum := r.props, r.accum
 	skipIdle := p.UsesFrontier() && !r.opt.AblateFrontierWork
+	var deg []uint32
+	if list != nil {
+		deg = r.g.outDegrees()
+		for i := range r.nextParts {
+			r.nextParts[i] = census{list: r.nextParts[i].list[:0]}
+		}
+		r.carried = true
+	}
 	return func(rg sched.Range, _, tid, _ int) {
 		var c perfmodel.Counters
 		fb := r.newWordBits(p, list, rg)
 		if list != nil {
+			part := &r.nextParts[tid]
+			next, outEdges := part.list, 0
 			for _, v := range list[rg.Lo:rg.Hi] {
 				nv, changed := selectStep(once, props[v], accum[v])
 				props[v], accum[v] = nv, kindIdentity
 				if changed {
 					fb.add(int(v>>6), 1<<(v&63))
+					next = append(next, v)
+					outEdges += int(deg[v])
 				}
 			}
+			part.list, part.outEdges = next, outEdges
 			c.SharedWrites += 2 * uint64(rg.Hi-rg.Lo)
 		} else {
 			v := rg.Lo

@@ -1,8 +1,10 @@
-// Package frontier provides the active-vertex set representations used by
-// the engines. Grazelle itself uses only the dense bitmask (§5 of the
-// paper: one bit per vertex, searched a word at a time with the tzcnt
-// idiom); the Ligra baseline additionally takes a sparse vertex list from it
-// (AppendTo) and switches between the two by density.
+// Package frontier provides the active-vertex set representation used by
+// the engines: the dense bitmask Grazelle uses (§5 of the paper: one bit per
+// vertex, searched a word at a time with the tzcnt idiom). Sparse vertex
+// lists are taken from it with AppendTo: by the Ligra baseline, which
+// switches between the two by density, and by core's census when the
+// frontier fits a list-driven round, except after a bfs or cc list-driven
+// round, whose Vertex phase builds the list itself.
 package frontier
 
 import "math/bits"
@@ -29,9 +31,6 @@ func (d *Dense) Words() []uint64 { return d.words }
 
 // Add marks vertex v active.
 func (d *Dense) Add(v uint32) { d.words[v>>6] |= 1 << (v & 63) }
-
-// Remove marks vertex v inactive.
-func (d *Dense) Remove(v uint32) { d.words[v>>6] &^= 1 << (v & 63) }
 
 // Contains reports whether vertex v is active.
 func (d *Dense) Contains(v uint32) bool {
@@ -92,14 +91,6 @@ func (d *Dense) Empty() bool {
 	return true
 }
 
-// Density is the active fraction, the quantity hybrid engines switch on.
-func (d *Dense) Density() float64 {
-	if d.n == 0 {
-		return 0
-	}
-	return float64(d.Count()) / float64(d.n)
-}
-
 // ForEach visits every active vertex in ascending order using word-at-a-time
 // scanning with trailing-zero counts — the tzcnt technique the paper cites
 // for searching 64 vertices per instruction.
@@ -116,13 +107,6 @@ func (d *Dense) ForEach(fn func(v uint32)) {
 // CopyFrom overwrites this frontier with the contents of src (same length).
 func (d *Dense) CopyFrom(src *Dense) {
 	copy(d.words, src.words)
-}
-
-// Clone returns an independent copy.
-func (d *Dense) Clone() *Dense {
-	out := NewDense(d.n)
-	copy(out.words, d.words)
-	return out
 }
 
 // AppendTo appends the active vertices to buf in ascending order and returns

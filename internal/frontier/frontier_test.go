@@ -27,10 +27,6 @@ func TestDenseBasics(t *testing.T) {
 	if d.Contains(1) || d.Contains(128) {
 		t.Error("Contains reports inactive vertex")
 	}
-	d.Remove(63)
-	if d.Contains(63) || d.Count() != 3 {
-		t.Error("Remove failed")
-	}
 }
 
 func TestDenseFillRespectsLength(t *testing.T) {
@@ -39,9 +35,6 @@ func TestDenseFillRespectsLength(t *testing.T) {
 	if d.Count() != 70 {
 		t.Errorf("after Fill, Count = %d, want 70", d.Count())
 	}
-	if d.Density() != 1 {
-		t.Errorf("Density = %v, want 1", d.Density())
-	}
 	d.Clear()
 	if !d.Empty() {
 		t.Error("Clear left bits set")
@@ -49,7 +42,8 @@ func TestDenseFillRespectsLength(t *testing.T) {
 }
 
 // TestDenseFull: Full agrees with Count == Len at word-boundary sizes, with
-// the hole in the first, a middle and the last position.
+// the hole — cleared through Words — in the first, a middle and the last
+// position.
 func TestDenseFull(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 128, 130} {
 		d := NewDense(n)
@@ -64,7 +58,7 @@ func TestDenseFull(t *testing.T) {
 			if n == 0 {
 				break
 			}
-			d.Remove(uint32(hole))
+			d.Words()[hole>>6] &^= 1 << (hole & 63)
 			if d.Full() {
 				t.Errorf("n=%d: Full with vertex %d missing", n, hole)
 			}
@@ -86,36 +80,20 @@ func TestDenseForEachAscending(t *testing.T) {
 	}
 }
 
-func TestDenseCloneAndCopy(t *testing.T) {
+func TestDenseCopyFrom(t *testing.T) {
 	d := NewDense(100)
 	d.Add(42)
-	c := d.Clone()
-	c.Add(7)
-	if d.Contains(7) {
-		t.Error("Clone aliases original")
-	}
+	d.Add(7)
 	e := NewDense(100)
-	e.CopyFrom(c)
-	if !e.Contains(7) || !e.Contains(42) {
-		t.Error("CopyFrom lost bits")
+	e.Add(99)
+	e.CopyFrom(d)
+	if !e.Contains(7) || !e.Contains(42) || e.Contains(99) || e.Count() != 2 {
+		t.Error("CopyFrom did not overwrite with the source's bits")
 	}
 }
 
-func TestDensity(t *testing.T) {
-	d := NewDense(100)
-	for v := uint32(0); v < 25; v++ {
-		d.Add(v)
-	}
-	if d.Density() != 0.25 {
-		t.Errorf("Density = %v, want 0.25", d.Density())
-	}
-	var empty Dense
-	if empty.Density() != 0 {
-		t.Error("zero-length Density should be 0")
-	}
-}
-
-// Property: membership after a random add/remove sequence matches a map.
+// Property: membership after a random sequence of adds and removals (a bit
+// cleared through Words) matches a map.
 func TestDenseSetSemanticsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -125,7 +103,7 @@ func TestDenseSetSemanticsProperty(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			v := uint32(rng.Intn(n))
 			if rng.Intn(3) == 0 {
-				d.Remove(v)
+				d.Words()[v>>6] &^= 1 << (v & 63)
 				delete(ref, v)
 			} else {
 				d.Add(v)
