@@ -1,7 +1,9 @@
 package grazelle
 
 import (
+	"context"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -218,6 +220,70 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if single.NumEdges() != g.NumEdges() {
 		t.Error("single-file load wrong")
+	}
+}
+
+// TestLoadersRoundTrip: a Save'd "-push" file read back by LoadGraph, and
+// added to a Store by AddFromFile, has the graph's counts and answers pr with
+// the same lanes; a SNAP text edge list with '#' and '%' comments loads by
+// LoadEdgeList with the counts its edge lines give.
+func TestLoadersRoundTrip(t *testing.T) {
+	g := twitterAnalog(t)
+	dir := t.TempDir()
+	base := filepath.Join(dir, "tw")
+	if err := g.Save(base); err != nil {
+		t.Fatal(err)
+	}
+	pr := func(e *Engine) []uint64 {
+		t.Helper()
+		res, err := e.Run(context.Background(), "pr", Params{Iters: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Props
+	}
+	ref := NewEngine(g, Options{Workers: 2})
+	defer ref.Close()
+	want := pr(ref)
+
+	loaded, err := LoadGraph(base + "-push")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(loaded, Options{Workers: 2})
+	defer e.Close()
+	if loaded.NumVertices() != g.NumVertices() || loaded.NumEdges() != g.NumEdges() || !slices.Equal(pr(e), want) {
+		t.Error("LoadGraph of the -push file changed the graph")
+	}
+
+	st, err := OpenStore(StoreConfig{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.AddFromFile("tw", base+"-push"); err != nil {
+		t.Fatal(err)
+	}
+	h, err := st.Acquire("tw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	if h.Graph().NumVertices() != g.NumVertices() || h.Graph().NumEdges() != g.NumEdges() || !slices.Equal(pr(h.Engine()), want) {
+		t.Error("AddFromFile of the -push file changed the graph")
+	}
+
+	snap := filepath.Join(dir, "edges.txt")
+	text := "# SNAP header\n% a comment\n0 1\n1 2\n# mid-file comment\n2 0\n2 7\n"
+	if err := os.WriteFile(snap, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	el, err := LoadEdgeList(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if el.NumVertices() != 8 || el.NumEdges() != 4 || el.Weighted() {
+		t.Errorf("LoadEdgeList: %d vertices, %d edges, weighted %t; want 8, 4, false", el.NumVertices(), el.NumEdges(), el.Weighted())
 	}
 }
 

@@ -5,8 +5,9 @@
 // addresses a result and a cached payload is bit-identical to a fresh run.
 //
 // The cache is byte-accounted (the repo's MemoryBytes convention) against an
-// LRU budget. Retiring a store version (Add-replace / Delete) invalidates its
-// entries via Store.OnRetireReason, and a per-graph tombstone of the highest
+// LRU budget. Retiring a store version (a mutation, Add-replace or Delete;
+// a compaction retires none) invalidates its entries via
+// Store.OnRetireReason, and a per-graph tombstone of the highest
 // retired version closes the race where a run finishes after its version
 // retired: the late insert is dropped instead of caching a permanently stale
 // result. Everything is stdlib plus the repo's own internal packages.
@@ -98,7 +99,7 @@ type Cache struct {
 	retiredMax map[string]uint64
 	// hardRetired is the analogous tombstone for the seed table: only hard
 	// retirements (replace, delete) advance it, so seeds survive the warm
-	// mutate/compact churn they exist to serve (see seed.go).
+	// mutate churn they exist to serve (see seed.go).
 	hardRetired map[string]uint64
 	seeds       map[seedKey]*seedEntry
 	seedBytes   int64

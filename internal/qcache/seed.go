@@ -2,8 +2,8 @@ package qcache
 
 import "container/list"
 
-// Incremental-seed retention (DESIGN.md §15). A warm retirement — mutate or
-// compact — supersedes a version's cached *payloads* (the response body
+// Incremental-seed retention (DESIGN.md §15). A warm retirement — mutate —
+// supersedes a version's cached *payloads* (the response body
 // embeds the version number, so it really is stale) but not its *lanes*:
 // the predecessor result is exactly the seed an incremental recompute on
 // the successor starts from. The seed table keeps, per (graph, app,
@@ -78,7 +78,7 @@ func (c *Cache) CountSeedUse() {
 
 // RetireVersion handles a store version retirement. Both flavors drop the
 // graph's cached payloads at or below version and advance the late-insert
-// tombstone. A warm retirement (reasons mutate and compact: same lineage,
+// tombstone. A warm retirement (reason mutate: same lineage,
 // content still reachable from the successor via the delta log) keeps the
 // seed table, so the retired result can warm-start recomputes on the
 // successor. A hard retirement (replace, delete: lineage over) also drops

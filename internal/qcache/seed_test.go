@@ -5,7 +5,7 @@ import "testing"
 // Seed-table retention tests (DESIGN.md §15): every retirement — warm or
 // hard — tombstones the retired version's payload entries, but only hard
 // retirements (replace, delete) drop seed candidates and raise the hard
-// tombstone; warm retirements (mutate, compact) keep seeds so the retired
+// tombstone; warm retirements (mutate) keep seeds so the retired
 // result can warm-start incremental recomputes on the successor.
 
 func seedLanes(n int, fill uint64) []uint64 {
@@ -17,16 +17,15 @@ func seedLanes(n int, fill uint64) []uint64 {
 }
 
 // TestRetireVersionPerReason is the per-reason regression: each store
-// retirement reason maps to warm (mutate, compact) or hard (replace,
-// delete) — the mapping serve wires into Store.OnRetireReason — and both
-// flavors must invalidate payloads while only hard may touch seeds.
+// retirement reason maps to warm (mutate) or hard (replace, delete) — the
+// mapping serve wires into Store.OnRetireReason — and both flavors must
+// invalidate payloads while only hard may touch seeds.
 func TestRetireVersionPerReason(t *testing.T) {
 	cases := []struct {
 		reason string
 		warm   bool
 	}{
 		{"mutate", true},
-		{"compact", true},
 		{"replace", false},
 		{"delete", false},
 	}

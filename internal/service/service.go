@@ -156,9 +156,10 @@ type Service struct {
 
 // New creates a Service and ties the cache's lifetime to the store's: its
 // families live in the store's registry and its entries die with their store
-// version. Retirement is reason-aware: mutate and compact are warm (payloads
-// die, seed candidates survive to warm-start recomputes on the successor);
-// replace and delete are hard (the lineage is over, seeds die too).
+// version. Retirement is reason-aware: mutate is warm (payloads die, seed
+// candidates survive to warm-start recomputes on the successor); replace and
+// delete are hard (the lineage is over, seeds die too). A fold retires
+// nothing, so its version keeps its payloads.
 func New(cfg Config) *Service {
 	reg := cfg.Store.Metrics()
 	var token [3]byte
@@ -182,8 +183,7 @@ func New(cfg Config) *Service {
 	if s.cfg.Cache != nil {
 		s.cfg.Cache.RegisterMetrics(reg)
 		s.cfg.Store.OnRetireReason(func(name string, version uint64, reason grazelle.RetireReason) {
-			warm := reason == grazelle.RetireMutate || reason == grazelle.RetireCompact
-			s.cfg.Cache.RetireVersion(name, version, warm)
+			s.cfg.Cache.RetireVersion(name, version, reason == grazelle.RetireMutate)
 		})
 	}
 	return s

@@ -340,6 +340,38 @@ func TestIncrementalCounters(t *testing.T) {
 	}
 }
 
+// TestCompactKeepsCachedAnswers: a compaction that folds a batch keeps the
+// version, so a pr answer cached before it is a hit after it, with the same
+// bytes and no engine run.
+func TestCompactKeepsCachedAnswers(t *testing.T) {
+	s := newService(t, grazelle.StoreConfig{DataDir: t.TempDir()})
+	st := s.cfg.Store
+	if _, _, err := st.ApplyEdges("g", []grazelle.EdgeOp{{Src: 1, Dst: 2, Weight: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	q := Query{Graph: "g", App: "pr", Iters: 4, Values: true}
+	miss, outcome, err := s.Execute(ctx, q)
+	if err != nil || outcome != Miss {
+		t.Fatalf("first pr: outcome %q err %v", outcome, err)
+	}
+	version, _ := st.Version("g")
+	runs := st.Stats().Runs
+	if err := st.Compact("g"); err != nil {
+		t.Fatal(err)
+	}
+	if w := st.Stats().WAL; w.Compactions != 1 || w.TailBatches != 0 {
+		t.Fatalf("the compaction folded nothing: %+v", w)
+	}
+	hit, outcome, err := s.Execute(ctx, q)
+	if err != nil || outcome != Hit || !bytes.Equal(hit.Payload, miss.Payload) {
+		t.Fatalf("pr after the compaction: outcome %q err %v, same bytes %t", outcome, err, bytes.Equal(hit.Payload, miss.Payload))
+	}
+	if v, _ := st.Version("g"); v != version || st.Stats().Runs != runs {
+		t.Errorf("version %d → %d, runs %d → %d; want both unchanged", version, v, runs, st.Stats().Runs)
+	}
+}
+
 // TestSeedsOnlyForPlannedApps: only an app with an incremental planner (cc)
 // leaves a seed candidate behind, one per graph. bfs and ppr queries on
 // distinct roots leave none — a candidate per root would pin one lane array

@@ -10,26 +10,27 @@ import (
 	"repro/internal/fault"
 )
 
-// Compaction folds a graph's acknowledged mutation overlay into a fresh
-// base snapshot and truncates the delta log, bounding recovery-replay time
-// and overlay memory. The lifecycle is crash-consistent without any epoch
-// bookkeeping because the overlay merge is replay-idempotent:
+// A fold writes a graph's current view — the layouts a handle pins, base ⊕
+// overlay through its viewSeq — over its lineage's snapshot file. Snapshot
+// is a fold; Compact is a fold that then truncates the delta log, bounding
+// recovery-replay time and overlay memory. A fold only moves where the bytes
+// live: it publishes, retires and notifies nothing, so the version, its
+// runner, the handles pinning it and every cached answer keyed by it
+// survive. The steps are durable in this order:
 //
-//  1. Materialize the current view (base ⊕ overlay through viewSeq).
-//  2. Write it as the new snapshot (temp + rename; same lineage).
-//  3. Publish a successor version over the new base and retire the old one
-//     with reason RetireCompact. The served edge set is bit-identical.
-//  4. Rotate the delta log down to the batches past viewSeq.
+//  1. Write the view as the lineage's snapshot (temp + rename; commitFile).
+//  2. Rewrite the manifest, if the entry is still the current one.
+//  3. Compact only: rotate the delta log down to the batches past viewSeq.
 //
-// A crash after 2 or 3 but before 4 leaves a snapshot that already contains
+// A crash after 1 or 2 but before 3 leaves a snapshot that already contains
 // operations the log still holds; reopening replays them onto it, and
-// last-writer-wins replay makes that a no-op. A crash during 2 leaves the
+// last-writer-wins replay makes that a no-op. A crash during 1 leaves the
 // previous snapshot intact behind the rename.
 //
-// Steps 1–4 have one owner per graph at a time (foldOwner): the background
-// compactor and an explicit Compact would otherwise interleave their writes
-// into the one temp file step 2 renames into place, right before step 4
-// truncates the log that could have repaired it.
+// Folds have one owner per graph at a time (foldOwner): the background
+// compactor, an explicit Compact and a Snapshot would otherwise interleave
+// their writes into the one temp file step 1 renames into place, right
+// before step 3 truncates the log that could have repaired it.
 
 const (
 	compactAttempts    = 5
@@ -52,17 +53,37 @@ func (s *Store) foldOwner(name string) *sync.Mutex {
 	return m
 }
 
-// Compact folds the named graph's mutation overlay into its snapshot now.
-// A graph with an empty overlay (or one that was concurrently replaced) is
-// a no-op. A call that finds another fold of the same graph in flight waits
-// for it and then folds only what that one left — usually nothing, so the
-// call has joined it. The store/compact failpoint injects failures here,
-// upstream of any state change.
+// Compact folds the named graph's mutation overlay into its snapshot now and
+// truncates its delta log. A graph with an empty overlay is a no-op; one
+// replaced or mutated past the folded view meanwhile keeps its log (the next
+// trigger folds the newer state). A call that finds another fold of the
+// same graph in flight waits for it and then folds only what that one left —
+// usually nothing, so the call has joined it. The store/compact failpoint
+// injects failures here, upstream of any state change.
 func (s *Store) Compact(name string) error {
 	if err := fault.Inject("store/compact"); err != nil {
 		s.compactErrors.Add(1)
 		return err
 	}
+	return s.fold(name, true)
+}
+
+// Snapshot persists the named graph's current view to the data directory
+// now (Add already does this; Snapshot re-persists on demand, e.g. after a
+// manifest repair). The delta log keeps its batches, and a failure does not
+// count as a compaction error.
+func (s *Store) Snapshot(name string) error {
+	if s.cfg.DataDir == "" {
+		return errors.New("store: no data directory configured")
+	}
+	return s.fold(name, false)
+}
+
+// fold runs the steps above for Compact (compact set) and Snapshot.
+func (s *Store) fold(name string, compact bool) error {
+	// Owner first, view second: a view acquired before waiting out another
+	// fold would overwrite that fold's base with batches missing that its
+	// log rotation has already dropped.
 	owner := s.foldOwner(name)
 	owner.Lock()
 	defer owner.Unlock()
@@ -72,61 +93,39 @@ func (s *Store) Compact(name string) error {
 	}
 	defer h.Close()
 	e := h.e
-	delta := e.delta
-	if delta == nil || delta.tailBatches.Load() == 0 {
+	if compact && e.delta.tailBatches.Load() == 0 {
 		return nil
 	}
-	// The handle's layouts are the view through e.viewSeq — by construction
-	// the exact layouts a fresh base-plus-replay would produce, so their edges
-	// ARE the new base. Batches acknowledged after this handle was acquired
-	// stay in the log for the next round.
-	content := h.runner.Graph()
-	target := e.viewSeq
-
-	var path string
-	if s.cfg.DataDir != "" {
-		path = filepath.Join(s.cfg.DataDir, snapshotFileName(name, e.lineage))
-		if err := writeSnapshot(path, content); err != nil {
-			s.compactErrors.Add(1)
-			return fmt.Errorf("store: compacting %q: %w", name, err)
+	err = func() error {
+		if s.cfg.DataDir != "" {
+			// The file e.snapshot names, read without s.mu (Delete clears it).
+			path := filepath.Join(s.cfg.DataDir, snapshotFileName(name, e.lineage))
+			if err := writeSnapshot(path, h.runner.Graph()); err != nil {
+				return fmt.Errorf("store: snapshotting %q: %w", name, err)
+			}
 		}
-	}
-
-	s.mu.Lock()
-	if s.closed {
+		s.mu.Lock()
+		current := !s.closed && s.graphs[name] == e
+		var manifestErr error
+		if current {
+			manifestErr = s.syncManifestLocked()
+		}
 		s.mu.Unlock()
-		return ErrClosed
-	}
-	if s.graphs[name] != e {
-		// A replace, delete, or mutation published past us. The snapshot
-		// write was wasted (or, for a mutation, is a valid-but-early base
-		// the idempotent replay tolerates); the next trigger will fold the
-		// newer state.
-		s.mu.Unlock()
+		if manifestErr != nil || !current || !compact {
+			return manifestErr
+		}
+		// Replay over the folded base is idempotent, so a failed rotation
+		// leaves the view correct; the next trigger retries it.
+		if err := e.delta.rotate(e.viewSeq); err != nil {
+			return fmt.Errorf("store: rotating delta log for %q: %w", name, err)
+		}
+		s.compactions.Add(1)
 		return nil
-	}
-	ne := s.publishSuccessorLocked(e, target)
-	ne.snapshot = path
-	ne.vertices, ne.edges = content.N, content.Edges
-	manifestErr := s.syncManifestLocked()
-	s.mu.Unlock()
-
-	// The successor is published even if the manifest write failed (matching
-	// Add's semantics), so subscribers must hear the retirement either way.
-	s.notifyRetire(name, e.version, RetireCompact)
-	if manifestErr != nil {
+	}()
+	if err != nil && compact {
 		s.compactErrors.Add(1)
-		return manifestErr
 	}
-	if err := delta.rotate(target); err != nil {
-		// The fold itself is committed; only log truncation failed. Replay
-		// over the new base is idempotent, so correctness is unaffected —
-		// retry the rotation on the next compaction trigger.
-		s.compactErrors.Add(1)
-		return fmt.Errorf("store: rotating delta log for %q: %w", name, err)
-	}
-	s.compactions.Add(1)
-	return nil
+	return err
 }
 
 // requestCompact nudges the background compactor toward name. Non-blocking:

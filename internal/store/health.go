@@ -145,13 +145,7 @@ func (s *Store) Ready() error {
 	if s.rehydrateStreak >= wedgedThreshold {
 		return fmt.Errorf("store: rehydration wedged (%d consecutive failures)", s.rehydrateStreak)
 	}
-	wedged := 0
-	for _, e := range s.graphs {
-		if e.delta != nil && e.delta.wedgedFlag.Load() != 0 {
-			wedged++
-		}
-	}
-	if wedged > 0 {
+	if wedged := s.walStatsLocked().Wedged; wedged > 0 {
 		return fmt.Errorf("store: %d delta log(s) wedged (writes refused pending heal)", wedged)
 	}
 	return nil

@@ -56,11 +56,10 @@ func (s *Store) dropViewsLocked(name string) {
 // DeltaBetween returns the edge operations connecting version from to
 // version to of the named graph, in log order: applied via
 // graph.ApplyEdgeOps they transform the older version's edge set into the
-// newer's, and none means the two serve bit-identical content (e.g. across a
-// compaction republish). Both versions must be retained in the name's
-// history (same lineage — replace and delete clear it), from must precede
-// to, and the covered log range must still be resident (compaction's log
-// rotation can fold the range away). It reports false whenever the delta
+// newer's. Both versions must be retained in the name's history (same
+// lineage — replace and delete clear it), from must precede to, and the
+// covered log range must still be resident (compaction's log rotation can
+// fold the range away). It reports false whenever the delta
 // cannot be recovered exactly; callers fall back to a full recompute, so a
 // miss is never wrong, only slower.
 func (s *Store) DeltaBetween(name string, from, to uint64) ([]graph.EdgeOp, bool) {
@@ -71,7 +70,7 @@ func (s *Store) DeltaBetween(name string, from, to uint64) ([]graph.EdgeOp, bool
 	}
 	lv := s.views[name]
 	e := s.graphs[name]
-	if lv == nil || e == nil || e.delta == nil || from >= to {
+	if lv == nil || e == nil || from >= to {
 		s.mu.Unlock()
 		return nil, false
 	}

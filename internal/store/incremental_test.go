@@ -57,11 +57,15 @@ func TestDeltaBetween(t *testing.T) {
 			if err := s.Compact("g"); err != nil {
 				t.Fatal(err)
 			}
-			vc, _ := s.Version("g")
-			if ops, ok := s.DeltaBetween("g", v[3], vc); !ok || len(ops) != 0 {
-				t.Fatalf("across the compaction republish: %d ops (ok %t), want none", len(ops), ok)
+			if vc, _ := s.Version("g"); vc != v[3] {
+				t.Fatalf("compaction moved the version from %d to %d", v[3], vc)
 			}
-			return v[0], vc, nil
+			batch := mutOps(g, 3, false)
+			_, v4 := mustApply(t, s, "g", batch)
+			if ops, ok := s.DeltaBetween("g", v[3], v4); !ok || !slices.Equal(ops, batch) {
+				t.Fatalf("past the compaction: %d ops (ok %t), want the batch's %d", len(ops), ok, len(batch))
+			}
+			return v[0], v[3], nil
 		}},
 		{"replaced", func(t *testing.T, s *Store, v [4]uint64) (uint64, uint64, []graph.EdgeOp) {
 			if err := s.Add("g", core.BuildGraph(g)); err != nil {

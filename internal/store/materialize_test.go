@@ -80,11 +80,13 @@ func assertRebuildLayouts(t *testing.T, h *Handle, base *graph.Graph, ops []grap
 	return want
 }
 
-// TestMaterializeArmsServeWhatRebuildServes drives one graph through every
-// materialization arm — patch after a mutation, patch again on a patched
-// predecessor, shared after a compaction, rebuild after a reopen and after
-// the predecessor was evicted — and holds each served version to the
-// always-rebuild store's content and answers for all nine apps.
+// TestMaterializeArmsServeWhatRebuildServes drives one graph through both
+// materialization arms — patch after a mutation, patch again on a patched
+// predecessor and on one a compaction folded, rebuild after a reopen and
+// after the predecessor was evicted — and holds each served version to the
+// always-rebuild store's content and answers for all nine apps. The
+// compaction itself keeps the version and its runner and materializes
+// nothing.
 func TestMaterializeArmsServeWhatRebuildServes(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Config{DataDir: dir, Workers: 2})
@@ -124,24 +126,27 @@ func TestMaterializeArmsServeWhatRebuildServes(t *testing.T) {
 		t.Fatalf("after two mutate → query rounds: %+v, want 2 patches", got)
 	}
 
-	// Compaction republishes identical content: nothing to apply, so the
-	// successor takes its predecessor's layouts as they are.
+	// A compaction changes where the bytes live, not what is served: the
+	// version and its runner stay, and nothing is materialized.
 	if err := s.Compact("g"); err != nil {
 		t.Fatal(err)
 	}
 	hc := acquire(s)
-	if hc.Version() == h.Version() {
-		t.Fatal("compaction did not publish a successor")
+	if hc.Version() != h.Version() || hc.Runner() != h.Runner() {
+		t.Fatal("compaction replaced the version or its runner")
 	}
-	if hc.Runner().Graph() != h.Runner().Graph() {
-		t.Fatal("compaction successor did not share its predecessor's layouts")
+	if got := arms(s); got != (MaterializeStats{Patch: 2}) {
+		t.Fatalf("after compaction: %+v, want the two patches alone", got)
 	}
-	if got := arms(s); got != (MaterializeStats{Patch: 2, Shared: 1}) {
-		t.Fatalf("after compaction: %+v, want one shared", got)
-	}
-	assertServesRebuild(t, hc, base, ops, "shared")
 	h.Close()
 	hc.Close()
+	mutate(s, 2)
+	h = acquire(s)
+	assertServesRebuild(t, h, base, ops, "patch over a compacted log")
+	h.Close()
+	if got := arms(s); got != (MaterializeStats{Patch: 3}) {
+		t.Fatalf("after a mutation past the compaction: %+v, want 3 patches", got)
+	}
 	s.Close()
 
 	// No seed after a reopen, and none once the idle predecessor is evicted.
@@ -154,7 +159,7 @@ func TestMaterializeArmsServeWhatRebuildServes(t *testing.T) {
 	assertServesRebuild(t, h, base, ops, "rebuild after reopen")
 	h.Close()
 	evictAll(t, s)
-	mutate(s, 2)
+	mutate(s, 3)
 	h = acquire(s)
 	defer h.Close()
 	assertServesRebuild(t, h, base, ops, "rebuild after eviction")
@@ -338,6 +343,49 @@ func TestMaterializeSplicesOnlyNewBatches(t *testing.T) {
 	}
 	if got := s.Stats().Materialize; got != (MaterializeStats{Patch: 3}) {
 		t.Fatalf("%+v, want three patches", got)
+	}
+}
+
+// TestMaterializeSeedOlderThanLogRebuilds: a cold successor whose seed
+// holds a view the delta log has rotated past — the batches between the
+// seed's view and the log's base live only in the snapshot — is rebuilt from
+// the snapshot and the log's whole range, not patched from a seed that lacks
+// them, and serves what a from-scratch rebuild of base ⊕ every batch serves.
+func TestMaterializeSeedOlderThanLogRebuilds(t *testing.T) {
+	s, err := Open(Config{DataDir: t.TempDir(), Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	base := testgraph.Skewed().G
+	if err := s.Add("g", core.BuildGraph(base)); err != nil {
+		t.Fatal(err)
+	}
+	first, second := mutOps(base, 0, true), mutOps(base, 1, true)
+	mustApply(t, s, "g", first)
+	mustApply(t, s, "g", second)
+	s.mu.Lock()
+	e := s.graphs["g"]
+	s.mu.Unlock()
+	if e.seed == nil || e.seedSeq != 0 || e.viewSeq != 2 {
+		t.Fatalf("setup: seed %t at %d, view %d; want the base's layouts at 0 under view 2", e.seed != nil, e.seedSeq, e.viewSeq)
+	}
+	// Fold the first batch by hand: the snapshot takes it and the log keeps
+	// only the second, past the seed's view.
+	if err := writeSnapshot(e.snapshot, core.BuildGraph(graph.ApplyEdgeOps(base, first))); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.delta.rotate(1); err != nil {
+		t.Fatal(err)
+	}
+	h, err := s.Acquire("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	assertServesRebuild(t, h, base, append(first, second...), "seed older than the log")
+	if got := s.Stats().Materialize; got != (MaterializeStats{Rebuild: 1}) {
+		t.Fatalf("%+v, want one rebuild", got)
 	}
 }
 

@@ -71,7 +71,7 @@ func (s *Store) registerMetrics() {
 	})
 
 	// Streaming-mutation families: counters read the same atomic cells
-	// Stats().WAL reports; gauges scan the per-graph delta-log mirrors.
+	// Stats().WAL reports, and gauges its per-graph sums.
 	r.CounterFunc("grazelle_wal_appends_total", "Acknowledged (durable) mutation batches.", nil, s.walc.appends.Load)
 	r.CounterFunc("grazelle_wal_append_errors_total", "Rejected or rolled-back mutation batches.", nil, s.walc.appendErrors.Load)
 	r.CounterFunc("grazelle_wal_fsyncs_total", "Delta-log fsyncs, one per acknowledged batch.", nil, s.walc.fsyncs.Load)
@@ -81,44 +81,24 @@ func (s *Store) registerMetrics() {
 	r.CounterFunc("grazelle_wal_quarantined_segments_total", "Corrupt delta-log segments moved aside.", nil, s.walc.quarantined.Load)
 	r.CounterFunc("grazelle_wal_rotations_total", "Delta-log rewrites (compaction and healing).", nil, s.walc.rotations.Load)
 	r.CounterFunc("grazelle_wal_healed_total", "Wedged delta logs recovered by rewrite.", nil, s.walc.healed.Load)
-	r.GaugeFunc("grazelle_wal_wedged", "Graphs whose delta log is refusing writes pending heal.", nil, func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		n := 0
-		for _, e := range s.graphs {
-			if e.delta != nil && e.delta.wedgedFlag.Load() != 0 {
-				n++
-			}
-		}
-		return float64(n)
-	})
-	r.GaugeFunc("grazelle_wal_tail_bytes", "Acknowledged un-compacted overlay bytes across graphs.", nil, func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		var b int64
-		for _, e := range s.graphs {
-			if e.delta != nil {
-				b += e.delta.tailBytes.Load()
-			}
-		}
-		return float64(b)
-	})
-	r.GaugeFunc("grazelle_wal_tail_batches", "Acknowledged un-compacted mutation batches across graphs.", nil, func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		var n int64
-		for _, e := range s.graphs {
-			if e.delta != nil {
-				n += e.delta.tailBatches.Load()
-			}
-		}
-		return float64(n)
-	})
-	const materializeHelp = "Seconds Acquire spent producing a version's graph and engine layouts, by arm: patch (spliced from the predecessor), rebuild (full preprocessing), shared (predecessor reused)."
+	walGauge := func(name, help string, read func(WALStats) int64) {
+		r.GaugeFunc(name, help, nil, func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return float64(read(s.walStatsLocked()))
+		})
+	}
+	walGauge("grazelle_wal_wedged", "Graphs whose delta log is refusing writes pending heal.",
+		func(w WALStats) int64 { return int64(w.Wedged) })
+	walGauge("grazelle_wal_tail_bytes", "Acknowledged un-compacted overlay bytes across graphs.",
+		func(w WALStats) int64 { return w.TailBytes })
+	walGauge("grazelle_wal_tail_batches", "Acknowledged un-compacted mutation batches across graphs.",
+		func(w WALStats) int64 { return w.TailBatches })
+	const materializeHelp = "Seconds Acquire spent producing a version's graph and engine layouts, by arm: patch (spliced from the predecessor), rebuild (full preprocessing)."
 	hist := func(path string) *obs.Histogram {
 		return r.Histogram("grazelle_store_materialize_seconds", materializeHelp, obs.Labels{"path": path}, obs.DefTimeBuckets)
 	}
-	s.materializePatch, s.materializeRebuild, s.materializeShared = hist("patch"), hist("rebuild"), hist("shared")
+	s.materializePatch, s.materializeRebuild = hist("patch"), hist("rebuild")
 	r.CounterFunc("grazelle_store_compactions_total", "Mutation overlays folded into fresh snapshots.", nil, s.compactions.Load)
 	r.CounterFunc("grazelle_store_compact_errors_total", "Failed compaction attempts (retried with backoff).", nil, s.compactErrors.Load)
 

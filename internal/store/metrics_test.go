@@ -2,6 +2,8 @@ package store
 
 import (
 	"context"
+	"encoding/json"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -84,7 +86,8 @@ func TestMetricsCatalogStable(t *testing.T) {
 // TestMetricsTrackStoreActivity drives the store through an add, an
 // eviction (the 1-byte budget evicts the idle graph right after Add), a
 // rehydration, and queries, then checks the registry agrees with Stats()
-// on every count they both report.
+// on every count they both report, and that both count the two
+// materialization arms, patch and rebuild, and nothing else.
 func TestMetricsTrackStoreActivity(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Config{DataDir: dir, Workers: 2, MaxInFlight: 4, MemBudget: 1})
@@ -134,11 +137,16 @@ func TestMetricsTrackStoreActivity(t *testing.T) {
 
 		`grazelle_store_materialize_seconds_count{path="patch"}`:   int64(st.Materialize.Patch),
 		`grazelle_store_materialize_seconds_count{path="rebuild"}`: int64(st.Materialize.Rebuild),
-		`grazelle_store_materialize_seconds_count{path="shared"}`:  int64(st.Materialize.Shared),
 	} {
 		if got := metricValue(t, text, name); got != strconv.FormatInt(want, 10) {
 			t.Errorf("%s = %s, registry disagrees with Stats %d", name, got, want)
 		}
+	}
+	if strings.Count(text, "grazelle_store_materialize_seconds_count{") != 2 {
+		t.Error("grazelle_store_materialize_seconds has a series beside patch and rebuild")
+	}
+	if b, _ := json.Marshal(st.Materialize); !regexp.MustCompile(`^\{"patch":\d+,"rebuild":\d+\}$`).Match(b) {
+		t.Errorf("/v1/stats materialize = %s, want the keys patch and rebuild alone", b)
 	}
 	if got := metricValue(t, text, "grazelle_admission_admitted_total"); got == "0" {
 		t.Error("admitted_total still 0 after an explicit Admit")

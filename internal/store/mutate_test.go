@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -203,24 +204,17 @@ func TestConcurrentReadBurstDuringWrites(t *testing.T) {
 	writer.Wait()
 }
 
-// TestCompactFoldsOverlay: compaction folds the tail into the snapshot,
-// retires the old version with reason compact, leaves the served bits
-// unchanged, and a reopen replays nothing.
+// TestCompactFoldsOverlay: a fold keeps the version. Compact folds the tail
+// into the snapshot and truncates the log, and Snapshot rewrites the
+// snapshot; across each of them the version, the runner a held handle pins
+// and the materialization counts stay as they were, nothing retires, and the
+// served bits are unchanged. A reopen after them replays nothing.
 func TestCompactFoldsOverlay(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Config{DataDir: dir, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	var compactRetired int
-	s.OnRetireReason(func(_ string, _ uint64, r RetireReason) {
-		if r == RetireCompact {
-			mu.Lock()
-			compactRetired++
-			mu.Unlock()
-		}
-	})
 	g := gen.ErdosRenyi(400, 2400, 11)
 	if err := s.Add("g", core.BuildGraph(g)); err != nil {
 		t.Fatal(err)
@@ -228,16 +222,38 @@ func TestCompactFoldsOverlay(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		mustApply(t, s, "g", mutOps(g, round, true))
 	}
-	want := pagerankSolo(t, s, "g")
+	var retired atomic.Int32
+	s.OnRetireReason(func(string, uint64, RetireReason) { retired.Add(1) })
+	h, err := s.Acquire("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := pagerank(t, h)
+	arms := s.Stats().Materialize
 
-	if err := s.Compact("g"); err != nil {
-		t.Fatalf("Compact: %v", err)
+	for _, fold := range []struct {
+		name string
+		run  func(string) error
+	}{{"Compact", s.Compact}, {"Snapshot", s.Snapshot}} {
+		if err := fold.run("g"); err != nil {
+			t.Fatalf("%s: %v", fold.name, err)
+		}
+		cur, err := s.Acquire("g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cur.Version() != h.Version() || cur.Runner() != h.Runner() {
+			t.Fatalf("%s: version %d → %d, same runner %t", fold.name, h.Version(), cur.Version(), cur.Runner() == h.Runner())
+		}
+		cur.Close()
+		if n := retired.Load(); n != 0 {
+			t.Fatalf("%s retired %d versions, want none", fold.name, n)
+		}
+		if got := s.Stats().Materialize; got != arms {
+			t.Fatalf("%s: materialize %+v, want %+v", fold.name, got, arms)
+		}
 	}
-	mu.Lock()
-	if compactRetired != 1 {
-		t.Fatalf("compact retirements = %d, want 1", compactRetired)
-	}
-	mu.Unlock()
+	h.Close()
 	st := s.Stats()
 	if st.WAL.TailBatches != 0 || st.WAL.Compactions != 1 || st.WAL.Rotations == 0 {
 		t.Fatalf("post-compaction WAL stats = %+v", st.WAL)
@@ -327,7 +343,7 @@ func TestCompactOneOwnerPerGraph(t *testing.T) {
 
 // TestBackgroundCompactorRetriesFailures: with the store/compact failpoint
 // failing twice, the size-triggered background compactor retries with
-// backoff and lands the fold without intervention.
+// backoff and lands the fold without intervention, keeping the version.
 func TestBackgroundCompactorRetriesFailures(t *testing.T) {
 	defer fault.Reset()
 	s, err := Open(Config{DataDir: t.TempDir(), Workers: 2, CompactAfter: 1})
@@ -342,7 +358,7 @@ func TestBackgroundCompactorRetriesFailures(t *testing.T) {
 	if err := fault.EnableFromSpec("store/compact=error*2"); err != nil {
 		t.Fatal(err)
 	}
-	mustApply(t, s, "g", mutOps(g, 0, false))
+	_, version := mustApply(t, s, "g", mutOps(g, 0, false))
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -350,6 +366,10 @@ func TestBackgroundCompactorRetriesFailures(t *testing.T) {
 		if st.WAL.Compactions >= 1 && st.WAL.TailBatches == 0 {
 			if st.WAL.CompactErrors != 2 {
 				t.Fatalf("CompactErrors = %d, want 2", st.WAL.CompactErrors)
+			}
+			// The fold kept the version the batch published.
+			if v, err := s.Version("g"); err != nil || v != version {
+				t.Fatalf("version %d (%v) after the background fold, want %d", v, err, version)
 			}
 			return
 		}
@@ -611,8 +631,9 @@ func TestMutateMemoryOnlyStore(t *testing.T) {
 	assertBitIdentical(t, want, pagerankSolo(t, s, "g"), "memory-only post-compaction")
 }
 
-// TestOnRetireShimAndReasons: OnRetireReason distinguishes all four causes
-// of a retirement, each fired exactly once.
+// TestOnRetireShimAndReasons: OnRetireReason distinguishes the three causes
+// of a retirement, each fired exactly once; a compaction between them fires
+// nothing.
 func TestOnRetireShimAndReasons(t *testing.T) {
 	s, err := Open(Config{DataDir: t.TempDir(), Workers: 2})
 	if err != nil {
@@ -635,7 +656,7 @@ func TestOnRetireShimAndReasons(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustApply(t, s, "g", mutOps(g, 0, false)) // mutate
-	if err := s.Compact("g"); err != nil {    // compact
+	if err := s.Compact("g"); err != nil {    // no retirement
 		t.Fatal(err)
 	}
 	if err := s.Delete("g"); err != nil { // delete
@@ -644,7 +665,10 @@ func TestOnRetireShimAndReasons(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	for _, r := range []RetireReason{RetireReplace, RetireMutate, RetireCompact, RetireDelete} {
+	if len(reasons) != 3 {
+		t.Errorf("reasons fired: %v, want replace, mutate and delete once each", reasons)
+	}
+	for _, r := range []RetireReason{RetireReplace, RetireMutate, RetireDelete} {
 		if reasons[r] != 1 {
 			t.Errorf("reason %q fired %d times, want 1", r, reasons[r])
 		}

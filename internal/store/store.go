@@ -113,10 +113,10 @@ type Store struct {
 	runs      uint64
 	closed    bool
 	// nextVersion numbers graph versions: every Add (including a replace and
-	// the cold registrations at Open), every durable mutation batch, and
-	// every compaction gets the next value, so versions are unique and
-	// monotonic across the whole store — a version is never reused, even
-	// when a name is deleted and re-added.
+	// the cold registrations at Open) and every durable mutation batch gets
+	// the next value, so versions are unique and monotonic across the whole
+	// store — a version is never reused, even when a name is deleted and
+	// re-added. A fold (Compact, Snapshot) changes no content and mints none.
 	nextVersion uint64
 	// nextLineage numbers base-graph ancestries (see manifest.go); persisted
 	// in the manifest so a lineage is never reused across restarts.
@@ -146,17 +146,17 @@ type Store struct {
 	compactStop chan struct{}
 	compactDone chan struct{}
 	// foldOwners holds one mutex per graph name: whoever rewrites that
-	// name's snapshot file (Compact, Snapshot) holds it from the first byte
-	// of the temp file to the end of the log rotation (see foldOwner).
+	// name's snapshot file (a fold) holds it from the first byte of the temp
+	// file to the end of the log rotation (see foldOwner).
 	// Guarded by mu.
 	foldOwners map[string]*sync.Mutex
 
 	// reg is the store-owned metric registry (see metrics.go); immutable
 	// after Open.
 	reg *obs.Registry
-	// materialize{Patch,Rebuild,Shared} time Acquire's materialization by
-	// the arm that served it (see materialize); their counts feed Stats.
-	materializePatch, materializeRebuild, materializeShared *obs.Histogram
+	// materialize{Patch,Rebuild} time Acquire's materialization by the arm
+	// that served it (see materialize); their counts feed Stats.
+	materializePatch, materializeRebuild *obs.Histogram
 }
 
 // entry is one version of a named graph. Fields below the comment are
@@ -168,9 +168,9 @@ type entry struct {
 	weighted bool
 	snapshot string // absolute snapshot path, "" when none
 	// version is the store-wide version number assigned when the entry was
-	// registered. Immutable; eviction to cold and rehydration keep it. Only
-	// retirement — Add-replace, Delete, a durable mutation batch, or a
-	// compaction — ends it.
+	// registered. Immutable; eviction to cold, rehydration and folds keep it.
+	// Only retirement — Add-replace, Delete or a durable mutation batch —
+	// ends it.
 	version uint64
 	// lineage is the base-graph ancestry (immutable; changes only via
 	// Add-replace, which creates a new entry). delta is the name's shared
@@ -192,7 +192,8 @@ type entry struct {
 	seed *core.Graph
 	// seedSeq is the viewSeq of the version seed was captured from: seed is
 	// base ⊕ overlay through seedSeq, so materialize applies only the
-	// batches after it. Set with seed.
+	// batches after it, and rebuilds instead should the log have rotated
+	// past seedSeq. Set with seed.
 	seedSeq uint64
 	// seedBytes is what seed is charged to Store.resident (see
 	// publishSuccessorLocked). Guarded by Store.mu.
@@ -332,9 +333,7 @@ func (s *Store) Close() error {
 	s.closed = true
 	logs := make([]*deltaLog, 0, len(s.graphs))
 	for _, e := range s.graphs {
-		if e.delta != nil {
-			logs = append(logs, e.delta)
-		}
+		logs = append(logs, e.delta)
 	}
 	s.mu.Unlock()
 	close(s.compactStop)
@@ -447,9 +446,7 @@ func (s *Store) Add(name string, g *core.Graph) error {
 		// The commit point is behind us: the old lineage's delta log and
 		// snapshot are unreachable. Remove them (a crash before this is
 		// caught by the lineage check and orphan sweep at Open).
-		if retired.delta != nil {
-			retired.delta.close(true)
-		}
+		retired.delta.close(true)
 		if retired.snapshot != "" && retired.snapshot != e.snapshot {
 			os.Remove(retired.snapshot)
 		}
@@ -469,10 +466,6 @@ const (
 	// RetireMutate: a durable edge-mutation batch advanced the name to a new
 	// version whose view includes the batch.
 	RetireMutate RetireReason = "mutate"
-	// RetireCompact: the compactor folded the delta overlay into a fresh
-	// snapshot and republished the name under a new version. The served
-	// edge set is bit-identical across this transition.
-	RetireCompact RetireReason = "compact"
 )
 
 // RetireReasonFunc observes one graph version leaving the registry, and why
@@ -480,12 +473,12 @@ const (
 type RetireReasonFunc func(name string, version uint64, reason RetireReason)
 
 // OnRetireReason registers fn to be called every time a graph version is
-// retired — replaced by a new Add, removed by Delete, superseded by a durable
-// mutation batch, or republished by compaction — with the reason.
-// Retirement means the (name, version) pair will never be served again (new
-// Acquires only see newer versions), so any state derived from it — most
-// importantly cached query results — can be dropped. Eviction to cold does
-// not retire: the entry keeps its version across rehydration.
+// retired — replaced by a new Add, removed by Delete, or superseded by a
+// durable mutation batch — with the reason. Retirement means the (name,
+// version) pair will never be served again (new Acquires only see newer
+// versions), so any state derived from it — most importantly cached query
+// results — can be dropped. Neither eviction to cold nor a fold retires: the
+// entry keeps its version across rehydration, Compact and Snapshot.
 //
 // fn runs synchronously on the goroutine performing the retirement, after
 // the registry update, with no store locks held; it must be safe for
@@ -578,51 +571,39 @@ func (s *Store) Acquire(name string) (*Handle, error) {
 // arm produces them, the layouts are byte-identical to core.BuildGraph of
 // the single-threaded canonical merge graph.ApplyEdgeOps, so the result is a
 // plain graph the engine runs like any other: bit-determinism at any worker
-// count is inherited, not re-proven. Replay idempotence makes the two base
-// choices equivalent — re-applying operations a seed already contains
-// changes nothing — so a seed takes only the batches past e.seedSeq, the
-// view it holds: a splice then touches the slabs of the batches since the
-// predecessor, not of every batch since the log last rotated. Should that
-// range not be resident, the seed takes the log's whole range, as a stale
-// seed always could.
+// count is inherited, not re-proven.
 //
-// Three arms, chosen only from what is in hand. A seed and no operations to
-// apply (a compaction successor): the seed IS this version, shared outright.
-// A seed and some operations: core.PatchGraph splices the layouts out of the
-// seed's, however many groups the operations touch. No seed (cold start,
-// recovery, evicted predecessor): core.BuildGraph over the merge of the
-// snapshot's edges, with one log line. The caller holds e.load.
+// Two arms, chosen only from what is in hand. A seed whose batches since
+// e.seedSeq, the view it holds, are still in the log: core.PatchGraph
+// splices the layouts out of the seed's, however many groups the batches
+// touch, and only the slabs they touch are copied. Otherwise (cold start,
+// recovery, evicted predecessor, or a log rotated past the seed):
+// core.BuildGraph over the merge of the snapshot's edges with the log's
+// whole range, with one log line. The whole range cannot patch a seed older
+// than the log's base, which would lack the batches the rotation dropped;
+// the snapshot holds them. The caller holds e.load.
 func (s *Store) materialize(e *entry) (*core.Graph, error) {
 	start := time.Now()
-	cg := e.seed
-	var ops []graph.EdgeOp
-	if e.delta != nil {
-		var ok bool
-		if cg != nil {
-			ops, ok = e.delta.opsBetween(e.seedSeq, e.viewSeq)
+	reason := "no predecessor in memory"
+	if e.seed != nil {
+		if ops, ok := e.delta.opsBetween(e.seedSeq, e.viewSeq); ok {
+			cg := core.PatchGraph(e.seed, ops)
+			s.materializePatch.Observe(time.Since(start).Seconds())
+			return cg, nil
 		}
-		if !ok {
-			ops = e.delta.opsThrough(e.viewSeq)
-		}
-	}
-	if cg != nil {
-		arm := s.materializeShared
-		if len(ops) > 0 {
-			cg, arm = core.PatchGraph(cg, ops), s.materializePatch
-		}
-		arm.Observe(time.Since(start).Seconds())
-		return cg, nil
+		reason = "log rotated past the predecessor"
 	}
 	g, err := s.rehydrate(e)
 	if err != nil {
 		return nil, err
 	}
+	ops := e.delta.opsThrough(e.viewSeq)
 	if len(ops) > 0 {
 		g = graph.ApplyEdgeOps(g, ops)
 	}
-	cg = core.BuildGraph(g)
+	cg := core.BuildGraph(g)
 	slog.Info("store: materialized by full rebuild", "graph", e.name, "version", e.version,
-		"ops", len(ops), "reason", "no predecessor in memory")
+		"ops", len(ops), "reason", reason)
 	s.materializeRebuild.Observe(time.Since(start).Seconds())
 	return cg, nil
 }
@@ -652,42 +633,10 @@ func (s *Store) Delete(name string) error {
 		return s.syncManifestLocked()
 	}()
 	if retired != nil {
-		if retired.delta != nil {
-			retired.delta.close(true)
-		}
+		retired.delta.close(true)
 		s.notifyRetire(retired.name, retired.version, RetireDelete)
 	}
 	return err
-}
-
-// Snapshot persists the named graph's current version to the data
-// directory immediately (Add already does this; Snapshot re-persists on
-// demand, e.g. after a manifest repair).
-func (s *Store) Snapshot(name string) error {
-	if s.cfg.DataDir == "" {
-		return errors.New("store: no data directory configured")
-	}
-	// Owner first, view second: a view acquired before waiting out a fold
-	// would overwrite that fold's base with batches missing that its log
-	// rotation has already dropped.
-	owner := s.foldOwner(name)
-	owner.Lock()
-	defer owner.Unlock()
-	h, err := s.Acquire(name)
-	if err != nil {
-		return err
-	}
-	defer h.Close()
-	path := filepath.Join(s.cfg.DataDir, snapshotFileName(name, h.e.lineage))
-	if err := writeSnapshot(path, h.runner.Graph()); err != nil {
-		return fmt.Errorf("store: snapshotting %q: %w", name, err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cur := s.graphs[name]; cur == h.e {
-		cur.snapshot = path
-	}
-	return s.syncManifestLocked()
 }
 
 // retireLocked marks an entry dead to new Acquires and frees it now if
@@ -768,9 +717,9 @@ func (s *Store) idleSeedLocked() *entry {
 // rehydrate from (every entry of a memory-only store) are never evicted, so
 // the budget is soft. With a data directory every resident entry has a
 // snapshot: Add writes one before it registers the entry, Open registers
-// entries from the manifest, a successor inherits its predecessor's and
-// Compact sets a new one; quarantine clears it only on a cold entry that
-// never gets a runner. Callers hold s.mu.
+// entries from the manifest and a successor inherits its predecessor's (a
+// fold rewrites that file in place); quarantine clears it only on a cold
+// entry that never gets a runner. Callers hold s.mu.
 func (s *Store) ensureBudgetLocked() {
 	if s.cfg.MemBudget <= 0 {
 		return
@@ -833,7 +782,7 @@ func (s *Store) List() []GraphInfo {
 	defer s.mu.Unlock()
 	out := make([]GraphInfo, 0, len(s.graphs))
 	for _, e := range s.graphs {
-		gi := GraphInfo{
+		out = append(out, GraphInfo{
 			Name:        e.name,
 			Vertices:    e.vertices,
 			Edges:       e.edges,
@@ -845,13 +794,11 @@ func (s *Store) List() []GraphInfo {
 			Quarantined: e.corrupt != nil,
 			Refs:        e.refs,
 			Runs:        e.runs,
-		}
-		if e.delta != nil {
-			gi.DeltaBatches = e.delta.tailBatches.Load()
-			gi.DeltaBytes = e.delta.tailBytes.Load()
-			gi.WALWedged = e.delta.wedgedFlag.Load() != 0
-		}
-		out = append(out, gi)
+
+			DeltaBatches: e.delta.tailBatches.Load(),
+			DeltaBytes:   e.delta.tailBytes.Load(),
+			WALWedged:    e.delta.wedgedFlag.Load() != 0,
+		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -893,12 +840,10 @@ type Stats struct {
 }
 
 // MaterializeStats counts materializations by arm: Patch spliced the
-// layouts out of the predecessor's, Shared reused the predecessor's outright
-// (nothing to apply), Rebuild ran the full preprocessing.
+// layouts out of the predecessor's, Rebuild ran the full preprocessing.
 type MaterializeStats struct {
 	Patch   uint64 `json:"patch"`
 	Rebuild uint64 `json:"rebuild"`
-	Shared  uint64 `json:"shared"`
 }
 
 // WALStats summarizes delta-log and compaction activity. The counter cells
@@ -963,7 +908,6 @@ func (s *Store) Stats() Stats {
 	st.Materialize = MaterializeStats{
 		Patch:   s.materializePatch.Count(),
 		Rebuild: s.materializeRebuild.Count(),
-		Shared:  s.materializeShared.Count(),
 	}
 	return st
 }
@@ -985,9 +929,6 @@ func (s *Store) walStatsLocked() WALStats {
 		CompactErrors:       s.compactErrors.Load(),
 	}
 	for _, e := range s.graphs {
-		if e.delta == nil {
-			continue
-		}
 		w.TailBytes += e.delta.tailBytes.Load()
 		w.TailBatches += e.delta.tailBatches.Load()
 		if e.delta.wedgedFlag.Load() != 0 {

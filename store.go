@@ -69,7 +69,6 @@ const (
 	RetireReplace = store.RetireReplace // Add replaced the graph
 	RetireDelete  = store.RetireDelete  // Delete removed the graph
 	RetireMutate  = store.RetireMutate  // ApplyEdges published a successor
-	RetireCompact = store.RetireCompact // compaction folded the overlay
 )
 
 // StoreConfig configures a Store.
@@ -154,7 +153,8 @@ func (s *Store) AddFromFile(name, path string) error {
 // handles drain undisturbed.
 func (s *Store) Delete(name string) error { return s.s.Delete(name) }
 
-// Snapshot re-persists the named graph to the data directory on demand.
+// Snapshot re-persists the named graph to the data directory on demand,
+// keeping its version.
 func (s *Store) Snapshot(name string) error { return s.s.Snapshot(name) }
 
 // Version returns the named graph's current version. Versions are minted
@@ -165,11 +165,11 @@ func (s *Store) Snapshot(name string) error { return s.s.Snapshot(name) }
 func (s *Store) Version(name string) (uint64, error) { return s.s.Version(name) }
 
 // OnRetireReason registers fn to be called, with the cause, whenever a graph
-// version is retired — replaced by Add, removed by Delete, superseded by
-// ApplyEdges, or folded by compaction (eviction does not retire). Callbacks
-// run outside store locks and must be safe for concurrent use. Cache layers
-// use the reason to keep seed candidates across same-lineage retirements
-// (mutate, compact) and drop them when the lineage ends (replace, delete).
+// version is retired — replaced by Add, removed by Delete or superseded by
+// ApplyEdges (eviction, Compact and Snapshot do not retire). Callbacks run
+// outside store locks and must be safe for concurrent use. Cache layers use
+// the reason to keep seed candidates across a same-lineage retirement
+// (mutate) and drop them when the lineage ends (replace, delete).
 func (s *Store) OnRetireReason(fn func(name string, version uint64, reason RetireReason)) {
 	s.s.OnRetireReason(fn)
 }
@@ -187,10 +187,11 @@ func (s *Store) ApplyEdges(name string, ops []EdgeOp) (seq, version uint64, err 
 	return s.s.ApplyEdges(name, ops)
 }
 
-// Compact folds the named graph's acknowledged mutation overlay into a fresh
-// base snapshot and truncates its delta log. Serving bits are unchanged —
-// the successor version is bit-identical — so compaction can run any time.
-// It also runs in the background past CompactAfterBytes.
+// Compact folds the named graph's acknowledged mutation overlay into its
+// snapshot and truncates its delta log. The version, its cached answers and
+// the handles pinning it are unchanged — only where the bytes live moves —
+// so compaction can run any time. It also runs in the background past
+// CompactAfterBytes.
 func (s *Store) Compact(name string) error { return s.s.Compact(name) }
 
 // StoreGraphInfo describes one registered graph.
