@@ -134,7 +134,8 @@ func (p poisonedApply) Apply(old, agg uint64, v uint32) (uint64, bool) {
 
 // TestPanicInListDrivenRound arms the core/chunk failpoint on a bfs run
 // whose first round is a list-driven round cut into several chunks: every
-// phase chunk runs under runChunk, so the run must fail in that round.
+// phase chunk runs under runChunk's contract, so the run must fail in that
+// round.
 func TestPanicInListDrivenRound(t *testing.T) {
 	const n, hub = 4096, 2400
 	b := graph.NewBuilder(n)

@@ -314,10 +314,10 @@ func TestCarriedCensusMatchesWalk(t *testing.T) {
 				t.Fatalf("%s: the seed did not apply", run.name)
 			}
 			rounds, multi := 0, false
-			for cs := ec.takeCensus(); ec.sparseOK(cs); rounds++ {
+			for cs := ec.takeCensus(); cs.list != nil; rounds++ {
 				cost := runEdgePushSparse(ec, p, cs.list, cs.chunks(workers))
 				multi = multi || cost.edgeChunks > 1
-				runVertex(ec, p, ec.touchedList, len(ec.touchedList), cost.edgeChunks == 1)
+				runVertex(ec, p, true, cost.edgeChunks == 1)
 				if !ec.carried {
 					t.Fatalf("%s w%d round %d: the Vertex phase took no census", run.name, workers, rounds)
 				}
@@ -334,5 +334,36 @@ func TestCarriedCensusMatchesWalk(t *testing.T) {
 				t.Errorf("%s w%d: %d list-driven rounds (multi-chunk %v)", run.name, workers, rounds, multi)
 			}
 		}
+	}
+}
+
+// TestListRoundAllocsConstant: list-driven rounds allocate nothing. A mesh
+// bfs from a corner (152 list-driven rounds) and one from the centre (about
+// half as many) allocate the same one or two objects per run, the props the
+// run hands back among them, on a Runner whose recycled ExecContext has
+// already grown every list a round keeps.
+func TestListRoundAllocsConstant(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	cg := BuildGraph(analogs1[gen.DimacsUSA]())
+	r := NewRunner(cg, Options{Workers: 2})
+	defer r.Close()
+	allocs := func(root uint32) (float64, int) {
+		p := apps.NewBFS(root)
+		var res Result
+		n := testing.AllocsPerRun(20, func() { res = Run(r, p, 1<<20) })
+		if res.SparseIterations != res.Iterations {
+			t.Fatalf("bfs from %d: %d of %d rounds list-driven, want all", root, res.SparseIterations, res.Iterations)
+		}
+		return n, res.Iterations
+	}
+	corner, long := allocs(0)
+	centre, short := allocs(uint32(cg.N/2 + 40))
+	if long < 100 || short >= long*3/4 {
+		t.Fatalf("the searches run %d and %d rounds, want ≥ 100 and well under that", long, short)
+	}
+	if corner != centre || corner > 2 {
+		t.Errorf("allocations per run: %v over %d rounds, %v over %d; want one small constant", corner, long, centre, short)
 	}
 }

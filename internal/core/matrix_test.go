@@ -113,7 +113,7 @@ const (
 // builtArm names the Vertex-phase body a round of p would run on ec now: the
 // one vertexBodyFor builds, for a dense round and a list-driven one alike.
 func builtArm(ec *ExecContext, p apps.Program) string {
-	body, _ := vertexBodyFor(ec, p, nil)
+	body, _ := vertexBodyFor(ec, p)
 	fn := runtime.FuncForPC(reflect.ValueOf(body).Pointer()).Name()
 	switch {
 	case strings.HasSuffix(fn, ".applyBody.func1"):

@@ -129,9 +129,11 @@ func BenchmarkInPlaceCC(b *testing.B) {
 // BenchmarkMeshBFS times whole bfs runs on the road mesh at kernel-frontier's
 // scale, at one and two workers, from four roots spread over the vertex ids.
 // A mesh search is hundreds of list-driven rounds of a few hundred vertices,
-// so its Vertex phase is selectBody's list loop, run inline; ms/run and
-// vertex_ms/run are per search, and us/round is the wall of one round, all
-// of a search's per-round machinery included.
+// so both its phases are plain calls on the driver goroutine (listPush and
+// listSelect); ms/run and vertex_ms/run are per search, and us/round is the
+// wall of one round, all of a search's per-round machinery included. The
+// allocations reported are per op (four searches): the props each hands
+// back.
 func BenchmarkMeshBFS(b *testing.B) {
 	cg := BuildGraph(gen.Generate(gen.DimacsUSA, 4))
 	roots := []uint32{0, uint32(cg.N / 3), uint32(2 * cg.N / 3), uint32(cg.N - 1)}
@@ -141,6 +143,7 @@ func BenchmarkMeshBFS(b *testing.B) {
 			defer r.Close()
 			var vertex time.Duration
 			iterations := 0
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, root := range roots {

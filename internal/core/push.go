@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/apps"
@@ -36,7 +35,7 @@ func RunEdgePush(r *ExecContext, p apps.Program) edgeCost {
 	if r.opt.Scalar {
 		body = pushScalarBody(r, &fz)
 	} else {
-		body = pushBody(r, &fz, nil, false)
+		body = pushBody(r, &fz)
 	}
 	// Chunk over source vertices: the per-source frontier bit skips whole
 	// adjacency lists (push's advantage, §2), and the vertex index — which
@@ -53,35 +52,22 @@ func RunEdgePush(r *ExecContext, p apps.Program) edgeCost {
 	return cost
 }
 
-// pushBody builds the vectorized Edge-Push chunk body, the one body of both
-// round kinds: one frontier check and one property load per source vector,
-// messages computed per lane, and a per-lane scatter — there is no
-// atomic-update-scatter instruction (§6.2's explanation for push's flat
-// vectorization response). With list == nil a chunk is a range of vertex
-// ids, each tested against the frontier bitmap (a dense round); otherwise it
-// is a range of list's entries (a list-driven round), and every destination
-// the round reaches joins the touched set. A lane's write is a scatter-buffer
-// append (fz.ordered), a plain write in an inline list round (the driver
-// goroutine is the only writer) or a CAS; the touched insert is a plain one
-// inline and an atomic one otherwise. Each choice is a loop invariant fixed
-// when the body is built; no call per lane selects it.
-//
-// The min kinds (bfs, cc) are resolved as selectBody resolves them: a message
-// per source, and a lane's min inline, charged as plainCombine/casCombine do.
-//
-// Counters: under Record a dense round also charges InvalidLanes and the
-// Local/Remote split, which a list-driven round charges neither of.
-func pushBody(r *ExecContext, fz *fuse, list []uint32, inline bool) func(rg sched.Range, chunkID, tid, node int) {
+// pushBody builds the vectorized dense Edge-Push chunk body: a chunk is a
+// range of vertex ids, each tested against the frontier bitmap, with one
+// frontier check and one property load per source vector, messages computed
+// per lane, and a per-lane scatter — there is no atomic-update-scatter
+// instruction (§6.2's explanation for push's flat vectorization response). A
+// lane's write is a scatter-buffer append (fz.ordered) or a CAS. Under Record
+// a dense round also charges InvalidLanes and the Local/Remote split, which a
+// list-driven round (listPush) charges neither of.
+func pushBody(r *ExecContext, fz *fuse) func(rg sched.Range, chunkID, tid, node int) {
 	p := fz.p
 	a := r.g.VSS
 	usesFrontier := p.UsesFrontier()
 	tracksConv := p.TracksConverged()
 	skipEqual := p.SkipEqualWrites()
-	minProp, minKind := fz.kind == apps.FusedMinProp, fz.kind == apps.FusedMinProp || fz.kind == apps.FusedMinSrc
 	props, accum, conv := r.props, r.accum, r.conv.Words()
 	rec := r.edgeRec
-	lanes := rec != nil && list == nil
-	touched := r.touched
 	return func(rg sched.Range, chunkID, tid, node int) {
 		var c perfmodel.Counters
 		var out []sched.Contribution
@@ -90,14 +76,8 @@ func pushBody(r *ExecContext, fz *fuse, list []uint32, inline bool) func(rg sche
 		}
 		for i := rg.Lo; i < rg.Hi; i++ {
 			src := uint32(i)
-			if list != nil {
-				src = list[i]
-			} else if usesFrontier && !r.front.Contains(src) {
+			if usesFrontier && !r.front.Contains(src) {
 				continue
-			}
-			msg := uint64(src)
-			if minProp {
-				msg = props[src]
 			}
 			// One slab holds the source's vectors.
 			words, weights := a.Vectors(src)
@@ -107,7 +87,7 @@ func pushBody(r *ExecContext, fz *fuse, list []uint32, inline bool) func(rg sche
 				mask := signMask4(v0, v1, v2, v3)
 				neigh := widen4(v0, v1, v2, v3)
 				// Record-only lane counters, kept out of the lane loop.
-				if lanes {
+				if rec != nil {
 					c.InvalidLanes += uint64(vec.Lanes - mask.Count())
 					for m := mask; m != 0; m = m.Rest() {
 						if dst := uint32(neigh[m.First()]); !tracksConv || !r.conv.Contains(dst) {
@@ -123,48 +103,16 @@ func pushBody(r *ExecContext, fz *fuse, list []uint32, inline bool) func(rg sche
 						continue
 					}
 					c.EdgesProcessed++
-					switch {
-					case minKind && inline:
-						if old := accum[dst]; msg < old || !skipEqual {
-							accum[dst] = min(old, msg)
-							c.SharedWrites++
-						} else {
-							c.SkippedWrites++
-						}
-					case minKind: // casCombine's loop: merged == old exactly when msg >= old
-						for {
-							old := atomic.LoadUint64(&accum[dst])
-							if skipEqual && msg >= old {
-								c.SkippedWrites++
-								break
-							}
-							c.AtomicOps++
-							if atomic.CompareAndSwapUint64(&accum[dst], old, min(old, msg)) {
-								c.SharedWrites++
-								break
-							}
-							c.CASRetries++
-						}
-					default:
-						var w float32
-						if fz.weighted {
-							w = weights[base+lane]
-						}
-						msg := fz.stepMsg(props, uint64(src), w)
-						switch {
-						case fz.ordered:
-							out = append(out, sched.Contribution{Dst: dst, Val: msg})
-							c.TLSWrites++
-						case inline:
-							plainCombine(fz, &accum[dst], msg, skipEqual, &c)
-						default:
-							casCombine(fz, &accum[dst], msg, skipEqual, &c)
-						}
+					var w float32
+					if fz.weighted {
+						w = weights[base+lane]
 					}
-					if inline {
-						touched.add(dst)
-					} else if list != nil {
-						touched.addAtomic(dst)
+					msg := fz.stepMsg(props, uint64(src), w)
+					if fz.ordered {
+						out = append(out, sched.Contribution{Dst: dst, Val: msg})
+						c.TLSWrites++
+					} else {
+						casCombine(fz, &accum[dst], msg, skipEqual, &c)
 					}
 				}
 			}
@@ -174,6 +122,76 @@ func pushBody(r *ExecContext, fz *fuse, list []uint32, inline bool) func(rg sche
 		}
 		rec.Record(tid, c)
 	}
+}
+
+// listPush runs a list-driven round's Edge-Push lanes over front's entries
+// rg: pushBody's walk minus the frontier test, each destination reached
+// joining the touched set. Inline (the only writer) a min kind (bfs, cc)
+// stores its per-source message's min plainly and other kinds plainCombine;
+// otherwise lanes CAS. Ordered kinds append. It returns the counters.
+func (r *ExecContext) listPush(front []uint32, rg sched.Range, chunkID int, inline bool) perfmodel.Counters {
+	fz, tracksConv, skipEqual := &r.lr.fz, r.lr.tracksConv, r.lr.skipEqual
+	minProp, minKind := fz.kind == apps.FusedMinProp, fz.kind == apps.FusedMinProp || fz.kind == apps.FusedMinSrc
+	props, accum, conv, vss, touched := r.props, r.accum, r.conv.Words(), r.g.VSS, r.touched
+	var c perfmodel.Counters
+	var out []sched.Contribution
+	if fz.ordered {
+		out = r.scatterBuf.Take(chunkID)
+	}
+	for _, src := range front[rg.Lo:rg.Hi] {
+		msg := uint64(src)
+		if minProp {
+			msg = props[src]
+		}
+		words, weights := vss.Vectors(src)
+		for base := 0; base < len(words); base += vec.Lanes {
+			v0, v1, v2, v3 := words[base], words[base+1], words[base+2], words[base+3]
+			c.VectorsProcessed++
+			mask := signMask4(v0, v1, v2, v3)
+			neigh := widen4(v0, v1, v2, v3)
+			for m := mask; m != 0; m = m.Rest() {
+				lane := m.First()
+				dst := uint32(neigh[lane])
+				if tracksConv && conv[dst>>6]&(1<<(dst&63)) != 0 {
+					c.FrontierSkips++
+					continue
+				}
+				c.EdgesProcessed++
+				if minKind && inline {
+					if old := accum[dst]; msg < old || !skipEqual {
+						accum[dst] = min(old, msg)
+						c.SharedWrites++
+					} else {
+						c.SkippedWrites++
+					}
+				} else {
+					var w float32
+					if fz.weighted {
+						w = weights[base+lane]
+					}
+					msg := fz.stepMsg(props, uint64(src), w)
+					switch {
+					case fz.ordered:
+						out = append(out, sched.Contribution{Dst: dst, Val: msg})
+						c.TLSWrites++
+					case inline:
+						plainCombine(fz, &accum[dst], msg, skipEqual, &c)
+					default:
+						casCombine(fz, &accum[dst], msg, skipEqual, &c)
+					}
+				}
+				if inline {
+					touched.add(dst)
+				} else {
+					touched.addAtomic(dst)
+				}
+			}
+		}
+	}
+	if fz.ordered {
+		r.scatterBuf.Save(chunkID, out)
+	}
+	return c
 }
 
 // mergeScatter folds the scatter buffer into the shared accumulators in

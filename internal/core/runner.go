@@ -75,10 +75,12 @@ type ExecContext struct {
 	// iterations rather than reallocated by each one.
 	frontList, touchedList []uint32
 	nodeStates             []nodeState
-	// nextParts is the census a list-driven selectBody takes, a part per
+	// nextParts is the census a list-driven listSelect takes, a part per
 	// range; carried reports that the last Vertex phase took it.
 	nextParts []census
 	carried   bool
+	// lr is the run's resolved list-driven round state.
+	lr listRound
 	// contrib is the rank-sum span pull's gather target, rank[v]·scale[v] per
 	// vertex (pullSpanBody); nil until a rank-sum program first runs on this
 	// context. contribCurrent records that it matches props: the last Vertex
@@ -269,6 +271,7 @@ func (ec *ExecContext) Init(p apps.Program) {
 	clear(ec.touched.words)
 	clear(ec.touched.sum)
 	ec.carried = false
+	ec.lr = listRound{}
 	p.InitFrontier(ec.front)
 	p.InitConverged(ec.conv)
 	ec.mergeBuf.Reset()
@@ -305,18 +308,15 @@ func (ec *ExecContext) aborted() bool {
 	return ec.runErr.Load() != nil || ec.cancelled()
 }
 
-// runChunk executes one phase chunk; every phase runs its chunks here. The
-// first panic is recorded (with stack) and the run aborts at the next chunk
-// boundary, while the worker, the pool, and sibling runs continue. The
-// core/chunk failpoint sits here so fault-injection tests can make exactly
-// one chunk of one run blow up. A non-nil rec (an Edge phase under Record)
-// is charged the chunk's busy time: the only clock a chunk reads.
+// runChunk executes one dense phase chunk (listChunk keeps the same
+// contract). The first panic is recorded (with stack) and the run aborts at
+// the next chunk boundary, while the worker, the pool, and sibling runs
+// continue. The core/chunk failpoint sits here so fault-injection tests can
+// make exactly one chunk of one run blow up. A non-nil rec (an Edge phase
+// under Record) is charged the chunk's busy time: the only clock a chunk
+// reads.
 func (ec *ExecContext) runChunk(rec *perfmodel.Recorder, body func(rg sched.Range, chunkID, tid, node int), rg sched.Range, chunkID, tid, node int) {
-	defer func() {
-		if r := recover(); r != nil {
-			ec.runErr.CompareAndSwap(nil, sched.NewPanicError(r))
-		}
-	}()
+	defer ec.recoverChunk()
 	if err := fault.Inject("core/chunk"); err != nil {
 		panic(err)
 	}
@@ -327,6 +327,13 @@ func (ec *ExecContext) runChunk(rec *perfmodel.Recorder, body func(rg sched.Rang
 	start := time.Now()
 	body(rg, chunkID, tid, node)
 	rec.AddBusy(tid, time.Since(start))
+}
+
+// recoverChunk, deferred by a chunk, records its panic as the run's abort.
+func (ec *ExecContext) recoverChunk() {
+	if r := recover(); r != nil {
+		ec.runErr.CompareAndSwap(nil, sched.NewPanicError(r))
+	}
 }
 
 // nodeState is one simulated NUMA node's chunk-ticket state within a
@@ -480,22 +487,17 @@ func runLoop(ec *ExecContext, p apps.Program, maxIters int, seed *Seed) (Result,
 		DegreeShareThreshold: ec.opt.PullDegreeShare,
 	}
 
-	// cs is the current iteration's census; degreeShare reads it.
+	// cs is the current iteration's census.
 	var cs census
 	// The degree-sum term sends a low-density, hub-heavy frontier to pull.
 	// That pays only where the pull scan can stop early — at a converged
 	// destination or a saturated gather; a program that gathers every
 	// in-edge regardless (SSSP) runs such iterations faster as a dense-scan
-	// push (EXPERIMENTS.md, "Direction-rule sweep"), so it gets no term.
+	// push (EXPERIMENTS.md, "Direction-rule sweep"), so it gets no term. It
+	// walks the frontier: a census with a sum runs list-driven regardless.
 	var degreeShare func() float64
 	if kind, _ := apps.KindOf(p); p.TracksConverged() || kind == apps.FusedMinSrc {
-		degreeShare = func() float64 {
-			if cs.list != nil {
-				// The census already summed the list's out-degrees.
-				return float64(cs.outEdges) / float64(ec.g.Edges)
-			}
-			return ec.frontierDegreeShare()
-		}
+		degreeShare = ec.frontierDegreeShare
 	}
 
 	// last is the clock reading that ended the previous round (the run's
@@ -513,28 +515,25 @@ func runLoop(ec *ExecContext, p apps.Program, maxIters int, seed *Seed) (Result,
 			}
 			st.Density = float64(cs.count) / float64(ec.g.N)
 			st.DegreeShare = degreeShare
-			st.SparseOK = ec.sparseOK(cs)
+			st.SparseOK = cs.list != nil
 		}
 		p.PreIteration(ec.props)
 
 		rd := round{dir: pol.Choose(st), density: st.Density}
-		// The Vertex phase visits every vertex, or only the list-driven
-		// round's touched destinations, inline when its Edge phase was.
-		var list []uint32
-		n, inline := ec.g.N, false
 		t0 := time.Now()
 		untimed += t0.Sub(last)
 		switch rd.dir {
 		case dirSparse:
 			rd.edgeCost = runEdgePushSparse(ec, p, cs.list, cs.chunks(ec.pool.Workers()))
-			list, n, inline = ec.touchedList, len(ec.touchedList), rd.edgeChunks == 1
 		case dirPull:
 			rd.edgeCost = RunEdgePull(ec, p)
 		default:
 			rd.edgeCost = RunEdgePush(ec, p)
 		}
 		t1 := time.Now()
-		rd.vertexChunks = runVertex(ec, p, list, n, inline)
+		// The Vertex phase visits every vertex, or only the list-driven
+		// round's touched destinations, inline when its Edge phase was.
+		rd.vertexChunks = runVertex(ec, p, rd.dir == dirSparse, rd.edgeChunks == 1)
 		last = time.Now()
 		rd.edge, rd.vertex = t1.Sub(t0), last.Sub(t1)
 		ec.fold(&res, &rd)

@@ -3,8 +3,10 @@ package core
 import (
 	"math/bits"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/apps"
+	"repro/internal/fault"
 	"repro/internal/sched"
 )
 
@@ -35,53 +37,55 @@ const sparseInlineWork = 1024
 type census struct {
 	// count is |F|.
 	count int
-	// list is F in ascending order, materialized only when count alone fits
-	// the sparse budget; outEdges is then its out-degree sum.
+	// list is F in ascending order and outEdges its out-degree sum, set only
+	// when F fits the list-driven round's budget.
 	list     []uint32
 	outEdges int
 }
 
 // takeCensus concatenates the parts the last Vertex phase took, when that
-// was a list-driven round's selectBody (DESIGN.md §13 says why a dense round
-// does not). Otherwise it walks the frontier bitmap once for the count and,
-// when the list-driven round is still possible, once more for the list and
-// its out-degree sum. The round is a push kernel, so pull-only runs never
-// take it.
+// was a list-driven round's (DESIGN.md §13 says why a dense round does not).
+// Otherwise it walks the frontier bitmap once for the count and, while the
+// list-driven round is still possible, once more for the list and its
+// out-degree sum: a census past the budget carries neither. The round is a
+// push kernel, so pull-only runs never take it.
 func (r *ExecContext) takeCensus() census {
-	cs, carried := census{}, r.carried
-	if r.carried = false; carried {
-		r.frontList = r.frontList[:0]
+	budget := r.g.Edges / sparseThresholdDivisor
+	list, count, outEdges := r.frontList[:0], 0, 0
+	if r.carried {
+		r.carried = false
 		for _, part := range r.nextParts {
-			r.frontList = append(r.frontList, part.list...)
-			cs.outEdges += part.outEdges
+			list = append(list, part.list...)
+			outEdges += part.outEdges
 		}
-		cs.count = len(r.frontList)
+		count = len(list)
 	} else {
-		cs.count = r.front.Count()
-	}
-	if r.opt.AblateFrontierWork || r.opt.Mode == EnginePullOnly ||
-		cs.count == 0 || cs.count > r.g.Edges/sparseThresholdDivisor {
-		return census{count: cs.count}
-	}
-	if !carried {
-		r.frontList = r.front.AppendTo(r.frontList[:0])
+		count = r.front.Count()
+		if r.opt.AblateFrontierWork || r.opt.Mode == EnginePullOnly || count > budget {
+			return census{count: count}
+		}
 		deg := r.g.outDegrees()
-		for _, v := range r.frontList {
-			cs.outEdges += int(deg[v])
+	walk:
+		for wi, w := range r.front.Words() {
+			for ; w != 0; w &= w - 1 {
+				v := uint32(wi<<6 | bits.TrailingZeros64(w))
+				list = append(list, v)
+				if outEdges += int(deg[v]); count+outEdges > budget {
+					break walk
+				}
+			}
 		}
 	}
-	cs.list = r.frontList
-	return cs
+	r.frontList = list
+	if count == 0 || count+outEdges > budget {
+		return census{count: count}
+	}
+	return census{count: count, list: list, outEdges: outEdges}
 }
 
 // work is the size of a list-driven round over the census's frontier: its
 // vertices plus their out-edges (meaningful only when list is set).
 func (cs census) work() int { return cs.count + cs.outEdges }
-
-// sparseOK reports whether the frontier fits the list-driven round's budget.
-func (r *ExecContext) sparseOK(cs census) bool {
-	return cs.list != nil && cs.work() <= r.g.Edges/sparseThresholdDivisor
-}
 
 // chunks is the number of chunks the list-driven round over this frontier
 // asks for: as many as the scheduler's default, but none smaller than
@@ -91,43 +95,73 @@ func (cs census) chunks(workers int) int {
 	return max(1, min(cs.work()/sparseInlineWork, sched.DefaultChunks(workers)))
 }
 
+// listRound is what a run resolves at its first list-driven round: p's fused
+// kind, its Vertex lanes (selects), its flags and the census's out-degrees.
+type listRound struct {
+	p                                apps.Program // nil until resolved
+	fz                               fuse
+	sel, once, tracksConv, skipEqual bool
+	identity                         uint64
+	deg                              []uint32
+}
+
 // runEdgePushSparse is the list-driven round's Edge-Push driver: it scatters
-// only the frontier's out-edges through pushBody, collecting the set of
+// only the frontier's out-edges through listPush, collecting the set of
 // touched destinations into r.touchedList for the list-driven Vertex phase,
 // cutting the list into the given number of chunks. A cut that comes out as
 // one chunk — a short list, or one hub whose out-edges alone make the work —
-// runs inline on the driver goroutine (the touched list is no longer than
-// the out-edge sum, so it fits too), with plain writes; the others run on the
-// pool. It returns the chunks it cut (the caller runs the Vertex phase
-// inline when that is one) and its merge fold's wall. Under Record the round
-// charges its body's counters, but no InvalidLanes and no Local/Remote
-// split; runChunk charges each chunk's busy time.
+// is one plain listChunk call on the driver goroutine (the touched list is no
+// longer than the out-edge sum, so it fits too), with plain writes; the
+// others run on the pool. It returns the chunks it cut (the caller runs the
+// Vertex phase inline when that is one) and its merge fold's wall.
 func runEdgePushSparse(r *ExecContext, p apps.Program, front []uint32, chunks int) edgeCost {
+	if r.lr.p == nil {
+		sel, once := selects(r, p)
+		r.lr = listRound{p: p, fz: fuseFor(p, p.Weighted() && r.g.VSS.Weighted), sel: sel, once: once,
+			tracksConv: p.TracksConverged(), skipEqual: p.SkipEqualWrites(), identity: p.Identity(), deg: r.g.outDegrees()}
+	}
 	// The frontier list is sorted, so chunk ranges — and the scatter
 	// buffer's fold of an ordered program's contributions — are stable
 	// across runs.
 	chunk := sched.ChunkSize(len(front), chunks)
 	cost := edgeCost{edgeChunks: sched.NumChunks(len(front), chunk)}
-	inline := cost.edgeChunks == 1
-	fz := fuseFor(p, p.Weighted() && r.g.VSS.Weighted)
-	body := pushBody(r, &fz, front, inline)
-	if fz.ordered {
+	if r.lr.fz.ordered {
 		r.scatterBuf.Grow(cost.edgeChunks)
 	}
-	if inline {
-		r.runChunk(r.edgeRec, body, sched.Range{Lo: 0, Hi: len(front)}, 0, 0, 0)
+	if cost.edgeChunks == 1 {
+		r.listChunk(front, sched.Range{Hi: len(front)}, 0, 0, true, true)
 	} else {
 		r.pool.DynamicFor(len(front), chunk, func(rg sched.Range, chunkID, tid int) {
 			if !r.aborted() {
-				r.runChunk(r.edgeRec, body, rg, chunkID, tid, 0)
+				r.listChunk(front, rg, chunkID, tid, true, false)
 			}
 		})
 	}
-	if fz.ordered {
-		cost.merged, cost.merge = true, mergeScatter(r, &fz)
+	if r.lr.fz.ordered {
+		cost.merged, cost.merge = true, mergeScatter(r, &r.lr.fz)
 	}
 	r.touchedList = r.touched.drain(r.touchedList[:0])
 	return cost
+}
+
+// listChunk runs one chunk of a list-driven round's Edge (push) or Vertex
+// phase under runChunk's contract, with no closure before the lanes, and
+// charges its counters and (Edge) busy time under Record.
+func (r *ExecContext) listChunk(list []uint32, rg sched.Range, chunkID, tid int, push, inline bool) {
+	defer r.recoverChunk()
+	if err := fault.Inject("core/chunk"); err != nil {
+		panic(err)
+	}
+	switch {
+	case !push:
+		r.vertexRec.Record(tid, r.listSelect(list, rg, tid))
+	case r.edgeRec == nil:
+		r.listPush(list, rg, chunkID, inline)
+	default:
+		start := time.Now()
+		r.edgeRec.Record(tid, r.listPush(list, rg, chunkID, inline))
+		r.edgeRec.AddBusy(tid, time.Since(start))
+	}
 }
 
 // touchedSet is the list-driven round's reached destinations: a bit per

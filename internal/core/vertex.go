@@ -15,43 +15,57 @@ import (
 // one). One driver, runVertex, serves the dense round — every vertex,
 // statically scheduled (§5: the work is regular enough that load balancing is
 // not a problem) — and the list-driven round, which visits only the touched
-// destinations. It runs one of three bodies:
+// destinations through listSelect (selectBody's lane step or Apply, a vertex
+// at a time). A dense round runs one of three bodies:
 //
 //   - selectBody, for the two min kinds (cc's FusedMinProp, bfs's
 //     FusedMinSrc): a kind fixes Apply as well as the Edge operator
 //     (apps.FusedKind), so the body inlines it as a compare/select per lane,
 //     with no indirect call;
-//   - rankBody, for a dense round of a rank sum (FusedRankSum: pr, ppr, wpr),
-//     Scalar runs included: the program's per-iteration apps.RankStep
-//     inlined, and in the same pass, when the run's pull gathers it, the
-//     contrib array the next sweep reads;
+//   - rankBody, for a rank sum (FusedRankSum: pr, ppr, wpr), Scalar runs
+//     included: the program's per-iteration apps.RankStep inlined, and in
+//     the same pass, when the run's pull gathers it, the contrib array the
+//     next sweep reads;
 //   - applyBody, the program's own Apply: every other kind, every unfused
 //     program, and every other Scalar run (the non-vectorized baseline of
 //     Fig 10).
 //
-// All three collect changed-vertex bits a 64-vertex word at a time
+// All of them collect changed-vertex bits a 64-vertex word at a time
 // (wordBits), so the only atomic in the phase is the OR into a word a
 // neighbouring range shares. The lanes, the frontiers and the Record counters
 // are the same bits whichever body runs.
 
 // RunVertex runs a dense Vertex phase and swaps the next frontier in.
-func RunVertex(r *ExecContext, p apps.Program) { runVertex(r, p, nil, r.g.N, false) }
+func RunVertex(r *ExecContext, p apps.Program) { runVertex(r, p, false, false) }
 
-// runVertex runs the Vertex phase over n vertices — every vertex when list is
-// nil (n = N), otherwise list, the list-driven round's ascending touched
-// vertices (n = len(list)) — and publishes the next frontier. Skipping the
-// untouched vertices is exact: they hold identity aggregates, and Apply(old,
-// Identity, v) == (old, false) for every frontier-driven program (the
-// registry conformance suite holds them to it). inline runs the phase as one
-// chunk on the driver goroutine. It returns the number of chunks it cut.
-func runVertex(r *ExecContext, p apps.Program, list []uint32, n int, inline bool) int {
-	body, fresh := vertexBodyFor(r, p, list)
+// runVertex runs the Vertex phase and publishes the next frontier. A dense
+// round visits every vertex; a list-driven round (list) only its touched
+// destinations, r.touchedList, as one plain listChunk call when inline. The
+// skip is exact: untouched vertices hold Identity, and Apply(old, Identity,
+// v) == (old, false) for every frontier-driven program (the registry
+// conformance suite holds them to it). It returns the chunks it cut.
+func runVertex(r *ExecContext, p apps.Program, list, inline bool) int {
+	if list && r.lr.sel {
+		for i := range r.nextParts {
+			r.nextParts[i] = census{list: r.nextParts[i].list[:0]}
+		}
+		r.carried = true
+	}
 	r.next.Clear()
-	chunks := 1
-	if inline {
-		r.runChunk(nil, body, sched.Range{Lo: 0, Hi: n}, 0, 0, 0)
-	} else {
-		chunks = r.pool.StaticFor(n, func(rg sched.Range, tid int) {
+	chunks, fresh := 1, false
+	switch {
+	case list && inline:
+		r.listChunk(r.touchedList, sched.Range{Hi: len(r.touchedList)}, 0, 0, false, true)
+	case list:
+		chunks = r.pool.StaticFor(len(r.touchedList), func(rg sched.Range, tid int) {
+			if !r.aborted() {
+				r.listChunk(r.touchedList, rg, 0, tid, false, false)
+			}
+		})
+	default:
+		var body func(rg sched.Range, chunkID, tid, node int)
+		body, fresh = vertexBodyFor(r, p)
+		chunks = r.pool.StaticFor(r.g.N, func(rg sched.Range, tid int) {
 			if !r.aborted() {
 				r.runChunk(nil, body, rg, 0, tid, 0)
 			}
@@ -62,20 +76,19 @@ func runVertex(r *ExecContext, p apps.Program, list []uint32, n int, inline bool
 	return chunks
 }
 
-// vertexBodyFor returns p's Vertex-phase body — selectBody, rankBody or
-// applyBody — and whether it leaves contrib current for the next pull. With
-// list nil a range is of vertices, otherwise of list's entries. It snapshots
-// the next-frontier words, which swap on publish, so it is rebuilt every
-// round.
-func vertexBodyFor(r *ExecContext, p apps.Program, list []uint32) (body func(rg sched.Range, chunkID, tid, node int), fresh bool) {
+// vertexBodyFor returns p's dense Vertex-phase body — selectBody, rankBody or
+// applyBody — and whether it leaves contrib current for the next pull. It
+// snapshots the next-frontier words, which swap on publish, so it is rebuilt
+// every round.
+func vertexBodyFor(r *ExecContext, p apps.Program) (body func(rg sched.Range, chunkID, tid, node int), fresh bool) {
 	if sel, once := selects(r, p); sel {
-		return selectBody(r, p, list, once), false
+		return selectBody(r, p, once), false
 	}
-	if step, scale, ok := rankStep(p); ok && list == nil {
+	if step, scale, ok := rankStep(p); ok {
 		fresh = r.gathersContrib(p)
 		return rankBody(r, p, step, scale, fresh), fresh
 	}
-	return applyBody(r, p, list), false
+	return applyBody(r, p), false
 }
 
 // rankStep resolves the iteration's rank step and the per-source scale of a
@@ -120,80 +133,55 @@ func selectStep(once bool, old, agg uint64) (uint64, bool) {
 // NoParent): the value selectBody resets accum to and an idle lane holds.
 const kindIdentity = ^uint64(0)
 
-// selectBody is the Vertex phase of the two min kinds: per 4-lane group, the
-// idle-group skip, then applyOnce or applyMin on every lane (one branch on
-// once per group), the props store, the accum reset and a changed-lane mask.
-// Over a list it also takes the next census: a range appends each vertex it
-// activates, with its out-degree, to part tid (StaticFor's tid-th range).
-func selectBody(r *ExecContext, p apps.Program, list []uint32, once bool) func(rg sched.Range, chunkID, tid, node int) {
+// selectBody is the dense Vertex phase of the two min kinds: per 4-lane
+// group, the idle-group skip, then applyOnce or applyMin on every lane (one
+// branch on once per group), the props store, the accum reset and a
+// changed-lane mask.
+func selectBody(r *ExecContext, p apps.Program, once bool) func(rg sched.Range, chunkID, tid, node int) {
 	props, accum := r.props, r.accum
 	skipIdle := p.UsesFrontier() && !r.opt.AblateFrontierWork
-	var deg []uint32
-	if list != nil {
-		deg = r.g.outDegrees()
-		for i := range r.nextParts {
-			r.nextParts[i] = census{list: r.nextParts[i].list[:0]}
-		}
-		r.carried = true
-	}
 	return func(rg sched.Range, _, tid, _ int) {
 		var c perfmodel.Counters
-		fb := r.newWordBits(p, list, rg)
-		if list != nil {
-			part := &r.nextParts[tid]
-			next, outEdges := part.list, 0
-			for _, v := range list[rg.Lo:rg.Hi] {
-				nv, changed := selectStep(once, props[v], accum[v])
-				props[v], accum[v] = nv, kindIdentity
-				if changed {
-					fb.add(int(v>>6), 1<<(v&63))
-					next = append(next, v)
-					outEdges += int(deg[v])
-				}
+		fb := r.newWordBits(p, nil, rg)
+		v := rg.Lo
+		for ; v+vec.Lanes <= rg.Hi; v += vec.Lanes {
+			a := accum[v : v+vec.Lanes : v+vec.Lanes]
+			if skipIdle && a[0]&a[1]&a[2]&a[3] == kindIdentity {
+				continue
 			}
-			part.list, part.outEdges = next, outEdges
-			c.SharedWrites += 2 * uint64(rg.Hi-rg.Lo)
-		} else {
-			v := rg.Lo
-			for ; v+vec.Lanes <= rg.Hi; v += vec.Lanes {
-				a := accum[v : v+vec.Lanes : v+vec.Lanes]
-				if skipIdle && a[0]&a[1]&a[2]&a[3] == kindIdentity {
-					continue
-				}
-				o := props[v : v+vec.Lanes : v+vec.Lanes]
-				// Each arm stores its own lanes: a draft that merged the
-				// two arms' lanes before one shared store cost cc's Vertex
-				// phase about a fifth (EXPERIMENTS.md, "One Vertex driver,
-				// two bodies").
-				var m uint64
-				if once {
-					n0, c0 := applyOnce(o[0], a[0])
-					n1, c1 := applyOnce(o[1], a[1])
-					n2, c2 := applyOnce(o[2], a[2])
-					n3, c3 := applyOnce(o[3], a[3])
-					o[0], o[1], o[2], o[3] = n0, n1, n2, n3
-					m = laneMask(c0, c1, c2, c3)
-				} else {
-					n0, c0 := applyMin(o[0], a[0])
-					n1, c1 := applyMin(o[1], a[1])
-					n2, c2 := applyMin(o[2], a[2])
-					n3, c3 := applyMin(o[3], a[3])
-					o[0], o[1], o[2], o[3] = n0, n1, n2, n3
-					m = laneMask(c0, c1, c2, c3)
-				}
-				a[0], a[1], a[2], a[3] = kindIdentity, kindIdentity, kindIdentity, kindIdentity
-				c.SharedWrites += 2 * vec.Lanes
-				if m != 0 {
-					fb.addGroup(v, m)
-				}
+			o := props[v : v+vec.Lanes : v+vec.Lanes]
+			// Each arm stores its own lanes: a draft that merged the
+			// two arms' lanes before one shared store cost cc's Vertex
+			// phase about a fifth (EXPERIMENTS.md, "One Vertex driver,
+			// two bodies").
+			var m uint64
+			if once {
+				n0, c0 := applyOnce(o[0], a[0])
+				n1, c1 := applyOnce(o[1], a[1])
+				n2, c2 := applyOnce(o[2], a[2])
+				n3, c3 := applyOnce(o[3], a[3])
+				o[0], o[1], o[2], o[3] = n0, n1, n2, n3
+				m = laneMask(c0, c1, c2, c3)
+			} else {
+				n0, c0 := applyMin(o[0], a[0])
+				n1, c1 := applyMin(o[1], a[1])
+				n2, c2 := applyMin(o[2], a[2])
+				n3, c3 := applyMin(o[3], a[3])
+				o[0], o[1], o[2], o[3] = n0, n1, n2, n3
+				m = laneMask(c0, c1, c2, c3)
 			}
-			for ; v < rg.Hi; v++ {
-				nv, changed := selectStep(once, props[v], accum[v])
-				props[v], accum[v] = nv, kindIdentity
-				c.SharedWrites += 2
-				if changed {
-					fb.add(v>>6, 1<<(uint(v)&63))
-				}
+			a[0], a[1], a[2], a[3] = kindIdentity, kindIdentity, kindIdentity, kindIdentity
+			c.SharedWrites += 2 * vec.Lanes
+			if m != 0 {
+				fb.addGroup(v, m)
+			}
+		}
+		for ; v < rg.Hi; v++ {
+			nv, changed := selectStep(once, props[v], accum[v])
+			props[v], accum[v] = nv, kindIdentity
+			c.SharedWrites += 2
+			if changed {
+				fb.add(v>>6, 1<<(uint(v)&63))
 			}
 		}
 		fb.flush()
@@ -250,13 +238,12 @@ func rankBody(r *ExecContext, p apps.Program, step apps.RankStep, scale []float6
 	}
 }
 
-// applyBody is the Vertex phase through the program's own Apply: over a
-// list, one vertex at a time; dense, four lanes per step with one bounds
-// check per vector (§6.2 found this phase memory-bandwidth-bound; with an
-// indirect Apply per lane it is call-bound instead, which is why the min
-// kinds run selectBody and the rank sums rankBody), or one vertex at a time
-// in a Scalar run.
-func applyBody(r *ExecContext, p apps.Program, list []uint32) func(rg sched.Range, chunkID, tid, node int) {
+// applyBody is the dense Vertex phase through the program's own Apply: four
+// lanes per step with one bounds check per vector (§6.2 found this phase
+// memory-bandwidth-bound; with an indirect Apply per lane it is call-bound
+// instead, which is why the min kinds run selectBody and the rank sums
+// rankBody), or one vertex at a time in a Scalar run.
+func applyBody(r *ExecContext, p apps.Program) func(rg sched.Range, chunkID, tid, node int) {
 	props, accum := r.props, r.accum
 	identity := p.Identity()
 	scalar := r.opt.Scalar
@@ -267,7 +254,7 @@ func applyBody(r *ExecContext, p apps.Program, list []uint32) func(rg sched.Rang
 	skipIdle := p.UsesFrontier() && !r.opt.AblateFrontierWork
 	return func(rg sched.Range, _, tid, _ int) {
 		var c perfmodel.Counters
-		fb := r.newWordBits(p, list, rg)
+		fb := r.newWordBits(p, nil, rg)
 		apply := func(v uint32) {
 			nv, changed := p.Apply(props[v], accum[v], v)
 			props[v], accum[v] = nv, identity
@@ -276,46 +263,68 @@ func applyBody(r *ExecContext, p apps.Program, list []uint32) func(rg sched.Rang
 				fb.add(int(v>>6), 1<<(v&63))
 			}
 		}
-		switch {
-		case list != nil:
-			for _, v := range list[rg.Lo:rg.Hi] {
-				apply(v)
+		v := rg.Lo
+		for ; !scalar && v+vec.Lanes <= rg.Hi; v += vec.Lanes {
+			agg := vec.Load(accum, v)
+			if skipIdle && agg[0] == identity && agg[1] == identity &&
+				agg[2] == identity && agg[3] == identity {
+				continue
 			}
-		case scalar:
-			for v := rg.Lo; v < rg.Hi; v++ {
-				apply(uint32(v))
-			}
-		default:
-			v := rg.Lo
-			for ; v+vec.Lanes <= rg.Hi; v += vec.Lanes {
-				agg := vec.Load(accum, v)
-				if skipIdle && agg[0] == identity && agg[1] == identity &&
-					agg[2] == identity && agg[3] == identity {
-					continue
-				}
-				old := vec.Load(props, v)
-				var m uint64
-				for lane := 0; lane < vec.Lanes; lane++ {
-					nv, changed := p.Apply(old[lane], agg[lane], uint32(v+lane))
-					old[lane] = nv
-					if changed {
-						m |= 1 << lane
-					}
-				}
-				vec.Store(props, v, old)
-				vec.Store(accum, v, vec.Broadcast(identity))
-				c.SharedWrites += 2 * vec.Lanes
-				if m != 0 {
-					fb.addGroup(v, m)
+			old := vec.Load(props, v)
+			var m uint64
+			for lane := 0; lane < vec.Lanes; lane++ {
+				nv, changed := p.Apply(old[lane], agg[lane], uint32(v+lane))
+				old[lane] = nv
+				if changed {
+					m |= 1 << lane
 				}
 			}
-			for ; v < rg.Hi; v++ {
-				apply(uint32(v))
+			vec.Store(props, v, old)
+			vec.Store(accum, v, vec.Broadcast(identity))
+			c.SharedWrites += 2 * vec.Lanes
+			if m != 0 {
+				fb.addGroup(v, m)
 			}
+		}
+		for ; v < rg.Hi; v++ {
+			apply(uint32(v))
 		}
 		fb.flush()
 		r.vertexRec.Record(tid, c)
 	}
+}
+
+// listSelect is a list-driven round's Vertex phase over list's entries rg:
+// selectBody's lane step for the min kinds, which also take the next census
+// into part tid (StaticFor's tid-th range) — each vertex activated, with its
+// out-degree — or the program's own Apply. It returns the counters.
+func (r *ExecContext) listSelect(list []uint32, rg sched.Range, tid int) perfmodel.Counters {
+	l, props, accum := &r.lr, r.props, r.accum
+	fb := r.newWordBits(l.p, list, rg)
+	if l.sel {
+		part := &r.nextParts[tid]
+		next, outEdges := part.list, 0
+		for _, v := range list[rg.Lo:rg.Hi] {
+			nv, changed := selectStep(l.once, props[v], accum[v])
+			props[v], accum[v] = nv, kindIdentity
+			if changed {
+				fb.add(int(v>>6), 1<<(v&63))
+				next = append(next, v)
+				outEdges += int(l.deg[v])
+			}
+		}
+		part.list, part.outEdges = next, outEdges
+	} else {
+		for _, v := range list[rg.Lo:rg.Hi] {
+			nv, changed := l.p.Apply(props[v], accum[v], v)
+			props[v], accum[v] = nv, l.identity
+			if changed {
+				fb.add(int(v>>6), 1<<(v&63))
+			}
+		}
+	}
+	fb.flush()
+	return perfmodel.Counters{SharedWrites: 2 * uint64(rg.Hi-rg.Lo)}
 }
 
 // laneMask packs four lanes' changed flags into a 4-bit mask, lane 0 lowest.

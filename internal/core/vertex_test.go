@@ -196,7 +196,7 @@ func TestFusedRankStepMatchesApply(t *testing.T) {
 				if got := builtArm(ec, p); got != armRank {
 					t.Fatalf("%s: the Vertex phase builds the %s", name, got)
 				}
-				body, _ := vertexBodyFor(ec, p, nil)
+				body, _ := vertexBodyFor(ec, p)
 				body(sched.Range{Lo: 0, Hi: cg.N}, 0, 0, 0)
 				for v := range cg.N {
 					want, _ := p.Apply(0, agg, uint32(v))
@@ -220,7 +220,7 @@ func TestFusedRankStepMatchesApply(t *testing.T) {
 		r := NewRunner(cg, opt)
 		ec := r.NewContext()
 		ec.Init(p)
-		body, fresh := vertexBodyFor(ec, p, nil)
+		body, fresh := vertexBodyFor(ec, p)
 		body(sched.Range{Lo: 0, Hi: cg.N}, 0, 0, 0)
 		if arm := builtArm(ec, p); arm != armRank || fresh || ec.contrib != nil {
 			t.Fatalf("%s: the Vertex phase built the %s, contrib current %v, contrib stored %v", name, arm, fresh, ec.contrib != nil)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -386,6 +387,68 @@ func TestMaterializeSeedOlderThanLogRebuilds(t *testing.T) {
 	assertServesRebuild(t, h, base, append(first, second...), "seed older than the log")
 	if got := s.Stats().Materialize; got != (MaterializeStats{Rebuild: 1}) {
 		t.Fatalf("%+v, want one rebuild", got)
+	}
+}
+
+// TestAcquireParkedOnSupersededVersion: an Acquire parked on a cold
+// version's load while a mutation supersedes that version and a Compact
+// folds the successor — rotating the log past the parked version's view —
+// serves the graph's current version, with its own version number, not the
+// folded snapshot under the old one. The superseded view cannot be
+// materialized any more: the rebuild arm refuses it.
+func TestAcquireParkedOnSupersededVersion(t *testing.T) {
+	s, err := Open(Config{DataDir: t.TempDir(), Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	base := testgraph.Skewed().G
+	if err := s.Add("g", core.BuildGraph(base)); err != nil {
+		t.Fatal(err)
+	}
+	first, second := mutOps(base, 0, true), mutOps(base, 1, true)
+	mustApply(t, s, "g", first)
+	s.mu.Lock()
+	e := s.graphs["g"]
+	s.mu.Unlock()
+	if e.runner != nil || e.viewSeq != 1 {
+		t.Fatalf("setup: version %d resident %t at view %d; want a cold version at view 1", e.version, e.runner != nil, e.viewSeq)
+	}
+	// Another loader holds the cold version's load; the Acquire parks on it.
+	e.load.Lock()
+	type acquired struct {
+		h   *Handle
+		err error
+	}
+	done := make(chan acquired, 1)
+	go func() {
+		h, err := s.Acquire("g")
+		done <- acquired{h, err}
+	}()
+	for parked := false; !parked; {
+		s.mu.Lock()
+		parked = e.refs == 1
+		s.mu.Unlock()
+		runtime.Gosched()
+	}
+	_, current := mustApply(t, s, "g", second)
+	if err := s.Compact("g"); err != nil {
+		t.Fatal(err)
+	}
+	e.load.Unlock()
+	got := <-done
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	defer got.h.Close()
+	if got.h.Version() != current {
+		t.Fatalf("the parked Acquire got version %d, want the current %d", got.h.Version(), current)
+	}
+	assertServesRebuild(t, got.h, base, append(first, second...), "parked on a superseded version")
+	e.load.Lock()
+	defer e.load.Unlock()
+	if _, err := s.materialize(e); err == nil {
+		t.Fatal("materialize served a view older than the log's base")
 	}
 }
 

@@ -538,6 +538,17 @@ func (s *Store) Acquire(name string) (*Handle, error) {
 
 	e.load.Lock()
 	if e.runner == nil {
+		s.mu.Lock()
+		retired := e.retired
+		s.mu.Unlock()
+		if retired {
+			// Superseded while we waited for its load: a Compact of a
+			// successor may have folded the log past this view, so serve the
+			// graph's current version instead.
+			e.load.Unlock()
+			s.release(e)
+			return s.Acquire(name)
+		}
 		if ce := e.corrupt; ce != nil {
 			// Sticky: the snapshot was quarantined; only a new Add heals.
 			e.load.Unlock()
@@ -581,7 +592,10 @@ func (s *Store) Acquire(name string) (*Handle, error) {
 // core.BuildGraph over the merge of the snapshot's edges with the log's
 // whole range, with one log line. The whole range cannot patch a seed older
 // than the log's base, which would lack the batches the rotation dropped;
-// the snapshot holds them. The caller holds e.load.
+// the snapshot holds them. Nor can a rebuild serve a view older than the
+// log's base: the snapshot then holds batches past the view, so the arm
+// fails rather than serve another version's layouts. The caller holds
+// e.load.
 func (s *Store) materialize(e *entry) (*core.Graph, error) {
 	start := time.Now()
 	reason := "no predecessor in memory"
@@ -597,7 +611,10 @@ func (s *Store) materialize(e *entry) (*core.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	ops := e.delta.opsThrough(e.viewSeq)
+	ops, ok := e.delta.opsThrough(e.viewSeq)
+	if !ok {
+		return nil, fmt.Errorf("store: %q version %d: the delta log is compacted past its view", e.name, e.version)
+	}
 	if len(ops) > 0 {
 		g = graph.ApplyEdgeOps(g, ops)
 	}

@@ -226,11 +226,15 @@ func (l *deltaLog) ackedSeq() uint64 {
 
 // opsThrough returns a copy of the acknowledged operations for every batch
 // with sequence ≤ seq, concatenated in order — the input to the canonical
-// overlay merge.
-func (l *deltaLog) opsThrough(seq uint64) []graph.EdgeOp {
+// overlay merge. It reports false when the log's base is past seq: the
+// snapshot then holds batches after seq, so no merge rebuilds that view.
+func (l *deltaLog) opsThrough(seq uint64) ([]graph.EdgeOp, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.opsInLocked(l.baseSeq, min(seq, l.seq))
+	if seq < l.baseSeq {
+		return nil, false
+	}
+	return l.opsInLocked(l.baseSeq, min(seq, l.seq)), true
 }
 
 // opsInLocked returns a copy of the operations of every resident batch with

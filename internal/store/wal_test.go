@@ -88,15 +88,15 @@ func TestDeltaLogAppendReopen(t *testing.T) {
 	if rec2.Replayed != 2 {
 		t.Fatalf("replayed %d batches, want 2", rec2.Replayed)
 	}
-	ops := l2.opsThrough(2)
+	ops := through(t, l2, 2)
 	if len(ops) != 3 {
-		t.Fatalf("opsThrough(2) = %d ops, want 3", len(ops))
+		t.Fatalf("ops through 2 = %d ops, want 3", len(ops))
 	}
 	if ops[2].Delete != true || ops[2].Src != 0 || ops[2].Dst != 1 {
 		t.Fatalf("last replayed op = %+v", ops[2])
 	}
-	if got := l2.opsThrough(1); len(got) != 1 {
-		t.Fatalf("opsThrough(1) = %d ops, want 1", len(got))
+	if got := through(t, l2, 1); len(got) != 1 {
+		t.Fatalf("ops through 1 = %d ops, want 1", len(got))
 	}
 	l2.close(false)
 }
@@ -163,7 +163,7 @@ func TestDeltaLogFsyncFailureRollsBack(t *testing.T) {
 	if st.Size() != durable.Size() {
 		t.Fatalf("file = %d bytes after rollback, want %d", st.Size(), durable.Size())
 	}
-	if ops := l.opsThrough(^uint64(0)); len(ops) != 1 {
+	if ops := through(t, l, ^uint64(0)); len(ops) != 1 {
 		t.Fatalf("tail = %d ops after rollback, want 1", len(ops))
 	}
 	if c.fsyncErrors.Load() != 1 || c.appendErrors.Load() != 1 {
@@ -183,7 +183,7 @@ func TestDeltaLogFsyncFailureRollsBack(t *testing.T) {
 	if rec.Replayed != 2 {
 		t.Fatalf("replayed %d, want 2", rec.Replayed)
 	}
-	ops := l2.opsThrough(^uint64(0))
+	ops := through(t, l2, ^uint64(0))
 	if len(ops) != 2 || ops[1].Src != 2 {
 		t.Fatalf("replayed ops = %+v: unacknowledged batch leaked or acked batch lost", ops)
 	}
@@ -311,7 +311,7 @@ func TestDeltaLogRotateDropsCompacted(t *testing.T) {
 	if err := l.rotate(3); err != nil {
 		t.Fatal(err)
 	}
-	if ops := l.opsThrough(^uint64(0)); len(ops) != 1 || ops[0].Src != 3 {
+	if ops := through(t, l, ^uint64(0)); len(ops) != 1 || ops[0].Src != 3 {
 		t.Fatalf("post-rotate tail = %+v, want just the seq-4 op", ops)
 	}
 	if got := l.tailBatches.Load(); got != 1 {
@@ -330,7 +330,7 @@ func TestDeltaLogRotateDropsCompacted(t *testing.T) {
 	if rec.Replayed != 2 {
 		t.Fatalf("replayed %d after rotate, want 2", rec.Replayed)
 	}
-	ops := l2.opsThrough(^uint64(0))
+	ops := through(t, l2, ^uint64(0))
 	if len(ops) != 2 || ops[0].Src != 3 || ops[1].Src != 9 {
 		t.Fatalf("reopened tail = %+v", ops)
 	}
@@ -409,7 +409,7 @@ func TestDeltaLogMemoryOnly(t *testing.T) {
 	if err := l.rotate(2); err != nil {
 		t.Fatal(err)
 	}
-	if ops := l.opsThrough(^uint64(0)); len(ops) != 1 {
+	if ops := through(t, l, ^uint64(0)); len(ops) != 1 {
 		t.Fatalf("post-rotate tail = %+v", ops)
 	}
 	if c.fsyncs.Load() != 0 {
@@ -477,7 +477,7 @@ func TestDeltaLogConcurrentAppendWithFsyncFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	survived := map[uint32]bool{}
-	for _, op := range l2.opsThrough(^uint64(0)) {
+	for _, op := range through(t, l2, ^uint64(0)) {
 		survived[op.Src] = true
 	}
 	for i, ok := range acked {
@@ -539,8 +539,18 @@ func TestDeltaLogFollowerLostToRollbackDespiteReusedSeq(t *testing.T) {
 	if rec != (recovery{Replayed: 2}) {
 		t.Fatalf("recovery = %+v, want a clean replay of 2 batches", rec)
 	}
-	ops := l2.opsThrough(^uint64(0))
+	ops := through(t, l2, ^uint64(0))
 	if len(ops) != 2 || ops[0].Src != 1 || ops[1].Src != 2 {
 		t.Fatalf("replayed ops = %+v, want the two acknowledged batches", ops)
 	}
+}
+
+// through is l.opsThrough(seq) for a log whose base is not past seq.
+func through(t *testing.T, l *deltaLog, seq uint64) []graph.EdgeOp {
+	t.Helper()
+	ops, ok := l.opsThrough(seq)
+	if !ok {
+		t.Fatalf("the log's base is past %d", seq)
+	}
+	return ops
 }
